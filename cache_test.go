@@ -174,6 +174,37 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	}
 }
 
+// TestCacheMacroDefinition: a definition the renderer rejects changes
+// nothing, so it must leave the cache alone; an accepted one changes every
+// narrative and purges it — on the single engine and on the coordinator.
+func TestCacheMacroDefinition(t *testing.T) {
+	sharded := newShardedEngine(t, 2, "hash")
+	sharded.EnableCache(CacheConfig{MaxEntries: 32})
+	for name, eng := range map[string]*Engine{"single": newCachedEngine(t), "sharded": sharded} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := eng.Query([]string{"Woody Allen"}, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			before := eng.CacheStats()
+			if before.Entries == 0 {
+				t.Fatal("warm query did not populate the cache")
+			}
+			if err := eng.DefineMacro(`DEFINE BROKEN as [i<arityOf(@TITLE)`); err == nil {
+				t.Fatal("malformed definition accepted")
+			}
+			if after := eng.CacheStats(); after.Entries != before.Entries || after.Invalidations != before.Invalidations {
+				t.Fatalf("rejected definition touched the cache: %+v -> %+v", before, after)
+			}
+			if err := eng.DefineMacro(`DEFINE FINE as "fine."`); err != nil {
+				t.Fatal(err)
+			}
+			if n := eng.CacheStats().Entries; n != 0 {
+				t.Fatalf("accepted definition left %d cache entries", n)
+			}
+		})
+	}
+}
+
 func TestCacheDisableAndTTL(t *testing.T) {
 	eng := newEngine(t)
 	if eng.CacheEnabled() {

@@ -3,6 +3,8 @@ package nlg
 import (
 	"strings"
 	"testing"
+
+	"precis/internal/core"
 )
 
 func BenchmarkNarrative(b *testing.B) {
@@ -16,6 +18,45 @@ func BenchmarkNarrative(b *testing.B) {
 		if err != nil || !strings.Contains(out, "Woody Allen") {
 			b.Fatalf("narrative: %v", err)
 		}
+	}
+}
+
+// BenchmarkNarrativeDeep renders the shape of the benchmark's deep workload
+// at the translator's seam: the busiest director of 2,000 synthetic films
+// at w=0.05, card=150 (several hundred tuples, every relation of the graph).
+func BenchmarkNarrativeDeep(b *testing.B) {
+	db, g := syntheticMovies(b, 2000)
+	r := paperRenderer(b)
+	for _, strat := range []core.Strategy{core.StrategyNaive, core.StrategyRoundRobin} {
+		b.Run(strat.String(), func(b *testing.B) {
+			rd, occs := precisOf(b, db, g, busiestDirector(db), 0.05, core.MaxTuplesPerRelation(150), strat, core.Budget{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out, err := r.Narrative(rd, occs); err != nil || out == "" {
+					b.Fatalf("narrative: %q, %v", out, err)
+				}
+			}
+			b.ReportMetric(float64(rd.DB.TotalTuples()), "tuples")
+		})
+	}
+}
+
+// TestNarrativeKeepsNoState guards the per-call narration: whatever one
+// Narrative builds (join indexes, frames) must die with the call, so a
+// second render of the same result allocates no more than the first.
+func TestNarrativeKeepsNoState(t *testing.T) {
+	rd, occs := woodyPrecis(t, 100)
+	r := paperRenderer(t)
+	render := func() {
+		if _, err := r.Narrative(rd, occs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := testing.AllocsPerRun(1, render)
+	second := testing.AllocsPerRun(5, render)
+	if second > first {
+		t.Errorf("allocations grew from %v to %v per render: state leaks across Narrative calls", first, second)
 	}
 }
 

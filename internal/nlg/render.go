@@ -59,7 +59,9 @@ func (r *Renderer) DefineMacro(def string) error {
 
 // Narrative renders the result database for the given token occurrences
 // (as returned by the inverted index). Each occurrence of the token yields
-// one paragraph; paragraphs are separated by blank lines.
+// one paragraph; paragraphs are separated by blank lines. A tuple matched
+// by several occurrences (two query terms, or two attributes of one tuple)
+// is narrated once, at its first position.
 //
 // Partial answers (rd.Partial(), a resource budget truncated generation)
 // render as well-formed narratives: clauses whose joined tuples were cut
@@ -68,18 +70,25 @@ func (r *Renderer) DefineMacro(def string) error {
 // trimmed rather than rendered half-empty — and a truncation note naming
 // the exhausted budget dimension is appended as a final paragraph.
 func (r *Renderer) Narrative(rd *core.ResultDatabase, occs []invidx.Occurrence) (string, error) {
+	n := &narration{r: r, rd: rd, rels: map[string]*relInfo{}}
+	type seed struct {
+		rel string
+		id  storage.TupleID
+	}
+	narrated := map[seed]bool{}
 	var paragraphs []string
 	for _, occ := range occs {
-		rel := rd.DB.Relation(occ.Relation)
-		if rel == nil {
+		ri := n.rel(occ.Relation)
+		if ri.rel == nil {
 			continue
 		}
 		for _, id := range occ.TupleIDs {
-			t, ok := rel.Get(id)
-			if !ok {
-				continue // cut by the cardinality constraint or budget
+			t, ok := ri.rel.Get(id)
+			if !ok || narrated[seed{occ.Relation, id}] {
+				continue // cut by the cardinality constraint or budget, or already told
 			}
-			p, err := r.paragraph(rd, occ.Relation, t)
+			narrated[seed{occ.Relation, id}] = true
+			p, err := n.paragraph(ri, t)
 			if err != nil {
 				return "", err
 			}
@@ -121,33 +130,147 @@ func (r *Renderer) maxClauses() int {
 	return 64
 }
 
+// narration is the state of one Narrative call: per-relation metadata and
+// join indexes over the result database, built lazily and dropped with the
+// call (an error abandons it mid-walk), so the walk is linear in the result
+// database and the shared Renderer stays stateless.
+type narration struct {
+	r    *Renderer
+	rd   *core.ResultDatabase
+	rels map[string]*relInfo
+}
+
+// relInfo is what the walk needs to know about one relation of G′.
+type relInfo struct {
+	name   string
+	rel    *storage.Relation         // nil if the result database lacks it
+	node   *schemagraph.RelationNode // nil if G′ lacks it
+	cols   map[string]int            // upper-cased column name -> position
+	edges  []*schemagraph.JoinEdge   // out-edges by decreasing weight, then key
+	onPath bool                      // the walk is currently below this relation
+	sorted []storage.Tuple           // all tuples in id order, filled by index
+	// byCol holds the join indexes built so far, by join column.
+	byCol map[string]map[storage.Value][]storage.Tuple
+}
+
+func (n *narration) rel(name string) *relInfo {
+	if ri, ok := n.rels[name]; ok {
+		return ri
+	}
+	ri := &relInfo{name: name, rel: n.rd.DB.Relation(name), node: n.rd.Schema.Graph.Relation(name)}
+	if ri.rel != nil {
+		ri.byCol = map[string]map[storage.Value][]storage.Tuple{}
+		ri.cols = make(map[string]int, len(ri.rel.Schema().Columns))
+		for ci, col := range ri.rel.Schema().Columns {
+			ri.cols[strings.ToUpper(col.Name)] = ci
+		}
+	}
+	if ri.node != nil {
+		ri.edges = ri.node.Out()
+		sort.SliceStable(ri.edges, func(i, j int) bool {
+			if ri.edges[i].Weight != ri.edges[j].Weight {
+				return ri.edges[i].Weight > ri.edges[j].Weight
+			}
+			return ri.edges[i].Key() < ri.edges[j].Key()
+		})
+	}
+	n.rels[name] = ri
+	return ri
+}
+
+// index returns the hash index of the relation on col: value -> tuples in
+// tuple-id order (the id order of the source database is its insertion
+// order, which keeps lists stable regardless of which join populated the
+// result relation first). NULLs are not indexed. It is nil when the relation
+// or the column is missing.
+func (ri *relInfo) index(col string) map[storage.Value][]storage.Tuple {
+	idx, ok := ri.byCol[col]
+	if ok || ri.rel == nil {
+		return idx
+	}
+	ci := ri.rel.Schema().ColumnIndex(col)
+	if ci < 0 {
+		return nil
+	}
+	if ri.sorted == nil {
+		ri.sorted = ri.rel.Tuples()
+		byID := func(i, j int) bool { return ri.sorted[i].ID < ri.sorted[j].ID }
+		if !sort.SliceIsSorted(ri.sorted, byID) {
+			sort.Slice(ri.sorted, byID)
+		}
+	}
+	idx = make(map[storage.Value][]storage.Tuple, len(ri.sorted))
+	for _, t := range ri.sorted {
+		if v := t.Values[ci]; !v.IsNull() {
+			idx[v] = append(idx[v], t)
+		}
+	}
+	ri.byCol[col] = idx
+	return idx
+}
+
+// frame binds the columns of one relation to a group of its tuples; a chain
+// of frames is the rendering context of a clause. @ATTR resolves to the
+// newest frame whose relation has that column — an all-NULL group shadows an
+// older binding with an empty list — and a column's value list is
+// materialised only when a template reads it.
+type frame struct {
+	parent *frame
+	rel    *relInfo
+	group  []storage.Tuple
+	cols   [][]string // value lists read so far, by column position
+}
+
+func (f *frame) values(name string) []string {
+	for ; f != nil; f = f.parent {
+		ci, ok := f.rel.cols[name]
+		if !ok {
+			continue
+		}
+		if f.cols == nil {
+			f.cols = make([][]string, len(f.rel.rel.Schema().Columns))
+		}
+		if f.cols[ci] == nil {
+			vals := make([]string, 0, len(f.group))
+			for _, t := range f.group {
+				if v := t.Values[ci]; !v.IsNull() {
+					vals = append(vals, v.String())
+				}
+			}
+			f.cols[ci] = vals
+		}
+		return f.cols[ci]
+	}
+	return nil
+}
+
 // paragraph renders the clauses for one seed tuple.
-func (r *Renderer) paragraph(rd *core.ResultDatabase, relName string, seed storage.Tuple) (string, error) {
+func (n *narration) paragraph(ri *relInfo, seed storage.Tuple) (string, error) {
 	var clauses []string
 
 	// Clause 1: the relation's own sentence, heading attribute first.
-	ctx := Context{}
-	r.bindTuples(ctx, rd, relName, []storage.Tuple{seed})
-	node := rd.Schema.Graph.Relation(relName)
+	group := []storage.Tuple{seed}
 	sentence := ""
-	if node != nil && node.Sentence != "" {
-		t, err := r.parse(node.Sentence)
+	if ri.node != nil && ri.node.Sentence != "" {
+		t, err := n.r.parse(ri.node.Sentence)
 		if err != nil {
-			return "", fmt.Errorf("nlg: sentence template of %s: %w", relName, err)
+			return "", fmt.Errorf("nlg: sentence template of %s: %w", ri.name, err)
 		}
-		sentence, err = t.Render(ctx, r.Macros)
+		sentence, err = t.render(&frame{rel: ri, group: group}, n.r.Macros)
 		if err != nil {
 			return "", err
 		}
 	} else {
-		sentence = r.defaultSentence(rd, relName, seed)
+		sentence = n.r.defaultSentence(n.rd, ri.name, seed)
 	}
 	if s := strings.TrimSpace(sentence); s != "" {
 		clauses = append(clauses, s)
 	}
 
-	visited := map[string]bool{relName: true}
-	sub, err := r.expand(rd, relName, []storage.Tuple{seed}, ctx, visited, r.maxClauses()-len(clauses))
+	// No outer subject: expand binds the seed as the group of its relation.
+	ri.onPath = true
+	sub, err := n.expand(ri, group, nil, n.r.maxClauses()-len(clauses))
+	ri.onPath = false
 	if err != nil {
 		return "", err
 	}
@@ -155,192 +278,96 @@ func (r *Renderer) paragraph(rd *core.ResultDatabase, relName string, seed stora
 	return strings.Join(clauses, " "), nil
 }
 
-// cloneSet copies a string set.
-func cloneSet(in map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-// cloneContext copies a rendering context (value slices are shared; they
-// are never mutated after binding).
-func cloneContext(in Context) Context {
-	out := make(Context, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
 // expand walks the join edges of the result schema from rel, composing
 // clauses that combine information from joined relations (§5.3: "each of
 // these clauses has as subject the heading attribute of the relation that
 // has the primary key").
-func (r *Renderer) expand(rd *core.ResultDatabase, rel string, anchors []storage.Tuple, subject Context, visited map[string]bool, budget int) ([]string, error) {
-	if budget <= 0 || len(anchors) == 0 {
+func (n *narration) expand(from *relInfo, anchors []storage.Tuple, subject *frame, budget int) ([]string, error) {
+	if budget <= 0 || len(anchors) == 0 || from.node == nil {
 		return nil, nil
 	}
-	node := rd.Schema.Graph.Relation(rel)
-	if node == nil {
-		return nil, nil
+	// One group per anchor tuple when this relation has a heading, so each
+	// subject keeps its own clauses; else all anchors form one group.
+	step := len(anchors)
+	if from.node.Heading != "" {
+		step = 1
 	}
-	edges := node.Out()
-	sort.SliceStable(edges, func(i, j int) bool {
-		if edges[i].Weight != edges[j].Weight {
-			return edges[i].Weight > edges[j].Weight
-		}
-		return edges[i].Key() < edges[j].Key()
-	})
-
 	var clauses []string
-	for _, e := range edges {
-		if visited[e.To] || budget <= 0 {
+	for _, e := range from.edges {
+		to := n.rel(e.To)
+		if to.onPath {
 			continue
 		}
-		toNode := rd.Schema.Graph.Relation(e.To)
-		branchVisited := cloneSet(visited)
-		branchVisited[e.To] = true
-
 		// A heading-less relation with no label is a pure junction (CAST,
-		// PLAY): traverse through it. The current anchors become the
-		// subject on the far side — per anchor tuple when this relation has
-		// a heading, so each subject keeps its own clauses.
-		if toNode != nil && toNode.Heading == "" && e.Label == "" {
-			var passGroups [][]storage.Tuple
-			if node.Heading != "" {
-				for i := range anchors {
-					passGroups = append(passGroups, anchors[i:i+1])
-				}
-			} else {
-				passGroups = [][]storage.Tuple{anchors}
-			}
-			for _, group := range passGroups {
-				joined := r.joinTuples(rd, e, group)
-				if len(joined) == 0 {
-					continue
-				}
-				passSubject := cloneContext(subject)
-				r.bindTuples(passSubject, rd, rel, group)
-				sub, err := r.expand(rd, e.To, joined, passSubject, branchVisited, budget)
-				if err != nil {
-					return nil, err
-				}
-				clauses = append(clauses, sub...)
-				budget -= len(sub)
-			}
-			continue
-		}
-
-		// Group per anchor tuple when the current relation has a heading
-		// (one clause per subject), else treat all anchors as one group.
-		var groups [][]storage.Tuple
-		if node.Heading != "" {
-			for i := range anchors {
-				groups = append(groups, anchors[i:i+1])
-			}
-		} else {
-			groups = [][]storage.Tuple{anchors}
-		}
-		for _, group := range groups {
-			if budget <= 0 {
-				break
-			}
-			joined := r.joinTuples(rd, e, group)
+		// PLAY): traverse through it without a clause of its own; the
+		// current group stays the subject on the far side.
+		through := to.node != nil && to.node.Heading == "" && e.Label == ""
+		to.onPath = true
+		for i := 0; i < len(anchors) && budget > 0; i += step {
+			group := anchors[i : i+step]
+			joined := n.joinTuples(from, e, group)
 			if len(joined) == 0 {
 				continue
 			}
-			ctx := cloneContext(subject)
-			r.bindTuples(ctx, rd, rel, group)
-			r.bindTuples(ctx, rd, e.To, joined)
-			var clause string
-			if e.Label != "" {
-				t, err := r.parse(e.Label)
-				if err != nil {
-					return nil, fmt.Errorf("nlg: label of %s: %w", e.Key(), err)
-				}
-				clause, err = t.Render(ctx, r.Macros)
+			bound := &frame{parent: subject, rel: from, group: group}
+			if !through {
+				clause, err := n.joinClause(e, group, joined, &frame{parent: bound, rel: to, group: joined})
 				if err != nil {
 					return nil, err
 				}
-			} else {
-				clause = r.defaultJoinClause(rd, rel, e.To, group, joined)
-			}
-			if c := strings.TrimSpace(clause); c != "" {
-				clauses = append(clauses, c)
-				budget--
+				if c := strings.TrimSpace(clause); c != "" {
+					clauses = append(clauses, c)
+					budget--
+				}
 			}
 			// Recurse with the joined tuples as anchors; the subject for
 			// deeper clauses is the current group's bindings.
-			deeper := cloneContext(subject)
-			r.bindTuples(deeper, rd, rel, group)
-			sub, err := r.expand(rd, e.To, joined, deeper, branchVisited, budget)
+			sub, err := n.expand(to, joined, bound, budget)
 			if err != nil {
 				return nil, err
 			}
 			clauses = append(clauses, sub...)
 			budget -= len(sub)
 		}
+		to.onPath = false
 	}
 	return clauses, nil
 }
 
+// joinClause renders the clause of edge e for one group and its joined
+// tuples: the annotated label against ctx, or the generic fallback.
+func (n *narration) joinClause(e *schemagraph.JoinEdge, group, joined []storage.Tuple, ctx *frame) (string, error) {
+	if e.Label == "" {
+		return n.r.defaultJoinClause(n.rd, e.From, e.To, group, joined), nil
+	}
+	t, err := n.r.parse(e.Label)
+	if err != nil {
+		return "", fmt.Errorf("nlg: label of %s: %w", e.Key(), err)
+	}
+	return t.render(ctx, n.r.Macros)
+}
+
 // joinTuples returns the tuples of e.To in the result database joining any
 // anchor tuple via e, in tuple-id order.
-func (r *Renderer) joinTuples(rd *core.ResultDatabase, e *schemagraph.JoinEdge, anchors []storage.Tuple) []storage.Tuple {
-	return joinAcross(rd, e.From, e.FromCol, e.To, e.ToCol, anchors)
-}
-
-// joinAcross matches anchors' FromCol values against ToCol of the target
-// relation in the result database.
-func joinAcross(rd *core.ResultDatabase, from, fromCol, to, toCol string, anchors []storage.Tuple) []storage.Tuple {
-	fromRel := rd.DB.Relation(from)
-	toRel := rd.DB.Relation(to)
-	if fromRel == nil || toRel == nil {
+func (n *narration) joinTuples(from *relInfo, e *schemagraph.JoinEdge, anchors []storage.Tuple) []storage.Tuple {
+	idx := n.rel(e.To).index(e.ToCol)
+	fi := from.rel.Schema().ColumnIndex(e.FromCol)
+	if idx == nil || fi < 0 {
 		return nil
 	}
-	fi := fromRel.Schema().ColumnIndex(fromCol)
-	ti := toRel.Schema().ColumnIndex(toCol)
-	if fi < 0 || ti < 0 {
-		return nil
-	}
-	want := make(map[storage.Value]bool, len(anchors))
-	for _, a := range anchors {
-		if v := a.Values[fi]; !v.IsNull() {
-			want[v] = true
-		}
+	if len(anchors) == 1 {
+		return idx[anchors[0].Values[fi]] // a posting list is already in id order
 	}
 	var out []storage.Tuple
-	toRel.Scan(func(t storage.Tuple) bool {
-		if want[t.Values[ti]] {
-			out = append(out, t)
+	probed := make(map[storage.Value]bool, len(anchors))
+	for _, a := range anchors {
+		if v := a.Values[fi]; !probed[v] {
+			probed[v] = true
+			out = append(out, idx[v]...)
 		}
-		return true
-	})
-	// Order by original tuple id: the id order of the source database is
-	// its insertion order, which keeps lists stable regardless of which
-	// join populated the result relation first.
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// bindTuples binds every column of rel's result relation to the value lists
-// across the given tuples.
-func (r *Renderer) bindTuples(ctx Context, rd *core.ResultDatabase, rel string, tuples []storage.Tuple) {
-	relation := rd.DB.Relation(rel)
-	if relation == nil {
-		return
-	}
-	for ci, col := range relation.Schema().Columns {
-		vals := make([]string, 0, len(tuples))
-		for _, t := range tuples {
-			if v := t.Values[ci]; !v.IsNull() {
-				vals = append(vals, v.String())
-			}
-		}
-		ctx.Bind(col.Name, vals)
-	}
 }
 
 // defaultSentence renders a fallback clause for a relation without an

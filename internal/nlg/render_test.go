@@ -8,13 +8,39 @@ import (
 	"precis/internal/core"
 	"precis/internal/dataset"
 	"precis/internal/invidx"
+	"precis/internal/schemagraph"
 	"precis/internal/sqlx"
 	"precis/internal/storage"
 )
 
-// woodyPrecis runs the full pipeline for Q = {"Woody Allen"} and returns
-// the result database plus occurrences.
-func woodyPrecis(t testing.TB, perRel int) (*core.ResultDatabase, []invidx.Occurrence) {
+// precisOf runs the pipeline for one query term: index lookup, result schema
+// at degree constraint w, result database under card, strat and budget b.
+func precisOf(t testing.TB, db *storage.Database, g *schemagraph.Graph, term string, w float64,
+	card core.CardinalityConstraint, strat core.Strategy, b core.Budget) (*core.ResultDatabase, []invidx.Occurrence) {
+	t.Helper()
+	occs := invidx.New(db).Lookup(term)
+	seeds := map[string][]storage.TupleID{}
+	var seedRels []string
+	for _, o := range occs {
+		seeds[o.Relation] = append(seeds[o.Relation], o.TupleIDs...)
+		seedRels = append(seedRels, o.Relation)
+	}
+	sort.Strings(seedRels)
+	rs, err := core.GenerateSchema(g, seedRels, core.MinPathWeight(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.CopyAnnotations(g)
+	rd, err := core.GenerateDatabaseOpts(sqlx.NewEngine(db), rs, seeds, card, strat, core.DBGenOptions{Budget: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rd, occs
+}
+
+// exampleMovies is the paper's example database with the narrative
+// annotations attached.
+func exampleMovies(t testing.TB) (*storage.Database, *schemagraph.Graph) {
 	t.Helper()
 	db, g, err := dataset.ExampleMovies()
 	if err != nil {
@@ -23,26 +49,15 @@ func woodyPrecis(t testing.TB, perRel int) (*core.ResultDatabase, []invidx.Occur
 	if err := dataset.AnnotateNarrative(g); err != nil {
 		t.Fatal(err)
 	}
-	ix := invidx.New(db)
-	occs := ix.Lookup("Woody Allen")
-	seeds := map[string][]storage.TupleID{}
-	var seedRels []string
-	for _, o := range occs {
-		seeds[o.Relation] = append(seeds[o.Relation], o.TupleIDs...)
-		seedRels = append(seedRels, o.Relation)
-	}
-	sort.Strings(seedRels)
-	rs, err := core.GenerateSchema(g, seedRels, core.MinPathWeight(0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs.CopyAnnotations(g)
-	rd, err := core.GenerateDatabase(sqlx.NewEngine(db), rs, seeds,
-		core.MaxTuplesPerRelation(perRel), core.StrategyAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rd, occs
+	return db, g
+}
+
+// woodyPrecis runs the full pipeline for Q = {"Woody Allen"} and returns
+// the result database plus occurrences.
+func woodyPrecis(t testing.TB, perRel int) (*core.ResultDatabase, []invidx.Occurrence) {
+	t.Helper()
+	db, g := exampleMovies(t)
+	return precisOf(t, db, g, "Woody Allen", 0.9, core.MaxTuplesPerRelation(perRel), core.StrategyAuto, core.Budget{})
 }
 
 func paperRenderer(t testing.TB) *Renderer {
@@ -212,37 +227,32 @@ func TestNarrativeEmptyResult(t *testing.T) {
 	_ = occs
 }
 
+// TestNarrativeTellsEachTupleOnce: a tuple reached by several occurrences
+// (two query terms, or two attributes of the tuple) gets one paragraph, at
+// its first position.
+func TestNarrativeTellsEachTupleOnce(t *testing.T) {
+	rd, occs := woodyPrecis(t, 100)
+	r := paperRenderer(t)
+	want, err := r.Narrative(rd, occs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := append(append([]invidx.Occurrence{}, occs...), occs...)
+	got, err := r.Narrative(rd, twice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("repeated occurrences changed the narrative\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
 // woodyPrecisBudget runs the pipeline under a resource budget so the
 // result database arrives truncated.
 func woodyPrecisBudget(t testing.TB, strat core.Strategy, b core.Budget) (*core.ResultDatabase, []invidx.Occurrence) {
 	t.Helper()
-	db, g, err := dataset.ExampleMovies()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.AnnotateNarrative(g); err != nil {
-		t.Fatal(err)
-	}
-	ix := invidx.New(db)
-	occs := ix.Lookup("Woody Allen")
-	seeds := map[string][]storage.TupleID{}
-	var seedRels []string
-	for _, o := range occs {
-		seeds[o.Relation] = append(seeds[o.Relation], o.TupleIDs...)
-		seedRels = append(seedRels, o.Relation)
-	}
-	sort.Strings(seedRels)
-	rs, err := core.GenerateSchema(g, seedRels, core.MinPathWeight(0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs.CopyAnnotations(g)
-	rd, err := core.GenerateDatabaseOpts(sqlx.NewEngine(db), rs, seeds,
-		core.Unlimited(), strat, core.DBGenOptions{Budget: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rd, occs
+	db, g := exampleMovies(t)
+	return precisOf(t, db, g, "Woody Allen", 0.9, core.Unlimited(), strat, b)
 }
 
 // TestNarrativePartialGolden pins the exact narrative rendered from a

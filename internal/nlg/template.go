@@ -35,6 +35,13 @@ func (c Context) Bind(attr string, values []string) {
 	c[strings.ToUpper(attr)] = values
 }
 
+// values resolves an upper-cased attribute name to its value list (nil when
+// unbound). Templates evaluate against it, so a Context and the translator's
+// lazy binding frames render identically.
+type values interface{ values(name string) []string }
+
+func (c Context) values(name string) []string { return c[name] }
+
 // Macros is a registry of named templates usable inside expressions.
 type Macros map[string]*Template
 
@@ -445,6 +452,10 @@ func (p *tparser) term() (exprNode, error) {
 
 // Render evaluates the template against ctx with the given macro registry.
 func (t *Template) Render(ctx Context, macros Macros) (string, error) {
+	return t.render(ctx, macros)
+}
+
+func (t *Template) render(ctx values, macros Macros) (string, error) {
 	var b strings.Builder
 	for _, s := range t.sections {
 		if err := renderSection(&b, s, ctx, macros, 0); err != nil {
@@ -456,11 +467,11 @@ func (t *Template) Render(ctx Context, macros Macros) (string, error) {
 
 const maxMacroDepth = 16
 
-func renderSection(b *strings.Builder, s section, ctx Context, macros Macros, depth int) error {
+func renderSection(b *strings.Builder, s section, ctx values, macros Macros, depth int) error {
 	if s.guard == nil {
 		return renderBody(b, s.body, ctx, macros, 0, depth)
 	}
-	arity := len(ctx[s.guard.attr])
+	arity := len(ctx.values(s.guard.attr))
 	switch s.guard.op {
 	case guardLess:
 		for i := 1; i < arity; i++ {
@@ -480,7 +491,7 @@ func renderSection(b *strings.Builder, s section, ctx Context, macros Macros, de
 
 // renderBody evaluates a concatenation with loop index i (1-based; 0 means
 // "no index in scope").
-func renderBody(b *strings.Builder, body []exprNode, ctx Context, macros Macros, i int, depth int) error {
+func renderBody(b *strings.Builder, body []exprNode, ctx values, macros Macros, i int, depth int) error {
 	if depth > maxMacroDepth {
 		return fmt.Errorf("nlg: macro recursion deeper than %d", maxMacroDepth)
 	}
@@ -489,7 +500,7 @@ func renderBody(b *strings.Builder, body []exprNode, ctx Context, macros Macros,
 		case litNode:
 			b.WriteString(n.text)
 		case attrNode:
-			vals := ctx[n.name]
+			vals := ctx.values(n.name)
 			switch {
 			case n.indexed:
 				if i < 1 {
@@ -514,7 +525,7 @@ func renderBody(b *strings.Builder, body []exprNode, ctx Context, macros Macros,
 				}
 			}
 		case arityNode:
-			b.WriteString(strconv.Itoa(len(ctx[n.attr])))
+			b.WriteString(strconv.Itoa(len(ctx.values(n.attr))))
 		case funcNode:
 			var inner strings.Builder
 			if err := renderBody(&inner, []exprNode{n.attr}, ctx, macros, i, depth); err != nil {

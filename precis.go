@@ -393,18 +393,19 @@ func (e *Engine) DefineMacro(def string) error {
 	if err := e.mutableLocked(); err != nil {
 		return err
 	}
-	e.purgeCacheLocked()
 	if e.shards != nil {
 		return e.shards.defineMacro(e, def)
 	}
 	// Validate-then-log: a definition the renderer rejects must never reach
 	// the WAL (it would poison every future recovery), so the parse runs
-	// first. If the log write then fails, the error is returned and the
-	// definition is not tracked for snapshots — the caller retries, and
-	// macro redefinition is idempotent.
+	// first — and a rejected definition changes nothing, so the answer
+	// cache is purged only once it is accepted. If the log write then
+	// fails, the error is returned and the definition is not tracked for
+	// snapshots — the caller retries, and macro redefinition is idempotent.
 	if err := e.renderer.DefineMacro(def); err != nil {
 		return err
 	}
+	e.purgeCacheLocked()
 	if err := e.appendWALLocked(wal.Record{Op: wal.OpMacro, Def: def}); err != nil {
 		if !errors.Is(err, ErrQuorumLost) {
 			return err

@@ -123,6 +123,30 @@ func TestMultiTermQuery(t *testing.T) {
 	}
 }
 
+// TestMultiTermQueryNarratesSharedTupleOnce: the unquoted query
+// `Woody Allen` is two terms that both match the same DIRECTOR and ACTOR
+// tuples; each is narrated once, so the narrative equals the phrase query's.
+func TestMultiTermQueryNarratesSharedTupleOnce(t *testing.T) {
+	eng := newEngine(t)
+	opts := Options{Degree: MinPathWeight(0.9), Cardinality: MaxTuplesPerRelation(10)}
+	phrase, err := eng.Query([]string{"Woody Allen"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms, err := eng.Query([]string{"Woody", "Allen"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const born = "Woody Allen was born on December 1, 1935 in Brooklyn, New York, USA."
+	if n := strings.Count(terms.Narrative, born); n != 1 {
+		t.Errorf("director sentence appears %d times, want 1:\n%s", n, terms.Narrative)
+	}
+	if terms.Narrative != phrase.Narrative {
+		t.Errorf("two-term narrative differs from the phrase query's\n--- terms ---\n%s\n--- phrase ---\n%s",
+			terms.Narrative, phrase.Narrative)
+	}
+}
+
 func TestUnmatchedTermsReported(t *testing.T) {
 	eng := newEngine(t)
 	ans, err := eng.Query([]string{"Woody Allen", "zzzzz"}, Options{})

@@ -81,6 +81,14 @@
 # longer compiles or fatals on its first iteration fails CI here instead
 # of on the next perf investigation.
 #
+# The benchmark module step covers benchmark/, which has its own go.mod
+# (the repository's benchmark ships its own build file), so the root
+# `go vet ./...` and `go test ./...` never descend into it. It replays
+# queries stage by stage through nlg, core, sqlx and shard; an API change
+# in one of those would otherwise surface only when the benchmark pipeline
+# runs. vet + its short tests compile every file, and `run.sh -smoke`
+# drives all four workloads end to end with their output checks (≈10 s).
+#
 # Every go test step carries an explicit -timeout so a deadlocked suite
 # (the usual failure mode of replication and chaos bugs) kills the step
 # instead of hanging the CI job until the outer scheduler reaps it.
@@ -129,6 +137,10 @@ go test -timeout=5m -run=NONE -fuzz='FuzzReplFrameDecode' -fuzztime=10s ./intern
 
 echo "== bench smoke (compile + one iteration)"
 go test -timeout=10m -run=NONE -bench=. -benchtime=1x ./...
+
+echo "== benchmark module (vet, short tests, four-workload smoke)"
+(cd benchmark && go vet ./... && go test -short -timeout=5m ./...)
+bash benchmark/run.sh -smoke
 
 echo "== sharded bench smoke (quick parity-checked runs)"
 go run ./cmd/precis-bench -quick -shards -rebuild

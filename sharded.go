@@ -419,6 +419,7 @@ func (s *shardSet) defineMacro(coord *Engine, def string) error {
 	if err := coord.renderer.DefineMacro(def); err != nil {
 		return err
 	}
+	coord.purgeCacheLocked()
 	for i, sh := range s.engines {
 		s.countMutation(i)
 		if err := sh.DefineMacro(def); err != nil {
