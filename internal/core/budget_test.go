@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,4 +267,68 @@ func chainSeeds(t *testing.T, db *storage.Database, token string) (map[string][]
 		t.Fatalf("token %q not found in dataset", token)
 	}
 	return seeds, rels
+}
+
+// countingFetcher counts the statements the generator actually executes.
+type countingFetcher struct {
+	Fetcher
+	executed atomic.Int64
+}
+
+func (c *countingFetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
+	c.executed.Add(1)
+	return c.Fetcher.ExecStmt(st)
+}
+
+// TestQueriesCountsExecutedStatementsUnderDeadline trips a fake-clock
+// deadline at every possible point of a Round-Robin generation — before a
+// join's probe, between rounds, mid-apply — and requires GenStats.Queries to
+// equal the statements that reached the fetcher: a fetch the deadline
+// skipped is not a query. (Queries used to count one per driving value
+// whether or not its scan ran.)
+func TestQueriesCountsExecutedStatementsUnderDeadline(t *testing.T) {
+	deadline := time.Unix(1000, 0)
+	eng, rs, seeds := exampleSetup(t, 0.1)
+	full, err := GenerateDatabaseOpts(eng, rs, seeds, Unlimited(), StrategyRoundRobin, DBGenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for tripAfter := 0; ; tripAfter++ {
+		calls := 0
+		now := func() time.Time {
+			calls++
+			if calls > tripAfter {
+				return deadline.Add(time.Second)
+			}
+			return deadline.Add(-time.Second)
+		}
+		cf := &countingFetcher{Fetcher: eng}
+		rd, err := GenerateDatabaseOpts(cf, rs, seeds, Unlimited(), StrategyRoundRobin,
+			DBGenOptions{Budget: Budget{Deadline: deadline, Now: now}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rd.Stats.Queries, int(cf.executed.Load()); got != want {
+			t.Fatalf("deadline after %d clock reads: Queries = %d, %d statements executed", tripAfter, got, want)
+		}
+		seen[rd.Stats.Queries] = true
+		if tripAfter == 0 {
+			// Already expired: the seed fetches, one per seed relation, and nothing else.
+			if rd.Stats.Queries != len(seeds) || rd.Truncation != TruncateDeadline {
+				t.Fatalf("expired deadline: Queries = %d (want the %d seed fetches), truncation %q",
+					rd.Stats.Queries, len(seeds), rd.Truncation)
+			}
+		}
+		if rd.Truncation == TruncateNone {
+			if rd.Stats.Queries != full.Stats.Queries || rd.DB.TotalTuples() != full.DB.TotalTuples() {
+				t.Fatalf("deadline never reached: %d queries / %d tuples, unbudgeted run %d / %d",
+					rd.Stats.Queries, rd.DB.TotalTuples(), full.Stats.Queries, full.DB.TotalTuples())
+			}
+			break
+		}
+	}
+	if len(seen) < 4 {
+		t.Fatalf("the sweep only produced statement counts %v: the deadline is not cutting mid-generation", seen)
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"precis/internal/faultinject"
@@ -45,7 +46,10 @@ func (s Strategy) String() string {
 
 // GenStats reports the physical work of one result-database generation; its
 // units match the paper's cost model (queries issued, index probes, tuple
-// reads).
+// reads). Queries counts the statements actually executed: one per seed
+// relation, one per NaïveQ join (two under tuple weights) and two per
+// Round-Robin join, whatever the number of driving values or tuples — the
+// per-value and per-tuple work shows in SQL.IndexLookups and SQL.TupleReads.
 type GenStats struct {
 	Queries           int
 	SQL               sqlx.Stats
@@ -101,18 +105,20 @@ type DBGenOptions struct {
 	// joins and the per-relation seed queries concurrently, while inserts
 	// and budget accounting stay serialized in the serial algorithm's
 	// order, so the produced result database is byte-identical to the
-	// serial path for any worker count. GenStats may count slightly more
-	// physical work in the parallel path (a fetch issued under an
-	// optimistic budget can be discarded when a concurrent frontier edge
-	// consumed the remaining total-tuple budget first).
+	// serial path for any worker count. The pool works across join edges
+	// only: one join is one or two set-at-a-time statements, so there is no
+	// intra-join pool. GenStats may count slightly more physical work in
+	// the parallel path (a fetch issued under an optimistic budget can be
+	// discarded when a concurrent frontier edge consumed the remaining
+	// total-tuple budget first).
 	Workers int
 	// Context, when non-nil, cancels generation cooperatively: the ctx is
-	// observed between scheduling steps and inside the per-join tuple
-	// loops (scan handout, round-robin rounds, and the per-row apply
-	// loop), so a cancellation is seen within one tuple pick rather than
-	// one stage. The error returned wraps ctx.Err() so callers can detect
-	// timeouts. Cancellation discards the answer; to keep the prefix
-	// instead, set a Budget deadline.
+	// observed between scheduling steps, before each join's fetch, and
+	// inside the per-join tuple loops (round-robin rounds and the per-row
+	// apply loop), so a cancellation is seen within one statement or tuple
+	// pick rather than one stage. The error returned wraps ctx.Err() so
+	// callers can detect timeouts. Cancellation discards the answer; to
+	// keep the prefix instead, set a Budget deadline.
 	Context context.Context
 	// Budget bounds the physical resources of this generation. When a
 	// dimension runs out, the run stops at the next deterministic
@@ -180,6 +186,22 @@ func GenerateDatabase(eng Fetcher, rs *ResultSchema, seedTuples map[string][]sto
 
 // GenerateDatabaseOpts is GenerateDatabase with explicit ablation options.
 func GenerateDatabaseOpts(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage.TupleID, c CardinalityConstraint, strat Strategy, opts DBGenOptions) (*ResultDatabase, error) {
+	g, err := newGenerator(eng, rs, seedTuples, c, strat, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.placeSeeds(seedTuples); err != nil {
+		return nil, err
+	}
+	if err := g.executeJoins(); err != nil {
+		return nil, err
+	}
+	return g.result(), nil
+}
+
+// newGenerator validates the inputs of one Figure 5 run and creates the
+// empty output database with the relations of G'.
+func newGenerator(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage.TupleID, c CardinalityConstraint, strat Strategy, opts DBGenOptions) (*generator, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cardinality constraint")
 	}
@@ -214,18 +236,18 @@ func GenerateDatabaseOpts(eng Fetcher, rs *ResultSchema, seedTuples map[string][
 	if err := g.buildResultSchemas(); err != nil {
 		return nil, err
 	}
-	if err := g.placeSeeds(seedTuples); err != nil {
-		return nil, err
-	}
-	if err := g.executeJoins(); err != nil {
-		return nil, err
-	}
+	return g, nil
+}
+
+// result wraps the generated database, trimming what a budget cut left
+// dangling.
+func (g *generator) result() *ResultDatabase {
 	g.stats.TotalTuples = g.total
 	rd := &ResultDatabase{DB: g.out, Schema: g.rs, Stats: g.stats, Truncation: g.bt.Reason()}
 	if rd.Partial() {
 		g.trimDanglingForeignKeys()
 	}
-	return rd, nil
+	return rd
 }
 
 // trimDanglingForeignKeys drops, from a truncated result database, foreign
@@ -262,16 +284,21 @@ func (g *generator) ctxErr() error {
 	}
 }
 
-// execFetch runs one generated SELECT against the original database.
-// Generated queries are built as ASTs and executed through ExecStmt, which
-// skips the render/lex/parse round-trip (it dominated CPU profiles of
-// round-robin workloads, whose per-tuple fetches issue hundreds of tiny
-// queries) and — unlike Exec — does not touch the engine's shared stats
-// accumulator, so concurrent fetch tasks can share g.eng for its read-only
-// SELECT path. Each task keeps its stats in the returned Result; the apply
-// phase folds them back into the caller's engine serially.
-func (g *generator) execFetch(st *sqlx.SelectStmt) (*sqlx.Result, error) {
-	return g.eng.ExecStmt(st)
+// execFetch runs one generated SELECT against the original database and
+// charges it to f. Generated queries are built as ASTs and executed through
+// ExecStmt, which skips the render/lex/parse round-trip and — unlike Exec —
+// does not touch the engine's shared stats accumulator, so concurrent fetch
+// tasks can share g.eng for its read-only SELECT path. Each task keeps its
+// stats in f; the apply phase folds them back into the caller's engine
+// serially.
+func (g *generator) execFetch(f *fetched, st *sqlx.SelectStmt) (*sqlx.Result, error) {
+	res, err := g.eng.ExecStmt(st)
+	if err != nil {
+		return nil, fmt.Errorf("core: generated query on %s: %w", st.Table, err)
+	}
+	f.queries++
+	f.sql.Add(res.Stats)
+	return res, nil
 }
 
 // buildResultSchemas creates in the output database, for every relation of
@@ -372,11 +399,6 @@ func (g *generator) stmtSelect(rel string, where sqlx.Expr, limit int) *sqlx.Sel
 	return &sqlx.SelectStmt{Columns: cols, Table: rel, Where: where, Limit: limit}
 }
 
-// stmtIDs builds the AST of SELECT rowid FROM rel WHERE <where>.
-func stmtIDs(rel string, where sqlx.Expr) *sqlx.SelectStmt {
-	return &sqlx.SelectStmt{Columns: []string{sqlx.RowIDColumn}, Table: rel, Where: where, Limit: -1}
-}
-
 // rowidRef is the pseudo-column reference generated predicates filter on.
 func rowidRef() *sqlx.ColumnRef { return &sqlx.ColumnRef{Name: sqlx.RowIDColumn} }
 
@@ -389,15 +411,14 @@ func rowidIn(ids []storage.TupleID) *sqlx.InList {
 	return &sqlx.InList{Left: rowidRef(), Values: vals}
 }
 
-// fetchStmt executes one generated query and records its rows into f.
+// fetchStmt executes the one row-returning query of a fetch: its rows become
+// f's candidates.
 func (g *generator) fetchStmt(f *fetched, st *sqlx.SelectStmt) error {
-	res, err := g.execFetch(st)
+	res, err := g.execFetch(f, st)
 	if err != nil {
-		return fmt.Errorf("core: generated query on %s: %w", st.Table, err)
+		return err
 	}
-	f.queries++
-	f.sql.Add(res.Stats)
-	f.rows = append(f.rows, res.Rows...)
+	f.rows = res.Rows
 	return nil
 }
 
@@ -433,7 +454,7 @@ func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 			return err
 		}
 		id := storage.TupleID(row[0].AsInt())
-		if _, exists := outRel.Get(id); exists {
+		if outRel.Has(id) {
 			continue // duplicates are removed (paper §5.2)
 		}
 		if !g.bt.admitTuple(row, seed) {
@@ -628,13 +649,7 @@ func (g *generator) runBatch(batch []*schemagraph.JoinEdge) error {
 		return nil
 	}
 	if len(batch) == 1 {
-		// Single frontier edge: any intra-join parallelism (Round-Robin
-		// scans, per-tuple fetches) gets the whole pool.
-		return g.runJoin(batch[0], g.workers)
-	}
-	inner := g.workers / len(batch)
-	if inner < 1 {
-		inner = 1
+		return g.runJoin(batch[0])
 	}
 	budgets := make([]int, len(batch))
 	for i, e := range batch {
@@ -646,7 +661,7 @@ func (g *generator) runBatch(batch []*schemagraph.JoinEdge) error {
 		if budgets[i] <= 0 {
 			return
 		}
-		results[i], errs[i] = g.fetchJoin(batch[i], budgets[i], inner)
+		results[i], errs[i] = g.fetchJoin(batch[i], budgets[i])
 	})
 	for i, e := range batch {
 		if errs[i] != nil {
@@ -680,7 +695,7 @@ func joinStepName(e *schemagraph.JoinEdge) string {
 
 // runJoin executes one join edge end-to-end: fetch under the live budget,
 // then apply.
-func (g *generator) runJoin(e *schemagraph.JoinEdge, workers int) error {
+func (g *generator) runJoin(e *schemagraph.JoinEdge) error {
 	var st obs.StepToken
 	if g.trace != nil {
 		st = g.trace.StartStep(joinStepName(e))
@@ -688,7 +703,7 @@ func (g *generator) runJoin(e *schemagraph.JoinEdge, workers int) error {
 	tuples0, queries0 := g.total, g.stats.Queries
 	b := g.budget(e.To)
 	if b > 0 {
-		f, err := g.fetchJoin(e, b, workers)
+		f, err := g.fetchJoin(e, b)
 		if err != nil {
 			return err
 		}
@@ -708,7 +723,7 @@ func (g *generator) runJoin(e *schemagraph.JoinEdge, workers int) error {
 // "does not contain the actual join between the two relations" — it is a
 // selection on the join-attribute values present in R'i). It returns nil
 // when the join has nothing to do.
-func (g *generator) fetchJoin(e *schemagraph.JoinEdge, limit, workers int) (*fetched, error) {
+func (g *generator) fetchJoin(e *schemagraph.JoinEdge, limit int) (*fetched, error) {
 	if err := faultinject.Fire(faultinject.SiteJoin); err != nil {
 		return nil, fmt.Errorf("core: join %s->%s: %w", e.From, e.To, err)
 	}
@@ -730,7 +745,7 @@ func (g *generator) fetchJoin(e *schemagraph.JoinEdge, limit, workers int) (*fet
 	toN := g.isToN(e)
 	useRoundRobin := g.strat == StrategyRoundRobin || (g.strat == StrategyAuto && toN)
 	if useRoundRobin {
-		return g.fetchRoundRobin(e, values, limit, workers)
+		return g.fetchRoundRobin(e, values, limit)
 	}
 	return g.fetchNaiveQ(e, values, limit)
 }
@@ -761,17 +776,15 @@ func (g *generator) fetchNaiveQ(e *schemagraph.JoinEdge, values []storage.Value,
 }
 
 // naiveWhere builds NaïveQ's predicate: toCol IN (driving values), with the
-// tuples already in D' excluded so the budget buys only new tuples.
+// tuples already in D' excluded so the budget buys only new tuples. The
+// exclusion consults the output relation itself as an id set — nothing is
+// copied per join, and the same statement object serves every shard.
 func (g *generator) naiveWhere(e *schemagraph.JoinEdge, values []storage.Value) sqlx.Expr {
-	var where sqlx.Expr = &sqlx.InList{Left: &sqlx.ColumnRef{Name: e.ToCol}, Values: values}
-	if excl := g.existingIDs(e.To); len(excl) > 0 {
-		where = &sqlx.Logical{
-			And:   true,
-			Left:  where,
-			Right: &sqlx.InList{Left: rowidRef(), Values: excl, Not: true},
-		}
+	return &sqlx.Logical{
+		And:   true,
+		Left:  &sqlx.InList{Left: &sqlx.ColumnRef{Name: e.ToCol}, Values: values},
+		Right: &sqlx.RowIDInSet{Set: g.out.Relation(e.To), Not: true},
 	}
-	return where
 }
 
 // fetchNaiveQWeighted is NaïveQ under the §7 tuple-weights extension: a
@@ -781,16 +794,16 @@ func (g *generator) naiveWhere(e *schemagraph.JoinEdge, values []storage.Value) 
 // storage order, decide which tuples survive the cardinality constraint.
 func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
 	f := &fetched{}
-	if err := g.ctxErr(); err != nil {
+	res, err := g.execFetch(f, &sqlx.SelectStmt{
+		Columns: []string{sqlx.RowIDColumn},
+		Table:   e.To,
+		Where:   g.naiveWhere(e, values),
+		Limit:   -1,
+	})
+	if err != nil {
 		return nil, err
 	}
-	res, err := g.execFetch(stmtIDs(e.To, g.naiveWhere(e, values)))
-	if err != nil {
-		return nil, fmt.Errorf("core: weighted id query: %w", err)
-	}
-	f.queries++
-	f.sql.Add(res.Stats)
-	ids := append([]storage.TupleID(nil), res.RowIDs...)
+	ids := res.RowIDs
 	g.opts.Weights.order(e.To, ids)
 	if len(ids) > limit {
 		ids = ids[:limit]
@@ -809,63 +822,19 @@ func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storag
 // holds, so joining tuples distribute fairly across driving tuples whatever
 // the true fan-out distribution. Exhausted scans close.
 //
-// The per-value id scans and the per-tuple row fetches are independent
-// reads of the original database; with workers > 1 both run on the worker
-// pool, while the round-robin consumption order — and therefore the set
-// and order of retrieved tuples — is computed by a deterministic serial
-// simulation.
-func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Value, limit, workers int) (*fetched, error) {
-	outRel := g.out.Relation(e.To)
-
-	// Open one scan (id cursor) per driving value.
-	type scanRes struct {
-		ids []storage.TupleID
-		sql sqlx.Stats
-		err error
-	}
-	scans := make([]scanRes, len(values))
-	parallelFor(len(values), workers, func(i int) {
-		// Cooperative checkpoint inside the per-value scan loop: a canceled
-		// context is observed within one scan, and an expired deadline stops
-		// issuing further scans (the apply phase inserts nothing once the
-		// budget tripped, so skipped scans never cause answer holes).
-		if err := g.ctxErr(); err != nil {
-			scans[i].err = err
-			return
-		}
-		if g.bt.checkDeadline() {
-			return
-		}
-		res, err := g.execFetch(stmtIDs(e.To, &sqlx.Compare{
-			Op:    sqlx.OpEq,
-			Left:  &sqlx.ColumnRef{Name: e.ToCol},
-			Right: &sqlx.Literal{Value: values[i]},
-		}))
-		if err != nil {
-			scans[i].err = fmt.Errorf("core: round-robin scan: %w", err)
-			return
-		}
-		ids := make([]storage.TupleID, 0, len(res.RowIDs))
-		for _, id := range res.RowIDs {
-			if _, exists := outRel.Get(id); !exists {
-				ids = append(ids, id)
-			}
-		}
-		g.opts.Weights.order(e.To, ids)
-		scans[i].ids = ids
-		scans[i].sql = res.Stats
-	})
+// The scans are cursors over the result of a single grouped probe, the
+// rounds are a deterministic simulation over those cursors, and the chosen
+// tuples come back from a single rowid fetch in consumption order: two
+// statements per join, however many driving values and tuples it has. A
+// deadline that has already passed issues neither.
+func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
 	f := &fetched{}
-	cursors := make([][]storage.TupleID, 0, len(values))
-	for i := range scans {
-		if scans[i].err != nil {
-			return nil, scans[i].err
-		}
-		f.queries++
-		f.sql.Add(scans[i].sql)
-		if len(scans[i].ids) > 0 {
-			cursors = append(cursors, scans[i].ids)
-		}
+	if g.bt.checkDeadline() {
+		return f, nil
+	}
+	cursors, err := g.openCursors(f, e, values)
+	if err != nil {
+		return nil, err
 	}
 
 	// Deterministic round-robin simulation: choose up to limit ids, one per
@@ -880,15 +849,15 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 		capHint = limit // limit may be math.MaxInt (Unlimited)
 	}
 	chosen := make([]storage.TupleID, 0, capHint)
-	chosenSet := make(map[storage.TupleID]bool)
+	chosenSet := make(map[storage.TupleID]bool, capHint)
 	for len(chosen) < limit && len(cursors) > 0 {
 		if err := g.ctxErr(); err != nil {
 			return nil, err
 		}
 		if g.bt.checkDeadline() {
-			// Stop the simulation at a round boundary; whatever was chosen
-			// so far stays a prefix of the canonical consumption order.
-			break
+			// Nothing is inserted once the deadline tripped, so the tuples
+			// chosen so far are not worth fetching.
+			return f, nil
 		}
 		next := cursors[:0]
 		for _, cur := range cursors {
@@ -907,57 +876,65 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 		}
 		cursors = next
 	}
-
-	// Fetch the chosen tuples, preserving consumption order.
-	type rowRes struct {
-		rows [][]storage.Value
-		sql  sqlx.Stats
-		err  error
+	if len(chosen) == 0 {
+		return f, nil
 	}
-	fetchedRows := make([]rowRes, len(chosen))
-	parallelFor(len(chosen), workers, func(i int) {
-		// Per-tuple checkpoint: cancellation is observed within one row
-		// fetch. (The budget is deliberately not consulted here — the
-		// chosen list must be fetched contiguously so the applied rows
-		// remain an exact prefix; the apply loop enforces the cut.)
-		if err := g.ctxErr(); err != nil {
-			fetchedRows[i].err = err
-			return
-		}
-		res, err := g.execFetch(g.stmtSelect(e.To, &sqlx.Compare{
-			Op:    sqlx.OpEq,
-			Left:  rowidRef(),
-			Right: &sqlx.Literal{Value: storage.Int(int64(chosen[i]))},
-		}, 1))
-		if err != nil {
-			fetchedRows[i].err = err
-			return
-		}
-		fetchedRows[i].rows = res.Rows
-		fetchedRows[i].sql = res.Stats
-	})
-	for i := range fetchedRows {
-		if fetchedRows[i].err != nil {
-			return nil, fetchedRows[i].err
-		}
-		f.queries++
-		f.sql.Add(fetchedRows[i].sql)
-		f.rows = append(f.rows, fetchedRows[i].rows...)
+	// A rowid IN fetch returns rows in list order: the consumption order.
+	if err := g.fetchStmt(f, g.stmtSelect(e.To, rowidIn(chosen), len(chosen))); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-// existingIDs returns the ids already present in the output relation as
-// literal values for a NOT IN predicate, or nil when empty.
-func (g *generator) existingIDs(rel string) []storage.Value {
-	r := g.out.Relation(rel)
-	if r == nil || r.Len() == 0 {
-		return nil
-	}
-	vals := make([]storage.Value, 0, r.Len())
-	r.Scan(func(t storage.Tuple) bool {
-		vals = append(vals, storage.Int(int64(t.ID)))
-		return true
+// openCursors opens Round-Robin's per-driving-value scans with one grouped
+// probe — SELECT toCol FROM Rj WHERE toCol IN (values), whose result carries
+// the row ids alongside — and partitions its ascending-id result by toCol
+// into one id cursor per driving value, in values order (values is sorted:
+// DistinctValues). Ids already in R'j are dropped, each cursor is put
+// in tuple-weight order, and empty cursors are closed.
+func (g *generator) openCursors(f *fetched, e *schemagraph.JoinEdge, values []storage.Value) ([][]storage.TupleID, error) {
+	res, err := g.execFetch(f, &sqlx.SelectStmt{
+		Columns: []string{e.ToCol},
+		Table:   e.To,
+		Where:   &sqlx.InList{Left: &sqlx.ColumnRef{Name: e.ToCol}, Values: values},
+		Limit:   -1,
 	})
-	return vals
+	if err != nil {
+		return nil, err
+	}
+	// Two passes over the rows — count, then fill — carve every cursor out
+	// of one backing array. A row finds its driving value by binary search;
+	// Compare ties exactly the values the probe's equality matches.
+	outRel := g.out.Relation(e.To)
+	slots := make([]int, len(res.Rows)) // driving-value slot per row, -1 when already in R'j
+	counts := make([]int, len(values))
+	for i, row := range res.Rows {
+		slots[i] = -1
+		if outRel.Has(res.RowIDs[i]) {
+			continue
+		}
+		slot, _ := slices.BinarySearchFunc(values, row[0], storage.Value.Compare)
+		slots[i] = slot
+		counts[slot]++
+	}
+	backing := make([]storage.TupleID, len(res.Rows))
+	cursors := make([][]storage.TupleID, len(values))
+	off := 0
+	for i, n := range counts {
+		cursors[i] = backing[off : off : off+n]
+		off += n
+	}
+	for i, slot := range slots {
+		if slot >= 0 {
+			cursors[slot] = append(cursors[slot], res.RowIDs[i])
+		}
+	}
+	open := cursors[:0]
+	for _, cur := range cursors {
+		if len(cur) > 0 {
+			g.opts.Weights.order(e.To, cur)
+			open = append(open, cur)
+		}
+	}
+	return open, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -574,4 +575,39 @@ func TestTupleWeightsRoundRobin(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestRoundRobinStatementsPerJoin bounds the statements of a generation by
+// its shape, not its size: one per seed relation, at most two per executed
+// join (Round-Robin's grouped probe and chosen-tuple fetch; NaïveQ's id and
+// row queries under tuple weights). An answer of hundreds of tuples must not
+// cost hundreds of statements — a statement-per-value or statement-per-tuple
+// loop fails here whatever the dataset.
+func TestRoundRobinStatementsPerJoin(t *testing.T) {
+	db, g := syntheticMovies(t, 300)
+	rs, seeds := diffQuery(t, g, invidx.New(db), busiestDirector(db), 0.05)
+	for _, strat := range []Strategy{StrategyRoundRobin, StrategyAuto, StrategyNaive} {
+		for _, weights := range []TupleWeights{nil, diffWeights(db)} {
+			for _, workers := range []int{1, 4} {
+				cf := &countingFetcher{Fetcher: sqlx.NewEngine(db)}
+				rd, err := GenerateDatabaseOpts(cf, rs, seeds, MaxTuplesPerRelation(150), strat,
+					DBGenOptions{Weights: weights, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%v weights=%v workers=%d", strat, weights != nil, workers)
+				if got := int(cf.executed.Load()); got != rd.Stats.Queries {
+					t.Errorf("%s: Queries = %d, %d statements executed", name, rd.Stats.Queries, got)
+				}
+				if max := len(seeds) + 2*rd.Stats.JoinsExecuted; rd.Stats.Queries > max {
+					t.Errorf("%s: %d statements for %d seed relations and %d joins (max %d)",
+						name, rd.Stats.Queries, len(seeds), rd.Stats.JoinsExecuted, max)
+				}
+				if rd.Stats.TotalTuples < 10*rd.Stats.Queries {
+					t.Fatalf("%s: only %d tuples for %d statements: the answer is too small to tell set-at-a-time from tuple-at-a-time",
+						name, rd.Stats.TotalTuples, rd.Stats.Queries)
+				}
+			}
+		}
+	}
 }

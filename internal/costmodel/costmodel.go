@@ -8,6 +8,19 @@
 // where IndexTime is the time to find a tuple id for a given value in an
 // index and TupleTime the time to read a tuple given its id. Formula 3
 // turns a desired response time cost_M into a cardinality constraint.
+//
+// The formulas charge index probes and tuple reads — the generator's
+// sqlx.Stats.IndexLookups and TupleReads — not statements. The generator
+// fetches set-at-a-time (one statement per NaïveQ join, two per Round-Robin
+// join: a grouped probe over all driving values and one fetch of the chosen
+// tuples), so core.GenStats.Queries no longer tracks the number of driving
+// values or tuples, while the probe and read counts the model is fitted to
+// are exactly what a statement-per-value, statement-per-tuple execution
+// performs (internal/core's differential test holds them equal). Calibrate,
+// on the other hand, times whole one-probe statements, so the IndexTime it
+// reports also absorbs per-statement overhead (parse, plan) that the
+// generator pays once per join, not once per probe: Formula 1 over measured
+// counts over-estimates by that margin (EXPERIMENTS.md, "Cost model").
 package costmodel
 
 import (

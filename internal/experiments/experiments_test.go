@@ -98,9 +98,10 @@ func TestFigure9RoundRobinSlower(t *testing.T) {
 		t.Fatalf("points: %+v / %+v", naive.Points, rr.Points)
 	}
 	// The paper's claim: Round-Robin is slower than NaïveQ at each n_R
-	// because it issues one scan per driving tuple plus one fetch per
-	// retrieved tuple. Assert the deterministic driver — query counts —
-	// rather than noisy wall time.
+	// because it opens a scan per driving tuple and then fetches every
+	// retrieved tuple by id, where NaïveQ's top-k stops reading at the
+	// cut-off. Assert the deterministic drivers — statements (two per join
+	// against one) and tuple reads — rather than noisy wall time.
 	for _, nR := range cfg.Relations {
 		w, err := buildChain(dataset.ChainConfig{Relations: nR, RowsPerRel: 50, Fanout: 2, Seed: 1, UniformRows: false})
 		if err != nil {
@@ -117,6 +118,9 @@ func TestFigure9RoundRobinSlower(t *testing.T) {
 		}
 		if nR > 1 && sr.Queries <= sn.Queries {
 			t.Errorf("nR=%d: roundrobin queries %d <= naive %d", nR, sr.Queries, sn.Queries)
+		}
+		if nR > 1 && sr.SQL.TupleReads <= sn.SQL.TupleReads {
+			t.Errorf("nR=%d: roundrobin read %d tuples <= naive %d", nR, sr.SQL.TupleReads, sn.SQL.TupleReads)
 		}
 	}
 }

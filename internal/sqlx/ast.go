@@ -147,6 +147,23 @@ type InList struct {
 	Not    bool
 }
 
+// IDSet is a caller-owned set of tuple ids that a predicate consults without
+// enumerating it. *storage.Relation satisfies it (membership = the tuple is
+// stored). Has must be safe for concurrent readers: a scatter/gather
+// executor evaluates the same statement object on every shard at once.
+type IDSet interface {
+	Has(id storage.TupleID) bool
+}
+
+// RowIDInSet is rowid [NOT] IN <set> for a set too large, or too alive, to
+// spell as a literal list: the result-database generator excludes the tuples
+// already in D' with it instead of rebuilding a NOT IN list per join. It has
+// no SQL syntax — statements carrying it are built as ASTs.
+type RowIDInSet struct {
+	Set IDSet
+	Not bool
+}
+
 // Like is <col> LIKE 'pattern' with % and _ wildcards, optional NOT.
 type Like struct {
 	Left    Expr
@@ -171,14 +188,15 @@ type Not struct {
 	Inner Expr
 }
 
-func (*ColumnRef) expr() {}
-func (*Literal) expr()   {}
-func (*Compare) expr()   {}
-func (*InList) expr()    {}
-func (*Like) expr()      {}
-func (*IsNull) expr()    {}
-func (*Logical) expr()   {}
-func (*Not) expr()       {}
+func (*ColumnRef) expr()  {}
+func (*Literal) expr()    {}
+func (*Compare) expr()    {}
+func (*InList) expr()     {}
+func (*RowIDInSet) expr() {}
+func (*Like) expr()       {}
+func (*IsNull) expr()     {}
+func (*Logical) expr()    {}
+func (*Not) expr()        {}
 
 // likeMatch implements LIKE semantics: % matches any run (possibly empty),
 // _ matches exactly one byte; matching is case-sensitive like standard SQL
@@ -243,6 +261,11 @@ func exprString(e Expr) string {
 			not = " NOT"
 		}
 		return exprString(e.Left) + not + " IN (" + strings.Join(parts, ", ") + ")"
+	case *RowIDInSet:
+		if e.Not {
+			return RowIDColumn + " NOT IN <id set>"
+		}
+		return RowIDColumn + " IN <id set>"
 	case *Like:
 		not := ""
 		if e.Not {

@@ -2,6 +2,8 @@ package sqlx
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"precis/internal/faultinject"
@@ -141,7 +143,7 @@ func (e *Engine) execDelete(st *DeleteStmt) (*Result, error) {
 	if rel == nil {
 		return nil, fmt.Errorf("sql: no relation %s", st.Table)
 	}
-	ev, err := newEvaluator(rel.Schema(), st.Where)
+	pred, err := compileWhere(rel.Schema(), st.Where, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -149,19 +151,11 @@ func (e *Engine) execDelete(st *DeleteStmt) (*Result, error) {
 	var doomed []storage.TupleID
 	rel.Scan(func(t storage.Tuple) bool {
 		res.Stats.Scanned++
-		ok, err2 := ev.matches(t)
-		if err2 != nil {
-			err = err2
-			return false
-		}
-		if ok {
+		if pred.matches(t) {
 			doomed = append(doomed, t.ID)
 		}
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
 	for _, id := range doomed {
 		if _, err := e.db.Delete(st.Table, id); err != nil {
 			return nil, err
@@ -185,7 +179,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 		}
 		setIdx[i] = ci
 	}
-	ev, err := newEvaluator(schema, st.Where)
+	pred, err := compileWhere(schema, st.Where, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -195,19 +189,11 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 	var matched []storage.TupleID
 	rel.Scan(func(t storage.Tuple) bool {
 		res.Stats.Scanned++
-		ok, err2 := ev.matches(t)
-		if err2 != nil {
-			err = err2
-			return false
-		}
-		if ok {
+		if pred.matches(t) {
 			matched = append(matched, t.ID)
 		}
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
 	for _, id := range matched {
 		t, ok := rel.Get(id)
 		if !ok {
@@ -225,42 +211,22 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 	return res, nil
 }
 
-// execExplain reports the access path the planner would choose: "rowid",
-// "index(col)" with the probe count, or "scan".
+// execExplain reports the access path execSelect would take — the plan of
+// the same planAccess call, rendered: "rowid fetch (n ids)", "index(col)
+// probes=n", "range(col)" or "scan".
 func (e *Engine) execExplain(st *ExplainStmt) (*Result, error) {
 	rel := e.db.Relation(st.Inner.Table)
 	if rel == nil {
 		return nil, fmt.Errorf("sql: no relation %s", st.Inner.Table)
 	}
-	// Validate the inner statement fully (columns, predicate, order keys).
-	if _, err := newEvaluator(rel.Schema(), st.Inner.Where); err != nil {
+	// Validate the inner statement's predicate as execution would.
+	if _, err := compileWhere(rel.Schema(), st.Inner.Where, nil); err != nil {
 		return nil, err
 	}
-	plan := "scan"
-	conjuncts := collectConjuncts(st.Inner.Where)
-	for _, c := range conjuncts {
-		if col, vals, ok := eqOrInTarget(c); ok && col == RowIDColumn {
-			plan = fmt.Sprintf("rowid fetch (%d ids)", len(vals))
-			break
-		}
-	}
-	if plan == "scan" {
-		for _, c := range conjuncts {
-			col, vals, ok := eqOrInTarget(c)
-			if ok && rel.Schema().HasColumn(col) && rel.HasIndex(col) {
-				plan = fmt.Sprintf("index(%s) probes=%d", col, len(vals))
-				break
-			}
-		}
-	}
-	if plan == "scan" {
-		if col, _, _, ok := rangeTarget(rel, conjuncts); ok {
-			plan = fmt.Sprintf("range(%s)", col)
-		}
-	}
+	plan := planAccess(rel, st.Inner.Where)
 	return &Result{
 		Columns: []string{"plan"},
-		Rows:    [][]storage.Value{{storage.String(plan)}},
+		Rows:    [][]storage.Value{{storage.String(plan.String())}},
 		RowIDs:  []storage.TupleID{0},
 	}, nil
 }
@@ -292,7 +258,11 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		outIdx[i] = ci
 	}
 
-	ev, err := newEvaluator(schema, st.Where)
+	// Plan: an index-backed access path from the WHERE clause, else a scan.
+	// The conjunct that produces the candidates is compiled out of the
+	// per-tuple predicate when the access path already guarantees it.
+	plan := planAccess(rel, st.Where)
+	pred, err := compileWhere(schema, st.Where, plan.source)
 	if err != nil {
 		return nil, err
 	}
@@ -313,8 +283,8 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 
 	res := &Result{Columns: outCols}
 
-	// Plan: try an index-backed access path from the WHERE clause, else scan.
-	candidates, planned, err := e.planAccess(rel, st.Where, &res.Stats)
+	planned := plan.kind != accessScan
+	candidates, err := plan.candidates(rel, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -343,14 +313,34 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		}
 	}
 
-	var sortKeys [][]storage.Value
-	emit := func(t storage.Tuple) error {
-		ok, err := ev.matches(t)
-		if err != nil {
-			return err
+	// When no post-processing will reorder or cut rows, the LIMIT (plus any
+	// OFFSET) can stop the producer early (the RowNum-style top-k of the
+	// paper). An index-ordered producer already emits in output order.
+	earlyCount := -1
+	if st.Limit >= 0 && (len(st.OrderBy) == 0 || orderedByIndex) && !st.Distinct {
+		earlyCount = st.Limit + st.Offset
+	}
+	earlyLimit := earlyCount >= 0
+
+	// A rowid fetch or hash probe whose candidates all satisfy its conjunct
+	// (plan.source) emits nearly all of them, up to the LIMIT: the result is
+	// sized once, at the first match, instead of growing by doubling.
+	maxRows := 0
+	if plan.source != nil {
+		maxRows = len(candidates)
+		if earlyLimit && earlyCount < maxRows {
+			maxRows = earlyCount
 		}
-		if !ok {
-			return nil
+	}
+
+	var sortKeys [][]storage.Value
+	emit := func(t storage.Tuple) {
+		if !pred.matches(t) {
+			return
+		}
+		if res.Rows == nil && maxRows > 0 {
+			res.Rows = make([][]storage.Value, 0, maxRows)
+			res.RowIDs = make([]storage.TupleID, 0, maxRows)
 		}
 		row := make([]storage.Value, len(outIdx))
 		for i, ci := range outIdx {
@@ -374,47 +364,26 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 			sortKeys = append(sortKeys, keys)
 		}
 		res.Stats.TupleReads++
-		return nil
 	}
-
-	// When no post-processing will reorder or cut rows, the LIMIT (plus any
-	// OFFSET) can stop the producer early (the RowNum-style top-k of the
-	// paper). An index-ordered producer already emits in output order.
-	earlyCount := -1
-	if st.Limit >= 0 && (len(st.OrderBy) == 0 || orderedByIndex) && !st.Distinct {
-		earlyCount = st.Limit + st.Offset
-	}
-	earlyLimit := earlyCount >= 0
 
 	if planned {
 		for _, id := range candidates {
 			if earlyLimit && len(res.Rows) >= earlyCount {
 				break
 			}
-			t, ok := rel.Get(id)
-			if !ok {
-				continue
-			}
-			if err := emit(t); err != nil {
-				return nil, err
+			if t, ok := rel.Get(id); ok {
+				emit(t)
 			}
 		}
 	} else {
-		var scanErr error
 		rel.Scan(func(t storage.Tuple) bool {
 			if earlyLimit && len(res.Rows) >= earlyCount {
 				return false
 			}
 			res.Stats.Scanned++
-			if err := emit(t); err != nil {
-				scanErr = err
-				return false
-			}
+			emit(t)
 			return true
 		})
-		if scanErr != nil {
-			return nil, scanErr
-		}
 	}
 
 	// Sort before deduplication: dedupe keeps first occurrences in order,
@@ -450,67 +419,174 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 // single engine would emit them (the generator's weight-ordered IN-list
 // fetches depend on that order surviving the merge).
 func RowIDOrder(where Expr) ([]storage.TupleID, bool) {
-	for _, c := range collectConjuncts(where) {
+	var buf [8]Expr
+	for _, c := range appendConjuncts(buf[:0], where) {
 		if col, vals, ok := eqOrInTarget(c); ok && col == RowIDColumn {
-			ids := make([]storage.TupleID, 0, len(vals))
-			for _, v := range vals {
-				if v.Kind() == storage.KindInt {
-					ids = append(ids, storage.TupleID(v.AsInt()))
-				}
-			}
-			return ids, true
+			return vals.rowIDs(), true
 		}
 	}
 	return nil, false
 }
 
-// planAccess inspects the top-level AND-conjuncts of where for an equality
-// or IN predicate on rowid or on an indexed column and, if found, returns
-// the candidate tuple ids (in deterministic order) for re-checking against
-// the full predicate. The boolean reports whether a plan was found. An index
-// probe failure is propagated, never swallowed: silently treating a failed
-// lookup as "no matches" would corrupt the answer without any signal.
-func (e *Engine) planAccess(rel *storage.Relation, where Expr, stats *Stats) ([]storage.TupleID, bool, error) {
-	conjuncts := collectConjuncts(where)
-	schema := rel.Schema()
+// accessKind names the access path of one SELECT.
+type accessKind uint8
 
-	// Prefer rowid predicates: direct fetches, no index probe needed.
-	if ids, ok := RowIDOrder(where); ok {
-		return ids, true, nil
+const (
+	accessScan  accessKind = iota // visit every tuple
+	accessRowID                   // fetch the ids a rowid = / IN conjunct lists
+	accessIndex                   // probe a hash index with an = / IN conjunct's values
+	accessRange                   // walk an ordered index between bounds
+)
+
+// accessPlan is the access path planAccess chose for one WHERE clause.
+// execSelect executes it and EXPLAIN prints it, so the two cannot disagree.
+type accessPlan struct {
+	kind accessKind
+	col  string      // accessIndex, accessRange: the indexed column
+	vals probeValues // accessRowID, accessIndex: the conjunct's values, in predicate order
+	lo   *storage.Bound
+	hi   *storage.Bound
+	// source is the conjunct the candidates come from, set only when every
+	// candidate satisfies it by construction, so the per-tuple predicate can
+	// leave it out: a rowid plan visits exactly the listed ids, and a hash
+	// probe returns exactly the tuples holding a probed key. It stays nil —
+	// the full predicate is re-checked — when an indexed list holds a NULL
+	// (the index stores NULL keys, but `x IN (NULL)` never matches) and for
+	// range plans (bounds fold several conjuncts).
+	source Expr
+}
+
+// String renders the plan the way EXPLAIN reports it.
+func (p accessPlan) String() string {
+	switch p.kind {
+	case accessRowID:
+		return fmt.Sprintf("rowid fetch (%d ids)", p.vals.len())
+	case accessIndex:
+		return fmt.Sprintf("index(%s) probes=%d", p.col, p.vals.len())
+	case accessRange:
+		return fmt.Sprintf("range(%s)", p.col)
+	default:
+		return "scan"
 	}
-	// Otherwise the first indexed equality/IN column wins.
+}
+
+// planAccess picks the access path for where from its top-level
+// AND-conjuncts, collected once: an equality or IN predicate on rowid wins
+// (direct fetches, no index probe), then the first one on a hash-indexed
+// column, then a range over an ordered (B-tree) index; otherwise a scan.
+// Planning touches no tuples and cannot fail.
+func planAccess(rel *storage.Relation, where Expr) accessPlan {
+	var buf [8]Expr
+	conjuncts := appendConjuncts(buf[:0], where)
+	var index accessPlan
 	for _, c := range conjuncts {
 		col, vals, ok := eqOrInTarget(c)
-		if !ok || !schema.HasColumn(col) || !rel.HasIndex(col) {
+		if !ok {
 			continue
 		}
-		var ids []storage.TupleID
-		for _, v := range vals {
-			stats.IndexLookups++
-			found, err := rel.Lookup(col, v)
-			if err != nil {
-				return nil, false, fmt.Errorf("sql: access path on %s: %w", rel.Schema().Name, err)
-			}
-			ids = append(ids, found...)
+		if col == RowIDColumn {
+			return accessPlan{kind: accessRowID, vals: vals, source: c}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		// Dedupe (IN lists may repeat values).
-		ids = dedupeIDs(ids)
-		return ids, true, nil
+		if index.kind != accessScan || !rel.HasIndex(col) {
+			continue
+		}
+		hasNull, probeable := vals.shape()
+		if !probeable {
+			continue
+		}
+		index = accessPlan{kind: accessIndex, col: col, vals: vals}
+		if !hasNull {
+			index.source = c
+		}
 	}
-	// Finally, a range over an ordered (B-tree) index.
+	if index.kind == accessIndex {
+		return index
+	}
 	if col, lo, hi, ok := rangeTarget(rel, conjuncts); ok {
-		ix := rel.OrderedIndexOn(col)
+		return accessPlan{kind: accessRange, col: col, lo: lo, hi: hi}
+	}
+	return accessPlan{}
+}
+
+// candidates executes the plan's index side: the tuple ids to visit, in the
+// order the executor emits them (predicate-list order for a rowid plan,
+// ascending ids otherwise), or nil for a scan. An index probe failure is
+// propagated, never swallowed: silently treating a failed lookup as "no
+// matches" would corrupt the answer without any signal.
+func (p accessPlan) candidates(rel *storage.Relation, stats *Stats) ([]storage.TupleID, error) {
+	switch p.kind {
+	case accessRowID:
+		return p.vals.rowIDs(), nil
+	case accessIndex:
+		schema := rel.Schema()
+		colType := schema.Columns[schema.ColumnIndex(p.col)].Type
+		var ids []storage.TupleID
+		lists := 0 // non-empty posting lists gathered
+		for i := 0; i < p.vals.len(); i++ {
+			stats.IndexLookups++
+			keys, n := indexKeys(colType, p.vals.at(i))
+			for _, key := range keys[:n] {
+				before := len(ids)
+				var err error
+				if ids, err = rel.AppendLookup(ids, p.col, key); err != nil {
+					return nil, fmt.Errorf("sql: access path on %s: %w", schema.Name, err)
+				}
+				if len(ids) > before {
+					lists++
+				}
+			}
+		}
+		// One posting list is already ascending and duplicate-free; several
+		// (IN lists may even repeat a value) are merged.
+		if lists > 1 {
+			slices.Sort(ids)
+			ids = slices.Compact(ids)
+		}
+		return ids, nil
+	case accessRange:
 		stats.IndexLookups++
 		var ids []storage.TupleID
-		ix.Range(lo, hi, func(_ storage.Value, id storage.TupleID) bool {
+		rel.OrderedIndexOn(p.col).Range(p.lo, p.hi, func(_ storage.Value, id storage.TupleID) bool {
 			ids = append(ids, id)
 			return true
 		})
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return ids, true, nil
+		slices.Sort(ids)
+		return ids, nil
+	default:
+		return nil, nil
 	}
-	return nil, false, nil
+}
+
+// maxExactFloat is 2^53: below it every integral float64 is exactly one
+// int64, above it several int64s round to the same float64.
+const maxExactFloat = 1 << 53
+
+// indexKeys returns the hash-index keys a probe for v must look up in a
+// column of type t. The index keys on exact values while comparison is
+// numeric across Int and Float (Value.Equal), so a numeric literal probes
+// every representation the column can store: `k = 1.0` finds Int(1) in an
+// INT column, and `f = 1` finds both Int(1) and Float(1) in a FLOAT column.
+// Every tuple under a returned key Equals v.
+func indexKeys(t storage.ColType, v storage.Value) (keys [2]storage.Value, n int) {
+	switch v.Kind() {
+	case storage.KindInt:
+		keys[0], n = v, 1
+		if t == storage.TypeFloat {
+			keys[1], n = storage.Float(float64(v.AsInt())), 2
+		}
+	case storage.KindFloat:
+		f := v.AsFloat()
+		if t == storage.TypeFloat {
+			keys[0], n = v, 1
+		}
+		if f == math.Trunc(f) && math.Abs(f) < maxExactFloat {
+			keys[n] = storage.Int(int64(f))
+			n++
+		}
+	default:
+		keys[0], n = v, 1
+	}
+	return keys, n
 }
 
 // rangeTarget folds the top-level range conjuncts (col < v, col >= v, ...)
@@ -602,57 +678,99 @@ func tighterHi(a, b *storage.Bound) *storage.Bound {
 	return a
 }
 
-// collectConjuncts flattens nested ANDs into a list; a nil expression yields
-// an empty list.
-func collectConjuncts(e Expr) []Expr {
+// appendConjuncts flattens nested ANDs onto dst; a nil expression adds
+// nothing. Callers pass a small stack buffer so typical clauses never
+// allocate.
+func appendConjuncts(dst []Expr, e Expr) []Expr {
 	if e == nil {
-		return nil
+		return dst
 	}
 	if l, ok := e.(*Logical); ok && l.And {
-		return append(collectConjuncts(l.Left), collectConjuncts(l.Right)...)
+		return appendConjuncts(appendConjuncts(dst, l.Left), l.Right)
 	}
-	return []Expr{e}
+	return append(dst, e)
+}
+
+// probeValues are the literals of a `col = v` or `col IN (…)` conjunct. An
+// equality carries its one value inline, so recognising a conjunct never
+// allocates.
+type probeValues struct {
+	one    storage.Value
+	list   []storage.Value
+	single bool
+}
+
+func (p probeValues) len() int {
+	if p.single {
+		return 1
+	}
+	return len(p.list)
+}
+
+func (p probeValues) at(i int) storage.Value {
+	if p.single {
+		return p.one
+	}
+	return p.list[i]
+}
+
+// rowIDs reads the values as tuple ids, in order; non-integer entries name
+// no tuple and are dropped.
+func (p probeValues) rowIDs() []storage.TupleID {
+	ids := make([]storage.TupleID, 0, p.len())
+	for i := 0; i < p.len(); i++ {
+		if v := p.at(i); v.Kind() == storage.KindInt {
+			ids = append(ids, storage.TupleID(v.AsInt()))
+		}
+	}
+	return ids
+}
+
+// shape reports whether the values include a NULL, and whether a hash index
+// can answer them completely: a float at or beyond 2^53 equals several
+// int64s the index cannot enumerate, so such a conjunct is left to the
+// per-tuple predicate.
+func (p probeValues) shape() (hasNull, probeable bool) {
+	for i := 0; i < p.len(); i++ {
+		switch v := p.at(i); v.Kind() {
+		case storage.KindNull:
+			hasNull = true
+		case storage.KindFloat:
+			if math.Abs(v.AsFloat()) >= maxExactFloat {
+				return hasNull, false
+			}
+		}
+	}
+	return hasNull, true
 }
 
 // eqOrInTarget recognises `col = literal` (either side) and `col IN (...)`
 // conjuncts and returns the column and candidate values.
-func eqOrInTarget(e Expr) (string, []storage.Value, bool) {
+func eqOrInTarget(e Expr) (string, probeValues, bool) {
 	switch e := e.(type) {
 	case *Compare:
 		if e.Op != OpEq {
-			return "", nil, false
+			break
 		}
 		if c, ok := e.Left.(*ColumnRef); ok {
 			if lit, ok := e.Right.(*Literal); ok {
-				return c.Name, []storage.Value{lit.Value}, true
+				return c.Name, probeValues{one: lit.Value, single: true}, true
 			}
 		}
 		if c, ok := e.Right.(*ColumnRef); ok {
 			if lit, ok := e.Left.(*Literal); ok {
-				return c.Name, []storage.Value{lit.Value}, true
+				return c.Name, probeValues{one: lit.Value, single: true}, true
 			}
 		}
 	case *InList:
 		if e.Not {
-			return "", nil, false
+			break
 		}
 		if c, ok := e.Left.(*ColumnRef); ok {
-			return c.Name, e.Values, true
+			return c.Name, probeValues{list: e.Values}, true
 		}
 	}
-	return "", nil, false
-}
-
-func dedupeIDs(ids []storage.TupleID) []storage.TupleID {
-	out := ids[:0]
-	var prev storage.TupleID = -1
-	for _, id := range ids {
-		if id != prev {
-			out = append(out, id)
-		}
-		prev = id
-	}
-	return out
+	return "", probeValues{}, false
 }
 
 // dedupe removes duplicate rows (by rendered values), keeping first
@@ -707,157 +825,181 @@ func (r *Result) sortByKeys(keys []OrderKey, sortKeys [][]storage.Value) {
 	}
 }
 
-// evaluator checks a tuple against a parsed predicate.
-type evaluator struct {
+// predicate is a compiled WHERE clause; nil matches every tuple.
+type predicate func(t storage.Tuple) bool
+
+// scalar is a compiled column reference or literal.
+type scalar func(t storage.Tuple) storage.Value
+
+// matches reports whether tuple t satisfies the predicate.
+func (p predicate) matches(t storage.Tuple) bool { return p == nil || p(t) }
+
+// compiler turns a parsed predicate into closures once per statement: every
+// column reference is validated and resolved to its position up front, so
+// errors surface before the first tuple is read and evaluating a tuple does
+// no name lookups.
+type compiler struct {
 	schema *storage.Schema
-	expr   Expr
+	skip   Expr
 }
 
-func newEvaluator(schema *storage.Schema, e Expr) (*evaluator, error) {
-	ev := &evaluator{schema: schema, expr: e}
-	if e != nil {
-		if err := ev.check(e); err != nil {
+// compileWhere compiles where against schema. skip, when non-nil, is a
+// top-level conjunct the access path already guarantees (accessPlan.source):
+// it is validated like the rest but left out of the compiled predicate.
+func compileWhere(schema *storage.Schema, where, skip Expr) (predicate, error) {
+	if where == nil {
+		return nil, nil
+	}
+	c := compiler{schema: schema, skip: skip}
+	return c.conjunct(where)
+}
+
+// conjunct compiles along the top-level AND spine — the only place skip can
+// sit — and returns nil for a subtree that reduces to true.
+func (c *compiler) conjunct(e Expr) (predicate, error) {
+	if l, ok := e.(*Logical); ok && l.And {
+		left, err := c.conjunct(l.Left)
+		if err != nil {
 			return nil, err
 		}
+		right, err := c.conjunct(l.Right)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case left == nil:
+			return right, nil
+		case right == nil:
+			return left, nil
+		}
+		return func(t storage.Tuple) bool { return left(t) && right(t) }, nil
 	}
-	return ev, nil
+	p, err := c.boolean(e)
+	if err != nil || e == c.skip {
+		return nil, err
+	}
+	return p, nil
 }
 
-// check validates column references eagerly so errors surface at parse time
-// rather than mid-scan.
-func (ev *evaluator) check(e Expr) error {
-	switch e := e.(type) {
-	case *ColumnRef:
-		if e.Name != RowIDColumn && !ev.schema.HasColumn(e.Name) {
-			return errf(e.Pos, "relation %s has no column %s", ev.schema.Name, e.Name)
-		}
-	case *Compare:
-		if err := ev.check(e.Left); err != nil {
-			return err
-		}
-		return ev.check(e.Right)
-	case *InList:
-		return ev.check(e.Left)
-	case *Like:
-		return ev.check(e.Left)
-	case *IsNull:
-		return ev.check(e.Left)
-	case *Logical:
-		if err := ev.check(e.Left); err != nil {
-			return err
-		}
-		return ev.check(e.Right)
-	case *Not:
-		return ev.check(e.Inner)
-	}
-	return nil
-}
-
-// matches reports whether tuple t satisfies the predicate (nil matches all).
-func (ev *evaluator) matches(t storage.Tuple) (bool, error) {
-	if ev.expr == nil {
-		return true, nil
-	}
-	return ev.eval(ev.expr, t)
-}
-
-func (ev *evaluator) value(e Expr, t storage.Tuple) (storage.Value, error) {
+func (c *compiler) scalar(e Expr) (scalar, error) {
 	switch e := e.(type) {
 	case *ColumnRef:
 		if e.Name == RowIDColumn {
-			return storage.Int(int64(t.ID)), nil
+			return func(t storage.Tuple) storage.Value { return storage.Int(int64(t.ID)) }, nil
 		}
-		return t.Values[ev.schema.ColumnIndex(e.Name)], nil
+		ci := c.schema.ColumnIndex(e.Name)
+		if ci < 0 {
+			return nil, errf(e.Pos, "relation %s has no column %s", c.schema.Name, e.Name)
+		}
+		return func(t storage.Tuple) storage.Value { return t.Values[ci] }, nil
 	case *Literal:
-		return e.Value, nil
+		v := e.Value
+		return func(storage.Tuple) storage.Value { return v }, nil
 	default:
-		return storage.Null, fmt.Errorf("sql: expression %q is not a scalar", exprString(e))
+		return nil, fmt.Errorf("sql: expression %q is not a scalar", exprString(e))
 	}
 }
 
-func (ev *evaluator) eval(e Expr, t storage.Tuple) (bool, error) {
+func (c *compiler) boolean(e Expr) (predicate, error) {
 	switch e := e.(type) {
 	case *Compare:
-		l, err := ev.value(e.Left, t)
+		left, err := c.scalar(e.Left)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		r, err := ev.value(e.Right, t)
+		right, err := c.scalar(e.Right)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		// SQL three-valued logic: comparisons with NULL are not true.
-		if l.IsNull() || r.IsNull() {
-			return false, nil
-		}
-		switch e.Op {
-		case OpEq:
-			return l.Equal(r), nil
-		case OpNe:
-			return !l.Equal(r), nil
-		case OpLt:
-			return l.Compare(r) < 0, nil
-		case OpLe:
-			return l.Compare(r) <= 0, nil
-		case OpGt:
-			return l.Compare(r) > 0, nil
-		case OpGe:
-			return l.Compare(r) >= 0, nil
-		}
-		return false, nil
-	case *InList:
-		l, err := ev.value(e.Left, t)
-		if err != nil {
-			return false, err
-		}
-		if l.IsNull() {
-			return false, nil
-		}
-		found := false
-		for _, v := range e.Values {
-			if l.Equal(v) {
-				found = true
-				break
+		op := e.Op
+		return func(t storage.Tuple) bool {
+			l, r := left(t), right(t)
+			// SQL three-valued logic: comparisons with NULL are not true.
+			if l.IsNull() || r.IsNull() {
+				return false
 			}
+			switch op {
+			case OpEq:
+				return l.Equal(r)
+			case OpNe:
+				return !l.Equal(r)
+			case OpLt:
+				return l.Compare(r) < 0
+			case OpLe:
+				return l.Compare(r) <= 0
+			case OpGt:
+				return l.Compare(r) > 0
+			case OpGe:
+				return l.Compare(r) >= 0
+			}
+			return false
+		}, nil
+	case *InList:
+		left, err := c.scalar(e.Left)
+		if err != nil {
+			return nil, err
 		}
-		return found != e.Not, nil
+		values, not := e.Values, e.Not
+		return func(t storage.Tuple) bool {
+			l := left(t)
+			if l.IsNull() {
+				return false
+			}
+			found := false
+			for _, v := range values {
+				if l.Equal(v) {
+					found = true
+					break
+				}
+			}
+			return found != not
+		}, nil
+	case *RowIDInSet:
+		set, not := e.Set, e.Not
+		if set == nil {
+			return nil, fmt.Errorf("sql: expression %q has no set", exprString(e))
+		}
+		return func(t storage.Tuple) bool { return set.Has(t.ID) != not }, nil
 	case *Like:
-		l, err := ev.value(e.Left, t)
+		left, err := c.scalar(e.Left)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		if l.Kind() != storage.KindString {
-			return false, nil
-		}
-		return likeMatch(e.Pattern, l.AsString()) != e.Not, nil
+		pattern, not := e.Pattern, e.Not
+		return func(t storage.Tuple) bool {
+			l := left(t)
+			if l.Kind() != storage.KindString {
+				return false
+			}
+			return likeMatch(pattern, l.AsString()) != not
+		}, nil
 	case *IsNull:
-		l, err := ev.value(e.Left, t)
+		left, err := c.scalar(e.Left)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		return l.IsNull() != e.Not, nil
+		not := e.Not
+		return func(t storage.Tuple) bool { return left(t).IsNull() != not }, nil
 	case *Logical:
-		l, err := ev.eval(e.Left, t)
+		left, err := c.boolean(e.Left)
 		if err != nil {
-			return false, err
+			return nil, err
+		}
+		right, err := c.boolean(e.Right)
+		if err != nil {
+			return nil, err
 		}
 		if e.And {
-			if !l {
-				return false, nil
-			}
-			return ev.eval(e.Right, t)
+			return func(t storage.Tuple) bool { return left(t) && right(t) }, nil
 		}
-		if l {
-			return true, nil
-		}
-		return ev.eval(e.Right, t)
+		return func(t storage.Tuple) bool { return left(t) || right(t) }, nil
 	case *Not:
-		v, err := ev.eval(e.Inner, t)
+		inner, err := c.boolean(e.Inner)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		return !v, nil
+		return func(t storage.Tuple) bool { return !inner(t) }, nil
 	default:
-		return false, fmt.Errorf("sql: expression %q is not boolean", exprString(e))
+		return nil, fmt.Errorf("sql: expression %q is not boolean", exprString(e))
 	}
 }

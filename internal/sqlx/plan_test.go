@@ -1,0 +1,371 @@
+package sqlx
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"precis/internal/storage"
+)
+
+// idSet is a map-backed IDSet.
+type idSet map[storage.TupleID]bool
+
+func (s idSet) Has(id storage.TupleID) bool { return s[id] }
+
+// planEngine builds two copies of one table: R with a primary key, hash
+// indexes on k and f and an ordered index on y; U with no key and no index,
+// so every statement on it scans. k, f and s hold NULLs; f holds both Int
+// and Float values (a FLOAT column accepts both), some numerically equal.
+func planEngine(t testing.TB) *Engine {
+	t.Helper()
+	db := storage.NewDatabase("plan")
+	e := NewEngine(db)
+	e.MustExec("CREATE TABLE R (id INT, k INT, f FLOAT, y INT, s TEXT, PRIMARY KEY (id))")
+	e.MustExec("CREATE TABLE U (id INT, k INT, f FLOAT, y INT, s TEXT)")
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 240; i++ {
+		k, f, s := fmt.Sprint(r.Intn(8)), fmt.Sprint(r.Intn(6)), fmt.Sprintf("'%c%c'", 'a'+r.Intn(3), 'a'+r.Intn(3))
+		switch r.Intn(4) {
+		case 0:
+			f += ".0"
+		case 1:
+			f += ".5"
+		}
+		if r.Intn(9) == 0 {
+			k = "NULL"
+		}
+		if r.Intn(9) == 0 {
+			f = "NULL"
+		}
+		if r.Intn(9) == 0 {
+			s = "NULL"
+		}
+		for _, table := range []string{"R", "U"} {
+			e.MustExec(fmt.Sprintf("INSERT INTO %s VALUES (%d, %s, %s, %d, %s)", table, i, k, f, r.Intn(50), s))
+		}
+	}
+	e.MustExec("CREATE INDEX ON R (k)")
+	e.MustExec("CREATE INDEX ON R (f)")
+	e.MustExec("CREATE ORDERED INDEX ON R (y)")
+	return e
+}
+
+// selectWhere runs SELECT id FROM table WHERE where and checks that EXPLAIN
+// names the access path the execution's counters show.
+func selectWhere(t *testing.T, e *Engine, table string, where Expr) *Result {
+	t.Helper()
+	res, _ := explainedSelect(t, e, table, where)
+	return res
+}
+
+// explainedSelect is selectWhere also returning the EXPLAINed plan.
+func explainedSelect(t *testing.T, e *Engine, table string, where Expr) (*Result, string) {
+	t.Helper()
+	st := &SelectStmt{Columns: []string{"id"}, Table: table, Where: where, Limit: -1}
+	res, err := e.ExecStmt(st)
+	if err != nil {
+		t.Fatalf("%s WHERE %s: %v", table, exprString(where), err)
+	}
+	ex, err := e.ExecStmt(&ExplainStmt{Inner: st})
+	if err != nil {
+		t.Fatalf("EXPLAIN %s WHERE %s: %v", table, exprString(where), err)
+	}
+	plan := ex.Rows[0][0].AsString()
+	var probes, ids int
+	ok := false
+	switch {
+	case plan == "scan":
+		ok = res.Stats.IndexLookups == 0 && res.Stats.Scanned == e.Database().Relation(table).Len()
+	case strings.HasPrefix(plan, "range("):
+		ok = res.Stats.IndexLookups == 1 && res.Stats.Scanned == 0
+	case strings.HasPrefix(plan, "rowid fetch"):
+		fmt.Sscanf(plan, "rowid fetch (%d ids)", &ids)
+		ok = res.Stats.IndexLookups == 0 && res.Stats.Scanned == 0 && res.Stats.TupleReads <= ids
+	case strings.HasPrefix(plan, "index("):
+		fmt.Sscanf(plan[strings.Index(plan, "probes="):], "probes=%d", &probes)
+		ok = res.Stats.IndexLookups == probes && res.Stats.Scanned == 0
+	}
+	if !ok {
+		t.Fatalf("%s WHERE %s: EXPLAIN says %q, execution did %+v", table, exprString(where), plan, res.Stats)
+	}
+	return res, plan
+}
+
+func col(name string) *ColumnRef { return &ColumnRef{Name: name} }
+
+func in(left Expr, vals ...storage.Value) *InList { return &InList{Left: left, Values: vals} }
+
+func eq(left Expr, v storage.Value) *Compare {
+	return &Compare{Op: OpEq, Left: left, Right: &Literal{Value: v}}
+}
+
+func and(l, r Expr) *Logical { return &Logical{And: true, Left: l, Right: r} }
+
+func or(l, r Expr) *Logical { return &Logical{Left: l, Right: r} }
+
+// randomPredicate builds a predicate over R/U's columns: probes with NULLs,
+// repeated values and Int/Float literals of either kind, ranges, LIKE, IS
+// NULL, id sets, under AND / OR / NOT. rowid lists are ascending and
+// distinct, where list order and scan order coincide.
+func randomPredicate(r *rand.Rand, ids []storage.TupleID, depth int) Expr {
+	num := func() storage.Value {
+		switch r.Intn(8) {
+		case 0:
+			return storage.Null
+		case 1:
+			return storage.Float(float64(r.Intn(8)))
+		case 2:
+			return storage.Float(float64(r.Intn(8)) + 0.5)
+		default:
+			return storage.Int(int64(r.Intn(8)))
+		}
+	}
+	nums := func() []storage.Value {
+		vals := make([]storage.Value, 1+r.Intn(4))
+		for i := range vals {
+			vals[i] = num()
+		}
+		return vals
+	}
+	if depth > 0 && r.Intn(3) > 0 {
+		l, rt := randomPredicate(r, ids, depth-1), randomPredicate(r, ids, depth-1)
+		switch r.Intn(4) {
+		case 0:
+			return or(l, rt)
+		case 1:
+			return &Not{Inner: l}
+		default:
+			return and(l, rt)
+		}
+	}
+	switch r.Intn(9) {
+	case 0:
+		return eq(col("k"), num())
+	case 1:
+		return &InList{Left: col("k"), Values: nums(), Not: r.Intn(4) == 0}
+	case 2:
+		return &Compare{Op: OpEq, Left: &Literal{Value: num()}, Right: col("f")}
+	case 3:
+		return in(col("f"), nums()...)
+	case 4:
+		return &Compare{Op: CompareOp(1 + r.Intn(5)), Left: col("y"), Right: &Literal{Value: storage.Int(int64(r.Intn(50)))}}
+	case 5:
+		return &Like{Left: col("s"), Pattern: string(rune('a'+r.Intn(3))) + "%", Not: r.Intn(3) == 0}
+	case 6:
+		return &IsNull{Left: col([]string{"k", "f", "s"}[r.Intn(3)]), Not: r.Intn(2) == 0}
+	case 7:
+		set := idSet{}
+		for _, id := range ids {
+			if r.Intn(3) == 0 {
+				set[id] = true
+			}
+		}
+		return &RowIDInSet{Set: set, Not: r.Intn(2) == 0}
+	default:
+		var vals []storage.Value
+		for _, id := range ids {
+			if r.Intn(20) == 0 {
+				vals = append(vals, storage.Int(int64(id)))
+			}
+		}
+		vals = append(vals, storage.Int(1<<40)) // names no tuple
+		return in(col(RowIDColumn), vals...)
+	}
+}
+
+// TestSelectMatchesReferenceScan holds every access path — rowid fetch, hash
+// probe (with and without its conjunct compiled out), B-tree range, scan —
+// to the rows the reference executor's full scan returns, on the indexed
+// table and on its unindexed copy.
+func TestSelectMatchesReferenceScan(t *testing.T) {
+	e := planEngine(t)
+	r := rand.New(rand.NewSource(11))
+	for _, table := range []string{"R", "U"} {
+		rel := e.Database().Relation(table)
+		var ids []storage.TupleID
+		rel.Scan(func(tu storage.Tuple) bool {
+			ids = append(ids, tu.ID)
+			return true
+		})
+		plans := map[string]int{}
+		for trial := 0; trial < 1500; trial++ {
+			where := randomPredicate(r, ids, 3)
+			want, err := refSelectIDs(rel, where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, plan := explainedSelect(t, e, table, where)
+			if !reflect.DeepEqual(got.RowIDs, want) {
+				t.Fatalf("%s WHERE %s:\n got  %v\n want %v", table, exprString(where), got.RowIDs, want)
+			}
+			plans[strings.SplitN(plan, "(", 2)[0]]++
+		}
+		wantPlans := []string{"scan"}
+		if table == "R" {
+			wantPlans = []string{"scan", "index", "range", "rowid fetch "}
+		}
+		for _, p := range wantPlans {
+			if plans[p] == 0 {
+				t.Errorf("%s: no generated predicate took the %q path (%v)", table, p, plans)
+			}
+		}
+	}
+}
+
+// idColumn lists the id column of a result.
+func idColumn(res *Result) []int64 {
+	var out []int64
+	for _, row := range res.Rows {
+		out = append(out, row[0].AsInt())
+	}
+	return out
+}
+
+// TestNullProbesNeverMatch: the hash index stores NULL keys, but `k = NULL`
+// and `k IN (…, NULL, …)` never match — the probe's conjunct must stay in the
+// per-tuple check whenever its list holds a NULL.
+func TestNullProbesNeverMatch(t *testing.T) {
+	e := planEngine(t)
+	nullRows := selectWhere(t, e, "R", &IsNull{Left: col("k")})
+	if len(nullRows.Rows) == 0 {
+		t.Fatal("fixture has no NULL k")
+	}
+	for _, column := range []string{"k", "f"} {
+		if got := selectWhere(t, e, "R", eq(col(column), storage.Null)); len(got.Rows) != 0 || got.Stats.IndexLookups != 1 {
+			t.Errorf("%s = NULL returned %v, %+v", column, idColumn(got), got.Stats)
+		}
+		if got := selectWhere(t, e, "R", in(col(column), storage.Null)); len(got.Rows) != 0 {
+			t.Errorf("%s IN (NULL) returned %v", column, idColumn(got))
+		}
+		with := selectWhere(t, e, "R", in(col(column), storage.Int(1), storage.Null, storage.Int(3)))
+		without := selectWhere(t, e, "R", in(col(column), storage.Int(1), storage.Int(3)))
+		if len(without.Rows) == 0 || !reflect.DeepEqual(idColumn(with), idColumn(without)) {
+			t.Errorf("%s IN (1, NULL, 3) = %v, IN (1, 3) = %v", column, idColumn(with), idColumn(without))
+		}
+		if with.Stats.IndexLookups != 3 {
+			t.Errorf("%s IN (1, NULL, 3) probed %d times, want 3", column, with.Stats.IndexLookups)
+		}
+	}
+}
+
+// TestNumericLiteralsAcrossKinds: Value.Equal compares Int and Float
+// numerically while the hash index keys on exact values, so a probe must
+// look up every representation the column can store. The indexed table and
+// its unindexed copy return the same rows for every literal kind.
+func TestNumericLiteralsAcrossKinds(t *testing.T) {
+	e := planEngine(t)
+	i, f := storage.Int, storage.Float
+	for _, where := range []Expr{
+		eq(col("k"), f(1)),
+		eq(col("k"), f(1.5)),
+		in(col("k"), f(1), i(2), f(2), f(3.5)),
+		eq(col("f"), i(1)),
+		eq(col("f"), f(1)),
+		eq(col("f"), f(1.5)),
+		in(col("f"), i(1), f(2), f(2.5), i(2)),
+		in(col("f"), f(1<<53), i(1)), // beyond exact floats: left to the scan
+		and(eq(col("f"), i(3)), in(col("k"), f(0), f(1), f(2))),
+	} {
+		indexed, scanned := selectWhere(t, e, "R", where), selectWhere(t, e, "U", where)
+		if !reflect.DeepEqual(idColumn(indexed), idColumn(scanned)) {
+			t.Errorf("WHERE %s: indexed %v, unindexed %v", exprString(where), idColumn(indexed), idColumn(scanned))
+		}
+	}
+	if got := selectWhere(t, e, "R", eq(col("k"), f(1))); len(got.Rows) == 0 || got.Stats.Scanned != 0 {
+		t.Errorf("k = 1.0 on the indexed column: %d rows, %+v", len(got.Rows), got.Stats)
+	}
+	if got := selectWhere(t, e, "R", eq(col("f"), i(1))); got.Stats.IndexLookups != 1 {
+		t.Errorf("f = 1 counted %d index lookups, want one per literal", got.Stats.IndexLookups)
+	}
+}
+
+// TestRowIDListEntries pins what a rowid list does with entries a scan would
+// treat differently: it is visited in list order, a repeated id is emitted
+// each time, and entries that are not integers name no tuple.
+func TestRowIDListEntries(t *testing.T) {
+	e := planEngine(t)
+	all := e.MustExec("SELECT rowid, id FROM R")
+	a, b := all.RowIDs[5], all.RowIDs[2]
+	res := selectWhere(t, e, "R", in(col(RowIDColumn),
+		storage.Int(int64(a)), storage.Int(int64(b)), storage.Int(int64(a)),
+		storage.Float(float64(all.RowIDs[3])), storage.String("x"), storage.Null, storage.Int(1<<40)))
+	if want := []storage.TupleID{a, b, a}; !reflect.DeepEqual(res.RowIDs, want) {
+		t.Errorf("rowids %v, want %v", res.RowIDs, want)
+	}
+	if res := selectWhere(t, e, "R", eq(col(RowIDColumn), storage.Float(float64(a)))); len(res.Rows) != 0 {
+		t.Errorf("rowid = %d.0 returned %v", a, res.RowIDs)
+	}
+	// The rest of the predicate still applies to the listed tuples.
+	res = selectWhere(t, e, "R", and(in(col(RowIDColumn), storage.Int(int64(a)), storage.Int(int64(b))), eq(col("id"), storage.Int(2))))
+	if want := []storage.TupleID{b}; !reflect.DeepEqual(res.RowIDs, want) {
+		t.Errorf("rowid list AND id = 2: %v, want %v", res.RowIDs, want)
+	}
+}
+
+// TestRowIDInSet exercises the id-set predicate wherever it can sit: beside
+// an index probe whose own conjunct is compiled out, alone, under NOT, and
+// under OR, where it is not a top-level conjunct.
+func TestRowIDInSet(t *testing.T) {
+	e := planEngine(t)
+	rel := e.Database().Relation("R")
+	set := idSet{}
+	rel.Scan(func(tu storage.Tuple) bool {
+		if tu.ID%3 == 0 {
+			set[tu.ID] = true
+		}
+		return true
+	})
+	inSet, notInSet := &RowIDInSet{Set: set}, &RowIDInSet{Set: set, Not: true}
+	probe := in(col("k"), storage.Int(1), storage.Int(2))
+	for _, where := range []Expr{
+		inSet,
+		notInSet,
+		and(probe, notInSet),
+		and(notInSet, probe),
+		&Not{Inner: inSet},
+		and(probe, &Not{Inner: notInSet}),
+		or(inSet, eq(col("k"), storage.Int(1))),
+		and(probe, or(notInSet, eq(col("y"), storage.Int(7)))),
+	} {
+		want, err := refSelectIDs(rel, where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || len(want) == rel.Len() {
+			t.Fatalf("WHERE %s is trivial on the fixture (%d rows)", exprString(where), len(want))
+		}
+		if got := selectWhere(t, e, "R", where); !reflect.DeepEqual(got.RowIDs, want) {
+			t.Errorf("WHERE %s:\n got  %v\n want %v", exprString(where), got.RowIDs, want)
+		}
+	}
+	// A relation is an id set: NOT IN it excludes exactly its own tuples.
+	got := selectWhere(t, e, "R", &RowIDInSet{Set: rel, Not: true})
+	if len(got.Rows) != 0 {
+		t.Errorf("rowid NOT IN <R itself> returned %d rows", len(got.Rows))
+	}
+	if got := exprString(and(probe, notInSet)); got != "(k IN (1, 2) AND rowid NOT IN <id set>)" {
+		t.Errorf("exprString = %q", got)
+	}
+	if _, err := e.ExecStmt(&SelectStmt{Table: "R", Where: &RowIDInSet{}, Limit: -1}); err == nil {
+		t.Error("id-set predicate without a set accepted")
+	}
+}
+
+// TestMalformedPredicateRejectedUpFront: a hand-built AST with a scalar in
+// boolean position (the parser cannot produce one) fails when the statement
+// is compiled, not at the first tuple it happens to reach.
+func TestMalformedPredicateRejectedUpFront(t *testing.T) {
+	e := planEngine(t)
+	for _, where := range []Expr{
+		col("k"),
+		and(eq(col("k"), storage.Int(-1)), &Literal{Value: storage.Bool(true)}),
+		&Compare{Op: OpEq, Left: eq(col("k"), storage.Int(1)), Right: col("k")},
+	} {
+		if _, err := e.ExecStmt(&SelectStmt{Table: "R", Where: where, Limit: -1}); err == nil {
+			t.Errorf("WHERE %s accepted", exprString(where))
+		}
+	}
+}

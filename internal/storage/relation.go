@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"precis/internal/faultinject"
@@ -79,7 +80,7 @@ func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
 		if kv.IsNull() {
 			return 0, fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, key)
 		}
-		if ids := r.indexes[key].lookup(kv); len(ids) > 0 {
+		if len(r.indexes[key].ids[kv]) > 0 {
 			return 0, fmt.Errorf("storage: %s primary key %s=%s already exists",
 				r.schema.Name, key, kv.String())
 		}
@@ -124,6 +125,13 @@ func (r *Relation) Get(id TupleID) (Tuple, bool) {
 		return Tuple{}, false
 	}
 	return r.slots[pos].tuple, true
+}
+
+// Has reports whether a tuple with the given id is stored. It makes a
+// relation usable as an id set (sqlx.IDSet) without materializing its ids.
+func (r *Relation) Has(id TupleID) bool {
+	_, ok := r.byID[id]
+	return ok
 }
 
 // Scan calls fn for each live tuple in insertion order until fn returns
@@ -208,46 +216,53 @@ func (r *Relation) IndexedColumns() []string {
 // Lookup returns the ids of tuples whose column equals v, in ascending id
 // order. It uses the column's index when present and falls back to a scan.
 func (r *Relation) Lookup(column string, v Value) ([]TupleID, error) {
+	return r.AppendLookup(nil, column, v)
+}
+
+// AppendLookup is Lookup appending to dst, so a multi-value probe gathers
+// every posting list into one buffer instead of copying each list twice.
+func (r *Relation) AppendLookup(dst []TupleID, column string, v Value) ([]TupleID, error) {
 	if err := faultinject.Fire(faultinject.SiteStorageLookup); err != nil {
 		return nil, fmt.Errorf("storage: lookup %s.%s: %w", r.schema.Name, column, err)
 	}
 	if idx, ok := r.indexes[column]; ok {
-		return idx.lookup(v), nil
+		return append(dst, idx.ids[v]...), nil
 	}
 	ci := r.schema.ColumnIndex(column)
 	if ci < 0 {
 		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
 	}
-	var ids []TupleID
 	r.Scan(func(t Tuple) bool {
 		if t.Values[ci].Equal(v) {
-			ids = append(ids, t.ID)
+			dst = append(dst, t.ID)
 		}
 		return true
 	})
-	return ids, nil
+	return dst, nil
 }
 
 // DistinctValues returns the distinct non-NULL values of the named column,
-// sorted by Value.Compare.
+// sorted by Value.Compare (numerically equal values of different kinds, which
+// Compare ties, order by kind).
 func (r *Relation) DistinctValues(column string) ([]Value, error) {
 	ci := r.schema.ColumnIndex(column)
 	if ci < 0 {
 		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
 	}
-	set := make(map[Value]bool)
+	vals := make([]Value, 0, r.live)
 	r.Scan(func(t Tuple) bool {
 		if v := t.Values[ci]; !v.IsNull() {
-			set[v] = true
+			vals = append(vals, v)
 		}
 		return true
 	})
-	vals := make([]Value, 0, len(set))
-	for v := range set {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Less(vals[j]) })
-	return vals, nil
+	slices.SortFunc(vals, func(a, b Value) int {
+		if c := a.Compare(b); c != 0 {
+			return c
+		}
+		return int(a.kind) - int(b.kind)
+	})
+	return slices.Compact(vals), nil
 }
 
 // HashIndex is an equality index mapping column values to sorted tuple ids.
@@ -290,15 +305,6 @@ func (ix *HashIndex) remove(t Tuple) {
 	}
 }
 
-// lookup returns a copy of the posting list for v.
-func (ix *HashIndex) lookup(v Value) []TupleID {
-	ids := ix.ids[v]
-	if len(ids) == 0 {
-		return nil
-	}
-	return append([]TupleID(nil), ids...)
-}
-
 // Cardinality returns the number of distinct indexed values.
 func (ix *HashIndex) Cardinality() int { return len(ix.ids) }
 
@@ -328,7 +334,7 @@ func (r *Relation) update(id TupleID, vals []Value) error {
 			return fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, key)
 		}
 		if !kv.Equal(old.Values[ki]) {
-			if ids := r.indexes[key].lookup(kv); len(ids) > 0 {
+			if len(r.indexes[key].ids[kv]) > 0 {
 				return fmt.Errorf("storage: %s primary key %s=%s already exists",
 					r.schema.Name, key, kv.String())
 			}

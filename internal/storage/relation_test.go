@@ -204,6 +204,23 @@ func TestLookupWithAndWithoutIndex(t *testing.T) {
 	if _, err := r.Lookup("nope", Int(1)); err == nil {
 		t.Error("lookup on unknown column accepted")
 	}
+	// AppendLookup gathers several posting lists into one buffer, and the
+	// buffer Lookup returns is the caller's: writing to it leaves the index
+	// alone.
+	both, err := r.AppendLookup(idxIDs, "did", Int(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(both) != 7 || !reflect.DeepEqual(both[:len(want)], want) {
+		t.Errorf("AppendLookup = %v", both)
+	}
+	both[0] = -1
+	if again, _ := r.Lookup("did", Int(1)); !reflect.DeepEqual(again, want) {
+		t.Errorf("index posting list aliased by a lookup result: %v", again)
+	}
+	if !r.Has(want[0]) || r.Has(-1) {
+		t.Error("Has disagrees with the stored ids")
+	}
 }
 
 func TestIndexMaintainedAcrossDeletes(t *testing.T) {
@@ -249,6 +266,24 @@ func TestDistinctValues(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vals, []Value{Int(0), Int(1)}) {
 		t.Errorf("DistinctValues = %v", vals)
+	}
+	// A FLOAT column stores both kinds: numerically equal values of
+	// different kinds are distinct and order by kind, deterministically.
+	db.MustCreateRelation(MustSchema("F", "", Column{"f", TypeFloat}))
+	for _, v := range []Value{Float(2), Int(2), Float(1.5), Int(1), Null, Int(2), Float(2)} {
+		if _, err := db.Insert("F", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals, err = db.Relation("F").DistinctValues("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(vals, []Value{Int(1), Float(1.5), Int(2), Float(2)}) {
+		t.Errorf("DistinctValues over mixed kinds = %v", vals)
+	}
+	if _, err := db.Relation("F").DistinctValues("nope"); err == nil {
+		t.Error("distinct values of an unknown column accepted")
 	}
 }
 

@@ -75,11 +75,25 @@
 # while mutations route concurrently. The quick sharded bench run at
 # the end re-checks answer parity through the bench harness itself.
 #
+# The generator oracle step (internal/core differential_test.go) diffs the
+# set-at-a-time result-database generator against the test-only
+# statement-per-value / statement-per-tuple reference over datasets ×
+# strategies × cardinalities × weights × pool sizes {1, 2, 8} × budgets ×
+# {single engine, 1/3/4 shards}. The whole-repository pass above runs it
+# -short (one pool size per fetcher); this step runs the full matrix under
+# -race, because the exclusion predicate reads the output relation R'j
+# itself — from the fetch workers of a join batch and from every shard
+# goroutine of a scatter at once — and only the apply phase may write it.
+# The sqlx planner/evaluator differential and the id-set predicate through
+# shard.Fetcher ride along.
+#
 # The bench smoke step compiles and runs every benchmark exactly once
 # (-benchtime=1x) with no tests (-run=NONE). It does not measure anything;
 # it keeps the benchmark code itself from rotting — a benchmark that no
 # longer compiles or fatals on its first iteration fails CI here instead
-# of on the next perf investigation.
+# of on the next perf investigation. The seam benchmarks of the two hot
+# stages (internal/core BenchmarkGenerateDeep, internal/nlg
+# BenchmarkNarrativeDeep) are picked up here with everything else.
 #
 # The benchmark module step covers benchmark/, which has its own go.mod
 # (the repository's benchmark ships its own build file), so the root
@@ -127,6 +141,10 @@ go test -race -count=1 -timeout=10m -run 'TestFailover|TestPromote|TestDeposed|T
 echo "== sharding -race (byte-parity sweep, crash recovery, faulted storm)"
 go test -race -count=1 -timeout=10m -run 'TestSharded' .
 go test -race -count=1 -timeout=5m ./internal/shard
+
+echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
+go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestQueriesCounts' ./internal/core
+go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
 
 echo "== fuzz smoke (10s per durability target)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
