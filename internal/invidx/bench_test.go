@@ -1,6 +1,7 @@
 package invidx
 
 import (
+	"runtime"
 	"testing"
 
 	"precis/internal/dataset"
@@ -72,4 +73,35 @@ func BenchmarkTokenize(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEngineBuild builds what an engine keeps resident — the synthetic
+// database with its hash indexes, and the inverted index over it — and
+// reports the live heap it costs per tuple (B/tuple), the number
+// TestLiveBytesPerTuple budgets and `storage.bytes_per_tuple` reports at
+// paper scale.
+func BenchmarkEngineBuild(b *testing.B) {
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	b.ReportAllocs()
+	var perTuple float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := heap()
+		b.StartTimer()
+		db, err := dataset.SyntheticMovies(dataset.DefaultSyntheticConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix := New(db)
+		b.StopTimer()
+		perTuple = float64(heap()-before) / float64(db.TotalTuples())
+		runtime.KeepAlive(ix)
+		b.StartTimer()
+	}
+	b.ReportMetric(perTuple, "B/tuple")
 }

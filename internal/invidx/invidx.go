@@ -8,6 +8,7 @@
 package invidx
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -31,13 +32,46 @@ type postingKey struct {
 	rel, attr string
 }
 
+// compare orders locations by relation, then attribute.
+func (k postingKey) compare(o postingKey) int {
+	if c := strings.Compare(k.rel, o.rel); c != 0 {
+		return c
+	}
+	return strings.Compare(k.attr, o.attr)
+}
+
+// locList is one posting list: the ids, ascending and duplicate-free, of the
+// tuples whose attribute at key contains the token. It is never empty.
+type locList struct {
+	key postingKey
+	ids []storage.TupleID
+}
+
 // Index is an inverted index over every string attribute of a database.
 // It supports incremental maintenance as tuples are added and removed.
 type Index struct {
-	db       *storage.Database
-	postings map[string]map[postingKey]map[storage.TupleID]bool
+	db *storage.Database
+	// postings holds, per token, its posting lists sorted by location. Most
+	// tokens have one location and most lists one id, so both levels are
+	// plain sorted slices: lookups copy or merge them, and nothing is
+	// re-sorted on the way out.
+	postings map[string][]locList
+	lists    int               // posting lists across all tokens
+	ids      int               // postings: ids across all lists
 	synonyms map[string]string // alias (tokenized) -> canonical term
-	tokens   int               // distinct tokens (== len(postings), kept for clarity)
+}
+
+// Stats counts what the index holds: distinct tokens, posting lists (one per
+// token and location) and postings (one per token, location and tuple).
+type Stats struct {
+	Tokens   int `json:"tokens"`
+	Lists    int `json:"lists"`
+	Postings int `json:"postings"`
+}
+
+// Stats returns the index's counts; they are maintained, not computed.
+func (ix *Index) Stats() Stats {
+	return Stats{Tokens: len(ix.postings), Lists: ix.lists, Postings: ix.ids}
 }
 
 // Tokenize lower-cases s and splits it into maximal runs of letters and
@@ -112,10 +146,7 @@ func appendLower(dst []byte, tok string) []byte {
 
 // New builds an index over all string attributes of db.
 func New(db *storage.Database) *Index {
-	ix := &Index{
-		db:       db,
-		postings: make(map[string]map[postingKey]map[storage.TupleID]bool),
-	}
+	ix := &Index{db: db, postings: make(map[string][]locList)}
 	for _, name := range db.RelationNames() {
 		rel := db.Relation(name)
 		rel.Scan(func(t storage.Tuple) bool {
@@ -135,6 +166,11 @@ func (ix *Index) AddTuple(relation string, t storage.Tuple) {
 	ix.addTuple(relation, rel.Schema(), t)
 }
 
+// findLoc returns the position of key in lists, or where it would go.
+func findLoc(lists []locList, key postingKey) (int, bool) {
+	return slices.BinarySearchFunc(lists, key, func(l locList, k postingKey) int { return l.key.compare(k) })
+}
+
 func (ix *Index) addTuple(relation string, schema *storage.Schema, t storage.Tuple) {
 	for i, col := range schema.Columns {
 		if col.Type != storage.TypeString {
@@ -146,20 +182,47 @@ func (ix *Index) addTuple(relation string, schema *storage.Schema, t storage.Tup
 		}
 		key := postingKey{relation, col.Name}
 		for _, tok := range Tokenize(v.AsString()) {
-			byLoc := ix.postings[tok]
-			if byLoc == nil {
-				byLoc = make(map[postingKey]map[storage.TupleID]bool)
-				ix.postings[tok] = byLoc
-				ix.tokens++
+			lists := ix.postings[tok]
+			at, found := findLoc(lists, key)
+			if !found {
+				lists = slices.Insert(lists, at, locList{key: key})
+				ix.postings[tok] = lists
+				ix.lists++
 			}
-			ids := byLoc[key]
-			if ids == nil {
-				ids = make(map[storage.TupleID]bool)
-				byLoc[key] = ids
-			}
-			ids[t.ID] = true
+			l := &lists[at]
+			before := len(l.ids)
+			l.ids = insertID(l.ids, t.ID)
+			ix.ids += len(l.ids) - before // 0 when the token repeats in the value
 		}
 	}
+}
+
+// insertID adds id to an ascending list. Ids are allocated monotonically, so
+// the common case is an append; an id already present is left alone.
+func insertID(ids []storage.TupleID, id storage.TupleID) []storage.TupleID {
+	if n := len(ids); n == 0 || ids[n-1] < id {
+		return append(ids, id)
+	}
+	at, found := slices.BinarySearch(ids, id)
+	if found {
+		return ids
+	}
+	return slices.Insert(ids, at, id)
+}
+
+// removeID deletes id from an ascending list by moving the shorter side, so
+// retiring the oldest tuple of a long list (the head) is as cheap as
+// retiring the newest.
+func removeID(ids []storage.TupleID, id storage.TupleID) []storage.TupleID {
+	at, found := slices.BinarySearch(ids, id)
+	if !found {
+		return ids
+	}
+	if at < len(ids)/2 {
+		copy(ids[1:at+1], ids[:at])
+		return ids[1:]
+	}
+	return slices.Delete(ids, at, at+1)
 }
 
 // RemoveTuple un-indexes a tuple that is being deleted. The caller passes
@@ -180,28 +243,30 @@ func (ix *Index) RemoveTuple(relation string, t storage.Tuple) {
 		}
 		key := postingKey{relation, col.Name}
 		for _, tok := range Tokenize(v.AsString()) {
-			byLoc := ix.postings[tok]
-			if byLoc == nil {
+			lists := ix.postings[tok]
+			at, found := findLoc(lists, key)
+			if !found {
 				continue
 			}
-			ids := byLoc[key]
-			if ids == nil {
+			l := &lists[at]
+			before := len(l.ids)
+			l.ids = removeID(l.ids, t.ID)
+			ix.ids += len(l.ids) - before
+			if len(l.ids) > 0 {
 				continue
 			}
-			delete(ids, t.ID)
-			if len(ids) == 0 {
-				delete(byLoc, key)
-			}
-			if len(byLoc) == 0 {
+			ix.lists--
+			if len(lists) == 1 {
 				delete(ix.postings, tok)
-				ix.tokens--
+			} else {
+				ix.postings[tok] = slices.Delete(lists, at, at+1)
 			}
 		}
 	}
 }
 
 // NumTokens returns the number of distinct indexed tokens.
-func (ix *Index) NumTokens() int { return ix.tokens }
+func (ix *Index) NumTokens() int { return len(ix.postings) }
 
 // Lookup resolves a query term to its occurrences. A term may be a single
 // word or a phrase ("Woody Allen"); phrases are verified against the stored
@@ -209,74 +274,136 @@ func (ix *Index) NumTokens() int { return ix.tokens }
 // phrase matches survive. Occurrences are returned sorted by relation then
 // attribute, with sorted tuple ids.
 func (ix *Index) Lookup(term string) []Occurrence {
+	return occurrences(ix.lookup(term))
+}
+
+func occurrences(lists []locList) []Occurrence {
+	if len(lists) == 0 {
+		return nil
+	}
+	out := make([]Occurrence, len(lists))
+	for i, l := range lists {
+		out[i] = Occurrence{Relation: l.key.rel, Attribute: l.key.attr, TupleIDs: l.ids}
+	}
+	return out
+}
+
+// lookup is Lookup in posting-list form. The lists it returns are the
+// caller's: nothing in them aliases the index.
+func (ix *Index) lookup(term string) []locList {
 	words := Tokenize(term)
 	if len(words) == 0 {
 		return nil
 	}
 	first := ix.postings[words[0]]
-	if first == nil {
-		return nil
-	}
-	var out []Occurrence
-	for key, ids := range first {
-		matched := make([]storage.TupleID, 0, len(ids))
+	out := make([]locList, 0, len(first))
+	for _, l := range first {
+		var matched []storage.TupleID
 		if len(words) == 1 {
-			for id := range ids {
-				matched = append(matched, id)
-			}
+			matched = slices.Clone(l.ids)
 		} else {
-			// Intersect with the remaining words' postings at the same
-			// location, then verify the phrase in the stored value.
-			candidate := ids
-			ok := true
-			for _, w := range words[1:] {
-				byLoc := ix.postings[w]
-				if byLoc == nil || byLoc[key] == nil {
-					ok = false
-					break
-				}
-				next := make(map[storage.TupleID]bool)
-				other := byLoc[key]
-				for id := range candidate {
-					if other[id] {
-						next[id] = true
-					}
-				}
-				candidate = next
-				if len(candidate) == 0 {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			rel := ix.db.Relation(key.rel)
-			ci := rel.Schema().ColumnIndex(key.attr)
-			needle := strings.ToLower(term)
-			for id := range candidate {
-				t, found := rel.Get(id)
-				if !found {
-					continue
-				}
-				if strings.Contains(strings.ToLower(t.Values[ci].AsString()), needle) {
-					matched = append(matched, id)
-				}
-			}
+			matched = ix.phrase(l, words[1:], term)
 		}
-		if len(matched) == 0 {
-			continue
+		if len(matched) > 0 {
+			out = append(out, locList{key: l.key, ids: matched})
 		}
-		sort.Slice(matched, func(i, j int) bool { return matched[i] < matched[j] })
-		out = append(out, Occurrence{Relation: key.rel, Attribute: key.attr, TupleIDs: matched})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Relation != out[j].Relation {
-			return out[i].Relation < out[j].Relation
-		}
-		return out[i].Attribute < out[j].Attribute
-	})
 	return out
+}
+
+// phrase narrows first, the posting list of a phrase's first word, to the
+// tuples that hold every other word at the same location and whose stored
+// value contains the whole term.
+func (ix *Index) phrase(first locList, rest []string, term string) []storage.TupleID {
+	var candidate []storage.TupleID
+	for i, w := range rest {
+		lists := ix.postings[w]
+		at, found := findLoc(lists, first.key)
+		if !found {
+			return nil
+		}
+		if i == 0 {
+			candidate = intersectIDs(make([]storage.TupleID, 0, min(len(first.ids), len(lists[at].ids))), first.ids, lists[at].ids)
+		} else {
+			candidate = intersectIDs(candidate[:0], candidate, lists[at].ids)
+		}
+		if len(candidate) == 0 {
+			return nil
+		}
+	}
+	rel := ix.db.Relation(first.key.rel)
+	ci := rel.Schema().ColumnIndex(first.key.attr)
+	needle := strings.ToLower(term)
+	matched := candidate[:0]
+	for _, id := range candidate {
+		t, found := rel.Get(id)
+		if found && strings.Contains(strings.ToLower(t.Values[ci].AsString()), needle) {
+			matched = append(matched, id)
+		}
+	}
+	return matched
+}
+
+// intersectIDs appends to dst the ids two ascending lists share. dst may be
+// a[:0]: the write position never passes the read position.
+func intersectIDs(dst, a, b []storage.TupleID) []storage.TupleID {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			dst = append(dst, a[0])
+			a, b = a[1:], b[1:]
+		}
+	}
+	return dst
+}
+
+// unionIDs merges two ascending duplicate-free lists into one. When b
+// starts after a ends — stripes of a parallel build, in order — b is
+// appended to a in place; otherwise the result is a fresh list.
+func unionIDs(a, b []storage.TupleID) []storage.TupleID {
+	if len(a) == 0 || len(b) == 0 || a[len(a)-1] < b[0] {
+		return append(a, b...)
+	}
+	out := make([]storage.TupleID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] > b[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// mergeLists merges two location-sorted sets of posting lists, uniting the
+// ids of a location both carry. It takes ownership of both arguments.
+func mergeLists(a, b []locList) []locList {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]locList, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch c := a[0].key.compare(b[0].key); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out = append(out, locList{key: a[0].key, ids: unionIDs(a[0].ids, b[0].ids)})
+			a, b = a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // LookupAll resolves each term of a précis query Q = {k1, ..., km} and
@@ -312,18 +439,12 @@ func (ix *Index) DocFrequency(token string) int {
 	if len(words) != 1 {
 		return 0
 	}
-	byLoc := ix.postings[words[0]]
-	if byLoc == nil {
-		return 0
-	}
-	// A tuple may match in several attributes; count it once per relation
-	// via (relation, id) identity. Tuple ids are database-unique, so the id
-	// alone suffices.
-	seen := make(map[storage.TupleID]bool)
-	for _, ids := range byLoc {
-		for id := range ids {
-			seen[id] = true
-		}
+	// A tuple may match in several attributes; tuple ids are database-unique,
+	// so the union of the token's lists counts each tuple once.
+	var seen []storage.TupleID
+	for _, l := range ix.postings[words[0]] {
+		// Clipped, so that unionIDs never appends into the index's own list.
+		seen = unionIDs(slices.Clip(seen), l.ids)
 	}
 	return len(seen)
 }
@@ -378,46 +499,17 @@ func (ix *Index) expandTerm(term string) []string {
 }
 
 // LookupExpanded is Lookup with synonym expansion: occurrences of the term
-// and of its canonical form are merged (deduplicated per relation and
-// attribute, ids re-sorted).
+// and of its canonical form are merged (per relation and attribute, ids
+// united in ascending order).
 //
 // The probe has no error return, so only Panic and Delay fault rules apply
 // at its injection site; the engine's worker-pool panic isolation turns an
 // injected panic here into ErrInternal rather than a process crash.
 func (ix *Index) LookupExpanded(term string) []Occurrence {
 	_ = faultinject.Fire(faultinject.SiteIndexProbe)
-	terms := ix.expandTerm(term)
-	if len(terms) == 1 {
-		return ix.Lookup(term)
+	var merged []locList
+	for _, t := range ix.expandTerm(term) {
+		merged = mergeLists(merged, ix.lookup(t))
 	}
-	merged := make(map[postingKey]map[storage.TupleID]bool)
-	for _, t := range terms {
-		for _, occ := range ix.Lookup(t) {
-			key := postingKey{occ.Relation, occ.Attribute}
-			ids := merged[key]
-			if ids == nil {
-				ids = make(map[storage.TupleID]bool)
-				merged[key] = ids
-			}
-			for _, id := range occ.TupleIDs {
-				ids[id] = true
-			}
-		}
-	}
-	var out []Occurrence
-	for key, ids := range merged {
-		occ := Occurrence{Relation: key.rel, Attribute: key.attr}
-		for id := range ids {
-			occ.TupleIDs = append(occ.TupleIDs, id)
-		}
-		sort.Slice(occ.TupleIDs, func(i, j int) bool { return occ.TupleIDs[i] < occ.TupleIDs[j] })
-		out = append(out, occ)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Relation != out[j].Relation {
-			return out[i].Relation < out[j].Relation
-		}
-		return out[i].Attribute < out[j].Attribute
-	})
-	return out
+	return occurrences(merged)
 }

@@ -6,11 +6,14 @@ import (
 )
 
 // NewParallel builds exactly the index New builds, fanning the tuple scan
-// out over a worker pool: each worker indexes a stripe of the database into
-// a private posting map and the stripes are merged serially. Postings are
-// sets keyed by token, location, and tuple id, so the merge is
-// order-independent and the result is structurally identical to New's for
-// every worker count. workers <= 1 (after normalization) falls back to New.
+// out over a worker pool: the database's slot positions, relation after
+// relation, are cut into one contiguous range per worker, each worker
+// indexes its range into a private posting map, and the maps are merged in
+// range order. Ids ascend along a relation, so merging a location's lists
+// is concatenation (out-of-order ids, which a rollback can leave behind,
+// fall back to a sorted union) and the result is structurally identical to
+// New's for every worker count. workers <= 1 (after normalization) falls
+// back to New.
 //
 // This is the cold-start path: recovery rebuilds the whole index from the
 // recovered database, and at hundreds of thousands of tuples the serial
@@ -21,54 +24,37 @@ func NewParallel(db *storage.Database, workers int) *Index {
 	if workers <= 1 {
 		return New(db)
 	}
-	type task struct {
-		rel    string
-		schema *storage.Schema
-		t      storage.Tuple
+	names := db.RelationNames()
+	total := 0
+	for _, name := range names {
+		total += db.Relation(name).Extent()
 	}
-	var tasks []task
-	for _, name := range db.RelationNames() {
-		rel := db.Relation(name)
-		sc := rel.Schema()
-		rel.Scan(func(t storage.Tuple) bool {
-			tasks = append(tasks, task{rel: name, schema: sc, t: t})
-			return true
-		})
-	}
-	if len(tasks) < 2*workers {
+	if total < 2*workers {
 		return New(db) // not enough work to amortize the fan-out
 	}
 	parts := make([]*Index, workers)
 	parallel.For(workers, workers, func(b int) {
-		px := &Index{
-			db:       db,
-			postings: make(map[string]map[postingKey]map[storage.TupleID]bool),
-		}
-		for i := b; i < len(tasks); i += workers {
-			px.addTuple(tasks[i].rel, tasks[i].schema, tasks[i].t)
+		px := &Index{db: db, postings: make(map[string][]locList)}
+		lo, hi := b*total/workers, (b+1)*total/workers
+		for _, name := range names {
+			rel := db.Relation(name)
+			rel.ScanRange(lo, hi, func(t storage.Tuple) bool {
+				px.addTuple(name, rel.Schema(), t)
+				return true
+			})
+			lo, hi = lo-rel.Extent(), hi-rel.Extent()
 		}
 		parts[b] = px
 	})
 	ix := parts[0]
 	for _, px := range parts[1:] {
-		for tok, byLoc := range px.postings {
-			dst := ix.postings[tok]
-			if dst == nil {
-				ix.postings[tok] = byLoc
-				ix.tokens++
-				continue
-			}
-			for key, ids := range byLoc {
-				di := dst[key]
-				if di == nil {
-					dst[key] = ids
-					continue
-				}
-				for id := range ids {
-					di[id] = true
-				}
-			}
+		for tok, lists := range px.postings {
+			have := ix.postings[tok]
+			merged := mergeLists(have, lists)
+			ix.postings[tok] = merged
+			ix.lists += len(merged) - len(have)
 		}
+		ix.ids += px.ids // a tuple is indexed by exactly one worker
 	}
 	return ix
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 
 	"precis/internal/storage"
@@ -53,31 +54,15 @@ func (ix *Index) EncodeSnapshot(gen uint64) []byte {
 	out = binary.AppendUvarint(out, gen)
 	out = binary.AppendUvarint(out, uint64(len(tokens)))
 	for _, tok := range tokens {
-		byLoc := ix.postings[tok]
+		lists := ix.postings[tok]
 		out = appendIndexStr(out, tok)
-		keys := make([]postingKey, 0, len(byLoc))
-		for k := range byLoc {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].rel != keys[j].rel {
-				return keys[i].rel < keys[j].rel
-			}
-			return keys[i].attr < keys[j].attr
-		})
-		out = binary.AppendUvarint(out, uint64(len(keys)))
-		for _, k := range keys {
-			ids := byLoc[k]
-			out = appendIndexStr(out, k.rel)
-			out = appendIndexStr(out, k.attr)
-			sorted := make([]storage.TupleID, 0, len(ids))
-			for id := range ids {
-				sorted = append(sorted, id)
-			}
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			out = binary.AppendUvarint(out, uint64(len(sorted)))
+		out = binary.AppendUvarint(out, uint64(len(lists)))
+		for _, l := range lists {
+			out = appendIndexStr(out, l.key.rel)
+			out = appendIndexStr(out, l.key.attr)
+			out = binary.AppendUvarint(out, uint64(len(l.ids)))
 			prev := uint64(0)
-			for _, id := range sorted {
+			for _, id := range l.ids {
 				// Gap-encode ascending ids: small varints for dense postings.
 				out = binary.AppendUvarint(out, uint64(id)-prev)
 				prev = uint64(id)
@@ -96,8 +81,9 @@ func appendIndexStr(dst []byte, s string) []byte {
 // DecodeSnapshot parses index snapshot bytes into an Index bound to db,
 // returning the generation stamp the file carries. Any defect — bad magic,
 // checksum mismatch, version skew (format or tokenizer), truncation, or a
-// count the input cannot back — is an error; callers respond by rebuilding,
-// never by trusting partial postings. The decoder is bounds-checked
+// count the input cannot back, a token without locations, locations out of
+// order or repeated, an empty list, a zero gap or an id past int64 — is an
+// error; callers respond by rebuilding, never by trusting partial postings. The decoder is bounds-checked
 // throughout: it never panics and never allocates more than the input
 // justifies, whatever the bytes claim.
 func DecodeSnapshot(raw []byte, db *storage.Database) (*Index, uint64, error) {
@@ -132,10 +118,7 @@ func DecodeSnapshot(raw []byte, db *storage.Database) (*Index, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("invidx: token count: %w", err)
 	}
-	ix := &Index{
-		db:       db,
-		postings: make(map[string]map[postingKey]map[storage.TupleID]bool, nTokens),
-	}
+	ix := &Index{db: db, postings: make(map[string][]locList, nTokens)}
 	for i := 0; i < nTokens; i++ {
 		tok, err := d.str()
 		if err != nil {
@@ -145,7 +128,10 @@ func DecodeSnapshot(raw []byte, db *storage.Database) (*Index, uint64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("invidx: token %q locations: %w", tok, err)
 		}
-		byLoc := make(map[postingKey]map[storage.TupleID]bool, nKeys)
+		if nKeys == 0 {
+			return nil, 0, fmt.Errorf("invidx: token %q has no locations", tok)
+		}
+		lists := make([]locList, 0, nKeys)
 		for j := 0; j < nKeys; j++ {
 			rel, err := d.str()
 			if err != nil {
@@ -155,27 +141,38 @@ func DecodeSnapshot(raw []byte, db *storage.Database) (*Index, uint64, error) {
 			if err != nil {
 				return nil, 0, fmt.Errorf("invidx: token %q location %d: %w", tok, j, err)
 			}
+			key := postingKey{rel, attr}
+			if j > 0 && lists[j-1].key.compare(key) >= 0 {
+				return nil, 0, fmt.Errorf("invidx: token %q location %s.%s out of order", tok, rel, attr)
+			}
 			nIDs, err := d.count(1)
 			if err != nil {
 				return nil, 0, fmt.Errorf("invidx: token %q %s.%s ids: %w", tok, rel, attr, err)
 			}
-			ids := make(map[storage.TupleID]bool, nIDs)
+			if nIDs == 0 {
+				return nil, 0, fmt.Errorf("invidx: token %q %s.%s has no ids", tok, rel, attr)
+			}
+			ids := make([]storage.TupleID, nIDs)
 			prev := uint64(0)
-			for k := 0; k < nIDs; k++ {
+			for k := range ids {
 				gap, err := d.uvarint()
 				if err != nil {
 					return nil, 0, fmt.Errorf("invidx: token %q %s.%s id %d: %w", tok, rel, attr, k, err)
 				}
+				if gap == 0 || gap > math.MaxInt64-prev {
+					return nil, 0, fmt.Errorf("invidx: token %q %s.%s id %d: gap %d after %d", tok, rel, attr, k, gap, prev)
+				}
 				prev += gap
-				ids[storage.TupleID(prev)] = true
+				ids[k] = storage.TupleID(prev)
 			}
-			byLoc[postingKey{rel, attr}] = ids
+			lists = append(lists, locList{key: key, ids: ids})
+			ix.ids += nIDs
 		}
+		ix.lists += nKeys
 		if _, dup := ix.postings[tok]; dup {
 			return nil, 0, fmt.Errorf("invidx: duplicate token %q in index snapshot", tok)
 		}
-		ix.postings[tok] = byLoc
-		ix.tokens++
+		ix.postings[tok] = lists
 	}
 	if !d.done() {
 		return nil, 0, fmt.Errorf("invidx: %d trailing byte(s) after index snapshot body", d.remaining())

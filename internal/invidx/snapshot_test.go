@@ -24,8 +24,8 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	if gen != 5 {
 		t.Fatalf("generation stamp %d, want 5", gen)
 	}
-	if got.tokens != ix.tokens {
-		t.Fatalf("token count %d, want %d", got.tokens, ix.tokens)
+	if got.NumTokens() != ix.NumTokens() {
+		t.Fatalf("token count %d, want %d", got.NumTokens(), ix.NumTokens())
 	}
 	if !reflect.DeepEqual(got.postings, ix.postings) {
 		t.Fatal("postings differ after round trip")

@@ -280,6 +280,30 @@ func (db *Database) Stats() Stats {
 	return st
 }
 
+// Layout counts what the resident data is made of, beyond live tuples: the
+// slots held in memory, how many of them are tombstones left by deletes, and
+// the distinct keys across all hash indexes.
+type Layout struct {
+	Slots        int `json:"slots"`
+	DeadSlots    int `json:"dead_slots"`
+	IndexEntries int `json:"index_entries"`
+}
+
+// Layout returns the database's layout counts. They are maintained per
+// relation and index, so the cost is proportional to the number of those.
+func (db *Database) Layout() Layout {
+	var l Layout
+	for _, name := range db.order {
+		r := db.rels[name]
+		l.Slots += r.held
+		l.DeadSlots += r.held - r.live
+		for _, idx := range r.indexes {
+			l.IndexEntries += idx.Cardinality()
+		}
+	}
+	return l
+}
+
 // String renders a short summary like name{R1:10, R2:20}.
 func (db *Database) String() string {
 	names := append([]string(nil), db.order...)

@@ -2,8 +2,11 @@ package storage
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"precis/internal/faultinject"
 )
@@ -20,22 +23,56 @@ type Tuple struct {
 	Values []Value
 }
 
-// slot is the physical storage of a tuple; dead slots are tombstones left by
-// deletions so that positions remain stable for live scans.
+// slot is the physical storage of a tuple: 16 bytes, its id and the first of
+// its ncols values. A row is allocated once per insert or update, holds
+// exactly the relation's ncols values and is never written again, so a
+// Tuple handed out by Get or Scan stays valid whatever happens to the slot
+// afterwards (CaptureDirty and the engine's rollback paths depend on it).
+// Deleting negates the id and drops the row, leaving a tombstone so that
+// positions remain stable for live scans.
 type slot struct {
-	tuple Tuple
-	dead  bool
+	id  TupleID // negated once the tuple is deleted
+	row *Value
+}
+
+// Slots live in chunks of slotChunk positions, position p in chunk
+// p>>slotChunkBits: the last chunk grows by doubling up to the cap, so a
+// 40-tuple D′ relation costs one small allocation and a 150k-tuple base
+// relation never carries more than a chunk of slack.
+const (
+	slotChunkBits = 10
+	slotChunk     = 1 << slotChunkBits
+)
+
+// chunk is one run of consecutive slot positions. A full chunk whose tuples
+// have all been deleted gives its slots back (slots == nil): nothing moves,
+// so it is safe inside a Scan callback, and first-in-first-out churn keeps
+// no tombstones. Order-preserving compaction of partly dead chunks is not
+// attempted.
+type chunk struct {
+	slots []slot
+	dead  int
 }
 
 // Relation is a populated relation: a schema, its tuples in insertion order,
 // and hash indexes on selected columns.
 type Relation struct {
-	schema  *Schema
-	slots   []slot
-	byID    map[TupleID]int
+	schema *Schema
+	ncols  int
+	chunks []chunk
+	next   int // slot positions handed out: the next insert takes this one
+	held   int // slots in memory, live or tombstone (freed chunks excluded)
+	live   int
+	// ids is an open-addressed table from tuple id to slot position + 1
+	// (0 = empty), hashed by idHash and probed linearly. The key is not
+	// stored: an entry matches id when the slot it names carries that id,
+	// and an entry whose slot has died, or whose chunk has been freed,
+	// matches nothing, so delete never touches the table. It is nil until
+	// the first insert and rebuilt from its live entries at 3/4 load.
+	ids     []int32
+	idsUsed int // non-empty entries, dead ones included
 	indexes map[string]*HashIndex
 	ordered map[string]*OrderedIndex
-	live    int
 }
 
 // newRelation builds an empty relation for the schema. If the schema has a
@@ -43,7 +80,7 @@ type Relation struct {
 func newRelation(s *Schema) *Relation {
 	r := &Relation{
 		schema:  s,
-		byID:    make(map[TupleID]int),
+		ncols:   len(s.Columns),
 		indexes: make(map[string]*HashIndex),
 		ordered: make(map[string]*OrderedIndex),
 	}
@@ -62,34 +99,151 @@ func (r *Relation) Name() string { return r.schema.Name }
 // Len returns the number of live tuples.
 func (r *Relation) Len() int { return r.live }
 
-// insert stores a tuple with the given id. Values must already be validated.
-func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
-	if len(vals) != len(r.schema.Columns) {
-		return 0, fmt.Errorf("storage: %s expects %d values, got %d",
-			r.schema.Name, len(r.schema.Columns), len(vals))
+// slotAt returns the slot at position pos, or nil when its chunk was freed.
+func (r *Relation) slotAt(pos int) *slot {
+	c := &r.chunks[pos>>slotChunkBits]
+	if c.slots == nil {
+		return nil
+	}
+	return &c.slots[pos&(slotChunk-1)]
+}
+
+// tuple returns the live slot's tuple; the row holds exactly ncols values.
+func (r *Relation) tuple(s *slot) Tuple {
+	return Tuple{ID: s.id, Values: unsafe.Slice(s.row, r.ncols)}
+}
+
+// idHash spreads ids over a table of 1<<bits entries (Fibonacci hashing:
+// consecutive ids, which is what a database allocates, land far apart).
+func idHash(id TupleID, bits int) int {
+	return int(uint64(id) * 0x9E3779B97F4A7C15 >> (64 - bits))
+}
+
+// find returns the live slot holding id and its position.
+func (r *Relation) find(id TupleID) (*slot, int) {
+	if r.ids == nil || id <= 0 {
+		return nil, 0
+	}
+	mask := len(r.ids) - 1
+	for i := idHash(id, bits.TrailingZeros(uint(len(r.ids)))); ; i = (i + 1) & mask {
+		e := r.ids[i]
+		if e == 0 {
+			return nil, 0
+		}
+		if s := r.slotAt(int(e - 1)); s != nil && s.id == id {
+			return s, int(e - 1)
+		}
+	}
+}
+
+// bind records that id now lives at pos. A tombstone of the same id (the
+// engine's delete rollback re-inserts a deleted id) has its entry
+// overwritten, so an id never owns two entries it could be found under.
+func (r *Relation) bind(id TupleID, pos int) {
+	if r.idsUsed*4 >= len(r.ids)*3 {
+		r.rehash()
+	}
+	mask := len(r.ids) - 1
+	i := idHash(id, bits.TrailingZeros(uint(len(r.ids))))
+	for ; r.ids[i] != 0; i = (i + 1) & mask {
+		if s := r.slotAt(int(r.ids[i] - 1)); s != nil && s.id == -id {
+			r.ids[i] = int32(pos + 1)
+			return
+		}
+	}
+	r.ids[i] = int32(pos + 1)
+	r.idsUsed++
+}
+
+// rehash rebuilds the id table from its entries that still name a live slot,
+// sized so the relation fills at most 3/8 of it. Walking the old table
+// rather than the slots keeps the cost proportional to the inserts since
+// the last rebuild, however many tombstones the relation carries.
+func (r *Relation) rehash() {
+	size := 8
+	for r.live*8 > size*3 {
+		size *= 2
+	}
+	old := r.ids
+	r.ids, r.idsUsed = make([]int32, size), 0
+	shift, mask := bits.TrailingZeros(uint(size)), size-1
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		s := r.slotAt(int(e - 1))
+		if s == nil || s.id < 0 {
+			continue
+		}
+		i := idHash(s.id, shift)
+		for r.ids[i] != 0 {
+			i = (i + 1) & mask
+		}
+		r.ids[i] = e
+		r.idsUsed++
+	}
+}
+
+// appendSlot stores a new live slot at the next position and binds its id.
+func (r *Relation) appendSlot(id TupleID, row []Value) error {
+	if r.next == math.MaxInt32 {
+		return fmt.Errorf("storage: %s is out of slot positions", r.schema.Name)
+	}
+	if r.next&(slotChunk-1) == 0 {
+		r.chunks = append(r.chunks, chunk{})
+	}
+	c := &r.chunks[len(r.chunks)-1]
+	if len(c.slots) == cap(c.slots) {
+		grown := make([]slot, len(c.slots), min(max(2*cap(c.slots), 8), slotChunk))
+		copy(grown, c.slots)
+		c.slots = grown
+	}
+	c.slots = append(c.slots, slot{id: id, row: unsafe.SliceData(row)})
+	r.bind(id, r.next)
+	r.next++
+	r.held++
+	r.live++
+	return nil
+}
+
+// validate checks arity, column types and the primary key of a candidate
+// row. old is the row being replaced by an update (nil for an insert): a key
+// value equal to its own is not a duplicate.
+func (r *Relation) validate(vals, old []Value) error {
+	if len(vals) != r.ncols {
+		return fmt.Errorf("storage: %s expects %d values, got %d",
+			r.schema.Name, r.ncols, len(vals))
 	}
 	for i, v := range vals {
 		col := r.schema.Columns[i]
 		if !col.Type.Accepts(v.Kind()) {
-			return 0, fmt.Errorf("storage: %s.%s is %s, cannot store %s value %q",
+			return fmt.Errorf("storage: %s.%s is %s, cannot store %s value %q",
 				r.schema.Name, col.Name, col.Type, v.Kind(), v.String())
 		}
 	}
 	if key := r.schema.Key; key != "" {
-		kv := vals[r.schema.ColumnIndex(key)]
+		ki := r.schema.ColumnIndex(key)
+		kv := vals[ki]
 		if kv.IsNull() {
-			return 0, fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, key)
+			return fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, key)
 		}
-		if len(r.indexes[key].ids[kv]) > 0 {
-			return 0, fmt.Errorf("storage: %s primary key %s=%s already exists",
+		if (old == nil || !kv.Equal(old[ki])) && r.indexes[key].has(kv) {
+			return fmt.Errorf("storage: %s primary key %s=%s already exists",
 				r.schema.Name, key, kv.String())
 		}
 	}
+	return nil
+}
+
+// insert stores a tuple with the given id.
+func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
+	if err := r.validate(vals, nil); err != nil {
+		return 0, err
+	}
 	t := Tuple{ID: id, Values: append([]Value(nil), vals...)}
-	pos := len(r.slots)
-	r.slots = append(r.slots, slot{tuple: t})
-	r.byID[id] = pos
-	r.live++
+	if err := r.appendSlot(id, t.Values); err != nil {
+		return 0, err
+	}
 	for _, idx := range r.indexes {
 		idx.add(t)
 	}
@@ -100,15 +254,23 @@ func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
 }
 
 // delete removes the tuple with the given id. It reports whether it existed.
+// The slot stops referencing the row, so the values and their strings are
+// collectable as soon as no caller holds the tuple; the row itself is not
+// touched.
 func (r *Relation) delete(id TupleID) bool {
-	pos, ok := r.byID[id]
-	if !ok {
+	s, pos := r.find(id)
+	if s == nil {
 		return false
 	}
-	t := r.slots[pos].tuple
-	r.slots[pos].dead = true
-	delete(r.byID, id)
+	t := r.tuple(s)
+	s.id, s.row = -id, nil
 	r.live--
+	if c := &r.chunks[pos>>slotChunkBits]; c.dead+1 == slotChunk {
+		c.slots = nil
+		r.held -= slotChunk
+	} else {
+		c.dead++
+	}
 	for _, idx := range r.indexes {
 		idx.remove(t)
 	}
@@ -120,28 +282,41 @@ func (r *Relation) delete(id TupleID) bool {
 
 // Get returns the tuple with the given id.
 func (r *Relation) Get(id TupleID) (Tuple, bool) {
-	pos, ok := r.byID[id]
-	if !ok {
+	s, _ := r.find(id)
+	if s == nil {
 		return Tuple{}, false
 	}
-	return r.slots[pos].tuple, true
+	return r.tuple(s), true
 }
 
 // Has reports whether a tuple with the given id is stored. It makes a
 // relation usable as an id set (sqlx.IDSet) without materializing its ids.
 func (r *Relation) Has(id TupleID) bool {
-	_, ok := r.byID[id]
-	return ok
+	s, _ := r.find(id)
+	return s != nil
 }
 
 // Scan calls fn for each live tuple in insertion order until fn returns
 // false or the relation is exhausted.
-func (r *Relation) Scan(fn func(Tuple) bool) {
-	for i := range r.slots {
-		if r.slots[i].dead {
+func (r *Relation) Scan(fn func(Tuple) bool) { r.ScanRange(0, r.next, fn) }
+
+// Extent returns the number of slot positions the relation has handed out,
+// tombstones included: ScanRange addresses tuples by position in
+// [0, Extent()).
+func (r *Relation) Extent() int { return r.next }
+
+// ScanRange is Scan restricted to the slot positions [lo, hi), so that
+// several workers can split one relation without materializing its tuples.
+// Tuples inserted by fn itself are not visited.
+func (r *Relation) ScanRange(lo, hi int, fn func(Tuple) bool) {
+	hi = min(hi, r.next)
+	for pos := max(lo, 0); pos < hi; pos++ {
+		s := r.slotAt(pos)
+		if s == nil {
+			pos |= slotChunk - 1 // freed chunk: on to the next one
 			continue
 		}
-		if !fn(r.slots[i].tuple) {
+		if s.id > 0 && !fn(r.tuple(s)) {
 			return
 		}
 	}
@@ -226,7 +401,7 @@ func (r *Relation) AppendLookup(dst []TupleID, column string, v Value) ([]TupleI
 		return nil, fmt.Errorf("storage: lookup %s.%s: %w", r.schema.Name, column, err)
 	}
 	if idx, ok := r.indexes[column]; ok {
-		return append(dst, idx.ids[v]...), nil
+		return idx.appendIDs(dst, v), nil
 	}
 	ci := r.schema.ColumnIndex(column)
 	if ci < 0 {
@@ -265,80 +440,17 @@ func (r *Relation) DistinctValues(column string) ([]Value, error) {
 	return slices.Compact(vals), nil
 }
 
-// HashIndex is an equality index mapping column values to sorted tuple ids.
-type HashIndex struct {
-	column string
-	colIdx int
-	ids    map[Value][]TupleID
-}
-
-func newHashIndex(column string, colIdx int) *HashIndex {
-	return &HashIndex{column: column, colIdx: colIdx, ids: make(map[Value][]TupleID)}
-}
-
-// Column returns the indexed column name.
-func (ix *HashIndex) Column() string { return ix.column }
-
-func (ix *HashIndex) add(t Tuple) {
-	v := t.Values[ix.colIdx]
-	ids := ix.ids[v]
-	// Keep the per-value posting list sorted; appends are almost always at
-	// the end because tuple ids are monotonically assigned.
-	pos := sort.Search(len(ids), func(i int) bool { return ids[i] >= t.ID })
-	ids = append(ids, 0)
-	copy(ids[pos+1:], ids[pos:])
-	ids[pos] = t.ID
-	ix.ids[v] = ids
-}
-
-func (ix *HashIndex) remove(t Tuple) {
-	v := t.Values[ix.colIdx]
-	ids := ix.ids[v]
-	pos := sort.Search(len(ids), func(i int) bool { return ids[i] >= t.ID })
-	if pos < len(ids) && ids[pos] == t.ID {
-		ids = append(ids[:pos], ids[pos+1:]...)
-		if len(ids) == 0 {
-			delete(ix.ids, v)
-		} else {
-			ix.ids[v] = ids
-		}
-	}
-}
-
-// Cardinality returns the number of distinct indexed values.
-func (ix *HashIndex) Cardinality() int { return len(ix.ids) }
-
-// update replaces a tuple's values in place, revalidating types and key
-// uniqueness and keeping every index current.
+// update replaces a tuple's values, revalidating types and key uniqueness
+// and keeping every index current. The new values go into a fresh row; the
+// old row is left as it was for whoever still holds it.
 func (r *Relation) update(id TupleID, vals []Value) error {
-	pos, ok := r.byID[id]
-	if !ok {
+	s, _ := r.find(id)
+	if s == nil {
 		return fmt.Errorf("storage: relation %s has no tuple %d", r.schema.Name, id)
 	}
-	if len(vals) != len(r.schema.Columns) {
-		return fmt.Errorf("storage: %s expects %d values, got %d",
-			r.schema.Name, len(r.schema.Columns), len(vals))
-	}
-	for i, v := range vals {
-		col := r.schema.Columns[i]
-		if !col.Type.Accepts(v.Kind()) {
-			return fmt.Errorf("storage: %s.%s is %s, cannot store %s value %q",
-				r.schema.Name, col.Name, col.Type, v.Kind(), v.String())
-		}
-	}
-	old := r.slots[pos].tuple
-	if key := r.schema.Key; key != "" {
-		ki := r.schema.ColumnIndex(key)
-		kv := vals[ki]
-		if kv.IsNull() {
-			return fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, key)
-		}
-		if !kv.Equal(old.Values[ki]) {
-			if len(r.indexes[key].ids[kv]) > 0 {
-				return fmt.Errorf("storage: %s primary key %s=%s already exists",
-					r.schema.Name, key, kv.String())
-			}
-		}
+	old := r.tuple(s)
+	if err := r.validate(vals, old.Values); err != nil {
+		return err
 	}
 	for _, idx := range r.indexes {
 		idx.remove(old)
@@ -347,7 +459,7 @@ func (r *Relation) update(id TupleID, vals []Value) error {
 		idx.remove(old)
 	}
 	updated := Tuple{ID: id, Values: append([]Value(nil), vals...)}
-	r.slots[pos].tuple = updated
+	s.row = unsafe.SliceData(updated.Values)
 	for _, idx := range r.indexes {
 		idx.add(updated)
 	}

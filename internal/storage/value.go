@@ -7,7 +7,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -43,13 +45,14 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a compact tagged union holding a single attribute value.
-// Values are comparable with == (no reference fields), which lets them be
-// used directly as hash-index and map keys.
+// Value is a compact tagged union holding a single attribute value: 32
+// bytes, the kind plus one 64-bit word shared by the scalar kinds plus the
+// string header. Values are comparable with == (no reference fields), which
+// lets them be used directly as hash-index and map keys; Float stores a
+// canonical bit pattern so that == agrees with Equal and Compare.
 type Value struct {
 	kind Kind
-	i    int64 // also carries bool as 0/1
-	f    float64
+	n    uint64 // int64 bits, bool as 0/1, or canonical float64 bits
 	s    string
 }
 
@@ -57,21 +60,36 @@ type Value struct {
 var Null = Value{}
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
-// Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+// canonicalNaN is the one bit pattern every NaN is stored as.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// Float returns a floating-point value. -0 is stored as +0 and every NaN as
+// one bit pattern, so two Floats are == exactly when Compare ties them: a
+// NaN in an indexed or key column is found, deduplicated and removed like
+// any other value.
+func Float(v float64) Value {
+	bits := math.Float64bits(v)
+	switch {
+	case v == 0:
+		bits = 0
+	case v != v:
+		bits = canonicalNaN
+	}
+	return Value{kind: KindFloat, n: bits}
+}
 
 // String returns a string value.
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var i int64
+	var n uint64
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Kind reports the dynamic kind of v.
@@ -81,21 +99,21 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsInt returns the integer payload. It is valid only when Kind is KindInt.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 { return int64(v.n) }
 
 // AsFloat returns the numeric payload as a float64 for KindInt and KindFloat.
 func (v Value) AsFloat() float64 {
 	if v.kind == KindInt {
-		return float64(v.i)
+		return float64(int64(v.n))
 	}
-	return v.f
+	return math.Float64frombits(v.n)
 }
 
 // AsString returns the string payload. It is valid only when Kind is KindString.
 func (v Value) AsString() string { return v.s }
 
 // AsBool returns the boolean payload. It is valid only when Kind is KindBool.
-func (v Value) AsBool() bool { return v.i != 0 }
+func (v Value) AsBool() bool { return v.n != 0 }
 
 // String renders the value for display; strings are returned verbatim.
 func (v Value) String() string {
@@ -103,13 +121,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -144,48 +162,20 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Compare returns -1, 0 or +1 ordering v relative to o. NULL sorts first,
-// then cross-kind values order by kind; numbers compare numerically.
+// then cross-kind values order by kind; numbers compare numerically, with
+// NaN equal to itself and before every other number (cmp.Compare's order).
 func (v Value) Compare(o Value) int {
-	if numericKinds(v, o) && v.kind != o.kind {
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
+	if numericKinds(v, o) && (v.kind != o.kind || v.kind == KindFloat) {
+		return cmp.Compare(v.AsFloat(), o.AsFloat())
 	}
 	if v.kind != o.kind {
-		switch {
-		case v.kind < o.kind:
-			return -1
-		default:
-			return 1
-		}
+		return cmp.Compare(v.kind, o.kind)
 	}
 	switch v.kind {
-	case KindNull:
-		return 0
-	case KindInt, KindBool:
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		default:
-			return 0
-		}
-	case KindFloat:
-		switch {
-		case v.f < o.f:
-			return -1
-		case v.f > o.f:
-			return 1
-		default:
-			return 0
-		}
+	case KindInt:
+		return cmp.Compare(v.AsInt(), o.AsInt())
+	case KindBool:
+		return cmp.Compare(v.n, o.n)
 	case KindString:
 		return strings.Compare(v.s, o.s)
 	default:

@@ -6,7 +6,8 @@
 //	GET /                 search form (+ results when q is present)
 //	GET /api/search?q=    JSON answer: narrative, result database, stats
 //	GET /api/schema       JSON description of the schema graph
-//	GET /api/stats        engine statistics: answer cache counters, sizes
+//	GET /api/stats        engine statistics: answer cache counters, sizes,
+//	                      index and storage layout counts
 //	GET /api/persist      persistence stats: recovery, WAL size, checkpoints
 //	GET /api/repl         replication role and counters: follower lag, primary links
 //	GET /metrics          Prometheus text exposition of every counter
@@ -437,9 +438,12 @@ func (s *Server) handleAPISearch(w http.ResponseWriter, r *http.Request) {
 
 // apiEngineStats is the JSON shape of /api/stats.
 type apiEngineStats struct {
-	Database  string             `json:"database"`
-	Relations int                `json:"relations"`
-	Tuples    int                `json:"tuples"`
+	Database  string `json:"database"`
+	Relations int    `json:"relations"`
+	Tuples    int    `json:"tuples"`
+	// "index" {tokens, lists, postings} and "storage" {slots, dead_slots,
+	// index_entries}: the counts behind the resident bytes.
+	precis.LayoutStats
 	Cache     *precis.CacheStats `json:"cache,omitempty"` // nil when the cache is disabled
 	Admission admissionStats     `json:"admission"`
 }
@@ -448,10 +452,11 @@ func (s *Server) handleAPIStats(w http.ResponseWriter, _ *http.Request) {
 	// The shard-aware accessors work on both topologies; on a sharded
 	// coordinator eng.Database() would be nil.
 	out := apiEngineStats{
-		Database:  s.eng.DatabaseName(),
-		Relations: s.eng.NumRelations(),
-		Tuples:    s.eng.TotalTuples(),
-		Admission: s.adm.stats(),
+		Database:    s.eng.DatabaseName(),
+		Relations:   s.eng.NumRelations(),
+		Tuples:      s.eng.TotalTuples(),
+		LayoutStats: s.eng.LayoutStats(),
+		Admission:   s.adm.stats(),
 	}
 	if s.eng.CacheEnabled() {
 		cs := s.eng.CacheStats()

@@ -12,6 +12,7 @@ import (
 	"precis"
 	"precis/internal/dataset"
 	"precis/internal/profile"
+	"precis/internal/storage"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -308,5 +309,83 @@ func TestSearchTimeout(t *testing.T) {
 	}
 	if !strings.Contains(body, "time budget") {
 		t.Fatalf("timeout body: %s", body)
+	}
+}
+
+// TestAPIStatsLayout checks the counts behind the resident bytes on both
+// topologies: a single engine reports its own index and storage, a sharded
+// coordinator the sum over its shards, and a delete shows up as a tombstone.
+func TestAPIStatsLayout(t *testing.T) {
+	type layout struct {
+		Tuples int `json:"tuples"`
+		Index  struct {
+			Tokens   int `json:"tokens"`
+			Lists    int `json:"lists"`
+			Postings int `json:"postings"`
+		} `json:"index"`
+		Storage struct {
+			Slots        int `json:"slots"`
+			DeadSlots    int `json:"dead_slots"`
+			IndexEntries int `json:"index_entries"`
+		} `json:"storage"`
+	}
+	stats := func(t *testing.T, url string) layout {
+		t.Helper()
+		code, body := get(t, url+"/api/stats")
+		if code != http.StatusOK {
+			t.Fatalf("stats code=%d", code)
+		}
+		var out layout
+		if err := json.Unmarshal([]byte(body), &out); err != nil {
+			t.Fatalf("bad stats JSON: %v\n%s", err, body)
+		}
+		return out
+	}
+	single := testEngine(t)
+	db, g, err := dataset.ExampleMovies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := precis.NewSharded(db, g, precis.ShardedConfig{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first layout
+	for _, topo := range []struct {
+		name string
+		eng  *precis.Engine
+	}{{"single", single}, {"sharded", sharded}} {
+		name, eng := topo.name, topo.eng
+		ts := httptest.NewServer(NewServer(eng).Handler())
+		t.Cleanup(ts.Close)
+		before := stats(t, ts.URL)
+		if before.Storage.Slots != before.Tuples || before.Storage.DeadSlots != 0 || before.Storage.IndexEntries == 0 {
+			t.Fatalf("%s: storage layout %+v for %d tuples", name, before.Storage, before.Tuples)
+		}
+		if before.Index.Tokens == 0 || before.Index.Lists < before.Index.Tokens || before.Index.Postings < before.Index.Lists {
+			t.Fatalf("%s: index layout %+v", name, before.Index)
+		}
+		// Every shard indexes its own tuples, so postings (one per token,
+		// location and tuple) and slots sum to the single engine's.
+		if first.Tuples == 0 {
+			first = before
+		} else if before.Index.Postings != first.Index.Postings || before.Storage.Slots != first.Storage.Slots {
+			t.Fatalf("%s: %+v, other topology %+v", name, before, first)
+		}
+		id, err := eng.Insert("GENRE", storage.Int(1), storage.String("Layout Probe"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := stats(t, ts.URL)
+		if mid.Storage.Slots != before.Storage.Slots+1 || mid.Index.Postings != before.Index.Postings+2 || mid.Index.Tokens != before.Index.Tokens+2 {
+			t.Fatalf("%s: after insert %+v, before %+v", name, mid, before)
+		}
+		if ok, err := eng.Delete("GENRE", id); err != nil || !ok {
+			t.Fatalf("%s: delete: %v %v", name, ok, err)
+		}
+		after := stats(t, ts.URL)
+		if after.Storage.DeadSlots != 1 || after.Storage.Slots != mid.Storage.Slots || after.Index != before.Index || after.Tuples != before.Tuples {
+			t.Fatalf("%s: after delete %+v, before %+v", name, after, before)
+		}
 	}
 }

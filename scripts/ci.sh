@@ -20,7 +20,11 @@
 # under -race. The fuzz smoke then runs the durability fuzz targets
 # (snapshot decoder, WAL replayer, delta decoder, index-snapshot decoder)
 # for 10s each on top of the checked-in corpus — long enough to catch a
-# regression in the decoders' bounds checks, short enough for CI.
+# regression in the decoders' bounds checks, short enough for CI. The
+# index-snapshot corpus carries two files that are well-framed but break a
+# posting-list invariant (a zero id gap, locations out of order): the
+# sorted-slice index must reject them, where the map-of-maps one absorbed
+# them.
 #
 # The incremental-checkpoint torture pass (persist_delta_crash_test.go,
 # internal/wal delta_test.go) recovers the same scripted workload from
@@ -87,6 +91,24 @@
 # The sqlx planner/evaluator differential and the id-set predicate through
 # shard.Fetcher ride along.
 #
+# The inverted-index oracle step (internal/invidx differential_test.go)
+# diffs the sorted-slice index against the test-only map-of-maps reference
+# (reference_test.go) over seeded AddTuple/RemoveTuple sequences — lookups,
+# phrases, synonyms, document frequencies, counts, snapshot bytes, New ≡
+# NewParallel for 1/2/3/8 workers. It runs under -race because of
+# TestLookupResultsDoNotAliasIndex: queries copy posting lists under the
+# read lock and keep reading their copies after releasing it while a writer
+# appends to, shifts and deletes from the same lists; a result that aliased
+# the index is a race the detector sees and nothing else does.
+#
+# The layout pins step is the one step that must NOT run under -race (the
+# detector inflates the heap severalfold, and TestLiveBytesPerTuple skips
+# itself there): sizeof(storage.Value) == 32, sizeof(slot) == 16, and the
+# live heap per tuple of the engine built over the default synthetic
+# dataset under its stated budget, so the bytes the resident-layout rework
+# removed cannot creep back. BenchmarkEngineBuild (internal/invidx) reports
+# the same number as B/tuple and is compiled by the bench smoke below.
+#
 # The bench smoke step compiles and runs every benchmark exactly once
 # (-benchtime=1x) with no tests (-run=NONE). It does not measure anything;
 # it keeps the benchmark code itself from rotting — a benchmark that no
@@ -145,6 +167,12 @@ go test -race -count=1 -timeout=5m ./internal/shard
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
 go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestQueriesCounts' ./internal/core
 go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
+
+echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
+go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
+
+echo "== layout pins (no -race: value and slot sizes, live bytes per tuple)"
+go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize' . ./internal/storage
 
 echo "== fuzz smoke (10s per durability target)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal

@@ -220,6 +220,36 @@ func (e *Engine) totalTuplesLocked() int {
 	return e.db.TotalTuples()
 }
 
+// LayoutStats counts what the engine's resident data is made of, the numbers
+// behind its bytes: tokens, posting lists and postings in the inverted
+// index; slots, tombstones and hash-index keys in storage.
+type LayoutStats struct {
+	Index   invidx.Stats   `json:"index"`
+	Storage storage.Layout `json:"storage"`
+}
+
+// LayoutStats returns the layout counts — summed across shards on a sharded
+// coordinator (a token or join key present on several shards counts once
+// per shard, which is what is resident).
+func (e *Engine) LayoutStats() LayoutStats {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.shards == nil {
+		return LayoutStats{Index: e.index.Stats(), Storage: e.db.Layout()}
+	}
+	var st LayoutStats
+	for _, sh := range e.shards.engines {
+		ix, l := sh.Index().Stats(), sh.Database().Layout()
+		st.Index.Tokens += ix.Tokens
+		st.Index.Lists += ix.Lists
+		st.Index.Postings += ix.Postings
+		st.Storage.Slots += l.Slots
+		st.Storage.DeadSlots += l.DeadSlots
+		st.Storage.IndexEntries += l.IndexEntries
+	}
+	return st
+}
+
 // NumRelations returns the relation count (identical on every shard — the
 // schema catalog is replicated).
 func (e *Engine) NumRelations() int {
