@@ -5,6 +5,7 @@ package precis
 // mutation class, and the cache-bypass rules.
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -174,36 +175,89 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	}
 }
 
-// TestCacheMacroDefinition: a definition the renderer rejects changes
-// nothing, so it must leave the cache alone; an accepted one changes every
-// narrative and purges it — on the single engine and on the coordinator.
+// TestCacheMacroDefinition: a write the engine refuses changes nothing, so it
+// must leave the cache alone — a macro definition the renderer rejects (the
+// case this test began with), a duplicate or unnamed profile, a tuple change
+// the storage layer refuses (unknown relation, arity, type or key violation,
+// absent id). The accepted twin of each purges it. On the single engine and
+// on a coordinator.
 func TestCacheMacroDefinition(t *testing.T) {
-	sharded := newShardedEngine(t, 2, "hash")
+	sharded := newShardedEngine(t, 3, "hash")
 	sharded.EnableCache(CacheConfig{MaxEntries: 32})
+	const absent = storage.TupleID(1 << 40)
+	director := []storage.Value{storage.Int(777), storage.String("Cache Tester"), storage.String("Nowhere"), storage.String("1970")}
 	for name, eng := range map[string]*Engine{"single": newCachedEngine(t), "sharded": sharded} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := eng.Query([]string{"Woody Allen"}, Options{}); err != nil {
+			if err := eng.AddProfile(&Profile{Name: "taken"}); err != nil {
 				t.Fatal(err)
 			}
-			before := eng.CacheStats()
-			if before.Entries == 0 {
-				t.Fatal("warm query did not populate the cache")
+			var inserted storage.TupleID
+			steps := []struct {
+				name   string
+				reject bool
+				run    func() error
+			}{
+				{"DEFINE (malformed)", true, func() error { return eng.DefineMacro(`DEFINE BROKEN as [i<arityOf(@TITLE)`) }},
+				{"DEFINE", false, func() error { return eng.DefineMacro(`DEFINE FINE as "fine."`) }},
+				{"AddProfile (duplicate)", true, func() error { return eng.AddProfile(&Profile{Name: "taken"}) }},
+				{"AddProfile (unnamed)", true, func() error { return eng.AddProfile(&Profile{}) }},
+				{"AddProfile", false, func() error { return eng.AddProfile(&Profile{Name: "fresh"}) }},
+				{"Insert (unknown relation)", true, func() error { _, err := eng.Insert("NOPE", storage.Int(1)); return err }},
+				{"Insert (arity)", true, func() error { _, err := eng.Insert("DIRECTOR", storage.Int(777)); return err }},
+				{"Insert (type)", true, func() error {
+					_, err := eng.Insert("DIRECTOR", storage.String("x"), storage.String("x"), storage.String("x"), storage.String("x"))
+					return err
+				}},
+				{"Insert", false, func() (err error) { inserted, err = eng.Insert("DIRECTOR", director...); return err }},
+				{"Insert (duplicate key)", true, func() error {
+					if name == "sharded" {
+						return errNoSuchTuple // keys are only unique within a shard: not refused there
+					}
+					_, err := eng.Insert("DIRECTOR", director...)
+					return err
+				}},
+				{"Update (unknown relation)", true, func() error { return eng.Update("NOPE", inserted, director) }},
+				{"Update (absent id)", true, func() error { return eng.Update("DIRECTOR", absent, director) }},
+				{"Update (arity)", true, func() error { return eng.Update("DIRECTOR", inserted, director[:2]) }},
+				{"Update", false, func() error { return eng.Update("DIRECTOR", inserted, director) }},
+				{"Delete (unknown relation)", true, func() error { _, err := eng.Delete("NOPE", inserted); return err }},
+				{"Delete (absent id)", true, func() error {
+					if ok, err := eng.Delete("DIRECTOR", absent); ok || err != nil {
+						return nil // wrong: reported below as "accepted"
+					}
+					return errNoSuchTuple
+				}},
+				{"Delete", false, func() error { _, err := eng.Delete("DIRECTOR", inserted); return err }},
 			}
-			if err := eng.DefineMacro(`DEFINE BROKEN as [i<arityOf(@TITLE)`); err == nil {
-				t.Fatal("malformed definition accepted")
-			}
-			if after := eng.CacheStats(); after.Entries != before.Entries || after.Invalidations != before.Invalidations {
-				t.Fatalf("rejected definition touched the cache: %+v -> %+v", before, after)
-			}
-			if err := eng.DefineMacro(`DEFINE FINE as "fine."`); err != nil {
-				t.Fatal(err)
-			}
-			if n := eng.CacheStats().Entries; n != 0 {
-				t.Fatalf("accepted definition left %d cache entries", n)
+			for _, step := range steps {
+				if _, err := eng.Query([]string{"Woody Allen"}, Options{}); err != nil {
+					t.Fatal(err)
+				}
+				before := eng.CacheStats()
+				if before.Entries == 0 {
+					t.Fatal("warm query did not populate the cache")
+				}
+				err := step.run()
+				after := eng.CacheStats()
+				switch {
+				case step.reject && err == nil:
+					t.Fatalf("%s: accepted", step.name)
+				case step.reject && (after.Entries != before.Entries || after.Invalidations != before.Invalidations):
+					t.Fatalf("%s: rejected (%v) but touched the cache: %+v -> %+v", step.name, err, before, after)
+				case !step.reject && err != nil:
+					t.Fatalf("%s: %v", step.name, err)
+				case !step.reject && after.Entries != 0:
+					t.Fatalf("%s: accepted but left %d cache entries", step.name, after.Entries)
+				}
 			}
 		})
 	}
 }
+
+// errNoSuchTuple stands for Delete's (false, nil) — "no such tuple", which
+// is not an error — in TestCacheMacroDefinition's reject-or-accept table (and
+// for a step that does not apply to an engine).
+var errNoSuchTuple = errors.New("no such tuple")
 
 func TestCacheDisableAndTTL(t *testing.T) {
 	eng := newEngine(t)

@@ -21,6 +21,7 @@ import (
 
 	"precis/internal/dataset"
 	"precis/internal/faultinject"
+	"precis/internal/obs"
 	"precis/internal/repl"
 	"precis/internal/storage"
 )
@@ -440,4 +441,93 @@ func TestAutoFailoverPromotes(t *testing.T) {
 	}
 	assertRefEqual(t, "auto-promoted primary after finishing the script",
 		captureRef(t, newReferenceEngine(t, numCrashMutations)), captureRef(t, follower))
+}
+
+// TestPromoteRacesStatsReaders spins every lock-taking observer of the
+// persistence layer — PersistStats, Sync, ReplStats, LayoutStats — from
+// several goroutines across a Promote. Promote mounts the follower's store
+// under the engine mutex; an observer that read the persistence layer
+// without it (as GET /api/persist did during a supervised promotion) is a
+// data race only -race sees.
+func TestPromoteRacesStatsReaders(t *testing.T) {
+	primary, addr := startSyncPrimary(t, t.TempDir(), repl.PrimaryConfig{})
+	defer primary.Close()
+	follower, err := openDurableFollowerOf(addr, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	waitReplConverged(t, primary, follower, 10*time.Second)
+
+	// One observer per goroutine: a goroutine that also took the engine mutex
+	// between its reads would order them against Promote by accident.
+	observers := []func() error{
+		func() error { _ = follower.PersistStats(); return nil },
+		func() error { _ = follower.ReplStats(); return nil },
+		func() error { _ = follower.LayoutStats(); return nil },
+		follower.Sync,
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, observe := range observers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := observe(); err != nil {
+					t.Errorf("observer across Promote: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(5 * time.Millisecond) // readers running on the follower side of the swap
+	if _, err := follower.Promote(PromoteConfig{Logger: quietTestLogger()}); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	if err := crashMutation(follower, 0); err != nil {
+		t.Fatalf("mutation on the promoted engine: %v", err)
+	}
+	time.Sleep(5 * time.Millisecond) // and on the primary side
+	close(stop)
+	wg.Wait()
+	if st := follower.PersistStats(); !st.Enabled || st.WALRecords == 0 {
+		t.Fatalf("promoted engine's persistence layer is not visible: %+v", st)
+	}
+}
+
+// TestPromoteKeepsInstrumentation: a follower instrumented before its
+// promotion must export its WAL and checkpoint series afterwards — the
+// store is mounted after Instrument ran, and mounting must instrument it.
+func TestPromoteKeepsInstrumentation(t *testing.T) {
+	primary, addr := startSyncPrimary(t, t.TempDir(), repl.PrimaryConfig{})
+	defer primary.Close()
+	follower, err := openDurableFollowerOf(addr, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	reg := obs.NewRegistry()
+	follower.Instrument(reg)
+	waitReplConverged(t, primary, follower, 10*time.Second)
+	if _, err := follower.Promote(PromoteConfig{Logger: quietTestLogger()}); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	if err := crashMutation(follower, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter(MetricWALRecords).Load(); n < 1 {
+		t.Errorf("%s = %d after a logged insert on the promoted primary, want >= 1", MetricWALRecords, n)
+	}
+	if n := reg.Counter(MetricCheckpoints).Load(); n < 1 {
+		t.Errorf("%s = %d after a checkpoint on the promoted primary, want >= 1", MetricCheckpoints, n)
+	}
 }

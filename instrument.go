@@ -68,7 +68,7 @@ func instrumentReplPrimary(reg *obs.Registry, p *repl.Primary) {
 	reg.GaugeFunc(MetricReplAckLagRecords, func() float64 {
 		worst := int64(0)
 		for _, l := range p.Stats().Links {
-			if l.SyncEligible && l.AckLagRecords > worst {
+			if l.AckLagRecords > worst {
 				worst = l.AckLagRecords
 			}
 		}
@@ -267,23 +267,15 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	if e.cache != nil {
 		e.cache.AdoptCounters(cacheCountersFrom(reg))
 	}
-	// The size gauges go through the sharded-aware locked helpers: on a
-	// coordinator e.db/e.index are nil and the totals are summed over the
-	// shard engines.
-	reg.GaugeFunc(MetricDBTuples, func() float64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		return float64(e.totalTuplesLocked())
-	})
-	reg.GaugeFunc(MetricDBRelations, func() float64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		return float64(e.numRelationsLocked())
-	})
+	// The size gauges sum over the backend's partitions (one on a single
+	// engine, every shard on a coordinator).
+	reg.GaugeFunc(MetricDBTuples, func() float64 { return float64(e.TotalTuples()) })
+	reg.GaugeFunc(MetricDBRelations, func() float64 { return float64(e.NumRelations()) })
 	reg.GaugeFunc(MetricIndexTokens, func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		return float64(e.indexTokensLocked())
+		_, _, _, tokens := e.sizesLocked()
+		return float64(tokens)
 	})
 	reg.GaugeFunc(MetricCacheEntries, func() float64 {
 		e.mu.RLock()
@@ -293,17 +285,12 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		}
 		return float64(e.cache.Len())
 	})
-	if e.persist != nil {
-		e.persist.instrument(reg)
+	e.backend.instrument(reg)
+	if e.role.primary != nil {
+		instrumentReplPrimary(reg, e.role.primary)
 	}
-	if e.shards != nil {
-		e.shards.instrument(reg)
-	}
-	if e.replPrimary != nil {
-		instrumentReplPrimary(reg, e.replPrimary)
-	}
-	if e.replica != nil {
-		instrumentReplFollower(reg, e.replica)
+	if e.role.follower != nil {
+		instrumentReplFollower(reg, e.role.follower)
 	}
 	instrumentFencing(reg, e)
 }

@@ -30,29 +30,29 @@ func FuzzReplFrameDecode(f *testing.F) {
 	f.Add(seed(MsgSnapBegin, encodeSnapBegin(SnapBegin{Gen: 4, Size: 1024})))
 	f.Add(seed(MsgSnapChunk, bytes.Repeat([]byte("s"), 64)))
 	f.Add(seed(MsgSnapEnd, nil))
-	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Payload: []byte("record")}, ProtoVersion)))
-	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512}, ProtoVersion)))
+	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Payload: []byte("record")})))
+	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512})))
 	f.Add(seed(MsgError, []byte("injected")))
 	f.Add(seed(MsgAck, encodeAck(Ack{Gen: 4, Records: 10, Bytes: 512})))
 	f.Add(seed(MsgAck, encodeAck(Ack{})))
-	// v1 hello (old follower) and v2 welcome riding the heartbeat field.
-	f.Add(seed(MsgHello, encodeHello(Hello{Version: 1, Gen: 2, Records: 5})))
-	f.Add(seed(MsgWelcome, encodeWelcome(Welcome{Version: 2, Gen: 4, Records: 9, HeartbeatMS: 500})))
-	// v3 epoch-stamped frames: hello and welcome carry the epoch
-	// self-describingly; record and heartbeat carry it only under v3
-	// framing, and the same structs framed at v2 seed the downgrade path.
+	// Epoch-stamped frames.
 	f.Add(seed(MsgHello, encodeHello(Hello{Version: ProtoVersion, Gen: 3, Records: 17, Epoch: 7})))
 	f.Add(seed(MsgWelcome, encodeWelcome(Welcome{Version: ProtoVersion, Gen: 4, Records: 9, HeartbeatMS: 500, Epoch: 7})))
-	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Epoch: 7, Payload: []byte("record")}, ProtoVersion)))
-	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Epoch: 7}, ProtoVersion)))
-	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Payload: []byte("record")}, 2)))
-	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512}, 2)))
+	f.Add(seed(MsgRecord, encodeRecord(RecordMsg{Gen: 4, Seq: 9, FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Epoch: 7, Payload: []byte("record")})))
+	f.Add(seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 4, FrontierRecords: 10, FrontierBytes: 512, Epoch: 7})))
+	// The removed protocol versions' wire forms. A v1 hello and a v2 welcome
+	// must be refused (the check below); an epoch-less v2 record or heartbeat
+	// could only follow such a handshake, and must at least never panic.
+	f.Add(seed(MsgHello, legacyBody("PRCREPL1", "", 1, 2, 5)))
+	f.Add(seed(MsgWelcome, legacyBody("", "", 2, 0, 4, 9, 500)))
+	f.Add(seed(MsgRecord, legacyBody("", "record", 4, 9, 4, 10, 512)))
+	f.Add(seed(MsgHeartbeat, legacyBody("", "", 4, 10, 512)))
 	// Ack interleaved with a heartbeat: exact boundary consumption both ways.
-	f.Add(append(seed(MsgAck, encodeAck(Ack{Gen: 1, Records: 1, Bytes: 64})), seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 1, FrontierRecords: 2}, ProtoVersion))...))
+	f.Add(append(seed(MsgAck, encodeAck(Ack{Gen: 1, Records: 1, Bytes: 64})), seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 1, FrontierRecords: 2}))...))
 	// Two frames back to back: the reader must consume exact boundaries.
-	f.Add(append(seed(MsgSnapEnd, nil), seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{}, ProtoVersion))...))
+	f.Add(append(seed(MsgSnapEnd, nil), seed(MsgHeartbeat, encodeHeartbeat(Heartbeat{}))...))
 	// Corrupt variants: flipped payload byte, flipped length, truncation.
-	good := seed(MsgRecord, encodeRecord(RecordMsg{Gen: 1, Seq: 0, Payload: []byte("x")}, ProtoVersion))
+	good := seed(MsgRecord, encodeRecord(RecordMsg{Gen: 1, Seq: 0, Payload: []byte("x")}))
 	flip := append([]byte(nil), good...)
 	flip[len(flip)-1] ^= 0x40
 	f.Add(flip)
@@ -83,22 +83,21 @@ func FuzzReplFrameDecode(f *testing.F) {
 			var derr error
 			switch typ {
 			case MsgHello:
-				_, derr = decodeHello(body)
+				var h Hello
+				if h, derr = decodeHello(body); derr == nil && h.Version != ProtoVersion {
+					t.Fatalf("accepted a version-%d hello", h.Version)
+				}
 			case MsgWelcome:
-				_, derr = decodeWelcome(body)
+				var w Welcome
+				if w, derr = decodeWelcome(body); derr == nil && w.Version != ProtoVersion {
+					t.Fatalf("accepted a version-%d welcome", w.Version)
+				}
 			case MsgSnapBegin:
 				_, derr = decodeSnapBegin(body)
 			case MsgRecord:
-				// Record and heartbeat framing is version-dependent (the
-				// epoch rides only on v3 links), so both interpretations
-				// must hold the no-panic / attributed-error invariant.
-				_, e2 := decodeRecord(body, 2)
-				_, e3 := decodeRecord(body, ProtoVersion)
-				derr = errors.Join(e2, e3)
+				_, derr = decodeRecord(body)
 			case MsgHeartbeat:
-				_, e2 := decodeHeartbeat(body, 2)
-				_, e3 := decodeHeartbeat(body, ProtoVersion)
-				derr = errors.Join(e2, e3)
+				_, derr = decodeHeartbeat(body)
 			case MsgAck:
 				_, derr = decodeAck(body)
 			case MsgSnapChunk, MsgSnapEnd, MsgError:

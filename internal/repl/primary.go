@@ -25,8 +25,8 @@ type PrimaryConfig struct {
 	WriteTimeout time.Duration
 	// HandshakeTimeout bounds the wait for the follower's Hello (0: 10s).
 	HandshakeTimeout time.Duration
-	// SyncReplicas is the number of durably-acking (protocol v2+)
-	// followers whose acks each group commit must collect before
+	// SyncReplicas is the number of durably-acking followers whose acks
+	// each group commit must collect before
 	// WaitCommitted releases it. 0 keeps replication fully asynchronous.
 	SyncReplicas int
 	// AckTimeout bounds each quorum wait (0: 2s). On expiry the commit
@@ -38,8 +38,8 @@ type PrimaryConfig struct {
 	// sticky degraded flag that clears once a quorum of acks reaches the
 	// durable frontier again.
 	DegradeToAsync bool
-	// Epoch is the primary's fencing epoch, stamped on every v3 stream
-	// (Welcome, Record, Heartbeat). A v3 follower arriving with a higher
+	// Epoch is the primary's fencing epoch, stamped on every stream
+	// (Welcome, Record, Heartbeat). A follower arriving with a higher
 	// epoch deposes this primary: the link is rejected, OnDeposed fires,
 	// and the commit gate refuses every subsequent commit.
 	Epoch uint64
@@ -83,8 +83,8 @@ type FollowerLinkStats struct {
 	AckLagBytes   int64 `json:"ack_lag_bytes"`
 	// SecsSinceAck is -1 until the first ack arrives.
 	SecsSinceAck float64 `json:"secs_since_ack"`
-	// SyncEligible marks protocol v2+ links that can count toward the
-	// quorum; v1 followers stream async-only.
+	// SyncEligible marks links that can count toward the quorum: every
+	// link, since every follower acks. (Kept for the /api/repl schema.)
 	SyncEligible bool `json:"sync_eligible"`
 }
 
@@ -145,16 +145,12 @@ type Primary struct {
 // guarded by Primary.mu.
 type linkState struct {
 	remote     string
-	version    uint64
 	ackGen     uint64
 	ackRecords uint64
 	ackBytes   uint64
 	lastAck    time.Time
 	hasAck     bool
 }
-
-// syncEligible reports whether the link's acks may count toward a quorum.
-func (l *linkState) syncEligible() bool { return l.version >= 2 }
 
 // ackedAtLeast reports whether the link has durably acked (gen, records).
 func (l *linkState) ackedAtLeast(gen uint64, records int64) bool {
@@ -276,12 +272,12 @@ func (p *Primary) Stats() PrimaryStats {
 	for _, l := range p.links {
 		ls := FollowerLinkStats{
 			Remote:       l.remote,
-			Version:      l.version,
+			Version:      ProtoVersion,
 			AckGen:       l.ackGen,
 			AckRecords:   l.ackRecords,
 			AckBytes:     l.ackBytes,
 			SecsSinceAck: -1,
-			SyncEligible: l.syncEligible(),
+			SyncEligible: true,
 		}
 		if l.hasAck {
 			ls.SecsSinceAck = now.Sub(l.lastAck).Seconds()
@@ -351,12 +347,12 @@ func (p *Primary) Degraded() bool {
 	return p.degraded
 }
 
-// quorumMetLocked counts sync-eligible followers whose acks have reached
-// (gen, records). Callers hold p.mu.
+// quorumMetLocked counts followers whose acks have reached (gen, records).
+// Callers hold p.mu.
 func (p *Primary) quorumMetLocked(gen uint64, records int64) bool {
 	n := 0
 	for _, l := range p.links {
-		if l.syncEligible() && l.ackedAtLeast(gen, records) {
+		if l.ackedAtLeast(gen, records) {
 			n++
 			if n >= p.cfg.SyncReplicas {
 				return true
@@ -511,33 +507,23 @@ func (p *Primary) streamTo(conn net.Conn) error {
 	if err != nil {
 		return p.reject(conn, err.Error())
 	}
-	if hello.Version < MinProtoVersion || hello.Version > ProtoVersion {
-		return p.reject(conn, fmt.Sprintf("protocol version %d not supported (want %d..%d)", hello.Version, MinProtoVersion, ProtoVersion))
-	}
-	// Negotiated version: the follower never claims more than it speaks,
-	// so its Hello version (capped above at ours) is the stream version.
-	version := hello.Version
 	if err := faultinject.Fire(faultinject.SiteReplHandshake); err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
-	// Epoch fencing (v3 links only; older peers carry no epoch and never
-	// participate). A follower ahead of us proves a newer primary was
+	// Epoch fencing. A follower ahead of us proves a newer primary was
 	// elected: we are deposed — permanently. A follower behind us may carry
 	// a diverged, unacked WAL suffix from its previous life as the old
 	// primary, so it is forced through a snapshot bootstrap, which
 	// truncates that suffix.
-	forceBootstrap := false
-	if version >= 3 {
-		if err := faultinject.Fire(faultinject.SiteReplEpochCheck); err != nil {
-			return fmt.Errorf("epoch check: %w", err)
-		}
-		if hello.Epoch > p.cfg.Epoch {
-			p.epochRejections.Add(1)
-			p.depose(hello.Epoch)
-			return p.reject(conn, fmt.Sprintf("primary epoch %d is stale: follower is at epoch %d", p.cfg.Epoch, hello.Epoch))
-		}
-		forceBootstrap = hello.Epoch < p.cfg.Epoch
+	if err := faultinject.Fire(faultinject.SiteReplEpochCheck); err != nil {
+		return fmt.Errorf("epoch check: %w", err)
 	}
+	if hello.Epoch > p.cfg.Epoch {
+		p.epochRejections.Add(1)
+		p.depose(hello.Epoch)
+		return p.reject(conn, fmt.Sprintf("primary epoch %d is stale: follower is at epoch %d", p.cfg.Epoch, hello.Epoch))
+	}
+	forceBootstrap := hello.Epoch < p.cfg.Epoch
 	if by := func() uint64 { p.mu.Lock(); defer p.mu.Unlock(); return p.deposedBy }(); by != 0 {
 		// Once deposed, this primary serves no one — not even same-epoch
 		// followers, whose acks could otherwise release fenced commits.
@@ -550,15 +536,14 @@ func (p *Primary) streamTo(conn net.Conn) error {
 		m.Handshakes.Inc()
 	}
 
-	link := &linkState{remote: conn.RemoteAddr().String(), version: version}
+	link := &linkState{remote: conn.RemoteAddr().String()}
 	p.mu.Lock()
 	p.links[conn] = link
 	p.mu.Unlock()
 
-	// v2+ followers send Ack frames after applying+fsyncing records; v1
-	// followers send nothing, so the reader just notices the peer closing
-	// and unblocks our writes promptly. Either way a read error (or any
-	// non-ack frame) severs the link.
+	// Followers send Ack frames after applying+fsyncing records; a read
+	// error (or any non-ack frame) severs the link, which also unblocks our
+	// writes promptly when the peer just closes.
 	go p.readAcks(conn, link)
 
 	sub, cancel := p.store.Subscribe()
@@ -572,7 +557,7 @@ func (p *Primary) streamTo(conn net.Conn) error {
 	pos := position{gen: hello.Gen, seq: hello.Records}
 	canResume := !forceBootstrap && hello.Gen != 0 && hello.Gen == fr.Gen && int64(hello.Records) <= fr.Records
 	if canResume {
-		if err := p.send(conn, MsgWelcome, encodeWelcome(Welcome{Version: version, Gen: pos.gen, Records: pos.seq, HeartbeatMS: hbMS, Epoch: p.cfg.Epoch})); err != nil {
+		if err := p.send(conn, MsgWelcome, encodeWelcome(Welcome{Version: ProtoVersion, Gen: pos.gen, Records: pos.seq, HeartbeatMS: hbMS, Epoch: p.cfg.Epoch})); err != nil {
 			return err
 		}
 	} else {
@@ -580,7 +565,7 @@ func (p *Primary) streamTo(conn net.Conn) error {
 		if err != nil {
 			return err
 		}
-		if err := p.send(conn, MsgWelcome, encodeWelcome(Welcome{Version: version, Snapshot: true, Gen: gen, HeartbeatMS: hbMS, Epoch: p.cfg.Epoch})); err != nil {
+		if err := p.send(conn, MsgWelcome, encodeWelcome(Welcome{Version: ProtoVersion, Snapshot: true, Gen: gen, HeartbeatMS: hbMS, Epoch: p.cfg.Epoch})); err != nil {
 			return err
 		}
 		if err := p.sendSnapshot(conn, gen, raw); err != nil {
@@ -629,7 +614,7 @@ func (p *Primary) streamTo(conn net.Conn) error {
 				}
 			}
 			if err == nil {
-				err = p.sendRecords(conn, frames, &pos, limit, fr, version)
+				err = p.sendRecords(conn, frames, &pos, limit, fr)
 			}
 		}
 		if err == nil && rotated && int64(pos.seq) == limit {
@@ -673,7 +658,7 @@ func (p *Primary) streamTo(conn net.Conn) error {
 				FrontierRecords: uint64(fr.Records),
 				FrontierBytes:   uint64(fr.Bytes),
 				Epoch:           p.cfg.Epoch,
-			}, version)); err != nil {
+			})); err != nil {
 				return err
 			}
 		case <-p.done:
@@ -709,9 +694,8 @@ func (p *Primary) readAcks(conn net.Conn, link *linkState) {
 	}
 }
 
-// sendRecords streams frames [pos.seq, limit) of pos.gen in the link's
-// negotiated protocol version.
-func (p *Primary) sendRecords(conn net.Conn, frames *wal.FrameReader, pos *position, limit int64, fr wal.Frontier, version uint64) error {
+// sendRecords streams frames [pos.seq, limit) of pos.gen.
+func (p *Primary) sendRecords(conn net.Conn, frames *wal.FrameReader, pos *position, limit int64, fr wal.Frontier) error {
 	for int64(pos.seq) < limit {
 		payload, err := frames.Next()
 		if err != nil {
@@ -732,7 +716,7 @@ func (p *Primary) sendRecords(conn net.Conn, frames *wal.FrameReader, pos *posit
 			Epoch:           p.cfg.Epoch,
 			Payload:         payload,
 		}
-		if err := p.send(conn, MsgRecord, encodeRecord(msg, version)); err != nil {
+		if err := p.send(conn, MsgRecord, encodeRecord(msg)); err != nil {
 			return err
 		}
 		pos.seq++

@@ -22,22 +22,24 @@
 // record arrives as (G+1, 0) — a fully caught-up follower crosses a
 // checkpoint without re-bootstrapping.
 //
-// Protocol version 2 (PRCREPL2) adds the follower→primary Ack frame: the
-// follower reports its durable-applied position, and a primary configured
-// with SyncReplicas > 0 releases each group commit only once a quorum of
-// followers has acked at-or-past it. The handshake negotiates down, so a
-// version-1 follower still streams — it just never counts toward a quorum.
+// The follower acks: after every applied message it reports its
+// durable-applied position in an Ack frame, and a primary configured with
+// SyncReplicas > 0 releases each group commit only once a quorum of
+// followers has acked at-or-past it.
 //
-// Protocol version 3 (PRCREPL3) adds the failover fencing epoch: the
-// follower's Hello carries its locally persisted epoch, and the primary
-// stamps its own epoch on Welcome and on every Record and Heartbeat. Both
-// sides compare on every frame: a primary that sees a follower at a higher
-// epoch has been deposed (it rejects the link and fences itself); a
-// follower that sees a primary at a lower epoch refuses to follow it; and
-// a follower arriving with a lower epoch is forced through a snapshot
-// bootstrap, which truncates any diverged, unacked WAL suffix it may carry
-// from its previous life as a primary. Version 1/2 peers negotiate down
-// and see no epoch fields at all.
+// Every stream carries the failover fencing epoch: the follower's Hello
+// carries its locally persisted epoch, and the primary stamps its own epoch
+// on Welcome and on every Record and Heartbeat. Both sides compare on every
+// frame: a primary that sees a follower at a higher epoch has been deposed
+// (it rejects the link and fences itself); a follower that sees a primary at
+// a lower epoch refuses to follow it; and a follower arriving with a lower
+// epoch is forced through a snapshot bootstrap, which truncates any
+// diverged, unacked WAL suffix it may carry from its previous life as a
+// primary.
+//
+// There is one protocol version, 3 (PRCREPL3). Versions 1 and 2 carried no
+// epoch — a peer speaking them would be a path around fencing — so a Hello
+// or Welcome announcing anything else is refused at the handshake.
 package repl
 
 import (
@@ -48,28 +50,19 @@ import (
 	"io"
 )
 
-// Magic opens every version-1 Hello; a server can reject a stray client on
-// byte one. Magic2 and Magic3 are the version-2 and version-3 spellings.
-// All magics are 8 bytes, so the decoder slices the same prefix either way.
-const (
-	Magic  = "PRCREPL1"
-	Magic2 = "PRCREPL2"
-	Magic3 = "PRCREPL3"
-)
+// Magic opens every Hello; a server can reject a stray client on byte one.
+const Magic = "PRCREPL3"
 
-// ProtoVersion is the newest protocol this build speaks; MinProtoVersion
-// is the oldest it still accepts. The handshake negotiates down: a primary
-// answers a version-1 Hello with a version-1 Welcome and treats the
-// follower as async-only (version 1 has no MsgAck, so it can never count
-// toward a synchronous-replication quorum). Version 2 adds the
-// follower→primary Ack frame and a heartbeat-interval field in Welcome.
-// Version 3 adds the failover fencing epoch to Hello, Welcome, Record, and
-// Heartbeat; a version-1/2 peer sees none of the epoch fields and never
-// participates in fencing.
-const (
-	ProtoVersion    = 3
-	MinProtoVersion = 1
-)
+// ProtoVersion is the one protocol version this build speaks and accepts.
+const ProtoVersion = 3
+
+// checkVersion refuses a handshake message that announces another version.
+func checkVersion(typ MsgType, v uint64) error {
+	if v != ProtoVersion {
+		return &ProtocolError{Msg: typ, Detail: fmt.Sprintf("protocol version %d not supported (want %d)", v, ProtoVersion)}
+	}
+	return nil
+}
 
 // maxMsgPayload caps one message. Snapshots are chunked well below it;
 // WAL records are capped far lower by the WAL's own frame limit. A header
@@ -147,32 +140,31 @@ func (e *ProtocolError) Error() string {
 // producing genuine mid-frame wire corruption for the receiver to detect.
 var ErrInjectCorrupt = errors.New("repl: inject wire corruption")
 
-// Hello is the follower's opening message. Epoch (version ≥ 3 only) is the
-// follower's locally persisted fencing epoch: a primary seeing a higher
-// epoch than its own has been deposed; one seeing a lower epoch forces a
-// snapshot bootstrap to truncate any diverged suffix the follower carries.
+// Hello is the follower's opening message. Epoch is the follower's locally
+// persisted fencing epoch: a primary seeing a higher epoch than its own has
+// been deposed; one seeing a lower epoch forces a snapshot bootstrap to
+// truncate any diverged suffix the follower carries.
 type Hello struct {
 	Version uint64
 	Gen     uint64 // applied generation (0: nothing applied, bootstrap me)
 	Records uint64 // records applied within Gen
-	Epoch   uint64 // follower's fencing epoch (0 below version 3)
+	Epoch   uint64 // follower's fencing epoch
 }
 
-// Welcome is the primary's handshake answer. HeartbeatMS (version ≥ 2
-// only) tells the follower how often to expect traffic on an idle link, so
-// it can size its read-stall deadline. Epoch (version ≥ 3 only) is the
-// primary's fencing epoch; the follower adopts a higher one and refuses a
-// lower one.
+// Welcome is the primary's handshake answer. HeartbeatMS tells the follower
+// how often to expect traffic on an idle link, so it can size its read-stall
+// deadline. Epoch is the primary's fencing epoch; the follower adopts a
+// higher one and refuses a lower one.
 type Welcome struct {
 	Version     uint64
 	Snapshot    bool   // true: a snapshot bootstrap follows before records
 	Gen         uint64 // generation the stream will continue in
 	Records     uint64 // sequence the first record will carry
-	HeartbeatMS uint64 // primary's heartbeat interval in ms (0 on version 1)
-	Epoch       uint64 // primary's fencing epoch (0 below version 3)
+	HeartbeatMS uint64 // primary's heartbeat interval in ms
+	Epoch       uint64 // primary's fencing epoch
 }
 
-// Ack is the follower's durable-applied position (version ≥ 2): Records
+// Ack is the follower's durable-applied position: Records
 // frames of generation Gen — Bytes bytes of its local WAL — are on the
 // follower's disk (or applied in memory, for a diskless follower).
 type Ack struct {
@@ -188,26 +180,26 @@ type SnapBegin struct {
 }
 
 // RecordMsg carries one WAL frame payload plus the primary's durable
-// frontier at send time (for follower lag accounting). Epoch (version ≥ 3
-// only) re-stamps the primary's fencing epoch on every frame, so a
-// follower detects a stale primary even mid-stream.
+// frontier at send time (for follower lag accounting). Epoch re-stamps the
+// primary's fencing epoch on every frame, so a follower detects a stale
+// primary even mid-stream.
 type RecordMsg struct {
 	Gen             uint64
 	Seq             uint64 // record index within Gen (0-based)
 	FrontierGen     uint64
 	FrontierRecords uint64
 	FrontierBytes   uint64
-	Epoch           uint64 // primary's fencing epoch (0 below version 3)
+	Epoch           uint64 // primary's fencing epoch
 	Payload         []byte
 }
 
 // Heartbeat refreshes the follower's view of the primary frontier on an
-// idle link, and (version ≥ 3) re-stamps the primary's fencing epoch.
+// idle link, and re-stamps the primary's fencing epoch.
 type Heartbeat struct {
 	FrontierGen     uint64
 	FrontierRecords uint64
 	FrontierBytes   uint64
-	Epoch           uint64 // primary's fencing epoch (0 below version 3)
+	Epoch           uint64 // primary's fencing epoch
 }
 
 // writeMsg frames one message onto w: header, then typ+body.
@@ -331,61 +323,41 @@ func (d *bodyReader) done() error {
 // produced.
 
 func encodeHello(h Hello) []byte {
-	magic := Magic
-	switch {
-	case h.Version >= 3:
-		magic = Magic3
-	case h.Version == 2:
-		magic = Magic2
-	}
-	body := append([]byte(nil), magic...)
-	body = appendUvarints(body, h.Version, h.Gen, h.Records)
-	if h.Version >= 3 {
-		body = appendUvarints(body, h.Epoch)
-	}
-	return body
+	body := append([]byte(nil), Magic...)
+	return appendUvarints(body, h.Version, h.Gen, h.Records, h.Epoch)
 }
 
+// decodeHello refuses any magic or version but this build's: the fields
+// after the version are only defined for it.
 func decodeHello(body []byte) (Hello, error) {
-	if len(body) < len(Magic) ||
-		(string(body[:len(Magic)]) != Magic && string(body[:len(Magic2)]) != Magic2 &&
-			string(body[:len(Magic3)]) != Magic3) {
+	if len(body) < len(Magic) || string(body[:len(Magic)]) != Magic {
 		return Hello{}, &ProtocolError{Msg: MsgHello, Detail: "bad magic"}
 	}
 	d := &bodyReader{typ: MsgHello, b: body[len(Magic):]}
-	h := Hello{
-		Version: d.uvarint("version"),
-		Gen:     d.uvarint("gen"),
-		Records: d.uvarint("records"),
+	h := Hello{Version: d.uvarint("version")}
+	if d.err == nil {
+		d.err = checkVersion(MsgHello, h.Version)
 	}
-	if d.err == nil && h.Version >= 3 {
-		h.Epoch = d.uvarint("epoch")
-	}
+	h.Gen = d.uvarint("gen")
+	h.Records = d.uvarint("records")
+	h.Epoch = d.uvarint("epoch")
 	return h, d.done()
 }
 
-// encodeWelcome emits the wire form the announced version defines: the
-// HeartbeatMS field exists only from version 2 on, the Epoch field only
-// from version 3 on (an older follower rejects trailing bytes, so the
-// primary speaks each follower's dialect).
 func encodeWelcome(w Welcome) []byte {
 	snap := uint64(0)
 	if w.Snapshot {
 		snap = 1
 	}
-	body := appendUvarints(nil, w.Version, snap, w.Gen, w.Records)
-	if w.Version >= 2 {
-		body = appendUvarints(body, w.HeartbeatMS)
-	}
-	if w.Version >= 3 {
-		body = appendUvarints(body, w.Epoch)
-	}
-	return body
+	return appendUvarints(nil, w.Version, snap, w.Gen, w.Records, w.HeartbeatMS, w.Epoch)
 }
 
 func decodeWelcome(body []byte) (Welcome, error) {
 	d := &bodyReader{typ: MsgWelcome, b: body}
 	w := Welcome{Version: d.uvarint("version")}
+	if d.err == nil {
+		d.err = checkVersion(MsgWelcome, w.Version)
+	}
 	switch snap := d.uvarint("snapshot"); snap {
 	case 0:
 	case 1:
@@ -397,12 +369,8 @@ func decodeWelcome(body []byte) (Welcome, error) {
 	}
 	w.Gen = d.uvarint("gen")
 	w.Records = d.uvarint("records")
-	if d.err == nil && w.Version >= 2 {
-		w.HeartbeatMS = d.uvarint("heartbeat ms")
-	}
-	if d.err == nil && w.Version >= 3 {
-		w.Epoch = d.uvarint("epoch")
-	}
+	w.HeartbeatMS = d.uvarint("heartbeat ms")
+	w.Epoch = d.uvarint("epoch")
 	return w, d.done()
 }
 
@@ -430,20 +398,14 @@ func decodeSnapBegin(body []byte) (SnapBegin, error) {
 	return s, d.done()
 }
 
-// encodeRecord/decodeRecord are version-parameterized: the Epoch uvarint
-// sits between the frontier fields and the raw payload from version 3 on,
-// and is absent below it (the payload is "the rest", so the field cannot
-// be self-describing — both ends already agreed on a version at
-// handshake).
-func encodeRecord(r RecordMsg, version uint64) []byte {
-	body := appendUvarints(nil, r.Gen, r.Seq, r.FrontierGen, r.FrontierRecords, r.FrontierBytes)
-	if version >= 3 {
-		body = appendUvarints(body, r.Epoch)
-	}
+// The Epoch uvarint sits between the frontier fields and the raw payload
+// (the payload is "the rest", so it is the one field with no length).
+func encodeRecord(r RecordMsg) []byte {
+	body := appendUvarints(nil, r.Gen, r.Seq, r.FrontierGen, r.FrontierRecords, r.FrontierBytes, r.Epoch)
 	return append(body, r.Payload...)
 }
 
-func decodeRecord(body []byte, version uint64) (RecordMsg, error) {
+func decodeRecord(body []byte) (RecordMsg, error) {
 	d := &bodyReader{typ: MsgRecord, b: body}
 	r := RecordMsg{
 		Gen:             d.uvarint("gen"),
@@ -451,9 +413,7 @@ func decodeRecord(body []byte, version uint64) (RecordMsg, error) {
 		FrontierGen:     d.uvarint("frontier gen"),
 		FrontierRecords: d.uvarint("frontier records"),
 		FrontierBytes:   d.uvarint("frontier bytes"),
-	}
-	if version >= 3 {
-		r.Epoch = d.uvarint("epoch")
+		Epoch:           d.uvarint("epoch"),
 	}
 	if d.err != nil {
 		return r, d.err
@@ -462,23 +422,17 @@ func decodeRecord(body []byte, version uint64) (RecordMsg, error) {
 	return r, nil
 }
 
-func encodeHeartbeat(h Heartbeat, version uint64) []byte {
-	body := appendUvarints(nil, h.FrontierGen, h.FrontierRecords, h.FrontierBytes)
-	if version >= 3 {
-		body = appendUvarints(body, h.Epoch)
-	}
-	return body
+func encodeHeartbeat(h Heartbeat) []byte {
+	return appendUvarints(nil, h.FrontierGen, h.FrontierRecords, h.FrontierBytes, h.Epoch)
 }
 
-func decodeHeartbeat(body []byte, version uint64) (Heartbeat, error) {
+func decodeHeartbeat(body []byte) (Heartbeat, error) {
 	d := &bodyReader{typ: MsgHeartbeat, b: body}
 	h := Heartbeat{
 		FrontierGen:     d.uvarint("frontier gen"),
 		FrontierRecords: d.uvarint("frontier records"),
 		FrontierBytes:   d.uvarint("frontier bytes"),
-	}
-	if version >= 3 {
-		h.Epoch = d.uvarint("epoch")
+		Epoch:           d.uvarint("epoch"),
 	}
 	return h, d.done()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,8 +39,8 @@ func TestProtoRoundTrip(t *testing.T) {
 		{MsgSnapBegin, encodeSnapBegin(sb)},
 		{MsgSnapChunk, []byte("chunk")},
 		{MsgSnapEnd, nil},
-		{MsgRecord, encodeRecord(rec, ProtoVersion)},
-		{MsgHeartbeat, encodeHeartbeat(hb, ProtoVersion)},
+		{MsgRecord, encodeRecord(rec)},
+		{MsgHeartbeat, encodeHeartbeat(hb)},
 		{MsgError, []byte("boom")},
 	} {
 		if err := writeMsg(&buf, m.typ, m.body); err != nil {
@@ -71,7 +72,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	if typ, body, err := readMsg(&buf); err != nil || typ != MsgRecord {
 		t.Fatalf("read record: %v (%s)", err, typ)
 	} else {
-		got, err := decodeRecord(body, ProtoVersion)
+		got, err := decodeRecord(body)
 		if err != nil {
 			t.Fatalf("record decode: %v", err)
 		}
@@ -83,7 +84,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 	if typ, body, err := readMsg(&buf); err != nil || typ != MsgHeartbeat {
 		t.Fatalf("read heartbeat: %v (%s)", err, typ)
-	} else if got, err := decodeHeartbeat(body, ProtoVersion); err != nil || got != hb {
+	} else if got, err := decodeHeartbeat(body); err != nil || got != hb {
 		t.Fatalf("heartbeat round trip: %+v, %v", got, err)
 	}
 	if typ, body, err := readMsg(&buf); err != nil || typ != MsgError || string(body) != "boom" {
@@ -96,7 +97,7 @@ func TestProtoRoundTrip(t *testing.T) {
 // decode), never a silent success with different content.
 func TestProtoCorruptionAttributed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMsg(&buf, MsgRecord, encodeRecord(RecordMsg{Gen: 3, Seq: 9, Payload: []byte("precis")}, ProtoVersion)); err != nil {
+	if err := writeMsg(&buf, MsgRecord, encodeRecord(RecordMsg{Gen: 3, Seq: 9, Payload: []byte("precis")})); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -121,7 +122,7 @@ func TestProtoCorruptionAttributed(t *testing.T) {
 
 func TestReadMsgTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeMsg(&buf, MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 1}, ProtoVersion)); err != nil {
+	if err := writeMsg(&buf, MsgHeartbeat, encodeHeartbeat(Heartbeat{FrontierGen: 1})); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -137,82 +138,105 @@ func TestReadMsgTruncation(t *testing.T) {
 	}
 }
 
-// TestProtoEpochVersionGating pins the wire shapes across the v2/v3
-// boundary: a v2 frame carries no epoch and decodes to epoch 0 at either
-// version's framing, while a v3 frame decoded with v2 framing is rejected
-// (the epoch bytes would otherwise be silently folded into the payload).
-func TestProtoEpochVersionGating(t *testing.T) {
-	rec := RecordMsg{Gen: 2, Seq: 5, FrontierGen: 2, FrontierRecords: 6, FrontierBytes: 99, Epoch: 9, Payload: []byte("p")}
-	v2 := encodeRecord(rec, 2)
-	got, err := decodeRecord(v2, 2)
-	if err != nil {
-		t.Fatalf("v2 record decode: %v", err)
-	}
-	if got.Epoch != 0 || !bytes.Equal(got.Payload, rec.Payload) {
-		t.Fatalf("v2 record carried an epoch: %+v", got)
-	}
-	// v2 bytes under v3 framing: the first payload byte is consumed as the
-	// epoch uvarint, so the payload must differ — never silently equal.
-	if got3, err := decodeRecord(v2, ProtoVersion); err == nil && bytes.Equal(got3.Payload, rec.Payload) && got3.Epoch == rec.Epoch {
-		t.Fatalf("v2 record bytes decoded identically under v3 framing: %+v", got3)
-	}
-
-	hb := Heartbeat{FrontierGen: 2, FrontierRecords: 6, FrontierBytes: 99, Epoch: 9}
-	if got, err := decodeHeartbeat(encodeHeartbeat(hb, 2), 2); err != nil || got.Epoch != 0 {
-		t.Fatalf("v2 heartbeat: %+v, %v", got, err)
-	}
-	// A v3 heartbeat decoded with v2 framing has a trailing epoch uvarint.
-	if _, err := decodeHeartbeat(encodeHeartbeat(hb, ProtoVersion), 2); err == nil {
-		t.Fatal("v3 heartbeat accepted under v2 framing despite trailing epoch bytes")
-	}
-
-	// Hello and Welcome are self-describing: the epoch field rides only
-	// when the encoded version is >= 3, and v2 frames keep the v2 magic.
-	h2 := Hello{Version: 2, Gen: 1, Records: 2, Epoch: 9}
-	if got, err := decodeHello(encodeHello(h2)); err != nil || got.Epoch != 0 {
-		t.Fatalf("v2 hello grew an epoch: %+v, %v", got, err)
-	}
-	w2 := Welcome{Version: 2, Gen: 1, HeartbeatMS: 500, Epoch: 9}
-	if got, err := decodeWelcome(encodeWelcome(w2)); err != nil || got.Epoch != 0 {
-		t.Fatalf("v2 welcome grew an epoch: %+v, %v", got, err)
-	}
+// legacyBody spells a pre-v3 message body the way the removed encoders did:
+// an optional magic, then uvarints, then raw trailing bytes.
+func legacyBody(magic string, tail string, vs ...uint64) []byte {
+	return append(appendUvarints([]byte(magic), vs...), tail...)
 }
 
-// TestV2ClientNegotiatesDown runs a follower that pins protocol version 2
-// against a v3 primary: the primary must answer at version 2, never stamp
-// epochs, and still stream to convergence — old followers keep working
-// across a primary upgrade.
-func TestV2ClientNegotiatesDown(t *testing.T) {
-	s := newTestStore(t)
-	for i := 0; i < 5; i++ {
-		if err := s.Append(testRecord(i)); err != nil {
-			t.Fatal(err)
+// TestOldProtocolVersionsRefused: versions 1 and 2 carried no fencing
+// epoch, so a peer speaking them would be a path around fencing. Their
+// Hello and Welcome — and a PRCREPL3 one announcing any other version — must
+// be refused, typed, by the decoders; a primary must answer such a Hello
+// with an Error frame and stream nothing; a follower must drop a primary
+// that welcomes it at an old version.
+func TestOldProtocolVersionsRefused(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"v1 hello":              legacyBody("PRCREPL1", "", 1, 2, 5),
+		"v2 hello":              legacyBody("PRCREPL2", "", 2, 2, 5),
+		"v3 magic, version 2":   legacyBody(Magic, "", 2, 2, 5, 1),
+		"v3 magic, version 4":   legacyBody(Magic, "", 4, 2, 5, 1),
+		"v3 magic, v2 body":     legacyBody(Magic, "", 2, 2, 5),
+		"v3 hello, no epoch":    legacyBody(Magic, "", ProtoVersion, 2, 5),
+		"v3 hello, extra field": legacyBody(Magic, "", ProtoVersion, 2, 5, 1, 1),
+	} {
+		var pe *ProtocolError
+		if h, err := decodeHello(body); !errors.As(err, &pe) {
+			t.Errorf("%s: decoded to %+v, %v; want a ProtocolError", name, h, err)
 		}
 	}
-	p, addr := startPrimary(t, s)
-	col := &collector{}
-	cb := col.callbacks()
-	observed := make(chan uint64, 16)
-	cb.ObserveEpoch = func(epoch uint64) error {
-		observed <- epoch
-		return nil
+	for name, body := range map[string][]byte{
+		"v1 welcome":            legacyBody("", "", 1, 0, 4, 9),
+		"v2 welcome":            legacyBody("", "", 2, 0, 4, 9, 500),
+		"v2 welcome, v3 length": legacyBody("", "", 2, 0, 4, 9, 500, 1),
+		"v4 welcome":            legacyBody("", "", 4, 0, 4, 9, 500, 1),
+	} {
+		var pe *ProtocolError
+		if w, err := decodeWelcome(body); !errors.As(err, &pe) {
+			t.Errorf("%s: decoded to %+v, %v; want a ProtocolError", name, w, err)
+		}
 	}
-	client := New(Config{Addr: addr, Version: 2, Logger: quietLogger()}, cb)
+	// A v2 record or heartbeat has no epoch field: under the one framing
+	// left, the heartbeat is short and the record's payload shifts — it can
+	// never decode to the same message.
+	if hb, err := decodeHeartbeat(legacyBody("", "", 2, 6, 99)); err == nil {
+		t.Errorf("v2 heartbeat decoded to %+v", hb)
+	}
+	if rec, err := decodeRecord(legacyBody("", "p", 2, 5, 2, 6, 99)); err == nil && string(rec.Payload) == "p" {
+		t.Errorf("v2 record decoded with its payload intact: %+v", rec)
+	}
+
+	// On the wire: a primary refuses a v2 Hello with an Error frame.
+	s := newTestStore(t)
+	p, addr := startPrimary(t, s)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeMsg(conn, MsgHello, legacyBody("PRCREPL2", "", 2, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if typ, body, err := readMsg(conn); err != nil || typ != MsgError {
+		t.Fatalf("primary answered a v2 hello with %s %q, %v; want an error frame", typ, body, err)
+	}
+	waitFor(t, "link error", func() bool { return p.Stats().LinkErrors == 1 })
+	if st := p.Stats(); st.Handshakes != 0 || st.SentRecords != 0 {
+		t.Fatalf("primary streamed to a v2 peer: %+v", st)
+	}
+
+	// And a follower refuses a primary that welcomes it at version 2.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, _, err := readMsg(c); err == nil {
+				_ = writeMsg(c, MsgWelcome, legacyBody("", "", 2, 0, 1, 0, 500))
+			}
+			_ = c.Close()
+		}
+	}()
+	col := &collector{}
+	client := New(Config{Addr: ln.Addr().String(), BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond, Logger: quietLogger()}, col.callbacks())
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	done := make(chan struct{})
 	go func() { defer close(done); client.Run(ctx) }()
-	waitFor(t, "v2 catch-up", atLeast(col, 5))
-	select {
-	case e := <-observed:
-		t.Fatalf("v2 session observed an epoch stamp (%d)", e)
-	default:
-	}
-	if st := p.Stats(); st.Followers != 1 {
-		t.Fatalf("primary stats: %+v", st)
-	}
+	waitFor(t, "follower to refuse the v2 welcome", func() bool {
+		return strings.Contains(client.Stats().LastError, "protocol version 2 not supported")
+	})
 	cancel()
 	<-done
+	if st := client.Stats(); st.Connected || st.Records != 0 || st.Snapshots != 0 {
+		t.Fatalf("follower followed a v2 primary: %+v", st)
+	}
 }
 
 // --- end-to-end transport over a real Store ---

@@ -12,7 +12,8 @@ package precis
 // usually as a small delta extending the chain, periodically (CompactEvery
 // / CompactBytes) as a full compaction that also persists the inverted
 // index beside the snapshot so the next open can load it instead of
-// rebuilding. Engines built with New stay purely in-memory: the query hot
+// rebuilding. All of it hangs off the node (node.go) whose partition it
+// makes durable. Engines built with New stay purely in-memory: the query hot
 // path never touches any of this (the only cost is a nil check on the
 // mutation paths), so cached-query allocation counts are unchanged.
 
@@ -23,8 +24,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"precis/internal/invidx"
@@ -93,41 +92,14 @@ type PersistConfig struct {
 	Logger *log.Logger
 }
 
-// persistState is the engine's persistence plumbing; nil on in-memory
-// engines.
-type persistState struct {
-	store     *wal.Store
-	cfg       PersistConfig
-	logger    *log.Logger
-	recovered wal.Recovered
-
-	// indexLoaded records whether recovery loaded the persisted inverted
-	// index (true) or rebuilt it from the tuples (false). Set once at open.
-	indexLoaded bool
-
-	// closed is guarded by the engine mutex.
-	closed bool
-
-	// ckptMu serializes whole checkpoints: the store's Begin/Complete
-	// protocol assumes one in flight, and Close takes it before the final
-	// full checkpoint. Always acquired before the engine mutex.
-	ckptMu sync.Mutex
-	// lastPauseNS is the mutation-lock hold time of the last checkpoint's
-	// begin-and-capture phase, in nanoseconds.
-	lastPauseNS atomic.Int64
-	// pauseHist, when instrumented, observes that pause per checkpoint.
-	pauseHist atomic.Pointer[obs.Histogram]
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-}
+// errClosed refuses durable work on an engine whose Close has run.
+var errClosed = errors.New("precis: engine is closed")
 
 // compactionDue decides delta versus full for the checkpoint begun on top
 // of prevChain: full when the chain would outgrow CompactEvery or its
 // delta files outgrow CompactBytes.
-func (p *persistState) compactionDue(prevChain []uint64) bool {
-	every := p.cfg.CompactEvery
+func (n *node) compactionDue(prevChain []uint64) bool {
+	every := n.cfg.CompactEvery
 	if every == 0 {
 		every = DefaultCompactEvery
 	}
@@ -137,11 +109,11 @@ func (p *persistState) compactionDue(prevChain []uint64) bool {
 	if len(prevChain) >= every {
 		return true
 	}
-	bytes := p.cfg.CompactBytes
+	bytes := n.cfg.CompactBytes
 	if bytes == 0 {
 		bytes = DefaultCompactBytes
 	}
-	return bytes > 0 && p.store.ChainDeltaBytes() >= bytes
+	return bytes > 0 && n.store.ChainDeltaBytes() >= bytes
 }
 
 // indexRecovery implements wal.RecoveryObserver: it loads the persisted
@@ -184,12 +156,14 @@ func (r *indexRecovery) RecoveryApply(relation string, old, new *storage.Tuple) 
 	if r.ix == nil {
 		return
 	}
+	var was, now storage.Tuple
 	if old != nil {
-		r.ix.RemoveTuple(relation, *old)
+		was = *old
 	}
 	if new != nil {
-		r.ix.AddTuple(relation, *new)
+		now = *new
 	}
+	reindex(r.ix, relation, was, now)
 }
 
 // RecoveryStats reports what Open reconstructed from disk.
@@ -218,14 +192,14 @@ type RecoveryStats struct {
 
 // PersistStats reports the persistence layer's live counters.
 type PersistStats struct {
-	Enabled        bool          `json:"enabled"`
-	Dir            string        `json:"dir,omitempty"`
-	Fsync          string        `json:"fsync,omitempty"`
-	Generation     uint64        `json:"generation,omitempty"`
-	WALBytes       int64         `json:"wal_bytes,omitempty"`
-	WALRecords     int64         `json:"wal_records,omitempty"`
-	Checkpoints    uint64        `json:"checkpoints,omitempty"`
-	LastCheckpoint time.Time     `json:"last_checkpoint,omitempty"`
+	Enabled        bool      `json:"enabled"`
+	Dir            string    `json:"dir,omitempty"`
+	Fsync          string    `json:"fsync,omitempty"`
+	Generation     uint64    `json:"generation,omitempty"`
+	WALBytes       int64     `json:"wal_bytes,omitempty"`
+	WALRecords     int64     `json:"wal_records,omitempty"`
+	Checkpoints    uint64    `json:"checkpoints,omitempty"`
+	LastCheckpoint time.Time `json:"last_checkpoint,omitempty"`
 	// ChainDepth is the live checkpoint chain length (1 = just the full
 	// base snapshot). On a sharded engine, the deepest shard chain.
 	ChainDepth int `json:"chain_depth,omitempty"`
@@ -259,21 +233,37 @@ type PersistStats struct {
 // Callers own the returned engine's lifecycle: Close checkpoints and
 // releases the directory.
 func Open(db *storage.Database, g *schemagraph.Graph, cfg PersistConfig) (*Engine, error) {
-	return openEngine(db, g, cfg, true)
+	n, err := openNode(db, g, cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	e, err := assemble(g, n)
+	if err != nil {
+		if n.store != nil {
+			_ = n.store.Close()
+		}
+		return nil, err
+	}
+	if n.store != nil && n.store.FencedBy() != 0 {
+		// The directory belonged to a deposed primary: the fence is durable
+		// and survives restarts, so this engine refuses mutations from its
+		// first instruction. Rejoining the cluster as a follower
+		// (OpenFollower on the same directory) is the only way out.
+		_ = e.transition(roleEvent{kind: evFence, by: n.store.FencedBy()}) // from writable: never refused
+	}
+	return e, nil
 }
 
-// openEngine is Open with integrity verification switchable: a shard of a
-// partitioned database legitimately holds foreign-key values whose target
-// tuples live on other shards, so per-shard recovery (NewSharded) skips
-// the check — the dataset is only whole at the coordinator.
-func openEngine(db *storage.Database, g *schemagraph.Graph, cfg PersistConfig, verifyIntegrity bool) (*Engine, error) {
+// openNode mounts (or seeds) one partition's data directory; with an empty
+// cfg.Dir it is newNode. whole is load's: false for a shard.
+func openNode(db *storage.Database, g *schemagraph.Graph, cfg PersistConfig, whole bool) (*node, error) {
 	if cfg.Dir == "" {
-		return New(db, g)
+		return newNode(db, g, nil)
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = log.Default()
 	}
 	logger := cfg.Logger
-	if logger == nil {
-		logger = log.Default()
-	}
 	ir := &indexRecovery{dir: cfg.Dir, logger: logger}
 	store, rec, err := wal.Open(cfg.Dir, wal.Config{
 		Fsync:         cfg.Fsync,
@@ -284,126 +274,50 @@ func openEngine(db *storage.Database, g *schemagraph.Graph, cfg PersistConfig, v
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Engine, error) {
+	fail := func(err error) (*node, error) {
 		_ = store.Close()
 		return nil, err
 	}
-	fresh := rec.Data == nil
-	if !fresh {
-		db = rec.Data.DB
-		if err := db.CreateJoinIndexes(); err != nil {
-			return fail(fmt.Errorf("precis: rebuilding join indexes after recovery: %w", err))
+	var n *node
+	if rec.Data == nil {
+		if n, err = newNode(db, g, nil); err != nil {
+			return fail(err)
 		}
-		if verifyIntegrity {
-			if violations := db.CheckIntegrity(); len(violations) > 0 {
-				return fail(fmt.Errorf("precis: recovered database violates referential integrity (%d violation(s), first: %s)",
-					len(violations), violations[0]))
-			}
-		}
-	}
-	var eng *Engine
-	if !fresh && ir.loaded {
-		// The persisted index matched the base snapshot and tracked every
-		// delta and WAL record through the observer: adopt it instead of
-		// re-tokenizing the whole database.
-		eng, err = newWithIndex(db, g, ir.ix)
-	} else {
-		eng, err = New(db, g)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	if fresh {
 		if err := store.Initialize(&wal.SnapshotData{DB: db}); err != nil {
 			return fail(err)
 		}
 		logger.Printf("precis: persistence initialized in %s (generation 1, %d tuples, fsync=%s)",
 			cfg.Dir, db.TotalTuples(), cfg.Fsync)
 	} else {
-		for _, p := range rec.Data.Synonyms {
-			eng.index.AddSynonym(p[0], p[1])
-		}
-		for _, def := range rec.Data.Macros {
-			if err := eng.renderer.DefineMacro(def); err != nil {
-				return fail(fmt.Errorf("precis: replaying persisted macro: %w", err))
-			}
-			eng.trackMacroLocked(def)
+		// When the persisted index matched the base snapshot it tracked every
+		// delta and WAL record through the observer, and load adopts it.
+		if n, err = load(rec.Data, g, whole, ir.ix); err != nil {
+			return fail(fmt.Errorf("precis: recovering %s: %w", cfg.Dir, err))
 		}
 		indexHow := "rebuilt"
 		if ir.loaded {
 			indexHow = "loaded"
 		}
 		logger.Printf("precis: recovered %s: generation %d (chain depth %d, %d delta(s)), %d tuples, %d relations, %d WAL record(s) replayed, %d torn byte(s) truncated, index %s, in %v",
-			cfg.Dir, rec.Gen, rec.ChainDepth, rec.DeltasApplied, db.TotalTuples(), db.NumRelations(), rec.WALRecords, rec.TornBytes, indexHow, rec.Duration.Round(time.Microsecond))
+			cfg.Dir, rec.Gen, rec.ChainDepth, rec.DeltasApplied, n.db.TotalTuples(), n.db.NumRelations(), rec.WALRecords, rec.TornBytes, indexHow, rec.Duration.Round(time.Microsecond))
 	}
-	if by := store.FencedBy(); by != 0 {
-		// The directory belonged to a deposed primary: the fence is durable
-		// and survives restarts, so this engine refuses mutations from its
-		// first instruction. Rejoining the cluster as a follower
-		// (OpenFollower on the same directory) is the only way out.
-		eng.fencedBy = by
-	}
-	p := &persistState{store: store, cfg: cfg, logger: logger, recovered: *rec, indexLoaded: ir.loaded}
-	eng.persist = p
-	p.startCheckpointer(eng)
-	return eng, nil
-}
-
-// snapshotDataLocked assembles the snapshot payload; callers hold e.mu.
-func (e *Engine) snapshotDataLocked() *wal.SnapshotData {
-	return &wal.SnapshotData{
-		DB:       e.db,
-		Synonyms: e.index.Synonyms(),
-		Macros:   append([]string(nil), e.macroDefs...),
-	}
-}
-
-// trackMacroLocked remembers a macro definition for future snapshots,
-// deduplicating exact repeats; callers hold e.mu (or own the engine
-// exclusively, as Open does).
-func (e *Engine) trackMacroLocked(def string) {
-	if e.macroSeen == nil {
-		e.macroSeen = make(map[string]bool)
-	}
-	if e.macroSeen[def] {
-		return
-	}
-	e.macroSeen[def] = true
-	e.macroDefs = append(e.macroDefs, def)
-}
-
-// appendWALLocked logs one mutation record; callers hold e.mu. A nil
-// persist layer appends nowhere and succeeds — the in-memory engine's
-// mutations stay infallible beyond their own validation.
-func (e *Engine) appendWALLocked(rec wal.Record) error {
-	if e.persist == nil {
-		return nil
-	}
-	if e.persist.closed {
-		return fmt.Errorf("precis: engine is closed")
-	}
-	if err := e.persist.store.Append(rec); err != nil {
-		return fmt.Errorf("precis: persist %s: %w", rec.Op, err)
-	}
-	return nil
+	n.store, n.cfg = store, cfg
+	n.recovered, n.indexLoaded = *rec, ir.loaded
+	return n, nil
 }
 
 // Sync forces every appended WAL record to disk regardless of the fsync
 // policy — the benchmark and pre-crash hooks use it to draw a durable
 // line. On an in-memory engine it is a no-op.
-func (e *Engine) Sync() error {
-	if e.shards != nil {
-		return e.shards.each(func(_ int, sh *Engine) error { return sh.Sync() })
-	}
-	if e.persist == nil {
+func (e *Engine) Sync() error { return e.backend.each((*node).sync) }
+
+func (n *node) sync() error {
+	n.owner.mu.Lock()
+	defer n.owner.mu.Unlock()
+	if n.store == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.persist.closed {
-		return nil
-	}
-	return e.persist.store.Sync()
+	return n.store.Sync() // a closed store has nothing left to sync
 }
 
 // Checkpoint makes the engine's current state the new recovery baseline:
@@ -415,59 +329,60 @@ func (e *Engine) Sync() error {
 // CompactEvery or CompactBytes the state is instead synthesized from disk
 // into a fresh full snapshot, persisted together with an inverted-index
 // snapshot the next open can load instead of rebuilding. Returns
-// ErrNotPersistent on an in-memory engine.
-func (e *Engine) Checkpoint() error {
-	if e.shards != nil {
-		return e.shards.each(func(_ int, sh *Engine) error { return sh.Checkpoint() })
-	}
-	p := e.persist
-	if p == nil {
-		return ErrNotPersistent
-	}
-	p.ckptMu.Lock()
-	defer p.ckptMu.Unlock()
+// ErrNotPersistent on an in-memory engine. A sharded engine checkpoints
+// every shard, one after another.
+func (e *Engine) Checkpoint() error { return e.backend.each((*node).checkpoint) }
+
+func (n *node) checkpoint() error {
+	mu := &n.owner.mu
+	n.ckptMu.Lock()
+	defer n.ckptMu.Unlock()
 
 	// Phase 1 — under the mutation lock, O(dirty): rotate the log and
 	// capture the changed tuples as copy-on-write references (mutations
 	// allocate fresh value slices, so the captured tuples are stable).
-	e.mu.Lock()
-	if p.closed {
-		e.mu.Unlock()
-		return fmt.Errorf("precis: engine is closed")
+	mu.Lock()
+	if n.store == nil {
+		mu.Unlock()
+		return ErrNotPersistent
 	}
-	if !e.db.DirtyTrackingEnabled() {
+	if n.owner.role.kind == roleClosed {
+		mu.Unlock()
+		return errClosed
+	}
+	if !n.db.DirtyTrackingEnabled() {
 		// Defensive: persistent engines always track dirt, but without it a
 		// synthesized compaction would miss the untracked changes. Fall back
 		// to the monolithic full checkpoint under the lock.
-		defer e.mu.Unlock()
-		return p.store.Checkpoint(e.snapshotDataLocked())
+		defer mu.Unlock()
+		return n.store.Checkpoint(n.snapshotData())
 	}
 	pauseStart := time.Now()
-	h, err := p.store.BeginCheckpoint()
+	h, err := n.store.BeginCheckpoint()
 	if err != nil {
 		if errors.Is(err, wal.ErrUnsyncedLog) {
 			// The active writer is poisoned by an earlier fsync failure:
 			// heal via the monolithic full checkpoint, which supersedes the
 			// unsyncable log before abandoning it.
-			defer e.mu.Unlock()
-			return p.store.Checkpoint(e.snapshotDataLocked())
+			defer mu.Unlock()
+			return n.store.Checkpoint(n.snapshotData())
 		}
-		e.mu.Unlock()
+		mu.Unlock()
 		return err
 	}
-	ds := e.db.CaptureDirty()
+	ds := n.db.CaptureDirty()
 	d := &wal.DeltaData{
-		NextTupleID: e.db.NextTupleID(),
-		Synonyms:    e.index.Synonyms(),
-		Macros:      append([]string(nil), e.macroDefs...),
-		FKs:         e.db.ForeignKeys(),
+		NextTupleID: n.db.NextTupleID(),
+		Synonyms:    n.index.Synonyms(),
+		Macros:      append([]string(nil), n.macroDefs...),
+		FKs:         n.db.ForeignKeys(),
 		Relations:   ds.Relations,
 	}
 	pause := time.Since(pauseStart)
-	e.mu.Unlock()
+	mu.Unlock()
 
-	p.lastPauseNS.Store(pause.Nanoseconds())
-	if hist := p.pauseHist.Load(); hist != nil {
+	n.lastPauseNS.Store(pause.Nanoseconds())
+	if hist := n.pauseHist.Load(); hist != nil {
 		hist.ObserveNanos(pause.Nanoseconds())
 	}
 
@@ -476,13 +391,13 @@ func (e *Engine) Checkpoint() error {
 	// merged back so the next checkpoint's delta still covers everything
 	// since the last durable one.
 	restore := func() {
-		e.mu.Lock()
-		e.db.MergeDirty(ds)
-		e.mu.Unlock()
+		mu.Lock()
+		n.db.MergeDirty(ds)
+		mu.Unlock()
 		h.Abort()
 	}
-	if !p.compactionDue(h.PrevChain()) {
-		if err := p.store.CompleteDelta(h, d); err != nil {
+	if !n.compactionDue(h.PrevChain()) {
+		if err := n.store.CompleteDelta(h, d); err != nil {
 			restore()
 			return fmt.Errorf("precis: delta checkpoint: %w", err)
 		}
@@ -490,10 +405,10 @@ func (e *Engine) Checkpoint() error {
 	}
 	// Compaction: synthesize the rotation-point state purely from disk plus
 	// the captured delta, and persist the inverted index beside it.
-	data, err := p.store.Synthesize(h, d)
+	data, err := n.store.Synthesize(h, d)
 	if err == nil {
 		ix := invidx.NewParallel(data.DB, runtime.GOMAXPROCS(0))
-		err = p.store.CompleteFull(h, data, ix.EncodeSnapshot(h.Gen()))
+		err = n.store.CompleteFull(h, data, ix.EncodeSnapshot(h.Gen()))
 	}
 	if err != nil {
 		restore()
@@ -502,78 +417,71 @@ func (e *Engine) Checkpoint() error {
 	return nil
 }
 
-// Close shuts the persistence layer down: it stops the background
-// checkpointer, runs a final checkpoint, and closes the WAL. On an
+// Close shuts the engine down: replication stops, the background
+// checkpointer stops, a final checkpoint runs, and the WAL closes. On an
 // in-memory engine it is a no-op. The engine refuses further mutations and
 // checkpoints afterwards; queries keep working (the in-memory state stays
-// valid).
+// valid). A second Close returns nil.
 //
 // On a replicated engine, replication stops first: a primary severs its
 // follower links before the final checkpoint rotates the WAL away; a
 // follower stops its transport and keeps serving its last applied state.
 func (e *Engine) Close() error {
-	if e.shards != nil {
-		// Close every shard even if one fails; the first error wins.
-		return e.shards.each(func(_ int, sh *Engine) error { return sh.Close() })
-	}
-	// Stop the failover supervisor before taking the lifecycle lock: its
-	// promotion callback takes lifeMu, and Stop waits for it to finish.
-	e.mu.Lock()
-	fo := e.failover
-	e.failover = nil
-	e.mu.Unlock()
-	if fo != nil {
-		fo.Stop()
-	}
 	e.lifeMu.Lock()
-	defer e.lifeMu.Unlock()
 	e.mu.Lock()
-	rp := e.replPrimary
-	e.replPrimary = nil
-	r := e.replica
+	was := e.role
+	moved := e.transition(roleEvent{kind: evClose}) == nil
 	e.mu.Unlock()
-	if rp != nil {
-		// Remove the quorum gate before closing the primary: a mutation
-		// mid-wait must not block shutdown, and the final checkpoint below
-		// must not wait on acks from links we are about to sever.
-		if e.persist != nil {
-			e.persist.store.SetCommitGate(nil)
+	var err error
+	if moved {
+		if was.primary != nil {
+			// Remove the quorum gate before closing the primary: a mutation
+			// mid-wait must not block shutdown, and the final checkpoint below
+			// must not wait on acks from links we are about to sever.
+			e.backend.single().store.SetCommitGate(nil)
+			_ = was.primary.Close()
 		}
-		_ = rp.Close()
+		if was.follower != nil {
+			was.follower.stop()
+		}
+		// Close every partition even if one fails; the first error wins.
+		err = e.backend.each((*node).close)
 	}
-	if r != nil {
-		r.stop()
+	e.lifeMu.Unlock()
+	// The failover supervisor stops last and outside the lifecycle lock:
+	// its promotion callback takes lifeMu, and Stop waits for it to return —
+	// which it now does promptly, refused by the closed role.
+	if moved && was.failover != nil {
+		was.failover.Stop()
 	}
-	p := e.persist
-	if p == nil {
+	return err
+}
+
+// close runs the final checkpoint and closes the WAL. The owner's role is
+// already closed: this runs once, and nothing can start behind it.
+func (n *node) close() error {
+	if n.store == nil {
 		return nil
 	}
-	p.stopCheckpointer()
-	// Same order as Checkpoint: ckptMu before the engine mutex. Once both
+	n.stopCheckpointer()
+	// Same order as checkpoint: ckptMu before the engine mutex. Once both
 	// are held no rotation can race, so the final generation is knowable in
 	// advance and the live index can be persisted stamped with it.
-	p.ckptMu.Lock()
-	defer p.ckptMu.Unlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p.closed {
-		return nil
-	}
-	p.closed = true
+	n.ckptMu.Lock()
+	defer n.ckptMu.Unlock()
+	n.owner.mu.Lock()
+	defer n.owner.mu.Unlock()
 	var firstErr error
-	var indexRaw []byte
-	if e.index != nil {
-		indexRaw = e.index.EncodeSnapshot(p.store.Generation() + 1)
-	}
-	if err := p.store.CheckpointFull(e.snapshotDataLocked(), indexRaw); err != nil {
+	indexRaw := n.index.EncodeSnapshot(n.store.Generation() + 1)
+	if err := n.store.CheckpointFull(n.snapshotData(), indexRaw); err != nil {
 		firstErr = fmt.Errorf("precis: final checkpoint: %w", err)
 		// The checkpoint failed but the WAL still holds every mutation:
 		// force it to disk so nothing is lost even on this path.
-		if err := p.store.Sync(); err != nil {
-			p.logger.Printf("precis: close: WAL sync also failed: %v", err)
+		if err := n.store.Sync(); err != nil {
+			n.cfg.Logger.Printf("precis: close: WAL sync also failed: %v", err)
 		}
 	}
-	if err := p.store.Close(); err != nil && firstErr == nil {
+	if err := n.store.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
@@ -582,14 +490,16 @@ func (e *Engine) Close() error {
 // PersistStats snapshots the persistence counters. Enabled is false (and
 // everything else zero) on an in-memory engine.
 func (e *Engine) PersistStats() PersistStats {
-	if e.shards != nil {
-		return e.shards.persistStats()
-	}
-	p := e.persist
-	if p == nil {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.backend.persistStats()
+}
+
+func (n *node) persistStats() PersistStats {
+	if n.store == nil {
 		return PersistStats{}
 	}
-	st := p.store.Stats()
+	st := n.store.Stats()
 	return PersistStats{
 		Enabled:               true,
 		Dir:                   st.Dir,
@@ -600,61 +510,65 @@ func (e *Engine) PersistStats() PersistStats {
 		Checkpoints:           st.Checkpoints,
 		LastCheckpoint:        st.LastCkpt,
 		ChainDepth:            st.ChainDepth,
-		LastCheckpointPauseMS: float64(p.lastPauseNS.Load()) / 1e6,
+		LastCheckpointPauseMS: float64(n.lastPauseNS.Load()) / 1e6,
 		DeltaBytesWritten:     st.DeltaBytes,
 		FullBytesWritten:      st.FullBytes,
 		Recovery: RecoveryStats{
-			SnapshotLoaded:     p.recovered.Data != nil,
-			SnapshotPath:       p.recovered.SnapshotPath,
-			ChainDepth:         p.recovered.ChainDepth,
-			DeltasApplied:      p.recovered.DeltasApplied,
-			IndexLoaded:        p.indexLoaded,
-			WALRecordsReplayed: p.recovered.WALRecords,
-			TornBytesTruncated: p.recovered.TornBytes,
-			DurationMS:         float64(p.recovered.Duration.Nanoseconds()) / 1e6,
+			SnapshotLoaded:     n.recovered.Data != nil,
+			SnapshotPath:       n.recovered.SnapshotPath,
+			ChainDepth:         n.recovered.ChainDepth,
+			DeltasApplied:      n.recovered.DeltasApplied,
+			IndexLoaded:        n.indexLoaded,
+			WALRecordsReplayed: n.recovered.WALRecords,
+			TornBytesTruncated: n.recovered.TornBytes,
+			DurationMS:         float64(n.recovered.Duration.Nanoseconds()) / 1e6,
 		},
 	}
 }
 
-// startCheckpointer launches the background size/time checkpoint triggers.
-func (p *persistState) startCheckpointer(e *Engine) {
-	sizeTrigger := p.cfg.CheckpointBytes
+// startCheckpointer launches a durable node's background size/time
+// checkpoint triggers. The node must have its owner.
+func (n *node) startCheckpointer() {
+	if n.store == nil {
+		return
+	}
+	sizeTrigger := n.cfg.CheckpointBytes
 	if sizeTrigger == 0 {
 		sizeTrigger = DefaultCheckpointBytes
 	}
-	if sizeTrigger < 0 && p.cfg.CheckpointEvery <= 0 {
+	if sizeTrigger < 0 && n.cfg.CheckpointEvery <= 0 {
 		return // checkpoints are manual only
 	}
 	poll := time.Second
-	if p.cfg.CheckpointEvery > 0 && p.cfg.CheckpointEvery/4 < poll {
-		poll = p.cfg.CheckpointEvery / 4
+	if n.cfg.CheckpointEvery > 0 && n.cfg.CheckpointEvery/4 < poll {
+		poll = n.cfg.CheckpointEvery / 4
 	}
 	if poll < 10*time.Millisecond {
 		poll = 10 * time.Millisecond
 	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
+	n.stop = make(chan struct{})
+	n.done = make(chan struct{})
 	go func() {
-		defer close(p.done)
+		defer close(n.done)
 		t := time.NewTicker(poll)
 		defer t.Stop()
 		for {
 			select {
-			case <-p.stop:
+			case <-n.stop:
 				return
 			case <-t.C:
-				due := sizeTrigger > 0 && p.store.LogSize() >= sizeTrigger
-				if !due && p.cfg.CheckpointEvery > 0 {
-					due = time.Since(p.store.Stats().LastCkpt) >= p.cfg.CheckpointEvery
+				due := sizeTrigger > 0 && n.store.LogSize() >= sizeTrigger
+				if !due && n.cfg.CheckpointEvery > 0 {
+					due = time.Since(n.store.Stats().LastCkpt) >= n.cfg.CheckpointEvery
 				}
 				if !due {
 					continue
 				}
-				if err := e.Checkpoint(); err != nil {
-					if errors.Is(err, ErrNotPersistent) {
+				if err := n.checkpoint(); err != nil {
+					if errors.Is(err, errClosed) {
 						return
 					}
-					p.logger.Printf("precis: background checkpoint failed: %v", err)
+					n.cfg.Logger.Printf("precis: background checkpoint failed: %v", err)
 				}
 			}
 		}
@@ -662,11 +576,11 @@ func (p *persistState) startCheckpointer(e *Engine) {
 }
 
 // stopCheckpointer halts the background trigger goroutine, if any.
-func (p *persistState) stopCheckpointer() {
-	p.stopOnce.Do(func() {
-		if p.stop != nil {
-			close(p.stop)
-			<-p.done
+func (n *node) stopCheckpointer() {
+	n.stopOnce.Do(func() {
+		if n.stop != nil {
+			close(n.stop)
+			<-n.done
 		}
 	})
 }
@@ -691,9 +605,14 @@ const (
 	MetricRecoveryIndexLoad = "precis_recovery_index_loaded"
 )
 
-// instrumentPersist registers the persistence instruments; called from
-// Engine.Instrument when a persistence layer is mounted.
-func (p *persistState) instrument(reg *obs.Registry) {
+// instrument registers a durable node's persistence instruments. Called by
+// Engine.Instrument, and by the role transition that mounts a promoted
+// follower's store — becoming durable after Instrument must not go dark.
+func (n *node) instrument(reg *obs.Registry) {
+	if n.store == nil {
+		return
+	}
+	store := n.store
 	reg.Help(MetricWALBytes, "bytes appended to the write-ahead log (including frame headers)")
 	reg.Help(MetricWALRecords, "mutation records appended to the write-ahead log")
 	reg.Help(MetricWALFsyncs, "WAL fsync calls (group commits share one)")
@@ -710,7 +629,7 @@ func (p *persistState) instrument(reg *obs.Registry) {
 	reg.Help(MetricRecoveryTorn, "torn-tail bytes truncated by the last recovery")
 	reg.Help(MetricRecoverySeconds, "wall-clock duration of the last recovery")
 	reg.Help(MetricRecoveryIndexLoad, "1 when the last recovery loaded the persisted inverted index, 0 when it rebuilt")
-	p.store.SetMetrics(&wal.Metrics{
+	store.SetMetrics(&wal.Metrics{
 		AppendedBytes:    reg.Counter(MetricWALBytes),
 		AppendedRecords:  reg.Counter(MetricWALRecords),
 		Fsyncs:           reg.Counter(MetricWALFsyncs),
@@ -720,15 +639,15 @@ func (p *persistState) instrument(reg *obs.Registry) {
 		DeltaCheckpoints: reg.Counter(MetricWALDeltaCkpts),
 		DeltaBytes:       reg.Counter(MetricWALDeltaBytes),
 	})
-	p.pauseHist.Store(reg.Histogram(MetricCheckpointPause))
-	reg.GaugeFunc(MetricWALSizeBytes, func() float64 { return float64(p.store.LogSize()) })
-	reg.GaugeFunc(MetricChainDepth, func() float64 { return float64(p.store.ChainDepth()) })
-	reg.GaugeFunc(MetricPersistGeneration, func() float64 { return float64(p.store.Generation()) })
-	reg.GaugeFunc(MetricRecoveryReplayed, func() float64 { return float64(p.recovered.WALRecords) })
-	reg.GaugeFunc(MetricRecoveryTorn, func() float64 { return float64(p.recovered.TornBytes) })
-	reg.GaugeFunc(MetricRecoverySeconds, func() float64 { return p.recovered.Duration.Seconds() })
+	n.pauseHist.Store(reg.Histogram(MetricCheckpointPause))
+	reg.GaugeFunc(MetricWALSizeBytes, func() float64 { return float64(store.LogSize()) })
+	reg.GaugeFunc(MetricChainDepth, func() float64 { return float64(store.ChainDepth()) })
+	reg.GaugeFunc(MetricPersistGeneration, func() float64 { return float64(store.Generation()) })
+	reg.GaugeFunc(MetricRecoveryReplayed, func() float64 { return float64(n.recovered.WALRecords) })
+	reg.GaugeFunc(MetricRecoveryTorn, func() float64 { return float64(n.recovered.TornBytes) })
+	reg.GaugeFunc(MetricRecoverySeconds, func() float64 { return n.recovered.Duration.Seconds() })
 	reg.GaugeFunc(MetricRecoveryIndexLoad, func() float64 {
-		if p.indexLoaded {
+		if n.indexLoaded {
 			return 1
 		}
 		return 0

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -40,10 +39,7 @@ import (
 	"precis/internal/nlg"
 	"precis/internal/obs"
 	"precis/internal/profile"
-	"precis/internal/repl"
 	"precis/internal/schemagraph"
-	"precis/internal/shard"
-	"precis/internal/sqlx"
 	"precis/internal/storage"
 	"precis/internal/wal"
 )
@@ -138,13 +134,25 @@ func TimeBudget(params costmodel.Params, budget time.Duration, relations int) Ca
 // Engine answers précis queries over one database + annotated schema graph.
 // Queries may run concurrently; mutations (Insert, Delete, DefineMacro,
 // AddProfile, SetTupleWeights) are serialized against them internally, and
-// every mutation invalidates the answer cache so concurrent readers never
-// observe a stale précis.
+// every accepted mutation invalidates the answer cache so concurrent readers
+// never observe a stale précis.
+//
+// An Engine is the paper's pipeline (Fig. 2: inverted index → result-schema
+// generator → result-database generator → translator) over two seams: the
+// backend says where the tuples live, the role says who may write them.
+// Nothing else in the package tests for a topology or a replication role.
 type Engine struct {
-	mu       sync.RWMutex
-	db       *storage.Database
-	graph    *schemagraph.Graph
-	index    *invidx.Index
+	// mu is the only data lock: queries hold it shared; mutations and the
+	// capture phase of a checkpoint, exclusively. The backend's nodes lock
+	// with it too, so a sharded coordinator has a single engine's lock order.
+	mu    sync.RWMutex
+	graph *schemagraph.Graph
+	// backend is set by assemble and never reassigned (a follower's
+	// re-bootstrap swaps its node's contents, not the node).
+	backend backend
+	// role is the mutation gate's state (role.go); transition is its only
+	// writer. The zero value is a writable engine.
+	role     role
 	renderer *nlg.Renderer
 	profiles *profile.Registry
 	// weights are the engine-level default tuple weights (§7 extension),
@@ -158,36 +166,68 @@ type Engine struct {
 	// un-instrumented and the query path skips all accounting.
 	registry *obs.Registry
 	metrics  *engineMetrics
-	// persist is the durability layer mounted by Open; nil on in-memory
-	// engines, in which case the mutation paths pay exactly one nil check.
-	persist *persistState
-	// replica is the follower-side replication state mounted by
-	// OpenFollower; non-nil makes every mutation return ErrReadOnly.
-	replica *replicaState
-	// replPrimary streams the WAL to followers once StartReplication runs.
-	replPrimary *repl.Primary
-	// promoting is true while Promote is converting this follower into a
-	// primary; mutations stay refused for the duration.
-	promoting bool
-	// fencedBy, when non-zero, is the epoch of the primary that deposed
-	// this engine: every mutation fails with ErrFenced. Set at Open (the
-	// fence is durable) or live via the primary's deposition hook.
-	fencedBy uint64
-	// failover is the auto-promotion supervisor armed by
-	// EnableAutoFailover; Close stops it before anything else.
-	failover *repl.Supervisor
 	// lifeMu serializes role changes (Promote) against Close. It is taken
 	// before mu and never while holding it.
 	lifeMu sync.Mutex
-	// macroDefs / macroSeen remember narrative macro definitions so
-	// checkpoints can persist them (the renderer has no introspection API).
-	macroDefs []string
-	macroSeen map[string]bool
-	// shards is the sharded coordinator state mounted by NewSharded; nil on
-	// a single-engine instance. A sharded coordinator has nil db/index — the
-	// data lives on the shard engines — and routes fetches, index probes and
-	// mutations through this.
-	shards *shardSet
+}
+
+// backend is where an engine's tuples live: *node (one partition) or
+// *shardSet (a coordinator's). Callers hold e.mu — shared to read,
+// exclusively for commit.
+type backend interface {
+	// each visits every partition in shard order and returns the first
+	// error (all are visited regardless). Checkpoint, Sync and Close run
+	// through it, unlocked: those node methods take e.mu themselves.
+	each(fn func(*node) error) error
+	// single is the partition when it is the only one — what Database, Index
+	// and WAL replication need — and nil on a coordinator.
+	single() *node
+	// lookup resolves one query term; a coordinator scatters the probe and
+	// merges to the exact single-index occurrence list.
+	lookup(term string) ([]invidx.Occurrence, error)
+	// newFetcher builds the per-query tuple fetcher.
+	newFetcher() core.Fetcher
+	// nextID is the id the next Insert gets, the same on every topology.
+	nextID() storage.TupleID
+	// commit applies one gated mutation record and logs it. applied reports
+	// that state changed and stayed changed: the cache is purged exactly then.
+	commit(rec wal.Record) (applied bool, err error)
+	persistStats() PersistStats
+	shardStats() ShardStats
+	instrument(reg *obs.Registry)
+}
+
+// assemble builds the engine over a loaded backend: the nodes get their
+// owner (and lock with its mutex from here on), the recovered macro
+// definitions — every partition holds them all, so the first one's list — are
+// replayed into the renderer, and durable nodes start their checkpointers.
+func assemble(g *schemagraph.Graph, b backend) (*Engine, error) {
+	e := &Engine{graph: g, backend: b, profiles: profile.NewRegistry()}
+	var macros []string
+	_ = b.each(func(n *node) error {
+		if macros == nil {
+			macros = n.macroDefs
+		}
+		n.owner = e
+		return nil
+	})
+	var err error
+	if e.renderer, err = newRenderer(macros); err != nil {
+		return nil, err
+	}
+	_ = b.each(func(n *node) error { n.startCheckpointer(); return nil })
+	return e, nil
+}
+
+// newRenderer builds a renderer with the given macro definitions replayed.
+func newRenderer(macros []string) (*nlg.Renderer, error) {
+	r := nlg.NewRenderer()
+	for _, def := range macros {
+		if err := r.DefineMacro(def); err != nil {
+			return nil, fmt.Errorf("precis: replaying persisted macro: %w", err)
+		}
+	}
+	return r, nil
 }
 
 // CacheConfig sizes the engine's answer cache.
@@ -291,38 +331,11 @@ func copyTupleWeights(w TupleWeights) TupleWeights {
 // New builds an engine: it validates the graph against the database and
 // constructs the inverted index over all string attributes.
 func New(db *storage.Database, g *schemagraph.Graph) (*Engine, error) {
-	if db == nil || g == nil {
-		return nil, fmt.Errorf("precis: need a database and a schema graph")
-	}
-	if err := g.Validate(db); err != nil {
+	n, err := newNode(db, g, nil)
+	if err != nil {
 		return nil, err
 	}
-	return &Engine{
-		db:       db,
-		graph:    g,
-		index:    invidx.NewParallel(db, runtime.GOMAXPROCS(0)),
-		renderer: nlg.NewRenderer(),
-		profiles: profile.NewRegistry(),
-	}, nil
-}
-
-// newWithIndex is New with a prebuilt inverted index — recovery loading a
-// persisted index snapshot instead of re-tokenizing every tuple. The index
-// must already be bound to db and current with it.
-func newWithIndex(db *storage.Database, g *schemagraph.Graph, ix *invidx.Index) (*Engine, error) {
-	if db == nil || g == nil {
-		return nil, fmt.Errorf("precis: need a database and a schema graph")
-	}
-	if err := g.Validate(db); err != nil {
-		return nil, err
-	}
-	return &Engine{
-		db:       db,
-		graph:    g,
-		index:    ix,
-		renderer: nlg.NewRenderer(),
-		profiles: profile.NewRegistry(),
-	}, nil
+	return assemble(g, n)
 }
 
 // Database returns the underlying database. It holds the engine read
@@ -333,7 +346,10 @@ func newWithIndex(db *storage.Database, g *schemagraph.Graph, ix *invidx.Index) 
 func (e *Engine) Database() *storage.Database {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.db
+	if n := e.backend.single(); n != nil {
+		return n.db
+	}
+	return nil
 }
 
 // Graph returns the annotated schema graph.
@@ -344,11 +360,42 @@ func (e *Engine) Graph() *schemagraph.Graph {
 }
 
 // Index returns the inverted index (see Database about the lock). Nil on a
-// sharded coordinator — each shard owns an index over its own tuples.
+// sharded coordinator — each partition owns an index over its own tuples.
 func (e *Engine) Index() *invidx.Index {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.index
+	if n := e.backend.single(); n != nil {
+		return n.index
+	}
+	return nil
+}
+
+// commitLocked is the path every WAL-logged mutation takes: the role's gate,
+// the backend's apply-and-log, then the cache purge — only if something was
+// accepted (a refused or rejected mutation changes nothing), and before the
+// caller releases e.mu, so no reader can see a stale hit. Callers hold e.mu.
+func (e *Engine) commitLocked(rec wal.Record) (applied bool, err error) {
+	if err := e.role.gate(); err != nil {
+		return false, err
+	}
+	rendered := false
+	if rec.Op == wal.OpMacro {
+		// Validate-then-log: a definition the renderer rejects must never
+		// reach the WAL (it would poison every future recovery), so the parse
+		// runs first. An accepted one changes every narrative from here on,
+		// whatever the log write then does: if that fails the error is
+		// returned and the definition is not tracked for snapshots — the
+		// caller retries, and macro redefinition is idempotent.
+		if err := e.renderer.DefineMacro(rec.Def); err != nil {
+			return false, err
+		}
+		rendered = true
+	}
+	applied, err = e.backend.commit(rec)
+	if applied || rendered {
+		e.purgeCacheLocked()
+	}
+	return applied, err
 }
 
 // AddSynonym declares that queries for alias also match canonical — the
@@ -363,68 +410,27 @@ func (e *Engine) Index() *invidx.Index {
 func (e *Engine) AddSynonym(alias, canonical string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.mutableLocked(); err != nil {
-		return err
-	}
-	if e.shards != nil {
-		e.purgeCacheLocked()
-		return e.shards.addSynonym(alias, canonical)
-	}
-	if err := e.appendWALLocked(wal.Record{Op: wal.OpSynonym, Alias: alias, Canonical: canonical}); err != nil {
-		if !errors.Is(err, ErrQuorumLost) {
-			return err
-		}
-		// Quorum lost ≠ not written: the record is durable on the local
-		// WAL, so the in-memory change must happen (a recovery would
-		// replay it) — the error only reports reduced durability.
-		e.index.AddSynonym(alias, canonical)
-		e.purgeCacheLocked()
-		return err
-	}
-	e.index.AddSynonym(alias, canonical)
-	e.purgeCacheLocked()
-	return nil
+	_, err := e.commitLocked(wal.Record{Op: wal.OpSynonym, Alias: alias, Canonical: canonical})
+	return err
 }
 
 // DefineMacro registers a narrative macro ("DEFINE NAME as ...").
 func (e *Engine) DefineMacro(def string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.mutableLocked(); err != nil {
-		return err
-	}
-	if e.shards != nil {
-		return e.shards.defineMacro(e, def)
-	}
-	// Validate-then-log: a definition the renderer rejects must never reach
-	// the WAL (it would poison every future recovery), so the parse runs
-	// first — and a rejected definition changes nothing, so the answer
-	// cache is purged only once it is accepted. If the log write then
-	// fails, the error is returned and the definition is not tracked for
-	// snapshots — the caller retries, and macro redefinition is idempotent.
-	if err := e.renderer.DefineMacro(def); err != nil {
-		return err
-	}
-	e.purgeCacheLocked()
-	if err := e.appendWALLocked(wal.Record{Op: wal.OpMacro, Def: def}); err != nil {
-		if !errors.Is(err, ErrQuorumLost) {
-			return err
-		}
-		// Locally durable; keep memory consistent with what recovery
-		// would replay and report the quorum failure.
-		e.trackMacroLocked(def)
-		return err
-	}
-	e.trackMacroLocked(def)
-	return nil
+	_, err := e.commitLocked(wal.Record{Op: wal.OpMacro, Def: def})
+	return err
 }
 
 // AddProfile stores a personalization profile.
 func (e *Engine) AddProfile(p *Profile) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.profiles.Add(p); err != nil {
+		return err
+	}
 	e.purgeCacheLocked()
-	return e.profiles.Add(p)
+	return nil
 }
 
 // Profiles returns the registered profile names, sorted. It holds the
@@ -440,126 +446,35 @@ func (e *Engine) Profiles() []string {
 // Insert adds a tuple and keeps the inverted index current. On a
 // persistent engine the insert is also logged to the WAL (with its concrete
 // tuple ID, so replay reconstructs identical IDs); a failed log write rolls
-// the in-memory insert back and returns the error.
+// the in-memory insert back and returns the error. When the error is
+// ErrQuorumLost the record is durable on the local WAL — rolling back would
+// diverge memory from what recovery replays — so the real ID is returned
+// with the error and the caller sees both facts.
 func (e *Engine) Insert(relation string, vals ...storage.Value) (storage.TupleID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.mutableLocked(); err != nil {
+	id := e.backend.nextID()
+	applied, err := e.commitLocked(wal.Record{Op: wal.OpInsert, Rel: relation, ID: id, Values: vals})
+	if !applied {
 		return 0, err
 	}
-	e.purgeCacheLocked()
-	if e.shards != nil {
-		return e.shards.insert(relation, vals)
-	}
-	id, err := e.db.Insert(relation, vals...)
-	if err != nil {
-		return 0, err
-	}
-	t, ok := e.db.Relation(relation).Get(id)
-	if ok {
-		e.index.AddTuple(relation, t)
-	}
-	if err := e.appendWALLocked(wal.Record{Op: wal.OpInsert, Rel: relation, ID: id, Values: vals}); err != nil {
-		if errors.Is(err, ErrQuorumLost) {
-			// The record is durable on the local WAL — rolling back would
-			// diverge memory from what recovery replays. Return the real
-			// ID with the error so the caller sees both facts.
-			return id, err
-		}
-		if ok {
-			e.index.RemoveTuple(relation, t)
-		}
-		_, _ = e.db.Delete(relation, id)
-		return 0, err
-	}
-	return id, nil
+	return id, err
 }
 
 // Update replaces a tuple's values and keeps the inverted index current.
 func (e *Engine) Update(relation string, id storage.TupleID, vals []storage.Value) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.mutableLocked(); err != nil {
-		return err
-	}
-	e.purgeCacheLocked()
-	if e.shards != nil {
-		return e.shards.update(relation, id, vals)
-	}
-	rel := e.db.Relation(relation)
-	if rel == nil {
-		return fmt.Errorf("precis: no relation %s", relation)
-	}
-	old, ok := rel.Get(id)
-	if !ok {
-		return fmt.Errorf("precis: relation %s has no tuple %d", relation, id)
-	}
-	if err := e.db.Update(relation, id, vals); err != nil {
-		return err
-	}
-	e.index.RemoveTuple(relation, old)
-	var updated storage.Tuple
-	var haveUpdated bool
-	if t, ok := rel.Get(id); ok {
-		updated, haveUpdated = t, true
-		e.index.AddTuple(relation, t)
-	}
-	if err := e.appendWALLocked(wal.Record{Op: wal.OpUpdate, Rel: relation, ID: id, Values: vals}); err != nil {
-		if errors.Is(err, ErrQuorumLost) {
-			return err // locally durable; no rollback (see Insert)
-		}
-		// Roll the in-memory update back so memory and disk agree.
-		if haveUpdated {
-			e.index.RemoveTuple(relation, updated)
-		}
-		if rbErr := e.db.Update(relation, id, old.Values); rbErr == nil {
-			if t, ok := rel.Get(id); ok {
-				e.index.AddTuple(relation, t)
-			}
-		}
-		return err
-	}
-	return nil
+	_, err := e.commitLocked(wal.Record{Op: wal.OpUpdate, Rel: relation, ID: id, Values: vals})
+	return err
 }
 
-// Delete removes a tuple and keeps the inverted index current.
+// Delete removes a tuple and keeps the inverted index current. It reports
+// false, with no error, when the relation holds no such tuple.
 func (e *Engine) Delete(relation string, id storage.TupleID) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.mutableLocked(); err != nil {
-		return false, err
-	}
-	e.purgeCacheLocked()
-	if e.shards != nil {
-		return e.shards.delete(relation, id)
-	}
-	rel := e.db.Relation(relation)
-	if rel == nil {
-		return false, fmt.Errorf("precis: no relation %s", relation)
-	}
-	t, ok := rel.Get(id)
-	if !ok {
-		return false, nil
-	}
-	e.index.RemoveTuple(relation, t)
-	deleted, err := e.db.Delete(relation, id)
-	if err != nil || !deleted {
-		if _, still := rel.Get(id); still {
-			e.index.AddTuple(relation, t)
-		}
-		return deleted, err
-	}
-	if err := e.appendWALLocked(wal.Record{Op: wal.OpDelete, Rel: relation, ID: id}); err != nil {
-		if errors.Is(err, ErrQuorumLost) {
-			return true, err // locally durable; no rollback (see Insert)
-		}
-		// Resurrect the tuple (same ID) so memory and disk agree.
-		if rbErr := e.db.InsertWithID(relation, id, t.Values...); rbErr == nil {
-			e.index.AddTuple(relation, t)
-		}
-		return false, err
-	}
-	return true, nil
+	return e.commitLocked(wal.Record{Op: wal.OpDelete, Rel: relation, ID: id})
 }
 
 // Options tune one query. Zero-value fields fall back to the selected
@@ -924,24 +839,19 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 	// position-indexed slice and are folded back in term order, keeping the
 	// answer byte-identical to the serial walk.
 	sp := tr.StartSpan(obs.StageIndexLookup)
-	perTerm := make([][]invidx.Occurrence, len(terms))
-	if e.shards != nil {
-		// Sharded: each term's probe scatters across the shard indexes and
-		// merges to the exact single-index occurrence list. Scatter/gather
-		// faults fail the query typed instead of panicking.
-		lookupErrs := make([]error, len(terms))
-		core.ParallelFor(len(terms), workers, func(i int) {
-			perTerm[i], lookupErrs[i] = e.shards.lookup(terms[i])
-		})
-		for _, lerr := range lookupErrs {
-			if lerr != nil {
-				return nil, lerr
-			}
+	perTerm := make([]struct {
+		occs []invidx.Occurrence
+		err  error
+	}, len(terms))
+	core.ParallelFor(len(terms), workers, func(i int) {
+		perTerm[i].occs, perTerm[i].err = e.backend.lookup(terms[i])
+	})
+	// Only a coordinator's scatter/gather can fail a probe; it fails the
+	// query typed instead of panicking.
+	for i := range perTerm {
+		if perTerm[i].err != nil {
+			return nil, perTerm[i].err
 		}
-	} else {
-		core.ParallelFor(len(terms), workers, func(i int) {
-			perTerm[i] = e.index.LookupExpanded(terms[i])
-		})
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("precis: query canceled: %w", err)
@@ -951,7 +861,7 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 	seen := make(map[string]bool)
 	var allOccs []invidx.Occurrence
 	for i, term := range terms {
-		occs := perTerm[i]
+		occs := perTerm[i].occs
 		if len(occs) == 0 {
 			ans.Unmatched = append(ans.Unmatched, term)
 			continue
@@ -986,19 +896,12 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 		return nil, fmt.Errorf("precis: query canceled: %w", err)
 	}
 
-	// Step 3: result database generation. Each query gets its own SQL
-	// engine over the shared database, so concurrent queries do not race on
-	// statistics accumulation. The generator honours ctx between steps and
+	// Step 3: result database generation. Each query gets its own fetcher
+	// over the shared data, so concurrent queries do not race on statistics
+	// accumulation. The generator honours ctx between steps and
 	// fans independent fetches out over the same worker pool.
 	sp = tr.StartSpan(obs.StageDBGen)
-	var fetcher core.Fetcher
-	var sf *shard.Fetcher
-	if e.shards != nil {
-		sf = e.shards.newFetcher()
-		fetcher = sf
-	} else {
-		fetcher = sqlx.NewEngine(e.db)
-	}
+	fetcher := e.backend.newFetcher()
 	rd, err := core.GenerateDatabaseOpts(fetcher, rs, seeds, card, strat,
 		core.DBGenOptions{Weights: weights, Workers: workers, Context: ctx, Budget: opts.Budget, Trace: tr})
 	if err != nil {
@@ -1009,8 +912,8 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 	ans.Stats = rd.Stats
 	ans.Partial = rd.Partial()
 	ans.Truncation = rd.Truncation
-	if sf != nil {
-		sf.RecordTrace(tr)
+	if sf, ok := fetcher.(interface{ RecordTrace(*obs.Trace) }); ok {
+		sf.RecordTrace(tr) // a scatter/gather fetcher has spans of its own to add
 	}
 	sp.End()
 	if err := ctx.Err(); err != nil {

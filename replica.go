@@ -7,11 +7,11 @@ package precis
 // through the same ID-stable path crash recovery uses, and serves
 // read-only queries while refusing every mutation with ErrReadOnly. The
 // transport (framing, handshake, reconnect, fault sites) lives in
-// internal/repl; this file owns state application and the role plumbing.
+// internal/repl; this file owns state application. Which of these an engine
+// currently is, and what that lets it do, is the role's business (role.go).
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -19,81 +19,10 @@ import (
 	"time"
 
 	"precis/internal/faultinject"
-	"precis/internal/invidx"
-	"precis/internal/nlg"
 	"precis/internal/repl"
 	"precis/internal/schemagraph"
 	"precis/internal/wal"
 )
-
-// ErrReadOnly is returned by every mutation on a follower engine. Follower
-// state is exactly the primary's WAL stream; a local write would fork it.
-var ErrReadOnly = errors.New("precis: follower engine is read-only")
-
-// ErrQuorumLost is the engine-level alias of repl.ErrQuorumLost: a
-// mutation under synchronous replication timed out waiting for its ack
-// quorum. The mutation IS applied and locally durable — only the
-// replication guarantee was missed — so callers must not retry blindly;
-// match with errors.Is.
-var ErrQuorumLost = repl.ErrQuorumLost
-
-// ErrFenced is the engine-level alias of wal.ErrFenced: this engine was
-// deposed by a newer primary epoch and refuses every mutation, durably,
-// until its directory rejoins the cluster as a follower. Match with
-// errors.Is.
-var ErrFenced = wal.ErrFenced
-
-// ErrNotPrimary is returned (alongside ErrReadOnly, for compatibility —
-// both match under errors.Is) by mutations on an engine that is not the
-// primary. The concrete error's message carries a leader hint when the
-// engine knows where the primary is.
-var ErrNotPrimary = errors.New("precis: engine is not the primary")
-
-// ErrNotFollower is returned by Promote and EnableAutoFailover on an
-// engine that is not a follower.
-var ErrNotFollower = errors.New("precis: engine is not a follower")
-
-// notPrimaryError is the concrete mutation-refusal error on a follower:
-// it matches both ErrNotPrimary and the historical ErrReadOnly, and names
-// the primary so a client can redirect.
-type notPrimaryError struct{ leader string }
-
-func (e *notPrimaryError) Error() string {
-	if e.leader != "" {
-		return fmt.Sprintf("precis: follower engine is read-only (leader hint: %s)", e.leader)
-	}
-	return "precis: follower engine is read-only"
-}
-
-func (e *notPrimaryError) Is(target error) bool {
-	return target == ErrNotPrimary || target == ErrReadOnly
-}
-
-// fencedError is the concrete mutation-refusal error on a deposed
-// primary; it matches ErrFenced and names the deposing epoch.
-type fencedError struct{ epoch uint64 }
-
-func (e *fencedError) Error() string {
-	return fmt.Sprintf("precis: engine is fenced by primary epoch %d; reopen its directory as a follower to rejoin", e.epoch)
-}
-
-func (e *fencedError) Is(target error) bool { return target == ErrFenced }
-
-// mutableLocked is the gate every mutation passes: nil on a writable
-// primary, a typed refusal otherwise. Callers hold e.mu.
-func (e *Engine) mutableLocked() error {
-	if e.replica != nil || e.promoting {
-		var leader string
-		if e.replica != nil {
-			leader = e.replica.addr
-		}
-		return &notPrimaryError{leader: leader}
-	}
-	if e.fencedBy != 0 {
-		return &fencedError{epoch: e.fencedBy}
-	}
-	return nil
-}
 
 // ReplicaConfig tunes a follower engine.
 type ReplicaConfig struct {
@@ -174,7 +103,7 @@ type ReplStats struct {
 	Failover *repl.SupervisorStats `json:"failover,omitempty"`
 }
 
-// replicaState is the follower side's plumbing, held by Engine.replica.
+// replicaState is the follower side's plumbing, held by the engine's role.
 type replicaState struct {
 	addr   string
 	graph  *schemagraph.Graph
@@ -195,8 +124,11 @@ type replicaState struct {
 	// epoch is the fencing epoch of a diskless follower (a durable one
 	// reads it from the store); 0 means 1.
 	epoch uint64
-	// eng is set once, when the first snapshot arrives.
-	eng *Engine
+	// eng and node (its single partition, applied to under eng.mu) are set
+	// once, before ready closes, and afterwards used by the transport
+	// goroutine only.
+	eng  *Engine
+	node *node
 	// gen/records/appliedBytes are the applied position: records frames of
 	// gen are in the engine, occupying appliedBytes of its WAL file.
 	// Updated only AFTER the corresponding apply completes, so any
@@ -254,10 +186,17 @@ func OpenFollower(g *schemagraph.Graph, cfg ReplicaConfig) (*Engine, error) {
 			// snapshot+WAL and rejoin the stream at the local frontier — no
 			// snapshot transfer needed unless the primary has since
 			// checkpointed past us.
-			if err := r.recoverLocal(rec); err != nil {
-				_ = store.Close()
-				return nil, err
+			fr := store.Frontier()
+			fresh, err := load(rec.Data, g, true, nil)
+			if err == nil {
+				err = r.adopt(fresh, fr.Gen, uint64(fr.Records), fr.Bytes)
 			}
+			if err != nil {
+				_ = store.Close()
+				return nil, fmt.Errorf("precis: follower recovery: %w", err)
+			}
+			logger.Printf("repl: follower resumed from local store: generation %d, %d record(s) replayed, %d tuples",
+				fr.Gen, rec.WALRecords, rec.Data.DB.TotalTuples())
 		}
 	}
 	r.client = repl.New(repl.Config{
@@ -293,47 +232,42 @@ func OpenFollower(g *schemagraph.Graph, cfg ReplicaConfig) (*Engine, error) {
 		}
 		return nil, fmt.Errorf("precis: follower bootstrap from %s timed out after %s", cfg.Addr, bootstrap)
 	}
-	r.mu.Lock()
-	eng := r.eng
-	r.mu.Unlock()
-	return eng, nil
+	return r.eng, nil
 }
 
-// recoverLocal rebuilds the follower engine from its own data directory —
-// the same verification the streamed-snapshot path runs — and sets the
-// applied position to the local frontier so the next Hello resumes the
-// stream instead of requesting a bootstrap.
-func (r *replicaState) recoverLocal(rec *wal.Recovered) error {
-	db := rec.Data.DB
-	if err := db.CreateJoinIndexes(); err != nil {
-		return fmt.Errorf("precis: follower recovery: rebuilding join indexes: %w", err)
-	}
-	if violations := db.CheckIntegrity(); len(violations) > 0 {
-		return fmt.Errorf("precis: follower recovery: database violates referential integrity (%d violation(s), first: %s)",
-			len(violations), violations[0])
-	}
-	eng, err := New(db, r.graph)
-	if err != nil {
-		return err
-	}
-	for _, p := range rec.Data.Synonyms {
-		eng.index.AddSynonym(p[0], p[1])
-	}
-	for _, def := range rec.Data.Macros {
-		if err := eng.renderer.DefineMacro(def); err != nil {
-			return fmt.Errorf("precis: follower recovery: replaying macro: %w", err)
+// adopt makes a loaded partition the follower's state at applied position
+// (gen, records, bytes): local recovery, the first streamed bootstrap and a
+// re-bootstrap all end here. The first one builds the engine around it. A
+// later one finds the engine serving queries: everything derived was built
+// off-lock (by load, and the renderer here), and the swap happens under the
+// engine mutex so no query ever sees a half-replaced state. Profiles,
+// weights, cache configuration and instrumentation are local follower
+// settings and survive it.
+func (r *replicaState) adopt(fresh *node, gen, records uint64, bytes int64) error {
+	if r.eng == nil {
+		eng, err := assemble(r.graph, fresh)
+		if err != nil {
+			return err
 		}
-		eng.trackMacroLocked(def)
+		_ = eng.transition(roleEvent{kind: evFollow, follower: r}) // never refused
+		r.eng, r.node = eng, fresh
+		defer close(r.ready)
+	} else {
+		renderer, err := newRenderer(fresh.macroDefs)
+		if err != nil {
+			return err
+		}
+		// The node is swapped in place, not replaced: an engine's backend
+		// never changes once assembled, so it is read without the lock.
+		r.eng.mu.Lock()
+		r.node.db, r.node.index, r.node.macroDefs = fresh.db, fresh.index, fresh.macroDefs
+		r.eng.renderer = renderer
+		r.eng.purgeCacheLocked()
+		r.eng.mu.Unlock()
 	}
-	eng.replica = r
-	fr := r.store.Frontier()
 	r.mu.Lock()
-	r.eng = eng
-	r.gen, r.records, r.appliedBytes = fr.Gen, uint64(fr.Records), fr.Bytes
+	r.gen, r.records, r.appliedBytes = gen, records, bytes
 	r.mu.Unlock()
-	r.log.Printf("repl: follower resumed from local store: generation %d, %d record(s) replayed, %d tuples",
-		fr.Gen, rec.WALRecords, db.TotalTuples())
-	close(r.ready)
 	return nil
 }
 
@@ -430,22 +364,18 @@ func (r *replicaState) onFrontier(gen, records, bytes uint64) {
 	r.mu.Unlock()
 }
 
-// onSnapshot applies one full snapshot transfer: decode, verify, and
-// either build the engine (first bootstrap) or swap the engine's state
-// wholesale (a follower that fell behind a checkpoint rotation). Any
+// onSnapshot applies one full snapshot transfer: decode, verify (load),
+// make durable, adopt — building the engine on the first bootstrap, swapping
+// its state wholesale when a follower fell behind a checkpoint rotation. Any
 // error severs the link and the transport retries.
 func (r *replicaState) onSnapshot(gen uint64, raw []byte) error {
 	data, err := wal.DecodeSnapshot("repl-stream", raw)
 	if err != nil {
 		return fmt.Errorf("decode streamed snapshot: %w", err)
 	}
-	db := data.DB
-	if err := db.CreateJoinIndexes(); err != nil {
-		return fmt.Errorf("rebuilding join indexes from streamed snapshot: %w", err)
-	}
-	if violations := db.CheckIntegrity(); len(violations) > 0 {
-		return fmt.Errorf("streamed snapshot violates referential integrity (%d violation(s), first: %s)",
-			len(violations), violations[0])
+	fresh, err := load(data, r.graph, true, nil)
+	if err != nil {
+		return fmt.Errorf("streamed snapshot: %w", err)
 	}
 	if r.store != nil {
 		// Durability first: the snapshot must be on local disk before the
@@ -454,73 +384,18 @@ func (r *replicaState) onSnapshot(gen uint64, raw []byte) error {
 			return fmt.Errorf("install streamed snapshot: %w", err)
 		}
 	}
-
+	how := "re-bootstrapped (fell behind a checkpoint)"
+	if r.eng == nil {
+		how = "bootstrapped"
+	}
+	if err := r.adopt(fresh, gen, 0, 0); err != nil {
+		return err
+	}
 	r.mu.Lock()
-	eng := r.eng
-	r.mu.Unlock()
-
-	if eng == nil {
-		// First bootstrap: build the engine around the snapshot exactly the
-		// way Open's recovery path does.
-		eng, err = New(db, r.graph)
-		if err != nil {
-			return err
-		}
-		for _, p := range data.Synonyms {
-			eng.index.AddSynonym(p[0], p[1])
-		}
-		for _, def := range data.Macros {
-			if err := eng.renderer.DefineMacro(def); err != nil {
-				return fmt.Errorf("replaying streamed macro: %w", err)
-			}
-			eng.trackMacroLocked(def)
-		}
-		eng.replica = r
-		r.mu.Lock()
-		r.eng = eng
-		r.gen, r.records, r.appliedBytes = gen, 0, 0
-		r.snapshots++
-		r.mu.Unlock()
-		r.log.Printf("repl: follower bootstrapped from %s: generation %d, %d tuples, %d relations",
-			r.addr, gen, db.TotalTuples(), db.NumRelations())
-		close(r.ready)
-		return nil
-	}
-
-	// Re-bootstrap: the engine already serves queries; rebuild the derived
-	// structures off-lock, then swap everything under the engine mutex so
-	// no query ever sees a half-replaced state. Profiles, weights, cache
-	// configuration, and instrumentation are local follower settings and
-	// survive the swap.
-	if err := r.graph.Validate(db); err != nil {
-		return fmt.Errorf("streamed snapshot does not match the follower's schema graph: %w", err)
-	}
-	index := invidx.New(db)
-	for _, p := range data.Synonyms {
-		index.AddSynonym(p[0], p[1])
-	}
-	renderer := nlg.NewRenderer()
-	for _, def := range data.Macros {
-		if err := renderer.DefineMacro(def); err != nil {
-			return fmt.Errorf("replaying streamed macro: %w", err)
-		}
-	}
-	eng.mu.Lock()
-	eng.db = db
-	eng.index = index
-	eng.renderer = renderer
-	eng.macroDefs = nil
-	eng.macroSeen = nil
-	for _, def := range data.Macros {
-		eng.trackMacroLocked(def)
-	}
-	eng.purgeCacheLocked()
-	eng.mu.Unlock()
-	r.mu.Lock()
-	r.gen, r.records, r.appliedBytes = gen, 0, 0
 	r.snapshots++
 	r.mu.Unlock()
-	r.log.Printf("repl: follower re-bootstrapped from %s at generation %d (fell behind a checkpoint)", r.addr, gen)
+	r.log.Printf("repl: follower %s from %s: generation %d, %d tuples, %d relations",
+		how, r.addr, gen, data.DB.TotalTuples(), data.DB.NumRelations())
 	return nil
 }
 
@@ -533,18 +408,15 @@ func (r *replicaState) onRecord(gen, seq uint64, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("decode streamed record (%d,%d): %w", gen, seq, err)
 	}
-	r.mu.Lock()
-	eng := r.eng
-	r.mu.Unlock()
-	if eng == nil {
+	if r.eng == nil {
 		return fmt.Errorf("record (%d,%d) before first snapshot", gen, seq)
 	}
 	if r.store != nil {
-		if err := r.persistRecord(eng, gen, seq, payload); err != nil {
+		if err := r.persistRecord(gen, seq, payload); err != nil {
 			return err
 		}
 	}
-	if err := eng.applyReplicated(rec); err != nil {
+	if err := r.applyRecord(rec); err != nil {
 		return fmt.Errorf("apply streamed %s record (%d,%d): %w", rec.Op, gen, seq, err)
 	}
 	r.mu.Lock()
@@ -565,7 +437,7 @@ func (r *replicaState) onRecord(gen, seq uint64, payload []byte) error {
 // checkpoint so the numbering never drifts. Re-delivered frames (a
 // reconnect after the append but before the apply advanced the position)
 // are skipped — the bytes are already durable.
-func (r *replicaState) persistRecord(eng *Engine, gen, seq uint64, payload []byte) error {
+func (r *replicaState) persistRecord(gen, seq uint64, payload []byte) error {
 	st := r.store.Stats()
 	if st.Generation == gen && st.WALRecords > int64(seq) {
 		return nil
@@ -577,9 +449,9 @@ func (r *replicaState) persistRecord(eng *Engine, gen, seq uint64, payload []byt
 		if st.Generation+1 != gen || seq != 0 {
 			return fmt.Errorf("follower store at generation %d cannot persist record (%d,%d)", st.Generation, gen, seq)
 		}
-		eng.mu.Lock()
-		data := eng.snapshotDataLocked()
-		eng.mu.Unlock()
+		r.eng.mu.Lock()
+		data := r.node.snapshotData()
+		r.eng.mu.Unlock()
 		if err := r.store.Checkpoint(data); err != nil {
 			return fmt.Errorf("follower checkpoint at rotation to generation %d: %w", gen, err)
 		}
@@ -593,69 +465,29 @@ func (r *replicaState) persistRecord(eng *Engine, gen, seq uint64, payload []byt
 	return nil
 }
 
-// applyReplicated applies one replicated mutation record under the engine
-// lock, maintaining the inverted index and purging the answer cache — the
-// follower-side twin of the primary's Insert/Update/Delete/AddSynonym/
-// DefineMacro paths, minus the WAL append (the record IS the WAL).
-// Inserts use the logged tuple ID, so follower and primary databases are
-// tuple-ID-identical.
-func (e *Engine) applyReplicated(rec wal.Record) error {
+// applyRecord applies one replicated mutation record under the engine
+// lock: the primary's commit path minus the gate and the WAL append (the
+// record IS the WAL). Inserts use the logged tuple ID, so follower and
+// primary databases are tuple-ID-identical. The answer cache is purged
+// whatever the outcome — a record that fails to apply means divergence, and
+// no answer computed before it should outlive that.
+func (r *replicaState) applyRecord(rec wal.Record) error {
+	e := r.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.purgeCacheLocked()
-	switch rec.Op {
-	case wal.OpInsert:
-		if err := e.db.InsertWithID(rec.Rel, rec.ID, rec.Values...); err != nil {
-			return err
-		}
-		if t, ok := e.db.Relation(rec.Rel).Get(rec.ID); ok {
-			e.index.AddTuple(rec.Rel, t)
-		}
-	case wal.OpUpdate:
-		rel := e.db.Relation(rec.Rel)
-		if rel == nil {
-			return fmt.Errorf("no relation %s", rec.Rel)
-		}
-		old, ok := rel.Get(rec.ID)
-		if !ok {
-			return fmt.Errorf("relation %s has no tuple %d", rec.Rel, rec.ID)
-		}
-		if err := e.db.Update(rec.Rel, rec.ID, rec.Values); err != nil {
-			return err
-		}
-		e.index.RemoveTuple(rec.Rel, old)
-		if t, ok := rel.Get(rec.ID); ok {
-			e.index.AddTuple(rec.Rel, t)
-		}
-	case wal.OpDelete:
-		rel := e.db.Relation(rec.Rel)
-		if rel == nil {
-			return fmt.Errorf("no relation %s", rec.Rel)
-		}
-		t, ok := rel.Get(rec.ID)
-		if !ok {
-			// The primary logs deletes only after they succeed; an absent
-			// tuple here means real divergence, which must not pass silently.
-			return fmt.Errorf("relation %s has no tuple %d to delete", rec.Rel, rec.ID)
-		}
-		e.index.RemoveTuple(rec.Rel, t)
-		if _, err := e.db.Delete(rec.Rel, rec.ID); err != nil {
-			e.index.AddTuple(rec.Rel, t)
-			return err
-		}
-	case wal.OpSynonym:
-		e.index.AddSynonym(rec.Alias, rec.Canonical)
-	case wal.OpMacro:
+	defer e.purgeCacheLocked()
+	if rec.Op == wal.OpMacro {
 		if err := e.renderer.DefineMacro(rec.Def); err != nil {
 			return err
 		}
-		e.trackMacroLocked(rec.Def)
-	case wal.OpAddFK:
-		return e.db.AddForeignKey(rec.FK)
-	default:
-		return fmt.Errorf("unknown op %d", uint8(rec.Op))
 	}
-	return nil
+	applied, _, err := r.node.apply(rec)
+	if err == nil && !applied {
+		// The primary logs deletes only after they succeed; an absent
+		// tuple here means real divergence, which must not pass silently.
+		return fmt.Errorf("relation %s has no tuple %d to delete", rec.Rel, rec.ID)
+	}
+	return err
 }
 
 // StartReplication turns a persistent engine into a replication primary:
@@ -664,16 +496,22 @@ func (e *Engine) applyReplicated(rec wal.Record) error {
 // closes it. Returns ErrNotPersistent on an in-memory engine (there is no
 // WAL to stream) and an error if replication is already started.
 func (e *Engine) StartReplication(ln net.Listener, cfg repl.PrimaryConfig) (*repl.Primary, error) {
-	if e.shards != nil {
+	e.mu.Lock()
+	n := e.backend.single()
+	if n == nil || n.store == nil {
+		e.mu.Unlock()
+		if n != nil {
+			return nil, ErrNotPersistent
+		}
+		// One WAL is one stream. Nothing structural stands in the way of a
+		// stream per shard any more; until that exists a coordinator refuses.
 		return nil, fmt.Errorf("precis: sharded engines do not support WAL replication yet (replicate per shard instead)")
 	}
-	if e.persist == nil {
-		return nil, ErrNotPersistent
-	}
+	store := n.store
 	// The primary streams at the store's fencing epoch, and a deposition
-	// (a v3 follower proves a newer epoch exists) fences this engine so
-	// no rolled-back write can ever become durable here.
-	cfg.Epoch = e.persist.store.Epoch()
+	// (a follower proves a newer epoch exists) fences this engine so no
+	// rolled-back write can ever become durable here.
+	cfg.Epoch = store.Epoch()
 	userDeposed := cfg.OnDeposed
 	cfg.OnDeposed = func(by uint64) {
 		e.fence(by)
@@ -681,24 +519,18 @@ func (e *Engine) StartReplication(ln net.Listener, cfg repl.PrimaryConfig) (*rep
 			userDeposed(by)
 		}
 	}
-	p := repl.NewPrimary(e.persist.store, cfg)
-	e.mu.Lock()
-	if by := e.fencedBy; by != 0 {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("precis: start replication: %w", &fencedError{epoch: by})
-	}
-	if e.replPrimary != nil {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("precis: replication already started")
-	}
-	e.replPrimary = p
+	p := repl.NewPrimary(store, cfg)
+	err := e.transition(roleEvent{kind: evStream, primary: p})
 	reg := e.registry
 	e.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("precis: start replication: %w", err)
+	}
 	if cfg.SyncReplicas > 0 {
 		// Synchronous mode: every group commit rides through the quorum
 		// wait before the mutation returns. Engine.Close removes the gate
 		// before closing the primary so shutdown never wedges a writer.
-		e.persist.store.SetCommitGate(p.WaitCommitted)
+		store.SetCommitGate(p.WaitCommitted)
 	}
 	if reg != nil {
 		instrumentReplPrimary(reg, p)
@@ -721,36 +553,34 @@ func (e *Engine) StartReplication(ln net.Listener, cfg repl.PrimaryConfig) (*rep
 // state in every role.
 func (e *Engine) ReplStats() ReplStats {
 	e.mu.RLock()
-	r, p := e.replica, e.replPrimary
-	promoting := e.promoting
-	fencedBy := e.fencedBy
-	ps := e.persist
-	fo := e.failover
+	r := e.role
+	var store *wal.Store
+	if n := e.backend.single(); n != nil {
+		store = n.store
+	}
 	e.mu.RUnlock()
-	st := ReplStats{Role: "none", Epoch: 1, FencedBy: fencedBy}
-	if fo != nil {
-		fst := fo.Stats()
+	st := ReplStats{Role: "none", Epoch: 1, FencedBy: r.fencedBy}
+	if r.failover != nil {
+		fst := r.failover.Stats()
 		st.Failover = &fst
 	}
 	switch {
-	case r != nil:
-		fs := r.followerStats()
+	case r.follower != nil:
+		fs := r.follower.followerStats()
 		st.Role, st.Follower = "follower", &fs
-		if promoting {
+		if r.kind == rolePromoting {
 			st.Role = "promoting"
 		}
-		st.Epoch = r.localEpoch()
-	case p != nil:
-		pst := p.Stats()
+		st.Epoch = r.follower.localEpoch()
+	case r.primary != nil:
+		pst := r.primary.Stats()
 		st.Role, st.Primary = "primary", &pst
 		st.Epoch = pst.Epoch
 		if st.FencedBy == 0 {
 			st.FencedBy = pst.DeposedBy
 		}
-	default:
-		if ps != nil {
-			st.Epoch = ps.store.Epoch()
-		}
+	case store != nil:
+		st.Epoch = store.Epoch()
 	}
 	return st
 }
@@ -762,15 +592,11 @@ func (e *Engine) ReplStats() ReplStats {
 // mutation can slip through while the file write is in flight.
 func (e *Engine) fence(by uint64) {
 	e.mu.Lock()
-	if e.fencedBy == 0 || by > e.fencedBy {
-		e.fencedBy = by
-	}
-	p := e.persist
+	_ = e.transition(roleEvent{kind: evFence, by: by}) // refused when already fenced at least as high
+	n := e.backend.single()
 	e.mu.Unlock()
-	if p != nil {
-		if err := p.store.Fence(by); err != nil {
-			p.logger.Printf("precis: persisting fence (deposed by epoch %d): %v", by, err)
-		}
+	if err := n.store.Fence(by); err != nil {
+		n.cfg.Logger.Printf("precis: persisting fence (deposed by epoch %d): %v", by, err)
 	}
 }
 
@@ -806,21 +632,22 @@ type PromoteConfig struct {
 func (e *Engine) Promote(cfg PromoteConfig) (uint64, error) {
 	e.lifeMu.Lock()
 	defer e.lifeMu.Unlock()
-	if err := faultinject.Fire(faultinject.SiteReplPromote); err != nil {
+	e.mu.Lock()
+	err := e.transition(roleEvent{kind: evPromoteBegin})
+	r := e.role.follower
+	e.mu.Unlock()
+	if err != nil {
 		return 0, fmt.Errorf("precis: promote: %w", err)
 	}
-	e.mu.Lock()
-	r := e.replica
-	if r == nil {
+	abort := func(err error) (uint64, error) {
+		e.mu.Lock()
+		_ = e.transition(roleEvent{kind: evPromoteAbort}) // lifeMu is held: still promoting
 		e.mu.Unlock()
-		return 0, fmt.Errorf("precis: promote: %w", ErrNotFollower)
+		return 0, fmt.Errorf("precis: promote: %w", err)
 	}
-	if r.store == nil {
-		e.mu.Unlock()
-		return 0, fmt.Errorf("precis: promote: follower is memory-only, its state is not a durable prefix: %w", ErrNotPersistent)
+	if err := faultinject.Fire(faultinject.SiteReplPromote); err != nil {
+		return abort(err)
 	}
-	e.promoting = true
-	e.mu.Unlock()
 
 	// Stop the stream first: nothing may append to the store between the
 	// epoch bump and the role swap.
@@ -828,33 +655,22 @@ func (e *Engine) Promote(cfg PromoteConfig) (uint64, error) {
 
 	epoch := r.store.Epoch() + 1
 	if err := r.store.SetEpoch(epoch); err != nil {
-		// Close won the race (store closed), or the epoch file is
-		// unwritable; either way the follower remains a follower.
-		e.mu.Lock()
-		e.promoting = false
-		e.mu.Unlock()
-		return 0, fmt.Errorf("precis: promote: %w", err)
+		// The epoch file is unwritable: the follower remains a follower.
+		return abort(err)
 	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = r.log
 	}
-	p := &persistState{
-		store: r.store,
-		cfg: PersistConfig{
-			Dir:             r.store.Stats().Dir,
-			CheckpointBytes: cfg.CheckpointBytes,
-			CheckpointEvery: cfg.CheckpointEvery,
-			Logger:          logger,
-		},
-		logger: logger,
-	}
 	e.mu.Lock()
-	e.replica = nil
-	e.persist = p
-	e.promoting = false
+	_ = e.transition(roleEvent{kind: evPromoted, mount: PersistConfig{
+		Dir:             r.store.Stats().Dir,
+		CheckpointBytes: cfg.CheckpointBytes,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Logger:          logger,
+	}})
 	e.mu.Unlock()
-	p.startCheckpointer(e)
+	r.node.startCheckpointer()
 	logger.Printf("precis: promoted follower (of %s) to primary at epoch %d", r.addr, epoch)
 	if cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ListenAddr)
@@ -900,20 +716,6 @@ type AutoFailoverConfig struct {
 // NOT depend on the election being unanimous — a wrong winner is fenced by
 // the epoch protocol — the election only decides who goes first.
 func (e *Engine) EnableAutoFailover(cfg AutoFailoverConfig) (*repl.Supervisor, error) {
-	e.mu.Lock()
-	r := e.replica
-	if r == nil {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("precis: auto-failover: %w", ErrNotFollower)
-	}
-	if r.store == nil {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("precis: auto-failover: follower is memory-only: %w", ErrNotPersistent)
-	}
-	if e.failover != nil {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("precis: auto-failover already enabled")
-	}
 	id := cfg.ID
 	if id == "" {
 		id = cfg.Promote.ListenAddr
@@ -921,8 +723,10 @@ func (e *Engine) EnableAutoFailover(cfg AutoFailoverConfig) (*repl.Supervisor, e
 	if id == "" {
 		id = "follower"
 	}
+	e.mu.Lock()
+	r := e.role.follower // nil unless following; the supervisor is only armed — and only ever runs — when it is not
 	logger := cfg.Logger
-	if logger == nil {
+	if logger == nil && r != nil {
 		logger = r.log
 	}
 	sup := repl.NewSupervisor(repl.SupervisorConfig{
@@ -940,8 +744,11 @@ func (e *Engine) EnableAutoFailover(cfg AutoFailoverConfig) (*repl.Supervisor, e
 		},
 		Logger: logger,
 	})
-	e.failover = sup
+	err := e.transition(roleEvent{kind: evArm, failover: sup})
 	e.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("precis: auto-failover: %w", err)
+	}
 	sup.Start()
 	return sup, nil
 }

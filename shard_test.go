@@ -1,7 +1,7 @@
 package precis
 
 // Sharded-execution suite: a coordinator that scatters the précis pipeline
-// over N embedded engines must be invisible in the answer. Every test here
+// over N shards must be invisible in the answer. Every test here
 // holds the sharded engine to the single-engine output byte for byte —
 // result database dump, narrative, stats — across partitioners, shard
 // counts, worker-pool sizes, budget-truncated partials, mutations, crash

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"strconv"
 
+	"precis/internal/core"
 	"precis/internal/faultinject"
 	"precis/internal/invidx"
-	"precis/internal/nlg"
 	"precis/internal/obs"
-	"precis/internal/profile"
 	"precis/internal/schemagraph"
 	"precis/internal/shard"
 	"precis/internal/storage"
@@ -17,7 +16,7 @@ import (
 
 // ShardedConfig configures NewSharded.
 type ShardedConfig struct {
-	// Shards is the number of embedded shard engines (>= 1).
+	// Shards is the number of partitions (>= 1).
 	Shards int
 	// Partitioner selects the ownership scheme: "hash" (the default —
 	// tuple id mod N, with strided shard-local id allocation) or "range"
@@ -31,26 +30,23 @@ type ShardedConfig struct {
 	Persist PersistConfig
 }
 
-// shardSet is the coordinator's view of its shard engines. Each shard is a
-// complete embedded Engine — its own database partition, inverted index,
-// and (when persistent) WAL + snapshot directory — while the coordinator
-// keeps the pipeline: scattered index lookups, schema generation, the
-// Figure 5 apply loop with budget accounting, the answer cache, and
-// narrative synthesis all run on the coordinator, so every determinism and
-// degradation guarantee of the single-engine path holds by construction.
+// shardSet is a coordinator's backend: one node per shard — its own
+// database partition, inverted index, and (when persistent) WAL + snapshot
+// directory — and the partitioner that says which node owns a tuple id. The
+// engine above it keeps the whole pipeline: scattered index lookups, schema
+// generation, the Figure 5 apply loop with budget accounting, the answer
+// cache, and narrative synthesis all run once, on the coordinator, so every
+// determinism and degradation guarantee of the single-engine path holds by
+// construction.
 //
-// Locking: the coordinator's mu serializes queries against mutations
-// exactly as on an unsharded engine. Queries read shard state (databases,
-// indexes) under the coordinator's RLock without taking shard locks —
-// every write to shard state routes through a coordinator mutation holding
-// the coordinator's write lock, so reads can never race one. Routed
-// mutations call the shard's own public methods (coordinator lock held,
-// then the shard's — a strict order, so no deadlock).
+// Locking: the nodes have no locks of their own; the coordinator's mutex
+// serializes queries against mutations and checkpoint captures exactly as
+// on an unsharded engine.
 type shardSet struct {
-	part    shard.Partitioner
-	engines []*Engine
-	dir     string // sharded data root ("" when in-memory)
-	// metrics and mutations are set by Instrument (under the coordinator's
+	part  shard.Partitioner
+	parts []*node
+	dir   string // sharded data root ("" when in-memory)
+	// metrics and mutations are set by instrument (under the coordinator's
 	// write lock) and read by queries/mutations; nil on an uninstrumented
 	// engine — all counters are nil-safe.
 	metrics   *shard.Metrics
@@ -58,8 +54,8 @@ type shardSet struct {
 }
 
 // NewSharded builds a sharded engine: db is partitioned across cfg.Shards
-// embedded engines by tuple-id ownership, the schema graph (and later
-// synonyms and macros) replicated to every shard, and queries executed
+// nodes by tuple-id ownership, the schema catalog (and later synonyms and
+// macros) replicated to every shard, and queries executed
 // with scattered index lookups and scatter/gather tuple fetches whose
 // answers are byte-identical to an unsharded engine over the same data —
 // for every shard count, worker-pool size, and retrieval strategy.
@@ -124,69 +120,57 @@ func NewSharded(db *storage.Database, g *schemagraph.Graph, cfg ShardedConfig) (
 	if err != nil {
 		return nil, err
 	}
-	engines := make([]*Engine, cfg.Shards)
+	s := &shardSet{part: part, parts: make([]*node, cfg.Shards), dir: cfg.Persist.Dir}
 	fail := func(err error) (*Engine, error) {
-		for _, sh := range engines {
-			if sh != nil {
-				_ = sh.Close()
+		for _, n := range s.parts {
+			if n != nil && n.store != nil {
+				_ = n.store.Close()
 			}
 		}
 		return nil, err
 	}
-	for i := range engines {
-		var sh *Engine
-		if cfg.Persist.Dir == "" {
-			sh, err = New(parts[i], g)
-		} else {
-			scfg := cfg.Persist
+	for i := range s.parts {
+		scfg := cfg.Persist
+		if scfg.Dir != "" {
 			scfg.Dir = shard.ShardDir(cfg.Persist.Dir, i)
-			sh, err = openEngine(parts[i], g, scfg, false)
 		}
+		n, err := openNode(parts[i], g, scfg, false)
 		if err != nil {
 			return fail(fmt.Errorf("precis: shard %d: %w", i, err))
 		}
-		engines[i] = sh
-	}
-	// Recovery may have replaced each shard's database wholesale; re-apply
-	// strided local id allocation (it is not persisted).
-	for i, sh := range engines {
-		if err := shard.ApplyStride(sh.db, part, i); err != nil {
+		s.parts[i] = n
+		// Recovery may have replaced the shard's database wholesale; re-apply
+		// strided local id allocation (it is not persisted).
+		if err := shard.ApplyStride(n.db, part, i); err != nil {
 			return fail(err)
 		}
 	}
-	coord := &Engine{
-		graph:    g,
-		renderer: nlg.NewRenderer(),
-		profiles: profile.NewRegistry(),
-		shards:   &shardSet{part: part, engines: engines, dir: cfg.Persist.Dir},
-	}
-	// Macro definitions fan out to every shard (for durability), so any
-	// recovered shard holds them all; replay shard 0's into the
-	// coordinator's renderer, which is the one narratives use.
-	for _, def := range engines[0].macroDefs {
-		if err := coord.renderer.DefineMacro(def); err != nil {
-			return fail(fmt.Errorf("precis: replaying recovered macro: %w", err))
-		}
-		coord.trackMacroLocked(def)
+	coord, err := assemble(g, s)
+	if err != nil {
+		return fail(err)
 	}
 	return coord, nil
 }
 
 // Sharded reports whether this engine is a sharded coordinator.
-func (e *Engine) Sharded() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.shards != nil
-}
+func (e *Engine) Sharded() bool { return e.NumShards() > 0 }
 
 // NumShards returns the shard count (0 on an unsharded engine).
-func (e *Engine) NumShards() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.shards == nil {
-		return 0
-	}
-	return len(e.shards.engines)
+func (e *Engine) NumShards() int { return e.ShardStats().Shards }
+
+// sizesLocked sums what the gauges and the stats endpoints report over the
+// partitions: tuples, distinct tokens (shards can share tokens, so on a
+// coordinator this is an upper bound — the gauge tracks index footprint, not
+// vocabulary) and, identical on every shard because the schema catalog is
+// replicated, the database name and relation count. Callers hold e.mu.
+func (e *Engine) sizesLocked() (name string, relations, tuples, tokens int) {
+	_ = e.backend.each(func(n *node) error {
+		name, relations = n.db.Name(), n.db.NumRelations()
+		tuples += n.db.TotalTuples()
+		tokens += n.index.NumTokens()
+		return nil
+	})
+	return name, relations, tuples, tokens
 }
 
 // DatabaseName returns the underlying database's name; unlike Database it
@@ -195,10 +179,8 @@ func (e *Engine) NumShards() int {
 func (e *Engine) DatabaseName() string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.shards != nil {
-		return e.shards.engines[0].DatabaseName()
-	}
-	return e.db.Name()
+	name, _, _, _ := e.sizesLocked()
+	return name
 }
 
 // TotalTuples returns the engine's tuple count — summed across shards on a
@@ -206,18 +188,17 @@ func (e *Engine) DatabaseName() string {
 func (e *Engine) TotalTuples() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.totalTuplesLocked()
+	_, _, tuples, _ := e.sizesLocked()
+	return tuples
 }
 
-func (e *Engine) totalTuplesLocked() int {
-	if e.shards != nil {
-		total := 0
-		for _, sh := range e.shards.engines {
-			total += sh.Database().TotalTuples()
-		}
-		return total
-	}
-	return e.db.TotalTuples()
+// NumRelations returns the relation count (identical on every shard — the
+// schema catalog is replicated).
+func (e *Engine) NumRelations() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	_, relations, _, _ := e.sizesLocked()
+	return relations
 }
 
 // LayoutStats counts what the engine's resident data is made of, the numbers
@@ -234,49 +215,18 @@ type LayoutStats struct {
 func (e *Engine) LayoutStats() LayoutStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.shards == nil {
-		return LayoutStats{Index: e.index.Stats(), Storage: e.db.Layout()}
-	}
 	var st LayoutStats
-	for _, sh := range e.shards.engines {
-		ix, l := sh.Index().Stats(), sh.Database().Layout()
+	_ = e.backend.each(func(n *node) error {
+		ix, l := n.index.Stats(), n.db.Layout()
 		st.Index.Tokens += ix.Tokens
 		st.Index.Lists += ix.Lists
 		st.Index.Postings += ix.Postings
 		st.Storage.Slots += l.Slots
 		st.Storage.DeadSlots += l.DeadSlots
 		st.Storage.IndexEntries += l.IndexEntries
-	}
+		return nil
+	})
 	return st
-}
-
-// NumRelations returns the relation count (identical on every shard — the
-// schema catalog is replicated).
-func (e *Engine) NumRelations() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.numRelationsLocked()
-}
-
-func (e *Engine) numRelationsLocked() int {
-	if e.shards != nil {
-		return e.shards.engines[0].Database().NumRelations()
-	}
-	return e.db.NumRelations()
-}
-
-// indexTokensLocked returns the distinct-token count — summed over shard
-// indexes on a coordinator (shards can share tokens, so this is an upper
-// bound there; the gauge tracks index footprint, not vocabulary).
-func (e *Engine) indexTokensLocked() int {
-	if e.shards != nil {
-		total := 0
-		for _, sh := range e.shards.engines {
-			total += sh.Index().NumTokens()
-		}
-		return total
-	}
-	return e.index.NumTokens()
 }
 
 // ShardInfo describes one shard of a sharded engine.
@@ -302,41 +252,53 @@ type ShardStats struct {
 func (e *Engine) ShardStats() ShardStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	s := e.shards
-	if s == nil {
-		return ShardStats{}
-	}
+	return e.backend.shardStats()
+}
+
+func (s *shardSet) shardStats() ShardStats {
 	st := ShardStats{
 		Enabled:     true,
-		Shards:      len(s.engines),
+		Shards:      len(s.parts),
 		Partitioner: s.part.Name(),
 		Dir:         s.dir,
 	}
-	for i, sh := range s.engines {
-		db := sh.Database()
+	for i, n := range s.parts {
 		st.ShardInfo = append(st.ShardInfo, ShardInfo{
 			Index:       i,
-			Tuples:      db.TotalTuples(),
-			NextTupleID: int64(db.NextTupleID()),
-			IndexTokens: sh.Index().NumTokens(),
-			Persist:     sh.PersistStats(),
+			Tuples:      n.db.TotalTuples(),
+			NextTupleID: int64(n.db.NextTupleID()),
+			IndexTokens: n.index.NumTokens(),
+			Persist:     n.persistStats(),
 		})
 	}
 	return st
 }
 
+func (s *shardSet) single() *node { return nil }
+
+// each runs fn over every shard, returning the first error (but visiting
+// all shards regardless).
+func (s *shardSet) each(fn func(*node) error) error {
+	var firstErr error
+	for i, n := range s.parts {
+		if err := fn(n); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("precis: shard %d: %w", i, err)
+		}
+	}
+	return firstErr
+}
+
 // lookup scatters one term's inverted-index probe to every shard and
 // merges the occurrence lists into the exact output a single index would
 // produce. Callers hold the coordinator's RLock; the per-shard probes are
-// pure reads of state only coordinator mutations (which hold the write
-// lock) can change.
+// pure reads of state only mutations (which hold the write lock) can change.
 func (s *shardSet) lookup(term string) ([]invidx.Occurrence, error) {
 	if err := faultinject.Fire(faultinject.SiteShardScatter); err != nil {
 		return nil, fmt.Errorf("precis: shard scatter for term lookup: %w", err)
 	}
-	parts := make([][]invidx.Occurrence, len(s.engines))
-	for i, sh := range s.engines {
-		parts[i] = sh.index.LookupExpanded(term)
+	parts := make([][]invidx.Occurrence, len(s.parts))
+	for i, n := range s.parts {
+		parts[i] = n.index.LookupExpanded(term)
 	}
 	if err := faultinject.Fire(faultinject.SiteShardGather); err != nil {
 		return nil, fmt.Errorf("precis: shard gather for term lookup: %w", err)
@@ -347,21 +309,59 @@ func (s *shardSet) lookup(term string) ([]invidx.Occurrence, error) {
 // newFetcher builds the per-query scatter/gather fetcher over the current
 // shard databases. Callers hold the coordinator's RLock, so the database
 // set is stable for the query's lifetime.
-func (s *shardSet) newFetcher() *shard.Fetcher {
-	dbs := make([]*storage.Database, len(s.engines))
-	for i, sh := range s.engines {
-		dbs[i] = sh.db
+func (s *shardSet) newFetcher() core.Fetcher {
+	dbs := make([]*storage.Database, len(s.parts))
+	for i, n := range s.parts {
+		dbs[i] = n.db
 	}
 	return shard.NewFetcher(s.part, dbs, s.metrics)
 }
 
-// owner returns the owning shard index for id, bounds-checked.
-func (s *shardSet) owner(id storage.TupleID) (int, error) {
-	o := s.part.Owner(id)
-	if o < 0 || o >= len(s.engines) {
-		return 0, fmt.Errorf("precis: partitioner placed tuple %d on shard %d of %d", id, o, len(s.engines))
+// nextID is the maximum next-tuple-id over all shards — the same id an
+// unsharded engine would allocate, so mutation histories stay
+// byte-comparable across topologies; ownership of that id picks the shard.
+func (s *shardSet) nextID() storage.TupleID {
+	next := storage.TupleID(1)
+	for _, n := range s.parts {
+		if nid := n.db.NextTupleID(); nid > next {
+			next = nid
+		}
 	}
-	return o, nil
+	return next
+}
+
+// commit routes one mutation: a tuple change goes to the shard owning its
+// id; a synonym, macro or foreign key — catalog state every shard holds, so
+// any recovered shard has it all — fans out to every shard, each logging it
+// to its own WAL. A mid-fanout failure leaves earlier shards with the change
+// and later ones without; the error reports which shard failed, and applied
+// is true so the caller still purges the answer cache. Cross-shard mutation
+// atomicity is documented as out of scope (the query path only ever sees the
+// union, so a partial synonym fanout widens recall on some shards early,
+// never corrupts an answer).
+func (s *shardSet) commit(rec wal.Record) (bool, error) {
+	if err := faultinject.Fire(faultinject.SiteShardApply); err != nil {
+		return false, fmt.Errorf("precis: shard apply %s: %w", rec.Op, err)
+	}
+	switch rec.Op {
+	case wal.OpInsert, wal.OpUpdate, wal.OpDelete:
+		owner := s.part.Owner(rec.ID)
+		if owner < 0 || owner >= len(s.parts) {
+			return false, fmt.Errorf("precis: partitioner placed tuple %d on shard %d of %d", rec.ID, owner, len(s.parts))
+		}
+		s.countMutation(owner)
+		return s.parts[owner].commit(rec)
+	}
+	applied := false
+	for i, n := range s.parts {
+		s.countMutation(i)
+		ok, err := n.commit(rec)
+		applied = applied || ok
+		if err != nil {
+			return applied, fmt.Errorf("precis: shard %d: %w", i, err)
+		}
+	}
+	return applied, nil
 }
 
 // countMutation bumps the routed-mutation counter for a shard (nil-safe).
@@ -371,113 +371,12 @@ func (s *shardSet) countMutation(owner int) {
 	}
 }
 
-// insert routes an insert to the owning shard. The id is chosen by the
-// coordinator as the maximum next-tuple-id over all shards — the same id
-// an unsharded engine would allocate, so mutation histories stay
-// byte-comparable across topologies — and ownership of that id picks the
-// shard. Callers hold the coordinator's write lock.
-func (s *shardSet) insert(relation string, vals []storage.Value) (storage.TupleID, error) {
-	if err := faultinject.Fire(faultinject.SiteShardApply); err != nil {
-		return 0, fmt.Errorf("precis: shard apply insert %s: %w", relation, err)
-	}
-	next := storage.TupleID(1)
-	for _, sh := range s.engines {
-		if nid := sh.db.NextTupleID(); nid > next {
-			next = nid
-		}
-	}
-	owner, err := s.owner(next)
-	if err != nil {
-		return 0, err
-	}
-	s.countMutation(owner)
-	return s.engines[owner].insertRouted(relation, next, vals)
-}
-
-// update routes an update to the shard owning id.
-func (s *shardSet) update(relation string, id storage.TupleID, vals []storage.Value) error {
-	if err := faultinject.Fire(faultinject.SiteShardApply); err != nil {
-		return fmt.Errorf("precis: shard apply update %s/%d: %w", relation, id, err)
-	}
-	owner, err := s.owner(id)
-	if err != nil {
-		return err
-	}
-	s.countMutation(owner)
-	return s.engines[owner].Update(relation, id, vals)
-}
-
-// delete routes a delete to the shard owning id.
-func (s *shardSet) delete(relation string, id storage.TupleID) (bool, error) {
-	if err := faultinject.Fire(faultinject.SiteShardApply); err != nil {
-		return false, fmt.Errorf("precis: shard apply delete %s/%d: %w", relation, id, err)
-	}
-	owner, err := s.owner(id)
-	if err != nil {
-		return false, err
-	}
-	s.countMutation(owner)
-	return s.engines[owner].Delete(relation, id)
-}
-
-// addSynonym fans a synonym out to every shard (each logs it to its own
-// WAL). A mid-fanout failure leaves earlier shards with the synonym and
-// later ones without — the error reports which shard failed; cross-shard
-// mutation atomicity is documented as out of scope (the query path only
-// ever sees the union, so a partial fanout widens recall on some shards
-// early, never corrupts an answer).
-func (s *shardSet) addSynonym(alias, canonical string) error {
-	if err := faultinject.Fire(faultinject.SiteShardApply); err != nil {
-		return fmt.Errorf("precis: shard apply synonym: %w", err)
-	}
-	for i, sh := range s.engines {
-		s.countMutation(i)
-		if err := sh.AddSynonym(alias, canonical); err != nil {
-			return fmt.Errorf("precis: shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// defineMacro validates the macro on the coordinator's renderer (the one
-// narratives use), then fans the definition out to every shard for
-// durability.
-func (s *shardSet) defineMacro(coord *Engine, def string) error {
-	if err := faultinject.Fire(faultinject.SiteShardApply); err != nil {
-		return fmt.Errorf("precis: shard apply macro: %w", err)
-	}
-	if err := coord.renderer.DefineMacro(def); err != nil {
-		return err
-	}
-	coord.purgeCacheLocked()
-	for i, sh := range s.engines {
-		s.countMutation(i)
-		if err := sh.DefineMacro(def); err != nil {
-			return fmt.Errorf("precis: shard %d: %w", i, err)
-		}
-	}
-	coord.trackMacroLocked(def)
-	return nil
-}
-
-// each runs fn over every shard engine, returning the first error (but
-// visiting all shards regardless).
-func (s *shardSet) each(fn func(i int, sh *Engine) error) error {
-	var firstErr error
-	for i, sh := range s.engines {
-		if err := fn(i, sh); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("precis: shard %d: %w", i, err)
-		}
-	}
-	return firstErr
-}
-
 // persistStats aggregates the shards' persistence counters: sums for the
 // volume counters, shard 0 for the shared configuration, recovery volumes
 // summed (recoveries run serially at open, so the duration sum is the
 // wall-clock cost).
 func (s *shardSet) persistStats() PersistStats {
-	first := s.engines[0].PersistStats()
+	first := s.parts[0].persistStats()
 	if !first.Enabled {
 		return PersistStats{}
 	}
@@ -488,8 +387,8 @@ func (s *shardSet) persistStats() PersistStats {
 		Generation: first.Generation,
 	}
 	agg.Recovery.IndexLoaded = true
-	for _, sh := range s.engines {
-		st := sh.PersistStats()
+	for _, n := range s.parts {
+		st := n.persistStats()
 		agg.WALBytes += st.WALBytes
 		agg.WALRecords += st.WALRecords
 		agg.Checkpoints += st.Checkpoints
@@ -528,7 +427,9 @@ const (
 )
 
 // instrument registers the sharded coordinator's gauges and counters.
-// Called from Instrument under the coordinator's write lock.
+// Called from Instrument under the coordinator's write lock. The per-shard
+// WAL series stay unexported: their names carry no shard label to tell N
+// stores apart.
 func (s *shardSet) instrument(reg *obs.Registry) {
 	reg.Help(MetricShardCount, "number of shards in the sharded engine")
 	reg.Help(MetricShardTuples, "tuples resident per shard")
@@ -536,44 +437,19 @@ func (s *shardSet) instrument(reg *obs.Registry) {
 	reg.Help(MetricShardQueries, "statements executed per shard")
 	reg.Help(MetricShardRows, "rows returned per shard")
 	reg.Help(MetricShardMutations, "mutations routed per shard")
-	reg.GaugeFunc(MetricShardCount, func() float64 { return float64(len(s.engines)) })
+	reg.GaugeFunc(MetricShardCount, func() float64 { return float64(len(s.parts)) })
 	m := &shard.Metrics{Scatters: reg.Counter(MetricShardScatters)}
-	s.mutations = make([]*obs.Counter, len(s.engines))
-	for i := range s.engines {
+	s.mutations = make([]*obs.Counter, len(s.parts))
+	for i, n := range s.parts {
 		lbl := strconv.Itoa(i)
 		m.Queries = append(m.Queries, reg.Counter(MetricShardQueries, "shard", lbl))
 		m.Rows = append(m.Rows, reg.Counter(MetricShardRows, "shard", lbl))
 		s.mutations[i] = reg.Counter(MetricShardMutations, "shard", lbl)
-		sh := s.engines[i]
 		reg.GaugeFunc(MetricShardTuples, func() float64 {
-			return float64(sh.Database().TotalTuples())
+			n.owner.mu.RLock()
+			defer n.owner.mu.RUnlock()
+			return float64(n.db.TotalTuples())
 		}, "shard", lbl)
 	}
 	s.metrics = m
-}
-
-// insertRouted is Insert with a coordinator-chosen tuple id: the shard
-// inserts via InsertWithID, indexes the tuple, and logs the exact id to
-// its WAL, mirroring Insert's rollback contract. Only the sharded
-// coordinator calls it (holding its own write lock; this takes the
-// shard's).
-func (e *Engine) insertRouted(relation string, id storage.TupleID, vals []storage.Value) (storage.TupleID, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.purgeCacheLocked()
-	if err := e.db.InsertWithID(relation, id, vals...); err != nil {
-		return 0, err
-	}
-	t, ok := e.db.Relation(relation).Get(id)
-	if ok {
-		e.index.AddTuple(relation, t)
-	}
-	if err := e.appendWALLocked(wal.Record{Op: wal.OpInsert, Rel: relation, ID: id, Values: vals}); err != nil {
-		if ok {
-			e.index.RemoveTuple(relation, t)
-		}
-		_, _ = e.db.Delete(relation, id)
-		return 0, err
-	}
-	return id, nil
 }
