@@ -82,6 +82,58 @@ func TestChaosInjectedErrorsSurfaceCleanly(t *testing.T) {
 	}
 }
 
+// TestChaosTranslatorLookupFault: the translator's joins probe the result
+// database's own indexes through SiteStorageLookup, after the generator's
+// last probe of the source. An error on any of them fails the query with the
+// injected sentinel attributed to the join — a narrative never comes back
+// with a clause silently missing — and neither the cache nor the next query
+// sees it.
+func TestChaosTranslatorLookupFault(t *testing.T) {
+	eng := newEngine(t)
+	eng.EnableCache(CacheConfig{MaxEntries: 16})
+	terms := []string{"Woody Allen"}
+	lookups := func(opts Options) int64 {
+		t.Helper()
+		eng.InvalidateCache()
+		plan := faultinject.NewPlan().Set(faultinject.SiteStorageLookup, faultinject.Rule{Every: 1 << 30})
+		defer faultinject.Activate(plan)()
+		if _, err := eng.Query(terms, opts); err != nil {
+			t.Fatal(err)
+		}
+		return plan.Calls(faultinject.SiteStorageLookup)
+	}
+	generation := lookups(Options{Parallelism: -1, SkipNarrative: true})
+	total := lookups(Options{Parallelism: -1})
+	if generation == 0 || total <= generation {
+		t.Fatalf("%d lookups generating, %d with the narrative: the translator's joins do not pass the site", generation, total)
+	}
+	want, err := eng.Query(terms, Options{Parallelism: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nth := range []int64{generation, (generation + total) / 2, total - 1} {
+		eng.InvalidateCache()
+		plan := faultinject.NewPlan().Set(faultinject.SiteStorageLookup, faultinject.Rule{Err: errInjected, After: int(nth), Limit: 1})
+		deactivate := faultinject.Activate(plan)
+		ans, err := eng.Query(terms, Options{Parallelism: -1})
+		deactivate()
+		if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "nlg: join ") || ans != nil {
+			t.Fatalf("lookup %d of %d failed: answer %v, error %v", nth+1, total, ans != nil, err)
+		}
+		if plan.Fired(faultinject.SiteStorageLookup) != 1 {
+			t.Fatalf("lookup %d: rule fired %d times", nth+1, plan.Fired(faultinject.SiteStorageLookup))
+		}
+		// Nothing of the failed query was cached: a miss and a hit agree
+		// with the answer from before the fault.
+		for i := 0; i < 2; i++ {
+			got, err := eng.Query(terms, Options{Parallelism: -1})
+			if err != nil || got.Narrative != want.Narrative || dumpDatabase(got.Database) != dumpDatabase(want.Database) {
+				t.Fatalf("lookup %d: query %d after the fault differs: %v", nth+1, i, err)
+			}
+		}
+	}
+}
+
 // TestChaosPanicsBecomeErrInternal arms a panic rule at every site — on the
 // serial path and on the parallel path (SiteIndexProbe fires inside
 // ParallelFor workers) — and asserts the panic is recovered at the engine

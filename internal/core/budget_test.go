@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"precis/internal/dataset"
+	"precis/internal/faultinject"
 	"precis/internal/sqlx"
 	"precis/internal/storage"
 )
@@ -191,6 +192,40 @@ func TestBudgetPartialTrimsDanglingForeignKeys(t *testing.T) {
 	}
 	if v := rd.DB.CheckIntegrity(); len(v) != 0 {
 		t.Fatalf("partial answer has %d dangling references: %+v", len(v), v)
+	}
+}
+
+// TestBudgetTrimSurvivesLookupFault: the integrity check behind the trim used
+// to go through the storage lookup site and read a failed lookup as a
+// satisfied reference, so a fault there left a violated foreign key on the
+// truncated answer. The trim now cannot fail.
+func TestBudgetTrimSurvivesLookupFault(t *testing.T) {
+	// One join step from the Woody Allen seeds reaches CAST through ACTOR
+	// and stops: its movies are not there yet.
+	eng, rs, seeds := exampleSetup(t, 0.1)
+	gen, err := newGenerator(eng, rs, seeds, Unlimited(), StrategyNaive, DBGenOptions{Budget: Budget{MaxJoinSteps: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.placeSeeds(seeds); err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.executeJoins(); err != nil {
+		t.Fatal(err)
+	}
+	carried := len(gen.out.ForeignKeys())
+	if len(gen.out.CheckIntegrity()) == 0 {
+		t.Fatal("the truncated answer has nothing dangling: the test checks nothing")
+	}
+	plan := faultinject.NewPlan().Set(faultinject.SiteStorageLookup, faultinject.Rule{Err: errors.New("injected")})
+	deactivate := faultinject.Activate(plan)
+	rd := gen.result()
+	deactivate()
+	if v := rd.DB.CheckIntegrity(); len(v) != 0 {
+		t.Fatalf("a lookup fault left %d dangling references on the partial answer: %+v", len(v), v)
+	}
+	if kept := len(rd.DB.ForeignKeys()); kept >= carried {
+		t.Fatalf("no foreign key trimmed: %d carried over, %d kept", carried, kept)
 	}
 }
 

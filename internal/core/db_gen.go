@@ -303,9 +303,14 @@ func (g *generator) execFetch(f *fetched, st *sqlx.SelectStmt) (*sqlx.Result, er
 
 // buildResultSchemas creates in the output database, for every relation of
 // G', a relation whose columns are the projected attributes plus the join
-// columns of incident G' edges, in the original column order.
+// columns of incident G' edges, in the original column order, with a hash
+// index on every column a G' edge arrives at. Those are the join indexes of
+// the whole answer: the generator's own reads (distinct driving values, the
+// integrity check of a truncated answer) and the translator's clause walk
+// probe them, so nothing downstream indexes D' again.
 func (g *generator) buildResultSchemas() error {
 	orig := g.eng.Database()
+	edges := g.rs.Graph.JoinEdges()
 	for _, name := range g.rs.Relations() {
 		rel := orig.Relation(name)
 		if rel == nil {
@@ -315,7 +320,7 @@ func (g *generator) buildResultSchemas() error {
 		for _, a := range g.rs.Projections(name) {
 			need[a] = true
 		}
-		for _, e := range g.rs.Graph.JoinEdges() {
+		for _, e := range edges {
 			if e.From == name {
 				need[e.FromCol] = true
 			}
@@ -343,8 +348,16 @@ func (g *generator) buildResultSchemas() error {
 		if err != nil {
 			return err
 		}
-		if _, err := g.out.CreateRelation(sub); err != nil {
+		out, err := g.out.CreateRelation(sub)
+		if err != nil {
 			return err
+		}
+		for _, e := range edges {
+			if e.To == name {
+				if _, err := out.CreateIndex(e.ToCol); err != nil {
+					return err
+				}
+			}
 		}
 		g.cols[name] = cols
 	}
@@ -445,6 +458,7 @@ func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 		return nil
 	}
 	outRel := g.out.Relation(rel)
+	outRel.Reserve(min(len(f.rows), budget))
 	inserted := 0
 	for _, row := range f.rows {
 		if inserted >= budget {
@@ -460,6 +474,7 @@ func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 		if !g.bt.admitTuple(row, seed) {
 			break
 		}
+		// The fetch built the row for this generation alone: D' keeps it.
 		if err := g.out.InsertWithID(rel, id, row[1:]...); err != nil {
 			return err
 		}

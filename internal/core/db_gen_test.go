@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"precis/internal/dataset"
@@ -608,6 +610,59 @@ func TestRoundRobinStatementsPerJoin(t *testing.T) {
 						name, rd.Stats.TotalTuples, rd.Stats.Queries)
 				}
 			}
+		}
+	}
+}
+
+// explainingFetcher records the plan EXPLAIN reports for every statement the
+// generator executes.
+type explainingFetcher struct {
+	*sqlx.Engine
+	mu    sync.Mutex
+	plans map[string][]string // by "col[,col...]" of the SELECT list
+}
+
+func (f *explainingFetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
+	if sel, ok := st.(*sqlx.SelectStmt); ok {
+		ex, err := f.Engine.ExecStmt(&sqlx.ExplainStmt{Inner: sel})
+		if err != nil {
+			return nil, err
+		}
+		f.mu.Lock()
+		key := strings.Join(sel.Columns, ",")
+		f.plans[key] = append(f.plans[key], ex.Rows[0][0].AsString())
+		f.mu.Unlock()
+	}
+	return f.Engine.ExecStmt(st)
+}
+
+// TestRoundRobinProbeIsIndexOnly: the statement that opens Round-Robin's
+// cursors selects the join column it probes and nothing else, so the posting
+// lists answer it and no tuple of the source is read for it; every other
+// statement of a generation returns whole rows and keeps reading tuples.
+func TestRoundRobinProbeIsIndexOnly(t *testing.T) {
+	db, g := syntheticMovies(t, 300)
+	rs, seeds := diffQuery(t, g, invidx.New(db), busiestDirector(db), 0.05)
+	for _, workers := range []int{1, 4} {
+		ef := &explainingFetcher{Engine: sqlx.NewEngine(db), plans: map[string][]string{}}
+		rd, err := GenerateDatabaseOpts(ef, rs, seeds, MaxTuplesPerRelation(150), StrategyRoundRobin, DBGenOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := 0
+		for cols, plans := range ef.plans {
+			probe := !strings.Contains(cols, sqlx.RowIDColumn)
+			for _, plan := range plans {
+				if probe {
+					probes++
+				}
+				if strings.HasPrefix(plan, "index-only(") != probe {
+					t.Errorf("workers=%d: SELECT %s ran as %q", workers, cols, plan)
+				}
+			}
+		}
+		if probes == 0 || probes > rd.Stats.JoinsExecuted {
+			t.Errorf("workers=%d: %d cursor probes for %d joins", workers, probes, rd.Stats.JoinsExecuted)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package nlg
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"precis/internal/core"
 	"precis/internal/dataset"
+	"precis/internal/faultinject"
 	"precis/internal/invidx"
 	"precis/internal/schemagraph"
 	"precis/internal/storage"
@@ -136,13 +138,19 @@ func TestNarrativeMatchesReference(t *testing.T) {
 //   - BOOK tuples are inserted out of id order, and WROTE (heading-less, no
 //     label: a pure junction) reaches BOOK with several anchors whose targets
 //     are in descending id order, two of them the same book;
-//   - a NULL foreign key (a book without a publisher) and a dangling one;
+//   - a NULL foreign key (a book without a publisher) and a dangling one; a
+//     NULL on both sides of a join (WROTE 26 and TAG 44 have no book): the
+//     hash index keeps NULL keys, and NULL still joins nothing;
 //   - PUBLISHER and AUTHOR both have "name" and "city": the newest binding
 //     wins, and a publisher whose city is NULL shadows the author's city with
 //     an empty list rather than letting it show through;
 //   - REVIEW is in G′ but not in the database; TAG has neither sentence nor
 //     label, so the fallback clauses render.
-func handBuiltResult(t *testing.T) (*core.ResultDatabase, []invidx.Occurrence) {
+//
+// indexed gives every join column of G′ the hash index a generated result
+// database carries; without it only the keyed columns have one and the joins
+// into WROTE and TAG scan.
+func handBuiltResult(t *testing.T, indexed bool) (*core.ResultDatabase, []invidx.Occurrence) {
 	t.Helper()
 	db := storage.NewDatabase("handbuilt")
 	str := func(name string) storage.Column { return storage.Column{Name: name, Type: storage.TypeString} }
@@ -175,6 +183,7 @@ func handBuiltResult(t *testing.T) (*core.ResultDatabase, []invidx.Occurrence) {
 		{"TAG", 41, []storage.Value{storage.Int(1), storage.String("sea")}},
 		{"TAG", 42, []storage.Value{storage.Int(1), storage.String("essays")}},
 		{"TAG", 43, []storage.Value{storage.Int(2), null}},
+		{"TAG", 44, []storage.Value{null, storage.String("ghost")}},
 	}
 	for _, row := range rows {
 		if err := db.InsertWithID(row.rel, row.id, row.vals...); err != nil {
@@ -212,8 +221,18 @@ func handBuiltResult(t *testing.T) (*core.ResultDatabase, []invidx.Occurrence) {
 	join("BOOK", "PUBLISHER", "pid", 0.8,
 		`@TITLE + " (" + @YEAR + ") came out at " + upper(@NAME) + " in " + arityOf(@CITY) + " city " + @CITY + "."`)
 	join("BOOK", "TAG", "bid", 0.8, "")
+	join("WROTE", "TAG", "bid", 0.5, "")
 	join("BOOK", "REVIEW", "bid", 0.7, `"Reviews: " + @STARS`)
 	g.Relation("AUTHOR").Sentence = `@NAME [i=arityOf(@CITY)] {" lives in " + @CITY} "."`
+	if indexed {
+		for _, e := range g.JoinEdges() {
+			if rel := db.Relation(e.To); rel != nil {
+				if _, err := rel.CreateIndex(e.ToCol); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 
 	rd := &core.ResultDatabase{DB: db, Schema: &core.ResultSchema{Graph: g}}
 	occs := []invidx.Occurrence{
@@ -225,13 +244,26 @@ func handBuiltResult(t *testing.T) (*core.ResultDatabase, []invidx.Occurrence) {
 	return rd, occs
 }
 
-func TestNarrativeMatchesReferenceHandBuilt(t *testing.T) {
-	rd, occs := handBuiltResult(t)
+// handBuiltRenderer defines the macro handBuiltResult's labels use.
+func handBuiltRenderer(t *testing.T) *Renderer {
+	t.Helper()
 	r := NewRenderer()
 	if err := r.DefineMacro(`DEFINE TITLES as [i<arityOf(@TITLE)] {@TITLE[$i$] + ", "} [i=arityOf(@TITLE)] {@TITLE[$i$] + "."}`); err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func TestNarrativeMatchesReferenceHandBuilt(t *testing.T) {
+	r := handBuiltRenderer(t)
+	// Without the join indexes the walk's lookups scan: the same narrative.
+	scanned, occs := handBuiltResult(t, false)
+	sameAsReference(t, r, scanned, occs)
+	rd, occs := handBuiltResult(t, true)
 	sameAsReference(t, r, rd, occs)
+	if rd.DB.Relation("WROTE").HasIndex("aid") == scanned.DB.Relation("WROTE").HasIndex("aid") {
+		t.Fatal("the indexed and the unindexed fixture do not differ")
+	}
 
 	// Pin what the cases are there for, so the oracle cannot agree on a
 	// narrative that never reaches them.
@@ -250,6 +282,49 @@ func TestNarrativeMatchesReferenceHandBuilt(t *testing.T) {
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("narrative missing %q\n%s", frag, out)
+		}
+	}
+	// A NULL publisher joins nothing (the index keeps NULL keys: the walk
+	// must not probe them), and neither does a dangling one.
+	for _, frag := range []string{"Tides (2003) came out", "Kelp (", "ghost"} {
+		if strings.Contains(out, frag) {
+			t.Errorf("narrative has %q\n%s", frag, out)
+		}
+	}
+}
+
+// TestNarrativeFailsOnLookupError: the clause walk's joins go through the
+// storage lookup site. An error there fails the narrative, naming the join —
+// a clause is never dropped silently — whichever lookup of the walk it hits,
+// and the next call is unaffected.
+func TestNarrativeFailsOnLookupError(t *testing.T) {
+	r := handBuiltRenderer(t)
+	injected := errors.New("injected")
+	for _, indexed := range []bool{false, true} {
+		rd, occs := handBuiltResult(t, indexed)
+		want, err := r.Narrative(rd, occs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counting := faultinject.NewPlan().Set(faultinject.SiteStorageLookup, faultinject.Rule{Every: 1 << 30})
+		deactivate := faultinject.Activate(counting)
+		_, err = r.Narrative(rd, occs)
+		deactivate()
+		lookups := int(counting.Calls(faultinject.SiteStorageLookup))
+		if err != nil || lookups < 10 {
+			t.Fatalf("indexed=%v: %d lookups in the walk, %v", indexed, lookups, err)
+		}
+		for nth := 0; nth < lookups; nth++ {
+			plan := faultinject.NewPlan().Set(faultinject.SiteStorageLookup, faultinject.Rule{Err: injected, After: nth, Limit: 1})
+			deactivate := faultinject.Activate(plan)
+			out, err := r.Narrative(rd, occs)
+			deactivate()
+			if !errors.Is(err, injected) || !strings.Contains(err.Error(), "nlg: join ") || out != "" {
+				t.Fatalf("indexed=%v, lookup %d failed: narrative %q, error %v", indexed, nth, out, err)
+			}
+		}
+		if got, err := r.Narrative(rd, occs); err != nil || got != want {
+			t.Fatalf("indexed=%v: after the faults: %v\n%s", indexed, err, got)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package nlg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -130,14 +131,16 @@ func (r *Renderer) maxClauses() int {
 	return 64
 }
 
-// narration is the state of one Narrative call: per-relation metadata and
-// join indexes over the result database, built lazily and dropped with the
-// call (an error abandons it mid-walk), so the walk is linear in the result
-// database and the shared Renderer stays stateless.
+// narration is the state of one Narrative call: per-relation metadata, built
+// lazily and dropped with the call (an error abandons it mid-walk), so the
+// shared Renderer stays stateless. Joins probe the hash indexes the result
+// database already carries on the join columns of G′, so the walk is linear
+// in the result database.
 type narration struct {
 	r    *Renderer
 	rd   *core.ResultDatabase
 	rels map[string]*relInfo
+	ids  []storage.TupleID // joinTuples' probe buffer, reused across calls
 }
 
 // relInfo is what the walk needs to know about one relation of G′.
@@ -148,9 +151,6 @@ type relInfo struct {
 	cols   map[string]int            // upper-cased column name -> position
 	edges  []*schemagraph.JoinEdge   // out-edges by decreasing weight, then key
 	onPath bool                      // the walk is currently below this relation
-	sorted []storage.Tuple           // all tuples in id order, filled by index
-	// byCol holds the join indexes built so far, by join column.
-	byCol map[string]map[storage.Value][]storage.Tuple
 }
 
 func (n *narration) rel(name string) *relInfo {
@@ -159,7 +159,6 @@ func (n *narration) rel(name string) *relInfo {
 	}
 	ri := &relInfo{name: name, rel: n.rd.DB.Relation(name), node: n.rd.Schema.Graph.Relation(name)}
 	if ri.rel != nil {
-		ri.byCol = map[string]map[storage.Value][]storage.Tuple{}
 		ri.cols = make(map[string]int, len(ri.rel.Schema().Columns))
 		for ci, col := range ri.rel.Schema().Columns {
 			ri.cols[strings.ToUpper(col.Name)] = ci
@@ -176,37 +175,6 @@ func (n *narration) rel(name string) *relInfo {
 	}
 	n.rels[name] = ri
 	return ri
-}
-
-// index returns the hash index of the relation on col: value -> tuples in
-// tuple-id order (the id order of the source database is its insertion
-// order, which keeps lists stable regardless of which join populated the
-// result relation first). NULLs are not indexed. It is nil when the relation
-// or the column is missing.
-func (ri *relInfo) index(col string) map[storage.Value][]storage.Tuple {
-	idx, ok := ri.byCol[col]
-	if ok || ri.rel == nil {
-		return idx
-	}
-	ci := ri.rel.Schema().ColumnIndex(col)
-	if ci < 0 {
-		return nil
-	}
-	if ri.sorted == nil {
-		ri.sorted = ri.rel.Tuples()
-		byID := func(i, j int) bool { return ri.sorted[i].ID < ri.sorted[j].ID }
-		if !sort.SliceIsSorted(ri.sorted, byID) {
-			sort.Slice(ri.sorted, byID)
-		}
-	}
-	idx = make(map[storage.Value][]storage.Tuple, len(ri.sorted))
-	for _, t := range ri.sorted {
-		if v := t.Values[ci]; !v.IsNull() {
-			idx[v] = append(idx[v], t)
-		}
-	}
-	ri.byCol[col] = idx
-	return idx
 }
 
 // frame binds the columns of one relation to a group of its tuples; a chain
@@ -305,7 +273,10 @@ func (n *narration) expand(from *relInfo, anchors []storage.Tuple, subject *fram
 		to.onPath = true
 		for i := 0; i < len(anchors) && budget > 0; i += step {
 			group := anchors[i : i+step]
-			joined := n.joinTuples(from, e, group)
+			joined, err := n.joinTuples(from, to, e, group)
+			if err != nil {
+				return nil, err
+			}
 			if len(joined) == 0 {
 				continue
 			}
@@ -348,26 +319,49 @@ func (n *narration) joinClause(e *schemagraph.JoinEdge, group, joined []storage.
 }
 
 // joinTuples returns the tuples of e.To in the result database joining any
-// anchor tuple via e, in tuple-id order.
-func (n *narration) joinTuples(from *relInfo, e *schemagraph.JoinEdge, anchors []storage.Tuple) []storage.Tuple {
-	idx := n.rel(e.To).index(e.ToCol)
+// anchor tuple via e, in tuple-id order (the id order of the source database
+// is its insertion order, which keeps lists stable regardless of which join
+// populated the result relation first). NULLs join nothing. Each anchor
+// value is one AppendLookup on the result relation: a probe of the hash
+// index a generated result database carries on e.ToCol, a scan of the
+// relation when a hand-built one has none — slower, the same tuples. A
+// failed lookup fails the narrative; it never drops a clause.
+func (n *narration) joinTuples(from, to *relInfo, e *schemagraph.JoinEdge, anchors []storage.Tuple) ([]storage.Tuple, error) {
+	if to.rel == nil || !to.rel.Schema().HasColumn(e.ToCol) {
+		return nil, nil
+	}
 	fi := from.rel.Schema().ColumnIndex(e.FromCol)
-	if idx == nil || fi < 0 {
-		return nil
+	if fi < 0 {
+		return nil, nil
 	}
-	if len(anchors) == 1 {
-		return idx[anchors[0].Values[fi]] // a posting list is already in id order
-	}
-	var out []storage.Tuple
-	probed := make(map[storage.Value]bool, len(anchors))
+	ids := n.ids[:0]
 	for _, a := range anchors {
-		if v := a.Values[fi]; !probed[v] {
-			probed[v] = true
-			out = append(out, idx[v]...)
+		v := a.Values[fi]
+		if v.IsNull() {
+			continue
+		}
+		var err error
+		if ids, err = to.rel.AppendLookup(ids, e.ToCol, v); err != nil {
+			return nil, fmt.Errorf("nlg: join %s: %w", e.Key(), err)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	if len(anchors) > 1 {
+		// One posting list is already in id order; several are merged, and
+		// anchors sharing a value brought the same list twice.
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+	}
+	n.ids = ids
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	out := make([]storage.Tuple, 0, len(ids))
+	for _, id := range ids {
+		if t, ok := to.rel.Get(id); ok {
+			out = append(out, t)
+		}
+	}
+	return out, nil
 }
 
 // defaultSentence renders a fallback clause for a relation without an

@@ -160,7 +160,9 @@ func (p *RangePartitioner) Owner(id storage.TupleID) int {
 // every foreign key, and the next-tuple-id watermark are replicated to all
 // shards (the schema catalog is tiny and global); each tuple lands on its
 // owner. Join indexes are rebuilt per shard, and hash-partitioned shards
-// get strided local id allocation. The source database is only read.
+// get strided local id allocation. The source database is only read; a
+// shard's tuple shares its row with the source's (rows are never written
+// once stored), so partitioning copies no values.
 func Partition(db *storage.Database, p Partitioner) ([]*storage.Database, error) {
 	n := p.Shards()
 	out := make([]*storage.Database, n)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,7 +65,14 @@ func selectWhere(t *testing.T, e *Engine, table string, where Expr) *Result {
 // explainedSelect is selectWhere also returning the EXPLAINed plan.
 func explainedSelect(t *testing.T, e *Engine, table string, where Expr) (*Result, string) {
 	t.Helper()
-	st := &SelectStmt{Columns: []string{"id"}, Table: table, Where: where, Limit: -1}
+	return explainedStmt(t, e, &SelectStmt{Columns: []string{"id"}, Table: table, Where: where, Limit: -1})
+}
+
+// explainedStmt runs st and checks that EXPLAIN names the access path the
+// execution's counters show.
+func explainedStmt(t *testing.T, e *Engine, st *SelectStmt) (*Result, string) {
+	t.Helper()
+	table, where := st.Table, st.Where
 	res, err := e.ExecStmt(st)
 	if err != nil {
 		t.Fatalf("%s WHERE %s: %v", table, exprString(where), err)
@@ -87,6 +95,11 @@ func explainedSelect(t *testing.T, e *Engine, table string, where Expr) (*Result
 	case strings.HasPrefix(plan, "index("):
 		fmt.Sscanf(plan[strings.Index(plan, "probes="):], "probes=%d", &probes)
 		ok = res.Stats.IndexLookups == probes && res.Stats.Scanned == 0
+	case strings.HasPrefix(plan, "index-only("):
+		// It reads no tuple, yet counts each row it returns as the probe that
+		// reads them would.
+		fmt.Sscanf(plan[strings.Index(plan, "probes="):], "probes=%d", &probes)
+		ok = res.Stats.IndexLookups == probes && res.Stats.Scanned == 0 && res.Stats.TupleReads == len(res.Rows)
 	}
 	if !ok {
 		t.Fatalf("%s WHERE %s: EXPLAIN says %q, execution did %+v", table, exprString(where), plan, res.Stats)
@@ -177,9 +190,10 @@ func randomPredicate(r *rand.Rand, ids []storage.TupleID, depth int) Expr {
 }
 
 // TestSelectMatchesReferenceScan holds every access path — rowid fetch, hash
-// probe (with and without its conjunct compiled out), B-tree range, scan —
-// to the rows the reference executor's full scan returns, on the indexed
-// table and on its unindexed copy.
+// probe (with and without its conjunct compiled out, and index-only when the
+// projection allows), B-tree range, scan — to the rows the reference
+// executor's full scan returns, on the indexed table and on its unindexed
+// copy.
 func TestSelectMatchesReferenceScan(t *testing.T) {
 	e := planEngine(t)
 	r := rand.New(rand.NewSource(11))
@@ -202,10 +216,22 @@ func TestSelectMatchesReferenceScan(t *testing.T) {
 				t.Fatalf("%s WHERE %s:\n got  %v\n want %v", table, exprString(where), got.RowIDs, want)
 			}
 			plans[strings.SplitN(plan, "(", 2)[0]]++
+			// The same predicate under projections an index on k or f covers.
+			cols := [][]string{{RowIDColumn, "k"}, {"k"}, {"f", RowIDColumn, "f"}, {RowIDColumn}}[trial%4]
+			_, wantRows, err := refSelectRows(rel, where, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, plan = explainedStmt(t, e, &SelectStmt{Columns: cols, Table: table, Where: where, Limit: -1})
+			if !reflect.DeepEqual(got.RowIDs, want) || !reflect.DeepEqual(got.Rows, wantRows) {
+				t.Fatalf("SELECT %v FROM %s WHERE %s (%s):\n got  %v %v\n want %v %v",
+					cols, table, exprString(where), plan, got.RowIDs, got.Rows, want, wantRows)
+			}
+			plans[strings.SplitN(plan, "(", 2)[0]]++
 		}
 		wantPlans := []string{"scan"}
 		if table == "R" {
-			wantPlans = []string{"scan", "index", "range", "rowid fetch "}
+			wantPlans = []string{"scan", "index", "index-only", "range", "rowid fetch "}
 		}
 		for _, p := range wantPlans {
 			if plans[p] == 0 {
@@ -279,6 +305,112 @@ func TestNumericLiteralsAcrossKinds(t *testing.T) {
 	}
 	if got := selectWhere(t, e, "R", eq(col("f"), i(1))); got.Stats.IndexLookups != 1 {
 		t.Errorf("f = 1 counted %d index lookups, want one per literal", got.Stats.IndexLookups)
+	}
+}
+
+// TestIndexOnlyPlan pins when a hash probe is answered from the posting lists
+// alone — the probed conjunct is the whole WHERE clause, no NULL in its list,
+// every output column rowid or the probed column — and that the rows are then
+// what the tuple-reading oracle projects: the stored values (Int(1) for
+// `k = 1.0`), ascending ids, a repeated value's tuples once, the same Stats as
+// the probe that reads tuples.
+func TestIndexOnlyPlan(t *testing.T) {
+	e := planEngine(t)
+	rel := e.Database().Relation("R")
+	i, f, null := storage.Int, storage.Float, storage.Null
+	rowidK, onlyF := []string{RowIDColumn, "k"}, []string{"f"}
+	for _, tc := range []struct {
+		name  string
+		cols  []string
+		where Expr
+		limit int
+		plan  string
+	}{
+		{"equality", rowidK, eq(col("k"), i(3)), -1, "index-only(k) probes=1"},
+		{"literal on the left", []string{"k"}, &Compare{Op: OpEq, Left: &Literal{Value: i(3)}, Right: col("k")}, -1, "index-only(k) probes=1"},
+		{"repeated IN values", rowidK, in(col("k"), i(2), i(5), i(2), i(2)), -1, "index-only(k) probes=4"},
+		{"k = 1.0 on an INT column", rowidK, eq(col("k"), f(1)), -1, "index-only(k) probes=1"},
+		{"no such key", rowidK, in(col("k"), f(1.5), i(99)), -1, "index-only(k) probes=2"},
+		{"FLOAT column, two keys per literal", onlyF, in(col("f"), i(1), f(2), f(2.5)), -1, "index-only(f) probes=3"},
+		{"rowid alone", []string{RowIDColumn}, in(col("f"), i(1), i(3)), -1, "index-only(f) probes=2"},
+		{"column twice", []string{"k", RowIDColumn, "k"}, in(col("k"), i(1), i(7)), -1, "index-only(k) probes=2"},
+		{"LIMIT", rowidK, in(col("k"), i(1), i(2), i(3)), 7, "index-only(k) probes=3"},
+		{"LIMIT 0", rowidK, in(col("k"), i(1), i(2)), 0, "index-only(k) probes=2"},
+		// Not chosen: the conjunct is re-checked, or the index lacks a column.
+		{"NULL in the list", rowidK, in(col("k"), i(1), null, i(2)), -1, "index(k) probes=3"},
+		{"k = NULL", rowidK, eq(col("k"), null), -1, "index(k) probes=1"},
+		{"another conjunct", rowidK, and(eq(col("k"), i(3)), eq(col("y"), i(7))), -1, "index(k) probes=1"},
+		{"an id set beside it", rowidK, and(in(col("k"), i(1), i(2)), &RowIDInSet{Set: idSet{}, Not: true}), -1, "index(k) probes=2"},
+		{"another column", []string{"k", "y"}, eq(col("k"), i(3)), -1, "index(k) probes=1"},
+		{"the other indexed column", []string{"f"}, eq(col("k"), i(3)), -1, "index(k) probes=1"},
+		{"SELECT *", nil, eq(col("k"), i(3)), -1, "index(k) probes=1"},
+		{"beyond exact floats", rowidK, in(col("k"), f(1<<53), i(1)), -1, "scan"},
+	} {
+		st := &SelectStmt{Columns: tc.cols, Table: "R", Where: tc.where, Limit: tc.limit}
+		got, plan := explainedStmt(t, e, st)
+		if plan != tc.plan {
+			t.Errorf("%s: EXPLAIN says %q, want %q", tc.name, plan, tc.plan)
+		}
+		cols := tc.cols
+		if cols == nil {
+			cols = rel.Schema().ColumnNames()
+		}
+		wantIDs, wantRows, err := refSelectRows(rel, tc.where, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.limit >= 0 && len(wantIDs) > tc.limit {
+			wantIDs, wantRows = wantIDs[:tc.limit], wantRows[:tc.limit]
+		}
+		if len(wantIDs) == 0 {
+			wantIDs, wantRows = nil, nil
+		}
+		if !reflect.DeepEqual(got.RowIDs, wantIDs) || !reflect.DeepEqual(got.Rows, wantRows) {
+			t.Errorf("%s:\n got  %v %v\n want %v %v", tc.name, got.RowIDs, got.Rows, wantIDs, wantRows)
+		}
+		// The same statement through the tuple-reading probe (an always-true
+		// second conjunct) does the same counted work.
+		read := *st
+		read.Where = and(tc.where, &RowIDInSet{Set: idSet{}, Not: true})
+		if via, err := e.ExecStmt(&read); err != nil || via.Stats != got.Stats {
+			t.Errorf("%s: stats %+v, through the tuple-reading probe %+v (%v)", tc.name, got.Stats, via.Stats, err)
+		}
+	}
+	if res := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)"); len(res.Rows) == 0 || res.Rows[0][1].Kind() != storage.KindInt {
+		t.Fatalf("fixture has no k in (1, 2): %v", res.Rows)
+	}
+
+	// ORDER BY may name a column the index lacks: the tuple-reading probe
+	// serves it. DISTINCT and OFFSET are applied to the index-only rows.
+	if plan := e.MustExec("EXPLAIN SELECT k FROM R WHERE k IN (1, 2) ORDER BY y").Rows[0][0].AsString(); plan != "index(k) probes=2" {
+		t.Errorf("ORDER BY y: EXPLAIN says %q", plan)
+	}
+	if got := e.MustExec("SELECT DISTINCT k FROM R WHERE k IN (2, 1)"); len(got.Rows) != 2 {
+		t.Errorf("DISTINCT k over two keys returned %v", got.Rows)
+	}
+	all, tail := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)"), e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2) LIMIT 3 OFFSET 2")
+	if !reflect.DeepEqual(tail.Rows, all.Rows[2:5]) || !reflect.DeepEqual(tail.RowIDs, all.RowIDs[2:5]) {
+		t.Errorf("LIMIT 3 OFFSET 2: %v, want %v", tail.Rows, all.Rows[2:5])
+	}
+
+	// A deleted tuple leaves the posting lists with it; an updated one moves.
+	victim, moved := all.RowIDs[0], all.RowIDs[1]
+	if _, err := e.Database().Delete("R", victim); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := rel.Get(moved)
+	vals := append([]storage.Value(nil), old.Values...)
+	vals[rel.Schema().ColumnIndex("k")] = i(6)
+	if err := e.Database().Update("R", moved, vals); err != nil {
+		t.Fatal(err)
+	}
+	after := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)")
+	if !reflect.DeepEqual(after.RowIDs, all.RowIDs[2:]) {
+		t.Errorf("after a delete and an update away: %v, want %v", after.RowIDs, all.RowIDs[2:])
+	}
+	_, wantRows, _ := refSelectRows(rel, eq(col("k"), i(6)), rowidK)
+	if six := e.MustExec("SELECT rowid, k FROM R WHERE k = 6"); !reflect.DeepEqual(six.Rows, wantRows) || !slices.Contains(six.RowIDs, moved) {
+		t.Errorf("k = 6 after the update: %v, want %v", six.Rows, wantRows)
 	}
 }
 

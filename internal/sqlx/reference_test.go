@@ -30,6 +30,29 @@ func refSelectIDs(rel *storage.Relation, where Expr) ([]storage.TupleID, error) 
 	return ids, err
 }
 
+// refSelectRows projects the tuples refSelectIDs finds onto cols (rowid or a
+// column name), reading every value from the stored tuple.
+func refSelectRows(rel *storage.Relation, where Expr, cols []string) ([]storage.TupleID, [][]storage.Value, error) {
+	ids, err := refSelectIDs(rel, where)
+	if err != nil {
+		return nil, nil, err
+	}
+	var rows [][]storage.Value
+	for _, id := range ids {
+		t, _ := rel.Get(id)
+		row := make([]storage.Value, len(cols))
+		for i, c := range cols {
+			if c == RowIDColumn {
+				row[i] = storage.Int(int64(id))
+			} else {
+				row[i] = t.Values[rel.Schema().ColumnIndex(c)]
+			}
+		}
+		rows = append(rows, row)
+	}
+	return ids, rows, nil
+}
+
 func refValue(schema *storage.Schema, e Expr, t storage.Tuple) (storage.Value, error) {
 	switch e := e.(type) {
 	case *ColumnRef:

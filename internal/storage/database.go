@@ -109,7 +109,9 @@ func (db *Database) SetForeignKeys(fks []ForeignKey) {
 	db.fks = append([]ForeignKey(nil), fks...)
 }
 
-// Insert adds a tuple to the named relation and returns its id.
+// Insert adds a tuple to the named relation and returns its id. The
+// relation keeps vals as the tuple's row — here and in InsertWithID and
+// Update — so a caller passing a slice (vals...) must not write it again.
 func (db *Database) Insert(relation string, vals ...Value) (TupleID, error) {
 	r := db.rels[relation]
 	if r == nil {
@@ -245,7 +247,11 @@ func (v IntegrityViolation) String() string {
 }
 
 // CheckIntegrity verifies every declared foreign key over the current data
-// and returns all violations found. NULL references are allowed.
+// and returns all violations found. NULL references are allowed. A reference
+// is resolved through the target column's hash index when it has one (one
+// scan of the target per referencing tuple otherwise) and never through the
+// Lookup fault site: an in-memory read cannot fail, so no failure can pass
+// for a satisfied reference.
 func (db *Database) CheckIntegrity() []IntegrityViolation {
 	var out []IntegrityViolation
 	for _, fk := range db.fks {
@@ -253,12 +259,7 @@ func (db *Database) CheckIntegrity() []IntegrityViolation {
 		to := db.rels[fk.ToRelation]
 		fi := from.Schema().ColumnIndex(fk.FromColumn)
 		from.Scan(func(t Tuple) bool {
-			v := t.Values[fi]
-			if v.IsNull() {
-				return true
-			}
-			ids, err := to.Lookup(fk.ToColumn, v)
-			if err == nil && len(ids) == 0 {
+			if v := t.Values[fi]; !v.IsNull() && !to.holds(fk.ToColumn, v) {
 				out = append(out, IntegrityViolation{ForeignKey: fk, TupleID: t.ID, Value: v})
 			}
 			return true

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"precis/internal/faultinject"
 )
 
 // twoRelDB builds DIRECTOR(did,dname) <- MOVIE(mid,title,did) with an FK.
@@ -64,6 +67,49 @@ func TestCheckIntegrity(t *testing.T) {
 	}
 	if got := db.CheckIntegrity(); len(got) != 1 {
 		t.Errorf("NULL FK counted as violation: %v", got)
+	}
+}
+
+// TestCheckIntegrityUnderLookupFault: a failed target lookup used to read as
+// a satisfied reference, so with the lookup site armed a dangling foreign key
+// went unreported (and a truncated précis kept a violated constraint). The
+// check reads the indexes directly; a fault at the site cannot touch it.
+func TestCheckIntegrityUnderLookupFault(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		key := "" // no key, no index: the target is scanned
+		if indexed {
+			key = "did"
+		}
+		db := NewDatabase("movies")
+		db.MustCreateRelation(MustSchema("DIRECTOR", key, Column{"did", TypeInt}, Column{"dname", TypeString}))
+		db.MustCreateRelation(MustSchema("MOVIE", "mid", Column{"mid", TypeInt}, Column{"title", TypeString}, Column{"did", TypeInt}))
+		if err := db.AddForeignKey(ForeignKey{"MOVIE", "did", "DIRECTOR", "did"}); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range [][]Value{
+			{Int(10), String("Match Point"), Int(1)},
+			{Int(11), String("Orphan"), Int(99)},
+			{Int(12), String("Anon"), Null},
+		} {
+			if _, err := db.Insert("MOVIE", row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.Insert("DIRECTOR", Int(1), String("Woody Allen")); err != nil {
+			t.Fatal(err)
+		}
+		injected := errors.New("injected")
+		plan := faultinject.NewPlan().Set(faultinject.SiteStorageLookup, faultinject.Rule{Err: injected})
+		deactivate := faultinject.Activate(plan)
+		v := db.CheckIntegrity()
+		_, lookupErr := db.Relation("DIRECTOR").Lookup("did", Int(1))
+		deactivate()
+		if !errors.Is(lookupErr, injected) {
+			t.Fatalf("indexed=%v: the armed site did not fail a lookup: %v", indexed, lookupErr)
+		}
+		if len(v) != 1 || v[0].Value != Int(99) {
+			t.Errorf("indexed=%v: violations under an armed lookup site = %v, want the one dangling reference", indexed, v)
+		}
 	}
 }
 

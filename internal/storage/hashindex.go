@@ -48,6 +48,20 @@ func (ix *HashIndex) has(v Value) bool {
 	return ix.vals.refs[v] != 0
 }
 
+// appendKeys appends the distinct non-NULL indexed values, in no particular
+// order.
+func (ix *HashIndex) appendKeys(dst []Value) []Value {
+	for k := range ix.ints.refs {
+		dst = append(dst, Int(k))
+	}
+	for v := range ix.vals.refs {
+		if !v.IsNull() {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // appendIDs appends the ids of the tuples carrying v, ascending.
 func (ix *HashIndex) appendIDs(dst []TupleID, v Value) []TupleID {
 	if v.kind == KindInt {

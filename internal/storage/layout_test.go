@@ -277,7 +277,7 @@ func TestIDTable(t *testing.T) {
 	}
 	verify("after re-inserts")
 	// Rebuild drops the entries of dead slots.
-	rel.rehash()
+	rel.rehash(rel.live)
 	if rel.idsUsed != len(want) {
 		t.Fatalf("rebuilt table holds %d entries for %d live tuples", rel.idsUsed, len(want))
 	}
@@ -379,6 +379,168 @@ func TestTupleSurvivesUpdateAndDelete(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before.Values, []Value{Int(1), String("one")}) || !reflect.DeepEqual(mid.Values, []Value{Int(2), String("two")}) {
 		t.Fatalf("held tuples changed: %v, %v", before.Values, mid.Values)
+	}
+}
+
+// TestRelationOwnsRow pins the ownership rule: the slice handed to Insert,
+// InsertWithID or Update is the stored row — no copy is made on the way in,
+// and since nobody writes it again one row may sit in two databases.
+func TestRelationOwnsRow(t *testing.T) {
+	db, other := NewDatabase("test"), NewDatabase("other")
+	for _, d := range []*Database{db, other} {
+		d.MustCreateRelation(MustSchema("R", "a", Column{"a", TypeInt}, Column{"s", TypeString}))
+	}
+	rel := db.Relation("R")
+	wide := []Value{Int(0), Int(1), String("one")}
+	if err := db.InsertWithID("R", 5, wide[1:]...); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := rel.Get(5)
+	if &got.Values[0] != &wide[1] || len(got.Values) != 2 || cap(got.Values) != 2 {
+		t.Fatalf("InsertWithID copied its row: %v (len %d cap %d)", got.Values, len(got.Values), cap(got.Values))
+	}
+	next := []Value{Int(2), String("two")}
+	if err := db.Update("R", 5, next); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := rel.Get(5); &now.Values[0] != &next[0] {
+		t.Fatal("Update copied its row")
+	}
+	if !reflect.DeepEqual(got.Values, []Value{Int(1), String("one")}) {
+		t.Fatalf("the replaced row changed under its holder: %v", got.Values)
+	}
+	// The replaced row goes back in under another id and into a second
+	// database; the three tuples stay independent.
+	if err := db.InsertWithID("R", 6, got.Values...); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.InsertWithID("R", 5, got.Values...); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update("R", 6, []Value{Int(3), String("three")}); err != nil {
+		t.Fatal(err)
+	}
+	if kept, _ := other.Relation("R").Get(5); !reflect.DeepEqual(kept.Values, []Value{Int(1), String("one")}) {
+		t.Fatalf("a row shared between databases changed: %v", kept.Values)
+	}
+	for _, bad := range [][]Value{{Int(9)}, {Int(9), String("x"), Int(1)}, {String("k"), String("x")}, {Null, String("x")}, {Int(2), String("dup")}} {
+		if err := db.InsertWithID("R", 7, bad...); err == nil {
+			t.Errorf("row %v accepted", bad)
+		}
+	}
+}
+
+// TestReserve: a relation told how many tuples are coming allocates its slots
+// and its id table once, whatever it already holds, and is otherwise
+// unchanged.
+func TestReserve(t *testing.T) {
+	for _, tc := range []struct{ before, reserve int }{
+		{0, 1}, {0, 150}, {3, 150}, {40, 7}, {0, slotChunk + 10}, {slotChunk - 5, 100}, {2 * slotChunk, 3},
+	} {
+		db, rel := idTableRelation(t)
+		id := TupleID(0)
+		insert := func(n int) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				id++
+				if err := db.InsertWithID("R", id, Int(int64(id))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		insert(tc.before)
+		rel.Reserve(tc.reserve)
+		table := len(rel.ids)
+		room := cap(rel.chunks[len(rel.chunks)-1].slots)
+		// The slots reserved reach to the end of the current chunk at most.
+		inChunk := min(tc.reserve, len(rel.chunks)*slotChunk-tc.before)
+		if room-tc.before&(slotChunk-1) < inChunk {
+			t.Fatalf("%+v: %d slots of room in the last chunk", tc, room)
+		}
+		insert(inChunk)
+		if got := cap(rel.chunks[len(rel.chunks)-1].slots); got != room {
+			t.Errorf("%+v: the reserved chunk was reallocated: cap %d -> %d", tc, room, got)
+		}
+		insert(tc.reserve - inChunk)
+		if len(rel.ids) != table {
+			t.Errorf("%+v: the reserved id table was rebuilt: %d -> %d entries", tc, table, len(rel.ids))
+		}
+		if rel.Len() != tc.before+tc.reserve || rel.Extent() != rel.Len() {
+			t.Fatalf("%+v: Len %d, Extent %d", tc, rel.Len(), rel.Extent())
+		}
+		for i := TupleID(1); i <= id; i++ {
+			if tu, ok := rel.Get(i); !ok || tu.Values[0] != Int(int64(i)) {
+				t.Fatalf("%+v: Get(%d) = %v %v", tc, i, tu, ok)
+			}
+		}
+	}
+	_, rel := idTableRelation(t)
+	rel.Reserve(0)
+	rel.Reserve(-3)
+	if rel.ids != nil || len(rel.chunks) != 0 {
+		t.Error("reserving nothing allocated")
+	}
+}
+
+// TestDistinctValuesFromIndex: the keys of a hash index and a scan of the
+// column give the same distinct values, through inserts, updates and deletes.
+func TestDistinctValuesFromIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	db := NewDatabase("test")
+	for _, name := range []string{"I", "S"} { // indexed, scanned
+		db.MustCreateRelation(MustSchema(name, "", Column{"f", TypeFloat}, Column{"s", TypeString}))
+	}
+	for _, c := range []string{"f", "s"} {
+		if _, err := db.Relation("I").CreateIndex(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	value := func() []Value {
+		f := []Value{Null, Int(int64(r.Intn(6))), Float(float64(r.Intn(6))), Float(float64(r.Intn(6)) + 0.5)}[r.Intn(4)]
+		s := []Value{Null, String(fmt.Sprint("s", r.Intn(5)))}[r.Intn(2)]
+		return []Value{f, s}
+	}
+	var ids []TupleID
+	for step := 0; step < 600; step++ {
+		switch op := r.Intn(4); {
+		case op < 2 || len(ids) == 0:
+			id := TupleID(step + 1)
+			row := value()
+			for _, name := range []string{"I", "S"} {
+				if err := db.InsertWithID(name, id, row...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids = append(ids, id)
+		case op == 2:
+			id, row := ids[r.Intn(len(ids))], value()
+			for _, name := range []string{"I", "S"} {
+				if err := db.Update(name, id, row); err != nil {
+					t.Fatal(err)
+				}
+			}
+		default:
+			at := r.Intn(len(ids))
+			for _, name := range []string{"I", "S"} {
+				if ok, _ := db.Delete(name, ids[at]); !ok {
+					t.Fatal("delete")
+				}
+			}
+			ids = slices.Delete(ids, at, at+1)
+		}
+		if step%20 != 0 {
+			continue
+		}
+		for _, c := range []string{"f", "s"} {
+			got, err := db.Relation("I").DistinctValues(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := db.Relation("S").DistinctValues(c)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d, column %s: from the index %v, from a scan %v", step, c, got, want)
+			}
+		}
 	}
 }
 

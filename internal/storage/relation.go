@@ -24,12 +24,13 @@ type Tuple struct {
 }
 
 // slot is the physical storage of a tuple: 16 bytes, its id and the first of
-// its ncols values. A row is allocated once per insert or update, holds
-// exactly the relation's ncols values and is never written again, so a
-// Tuple handed out by Get or Scan stays valid whatever happens to the slot
-// afterwards (CaptureDirty and the engine's rollback paths depend on it).
-// Deleting negates the id and drops the row, leaving a tombstone so that
-// positions remain stable for live scans.
+// its ncols values. The row is the slice insert or update was given — the
+// relation owns it from then on, and neither the relation nor the caller
+// writes it again — so a Tuple handed out by Get or Scan stays valid
+// whatever happens to the slot afterwards (CaptureDirty and the engine's
+// rollback paths depend on it), and one row may back a tuple in several
+// databases. Deleting negates the id and drops the row, leaving a tombstone
+// so that positions remain stable for live scans.
 type slot struct {
 	id  TupleID // negated once the tuple is deleted
 	row *Value
@@ -141,7 +142,7 @@ func (r *Relation) find(id TupleID) (*slot, int) {
 // overwritten, so an id never owns two entries it could be found under.
 func (r *Relation) bind(id TupleID, pos int) {
 	if r.idsUsed*4 >= len(r.ids)*3 {
-		r.rehash()
+		r.rehash(r.live)
 	}
 	mask := len(r.ids) - 1
 	i := idHash(id, bits.TrailingZeros(uint(len(r.ids))))
@@ -156,12 +157,12 @@ func (r *Relation) bind(id TupleID, pos int) {
 }
 
 // rehash rebuilds the id table from its entries that still name a live slot,
-// sized so the relation fills at most 3/8 of it. Walking the old table
-// rather than the slots keeps the cost proportional to the inserts since
-// the last rebuild, however many tombstones the relation carries.
-func (r *Relation) rehash() {
+// sized so n tuples fill at most 3/8 of it. Walking the old table rather
+// than the slots keeps the cost proportional to the inserts since the last
+// rebuild, however many tombstones the relation carries.
+func (r *Relation) rehash(n int) {
 	size := 8
-	for r.live*8 > size*3 {
+	for n*8 > size*3 {
 		size *= 2
 	}
 	old := r.ids
@@ -184,19 +185,45 @@ func (r *Relation) rehash() {
 	}
 }
 
+// lastChunk returns the chunk the next insert lands in, adding it when the
+// previous one is full.
+func (r *Relation) lastChunk() *chunk {
+	if r.next>>slotChunkBits == len(r.chunks) {
+		r.chunks = append(r.chunks, chunk{})
+	}
+	return &r.chunks[len(r.chunks)-1]
+}
+
+// grow gives the chunk room for n slots, at most a whole chunk.
+func (c *chunk) grow(n int) {
+	grown := make([]slot, len(c.slots), min(n, slotChunk))
+	copy(grown, c.slots)
+	c.slots = grown
+}
+
+// Reserve makes room for n more tuples — slots up to the end of the current
+// chunk, and id-table entries — so a caller that knows how many it is about
+// to insert pays for one allocation of each instead of growth by doubling.
+func (r *Relation) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	if (r.idsUsed+n)*4 >= len(r.ids)*3 {
+		r.rehash(r.live + n)
+	}
+	if c := r.lastChunk(); len(c.slots)+n > cap(c.slots) && cap(c.slots) < slotChunk {
+		c.grow(len(c.slots) + n)
+	}
+}
+
 // appendSlot stores a new live slot at the next position and binds its id.
 func (r *Relation) appendSlot(id TupleID, row []Value) error {
 	if r.next == math.MaxInt32 {
 		return fmt.Errorf("storage: %s is out of slot positions", r.schema.Name)
 	}
-	if r.next&(slotChunk-1) == 0 {
-		r.chunks = append(r.chunks, chunk{})
-	}
-	c := &r.chunks[len(r.chunks)-1]
+	c := r.lastChunk()
 	if len(c.slots) == cap(c.slots) {
-		grown := make([]slot, len(c.slots), min(max(2*cap(c.slots), 8), slotChunk))
-		copy(grown, c.slots)
-		c.slots = grown
+		c.grow(max(2*cap(c.slots), 8))
 	}
 	c.slots = append(c.slots, slot{id: id, row: unsafe.SliceData(row)})
 	r.bind(id, r.next)
@@ -235,12 +262,13 @@ func (r *Relation) validate(vals, old []Value) error {
 	return nil
 }
 
-// insert stores a tuple with the given id.
+// insert stores a tuple with the given id. vals becomes the stored row: the
+// caller must not write it afterwards.
 func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
 	if err := r.validate(vals, nil); err != nil {
 		return 0, err
 	}
-	t := Tuple{ID: id, Values: append([]Value(nil), vals...)}
+	t := Tuple{ID: id, Values: vals}
 	if err := r.appendSlot(id, t.Values); err != nil {
 		return 0, err
 	}
@@ -416,21 +444,43 @@ func (r *Relation) AppendLookup(dst []TupleID, column string, v Value) ([]TupleI
 	return dst, nil
 }
 
+// holds reports whether a live tuple carries v in the named column:
+// AppendLookup's matching (exact through a hash index, Equal by scan) without
+// materializing ids and without its fault site.
+func (r *Relation) holds(column string, v Value) bool {
+	if idx, ok := r.indexes[column]; ok {
+		return idx.has(v)
+	}
+	ci := r.schema.ColumnIndex(column)
+	found := false
+	r.Scan(func(t Tuple) bool {
+		found = t.Values[ci].Equal(v)
+		return !found
+	})
+	return found
+}
+
 // DistinctValues returns the distinct non-NULL values of the named column,
 // sorted by Value.Compare (numerically equal values of different kinds, which
-// Compare ties, order by kind).
+// Compare ties, order by kind). A hash index on the column supplies them from
+// its keys; the tuples are scanned otherwise.
 func (r *Relation) DistinctValues(column string) ([]Value, error) {
 	ci := r.schema.ColumnIndex(column)
 	if ci < 0 {
 		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
 	}
-	vals := make([]Value, 0, r.live)
-	r.Scan(func(t Tuple) bool {
-		if v := t.Values[ci]; !v.IsNull() {
-			vals = append(vals, v)
-		}
-		return true
-	})
+	var vals []Value
+	if idx, ok := r.indexes[column]; ok {
+		vals = idx.appendKeys(make([]Value, 0, idx.Cardinality()))
+	} else {
+		vals = make([]Value, 0, r.live)
+		r.Scan(func(t Tuple) bool {
+			if v := t.Values[ci]; !v.IsNull() {
+				vals = append(vals, v)
+			}
+			return true
+		})
+	}
 	slices.SortFunc(vals, func(a, b Value) int {
 		if c := a.Compare(b); c != 0 {
 			return c
@@ -441,8 +491,9 @@ func (r *Relation) DistinctValues(column string) ([]Value, error) {
 }
 
 // update replaces a tuple's values, revalidating types and key uniqueness
-// and keeping every index current. The new values go into a fresh row; the
-// old row is left as it was for whoever still holds it.
+// and keeping every index current. vals becomes the stored row (the caller
+// must not write it afterwards); the old row is left as it was for whoever
+// still holds it.
 func (r *Relation) update(id TupleID, vals []Value) error {
 	s, _ := r.find(id)
 	if s == nil {
@@ -458,7 +509,7 @@ func (r *Relation) update(id TupleID, vals []Value) error {
 	for _, idx := range r.ordered {
 		idx.remove(old)
 	}
-	updated := Tuple{ID: id, Values: append([]Value(nil), vals...)}
+	updated := Tuple{ID: id, Values: vals}
 	s.row = unsafe.SliceData(updated.Values)
 	for _, idx := range r.indexes {
 		idx.add(updated)

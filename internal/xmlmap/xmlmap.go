@@ -298,7 +298,8 @@ func Shred(r io.Reader) (*Result, error) {
 		inf := infos[n.name]
 		ids[n.name]++
 		id := ids[n.name]
-		vals := []storage.Value{storage.Int(id)}
+		vals := make([]storage.Value, 1, 2+len(colsOf[n.name])) // the stored row: sized once
+		vals[0] = storage.Int(id)
 		if inf.parent != "" {
 			vals = append(vals, storage.Int(parentID))
 		}

@@ -1,0 +1,155 @@
+package precis
+
+// Row ownership (DESIGN.md §7): storage keeps the slice a mutation hands it
+// as the tuple's row and never writes it again; Engine.Insert and
+// Engine.Update copy theirs, so a caller's slice stays the caller's. These
+// tests scribble on every slice a caller still holds and on nothing else,
+// and check that no stored tuple, dirty capture, rollback copy or persisted
+// byte sees it. scripts/ci.sh runs them under -race with the rollback suites.
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"precis/internal/faultinject"
+	"precis/internal/storage"
+)
+
+// scribble overwrites every value of a slice the caller still owns.
+func scribble(vals []storage.Value) {
+	for i := range vals {
+		vals[i] = storage.String("SCRIBBLED")
+	}
+}
+
+func director(did int64, name string) []storage.Value {
+	return []storage.Value{storage.Int(did), storage.String(name), storage.String("Ixelles"), storage.String("1928")}
+}
+
+// TestMutatorsCopyCallerSlice: the caller of Insert and Update may reuse its
+// slice at once; the stored tuple, its postings and a dirty capture taken in
+// between keep the values the call was made with.
+func TestMutatorsCopyCallerSlice(t *testing.T) {
+	eng := newEngine(t)
+	eng.Database().EnableDirtyTracking()
+	rel := eng.Database().Relation("DIRECTOR")
+
+	vals := director(902, "Agnes Varda")
+	id, err := eng.Insert("DIRECTOR", vals...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured := eng.Database().CaptureDirty()
+	scribble(vals)
+	if got, _ := rel.Get(id); !reflect.DeepEqual(got.Values, director(902, "Agnes Varda")) {
+		t.Fatalf("stored tuple follows the caller's slice after Insert: %v", got.Values)
+	}
+
+	upd := director(902, "A. Varda")
+	if err := eng.Update("DIRECTOR", id, upd); err != nil {
+		t.Fatal(err)
+	}
+	recaptured := eng.Database().CaptureDirty()
+	scribble(upd)
+	if got, _ := rel.Get(id); !reflect.DeepEqual(got.Values, director(902, "A. Varda")) {
+		t.Fatalf("stored tuple follows the caller's slice after Update: %v", got.Values)
+	}
+	for _, c := range []struct {
+		set  *storage.DirtySet
+		want []storage.Value
+	}{{captured, director(902, "Agnes Varda")}, {recaptured, director(902, "A. Varda")}} {
+		var got []storage.Value
+		for _, r := range c.set.Relations {
+			for _, tu := range r.Upserts {
+				if r.Name == "DIRECTOR" && tu.ID == id {
+					got = tu.Values
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("dirty capture holds %v, want %v", got, c.want)
+		}
+	}
+	if _, err := eng.QueryString("SCRIBBLED", Options{}); !errors.Is(err, ErrNoMatches) {
+		t.Fatalf("the scribble reached the index: %v", err)
+	}
+	if ans, err := eng.QueryString("Varda", Options{}); err != nil || ans.Database.Relation("DIRECTOR").Len() != 1 {
+		t.Fatalf("the updated tuple is not found under its own name: %v", err)
+	}
+}
+
+// TestRollbackKeepsRowsApart: a failed WAL append reverts the mutation by
+// handing the old row back to storage. The tuple a reader held from before,
+// the resurrected tuple, and every later version of it stay independent, in
+// memory and on disk.
+func TestRollbackKeepsRowsApart(t *testing.T) {
+	dir := t.TempDir()
+	eng := openPersistent(t, dir)
+	defer eng.Close()
+	rel := eng.Database().Relation("DIRECTOR")
+	first := director(902, "Agnes Varda")
+	id, err := eng.Insert("DIRECTOR", first...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(first)
+	held, _ := rel.Get(id)
+	before := dumpDatabase(eng.Database())
+
+	errBoom := errors.New("injected WAL failure")
+	deactivate := faultinject.Activate(faultinject.NewPlan().Set(faultinject.SiteWALAppend, faultinject.Rule{Err: errBoom}))
+	failed := director(902, "Nobody")
+	if err := eng.Update("DIRECTOR", id, failed); !errors.Is(err, errBoom) {
+		t.Fatalf("Update under WAL failure = %v", err)
+	}
+	scribble(failed)
+	if ok, err := eng.Delete("DIRECTOR", id); ok || !errors.Is(err, errBoom) {
+		t.Fatalf("Delete under WAL failure = %v, %v", ok, err)
+	}
+	lost := director(903, "Phantom")
+	if _, err := eng.Insert("DIRECTOR", lost...); !errors.Is(err, errBoom) {
+		t.Fatalf("Insert under WAL failure = %v", err)
+	}
+	scribble(lost)
+	deactivate()
+	if got := dumpDatabase(eng.Database()); got != before {
+		t.Fatalf("rolled-back mutations left state behind:\nwant:\n%s\ngot:\n%s", before, got)
+	}
+
+	// The resurrected tuple moves on; the tuple held since before the
+	// failures, which shares its row, must not.
+	resurrected, _ := rel.Get(id)
+	next := director(902, "A. Varda")
+	if err := eng.Update("DIRECTOR", id, next); err != nil {
+		t.Fatal(err)
+	}
+	scribble(next)
+	for _, old := range []storage.Tuple{held, resurrected} {
+		if !reflect.DeepEqual(old.Values, director(902, "Agnes Varda")) {
+			t.Fatalf("a tuple held across the rollback changed: %v", old.Values)
+		}
+	}
+	if got, _ := rel.Get(id); !reflect.DeepEqual(got.Values, director(902, "A. Varda")) {
+		t.Fatalf("update after the rollback stored %v", got.Values)
+	}
+	if _, err := eng.QueryString("Agnes", Options{}); !errors.Is(err, ErrNoMatches) {
+		t.Fatalf("postings of the replaced row survive: %v", err)
+	}
+
+	// What was logged and what a checkpoint captures are the values of the
+	// calls, not of the slices afterwards.
+	reopened := openPersistent(t, copyDataDir(t, dir))
+	if got, want := dumpDatabase(reopened.Database()), dumpDatabase(eng.Database()); got != want {
+		t.Fatalf("WAL replay differs from memory:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	reopened.Close()
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reopened = openPersistent(t, copyDataDir(t, dir))
+	defer reopened.Close()
+	if got, want := dumpDatabase(reopened.Database()), dumpDatabase(eng.Database()); got != want {
+		t.Fatalf("checkpoint differs from memory:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}

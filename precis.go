@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -450,11 +451,15 @@ func (e *Engine) Profiles() []string {
 // ErrQuorumLost the record is durable on the local WAL — rolling back would
 // diverge memory from what recovery replays — so the real ID is returned
 // with the error and the caller sees both facts.
+//
+// vals is copied: storage keeps the slice it is handed as the tuple's row,
+// and the caller of a public mutator stays free to reuse its own. Insert and
+// Update are the only two copies on the way in.
 func (e *Engine) Insert(relation string, vals ...storage.Value) (storage.TupleID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	id := e.backend.nextID()
-	applied, err := e.commitLocked(wal.Record{Op: wal.OpInsert, Rel: relation, ID: id, Values: vals})
+	applied, err := e.commitLocked(wal.Record{Op: wal.OpInsert, Rel: relation, ID: id, Values: slices.Clone(vals)})
 	if !applied {
 		return 0, err
 	}
@@ -462,10 +467,11 @@ func (e *Engine) Insert(relation string, vals ...storage.Value) (storage.TupleID
 }
 
 // Update replaces a tuple's values and keeps the inverted index current.
+// Like Insert it copies vals.
 func (e *Engine) Update(relation string, id storage.TupleID, vals []storage.Value) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, err := e.commitLocked(wal.Record{Op: wal.OpUpdate, Rel: relation, ID: id, Values: vals})
+	_, err := e.commitLocked(wal.Record{Op: wal.OpUpdate, Rel: relation, ID: id, Values: slices.Clone(vals)})
 	return err
 }
 

@@ -108,6 +108,19 @@
 # dataset under its stated budget, so the bytes the resident-layout rework
 # removed cannot creep back. BenchmarkEngineBuild (internal/invidx) reports
 # the same number as B/tuple and is compiled by the bench smoke below.
+# TestAllocPerDeepAnswer rides in the same step for the same reason: it pins
+# the bytes and the allocations of one deep-shaped answer (w=0.05, card=150,
+# both strategies, default synthetic dataset) through
+# Engine.QueryStringContext, so a second copy of the answer's tuples — a
+# copying insert, a per-narrative join index, a tuple-reading cursor probe —
+# fails here; BenchmarkGenerateDeep / BenchmarkNarrativeDeep report B/op for
+# the two stages it is made of.
+#
+# The ownership tests (ownership_test.go: a caller's slice scribbled after
+# Engine.Insert/Update, tuples held across a WAL-failure rollback) ride in
+# the whole-repository -race pass with the rollback suites; the
+# generator-oracle step also runs the index-only probe's plan tests and
+# TestRoundRobinProbeIsIndexOnly.
 #
 # The bench smoke step compiles and runs every benchmark exactly once
 # (-benchtime=1x) with no tests (-run=NONE). It does not measure anything;
@@ -191,14 +204,14 @@ go test -race -count=1 -timeout=10m -run 'TestSharded' .
 go test -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
-go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestQueriesCounts' ./internal/core
-go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
+go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeIsIndexOnly|TestQueriesCounts' ./internal/core
+go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestIndexOnlyPlan|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
 
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
 go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
 
-echo "== layout pins (no -race: value and slot sizes, live bytes per tuple)"
-go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize' . ./internal/storage
+echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep answer)"
+go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer' . ./internal/storage
 
 echo "== fuzz smoke (10s per durability target)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
