@@ -145,7 +145,13 @@ func TestNarrativeMatchesReference(t *testing.T) {
 //     wins, and a publisher whose city is NULL shadows the author's city with
 //     an empty list rather than letting it show through;
 //   - REVIEW is in G′ but not in the database; TAG has neither sentence nor
-//     label, so the fallback clauses render.
+//     label, so the fallback clauses render;
+//   - NOTE keeps the columns its templates read at positions 12 to 14, past
+//     the per-frame count cache. Salt's only note is all NULL: its label
+//     renders to white space in the middle of Ada Moss's paragraph, and as
+//     the first seed its sentence renders an empty first paragraph. Brine's
+//     notes have a NULL text between two others (@TEXT[$i$] skips it) and
+//     integer pages read through upper() and lower().
 //
 // indexed gives every join column of G′ the hash index a generated result
 // database carries; without it only the keyed columns have one and the joins
@@ -160,6 +166,16 @@ func handBuiltResult(t *testing.T, indexed bool) (*core.ResultDatabase, []invidx
 	db.MustCreateRelation(storage.MustSchema("BOOK", "bid", num("bid"), str("title"), num("pid"), num("year")))
 	db.MustCreateRelation(storage.MustSchema("PUBLISHER", "pid", num("pid"), str("name"), str("city")))
 	db.MustCreateRelation(storage.MustSchema("TAG", "", num("bid"), str("tag")))
+	noteCols := []storage.Column{num("bid")}
+	for i := 1; i <= 11; i++ {
+		noteCols = append(noteCols, num(fmt.Sprintf("filler%d", i)))
+	}
+	db.MustCreateRelation(storage.MustSchema("NOTE", "", append(noteCols, str("text"), num("page"), str("blank"))...))
+	note := func(bid int64, text, page storage.Value) []storage.Value {
+		vals := make([]storage.Value, 15)
+		vals[0], vals[12], vals[13] = storage.Int(bid), text, page
+		return vals
+	}
 	null := storage.Null
 	rows := []struct {
 		rel  string
@@ -184,6 +200,10 @@ func handBuiltResult(t *testing.T, indexed bool) (*core.ResultDatabase, []invidx
 		{"TAG", 42, []storage.Value{storage.Int(1), storage.String("essays")}},
 		{"TAG", 43, []storage.Value{storage.Int(2), null}},
 		{"TAG", 44, []storage.Value{null, storage.String("ghost")}},
+		{"NOTE", 51, note(1, null, null)},
+		{"NOTE", 52, note(2, storage.String("first"), storage.Int(7))},
+		{"NOTE", 53, note(2, null, storage.Int(8))},
+		{"NOTE", 54, note(2, storage.String("Third"), null)},
 	}
 	for _, row := range rows {
 		if err := db.InsertWithID(row.rel, row.id, row.vals...); err != nil {
@@ -192,7 +212,7 @@ func handBuiltResult(t *testing.T, indexed bool) (*core.ResultDatabase, []invidx
 	}
 
 	g := schemagraph.New()
-	for _, rel := range []string{"AUTHOR", "WROTE", "BOOK", "PUBLISHER", "TAG", "REVIEW"} {
+	for _, rel := range []string{"AUTHOR", "WROTE", "BOOK", "PUBLISHER", "TAG", "REVIEW", "NOTE"} {
 		g.AddRelation(rel)
 	}
 	must := func(err error) {
@@ -221,9 +241,11 @@ func handBuiltResult(t *testing.T, indexed bool) (*core.ResultDatabase, []invidx
 	join("BOOK", "PUBLISHER", "pid", 0.8,
 		`@TITLE + " (" + @YEAR + ") came out at " + upper(@NAME) + " in " + arityOf(@CITY) + " city " + @CITY + "."`)
 	join("BOOK", "TAG", "bid", 0.8, "")
+	join("BOOK", "NOTE", "bid", 0.85, `" " + @BLANK + "`+"\t\u00a0"+`" + NOTES`) // a tab and a no-break space
 	join("WROTE", "TAG", "bid", 0.5, "")
 	join("BOOK", "REVIEW", "bid", 0.7, `"Reviews: " + @STARS`)
 	g.Relation("AUTHOR").Sentence = `@NAME [i=arityOf(@CITY)] {" lives in " + @CITY} "."`
+	g.Relation("NOTE").Sentence = `@BLANK + " " + @TEXT`
 	if indexed {
 		for _, e := range g.JoinEdges() {
 			if rel := db.Relation(e.To); rel != nil {
@@ -236,6 +258,7 @@ func handBuiltResult(t *testing.T, indexed bool) (*core.ResultDatabase, []invidx
 
 	rd := &core.ResultDatabase{DB: db, Schema: &core.ResultSchema{Graph: g}}
 	occs := []invidx.Occurrence{
+		{Relation: "NOTE", Attribute: "text", TupleIDs: []storage.TupleID{51}},
 		{Relation: "AUTHOR", Attribute: "name", TupleIDs: []storage.TupleID{1, 2}},
 		{Relation: "BOOK", Attribute: "title", TupleIDs: []storage.TupleID{11, 14}},
 		{Relation: "WROTE", Attribute: "aid", TupleIDs: []storage.TupleID{22}},
@@ -244,12 +267,18 @@ func handBuiltResult(t *testing.T, indexed bool) (*core.ResultDatabase, []invidx
 	return rd, occs
 }
 
-// handBuiltRenderer defines the macro handBuiltResult's labels use.
+// handBuiltRenderer defines the macros handBuiltResult's labels use.
 func handBuiltRenderer(t *testing.T) *Renderer {
 	t.Helper()
 	r := NewRenderer()
-	if err := r.DefineMacro(`DEFINE TITLES as [i<arityOf(@TITLE)] {@TITLE[$i$] + ", "} [i=arityOf(@TITLE)] {@TITLE[$i$] + "."}`); err != nil {
-		t.Fatal(err)
+	for _, def := range []string{
+		`DEFINE TITLES as [i<arityOf(@TITLE)] {@TITLE[$i$] + ", "} [i=arityOf(@TITLE)] {@TITLE[$i$] + "."}`,
+		`DEFINE NOTES as [i<arityOf(@TEXT)] {@TEXT[$i$] + " p." + lower(@PAGE[$i$]) + "; "}
+			[i=arityOf(@TEXT)] {upper(@TEXT[$i$]) + " pp." + upper(@PAGE) + "."}`,
+	} {
+		if err := r.DefineMacro(def); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return r
 }
@@ -279,10 +308,20 @@ func TestNarrativeMatchesReferenceHandBuilt(t *testing.T) {
 		"Brine (2002) came out at MOLE & PIER in 1 city Bergen.",
 		// fallback join clause
 		"The tag of Salt: sea, essays.",
+		// Salt's note renders white space only: the clause goes, and its separator with it
+		"Ada Moss of Oslo wrote Salt, Tides, Kelp. Salt (2001) came out",
+		// columns 12 and 13: the NULL text is skipped, not indexed; integers
+		// go through lower() and upper()
+		"wrote Brine. first p.7; THIRD pp.7, 8. Brine (2002) came out",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("narrative missing %q\n%s", frag, out)
 		}
+	}
+	// The first seed (note 51) renders an empty paragraph: no blank line
+	// leads the narrative.
+	if !strings.HasPrefix(out, "Ada Moss lives in Oslo.") {
+		t.Errorf("narrative starts %q", out[:min(len(out), 40)])
 	}
 	// A NULL publisher joins nothing (the index keeps NULL keys: the walk
 	// must not probe them), and neither does a dangling one.

@@ -1,11 +1,13 @@
 package nlg
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unicode"
 
 	"precis/internal/core"
 	"precis/internal/invidx"
@@ -71,13 +73,25 @@ func (r *Renderer) DefineMacro(def string) error {
 // trimmed rather than rendered half-empty — and a truncation note naming
 // the exhausted budget dimension is appended as a final paragraph.
 func (r *Renderer) Narrative(rd *core.ResultDatabase, occs []invidx.Occurrence) (string, error) {
-	n := &narration{r: r, rd: rd, rels: map[string]*relInfo{}}
+	p := bufPool.Get().(*[]byte)
+	n := &narration{r: r, rd: rd, rels: map[string]*relInfo{}, buf: (*p)[:0], maxClauses: r.maxClauses()}
+	err := n.narrate(occs)
+	out := ""
+	if err == nil {
+		out = string(n.buf)
+	}
+	putBuf(p, n.buf)
+	return out, err
+}
+
+// narrate appends the paragraphs of every occurrence, then the truncation
+// note, to n.buf.
+func (n *narration) narrate(occs []invidx.Occurrence) error {
 	type seed struct {
 		rel string
 		id  storage.TupleID
 	}
 	narrated := map[seed]bool{}
-	var paragraphs []string
 	for _, occ := range occs {
 		ri := n.rel(occ.Relation)
 		if ri.rel == nil {
@@ -89,19 +103,20 @@ func (r *Renderer) Narrative(rd *core.ResultDatabase, occs []invidx.Occurrence) 
 				continue // cut by the cardinality constraint or budget, or already told
 			}
 			narrated[seed{occ.Relation, id}] = true
-			p, err := n.paragraph(ri, t)
-			if err != nil {
-				return "", err
+			if err := n.paragraph(ri, t); err != nil {
+				return err
 			}
-			if p != "" {
-				paragraphs = append(paragraphs, p)
+			if n.clauses > 0 {
+				n.paragraphs++
 			}
 		}
 	}
-	if note := truncationNote(rd.Truncation); note != "" {
-		paragraphs = append(paragraphs, note)
+	if note := truncationNote(n.rd.Truncation); note != "" {
+		n.clauses = 0
+		n.buf = append(n.buf, n.separator()...)
+		n.buf = append(n.buf, note...)
 	}
-	return strings.Join(paragraphs, "\n\n"), nil
+	return nil
 }
 
 // truncationNote phrases a budget cut for the reader; empty for complete
@@ -136,11 +151,73 @@ func (r *Renderer) maxClauses() int {
 // shared Renderer stays stateless. Joins probe the hash indexes the result
 // database already carries on the join columns of G′, so the walk is linear
 // in the result database.
+//
+// The narrative is written front to back into buf (a pooled scratch buffer
+// Narrative copies out of once): a clause is rendered at its end, trimmed in
+// place, and dropped together with its separator when nothing is left.
 type narration struct {
 	r    *Renderer
 	rd   *core.ResultDatabase
 	rels map[string]*relInfo
-	ids  []storage.TupleID // joinTuples' probe buffer, reused across calls
+
+	buf        []byte
+	paragraphs int // non-empty paragraphs finished so far
+	clauses    int // clauses kept in the paragraph being written
+	maxClauses int // a paragraph stops growing here
+
+	ids    []storage.TupleID // joinTuples' probe buffer, reused across calls
+	tuples []storage.Tuple   // stack of tuple groups; one is dead when the loop iteration that joined it ends
+	frames []*frame          // stack of binding frames, reused the same way
+	used   int               // frames[:used] are live
+}
+
+// separator is what goes before the next clause: nothing at the very start,
+// a blank line before a paragraph's first clause, a space otherwise.
+func (n *narration) separator() string {
+	switch {
+	case n.clauses > 0:
+		return " "
+	case n.paragraphs > 0:
+		return "\n\n"
+	default:
+		return ""
+	}
+}
+
+// beginClause appends the separator of the next clause and returns where
+// the separator and the clause start, for endClause.
+func (n *narration) beginClause() (mark, start int) {
+	mark = len(n.buf)
+	n.buf = append(n.buf, n.separator()...)
+	return mark, len(n.buf)
+}
+
+// endClause trims the white space around the clause rendered since
+// beginClause (in place, as strings.TrimSpace would) and counts it; an empty
+// clause goes uncounted, and its separator with it.
+func (n *narration) endClause(mark, start int) {
+	clause := bytes.TrimRightFunc(n.buf[start:], unicode.IsSpace)
+	trimmed := bytes.TrimLeftFunc(clause, unicode.IsSpace)
+	if len(trimmed) == 0 {
+		n.buf = n.buf[:mark]
+		return
+	}
+	if len(trimmed) < len(clause) {
+		copy(clause, trimmed)
+	}
+	n.buf = n.buf[:start+len(trimmed)]
+	n.clauses++
+}
+
+// bind pushes a frame binding rel's columns to group below parent.
+func (n *narration) bind(parent *frame, rel *relInfo, group []storage.Tuple) *frame {
+	if n.used == len(n.frames) {
+		n.frames = append(n.frames, new(frame))
+	}
+	f := n.frames[n.used]
+	n.used++
+	*f = frame{parent: parent, rel: rel, group: group}
+	return f
 }
 
 // relInfo is what the walk needs to know about one relation of G′.
@@ -180,79 +257,110 @@ func (n *narration) rel(name string) *relInfo {
 // frame binds the columns of one relation to a group of its tuples; a chain
 // of frames is the rendering context of a clause. @ATTR resolves to the
 // newest frame whose relation has that column — an all-NULL group shadows an
-// older binding with an empty list — and a column's value list is
-// materialised only when a template reads it.
+// older binding with an empty list — and its values are appended straight
+// from the group's tuples, NULLs skipped.
 type frame struct {
 	parent *frame
 	rel    *relInfo
 	group  []storage.Tuple
-	cols   [][]string // value lists read so far, by column position
+	// counts[ci] is one more than the number of non-NULL values of column ci
+	// in group, 0 while nobody asked. A column past the array is counted on
+	// every read.
+	counts [12]int32
 }
 
-func (f *frame) values(name string) []string {
+// column resolves an attribute name to the frame that binds it and the
+// column's position there; nil when no frame of the chain has it.
+func (f *frame) column(name string) (*frame, int) {
 	for ; f != nil; f = f.parent {
-		ci, ok := f.rel.cols[name]
-		if !ok {
-			continue
+		if ci, ok := f.rel.cols[name]; ok {
+			return f, ci
 		}
-		if f.cols == nil {
-			f.cols = make([][]string, len(f.rel.rel.Schema().Columns))
-		}
-		if f.cols[ci] == nil {
-			vals := make([]string, 0, len(f.group))
-			for _, t := range f.group {
-				if v := t.Values[ci]; !v.IsNull() {
-					vals = append(vals, v.String())
-				}
-			}
-			f.cols[ci] = vals
-		}
-		return f.cols[ci]
 	}
-	return nil
+	return nil, 0
 }
 
-// paragraph renders the clauses for one seed tuple.
-func (n *narration) paragraph(ri *relInfo, seed storage.Tuple) (string, error) {
-	var clauses []string
+// count is the number of non-NULL values of column ci in the group.
+func (f *frame) count(ci int) int {
+	if ci < len(f.counts) && f.counts[ci] > 0 {
+		return int(f.counts[ci] - 1)
+	}
+	c := 0
+	for _, t := range f.group {
+		if !t.Values[ci].IsNull() {
+			c++
+		}
+	}
+	if ci < len(f.counts) {
+		f.counts[ci] = int32(c + 1)
+	}
+	return c
+}
+
+func (f *frame) arity(name string) int {
+	b, ci := f.column(name)
+	if b == nil {
+		return 0
+	}
+	return b.count(ci)
+}
+
+func (f *frame) appendValue(dst []byte, name string, i int) []byte {
+	b, ci := f.column(name)
+	if b.count(ci) < len(b.group) {
+		// NULLs in the column: the i-th value that is not one.
+		for k, t := range b.group {
+			if t.Values[ci].IsNull() {
+				continue
+			}
+			if i == 0 {
+				i = k
+				break
+			}
+			i--
+		}
+	}
+	return b.group[i].Values[ci].AppendText(dst)
+}
+
+// paragraph renders the clauses for one seed tuple; n.clauses counts the ones
+// it kept.
+func (n *narration) paragraph(ri *relInfo, seed storage.Tuple) error {
+	n.clauses = 0
+	n.tuples = append(n.tuples[:0], seed)
+	group := n.tuples
+	n.used = 0 // both stacks start over: the last paragraph is finished
 
 	// Clause 1: the relation's own sentence, heading attribute first.
-	group := []storage.Tuple{seed}
-	sentence := ""
+	mark, start := n.beginClause()
 	if ri.node != nil && ri.node.Sentence != "" {
 		t, err := n.r.parse(ri.node.Sentence)
 		if err != nil {
-			return "", fmt.Errorf("nlg: sentence template of %s: %w", ri.name, err)
+			return fmt.Errorf("nlg: sentence template of %s: %w", ri.name, err)
 		}
-		sentence, err = t.render(&frame{rel: ri, group: group}, n.r.Macros)
+		n.buf, err = t.appendTo(n.buf, n.bind(nil, ri, group), n.r.Macros)
 		if err != nil {
-			return "", err
+			return err
 		}
 	} else {
-		sentence = n.r.defaultSentence(n.rd, ri.name, seed)
+		n.buf = append(n.buf, n.r.defaultSentence(n.rd, ri.name, seed)...)
 	}
-	if s := strings.TrimSpace(sentence); s != "" {
-		clauses = append(clauses, s)
-	}
+	n.endClause(mark, start)
 
 	// No outer subject: expand binds the seed as the group of its relation.
 	ri.onPath = true
-	sub, err := n.expand(ri, group, nil, n.r.maxClauses()-len(clauses))
+	err := n.expand(ri, group, nil)
 	ri.onPath = false
-	if err != nil {
-		return "", err
-	}
-	clauses = append(clauses, sub...)
-	return strings.Join(clauses, " "), nil
+	return err
 }
 
 // expand walks the join edges of the result schema from rel, composing
 // clauses that combine information from joined relations (§5.3: "each of
 // these clauses has as subject the heading attribute of the relation that
-// has the primary key").
-func (n *narration) expand(from *relInfo, anchors []storage.Tuple, subject *frame, budget int) ([]string, error) {
-	if budget <= 0 || len(anchors) == 0 || from.node == nil {
-		return nil, nil
+// has the primary key"). It stops when the paragraph has maxClauses clauses.
+func (n *narration) expand(from *relInfo, anchors []storage.Tuple, subject *frame) error {
+	if n.clauses >= n.maxClauses || len(anchors) == 0 || from.node == nil {
+		return nil
 	}
 	// One group per anchor tuple when this relation has a heading, so each
 	// subject keeps its own clauses; else all anchors form one group.
@@ -260,7 +368,6 @@ func (n *narration) expand(from *relInfo, anchors []storage.Tuple, subject *fram
 	if from.node.Heading != "" {
 		step = 1
 	}
-	var clauses []string
 	for _, e := range from.edges {
 		to := n.rel(e.To)
 		if to.onPath {
@@ -271,51 +378,52 @@ func (n *narration) expand(from *relInfo, anchors []storage.Tuple, subject *fram
 		// current group stays the subject on the far side.
 		through := to.node != nil && to.node.Heading == "" && e.Label == ""
 		to.onPath = true
-		for i := 0; i < len(anchors) && budget > 0; i += step {
+		for i := 0; i < len(anchors) && n.clauses < n.maxClauses; i += step {
 			group := anchors[i : i+step]
+			// The joined tuples and the frames of this iteration are dead
+			// when it ends: both stacks are cut back to here.
+			tuples, frames := len(n.tuples), n.used
 			joined, err := n.joinTuples(from, to, e, group)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if len(joined) == 0 {
 				continue
 			}
-			bound := &frame{parent: subject, rel: from, group: group}
+			bound := n.bind(subject, from, group)
 			if !through {
-				clause, err := n.joinClause(e, group, joined, &frame{parent: bound, rel: to, group: joined})
-				if err != nil {
-					return nil, err
+				mark, start := n.beginClause()
+				if err := n.joinClause(e, group, joined, bound, to); err != nil {
+					return err
 				}
-				if c := strings.TrimSpace(clause); c != "" {
-					clauses = append(clauses, c)
-					budget--
-				}
+				n.endClause(mark, start)
 			}
 			// Recurse with the joined tuples as anchors; the subject for
 			// deeper clauses is the current group's bindings.
-			sub, err := n.expand(to, joined, bound, budget)
-			if err != nil {
-				return nil, err
+			if err := n.expand(to, joined, bound); err != nil {
+				return err
 			}
-			clauses = append(clauses, sub...)
-			budget -= len(sub)
+			n.tuples, n.used = n.tuples[:tuples], frames
 		}
 		to.onPath = false
 	}
-	return clauses, nil
+	return nil
 }
 
-// joinClause renders the clause of edge e for one group and its joined
-// tuples: the annotated label against ctx, or the generic fallback.
-func (n *narration) joinClause(e *schemagraph.JoinEdge, group, joined []storage.Tuple, ctx *frame) (string, error) {
+// joinClause appends the clause of edge e for one group and its joined
+// tuples: the annotated label against the joined tuples bound below the
+// group's frame, or the generic fallback.
+func (n *narration) joinClause(e *schemagraph.JoinEdge, group, joined []storage.Tuple, bound *frame, to *relInfo) error {
 	if e.Label == "" {
-		return n.r.defaultJoinClause(n.rd, e.From, e.To, group, joined), nil
+		n.buf = append(n.buf, n.r.defaultJoinClause(n.rd, e.From, e.To, group, joined)...)
+		return nil
 	}
 	t, err := n.r.parse(e.Label)
 	if err != nil {
-		return "", fmt.Errorf("nlg: label of %s: %w", e.Key(), err)
+		return fmt.Errorf("nlg: label of %s: %w", e.Key(), err)
 	}
-	return t.render(ctx, n.r.Macros)
+	n.buf, err = t.appendTo(n.buf, n.bind(bound, to, joined), n.r.Macros)
+	return err
 }
 
 // joinTuples returns the tuples of e.To in the result database joining any
@@ -352,16 +460,16 @@ func (n *narration) joinTuples(from, to *relInfo, e *schemagraph.JoinEdge, ancho
 		ids = slices.Compact(ids)
 	}
 	n.ids = ids
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	out := make([]storage.Tuple, 0, len(ids))
+	// The group goes on top of the tuple stack; expand pops it. A grown
+	// stack moves to a new array and the groups below stay readable in the
+	// old one.
+	start := len(n.tuples)
 	for _, id := range ids {
 		if t, ok := to.rel.Get(id); ok {
-			out = append(out, t)
+			n.tuples = append(n.tuples, t)
 		}
 	}
-	return out, nil
+	return n.tuples[start:], nil
 }
 
 // defaultSentence renders a fallback clause for a relation without an

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Context binds attribute names (upper-cased) to their value lists for one
@@ -35,12 +36,20 @@ func (c Context) Bind(attr string, values []string) {
 	c[strings.ToUpper(attr)] = values
 }
 
-// values resolves an upper-cased attribute name to its value list (nil when
-// unbound). Templates evaluate against it, so a Context and the translator's
-// lazy binding frames render identically.
-type values interface{ values(name string) []string }
+// values is what a template evaluates against. arity is the number of values
+// bound to an upper-cased attribute name (0 when unbound); appendValue appends
+// the i-th of them (0-based, i < arity) to dst. A Context and the translator's
+// binding frames both implement it, so they render identically.
+type values interface {
+	arity(name string) int
+	appendValue(dst []byte, name string, i int) []byte
+}
 
-func (c Context) values(name string) []string { return c[name] }
+func (c Context) arity(name string) int { return len(c[name]) }
+
+func (c Context) appendValue(dst []byte, name string, i int) []byte {
+	return append(dst, c[name][i]...)
+}
 
 // Macros is a registry of named templates usable inside expressions.
 type Macros map[string]*Template
@@ -370,19 +379,19 @@ func (p *tparser) term() (exprNode, error) {
 	case c == '"' || c == '\'':
 		quote := c
 		p.i++
-		var b strings.Builder
+		var b []byte
 		for p.i < len(p.src) && p.src[p.i] != quote {
 			if p.src[p.i] == '\\' && p.i+1 < len(p.src) {
 				p.i++
 			}
-			b.WriteByte(p.src[p.i])
+			b = append(b, p.src[p.i])
 			p.i++
 		}
 		if p.i >= len(p.src) {
 			return nil, fmt.Errorf("nlg: unterminated string literal")
 		}
 		p.i++
-		return litNode{text: b.String()}, nil
+		return litNode{text: string(b)}, nil
 
 	case c == '@':
 		name, err := p.attrName()
@@ -450,94 +459,154 @@ func (p *tparser) term() (exprNode, error) {
 	}
 }
 
-// Render evaluates the template against ctx with the given macro registry.
-func (t *Template) Render(ctx Context, macros Macros) (string, error) {
-	return t.render(ctx, macros)
+// maxPooledBuf is the largest scratch buffer the pool keeps; a bigger one is
+// left to the collector, so one huge narrative cannot pin its memory.
+const maxPooledBuf = 1 << 20
+
+// bufPool holds the scratch buffers narratives and templates are rendered
+// into before the text is copied out as a string.
+var bufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// putBuf returns a scratch buffer, grown to b by its user, to the pool.
+func putBuf(p *[]byte, b []byte) {
+	if cap(b) > maxPooledBuf {
+		return
+	}
+	*p = b[:0]
+	bufPool.Put(p)
 }
 
-func (t *Template) render(ctx values, macros Macros) (string, error) {
-	var b strings.Builder
+// Render evaluates the template against ctx with the given macro registry.
+func (t *Template) Render(ctx Context, macros Macros) (string, error) {
+	p := bufPool.Get().(*[]byte)
+	buf, err := t.appendTo((*p)[:0], ctx, macros)
+	out := ""
+	if err == nil {
+		out = string(buf)
+	}
+	putBuf(p, buf)
+	return out, err
+}
+
+// appendTo appends the rendering of the template against ctx to dst. It
+// returns the buffer on an error too (with a partial rendering at its end),
+// so the caller keeps whatever it grew to.
+func (t *Template) appendTo(dst []byte, ctx values, macros Macros) ([]byte, error) {
+	var err error
 	for _, s := range t.sections {
-		if err := renderSection(&b, s, ctx, macros, 0); err != nil {
-			return "", err
+		if dst, err = renderSection(dst, s, ctx, macros, 0); err != nil {
+			break
 		}
 	}
-	return b.String(), nil
+	return dst, err
 }
 
 const maxMacroDepth = 16
 
-func renderSection(b *strings.Builder, s section, ctx values, macros Macros, depth int) error {
+func renderSection(dst []byte, s section, ctx values, macros Macros, depth int) ([]byte, error) {
 	if s.guard == nil {
-		return renderBody(b, s.body, ctx, macros, 0, depth)
+		return renderBody(dst, s.body, ctx, macros, 0, depth)
 	}
-	arity := len(ctx.values(s.guard.attr))
+	arity := ctx.arity(s.guard.attr)
+	var err error
 	switch s.guard.op {
 	case guardLess:
-		for i := 1; i < arity; i++ {
-			if err := renderBody(b, s.body, ctx, macros, i, depth); err != nil {
-				return err
-			}
+		for i := 1; i < arity && err == nil; i++ {
+			dst, err = renderBody(dst, s.body, ctx, macros, i, depth)
 		}
 	case guardEq:
 		if arity >= 1 {
-			if err := renderBody(b, s.body, ctx, macros, arity, depth); err != nil {
-				return err
-			}
+			dst, err = renderBody(dst, s.body, ctx, macros, arity, depth)
 		}
 	}
-	return nil
+	return dst, err
 }
 
 // renderBody evaluates a concatenation with loop index i (1-based; 0 means
 // "no index in scope").
-func renderBody(b *strings.Builder, body []exprNode, ctx values, macros Macros, i int, depth int) error {
+func renderBody(dst []byte, body []exprNode, ctx values, macros Macros, i int, depth int) ([]byte, error) {
 	if depth > maxMacroDepth {
-		return fmt.Errorf("nlg: macro recursion deeper than %d", maxMacroDepth)
+		return dst, fmt.Errorf("nlg: macro recursion deeper than %d", maxMacroDepth)
 	}
 	for _, n := range body {
 		switch n := n.(type) {
 		case litNode:
-			b.WriteString(n.text)
+			dst = append(dst, n.text...)
 		case attrNode:
-			vals := ctx.values(n.name)
-			switch {
-			case n.indexed:
-				if i < 1 {
-					return fmt.Errorf("nlg: @%s[$i$] used outside a loop section", n.name)
-				}
-				if i <= len(vals) {
-					b.WriteString(vals[i-1])
-				}
-			case len(vals) == 1:
-				b.WriteString(vals[0])
-			case len(vals) > 1:
-				b.WriteString(strings.Join(vals, ", "))
+			var err error
+			if dst, err = appendAttr(dst, n, ctx, i); err != nil {
+				return dst, err
 			}
 		case macroNode:
 			m, ok := macros[n.name]
 			if !ok {
-				return fmt.Errorf("nlg: unknown macro %s", n.name)
+				return dst, fmt.Errorf("nlg: unknown macro %s", n.name)
 			}
 			for _, ms := range m.sections {
-				if err := renderSection(b, ms, ctx, macros, depth+1); err != nil {
-					return err
+				var err error
+				if dst, err = renderSection(dst, ms, ctx, macros, depth+1); err != nil {
+					return dst, err
 				}
 			}
 		case arityNode:
-			b.WriteString(strconv.Itoa(len(ctx.values(n.attr))))
+			dst = strconv.AppendInt(dst, int64(ctx.arity(n.attr)), 10)
 		case funcNode:
-			var inner strings.Builder
-			if err := renderBody(&inner, []exprNode{n.attr}, ctx, macros, i, depth); err != nil {
-				return err
+			start := len(dst)
+			var err error
+			if dst, err = appendAttr(dst, n.attr, ctx, i); err != nil {
+				return dst, err
 			}
-			switch n.fn {
-			case "upper":
-				b.WriteString(strings.ToUpper(inner.String()))
-			case "lower":
-				b.WriteString(strings.ToLower(inner.String()))
-			}
+			dst = changeCase(dst, start, n.fn == "upper")
 		}
 	}
-	return nil
+	return dst, nil
+}
+
+// appendAttr appends @ATTR (every value, comma-separated) or @ATTR[$i$] (the
+// i-th value, nothing when the list is shorter).
+func appendAttr(dst []byte, n attrNode, ctx values, i int) ([]byte, error) {
+	arity := ctx.arity(n.name)
+	if n.indexed {
+		if i < 1 {
+			return dst, fmt.Errorf("nlg: @%s[$i$] used outside a loop section", n.name)
+		}
+		if i <= arity {
+			dst = ctx.appendValue(dst, n.name, i-1)
+		}
+		return dst, nil
+	}
+	for k := 0; k < arity; k++ {
+		if k > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = ctx.appendValue(dst, n.name, k)
+	}
+	return dst, nil
+}
+
+// changeCase upper- or lower-cases dst[start:] as strings.ToUpper/ToLower
+// would: ASCII in place, anything else (a case mapping may change a rune's
+// encoded length) through those functions.
+func changeCase(dst []byte, start int, upper bool) []byte {
+	tail := dst[start:]
+	for _, c := range tail {
+		if c >= 0x80 {
+			if upper {
+				return append(dst[:start], strings.ToUpper(string(tail))...)
+			}
+			return append(dst[:start], strings.ToLower(string(tail))...)
+		}
+	}
+	for k, c := range tail {
+		switch {
+		case upper && 'a' <= c && c <= 'z':
+			tail[k] = c - ('a' - 'A')
+		case !upper && 'A' <= c && c <= 'Z':
+			tail[k] = c + ('a' - 'A')
+		}
+	}
+	return dst
 }

@@ -115,25 +115,34 @@ func (v Value) AsString() string { return v.s }
 // AsBool returns the boolean payload. It is valid only when Kind is KindBool.
 func (v Value) AsBool() bool { return v.n != 0 }
 
-// String renders the value for display; strings are returned verbatim.
-func (v Value) String() string {
+// AppendText appends the display form of v to dst — a string verbatim, NULL
+// as "NULL" — and returns the extended slice. It is the one formatter:
+// String, SQL and every renderer that writes into a buffer go through it, so
+// narrative, JSON and SQL text cannot drift apart.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KindInt:
-		return strconv.FormatInt(v.AsInt(), 10)
+		return strconv.AppendInt(dst, v.AsInt(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return append(dst, v.s...)
 	case KindBool:
-		if v.n != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.n != 0)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
+}
+
+// String renders the value for display; strings are returned verbatim.
+func (v Value) String() string {
+	if v.kind == KindString {
+		return v.s
+	}
+	var buf [32]byte // the longest number: 24 bytes of -1.7976931348623157e+308
+	return string(v.AppendText(buf[:0]))
 }
 
 // SQL renders the value as a SQL literal (strings quoted and escaped).

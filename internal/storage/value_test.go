@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -109,6 +110,54 @@ func TestValueComparable(t *testing.T) {
 	m[Int(1)] = 3
 	if len(m) != 2 || m[String("x")] != 2 {
 		t.Errorf("value as map key misbehaved: %v", m)
+	}
+}
+
+// TestValueAppendText: AppendText is the one formatter. Every kind renders as
+// it always did (strconv's shortest 'g' form for floats, -0 stored as 0, one
+// NaN), it appends after what dst holds, and String and SQL say the same.
+func TestValueAppendText(t *testing.T) {
+	cases := []struct {
+		v    Value
+		text string
+	}{
+		{Null, "NULL"},
+		{Value{kind: 99}, "?"},
+		{Int(0), "0"},
+		{Int(7), "7"},
+		{Int(-42), "-42"},
+		{Int(math.MaxInt64), "9223372036854775807"},
+		{Int(math.MinInt64), "-9223372036854775808"},
+		{Float(0), "0"},
+		{Float(math.Copysign(0, -1)), "0"},
+		{Float(2.5), "2.5"},
+		{Float(-1.0 / 3), "-0.3333333333333333"},
+		{Float(1e20), "1e+20"},
+		{Float(1e21), "1e+21"},
+		{Float(123456789), "1.23456789e+08"},
+		{Float(-math.MaxFloat64), "-1.7976931348623157e+308"},
+		{Float(math.SmallestNonzeroFloat64), "5e-324"},
+		{Float(math.NaN()), "NaN"},
+		{Float(math.Inf(1)), "+Inf"},
+		{Float(math.Inf(-1)), "-Inf"},
+		{String(""), ""},
+		{String("it's <verbatim> \x00"), "it's <verbatim> \x00"},
+		{Bool(true), "true"},
+		{Bool(false), "false"},
+	}
+	for _, c := range cases {
+		if got := string(c.v.AppendText(nil)); got != c.text {
+			t.Errorf("%v %#v: AppendText = %q, want %q", c.v.Kind(), c.v, got, c.text)
+		}
+		if got := string(c.v.AppendText([]byte("kept "))); got != "kept "+c.text {
+			t.Errorf("%v: appended %q", c.v.Kind(), got)
+		}
+		if got := c.v.String(); got != c.text {
+			t.Errorf("%v: String() = %q, AppendText %q", c.v.Kind(), got, c.text)
+		}
+		if c.v.Kind() != KindString && c.v.SQL() != c.text {
+			t.Errorf("%v: SQL() = %q, AppendText %q", c.v.Kind(), c.v.SQL(), c.text)
+		}
 	}
 }
 

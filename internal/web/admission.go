@@ -18,6 +18,7 @@ const (
 	MetricHTTPInternal = "precis_http_internal_errors_total"
 	MetricHTTPTimeout  = "precis_http_timeouts_total"
 	MetricHTTPSlow     = "precis_http_slow_queries_total"
+	MetricHTTPBytes    = "precis_http_response_bytes_total"
 )
 
 // admission is the server's load-shedding gate: a semaphore of max
@@ -43,6 +44,7 @@ type admission struct {
 	internal *obs.Counter // total ErrInternal failures
 	timedOut *obs.Counter // total per-request deadline expiries
 	slow     *obs.Counter // total queries over the slow-query threshold
+	bytes    *obs.Counter // total bytes of search response bodies (API and HTML, answers and errors)
 }
 
 // newAdmission sizes the gate; maxInFlight <= 0 disables admission control
@@ -67,6 +69,7 @@ func newAdmission(maxInFlight, queueDepth int, reg *obs.Registry) *admission {
 		reg.Help(MetricHTTPInternal, "searches failed with an internal error")
 		reg.Help(MetricHTTPTimeout, "searches canceled by the per-request timeout")
 		reg.Help(MetricHTTPSlow, "searches slower than the slow-query threshold")
+		reg.Help(MetricHTTPBytes, "bytes of search response bodies written (/api/search and the HTML page, answers and errors)")
 		a.inFlight = reg.Gauge(MetricHTTPInFlight)
 		a.queued = reg.Gauge(MetricHTTPQueued)
 		a.served = reg.Counter(MetricHTTPServed)
@@ -75,6 +78,7 @@ func newAdmission(maxInFlight, queueDepth int, reg *obs.Registry) *admission {
 		a.internal = reg.Counter(MetricHTTPInternal)
 		a.timedOut = reg.Counter(MetricHTTPTimeout)
 		a.slow = reg.Counter(MetricHTTPSlow)
+		a.bytes = reg.Counter(MetricHTTPBytes)
 	} else {
 		a.inFlight = &obs.Gauge{}
 		a.queued = &obs.Gauge{}
@@ -84,6 +88,7 @@ func newAdmission(maxInFlight, queueDepth int, reg *obs.Registry) *admission {
 		a.internal = &obs.Counter{}
 		a.timedOut = &obs.Counter{}
 		a.slow = &obs.Counter{}
+		a.bytes = &obs.Counter{}
 	}
 	return a
 }
@@ -139,6 +144,7 @@ type admissionStats struct {
 	Internal    int64 `json:"internal_errors"`
 	TimedOut    int64 `json:"timed_out"`
 	Slow        int64 `json:"slow"`
+	RespBytes   int64 `json:"response_bytes"`
 }
 
 // stats snapshots the counters — the same atomics /metrics scrapes.
@@ -154,5 +160,6 @@ func (a *admission) stats() admissionStats {
 		Internal:    int64(a.internal.Load()),
 		TimedOut:    int64(a.timedOut.Load()),
 		Slow:        int64(a.slow.Load()),
+		RespBytes:   int64(a.bytes.Load()),
 	}
 }

@@ -113,8 +113,17 @@ func TestMetricsEndpoint(t *testing.T) {
 // counters — the unification satellite's acceptance check.
 func TestStatsMetricsAgree(t *testing.T) {
 	ts, _ := obsServer(t, Config{})
-	for i := 0; i < 3; i++ {
-		get(t, query(ts.URL, "/api/search", "q", `"Woody Allen"`))
+	// A miss, two hits, an error and the HTML page: every search body counts.
+	served := 0
+	for _, target := range []string{
+		query(ts.URL, "/api/search", "q", `"Woody Allen"`),
+		query(ts.URL, "/api/search", "q", `"Woody Allen"`),
+		query(ts.URL, "/api/search", "q", `"Woody Allen"`),
+		query(ts.URL, "/api/search", "q", "zzznothing"),
+		query(ts.URL, "/", "q", `"Match Point"`),
+	} {
+		_, body := get(t, target)
+		served += len(body)
 	}
 	_, statsBody := get(t, ts.URL+"/api/stats")
 	var stats apiEngineStats
@@ -126,6 +135,9 @@ func TestStatsMetricsAgree(t *testing.T) {
 
 	if got := samples[MetricHTTPServed]; got != float64(stats.Admission.Served) {
 		t.Errorf("served: metrics=%v stats=%d", got, stats.Admission.Served)
+	}
+	if got := samples[MetricHTTPBytes]; got != float64(served) || stats.Admission.RespBytes != int64(served) {
+		t.Errorf("response bytes: metrics=%v stats=%d, bodies served %d", got, stats.Admission.RespBytes, served)
 	}
 	if stats.Cache == nil {
 		t.Fatal("no cache stats")

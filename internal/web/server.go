@@ -37,6 +37,7 @@
 package web
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -182,7 +183,7 @@ func parseOptions(r *http.Request) (precis.Options, error) {
 	var degrees []precis.DegreeConstraint
 	if v := q.Get("w"); v != "" {
 		w, err := strconv.ParseFloat(v, 64)
-		if err != nil || w < 0 || w > 1 {
+		if err != nil || !(w >= 0 && w <= 1) { // NaN passes neither comparison
 			return opts, fmt.Errorf("bad w %q (want a number in [0,1])", v)
 		}
 		degrees = append(degrees, precis.MinPathWeight(w))
@@ -267,7 +268,9 @@ func parseOptions(r *http.Request) (precis.Options, error) {
 	return opts, nil
 }
 
-// apiAnswer is the JSON shape of a précis answer.
+// apiAnswer is the JSON shape of a précis answer. /api/search writes the
+// shape itself (appendAnswer); this struct is the HTML page's model, what
+// clients and tests decode into, and the oracle appendAnswer is held to.
 type apiAnswer struct {
 	Terms     []string      `json:"terms"`
 	Unmatched []string      `json:"unmatched,omitempty"`
@@ -422,18 +425,36 @@ func (s *Server) logSlow(q string, elapsed time.Duration, ans *precis.Answer, er
 		q, elapsed.Round(time.Microsecond), ans.FromCache, ans.Partial, ans.Truncation, ans.Trace.String())
 }
 
+// writeBody sends a search response whose body is complete: one Write, with
+// a Content-Length, counted in precis_http_response_bytes_total.
+func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	s.adm.bytes.Add(uint64(len(body)))
+	_, _ = w.Write(body) // a client that went away is not the server's error
+}
+
 func (s *Server) handleAPISearch(w http.ResponseWriter, r *http.Request) {
 	ans, code, err := s.search(r)
 	w.Header().Set("Content-Type", "application/json")
+	p := bufPool.Get().(*[]byte)
+	body := (*p)[:0]
+	if err == nil {
+		body, err = appendAnswer(body, ans)
+		if err != nil { // only a trace that does not marshal
+			code, body = http.StatusInternalServerError, body[:0]
+		}
+	}
 	if err != nil {
 		if code == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", strconv.Itoa(int(DefaultRetryAfter.Seconds())))
 		}
-		w.WriteHeader(code)
-		_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-		return
+		body = append(body, `{"error":`...)
+		body = appendJSONString(body, err.Error())
+		body = append(body, "}\n"...)
 	}
-	_ = json.NewEncoder(w).Encode(buildAPIAnswer(ans))
+	s.writeBody(w, code, body)
+	putBuf(p, body)
 }
 
 // apiEngineStats is the JSON shape of /api/stats.
@@ -623,8 +644,15 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 			data.Answer = &api
 		}
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := homeTemplate.Execute(w, data); err != nil {
+	// Executed into a buffer: a template that fails half way must answer 500,
+	// not a 200 with the error text after half a page.
+	p := bufPool.Get().(*[]byte)
+	page := bytes.NewBuffer((*p)[:0])
+	if err := homeTemplate.Execute(page, data); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+	} else {
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		s.writeBody(w, http.StatusOK, page.Bytes())
 	}
+	putBuf(p, page.Bytes())
 }

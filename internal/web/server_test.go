@@ -1,10 +1,13 @@
 package web
 
 import (
+	"bytes"
 	"encoding/json"
+	"html/template"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +124,20 @@ func TestAPISearchErrors(t *testing.T) {
 	if code, _ := get(t, query(ts.URL, "/api/search", "q", "x", "w", "2")); code != http.StatusBadRequest {
 		t.Errorf("out-of-range w: %d", code)
 	}
+	// NaN passes neither w < 0 nor w > 1; it used to answer 200 with a précis
+	// stricter than w=1.
+	for _, w := range []string{"NaN", "nan", "Inf", "-Inf"} {
+		if code, body := get(t, query(ts.URL, "/api/search", "q", `"Woody Allen"`, "w", w)); code != http.StatusBadRequest || !strings.Contains(body, "bad w") {
+			t.Errorf("w=%s: %d %s", w, code, body)
+		}
+		// The HTML form shares the parser; it reports errors in the page.
+		if code, body := get(t, query(ts.URL, "/", "q", `"Woody Allen"`, "w", w)); code != http.StatusOK || !strings.Contains(body, "bad w") {
+			t.Errorf("page with w=%s: %d %s", w, code, body)
+		}
+	}
+	if code, body := get(t, query(ts.URL, "/api/search", "q", `"Woody Allen"`, "w", "-0")); code != http.StatusOK {
+		t.Errorf("w=-0 is in [0,1]: %d %s", code, body)
+	}
 	if code, _ := get(t, query(ts.URL, "/api/search", "q", "x", "card", "-1")); code != http.StatusBadRequest {
 		t.Errorf("bad card: %d", code)
 	}
@@ -207,6 +224,49 @@ func TestHomePage(t *testing.T) {
 	// Unknown paths 404.
 	if code, _ := get(t, ts.URL+"/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown path: %d", code)
+	}
+}
+
+// recordingWriter is a ResponseWriter that keeps what a handler did to it.
+type recordingWriter struct {
+	header http.Header
+	codes  []int // every WriteHeader call
+	body   bytes.Buffer
+}
+
+func (w *recordingWriter) Header() http.Header  { return w.header }
+func (w *recordingWriter) WriteHeader(code int) { w.codes = append(w.codes, code) }
+func (w *recordingWriter) Write(p []byte) (int, error) {
+	if len(w.codes) == 0 {
+		w.codes = append(w.codes, http.StatusOK)
+	}
+	return w.body.Write(p)
+}
+
+// TestHomePageFailsWhole: a template that fails half way used to have sent
+// its first half under a 200 by then, with the error text appended. The page
+// is executed into a buffer first, so the failure is a clean 500.
+func TestHomePageFailsWhole(t *testing.T) {
+	h := NewServer(testEngine(t)).Handler()
+	page := func() *recordingWriter {
+		w := &recordingWriter{header: http.Header{}}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, query("", "/", "q", `"Woody Allen"`), nil))
+		return w
+	}
+	ok := page()
+	if len(ok.codes) != 1 || ok.codes[0] != http.StatusOK || !strings.Contains(ok.body.String(), "Woody Allen was born") ||
+		ok.header.Get("Content-Length") != strconv.Itoa(ok.body.Len()) {
+		t.Fatalf("page: WriteHeader calls %v, Content-Length %q, %d bytes", ok.codes, ok.header.Get("Content-Length"), ok.body.Len())
+	}
+
+	defer func(old *template.Template) { homeTemplate = old }(homeTemplate)
+	homeTemplate = template.Must(template.New("home").Parse(`<p>half a page for {{.Query}}</p>{{index .Query 999}}`))
+	failed := page()
+	if len(failed.codes) != 1 || failed.codes[0] != http.StatusInternalServerError {
+		t.Errorf("WriteHeader calls %v, want one 500", failed.codes)
+	}
+	if body := failed.body.String(); strings.Contains(body, "half a page") || !strings.Contains(body, "index out of range") {
+		t.Errorf("body of the failed page: %q", body)
 	}
 }
 

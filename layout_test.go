@@ -2,12 +2,17 @@ package precis_test
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"precis"
 	"precis/internal/dataset"
 	"precis/internal/storage"
+	"precis/internal/web"
 )
 
 // liveBytesPerTupleBudget is what one tuple of the bundled synthetic dataset
@@ -56,25 +61,36 @@ func TestLiveBytesPerTuple(t *testing.T) {
 // A deep-shaped answer — the busiest director of the default synthetic
 // dataset at w=0.05, card=150: 760 tuples over every relation of the graph,
 // narrated — may allocate this much through Engine.QueryStringContext, serial
-// and uncached: 15 % above the 363 KiB / 2,930 allocations (NaïveQ) and
-// 586 KiB / 3,020 (Round-Robin) measured when each answer tuple came to be
-// materialised once — D′ keeps the rows sqlx built, its join indexes serve
-// generator and translator, Round-Robin's probe reads no tuple; it was
-// 552 KiB / 3,990 and 729 KiB / 5,440 before. Raise a bound only with an
-// allocation profile that says which holder grew (EXPERIMENTS.md, "Allocated
-// bytes per answer").
+// and uncached: 15 % above the 311 KiB / 2,084 allocations (NaïveQ) and
+// 535 KiB / 2,167 (Round-Robin) measured when the translator came to append
+// the narrative into one buffer; it was 363 KiB / 2,930 and 586 KiB / 3,020
+// with a string per value, clause and paragraph, and 552 KiB / 3,990 and
+// 729 KiB / 5,440 before each answer tuple was materialised once. What is
+// left is D′ itself (the rows sqlx built, its join indexes) and the statements
+// that fetched it. Raise a bound only with an allocation profile that says
+// which holder grew (EXPERIMENTS.md, "Allocated bytes per answer").
 var deepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 418, allocs: 3370},
-	precis.StrategyRoundRobin: {kib: 674, allocs: 3480},
+	precis.StrategyNaive:      {kib: 358, allocs: 2400},
+	precis.StrategyRoundRobin: {kib: 615, allocs: 2490},
 }
 
-// TestAllocPerDeepAnswer pins what one deep answer allocates, so a copy of
-// the answer's tuples cannot creep back unnoticed. scripts/ci.sh runs it in
-// the non-race step next to TestLiveBytesPerTuple.
-func TestAllocPerDeepAnswer(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
-	}
+// What web.Server may add to one such answer on /api/search, measured as the
+// handler's allocations less the engine call's: 58 allocations (request
+// parsing, admission, the per-request timeout, the display-column lookups)
+// plus 15 %, and 1 to 8 KiB — the 26 KB body is assembled in a pooled buffer,
+// which costs nothing unless the goroutine changes processor mid-test and
+// grows a second one (60 KB over 20 answers), hence the bound of 12. It was
+// 66 KiB / 980 when the handler copied D′ into a [][]string for encoding/json
+// to walk.
+const (
+	searchResponseKiBBudget    = 12
+	searchResponseAllocsBudget = 67
+)
+
+// deepEngine is the engine the allocation pins query: the annotated default
+// synthetic dataset, and the quoted name of its busiest director.
+func deepEngine(t *testing.T) (*precis.Engine, string) {
+	t.Helper()
 	db, err := dataset.SyntheticMovies(dataset.DefaultSyntheticConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +111,34 @@ func TestAllocPerDeepAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	query := `"` + busiestDirector(db) + `"`
+	return eng, `"` + busiestDirector(db) + `"`
+}
+
+// allocPerRun is the KiB and the allocations of one call of run, averaged
+// over 20 after a first one (template parses, pooled buffers grown). The
+// collector is off meanwhile: a cycle empties sync.Pool, and how many cycles
+// 20 answers take is the heap's business, not the code's.
+func allocPerRun(run func()) (kib, allocs float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run()
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / rounds / 1024, float64(after.Mallocs-before.Mallocs) / rounds
+}
+
+// TestAllocPerDeepAnswer pins what one deep answer allocates, so a copy of
+// the answer's tuples cannot creep back unnoticed. scripts/ci.sh runs it in
+// the non-race step next to TestLiveBytesPerTuple.
+func TestAllocPerDeepAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	eng, query := deepEngine(t)
 	for _, strat := range []precis.Strategy{precis.StrategyNaive, precis.StrategyRoundRobin} {
 		opts := precis.Options{
 			Degree:      precis.MinPathWeight(0.05),
@@ -104,23 +147,13 @@ func TestAllocPerDeepAnswer(t *testing.T) {
 			Parallelism: -1,
 		}
 		tuples := 0
-		run := func() {
+		kib, allocs := allocPerRun(func() {
 			ans, err := eng.QueryStringContext(context.Background(), query, opts)
 			if err != nil || ans.Narrative == "" {
 				t.Fatalf("%v: %v", strat, err)
 			}
 			tuples = ans.Database.TotalTuples()
-		}
-		run() // template parses and other first-call work
-		const rounds = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		kib := float64(after.TotalAlloc-before.TotalAlloc) / rounds / 1024
-		allocs := float64(after.Mallocs-before.Mallocs) / rounds
+		})
 		budget := deepAnswerAllocBudget[strat]
 		t.Logf("%v: %d tuples, %.0f KiB and %.0f allocations per answer (budget %.0f KiB, %.0f)",
 			strat, tuples, kib, allocs, budget.kib, budget.allocs)
@@ -131,6 +164,64 @@ func TestAllocPerDeepAnswer(t *testing.T) {
 			t.Errorf("%v: %.0f KiB and %.0f allocations per answer, budget %.0f KiB and %.0f",
 				strat, kib, allocs, budget.kib, budget.allocs)
 		}
+	}
+}
+
+// discardWriter is the cheapest http.ResponseWriter: what the handler
+// allocates is then the handler's own.
+type discardWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header  { return w.header }
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestAllocPerSearchResponse pins what the web layer adds to the same deep
+// answer on /api/search — the handler's bytes and allocations less those of
+// the engine call inside it — so a copy of D′ on the way to the socket (rows
+// as [][]string, a reflective encoder, an unpooled body) fails here.
+func TestAllocPerSearchResponse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own and empties sync.Pool at random")
+	}
+	eng, query := deepEngine(t)
+	handler := web.NewServer(eng).Handler() // instruments the engine: both sides are measured after it
+	target := "/api/search?" + url.Values{"q": {query}, "w": {"0.05"}, "card": {"150"}, "strategy": {"naiveq"}, "workers": {"-1"}}.Encode()
+	req := httptest.NewRequest(http.MethodGet, target, nil)
+	w := &discardWriter{header: http.Header{}}
+	httpKiB, httpAllocs := allocPerRun(func() {
+		*w = discardWriter{header: w.header}
+		handler.ServeHTTP(w, req)
+		if w.code != http.StatusOK || w.n < 20_000 {
+			t.Fatalf("status %d, %d bytes", w.code, w.n)
+		}
+	})
+	opts := precis.Options{
+		Degree:      precis.MinPathWeight(0.05),
+		Cardinality: precis.MaxTuplesPerRelation(150),
+		Strategy:    precis.StrategyNaive,
+		Parallelism: -1,
+	}
+	engKiB, engAllocs := allocPerRun(func() {
+		if _, err := eng.QueryStringContext(context.Background(), query, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	kib, allocs := httpKiB-engKiB, httpAllocs-engAllocs
+	t.Logf("%d-byte body: %.1f KiB and %.0f allocations on top of the engine's %.0f KiB and %.0f (budget %d KiB, %d)",
+		w.n, kib, allocs, engKiB, engAllocs, searchResponseKiBBudget, searchResponseAllocsBudget)
+	if kib > searchResponseKiBBudget || allocs > searchResponseAllocsBudget {
+		t.Errorf("the web layer adds %.1f KiB and %.0f allocations per response, budget %d KiB and %d",
+			kib, allocs, searchResponseKiBBudget, searchResponseAllocsBudget)
 	}
 }
 

@@ -19,6 +19,7 @@
 # strides through offsets, this dedicated pass covers every single one
 # under -race. The fuzz smoke then runs the durability fuzz targets
 # (snapshot decoder, WAL replayer, delta decoder, index-snapshot decoder)
+# and the JSON string escaper of /api/search (against encoding/json)
 # for 10s each on top of the checked-in corpus — long enough to catch a
 # regression in the decoders' bounds checks, short enough for CI. The
 # index-snapshot corpus carries two files that are well-framed but break a
@@ -83,7 +84,12 @@
 # set-at-a-time result-database generator against the test-only
 # statement-per-value / statement-per-tuple reference over datasets ×
 # strategies × cardinalities × weights × pool sizes {1, 2, 8} × budgets ×
-# {single engine, 1/3/4 shards}. The whole-repository pass above runs it
+# {single engine, 1/3/4 shards}. The response-encoder oracle rides in the same
+# step (internal/web TestSearchBodyMatchesEncodingJSON: the hand-written
+# /api/search encoder against encoding/json over datasets × strategies ×
+# weights × cardinalities, partial, traced, cached and hand-built answers,
+# with the Content-Length and the keep-alive connection checked), next to the
+# translator's reference-walk differential it shares the answers with. The whole-repository pass above runs it
 # -short (one pool size per fetcher); this step runs the full matrix under
 # -race, because the exclusion predicate reads the output relation R'j
 # itself — from the fetch workers of a join batch and from every shard
@@ -114,7 +120,10 @@
 # Engine.QueryStringContext, so a second copy of the answer's tuples — a
 # copying insert, a per-narrative join index, a tuple-reading cursor probe —
 # fails here; BenchmarkGenerateDeep / BenchmarkNarrativeDeep report B/op for
-# the two stages it is made of.
+# the two stages it is made of. TestAllocPerSearchResponse pins what the web
+# layer adds to that answer on /api/search (the handler less the engine call
+# inside it): the body is appended straight off D′ into a pooled buffer, so a
+# [][]string copy of the rows or a reflective encoder fails here.
 #
 # The ownership tests (ownership_test.go: a caller's slice scribbled after
 # Engine.Insert/Update, tuples held across a WAL-failure rollback) ride in
@@ -206,19 +215,21 @@ go test -race -count=1 -timeout=5m ./internal/shard
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
 go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeIsIndexOnly|TestQueriesCounts' ./internal/core
 go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestIndexOnlyPlan|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
+go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' ./internal/nlg ./internal/web
 
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
 go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
 
-echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep answer)"
-go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer' . ./internal/storage
+echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep answer and per search response)"
+go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer|TestAllocPerSearchResponse' . ./internal/storage
 
-echo "== fuzz smoke (10s per durability target)"
+echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzWALReplay' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzDeltaDecode' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzIndexSnapshotDecode' -fuzztime=10s ./internal/invidx
 go test -timeout=5m -run=NONE -fuzz='FuzzReplFrameDecode' -fuzztime=10s ./internal/repl
+go test -timeout=5m -run=NONE -fuzz='FuzzAppendJSONString' -fuzztime=10s ./internal/web
 
 echo "== bench smoke (compile + one iteration)"
 go test -timeout=10m -run=NONE -bench=. -benchtime=1x ./...
