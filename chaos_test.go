@@ -136,39 +136,51 @@ func TestChaosTranslatorLookupFault(t *testing.T) {
 
 // TestChaosPanicsBecomeErrInternal arms a panic rule at every site — on the
 // serial path and on the parallel path (SiteIndexProbe fires inside
-// ParallelFor workers) — and asserts the panic is recovered at the engine
-// boundary as ErrInternal with the worker's stack attached, while the
-// engine keeps serving other queries.
+// ParallelFor workers), on a single engine and on four shards (where a
+// statement's scatter runs one goroutine per shard, and SiteStorageLookup
+// fires inside them) — and asserts the panic is recovered at the engine
+// boundary as ErrInternal with the panic text attached, while the engine
+// keeps serving other queries.
 func TestChaosPanicsBecomeErrInternal(t *testing.T) {
-	eng := newEngine(t)
 	sites := []string{
 		faultinject.SiteStorageLookup,
 		faultinject.SiteIndexProbe,
 		faultinject.SiteSQLSelect,
 		faultinject.SiteJoin,
 	}
-	for _, site := range sites {
-		for _, workers := range []int{-1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", site, workers), func(t *testing.T) {
-				plan := faultinject.NewPlan().Set(site, faultinject.Rule{Panic: "chaos boom"})
-				deactivate := faultinject.Activate(plan)
-				_, err := eng.Query([]string{"Woody Allen"}, Options{
-					SkipNarrative: true,
-					Parallelism:   workers,
+	engines := []struct {
+		name  string
+		eng   *Engine
+		sites []string
+	}{
+		{"unsharded", newEngine(t), sites},
+		{"shards=4", newShardedEngine(t, 4, "hash"), append(sites[:len(sites):len(sites)],
+			faultinject.SiteShardScatter, faultinject.SiteShardGather)},
+	}
+	for _, e := range engines {
+		for _, site := range e.sites {
+			for _, workers := range []int{-1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", e.name, site, workers), func(t *testing.T) {
+					plan := faultinject.NewPlan().Set(site, faultinject.Rule{Panic: "chaos boom"})
+					deactivate := faultinject.Activate(plan)
+					_, err := e.eng.Query([]string{"Woody Allen"}, Options{
+						SkipNarrative: true,
+						Parallelism:   workers,
+					})
+					deactivate()
+					if !errors.Is(err, ErrInternal) {
+						t.Fatalf("want ErrInternal, got %v", err)
+					}
+					if !strings.Contains(err.Error(), "chaos boom") {
+						t.Fatalf("panic message lost: %v", err)
+					}
+					// The engine must keep serving: same query, no faults.
+					ans, err := e.eng.Query([]string{"Woody Allen"}, Options{SkipNarrative: true})
+					if err != nil || ans.Database.TotalTuples() == 0 {
+						t.Fatalf("engine stopped serving after panic: err=%v", err)
+					}
 				})
-				deactivate()
-				if !errors.Is(err, ErrInternal) {
-					t.Fatalf("site %s workers=%d: want ErrInternal, got %v", site, workers, err)
-				}
-				if !strings.Contains(err.Error(), "chaos boom") {
-					t.Fatalf("site %s: panic message lost: %v", site, err)
-				}
-				// The engine must keep serving: same query, no faults.
-				ans, err := eng.Query([]string{"Woody Allen"}, Options{SkipNarrative: true})
-				if err != nil || ans.Database.TotalTuples() == 0 {
-					t.Fatalf("site %s: engine stopped serving after panic: err=%v", site, err)
-				}
-			})
+			}
 		}
 	}
 }

@@ -157,7 +157,7 @@ func main() {
 		log.Fatal("-auto-failover requires -replicate-from and -data-dir: only a durable follower holds an acked prefix it can safely promote")
 	}
 	if *shards > 1 && (*listenRepl != "" || *replicateFrom != "") {
-		log.Fatalf("-shards %d cannot be combined with the replication flags -listen-repl/-replicate-from: a sharded coordinator has no single WAL to stream. Run one replicated precis-server per shard instead; coordinator-managed per-shard replication is tracked in ROADMAP.md under the sharded-execution item.", *shards)
+		log.Fatalf("-shards %d cannot be combined with the replication flags -listen-repl/-replicate-from: a sharded coordinator has no single WAL to stream. Run without -shards to replicate (-data-dir with -listen-repl on the primary, -replicate-from on each follower), or with -shards and -data-dir alone for a durable sharded engine.", *shards)
 	}
 	var eng *precis.Engine
 	if *replicateFrom != "" {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -153,7 +154,7 @@ func (t *budgetTracker) admitStep() bool {
 // whether it may be inserted. Coordination goroutine only. Seed inserts
 // pass seed=true: they are always admitted (the answer's guaranteed core)
 // but still accounted, so the budget is charged for them.
-func (t *budgetTracker) admitTuple(row []storage.Value, seed bool) bool {
+func (t *budgetTracker) admitTuple(id storage.TupleID, row []storage.Value, seed bool) bool {
 	if t == nil {
 		return true
 	}
@@ -171,7 +172,9 @@ func (t *budgetTracker) admitTuple(row []storage.Value, seed bool) bool {
 		}
 	}
 	t.tuples++
-	t.bytes += approxRowBytes(row)
+	if t.b.MaxResultBytes > 0 { // the only reader of bytes
+		t.bytes += approxRowBytes(id, row)
+	}
 	return true
 }
 
@@ -188,12 +191,20 @@ func (t *budgetTracker) remainingTuples() int {
 	return r
 }
 
-// approxRowBytes estimates the rendered size of one fetched row (rowid
-// included): value string lengths plus a fixed per-value overhead.
-func approxRowBytes(row []storage.Value) int {
-	n := 16 // per-tuple overhead
+// approxRowBytes estimates the rendered size of one fetched tuple: the text
+// lengths of its rowid and values plus a fixed per-value overhead. Numbers
+// are measured through a stack buffer and strings by their length, so a
+// budgeted query renders nothing to be measured.
+func approxRowBytes(id storage.TupleID, row []storage.Value) int {
+	var buf [32]byte
+	n := 16 + 8 + len(strconv.AppendInt(buf[:0], int64(id), 10)) // per-tuple overhead, rowid
 	for _, v := range row {
-		n += 8 + len(v.String())
+		n += 8
+		if v.Kind() == storage.KindString {
+			n += len(v.AsString())
+		} else {
+			n += len(v.AppendText(buf[:0]))
+		}
 	}
 	return n
 }

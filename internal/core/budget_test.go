@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -43,33 +44,33 @@ func TestBudgetTrackerNilReceiver(t *testing.T) {
 	if bt.Reason() != TruncateNone || bt.exhausted() || bt.checkDeadline() {
 		t.Fatal("nil tracker must be a permissive no-op")
 	}
-	if !bt.admitStep() || !bt.admitTuple(nil, false) {
+	if !bt.admitStep() || !bt.admitTuple(0, nil, false) {
 		t.Fatal("nil tracker must admit everything")
 	}
 }
 
 func TestBudgetTrackerTupleAndByteAccounting(t *testing.T) {
-	row := []storage.Value{storage.Int(1), storage.String("abc")}
+	row := []storage.Value{storage.String("abc")}
 	bt := newBudgetTracker(Budget{MaxTuples: 2})
-	if !bt.admitTuple(row, false) || !bt.admitTuple(row, false) {
+	if !bt.admitTuple(1, row, false) || !bt.admitTuple(1, row, false) {
 		t.Fatal("first two tuples must be admitted")
 	}
-	if bt.admitTuple(row, false) {
+	if bt.admitTuple(1, row, false) {
 		t.Fatal("third tuple must be refused")
 	}
 	if got := bt.Reason(); got != TruncateTupleBudget {
 		t.Fatalf("reason = %q, want %q", got, TruncateTupleBudget)
 	}
 	// Seed rows are always admitted, even after exhaustion, but charged.
-	if !bt.admitTuple(row, true) {
+	if !bt.admitTuple(1, row, true) {
 		t.Fatal("seed tuple must always be admitted")
 	}
 
 	bt = newBudgetTracker(Budget{MaxResultBytes: 1})
-	if !bt.admitTuple(row, false) {
+	if !bt.admitTuple(1, row, false) {
 		t.Fatal("the first tuple is admitted before the byte check can trip")
 	}
-	if bt.admitTuple(row, false) {
+	if bt.admitTuple(1, row, false) {
 		t.Fatal("byte budget exceeded, second tuple must be refused")
 	}
 	if got := bt.Reason(); got != TruncateByteBudget {
@@ -107,7 +108,7 @@ func TestBudgetTrackerDeadlineFakeClock(t *testing.T) {
 		t.Fatalf("reason = %q, want %q", got, TruncateDeadline)
 	}
 	// First trip wins: a later tuple refusal must not overwrite the reason.
-	if bt.admitTuple(nil, false) {
+	if bt.admitTuple(0, nil, false) {
 		t.Fatal("exhausted tracker must refuse tuples")
 	}
 	if got := bt.Reason(); got != TruncateDeadline {
@@ -315,6 +316,12 @@ func (c *countingFetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
 	return c.Fetcher.ExecStmt(st)
 }
 
+// Probe counts as a statement: GenStats.Queries charges it as one.
+func (c *countingFetcher) Probe(rel, col string, values []storage.Value) (*sqlx.Groups, error) {
+	c.executed.Add(1)
+	return c.Fetcher.Probe(rel, col, values)
+}
+
 // TestQueriesCountsExecutedStatementsUnderDeadline trips a fake-clock
 // deadline at every possible point of a Round-Robin generation — before a
 // join's probe, between rounds, mid-apply — and requires GenStats.Queries to
@@ -365,5 +372,36 @@ func TestQueriesCountsExecutedStatementsUnderDeadline(t *testing.T) {
 	}
 	if len(seen) < 4 {
 		t.Fatalf("the sweep only produced statement counts %v: the deadline is not cutting mid-generation", seen)
+	}
+}
+
+// TestApproxRowBytesIsTheRenderedSize: a tuple is charged 16 bytes plus, for
+// its rowid and each value, 8 and the length of its display text — what the
+// tracker charged when it rendered every value into a string to measure it
+// and the rowid travelled as the row's first cell — so no MaxResultBytes
+// truncation point moved when it stopped doing either. Measuring allocates
+// nothing.
+func TestApproxRowBytesIsTheRenderedSize(t *testing.T) {
+	long := strings.Repeat("x", 100)
+	rows := [][]storage.Value{
+		nil,
+		{storage.Null, storage.Bool(true), storage.Bool(false)},
+		{storage.Int(0), storage.Int(-1), storage.Int(math.MinInt64), storage.Int(math.MaxInt64)},
+		{storage.Float(0), storage.Float(-1.5), storage.Float(math.NaN()), storage.Float(math.Inf(-1)), storage.Float(-math.MaxFloat64), storage.Float(1e21)},
+		{storage.String(""), storage.String("Match Point"), storage.String(long), storage.String("NULL")},
+	}
+	for _, id := range []storage.TupleID{1, 9, 10, 376149, math.MaxInt64} {
+		for _, row := range rows {
+			want := 16
+			for _, v := range append([]storage.Value{storage.Int(int64(id))}, row...) {
+				want += 8 + len(v.String())
+			}
+			if got := approxRowBytes(id, row); got != want {
+				t.Errorf("approxRowBytes(%d, %v) = %d, rendered %d", id, row, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { approxRowBytes(376149, rows[3]); approxRowBytes(7, rows[4]) }); n != 0 {
+		t.Errorf("measuring a row allocates %v times", n)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"precis/internal/faultinject"
@@ -48,8 +47,9 @@ func (s Strategy) String() string {
 // units match the paper's cost model (queries issued, index probes, tuple
 // reads). Queries counts the statements actually executed: one per seed
 // relation, one per NaïveQ join (two under tuple weights) and two per
-// Round-Robin join, whatever the number of driving values or tuples — the
-// per-value and per-tuple work shows in SQL.IndexLookups and SQL.TupleReads.
+// Round-Robin join (its cursor probe and the fetch of the chosen tuples),
+// whatever the number of driving values or tuples — the per-value work shows
+// in SQL.IndexLookups, the per-posting and per-tuple work in SQL.TupleReads.
 type GenStats struct {
 	Queries           int
 	SQL               sqlx.Stats
@@ -135,14 +135,17 @@ type DBGenOptions struct {
 }
 
 // Fetcher is the generator's view of the original database: a read-only
-// SELECT executor plus the schema catalog. *sqlx.Engine satisfies it
-// directly (the single-engine path); internal/shard provides a
-// scatter/gather implementation that fans each statement out across shard
-// engines and merges the results deterministically. ExecStmt must be safe
-// for concurrent use; AccumulateStats is only called from the serial apply
-// phase.
+// SELECT executor, the grouped probe that opens Round-Robin's scans, and the
+// schema catalog. *sqlx.Engine satisfies it directly (the single-engine
+// path); internal/shard provides a scatter/gather implementation that fans
+// each statement and probe out across shard engines and merges the results
+// deterministically. ExecStmt and Probe must be safe for concurrent use;
+// AccumulateStats is only called from the serial apply phase.
 type Fetcher interface {
 	ExecStmt(st sqlx.Stmt) (*sqlx.Result, error)
+	// Probe returns, per value (sorted by Value.Compare), the ascending ids of
+	// rel's live tuples whose col Equals it (contract: sqlx.Engine.Probe).
+	Probe(rel, col string, values []storage.Value) (*sqlx.Groups, error)
 	Database() *storage.Database
 	AccumulateStats(s sqlx.Stats)
 }
@@ -166,12 +169,13 @@ type generator struct {
 	cols map[string][]string
 }
 
-// fetched is the outcome of one fetch task: candidate rows (rowid first,
-// then the fetched columns) in the deterministic order the serial algorithm
-// would insert them, plus the physical work the fetch performed. The apply
-// phase inserts a prefix of rows bounded by the live cardinality budget.
+// fetched is the outcome of one fetch task: candidate rows and their tuple
+// ids in the deterministic order the serial algorithm would insert them, plus
+// the physical work the fetch performed. The apply phase inserts a prefix of
+// rows bounded by the live cardinality budget.
 type fetched struct {
 	rows    [][]storage.Value
+	ids     []storage.TupleID // parallel to rows
 	queries int
 	sql     sqlx.Stats
 }
@@ -403,25 +407,10 @@ func (g *generator) budget(rel string) int {
 	return b
 }
 
-// stmtSelect builds the AST of SELECT rowid, <cols> FROM rel WHERE <where>
-// [LIMIT n] (limit < 0 means unlimited, nil where matches all).
+// stmtSelect builds the AST of SELECT <cols> FROM rel WHERE <where> [LIMIT n]
+// (limit < 0: unlimited, nil where: all); ids come back in Result.RowIDs.
 func (g *generator) stmtSelect(rel string, where sqlx.Expr, limit int) *sqlx.SelectStmt {
-	cols := make([]string, 0, len(g.cols[rel])+1)
-	cols = append(cols, sqlx.RowIDColumn)
-	cols = append(cols, g.cols[rel]...)
-	return &sqlx.SelectStmt{Columns: cols, Table: rel, Where: where, Limit: limit}
-}
-
-// rowidRef is the pseudo-column reference generated predicates filter on.
-func rowidRef() *sqlx.ColumnRef { return &sqlx.ColumnRef{Name: sqlx.RowIDColumn} }
-
-// rowidIn builds the predicate rowid IN (ids...).
-func rowidIn(ids []storage.TupleID) *sqlx.InList {
-	vals := make([]storage.Value, len(ids))
-	for i, id := range ids {
-		vals[i] = storage.Int(int64(id))
-	}
-	return &sqlx.InList{Left: rowidRef(), Values: vals}
+	return &sqlx.SelectStmt{Columns: g.cols[rel], Table: rel, Where: where, Limit: limit}
 }
 
 // fetchStmt executes the one row-returning query of a fetch: its rows become
@@ -431,8 +420,13 @@ func (g *generator) fetchStmt(f *fetched, st *sqlx.SelectStmt) error {
 	if err != nil {
 		return err
 	}
-	f.rows = res.Rows
+	f.rows, f.ids = res.Rows, res.RowIDs
 	return nil
+}
+
+// fetchIDs fetches the first limit of the named tuples of rel, in ids order.
+func (g *generator) fetchIDs(f *fetched, rel string, ids []storage.TupleID, limit int) error {
+	return g.fetchStmt(f, g.stmtSelect(rel, &sqlx.RowIDIn{IDs: ids}, limit))
 }
 
 // apply inserts the fetched rows into the output relation in order,
@@ -460,22 +454,22 @@ func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 	outRel := g.out.Relation(rel)
 	outRel.Reserve(min(len(f.rows), budget))
 	inserted := 0
-	for _, row := range f.rows {
+	for i, row := range f.rows {
 		if inserted >= budget {
 			break
 		}
 		if err := g.ctxErr(); err != nil {
 			return err
 		}
-		id := storage.TupleID(row[0].AsInt())
+		id := f.ids[i]
 		if outRel.Has(id) {
 			continue // duplicates are removed (paper §5.2)
 		}
-		if !g.bt.admitTuple(row, seed) {
+		if !g.bt.admitTuple(id, row, seed) {
 			break
 		}
 		// The fetch built the row for this generation alone: D' keeps it.
-		if err := g.out.InsertWithID(rel, id, row[1:]...); err != nil {
+		if err := g.out.InsertWithID(rel, id, row...); err != nil {
 			return err
 		}
 		inserted++
@@ -537,7 +531,7 @@ func (g *generator) placeSeeds(seedTuples map[string][]storage.TupleID) error {
 	}
 	results := make([]*fetched, len(rels))
 	errs := make([]error, len(rels))
-	parallelFor(len(rels), g.workers, func(i int) {
+	ParallelFor(len(rels), g.workers, func(i int) {
 		if budgets[i] <= 0 {
 			return
 		}
@@ -561,7 +555,7 @@ func (g *generator) fetchSeed(rel string, ids []storage.TupleID, limit int) (*fe
 	ids = append([]storage.TupleID(nil), ids...)
 	g.opts.Weights.order(rel, ids)
 	f := &fetched{}
-	if err := g.fetchStmt(f, g.stmtSelect(rel, rowidIn(ids), limit)); err != nil {
+	if err := g.fetchIDs(f, rel, ids, limit); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -672,7 +666,7 @@ func (g *generator) runBatch(batch []*schemagraph.JoinEdge) error {
 	}
 	results := make([]*fetched, len(batch))
 	errs := make([]error, len(batch))
-	parallelFor(len(batch), g.workers, func(i int) {
+	ParallelFor(len(batch), g.workers, func(i int) {
 		if budgets[i] <= 0 {
 			return
 		}
@@ -826,7 +820,7 @@ func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storag
 	if len(ids) == 0 {
 		return f, nil
 	}
-	if err := g.fetchStmt(f, g.stmtSelect(e.To, rowidIn(ids), len(ids))); err != nil {
+	if err := g.fetchIDs(f, e.To, ids, len(ids)); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -837,34 +831,25 @@ func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storag
 // holds, so joining tuples distribute fairly across driving tuples whatever
 // the true fan-out distribution. Exhausted scans close.
 //
-// The scans are cursors over the result of a single grouped probe, the
-// rounds are a deterministic simulation over those cursors, and the chosen
-// tuples come back from a single rowid fetch in consumption order: two
-// statements per join, however many driving values and tuples it has. A
+// The scans are cursors over the posting lists a single grouped probe
+// returned, the rounds are a deterministic simulation over those cursors, and
+// the chosen tuples come back from a single rowid fetch in consumption order:
+// two statements per join, however many driving values and tuples it has. A
 // deadline that has already passed issues neither.
 func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
 	f := &fetched{}
 	if g.bt.checkDeadline() {
 		return f, nil
 	}
-	cursors, err := g.openCursors(f, e, values)
+	cursors, open, err := g.openCursors(f, e, values)
 	if err != nil {
 		return nil, err
 	}
 
 	// Deterministic round-robin simulation: choose up to limit ids, one per
-	// cursor per round. A tuple chosen by an earlier cursor this round (a
-	// shared child) is skipped silently without spending budget — exactly
-	// the serial algorithm's in-flight duplicate handling.
-	capHint := 0
-	for _, c := range cursors {
-		capHint += len(c)
-	}
-	if capHint > limit {
-		capHint = limit // limit may be math.MaxInt (Unlimited)
-	}
-	chosen := make([]storage.TupleID, 0, capHint)
-	chosenSet := make(map[storage.TupleID]bool, capHint)
+	// cursor per round. A tuple holds one value of the join column, so the
+	// cursors are disjoint and no pick can repeat an earlier one.
+	chosen := make([]storage.TupleID, 0, min(open, limit)) // limit may be math.MaxInt (Unlimited)
 	for len(chosen) < limit && len(cursors) > 0 {
 		if err := g.ctxErr(); err != nil {
 			return nil, err
@@ -879,14 +864,9 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 			if len(chosen) >= limit {
 				break
 			}
-			id := cur[0]
-			cur = cur[1:]
-			if !chosenSet[id] {
-				chosen = append(chosen, id)
-				chosenSet[id] = true
-			}
-			if len(cur) > 0 {
-				next = append(next, cur)
+			chosen = append(chosen, cur[0])
+			if len(cur) > 1 {
+				next = append(next, cur[1:])
 			}
 		}
 		cursors = next
@@ -895,61 +875,40 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 		return f, nil
 	}
 	// A rowid IN fetch returns rows in list order: the consumption order.
-	if err := g.fetchStmt(f, g.stmtSelect(e.To, rowidIn(chosen), len(chosen))); err != nil {
+	if err := g.fetchIDs(f, e.To, chosen, len(chosen)); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
 // openCursors opens Round-Robin's per-driving-value scans with one grouped
-// probe — SELECT toCol FROM Rj WHERE toCol IN (values), whose result carries
-// the row ids alongside — and partitions its ascending-id result by toCol
-// into one id cursor per driving value, in values order (values is sorted:
-// DistinctValues). Ids already in R'j are dropped, each cursor is put
-// in tuple-weight order, and empty cursors are closed.
-func (g *generator) openCursors(f *fetched, e *schemagraph.JoinEdge, values []storage.Value) ([][]storage.TupleID, error) {
-	res, err := g.execFetch(f, &sqlx.SelectStmt{
-		Columns: []string{e.ToCol},
-		Table:   e.To,
-		Where:   &sqlx.InList{Left: &sqlx.ColumnRef{Name: e.ToCol}, Values: values},
-		Limit:   -1,
-	})
+// probe of Rj's join column (values is sorted: DistinctValues) and turns its
+// groups, in place, into one id cursor per driving value: ids already in R'j
+// are dropped, a cursor is put in tuple-weight order when Rj has weights, and
+// empty cursors are closed. It also returns the number of ids left open.
+func (g *generator) openCursors(f *fetched, e *schemagraph.JoinEdge, values []storage.Value) ([][]storage.TupleID, int, error) {
+	groups, err := g.eng.Probe(e.To, e.ToCol, values)
 	if err != nil {
-		return nil, err
+		return nil, 0, fmt.Errorf("core: cursor probe on %s: %w", e.To, err)
 	}
-	// Two passes over the rows — count, then fill — carve every cursor out
-	// of one backing array. A row finds its driving value by binary search;
-	// Compare ties exactly the values the probe's equality matches.
-	outRel := g.out.Relation(e.To)
-	slots := make([]int, len(res.Rows)) // driving-value slot per row, -1 when already in R'j
-	counts := make([]int, len(values))
-	for i, row := range res.Rows {
-		slots[i] = -1
-		if outRel.Has(res.RowIDs[i]) {
-			continue
+	f.queries++
+	f.sql.Add(groups.Stats)
+	outRel, ids := g.out.Relation(e.To), groups.IDs
+	cursors := make([][]storage.TupleID, 0, len(groups.Ends))
+	kept, start := 0, 0
+	for _, end := range groups.Ends {
+		lo := kept
+		for _, id := range ids[start:end] {
+			if !outRel.Has(id) {
+				ids[kept] = id
+				kept++
+			}
 		}
-		slot, _ := slices.BinarySearchFunc(values, row[0], storage.Value.Compare)
-		slots[i] = slot
-		counts[slot]++
-	}
-	backing := make([]storage.TupleID, len(res.Rows))
-	cursors := make([][]storage.TupleID, len(values))
-	off := 0
-	for i, n := range counts {
-		cursors[i] = backing[off : off : off+n]
-		off += n
-	}
-	for i, slot := range slots {
-		if slot >= 0 {
-			cursors[slot] = append(cursors[slot], res.RowIDs[i])
+		start = end
+		if kept > lo {
+			g.opts.Weights.order(e.To, ids[lo:kept]) // a no-op unless Rj has weights
+			cursors = append(cursors, ids[lo:kept:kept])
 		}
 	}
-	open := cursors[:0]
-	for _, cur := range cursors {
-		if len(cur) > 0 {
-			g.opts.Weights.order(e.To, cur)
-			open = append(open, cur)
-		}
-	}
-	return open, nil
+	return cursors, kept, nil
 }

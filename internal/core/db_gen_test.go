@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -614,55 +614,202 @@ func TestRoundRobinStatementsPerJoin(t *testing.T) {
 	}
 }
 
-// explainingFetcher records the plan EXPLAIN reports for every statement the
-// generator executes.
-type explainingFetcher struct {
+// probeLog is a Fetcher that records, per relation, the probes and the
+// statements a generation issued.
+type probeLog struct {
 	*sqlx.Engine
-	mu    sync.Mutex
-	plans map[string][]string // by "col[,col...]" of the SELECT list
+	mu     sync.Mutex
+	probes map[string][]*sqlx.Groups
+	stmts  map[string][]*sqlx.SelectStmt
 }
 
-func (f *explainingFetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
-	if sel, ok := st.(*sqlx.SelectStmt); ok {
-		ex, err := f.Engine.ExecStmt(&sqlx.ExplainStmt{Inner: sel})
-		if err != nil {
-			return nil, err
-		}
+func (f *probeLog) Probe(rel, col string, values []storage.Value) (*sqlx.Groups, error) {
+	g, err := f.Engine.Probe(rel, col, values)
+	if err == nil {
+		// The generator compacts the ids in place: keep what the probe said.
+		seen := &sqlx.Groups{Ends: g.Ends, Stats: g.Stats}
 		f.mu.Lock()
-		key := strings.Join(sel.Columns, ",")
-		f.plans[key] = append(f.plans[key], ex.Rows[0][0].AsString())
+		f.probes[rel] = append(f.probes[rel], seen)
 		f.mu.Unlock()
 	}
+	return g, err
+}
+
+func (f *probeLog) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
+	sel := st.(*sqlx.SelectStmt)
+	f.mu.Lock()
+	f.stmts[sel.Table] = append(f.stmts[sel.Table], sel)
+	f.mu.Unlock()
 	return f.Engine.ExecStmt(st)
 }
 
-// TestRoundRobinProbeIsIndexOnly: the statement that opens Round-Robin's
-// cursors selects the join column it probes and nothing else, so the posting
-// lists answer it and no tuple of the source is read for it; every other
-// statement of a generation returns whole rows and keeps reading tuples.
-func TestRoundRobinProbeIsIndexOnly(t *testing.T) {
+// TestRoundRobinProbeReadsNoTuple: a Round-Robin join is exactly one Probe —
+// whose tuple reads are its postings, the cost model's TupleTime per tuple
+// *retrieved* by the scans, with nothing scanned — and exactly one statement,
+// a fetch by tuple id of the tuples the rounds chose. No statement of a
+// Round-Robin generation selects without ids, and none selects rowid into its
+// rows.
+func TestRoundRobinProbeReadsNoTuple(t *testing.T) {
 	db, g := syntheticMovies(t, 300)
 	rs, seeds := diffQuery(t, g, invidx.New(db), busiestDirector(db), 0.05)
 	for _, workers := range []int{1, 4} {
-		ef := &explainingFetcher{Engine: sqlx.NewEngine(db), plans: map[string][]string{}}
-		rd, err := GenerateDatabaseOpts(ef, rs, seeds, MaxTuplesPerRelation(150), StrategyRoundRobin, DBGenOptions{Workers: workers})
+		pl := &probeLog{Engine: sqlx.NewEngine(db), probes: map[string][]*sqlx.Groups{}, stmts: map[string][]*sqlx.SelectStmt{}}
+		rd, err := GenerateDatabaseOpts(pl, rs, seeds, MaxTuplesPerRelation(150), StrategyRoundRobin, DBGenOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		probes := 0
-		for cols, plans := range ef.plans {
-			probe := !strings.Contains(cols, sqlx.RowIDColumn)
-			for _, plan := range plans {
-				if probe {
-					probes++
+		probes, stmts := 0, 0
+		for rel, sels := range pl.stmts {
+			stmts += len(sels)
+			for _, sel := range sels {
+				if _, ok := sel.Where.(*sqlx.RowIDIn); !ok {
+					t.Errorf("workers=%d: statement on %s does not fetch by id", workers, rel)
 				}
-				if strings.HasPrefix(plan, "index-only(") != probe {
-					t.Errorf("workers=%d: SELECT %s ran as %q", workers, cols, plan)
+				if slices.Contains(sel.Columns, sqlx.RowIDColumn) {
+					t.Errorf("workers=%d: statement on %s selects rowid into its rows", workers, rel)
 				}
 			}
 		}
+		for rel, groups := range pl.probes {
+			probes += len(groups)
+			for _, g := range groups {
+				postings := g.Ends[len(g.Ends)-1]
+				if g.Stats.TupleReads != postings || g.Stats.Scanned != 0 || g.Stats.IndexLookups != len(g.Ends) {
+					t.Errorf("workers=%d: probe of %s: %+v for %d values and %d postings", workers, rel, g.Stats, len(g.Ends), postings)
+				}
+			}
+		}
+		// Per target relation: one statement for its seeds, and per join
+		// one probe and — unless every posting was in D′ already — one fetch.
+		for rel, sels := range pl.stmts {
+			joins := len(sels)
+			if len(seeds[rel]) > 0 {
+				joins--
+			}
+			if joins > len(pl.probes[rel]) {
+				t.Errorf("workers=%d: %d fetches into %s after %d probes", workers, joins, rel, len(pl.probes[rel]))
+			}
+		}
 		if probes == 0 || probes > rd.Stats.JoinsExecuted {
-			t.Errorf("workers=%d: %d cursor probes for %d joins", workers, probes, rd.Stats.JoinsExecuted)
+			t.Errorf("workers=%d: %d probes for %d joins", workers, probes, rd.Stats.JoinsExecuted)
+		}
+		if probes+stmts != rd.Stats.Queries {
+			t.Errorf("workers=%d: Queries = %d, fetcher saw %d probes + %d statements", workers, rd.Stats.Queries, probes, stmts)
 		}
 	}
+}
+
+// TestRoundRobinRounds states what Round-Robin's rounds choose, join by join
+// of a deep generation, against cursors written down naively — one scan of Rj
+// per driving value, as Figure 5 has it — for budgets from one tuple to more
+// than exist: no tuple is chosen twice, none is in R′ⱼ already, and the picks
+// are round after round one tuple from every cursor still open, in driving
+// value order, until the budget or the cursors run out. The reference
+// generator's statement-per-value fetch must choose the same tuples. Half of
+// each join's tuples are then inserted and the joins are walked twice, so a
+// join finds part of its postings in R′ⱼ.
+func TestRoundRobinRounds(t *testing.T) {
+	db, graph := syntheticMovies(t, 300)
+	rs, seeds := diffQuery(t, graph, invidx.New(db), busiestDirector(db), 0.05)
+	for _, weights := range []TupleWeights{nil, diffWeights(db)} {
+		g, err := newGenerator(sqlx.NewEngine(db), rs, seeds, Unlimited(), StrategyRoundRobin, DBGenOptions{Weights: weights})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.placeSeeds(seeds); err != nil {
+			t.Fatal(err)
+		}
+		joins, revisits := 0, 0
+		edges := rs.JoinEdgesByWeight()
+		for _, e := range append(edges[:len(edges):len(edges)], edges...) {
+			values, err := g.out.Relation(e.From).DistinctValues(e.FromCol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(values) == 0 {
+				continue
+			}
+			// The naive cursors, and the rounds dealt from them.
+			to, outRel := db.Relation(e.To), g.out.Relation(e.To)
+			ci := to.Schema().ColumnIndex(e.ToCol)
+			var cursors [][]storage.TupleID
+			for _, v := range values {
+				var cur []storage.TupleID
+				to.Scan(func(tu storage.Tuple) bool {
+					if tu.Values[ci].Equal(v) && !outRel.Has(tu.ID) {
+						cur = append(cur, tu.ID)
+					} else if tu.Values[ci].Equal(v) {
+						revisits++
+					}
+					return true
+				})
+				slices.Sort(cur)
+				weights.order(e.To, cur)
+				cursors = append(cursors, cur)
+			}
+			var dealt []storage.TupleID
+			for round := 0; ; round++ {
+				open := false
+				for _, cur := range cursors {
+					if round < len(cur) {
+						dealt, open = append(dealt, cur[round]), true
+					}
+				}
+				if !open {
+					break
+				}
+			}
+			if len(dealt) == 0 {
+				continue
+			}
+			joins++
+			for _, limit := range []int{1, 2, len(values) - 1, len(values), len(values) + 1, len(dealt) - 1, len(dealt), len(dealt) + 7, Unlimited().Budget(e.To, nil, 0)} {
+				if limit < 1 {
+					continue
+				}
+				f, err := g.fetchRoundRobin(e, values, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("weights=%v %s->%s limit=%d", weights != nil, e.From, e.To, limit)
+				if want := dealt[:min(limit, len(dealt))]; !slices.Equal(f.ids, want) {
+					t.Fatalf("%s: chose %v, the rounds deal %v", name, f.ids, want)
+				}
+				seen := map[storage.TupleID]bool{}
+				for i, id := range f.ids {
+					if tu, ok := to.Get(id); seen[id] || outRel.Has(id) || !ok || !reflect.DeepEqual(f.rows[i], g.project(e.To, tu)) {
+						t.Fatalf("%s: pick %d (tuple %d) is repeated, in R′ⱼ already, or not the stored row", name, i, id)
+					}
+					seen[id] = true
+				}
+				ref, err := refGenerator{g}.fetchRoundRobin(e, values, limit, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(f.ids, ref.ids) || !reflect.DeepEqual(f.rows, ref.rows) {
+					t.Fatalf("%s: chose %v, the statement-per-value reference %v", name, f.ids, ref.ids)
+				}
+			}
+			f, err := g.fetchRoundRobin(e, values, len(dealt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.apply(e.To, f, len(dealt)/2+1, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if joins < 5 || revisits == 0 {
+			t.Fatalf("weights=%v: %d joins exercised, %d postings found in R′ⱼ: the schema is too shallow to tell", weights != nil, joins, revisits)
+		}
+	}
+}
+
+// project returns the columns of tu the generator fetches for rel.
+func (g *generator) project(rel string, tu storage.Tuple) []storage.Value {
+	schema := g.eng.Database().Relation(rel).Schema()
+	row := make([]storage.Value, len(g.cols[rel]))
+	for i, c := range g.cols[rel] {
+		row[i] = tu.Values[schema.ColumnIndex(c)]
+	}
+	return row
 }

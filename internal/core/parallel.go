@@ -25,6 +25,3 @@ type PanicError = parallel.PanicError
 // goroutines, returning when all calls finished; see parallel.For for the
 // chunking and panic-isolation contract.
 func ParallelFor(n, workers int, fn func(i int)) { parallel.For(n, workers, fn) }
-
-// parallelFor is the package-internal alias used by the generator.
-func parallelFor(n, workers int, fn func(i int)) { parallel.For(n, workers, fn) }

@@ -94,7 +94,7 @@ func (g refGenerator) runBatch(batch []*schemagraph.JoinEdge) error {
 	}
 	results := make([]*fetched, len(batch))
 	errs := make([]error, len(batch))
-	parallelFor(len(batch), g.workers, func(i int) {
+	ParallelFor(len(batch), g.workers, func(i int) {
 		if budgets[i] <= 0 {
 			return
 		}
@@ -198,7 +198,7 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 		err error
 	}
 	scans := make([]scanRes, len(values))
-	parallelFor(len(values), workers, func(i int) {
+	ParallelFor(len(values), workers, func(i int) {
 		if err := g.ctxErr(); err != nil {
 			scans[i].err = err
 			return
@@ -267,11 +267,12 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 
 	type rowRes struct {
 		rows [][]storage.Value
+		ids  []storage.TupleID
 		sql  sqlx.Stats
 		err  error
 	}
 	fetchedRows := make([]rowRes, len(chosen))
-	parallelFor(len(chosen), workers, func(i int) {
+	ParallelFor(len(chosen), workers, func(i int) {
 		if err := g.ctxErr(); err != nil {
 			fetchedRows[i].err = err
 			return
@@ -285,7 +286,7 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 			fetchedRows[i].err = err
 			return
 		}
-		fetchedRows[i].rows = res.Rows
+		fetchedRows[i].rows, fetchedRows[i].ids = res.Rows, res.RowIDs
 		fetchedRows[i].sql = res.Stats
 	})
 	for i := range fetchedRows {
@@ -295,6 +296,7 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 		f.queries++
 		f.sql.Add(fetchedRows[i].sql)
 		f.rows = append(f.rows, fetchedRows[i].rows...)
+		f.ids = append(f.ids, fetchedRows[i].ids...)
 	}
 	return f, nil
 }
@@ -311,6 +313,18 @@ func (g refGenerator) existingIDs(rel string) []storage.Value {
 		return true
 	})
 	return vals
+}
+
+// rowidRef is the pseudo-column reference the reference predicates filter on.
+func rowidRef() *sqlx.ColumnRef { return &sqlx.ColumnRef{Name: sqlx.RowIDColumn} }
+
+// rowidIn builds the literal predicate rowid IN (ids...).
+func rowidIn(ids []storage.TupleID) *sqlx.InList {
+	vals := make([]storage.Value, len(ids))
+	for i, id := range ids {
+		vals[i] = storage.Int(int64(id))
+	}
+	return &sqlx.InList{Left: rowidRef(), Values: vals}
 }
 
 // refStmtIDs builds SELECT rowid FROM rel WHERE <where>.

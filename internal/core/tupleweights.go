@@ -32,9 +32,6 @@ func (w TupleWeights) Weight(relation string, id storage.TupleID) float64 {
 
 // order sorts ids in place by decreasing weight, then ascending id.
 func (w TupleWeights) order(relation string, ids []storage.TupleID) {
-	if w == nil {
-		return
-	}
 	m := w[relation]
 	if len(m) == 0 {
 		return

@@ -2,13 +2,14 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"precis/internal/faultinject"
 	"precis/internal/obs"
+	"precis/internal/parallel"
 	"precis/internal/sqlx"
 	"precis/internal/storage"
 )
@@ -17,8 +18,8 @@ import (
 // across all of its queries' fetchers. All fields are nil-safe (obs
 // counters no-op when nil), so an uninstrumented engine passes nil.
 type Metrics struct {
-	// Scatters counts statements fanned out (one per ExecStmt, whatever
-	// the number of target shards).
+	// Scatters counts statements fanned out (one per ExecStmt or Probe,
+	// whatever the number of target shards).
 	Scatters *obs.Counter
 	// Queries[i] counts statements executed on shard i.
 	Queries []*obs.Counter
@@ -36,13 +37,13 @@ type tally struct {
 	busy    atomic.Int64 // nanoseconds spent executing on this shard
 }
 
-// Fetcher executes the generator's SELECTs across shard engines —
+// Fetcher executes the generator's SELECTs and probes across shard engines —
 // core.Fetcher's scatter/gather implementation. One Fetcher serves one
 // query: it snapshots the shard databases at construction (the coordinator
 // serializes queries against mutations, so the snapshot is stable) and
 // tallies per-shard work for the query's trace.
 //
-// ExecStmt is safe for concurrent use. AccumulateStats and TotalStats are
+// ExecStmt and Probe are safe for concurrent use. AccumulateStats and TotalStats are
 // only called from the query's coordination goroutine.
 type Fetcher struct {
 	part    Partitioner
@@ -58,6 +59,9 @@ func NewFetcher(part Partitioner, dbs []*storage.Database, m *Metrics) *Fetcher 
 	engs := make([]*sqlx.Engine, len(dbs))
 	for i, db := range dbs {
 		engs[i] = sqlx.NewEngine(db)
+	}
+	if m == nil {
+		m = &Metrics{}
 	}
 	return &Fetcher{part: part, engs: engs, metrics: m, tallies: make([]tally, len(dbs))}
 }
@@ -85,42 +89,104 @@ func (f *Fetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
 	if sel.Distinct || len(sel.OrderBy) > 0 || sel.Offset != 0 {
 		return nil, fmt.Errorf("shard: scatter execution does not support DISTINCT/ORDER BY/OFFSET")
 	}
-	if err := faultinject.Fire(faultinject.SiteShardScatter); err != nil {
-		return nil, fmt.Errorf("shard: scatter %s: %w", sel.Table, err)
-	}
-	f.metrics.scatters().Inc()
-
 	rowIDs, routed := sqlx.RowIDOrder(sel.Where)
 	targets := f.targets(rowIDs, routed)
-
 	results := make([]*sqlx.Result, len(targets))
-	errs := make([]error, len(targets))
-	if len(targets) == 1 {
-		results[0], errs[0] = f.runOn(targets[0], sel)
-	} else if len(targets) > 1 {
-		var wg sync.WaitGroup
-		for ti := range targets {
-			wg.Add(1)
-			go func(ti int) {
-				defer wg.Done()
-				results[ti], errs[ti] = f.runOn(targets[ti], sel)
-			}(ti)
+	err := f.scatter(sel.Table, targets, func(ti int, eng *sqlx.Engine) (rows int, err error) {
+		if results[ti], err = eng.ExecStmt(sel); err != nil {
+			return 0, err
 		}
-		wg.Wait()
-	}
-	for ti, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", targets[ti], err)
-		}
-	}
-	if err := faultinject.Fire(faultinject.SiteShardGather); err != nil {
-		return nil, fmt.Errorf("shard: gather %s: %w", sel.Table, err)
+		return len(results[ti].Rows), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(targets) == 1 {
 		// Single owner: the shard's result is already in final order.
 		return results[0], nil
 	}
 	return f.merge(sel, rowIDs, routed, results), nil
+}
+
+// Probe scatters one grouped probe to every shard and gathers, per value,
+// the shards' ascending runs merged into one (a tuple lives on one shard, so
+// the runs are disjoint). It is one scatter, tallied like a statement.
+func (f *Fetcher) Probe(rel, col string, values []storage.Value) (*sqlx.Groups, error) {
+	results := make([]*sqlx.Groups, len(f.engs))
+	err := f.scatter(rel, f.targets(nil, false), func(ti int, eng *sqlx.Engine) (rows int, err error) {
+		if results[ti], err = eng.Probe(rel, col, values); err != nil {
+			return 0, err
+		}
+		return len(results[ti].IDs), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(results) == 1 {
+		return results[0], nil
+	}
+	out := &sqlx.Groups{Ends: make([]int, len(values))}
+	for _, r := range results {
+		out.Stats.Add(r.Stats)
+	}
+	out.IDs = make([]storage.TupleID, 0, out.Stats.TupleReads) // a probe reads a tuple per posting
+	for i := range values {
+		start, runs := len(out.IDs), 0
+		for _, r := range results {
+			if run := r.Group(i); len(run) > 0 {
+				out.IDs = append(out.IDs, run...)
+				runs++
+			}
+		}
+		if runs > 1 {
+			slices.Sort(out.IDs[start:])
+		}
+		out.Ends[i] = len(out.IDs)
+	}
+	return out, nil
+}
+
+// scatter runs fn on every target shard — inline for a single target, on one
+// goroutine per shard otherwise — between the scatter and gather fault sites,
+// counting one scatter and tallying each shard's work (fn returns its rows).
+// The pool is parallel.For: a panic in one shard's work is re-raised on the
+// calling goroutine as a *parallel.PanicError, and becomes ErrInternal.
+func (f *Fetcher) scatter(rel string, targets []int, fn func(ti int, eng *sqlx.Engine) (rows int, err error)) error {
+	if err := faultinject.Fire(faultinject.SiteShardScatter); err != nil {
+		return fmt.Errorf("shard: scatter %s: %w", rel, err)
+	}
+	f.metrics.Scatters.Inc()
+	errs := make([]error, len(targets))
+	parallel.For(len(targets), len(targets), func(ti int) {
+		shard := targets[ti]
+		start := time.Now()
+		rows, err := fn(ti, f.engs[shard])
+		t := &f.tallies[shard]
+		t.busy.Add(time.Since(start).Nanoseconds())
+		t.queries.Add(1)
+		t.rows.Add(int64(rows))
+		counter(f.metrics.Rows, shard).Add(uint64(rows))
+		counter(f.metrics.Queries, shard).Inc()
+		errs[ti] = err
+	})
+	for ti, err := range errs {
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", targets[ti], err)
+		}
+	}
+	if err := faultinject.Fire(faultinject.SiteShardGather); err != nil {
+		return fmt.Errorf("shard: gather %s: %w", rel, err)
+	}
+	return nil
+}
+
+// counter returns per-shard counter i, or nil — a counter that counts
+// nothing — on an uninstrumented engine.
+func counter(cs []*obs.Counter, i int) *obs.Counter {
+	if i < len(cs) {
+		return cs[i]
+	}
+	return nil
 }
 
 // targets resolves the shard set a statement must visit: the owners of the
@@ -147,25 +213,6 @@ func (f *Fetcher) targets(rowIDs []storage.TupleID, routed bool) []int {
 	return targets
 }
 
-// runOn executes the statement on one shard, tallying its work.
-func (f *Fetcher) runOn(shard int, sel *sqlx.SelectStmt) (*sqlx.Result, error) {
-	start := time.Now()
-	res, err := f.engs[shard].ExecStmt(sel)
-	t := &f.tallies[shard]
-	t.busy.Add(time.Since(start).Nanoseconds())
-	t.queries.Add(1)
-	if res != nil {
-		t.rows.Add(int64(len(res.Rows)))
-		if f.metrics != nil {
-			f.metrics.shardRows(shard).Add(uint64(len(res.Rows)))
-		}
-	}
-	if f.metrics != nil {
-		f.metrics.shardQueries(shard).Inc()
-	}
-	return res, err
-}
-
 // merge combines per-shard results into the row order a single engine
 // would emit. Statements served from a rowid predicate are merged by
 // predicate-list position (each id exists on at most one shard); all other
@@ -174,25 +221,14 @@ func (f *Fetcher) runOn(shard int, sel *sqlx.SelectStmt) (*sqlx.Result, error) {
 // the merged prefix — exact, because each shard over-fetched up to the
 // full limit locally.
 func (f *Fetcher) merge(sel *sqlx.SelectStmt, rowIDs []storage.TupleID, routed bool, results []*sqlx.Result) *sqlx.Result {
-	out := &sqlx.Result{}
+	out := &sqlx.Result{Columns: sel.Columns}
 	for _, r := range results {
-		if r == nil {
-			continue
-		}
 		out.Stats.Add(r.Stats)
-		if out.Columns == nil {
-			out.Columns = r.Columns
-		}
-	}
-	if out.Columns == nil {
-		out.Columns = sel.Columns
+		out.Columns = r.Columns
 	}
 	if routed {
 		rows := make(map[storage.TupleID][]storage.Value)
 		for _, r := range results {
-			if r == nil {
-				continue
-			}
 			for i, id := range r.RowIDs {
 				rows[id] = r.Rows[i]
 			}
@@ -211,9 +247,6 @@ func (f *Fetcher) merge(sel *sqlx.SelectStmt, rowIDs []storage.TupleID, routed b
 		return out
 	}
 	for _, r := range results {
-		if r == nil {
-			continue
-		}
 		out.Rows = append(out.Rows, r.Rows...)
 		out.RowIDs = append(out.RowIDs, r.RowIDs...)
 	}
@@ -251,28 +284,4 @@ func (f *Fetcher) RecordTrace(tr *obs.Trace) {
 		}
 		tr.RecordStep(fmt.Sprintf("shard:%d", i), time.Duration(t.busy.Load()), int(t.rows.Load()), int(q))
 	}
-}
-
-// scatters returns the scatter counter (nil-safe).
-func (m *Metrics) scatters() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Scatters
-}
-
-// shardQueries returns shard i's statement counter (nil-safe).
-func (m *Metrics) shardQueries(i int) *obs.Counter {
-	if m == nil || i >= len(m.Queries) {
-		return nil
-	}
-	return m.Queries[i]
-}
-
-// shardRows returns shard i's row counter (nil-safe).
-func (m *Metrics) shardRows(i int) *obs.Counter {
-	if m == nil || i >= len(m.Rows) {
-		return nil
-	}
-	return m.Rows[i]
 }

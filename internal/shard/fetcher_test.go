@@ -40,7 +40,7 @@ func TestFetcherIDSetPredicate(t *testing.T) {
 		&sqlx.Logical{And: true, Left: probe, Right: &sqlx.Not{Inner: inSet}},
 		&sqlx.Logical{Left: inSet, Right: &sqlx.Compare{Op: sqlx.OpEq, Left: &sqlx.ColumnRef{Name: "id"}, Right: &sqlx.Literal{Value: storage.Int(7)}}},
 		notInSet,
-		probe, // alone, under this projection, every shard answers it from its index only
+		probe, // alone: every candidate satisfies it, so the shards check no tuple against it
 	}
 	single := sqlx.NewEngine(db)
 	for _, n := range []int{1, 2, 3, 4} {

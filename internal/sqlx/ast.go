@@ -1,6 +1,7 @@
 package sqlx
 
 import (
+	"fmt"
 	"strings"
 
 	"precis/internal/storage"
@@ -164,6 +165,14 @@ type RowIDInSet struct {
 	Not bool
 }
 
+// RowIDIn is rowid IN (ids...) with the ids carried as ids: the generator's
+// fetches name hundreds of tuples, and a literal InList would box each into a
+// Value only for the planner to unbox it. The plan visits IDs in order,
+// duplicates included, and never writes them. It has no SQL syntax.
+type RowIDIn struct {
+	IDs []storage.TupleID
+}
+
 // Like is <col> LIKE 'pattern' with % and _ wildcards, optional NOT.
 type Like struct {
 	Left    Expr
@@ -193,6 +202,7 @@ func (*Literal) expr()    {}
 func (*Compare) expr()    {}
 func (*InList) expr()     {}
 func (*RowIDInSet) expr() {}
+func (*RowIDIn) expr()    {}
 func (*Like) expr()       {}
 func (*IsNull) expr()     {}
 func (*Logical) expr()    {}
@@ -266,6 +276,8 @@ func exprString(e Expr) string {
 			return RowIDColumn + " NOT IN <id set>"
 		}
 		return RowIDColumn + " IN <id set>"
+	case *RowIDIn:
+		return fmt.Sprintf("%s IN <%d ids>", RowIDColumn, len(e.IDs))
 	case *Like:
 		not := ""
 		if e.Not {

@@ -1,7 +1,6 @@
 package sqlx
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -214,7 +213,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 
 // execExplain reports the access path execSelect would take — the plan of
 // the same planAccess call, rendered: "rowid fetch (n ids)", "index(col)
-// probes=n", "index-only(col) probes=n", "range(col)" or "scan".
+// probes=n", "range(col)" or "scan".
 func (e *Engine) execExplain(st *ExplainStmt) (*Result, error) {
 	rel := e.db.Relation(st.Inner.Table)
 	if rel == nil {
@@ -285,7 +284,7 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 	res := &Result{Columns: outCols}
 
 	planned := plan.kind != accessScan
-	candidates, keys, err := plan.candidates(rel, &res.Stats)
+	candidates, err := plan.candidates(rel, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -367,31 +366,7 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		res.Stats.TupleReads++
 	}
 
-	switch {
-	case plan.kind == accessIndexOnly:
-		// Every candidate is a live tuple satisfying the whole WHERE clause,
-		// and its probed column holds the key it was found under: the rows
-		// come from the posting lists alone, carved out of one array.
-		if maxRows == 0 {
-			break
-		}
-		width := len(outIdx)
-		cells := make([]storage.Value, maxRows*width)
-		res.Rows = make([][]storage.Value, maxRows)
-		res.RowIDs = candidates[:maxRows]
-		for i, id := range res.RowIDs {
-			row := cells[i*width : (i+1)*width : (i+1)*width]
-			for j, ci := range outIdx {
-				if ci < 0 {
-					row[j] = storage.Int(int64(id))
-				} else {
-					row[j] = keys.at(i)
-				}
-			}
-			res.Rows[i] = row
-		}
-		res.Stats.TupleReads += maxRows
-	case planned:
+	if planned {
 		for _, id := range candidates {
 			if earlyLimit && len(res.Rows) >= earlyCount {
 				break
@@ -400,7 +375,7 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 				emit(t)
 			}
 		}
-	default:
+	} else {
 		rel.Scan(func(t storage.Tuple) bool {
 			if earlyLimit && len(res.Rows) >= earlyCount {
 				return false
@@ -445,31 +420,42 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 // fetches depend on that order surviving the merge).
 func RowIDOrder(where Expr) ([]storage.TupleID, bool) {
 	var buf [8]Expr
-	for _, c := range appendConjuncts(buf[:0], where) {
+	ids, source := rowIDConjunct(appendConjuncts(buf[:0], where))
+	return ids, source != nil
+}
+
+// rowIDConjunct finds the first conjunct that lists tuple ids — a RowIDIn
+// node, whose ids are returned as they are, or `rowid = v` / `rowid IN (...)`,
+// whose integer literals are converted — and returns the ids in list order.
+func rowIDConjunct(conjuncts []Expr) ([]storage.TupleID, Expr) {
+	for _, c := range conjuncts {
+		if in, ok := c.(*RowIDIn); ok {
+			return in.IDs, c
+		}
 		if col, vals, ok := eqOrInTarget(c); ok && col == RowIDColumn {
-			return vals.rowIDs(), true
+			return vals.rowIDs(), c
 		}
 	}
-	return nil, false
+	return nil, nil
 }
 
 // accessKind names the access path of one SELECT.
 type accessKind uint8
 
 const (
-	accessScan      accessKind = iota // visit every tuple
-	accessRowID                       // fetch the ids a rowid = / IN conjunct lists
-	accessIndex                       // probe a hash index with an = / IN conjunct's values
-	accessIndexOnly                   // the same probe, the rows built from the index keys: no tuple is read
-	accessRange                       // walk an ordered index between bounds
+	accessScan  accessKind = iota // visit every tuple
+	accessRowID                   // fetch the ids a rowid = / IN conjunct lists
+	accessIndex                   // probe a hash index with an = / IN conjunct's values
+	accessRange                   // walk an ordered index between bounds
 )
 
 // accessPlan is the access path planAccess chose for one WHERE clause.
 // execSelect executes it and EXPLAIN prints it, so the two cannot disagree.
 type accessPlan struct {
 	kind accessKind
-	col  string      // accessIndex, accessIndexOnly, accessRange: the indexed column
-	vals probeValues // accessRowID, accessIndex, accessIndexOnly: the conjunct's values, in predicate order
+	col  string            // accessIndex, accessRange: the indexed column
+	vals probeValues       // accessIndex: the conjunct's values, in predicate order
+	ids  []storage.TupleID // accessRowID: the conjunct's ids, in predicate order
 	lo   *storage.Bound
 	hi   *storage.Bound
 	// source is the conjunct the candidates come from, set only when every
@@ -486,11 +472,9 @@ type accessPlan struct {
 func (p accessPlan) String() string {
 	switch p.kind {
 	case accessRowID:
-		return fmt.Sprintf("rowid fetch (%d ids)", p.vals.len())
+		return fmt.Sprintf("rowid fetch (%d ids)", len(p.ids))
 	case accessIndex:
 		return fmt.Sprintf("index(%s) probes=%d", p.col, p.vals.len())
-	case accessIndexOnly:
-		return fmt.Sprintf("index-only(%s) probes=%d", p.col, p.vals.len())
 	case accessRange:
 		return fmt.Sprintf("range(%s)", p.col)
 	default:
@@ -501,24 +485,18 @@ func (p accessPlan) String() string {
 // planAccess picks the access path for sel from the top-level AND-conjuncts
 // of its WHERE clause, collected once: an equality or IN predicate on rowid
 // wins (direct fetches, no index probe), then the first one on a hash-indexed
-// column, then a range over an ordered (B-tree) index; otherwise a scan. A
-// hash probe is index-only when the index alone holds the answer: the probed
-// conjunct is the whole clause and guaranteed by the probe (no NULL in its
-// list), every output column is named and is rowid or the probed column, and
-// no ORDER BY asks for another. Planning touches no tuples and cannot fail.
+// column, then a range over an ordered (B-tree) index; otherwise a scan.
+// Planning touches no tuples and cannot fail.
 func planAccess(rel *storage.Relation, sel *SelectStmt) accessPlan {
 	var buf [8]Expr
 	conjuncts := appendConjuncts(buf[:0], sel.Where)
+	if ids, source := rowIDConjunct(conjuncts); source != nil {
+		return accessPlan{kind: accessRowID, ids: ids, source: source}
+	}
 	var index accessPlan
 	for _, c := range conjuncts {
 		col, vals, ok := eqOrInTarget(c)
-		if !ok {
-			continue
-		}
-		if col == RowIDColumn {
-			return accessPlan{kind: accessRowID, vals: vals, source: c}
-		}
-		if index.kind != accessScan || !rel.HasIndex(col) {
+		if !ok || index.kind != accessScan || !rel.HasIndex(col) {
 			continue
 		}
 		hasNull, probeable := vals.shape()
@@ -531,9 +509,6 @@ func planAccess(rel *storage.Relation, sel *SelectStmt) accessPlan {
 		}
 	}
 	if index.kind == accessIndex {
-		if index.source != nil && len(conjuncts) == 1 && len(sel.OrderBy) == 0 && projects(sel.Columns, index.col) {
-			index.kind = accessIndexOnly
-		}
 		return index
 	}
 	if col, lo, hi, ok := rangeTarget(rel, conjuncts); ok {
@@ -542,58 +517,27 @@ func planAccess(rel *storage.Relation, sel *SelectStmt) accessPlan {
 	return accessPlan{}
 }
 
-// projects reports whether every column of a SELECT list is rowid or col.
-// The unnamed list (SELECT *) is not looked through.
-func projects(cols []string, col string) bool {
-	for _, c := range cols {
-		if c != RowIDColumn && c != col {
-			return false
-		}
-	}
-	return cols != nil
-}
-
 // candidates executes the plan's index side: the tuple ids to visit, in the
 // order the executor emits them (predicate-list order for a rowid plan,
-// ascending ids otherwise), or nil for a scan. An index-only plan also gets
-// the key each id was found under. An index probe failure is propagated, never swallowed: silently
-// treating a failed lookup as "no matches" would corrupt the answer without
-// any signal.
-func (p accessPlan) candidates(rel *storage.Relation, stats *Stats) (ids []storage.TupleID, keys probeKeys, err error) {
+// ascending ids otherwise), or nil for a scan. An index probe failure is
+// propagated, never swallowed: silently treating a failed lookup as "no
+// matches" would corrupt the answer without any signal.
+func (p accessPlan) candidates(rel *storage.Relation, stats *Stats) (ids []storage.TupleID, err error) {
 	switch p.kind {
 	case accessRowID:
-		ids = p.vals.rowIDs()
-	case accessIndex, accessIndexOnly:
+		ids = p.ids
+	case accessIndex:
 		schema := rel.Schema()
 		colType := schema.Columns[schema.ColumnIndex(p.col)].Type
-		var ends []int // index-only: where each non-empty posting list gathered ends in ids
-		var found []storage.Value
-		if p.kind == accessIndexOnly {
-			ends, found = make([]int, 0, p.vals.len()), make([]storage.Value, 0, p.vals.len())
-		}
-		lists := 0 // non-empty posting lists gathered
 		for i := 0; i < p.vals.len(); i++ {
 			stats.IndexLookups++
-			probe, n := indexKeys(colType, p.vals.at(i))
-			for _, key := range probe[:n] {
-				before := len(ids)
-				if ids, err = rel.AppendLookup(ids, p.col, key); err != nil {
-					return nil, probeKeys{}, fmt.Errorf("sql: access path on %s: %w", schema.Name, err)
-				}
-				if len(ids) > before {
-					lists++
-					if p.kind == accessIndexOnly {
-						ends, found = append(ends, len(ids)), append(found, key)
-					}
-				}
+			if ids, err = appendPostings(ids, rel, p.col, colType, p.vals.at(i)); err != nil {
+				return nil, err
 			}
 		}
-		// One posting list is already ascending and duplicate-free; several
-		// (IN lists may even repeat a value) are merged.
-		switch {
-		case p.kind == accessIndexOnly:
-			ids, keys = mergeKeyed(ids, ends, found)
-		case lists > 1:
+		// One value's postings are ascending and duplicate-free; several
+		// values' (IN lists may even repeat a value) are merged.
+		if p.vals.len() > 1 {
 			slices.Sort(ids)
 			ids = slices.Compact(ids)
 		}
@@ -605,52 +549,7 @@ func (p accessPlan) candidates(rel *storage.Relation, stats *Stats) (ids []stora
 		})
 		slices.Sort(ids)
 	}
-	return ids, keys, nil
-}
-
-// probeKeys tells an index-only plan what each candidate's tuple stores in the
-// probed column: the index key its id was found under (the index keys on
-// exact values). list is nil when every candidate came from one posting list.
-type probeKeys struct {
-	found []storage.Value // the key of each non-empty posting list gathered
-	list  []int32         // parallel to the candidate ids: position in found
-}
-
-func (k probeKeys) at(i int) storage.Value {
-	if k.list == nil {
-		return k.found[0]
-	}
-	return k.found[k.list[i]]
-}
-
-// mergeKeyed merges the posting lists gathered into ids — list i ends at
-// ends[i] and was found under found[i] — into ascending, duplicate-free ids
-// with each id's key alongside. An id gathered twice (a repeated IN value)
-// was found under the same key both times.
-func mergeKeyed(ids []storage.TupleID, ends []int, found []storage.Value) ([]storage.TupleID, probeKeys) {
-	if len(ends) <= 1 {
-		return ids, probeKeys{found: found}
-	}
-	type keyed struct {
-		id   storage.TupleID
-		list int32
-	}
-	pairs := make([]keyed, 0, len(ids))
-	for list, start := 0, 0; list < len(ends); list++ {
-		for _, id := range ids[start:ends[list]] {
-			pairs = append(pairs, keyed{id, int32(list)})
-		}
-		start = ends[list]
-	}
-	slices.SortFunc(pairs, func(a, b keyed) int { return cmp.Compare(a.id, b.id) })
-	lists := make([]int32, 0, len(ids))
-	ids = ids[:0]
-	for i, p := range pairs {
-		if i == 0 || p.id != pairs[i-1].id {
-			ids, lists = append(ids, p.id), append(lists, p.list)
-		}
-	}
-	return ids, probeKeys{found: found, list: lists}
+	return ids, nil
 }
 
 // maxExactFloat is 2^53: below it every integral float64 is exactly one
@@ -1050,6 +949,9 @@ func (c *compiler) boolean(e Expr) (predicate, error) {
 			}
 			return found != not
 		}, nil
+	case *RowIDIn:
+		ids := e.IDs
+		return func(t storage.Tuple) bool { return slices.Contains(ids, t.ID) }, nil
 	case *RowIDInSet:
 		set, not := e.Set, e.Not
 		if set == nil {

@@ -95,7 +95,7 @@ func explainedStmt(t *testing.T, e *Engine, st *SelectStmt) (*Result, string) {
 	case strings.HasPrefix(plan, "index("):
 		fmt.Sscanf(plan[strings.Index(plan, "probes="):], "probes=%d", &probes)
 		ok = res.Stats.IndexLookups == probes && res.Stats.Scanned == 0
-	case strings.HasPrefix(plan, "index-only("):
+	case strings.HasPrefix(plan, "index("):
 		// It reads no tuple, yet counts each row it returns as the probe that
 		// reads them would.
 		fmt.Sscanf(plan[strings.Index(plan, "probes="):], "probes=%d", &probes)
@@ -179,21 +179,25 @@ func randomPredicate(r *rand.Rand, ids []storage.TupleID, depth int) Expr {
 		return &RowIDInSet{Set: set, Not: r.Intn(2) == 0}
 	default:
 		var vals []storage.Value
+		listed := []storage.TupleID{1 << 40} // names no tuple
 		for _, id := range ids {
 			if r.Intn(20) == 0 {
-				vals = append(vals, storage.Int(int64(id)))
+				vals, listed = append(vals, storage.Int(int64(id))), append(listed, id)
 			}
 		}
-		vals = append(vals, storage.Int(1<<40)) // names no tuple
+		if r.Intn(2) == 0 {
+			return &RowIDIn{IDs: listed[1:]} // the same list, as ids
+		}
+		vals = append(vals, storage.Int(1<<40))
 		return in(col(RowIDColumn), vals...)
 	}
 }
 
 // TestSelectMatchesReferenceScan holds every access path — rowid fetch, hash
-// probe (with and without its conjunct compiled out, and index-only when the
-// projection allows), B-tree range, scan — to the rows the reference
-// executor's full scan returns, on the indexed table and on its unindexed
-// copy.
+// probe (with and without its conjunct compiled out, under projections of
+// the probed column and rowid alone), B-tree range, scan — to the rows the
+// reference executor's full scan returns, on the indexed table and on its
+// unindexed copy.
 func TestSelectMatchesReferenceScan(t *testing.T) {
 	e := planEngine(t)
 	r := rand.New(rand.NewSource(11))
@@ -231,7 +235,7 @@ func TestSelectMatchesReferenceScan(t *testing.T) {
 		}
 		wantPlans := []string{"scan"}
 		if table == "R" {
-			wantPlans = []string{"scan", "index", "index-only", "range", "rowid fetch "}
+			wantPlans = []string{"scan", "index", "range", "rowid fetch "}
 		}
 		for _, p := range wantPlans {
 			if plans[p] == 0 {
@@ -308,13 +312,15 @@ func TestNumericLiteralsAcrossKinds(t *testing.T) {
 	}
 }
 
-// TestIndexOnlyPlan pins when a hash probe is answered from the posting lists
-// alone — the probed conjunct is the whole WHERE clause, no NULL in its list,
-// every output column rowid or the probed column — and that the rows are then
-// what the tuple-reading oracle projects: the stored values (Int(1) for
-// `k = 1.0`), ascending ids, a repeated value's tuples once, the same Stats as
-// the probe that reads tuples.
-func TestIndexOnlyPlan(t *testing.T) {
+// TestHashProbePlan pins the hash probe on the statements an index alone
+// could answer — the probed conjunct is the whole WHERE clause, every output
+// column rowid or the probed column — and beside them the ones it never
+// could: one plan, index(col), serves them all (the posting-list reader is
+// Engine.Probe, not a SELECT plan), and the rows are what the tuple-reading
+// oracle projects: the stored values (Int(1) for `k = 1.0`), ascending ids, a
+// repeated value's tuples once, the same Stats whatever sits beside the
+// probed conjunct.
+func TestHashProbePlan(t *testing.T) {
 	e := planEngine(t)
 	rel := e.Database().Relation("R")
 	i, f, null := storage.Int, storage.Float, storage.Null
@@ -326,17 +332,17 @@ func TestIndexOnlyPlan(t *testing.T) {
 		limit int
 		plan  string
 	}{
-		{"equality", rowidK, eq(col("k"), i(3)), -1, "index-only(k) probes=1"},
-		{"literal on the left", []string{"k"}, &Compare{Op: OpEq, Left: &Literal{Value: i(3)}, Right: col("k")}, -1, "index-only(k) probes=1"},
-		{"repeated IN values", rowidK, in(col("k"), i(2), i(5), i(2), i(2)), -1, "index-only(k) probes=4"},
-		{"k = 1.0 on an INT column", rowidK, eq(col("k"), f(1)), -1, "index-only(k) probes=1"},
-		{"no such key", rowidK, in(col("k"), f(1.5), i(99)), -1, "index-only(k) probes=2"},
-		{"FLOAT column, two keys per literal", onlyF, in(col("f"), i(1), f(2), f(2.5)), -1, "index-only(f) probes=3"},
-		{"rowid alone", []string{RowIDColumn}, in(col("f"), i(1), i(3)), -1, "index-only(f) probes=2"},
-		{"column twice", []string{"k", RowIDColumn, "k"}, in(col("k"), i(1), i(7)), -1, "index-only(k) probes=2"},
-		{"LIMIT", rowidK, in(col("k"), i(1), i(2), i(3)), 7, "index-only(k) probes=3"},
-		{"LIMIT 0", rowidK, in(col("k"), i(1), i(2)), 0, "index-only(k) probes=2"},
-		// Not chosen: the conjunct is re-checked, or the index lacks a column.
+		{"equality", rowidK, eq(col("k"), i(3)), -1, "index(k) probes=1"},
+		{"literal on the left", []string{"k"}, &Compare{Op: OpEq, Left: &Literal{Value: i(3)}, Right: col("k")}, -1, "index(k) probes=1"},
+		{"repeated IN values", rowidK, in(col("k"), i(2), i(5), i(2), i(2)), -1, "index(k) probes=4"},
+		{"k = 1.0 on an INT column", rowidK, eq(col("k"), f(1)), -1, "index(k) probes=1"},
+		{"no such key", rowidK, in(col("k"), f(1.5), i(99)), -1, "index(k) probes=2"},
+		{"FLOAT column, two keys per literal", onlyF, in(col("f"), i(1), f(2), f(2.5)), -1, "index(f) probes=3"},
+		{"rowid alone", []string{RowIDColumn}, in(col("f"), i(1), i(3)), -1, "index(f) probes=2"},
+		{"column twice", []string{"k", RowIDColumn, "k"}, in(col("k"), i(1), i(7)), -1, "index(k) probes=2"},
+		{"LIMIT", rowidK, in(col("k"), i(1), i(2), i(3)), 7, "index(k) probes=3"},
+		{"LIMIT 0", rowidK, in(col("k"), i(1), i(2)), 0, "index(k) probes=2"},
+		// The conjunct is re-checked, or the index lacks a column.
 		{"NULL in the list", rowidK, in(col("k"), i(1), null, i(2)), -1, "index(k) probes=3"},
 		{"k = NULL", rowidK, eq(col("k"), null), -1, "index(k) probes=1"},
 		{"another conjunct", rowidK, and(eq(col("k"), i(3)), eq(col("y"), i(7))), -1, "index(k) probes=1"},
@@ -368,20 +374,20 @@ func TestIndexOnlyPlan(t *testing.T) {
 		if !reflect.DeepEqual(got.RowIDs, wantIDs) || !reflect.DeepEqual(got.Rows, wantRows) {
 			t.Errorf("%s:\n got  %v %v\n want %v %v", tc.name, got.RowIDs, got.Rows, wantIDs, wantRows)
 		}
-		// The same statement through the tuple-reading probe (an always-true
-		// second conjunct) does the same counted work.
+		// The same statement with an always-true second conjunct does the
+		// same counted work.
 		read := *st
 		read.Where = and(tc.where, &RowIDInSet{Set: idSet{}, Not: true})
 		if via, err := e.ExecStmt(&read); err != nil || via.Stats != got.Stats {
-			t.Errorf("%s: stats %+v, through the tuple-reading probe %+v (%v)", tc.name, got.Stats, via.Stats, err)
+			t.Errorf("%s: stats %+v, with a second conjunct %+v (%v)", tc.name, got.Stats, via.Stats, err)
 		}
 	}
 	if res := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)"); len(res.Rows) == 0 || res.Rows[0][1].Kind() != storage.KindInt {
 		t.Fatalf("fixture has no k in (1, 2): %v", res.Rows)
 	}
 
-	// ORDER BY may name a column the index lacks: the tuple-reading probe
-	// serves it. DISTINCT and OFFSET are applied to the index-only rows.
+	// ORDER BY may name a column the index lacks; DISTINCT and OFFSET are
+	// applied to the probe's rows.
 	if plan := e.MustExec("EXPLAIN SELECT k FROM R WHERE k IN (1, 2) ORDER BY y").Rows[0][0].AsString(); plan != "index(k) probes=2" {
 		t.Errorf("ORDER BY y: EXPLAIN says %q", plan)
 	}
@@ -429,6 +435,16 @@ func TestRowIDListEntries(t *testing.T) {
 	}
 	if res := selectWhere(t, e, "R", eq(col(RowIDColumn), storage.Float(float64(a)))); len(res.Rows) != 0 {
 		t.Errorf("rowid = %d.0 returned %v", a, res.RowIDs)
+	}
+	// The same list carried as ids: same order, same repeats, and the caller's
+	// slice is neither copied nor written.
+	listed := []storage.TupleID{a, b, a, 1 << 40}
+	res = selectWhere(t, e, "R", &RowIDIn{IDs: listed})
+	if want := []storage.TupleID{a, b, a}; !reflect.DeepEqual(res.RowIDs, want) || !reflect.DeepEqual(listed, []storage.TupleID{a, b, a, 1 << 40}) {
+		t.Errorf("rowid IN <ids>: rowids %v, want %v (list now %v)", res.RowIDs, want, listed)
+	}
+	if got, ok := RowIDOrder(and(eq(col("id"), storage.Int(2)), &RowIDIn{IDs: listed})); !ok || &got[0] != &listed[0] {
+		t.Errorf("RowIDOrder copied the id list: %v, %v", got, ok)
 	}
 	// The rest of the predicate still applies to the listed tuples.
 	res = selectWhere(t, e, "R", and(in(col(RowIDColumn), storage.Int(int64(a)), storage.Int(int64(b))), eq(col("id"), storage.Int(2))))

@@ -114,6 +114,13 @@ func refEval(schema *storage.Schema, e Expr, t storage.Tuple) (bool, error) {
 		return found != e.Not, nil
 	case *RowIDInSet:
 		return e.Set.Has(t.ID) != e.Not, nil
+	case *RowIDIn:
+		for _, id := range e.IDs {
+			if id == t.ID {
+				return true, nil
+			}
+		}
+		return false, nil
 	case *Like:
 		l, err := refValue(schema, e.Left, t)
 		if err != nil {

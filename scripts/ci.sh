@@ -10,7 +10,10 @@
 # The chaos suite (chaos_test.go) arms internal/faultinject and hammers
 # the engine with 32 goroutines while errors, panics, and latency fire at
 # the injection sites; -count=2 reruns it to catch state leaking between
-# runs (a fault plan left armed, a poisoned cache). The full-suite pass
+# runs (a fault plan left armed, a poisoned cache). Its panic cases
+# (TestChaosPanicsBecomeErrInternal) cover the single engine and four shards:
+# a panic inside one shard's share of a scatter must come back as
+# ErrInternal, not take the process down. The full-suite pass
 # above runs it with -short (scaled-down iteration counts) to keep tier-1
 # wall clock flat; the dedicated pass below runs it at full strength.
 #
@@ -95,7 +98,10 @@
 # itself — from the fetch workers of a join batch and from every shard
 # goroutine of a scatter at once — and only the apply phase may write it.
 # The sqlx planner/evaluator differential and the id-set predicate through
-# shard.Fetcher ride along.
+# shard.Fetcher ride along, and so do the two statements of what Round-Robin
+# reads and chooses: TestProbeMatchesSpec (Fetcher.Probe against a
+# plain-slice spec, on the engine and on 1-4 hash and range shards, whose
+# scatter goroutines only -race watches) and TestRoundRobinRounds.
 #
 # The inverted-index oracle step (internal/invidx differential_test.go)
 # diffs the sorted-slice index against the test-only map-of-maps reference
@@ -128,8 +134,8 @@
 # The ownership tests (ownership_test.go: a caller's slice scribbled after
 # Engine.Insert/Update, tuples held across a WAL-failure rollback) ride in
 # the whole-repository -race pass with the rollback suites; the
-# generator-oracle step also runs the index-only probe's plan tests and
-# TestRoundRobinProbeIsIndexOnly.
+# generator-oracle step also runs the hash probe's plan tests and
+# TestRoundRobinProbeReadsNoTuple.
 #
 # The bench smoke step compiles and runs every benchmark exactly once
 # (-benchtime=1x) with no tests (-run=NONE). It does not measure anything;
@@ -188,7 +194,7 @@ go build ./...
 echo "== go test -race (-short chaos; includes the role table)"
 go test -race -count=1 -short -timeout=10m ./...
 
-echo "== chaos suite -race -count=2 (full strength)"
+echo "== chaos suite -race -count=2 (full strength; panics at every site, single engine and 4 shards)"
 go test -race -count=2 -timeout=10m -run 'TestChaos' .
 
 echo "== crash torture -race (full strength: every WAL byte offset)"
@@ -213,8 +219,8 @@ go test -race -count=1 -timeout=10m -run 'TestSharded' .
 go test -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
-go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeIsIndexOnly|TestQueriesCounts' ./internal/core
-go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestIndexOnlyPlan|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
+go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts' ./internal/core
+go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestProbeMatchesSpec|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
 go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' ./internal/nlg ./internal/web
 
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
