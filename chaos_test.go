@@ -134,6 +134,55 @@ func TestChaosTranslatorLookupFault(t *testing.T) {
 	}
 }
 
+// TestChaosMidGenerationFault sweeps one injected error over the generated
+// statements and cursor probes of a query, and over the index lookups behind
+// them, serially and with a fetch pool: a join that fails after earlier ones
+// have entered D′ — a whole batch each, its indexes merged — fails the query
+// with the injected error and no answer, and the next query, cached or not,
+// is the unfaulted one. (What D′ holds at that moment is internal/core's
+// TestFaultMidJoinLeavesExactPrefix.)
+func TestChaosMidGenerationFault(t *testing.T) {
+	eng := newEngine(t)
+	eng.EnableCache(CacheConfig{MaxEntries: 16})
+	terms := []string{"Woody Allen"}
+	for _, workers := range []int{-1, 4} {
+		opts := Options{Parallelism: workers, SkipNarrative: true}
+		eng.InvalidateCache()
+		want, err := eng.Query(terms, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, site := range []string{faultinject.SiteSQLSelect, faultinject.SiteStorageLookup} {
+			eng.InvalidateCache()
+			count := faultinject.NewPlan().Set(site, faultinject.Rule{Every: 1 << 30})
+			stop := faultinject.Activate(count)
+			if _, err := eng.Query(terms, opts); err != nil {
+				t.Fatal(err)
+			}
+			stop()
+			calls := int(count.Calls(site))
+			if calls < 4 {
+				t.Fatalf("workers=%d: only %d calls pass %s", workers, calls, site)
+			}
+			for nth := 0; nth < calls; nth += 1 + calls/chaosIters(40) {
+				eng.InvalidateCache()
+				stop := faultinject.Activate(faultinject.NewPlan().Set(site, faultinject.Rule{Err: errInjected, After: nth, Limit: 1}))
+				ans, err := eng.Query(terms, opts)
+				stop()
+				if !errors.Is(err, errInjected) || ans != nil {
+					t.Fatalf("workers=%d, %s call %d of %d: answer %v, error %v", workers, site, nth+1, calls, ans != nil, err)
+				}
+				for i := 0; i < 2; i++ {
+					got, err := eng.Query(terms, opts)
+					if err != nil || got.Partial || dumpDatabase(got.Database) != dumpDatabase(want.Database) {
+						t.Fatalf("workers=%d, %s call %d: query %d after the fault differs: %v", workers, site, nth+1, i, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestChaosPanicsBecomeErrInternal arms a panic rule at every site — on the
 // serial path and on the parallel path (SiteIndexProbe fires inside
 // ParallelFor workers), on a single engine and on four shards (where a

@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"precis/internal/dataset"
+	"precis/internal/faultinject"
 	"precis/internal/schemagraph"
 	"precis/internal/storage"
 )
@@ -184,6 +186,48 @@ func TestParallelDeterminism(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestParallelFetchesShareDrivingRelation: the four joins leaving the hub of
+// the star schema form one batch, so with a pool their fetches run at once
+// and every one of them starts by reading the distinct driving values of the
+// same D′ relation, which the seeds' InsertBatch left indexed. A delay at the
+// head of each join holds the workers back until all have started, so the
+// reads overlap; under -race an index completed on first read instead of on
+// insert fails here. The answers equal the serial one.
+func TestParallelFetchesShareDrivingRelation(t *testing.T) {
+	db, g, err := dataset.Star(dataset.StarConfig{Satellites: 4, RowsPerRel: 100, Fanout: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(db, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []Strategy{StrategyNaive, StrategyRoundRobin} {
+		opts := Options{Degree: MinPathWeight(0.1), Cardinality: MaxTuplesPerRelation(20), Strategy: strat, SkipNarrative: true, Parallelism: -1}
+		ref, err := eng.Query([]string{"tokHUB"}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Stats.JoinsExecuted < 4 {
+			t.Fatalf("%v: %d joins: the hub's four edges did not all run", strat, ref.Stats.JoinsExecuted)
+		}
+		plan := faultinject.NewPlan().Set(faultinject.SiteJoin, faultinject.Rule{Delay: 2 * time.Millisecond})
+		stop := faultinject.Activate(plan)
+		opts.Parallelism = 4
+		for i := 0; i < 5; i++ {
+			ans, err := eng.Query([]string{"tokHUB"}, opts)
+			if err != nil || dumpDatabase(ans.Database) != dumpDatabase(ref.Database) {
+				stop()
+				t.Fatalf("%v, run %d: pooled answer differs from the serial one: %v", strat, i, err)
+			}
+		}
+		stop()
+		if plan.Fired(faultinject.SiteJoin) < 20 {
+			t.Fatalf("%v: the delay fired %d times over five answers of four joins", strat, plan.Fired(faultinject.SiteJoin))
+		}
 	}
 }
 

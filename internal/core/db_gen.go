@@ -78,7 +78,8 @@ func (rd *ResultDatabase) Partial() bool { return rd.Truncation != TruncateNone 
 // DisplayColumns returns the columns of rel meant for presentation: the
 // projected attributes of the result schema, excluding join plumbing that
 // was fetched only to execute joins (§5.2: "attributes required for joins
-// ... will not show in the final answer").
+// ... will not show in the final answer"). The slice is read-only
+// (ResultSchema.Projections).
 func (rd *ResultDatabase) DisplayColumns(rel string) []string {
 	return rd.Schema.Projections(rel)
 }
@@ -232,7 +233,7 @@ func newGenerator(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage
 		ctx:     ctx,
 		bt:      newBudgetTracker(opts.Budget),
 		trace:   opts.Trace,
-		out:     storage.NewDatabase("precis"),
+		out:     storage.NewBatchDatabase("precis"),
 		perRel:  make(map[string]int),
 		cols:    make(map[string][]string),
 	}
@@ -358,7 +359,7 @@ func (g *generator) buildResultSchemas() error {
 		}
 		for _, e := range edges {
 			if e.To == name {
-				if _, err := out.CreateIndex(e.ToCol); err != nil {
+				if err := out.CreateIndex(e.ToCol); err != nil {
 					return err
 				}
 			}
@@ -431,16 +432,18 @@ func (g *generator) fetchIDs(f *fetched, rel string, ids []storage.TupleID, limi
 
 // apply inserts the fetched rows into the output relation in order,
 // skipping duplicates (paper §5.2) and stopping once budget tuples were
-// inserted. It also folds the fetch's physical work into the generation
+// admitted. It also folds the fetch's physical work into the generation
 // stats and the caller-visible engine totals.
 //
-// The per-row loop is a cooperative checkpoint: the surrounding context is
-// observed on every row (a cancellation is seen within one tuple pick), and
-// the resource budget admits each insert — once any budget dimension trips,
-// no further tuple is ever inserted, so the produced database is an exact
-// prefix of the canonical insertion sequence. Seed rows (seed=true) are
-// always admitted but still charged, guaranteeing a non-empty answer under
-// any budget.
+// Which rows go in is decided row by row, and that loop is a cooperative
+// checkpoint: the surrounding context is observed on every row (a
+// cancellation is seen within one tuple pick), and the resource budget
+// admits each tuple — once any budget dimension trips, no further tuple is
+// ever admitted, so the produced database is an exact prefix of the
+// canonical insertion sequence. Seed rows (seed=true) are always admitted
+// but still charged, guaranteeing a non-empty answer under any budget. The
+// admitted rows then enter D' in one InsertBatch, which brings its indexes up
+// to date here, on the coordination goroutine, before any fetch reads them.
 func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 	if f == nil {
 		return nil
@@ -448,14 +451,12 @@ func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 	g.stats.Queries += f.queries
 	g.stats.SQL.Add(f.sql)
 	g.eng.AccumulateStats(f.sql)
-	if budget <= 0 {
-		return nil
-	}
 	outRel := g.out.Relation(rel)
-	outRel.Reserve(min(len(f.rows), budget))
-	inserted := 0
+	// The fetch built its rows and ids for this generation alone: the admitted
+	// ones are compacted to the front in place, and D' keeps the rows.
+	admitted := 0
 	for i, row := range f.rows {
-		if inserted >= budget {
+		if admitted >= budget {
 			break
 		}
 		if err := g.ctxErr(); err != nil {
@@ -468,11 +469,12 @@ func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 		if !g.bt.admitTuple(id, row, seed) {
 			break
 		}
-		// The fetch built the row for this generation alone: D' keeps it.
-		if err := g.out.InsertWithID(rel, id, row...); err != nil {
-			return err
-		}
-		inserted++
+		f.ids[admitted], f.rows[admitted] = id, row
+		admitted++
+	}
+	inserted, err := g.out.InsertBatch(rel, f.ids[:admitted], f.rows[:admitted])
+	if err != nil {
+		return err
 	}
 	g.perRel[rel] += inserted
 	g.total += inserted

@@ -31,17 +31,14 @@ type ResultSchema struct {
 func (rs *ResultSchema) Relations() []string { return rs.Graph.Relations() }
 
 // Projections returns the projected attributes of rel in G', in the
-// relation's declaration order.
+// relation's declaration order. The slice is G's own (RelationNode.Attributes):
+// callers read it, and copy it before changing it.
 func (rs *ResultSchema) Projections(rel string) []string {
 	n := rs.Graph.Relation(rel)
 	if n == nil {
 		return nil
 	}
-	var out []string
-	for _, p := range n.Projections() {
-		out = append(out, p.Attribute)
-	}
-	return out
+	return n.Attributes()
 }
 
 // SeedInDegree returns the paper's in-degree of a relation: the number of

@@ -122,7 +122,7 @@ func Calibrate(cfg CalibrationConfig) (Params, error) {
 		}
 	}
 	rel := db.Relation("CALIB")
-	if _, err := rel.CreateIndex("grp"); err != nil {
+	if err := rel.CreateIndex("grp"); err != nil {
 		return Params{}, err
 	}
 

@@ -47,7 +47,8 @@ func BenchmarkNarrativeDeep(b *testing.B) {
 // with the call, so a second render of the same result allocates no more than
 // the first — and what a render allocates is that bookkeeping and the string
 // it returns, not a string per value, clause or paragraph (147 allocations
-// before the translator appended into one buffer, 54 after).
+// before the translator appended into one buffer, 54 after, 19 with the
+// relation metadata in one slice).
 func TestNarrativeKeepsNoState(t *testing.T) {
 	rd, occs := woodyPrecis(t, 100)
 	r := paperRenderer(t)
@@ -56,15 +57,18 @@ func TestNarrativeKeepsNoState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if raceEnabled {
+		// The detector makes sync.Pool drop a buffer one time in four, and a
+		// render that draws a fresh one allocates twice more: the counts below
+		// would fail one run in fifteen.
+		t.Skip("the race detector empties sync.Pool at random")
+	}
 	first := testing.AllocsPerRun(1, render)
 	second := testing.AllocsPerRun(5, render)
 	if second > first {
 		t.Errorf("allocations grew from %v to %v per render: state leaks across Narrative calls", first, second)
 	}
-	if raceEnabled {
-		return // the detector empties sync.Pool at random: the buffer is grown again
-	}
-	if bound := 62.0; second > bound { // 15 % above the 54 measured
+	if bound := 22.0; second > bound { // 15 % above the 19 measured
 		t.Errorf("%v allocations per render, bound %v", second, bound)
 	}
 }

@@ -249,7 +249,7 @@ func handBuiltResult(t *testing.T, indexed bool) (*core.ResultDatabase, []invidx
 	if indexed {
 		for _, e := range g.JoinEdges() {
 			if rel := db.Relation(e.To); rel != nil {
-				if _, err := rel.CreateIndex(e.ToCol); err != nil {
+				if err := rel.CreateIndex(e.ToCol); err != nil {
 					t.Fatal(err)
 				}
 			}

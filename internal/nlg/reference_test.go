@@ -2,6 +2,7 @@ package nlg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,7 +117,7 @@ func (r *Renderer) refExpand(rd *core.ResultDatabase, rel string, anchors []stor
 	if node == nil {
 		return nil, nil
 	}
-	edges := node.Out()
+	edges := slices.Clone(node.Out())
 	sort.SliceStable(edges, func(i, j int) bool {
 		if edges[i].Weight != edges[j].Weight {
 			return edges[i].Weight > edges[j].Weight

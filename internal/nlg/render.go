@@ -2,12 +2,13 @@ package nlg
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 
 	"precis/internal/core"
 	"precis/internal/invidx"
@@ -74,7 +75,7 @@ func (r *Renderer) DefineMacro(def string) error {
 // the exhausted budget dimension is appended as a final paragraph.
 func (r *Renderer) Narrative(rd *core.ResultDatabase, occs []invidx.Occurrence) (string, error) {
 	p := bufPool.Get().(*[]byte)
-	n := &narration{r: r, rd: rd, rels: map[string]*relInfo{}, buf: (*p)[:0], maxClauses: r.maxClauses()}
+	n := &narration{r: r, rd: rd, rels: relInfos(rd), buf: (*p)[:0], maxClauses: r.maxClauses()}
 	err := n.narrate(occs)
 	out := ""
 	if err == nil {
@@ -94,7 +95,7 @@ func (n *narration) narrate(occs []invidx.Occurrence) error {
 	narrated := map[seed]bool{}
 	for _, occ := range occs {
 		ri := n.rel(occ.Relation)
-		if ri.rel == nil {
+		if ri == nil || ri.rel == nil {
 			continue
 		}
 		for _, id := range occ.TupleIDs {
@@ -147,8 +148,8 @@ func (r *Renderer) maxClauses() int {
 }
 
 // narration is the state of one Narrative call: per-relation metadata, built
-// lazily and dropped with the call (an error abandons it mid-walk), so the
-// shared Renderer stays stateless. Joins probe the hash indexes the result
+// when the call starts and dropped with it (an error abandons it mid-walk),
+// so the shared Renderer stays stateless. Joins probe the indexes the result
 // database already carries on the join columns of G′, so the walk is linear
 // in the result database.
 //
@@ -158,7 +159,7 @@ func (r *Renderer) maxClauses() int {
 type narration struct {
 	r    *Renderer
 	rd   *core.ResultDatabase
-	rels map[string]*relInfo
+	rels []relInfo // never grown: frames and the walk hold pointers into it
 
 	buf        []byte
 	paragraphs int // non-empty paragraphs finished so far
@@ -167,7 +168,7 @@ type narration struct {
 
 	ids    []storage.TupleID // joinTuples' probe buffer, reused across calls
 	tuples []storage.Tuple   // stack of tuple groups; one is dead when the loop iteration that joined it ends
-	frames []*frame          // stack of binding frames, reused the same way
+	frames []*frame          // stack of binding frames, reused the same way, made eight at a time
 	used   int               // frames[:used] are live
 }
 
@@ -212,7 +213,10 @@ func (n *narration) endClause(mark, start int) {
 // bind pushes a frame binding rel's columns to group below parent.
 func (n *narration) bind(parent *frame, rel *relInfo, group []storage.Tuple) *frame {
 	if n.used == len(n.frames) {
-		n.frames = append(n.frames, new(frame))
+		block := make([]frame, 8)
+		for i := range block {
+			n.frames = append(n.frames, &block[i])
+		}
 	}
 	f := n.frames[n.used]
 	n.used++
@@ -225,33 +229,109 @@ type relInfo struct {
 	name   string
 	rel    *storage.Relation         // nil if the result database lacks it
 	node   *schemagraph.RelationNode // nil if G′ lacks it
-	cols   map[string]int            // upper-cased column name -> position
 	edges  []*schemagraph.JoinEdge   // out-edges by decreasing weight, then key
 	onPath bool                      // the walk is currently below this relation
+	// asked remembers the first eight names column resolved, hit or miss, so a
+	// template's @ATTR costs one scan of the schema per call, not one per value.
+	asked [8]struct {
+		name string
+		ci   int
+	}
+	nAsked int
 }
 
-func (n *narration) rel(name string) *relInfo {
-	if ri, ok := n.rels[name]; ok {
-		return ri
-	}
-	ri := &relInfo{name: name, rel: n.rd.DB.Relation(name), node: n.rd.Schema.Graph.Relation(name)}
-	if ri.rel != nil {
-		ri.cols = make(map[string]int, len(ri.rel.Schema().Columns))
-		for ci, col := range ri.rel.Schema().Columns {
-			ri.cols[strings.ToUpper(col.Name)] = ci
+// relInfos describes every relation of G′, then those only the result
+// database has, in one slice; the sorted out-edges of all of them share one
+// array.
+func relInfos(rd *core.ResultDatabase) []relInfo {
+	g := rd.Schema.Graph
+	names := g.Relations()
+	for _, name := range rd.DB.RelationNames() {
+		if g.Relation(name) == nil {
+			names = append(names, name)
 		}
 	}
-	if ri.node != nil {
-		ri.edges = ri.node.Out()
-		sort.SliceStable(ri.edges, func(i, j int) bool {
-			if ri.edges[i].Weight != ri.edges[j].Weight {
-				return ri.edges[i].Weight > ri.edges[j].Weight
+	rels := make([]relInfo, len(names))
+	nEdges := 0
+	for i, name := range names {
+		rels[i] = relInfo{name: name, rel: rd.DB.Relation(name), node: g.Relation(name)}
+		if node := rels[i].node; node != nil {
+			nEdges += len(node.Out())
+		}
+	}
+	edges := make([]*schemagraph.JoinEdge, 0, nEdges)
+	for i := range rels {
+		ri := &rels[i]
+		if ri.node == nil {
+			continue
+		}
+		from := len(edges)
+		edges = append(edges, ri.node.Out()...)
+		ri.edges = edges[from:len(edges):len(edges)]
+		slices.SortStableFunc(ri.edges, func(a, b *schemagraph.JoinEdge) int {
+			switch {
+			case a.Weight != b.Weight:
+				return cmp.Compare(b.Weight, a.Weight)
+			case a.KeyLess(b):
+				return -1
+			case b.KeyLess(a):
+				return 1
 			}
-			return ri.edges[i].Key() < ri.edges[j].Key()
+			return 0
 		})
 	}
-	n.rels[name] = ri
-	return ri
+	return rels
+}
+
+// rel returns the named relation's entry, nil for a name neither G′ nor the
+// result database knows.
+func (n *narration) rel(name string) *relInfo {
+	for i := range n.rels {
+		if n.rels[i].name == name {
+			return &n.rels[i]
+		}
+	}
+	return nil
+}
+
+// column returns the position of the column a template calls name — column
+// names match upper-cased, and of two that collide the later one is meant —
+// or -1.
+func (ri *relInfo) column(name string) int {
+	for _, a := range ri.asked[:ri.nAsked] {
+		if a.name == name {
+			return a.ci
+		}
+	}
+	ci := -1
+	if ri.rel != nil {
+		cols := ri.rel.Schema().Columns
+		for ci = len(cols) - 1; ci >= 0 && !isUpperOf(cols[ci].Name, name); ci-- {
+		}
+	}
+	if ri.nAsked < len(ri.asked) {
+		ri.asked[ri.nAsked].name, ri.asked[ri.nAsked].ci = name, ci
+		ri.nAsked++
+	}
+	return ci
+}
+
+// isUpperOf reports strings.ToUpper(s) == upper, building nothing when s is
+// ASCII.
+func isUpperOf(s, upper string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return strings.ToUpper(s) == upper
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if i >= len(upper) || upper[i] != c {
+			return false
+		}
+	}
+	return len(s) == len(upper)
 }
 
 // frame binds the columns of one relation to a group of its tuples; a chain
@@ -273,7 +353,7 @@ type frame struct {
 // column's position there; nil when no frame of the chain has it.
 func (f *frame) column(name string) (*frame, int) {
 	for ; f != nil; f = f.parent {
-		if ci, ok := f.rel.cols[name]; ok {
+		if ci := f.rel.column(name); ci >= 0 {
 			return f, ci
 		}
 	}
@@ -464,11 +544,7 @@ func (n *narration) joinTuples(from, to *relInfo, e *schemagraph.JoinEdge, ancho
 	// stack moves to a new array and the groups below stay readable in the
 	// old one.
 	start := len(n.tuples)
-	for _, id := range ids {
-		if t, ok := to.rel.Get(id); ok {
-			n.tuples = append(n.tuples, t)
-		}
-	}
+	n.tuples = to.rel.AppendTuples(n.tuples, ids)
 	return n.tuples[start:], nil
 }
 

@@ -8,6 +8,7 @@ package schemagraph
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"precis/internal/storage"
 )
@@ -41,7 +42,18 @@ type JoinEdge struct {
 
 // Key returns the canonical identifier FROM->TO(fromCol=toCol).
 func (e *JoinEdge) Key() string {
-	return fmt.Sprintf("%s->%s(%s=%s)", e.From, e.To, e.FromCol, e.ToCol)
+	p := e.keyPieces()
+	return strings.Join(p[:], "")
+}
+
+// KeyLess reports e.Key() < o.Key() without building either key.
+func (e *JoinEdge) KeyLess(o *JoinEdge) bool {
+	a, b := e.keyPieces(), o.keyPieces()
+	return textLess(a[:], b[:])
+}
+
+func (e *JoinEdge) keyPieces() [8]string {
+	return [8]string{e.From, "->", e.To, "(", e.FromCol, "=", e.ToCol, ")"}
 }
 
 // String renders the edge with its weight.
@@ -72,8 +84,16 @@ func (n *RelationNode) Projections() []*Projection {
 	return out
 }
 
-// Out returns the outgoing join edges in declaration order.
-func (n *RelationNode) Out() []*JoinEdge { return append([]*JoinEdge(nil), n.out...) }
+// Attributes returns the names of the projected attributes in declaration
+// order, under Out's contract: the node's own slice, not to be written.
+func (n *RelationNode) Attributes() []string {
+	return n.projOrder[:len(n.projOrder):len(n.projOrder)]
+}
+
+// Out returns the outgoing join edges in declaration order. The slice is the
+// node's own, not a copy: read it, and sort or filter a copy. (Its capacity
+// is its length, so appending to it copies.)
+func (n *RelationNode) Out() []*JoinEdge { return n.out[:len(n.out):len(n.out)] }
 
 // Graph is the database schema graph G(V, E).
 type Graph struct {

@@ -100,25 +100,31 @@ func (p *Path) ExtendProjection(pr *Projection) *Path {
 	return &Path{Start: p.Start, Joins: p.Joins, Proj: pr, weight: p.weight * pr.Weight}
 }
 
-// String renders the path as START -> R1 -> R2 [.attr] (w=0.xx).
-func (p *Path) String() string {
-	var b strings.Builder
-	b.WriteString(p.Start)
+// appendPieces appends the strings the path's text is made of: the start
+// relation, " -> " and the target of every join, "." and the attribute of the
+// projection.
+func (p *Path) appendPieces(dst []string) []string {
+	dst = append(dst, p.Start)
 	for _, e := range p.Joins {
-		b.WriteString(" -> ")
-		b.WriteString(e.To)
+		dst = append(dst, " -> ", e.To)
 	}
 	if p.Proj != nil {
-		b.WriteByte('.')
-		b.WriteString(p.Proj.Attribute)
+		dst = append(dst, ".", p.Proj.Attribute)
 	}
-	return b.String()
+	return dst
+}
+
+// String renders the path as START -> R1 -> R2[.attr].
+func (p *Path) String() string {
+	var buf [16]string
+	return strings.Join(p.appendPieces(buf[:0]), "")
 }
 
 // Less orders candidate paths the way the result schema algorithm requires:
 // by decreasing weight; among equal weights, by increasing length (shorter
 // paths connect more closely related entities); remaining ties break on the
-// rendered path text for determinism.
+// rendered path text for determinism — p.String() < q.String(), decided
+// without rendering either.
 func (p *Path) Less(q *Path) bool {
 	if p.weight != q.weight {
 		return p.weight > q.weight
@@ -126,5 +132,28 @@ func (p *Path) Less(q *Path) bool {
 	if p.Len() != q.Len() {
 		return p.Len() < q.Len()
 	}
-	return p.String() < q.String()
+	var a, b [16]string
+	return textLess(p.appendPieces(a[:0]), q.appendPieces(b[:0]))
+}
+
+// textLess reports whether the concatenation of a sorts before the
+// concatenation of b, comparing piece against piece.
+func textLess(a, b []string) bool {
+	var x, y string // what is left of the current piece of a and of b
+	for {
+		for x == "" && len(a) > 0 {
+			x, a = a[0], a[1:]
+		}
+		for y == "" && len(b) > 0 {
+			y, b = b[0], b[1:]
+		}
+		if x == "" || y == "" {
+			return x == "" && y != ""
+		}
+		n := min(len(x), len(y))
+		if x[:n] != y[:n] {
+			return x[:n] < y[:n]
+		}
+		x, y = x[n:], y[n:]
+	}
 }

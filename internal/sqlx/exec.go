@@ -118,7 +118,7 @@ func (e *Engine) ExecStmt(st Stmt) (*Result, error) {
 		if st.Ordered {
 			_, err = rel.CreateOrderedIndex(st.Column)
 		} else {
-			_, err = rel.CreateIndex(st.Column)
+			err = rel.CreateIndex(st.Column)
 		}
 		if err != nil {
 			return nil, err
@@ -322,58 +322,45 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 	}
 	earlyLimit := earlyCount >= 0
 
-	// A rowid fetch or hash probe whose candidates all satisfy its conjunct
-	// (plan.source) emits nearly all of them, up to the LIMIT: the result is
-	// sized once, at the first match, instead of growing by doubling.
-	maxRows := 0
-	if plan.source != nil {
-		maxRows = len(candidates)
-		if earlyLimit && earlyCount < maxRows {
-			maxRows = earlyCount
-		}
-	}
-
+	var rows, keys rowArena
 	var sortKeys [][]storage.Value
+	room := 0 // rows the current block can still emit; 0 in a scan
 	emit := func(t storage.Tuple) {
 		if !pred.matches(t) {
 			return
 		}
-		if res.Rows == nil && maxRows > 0 {
-			res.Rows = make([][]storage.Value, 0, maxRows)
-			res.RowIDs = make([]storage.TupleID, 0, maxRows)
+		if len(res.Rows) == cap(res.Rows) {
+			res.Rows, res.RowIDs = slices.Grow(res.Rows, room), slices.Grow(res.RowIDs, room)
 		}
-		row := make([]storage.Value, len(outIdx))
-		for i, ci := range outIdx {
-			if ci < 0 {
-				row[i] = storage.Int(int64(t.ID))
-			} else {
-				row[i] = t.Values[ci]
-			}
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, rows.project(t, outIdx))
 		res.RowIDs = append(res.RowIDs, t.ID)
 		if len(orderIdx) > 0 {
-			keys := make([]storage.Value, len(orderIdx))
-			for i, ci := range orderIdx {
-				if ci < 0 {
-					keys[i] = storage.Int(int64(t.ID))
-				} else {
-					keys[i] = t.Values[ci]
-				}
-			}
-			sortKeys = append(sortKeys, keys)
+			sortKeys = append(sortKeys, keys.project(t, orderIdx))
 		}
 		res.Stats.TupleReads++
 	}
 
 	if planned {
-		for _, id := range candidates {
-			if earlyLimit && len(res.Rows) >= earlyCount {
-				break
+		// The candidates are read a block at a time (Relation.AppendTuples), so
+		// a LIMIT reached mid-block has gathered at most one block too many, and
+		// the result is sized by the tuples a block found, not by the ids asked
+		// for: a shard is asked for every id of a fetch and holds a few.
+		var block [fetchBlock]storage.Tuple
+		for len(candidates) > 0 && !(earlyLimit && len(res.Rows) >= earlyCount) {
+			n := min(len(candidates), fetchBlock)
+			tuples := rel.AppendTuples(block[:0], candidates[:n])
+			room = len(tuples)
+			if earlyLimit {
+				room = min(room, earlyCount-len(res.Rows))
 			}
-			if t, ok := rel.Get(id); ok {
+			rows.next, keys.next = room, room
+			for _, t := range tuples {
+				if earlyLimit && len(res.Rows) >= earlyCount {
+					break
+				}
 				emit(t)
 			}
+			candidates = candidates[n:]
 		}
 	} else {
 		rel.Scan(func(t storage.Tuple) bool {
@@ -409,6 +396,43 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		res.RowIDs = res.RowIDs[:st.Limit]
 	}
 	return res, nil
+}
+
+// fetchBlock is how many candidate ids a planned SELECT resolves at once.
+const fetchBlock = 256
+
+// rowArena carves the rows of one statement out of shared arrays, so a
+// result costs an allocation per array instead of one per row: an array per
+// block of a planned SELECT, made for the rows the block can still emit
+// (next, set by the caller: one array per statement up to fetchBlock rows),
+// and for a scan arrays doubling from 16 rows to 512. A row's capacity is its
+// length — appending to one cannot write its neighbour — and holding one row
+// keeps its whole array alive.
+type rowArena struct {
+	next int // rows the next array is made for
+	free []storage.Value
+}
+
+// project returns a new row holding t's values at the positions idx lists
+// (the same list on every call), -1 meaning its id.
+func (a *rowArena) project(t storage.Tuple, idx []int) []storage.Value {
+	if len(a.free) < len(idx) {
+		if a.next == 0 {
+			a.next = 16
+		}
+		a.free = make([]storage.Value, a.next*len(idx))
+		a.next = min(2*a.next, 512)
+	}
+	row := a.free[:len(idx):len(idx)]
+	a.free = a.free[len(idx):]
+	for i, ci := range idx {
+		if ci < 0 {
+			row[i] = storage.Int(int64(t.ID))
+		} else {
+			row[i] = t.Values[ci]
+		}
+	}
+	return row
 }
 
 // RowIDOrder reports whether planAccess would serve this WHERE clause from

@@ -26,7 +26,7 @@ func testEngine(t *testing.T) *Engine {
 	for _, r := range rows {
 		e.MustExec(r)
 	}
-	if _, err := db.Relation("MOVIE").CreateIndex("did"); err != nil {
+	if err := db.Relation("MOVIE").CreateIndex("did"); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -263,7 +263,7 @@ func TestPlannerEquivalence(t *testing.T) {
 			storage.Int(int64(k)).SQL() + ", " +
 			storage.String(s).SQL() + ")")
 	}
-	if _, err := db.Relation("R").CreateIndex("k"); err != nil {
+	if err := db.Relation("R").CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
 	// Build an identical unindexed table to force scans.

@@ -96,7 +96,7 @@ func probeFixture(t *testing.T, parts []shard.Partitioner) (*storage.Database, [
 	}
 	index := func(d *storage.Database) {
 		for _, c := range []string{"k", "f"} {
-			if _, err := d.Relation(probeRelName).CreateIndex(c); err != nil {
+			if err := d.Relation(probeRelName).CreateIndex(c); err != nil {
 				t.Fatal(err)
 			}
 		}

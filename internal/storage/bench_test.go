@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ func benchDB(b *testing.B, rows int) *Database {
 	db := NewDatabase("bench")
 	db.MustCreateRelation(MustSchema("R", "id",
 		Column{"id", TypeInt}, Column{"k", TypeInt}, Column{"s", TypeString}))
-	if _, err := db.Relation("R").CreateIndex("k"); err != nil {
+	if err := db.Relation("R").CreateIndex("k"); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
@@ -25,7 +26,7 @@ func BenchmarkInsert(b *testing.B) {
 	db := NewDatabase("bench")
 	db.MustCreateRelation(MustSchema("R", "id",
 		Column{"id", TypeInt}, Column{"k", TypeInt}, Column{"s", TypeString}))
-	if _, err := db.Relation("R").CreateIndex("k"); err != nil {
+	if err := db.Relation("R").CreateIndex("k"); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -90,4 +91,121 @@ func BenchmarkExport(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// gatherRelation is a five-column relation of n tuples and 850 of its ids
+// drawn at random: one deep answer's worth of tuple reads against a heap far
+// larger than the cache.
+func gatherRelation(b *testing.B, n int) (*Relation, []TupleID) {
+	b.Helper()
+	db := NewDatabase("bench")
+	rel := db.MustCreateRelation(MustSchema("R", "id", Column{"id", TypeInt},
+		Column{"a", TypeInt}, Column{"b", TypeString}, Column{"c", TypeString}, Column{"d", TypeInt}))
+	for i := 0; i < n; i++ {
+		if _, err := db.Insert("R", Int(int64(i)), Int(int64(i%977)), String("b"), String("c"), Int(int64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	ids := make([]TupleID, 850)
+	for i := range ids {
+		ids[i] = TupleID(1 + r.Intn(n))
+	}
+	return rel, ids
+}
+
+// BenchmarkGather reads 850 random tuples of a 400k-tuple relation and copies
+// four of their five columns out: a Get and a fresh row per tuple, against
+// AppendTuples by blocks of 256 into one array — the two legs of a planned
+// SELECT before and after it worked a batch at a time.
+func BenchmarkGather(b *testing.B) {
+	rel, ids := gatherRelation(b, 400_000)
+	cols := []int{0, 1, 2, 4}
+	var sink [][]Value
+	b.Run("per-tuple", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rows := make([][]Value, 0, len(ids))
+			for _, id := range ids {
+				if t, ok := rel.Get(id); ok {
+					row := make([]Value, len(cols))
+					for j, ci := range cols {
+						row[j] = t.Values[ci]
+					}
+					rows = append(rows, row)
+				}
+			}
+			sink = rows
+		}
+	})
+	b.Run("blocks", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rows := make([][]Value, 0, len(ids))
+			arena := make([]Value, len(ids)*len(cols))
+			var block [256]Tuple
+			for rest := ids; len(rest) > 0; {
+				n := min(len(rest), len(block))
+				for _, t := range rel.AppendTuples(block[:0], rest[:n]) {
+					row := arena[:len(cols):len(cols)]
+					arena = arena[len(cols):]
+					for j, ci := range cols {
+						row[j] = t.Values[ci]
+					}
+					rows = append(rows, row)
+				}
+				rest = rest[n:]
+			}
+			sink = rows
+		}
+	})
+	_ = sink
+}
+
+// BenchmarkInsertBatch fills a result-shaped relation — a primary key and two
+// indexed join columns — with 150 fetched tuples: a Has and an InsertWithID
+// per tuple into hash indexes, against one InsertBatch into sorted runs.
+func BenchmarkInsertBatch(b *testing.B) {
+	const n = 150
+	ids := make([]TupleID, n)
+	rows := make([][]Value, n)
+	r := rand.New(rand.NewSource(1))
+	for i := range ids {
+		ids[i] = TupleID(1 + 37*i)
+		rows[i] = []Value{Int(int64(i)), Int(int64(r.Intn(40))), Int(int64(r.Intn(n))), String("title")}
+	}
+	fresh := func(newDB func(string) *Database) *Database {
+		db := newDB("precis")
+		rel := db.MustCreateRelation(MustSchema("R", "id", Column{"id", TypeInt}, Column{"fk1", TypeInt}, Column{"fk2", TypeInt}, Column{"s", TypeString}))
+		for _, c := range []string{"fk1", "fk2"} {
+			if err := rel.CreateIndex(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return db
+	}
+	b.Run("per-tuple", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			db := fresh(NewDatabase)
+			rel := db.Relation("R")
+			rel.Reserve(n)
+			for j, id := range ids {
+				if rel.Has(id) {
+					continue
+				}
+				if err := db.InsertWithID("R", id, rows[j]...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got, err := fresh(NewBatchDatabase).InsertBatch("R", ids, rows); err != nil || got != n {
+				b.Fatal(got, err)
+			}
+		}
+	})
 }

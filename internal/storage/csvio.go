@@ -202,7 +202,7 @@ func Import(dir string) (*Database, error) {
 			return nil, err
 		}
 		for _, idx := range mr.Indexes {
-			if _, err := db.Relation(mr.Name).CreateIndex(idx); err != nil {
+			if err := db.Relation(mr.Name).CreateIndex(idx); err != nil {
 				return nil, err
 			}
 		}

@@ -37,7 +37,7 @@ func exportFixture(t *testing.T) *Database {
 	ins("P", Int(5), String("newline\ninside"), Float(3), Bool(false))
 	ins("C", Int(1), String("child of one"))
 	ins("C", Int(3), Null)
-	if _, err := db.Relation("C").CreateIndex("pid"); err != nil {
+	if err := db.Relation("C").CreateIndex("pid"); err != nil {
 		t.Fatal(err)
 	}
 	return db

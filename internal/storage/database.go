@@ -13,6 +13,7 @@ type Database struct {
 	rels   map[string]*Relation
 	order  []string // relation names in creation order, for deterministic walks
 	fks    []ForeignKey
+	runs   bool // relations index with RunIndexes (NewBatchDatabase)
 	nextID TupleID
 	// Strided allocation (SetIDStride): when idStride > 1, Insert only
 	// allocates ids ≡ idOffset (mod idStride) — shard-local allocation
@@ -24,9 +25,20 @@ type Database struct {
 	tracker *dirtyTracker
 }
 
-// NewDatabase returns an empty database.
+// NewDatabase returns an empty database whose equality indexes are
+// HashIndexes: the kind to mutate a tuple at a time.
 func NewDatabase(name string) *Database {
 	return &Database{name: name, rels: make(map[string]*Relation), nextID: 1}
+}
+
+// NewBatchDatabase returns an empty database meant to be filled by
+// InsertBatch and then read — a result database: its equality indexes are
+// RunIndexes. Every operation of a NewDatabase works on it, single inserts
+// and deletes in time linear in the relation.
+func NewBatchDatabase(name string) *Database {
+	db := NewDatabase(name)
+	db.runs = true
+	return db
 }
 
 // Name returns the database name.
@@ -40,7 +52,7 @@ func (db *Database) CreateRelation(s *Schema) (*Relation, error) {
 	if _, ok := db.rels[s.Name]; ok {
 		return nil, fmt.Errorf("storage: relation %s already exists", s.Name)
 	}
-	r := newRelation(s.Clone())
+	r := newRelation(s.Clone(), db.runs)
 	db.rels[s.Name] = r
 	db.order = append(db.order, s.Name)
 	return r, nil
@@ -161,22 +173,22 @@ func (db *Database) SetIDStride(offset, stride TupleID) error {
 	return nil
 }
 
-// InsertWithID adds a tuple with a caller-chosen id, used when materializing
-// a result database whose tuples must keep the ids of the original database.
+// InsertWithID adds a tuple with a caller-chosen id: the engine's apply and
+// rollback paths, the loaders and the partitioner, whose tuples must keep
+// the ids they have elsewhere. It rejects an id the relation already holds
+// itself, because those callers do not look first; the result-database
+// generator, which does, goes through InsertBatch.
 func (db *Database) InsertWithID(relation string, id TupleID, vals ...Value) error {
 	r := db.rels[relation]
 	if r == nil {
 		return fmt.Errorf("storage: no relation %s", relation)
 	}
-	if id <= 0 {
-		return fmt.Errorf("storage: tuple id must be positive, got %d", id)
-	}
 	// Every id handed out is below the watermark, so one at or above it
 	// cannot be held and needs no lookup — the engine's insert path, which
 	// always arrives with NextTupleID, pays none.
 	if id < db.nextID {
-		if _, ok := r.Get(id); ok {
-			return fmt.Errorf("storage: relation %s already holds tuple %d", relation, id)
+		if err := r.checkID(id); err != nil {
+			return err
 		}
 	}
 	if _, err := r.insert(id, vals); err != nil {
@@ -187,6 +199,34 @@ func (db *Database) InsertWithID(relation string, id TupleID, vals ...Value) err
 	}
 	db.tracker.mark(relation, id)
 	return nil
+}
+
+// InsertBatch adds the tuples (ids[i], rows[i]) to the named relation in
+// order and returns how many it added: a loop of InsertWithID done in one
+// step (Relation.insertBatch), except that an id occurring twice in the
+// batch is added once, under its first row, and that a batch any of whose
+// tuples would be refused adds none — the generator treats an insert error
+// as fatal, so all-or-nothing is the simpler contract. Every index is current
+// when it returns. The relation keeps each rows[i], not the rows slice.
+func (db *Database) InsertBatch(relation string, ids []TupleID, rows [][]Value) (int, error) {
+	r := db.rels[relation]
+	if r == nil {
+		return 0, fmt.Errorf("storage: no relation %s", relation)
+	}
+	if len(ids) != len(rows) {
+		return 0, fmt.Errorf("storage: batch of %d ids and %d rows", len(ids), len(rows))
+	}
+	n, err := r.insertBatch(ids, rows)
+	if err != nil {
+		return 0, err
+	}
+	for _, id := range ids {
+		if id >= db.nextID {
+			db.nextID = id + 1
+		}
+		db.tracker.mark(relation, id)
+	}
+	return n, nil
 }
 
 // NextTupleID returns the id the next Insert would assign. The persistence
@@ -222,10 +262,10 @@ func (db *Database) Delete(relation string, id TupleID) (bool, error) {
 // attributes" experimental setup.
 func (db *Database) CreateJoinIndexes() error {
 	for _, fk := range db.fks {
-		if _, err := db.rels[fk.FromRelation].CreateIndex(fk.FromColumn); err != nil {
+		if err := db.rels[fk.FromRelation].CreateIndex(fk.FromColumn); err != nil {
 			return err
 		}
-		if _, err := db.rels[fk.ToRelation].CreateIndex(fk.ToColumn); err != nil {
+		if err := db.rels[fk.ToRelation].CreateIndex(fk.ToColumn); err != nil {
 			return err
 		}
 	}

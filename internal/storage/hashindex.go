@@ -2,6 +2,29 @@ package storage
 
 import "slices"
 
+// index is an equality index on one column of a relation. There are two
+// kinds, and a database's constructor fixes which one its relations carry:
+// HashIndex (NewDatabase), cheap to change one tuple at a time, and RunIndex
+// (NewBatchDatabase), cheap to fill a batch at a time and to read in key
+// order. Both match kinds exactly and index NULL like any other key.
+type index interface {
+	// Cardinality returns the number of distinct indexed values.
+	Cardinality() int
+	add(t Tuple)
+	remove(t Tuple)
+	// addBatch indexes the tuples (ids[i], rows[i]) in one step. With unique
+	// set it refuses — reporting false and changing nothing — a batch that
+	// would leave two tuples under one key.
+	addBatch(ids []TupleID, rows [][]Value, unique bool) bool
+	// has reports whether any tuple carries v.
+	has(v Value) bool
+	// appendIDs appends the ids of the tuples carrying v, ascending.
+	appendIDs(dst []TupleID, v Value) []TupleID
+	// keys returns the distinct non-NULL indexed values, and whether they are
+	// in DistinctValues order already.
+	keys() (vals []Value, sorted bool)
+}
+
 // HashIndex is an equality index mapping column values to ascending tuple
 // ids. Integer values — every key and join column of the bundled schemas —
 // are keyed on the 8-byte integer; every other kind, NULL included, on the
@@ -40,7 +63,19 @@ func (ix *HashIndex) remove(t Tuple) {
 	}
 }
 
-// has reports whether any tuple carries v.
+func (ix *HashIndex) addBatch(ids []TupleID, rows [][]Value, unique bool) bool {
+	for i, row := range rows {
+		if unique && ix.has(row[ix.colIdx]) {
+			for j := range i {
+				ix.remove(Tuple{ID: ids[j], Values: rows[j]})
+			}
+			return false
+		}
+		ix.add(Tuple{ID: ids[i], Values: row})
+	}
+	return true
+}
+
 func (ix *HashIndex) has(v Value) bool {
 	if v.kind == KindInt {
 		return ix.ints.refs[v.AsInt()] != 0
@@ -48,21 +83,19 @@ func (ix *HashIndex) has(v Value) bool {
 	return ix.vals.refs[v] != 0
 }
 
-// appendKeys appends the distinct non-NULL indexed values, in no particular
-// order.
-func (ix *HashIndex) appendKeys(dst []Value) []Value {
+func (ix *HashIndex) keys() ([]Value, bool) {
+	vals := make([]Value, 0, ix.Cardinality())
 	for k := range ix.ints.refs {
-		dst = append(dst, Int(k))
+		vals = append(vals, Int(k))
 	}
 	for v := range ix.vals.refs {
 		if !v.IsNull() {
-			dst = append(dst, v)
+			vals = append(vals, v)
 		}
 	}
-	return dst
+	return vals, false
 }
 
-// appendIDs appends the ids of the tuples carrying v, ascending.
 func (ix *HashIndex) appendIDs(dst []TupleID, v Value) []TupleID {
 	if v.kind == KindInt {
 		return ix.ints.appendIDs(dst, v.AsInt())

@@ -112,10 +112,10 @@ func TestHashIndexMatchesOracle(t *testing.T) {
 	db := NewDatabase("test")
 	db.MustCreateRelation(MustSchema("R", "", Column{"k", TypeFloat}, Column{"s", TypeString}))
 	rel := db.Relation("R")
-	idx, err := rel.CreateIndex("k")
-	if err != nil {
+	if err := rel.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
+	idx := rel.indexes["k"].(*HashIndex)
 	keys := []Value{Int(1), Int(2), Int(-3), Float(1), Float(2.5), Float(math.NaN()), Null, Int(1 << 40)}
 	oracle := map[Value][]TupleID{}
 	keyOf := map[TupleID]Value{}
@@ -491,7 +491,7 @@ func TestDistinctValuesFromIndex(t *testing.T) {
 		db.MustCreateRelation(MustSchema(name, "", Column{"f", TypeFloat}, Column{"s", TypeString}))
 	}
 	for _, c := range []string{"f", "s"} {
-		if _, err := db.Relation("I").CreateIndex(c); err != nil {
+		if err := db.Relation("I").CreateIndex(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -578,7 +578,7 @@ func TestDeleteReleasesRows(t *testing.T) {
 			before := heapAlloc()
 			db := NewDatabase("test")
 			db.MustCreateRelation(MustSchema("R", "", Column{"g", TypeInt}, Column{"s", TypeString}))
-			if _, err := db.Relation("R").CreateIndex("g"); err != nil {
+			if err := db.Relation("R").CreateIndex("g"); err != nil {
 				t.Fatal(err)
 			}
 			live := make([]TupleID, 0, 2*resident+cycles) // never regrown: not part of the measurement

@@ -56,7 +56,7 @@ type chunk struct {
 }
 
 // Relation is a populated relation: a schema, its tuples in insertion order,
-// and hash indexes on selected columns.
+// and equality indexes on selected columns.
 type Relation struct {
 	schema *Schema
 	ncols  int
@@ -71,24 +71,34 @@ type Relation struct {
 	// matches nothing, so delete never touches the table. It is nil until
 	// the first insert and rebuilt from its live entries at 3/4 load.
 	ids     []int32
-	idsUsed int // non-empty entries, dead ones included
-	indexes map[string]*HashIndex
+	idsUsed int  // non-empty entries, dead ones included
+	runs    bool // the equality indexes are RunIndexes, not HashIndexes
+	indexes map[string]index
 	ordered map[string]*OrderedIndex
 }
 
-// newRelation builds an empty relation for the schema. If the schema has a
-// primary key, an index on it is created eagerly so uniqueness checks are O(1).
-func newRelation(s *Schema) *Relation {
+// newRelation builds an empty relation for the schema, its equality indexes
+// of the kind its database was constructed with. If the schema has a primary
+// key, an index on it is created eagerly so uniqueness checks need no scan.
+func newRelation(s *Schema, runs bool) *Relation {
 	r := &Relation{
 		schema:  s,
 		ncols:   len(s.Columns),
-		indexes: make(map[string]*HashIndex),
+		runs:    runs,
+		indexes: make(map[string]index),
 		ordered: make(map[string]*OrderedIndex),
 	}
 	if s.Key != "" {
-		r.indexes[s.Key] = newHashIndex(s.Key, s.ColumnIndex(s.Key))
+		r.indexes[s.Key] = r.newIndex(s.Key, s.ColumnIndex(s.Key))
 	}
 	return r
+}
+
+func (r *Relation) newIndex(column string, colIdx int) index {
+	if r.runs {
+		return &RunIndex{colIdx: colIdx}
+	}
+	return newHashIndex(column, colIdx)
 }
 
 // Schema returns the relation schema.
@@ -137,23 +147,37 @@ func (r *Relation) find(id TupleID) (*slot, int) {
 	}
 }
 
-// bind records that id now lives at pos. A tombstone of the same id (the
-// engine's delete rollback re-inserts a deleted id) has its entry
-// overwritten, so an id never owns two entries it could be found under.
+// bind records that id, which no live tuple carries, now lives at pos.
 func (r *Relation) bind(id TupleID, pos int) {
 	if r.idsUsed*4 >= len(r.ids)*3 {
 		r.rehash(r.live)
 	}
+	r.claim(id, pos)
+}
+
+// claim is find and bind in one walk of the id table, which must have room
+// (bind, Reserve): a live tuple carrying id is reported with its position
+// and nothing changes; otherwise id is recorded as living at pos. A
+// tombstone of the same id (the engine's delete rollback re-inserts a
+// deleted id) has its entry overwritten, so an id never owns two entries it
+// could be found under.
+func (r *Relation) claim(id TupleID, pos int) (at int, held bool) {
 	mask := len(r.ids) - 1
 	i := idHash(id, bits.TrailingZeros(uint(len(r.ids))))
 	for ; r.ids[i] != 0; i = (i + 1) & mask {
-		if s := r.slotAt(int(r.ids[i] - 1)); s != nil && s.id == -id {
+		e := int(r.ids[i] - 1)
+		if s := r.slotAt(e); s == nil {
+			continue
+		} else if s.id == id {
+			return e, true
+		} else if s.id == -id {
 			r.ids[i] = int32(pos + 1)
-			return
+			return pos, false
 		}
 	}
 	r.ids[i] = int32(pos + 1)
 	r.idsUsed++
+	return pos, false
 }
 
 // rehash rebuilds the id table from its entries that still name a live slot,
@@ -170,6 +194,9 @@ func (r *Relation) rehash(n int) {
 	shift, mask := bits.TrailingZeros(uint(size)), size-1
 	for _, e := range old {
 		if e == 0 {
+			continue
+		}
+		if int(e-1) >= r.next { // insertBatch took its slots back
 			continue
 		}
 		s := r.slotAt(int(e - 1))
@@ -237,6 +264,21 @@ func (r *Relation) appendSlot(id TupleID, row []Value) error {
 // row. old is the row being replaced by an update (nil for an insert): a key
 // value equal to its own is not a duplicate.
 func (r *Relation) validate(vals, old []Value) error {
+	if err := r.checkRow(vals); err != nil {
+		return err
+	}
+	if key := r.schema.Key; key != "" {
+		ki := r.schema.ColumnIndex(key)
+		if kv := vals[ki]; (old == nil || !kv.Equal(old[ki])) && r.indexes[key].has(kv) {
+			return r.errDuplicateKey(kv)
+		}
+	}
+	return nil
+}
+
+// checkRow is the part of validate that needs no index: arity, column types
+// and a primary key that is not NULL.
+func (r *Relation) checkRow(vals []Value) error {
 	if len(vals) != r.ncols {
 		return fmt.Errorf("storage: %s expects %d values, got %d",
 			r.schema.Name, r.ncols, len(vals))
@@ -248,16 +290,24 @@ func (r *Relation) validate(vals, old []Value) error {
 				r.schema.Name, col.Name, col.Type, v.Kind(), v.String())
 		}
 	}
-	if key := r.schema.Key; key != "" {
-		ki := r.schema.ColumnIndex(key)
-		kv := vals[ki]
-		if kv.IsNull() {
-			return fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, key)
-		}
-		if (old == nil || !kv.Equal(old[ki])) && r.indexes[key].has(kv) {
-			return fmt.Errorf("storage: %s primary key %s=%s already exists",
-				r.schema.Name, key, kv.String())
-		}
+	if key := r.schema.Key; key != "" && vals[r.schema.ColumnIndex(key)].IsNull() {
+		return fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, key)
+	}
+	return nil
+}
+
+func (r *Relation) errDuplicateKey(kv Value) error {
+	return fmt.Errorf("storage: %s primary key %s=%s already exists",
+		r.schema.Name, r.schema.Key, kv.String())
+}
+
+// checkID refuses an id no tuple can carry, and one a live tuple does.
+func (r *Relation) checkID(id TupleID) error {
+	if id <= 0 {
+		return fmt.Errorf("storage: tuple id must be positive, got %d", id)
+	}
+	if r.Has(id) {
+		return fmt.Errorf("storage: relation %s already holds tuple %d", r.schema.Name, id)
 	}
 	return nil
 }
@@ -279,6 +329,122 @@ func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
 		idx.add(t)
 	}
 	return id, nil
+}
+
+// insertBatch stores the tuples (ids[i], rows[i]) in order, all or none: one
+// reservation, one walk of the id table, one validation pass and one update
+// per index, with the checks a loop of insert would make. An id the batch
+// repeats is stored once, under its first row, and its later rows are not
+// looked at; an id the relation held before is an error. It returns how many
+// tuples it stored. After an error the relation and its indexes hold what
+// they held before, and the error is the one the first failing tuple would
+// have met in that loop.
+func (r *Relation) insertBatch(ids []TupleID, rows [][]Value) (int, error) {
+	if int64(r.next)+int64(len(ids)) > math.MaxInt32 {
+		return 0, fmt.Errorf("storage: %s is out of slot positions", r.schema.Name)
+	}
+	base := r.next
+	r.Reserve(len(ids))
+	kept, keptRows, ok := r.place(ids, rows)
+	for _, row := range keptRows {
+		ok = ok && r.checkRow(row) == nil
+	}
+	if key := r.schema.Key; ok && key != "" {
+		ok = r.indexes[key].addBatch(kept, keptRows, true)
+	}
+	if !ok {
+		r.truncate(base)
+		return 0, r.batchError(ids, rows)
+	}
+	r.held, r.live = r.held+len(kept), r.live+len(kept)
+	for col, idx := range r.indexes {
+		if col != r.schema.Key {
+			idx.addBatch(kept, keptRows, false)
+		}
+	}
+	for _, idx := range r.ordered {
+		for i, id := range kept {
+			idx.add(Tuple{ID: id, Values: keptRows[i]})
+		}
+	}
+	return len(kept), nil
+}
+
+// place gives every id of the batch that is new a slot, bound to it, after
+// the relation's last (Reserve has made the room), and returns the batch
+// less the ids it repeats — the batch itself when it repeats none, a copy
+// otherwise. It stops, reporting false, at an id that cannot be stored or
+// that the relation held before the batch.
+func (r *Relation) place(ids []TupleID, rows [][]Value) (kept []TupleID, keptRows [][]Value, ok bool) {
+	base := r.next
+	kept, keptRows = ids, rows
+	for i, id := range ids {
+		n := r.next - base
+		if id <= 0 {
+			return kept[:n], keptRows[:n], false
+		}
+		if at, held := r.claim(id, r.next); held {
+			if at < base {
+				return kept[:n], keptRows[:n], false
+			}
+			if n == i { // the first repeat
+				kept, keptRows = slices.Clone(ids), slices.Clone(rows)
+			}
+			continue
+		}
+		c := r.lastChunk()
+		if len(c.slots) == cap(c.slots) {
+			c.grow(len(c.slots) + len(ids) - i)
+		}
+		c.slots = append(c.slots, slot{id: id, row: unsafe.SliceData(rows[i])})
+		r.next++
+		if n < i {
+			kept[n], keptRows[n] = id, rows[i]
+		}
+	}
+	return kept[:r.next-base], keptRows[:r.next-base], true
+}
+
+// truncate takes back the slots from position base on and the id-table
+// entries that name them: what a refused insertBatch had stored.
+func (r *Relation) truncate(base int) {
+	last := base >> slotChunkBits
+	if last < len(r.chunks) {
+		c := &r.chunks[last]
+		clear(c.slots[base&(slotChunk-1):])
+		c.slots = c.slots[:base&(slotChunk-1)]
+		clear(r.chunks[last+1:])
+		r.chunks = r.chunks[:last+1]
+	}
+	r.next = base
+	r.rehash(r.live)
+}
+
+// batchError replays a refused batch the way a loop of insert takes it and
+// returns the error of the first tuple that fails.
+func (r *Relation) batchError(ids []TupleID, rows [][]Value) error {
+	seen := make(map[TupleID]bool, len(ids))
+	keys := make(map[Value]bool, len(ids))
+	for i, id := range ids {
+		if seen[id] {
+			continue
+		}
+		if err := r.checkID(id); err != nil {
+			return err
+		}
+		if err := r.validate(rows[i], nil); err != nil {
+			return err
+		}
+		if key := r.schema.Key; key != "" {
+			kv := rows[i][r.schema.ColumnIndex(key)]
+			if keys[kv] {
+				return r.errDuplicateKey(kv)
+			}
+			keys[kv] = true
+		}
+		seen[id] = true
+	}
+	return fmt.Errorf("storage: %s refused a batch of %d tuples", r.schema.Name, len(ids))
 }
 
 // delete removes the tuple with the given id. It reports whether it existed.
@@ -315,6 +481,39 @@ func (r *Relation) Get(id TupleID) (Tuple, bool) {
 		return Tuple{}, false
 	}
 	return r.tuple(s), true
+}
+
+// AppendTuples appends the live tuples among ids to dst, in ids order: Get
+// for a block of ids, taken in passes — every id's first entry of the id
+// table, then every slot — so that the cache misses of independent tuples
+// overlap instead of queueing behind one another. The rows are the caller's
+// third pass.
+func (r *Relation) AppendTuples(dst []Tuple, ids []TupleID) []Tuple {
+	if r.ids == nil {
+		return dst
+	}
+	shift := bits.TrailingZeros(uint(len(r.ids)))
+	var first [256]int32
+	for len(ids) > 0 {
+		block := ids[:min(len(ids), len(first))]
+		ids = ids[len(block):]
+		for i, id := range block {
+			first[i] = r.ids[idHash(id, shift)]
+		}
+		for i, id := range block {
+			if first[i] == 0 || id <= 0 {
+				continue
+			}
+			s := r.slotAt(int(first[i] - 1))
+			if s == nil || s.id != id {
+				if s, _ = r.find(id); s == nil { // a collision: walk on from the start
+					continue
+				}
+			}
+			dst = append(dst, r.tuple(s))
+		}
+	}
+	return dst
 }
 
 // Has reports whether a tuple with the given id is stored. It makes a
@@ -360,25 +559,25 @@ func (r *Relation) Tuples() []Tuple {
 	return out
 }
 
-// CreateIndex builds (or returns) a hash index on the named column.
-func (r *Relation) CreateIndex(column string) (*HashIndex, error) {
+// CreateIndex builds an equality index on the named column unless it has one.
+func (r *Relation) CreateIndex(column string) error {
 	ci := r.schema.ColumnIndex(column)
 	if ci < 0 {
-		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
+		return fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
 	}
-	if idx, ok := r.indexes[column]; ok {
-		return idx, nil
+	if _, ok := r.indexes[column]; ok {
+		return nil
 	}
-	idx := newHashIndex(column, ci)
+	idx := r.newIndex(column, ci)
 	r.Scan(func(t Tuple) bool {
 		idx.add(t)
 		return true
 	})
 	r.indexes[column] = idx
-	return idx, nil
+	return nil
 }
 
-// HasIndex reports whether the named column has a hash index.
+// HasIndex reports whether the named column has an equality index.
 func (r *Relation) HasIndex(column string) bool {
 	_, ok := r.indexes[column]
 	return ok
@@ -462,8 +661,8 @@ func (r *Relation) holds(column string, v Value) bool {
 
 // DistinctValues returns the distinct non-NULL values of the named column,
 // sorted by Value.Compare (numerically equal values of different kinds, which
-// Compare ties, order by kind). A hash index on the column supplies them from
-// its keys; the tuples are scanned otherwise.
+// Compare ties, order by kind). An index on the column supplies them from its
+// keys — a RunIndex in this order already; the tuples are scanned otherwise.
 func (r *Relation) DistinctValues(column string) ([]Value, error) {
 	ci := r.schema.ColumnIndex(column)
 	if ci < 0 {
@@ -471,7 +670,10 @@ func (r *Relation) DistinctValues(column string) ([]Value, error) {
 	}
 	var vals []Value
 	if idx, ok := r.indexes[column]; ok {
-		vals = idx.appendKeys(make([]Value, 0, idx.Cardinality()))
+		var sorted bool
+		if vals, sorted = idx.keys(); sorted {
+			return vals, nil
+		}
 	} else {
 		vals = make([]Value, 0, r.live)
 		r.Scan(func(t Tuple) bool {

@@ -188,7 +188,7 @@ func TestLookupWithAndWithoutIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lookup (scan): %v", err)
 	}
-	if _, err := r.CreateIndex("did"); err != nil {
+	if err := r.CreateIndex("did"); err != nil {
 		t.Fatalf("CreateIndex: %v", err)
 	}
 	if !r.HasIndex("did") {
@@ -227,7 +227,7 @@ func TestIndexMaintainedAcrossDeletes(t *testing.T) {
 	db := NewDatabase("test")
 	db.MustCreateRelation(movieSchema(t))
 	r := db.Relation("MOVIE")
-	if _, err := r.CreateIndex("did"); err != nil {
+	if err := r.CreateIndex("did"); err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]TupleID, 0, 6)
@@ -294,7 +294,7 @@ func TestIndexEquivalentToScan(t *testing.T) {
 	db := NewDatabase("test")
 	db.MustCreateRelation(MustSchema("R", "", Column{"k", TypeInt}, Column{"v", TypeString}))
 	rel := db.Relation("R")
-	if _, err := rel.CreateIndex("k"); err != nil {
+	if err := rel.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
 	var live []TupleID

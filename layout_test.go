@@ -62,34 +62,40 @@ func TestLiveBytesPerTuple(t *testing.T) {
 // A deep-shaped answer — the busiest director of the default synthetic
 // dataset at w=0.05, card=150: 760 tuples over every relation of the graph,
 // narrated — may allocate this much through Engine.QueryStringContext, serial
-// and uncached: 15 % above the 286 KiB / 2,067 allocations (NaïveQ) and
-// 308 KiB / 1,945 (Round-Robin) measured when Round-Robin's cursors came to
-// be the posting lists one Fetcher.Probe returns and tuple ids stopped
-// travelling as Values (no rowid cell in a fetched row, no boxed id list per
-// fetch); it was 311 KiB / 2,084 and 535 KiB / 2,167 with a statement result
-// per cursor probe, 363 KiB / 2,930 and 586 KiB / 3,020 with a string per
-// value, clause and paragraph, and 552 KiB / 3,990 and 729 KiB / 5,440 before
-// each answer tuple was materialised once. What is left is D′ itself (the
-// rows sqlx built, its join indexes) and the statements that fetched it.
-// Raise a bound only with an allocation profile that says which holder grew
-// (EXPERIMENTS.md, "Allocated bytes per answer").
+// and uncached: 15 % above the 253 KiB / 687 allocations (NaïveQ) and
+// 272 KiB / 648 (Round-Robin) measured when a fetch came to travel a batch at
+// a time — its rows carved out of one array per statement, D′ adopting it in
+// one InsertBatch and indexing it as sorted runs — and schema generation and
+// the translator stopped copying edge lists and rebuilding relation metadata.
+// It was 286 KiB / 2,067 and 308 KiB / 1,945 with a row, a validation and a
+// map update per tuple; 311 KiB / 2,084 and 535 KiB / 2,167 with a statement
+// result per cursor probe; 363 KiB / 2,930 and 586 KiB / 3,020 with a string
+// per value, clause and paragraph; and 552 KiB / 3,990 and 729 KiB / 5,440
+// before each answer tuple was materialised once. What is left is D′ itself
+// (the row arrays, slots, id tables and sorted runs), the ids and driving
+// values of the statements that fetched it, and G′. Raise a bound only with an
+// allocation profile that says which holder grew (EXPERIMENTS.md, "Allocated
+// bytes per answer").
 var deepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 329, allocs: 2377},
-	precis.StrategyRoundRobin: {kib: 354, allocs: 2237},
+	precis.StrategyNaive:      {kib: 291, allocs: 790},
+	precis.StrategyRoundRobin: {kib: 313, allocs: 745},
 }
 
 // What web.Server may add to one such answer on /api/search, measured as the
-// handler's allocations less the engine call's: 58 allocations (request
-// parsing, admission, the per-request timeout, the display-column lookups)
-// plus 15 %, and 1 to 8 KiB — the 26 KB body is assembled in a pooled buffer,
+// handler's allocations less the engine call's: 37 allocations (request
+// parsing, admission, the per-request timeout; 58 while every relation's
+// display columns were a fresh slice) plus 15 %, and 1 to 8 KiB — the 26 KB body is assembled in a pooled buffer,
 // which costs nothing unless the goroutine changes processor mid-test and
 // grows a second one (60 KB over 20 answers), hence the bound of 12. It was
 // 66 KiB / 980 when the handler copied D′ into a [][]string for encoding/json
 // to walk.
 const (
 	searchResponseKiBBudget    = 12
-	searchResponseAllocsBudget = 67
+	searchResponseAllocsBudget = 43
 )
+
+// What nlg may allocate to narrate that answer.
+const deepNarrativeAllocsBudget = 35
 
 // deepEngine is the engine the allocation pins query: the annotated default
 // synthetic dataset, and the quoted name of its busiest director.
@@ -239,6 +245,37 @@ func TestAllocPerSearchResponse(t *testing.T) {
 	if kib > searchResponseKiBBudget || allocs > searchResponseAllocsBudget {
 		t.Errorf("the web layer adds %.1f KiB and %.0f allocations per response, budget %d KiB and %d",
 			kib, allocs, searchResponseKiBBudget, searchResponseAllocsBudget)
+	}
+}
+
+// TestAllocPerDeepNarrative pins the translator's share of the same deep
+// answer — the query with its narrative less the query without — so per-call
+// metadata rebuilt piecemeal (a struct, a column map and an upper-cased name
+// per relation: 73 allocations once) fails here. What is left is the relation
+// table, the shared edge array, the frame blocks, the two stacks' growth and
+// the string returned.
+func TestAllocPerDeepNarrative(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own and empties sync.Pool at random")
+	}
+	eng, query := deepEngine(t)
+	opts := precis.Options{
+		Degree:      precis.MinPathWeight(0.05),
+		Cardinality: precis.MaxTuplesPerRelation(150),
+		Strategy:    precis.StrategyNaive,
+		Parallelism: -1,
+	}
+	run := func() {
+		if _, err := eng.QueryStringContext(context.Background(), query, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, narrated := allocPerRun(run)
+	opts.SkipNarrative = true
+	_, bare := allocPerRun(run)
+	t.Logf("the narrative adds %.0f allocations to the answer's %.0f (budget %d)", narrated-bare, bare, deepNarrativeAllocsBudget)
+	if narrated-bare > deepNarrativeAllocsBudget {
+		t.Errorf("the translator allocates %.0f times per deep narrative, budget %d", narrated-bare, deepNarrativeAllocsBudget)
 	}
 }
 

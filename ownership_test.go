@@ -9,10 +9,14 @@ package precis
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"precis/internal/dataset"
 	"precis/internal/faultinject"
+	"precis/internal/sqlx"
 	"precis/internal/storage"
 )
 
@@ -151,5 +155,61 @@ func TestRollbackKeepsRowsApart(t *testing.T) {
 	defer reopened.Close()
 	if got, want := dumpDatabase(reopened.Database()), dumpDatabase(eng.Database()); got != want {
 		t.Fatalf("checkpoint differs from memory:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestResultRowsCannotReachTheirNeighbours: the rows of one sqlx result are
+// carved out of shared arrays — one when the plan knows the count, several
+// when it does not — and each has its length for capacity, so appending to a
+// row a caller holds (or to a tuple of the result database that adopted it)
+// copies it instead of writing the next row.
+func TestResultRowsCannotReachTheirNeighbours(t *testing.T) {
+	cfg := dataset.DefaultSyntheticConfig()
+	cfg.Films = 300
+	db, err := dataset.SyntheticMovies(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := sqlx.NewEngine(db)
+	movies := db.Relation("MOVIE").Tuples()
+	for _, q := range []string{
+		fmt.Sprintf("SELECT * FROM MOVIE WHERE rowid IN (%d, %d, %d)", movies[0].ID, movies[1].ID, movies[2].ID), // rowid fetch: the count is known                // rowid fetch: the count is known
+		"SELECT title, year FROM MOVIE WHERE did = 3 LIMIT 2",                                                    // hash probe under a LIMIT
+		"SELECT rowid, title FROM MOVIE",                                                                         // scan: arrays of 16, 32, ... rows
+		"SELECT title FROM MOVIE WHERE year > 1900 ORDER BY year, title",                                         // sort keys carved the same way
+	} {
+		res, err := sql.Exec(q)
+		if err != nil || len(res.Rows) < 2 {
+			t.Fatalf("%s: %d rows, %v", q, len(res.Rows), err)
+		}
+		want := make([][]storage.Value, len(res.Rows))
+		for i, row := range res.Rows {
+			if cap(row) != len(row) {
+				t.Fatalf("%s: row %d has length %d and capacity %d", q, i, len(row), cap(row))
+			}
+			want[i] = slices.Clone(row)
+		}
+		for i := range res.Rows {
+			_ = append(res.Rows[i], storage.String("SCRIBBLED"))
+		}
+		if !reflect.DeepEqual(res.Rows, want) {
+			t.Fatalf("%s: appending to one row wrote another", q)
+		}
+	}
+
+	eng := newEngine(t)
+	ans, err := eng.Query([]string{"Woody Allen"}, Options{SkipNarrative: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dumpDatabase(ans.Database)
+	for _, name := range ans.Database.RelationNames() {
+		ans.Database.Relation(name).Scan(func(tu storage.Tuple) bool {
+			_ = append(tu.Values, storage.String("SCRIBBLED"))
+			return true
+		})
+	}
+	if dumpDatabase(ans.Database) != before {
+		t.Fatal("appending to a tuple of the result database wrote its neighbour")
 	}
 }

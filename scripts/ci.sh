@@ -129,11 +129,19 @@
 # the two stages it is made of. TestAllocPerSearchResponse pins what the web
 # layer adds to that answer on /api/search (the handler less the engine call
 # inside it): the body is appended straight off D′ into a pooled buffer, so a
-# [][]string copy of the rows or a reflective encoder fails here.
+# [][]string copy of the rows or a reflective encoder fails here, and
+# TestAllocPerDeepNarrative what the translator adds to the same answer.
 #
 # The ownership tests (ownership_test.go: a caller's slice scribbled after
-# Engine.Insert/Update, tuples held across a WAL-failure rollback) ride in
-# the whole-repository -race pass with the rollback suites; the
+# Engine.Insert/Update, tuples held across a WAL-failure rollback, a result
+# row appended to beside its neighbour in the statement's array) ride in
+# the whole-repository -race pass with the rollback suites, as do the batch
+# path's: storage's InsertBatch against a loop of InsertWithID and RunIndex
+# against HashIndex (batch_test.go), core's TestFaultMidJoinLeavesExactPrefix
+# and TestResultDatabaseReadsArePure, and the root's
+# TestParallelFetchesShareDrivingRelation and TestChaosMidGenerationFault —
+# D′'s indexes are merged on the coordination goroutine and read by every
+# fetch worker, which only -race can hold to "never built on read"; the
 # generator-oracle step also runs the hash probe's plan tests and
 # TestRoundRobinProbeReadsNoTuple.
 #
@@ -143,7 +151,9 @@
 # longer compiles or fatals on its first iteration fails CI here instead
 # of on the next perf investigation. The seam benchmarks of the two hot
 # stages (internal/core BenchmarkGenerateDeep, internal/nlg
-# BenchmarkNarrativeDeep) are picked up here with everything else.
+# BenchmarkNarrativeDeep) are picked up here with everything else, and so are
+# internal/storage's BenchmarkGather and BenchmarkInsertBatch, each the batch
+# path beside the per-tuple loop it replaced.
 #
 # The benchmark module step covers benchmark/, which has its own go.mod
 # (the repository's benchmark ships its own build file), so the root
@@ -226,8 +236,8 @@ go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearc
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
 go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
 
-echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep answer and per search response)"
-go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer|TestAllocPerSearchResponse' . ./internal/storage
+echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep answer, per narrative and per search response)"
+go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative' . ./internal/storage
 
 echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
