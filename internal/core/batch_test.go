@@ -62,59 +62,104 @@ func checkIndexesCurrent(t *testing.T, when string, db *storage.Database) {
 	}
 }
 
+// widestLookups wraps a Fetcher under a counting fault plan and notes which
+// statement or probe made the most storage lookups, and the number of the
+// lookup in the middle of it: past the first of a block of values resolved
+// together and before the last. (Exact when statements run one at a time; any
+// lookup will do for what the test asserts.)
+type widestLookups struct {
+	Fetcher
+	count     *faultinject.Plan
+	mu        sync.Mutex
+	most, mid int64
+}
+
+func (w *widestLookups) note(before int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := w.count.Calls(faultinject.SiteStorageLookup) - before; n > w.most {
+		w.most, w.mid = n, before+n/2
+	}
+}
+
+func (w *widestLookups) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
+	defer w.note(w.count.Calls(faultinject.SiteStorageLookup))
+	return w.Fetcher.ExecStmt(st)
+}
+
+func (w *widestLookups) Probe(rel, col string, values []storage.Value) (*sqlx.Groups, error) {
+	defer w.note(w.count.Calls(faultinject.SiteStorageLookup))
+	return w.Fetcher.Probe(rel, col, values)
+}
+
 // TestFaultMidJoinLeavesExactPrefix: an injected error on the n-th generated
-// SELECT or cursor probe, or on the n-th index lookup behind one, fails the
-// run — and D′, which a join enters a whole batch at a time, is then what the
+// SELECT or cursor probe, or on the n-th index lookup behind one — among them
+// one in the middle of a block of lookups resolved together — fails the run,
+// and D′, which a join enters a whole batch at a time, is then what the
 // unfaulted run had built when it reached that statement: per relation a
 // prefix of the full answer's tuples in their order, under indexes that are
-// current. Serial and pooled fetches alike.
+// current. Serial and pooled fetches alike, on one engine and across shards.
 func TestFaultMidJoinLeavesExactPrefix(t *testing.T) {
 	errInjected := errors.New("injected")
 	db, g := syntheticMovies(t, 300)
 	rs, seeds := diffQuery(t, g, invidx.New(db), busiestDirector(db), 0.05)
-	for _, strat := range []Strategy{StrategyNaive, StrategyRoundRobin} {
-		for _, workers := range []int{1, 4} {
-			opts := DBGenOptions{Workers: workers}
-			full, err := GenerateDatabaseOpts(sqlx.NewEngine(db), rs, seeds, MaxTuplesPerRelation(40), strat, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, site := range []string{faultinject.SiteSQLSelect, faultinject.SiteStorageLookup} {
-				count := faultinject.NewPlan().Set(site, faultinject.Rule{Every: 1 << 30})
-				stop := faultinject.Activate(count)
-				if _, err := GenerateDatabaseOpts(sqlx.NewEngine(db), rs, seeds, MaxTuplesPerRelation(40), strat, opts); err != nil {
+	fetchers := diffFetchers(t, db)
+	for _, fx := range []diffFetcher{fetchers[0], fetchers[2]} {
+		for _, strat := range []Strategy{StrategyNaive, StrategyRoundRobin} {
+			for _, workers := range []int{1, 4} {
+				opts := DBGenOptions{Workers: workers}
+				full, err := GenerateDatabaseOpts(fx.make(), rs, seeds, MaxTuplesPerRelation(40), strat, opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-				stop()
-				calls, cut := int(count.Calls(site)), 0
-				for nth := 0; nth < calls; nth += 1 + calls/40 {
-					when := fmt.Sprintf("%v, workers=%d, %s call %d of %d", strat, workers, site, nth+1, calls)
-					gen, err := newGenerator(sqlx.NewEngine(db), rs, seeds, MaxTuplesPerRelation(40), strat, opts)
-					if err != nil {
+				for _, site := range []string{faultinject.SiteSQLSelect, faultinject.SiteStorageLookup} {
+					count := faultinject.NewPlan().Set(site, faultinject.Rule{Every: 1 << 30})
+					widest := &widestLookups{Fetcher: fx.make(), count: count}
+					stop := faultinject.Activate(count)
+					if _, err := GenerateDatabaseOpts(widest, rs, seeds, MaxTuplesPerRelation(40), strat, opts); err != nil {
 						t.Fatal(err)
 					}
-					stop := faultinject.Activate(faultinject.NewPlan().Set(site, faultinject.Rule{Err: errInjected, After: nth, Limit: 1}))
-					err = gen.placeSeeds(seeds)
-					if err == nil {
-						err = gen.executeJoins()
-					}
 					stop()
-					if !errors.Is(err, errInjected) {
-						t.Fatalf("%s: error %v", when, err)
+					calls, cut := int(count.Calls(site)), 0
+					var armed []int
+					for nth := 0; nth < calls; nth += 1 + calls/40 {
+						armed = append(armed, nth)
 					}
-					for _, name := range full.DB.RelationNames() {
-						got, want := relationDump(gen.out.Relation(name)), relationDump(full.DB.Relation(name))
-						if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
-							t.Fatalf("%s: %s is not a prefix of the full answer's:\n%v\n%v", when, name, got, want)
+					if site == faultinject.SiteStorageLookup {
+						if widest.most <= 32 { // sqlx resolves 32 values at a time
+							t.Fatalf("%s, %v, workers=%d: no statement makes more than %d lookups", fx.name, strat, workers, widest.most)
 						}
-						if len(got) < len(want) {
-							cut++
-						}
+						armed = append(armed, int(widest.mid))
 					}
-					checkIndexesCurrent(t, when, gen.out)
-				}
-				if cut == 0 {
-					t.Errorf("%v, workers=%d, %s: no fault left a relation short", strat, workers, site)
+					for _, nth := range armed {
+						when := fmt.Sprintf("%s, %v, workers=%d, %s call %d of %d", fx.name, strat, workers, site, nth+1, calls)
+						gen, err := newGenerator(fx.make(), rs, seeds, MaxTuplesPerRelation(40), strat, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						stop := faultinject.Activate(faultinject.NewPlan().Set(site, faultinject.Rule{Err: errInjected, After: nth, Limit: 1}))
+						err = gen.placeSeeds(seeds)
+						if err == nil {
+							err = gen.executeJoins()
+						}
+						stop()
+						if !errors.Is(err, errInjected) {
+							t.Fatalf("%s: error %v", when, err)
+						}
+						for _, name := range full.DB.RelationNames() {
+							got, want := relationDump(gen.out.Relation(name)), relationDump(full.DB.Relation(name))
+							if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+								t.Fatalf("%s: %s is not a prefix of the full answer's:\n%v\n%v", when, name, got, want)
+							}
+							if len(got) < len(want) {
+								cut++
+							}
+						}
+						checkIndexesCurrent(t, when, gen.out)
+					}
+					if cut == 0 {
+						t.Errorf("%s, %v, workers=%d, %s: no fault left a relation short", fx.name, strat, workers, site)
+					}
 				}
 			}
 		}

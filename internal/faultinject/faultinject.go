@@ -25,10 +25,10 @@ import (
 // Canonical injection sites. The instrumented packages use these names;
 // tests may also register ad-hoc sites of their own.
 const (
-	// SiteStorageLookup fires inside storage.(*Relation).AppendLookup — the
-	// index probe every generated join ultimately lands on, in the source
-	// database for the generator and in the result database for the
-	// translator's clause walk.
+	// SiteStorageLookup fires inside storage.(*Relation).AppendLookups, once
+	// per value looked up — the index probe every generated join ultimately
+	// lands on, in the source database for the generator and in the result
+	// database for the translator's clause walk.
 	SiteStorageLookup = "storage.lookup"
 	// SiteIndexProbe fires inside invidx.(*Index).LookupExpanded — the
 	// per-term inverted-index probe that runs on ParallelFor workers. The

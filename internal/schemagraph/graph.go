@@ -68,20 +68,18 @@ type RelationNode struct {
 	Heading   string // heading attribute for NLG; "" if none (junction relations)
 	Sentence  string // optional NLG sentence template for the relation
 	projs     map[string]*Projection
-	projOrder []string
+	projOrder []string      // attribute names in declaration order
+	projList  []*Projection // projs in the same order
 	out       []*JoinEdge
 }
 
 // Projection returns the projection edge for the named attribute, or nil.
 func (n *RelationNode) Projection(attr string) *Projection { return n.projs[attr] }
 
-// Projections returns the projection edges in declaration order.
+// Projections returns the projection edges in declaration order, under
+// Out's contract: the node's own slice, not to be written.
 func (n *RelationNode) Projections() []*Projection {
-	out := make([]*Projection, 0, len(n.projOrder))
-	for _, a := range n.projOrder {
-		out = append(out, n.projs[a])
-	}
-	return out
+	return n.projList[:len(n.projList):len(n.projList)]
 }
 
 // Attributes returns the names of the projected attributes in declaration
@@ -137,6 +135,7 @@ func (g *Graph) AddProjection(relation, attribute string, weight float64) (*Proj
 		p = &Projection{Relation: relation, Attribute: attribute}
 		n.projs[attribute] = p
 		n.projOrder = append(n.projOrder, attribute)
+		n.projList = append(n.projList, p)
 	}
 	p.Weight = weight
 	return p, nil
@@ -218,11 +217,11 @@ func (g *Graph) Clone() *Graph {
 		cn := out.AddRelation(name)
 		cn.Heading = n.Heading
 		cn.Sentence = n.Sentence
-		for _, a := range n.projOrder {
-			p := n.projs[a]
+		for _, p := range n.projList {
 			cp := *p
-			cn.projs[a] = &cp
-			cn.projOrder = append(cn.projOrder, a)
+			cn.projs[p.Attribute] = &cp
+			cn.projOrder = append(cn.projOrder, p.Attribute)
+			cn.projList = append(cn.projList, &cp)
 		}
 		for _, e := range n.out {
 			ce := *e
@@ -244,8 +243,7 @@ func (g *Graph) ApplyWeights(weights map[string]float64) error {
 	}
 	for _, name := range g.order {
 		n := g.nodes[name]
-		for _, a := range n.projOrder {
-			p := n.projs[a]
+		for _, p := range n.projList {
 			if w, ok := remaining[p.Key()]; ok {
 				p.Weight = w
 				delete(remaining, p.Key())

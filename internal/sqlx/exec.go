@@ -30,7 +30,10 @@ func (s *Stats) Add(other Stats) {
 	s.Scanned += other.Scanned
 }
 
-// Result is the outcome of executing one statement.
+// Result is the outcome of executing one statement. A SELECT's rows are
+// read-only: one whose columns are a run of the relation's, in schema order,
+// is the stored row itself (capacity capped at its length), which the
+// relation and every other reader of it share.
 type Result struct {
 	Columns  []string
 	Rows     [][]storage.Value
@@ -322,6 +325,11 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 	}
 	earlyLimit := earlyCount >= 0
 
+	// A projection that is a run of the relation's columns in schema order
+	// borrows the stored row, which nobody writes (storage's ownership rule);
+	// only a reordering or gapped one is copied.
+	lo, hi, borrowed := columnRun(outIdx)
+
 	var rows, keys rowArena
 	var sortKeys [][]storage.Value
 	room := 0 // rows the current block can still emit; 0 in a scan
@@ -332,7 +340,11 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		if len(res.Rows) == cap(res.Rows) {
 			res.Rows, res.RowIDs = slices.Grow(res.Rows, room), slices.Grow(res.RowIDs, room)
 		}
-		res.Rows = append(res.Rows, rows.project(t, outIdx))
+		if borrowed {
+			res.Rows = append(res.Rows, t.Values[lo:hi:hi])
+		} else {
+			res.Rows = append(res.Rows, rows.project(t, outIdx))
+		}
 		res.RowIDs = append(res.RowIDs, t.ID)
 		if len(orderIdx) > 0 {
 			sortKeys = append(sortKeys, keys.project(t, orderIdx))
@@ -401,8 +413,9 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 // fetchBlock is how many candidate ids a planned SELECT resolves at once.
 const fetchBlock = 256
 
-// rowArena carves the rows of one statement out of shared arrays, so a
-// result costs an allocation per array instead of one per row: an array per
+// rowArena carves the rows a statement has to copy — sort keys, and the rows
+// of a projection that reorders or skips columns — out of shared arrays, so
+// they cost an allocation per array instead of one per row: an array per
 // block of a planned SELECT, made for the rows the block can still emit
 // (next, set by the caller: one array per statement up to fetchBlock rows),
 // and for a scan arrays doubling from 16 rows to 512. A row's capacity is its
@@ -433,6 +446,20 @@ func (a *rowArena) project(t storage.Tuple, idx []int) []storage.Value {
 		}
 	}
 	return row
+}
+
+// columnRun reports whether idx lists consecutive column positions in
+// ascending order, and if so which: lo, lo+1, …, hi-1.
+func columnRun(idx []int) (lo, hi int, ok bool) {
+	if len(idx) == 0 || idx[0] < 0 {
+		return 0, 0, false
+	}
+	for i, ci := range idx {
+		if ci != idx[0]+i {
+			return 0, 0, false
+		}
+	}
+	return idx[0], idx[0] + len(idx), true
 }
 
 // RowIDOrder reports whether planAccess would serve this WHERE clause from
@@ -551,17 +578,17 @@ func (p accessPlan) candidates(rel *storage.Relation, stats *Stats) (ids []stora
 	case accessRowID:
 		ids = p.ids
 	case accessIndex:
-		schema := rel.Schema()
-		colType := schema.Columns[schema.ColumnIndex(p.col)].Type
-		for i := 0; i < p.vals.len(); i++ {
-			stats.IndexLookups++
-			if ids, err = appendPostings(ids, rel, p.col, colType, p.vals.at(i)); err != nil {
-				return nil, err
-			}
+		vals := p.vals.list
+		if p.vals.single {
+			vals = []storage.Value{p.vals.one}
+		}
+		stats.IndexLookups += len(vals)
+		if ids, err = appendPostings(nil, nil, rel, p.col, vals); err != nil {
+			return nil, err
 		}
 		// One value's postings are ascending and duplicate-free; several
 		// values' (IN lists may even repeat a value) are merged.
-		if p.vals.len() > 1 {
+		if len(vals) > 1 {
 			slices.Sort(ids)
 			ids = slices.Compact(ids)
 		}

@@ -517,3 +517,106 @@ func TestMalformedPredicateRejectedUpFront(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockLookupsMatchReference holds the one gather loop behind `IN` and
+// Probe — a block of values expanded to their index keys and looked up in one
+// call — to the reference scan, on an INT and on a FLOAT column, with lists of
+// every length around the block size: `1` and `1.0` alternating, a value
+// stored under both of its keys, absent values, NULLs and Compare-equal twins
+// in the list, and a float beyond 2^53, which sends the statement to the scan.
+// The counted work is a lookup per listed value and a read per tuple found.
+func TestBlockLookupsMatchReference(t *testing.T) {
+	db := storage.NewDatabase("blocks")
+	e := NewEngine(db)
+	e.MustExec("CREATE TABLE W (id INT, k INT, f FLOAT, PRIMARY KEY (id))")
+	for i := 0; i < 700; i++ {
+		k, f := fmt.Sprint(i%130), fmt.Sprint(i%130)
+		switch i % 7 {
+		case 0, 1, 2:
+			f += ".0" // i%130 meets every residue of 7: each value sits under both keys
+		case 3:
+			f += ".5"
+		case 4:
+			k, f = "NULL", "NULL"
+		}
+		e.MustExec(fmt.Sprintf("INSERT INTO W VALUES (%d, %s, %s)", i, k, f))
+	}
+	e.MustExec("CREATE INDEX ON W (k)")
+	e.MustExec("CREATE INDEX ON W (f)")
+	rel := db.Relation("W")
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, lookupBlock - 1, lookupBlock, lookupBlock + 1, 3 * lookupBlock, 140} {
+		// n ascending values from -2 (absent) up, the odd ones as floats.
+		values := make([]storage.Value, n)
+		for i := range values {
+			if values[i] = storage.Int(int64(i - 2)); i%2 == 1 {
+				values[i] = storage.Float(float64(i - 2))
+			}
+		}
+		twins := slices.Clone(values)
+		for i := 0; i < len(twins); i += 5 { // Int(j) then Float(j), or the reverse, and j + ½
+			twins = slices.Insert(twins, i+1, storage.Float(twins[i].AsFloat()), storage.Float(twins[i].AsFloat()+0.5))
+		}
+		lists := [][]storage.Value{values, twins, append([]storage.Value{storage.Null, storage.Null}, values...)}
+		for li, list := range lists {
+			for _, column := range []string{"k", "f"} {
+				wantStats := func(found int) Stats { return Stats{IndexLookups: len(list), TupleReads: found} }
+				groups, err := e.Probe("W", column, list)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total := 0
+				for i, v := range list {
+					var want []storage.TupleID
+					if i == 0 || v.Compare(list[i-1]) != 0 {
+						if want, err = refSelectIDs(rel, eq(col(column), v)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got := groups.Group(i); !slices.Equal(got, want) {
+						t.Fatalf("Probe(%s, list %d of %d): group %d (%s %s) = %v, want %v", column, li, n, i, v.Kind(), v, got, want)
+					}
+					total += len(want)
+				}
+				if groups.Stats != wantStats(total) {
+					t.Errorf("Probe(%s, list %d of %d): %+v, want %+v", column, li, n, groups.Stats, wantStats(total))
+				}
+
+				shuffled := slices.Clone(list) // IN takes any order, and repeats
+				r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				for _, vals := range [][]storage.Value{list, append(shuffled, list...)} {
+					where := in(col(column), vals...)
+					want, err := refSelectIDs(rel, where)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := selectWhere(t, e, "W", where)
+					if !slices.Equal(got.RowIDs, want) {
+						t.Fatalf("%s IN (list %d of %d values): %v, want %v", column, li, len(vals), got.RowIDs, want)
+					}
+					if ws := (Stats{IndexLookups: len(vals), TupleReads: len(want)}); got.Stats != ws {
+						t.Errorf("%s IN (list %d of %d values): %+v, want %+v", column, li, len(vals), got.Stats, ws)
+					}
+				}
+
+				beyond := append(slices.Clone(list), storage.Float(1<<53))
+				want, err := refSelectIDs(rel, in(col(column), beyond...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanned := Stats{Scanned: rel.Len(), TupleReads: len(want)}
+				if got := selectWhere(t, e, "W", in(col(column), beyond...)); !slices.Equal(got.RowIDs, want) || got.Stats != scanned {
+					t.Errorf("%s IN (…, 2^53): %d rows %+v, want %d rows %+v", column, len(got.RowIDs), got.Stats, len(want), scanned)
+				}
+				if groups, err = e.Probe("W", column, beyond); err != nil || groups.Stats != scanned || len(groups.IDs) != len(want) {
+					t.Errorf("Probe(%s, …, 2^53): %+v (%v), want %+v", column, groups.Stats, err, scanned)
+				}
+			}
+		}
+	}
+	if both, _ := rel.Lookup("f", storage.Int(5)); len(both) == 0 {
+		t.Fatal("fixture: no value of f is stored as an integer")
+	} else if float, _ := rel.Lookup("f", storage.Float(5)); len(float) == 0 {
+		t.Fatal("fixture: no value of f is stored under both keys")
+	}
+}

@@ -54,39 +54,66 @@ func (e *Engine) Probe(rel, col string, values []storage.Value) (*Groups, error)
 		g.scan(r, ci, values)
 		return g, nil
 	}
-	colType := r.Schema().Columns[ci].Type
-	g.IDs = make([]storage.TupleID, 0, len(values)) // a driving value mostly has a partner
-	for i, v := range values {
-		g.Stats.IndexLookups++
-		if !v.IsNull() && (i == 0 || v.Compare(values[i-1]) != 0) {
-			var err error
-			if g.IDs, err = appendPostings(g.IDs, r, col, colType, v); err != nil {
-				return nil, err
-			}
-		}
-		g.Ends = append(g.Ends, len(g.IDs))
+	// A driving value mostly has a partner, so the ids start at one each.
+	g.IDs, g.Ends = make([]storage.TupleID, 0, len(values)), g.Ends[:len(values)]
+	var err error
+	if g.IDs, err = appendPostings(g.IDs, g.Ends, r, col, values); err != nil {
+		return nil, err
 	}
+	g.Stats.IndexLookups = len(values)
 	g.Stats.TupleReads = len(g.IDs)
 	return g, nil
 }
 
-// appendPostings appends the ids of rel's tuples whose indexed col Equals v,
-// ascending: the posting list of every key v can be stored under (indexKeys).
-func appendPostings(ids []storage.TupleID, rel *storage.Relation, col string, colType storage.ColType, v storage.Value) ([]storage.TupleID, error) {
-	start, lists := len(ids), 0
-	keys, n := indexKeys(colType, v)
-	for _, key := range keys[:n] {
-		before := len(ids)
+// lookupBlock is how many values appendPostings expands to their index keys
+// and hands to one AppendLookups call, which resolves them together.
+const lookupBlock = 32
+
+// appendPostings appends to ids, for each of vals in order, the ascending ids
+// of rel's tuples whose indexed col Equals it — the posting list of every key
+// the value can be stored under (indexKeys) — and sets ends[i], unless ends is
+// nil, to where vals[i]'s ids end. NULL matches nothing, and a value that
+// compares equal to its predecessor adds nothing to what that one found.
+func appendPostings(ids []storage.TupleID, ends []int, rel *storage.Relation, col string, vals []storage.Value) ([]storage.TupleID, error) {
+	schema := rel.Schema()
+	colType := schema.Columns[schema.ColumnIndex(col)].Type
+	var (
+		keys    [2 * lookupBlock]storage.Value
+		keyEnds [2 * lookupBlock]int
+		nkeys   [lookupBlock]uint8 // keys looked up for each value of the block
+	)
+	for base := 0; base < len(vals); base += lookupBlock {
+		block := vals[base:min(base+lookupBlock, len(vals))]
+		nk := 0
+		for i, v := range block {
+			nkeys[i] = 0
+			if v.IsNull() || (base+i > 0 && v.Compare(vals[base+i-1]) == 0) {
+				continue
+			}
+			k, n := indexKeys(colType, v)
+			nk += copy(keys[nk:], k[:n])
+			nkeys[i] = uint8(n)
+		}
+		start := len(ids)
 		var err error
-		if ids, err = rel.AppendLookup(ids, col, key); err != nil {
+		if ids, err = rel.AppendLookups(ids, keyEnds[:nk], col, keys[:nk]); err != nil {
 			return nil, fmt.Errorf("sql: access path on %s: %w", rel.Name(), err)
 		}
-		if len(ids) > before {
-			lists++
+		k := 0
+		for i := range block {
+			end := start
+			if n := int(nkeys[i]); n > 0 {
+				end = keyEnds[k+n-1]
+				if n == 2 && start < keyEnds[k] && keyEnds[k] < end {
+					slices.Sort(ids[start:end]) // Int(1) and Float(1) of a FLOAT column: two ascending lists
+				}
+				k += n
+			}
+			if ends != nil {
+				ends[base+i] = end
+			}
+			start = end
 		}
-	}
-	if lists > 1 { // Int(1) and Float(1) of a FLOAT column: two ascending lists
-		slices.Sort(ids[start:])
 	}
 	return ids, nil
 }

@@ -66,6 +66,40 @@ func sameContents(t *testing.T, when string, got, want *Relation) {
 	}
 }
 
+// checkBatchLookups holds AppendLookups on rel.col to one scan of the
+// relation grouped by exact value: key lists of every length around the
+// block size, drawn in a cycle from probes so that absent keys and repeats
+// occur, each answered in order behind what dst held, ends[i] closing key i.
+func checkBatchLookups(t *testing.T, when string, rel *Relation, col string, probes []Value) {
+	t.Helper()
+	ci := rel.Schema().ColumnIndex(col)
+	byKey := map[Value][]TupleID{}
+	rel.Scan(func(tu Tuple) bool {
+		byKey[tu.Values[ci]] = append(byKey[tu.Values[ci]], tu.ID)
+		return true
+	})
+	for _, ids := range byKey {
+		slices.Sort(ids) // scan order is insertion order
+	}
+	for at, n := range []int{0, 1, lookupBlock - 1, lookupBlock, lookupBlock + 1, 3 * lookupBlock} {
+		keys := make([]Value, n)
+		want, wantEnds := []TupleID{-7}, make([]int, n)
+		for i := range keys {
+			keys[i] = probes[(at+i*(at+1))%len(probes)]
+			want = append(want, byKey[keys[i]]...)
+			wantEnds[i] = len(want)
+		}
+		ends := make([]int, n)
+		got, err := rel.AppendLookups([]TupleID{-7}, ends, col, keys)
+		if err != nil || !slices.Equal(got, want) || !slices.Equal(ends, wantEnds) {
+			t.Fatalf("%s: AppendLookups(%s, %d keys %v) = %v ends %v (%v), want %v ends %v", when, col, n, keys, got, ends, err, want, wantEnds)
+		}
+		if got, err = rel.AppendLookups([]TupleID{-7}, nil, col, keys); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s: AppendLookups(%s, %d keys) without ends = %v (%v), want %v", when, col, n, got, err, want)
+		}
+	}
+}
+
 // TestInsertBatchMatchesInsertLoop: on generated batches — ids repeated
 // inside a batch and across batches, duplicate and NULL keys, rows of the
 // wrong arity and type — InsertBatch on either kind of database does what a
@@ -264,6 +298,13 @@ func TestRunIndexMatchesHashIndex(t *testing.T) {
 			live = slices.Delete(live, at, at+1)
 		}
 		sameContents(t, fmt.Sprint("step ", step), runRel, hashRel)
+		if step%8 == 0 {
+			for _, col := range []string{"k", "f", "s"} {
+				probes := append(slices.Clone(mixedValues), String("s1"), String("s2"), String(""), Int(7), Int(nextKey), Int(nextKey-1))
+				checkBatchLookups(t, fmt.Sprint("step ", step), runRel, col, probes)
+				checkBatchLookups(t, fmt.Sprint("step ", step), hashRel, col, probes)
+			}
+		}
 	}
 	if runRel.Len() < 100 {
 		t.Fatalf("only %d tuples left: the mix deletes too much", runRel.Len())

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -160,6 +161,47 @@ func BenchmarkGather(b *testing.B) {
 		}
 	})
 	_ = sink
+}
+
+// BenchmarkLookups resolves 100 sorted keys of an indexed join column holding
+// 34,000 keys of four or five tuples each — one join's worth of index lookups,
+// a different hundred every iteration so that the entries are cold — one
+// AppendLookup per key against one AppendLookups for all of them.
+func BenchmarkLookups(b *testing.B) {
+	const keys, tuples, perOp = 34_000, 150_000, 100
+	db := NewDatabase("bench")
+	rel := db.MustCreateRelation(MustSchema("R", "id", Column{"id", TypeInt}, Column{"a", TypeInt}))
+	if err := rel.CreateIndex("a"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < tuples; i++ {
+		if _, err := db.Insert("R", Int(int64(i)), Int(int64(i*7919%keys))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	sets := make([][]Value, 256)
+	for i := range sets {
+		sets[i] = make([]Value, perOp)
+		for j := range sets[i] {
+			sets[i][j] = Int(int64(r.Intn(keys)))
+		}
+		slices.SortFunc(sets[i], Value.Compare)
+	}
+	ids, ends := make([]TupleID, 0, 8*perOp), make([]int, perOp)
+	b.Run("per-value", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ids = ids[:0]
+			for _, k := range sets[i%len(sets)] {
+				ids, _ = rel.AppendLookup(ids, "a", k)
+			}
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ids, _ = rel.AppendLookups(ids[:0], ends, "a", sets[i%len(sets)])
+		}
+	})
 }
 
 // BenchmarkInsertBatch fills a result-shaped relation — a primary key and two

@@ -18,8 +18,10 @@ type index interface {
 	addBatch(ids []TupleID, rows [][]Value, unique bool) bool
 	// has reports whether any tuple carries v.
 	has(v Value) bool
-	// appendIDs appends the ids of the tuples carrying v, ascending.
-	appendIDs(dst []TupleID, v Value) []TupleID
+	// appendGroups appends, for each of vals in order, the ascending ids of
+	// the tuples carrying it, and records in ends[i], unless ends is nil, the
+	// length of dst once vals[i] is answered.
+	appendGroups(dst []TupleID, ends []int, vals []Value) []TupleID
 	// keys returns the distinct non-NULL indexed values, and whether they are
 	// in DistinctValues order already.
 	keys() (vals []Value, sorted bool)
@@ -96,11 +98,47 @@ func (ix *HashIndex) keys() ([]Value, bool) {
 	return vals, false
 }
 
-func (ix *HashIndex) appendIDs(dst []TupleID, v Value) []TupleID {
-	if v.kind == KindInt {
-		return ix.ints.appendIDs(dst, v.AsInt())
+// lookupBlock is how many keys a batch lookup resolves at once.
+const lookupBlock = 32
+
+// appendGroups reads a block of keys in passes, as AppendTuples reads tuples:
+// every key's map entry, then the header of every list an entry names, then
+// the copies. A lookup is three dependent cache misses; taken key by key they
+// queue behind one another, taken pass by pass a block's misses overlap.
+func (ix *HashIndex) appendGroups(dst []TupleID, ends []int, vals []Value) []TupleID {
+	var refs [lookupBlock]int64
+	var lists [lookupBlock][]TupleID
+	for base := 0; base < len(vals); base += lookupBlock {
+		block := vals[base:min(base+lookupBlock, len(vals))]
+		for i, v := range block {
+			if v.kind == KindInt {
+				refs[i] = ix.ints.refs[v.AsInt()]
+			} else {
+				refs[i] = ix.vals.refs[v]
+			}
+		}
+		for i, v := range block {
+			switch ref := refs[i]; {
+			case ref >= 0: // absent, or the id itself
+			case v.kind == KindInt:
+				lists[i] = ix.ints.lists[^ref]
+			default:
+				lists[i] = ix.vals.lists[^ref]
+			}
+		}
+		for i := range block {
+			switch ref := refs[i]; {
+			case ref < 0:
+				dst = append(dst, lists[i]...)
+			case ref > 0:
+				dst = append(dst, TupleID(ref))
+			}
+			if ends != nil {
+				ends[base+i] = len(dst)
+			}
+		}
 	}
-	return ix.vals.appendIDs(dst, v)
+	return dst
 }
 
 // postings maps keys to ascending, duplicate-free id lists. A key with one
@@ -161,15 +199,4 @@ func (p *postings[K]) remove(key K, id TupleID) {
 	case TupleID(ref) == id:
 		delete(p.refs, key)
 	}
-}
-
-func (p *postings[K]) appendIDs(dst []TupleID, key K) []TupleID {
-	ref := p.refs[key]
-	switch {
-	case ref < 0:
-		return append(dst, p.lists[^ref]...)
-	case ref > 0:
-		return append(dst, TupleID(ref))
-	}
-	return dst
 }

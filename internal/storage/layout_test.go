@@ -181,6 +181,9 @@ func TestHashIndexMatchesOracle(t *testing.T) {
 				t.Fatalf("step %d: Lookup(%s %s) = %v, want %v", step, k.Kind(), k, got, oracle[k])
 			}
 		}
+		if step%4 == 0 {
+			checkBatchLookups(t, fmt.Sprint("step ", step), rel, "k", append(keys, Int(9), String("absent")))
+		}
 		if idx.Cardinality() != len(oracle) {
 			t.Fatalf("step %d: Cardinality = %d, want %d", step, idx.Cardinality(), len(oracle))
 		}

@@ -621,25 +621,45 @@ func (r *Relation) Lookup(column string, v Value) ([]TupleID, error) {
 	return r.AppendLookup(nil, column, v)
 }
 
-// AppendLookup is Lookup appending to dst, so a multi-value probe gathers
-// every posting list into one buffer instead of copying each list twice.
+// AppendLookup is Lookup appending to dst.
 func (r *Relation) AppendLookup(dst []TupleID, column string, v Value) ([]TupleID, error) {
-	if err := faultinject.Fire(faultinject.SiteStorageLookup); err != nil {
-		return nil, fmt.Errorf("storage: lookup %s.%s: %w", r.schema.Name, column, err)
+	return r.AppendLookups(dst, nil, column, []Value{v})
+}
+
+// AppendLookups is Lookup for each of vals in order, every list appended to
+// dst: a multi-value probe gathers its posting lists into one buffer, and
+// the column's index resolves a block of values at a time (appendGroups).
+// ends, unless nil, has room for one entry per value and receives the length
+// of dst once that value is answered.
+func (r *Relation) AppendLookups(dst []TupleID, ends []int, column string, vals []Value) ([]TupleID, error) {
+	for range vals {
+		if err := faultinject.Fire(faultinject.SiteStorageLookup); err != nil {
+			return nil, fmt.Errorf("storage: lookup %s.%s: %w", r.schema.Name, column, err)
+		}
 	}
-	if idx, ok := r.indexes[column]; ok {
-		return idx.appendIDs(dst, v), nil
+	// A static call per kind of index: through the interface vals and ends
+	// would escape, and callers keep both in stack arrays.
+	switch idx := r.indexes[column].(type) {
+	case *HashIndex:
+		return idx.appendGroups(dst, ends, vals), nil
+	case *RunIndex:
+		return idx.appendGroups(dst, ends, vals), nil
 	}
 	ci := r.schema.ColumnIndex(column)
 	if ci < 0 {
 		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
 	}
-	r.Scan(func(t Tuple) bool {
-		if t.Values[ci].Equal(v) {
-			dst = append(dst, t.ID)
+	for i, v := range vals {
+		r.Scan(func(t Tuple) bool {
+			if t.Values[ci].Equal(v) {
+				dst = append(dst, t.ID)
+			}
+			return true
+		})
+		if ends != nil {
+			ends[i] = len(dst)
 		}
-		return true
-	})
+	}
 	return dst, nil
 }
 

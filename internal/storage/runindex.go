@@ -98,11 +98,18 @@ func (ix *RunIndex) has(v Value) bool {
 	return ix.vals.has(v)
 }
 
-func (ix *RunIndex) appendIDs(dst []TupleID, v Value) []TupleID {
-	if v.kind == KindInt {
-		return ix.ints.appendIDs(dst, intKey(v.AsInt()))
+func (ix *RunIndex) appendGroups(dst []TupleID, ends []int, vals []Value) []TupleID {
+	for i, v := range vals {
+		if v.kind == KindInt {
+			dst = ix.ints.appendIDs(dst, intKey(v.AsInt()))
+		} else {
+			dst = ix.vals.appendIDs(dst, v)
+		}
+		if ends != nil {
+			ends[i] = len(dst)
+		}
 	}
-	return ix.vals.appendIDs(dst, v)
+	return dst
 }
 
 // keys merges the two arrays: Value.Compare orders integers among the other

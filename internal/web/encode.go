@@ -149,6 +149,14 @@ func appendJSONStrings(dst []byte, ss []string) []byte {
 
 const hexDigits = "0123456789abcdef"
 
+// jsonSafe marks the ASCII bytes a JSON string carries as they are.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for c := range safe {
+		safe[c] = c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return safe
+}()
+
 // appendJSONString appends s as a JSON string with the escaping of
 // encoding/json at its default (EscapeHTML on): `"` and `\` backslashed,
 // \b \f \n \r \t by name, the other controls and < > & as \u00XX, the line
@@ -159,7 +167,7 @@ func appendJSONString(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if jsonSafe[c] {
 				i++
 				continue
 			}

@@ -72,6 +72,18 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
+// BenchmarkAppendJSONString encodes a narrative-sized string: ASCII prose with
+// an escape and a multi-byte rune every hundred bytes or so.
+func BenchmarkAppendJSONString(b *testing.B) {
+	s := strings.Repeat("Woody Allen directed \"Match Point\" (2005), a Thriller; Am\u00e9lie & others followed.\n", 450)
+	dst := make([]byte, 0, 2*len(s))
+	b.SetBytes(int64(len(s)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = appendJSONString(dst[:0], s)
+	}
+}
+
 // oracleBody is the /api/search body as encoding/json writes it from the
 // model struct: what appendAnswer must reproduce byte for byte.
 func oracleBody(t testing.TB, ans *precis.Answer) []byte {

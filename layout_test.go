@@ -62,23 +62,25 @@ func TestLiveBytesPerTuple(t *testing.T) {
 // A deep-shaped answer — the busiest director of the default synthetic
 // dataset at w=0.05, card=150: 760 tuples over every relation of the graph,
 // narrated — may allocate this much through Engine.QueryStringContext, serial
-// and uncached: 15 % above the 253 KiB / 687 allocations (NaïveQ) and
-// 272 KiB / 648 (Round-Robin) measured when a fetch came to travel a batch at
-// a time — its rows carved out of one array per statement, D′ adopting it in
-// one InsertBatch and indexing it as sorted runs — and schema generation and
-// the translator stopped copying edge lists and rebuilding relation metadata.
-// It was 286 KiB / 2,067 and 308 KiB / 1,945 with a row, a validation and a
+// and uncached: 15 % above the 174 KiB / 676 allocations (NaïveQ) and
+// 194 KiB / 637 (Round-Robin) measured when an answer came to borrow the base
+// rows instead of copying them (at w=0.05 every fetched row is the whole
+// stored row) and a relation node to hand out its projection list instead of
+// a copy per expansion. It was 253 KiB / 687 and 272 KiB / 648 with the rows
+// of a fetch carved out of one array per statement, D′ adopting it in one
+// InsertBatch and indexing it as sorted runs; 286 KiB / 2,067 and
+// 308 KiB / 1,945 with a row, a validation and a
 // map update per tuple; 311 KiB / 2,084 and 535 KiB / 2,167 with a statement
 // result per cursor probe; 363 KiB / 2,930 and 586 KiB / 3,020 with a string
 // per value, clause and paragraph; and 552 KiB / 3,990 and 729 KiB / 5,440
 // before each answer tuple was materialised once. What is left is D′ itself
-// (the row arrays, slots, id tables and sorted runs), the ids and driving
+// (slots, id tables and sorted runs — no rows), the ids and driving
 // values of the statements that fetched it, and G′. Raise a bound only with an
 // allocation profile that says which holder grew (EXPERIMENTS.md, "Allocated
 // bytes per answer").
 var deepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 291, allocs: 790},
-	precis.StrategyRoundRobin: {kib: 313, allocs: 745},
+	precis.StrategyNaive:      {kib: 200, allocs: 777},
+	precis.StrategyRoundRobin: {kib: 223, allocs: 733},
 }
 
 // What web.Server may add to one such answer on /api/search, measured as the

@@ -11,8 +11,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"precis/internal/dataset"
 	"precis/internal/faultinject"
@@ -159,10 +162,11 @@ func TestRollbackKeepsRowsApart(t *testing.T) {
 }
 
 // TestResultRowsCannotReachTheirNeighbours: the rows of one sqlx result are
-// carved out of shared arrays — one when the plan knows the count, several
-// when it does not — and each has its length for capacity, so appending to a
-// row a caller holds (or to a tuple of the result database that adopted it)
-// copies it instead of writing the next row.
+// stored rows, or runs of them, or carved out of shared arrays — one when the
+// plan knows the count, several when it does not — and each has its length
+// for capacity, so appending to a row a caller holds (or to a tuple of the
+// result database that adopted it) copies it instead of writing the next row
+// or the rest of the stored one.
 func TestResultRowsCannotReachTheirNeighbours(t *testing.T) {
 	cfg := dataset.DefaultSyntheticConfig()
 	cfg.Films = 300
@@ -172,11 +176,13 @@ func TestResultRowsCannotReachTheirNeighbours(t *testing.T) {
 	}
 	sql := sqlx.NewEngine(db)
 	movies := db.Relation("MOVIE").Tuples()
+	stored := dumpDatabase(db)
 	for _, q := range []string{
 		fmt.Sprintf("SELECT * FROM MOVIE WHERE rowid IN (%d, %d, %d)", movies[0].ID, movies[1].ID, movies[2].ID), // rowid fetch: the count is known                // rowid fetch: the count is known
 		"SELECT title, year FROM MOVIE WHERE did = 3 LIMIT 2",                                                    // hash probe under a LIMIT
 		"SELECT rowid, title FROM MOVIE",                                                                         // scan: arrays of 16, 32, ... rows
 		"SELECT title FROM MOVIE WHERE year > 1900 ORDER BY year, title",                                         // sort keys carved the same way
+		"SELECT mid, title FROM MOVIE WHERE did = 3",                                                             // the head of each stored row
 	} {
 		res, err := sql.Exec(q)
 		if err != nil || len(res.Rows) < 2 {
@@ -196,6 +202,9 @@ func TestResultRowsCannotReachTheirNeighbours(t *testing.T) {
 			t.Fatalf("%s: appending to one row wrote another", q)
 		}
 	}
+	if dumpDatabase(db) != stored {
+		t.Fatal("appending to a result row wrote a stored one")
+	}
 
 	eng := newEngine(t)
 	ans, err := eng.Query([]string{"Woody Allen"}, Options{SkipNarrative: true})
@@ -211,5 +220,150 @@ func TestResultRowsCannotReachTheirNeighbours(t *testing.T) {
 	}
 	if dumpDatabase(ans.Database) != before {
 		t.Fatal("appending to a tuple of the result database wrote its neighbour")
+	}
+}
+
+// baseDatabases returns the databases an engine's answers are fetched from:
+// its own, or its shards'.
+func baseDatabases(e *Engine) []*storage.Database {
+	var dbs []*storage.Database
+	_ = e.backend.each(func(n *node) error {
+		dbs = append(dbs, n.db)
+		return nil
+	})
+	return dbs
+}
+
+// TestAnswerRowsBorrowBaseRows: a result relation whose columns are a run of
+// its base relation's, in schema order, holds the base rows themselves — the
+// same memory, never beyond the run — and any other projection holds copies.
+// On one engine, across shards, on a recovered persistent engine, and on the
+// answer the cache hands out again.
+func TestAnswerRowsBorrowBaseRows(t *testing.T) {
+	engines := map[string]*Engine{
+		"single":     newEngine(t),
+		"sharded":    newShardedEngine(t, 4, "hash"),
+		"persistent": openPersistent(t, t.TempDir()),
+		"cached":     newCachedEngine(t),
+	}
+	defer engines["persistent"].Close()
+	for name, eng := range engines {
+		for _, strat := range []Strategy{StrategyNaive, StrategyRoundRobin} {
+			// Every attribute at w=0.05; the heading attributes alone at 0.95.
+			for _, w := range []float64{0.05, 0.95} {
+				opts := Options{Degree: MinPathWeight(w), Strategy: strat}
+				ans, err := eng.Query([]string{"Woody Allen"}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == "cached" {
+					hits := eng.CacheStats().Hits
+					if ans, err = eng.Query([]string{"Woody Allen"}, opts); err != nil || eng.CacheStats().Hits != hits+1 {
+						t.Fatalf("second query: %v, %d cache hits", err, eng.CacheStats().Hits-hits)
+					}
+				}
+				borrowed, copied := 0, 0
+				bases := baseDatabases(eng)
+				for _, relName := range ans.Database.RelationNames() {
+					rel := ans.Database.Relation(relName)
+					var base *storage.Schema
+					var pos []int // the base column behind each column of rel
+					run := true
+					rel.Scan(func(got storage.Tuple) bool {
+						var src storage.Tuple
+						for _, db := range bases {
+							if tu, ok := db.Relation(relName).Get(got.ID); ok {
+								src, base = tu, db.Relation(relName).Schema()
+							}
+						}
+						if base == nil {
+							t.Fatalf("%s: %s tuple %d is in no base database", name, relName, got.ID)
+						}
+						if pos == nil {
+							for i, c := range rel.Schema().ColumnNames() {
+								pos = append(pos, base.ColumnIndex(c))
+								run = run && pos[i] == pos[0]+i
+							}
+						}
+						for i, v := range got.Values {
+							if v != src.Values[pos[i]] {
+								t.Fatalf("%s: %s tuple %d reads %v, stored %v", name, relName, got.ID, got.Values, src.Values)
+							}
+						}
+						if aliases := &got.Values[0] == &src.Values[pos[0]]; aliases != run {
+							t.Fatalf("%s, %v, w=%v: %s (columns %v of %v) shares its rows with the base: %v",
+								name, strat, w, relName, rel.Schema().ColumnNames(), base.ColumnNames(), aliases)
+						}
+						if cap(got.Values) != len(got.Values) {
+							t.Fatalf("%s: %s tuple %d has %d values and room for %d", name, relName, got.ID, len(got.Values), cap(got.Values))
+						}
+						return true
+					})
+					if run {
+						borrowed++
+					} else {
+						copied++
+					}
+				}
+				if borrowed == 0 || (copied > 0) != (w == 0.95) {
+					t.Errorf("%s, %v, w=%v: %d relations borrow their rows, %d copy them", name, strat, w, borrowed, copied)
+				}
+			}
+		}
+	}
+}
+
+// TestAnswerOutlivesItsTuples: an answer holds base rows, and the base never
+// writes a row — Update stores a new one, Delete lets go of the old — so an
+// answer taken before either still reads what it read then, and is the only
+// thing keeping those rows: drop it and they are collected.
+func TestAnswerOutlivesItsTuples(t *testing.T) {
+	for name, eng := range map[string]*Engine{"single": newEngine(t), "sharded": newShardedEngine(t, 4, "hash")} {
+		updated, err := eng.Insert("DIRECTOR", director(902, "Agnes Varda")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deleted, err := eng.Insert("DIRECTOR", director(903, "Agnes Martin")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		collected := make(chan storage.TupleID, 2)
+		before := func() string {
+			ans, err := eng.Query([]string{"Agnes"}, Options{Degree: MinPathWeight(0.05)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel := ans.Database.Relation("DIRECTOR")
+			want := dumpDatabase(ans.Database)
+			if err := eng.Update("DIRECTOR", updated, director(902, "A. Varda")); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := eng.Delete("DIRECTOR", deleted); !ok || err != nil {
+				t.Fatal(ok, err)
+			}
+			if got := dumpDatabase(ans.Database); got != want || rel.Len() != 2 {
+				t.Fatalf("%s: the answer changed under an Update and a Delete:\n%s\n%s", name, want, got)
+			}
+			for _, id := range []storage.TupleID{updated, deleted} {
+				tu, _ := rel.Get(id)
+				runtime.SetFinalizer(&tu.Values[0], func(*storage.Value) { collected <- id })
+			}
+			return ans.Narrative
+		}()
+		if !strings.Contains(before, "Agnes Varda") || !strings.Contains(before, "Agnes Martin") {
+			t.Fatalf("%s: narrative %q", name, before)
+		}
+		after, err := eng.Query([]string{"Varda"}, Options{Degree: MinPathWeight(0.05)})
+		if err != nil || !strings.Contains(after.Narrative, "A. Varda") || strings.Contains(after.Narrative, "Agnes") {
+			t.Fatalf("%s: after the update: %v, %v", name, after, err)
+		}
+		for range 2 {
+			runtime.GC()
+			select {
+			case <-collected:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: a replaced or deleted row is still reachable once the answer that held it is gone", name)
+			}
+		}
 	}
 }

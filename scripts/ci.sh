@@ -101,7 +101,9 @@
 # shard.Fetcher ride along, and so do the two statements of what Round-Robin
 # reads and chooses: TestProbeMatchesSpec (Fetcher.Probe against a
 # plain-slice spec, on the engine and on 1-4 hash and range shards, whose
-# scatter goroutines only -race watches) and TestRoundRobinRounds.
+# scatter goroutines only -race watches) and TestRoundRobinRounds; with them
+# TestBlockLookupsMatchReference, the one gather loop behind IN and Probe
+# against the reference scan around every block boundary.
 #
 # The inverted-index oracle step (internal/invidx differential_test.go)
 # diffs the sorted-slice index against the test-only map-of-maps reference
@@ -134,10 +136,15 @@
 #
 # The ownership tests (ownership_test.go: a caller's slice scribbled after
 # Engine.Insert/Update, tuples held across a WAL-failure rollback, a result
-# row appended to beside its neighbour in the statement's array) ride in
+# row appended to beside its neighbour in the statement's array or in the
+# stored row it is a run of, answer rows that are the base rows themselves on
+# every engine shape and outlive an Update or Delete of their tuples;
+# ownership_web_test.go: the base equal to its clone after queries, narratives
+# and /api/search bodies) ride in
 # the whole-repository -race pass with the rollback suites, as do the batch
-# path's: storage's InsertBatch against a loop of InsertWithID and RunIndex
-# against HashIndex (batch_test.go), core's TestFaultMidJoinLeavesExactPrefix
+# path's: storage's InsertBatch against a loop of InsertWithID, RunIndex
+# against HashIndex and AppendLookups on both against a scan
+# (batch_test.go), core's TestFaultMidJoinLeavesExactPrefix
 # and TestResultDatabaseReadsArePure, and the root's
 # TestParallelFetchesShareDrivingRelation and TestChaosMidGenerationFault —
 # D′'s indexes are merged on the coordination goroutine and read by every
@@ -152,8 +159,9 @@
 # of on the next perf investigation. The seam benchmarks of the two hot
 # stages (internal/core BenchmarkGenerateDeep, internal/nlg
 # BenchmarkNarrativeDeep) are picked up here with everything else, and so are
-# internal/storage's BenchmarkGather and BenchmarkInsertBatch, each the batch
-# path beside the per-tuple loop it replaced.
+# internal/storage's BenchmarkGather, BenchmarkInsertBatch and
+# BenchmarkLookups, each the batch path beside the per-tuple or per-value loop
+# it replaced, and internal/web's BenchmarkAppendJSONString.
 #
 # The benchmark module step covers benchmark/, which has its own go.mod
 # (the repository's benchmark ships its own build file), so the root
@@ -230,7 +238,7 @@ go test -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
 go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts' ./internal/core
-go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestProbeMatchesSpec|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
+go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
 go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' ./internal/nlg ./internal/web
 
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
