@@ -121,6 +121,8 @@ const (
 	MetricDBTuples       = "precis_db_tuples"
 	MetricDBRelations    = "precis_db_relations"
 	MetricIndexTokens    = "precis_index_tokens"
+	MetricMemoHits       = "precis_schema_memo_hits_total"
+	MetricMemoMisses     = "precis_schema_memo_misses_total"
 )
 
 // engineMetrics holds the engine's pre-resolved instrument pointers: the
@@ -285,6 +287,11 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		}
 		return float64(e.cache.Len())
 	})
+	// The engine graph's memo of result schemas; a profile's graph has its own.
+	reg.Help(MetricMemoHits, "result schemas found memoised on the engine's schema graph")
+	reg.Help(MetricMemoMisses, "result schemas generated because the schema graph held none")
+	reg.GaugeFunc(MetricMemoHits, func() float64 { h, _, _ := e.graph.MemoStats(); return float64(h) })
+	reg.GaugeFunc(MetricMemoMisses, func() float64 { _, m, _ := e.graph.MemoStats(); return float64(m) })
 	e.backend.instrument(reg)
 	if e.role.primary != nil {
 		instrumentReplPrimary(reg, e.role.primary)

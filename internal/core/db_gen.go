@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"precis/internal/faultinject"
@@ -166,8 +167,7 @@ type generator struct {
 	perRel  map[string]int
 	total   int
 	stats   GenStats
-	// columns fetched per relation (display + plumbing), in original order.
-	cols map[string][]string
+	lay     *layout // of D'; shared, read only
 }
 
 // fetched is the outcome of one fetch task: candidate rows and their tuple
@@ -205,7 +205,11 @@ func GenerateDatabaseOpts(eng Fetcher, rs *ResultSchema, seedTuples map[string][
 }
 
 // newGenerator validates the inputs of one Figure 5 run and creates the
-// empty output database with the relations of G'.
+// empty output database from its layout: the relations of G', an index on
+// every column a G' edge arrives at — the join indexes of the whole answer:
+// the generator's own reads (distinct driving values, the integrity check of
+// a truncated answer) and the translator's clause walk probe them, so nothing
+// downstream indexes D' again — and the foreign keys that carry over.
 func newGenerator(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage.TupleID, c CardinalityConstraint, strat Strategy, opts DBGenOptions) (*generator, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cardinality constraint")
@@ -214,6 +218,10 @@ func newGenerator(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage
 		if rs.Graph.Relation(rel) == nil {
 			return nil, fmt.Errorf("core: seed tuples for %s, which is not in the result schema", rel)
 		}
+	}
+	lay, err := rs.layout(eng.Database())
+	if err != nil {
+		return nil, err
 	}
 	workers := opts.Workers
 	if workers < 1 {
@@ -235,12 +243,21 @@ func newGenerator(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage
 		trace:   opts.Trace,
 		out:     storage.NewBatchDatabase("precis"),
 		perRel:  make(map[string]int),
-		cols:    make(map[string][]string),
+		lay:     lay,
 	}
 	g.stats.TuplesPerRelation = g.perRel
-	if err := g.buildResultSchemas(); err != nil {
-		return nil, err
+	for i := range lay.rels {
+		out, err := g.out.CreateRelation(lay.rels[i].schema)
+		if err != nil {
+			return nil, err
+		}
+		for _, col := range lay.rels[i].indexed {
+			if err := out.CreateIndex(col); err != nil {
+				return nil, err
+			}
+		}
 	}
+	g.out.SetForeignKeys(lay.fks)
 	return g, nil
 }
 
@@ -306,37 +323,52 @@ func (g *generator) execFetch(f *fetched, st *sqlx.SelectStmt) (*sqlx.Result, er
 	return res, nil
 }
 
-// buildResultSchemas creates in the output database, for every relation of
-// G', a relation whose columns are the projected attributes plus the join
-// columns of incident G' edges, in the original column order, with a hash
-// index on every column a G' edge arrives at. Those are the join indexes of
-// the whole answer: the generator's own reads (distinct driving values, the
-// integrity check of a truncated answer) and the translator's clause walk
-// probe them, so nothing downstream indexes D' again.
-func (g *generator) buildResultSchemas() error {
-	orig := g.eng.Database()
-	edges := g.rs.Graph.JoinEdges()
-	for _, name := range g.rs.Relations() {
+// layout is D' before its tuples, as it follows from G' and the catalog of
+// the original database. The queries of one G' share it: read only.
+type layout struct {
+	rels []relLayout          // in G' order
+	cols map[string][]string  // each relation's column names
+	fks  []storage.ForeignKey // the original's whose endpoints survive
+}
+
+// relLayout is one relation of D': the projected attributes plus the join
+// columns of incident G' edges, in the original column order.
+type relLayout struct {
+	schema  *storage.Schema
+	indexed []string // the columns a G' edge arrives at
+}
+
+// layoutKey names the catalog a layout was derived from. A catalog id is never
+// reused, so a stale layout is never found; the memo's next emptying drops it.
+type layoutKey struct{ catalog uint64 }
+
+// layout derives the layout of D' over orig's catalog, once per catalog when
+// G' is frozen.
+func (rs *ResultSchema) layout(orig *storage.Database) (*layout, error) {
+	key := layoutKey{orig.CatalogID()}
+	if v, ok := rs.Graph.Memo(key); ok {
+		return v.(*layout), nil
+	}
+	edges := rs.Graph.JoinEdges()
+	names := rs.Relations()
+	lay := &layout{rels: make([]relLayout, len(names)), cols: make(map[string][]string, len(names))}
+	for i, name := range names {
 		rel := orig.Relation(name)
 		if rel == nil {
-			return fmt.Errorf("core: result schema names %s, which is missing from the database", name)
+			return nil, fmt.Errorf("core: result schema names %s, which is missing from the database", name)
 		}
-		need := make(map[string]bool)
-		for _, a := range g.rs.Projections(name) {
-			need[a] = true
+		var cols, indexed []string
+		for _, c := range rel.Schema().Columns {
+			joins := func(e *schemagraph.JoinEdge) bool {
+				return e.From == name && e.FromCol == c.Name || e.To == name && e.ToCol == c.Name
+			}
+			if slices.Contains(rs.Projections(name), c.Name) || slices.ContainsFunc(edges, joins) {
+				cols = append(cols, c.Name)
+			}
 		}
 		for _, e := range edges {
-			if e.From == name {
-				need[e.FromCol] = true
-			}
-			if e.To == name {
-				need[e.ToCol] = true
-			}
-		}
-		var cols []string
-		for _, c := range rel.Schema().Columns {
-			if need[c.Name] {
-				cols = append(cols, c.Name)
+			if e.To == name && !slices.Contains(indexed, e.ToCol) {
+				indexed = append(indexed, e.ToCol)
 			}
 		}
 		if len(cols) == 0 {
@@ -351,37 +383,19 @@ func (g *generator) buildResultSchemas() error {
 		}
 		sub, err := rel.Schema().Project(cols)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out, err := g.out.CreateRelation(sub)
-		if err != nil {
-			return err
-		}
-		for _, e := range edges {
-			if e.To == name {
-				if err := out.CreateIndex(e.ToCol); err != nil {
-					return err
-				}
-			}
-		}
-		g.cols[name] = cols
+		lay.rels[i], lay.cols[name] = relLayout{sub, indexed}, cols
 	}
 	// Foreign keys of the original whose endpoints survive carry over, so
 	// the précis is a database with its own constraints (paper §1).
 	for _, fk := range orig.ForeignKeys() {
-		from := g.out.Relation(fk.FromRelation)
-		to := g.out.Relation(fk.ToRelation)
-		if from == nil || to == nil {
-			continue
-		}
-		if !from.Schema().HasColumn(fk.FromColumn) || !to.Schema().HasColumn(fk.ToColumn) {
-			continue
-		}
-		if err := g.out.AddForeignKey(fk); err != nil {
-			return err
+		from, to := lay.cols[fk.FromRelation], lay.cols[fk.ToRelation]
+		if slices.Contains(from, fk.FromColumn) && slices.Contains(to, fk.ToColumn) {
+			lay.fks = append(lay.fks, fk)
 		}
 	}
-	return nil
+	return rs.Graph.Memoise(key, lay).(*layout), nil
 }
 
 // cardBudget returns the cardinality constraint's remaining allowance for
@@ -411,7 +425,7 @@ func (g *generator) budget(rel string) int {
 // stmtSelect builds the AST of SELECT <cols> FROM rel WHERE <where> [LIMIT n]
 // (limit < 0: unlimited, nil where: all); ids come back in Result.RowIDs.
 func (g *generator) stmtSelect(rel string, where sqlx.Expr, limit int) *sqlx.SelectStmt {
-	return &sqlx.SelectStmt{Columns: g.cols[rel], Table: rel, Where: where, Limit: limit}
+	return &sqlx.SelectStmt{Columns: g.lay.cols[rel], Table: rel, Where: where, Limit: limit}
 }
 
 // fetchStmt executes the one row-returning query of a fetch: its rows become
@@ -575,14 +589,12 @@ func (g *generator) fetchSeed(rel string, ids []storage.TupleID, limit int) (*fe
 // the inserts are applied serially in pick order — parallelism never
 // changes the produced result database.
 func (g *generator) executeJoins() error {
-	pending := g.rs.JoinEdgesByWeight()
+	plan := g.rs.joinPlan()
+	pending := slices.Clone(plan.byWeight) // nextBatch cuts its picks out of it
 	if g.opts.FIFOJoins {
 		pending = g.rs.Graph.JoinEdges()
 	}
-	arriving := make(map[string]int)
-	for _, e := range pending {
-		arriving[e.To]++
-	}
+	arriving := plan.arriving
 	executed := make(map[string]int)
 
 	for len(pending) > 0 {

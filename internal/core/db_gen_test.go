@@ -807,8 +807,8 @@ func TestRoundRobinRounds(t *testing.T) {
 // project returns the columns of tu the generator fetches for rel.
 func (g *generator) project(rel string, tu storage.Tuple) []storage.Value {
 	schema := g.eng.Database().Relation(rel).Schema()
-	row := make([]storage.Value, len(g.cols[rel]))
-	for i, c := range g.cols[rel] {
+	row := make([]storage.Value, len(g.lay.cols[rel]))
+	for i, c := range g.lay.cols[rel] {
 		row[i] = tu.Values[schema.ColumnIndex(c)]
 	}
 	return row

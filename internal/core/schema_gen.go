@@ -3,7 +3,9 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"precis/internal/schemagraph"
 )
@@ -13,6 +15,11 @@ import (
 // query, the attributes to project on each, and the bookkeeping the Result
 // Database Generator needs (join edges in weight order, in-degrees, seed
 // attribution).
+//
+// A result schema generated from a frozen graph is that graph's one G' for
+// its seeds and constraint, shared by every query that asks for it: read it,
+// never write it. Its Graph is frozen too, and memoises what the later stages
+// derive from G' (the join order, the layout of D' per catalog).
 type ResultSchema struct {
 	// Graph is the result schema graph G' (a sub-graph of the input graph,
 	// with the same weights on the surviving edges).
@@ -48,15 +55,7 @@ func (rs *ResultSchema) SeedInDegree(rel string) int { return len(rs.seedsByRela
 // JoinInDegree returns the number of join edges of G' arriving at rel; the
 // result database generator postpones joins departing from a relation until
 // all arriving joins have executed, and this is the counter it decrements.
-func (rs *ResultSchema) JoinInDegree(rel string) int {
-	n := 0
-	for _, e := range rs.Graph.JoinEdges() {
-		if e.To == rel {
-			n++
-		}
-	}
-	return n
-}
+func (rs *ResultSchema) JoinInDegree(rel string) int { return rs.joinPlan().arriving[rel] }
 
 // SeedDistance returns each relation's join-edge distance from the nearest
 // seed within G' (seeds are at distance 0; unreachable relations get a
@@ -97,8 +96,24 @@ func (rs *ResultSchema) SeedDistance() map[string]int {
 // JoinEdgesByWeight returns the join edges of G' in the order the result
 // database generator considers them: decreasing weight; among equal
 // weights, edges whose source is nearer a seed first; remaining ties break
-// on the edge key for determinism.
+// on the edge key for determinism. The slice is the caller's own.
 func (rs *ResultSchema) JoinEdgesByWeight() []*schemagraph.JoinEdge {
+	return slices.Clone(rs.joinPlan().byWeight)
+}
+
+// joinPlan is what executeJoins needs of G' alone. It is shared: read only.
+type joinPlan struct {
+	byWeight []*schemagraph.JoinEdge // JoinEdgesByWeight's order
+	arriving map[string]int          // join edges of G' arriving at each relation
+}
+
+type joinPlanKey struct{}
+
+// joinPlan sorts and counts the join edges of G', once when G' is frozen.
+func (rs *ResultSchema) joinPlan() *joinPlan {
+	if v, ok := rs.Graph.Memo(joinPlanKey{}); ok {
+		return v.(*joinPlan)
+	}
 	edges := rs.Graph.JoinEdges()
 	dist := rs.SeedDistance()
 	sort.Slice(edges, func(i, j int) bool {
@@ -110,7 +125,11 @@ func (rs *ResultSchema) JoinEdgesByWeight() []*schemagraph.JoinEdge {
 		}
 		return edges[i].Key() < edges[j].Key()
 	})
-	return edges
+	p := &joinPlan{byWeight: edges, arriving: make(map[string]int)}
+	for _, e := range edges {
+		p.arriving[e.To]++
+	}
+	return rs.Graph.Memoise(joinPlanKey{}, p).(*joinPlan)
 }
 
 // NumAttributes returns the number of projected attributes across G'.
@@ -144,8 +163,19 @@ type SchemaGeneratorOptions struct {
 // seed relations (those containing query tokens), gradually constructing
 // projection paths in decreasing weight order until the degree constraint d
 // fails. It returns the result schema G'.
+//
+// G' is a function of (g, seeds, d): a frozen g is traversed once per (seeds,
+// d.String()), and every later call returns the same *ResultSchema, annotated
+// (CopyAnnotations) and immutable, without consulting d. An unfrozen g is
+// traversed on every call.
 func GenerateSchema(g *schemagraph.Graph, seeds []string, d DegreeConstraint) (*ResultSchema, error) {
 	return GenerateSchemaOpts(g, seeds, d, SchemaGeneratorOptions{})
+}
+
+// schemaKey is what G' depends on besides the graph it is memoised on.
+type schemaKey struct {
+	seeds, degree string
+	opts          SchemaGeneratorOptions
 }
 
 // GenerateSchemaOpts is GenerateSchema with explicit options.
@@ -153,6 +183,24 @@ func GenerateSchemaOpts(g *schemagraph.Graph, seeds []string, d DegreeConstraint
 	if d == nil {
 		return nil, fmt.Errorf("core: nil degree constraint")
 	}
+	if !g.Frozen() {
+		return traverse(g, seeds, d, opts)
+	}
+	key := schemaKey{strings.Join(seeds, "\x1f"), d.String(), opts}
+	if v, ok := g.Memo(key); ok {
+		return v.(*ResultSchema), nil
+	}
+	rs, err := traverse(g, seeds, d, opts)
+	if err != nil {
+		return nil, err
+	}
+	rs.CopyAnnotations(g)
+	rs.Graph.Freeze()
+	return g.Memoise(key, rs).(*ResultSchema), nil
+}
+
+// traverse is Figure 3 itself.
+func traverse(g *schemagraph.Graph, seeds []string, d DegreeConstraint, opts SchemaGeneratorOptions) (*ResultSchema, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("core: no seed relations (query tokens matched nothing)")
 	}
@@ -308,8 +356,12 @@ func (rs *ResultSchema) setJoinLabel(src *schemagraph.JoinEdge) {
 
 // CopyAnnotations copies heading attributes and sentence templates for the
 // relations of G' from the full graph, so the translator can render the
-// result. Called by the query pipeline after schema generation.
+// result. Called by the query pipeline after schema generation; a frozen G'
+// — GenerateSchema memoised it — is annotated already, and shared: untouched.
 func (rs *ResultSchema) CopyAnnotations(g *schemagraph.Graph) {
+	if rs.Graph.Frozen() {
+		return
+	}
 	for _, name := range rs.Graph.Relations() {
 		src := g.Relation(name)
 		dst := rs.Graph.Relation(name)

@@ -297,12 +297,16 @@ func (ix *Index) lookup(term string) []locList {
 	}
 	first := ix.postings[words[0]]
 	out := make([]locList, 0, len(first))
+	needle := ""
+	if len(words) > 1 {
+		needle = strings.ToLower(term)
+	}
 	for _, l := range first {
 		var matched []storage.TupleID
 		if len(words) == 1 {
 			matched = slices.Clone(l.ids)
 		} else {
-			matched = ix.phrase(l, words[1:], term)
+			matched = ix.phrase(l, words[1:], needle)
 		}
 		if len(matched) > 0 {
 			out = append(out, locList{key: l.key, ids: matched})
@@ -313,9 +317,9 @@ func (ix *Index) lookup(term string) []locList {
 
 // phrase narrows first, the posting list of a phrase's first word, to the
 // tuples that hold every other word at the same location and whose stored
-// value contains the whole term.
-func (ix *Index) phrase(first locList, rest []string, term string) []storage.TupleID {
-	var candidate []storage.TupleID
+// value contains needle, the whole term in lower case.
+func (ix *Index) phrase(first locList, rest []string, needle string) []storage.TupleID {
+	candidate := first.ids // the index's own list until the first intersection
 	for i, w := range rest {
 		lists := ix.postings[w]
 		at, found := findLoc(lists, first.key)
@@ -323,7 +327,7 @@ func (ix *Index) phrase(first locList, rest []string, term string) []storage.Tup
 			return nil
 		}
 		if i == 0 {
-			candidate = intersectIDs(make([]storage.TupleID, 0, min(len(first.ids), len(lists[at].ids))), first.ids, lists[at].ids)
+			candidate = intersectIDs(nil, candidate, lists[at].ids)
 		} else {
 			candidate = intersectIDs(candidate[:0], candidate, lists[at].ids)
 		}
@@ -333,20 +337,59 @@ func (ix *Index) phrase(first locList, rest []string, term string) []storage.Tup
 	}
 	rel := ix.db.Relation(first.key.rel)
 	ci := rel.Schema().ColumnIndex(first.key.attr)
-	needle := strings.ToLower(term)
 	matched := candidate[:0]
 	for _, id := range candidate {
 		t, found := rel.Get(id)
-		if found && strings.Contains(strings.ToLower(t.Values[ci].AsString()), needle) {
+		if found && containsFold(t.Values[ci].AsString(), needle) {
 			matched = append(matched, id)
 		}
 	}
 	return matched
 }
 
+// containsFold reports strings.Contains(strings.ToLower(s), lower), for a
+// lower already in lower case, and builds nothing when s is ASCII.
+func containsFold(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return strings.Contains(strings.ToLower(s), lower)
+		}
+	}
+	for i := 0; i+len(lower) <= len(s); i++ {
+		if strings.EqualFold(s[i:i+len(lower)], lower) {
+			return true
+		}
+	}
+	return false
+}
+
+// gallopRatio is how much longer one list must be than the other for
+// intersectIDs to search it instead of walking it: a two-word name meets a
+// surname's short list with a first name's long one.
+const gallopRatio = 8
+
 // intersectIDs appends to dst the ids two ascending lists share. dst may be
-// a[:0]: the write position never passes the read position.
+// a[:0] or b[:0]: the write position never passes either read position.
 func intersectIDs(dst, a, b []storage.TupleID) []storage.TupleID {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(b) >= gallopRatio*len(a) {
+		for _, id := range a {
+			hi := 1 // gallop: double the stride until b[hi-1] >= id, search the last stride
+			for hi <= len(b) && b[hi-1] < id {
+				hi *= 2
+			}
+			at, _ := slices.BinarySearch(b[hi/2:min(hi, len(b))], id)
+			if b = b[hi/2+at:]; len(b) == 0 {
+				break
+			}
+			if b[0] == id {
+				dst = append(dst, id)
+			}
+		}
+		return dst
+	}
 	for len(a) > 0 && len(b) > 0 {
 		switch {
 		case a[0] < b[0]:
@@ -361,10 +404,10 @@ func intersectIDs(dst, a, b []storage.TupleID) []storage.TupleID {
 	return dst
 }
 
-// unionIDs merges two ascending duplicate-free lists into one. When b
+// UnionIDs merges two ascending duplicate-free lists into one. When b
 // starts after a ends — stripes of a parallel build, in order — b is
 // appended to a in place; otherwise the result is a fresh list.
-func unionIDs(a, b []storage.TupleID) []storage.TupleID {
+func UnionIDs(a, b []storage.TupleID) []storage.TupleID {
 	if len(a) == 0 || len(b) == 0 || a[len(a)-1] < b[0] {
 		return append(a, b...)
 	}
@@ -399,7 +442,7 @@ func mergeLists(a, b []locList) []locList {
 		case c > 0:
 			out, b = append(out, b[0]), b[1:]
 		default:
-			out = append(out, locList{key: a[0].key, ids: unionIDs(a[0].ids, b[0].ids)})
+			out = append(out, locList{key: a[0].key, ids: UnionIDs(a[0].ids, b[0].ids)})
 			a, b = a[1:], b[1:]
 		}
 	}
@@ -443,8 +486,8 @@ func (ix *Index) DocFrequency(token string) int {
 	// so the union of the token's lists counts each tuple once.
 	var seen []storage.TupleID
 	for _, l := range ix.postings[words[0]] {
-		// Clipped, so that unionIDs never appends into the index's own list.
-		seen = unionIDs(slices.Clip(seen), l.ids)
+		// Clipped, so that UnionIDs never appends into the index's own list.
+		seen = UnionIDs(slices.Clip(seen), l.ids)
 	}
 	return len(seen)
 }

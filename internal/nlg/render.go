@@ -241,34 +241,41 @@ type relInfo struct {
 }
 
 // relInfos describes every relation of G′, then those only the result
-// database has, in one slice; the sorted out-edges of all of them share one
-// array.
+// database has, in one slice.
 func relInfos(rd *core.ResultDatabase) []relInfo {
 	g := rd.Schema.Graph
 	names := g.Relations()
+	edges := outEdges(g, names)
 	for _, name := range rd.DB.RelationNames() {
 		if g.Relation(name) == nil {
 			names = append(names, name)
 		}
 	}
 	rels := make([]relInfo, len(names))
-	nEdges := 0
 	for i, name := range names {
 		rels[i] = relInfo{name: name, rel: rd.DB.Relation(name), node: g.Relation(name)}
 		if node := rels[i].node; node != nil {
-			nEdges += len(node.Out())
+			n := len(node.Out())
+			rels[i].edges, edges = edges[:n:n], edges[n:]
 		}
 	}
-	edges := make([]*schemagraph.JoinEdge, 0, nEdges)
-	for i := range rels {
-		ri := &rels[i]
-		if ri.node == nil {
-			continue
-		}
-		from := len(edges)
-		edges = append(edges, ri.node.Out()...)
-		ri.edges = edges[from:len(edges):len(edges)]
-		slices.SortStableFunc(ri.edges, func(a, b *schemagraph.JoinEdge) int {
+	return rels
+}
+
+type outEdgesKey struct{}
+
+// outEdges returns the join edges of g relation by relation (names, in
+// order), each relation's by decreasing weight, then key. A frozen G′ is
+// sorted once: the slice is read only.
+func outEdges(g *schemagraph.Graph, names []string) []*schemagraph.JoinEdge {
+	if v, ok := g.Memo(outEdgesKey{}); ok {
+		return v.([]*schemagraph.JoinEdge)
+	}
+	all := g.JoinEdges()
+	rest := all
+	for _, name := range names {
+		n := len(g.Relation(name).Out())
+		slices.SortStableFunc(rest[:n], func(a, b *schemagraph.JoinEdge) int {
 			switch {
 			case a.Weight != b.Weight:
 				return cmp.Compare(b.Weight, a.Weight)
@@ -279,8 +286,12 @@ func relInfos(rd *core.ResultDatabase) []relInfo {
 			}
 			return 0
 		})
+		rest = rest[n:]
 	}
-	return rels
+	if g.Frozen() { // asked first: handing Memoise the slice boxes it, kept or not
+		all = g.Memoise(outEdgesKey{}, all).([]*schemagraph.JoinEdge)
+	}
+	return all
 }
 
 // rel returns the named relation's entry, nil for a name neither G′ nor the

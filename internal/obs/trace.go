@@ -29,6 +29,9 @@ type Span struct {
 	Start time.Duration `json:"start"`
 	// Dur is the span's wall-clock duration.
 	Dur time.Duration `json:"dur"`
+	// Note is what the stage has to say about this run beyond its time:
+	// schema_gen's "memo=hit" or "memo=miss".
+	Note string `json:"note,omitempty"`
 }
 
 // Step is one fine-grained unit of result-database generation: the seed
@@ -101,11 +104,14 @@ func (t *Trace) StartSpan(name string) SpanToken {
 }
 
 // End closes the span and records it.
-func (s SpanToken) End() {
+func (s SpanToken) End() { s.EndNote("") }
+
+// EndNote is End with the span's Note.
+func (s SpanToken) EndNote(note string) {
 	if s.t == nil {
 		return
 	}
-	s.t.Spans = append(s.t.Spans, Span{Name: s.name, Start: s.start, Dur: s.t.since() - s.start})
+	s.t.Spans = append(s.t.Spans, Span{Name: s.name, Start: s.start, Dur: s.t.since() - s.start, Note: note})
 }
 
 // StepToken is an in-flight step handle returned by StartStep. The zero
@@ -180,7 +186,7 @@ func (t *Trace) SpanSum() time.Duration {
 
 // String renders the trace as one human-readable line:
 //
-//	total=1.2ms tokenize=10µs index_lookup=80µs schema_gen=40µs db_gen=900µs translate=120µs (steps: seeds 12t/1q, join:MOVIE->CAST 30t/2q)
+//	total=1.2ms tokenize=10µs index_lookup=80µs schema_gen=40µs[memo=miss] db_gen=900µs translate=120µs (steps: seeds 12t/1q, join:MOVIE->CAST 30t/2q)
 func (t *Trace) String() string {
 	if t == nil {
 		return "<no trace>"
@@ -189,6 +195,9 @@ func (t *Trace) String() string {
 	fmt.Fprintf(&sb, "total=%v", t.Total.Round(time.Microsecond))
 	for _, s := range t.Spans {
 		fmt.Fprintf(&sb, " %s=%v", s.Name, s.Dur.Round(time.Microsecond))
+		if s.Note != "" {
+			fmt.Fprintf(&sb, "[%s]", s.Note)
+		}
 	}
 	if len(t.Steps) > 0 {
 		sb.WriteString(" (steps:")

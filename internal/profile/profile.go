@@ -8,6 +8,7 @@ package profile
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"precis/internal/core"
 	"precis/internal/schemagraph"
@@ -43,13 +44,40 @@ func (p *Profile) Apply(g *schemagraph.Graph) (*schemagraph.Graph, error) {
 	return out, nil
 }
 
-// Registry stores named profiles.
+// Registry stores named profiles, and with each the graph it was last applied
+// to and the result.
 type Registry struct {
 	byName map[string]*Profile
+	mu     sync.Mutex // guards graphs: queries apply profiles concurrently
+	graphs map[*Profile]applied
 }
 
+// applied is base with a profile's weights overlaid, frozen.
+type applied struct{ base, graph *schemagraph.Graph }
+
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{byName: make(map[string]*Profile)} }
+func NewRegistry() *Registry {
+	return &Registry{byName: make(map[string]*Profile), graphs: make(map[*Profile]applied)}
+}
+
+// Graph is p.Apply(base), frozen, and the same graph for every call with the
+// same base, so what queries memoise on it serves every query under the
+// profile. The entry belongs to the *Profile: another profile of that name,
+// in another registry, shares nothing with it.
+func (r *Registry) Graph(p *Profile, base *schemagraph.Graph) (*schemagraph.Graph, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if a := r.graphs[p]; a.base == base {
+		return a.graph, nil
+	}
+	g, err := p.Apply(base)
+	if err != nil {
+		return nil, err
+	}
+	g.Freeze()
+	r.graphs[p] = applied{base, g}
+	return g, nil
+}
 
 // Add registers a profile; the name must be unique and non-empty.
 func (r *Registry) Add(p *Profile) error {

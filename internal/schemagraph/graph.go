@@ -97,6 +97,7 @@ func (n *RelationNode) Out() []*JoinEdge { return n.out[:len(n.out):len(n.out)] 
 type Graph struct {
 	nodes map[string]*RelationNode
 	order []string
+	memo  *memo // nil unless frozen (memo.go)
 }
 
 // New returns an empty graph.
@@ -109,6 +110,7 @@ func (g *Graph) AddRelation(name string) *RelationNode {
 	if n, ok := g.nodes[name]; ok {
 		return n
 	}
+	g.memo = nil // thaw
 	n := &RelationNode{Name: name, projs: make(map[string]*Projection)}
 	g.nodes[name] = n
 	g.order = append(g.order, name)
@@ -130,6 +132,7 @@ func (g *Graph) AddProjection(relation, attribute string, weight float64) (*Proj
 	if n == nil {
 		return nil, fmt.Errorf("schemagraph: no relation node %s", relation)
 	}
+	g.memo = nil // thaw
 	p, ok := n.projs[attribute]
 	if !ok {
 		p = &Projection{Relation: relation, Attribute: attribute}
@@ -155,6 +158,7 @@ func (g *Graph) AddJoin(from, to, fromCol, toCol string, weight float64) (*JoinE
 	if g.nodes[to] == nil {
 		return nil, fmt.Errorf("schemagraph: no relation node %s", to)
 	}
+	g.memo = nil // thaw
 	for _, e := range fn.out {
 		if e.To == to && e.FromCol == fromCol && e.ToCol == toCol {
 			e.Weight = weight
@@ -192,7 +196,11 @@ func checkWeight(w float64) error {
 
 // JoinEdges returns every join edge of the graph in deterministic order.
 func (g *Graph) JoinEdges() []*JoinEdge {
-	var out []*JoinEdge
+	n := 0
+	for _, name := range g.order {
+		n += len(g.nodes[name].out)
+	}
+	out := make([]*JoinEdge, 0, n)
 	for _, name := range g.order {
 		out = append(out, g.nodes[name].out...)
 	}
@@ -209,7 +217,8 @@ func (g *Graph) NumProjections() int {
 }
 
 // Clone returns a deep copy of the graph (nodes, edges, annotations), so
-// user profiles can overlay weights without mutating the shared graph.
+// user profiles can overlay weights without mutating the shared graph. The
+// copy is not frozen and memoises nothing.
 func (g *Graph) Clone() *Graph {
 	out := New()
 	for _, name := range g.order {
@@ -241,6 +250,7 @@ func (g *Graph) ApplyWeights(weights map[string]float64) error {
 		}
 		remaining[k] = v
 	}
+	g.memo = nil // thaw
 	for _, name := range g.order {
 		n := g.nodes[name]
 		for _, p := range n.projList {

@@ -364,3 +364,97 @@ func TestEscapeDOT(t *testing.T) {
 		}
 	}
 }
+
+// memoGraph is a two-relation graph with one join and its projections.
+func memoGraph(t *testing.T) *Graph {
+	t.Helper()
+	g := New()
+	g.AddRelation("A")
+	g.AddRelation("B")
+	for _, rel := range []string{"A", "B"} {
+		if _, err := g.AddProjection(rel, "id", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := g.AddJoin("A", "B", "id", "id", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestMemoOnlyWhenFrozen: an unfrozen graph and a Clone keep nothing and
+// count nothing; a frozen one returns what was stored first; every mutating
+// method drops both the memo and the frozen state.
+func TestMemoOnlyWhenFrozen(t *testing.T) {
+	type key struct{ k string }
+	g := memoGraph(t)
+	if got := g.Memoise(key{"x"}, 1); got != 1 {
+		t.Fatalf("Memoise on an unfrozen graph returned %v", got)
+	}
+	if _, ok := g.Memo(key{"x"}); ok || g.Frozen() {
+		t.Fatal("an unfrozen graph memoised")
+	}
+	if h, m, n := g.MemoStats(); h != 0 || m != 0 || n != 0 {
+		t.Fatalf("unfrozen graph counts %d/%d/%d", h, m, n)
+	}
+
+	mutators := map[string]func(*Graph) error{
+		"AddRelation":   func(g *Graph) error { g.AddRelation("C"); return nil },
+		"AddProjection": func(g *Graph) error { _, err := g.AddProjection("A", "name", 0.5); return err },
+		"AddJoin":       func(g *Graph) error { _, err := g.AddJoin("A", "B", "id", "id", 0.9); return err },
+		"SetHeading":    func(g *Graph) error { return g.SetHeading("A", "id") },
+		"ApplyWeights":  func(g *Graph) error { return g.ApplyWeights(map[string]float64{"A.id": 0.3}) },
+	}
+	for name, mutate := range mutators {
+		g := memoGraph(t)
+		g.Freeze()
+		g.Freeze() // idempotent: the memo survives
+		if _, ok := g.Memo(key{"x"}); ok {
+			t.Fatalf("%s: fresh memo holds a value", name)
+		}
+		if got := g.Memoise(key{"x"}, 1); got != 1 {
+			t.Fatalf("%s: Memoise returned %v", name, got)
+		}
+		if got := g.Memoise(key{"x"}, 2); got != 1 {
+			t.Fatalf("%s: a second Memoise under the key returned %v, want the first value", name, got)
+		}
+		if v, ok := g.Memo(key{"x"}); !ok || v != 1 {
+			t.Fatalf("%s: Memo = %v, %v", name, v, ok)
+		}
+		if h, m, n := g.MemoStats(); h != 1 || m != 1 || n != 1 {
+			t.Fatalf("%s: stats %d hits, %d misses, %d entries; want 1, 1, 1", name, h, m, n)
+		}
+		if c := g.Clone(); c.Frozen() {
+			t.Fatalf("%s: a Clone is frozen", name)
+		}
+		if err := mutate(g); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := g.Memo(key{"x"}); ok || g.Frozen() {
+			t.Fatalf("%s on a frozen graph kept the memo", name)
+		}
+	}
+	// AddRelation of a relation the graph has is not a mutation.
+	g = memoGraph(t)
+	g.Freeze()
+	g.AddRelation("A")
+	if !g.Frozen() {
+		t.Fatal("AddRelation of an existing relation thawed the graph")
+	}
+}
+
+// TestMemoIsBounded: the memo never holds more than memoCap values, however
+// many keys it is given.
+func TestMemoIsBounded(t *testing.T) {
+	g := memoGraph(t)
+	g.Freeze()
+	for i := 0; i < 1000; i++ {
+		g.Memoise(i, i)
+		if _, _, n := g.MemoStats(); n > memoCap || n < 1 {
+			t.Fatalf("after %d keys the memo holds %d values, cap %d", i+1, n, memoCap)
+		}
+	}
+	if v, ok := g.Memo(999); !ok || v != 999 {
+		t.Fatalf("the last key stored is gone: %v, %v", v, ok)
+	}
+}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Database is a named collection of relations plus the foreign keys that
@@ -23,6 +24,32 @@ type Database struct {
 	// mutation below notifies it so incremental checkpoints can capture
 	// only what changed.
 	tracker *dirtyTracker
+	// catalog is CatalogID's number; 0 until asked for, and after a change.
+	catalog atomic.Uint64
+}
+
+// catalogs numbers every catalog any database of the process has had.
+var catalogs atomic.Uint64
+
+// CatalogID identifies the catalog — relations, schemas, foreign keys — as it
+// stands: it changes when a relation or a foreign key is added or removed, and
+// no other database ever has the same one, so what is derived from a catalog
+// can be kept under its id without holding the database. Readers may call it
+// concurrently; a catalog change needs a mutation's exclusive access.
+func (db *Database) CatalogID() uint64 {
+	for {
+		if id := db.catalog.Load(); id != 0 {
+			return id
+		}
+		db.catalog.CompareAndSwap(0, catalogs.Add(1))
+	}
+}
+
+// catalogChanged retires the id; a result database, never asked, pays a load.
+func (db *Database) catalogChanged() {
+	if db.catalog.Load() != 0 {
+		db.catalog.Store(0)
+	}
 }
 
 // NewDatabase returns an empty database whose equality indexes are
@@ -52,6 +79,7 @@ func (db *Database) CreateRelation(s *Schema) (*Relation, error) {
 	if _, ok := db.rels[s.Name]; ok {
 		return nil, fmt.Errorf("storage: relation %s already exists", s.Name)
 	}
+	db.catalogChanged()
 	r := newRelation(s.Clone(), db.runs)
 	db.rels[s.Name] = r
 	db.order = append(db.order, s.Name)
@@ -104,6 +132,7 @@ func (db *Database) AddForeignKey(fk ForeignKey) error {
 	if !to.Schema().HasColumn(fk.ToColumn) {
 		return fmt.Errorf("storage: foreign key %s: %s has no column %s", fk, fk.ToRelation, fk.ToColumn)
 	}
+	db.catalogChanged()
 	db.fks = append(db.fks, fk)
 	return nil
 }
@@ -118,6 +147,7 @@ func (db *Database) ForeignKeys() []ForeignKey {
 // longer satisfy; endpoints are not re-validated, so callers should pass a
 // subset of keys previously accepted by AddForeignKey.
 func (db *Database) SetForeignKeys(fks []ForeignKey) {
+	db.catalogChanged()
 	db.fks = append([]ForeignKey(nil), fks...)
 }
 
@@ -370,6 +400,7 @@ func (db *Database) DropRelation(name string) error {
 	if _, ok := db.rels[name]; !ok {
 		return fmt.Errorf("storage: no relation %s", name)
 	}
+	db.catalogChanged()
 	delete(db.rels, name)
 	for i, n := range db.order {
 		if n == name {

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"precis/internal/faultinject"
@@ -298,4 +299,53 @@ func TestUpdateTuple(t *testing.T) {
 	if err := db.Update("DIRECTOR", id2, []Value{Null, String("n")}); err == nil {
 		t.Error("NULL key accepted")
 	}
+}
+
+// TestCatalogID: the id is stable while the catalog stands, retired by every
+// change to the relations or the foreign keys — not by tuples or indexes —
+// never shared between databases, and one value for concurrent first askers.
+func TestCatalogID(t *testing.T) {
+	schema := func(name string) *Schema {
+		return MustSchema(name, "id", Column{"id", TypeInt})
+	}
+	db := NewDatabase("a")
+	ids := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids[i] = db.CatalogID()
+		}()
+	}
+	wg.Wait()
+	for _, id := range ids {
+		if id == 0 || id != ids[0] {
+			t.Fatalf("concurrent first calls disagree: %v", ids)
+		}
+	}
+	seen := map[uint64]bool{NewDatabase("b").CatalogID(): true}
+	step := func(what string, changes bool, fn func() error) {
+		t.Helper()
+		before := db.CatalogID()
+		seen[before] = true
+		if err := fn(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		after := db.CatalogID()
+		if changes && (after == before || seen[after]) {
+			t.Fatalf("%s: catalog id %d → %d, want a new one", what, before, after)
+		}
+		if !changes && after != before {
+			t.Fatalf("%s: catalog id %d → %d, want it kept", what, before, after)
+		}
+	}
+	fk := ForeignKey{FromRelation: "R", FromColumn: "id", ToRelation: "S", ToColumn: "id"}
+	step("CreateRelation", true, func() error { _, err := db.CreateRelation(schema("R")); return err })
+	step("CreateRelation", true, func() error { _, err := db.CreateRelation(schema("S")); return err })
+	step("Insert", false, func() error { _, err := db.Insert("R", Int(1)); return err })
+	step("CreateIndex", false, func() error { return db.Relation("R").CreateIndex("id") })
+	step("AddForeignKey", true, func() error { return db.AddForeignKey(fk) })
+	step("SetForeignKeys", true, func() error { db.SetForeignKeys(nil); return nil })
+	step("DropRelation", true, func() error { return db.DropRelation("S") })
 }

@@ -182,7 +182,7 @@ func (c *searchClient) get(kv ...string) (int, []byte) {
 func engineAnswer(t *testing.T, eng *precis.Engine, kv ...string) *precis.Answer {
 	t.Helper()
 	r := httptest.NewRequest(http.MethodGet, query("", "/api/search", kv...), nil)
-	opts, err := parseOptions(r)
+	opts, err := parseOptions(r.URL.Query())
 	if err != nil {
 		t.Fatal(err)
 	}

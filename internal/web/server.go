@@ -46,6 +46,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -176,10 +177,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // Handler returns the root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// parseOptions extracts query options from URL parameters.
-func parseOptions(r *http.Request) (precis.Options, error) {
+// parseOptions extracts query options from the parsed URL parameters.
+func parseOptions(q url.Values) (precis.Options, error) {
 	var opts precis.Options
-	q := r.URL.Query()
 	var degrees []precis.DegreeConstraint
 	if v := q.Get("w"); v != "" {
 		w, err := strconv.ParseFloat(v, 64)
@@ -345,11 +345,12 @@ func buildAPIAnswer(ans *precis.Answer) apiAnswer {
 // search runs a query from request parameters under the admission gate and
 // the per-request timeout.
 func (s *Server) search(r *http.Request) (*precis.Answer, int, error) {
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
+	params := r.URL.Query() // parsed once per request
+	q := strings.TrimSpace(params.Get("q"))
 	if q == "" {
 		return nil, http.StatusBadRequest, fmt.Errorf("missing query parameter q")
 	}
-	opts, err := parseOptions(r)
+	opts, err := parseOptions(params)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}

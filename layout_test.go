@@ -62,11 +62,13 @@ func TestLiveBytesPerTuple(t *testing.T) {
 // A deep-shaped answer — the busiest director of the default synthetic
 // dataset at w=0.05, card=150: 760 tuples over every relation of the graph,
 // narrated — may allocate this much through Engine.QueryStringContext, serial
-// and uncached: 15 % above the 174 KiB / 676 allocations (NaïveQ) and
-// 194 KiB / 637 (Round-Robin) measured when an answer came to borrow the base
+// and uncached: 15 % above the 155 KiB / 365 allocations (NaïveQ) and
+// 174 KiB / 326 (Round-Robin) measured when G′, D′'s layout and the join order
+// came to be computed once per schema graph instead of once per request. It
+// was 175 KiB / 676 and 193 KiB / 637 when an answer came to borrow the base
 // rows instead of copying them (at w=0.05 every fetched row is the whole
 // stored row) and a relation node to hand out its projection list instead of
-// a copy per expansion. It was 253 KiB / 687 and 272 KiB / 648 with the rows
+// a copy per expansion; 253 KiB / 687 and 272 KiB / 648 with the rows
 // of a fetch carved out of one array per statement, D′ adopting it in one
 // InsertBatch and indexing it as sorted runs; 286 KiB / 2,067 and
 // 308 KiB / 1,945 with a row, a validation and a
@@ -74,26 +76,27 @@ func TestLiveBytesPerTuple(t *testing.T) {
 // result per cursor probe; 363 KiB / 2,930 and 586 KiB / 3,020 with a string
 // per value, clause and paragraph; and 552 KiB / 3,990 and 729 KiB / 5,440
 // before each answer tuple was materialised once. What is left is D′ itself
-// (slots, id tables and sorted runs — no rows), the ids and driving
-// values of the statements that fetched it, and G′. Raise a bound only with an
+// (slots, id tables and sorted runs — no rows) and the ids and driving
+// values of the statements that fetched it. Raise a bound only with an
 // allocation profile that says which holder grew (EXPERIMENTS.md, "Allocated
 // bytes per answer").
 var deepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 200, allocs: 777},
-	precis.StrategyRoundRobin: {kib: 223, allocs: 733},
+	precis.StrategyNaive:      {kib: 178, allocs: 420},
+	precis.StrategyRoundRobin: {kib: 200, allocs: 375},
 }
 
 // What web.Server may add to one such answer on /api/search, measured as the
-// handler's allocations less the engine call's: 37 allocations (request
-// parsing, admission, the per-request timeout; 58 while every relation's
-// display columns were a fresh slice) plus 15 %, and 1 to 8 KiB — the 26 KB body is assembled in a pooled buffer,
+// handler's allocations less the engine call's: 28 allocations (request
+// parsing — once: 37 while parseOptions parsed the URL again — admission, the
+// per-request timeout; 58 while every relation's display columns were a fresh
+// slice) plus 15 %, and 1 to 8 KiB — the 26 KB body is assembled in a pooled buffer,
 // which costs nothing unless the goroutine changes processor mid-test and
 // grows a second one (60 KB over 20 answers), hence the bound of 12. It was
 // 66 KiB / 980 when the handler copied D′ into a [][]string for encoding/json
 // to walk.
 const (
 	searchResponseKiBBudget    = 12
-	searchResponseAllocsBudget = 43
+	searchResponseAllocsBudget = 33
 )
 
 // What nlg may allocate to narrate that answer.
@@ -190,6 +193,103 @@ func TestAllocPerDeepAnswer(t *testing.T) {
 				strat, bkib, ballocs, kib, allocs)
 		}
 	}
+}
+
+// What a browse-shaped answer — a quoted name under the default constraints,
+// some 40 tuples — may allocate through Engine.QueryStringContext, serial and
+// uncached, with one seed relation and with two: 15 % above the 22.2 KiB /
+// 202 allocations and 23.5 KiB / 238 measured when G′, D′'s layout and the
+// join order came to be computed once per schema graph instead of once per
+// request (it was 31.9 KiB / 365 and 35.5 KiB / 423). At this size the fixed
+// costs are the answer: what is left is the request's own — terms, occurrences
+// and seed ids, the statements and their results, D′'s relations, indexes and
+// slots, the translator's frames and the narrative.
+var browseAnswerAllocBudget = map[int]struct{ kib, allocs float64 }{
+	1: {kib: 26, allocs: 232},
+	2: {kib: 27, allocs: 274},
+}
+
+// TestAllocPerBrowseAnswer pins what a small answer allocates, so that work
+// that depends on the schema alone cannot creep back into every request.
+// scripts/ci.sh runs it in the non-race step.
+func TestAllocPerBrowseAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	eng, _ := deepEngine(t)
+	first := func(rel, col string) string { // the quoted col of rel's first tuple
+		r, v := eng.Database().Relation(rel), ""
+		r.Scan(func(tu storage.Tuple) bool {
+			v = `"` + tu.Values[r.Schema().ColumnIndex(col)].AsString() + `"`
+			return false
+		})
+		return v
+	}
+	title, actor := first("MOVIE", "title"), first("ACTOR", "aname")
+	for seedRels, query := range map[int]string{1: actor, 2: title + " " + actor} {
+		tuples := 0
+		kib, allocs := allocPerRun(func() {
+			ans, err := eng.QueryStringContext(context.Background(), query, precis.Options{Parallelism: -1})
+			if err != nil || ans.Narrative == "" || len(ans.Schema.Seeds) != seedRels {
+				t.Fatalf("%s: %d seed relations, want %d: %v", query, len(ans.Schema.Seeds), seedRels, err)
+			}
+			tuples = ans.Database.TotalTuples()
+		})
+		budget := browseAnswerAllocBudget[seedRels]
+		t.Logf("%d seed relation(s): %d tuples, %.1f KiB and %.0f allocations per answer (budget %.0f KiB, %.0f)",
+			seedRels, tuples, kib, allocs, budget.kib, budget.allocs)
+		if kib > budget.kib || allocs > budget.allocs {
+			t.Errorf("%d seed relation(s): %.1f KiB and %.0f allocations per answer, budget %.0f KiB and %.0f",
+				seedRels, kib, allocs, budget.kib, budget.allocs)
+		}
+	}
+}
+
+// TestMemoIsBounded: 1,000 distinct weight bounds — what a client can send as
+// w= — leave no more G′s on the graph than its memo's capacity, and the heap
+// where it was.
+func TestMemoIsBounded(t *testing.T) {
+	db, g, err := dataset.ExampleMovies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := precis.New(db, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	query := func(i int) {
+		if _, err := eng.QueryString("Woody Allen", precis.Options{Degree: precis.MinPathWeight(float64(i) / 1000), SkipNarrative: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // fill the memo once before measuring
+		query(i)
+	}
+	before := live()
+	for i := 0; i < 1000; i++ {
+		query(i)
+		if _, _, n := eng.Graph().MemoStats(); n > 64 {
+			t.Fatalf("after %d distinct bounds the graph keeps %d result schemas", i+1, n)
+		}
+	}
+	_, misses, _ := eng.Graph().MemoStats()
+	if misses < 1000 {
+		t.Fatalf("%d misses: the bounds were not distinct keys", misses)
+	}
+	if raceEnabled {
+		return // the detector's shadow memory is in HeapAlloc
+	}
+	if after := live(); after > before+256<<10 {
+		t.Errorf("live heap grew from %d to %d bytes over 1,000 distinct bounds", before, after)
+	}
+	runtime.KeepAlive(eng)
 }
 
 // discardWriter is the cheapest http.ResponseWriter: what the handler

@@ -202,7 +202,11 @@ type backend interface {
 // owner (and lock with its mutex from here on), the recovered macro
 // definitions — every partition holds them all, so the first one's list — are
 // replayed into the renderer, and durable nodes start their checkpointers.
+// The graph is frozen: queries read it without a lock and memoise on it what
+// depends on it alone (core.GenerateSchema), so from here on nobody may
+// modify it.
 func assemble(g *schemagraph.Graph, b backend) (*Engine, error) {
+	g.Freeze()
 	e := &Engine{graph: g, backend: b, profiles: profile.NewRegistry()}
 	var macros []string
 	_ = b.each(func(n *node) error {
@@ -531,7 +535,9 @@ type Answer struct {
 	Occurrences map[string][]invidx.Occurrence
 	// Unmatched lists terms with no occurrence.
 	Unmatched []string
-	// Schema is the result schema G'.
+	// Schema is the result schema G'. Every answer to the same seed
+	// relations under the same degree constraint (and profile) holds the same
+	// one: it is read-only, like everything a cached answer shares.
 	Schema *core.ResultSchema
 	// Result is the generated result database (the précis itself).
 	Result *core.ResultDatabase
@@ -797,7 +803,7 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 		if p == nil {
 			return nil, fmt.Errorf("precis: no profile %q", opts.Profile)
 		}
-		pg, err := p.Apply(g)
+		pg, err := e.profiles.Graph(p, g)
 		if err != nil {
 			return nil, err
 		}
@@ -864,7 +870,6 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 	}
 	seeds := make(map[string][]storage.TupleID)
 	var seedRels []string
-	seen := make(map[string]bool)
 	var allOccs []invidx.Occurrence
 	for i, term := range terms {
 		occs := perTerm[i].occs
@@ -875,11 +880,11 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 		ans.Occurrences[term] = occs
 		allOccs = append(allOccs, occs...)
 		for _, o := range occs {
-			seeds[o.Relation] = appendUniqueIDs(seeds[o.Relation], o.TupleIDs)
-			if !seen[o.Relation] {
-				seen[o.Relation] = true
+			have, seen := seeds[o.Relation]
+			if !seen {
 				seedRels = append(seedRels, o.Relation)
 			}
+			seeds[o.Relation] = invidx.UnionIDs(have, o.TupleIDs)
 		}
 	}
 	if len(seedRels) == 0 {
@@ -889,15 +894,24 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 	sort.Strings(seedRels)
 	sp.End()
 
-	// Step 2: result schema generation.
+	// Step 2: result schema generation — on a frozen graph (every one but a
+	// per-call weight overlay's) the traversal of the first query with these
+	// seeds and this constraint, found again by every later one.
 	sp = tr.StartSpan(obs.StageSchemaGen)
+	hits0, _, _ := g.MemoStats()
 	rs, err := core.GenerateSchema(g, seedRels, degree)
 	if err != nil {
 		return nil, err
 	}
 	rs.CopyAnnotations(g)
 	ans.Schema = rs
-	sp.End()
+	// The note is read off the graph's counters: exact unless another
+	// query's hit on the same graph lands between the two reads.
+	memo := "memo=miss"
+	if hits, _, _ := g.MemoStats(); hits != hits0 {
+		memo = "memo=hit"
+	}
+	sp.EndNote(memo)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("precis: query canceled: %w", err)
 	}
@@ -939,20 +953,4 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 		sp.End()
 	}
 	return ans, nil
-}
-
-// appendUniqueIDs merges ids into dst preserving sorted uniqueness.
-func appendUniqueIDs(dst []storage.TupleID, ids []storage.TupleID) []storage.TupleID {
-	present := make(map[storage.TupleID]bool, len(dst))
-	for _, id := range dst {
-		present[id] = true
-	}
-	for _, id := range ids {
-		if !present[id] {
-			dst = append(dst, id)
-			present[id] = true
-		}
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-	return dst
 }

@@ -133,6 +133,19 @@
 # inside it): the body is appended straight off D′ into a pooled buffer, so a
 # [][]string copy of the rows or a reflective encoder fails here, and
 # TestAllocPerDeepNarrative what the translator adds to the same answer.
+# TestAllocPerBrowseAnswer is the same pin at the other end: a 40-tuple answer
+# under the default constraints, one and two seed relations, where what a
+# request pays regardless of its size is most of it — G′, D′'s layout and the
+# join order are memoised on the frozen schema graph, and a traversal, a
+# projected schema or a sorted edge list per request fails here.
+# TestMemoIsBounded rides along for its heap check (1,000 distinct weight
+# bounds leave the live heap where it was), which -race would blur.
+#
+# The memo's differential, staleness and concurrency tests (memo_test.go:
+# warm engine against a cold one over a Clone of the graph on single, sharded,
+# recovered and follower engines, across a follower re-bootstrap; eight
+# goroutines meeting a new engine at once) ride in the whole-repository -race
+# pass, which is what holds "nobody writes a shared G′".
 #
 # The ownership tests (ownership_test.go: a caller's slice scribbled after
 # Engine.Insert/Update, tuples held across a WAL-failure rollback, a result
@@ -244,8 +257,8 @@ go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearc
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
 go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
 
-echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep answer, per narrative and per search response)"
-go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative' . ./internal/storage
+echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep and per browse answer, per narrative and per search response, the memo's bound)"
+go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded' . ./internal/storage
 
 echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
