@@ -54,18 +54,21 @@ func (e *PanicError) Error() string {
 // For runs fn(i) for every i in [0, n) on at most workers goroutines,
 // returning when all calls finished. With workers <= 1 (or a single item)
 // it degenerates to a plain loop on the calling goroutine, so serial paths
-// pay no synchronization cost. Work is handed out through an atomic
-// counter in chunks (so tiny per-item tasks don't pay one synchronization
-// per index), which makes the mapping of index to goroutine arbitrary —
-// fn must be safe to call concurrently and should only write state owned
-// by its index (e.g. slot i of a results slice).
+// pay no synchronization cost. Otherwise the calling goroutine is one of the
+// workers: For spawns workers-1 goroutines and runs the last worker's loop
+// itself, so a caller that finishes last never parks. Work is handed out
+// through an atomic counter in chunks (so tiny per-item tasks don't pay one
+// synchronization per index), which makes the mapping of index to goroutine
+// arbitrary — fn must be safe to call concurrently and should only write
+// state owned by its index (e.g. slot i of a results slice).
 //
-// Panic isolation: a panic inside fn on a worker goroutine does not crash
-// the process. The first panicking worker records its value and stack, the
-// remaining workers stop pulling new chunks and drain, and once the pool has
-// quiesced the panic is re-raised on the calling goroutine as a *PanicError.
-// (On the serial path the panic propagates to the caller unwrapped, exactly
-// as a plain loop would.)
+// Panic isolation: a panic inside fn does not crash the process, whether it
+// happens on a spawned goroutine or on the caller's share. The first
+// panicking worker records its value and stack, the remaining workers stop
+// pulling new chunks and drain, and once the pool has quiesced the panic is
+// re-raised on the calling goroutine as a *PanicError. (On the serial path
+// the panic propagates to the caller unwrapped, exactly as a plain loop
+// would.)
 func For(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -78,46 +81,53 @@ func For(n, workers int, fn func(i int)) {
 	}
 	// Chunked handout: aim for a few chunks per worker so the pool stays
 	// balanced under skewed task costs without an atomic op per index.
-	chunk := n / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
+	p := &pool{n: n, chunk: max(1, n/(workers*4)), fn: fn}
+	p.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go p.spawned()
 	}
-	var next atomic.Int64
-	var poisoned atomic.Bool
-	var panicOnce sync.Once
-	var firstPanic *PanicError
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					// First panic wins; later ones are dropped (they are
-					// almost always the same fault hit by another chunk).
-					panicOnce.Do(func() {
-						firstPanic = &PanicError{Value: r, Stack: debug.Stack()}
-					})
-					poisoned.Store(true)
-				}
-			}()
-			for !poisoned.Load() {
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
+	p.work()
+	p.wg.Wait()
+	if p.panicked != nil {
+		panic(p.panicked)
 	}
-	wg.Wait()
-	if firstPanic != nil {
-		panic(firstPanic)
+}
+
+// pool is what the workers of one For share, in one allocation.
+type pool struct {
+	n, chunk int
+	fn       func(i int)
+	next     atomic.Int64 // the first index not handed out yet
+	poisoned atomic.Bool  // a worker panicked: hand out no more
+	once     sync.Once
+	panicked *PanicError // the first panic, written under once
+	wg       sync.WaitGroup
+}
+
+func (p *pool) spawned() {
+	defer p.wg.Done()
+	p.work()
+}
+
+// work is one worker's loop, the caller's included: chunks until none is
+// left or the pool is poisoned, a panic in fn recovered and recorded.
+func (p *pool) work() {
+	defer func() {
+		if r := recover(); r != nil {
+			// First panic wins; later ones are dropped (they are almost
+			// always the same fault hit by another chunk).
+			p.once.Do(func() { p.panicked = &PanicError{Value: r, Stack: debug.Stack()} })
+			p.poisoned.Store(true)
+		}
+	}()
+	for !p.poisoned.Load() {
+		lo := int(p.next.Add(int64(p.chunk))) - p.chunk
+		hi := min(lo+p.chunk, p.n)
+		for i := lo; i < hi; i++ {
+			p.fn(i)
+		}
+		if hi == p.n {
+			return
+		}
 	}
 }

@@ -2,8 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -48,6 +46,8 @@ type tally struct {
 type Fetcher struct {
 	part    Partitioner
 	engs    []*sqlx.Engine
+	all     []int // every shard: the targets of a statement that is not routed
+	workers int   // goroutines a scatter keeps busy, the caller's included
 	metrics *Metrics
 	tallies []tally
 	total   sqlx.Stats
@@ -56,14 +56,14 @@ type Fetcher struct {
 // NewFetcher builds a per-query scatter/gather fetcher over the shard
 // databases. m may be nil (uninstrumented engine).
 func NewFetcher(part Partitioner, dbs []*storage.Database, m *Metrics) *Fetcher {
-	engs := make([]*sqlx.Engine, len(dbs))
+	engs, all := make([]*sqlx.Engine, len(dbs)), make([]int, len(dbs))
 	for i, db := range dbs {
-		engs[i] = sqlx.NewEngine(db)
+		engs[i], all[i] = sqlx.NewEngine(db), i
 	}
 	if m == nil {
 		m = &Metrics{}
 	}
-	return &Fetcher{part: part, engs: engs, metrics: m, tallies: make([]tally, len(dbs))}
+	return &Fetcher{part: part, engs: engs, all: all, workers: parallel.NormalizeWorkers(0), metrics: m, tallies: make([]tally, len(dbs))}
 }
 
 // Database returns shard 0's database as the schema catalog. The generator
@@ -78,9 +78,13 @@ func (f *Fetcher) AccumulateStats(s sqlx.Stats) { f.total.Add(s) }
 // TotalStats returns the physical work accumulated via AccumulateStats.
 func (f *Fetcher) TotalStats() sqlx.Stats { return f.total }
 
-// ExecStmt scatters one generated SELECT and gathers a deterministic
-// merge. Statements with a top-level rowid predicate route only to the
-// shards owning the named ids; everything else fans out to all shards.
+// ExecStmt scatters one generated SELECT and gathers the rows in the order a
+// single engine would emit them. A statement with a top-level rowid conjunct
+// is routed: its ids are bucketed by owner, every owner is asked — by a copy
+// of the statement whose conjunct lists its bucket — for the tuples it holds
+// and no others, and the answers are merged by walking the statement's list.
+// Any other statement goes to every shard as it is, and the shards' answers,
+// each ascending by tuple id, are merged by id.
 func (f *Fetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
 	sel, ok := st.(*sqlx.SelectStmt)
 	if !ok {
@@ -89,35 +93,49 @@ func (f *Fetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
 	if sel.Distinct || len(sel.OrderBy) > 0 || sel.Offset != 0 {
 		return nil, fmt.Errorf("shard: scatter execution does not support DISTINCT/ORDER BY/OFFSET")
 	}
-	rowIDs, routed := sqlx.RowIDOrder(sel.Where)
-	targets := f.targets(rowIDs, routed)
-	results := make([]*sqlx.Result, len(targets))
-	err := f.scatter(sel.Table, targets, func(ti int, eng *sqlx.Engine) (rows int, err error) {
-		if results[ti], err = eng.ExecStmt(sel); err != nil {
+	var r *routing
+	targets := f.all
+	if ids, ok := sqlx.RowIDOrder(sel.Where); ok {
+		var err error
+		if r, err = f.route(ids); err != nil {
+			return nil, err
+		}
+		targets = r.targets
+	}
+	results := make([]*sqlx.Result, len(f.engs))
+	err := f.scatter(sel.Table, targets, func(shard int, eng *sqlx.Engine) (rows int, err error) {
+		stmt := sel
+		if r != nil {
+			narrowed := *sel
+			narrowed.Where = sqlx.WithRowIDs(sel.Where, r.buckets[shard])
+			stmt = &narrowed
+		}
+		if results[shard], err = eng.ExecStmt(stmt); err != nil {
 			return 0, err
 		}
-		return len(results[ti].Rows), nil
+		return len(results[shard].Rows), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	if len(targets) == 1 {
 		// Single owner: the shard's result is already in final order.
-		return results[0], nil
+		return results[targets[0]], nil
 	}
-	return f.merge(sel, rowIDs, routed, results), nil
+	return merge(sel, results, r), nil
 }
 
 // Probe scatters one grouped probe to every shard and gathers, per value,
-// the shards' ascending runs merged into one (a tuple lives on one shard, so
-// the runs are disjoint). It is one scatter, tallied like a statement.
+// the shards' ascending runs merged by id into one (a tuple lives on one
+// shard, so the runs are disjoint). It is one scatter, tallied like a
+// statement.
 func (f *Fetcher) Probe(rel, col string, values []storage.Value) (*sqlx.Groups, error) {
 	results := make([]*sqlx.Groups, len(f.engs))
-	err := f.scatter(rel, f.targets(nil, false), func(ti int, eng *sqlx.Engine) (rows int, err error) {
-		if results[ti], err = eng.Probe(rel, col, values); err != nil {
+	err := f.scatter(rel, f.all, func(shard int, eng *sqlx.Engine) (rows int, err error) {
+		if results[shard], err = eng.Probe(rel, col, values); err != nil {
 			return 0, err
 		}
-		return len(results[ti].IDs), nil
+		return len(results[shard].IDs), nil
 	})
 	if err != nil {
 		return nil, err
@@ -126,41 +144,41 @@ func (f *Fetcher) Probe(rel, col string, values []storage.Value) (*sqlx.Groups, 
 		return results[0], nil
 	}
 	out := &sqlx.Groups{Ends: make([]int, len(values))}
+	total := 0
 	for _, r := range results {
 		out.Stats.Add(r.Stats)
+		total += len(r.IDs)
 	}
-	out.IDs = make([]storage.TupleID, 0, out.Stats.TupleReads) // a probe reads a tuple per posting
+	out.IDs = make([]storage.TupleID, 0, total)
+	heads := make([]head, len(results))
 	for i := range values {
-		start, runs := len(out.IDs), 0
-		for _, r := range results {
-			if run := r.Group(i); len(run) > 0 {
-				out.IDs = append(out.IDs, run...)
-				runs++
-			}
+		for s, r := range results {
+			heads[s].ids = r.Group(i)
 		}
-		if runs > 1 {
-			slices.Sort(out.IDs[start:])
+		for h := minHead(heads); h != nil; h = minHead(heads) {
+			out.IDs, h.ids = append(out.IDs, h.ids[0]), h.ids[1:]
 		}
 		out.Ends[i] = len(out.IDs)
 	}
 	return out, nil
 }
 
-// scatter runs fn on every target shard — inline for a single target, on one
-// goroutine per shard otherwise — between the scatter and gather fault sites,
-// counting one scatter and tallying each shard's work (fn returns its rows).
-// The pool is parallel.For: a panic in one shard's work is re-raised on the
-// calling goroutine as a *parallel.PanicError, and becomes ErrInternal.
-func (f *Fetcher) scatter(rel string, targets []int, fn func(ti int, eng *sqlx.Engine) (rows int, err error)) error {
+// scatter runs fn for every target shard between the scatter and gather fault
+// sites, counting one scatter and tallying each shard's work (fn returns its
+// rows). parallel.For shares the targets out among the calling goroutine and
+// at most one more per other CPU: a shard's work is all CPU, so more would
+// only queue. A panic in one shard's work, the caller's share included, is
+// re-raised here once every share has ended, and becomes ErrInternal.
+func (f *Fetcher) scatter(rel string, targets []int, fn func(shard int, eng *sqlx.Engine) (rows int, err error)) error {
 	if err := faultinject.Fire(faultinject.SiteShardScatter); err != nil {
 		return fmt.Errorf("shard: scatter %s: %w", rel, err)
 	}
 	f.metrics.Scatters.Inc()
 	errs := make([]error, len(targets))
-	parallel.For(len(targets), len(targets), func(ti int) {
+	parallel.For(len(targets), f.workers, func(ti int) {
 		shard := targets[ti]
 		start := time.Now()
-		rows, err := fn(ti, f.engs[shard])
+		rows, err := fn(shard, f.engs[shard])
 		t := &f.tallies[shard]
 		t.busy.Add(time.Since(start).Nanoseconds())
 		t.queries.Add(1)
@@ -189,86 +207,106 @@ func counter(cs []*obs.Counter, i int) *obs.Counter {
 	return nil
 }
 
-// targets resolves the shard set a statement must visit: the owners of the
-// rowid predicate's ids (in ascending shard order) when one exists, all
-// shards otherwise.
-func (f *Fetcher) targets(rowIDs []storage.TupleID, routed bool) []int {
-	n := len(f.engs)
-	if !routed {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	seen := make([]bool, n)
-	var targets []int
-	for _, id := range rowIDs {
-		if o := f.part.Owner(id); o >= 0 && o < n && !seen[o] {
-			seen[o] = true
-			targets = append(targets, o)
-		}
-	}
-	sort.Ints(targets)
-	return targets
+// routing is the id list of one rowid conjunct bucketed by owner.
+type routing struct {
+	ids     []storage.TupleID   // the list, as the statement spells it
+	owners  []int32             // owners[i] is the shard holding ids[i], if any does
+	targets []int               // the shards owning a listed id, ascending
+	buckets [][]storage.TupleID // buckets[s]: the ids shard s owns, in list order, duplicates kept
 }
 
-// merge combines per-shard results into the row order a single engine
-// would emit. Statements served from a rowid predicate are merged by
-// predicate-list position (each id exists on at most one shard); all other
-// plans emit ascending tuple ids per shard, so a global ascending sort
-// reproduces the single-engine order. The statement's LIMIT then bounds
-// the merged prefix — exact, because each shard over-fetched up to the
-// full limit locally.
-func (f *Fetcher) merge(sel *sqlx.SelectStmt, rowIDs []storage.TupleID, routed bool, results []*sqlx.Result) *sqlx.Result {
-	out := &sqlx.Result{Columns: sel.Columns}
-	for _, r := range results {
-		out.Stats.Add(r.Stats)
-		out.Columns = r.Columns
-	}
-	if routed {
-		rows := make(map[storage.TupleID][]storage.Value)
-		for _, r := range results {
-			for i, id := range r.RowIDs {
-				rows[id] = r.Rows[i]
-			}
+// route buckets ids by owner in one counting pass over one array. An owner
+// outside [0, N) is the partitioner's bug and fails the statement, as it
+// fails Partition: leaving the id out would shorten the answer silently.
+func (f *Fetcher) route(ids []storage.TupleID) (*routing, error) {
+	n := len(f.engs)
+	r := &routing{ids: ids, owners: make([]int32, len(ids)), targets: make([]int, 0, n), buckets: make([][]storage.TupleID, n)}
+	counts := make([]int, n)
+	for i, id := range ids {
+		o := f.part.Owner(id)
+		if o < 0 || o >= n {
+			return nil, fmt.Errorf("shard: partitioner placed tuple %d on shard %d of %d", id, o, n)
 		}
-		for _, id := range rowIDs {
-			row, ok := rows[id]
-			if !ok {
-				continue
-			}
-			out.Rows = append(out.Rows, row)
-			out.RowIDs = append(out.RowIDs, id)
-			if sel.Limit >= 0 && len(out.Rows) >= sel.Limit {
-				break
-			}
+		r.owners[i] = int32(o)
+		counts[o]++
+	}
+	array := make([]storage.TupleID, len(ids))
+	for s, c := range counts {
+		if c > 0 {
+			r.targets = append(r.targets, s)
+		}
+		r.buckets[s], array = array[:0:c], array[c:]
+	}
+	for i, id := range ids {
+		r.buckets[r.owners[i]] = append(r.buckets[r.owners[i]], id)
+	}
+	return r, nil
+}
+
+// head is the rest of one shard's answer in a merge; Probe's have no rows.
+type head struct {
+	ids  []storage.TupleID
+	rows [][]storage.Value
+}
+
+// minHead returns the head whose next id is smallest, nil when all are spent.
+func minHead(heads []head) *head {
+	var m *head
+	for i := range heads {
+		if h := &heads[i]; len(h.ids) > 0 && (m == nil || h.ids[0] < m.ids[0]) {
+			m = h
+		}
+	}
+	return m
+}
+
+// merge gathers per-shard results (nil for a shard not asked) into the rows
+// a single engine would emit, up to the statement's LIMIT, in slices sized
+// once. A routed statement's list is walked once, taking the owner's next row
+// when it is this id's: the owner answered its bucket in list order, and an
+// id that names no tuple, or whose tuple another conjunct refused, has no row
+// (invariant 2). A shard that stopped at its own LIMIT runs out only when the
+// merge has reached it too (invariant 3). Unrouted results, ascending on every
+// shard, are merged by id, smallest head first.
+func merge(sel *sqlx.SelectStmt, results []*sqlx.Result, r *routing) *sqlx.Result {
+	out := &sqlx.Result{Columns: sel.Columns}
+	heads := make([]head, len(results))
+	total := 0
+	for s, res := range results {
+		if res == nil {
+			continue
+		}
+		out.Stats.Add(res.Stats)
+		out.Columns = res.Columns
+		heads[s] = head{ids: res.RowIDs, rows: res.Rows}
+		total += len(res.RowIDs)
+	}
+	if sel.Limit >= 0 {
+		total = min(total, sel.Limit)
+	}
+	if total == 0 {
+		return out
+	}
+	out.Rows, out.RowIDs = make([][]storage.Value, 0, total), make([]storage.TupleID, 0, total)
+	take := func(h *head) {
+		out.Rows, out.RowIDs = append(out.Rows, h.rows[0]), append(out.RowIDs, h.ids[0])
+		h.rows, h.ids = h.rows[1:], h.ids[1:]
+	}
+	if r == nil {
+		for len(out.RowIDs) < total {
+			take(minHead(heads))
 		}
 		return out
 	}
-	for _, r := range results {
-		out.Rows = append(out.Rows, r.Rows...)
-		out.RowIDs = append(out.RowIDs, r.RowIDs...)
-	}
-	sort.Sort(&rowSorter{rows: out.Rows, ids: out.RowIDs})
-	if sel.Limit >= 0 && len(out.Rows) > sel.Limit {
-		out.Rows = out.Rows[:sel.Limit]
-		out.RowIDs = out.RowIDs[:sel.Limit]
+	for i, id := range r.ids {
+		if len(out.RowIDs) == total {
+			break
+		}
+		if h := &heads[r.owners[i]]; len(h.ids) > 0 && h.ids[0] == id {
+			take(h)
+		}
 	}
 	return out
-}
-
-// rowSorter sorts rows and their ids together by ascending tuple id.
-type rowSorter struct {
-	rows [][]storage.Value
-	ids  []storage.TupleID
-}
-
-func (s *rowSorter) Len() int           { return len(s.ids) }
-func (s *rowSorter) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s *rowSorter) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 }
 
 // RecordTrace appends one back-dated step per shard that did work during

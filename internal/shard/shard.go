@@ -1,8 +1,9 @@
 // Package shard partitions a précis database across N embedded engines and
 // executes the result-database generator's fetch plan with scatter/gather:
 // every generated SELECT fans out to the shards that can own matching
-// tuples and the per-shard results are merged back in exactly the order a
-// single engine would have emitted them. The coordinator (the root precis
+// tuples — a fetch by id to the owners of its ids, each asked for its own —
+// and the per-shard results are merged back in exactly the order a single
+// engine would have emitted them. The coordinator (the root precis
 // package) keeps the whole pipeline — index lookup, schema generation, the
 // Figure 5 apply loop, budget accounting, caching, narrative synthesis —
 // and only the data-volume-bound tuple fetches are distributed, so a
@@ -14,15 +15,17 @@
 //  1. Ownership is a pure function of the tuple id (hash or range), so a
 //     tuple lives on exactly one shard and every id list merged across
 //     shards is disjoint.
-//  2. Statements whose WHERE carries a top-level rowid predicate are merged
-//     by predicate-list position (sqlx.RowIDOrder — the single engine's
-//     visit order, which is weight-ordered for seed fetches); all other
-//     plans emit ascending tuple ids on every shard, so a sorted merge
-//     reproduces the single-engine order.
-//  3. Per-shard LIMITs over-fetch: each shard applies the statement's
-//     limit locally, and since the global first-limit rows' per-shard
-//     subsets are prefixes of each shard's emission, the merged prefix is
-//     exact.
+//  2. A shard is asked only for what it can hold. A statement whose WHERE
+//     carries a top-level rowid conjunct (sqlx.RowIDOrder: the single
+//     engine's visit order, weight-ordered for seed fetches) has its list
+//     bucketed by owner, and each owner answers its bucket in list order, so
+//     walking the list and taking the owner's next row restores that order;
+//     every other plan emits ascending tuple ids on every shard, and a merge
+//     by id reproduces the single engine's.
+//  3. Per-shard LIMITs over-fetch: each shard applies the statement's limit
+//     locally, and the first limit rows of the whole answer are a prefix of
+//     each shard's emission, so a shard that stopped at its limit runs out
+//     only once the merge has reached it too, and the merged prefix is exact.
 package shard
 
 import (

@@ -475,6 +475,35 @@ func RowIDOrder(where Expr) ([]storage.TupleID, bool) {
 	return ids, source != nil
 }
 
+// WithRowIDs returns where with the conjunct RowIDOrder reads its ids from
+// replaced by rowid IN (ids), whatever its spelling; a clause without one is
+// returned as it is. where is not written (the AND nodes above the conjunct
+// are copied), so a scatter/gather executor can narrow it for every shard.
+func WithRowIDs(where Expr, ids []storage.TupleID) Expr {
+	var buf [8]Expr
+	_, source := rowIDConjunct(appendConjuncts(buf[:0], where))
+	if source == nil {
+		return where
+	}
+	return replaceConjunct(where, source, &RowIDIn{IDs: ids})
+}
+
+// replaceConjunct returns e with its first top-level conjunct old replaced.
+func replaceConjunct(e, old, with Expr) Expr {
+	if e == old {
+		return with
+	}
+	if l, ok := e.(*Logical); ok && l.And {
+		if left := replaceConjunct(l.Left, old, with); left != l.Left {
+			return &Logical{And: true, Left: left, Right: l.Right}
+		}
+		if right := replaceConjunct(l.Right, old, with); right != l.Right {
+			return &Logical{And: true, Left: l.Left, Right: right}
+		}
+	}
+	return e
+}
+
 // rowIDConjunct finds the first conjunct that lists tuple ids — a RowIDIn
 // node, whose ids are returned as they are, or `rowid = v` / `rowid IN (...)`,
 // whose integer literals are converted — and returns the ids in list order.

@@ -453,6 +453,53 @@ func TestRowIDListEntries(t *testing.T) {
 	}
 }
 
+// TestWithRowIDs: the conjunct RowIDOrder reads — and only it, the first when
+// two list ids — is replaced by the given list, whatever its spelling and
+// depth; the clause handed in is left as it was, and one without such a
+// conjunct comes back itself.
+func TestWithRowIDs(t *testing.T) {
+	e := planEngine(t)
+	all := e.MustExec("SELECT rowid, id FROM R")
+	a, b, c := all.RowIDs[5], all.RowIDs[2], all.RowIDs[7]
+	narrow := []storage.TupleID{b, b, 1 << 40}
+	other := in(col("id"), storage.Int(2), storage.Int(5), storage.Int(7))
+	second := &RowIDIn{IDs: []storage.TupleID{a, b}}
+	spellings := map[string]Expr{
+		"ids":     &RowIDIn{IDs: []storage.TupleID{a, b, c}},
+		"IN":      in(col(RowIDColumn), storage.Int(int64(a)), storage.Int(int64(b)), storage.Int(int64(c))),
+		"=":       eq(col(RowIDColumn), storage.Int(int64(a))),
+		"flipped": &Compare{Op: OpEq, Left: &Literal{Value: storage.Int(int64(a))}, Right: col(RowIDColumn)},
+	}
+	for name, conj := range spellings {
+		for _, where := range []Expr{conj, and(conj, other), and(other, conj), and(and(other, conj), second), and(other, and(conj, second))} {
+			before := exprString(where)
+			got := WithRowIDs(where, narrow)
+			if ids, ok := RowIDOrder(got); !ok || !slices.Equal(ids, narrow) || (len(ids) > 0 && &ids[0] != &narrow[0]) {
+				t.Errorf("%s: %s narrowed to %s: RowIDOrder reads %v", name, before, exprString(got), ids)
+			}
+			if exprString(where) != before {
+				t.Errorf("%s: WithRowIDs wrote its argument: %s, was %s", name, exprString(where), before)
+			}
+			want := strings.Replace(before, exprString(conj), exprString(&RowIDIn{IDs: narrow}), 1)
+			if exprString(got) != want {
+				t.Errorf("%s: %s narrowed to %s, want %s", name, before, exprString(got), want)
+			}
+			// The narrowed clause selects what the original does of the narrow list.
+			res := selectWhere(t, e, "R", got)
+			for _, id := range res.RowIDs {
+				if id != b {
+					t.Errorf("%s: %s returned tuple %d", name, exprString(got), id)
+				}
+			}
+		}
+	}
+	for _, where := range []Expr{nil, other, &Logical{Left: spellings["ids"], Right: other}, &Not{Inner: spellings["ids"]}} {
+		if got := WithRowIDs(where, narrow); got != where {
+			t.Errorf("no rowid conjunct in %v, yet it became %v", where, got)
+		}
+	}
+}
+
 // TestRowIDInSet exercises the id-set predicate wherever it can sit: beside
 // an index probe whose own conjunct is compiled out, alone, under NOT, and
 // under OR, where it is not a top-level conjunct.

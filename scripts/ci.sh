@@ -98,7 +98,12 @@
 # itself — from the fetch workers of a join batch and from every shard
 # goroutine of a scatter at once — and only the apply phase may write it.
 # The sqlx planner/evaluator differential and the id-set predicate through
-# shard.Fetcher ride along, and so do the two statements of what Round-Robin
+# shard.Fetcher ride along, with the gather's own oracle
+# (TestFetcherMatchesSingleEngine: seeded random rowid lists — shuffled,
+# repeating, naming ids that are gone — in every spelling, IN-list statements
+# and probes through 1-5 hash and range shards against sqlx.Engine on the
+# unpartitioned database, row for row; the narrowed statements are built and
+# executed on the scatter's goroutines), and so do the two statements of what Round-Robin
 # reads and chooses: TestProbeMatchesSpec (Fetcher.Probe against a
 # plain-slice spec, on the engine and on 1-4 hash and range shards, whose
 # scatter goroutines only -race watches) and TestRoundRobinRounds; with them
@@ -138,6 +143,11 @@
 # request pays regardless of its size is most of it — G′, D′'s layout and the
 # join order are memoised on the frozen schema graph, and a traversal, a
 # projected schema or a sorted edge list per request fails here.
+# TestAllocPerShardedDeepAnswer is TestAllocPerDeepAnswer's two queries on
+# NewSharded(4, "hash"): what the scatter/gather adds to an answer — a result
+# per shard, a rowid list bucketed by owner, the merged rows — so a map, a
+# sort or every id sent to every shard fails here before the benchmark's
+# alloc_kb_per_op gate on `sharded` does.
 # TestMemoIsBounded rides along for its heap check (1,000 distinct weight
 # bounds leave the live heap where it was), which -race would blur.
 #
@@ -251,14 +261,14 @@ go test -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
 go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts' ./internal/core
-go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestFetcherIDSetPredicate' ./internal/sqlx ./internal/shard
+go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestWithRowIDs|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' ./internal/sqlx ./internal/shard
 go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' ./internal/nlg ./internal/web
 
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
 go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
 
-echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep and per browse answer, per narrative and per search response, the memo's bound)"
-go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded' . ./internal/storage
+echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound)"
+go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded' . ./internal/storage
 
 echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
