@@ -110,12 +110,7 @@ func NetworkSearch(db *storage.Database, g *schemagraph.Graph, ix *invidx.Index,
 		}
 		byRel := map[string][]storage.TupleID{}
 		for _, o := range occs {
-			byRel[o.Relation] = append(byRel[o.Relation], o.TupleIDs...)
-		}
-		for rel := range byRel {
-			ids := byRel[rel]
-			sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-			byRel[rel] = dedupeIDsBaseline(ids)
+			byRel[o.Relation] = storage.UnionIDs(byRel[o.Relation], o.TupleIDs)
 		}
 		termIDs[i] = byRel
 	}
@@ -387,18 +382,6 @@ func (ev *netEvaluator) joinFrom(fromRel string, fromID storage.TupleID, toRel s
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func dedupeIDsBaseline(ids []storage.TupleID) []storage.TupleID {
-	out := ids[:0]
-	var prev storage.TupleID = -1
-	for _, id := range ids {
-		if id != prev {
-			out = append(out, id)
-		}
-		prev = id
-	}
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -206,7 +207,9 @@ func TestResultDatabaseReadsArePure(t *testing.T) {
 
 // TestPathOrderIsRenderedOrder: Path.Less breaks weight-and-length ties on
 // the paths' text without rendering it, and must order exactly as the
-// rendered strings compare — the order G′ was always built in. Graphs from
+// rendered strings compare — the order G′ was always built in — and, where
+// two paths render alike for having taken parallel edges, as the keys of
+// their join edges do. Graphs from
 // dataset.RandomGraph with their weights coarsened (so ties are the rule),
 // plus relation and attribute names chosen so that one path's text is a
 // prefix of, or splits its pieces differently from, another's.
@@ -218,7 +221,10 @@ func TestPathOrderIsRenderedOrder(t *testing.T) {
 		if p.Len() != q.Len() {
 			return p.Len() < q.Len()
 		}
-		return p.String() < q.String()
+		if ps, qs := p.String(), q.String(); ps != qs {
+			return ps < qs
+		}
+		return slices.CompareFunc(p.Joins, q.Joins, func(a, b *schemagraph.JoinEdge) int { return strings.Compare(a.Key(), b.Key()) }) < 0
 	}
 	// paths enumerates every path of up to three joins from every relation,
 	// each with every projection it can end in.

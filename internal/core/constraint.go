@@ -42,8 +42,8 @@ func (c topProjections) String() string { return fmt.Sprintf("t <= %d", c.r) }
 
 // maxAttributes implements the degree used in the paper's Figure 7
 // experiment: the maximum number of distinct attributes projected in the
-// answer. It differs from TopProjections when paths from several seed
-// relations project the same attribute.
+// answer — paths are taken until that many have been collected. It differs
+// from TopProjections when several paths project the same attribute.
 //
 // Accept is called once per candidate path with an append-only selected
 // slice, so the distinct-attribute set is memoized incrementally: the cache
@@ -81,15 +81,8 @@ func (c *maxAttributes) distinct(selected []*schemagraph.Path) map[string]bool {
 	return c.attrs
 }
 
-func (c *maxAttributes) Accept(selected []*schemagraph.Path, candidate *schemagraph.Path) bool {
-	attrs := c.distinct(selected)
-	if candidate.IsProjection() {
-		if attrs[candidate.Proj.Key()] {
-			return true
-		}
-		return len(attrs)+1 <= c.n
-	}
-	return len(attrs) < c.n
+func (c *maxAttributes) Accept(selected []*schemagraph.Path, _ *schemagraph.Path) bool {
+	return len(c.distinct(selected)) < c.n
 }
 
 func (c *maxAttributes) String() string { return fmt.Sprintf("attrs <= %d", c.n) }

@@ -77,8 +77,10 @@ func TestMaxAttributes(t *testing.T) {
 	if c.Accept(sel, projPath("B", "z", 0.8)) {
 		t.Error("third attribute accepted with n=2")
 	}
-	if !c.Accept(sel, projPath("A", "y", 0.5)) {
-		t.Error("repeat attribute rejected at capacity")
+	// At capacity the schema is complete: a path that would only repeat an
+	// attribute is not taken either (it could still add relations and joins).
+	if c.Accept(sel, projPath("A", "y", 0.5)) || c.Accept(sel, joinPath(1, 1.0)) {
+		t.Error("a path accepted at capacity")
 	}
 }
 

@@ -239,14 +239,25 @@ func traverse(g *schemagraph.Graph, seeds []string, d DegreeConstraint, opts Sch
 		}
 	}
 
-	// Step 2: best-first expansion.
+	// Step 2: best-first expansion. An extension the constraint refuses
+	// already is not queued.
+	push := func(np *schemagraph.Path) {
+		if np != nil && (opts.DisablePruning || d.Accept(rs.Paths, np)) {
+			heap.Push(qp, np)
+		}
+	}
 	for qp.Len() > 0 {
 		p := heap.Pop(qp).(*schemagraph.Path)
 
-		// 2.2: candidates arrive in decreasing weight, so the first failure
-		// ends the loop (the formal prefix semantics of §5.1).
+		// 2.2: projection paths arrive in decreasing weight, so the first one
+		// refused ends the loop (the formal prefix semantics of §5.1). A join
+		// path refused is one not worth expanding — too long, too light, or
+		// nothing left to project — and says nothing about the paths behind it.
 		if !d.Accept(rs.Paths, p) {
-			break
+			if p.IsProjection() {
+				break
+			}
+			continue
 		}
 
 		if p.IsProjection() {
@@ -257,30 +268,13 @@ func traverse(g *schemagraph.Graph, seeds []string, d DegreeConstraint, opts Sch
 			continue
 		}
 
-		// 2.3 (join): expand p with every edge attached to its end, in
-		// decreasing weight order; prune the remainder at the first
-		// expansion that fails the constraint.
+		// 2.3 (join): expand p with every edge attached to its end.
 		end := g.Relation(p.End())
-		exts := make([]*schemagraph.Path, 0, 8)
 		for _, pr := range end.Projections() {
-			if np := p.ExtendProjection(pr); np != nil {
-				exts = append(exts, np)
-			}
+			push(p.ExtendProjection(pr))
 		}
 		for _, e := range end.Out() {
-			if np := p.ExtendJoin(e); np != nil {
-				exts = append(exts, np)
-			}
-		}
-		sort.Slice(exts, func(i, j int) bool { return exts[i].Less(exts[j]) })
-		for _, np := range exts {
-			if !opts.DisablePruning && !d.Accept(rs.Paths, np) {
-				// Extensions are sorted by decreasing weight: everything
-				// after this one fails too, for the weight-monotone
-				// constraints of Table 1.
-				break
-			}
-			heap.Push(qp, np)
+			push(p.ExtendJoin(e))
 		}
 	}
 

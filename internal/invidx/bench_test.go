@@ -1,12 +1,10 @@
 package invidx
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
 	"precis/internal/dataset"
-	"precis/internal/storage"
 )
 
 func benchIndex(b *testing.B) *Index {
@@ -106,32 +104,4 @@ func BenchmarkEngineBuild(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(perTuple, "B/tuple")
-}
-
-// BenchmarkIntersectIDs times the intersection of a 2,000-id posting list
-// with one ratio times shorter, beside the linear merge it was: the walk
-// below gallopRatio, the gallop from it on.
-func BenchmarkIntersectIDs(b *testing.B) {
-	every := func(n, stride int) []storage.TupleID {
-		ids := make([]storage.TupleID, n)
-		for i := range ids {
-			ids[i] = storage.TupleID(1 + i*stride + i%3*(stride/7)) // a third shared with the long list
-		}
-		return ids
-	}
-	long := every(2000, 7)
-	for _, ratio := range []int{1, 4, 8, 32, 128} {
-		short := every(len(long)/ratio, 7*ratio)
-		dst := make([]storage.TupleID, 0, len(short))
-		b.Run(fmt.Sprintf("ratio=%d", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dst = intersectIDs(dst[:0], short, long)
-			}
-		})
-		b.Run(fmt.Sprintf("ratio=%d/linear", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dst = linearIntersect(dst[:0], short, long)
-			}
-		})
-	}
 }

@@ -317,6 +317,8 @@ func malformedSnapshots() map[string][]byte {
 		"zero-first-id":      one(snapLoc{"R", "a", []uint64{0}}),
 		"id-past-int64":      one(snapLoc{"R", "a", []uint64{1 << 63}}),
 		"id-sum-past-int64":  one(snapLoc{"R", "a", []uint64{1<<63 - 1, 1}}),
+		"id-past-cap":        one(snapLoc{"R", "a", []uint64{1 << 32}}),
+		"id-sum-past-cap":    one(snapLoc{"R", "a", []uint64{1<<32 - 1, 1}}),
 		"empty-list":         one(snapLoc{"R", "a", nil}),
 		"no-locations":       one(),
 	}
@@ -326,7 +328,7 @@ func TestIndexSnapshotRejectsMalformedPostings(t *testing.T) {
 	db := diffDB(t)
 	valid := snapshotOf([]string{"allen", "woody"}, [][]snapLoc{
 		{{"R", "a", []uint64{2}}},
-		{{"R", "a", []uint64{2, 5}}, {"R", "b", []uint64{1}}, {"S", "s", []uint64{1<<63 - 1}}},
+		{{"R", "a", []uint64{2, 5}}, {"R", "b", []uint64{1}}, {"S", "s", []uint64{uint64(storage.MaxTupleID)}}},
 	})
 	ix, _, err := DecodeSnapshot(valid, db)
 	if err != nil {

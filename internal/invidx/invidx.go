@@ -40,11 +40,11 @@ func (k postingKey) compare(o postingKey) int {
 	return strings.Compare(k.attr, o.attr)
 }
 
-// locList is one posting list: the ids, ascending and duplicate-free, of the
-// tuples whose attribute at key contains the token. It is never empty.
+// locList is one posting list: the ids of the tuples whose attribute at key
+// contains the token. It is never empty.
 type locList struct {
 	key postingKey
-	ids []storage.TupleID
+	ids storage.IDList
 }
 
 // Index is an inverted index over every string attribute of a database.
@@ -191,38 +191,10 @@ func (ix *Index) addTuple(relation string, schema *storage.Schema, t storage.Tup
 			}
 			l := &lists[at]
 			before := len(l.ids)
-			l.ids = insertID(l.ids, t.ID)
+			l.ids = l.ids.Insert(t.ID)
 			ix.ids += len(l.ids) - before // 0 when the token repeats in the value
 		}
 	}
-}
-
-// insertID adds id to an ascending list. Ids are allocated monotonically, so
-// the common case is an append; an id already present is left alone.
-func insertID(ids []storage.TupleID, id storage.TupleID) []storage.TupleID {
-	if n := len(ids); n == 0 || ids[n-1] < id {
-		return append(ids, id)
-	}
-	at, found := slices.BinarySearch(ids, id)
-	if found {
-		return ids
-	}
-	return slices.Insert(ids, at, id)
-}
-
-// removeID deletes id from an ascending list by moving the shorter side, so
-// retiring the oldest tuple of a long list (the head) is as cheap as
-// retiring the newest.
-func removeID(ids []storage.TupleID, id storage.TupleID) []storage.TupleID {
-	at, found := slices.BinarySearch(ids, id)
-	if !found {
-		return ids
-	}
-	if at < len(ids)/2 {
-		copy(ids[1:at+1], ids[:at])
-		return ids[1:]
-	}
-	return slices.Delete(ids, at, at+1)
 }
 
 // RemoveTuple un-indexes a tuple that is being deleted. The caller passes
@@ -250,7 +222,7 @@ func (ix *Index) RemoveTuple(relation string, t storage.Tuple) {
 			}
 			l := &lists[at]
 			before := len(l.ids)
-			l.ids = removeID(l.ids, t.ID)
+			l.ids = l.ids.Remove(t.ID)
 			ix.ids += len(l.ids) - before
 			if len(l.ids) > 0 {
 				continue
@@ -272,31 +244,15 @@ func (ix *Index) NumTokens() int { return len(ix.postings) }
 // word or a phrase ("Woody Allen"); phrases are verified against the stored
 // attribute values with case-insensitive containment so that only genuine
 // phrase matches survive. Occurrences are returned sorted by relation then
-// attribute, with sorted tuple ids.
+// attribute, with sorted tuple ids. They are the caller's: nothing in them
+// aliases the index.
 func (ix *Index) Lookup(term string) []Occurrence {
-	return occurrences(ix.lookup(term))
-}
-
-func occurrences(lists []locList) []Occurrence {
-	if len(lists) == 0 {
-		return nil
-	}
-	out := make([]Occurrence, len(lists))
-	for i, l := range lists {
-		out[i] = Occurrence{Relation: l.key.rel, Attribute: l.key.attr, TupleIDs: l.ids}
-	}
-	return out
-}
-
-// lookup is Lookup in posting-list form. The lists it returns are the
-// caller's: nothing in them aliases the index.
-func (ix *Index) lookup(term string) []locList {
 	words := Tokenize(term)
 	if len(words) == 0 {
 		return nil
 	}
 	first := ix.postings[words[0]]
-	out := make([]locList, 0, len(first))
+	var out []Occurrence
 	needle := ""
 	if len(words) > 1 {
 		needle = strings.ToLower(term)
@@ -304,12 +260,15 @@ func (ix *Index) lookup(term string) []locList {
 	for _, l := range first {
 		var matched []storage.TupleID
 		if len(words) == 1 {
-			matched = slices.Clone(l.ids)
+			matched = l.ids.AppendTo(make([]storage.TupleID, 0, len(l.ids)))
 		} else {
 			matched = ix.phrase(l, words[1:], needle)
 		}
 		if len(matched) > 0 {
-			out = append(out, locList{key: l.key, ids: matched})
+			if out == nil {
+				out = make([]Occurrence, 0, len(first))
+			}
+			out = append(out, Occurrence{Relation: l.key.rel, Attribute: l.key.attr, TupleIDs: matched})
 		}
 	}
 	return out
@@ -317,31 +276,30 @@ func (ix *Index) lookup(term string) []locList {
 
 // phrase narrows first, the posting list of a phrase's first word, to the
 // tuples that hold every other word at the same location and whose stored
-// value contains needle, the whole term in lower case.
+// value contains needle, the whole term in lower case. The lists are
+// intersected as they are stored; only the ids that survive are widened.
 func (ix *Index) phrase(first locList, rest []string, needle string) []storage.TupleID {
-	candidate := first.ids // the index's own list until the first intersection
-	for i, w := range rest {
+	var few [32]uint32 // room for a name's candidates, almost always: no allocation
+	candidate, dst := first.ids, few[:0]
+	for _, w := range rest {
 		lists := ix.postings[w]
 		at, found := findLoc(lists, first.key)
 		if !found {
 			return nil
 		}
-		if i == 0 {
-			candidate = intersectIDs(nil, candidate, lists[at].ids)
-		} else {
-			candidate = intersectIDs(candidate[:0], candidate, lists[at].ids)
-		}
+		candidate = candidate.Intersect(dst, lists[at].ids)
 		if len(candidate) == 0 {
 			return nil
 		}
+		dst = candidate[:0] // from here on in place: only the first intersection reads the index's own list
 	}
 	rel := ix.db.Relation(first.key.rel)
 	ci := rel.Schema().ColumnIndex(first.key.attr)
-	matched := candidate[:0]
+	matched := make([]storage.TupleID, 0, len(candidate))
 	for _, id := range candidate {
-		t, found := rel.Get(id)
+		t, found := rel.Get(storage.TupleID(id))
 		if found && containsFold(t.Values[ci].AsString(), needle) {
-			matched = append(matched, id)
+			matched = append(matched, t.ID)
 		}
 	}
 	return matched
@@ -363,86 +321,24 @@ func containsFold(s, lower string) bool {
 	return false
 }
 
-// gallopRatio is how much longer one list must be than the other for
-// intersectIDs to search it instead of walking it: a two-word name meets a
-// surname's short list with a first name's long one.
-const gallopRatio = 8
-
-// intersectIDs appends to dst the ids two ascending lists share. dst may be
-// a[:0] or b[:0]: the write position never passes either read position.
-func intersectIDs(dst, a, b []storage.TupleID) []storage.TupleID {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) >= gallopRatio*len(a) {
-		for _, id := range a {
-			hi := 1 // gallop: double the stride until b[hi-1] >= id, search the last stride
-			for hi <= len(b) && b[hi-1] < id {
-				hi *= 2
-			}
-			at, _ := slices.BinarySearch(b[hi/2:min(hi, len(b))], id)
-			if b = b[hi/2+at:]; len(b) == 0 {
-				break
-			}
-			if b[0] == id {
-				dst = append(dst, id)
-			}
-		}
-		return dst
-	}
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0]:
-			a = a[1:]
-		case a[0] > b[0]:
-			b = b[1:]
-		default:
-			dst = append(dst, a[0])
-			a, b = a[1:], b[1:]
-		}
-	}
-	return dst
-}
-
-// UnionIDs merges two ascending duplicate-free lists into one. When b
-// starts after a ends — stripes of a parallel build, in order — b is
-// appended to a in place; otherwise the result is a fresh list.
-func UnionIDs(a, b []storage.TupleID) []storage.TupleID {
-	if len(a) == 0 || len(b) == 0 || a[len(a)-1] < b[0] {
-		return append(a, b...)
-	}
-	out := make([]storage.TupleID, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0]:
-			out, a = append(out, a[0]), a[1:]
-		case a[0] > b[0]:
-			out, b = append(out, b[0]), b[1:]
-		default:
-			out, a, b = append(out, a[0]), a[1:], b[1:]
-		}
-	}
-	return append(append(out, a...), b...)
-}
-
-// mergeLists merges two location-sorted sets of posting lists, uniting the
-// ids of a location both carry. It takes ownership of both arguments.
-func mergeLists(a, b []locList) []locList {
+// mergeSorted merges two sets of lists, each in key order, uniting the lists
+// of a key both carry. It takes ownership of both arguments.
+func mergeSorted[L any](a, b []L, compare func(L, L) int, unite func(L, L) L) []L {
 	if len(a) == 0 {
 		return b
 	}
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]locList, 0, len(a)+len(b))
+	out := make([]L, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
-		switch c := a[0].key.compare(b[0].key); {
+		switch c := compare(a[0], b[0]); {
 		case c < 0:
 			out, a = append(out, a[0]), a[1:]
 		case c > 0:
 			out, b = append(out, b[0]), b[1:]
 		default:
-			out = append(out, locList{key: a[0].key, ids: UnionIDs(a[0].ids, b[0].ids)})
+			out = append(out, unite(a[0], b[0]))
 			a, b = a[1:], b[1:]
 		}
 	}
@@ -484,10 +380,10 @@ func (ix *Index) DocFrequency(token string) int {
 	}
 	// A tuple may match in several attributes; tuple ids are database-unique,
 	// so the union of the token's lists counts each tuple once.
-	var seen []storage.TupleID
+	var seen storage.IDList
 	for _, l := range ix.postings[words[0]] {
-		// Clipped, so that UnionIDs never appends into the index's own list.
-		seen = UnionIDs(slices.Clip(seen), l.ids)
+		// Clipped, so that Union never appends into the index's own list.
+		seen = slices.Clip(seen).Union(l.ids)
 	}
 	return len(seen)
 }
@@ -550,9 +446,22 @@ func (ix *Index) expandTerm(term string) []string {
 // injected panic here into ErrInternal rather than a process crash.
 func (ix *Index) LookupExpanded(term string) []Occurrence {
 	_ = faultinject.Fire(faultinject.SiteIndexProbe)
-	var merged []locList
+	var merged []Occurrence
 	for _, t := range ix.expandTerm(term) {
-		merged = mergeLists(merged, ix.lookup(t))
+		merged = MergeOccurrences(merged, ix.Lookup(t))
 	}
-	return occurrences(merged)
+	return merged
+}
+
+// MergeOccurrences merges two lookup results — of a term and its synonym, of
+// one term on two shards — into the one a single lookup would have returned:
+// sorted by relation then attribute, the ids of a location both carry united.
+// It takes ownership of both arguments.
+func MergeOccurrences(a, b []Occurrence) []Occurrence {
+	return mergeSorted(a, b, func(a, b Occurrence) int {
+		return postingKey{a.Relation, a.Attribute}.compare(postingKey{b.Relation, b.Attribute})
+	}, func(a, b Occurrence) Occurrence {
+		a.TupleIDs = storage.UnionIDs(a.TupleIDs, b.TupleIDs)
+		return a
+	})
 }

@@ -1,10 +1,8 @@
 package invidx
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -285,79 +283,6 @@ func TestSynonyms(t *testing.T) {
 	}
 }
 
-// linearIntersect is the merge intersectIDs was before it learned to gallop.
-func linearIntersect(out, a, b []storage.TupleID) []storage.TupleID {
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0]:
-			a = a[1:]
-		case a[0] > b[0]:
-			b = b[1:]
-		default:
-			out = append(out, a[0])
-			a, b = a[1:], b[1:]
-		}
-	}
-	return out
-}
-
-// TestIntersectIDsMatchesLinearMerge holds intersectIDs, walking or galloping,
-// fresh or in place over either argument, to the linear merge on random
-// ascending lists: empty, equal, disjoint, one inside the other, and lengths
-// from 1 : 1 to 1 : 10,000.
-func TestIntersectIDsMatchesLinearMerge(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	ascending := func(n, span int) []storage.TupleID {
-		seen := make(map[int]bool, n)
-		for len(seen) < n {
-			seen[1+r.Intn(span)] = true
-		}
-		out := make([]storage.TupleID, 0, n)
-		for id := range seen {
-			out = append(out, storage.TupleID(id))
-		}
-		slices.Sort(out)
-		return out
-	}
-	check := func(name string, a, b []storage.TupleID) {
-		t.Helper()
-		want := linearIntersect(nil, a, b)
-		for _, flip := range []bool{false, true} {
-			x, y := a, b
-			if flip {
-				x, y = b, a
-			}
-			if got := intersectIDs(nil, x, y); !slices.Equal(got, want) {
-				t.Fatalf("%s (flipped %t): %d and %d ids: got %v, want %v", name, flip, len(x), len(y), got, want)
-			}
-			xc := slices.Clone(x)
-			if got := intersectIDs(xc[:0], xc, y); !slices.Equal(got, want) {
-				t.Fatalf("%s (flipped %t), in place over the first list: got %v, want %v", name, flip, got, want)
-			}
-			if !slices.Equal(y, map[bool][]storage.TupleID{false: b, true: a}[flip]) {
-				t.Fatalf("%s: the other list was written", name)
-			}
-		}
-	}
-	big := ascending(10000, 40000)
-	check("both empty", nil, nil)
-	check("one empty", nil, big)
-	check("equal", big, slices.Clone(big))
-	check("disjoint, interleaved", []storage.TupleID{2, 4, 6, 8}, []storage.TupleID{1, 3, 5, 7, 9})
-	check("disjoint, one after the other", ascending(50, 100), big[9000:])
-	check("one inside the other", big[4000:4010], big)
-	check("1 : 10,000, present", big[7777:7778], big)
-	check("1 : 10,000, absent below", []storage.TupleID{0}, big)
-	check("1 : 10,000, absent above", []storage.TupleID{50000}, big)
-	for _, ratio := range []int{1, 2, gallopRatio - 1, gallopRatio, gallopRatio + 1, 100, 10000} {
-		for trial := 0; trial < 50; trial++ {
-			long := ascending(1+r.Intn(10000), 20000)
-			short := ascending(max(1, len(long)/ratio), 20000)
-			check(fmt.Sprintf("random 1 : %d", ratio), short, long)
-		}
-	}
-}
-
 // TestContainsFold holds the allocation-free match to the expression it
 // replaced.
 func TestContainsFold(t *testing.T) {
@@ -374,36 +299,5 @@ func TestContainsFold(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { containsFold("Woody Allen", "woody allen") }); n != 0 {
 		t.Errorf("%.0f allocations on an ASCII value", n)
-	}
-}
-
-// TestUnionIDs: the union of two ascending duplicate-free lists is ascending
-// and duplicate-free — what a query's seed ids per relation must be, whatever
-// terms and attributes they came from.
-func TestUnionIDs(t *testing.T) {
-	ids := func(xs ...storage.TupleID) []storage.TupleID { return xs }
-	for _, c := range []struct {
-		name       string
-		a, b, want []storage.TupleID
-	}{
-		{"both empty", nil, nil, nil},
-		{"left empty", nil, ids(1, 2), ids(1, 2)},
-		{"right empty", ids(1, 2), nil, ids(1, 2)},
-		{"identical", ids(1, 5, 9), ids(1, 5, 9), ids(1, 5, 9)},
-		{"overlapping", ids(1, 3, 5, 7), ids(5, 6, 7, 8), ids(1, 3, 5, 6, 7, 8)},
-		{"nested", ids(1, 2, 3, 4, 5, 6), ids(3, 4), ids(1, 2, 3, 4, 5, 6)},
-		{"nesting", ids(3, 4), ids(1, 2, 3, 4, 5, 6), ids(1, 2, 3, 4, 5, 6)},
-		{"one after the other", ids(1, 2), ids(3, 4), ids(1, 2, 3, 4)},
-		{"one before the other", ids(3, 4), ids(1, 2), ids(1, 2, 3, 4)},
-		{"interleaved", ids(1, 4, 6), ids(2, 3, 7), ids(1, 2, 3, 4, 6, 7)},
-	} {
-		b := slices.Clone(c.b)
-		got := UnionIDs(slices.Clone(c.a), b)
-		if len(got) != len(c.want) || (len(got) > 0 && !slices.Equal(got, c.want)) {
-			t.Errorf("%s: UnionIDs(%v, %v) = %v, want %v", c.name, c.a, c.b, got, c.want)
-		}
-		if !slices.Equal(b, c.b) {
-			t.Errorf("%s: the second list was written: %v", c.name, b)
-		}
 	}
 }

@@ -50,7 +50,8 @@ func NewParallel(db *storage.Database, workers int) *Index {
 	for _, px := range parts[1:] {
 		for tok, lists := range px.postings {
 			have := ix.postings[tok]
-			merged := mergeLists(have, lists)
+			merged := mergeSorted(have, lists, func(a, b locList) int { return a.key.compare(b.key) },
+				func(a, b locList) locList { return locList{key: a.key, ids: a.ids.Union(b.ids)} })
 			ix.postings[tok] = merged
 			ix.lists += len(merged) - len(have)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sort"
 
 	"precis/internal/storage"
@@ -82,7 +81,7 @@ func appendIndexStr(dst []byte, s string) []byte {
 // returning the generation stamp the file carries. Any defect — bad magic,
 // checksum mismatch, version skew (format or tokenizer), truncation, or a
 // count the input cannot back, a token without locations, locations out of
-// order or repeated, an empty list, a zero gap or an id past int64 — is an
+// order or repeated, an empty list, a zero gap or an id past MaxTupleID — is an
 // error; callers respond by rebuilding, never by trusting partial postings. The decoder is bounds-checked
 // throughout: it never panics and never allocates more than the input
 // justifies, whatever the bytes claim.
@@ -152,18 +151,18 @@ func DecodeSnapshot(raw []byte, db *storage.Database) (*Index, uint64, error) {
 			if nIDs == 0 {
 				return nil, 0, fmt.Errorf("invidx: token %q %s.%s has no ids", tok, rel, attr)
 			}
-			ids := make([]storage.TupleID, nIDs)
+			ids := make(storage.IDList, nIDs)
 			prev := uint64(0)
 			for k := range ids {
 				gap, err := d.uvarint()
 				if err != nil {
 					return nil, 0, fmt.Errorf("invidx: token %q %s.%s id %d: %w", tok, rel, attr, k, err)
 				}
-				if gap == 0 || gap > math.MaxInt64-prev {
+				if gap == 0 || gap > uint64(storage.MaxTupleID)-prev {
 					return nil, 0, fmt.Errorf("invidx: token %q %s.%s id %d: gap %d after %d", tok, rel, attr, k, gap, prev)
 				}
 				prev += gap
-				ids[k] = storage.TupleID(prev)
+				ids[k] = uint32(prev)
 			}
 			lists = append(lists, locList{key: key, ids: ids})
 			ix.ids += nIDs

@@ -49,7 +49,7 @@ func (e *JoinEdge) Key() string {
 // KeyLess reports e.Key() < o.Key() without building either key.
 func (e *JoinEdge) KeyLess(o *JoinEdge) bool {
 	a, b := e.keyPieces(), o.keyPieces()
-	return textLess(a[:], b[:])
+	return textCompare(a[:], b[:]) < 0
 }
 
 func (e *JoinEdge) keyPieces() [8]string {

@@ -124,7 +124,8 @@ func (p *Path) String() string {
 // by decreasing weight; among equal weights, by increasing length (shorter
 // paths connect more closely related entities); remaining ties break on the
 // rendered path text for determinism — p.String() < q.String(), decided
-// without rendering either.
+// without rendering either — and, between two paths that read the same
+// because they took parallel join edges, on the keys of those edges.
 func (p *Path) Less(q *Path) bool {
 	if p.weight != q.weight {
 		return p.weight > q.weight
@@ -133,12 +134,21 @@ func (p *Path) Less(q *Path) bool {
 		return p.Len() < q.Len()
 	}
 	var a, b [16]string
-	return textLess(p.appendPieces(a[:0]), q.appendPieces(b[:0]))
+	if c := textCompare(p.appendPieces(a[:0]), q.appendPieces(b[:0])); c != 0 {
+		return c < 0
+	}
+	for i, e := range p.Joins {
+		ek, ok := e.keyPieces(), q.Joins[i].keyPieces()
+		if c := textCompare(ek[:], ok[:]); c != 0 {
+			return c < 0
+		}
+	}
+	return false
 }
 
-// textLess reports whether the concatenation of a sorts before the
-// concatenation of b, comparing piece against piece.
-func textLess(a, b []string) bool {
+// textCompare compares the concatenation of a with the concatenation of b,
+// piece against piece.
+func textCompare(a, b []string) int {
 	var x, y string // what is left of the current piece of a and of b
 	for {
 		for x == "" && len(a) > 0 {
@@ -148,11 +158,11 @@ func textLess(a, b []string) bool {
 			y, b = b[0], b[1:]
 		}
 		if x == "" || y == "" {
-			return x == "" && y != ""
+			return len(x) - len(y)
 		}
 		n := min(len(x), len(y))
-		if x[:n] != y[:n] {
-			return x[:n] < y[:n]
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
 		}
 		x, y = x[n:], y[n:]
 	}

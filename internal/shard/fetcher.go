@@ -223,9 +223,9 @@ func (f *Fetcher) route(ids []storage.TupleID) (*routing, error) {
 	r := &routing{ids: ids, owners: make([]int32, len(ids)), targets: make([]int, 0, n), buckets: make([][]storage.TupleID, n)}
 	counts := make([]int, n)
 	for i, id := range ids {
-		o := f.part.Owner(id)
-		if o < 0 || o >= n {
-			return nil, fmt.Errorf("shard: partitioner placed tuple %d on shard %d of %d", id, o, n)
+		o, err := OwnerOf(f.part, id)
+		if err != nil {
+			return nil, err
 		}
 		r.owners[i] = int32(o)
 		counts[o]++

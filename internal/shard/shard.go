@@ -54,6 +54,16 @@ type Partitioner interface {
 	Owner(id storage.TupleID) int
 }
 
+// OwnerOf is p.Owner(id), refused when it names no shard: a tuple placed
+// nowhere would be silently missing from every answer.
+func OwnerOf(p Partitioner, id storage.TupleID) (int, error) {
+	owner, n := p.Owner(id), p.Shards()
+	if owner < 0 || owner >= n {
+		return 0, fmt.Errorf("shard: partitioner placed tuple %d on shard %d of %d", id, owner, n)
+	}
+	return owner, nil
+}
+
 // strider is implemented by partitioners whose ownership is a congruence
 // class of the id, letting each shard allocate locally (Database.Insert
 // with SetIDStride) without coordination.
@@ -182,12 +192,10 @@ func Partition(db *storage.Database, p Partitioner) ([]*storage.Database, error)
 	for _, rel := range db.RelationNames() {
 		var insertErr error
 		db.Relation(rel).Scan(func(t storage.Tuple) bool {
-			owner := p.Owner(t.ID)
-			if owner < 0 || owner >= n {
-				insertErr = fmt.Errorf("shard: partitioner placed tuple %d on shard %d of %d", t.ID, owner, n)
-				return false
+			var owner int
+			if owner, insertErr = OwnerOf(p, t.ID); insertErr == nil {
+				insertErr = out[owner].InsertWithID(rel, t.ID, t.Values...)
 			}
-			insertErr = out[owner].InsertWithID(rel, t.ID, t.Values...)
 			return insertErr == nil
 		})
 		if insertErr != nil {
@@ -301,29 +309,12 @@ func ShardDir(root string, i int) string {
 
 // MergeOccurrences merges per-shard inverted-index lookup results into the
 // occurrence list a single index over the union of the shards would have
-// returned: occurrences are unioned per (relation, attribute), ids sorted
-// ascending (shards hold disjoint tuples, so concatenation has no
-// duplicates), and the output sorted by relation then attribute — the
-// exact order invidx.LookupExpanded produces.
+// returned — the exact output of invidx.LookupExpanded. It takes ownership
+// of the lists.
 func MergeOccurrences(parts [][]invidx.Occurrence) []invidx.Occurrence {
-	type key struct{ rel, attr string }
-	merged := make(map[key][]storage.TupleID)
+	var out []invidx.Occurrence
 	for _, part := range parts {
-		for _, occ := range part {
-			k := key{occ.Relation, occ.Attribute}
-			merged[k] = append(merged[k], occ.TupleIDs...)
-		}
+		out = invidx.MergeOccurrences(out, part)
 	}
-	out := make([]invidx.Occurrence, 0, len(merged))
-	for k, ids := range merged {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out = append(out, invidx.Occurrence{Relation: k.rel, Attribute: k.attr, TupleIDs: ids})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Relation != out[j].Relation {
-			return out[i].Relation < out[j].Relation
-		}
-		return out[i].Attribute < out[j].Attribute
-	})
 	return out
 }

@@ -160,6 +160,9 @@ func (db *Database) Insert(relation string, vals ...Value) (TupleID, error) {
 		return 0, fmt.Errorf("storage: no relation %s", relation)
 	}
 	id := db.alignID(db.nextID)
+	if id > MaxTupleID {
+		return 0, fmt.Errorf("storage: %s has allocated every id up to %d: %w", db.name, MaxTupleID, ErrOutOfIDs)
+	}
 	got, err := r.insert(id, vals)
 	if err != nil {
 		return 0, err
@@ -215,8 +218,8 @@ func (db *Database) InsertWithID(relation string, id TupleID, vals ...Value) err
 	}
 	// Every id handed out is below the watermark, so one at or above it
 	// cannot be held and needs no lookup — the engine's insert path, which
-	// always arrives with NextTupleID, pays none.
-	if id < db.nextID {
+	// always arrives with NextTupleID, pays none until that passes MaxTupleID.
+	if id < db.nextID || id > MaxTupleID {
 		if err := r.checkID(id); err != nil {
 			return err
 		}
@@ -267,10 +270,10 @@ func (db *Database) NextTupleID() TupleID { return db.nextID }
 // SetNextTupleID raises the next-id watermark (it never lowers it: tuple
 // ids must stay unique for the lifetime of a database, across restarts).
 // The snapshot decoder calls it with the persisted watermark before
-// replaying tuples.
+// replaying tuples; MaxTupleID+1, every id allocated, is as high as it goes.
 func (db *Database) SetNextTupleID(id TupleID) {
 	if id > db.nextID {
-		db.nextID = id
+		db.nextID = min(id, MaxTupleID+1)
 	}
 }
 
@@ -357,12 +360,13 @@ func (db *Database) Stats() Stats {
 }
 
 // Layout counts what the resident data is made of, beyond live tuples: the
-// slots held in memory, how many of them are tombstones left by deletes, and
-// the distinct keys across all hash indexes.
+// slots held in memory, how many of them are tombstones left by deletes, the
+// distinct keys across all hash indexes and the bytes of the ids in their lists.
 type Layout struct {
 	Slots        int `json:"slots"`
 	DeadSlots    int `json:"dead_slots"`
 	IndexEntries int `json:"index_entries"`
+	ListBytes    int `json:"list_bytes"`
 }
 
 // Layout returns the database's layout counts. They are maintained per
@@ -375,6 +379,9 @@ func (db *Database) Layout() Layout {
 		l.DeadSlots += r.held - r.live
 		for _, idx := range r.indexes {
 			l.IndexEntries += idx.Cardinality()
+			if h, ok := idx.(*HashIndex); ok {
+				l.ListBytes += 4 * (h.ints.ids + h.vals.ids)
+			}
 		}
 	}
 	return l

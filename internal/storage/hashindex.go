@@ -1,7 +1,5 @@
 package storage
 
-import "slices"
-
 // index is an equality index on one column of a relation. There are two
 // kinds, and a database's constructor fixes which one its relations carry:
 // HashIndex (NewDatabase), cheap to change one tuple at a time, and RunIndex
@@ -33,18 +31,10 @@ type index interface {
 // whole Value. Lookups match kinds exactly (Int(1) is not Float(1)); sqlx
 // probes each representation a numeric literal can be stored as.
 type HashIndex struct {
-	column string
 	colIdx int
 	ints   postings[int64]
 	vals   postings[Value]
 }
-
-func newHashIndex(column string, colIdx int) *HashIndex {
-	return &HashIndex{column: column, colIdx: colIdx}
-}
-
-// Column returns the indexed column name.
-func (ix *HashIndex) Column() string { return ix.column }
 
 // Cardinality returns the number of distinct indexed values.
 func (ix *HashIndex) Cardinality() int { return len(ix.ints.refs) + len(ix.vals.refs) }
@@ -107,7 +97,7 @@ const lookupBlock = 32
 // queue behind one another, taken pass by pass a block's misses overlap.
 func (ix *HashIndex) appendGroups(dst []TupleID, ends []int, vals []Value) []TupleID {
 	var refs [lookupBlock]int64
-	var lists [lookupBlock][]TupleID
+	var lists [lookupBlock]IDList
 	for base := 0; base < len(vals); base += lookupBlock {
 		block := vals[base:min(base+lookupBlock, len(vals))]
 		for i, v := range block {
@@ -129,7 +119,7 @@ func (ix *HashIndex) appendGroups(dst []TupleID, ends []int, vals []Value) []Tup
 		for i := range block {
 			switch ref := refs[i]; {
 			case ref < 0:
-				dst = append(dst, lists[i]...)
+				dst = lists[i].AppendTo(dst)
 			case ref > 0:
 				dst = append(dst, TupleID(ref))
 			}
@@ -148,8 +138,9 @@ func (ix *HashIndex) appendGroups(dst []TupleID, ends []int, vals []Value) []Tup
 // result database creates its indexes whether or not it fills them.
 type postings[K comparable] struct {
 	refs  map[K]int64 // id > 0: the key's only tuple; ^ref: its position in lists
-	lists [][]TupleID
+	lists []IDList
 	free  []int32 // vacated positions of lists
+	ids   int     // ids across lists
 }
 
 func (p *postings[K]) add(key K, id TupleID) {
@@ -161,13 +152,13 @@ func (p *postings[K]) add(key K, id TupleID) {
 		}
 		p.refs[key] = int64(id)
 	case ref < 0:
-		// Appends are almost always at the end: ids are assigned monotonically.
 		list := &p.lists[^ref]
-		if pos, found := slices.BinarySearch(*list, id); !found {
-			*list = slices.Insert(*list, pos, id)
-		}
+		p.ids -= len(*list)
+		*list = list.Insert(id)
+		p.ids += len(*list)
 	case TupleID(ref) != id:
-		pair := []TupleID{min(TupleID(ref), id), max(TupleID(ref), id)}
+		pair := IDList{uint32(min(TupleID(ref), id)), uint32(max(TupleID(ref), id))}
+		p.ids += 2
 		if n := len(p.free); n > 0 {
 			at := p.free[n-1]
 			p.free = p.free[:n-1]
@@ -185,15 +176,12 @@ func (p *postings[K]) remove(key K, id TupleID) {
 	switch {
 	case ref < 0:
 		list := &p.lists[^ref]
-		pos, found := slices.BinarySearch(*list, id)
-		if !found {
+		p.ids -= len(*list)
+		if *list = list.Remove(id); len(*list) > 1 {
+			p.ids += len(*list)
 			return
 		}
-		if len(*list) > 2 {
-			*list = slices.Delete(*list, pos, pos+1)
-			return
-		}
-		p.refs[key] = int64((*list)[1-pos])
+		p.refs[key] = int64((*list)[0])
 		*list = nil
 		p.free = append(p.free, int32(^ref))
 	case TupleID(ref) == id:

@@ -190,6 +190,20 @@ func TestHashIndexMatchesOracle(t *testing.T) {
 		if live := len(idx.ints.lists) + len(idx.vals.lists) - len(idx.ints.free) - len(idx.vals.free); live > len(oracle) {
 			t.Fatalf("step %d: %d lists in use for %d keys", step, live, len(oracle))
 		}
+		// list_bytes: four bytes for every id that is in a list, by the lists'
+		// own lengths and by the oracle's (a key with one tuple has no list).
+		listed, shared := 0, 0
+		for _, l := range slices.Concat(idx.ints.lists, idx.vals.lists) {
+			listed += len(l)
+		}
+		for _, ids := range oracle {
+			if len(ids) > 1 {
+				shared += len(ids)
+			}
+		}
+		if got := db.Layout().ListBytes; got != 4*listed || listed != shared {
+			t.Fatalf("step %d: list_bytes = %d with %d ids in lists, %d by the oracle", step, got, listed, shared)
+		}
 	}
 }
 
@@ -220,10 +234,12 @@ func TestIDTable(t *testing.T) {
 	// Colliding ids: every id below hashes to the same home bucket of the
 	// table size in force when it is inserted... which the test cannot
 	// know, so use enough ids that every table size sees long probe runs.
+	// They are drawn from the whole id space, 1..MaxTupleID: nothing above it
+	// can be stored, and idHash must spread what is below it.
 	want := map[TupleID]int64{5: 50}
 	r := rand.New(rand.NewSource(3))
 	for len(want) < 3000 {
-		id := TupleID(1 + r.Int63n(1<<40))
+		id := 1 + TupleID(r.Int63n(int64(MaxTupleID)))
 		if _, dup := want[id]; dup {
 			continue
 		}

@@ -89,16 +89,16 @@ func newRelation(s *Schema, runs bool) *Relation {
 		ordered: make(map[string]*OrderedIndex),
 	}
 	if s.Key != "" {
-		r.indexes[s.Key] = r.newIndex(s.Key, s.ColumnIndex(s.Key))
+		r.indexes[s.Key] = r.newIndex(s.ColumnIndex(s.Key))
 	}
 	return r
 }
 
-func (r *Relation) newIndex(column string, colIdx int) index {
+func (r *Relation) newIndex(colIdx int) index {
 	if r.runs {
 		return &RunIndex{colIdx: colIdx}
 	}
-	return newHashIndex(column, colIdx)
+	return &HashIndex{colIdx: colIdx}
 }
 
 // Schema returns the relation schema.
@@ -246,7 +246,7 @@ func (r *Relation) Reserve(n int) {
 // appendSlot stores a new live slot at the next position and binds its id.
 func (r *Relation) appendSlot(id TupleID, row []Value) error {
 	if r.next == math.MaxInt32 {
-		return fmt.Errorf("storage: %s is out of slot positions", r.schema.Name)
+		return fmt.Errorf("storage: %s is out of slot positions: %w", r.schema.Name, ErrOutOfIDs)
 	}
 	c := r.lastChunk()
 	if len(c.slots) == cap(c.slots) {
@@ -306,6 +306,9 @@ func (r *Relation) checkID(id TupleID) error {
 	if id <= 0 {
 		return fmt.Errorf("storage: tuple id must be positive, got %d", id)
 	}
+	if id > MaxTupleID {
+		return fmt.Errorf("storage: tuple id %d is above the largest, %d: %w", id, MaxTupleID, ErrOutOfIDs)
+	}
 	if r.Has(id) {
 		return fmt.Errorf("storage: relation %s already holds tuple %d", r.schema.Name, id)
 	}
@@ -341,7 +344,7 @@ func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
 // have met in that loop.
 func (r *Relation) insertBatch(ids []TupleID, rows [][]Value) (int, error) {
 	if int64(r.next)+int64(len(ids)) > math.MaxInt32 {
-		return 0, fmt.Errorf("storage: %s is out of slot positions", r.schema.Name)
+		return 0, fmt.Errorf("storage: %s is out of slot positions: %w", r.schema.Name, ErrOutOfIDs)
 	}
 	base := r.next
 	r.Reserve(len(ids))
@@ -380,7 +383,7 @@ func (r *Relation) place(ids []TupleID, rows [][]Value) (kept []TupleID, keptRow
 	kept, keptRows = ids, rows
 	for i, id := range ids {
 		n := r.next - base
-		if id <= 0 {
+		if id <= 0 || id > MaxTupleID {
 			return kept[:n], keptRows[:n], false
 		}
 		if at, held := r.claim(id, r.next); held {
@@ -568,7 +571,7 @@ func (r *Relation) CreateIndex(column string) error {
 	if _, ok := r.indexes[column]; ok {
 		return nil
 	}
-	idx := r.newIndex(column, ci)
+	idx := r.newIndex(ci)
 	r.Scan(func(t Tuple) bool {
 		idx.add(t)
 		return true

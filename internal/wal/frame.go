@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"precis/internal/storage"
 )
 
 // frameHeaderSize is the fixed per-frame overhead: payload length (4 bytes,
@@ -63,6 +65,16 @@ func (e *CorruptionError) Error() string {
 		file = "<memory>"
 	}
 	return fmt.Sprintf("wal: corruption in %s: record %d at offset %d: %s", file, e.Record, e.Offset, e.Detail)
+}
+
+// recordError attributes to its file and record the error decoding or
+// applying that record met: corruption, unless the record is sound and names
+// an id this engine cannot hold (storage.ErrOutOfIDs, kept for errors.Is).
+func recordError(file string, off int64, record int, err error) error {
+	if errors.Is(err, storage.ErrOutOfIDs) {
+		return fmt.Errorf("wal: %s: record %d at offset %d: %w", fileLabel(file), record, off, err)
+	}
+	return &CorruptionError{File: file, Offset: off, Record: record, Detail: err.Error()}
 }
 
 // errIncomplete marks a snapshot that ends cleanly but before its trailer —
@@ -150,8 +162,8 @@ func (fr *FrameReader) Next() ([]byte, error) {
 // data — and returns its description. A frame that fails either checksum
 // while followed by complete data is corruption, returned as a
 // *CorruptionError with file/offset/record filled in. fn errors abort the
-// scan and are returned wrapped in a *CorruptionError too: a record that
-// cannot be applied is as unrecoverable as one that cannot be read.
+// scan and are returned as recordError makes them: a record that cannot be
+// applied is as unrecoverable as one that cannot be read.
 func scanFrames(file string, data []byte, fn func(i int, off int64, payload []byte) error) (*tornTail, error) {
 	off := int64(0)
 	size := int64(len(data))
@@ -192,7 +204,7 @@ func scanFrames(file string, data []byte, fn func(i int, off int64, payload []by
 		}
 		if fn != nil {
 			if err := fn(i, off, payload); err != nil {
-				return nil, &CorruptionError{File: file, Offset: off, Record: i, Detail: err.Error()}
+				return nil, recordError(file, off, i, err)
 			}
 		}
 		off = end

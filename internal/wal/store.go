@@ -278,7 +278,7 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 				Detail: fmt.Sprintf("delta declares base generation %d, chain tip is %d", d.BaseGen, want)}
 		}
 		if err := ApplyDelta(base, d, obs); err != nil {
-			return nil, nil, &CorruptionError{File: path, Offset: 0, Record: 0, Detail: err.Error()}
+			return nil, nil, recordError(path, 0, 0, err)
 		}
 		chain = append(chain, g)
 		rec.DeltasApplied++

@@ -2,6 +2,7 @@ package precis_test
 
 import (
 	"context"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,6 +13,7 @@ import (
 
 	"precis"
 	"precis/internal/dataset"
+	"precis/internal/invidx"
 	"precis/internal/schemagraph"
 	"precis/internal/storage"
 	"precis/internal/web"
@@ -19,12 +21,15 @@ import (
 
 // liveBytesPerTupleBudget is what one tuple of the bundled synthetic dataset
 // may cost in live heap once the engine (storage, hash indexes, inverted
-// index) is built over it: 10 % above the 225 bytes measured when the
-// resident layout was last reworked (32-byte Value, 16-byte slots, id→slot
-// table, int-keyed hash indexes, sorted-slice postings; it was 460 before).
-// Raise it only with a heap profile that says where the bytes went
-// (EXPERIMENTS.md, "Resident memory").
-const liveBytesPerTupleBudget = 248
+// index) is built over it: 10 % above the 206 bytes measured when resident id
+// lists went to four bytes an id — by holder, in the exact profile of the
+// 34,000-film server (EXPERIMENTS.md, "Resident memory"): the ids of the
+// posting lists 19.0 → 10.9 bytes a tuple, those of the join-index lists
+// 15.9 → 8.6, nothing else moved. It was 225 with 8-byte ids in those lists
+// (32-byte Value, 16-byte slots, id→slot table, int-keyed hash indexes,
+// sorted-slice postings) and 460 before that. Raise it only with a heap
+// profile that says where the bytes went.
+const liveBytesPerTupleBudget = 227
 
 // TestLiveBytesPerTuple pins the resident cost of a tuple so the bytes
 // cannot creep back unnoticed. scripts/ci.sh runs it in a non-race step.
@@ -58,6 +63,82 @@ func TestLiveBytesPerTuple(t *testing.T) {
 		t.Errorf("%.1f live bytes per tuple, budget %d", perTuple, liveBytesPerTupleBudget)
 	}
 	runtime.KeepAlive(eng)
+}
+
+// TestListBytesCountTheLists holds the list_bytes counts of LayoutStats — what
+// /api/stats reports, maintained on the write path — to the lengths of the
+// lists themselves, read back through the lookups, after a seeded run of
+// deletes and inserts: four bytes for every posting, and for every id under
+// a hash-index key that has more than one.
+func TestListBytesCountTheLists(t *testing.T) {
+	cfg := dataset.DefaultSyntheticConfig()
+	cfg.Films = 150
+	db, err := dataset.SyntheticMovies(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := dataset.PaperGraph(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := precis.New(db, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(26))
+	for _, name := range db.RelationNames() {
+		for _, tu := range db.Relation(name).Tuples() {
+			switch r.Intn(4) {
+			case 0:
+				if ok, err := eng.Delete(name, tu.ID); !ok || err != nil {
+					t.Fatalf("delete %s/%d: %v, %v", name, tu.ID, ok, err)
+				}
+			case 1: // back under a fresh id, so lists shrink at any position and grow at the end
+				if _, err := eng.Delete(name, tu.ID); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Insert(name, tu.Values...); err != nil {
+					t.Fatalf("re-insert into %s: %v", name, err)
+				}
+			}
+		}
+	}
+	postings, listed := 0, 0
+	tokens := map[string]bool{}
+	for _, name := range db.RelationNames() {
+		rel := db.Relation(name)
+		rel.Scan(func(tu storage.Tuple) bool {
+			for i, col := range rel.Schema().Columns {
+				if col.Type == storage.TypeString && !tu.Values[i].IsNull() {
+					for _, tok := range invidx.Tokenize(tu.Values[i].AsString()) {
+						tokens[tok] = true
+					}
+				}
+			}
+			return true
+		})
+		for _, col := range rel.IndexedColumns() {
+			keys, err := rel.DistinctValues(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range append(keys, storage.Null) {
+				if ids, _ := rel.Lookup(col, k); len(ids) > 1 {
+					listed += len(ids)
+				}
+			}
+		}
+	}
+	for tok := range tokens {
+		for _, o := range eng.Index().Lookup(tok) {
+			postings += len(o.TupleIDs)
+		}
+	}
+	st := eng.LayoutStats()
+	t.Logf("%d tuples: %d postings, %d ids in hash-index lists: %+v", eng.TotalTuples(), postings, listed, st)
+	if postings == 0 || listed == 0 || st.Index.Postings != postings || st.Index.ListBytes != 4*postings || st.Storage.ListBytes != 4*listed {
+		t.Errorf("LayoutStats = %+v, want %d postings at 4 bytes and %d listed ids at 4 bytes", st, postings, listed)
+	}
 }
 
 // A deep-shaped answer — the busiest director of the default synthetic

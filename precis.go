@@ -884,7 +884,7 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 			if !seen {
 				seedRels = append(seedRels, o.Relation)
 			}
-			seeds[o.Relation] = invidx.UnionIDs(have, o.TupleIDs)
+			seeds[o.Relation] = storage.UnionIDs(have, o.TupleIDs)
 		}
 	}
 	if len(seedRels) == 0 {

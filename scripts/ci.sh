@@ -21,8 +21,11 @@
 # byte offset and bit-flips both durability files; the -short run above
 # strides through offsets, this dedicated pass covers every single one
 # under -race. The fuzz smoke then runs the durability fuzz targets
-# (snapshot decoder, WAL replayer, delta decoder, index-snapshot decoder)
-# and the JSON string escaper of /api/search (against encoding/json)
+# (snapshot decoder, WAL replayer, delta decoder, index-snapshot decoder),
+# the JSON string escaper of /api/search (against encoding/json) and the
+# sorted-id-list kernel behind every resident id list (FuzzIDList: a byte
+# string run as insert / remove / union / intersect / append-to operations at
+# both widths against a set)
 # for 10s each on top of the checked-in corpus — long enough to catch a
 # regression in the decoders' bounds checks, short enough for CI. The
 # index-snapshot corpus carries two files that are well-framed but break a
@@ -110,6 +113,12 @@
 # TestBlockLookupsMatchReference, the one gather loop behind IN and Probe
 # against the reference scan around every block boundary.
 #
+# The schema-generator oracle rides in the same step: TestSchemaMatchesSpec
+# diffs core.GenerateSchema against internal/spec — a package only tests
+# import: every acyclic path enumerated, sorted, cut where the constraint says
+# — over random graphs × weightings × seed sets × degree constraints, the cold
+# traversal, the first call on a frozen graph and the memo hit each compared.
+#
 # The inverted-index oracle step (internal/invidx differential_test.go)
 # diffs the sorted-slice index against the test-only map-of-maps reference
 # (reference_test.go) over seeded AddTuple/RemoveTuple sequences — lookups,
@@ -127,6 +136,12 @@
 # dataset under its stated budget, so the bytes the resident-layout rework
 # removed cannot creep back. BenchmarkEngineBuild (internal/invidx) reports
 # the same number as B/tuple and is compiled by the bench smoke below.
+# TestListBytesCountTheLists holds the list_bytes counts of /api/stats to the
+# lists' own lengths, and TestIDSpaceBoundary (root and internal/storage) the
+# price of four-byte resident ids: ids up to storage.MaxTupleID are handed out,
+# the next insert is refused with storage.ErrOutOfIDs — allocated, strided,
+# caller-chosen or batched, on one durable engine and on four shards — and
+# the refusal leaves relation, indexes, inverted index and WAL untouched.
 # TestAllocPerDeepAnswer rides in the same step for the same reason: it pins
 # the bytes and the allocations of one deep-shaped answer (w=0.05, card=150,
 # both strategies, default synthetic dataset) through
@@ -260,23 +275,24 @@ go test -race -count=1 -timeout=10m -run 'TestSharded' .
 go test -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
-go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts' ./internal/core
+go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec' ./internal/core
 go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestWithRowIDs|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' ./internal/sqlx ./internal/shard
 go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' ./internal/nlg ./internal/web
 
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
 go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
 
-echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound)"
-go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded' . ./internal/storage
+echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound)"
+go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded' . ./internal/storage
 
-echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper)"
+echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper, the id-list kernel)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzWALReplay' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzDeltaDecode' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzIndexSnapshotDecode' -fuzztime=10s ./internal/invidx
 go test -timeout=5m -run=NONE -fuzz='FuzzReplFrameDecode' -fuzztime=10s ./internal/repl
 go test -timeout=5m -run=NONE -fuzz='FuzzAppendJSONString' -fuzztime=10s ./internal/web
+go test -timeout=5m -run=NONE -fuzz='FuzzIDList' -fuzztime=10s ./internal/storage
 
 echo "== bench smoke (compile + one iteration)"
 go test -timeout=10m -run=NONE -bench=. -benchtime=1x ./...

@@ -202,10 +202,14 @@ func (e *Engine) NumRelations() int {
 }
 
 // LayoutStats counts what the engine's resident data is made of, the numbers
-// behind its bytes: tokens, posting lists and postings in the inverted
-// index; slots, tombstones and hash-index keys in storage.
+// behind its bytes: tokens, posting lists, postings and the bytes of their
+// ids (four a posting) in the inverted index; slots, tombstones, hash-index
+// keys and the bytes of the ids in hash-index lists in storage.
 type LayoutStats struct {
-	Index   invidx.Stats   `json:"index"`
+	Index struct {
+		invidx.Stats
+		ListBytes int `json:"list_bytes"`
+	} `json:"index"`
 	Storage storage.Layout `json:"storage"`
 }
 
@@ -221,9 +225,11 @@ func (e *Engine) LayoutStats() LayoutStats {
 		st.Index.Tokens += ix.Tokens
 		st.Index.Lists += ix.Lists
 		st.Index.Postings += ix.Postings
+		st.Index.ListBytes += 4 * ix.Postings
 		st.Storage.Slots += l.Slots
 		st.Storage.DeadSlots += l.DeadSlots
 		st.Storage.IndexEntries += l.IndexEntries
+		st.Storage.ListBytes += l.ListBytes
 		return nil
 	})
 	return st
@@ -345,9 +351,9 @@ func (s *shardSet) commit(rec wal.Record) (bool, error) {
 	}
 	switch rec.Op {
 	case wal.OpInsert, wal.OpUpdate, wal.OpDelete:
-		owner := s.part.Owner(rec.ID)
-		if owner < 0 || owner >= len(s.parts) {
-			return false, fmt.Errorf("precis: partitioner placed tuple %d on shard %d of %d", rec.ID, owner, len(s.parts))
+		owner, err := shard.OwnerOf(s.part, rec.ID)
+		if err != nil {
+			return false, err
 		}
 		s.countMutation(owner)
 		return s.parts[owner].commit(rec)
