@@ -43,12 +43,13 @@ func BenchmarkNarrativeDeep(b *testing.B) {
 }
 
 // TestNarrativeKeepsNoState guards the per-call narration: whatever one
-// Narrative builds (relation metadata, the tuple and frame stacks) must die
-// with the call, so a second render of the same result allocates no more than
-// the first — and what a render allocates is that bookkeeping and the string
-// it returns, not a string per value, clause or paragraph (147 allocations
-// before the translator appended into one buffer, 54 after, 19 with the
-// relation metadata in one slice).
+// Narrative builds (the D′ side of the plan, the tuple and frame stacks) must
+// die with the call or go back to the pool emptied, so a second render of the
+// same result allocates no more than the first — and what a render allocates
+// is the growth of its two stacks and the string it returns, not a string per
+// value, clause or paragraph (147 allocations before the translator appended
+// into one buffer, 54 after, 19 with the relation metadata in one slice, 10
+// with the narration plan compiled once per G′ and the per-call state pooled).
 func TestNarrativeKeepsNoState(t *testing.T) {
 	rd, occs := woodyPrecis(t, 100)
 	r := paperRenderer(t)
@@ -68,8 +69,25 @@ func TestNarrativeKeepsNoState(t *testing.T) {
 	if second > first {
 		t.Errorf("allocations grew from %v to %v per render: state leaks across Narrative calls", first, second)
 	}
-	if bound := 22.0; second > bound { // 15 % above the 19 measured
+	if bound := 11.0; second > bound { // 10 % above the 10 measured
 		t.Errorf("%v allocations per render, bound %v", second, bound)
+	}
+}
+
+// TestNarrationPlanHitAllocations: once a frozen G′'s narration plan is
+// compiled, finding it again allocates nothing.
+func TestNarrationPlanHitAllocations(t *testing.T) {
+	rd, occs := woodyPrecis(t, 100)
+	if _, err := paperRenderer(t).Narrative(rd, occs); err != nil {
+		t.Fatal(err)
+	}
+	g := rd.Schema.Graph
+	p := compile(g)
+	if !g.Frozen() || compile(g) != p {
+		t.Fatal("the plan of a frozen G′ is not kept")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { compile(g) }); allocs != 0 {
+		t.Errorf("%v allocations per plan hit, want 0", allocs)
 	}
 }
 
@@ -84,7 +102,7 @@ func templateRenderFixture() (*Template, Context) {
 	return tpl, ctx
 }
 
-// TestTemplateRenderAllocs: Render appends into a pooled buffer and copies the
+// TestTemplateRenderAllocs: Render appends into one buffer and copies the
 // string out; nothing per term of the template.
 func TestTemplateRenderAllocs(t *testing.T) {
 	if raceEnabled {

@@ -13,10 +13,11 @@ import (
 )
 
 // This file is the test-only reference translator: the clause walk as it was
-// before the per-narrative join index and lazy binding frames — a relation
-// scan per edge per anchor group, and a cloned Context map and visited set
-// per clause. It is deliberately naive; differential_test.go holds the
-// production walk byte-identical to it.
+// before the per-narrative join index, lazy binding frames and the compiled
+// plan — a relation scan per edge per anchor group, a cloned Context map and
+// visited set per clause, every template parsed where it is used, and the
+// fallback clauses built with fmt. It is deliberately naive;
+// differential_test.go holds the production walk byte-identical to it.
 
 // refNarrative is Renderer.Narrative over the reference walk.
 func refNarrative(r *Renderer, rd *core.ResultDatabase, occs []invidx.Occurrence) (string, error) {
@@ -62,7 +63,7 @@ func (r *Renderer) refParagraph(rd *core.ResultDatabase, relName string, seed st
 	node := rd.Schema.Graph.Relation(relName)
 	sentence := ""
 	if node != nil && node.Sentence != "" {
-		t, err := r.parse(node.Sentence)
+		t, err := ParseTemplate(node.Sentence)
 		if err != nil {
 			return "", fmt.Errorf("nlg: sentence template of %s: %w", relName, err)
 		}
@@ -71,14 +72,18 @@ func (r *Renderer) refParagraph(rd *core.ResultDatabase, relName string, seed st
 			return "", err
 		}
 	} else {
-		sentence = r.defaultSentence(rd, relName, seed)
+		sentence = refDefaultSentence(rd, relName, seed)
 	}
 	if s := strings.TrimSpace(sentence); s != "" {
 		clauses = append(clauses, s)
 	}
 
 	visited := map[string]bool{relName: true}
-	sub, err := r.refExpand(rd, relName, []storage.Tuple{seed}, ctx, visited, r.maxClauses()-len(clauses))
+	maxClauses := r.MaxClauses
+	if maxClauses <= 0 {
+		maxClauses = 64
+	}
+	sub, err := r.refExpand(rd, relName, []storage.Tuple{seed}, ctx, visited, maxClauses-len(clauses))
 	if err != nil {
 		return "", err
 	}
@@ -187,7 +192,7 @@ func (r *Renderer) refExpand(rd *core.ResultDatabase, rel string, anchors []stor
 			r.refBindTuples(ctx, rd, e.To, joined)
 			var clause string
 			if e.Label != "" {
-				t, err := r.parse(e.Label)
+				t, err := ParseTemplate(e.Label)
 				if err != nil {
 					return nil, fmt.Errorf("nlg: label of %s: %w", e.Key(), err)
 				}
@@ -196,7 +201,7 @@ func (r *Renderer) refExpand(rd *core.ResultDatabase, rel string, anchors []stor
 					return nil, err
 				}
 			} else {
-				clause = r.defaultJoinClause(rd, rel, e.To, group, joined)
+				clause = refDefaultJoinClause(rd, rel, e.To, group, joined)
 			}
 			if c := strings.TrimSpace(clause); c != "" {
 				clauses = append(clauses, c)
@@ -272,4 +277,85 @@ func (r *Renderer) refBindTuples(ctx Context, rd *core.ResultDatabase, rel strin
 		}
 		ctx.Bind(col.Name, vals)
 	}
+}
+
+// refDefaultSentence renders a fallback clause for a relation without an
+// annotated sentence template.
+func refDefaultSentence(rd *core.ResultDatabase, rel string, t storage.Tuple) string {
+	relation := rd.DB.Relation(rel)
+	node := rd.Schema.Graph.Relation(rel)
+	heading := ""
+	if node != nil {
+		heading = node.Heading
+	}
+	var head string
+	var rest []string
+	for _, col := range rd.DisplayColumns(rel) {
+		ci := relation.Schema().ColumnIndex(col)
+		if ci < 0 {
+			continue
+		}
+		v := t.Values[ci]
+		if v.IsNull() {
+			continue
+		}
+		if col == heading {
+			head = v.String()
+			continue
+		}
+		rest = append(rest, fmt.Sprintf("%s: %s", col, v.String()))
+	}
+	switch {
+	case head != "" && len(rest) > 0:
+		return fmt.Sprintf("%s (%s).", head, strings.Join(rest, "; "))
+	case head != "":
+		return head + "."
+	case len(rest) > 0:
+		return fmt.Sprintf("%s (%s).", rel, strings.Join(rest, "; "))
+	default:
+		return ""
+	}
+}
+
+// refDefaultJoinClause renders a fallback clause for a join edge without an
+// annotated label: the heading values of the joined tuples attached to the
+// anchor's heading.
+func refDefaultJoinClause(rd *core.ResultDatabase, from, to string, anchors, joined []storage.Tuple) string {
+	subjects := refHeadingValues(rd, from, anchors)
+	objects := refHeadingValues(rd, to, joined)
+	if len(objects) == 0 {
+		return ""
+	}
+	name := strings.ToLower(to)
+	if len(subjects) == 0 {
+		return fmt.Sprintf("Related %s: %s.", name, strings.Join(objects, ", "))
+	}
+	return fmt.Sprintf("The %s of %s: %s.", name, strings.Join(subjects, ", "), strings.Join(objects, ", "))
+}
+
+// refHeadingValues extracts heading-attribute values (or first display column)
+// of the tuples.
+func refHeadingValues(rd *core.ResultDatabase, rel string, tuples []storage.Tuple) []string {
+	relation := rd.DB.Relation(rel)
+	node := rd.Schema.Graph.Relation(rel)
+	if relation == nil {
+		return nil
+	}
+	col := ""
+	if node != nil && node.Heading != "" {
+		col = node.Heading
+	} else if disp := rd.DisplayColumns(rel); len(disp) > 0 {
+		col = disp[0]
+	}
+	ci := relation.Schema().ColumnIndex(col)
+	if ci < 0 {
+		return nil
+	}
+	var out []string
+	for _, t := range tuples {
+		if v := t.Values[ci]; !v.IsNull() {
+			out = append(out, v.String())
+		}
+	}
+	return out
 }

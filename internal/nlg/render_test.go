@@ -14,10 +14,12 @@ import (
 )
 
 // precisOf runs the pipeline for one query term: index lookup, result schema
-// at degree constraint w, result database under card, strat and budget b.
+// at degree constraint w, result database under card, strat and budget b. It
+// freezes g, as an engine does, so G′ and its narration plan are memoised.
 func precisOf(t testing.TB, db *storage.Database, g *schemagraph.Graph, term string, w float64,
 	card core.CardinalityConstraint, strat core.Strategy, b core.Budget) (*core.ResultDatabase, []invidx.Occurrence) {
 	t.Helper()
+	g.Freeze()
 	occs := invidx.New(db).Lookup(term)
 	seeds := map[string][]storage.TupleID{}
 	var seedRels []string

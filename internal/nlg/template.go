@@ -25,30 +25,45 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
-// Context binds attribute names (upper-cased) to their value lists for one
-// rendering. Arity of an attribute is len(Context[name]).
-type Context map[string][]string
-
-// Bind adds values under the canonical upper-cased key.
-func (c Context) Bind(attr string, values []string) {
-	c[strings.ToUpper(attr)] = values
-}
-
 // values is what a template evaluates against. arity is the number of values
-// bound to an upper-cased attribute name (0 when unbound); appendValue appends
-// the i-th of them (0-based, i < arity) to dst. A Context and the translator's
-// binding frames both implement it, so they render identically.
+// bound to an attribute (0 when unbound); appendValue appends the i-th of them
+// (0-based, i < arity) to dst. The translator's binding frames implement it,
+// finding an attribute by its number; the tests' Context, by its name.
 type values interface {
-	arity(name string) int
-	appendValue(dst []byte, name string, i int) []byte
+	arity(a attr) int
+	appendValue(dst []byte, a attr, i int) []byte
 }
 
-func (c Context) arity(name string) int { return len(c[name]) }
+// attr is an attribute a template names: upper-cased, and numbered by
+// internAttr, so that the translator resolves it to a column once per relation
+// and narration and then finds it by that number (render.go).
+type attr struct {
+	name string
+	id   int32
+}
 
-func (c Context) appendValue(dst []byte, name string, i int) []byte {
-	return append(dst, c[name][i]...)
+// attrIDs numbers the attribute names of every template parsed in the process,
+// in order of first appearance. Only parsing writes it; it grows with the
+// distinct names the annotations and macros of a deployment use.
+var attrIDs = struct {
+	sync.Mutex
+	ids   map[string]int32
+	count atomic.Int32 // len(ids), read without the lock
+}{ids: map[string]int32{}}
+
+func internAttr(name string) attr {
+	attrIDs.Lock()
+	defer attrIDs.Unlock()
+	id, ok := attrIDs.ids[name]
+	if !ok {
+		id = int32(len(attrIDs.ids))
+		attrIDs.ids[name] = id
+		attrIDs.count.Store(id + 1)
+	}
+	return attr{name, id}
 }
 
 // Macros is a registry of named templates usable inside expressions.
@@ -79,7 +94,7 @@ const (
 
 type guard struct {
 	op   guardOp
-	attr string // the attribute whose arity bounds the loop
+	attr // the attribute whose arity bounds the loop
 }
 
 // exprNode is one term of a +-concatenation.
@@ -88,18 +103,18 @@ type exprNode interface{ node() }
 type litNode struct{ text string }
 
 type attrNode struct {
-	name    string
+	attr
 	indexed bool // @ATTR[$i$]
 }
 
 type macroNode struct{ name string }
 
-type arityNode struct{ attr string }
+type arityNode struct{ attr }
 
 // funcNode applies a string function (upper, lower) to an attribute value.
 type funcNode struct {
-	fn   string // "upper" or "lower"
-	attr attrNode
+	upper bool // upper, else lower
+	attr  attrNode
 }
 
 func (litNode) node()   {}
@@ -117,15 +132,6 @@ func ParseTemplate(src string) (*Template, error) {
 	}
 	t.src = src
 	return t, nil
-}
-
-// MustTemplate is ParseTemplate that panics, for static annotations.
-func MustTemplate(src string) *Template {
-	t, err := ParseTemplate(src)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // ParseDefine parses a macro definition of the form
@@ -237,7 +243,7 @@ func (p *tparser) guard() (*guard, error) {
 	}
 	p.i++
 	p.skipSpace()
-	attr, err := p.attrName()
+	a, err := p.attrName()
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +257,7 @@ func (p *tparser) guard() (*guard, error) {
 		return nil, fmt.Errorf("nlg: unterminated guard (offset %d)", p.i)
 	}
 	p.i++
-	return &guard{op: op, attr: attr}, nil
+	return &guard{op: op, attr: a}, nil
 }
 
 // consumeWord consumes the exact word (case-insensitive) if present.
@@ -285,11 +291,11 @@ func (p *tparser) funcCall(fn string) (exprNode, error) {
 	}
 	p.i++
 	p.skipSpace()
-	name, err := p.attrName()
+	a, err := p.attrName()
 	if err != nil {
 		return nil, err
 	}
-	node := funcNode{fn: fn, attr: attrNode{name: name}}
+	node := funcNode{upper: fn == "upper", attr: attrNode{attr: a}}
 	p.skipSpace()
 	if p.i < len(p.src) && p.src[p.i] == '[' {
 		p.i++
@@ -312,10 +318,10 @@ func (p *tparser) funcCall(fn string) (exprNode, error) {
 	return node, nil
 }
 
-// attrName parses @NAME and returns NAME upper-cased.
-func (p *tparser) attrName() (string, error) {
+// attrName parses @NAME and returns NAME upper-cased and numbered.
+func (p *tparser) attrName() (attr, error) {
 	if p.i >= len(p.src) || p.src[p.i] != '@' {
-		return "", fmt.Errorf("nlg: expected @attribute (offset %d)", p.i)
+		return attr{}, fmt.Errorf("nlg: expected @attribute (offset %d)", p.i)
 	}
 	p.i++
 	start := p.i
@@ -323,9 +329,9 @@ func (p *tparser) attrName() (string, error) {
 		p.i++
 	}
 	if p.i == start {
-		return "", fmt.Errorf("nlg: @ must be followed by an attribute name (offset %d)", start)
+		return attr{}, fmt.Errorf("nlg: @ must be followed by an attribute name (offset %d)", start)
 	}
-	return strings.ToUpper(p.src[start:p.i]), nil
+	return internAttr(strings.ToUpper(p.src[start:p.i])), nil
 }
 
 func isWordByte(c byte) bool {
@@ -394,7 +400,7 @@ func (p *tparser) term() (exprNode, error) {
 		return litNode{text: string(b)}, nil
 
 	case c == '@':
-		name, err := p.attrName()
+		a, err := p.attrName()
 		if err != nil {
 			return nil, err
 		}
@@ -408,16 +414,16 @@ func (p *tparser) term() (exprNode, error) {
 				p.skipSpace()
 				if p.i < len(p.src) && p.src[p.i] == ']' {
 					p.i++
-					return attrNode{name: name, indexed: true}, nil
+					return attrNode{attr: a, indexed: true}, nil
 				}
-				return nil, fmt.Errorf("nlg: unterminated index after @%s[$i$", name)
+				return nil, fmt.Errorf("nlg: unterminated index after @%s[$i$", a.name)
 			}
 			// Not an index: rewind (a section may follow).
 			p.i = save
 		} else {
 			p.i = save
 		}
-		return attrNode{name: name}, nil
+		return attrNode{attr: a}, nil
 
 	default:
 		for _, fn := range []string{"upper", "lower"} {
@@ -437,7 +443,7 @@ func (p *tparser) term() (exprNode, error) {
 			}
 			p.i++
 			p.skipSpace()
-			attr, err := p.attrName()
+			a, err := p.attrName()
 			if err != nil {
 				return nil, err
 			}
@@ -446,7 +452,7 @@ func (p *tparser) term() (exprNode, error) {
 				return nil, fmt.Errorf("nlg: unterminated arityOf")
 			}
 			p.i++
-			return arityNode{attr: attr}, nil
+			return arityNode{a}, nil
 		}
 		if isWordByte(c) {
 			start := p.i
@@ -457,38 +463,6 @@ func (p *tparser) term() (exprNode, error) {
 		}
 		return nil, fmt.Errorf("nlg: unexpected character %q (offset %d)", string(c), p.i)
 	}
-}
-
-// maxPooledBuf is the largest scratch buffer the pool keeps; a bigger one is
-// left to the collector, so one huge narrative cannot pin its memory.
-const maxPooledBuf = 1 << 20
-
-// bufPool holds the scratch buffers narratives and templates are rendered
-// into before the text is copied out as a string.
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
-}}
-
-// putBuf returns a scratch buffer, grown to b by its user, to the pool.
-func putBuf(p *[]byte, b []byte) {
-	if cap(b) > maxPooledBuf {
-		return
-	}
-	*p = b[:0]
-	bufPool.Put(p)
-}
-
-// Render evaluates the template against ctx with the given macro registry.
-func (t *Template) Render(ctx Context, macros Macros) (string, error) {
-	p := bufPool.Get().(*[]byte)
-	buf, err := t.appendTo((*p)[:0], ctx, macros)
-	out := ""
-	if err == nil {
-		out = string(buf)
-	}
-	putBuf(p, buf)
-	return out, err
 }
 
 // appendTo appends the rendering of the template against ctx to dst. It
@@ -559,7 +533,7 @@ func renderBody(dst []byte, body []exprNode, ctx values, macros Macros, i int, d
 			if dst, err = appendAttr(dst, n.attr, ctx, i); err != nil {
 				return dst, err
 			}
-			dst = changeCase(dst, start, n.fn == "upper")
+			dst = changeCase(dst, start, n.upper)
 		}
 	}
 	return dst, nil
@@ -568,13 +542,13 @@ func renderBody(dst []byte, body []exprNode, ctx values, macros Macros, i int, d
 // appendAttr appends @ATTR (every value, comma-separated) or @ATTR[$i$] (the
 // i-th value, nothing when the list is shorter).
 func appendAttr(dst []byte, n attrNode, ctx values, i int) ([]byte, error) {
-	arity := ctx.arity(n.name)
+	arity := ctx.arity(n.attr)
 	if n.indexed {
 		if i < 1 {
 			return dst, fmt.Errorf("nlg: @%s[$i$] used outside a loop section", n.name)
 		}
 		if i <= arity {
-			dst = ctx.appendValue(dst, n.name, i-1)
+			dst = ctx.appendValue(dst, n.attr, i-1)
 		}
 		return dst, nil
 	}
@@ -582,7 +556,7 @@ func appendAttr(dst []byte, n attrNode, ctx values, i int) ([]byte, error) {
 		if k > 0 {
 			dst = append(dst, ", "...)
 		}
-		dst = ctx.appendValue(dst, n.name, k)
+		dst = ctx.appendValue(dst, n.attr, k)
 	}
 	return dst, nil
 }

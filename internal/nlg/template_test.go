@@ -5,6 +5,45 @@ import (
 	"testing"
 )
 
+// Context, Render and MustTemplate bind and render templates by name, outside
+// a narrative: the unit tests of the template language and the reference
+// walk (reference_test.go) use them; the translator's frames are the
+// production binding.
+
+// Context binds attribute names (upper-cased) to their value lists for one
+// rendering. Arity of an attribute is len(Context[name]).
+type Context map[string][]string
+
+// Bind adds values under the canonical upper-cased key.
+func (c Context) Bind(attr string, values []string) {
+	c[strings.ToUpper(attr)] = values
+}
+
+func (c Context) arity(a attr) int { return len(c[a.name]) }
+
+func (c Context) appendValue(dst []byte, a attr, i int) []byte {
+	return append(dst, c[a.name][i]...)
+}
+
+// MustTemplate is ParseTemplate that panics, for the tests' fixed templates.
+func MustTemplate(src string) *Template {
+	t, err := ParseTemplate(src)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// Render evaluates the template against ctx with the given macro registry,
+// into one buffer sized from the template's source.
+func (t *Template) Render(ctx Context, macros Macros) (string, error) {
+	buf, err := t.appendTo(make([]byte, 0, 2*len(t.src)), ctx, macros)
+	if err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
 func render(t *testing.T, src string, ctx Context, macros Macros) string {
 	t.Helper()
 	tpl, err := ParseTemplate(src)

@@ -98,6 +98,16 @@ func checkBatchLookups(t *testing.T, when string, rel *Relation, col string, pro
 			t.Fatalf("%s: AppendLookups(%s, %d keys) without ends = %v (%v), want %v", when, col, n, got, err, want)
 		}
 	}
+	// The translator's path: the column's run index, one value at a time.
+	if ix := rel.RunIndexOn(col); ix != nil {
+		for _, v := range probes {
+			if got, err := ix.AppendLookup([]TupleID{-7}, v); err != nil || !slices.Equal(got[1:], byKey[v]) {
+				t.Fatalf("%s: RunIndexOn(%s).AppendLookup(%v) = %v (%v), want %v", when, col, v, got[1:], err, byKey[v])
+			}
+		}
+	} else if rel.runs && rel.HasIndex(col) {
+		t.Fatalf("%s: a batch database's index on %s is not a RunIndex", when, col)
+	}
 }
 
 // TestInsertBatchMatchesInsertLoop: on generated batches — ids repeated

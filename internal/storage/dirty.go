@@ -11,20 +11,18 @@ import "sort"
 // set in O(dirty), which is the entire pause a delta checkpoint imposes on
 // the mutation lock.
 
-// dirtyTracker records per-relation mutation counters plus the dirty-tuple
-// and tombstone sets accumulated since the last successful capture.
+// dirtyTracker records a mutation counter plus the dirty-tuple and tombstone
+// sets accumulated since the last successful capture.
 type dirtyTracker struct {
-	muts      uint64
-	mutsByRel map[string]uint64
-	dirty     map[string]map[TupleID]bool // live tuples inserted/updated
-	dead      map[string]map[TupleID]bool // tuples deleted
+	muts  uint64
+	dirty map[string]map[TupleID]bool // live tuples inserted/updated
+	dead  map[string]map[TupleID]bool // tuples deleted
 }
 
 func newDirtyTracker() *dirtyTracker {
 	return &dirtyTracker{
-		mutsByRel: make(map[string]uint64),
-		dirty:     make(map[string]map[TupleID]bool),
-		dead:      make(map[string]map[TupleID]bool),
+		dirty: make(map[string]map[TupleID]bool),
+		dead:  make(map[string]map[TupleID]bool),
 	}
 }
 
@@ -36,7 +34,6 @@ func (t *dirtyTracker) mark(rel string, id TupleID) {
 		return
 	}
 	t.muts++
-	t.mutsByRel[rel]++
 	if d := t.dead[rel]; d != nil {
 		delete(d, id)
 	}
@@ -54,7 +51,6 @@ func (t *dirtyTracker) markDeleted(rel string, id TupleID) {
 		return
 	}
 	t.muts++
-	t.mutsByRel[rel]++
 	if m := t.dirty[rel]; m != nil {
 		delete(m, id)
 	}
@@ -107,28 +103,6 @@ func (db *Database) EnableDirtyTracking() {
 
 // DirtyTrackingEnabled reports whether dirty tracking is on.
 func (db *Database) DirtyTrackingEnabled() bool { return db.tracker != nil }
-
-// MutationCount returns the total mutations recorded since tracking was
-// enabled or last captured.
-func (db *Database) MutationCount() uint64 {
-	if db.tracker == nil {
-		return 0
-	}
-	return db.tracker.muts
-}
-
-// MutationCountByRelation returns the per-relation mutation counters
-// accumulated since tracking was enabled or last captured.
-func (db *Database) MutationCountByRelation() map[string]uint64 {
-	if db.tracker == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(db.tracker.mutsByRel))
-	for rel, n := range db.tracker.mutsByRel {
-		out[rel] = n
-	}
-	return out
-}
 
 // CaptureDirty atomically resolves and resets the dirty set, returning the
 // changed tuples since the previous capture. Upsert entries carry
@@ -192,13 +166,11 @@ func (db *Database) MergeDirty(ds *DirtySet) {
 			if _, live := r.Get(id); live {
 				t.mark(rel, id)
 				t.muts-- // mark() counts a mutation; a re-mark is not one
-				t.mutsByRel[rel]--
 				return
 			}
 		}
 		t.markDeleted(rel, id)
 		t.muts--
-		t.mutsByRel[rel]--
 	}
 	for _, dr := range ds.Relations {
 		for _, tu := range dr.Upserts {

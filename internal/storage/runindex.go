@@ -2,7 +2,10 @@ package storage
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
+
+	"precis/internal/faultinject"
 )
 
 // RunIndex is the equality index of a database that is filled in batches and
@@ -100,14 +103,50 @@ func (ix *RunIndex) has(v Value) bool {
 
 func (ix *RunIndex) appendGroups(dst []TupleID, ends []int, vals []Value) []TupleID {
 	for i, v := range vals {
-		if v.kind == KindInt {
-			dst = ix.ints.appendIDs(dst, intKey(v.AsInt()))
-		} else {
-			dst = ix.vals.appendIDs(dst, v)
-		}
+		dst = ix.appendIDs(dst, v)
 		if ends != nil {
 			ends[i] = len(dst)
 		}
+	}
+	return dst
+}
+
+// RunIndexOn returns the named column's RunIndex, nil unless the relation
+// belongs to a batch database and indexes that column.
+func (r *Relation) RunIndexOn(column string) *RunIndex {
+	ix, _ := r.indexes[column].(*RunIndex)
+	return ix
+}
+
+// AppendLookup is Relation.AppendLookup through this index, for a caller that
+// resolved the column once and looks up many values (the translator, per join
+// edge and narration): the ids of the tuples holding v, ascending. The
+// SiteStorageLookup fault fires once per call, as there.
+func (ix *RunIndex) AppendLookup(dst []TupleID, v Value) ([]TupleID, error) {
+	if err := faultinject.Fire(faultinject.SiteStorageLookup); err != nil {
+		return nil, fmt.Errorf("storage: run index lookup: %w", err)
+	}
+	return ix.appendIDs(dst, v), nil
+}
+
+// appendIDs appends the ids under v. An integer is searched for among the
+// integers with the comparison written out: run's generic search compares
+// through a closure and a method, which is most of a lookup's cost.
+func (ix *RunIndex) appendIDs(dst []TupleID, v Value) []TupleID {
+	if v.kind != KindInt {
+		return ix.vals.appendIDs(dst, v)
+	}
+	ints, key := ix.ints, intKey(v.AsInt())
+	lo, hi := 0, len(ints)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ints[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for ; lo < len(ints) && ints[lo].key == key; lo++ {
+		dst = append(dst, ints[lo].id)
 	}
 	return dst
 }

@@ -157,54 +157,101 @@ var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
 	return safe
 }()
 
+// Byte-wise constants of the word-at-a-time test: each byte 0x01, each 0x80.
+const (
+	lsb = 0x0101010101010101
+	msb = 0x8080808080808080
+)
+
+// plainWord reports whether none of the eight bytes of x needs a look: none
+// is 0x80 or above (multi-byte UTF-8, or invalid), below 0x20, `"` or `&`
+// (0x22 and 0x26, one once bit 2 is set), `<` or `>` (0x3c and 0x3e, one once
+// bit 1 is set), or `\`. A byte below 0x20 shows as a borrow out of it in
+// x - 0x20, a byte equal to c as a zero byte of x ^ c (the has-zero-byte
+// test: exact for the word as a whole).
+func plainWord(x uint64) bool {
+	return (x|(x-0x20*lsb)|zeroByte((x|0x04*lsb)^'&'*lsb)|zeroByte((x|0x02*lsb)^'>'*lsb)|zeroByte(x^'\\'*lsb))&msb == 0
+}
+
+// zeroByte sets the high bit of some byte if x has a zero byte, and of none
+// if it has not.
+func zeroByte(x uint64) uint64 { return (x - lsb) &^ x }
+
+// le32 is the first four bytes of s, little-endian.
+func le32(s string) uint64 {
+	_ = s[3]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
+}
+
 // appendJSONString appends s as a JSON string with the escaping of
 // encoding/json at its default (EscapeHTML on): `"` and `\` backslashed,
 // \b \f \n \r \t by name, the other controls and < > & as \u00XX, the line
 // and paragraph separators U+2028/9 as \u2028 and \u2029, and each byte of
-// invalid UTF-8 as the six bytes \ufffd.
+// invalid UTF-8 as the six bytes \ufffd. Eight bytes are checked a step — the
+// last few within the last eight of s, a shorter s as two halves that may
+// overlap, or as its first, middle and last bytes — and only a word that holds
+// a byte to look at is walked a byte, or a rune, at a time.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
+		var x uint64
+		switch n := len(s) - i; {
+		case n >= 8:
+			x = le32(s[i:]) | le32(s[i+4:])<<32
+		case len(s) >= 8: // the tail, within the last word
+			x = le32(s[len(s)-8:]) | le32(s[len(s)-4:])<<32
+		case n >= 4: // a short s, in two halves that may overlap
+			x = le32(s) | le32(s[len(s)-4:])<<32
+		default: // a tiny s: its first, middle and last bytes, padded with spaces
+			x = uint64(s[0]) | uint64(s[n/2])<<8 | uint64(s[n-1])<<16 | ' '*lsb&^0xffffff
+		}
+		end := min(i+8, len(s))
+		if plainWord(x) {
+			i = end
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\u202`...)
-			dst = append(dst, hexDigits[r&0xF])
-			start = i + size
+		for i < end { // a rune may run past end
+			if c := s[i]; c < utf8.RuneSelf {
+				if jsonSafe[c] {
+					i++
+					continue
+				}
+				dst = append(dst, s[start:i]...)
+				switch c {
+				case '\\', '"':
+					dst = append(dst, '\\', c)
+				case '\b':
+					dst = append(dst, '\\', 'b')
+				case '\f':
+					dst = append(dst, '\\', 'f')
+				case '\n':
+					dst = append(dst, '\\', 'n')
+				case '\r':
+					dst = append(dst, '\\', 'r')
+				case '\t':
+					dst = append(dst, '\\', 't')
+				default:
+					dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+				}
+				i++
+				start = i
+				continue
+			}
+			r, size := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				dst = append(dst, s[start:i]...)
+				dst = append(dst, `\ufffd`...)
+				start = i + size
+			case r == '\u2028' || r == '\u2029':
+				dst = append(dst, s[start:i]...)
+				dst = append(dst, `\u202`...)
+				dst = append(dst, hexDigits[r&0xF])
+				start = i + size
+			}
+			i += size
 		}
-		i += size
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')

@@ -50,7 +50,7 @@ func wantJSONString(t testing.TB, s string) string {
 }
 
 func TestAppendJSONString(t *testing.T) {
-	for _, s := range nastyStrings() {
+	for _, s := range append(nastyStrings(), wordBoundaryStrings()...) {
 		if got, want := string(appendJSONString(nil, s)), wantJSONString(t, s); got != want {
 			t.Errorf("%q: got %s, encoding/json %s", s, got, want)
 		}
@@ -61,8 +61,26 @@ func TestAppendJSONString(t *testing.T) {
 	}
 }
 
+// wordBoundaryStrings put each byte the escaper must look at on either side of
+// the first and second word boundary (offsets 6–9 and 14–17), and a line
+// separator or a piece of invalid UTF-8 across one.
+func wordBoundaryStrings() []string {
+	var out []string
+	for _, odd := range []string{`"`, `\`, "<", ">", "&", "\x00", "\n", "\x1f", "\x7f", "\xc3\xa9", "\xff"} {
+		for _, at := range []int{6, 7, 8, 9, 14, 15, 16, 17} {
+			out = append(out, strings.Repeat("a", at)+odd+strings.Repeat("z", 24-at))
+		}
+	}
+	for _, odd := range []string{"\xe2\x80\xa8", "\xe2\x80\xa9", "\xe2\x80", "\xed\xa0\x80", "\xf0\x9f\x98\x80"} {
+		for _, at := range []int{5, 6, 7, 13, 14, 15} {
+			out = append(out, strings.Repeat("b", at)+odd+strings.Repeat("y", 20-at))
+		}
+	}
+	return out
+}
+
 func FuzzAppendJSONString(f *testing.F) {
-	for _, s := range nastyStrings() {
+	for _, s := range append(nastyStrings(), wordBoundaryStrings()...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -72,15 +90,30 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
-// BenchmarkAppendJSONString encodes a narrative-sized string: ASCII prose with
-// an escape and a multi-byte rune every hundred bytes or so.
+// BenchmarkAppendJSONString encodes 16 KB of narrative (the synthetic
+// dataset's first director at w=0.05, card=150, repeated to the size the
+// benchmark's deep workload narrates), 16 KB of prose with an escape and a
+// multi-byte rune every hundred bytes or so, a 12-byte name, the size of most
+// values of a body, a 6-byte value and a 4-byte column name.
 func BenchmarkAppendJSONString(b *testing.B) {
-	s := strings.Repeat("Woody Allen directed \"Match Point\" (2005), a Thriller; Am\u00e9lie & others followed.\n", 450)
-	dst := make([]byte, 0, 2*len(s))
-	b.SetBytes(int64(len(s)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = appendJSONString(dst[:0], s)
+	eng := syntheticEngine(b)
+	ans, err := eng.QueryString(`"`+aDirector(eng)+`"`, precis.Options{Degree: precis.MinPathWeight(0.05), Cardinality: precis.MaxTuplesPerRelation(150)})
+	if err != nil || len(ans.Narrative) < 1<<10 {
+		b.Fatalf("a %d-byte narrative: %v", len(ans.Narrative), err)
+	}
+	narrative := strings.Repeat(ans.Narrative+"\n\n", 16<<10/len(ans.Narrative)+1)
+	prose := strings.Repeat("Woody Allen directed \"Match Point\" (2005), a Thriller; Am\xc3\xa9lie & others followed.\n", 200)
+	for _, bm := range []struct{ name, s string }{
+		{"narrative", narrative[:16<<10]}, {"escapes", prose[:16<<10]}, {"name", "Scarlett Joh"}, {"value", "Comedy"}, {"column", "year"},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			s := bm.s
+			dst := make([]byte, 0, 2*len(s))
+			b.SetBytes(int64(len(s)))
+			for i := 0; i < b.N; i++ {
+				dst = appendJSONString(dst[:0], s)
+			}
+		})
 	}
 }
 

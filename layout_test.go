@@ -181,8 +181,10 @@ const (
 	searchResponseAllocsBudget = 33
 )
 
-// What nlg may allocate to narrate that answer.
-const deepNarrativeAllocsBudget = 35
+// What nlg may allocate to narrate that answer: 10 % above the 17 measured
+// when the narration plan came to be compiled once per G′ and the per-call
+// state to be pooled (it was 25).
+const deepNarrativeAllocsBudget = 19
 
 // deepEngine is the engine the allocation pins query: the annotated default
 // synthetic dataset, and the quoted name of its busiest director.
@@ -477,9 +479,8 @@ func TestAllocPerSearchResponse(t *testing.T) {
 // TestAllocPerDeepNarrative pins the translator's share of the same deep
 // answer — the query with its narrative less the query without — so per-call
 // metadata rebuilt piecemeal (a struct, a column map and an upper-cased name
-// per relation: 73 allocations once) fails here. What is left is the relation
-// table, the shared edge array, the frame blocks, the two stacks' growth and
-// the string returned.
+// per relation: 73 allocations once) or a plan compiled per request fails
+// here. What is left is the two stacks' growth and the string returned.
 func TestAllocPerDeepNarrative(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own and empties sync.Pool at random")

@@ -1,9 +1,9 @@
 package precis
 
 // What depends only on the schema is computed once (core.GenerateSchema on a
-// frozen graph, D′'s layout and the join order on a frozen G′): these tests
-// hold a warm engine to a cold one, answer for answer, on every engine shape,
-// and the memo to its staleness rules and its bound.
+// frozen graph, D′'s layout, the join order and the narration plan on a frozen
+// G′): these tests hold a warm engine to a cold one, answer for answer, on
+// every engine shape, and the memo to its staleness rules and its bound.
 
 import (
 	"errors"
@@ -16,6 +16,7 @@ import (
 	"precis/internal/core"
 	"precis/internal/dataset"
 	"precis/internal/faultinject"
+	"precis/internal/invidx"
 	"precis/internal/obs"
 	"precis/internal/schemagraph"
 	"precis/internal/storage"
@@ -92,7 +93,150 @@ func assertWarmEqualsCold(t *testing.T, warm *Engine, cold func() *Engine, terms
 			if want, got := answerDump(t, fresh), answerDump(t, second); got != want {
 				t.Fatalf("%s/%s: warm answer differs from cold\n--- cold ---\n%s\n--- warm ---\n%s", name, strat, want, got)
 			}
+			if narrative {
+				for i, ans := range []*Answer{first, second} {
+					if cold := narrateUnfrozen(t, warm, ans); ans.Narrative != cold {
+						t.Fatalf("%s/%s: narration %d of the frozen G′ differs from its unfrozen clone's\n--- clone ---\n%s\n--- frozen ---\n%s", name, strat, i+1, cold, ans.Narrative)
+					}
+				}
+			}
 		}
+	}
+}
+
+// answerOccurrences are the occurrences an answer's narrative was told from.
+func answerOccurrences(ans *Answer) []invidx.Occurrence {
+	var occs []invidx.Occurrence
+	for _, term := range ans.Terms {
+		occs = append(occs, ans.Occurrences[term]...)
+	}
+	return occs
+}
+
+// narrateUnfrozen narrates ans's D′ with e's renderer under an unfrozen
+// Clone() of its G′, which compiles a narration plan of its own per call.
+func narrateUnfrozen(t *testing.T, e *Engine, ans *Answer) string {
+	t.Helper()
+	rd := *ans.Result
+	rd.Schema = &core.ResultSchema{Graph: ans.Schema.Graph.Clone()}
+	out, err := e.renderer.Narrative(&rd, answerOccurrences(ans))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestMemoNarrationPlanConcurrentFirstUse: eight goroutines narrate one
+// answer at once, so that the first use of its G′'s narration plan — compiled
+// and kept on G′ — overlaps with the others' hits. Every narrative equals the
+// unfrozen clone's. Under -race this is the test of nothing writing a shared
+// plan.
+func TestMemoNarrationPlanConcurrentFirstUse(t *testing.T) {
+	rounds := 20
+	if testing.Short() {
+		rounds = 5
+	}
+	for round := 0; round < rounds; round++ {
+		eng := newEngine(t)
+		ans, err := eng.QueryString("Woody Allen", Options{Degree: MinPathWeight(0.3), SkipNarrative: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := narrateUnfrozen(t, eng, ans)
+		_, _, before := ans.Schema.Graph.MemoStats()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 4; i++ {
+					if got, err := eng.renderer.Narrative(ans.Result, answerOccurrences(ans)); err != nil || got != want {
+						t.Errorf("goroutine %d: %v\n%s", g, err, got)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if _, _, after := ans.Schema.Graph.MemoStats(); after != before+1 {
+			t.Fatalf("G′ keeps %d derived values after its narrations, %d before: want one more, the plan", after, before)
+		}
+	}
+}
+
+// TestMemoNarrationPlanUsesMacrosAsDefined: macros are not part of the plan.
+// A macro redefined between two queries of one G′ is the one the second
+// narrative renders.
+func TestMemoNarrationPlanUsesMacrosAsDefined(t *testing.T) {
+	eng := newEngine(t)
+	first, err := eng.QueryString("Woody Allen", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.DefineMacro(`DEFINE MOVIE_LIST as [i<arityOf(@TITLE)] {@TITLE[$i$] + " / "} [i=arityOf(@TITLE)] {@TITLE[$i$] + "!"}`); err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.QueryString("Woody Allen", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Schema != first.Schema {
+		t.Fatal("the second query has a G′ of its own: the plan is not shared")
+	}
+	const old, redefined = "work includes Match Point (2005), Melinda", "work includes Match Point / Melinda"
+	if !strings.Contains(first.Narrative, old) || !strings.Contains(second.Narrative, redefined) || strings.Contains(second.Narrative, old) {
+		t.Fatalf("the redefined macro is not the one rendered\n--- before ---\n%s\n--- after ---\n%s", first.Narrative, second.Narrative)
+	}
+}
+
+// TestMemoNarrationPlanKeepsLabelErrorsToTheirClause: a label that does not
+// parse is compiled into the plan as its error. It fails the answers whose
+// walk reaches its clause, with the error the walk always reported, and no
+// other answer of the same G′ — before or after one that failed.
+func TestMemoNarrationPlanKeepsLabelErrorsToTheirClause(t *testing.T) {
+	db, g, err := dataset.ExampleMovies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.AnnotateNarrative(g); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range g.Relation("PLAY").Out() {
+		if e.To == "THEATRE" {
+			e.Label = `@TITLE + " plays at " + THEATRE_LIST + "`
+		}
+	}
+	eng, err := New(db, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, def := range dataset.StandardMacros() {
+		if err := eng.DefineMacro(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := Options{Degree: MinPathWeight(0.5)}
+	// Anything Else plays nowhere; Match Point does, and its walk reaches
+	// PLAY->THEATRE through the PLAY junction.
+	quiet, err := eng.QueryString(`"Anything Else"`, opts)
+	if err != nil || !strings.Contains(quiet.Narrative, "Anything Else (2003).") {
+		t.Fatalf("an answer that never reaches the label failed: %v\n%v", err, quiet)
+	}
+	_, err = eng.QueryString(`"Match Point"`, opts)
+	if err == nil || !strings.Contains(err.Error(), "nlg: label of PLAY->THEATRE(tid=tid): nlg: unterminated string literal") {
+		t.Fatalf("an answer that reaches the label: %v", err)
+	}
+	again, err := eng.QueryString(`"Anything Else"`, opts)
+	if err != nil || again.Narrative != quiet.Narrative || again.Schema != quiet.Schema {
+		t.Fatalf("after the failure: %v\n%s", err, again.Narrative)
+	}
+	opts.SkipNarrative = true
+	if loud, err := eng.QueryString(`"Match Point"`, opts); err != nil || loud.Schema != quiet.Schema {
+		t.Fatalf("the two answers do not share one G′ and its plan: %v", err)
 	}
 }
 

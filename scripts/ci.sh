@@ -22,10 +22,13 @@
 # strides through offsets, this dedicated pass covers every single one
 # under -race. The fuzz smoke then runs the durability fuzz targets
 # (snapshot decoder, WAL replayer, delta decoder, index-snapshot decoder),
-# the JSON string escaper of /api/search (against encoding/json) and the
+# the JSON string escaper of /api/search (against encoding/json; its seeds put
+# every byte it must look at on both sides of a word boundary), the
 # sorted-id-list kernel behind every resident id list (FuzzIDList: a byte
 # string run as insert / remove / union / intersect / append-to operations at
-# both widths against a set)
+# both widths against a set) and the translator (FuzzNarrative: fuzzed
+# sentences and labels on a hand-built G′, indexed and not, against the
+# reference walk — the same bytes or the same error)
 # for 10s each on top of the checked-in corpus — long enough to catch a
 # regression in the decoders' bounds checks, short enough for CI. The
 # index-snapshot corpus carries two files that are well-framed but break a
@@ -118,6 +121,11 @@
 # import: every acyclic path enumerated, sorted, cut where the constraint says
 # — over random graphs × weightings × seed sets × degree constraints, the cold
 # traversal, the first call on a frozen graph and the memo hit each compared.
+# Beside it TestDatabaseMatchesSpec diffs core.GenerateDatabaseOpts against the
+# spec's Figure 5 — seeds, join order and postponement, NaïveQ, Round-Robin and
+# Auto, per-relation and total caps — on the engine at 1, 2 and 4 workers and
+# on 1-4 hash and 2-4 range shards, whose scatter goroutines only -race
+# watches.
 #
 # The inverted-index oracle step (internal/invidx differential_test.go)
 # diffs the sorted-slice index against the test-only map-of-maps reference
@@ -164,13 +172,20 @@
 # sort or every id sent to every shard fails here before the benchmark's
 # alloc_kb_per_op gate on `sharded` does.
 # TestMemoIsBounded rides along for its heap check (1,000 distinct weight
-# bounds leave the live heap where it was), which -race would blur.
+# bounds leave the live heap where it was), which -race would blur, and so do
+# the translator's own pins (internal/nlg): TestNarrativeKeepsNoState (a render
+# allocates the same the second time, under its bound) and
+# TestNarrationPlanHitAllocations (a G′'s narration plan, once compiled, is
+# found again with no allocation).
 #
 # The memo's differential, staleness and concurrency tests (memo_test.go:
 # warm engine against a cold one over a Clone of the graph on single, sharded,
-# recovered and follower engines, across a follower re-bootstrap; eight
-# goroutines meeting a new engine at once) ride in the whole-repository -race
-# pass, which is what holds "nobody writes a shared G′".
+# recovered and follower engines, across a follower re-bootstrap, the
+# narratives of a frozen G′ against those of its unfrozen clone; eight
+# goroutines meeting a new engine at once, and eight making the first use of a
+# G′'s narration plan; a macro redefined between two queries of one G′; a label
+# that does not parse failing only the answers that reach it) get a -race step
+# of their own: it is what holds "nobody writes a shared G′ or plan".
 #
 # The ownership tests (ownership_test.go: a caller's slice scribbled after
 # Engine.Insert/Update, tuples held across a WAL-failure rollback, a result
@@ -275,17 +290,20 @@ go test -race -count=1 -timeout=10m -run 'TestSharded' .
 go test -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
-go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec' ./internal/core
+go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec' ./internal/core
 go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestWithRowIDs|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' ./internal/sqlx ./internal/shard
 go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' ./internal/nlg ./internal/web
+
+echo "== memo -race (warm = cold on every engine shape, concurrent first use of G′ and of its narration plan, macros, label errors)"
+go test -race -count=1 -timeout=10m -run 'TestMemo|TestProfileQueriesShare' .
 
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
 go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
 
-echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound)"
-go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded' . ./internal/storage
+echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins)"
+go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations' . ./internal/storage ./internal/nlg
 
-echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper, the id-list kernel)"
+echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper, the id-list kernel, the translator)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzWALReplay' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzDeltaDecode' -fuzztime=10s ./internal/wal
@@ -293,6 +311,7 @@ go test -timeout=5m -run=NONE -fuzz='FuzzIndexSnapshotDecode' -fuzztime=10s ./in
 go test -timeout=5m -run=NONE -fuzz='FuzzReplFrameDecode' -fuzztime=10s ./internal/repl
 go test -timeout=5m -run=NONE -fuzz='FuzzAppendJSONString' -fuzztime=10s ./internal/web
 go test -timeout=5m -run=NONE -fuzz='FuzzIDList' -fuzztime=10s ./internal/storage
+go test -timeout=5m -run=NONE -fuzz='FuzzNarrative' -fuzztime=10s ./internal/nlg
 
 echo "== bench smoke (compile + one iteration)"
 go test -timeout=10m -run=NONE -bench=. -benchtime=1x ./...
