@@ -9,7 +9,6 @@
 //	precis-bench -parallel [-quick]   worker-pool speedup sweep
 //	precis-bench -cache [-quick]      answer-cache hit vs cold latency
 //	precis-bench -deadline [-quick]   answer size vs wall-clock deadline
-//	precis-bench -stages [-quick]     per-pipeline-stage latency breakdown
 //	precis-bench -persist [-quick]    WAL fsync throughput + recovery time
 //	precis-bench -checkpoint [-quick] checkpoint pause full vs delta + persisted-index recovery
 //	precis-bench -replicate [-quick]  follower catch-up time + steady-state lag
@@ -20,7 +19,7 @@
 //
 // -quick shrinks each experiment's run counts for a fast smoke pass; -csv
 // prints machine-readable rows instead of aligned text. -parallel, -cache,
-// -deadline, -stages, -persist, -checkpoint, -replicate, -quorum,
+// -deadline, -persist, -checkpoint, -replicate, -quorum,
 // -failover, -shards and -rebuild run the engine-level resource experiments
 // (they can be combined with -exp).
 package main
@@ -44,7 +43,6 @@ func main() {
 		parallel  = flag.Bool("parallel", false, "measure worker-pool speedup on one query")
 		cache     = flag.Bool("cache", false, "measure answer-cache hit vs cold latency")
 		deadline  = flag.Bool("deadline", false, "measure answer size vs wall-clock deadline (graceful degradation)")
-		stages    = flag.Bool("stages", false, "measure per-pipeline-stage latency via query traces")
 		persist   = flag.Bool("persist", false, "measure WAL append throughput per fsync policy and recovery time vs dataset size")
 		ckpt      = flag.Bool("checkpoint", false, "measure checkpoint pause full vs delta and persisted-index recovery speedup")
 		replicate = flag.Bool("replicate", false, "measure follower catch-up time and steady-state replication lag vs mutation rate")
@@ -59,7 +57,7 @@ func main() {
 	for _, e := range strings.Split(*exp, ",") {
 		run[strings.TrimSpace(e)] = true
 	}
-	if *parallel || *cache || *deadline || *stages || *persist || *ckpt || *replicate || *quorum || *failover || *shardsF || *rebuild {
+	if *parallel || *cache || *deadline || *persist || *ckpt || *replicate || *quorum || *failover || *shardsF || *rebuild {
 		// The resource experiments replace the figure suite unless the
 		// caller asked for both explicitly.
 		if *exp == "all" {
@@ -73,9 +71,6 @@ func main() {
 		}
 		if *deadline {
 			run["dl"] = true
-		}
-		if *stages {
-			run["st"] = true
 		}
 		if *persist {
 			run["ps"] = true
@@ -148,11 +143,6 @@ func main() {
 	}
 	if run["dl"] {
 		if err := runDeadline(*quick); err != nil {
-			fatal(err)
-		}
-	}
-	if run["st"] {
-		if err := runStages(*quick); err != nil {
 			fatal(err)
 		}
 	}
@@ -301,21 +291,6 @@ func runCheckpoint(quick bool) error {
 		cfg.Runs = 2
 	}
 	report, err := experiments.CheckpointBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.String())
-	fmt.Println()
-	return nil
-}
-
-func runStages(quick bool) error {
-	cfg := experiments.DefaultStagesConfig()
-	if quick {
-		cfg.Films = 500
-		cfg.Runs = 3
-	}
-	report, err := experiments.Stages(cfg)
 	if err != nil {
 		return err
 	}

@@ -154,7 +154,7 @@ func (t *budgetTracker) admitStep() bool {
 // whether it may be inserted. Coordination goroutine only. Seed inserts
 // pass seed=true: they are always admitted (the answer's guaranteed core)
 // but still accounted, so the budget is charged for them.
-func (t *budgetTracker) admitTuple(id storage.TupleID, row []storage.Value, seed bool) bool {
+func (t *budgetTracker) admitTuple(id storage.TupleID, row storage.Row, seed bool) bool {
 	if t == nil {
 		return true
 	}
@@ -195,10 +195,11 @@ func (t *budgetTracker) remainingTuples() int {
 // lengths of its rowid and values plus a fixed per-value overhead. Numbers
 // are measured through a stack buffer and strings by their length, so a
 // budgeted query renders nothing to be measured.
-func approxRowBytes(id storage.TupleID, row []storage.Value) int {
+func approxRowBytes(id storage.TupleID, row storage.Row) int {
 	var buf [32]byte
 	n := 16 + 8 + len(strconv.AppendInt(buf[:0], int64(id), 10)) // per-tuple overhead, rowid
-	for _, v := range row {
+	for i := 0; i < row.Len(); i++ {
+		v := row.Value(i)
 		n += 8
 		if v.Kind() == storage.KindString {
 			n += len(v.AsString())

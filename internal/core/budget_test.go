@@ -44,13 +44,13 @@ func TestBudgetTrackerNilReceiver(t *testing.T) {
 	if bt.Reason() != TruncateNone || bt.exhausted() || bt.checkDeadline() {
 		t.Fatal("nil tracker must be a permissive no-op")
 	}
-	if !bt.admitStep() || !bt.admitTuple(0, nil, false) {
+	if !bt.admitStep() || !bt.admitTuple(0, storage.MakeRow(), false) {
 		t.Fatal("nil tracker must admit everything")
 	}
 }
 
 func TestBudgetTrackerTupleAndByteAccounting(t *testing.T) {
-	row := []storage.Value{storage.String("abc")}
+	row := storage.MakeRow(storage.String("abc"))
 	bt := newBudgetTracker(Budget{MaxTuples: 2})
 	if !bt.admitTuple(1, row, false) || !bt.admitTuple(1, row, false) {
 		t.Fatal("first two tuples must be admitted")
@@ -108,7 +108,7 @@ func TestBudgetTrackerDeadlineFakeClock(t *testing.T) {
 		t.Fatalf("reason = %q, want %q", got, TruncateDeadline)
 	}
 	// First trip wins: a later tuple refusal must not overwrite the reason.
-	if bt.admitTuple(0, nil, false) {
+	if bt.admitTuple(0, storage.MakeRow(), false) {
 		t.Fatal("exhausted tracker must refuse tuples")
 	}
 	if got := bt.Reason(); got != TruncateDeadline {
@@ -396,12 +396,13 @@ func TestApproxRowBytesIsTheRenderedSize(t *testing.T) {
 			for _, v := range append([]storage.Value{storage.Int(int64(id))}, row...) {
 				want += 8 + len(v.String())
 			}
-			if got := approxRowBytes(id, row); got != want {
+			if got := approxRowBytes(id, storage.MakeRow(row...)); got != want {
 				t.Errorf("approxRowBytes(%d, %v) = %d, rendered %d", id, row, got, want)
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { approxRowBytes(376149, rows[3]); approxRowBytes(7, rows[4]) }); n != 0 {
+	floats, texts := storage.MakeRow(rows[3]...), storage.MakeRow(rows[4]...)
+	if n := testing.AllocsPerRun(100, func() { approxRowBytes(376149, floats); approxRowBytes(7, texts) }); n != 0 {
 		t.Errorf("measuring a row allocates %v times", n)
 	}
 }

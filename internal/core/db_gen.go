@@ -175,7 +175,7 @@ type generator struct {
 // the physical work the fetch performed. The apply phase inserts a prefix of
 // rows bounded by the live cardinality budget.
 type fetched struct {
-	rows    [][]storage.Value
+	rows    []storage.Row
 	ids     []storage.TupleID // parallel to rows
 	queries int
 	sql     sqlx.Stats
@@ -467,7 +467,7 @@ func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 	g.eng.AccumulateStats(f.sql)
 	outRel := g.out.Relation(rel)
 	// The fetch built its rows and ids for this generation alone: the admitted
-	// ones are compacted to the front in place, and D' keeps the rows.
+	// ones are compacted to the front in place, and D' keeps their records.
 	admitted := 0
 	for i, row := range f.rows {
 		if admitted >= budget {

@@ -777,7 +777,7 @@ func TestRoundRobinRounds(t *testing.T) {
 				}
 				seen := map[storage.TupleID]bool{}
 				for i, id := range f.ids {
-					if tu, ok := to.Get(id); seen[id] || outRel.Has(id) || !ok || !reflect.DeepEqual(f.rows[i], g.project(e.To, tu)) {
+					if tu, ok := to.Get(id); seen[id] || outRel.Has(id) || !ok || !reflect.DeepEqual(f.rows[i].Values(), g.project(e.To, tu)) {
 						t.Fatalf("%s: pick %d (tuple %d) is repeated, in R′ⱼ already, or not the stored row", name, i, id)
 					}
 					seen[id] = true
@@ -786,7 +786,7 @@ func TestRoundRobinRounds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(f.ids, ref.ids) || !reflect.DeepEqual(f.rows, ref.rows) {
+				if !slices.Equal(f.ids, ref.ids) || !slices.EqualFunc(f.rows, ref.rows, func(a, b storage.Row) bool { return reflect.DeepEqual(a.Values(), b.Values()) }) {
 					t.Fatalf("%s: chose %v, the statement-per-value reference %v", name, f.ids, ref.ids)
 				}
 			}

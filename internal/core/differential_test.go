@@ -108,11 +108,16 @@ func diffDatasets(t *testing.T) []diffDataset {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kindsDB, kindsG, err := dataset.Kinds(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sets := []diffDataset{
 		{name: "example-movies", db: exDB, g: exG, terms: []string{"Woody Allen", "Comedy"}},
 		{name: "synthetic-movies", db: synDB, g: synG, terms: []string{busiestDirector(synDB), "Drama"}},
 		{name: "chain", db: chainDB, g: chainG, terms: []string{"tokR0"}},
 		{name: "star", db: starDB, g: starG, terms: []string{"tokHUB"}},
+		{name: "kinds", db: kindsDB, g: kindsG, terms: []string{"tokITEM", "café"}},
 	}
 	for i := range sets {
 		sets[i].fetchers = diffFetchers(t, sets[i].db)

@@ -266,7 +266,7 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 	}
 
 	type rowRes struct {
-		rows [][]storage.Value
+		rows []storage.Row
 		ids  []storage.TupleID
 		sql  sqlx.Stats
 		err  error

@@ -17,21 +17,6 @@ import (
 	"precis/internal/storage"
 )
 
-// specGraph restates a schema graph in the spec's plain form.
-func specGraph(g *schemagraph.Graph) spec.Graph {
-	var sg spec.Graph
-	for _, name := range g.Relations() {
-		sg.Relations = append(sg.Relations, name)
-		for _, p := range g.Relation(name).Projections() {
-			sg.Projections = append(sg.Projections, spec.Projection{Rel: p.Relation, Attr: p.Attribute, Weight: p.Weight})
-		}
-		for _, e := range g.Relation(name).Out() {
-			sg.Joins = append(sg.Joins, spec.Join{From: e.From, To: e.To, FromCol: e.FromCol, ToCol: e.ToCol, Weight: e.Weight})
-		}
-	}
-	return sg
-}
-
 // degreeOf builds the engine's constraint for the spec's: one DegreeConstraint
 // per set bound, under AllDegree in the given rotation when there are several.
 func degreeOf(d spec.Degree, rotate int) DegreeConstraint {
@@ -85,11 +70,14 @@ func specSchema(rs *ResultSchema) spec.Schema {
 
 // TestSchemaMatchesSpec holds GenerateSchema to internal/spec — every acyclic
 // path enumerated, sorted, cut where the constraint says — over random schema
-// graphs, weightings (drawn, and constant so that whole families of paths
-// tie), seed sets and degree constraints: the accepted paths in order, the
-// relations, projections and join edges of G′, and both in-degrees. Each case
-// runs three ways: the cold traversal of an unfrozen graph, the first call on
-// a frozen one, and the memo hit that every later query gets.
+// graphs and those of core's differential datasets, weightings (drawn, and
+// constant so that whole families of paths tie), seed sets and degree
+// constraints: the accepted paths in order, the relations, projections and
+// join edges of G′, and both in-degrees. Each case runs three ways: the cold
+// traversal of an unfrozen graph, the first call on a frozen one, and the memo
+// hit that every later query gets — annotated, so held to spec.Headed: the
+// datasets' graphs have heading attributes, which a served G′ carries whatever
+// the degree constraint cut.
 func TestSchemaMatchesSpec(t *testing.T) {
 	degrees := []spec.Degree{spec.Unbounded}
 	with := func(set func(*spec.Degree)) {
@@ -112,14 +100,29 @@ func TestSchemaMatchesSpec(t *testing.T) {
 		with(func(d *spec.Degree) { d.MaxLen = l })
 		with(func(d *spec.Degree) { d.MaxLen, d.MaxAttrs, d.TopR, d.MinWeight = l, 6, 8, 0.1 })
 	}
-	cases := 0
+	type graph struct {
+		name string
+		g    *schemagraph.Graph
+	}
+	var graphs []graph
 	for seed := int64(1); seed <= 12; seed++ {
 		cfg := dataset.GraphConfig{Relations: 2 + int(seed%5), AttrsPerRel: 1 + int(seed%3), ExtraJoins: int(seed % 4), Seed: seed}
-		base, err := dataset.RandomGraph(cfg)
+		g, err := dataset.RandomGraph(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rels := base.Relations()
+		graphs = append(graphs, graph{fmt.Sprintf("graph %+v", cfg), g})
+	}
+	for _, ds := range diffDatasets(t) {
+		graphs = append(graphs, graph{ds.name, ds.g})
+	}
+	cases := 0
+	for gi, gr := range graphs {
+		base, seed := gr.g, int64(gi+1)
+		rels, headings := base.Relations(), map[string]string{}
+		for _, rel := range rels {
+			headings[rel] = base.Relation(rel).Heading
+		}
 		seedSets := [][]string{{rels[0]}, {rels[len(rels)-1]}, {rels[len(rels)-1], rels[0]}}
 		if len(rels) > 3 {
 			seedSets = append(seedSets, []string{rels[1], rels[3], rels[2]})
@@ -131,13 +134,13 @@ func TestSchemaMatchesSpec(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			sg := specGraph(g)
+			sg := spec.FromGraph(g)
 			frozen := g.Clone()
 			frozen.Freeze()
 			for _, seeds := range seedSets {
 				for di, d := range degrees {
 					cases++
-					name := fmt.Sprintf("graph %+v weights %v seeds %v degree %+v", cfg, weights, seeds, d)
+					name := fmt.Sprintf("%s weights %v seeds %v degree %+v", gr.name, weights, seeds, d)
 					want := spec.ResultSchema(sg, seeds, d)
 					cold, err := GenerateSchema(g, seeds, degreeOf(d, di))
 					if err != nil {
@@ -154,7 +157,7 @@ func TestSchemaMatchesSpec(t *testing.T) {
 					if err != nil || hit != miss {
 						t.Fatalf("%s: second call on the frozen graph: %v, same schema %t", name, err, hit == miss)
 					}
-					if got := specSchema(hit); !reflect.DeepEqual(got, want) {
+					if got, want := specSchema(hit), spec.Headed(want, headings); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: memo hit\n got %+v\nwant %+v", name, got, want)
 					}
 				}
@@ -162,21 +165,6 @@ func TestSchemaMatchesSpec(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases", cases)
-}
-
-// specDatabase restates a database in the spec's plain form.
-func specDatabase(db *storage.Database) spec.Database {
-	sdb := spec.Database{}
-	for _, name := range db.RelationNames() {
-		rel := db.Relation(name)
-		tab := spec.Table{Key: rel.Schema().Key, Columns: rel.Schema().ColumnNames()}
-		rel.Scan(func(tu storage.Tuple) bool {
-			tab.Rows = append(tab.Rows, spec.Row{ID: int64(tu.ID), Values: tu.Values})
-			return true
-		})
-		sdb[name] = tab
-	}
-	return sdb
 }
 
 // specFetchers are the single engine and shard.NewFetcher over 1–4 hash and
@@ -254,7 +242,7 @@ func TestDatabaseMatchesSpec(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	cases, runs := 0, 0
 	for _, ds := range diffDatasets(t) {
-		sdb, fetchers, ix := specDatabase(ds.db), specFetchers(t, ds.db), invidx.New(ds.db)
+		sdb, fetchers, ix := spec.FromDatabase(ds.db), specFetchers(t, ds.db), invidx.New(ds.db)
 		frozen := ds.g.Clone()
 		frozen.Freeze()
 		for _, term := range ds.terms {
@@ -281,7 +269,7 @@ func TestDatabaseMatchesSpec(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sg := specGraph(rs.Graph)
+				sg := spec.FromGraph(rs.Graph)
 				for _, st := range strategies {
 					for ci, c := range caps {
 						cases++

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unicode/utf8"
 
 	"precis/internal/invidx"
 	"precis/internal/storage"
@@ -322,5 +323,64 @@ func TestRandomGraph(t *testing.T) {
 	}
 	if _, err := RandomGraph(GraphConfig{}); err == nil {
 		t.Error("zero config accepted")
+	}
+}
+
+// TestKindsHoldsEveryKind: the mixed-kind dataset has what it is for — Ints
+// and Floats (NaN and ±Inf among them) in its FLOAT columns, both BOOLs, NULLs
+// in every non-key column including the join columns, empty, multi-byte and
+// invalid UTF-8 text — and is a valid database whose tokens are indexed.
+func TestKindsHoldsEveryKind(t *testing.T) {
+	db, g, err := Kinds(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := db.CheckIntegrity(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+	if err := g.Validate(db); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, name := range db.RelationNames() {
+		rel := db.Relation(name)
+		rel.Scan(func(tu storage.Tuple) bool {
+			for i, c := range rel.Schema().Columns {
+				v := tu.Values[i]
+				switch {
+				case v.IsNull():
+					seen[c.Name+" null"] = true
+				case c.Type == storage.TypeFloat && v.Kind() == storage.KindInt:
+					seen["float int"] = true
+				case c.Type == storage.TypeFloat && math.IsNaN(v.AsFloat()):
+					seen["float nan"] = true
+				case c.Type == storage.TypeFloat && math.IsInf(v.AsFloat(), 0):
+					seen["float inf"] = true
+				case c.Type == storage.TypeFloat:
+					seen["float"] = true
+				case c.Type == storage.TypeBool:
+					seen[v.String()] = true
+				case c.Type == storage.TypeString && v.AsString() == "":
+					seen["empty"] = true
+				case c.Type == storage.TypeString && !utf8.ValidString(v.AsString()):
+					seen["invalid utf-8"] = true
+				case c.Type == storage.TypeString && len(v.AsString()) != utf8.RuneCountInString(v.AsString()):
+					seen["multi-byte"] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, want := range []string{"float int", "float nan", "float inf", "float", "true", "false", "empty", "invalid utf-8", "multi-byte",
+		"lat null", "open null", "place null", "price null", "flag null", "item null", "text null"} {
+		if !seen[want] {
+			t.Errorf("no %s value", want)
+		}
+	}
+	ix := invidx.New(db)
+	for _, term := range []string{"tokPLACE", "tokITEM", "tokNOTE", "café"} {
+		if len(ix.Lookup(term)) == 0 {
+			t.Errorf("%q matches nothing", term)
+		}
 	}
 }

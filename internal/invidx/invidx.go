@@ -13,6 +13,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"precis/internal/faultinject"
 	"precis/internal/storage"
@@ -149,8 +150,8 @@ func New(db *storage.Database) *Index {
 	ix := &Index{db: db, postings: make(map[string][]locList)}
 	for _, name := range db.RelationNames() {
 		rel := db.Relation(name)
-		rel.Scan(func(t storage.Tuple) bool {
-			ix.addTuple(name, rel.Schema(), t)
+		rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+			add(ix, name, rel.Schema(), id, row)
 			return true
 		})
 	}
@@ -163,7 +164,7 @@ func (ix *Index) AddTuple(relation string, t storage.Tuple) {
 	if rel == nil {
 		return
 	}
-	ix.addTuple(relation, rel.Schema(), t)
+	add(ix, relation, rel.Schema(), t.ID, storage.MakeRow(t.Values...))
 }
 
 // findLoc returns the position of key in lists, or where it would go.
@@ -171,12 +172,25 @@ func findLoc(lists []locList, key postingKey) (int, bool) {
 	return slices.BinarySearchFunc(lists, key, func(l locList, k postingKey) int { return l.key.compare(k) })
 }
 
-func (ix *Index) addTuple(relation string, schema *storage.Schema, t storage.Tuple) {
+// owned returns tok, a token of s, as a string of its own: Tokenize returns a
+// substring of s where it can, and a map write keeps the key it is given, so a
+// key written from a stored value would keep its record alive for as long as
+// the token is indexed, long after the tuple was deleted.
+func owned(tok, s string) string {
+	p, start := uintptr(unsafe.Pointer(unsafe.StringData(tok))), uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	if p >= start && p < start+uintptr(len(s)) {
+		return strings.Clone(tok)
+	}
+	return tok
+}
+
+// add indexes the tuple id of the named relation.
+func add(ix *Index, relation string, schema *storage.Schema, id storage.TupleID, row storage.Row) {
 	for i, col := range schema.Columns {
 		if col.Type != storage.TypeString {
 			continue
 		}
-		v := t.Values[i]
+		v := row.Value(i)
 		if v.IsNull() {
 			continue
 		}
@@ -186,12 +200,12 @@ func (ix *Index) addTuple(relation string, schema *storage.Schema, t storage.Tup
 			at, found := findLoc(lists, key)
 			if !found {
 				lists = slices.Insert(lists, at, locList{key: key})
-				ix.postings[tok] = lists
+				ix.postings[owned(tok, v.AsString())] = lists
 				ix.lists++
 			}
 			l := &lists[at]
 			before := len(l.ids)
-			l.ids = l.ids.Insert(t.ID)
+			l.ids = l.ids.Insert(id)
 			ix.ids += len(l.ids) - before // 0 when the token repeats in the value
 		}
 	}
@@ -231,7 +245,7 @@ func (ix *Index) RemoveTuple(relation string, t storage.Tuple) {
 			if len(lists) == 1 {
 				delete(ix.postings, tok)
 			} else {
-				ix.postings[tok] = slices.Delete(lists, at, at+1)
+				ix.postings[owned(tok, v.AsString())] = slices.Delete(lists, at, at+1)
 			}
 		}
 	}
@@ -297,9 +311,9 @@ func (ix *Index) phrase(first locList, rest []string, needle string) []storage.T
 	ci := rel.Schema().ColumnIndex(first.key.attr)
 	matched := make([]storage.TupleID, 0, len(candidate))
 	for _, id := range candidate {
-		t, found := rel.Get(storage.TupleID(id))
-		if found && containsFold(t.Values[ci].AsString(), needle) {
-			matched = append(matched, t.ID)
+		row, found := rel.Row(storage.TupleID(id))
+		if found && containsFold(row.Value(ci).AsString(), needle) {
+			matched = append(matched, storage.TupleID(id))
 		}
 	}
 	return matched

@@ -38,8 +38,8 @@ func NewParallel(db *storage.Database, workers int) *Index {
 		lo, hi := b*total/workers, (b+1)*total/workers
 		for _, name := range names {
 			rel := db.Relation(name)
-			rel.ScanRange(lo, hi, func(t storage.Tuple) bool {
-				px.addTuple(name, rel.Schema(), t)
+			rel.ScanRange(lo, hi, func(id storage.TupleID, row storage.Row) bool {
+				add(px, name, rel.Schema(), id, row)
 				return true
 			})
 			lo, hi = lo-rel.Extent(), hi-rel.Extent()

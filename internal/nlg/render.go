@@ -182,7 +182,7 @@ type narration struct {
 	maxClauses int // a paragraph stops growing here
 
 	ids    []storage.TupleID // joinTuples' probe buffer, reused across its calls
-	tuples []storage.Tuple   // stack of tuple groups; one is dead when the loop iteration that joined it ends
+	tuples []storage.Row     // stack of tuple groups; one is dead when the loop iteration that joined it ends
 	frames []*frame          // stack of binding frames, reused the same way, made eight at a time
 	used   int               // frames[:used] are live
 }
@@ -270,7 +270,7 @@ func (n *narration) narrate(occs []invidx.Occurrence) error {
 			continue
 		}
 		for _, id := range occ.TupleIDs {
-			t, ok := n.rels[ri].rel.Get(id)
+			t, ok := n.rels[ri].rel.Row(id)
 			if !ok || n.narrated[seed{ri, id}] {
 				continue // cut by the cardinality constraint or budget, or already told
 			}
@@ -349,7 +349,7 @@ func (n *narration) endClause(mark, start int) {
 }
 
 // bind pushes a frame binding rel's columns to group below parent.
-func (n *narration) bind(parent *frame, rel *relState, group []storage.Tuple) *frame {
+func (n *narration) bind(parent *frame, rel *relState, group []storage.Row) *frame {
 	if n.used == len(n.frames) {
 		block := make([]frame, 8)
 		for i := range block {
@@ -408,7 +408,7 @@ func isUpperOf(s, upper string) bool {
 type frame struct {
 	parent *frame
 	rel    *relState
-	group  []storage.Tuple
+	group  []storage.Row
 	// counts[ci] is one more than the number of non-NULL values of column ci
 	// in group, 0 while nobody asked. A column past the array is counted on
 	// every read.
@@ -433,7 +433,7 @@ func (f *frame) count(ci int) int {
 	}
 	c := 0
 	for _, t := range f.group {
-		if !t.Values[ci].IsNull() {
+		if !t.Value(ci).IsNull() {
 			c++
 		}
 	}
@@ -456,7 +456,7 @@ func (f *frame) appendValue(dst []byte, a attr, i int) []byte {
 	if b.count(ci) < len(b.group) {
 		// NULLs in the column: the i-th value that is not one.
 		for k, t := range b.group {
-			if t.Values[ci].IsNull() {
+			if t.Value(ci).IsNull() {
 				continue
 			}
 			if i == 0 {
@@ -466,12 +466,12 @@ func (f *frame) appendValue(dst []byte, a attr, i int) []byte {
 			i--
 		}
 	}
-	return b.group[i].Values[ci].AppendText(dst)
+	return b.group[i].AppendText(ci, dst)
 }
 
 // paragraph renders the clauses for one seed tuple of relation ri; n.clauses
 // counts the ones it kept.
-func (n *narration) paragraph(ri int, seed storage.Tuple) error {
+func (n *narration) paragraph(ri int, seed storage.Row) error {
 	n.clauses = 0
 	n.tuples = append(n.tuples[:0], seed)
 	group := n.tuples
@@ -505,7 +505,7 @@ func (n *narration) paragraph(ri int, seed storage.Tuple) error {
 // "each of these clauses has as subject the heading attribute of the relation
 // that has the primary key"). It stops when the paragraph has maxClauses
 // clauses.
-func (n *narration) expand(from int, anchors []storage.Tuple, subject *frame) error {
+func (n *narration) expand(from int, anchors []storage.Row, subject *frame) error {
 	if n.clauses >= n.maxClauses || len(anchors) == 0 {
 		return nil
 	}
@@ -560,7 +560,7 @@ func (n *narration) expand(from int, anchors []storage.Tuple, subject *frame) er
 // joinClause appends the clause of edge e for one group and its joined
 // tuples: the annotated label against the joined tuples bound below the
 // group's frame, or the generic fallback.
-func (n *narration) joinClause(from int, e *planEdge, group, joined []storage.Tuple, bound *frame) error {
+func (n *narration) joinClause(from int, e *planEdge, group, joined []storage.Row, bound *frame) error {
 	switch {
 	case e.labelErr != nil:
 		return e.labelErr
@@ -582,14 +582,14 @@ func (n *narration) joinClause(from int, e *planEdge, group, joined []storage.Tu
 // hand-built D′ that has none. Only one index list is in id order as it
 // comes; anything else is sorted. A failed lookup fails the narrative; it
 // never drops a clause.
-func (n *narration) joinTuples(from int, e *planEdge, anchors []storage.Tuple) ([]storage.Tuple, error) {
+func (n *narration) joinTuples(from int, e *planEdge, anchors []storage.Row) ([]storage.Row, error) {
 	j, to := n.edge(from, e), n.rels[e.to].rel
 	if j.from < 0 {
 		return nil, nil
 	}
 	ids := n.ids[:0]
 	for _, a := range anchors {
-		v := a.Values[j.from]
+		v := a.Value(j.from)
 		if v.IsNull() {
 			continue
 		}
@@ -614,7 +614,7 @@ func (n *narration) joinTuples(from int, e *planEdge, anchors []storage.Tuple) (
 	// stack moves to a new array and the groups below stay readable in the
 	// old one.
 	start := len(n.tuples)
-	n.tuples = to.AppendTuples(n.tuples, ids)
+	n.tuples = to.AppendRows(n.tuples, ids)
 	return n.tuples[start:], nil
 }
 
@@ -656,28 +656,28 @@ func (n *narration) shown(ri int) *relState {
 // sentence template: "HEADING (col: value; ...)." over its display columns,
 // NULLs left out, the relation's name when the heading is not among them or
 // has nothing to say.
-func (n *narration) appendDefaultSentence(ri int, t storage.Tuple) {
+func (n *narration) appendDefaultSentence(ri int, t storage.Row) {
 	pr, rs := &n.plan.rels[ri], n.shown(ri)
 	start, head := len(n.buf), -1
 	for k, ci := range rs.display {
 		if ci >= 0 && pr.display[k] == pr.heading {
-			if v := t.Values[ci]; !v.IsNull() && v != storage.String("") {
+			if v := t.Value(int(ci)); !v.IsNull() && v != storage.String("") {
 				head = int(ci)
 			}
 		}
 	}
 	if head >= 0 {
-		n.buf = t.Values[head].AppendText(n.buf)
+		n.buf = t.AppendText(head, n.buf)
 	} else {
 		n.buf = append(n.buf, pr.name...)
 	}
 	sep := " ("
 	for k, ci := range rs.display {
-		if ci < 0 || pr.display[k] == pr.heading || t.Values[ci].IsNull() {
+		if ci < 0 || pr.display[k] == pr.heading || t.Value(int(ci)).IsNull() {
 			continue
 		}
 		n.buf = append(append(append(n.buf, sep...), pr.display[k]...), ": "...)
-		n.buf = t.Values[ci].AppendText(n.buf)
+		n.buf = t.AppendText(int(ci), n.buf)
 		sep = "; "
 	}
 	switch {
@@ -694,7 +694,7 @@ func (n *narration) appendDefaultSentence(ri int, t storage.Tuple) {
 // a label: "The to of SUBJECTS: OBJECTS." — the heading values of the joined
 // tuples attached to the anchors' — "Related to: OBJECTS." when the anchors
 // have none, nothing when the joined tuples have none.
-func (n *narration) appendDefaultJoinClause(from, to int, anchors, joined []storage.Tuple) {
+func (n *narration) appendDefaultJoinClause(from, to int, anchors, joined []storage.Row) {
 	start := len(n.buf)
 	n.buf = append(append(append(n.buf, "The "...), n.plan.rels[to].lower...), " of "...)
 	if n.appendHeadings(from, anchors) == 0 {
@@ -710,13 +710,13 @@ func (n *narration) appendDefaultJoinClause(from, to int, anchors, joined []stor
 
 // appendHeadings appends the non-NULL heading values (or first display
 // column values) of the tuples, comma-separated, and returns their number.
-func (n *narration) appendHeadings(ri int, tuples []storage.Tuple) int {
+func (n *narration) appendHeadings(ri int, tuples []storage.Row) int {
 	rs, c := n.shown(ri), 0
 	if rs.head < 0 {
 		return 0
 	}
 	for _, t := range tuples {
-		if v := t.Values[rs.head]; !v.IsNull() {
+		if v := t.Value(rs.head); !v.IsNull() {
 			if c > 0 {
 				n.buf = append(n.buf, ", "...)
 			}

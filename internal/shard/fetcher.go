@@ -246,7 +246,7 @@ func (f *Fetcher) route(ids []storage.TupleID) (*routing, error) {
 // head is the rest of one shard's answer in a merge; Probe's have no rows.
 type head struct {
 	ids  []storage.TupleID
-	rows [][]storage.Value
+	rows []storage.Row
 }
 
 // minHead returns the head whose next id is smallest, nil when all are spent.
@@ -287,7 +287,7 @@ func merge(sel *sqlx.SelectStmt, results []*sqlx.Result, r *routing) *sqlx.Resul
 	if total == 0 {
 		return out
 	}
-	out.Rows, out.RowIDs = make([][]storage.Value, 0, total), make([]storage.TupleID, 0, total)
+	out.Rows, out.RowIDs = make([]storage.Row, 0, total), make([]storage.TupleID, 0, total)
 	take := func(h *head) {
 		out.Rows, out.RowIDs = append(out.Rows, h.rows[0]), append(out.RowIDs, h.ids[0])
 		h.rows, h.ids = h.rows[1:], h.ids[1:]

@@ -174,8 +174,8 @@ func (p *RangePartitioner) Owner(id storage.TupleID) int {
 // shards (the schema catalog is tiny and global); each tuple lands on its
 // owner. Join indexes are rebuilt per shard, and hash-partitioned shards
 // get strided local id allocation. The source database is only read; a
-// shard's tuple shares its row with the source's (rows are never written
-// once stored), so partitioning copies no values.
+// shard's tuple shares its record with the source's (records are never
+// written once stored), so partitioning copies no values.
 func Partition(db *storage.Database, p Partitioner) ([]*storage.Database, error) {
 	n := p.Shards()
 	out := make([]*storage.Database, n)
@@ -189,17 +189,24 @@ func Partition(db *storage.Database, p Partitioner) ([]*storage.Database, error)
 		sdb.SetForeignKeys(db.ForeignKeys())
 		out[i] = sdb
 	}
+	ids, rows := make([][]storage.TupleID, n), make([][]storage.Row, n)
 	for _, rel := range db.RelationNames() {
-		var insertErr error
-		db.Relation(rel).Scan(func(t storage.Tuple) bool {
+		var ownerErr error
+		db.Relation(rel).ScanRows(func(id storage.TupleID, row storage.Row) bool {
 			var owner int
-			if owner, insertErr = OwnerOf(p, t.ID); insertErr == nil {
-				insertErr = out[owner].InsertWithID(rel, t.ID, t.Values...)
+			if owner, ownerErr = OwnerOf(p, id); ownerErr == nil {
+				ids[owner], rows[owner] = append(ids[owner], id), append(rows[owner], row)
 			}
-			return insertErr == nil
+			return ownerErr == nil
 		})
-		if insertErr != nil {
-			return nil, insertErr
+		if ownerErr != nil {
+			return nil, ownerErr
+		}
+		for i, sdb := range out {
+			if _, err := sdb.InsertBatch(rel, ids[i], rows[i]); err != nil {
+				return nil, fmt.Errorf("shard %d: %w", i, err)
+			}
+			ids[i], rows[i] = ids[i][:0], rows[i][:0]
 		}
 	}
 	for i, sdb := range out {

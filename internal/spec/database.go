@@ -33,6 +33,20 @@ type Row struct {
 // Database is the original database by relation name.
 type Database map[string]Table
 
+// FromDatabase restates a stored database in the spec's plain form.
+func FromDatabase(db *storage.Database) Database {
+	sdb := Database{}
+	for _, name := range db.RelationNames() {
+		rel := db.Relation(name)
+		tab := Table{Key: rel.Schema().Key, Columns: rel.Schema().ColumnNames()}
+		for _, tu := range rel.Tuples() {
+			tab.Rows = append(tab.Rows, Row{ID: int64(tu.ID), Values: tu.Values})
+		}
+		sdb[name] = tab
+	}
+	return sdb
+}
+
 // Caps is a cardinality constraint (Table 2): at most PerRelation tuples in
 // each relation of D′ and at most Total in D′. A negative bound is none; two
 // bounds hold together.

@@ -7,8 +7,11 @@
 package spec
 
 import (
+	"slices"
 	"sort"
 	"strings"
+
+	"precis/internal/schemagraph"
 )
 
 // Projection is a projection edge: attribute Attr of relation Rel.
@@ -31,6 +34,21 @@ type Graph struct {
 	Relations   []string
 	Projections []Projection
 	Joins       []Join
+}
+
+// FromGraph restates an engine schema graph in the spec's plain form.
+func FromGraph(g *schemagraph.Graph) Graph {
+	var sg Graph
+	for _, name := range g.Relations() {
+		sg.Relations = append(sg.Relations, name)
+		for _, p := range g.Relation(name).Projections() {
+			sg.Projections = append(sg.Projections, Projection{Rel: p.Relation, Attr: p.Attribute, Weight: p.Weight})
+		}
+		for _, e := range g.Relation(name).Out() {
+			sg.Joins = append(sg.Joins, Join{From: e.From, To: e.To, FromCol: e.FromCol, ToCol: e.ToCol, Weight: e.Weight})
+		}
+	}
+	return sg
 }
 
 // Degree is a degree constraint, a conjunction of the set bounds. A negative
@@ -165,6 +183,25 @@ func ResultSchema(g Graph, seeds []string, d Degree) Schema {
 	}
 	sort.Strings(s.Relations)
 	sort.Strings(s.Joins)
+	return s
+}
+
+// Headed is G′ as a query is answered with it: Figure 3's, plus the heading
+// attribute of each of its relations that has one (headings, by relation),
+// which §5.3 puts in every result whether a path projects it or not.
+func Headed(s Schema, headings map[string]string) Schema {
+	projections := map[string][]string{}
+	for _, rel := range s.Relations {
+		attrs := s.Projections[rel]
+		if h := headings[rel]; h != "" && !slices.Contains(attrs, h) {
+			attrs = append(slices.Clone(attrs), h)
+			sort.Strings(attrs)
+		}
+		if len(attrs) > 0 {
+			projections[rel] = attrs
+		}
+	}
+	s.Projections = projections
 	return s
 }
 

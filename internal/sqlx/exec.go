@@ -30,16 +30,17 @@ func (s *Stats) Add(other Stats) {
 	s.Scanned += other.Scanned
 }
 
-// Result is the outcome of executing one statement. A SELECT's rows are
-// read-only: one whose columns are a run of the relation's, in schema order,
-// is the stored row itself (capacity capped at its length), which the
-// relation and every other reader of it share.
+// Result is the outcome of executing one statement. A SELECT's rows borrow the
+// stored records, read through the statement's projection, which the Result
+// holds; only a computed column (rowid in the select list) makes a record of
+// the statement's own.
 type Result struct {
 	Columns  []string
-	Rows     [][]storage.Value
+	Rows     []storage.Row
 	RowIDs   []storage.TupleID // parallel to Rows for SELECTs
 	Affected int               // rows inserted/deleted
 	Stats    Stats
+	proj     storage.Projection
 }
 
 // Engine executes SQL against a storage database and accumulates stats.
@@ -152,10 +153,10 @@ func (e *Engine) execDelete(st *DeleteStmt) (*Result, error) {
 	}
 	res := &Result{}
 	var doomed []storage.TupleID
-	rel.Scan(func(t storage.Tuple) bool {
+	rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
 		res.Stats.Scanned++
-		if pred.matches(t) {
-			doomed = append(doomed, t.ID)
+		if pred.matches(id, row) {
+			doomed = append(doomed, id)
 		}
 		return true
 	})
@@ -190,10 +191,10 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 	// Collect matching ids first so index maintenance during the update
 	// cannot disturb the scan.
 	var matched []storage.TupleID
-	rel.Scan(func(t storage.Tuple) bool {
+	rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
 		res.Stats.Scanned++
-		if pred.matches(t) {
-			matched = append(matched, t.ID)
+		if pred.matches(id, row) {
+			matched = append(matched, id)
 		}
 		return true
 	})
@@ -202,7 +203,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
 		if !ok {
 			continue
 		}
-		vals := append([]storage.Value(nil), t.Values...)
+		vals := t.Values
 		for i, sc := range st.Set {
 			vals[setIdx[i]] = sc.Value
 		}
@@ -229,7 +230,7 @@ func (e *Engine) execExplain(st *ExplainStmt) (*Result, error) {
 	plan := planAccess(rel, st.Inner)
 	return &Result{
 		Columns: []string{"plan"},
-		Rows:    [][]storage.Value{{storage.String(plan.String())}},
+		Rows:    []storage.Row{storage.MakeRow(storage.String(plan.String()))},
 		RowIDs:  []storage.TupleID{0},
 	}, nil
 }
@@ -270,7 +271,7 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		return nil, err
 	}
 	// ORDER BY keys may name any column of the relation, not only projected
-	// ones; capture their positions for key extraction at emit time.
+	// ones: the sort reads them off the stored rows, before projection.
 	orderIdx := make([]int, len(st.OrderBy)) // -1 means rowid
 	for i, k := range st.OrderBy {
 		if k.Column == RowIDColumn {
@@ -325,74 +326,66 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 	}
 	earlyLimit := earlyCount >= 0
 
-	// A projection that is a run of the relation's columns in schema order
-	// borrows the stored row, which nobody writes (storage's ownership rule);
-	// only a reordering or gapped one is copied.
-	lo, hi, borrowed := columnRun(outIdx)
-
-	var rows, keys rowArena
-	var sortKeys [][]storage.Value
+	// The rows are the stored ones, read through the statement's projection
+	// once the result is cut: a sort key may name a column it drops.
 	room := 0 // rows the current block can still emit; 0 in a scan
-	emit := func(t storage.Tuple) {
-		if !pred.matches(t) {
+	emit := func(id storage.TupleID, row storage.Row) {
+		if !pred.matches(id, row) {
 			return
 		}
 		if len(res.Rows) == cap(res.Rows) {
 			res.Rows, res.RowIDs = slices.Grow(res.Rows, room), slices.Grow(res.RowIDs, room)
 		}
-		if borrowed {
-			res.Rows = append(res.Rows, t.Values[lo:hi:hi])
-		} else {
-			res.Rows = append(res.Rows, rows.project(t, outIdx))
-		}
-		res.RowIDs = append(res.RowIDs, t.ID)
-		if len(orderIdx) > 0 {
-			sortKeys = append(sortKeys, keys.project(t, orderIdx))
-		}
+		res.Rows, res.RowIDs = append(res.Rows, row), append(res.RowIDs, id)
 		res.Stats.TupleReads++
 	}
 
 	if planned {
-		// The candidates are read a block at a time (Relation.AppendTuples), so
-		// a LIMIT reached mid-block has gathered at most one block too many, and
+		// The candidates are read a block at a time (Relation.AppendRows), so a
+		// LIMIT reached mid-block has gathered at most one block too many, and
 		// the result is sized by the tuples a block found, not by the ids asked
 		// for: a shard is asked for every id of a fetch and holds a few.
-		var block [fetchBlock]storage.Tuple
+		var block [fetchBlock]storage.Row
 		for len(candidates) > 0 && !(earlyLimit && len(res.Rows) >= earlyCount) {
 			n := min(len(candidates), fetchBlock)
-			tuples := rel.AppendTuples(block[:0], candidates[:n])
-			room = len(tuples)
+			rows := rel.AppendRows(block[:0], candidates[:n])
+			room = 0
+			for _, row := range rows {
+				if row.Valid() {
+					room++
+				}
+			}
 			if earlyLimit {
 				room = min(room, earlyCount-len(res.Rows))
 			}
-			rows.next, keys.next = room, room
-			for _, t := range tuples {
+			for i, row := range rows {
 				if earlyLimit && len(res.Rows) >= earlyCount {
 					break
 				}
-				emit(t)
+				if row.Valid() {
+					emit(candidates[i], row)
+				}
 			}
 			candidates = candidates[n:]
 		}
 	} else {
-		rel.Scan(func(t storage.Tuple) bool {
+		rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
 			if earlyLimit && len(res.Rows) >= earlyCount {
 				return false
 			}
 			res.Stats.Scanned++
-			emit(t)
+			emit(id, row)
 			return true
 		})
 	}
 
 	// Sort before deduplication: dedupe keeps first occurrences in order,
-	// so a sorted input stays sorted, and the sort-key slice stays aligned
-	// with the rows it was captured for.
+	// so a sorted input stays sorted.
 	if len(st.OrderBy) > 0 && !orderedByIndex {
-		res.sortByKeys(st.OrderBy, sortKeys)
+		res.sortByKeys(st.OrderBy, orderIdx)
 	}
 	if st.Distinct {
-		res.dedupe()
+		res.dedupe(outIdx)
 	}
 	if st.Offset > 0 {
 		if st.Offset >= len(res.Rows) {
@@ -407,60 +400,40 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		res.Rows = res.Rows[:st.Limit]
 		res.RowIDs = res.RowIDs[:st.Limit]
 	}
+	res.project(rel, outIdx)
 	return res, nil
+}
+
+// project makes the result's rows, each a row of rel, read the columns idx
+// lists: through the result's projection of rel, or, when one of them is the
+// rowid, from a record of the statement's own.
+func (r *Result) project(rel *storage.Relation, idx []int) {
+	if !slices.Contains(idx, -1) {
+		rel.Project(&r.proj, idx)
+		for i, row := range r.Rows {
+			r.Rows[i] = r.proj.Row(row)
+		}
+		return
+	}
+	vals := make([]storage.Value, len(idx))
+	for i, row := range r.Rows {
+		for j, ci := range idx {
+			vals[j] = column(r.RowIDs[i], row, ci)
+		}
+		r.Rows[i] = storage.MakeRow(vals...)
+	}
+}
+
+// column returns column ci of the tuple id's row, -1 meaning the id.
+func column(id storage.TupleID, row storage.Row, ci int) storage.Value {
+	if ci < 0 {
+		return storage.Int(int64(id))
+	}
+	return row.Value(ci)
 }
 
 // fetchBlock is how many candidate ids a planned SELECT resolves at once.
 const fetchBlock = 256
-
-// rowArena carves the rows a statement has to copy — sort keys, and the rows
-// of a projection that reorders or skips columns — out of shared arrays, so
-// they cost an allocation per array instead of one per row: an array per
-// block of a planned SELECT, made for the rows the block can still emit
-// (next, set by the caller: one array per statement up to fetchBlock rows),
-// and for a scan arrays doubling from 16 rows to 512. A row's capacity is its
-// length — appending to one cannot write its neighbour — and holding one row
-// keeps its whole array alive.
-type rowArena struct {
-	next int // rows the next array is made for
-	free []storage.Value
-}
-
-// project returns a new row holding t's values at the positions idx lists
-// (the same list on every call), -1 meaning its id.
-func (a *rowArena) project(t storage.Tuple, idx []int) []storage.Value {
-	if len(a.free) < len(idx) {
-		if a.next == 0 {
-			a.next = 16
-		}
-		a.free = make([]storage.Value, a.next*len(idx))
-		a.next = min(2*a.next, 512)
-	}
-	row := a.free[:len(idx):len(idx)]
-	a.free = a.free[len(idx):]
-	for i, ci := range idx {
-		if ci < 0 {
-			row[i] = storage.Int(int64(t.ID))
-		} else {
-			row[i] = t.Values[ci]
-		}
-	}
-	return row
-}
-
-// columnRun reports whether idx lists consecutive column positions in
-// ascending order, and if so which: lo, lo+1, …, hi-1.
-func columnRun(idx []int) (lo, hi int, ok bool) {
-	if len(idx) == 0 || idx[0] < 0 {
-		return 0, 0, false
-	}
-	for i, ci := range idx {
-		if ci != idx[0]+i {
-			return 0, 0, false
-		}
-	}
-	return idx[0], idx[0] + len(idx), true
-}
 
 // RowIDOrder reports whether planAccess would serve this WHERE clause from
 // a top-level `rowid = v` / `rowid IN (...)` conjunct and, if so, returns
@@ -848,16 +821,16 @@ func eqOrInTarget(e Expr) (string, probeValues, bool) {
 	return "", probeValues{}, false
 }
 
-// dedupe removes duplicate rows (by rendered values), keeping first
-// occurrences in order.
-func (r *Result) dedupe() {
+// dedupe removes the rows that repeat an earlier row's values, rendered, in
+// the columns idx lists (-1: the rowid), keeping first occurrences in order.
+func (r *Result) dedupe(idx []int) {
 	seen := make(map[string]bool, len(r.Rows))
 	outRows := r.Rows[:0]
 	outIDs := r.RowIDs[:0]
 	for i, row := range r.Rows {
 		key := ""
-		for _, v := range row {
-			key += v.SQL() + "\x00"
+		for _, ci := range idx {
+			key += column(r.RowIDs[i], row, ci).SQL() + "\x00"
 		}
 		if seen[key] {
 			continue
@@ -870,21 +843,21 @@ func (r *Result) dedupe() {
 	r.RowIDs = outIDs
 }
 
-// sortByKeys orders rows by pre-extracted key values (parallel to Rows),
-// so the sort keys may name columns the projection dropped.
-func (r *Result) sortByKeys(keys []OrderKey, sortKeys [][]storage.Value) {
+// sortByKeys orders the rows, rows of the relation before projection, by the
+// key columns idx lists (parallel to keys, -1: the rowid), so the sort keys
+// may name columns the projection drops.
+func (r *Result) sortByKeys(keys []OrderKey, idx []int) {
 	type pair struct {
-		row  []storage.Value
-		id   storage.TupleID
-		keys []storage.Value
+		row storage.Row
+		id  storage.TupleID
 	}
 	pairs := make([]pair, len(r.Rows))
 	for i := range r.Rows {
-		pairs[i] = pair{r.Rows[i], r.RowIDs[i], sortKeys[i]}
+		pairs[i] = pair{r.Rows[i], r.RowIDs[i]}
 	}
 	sort.SliceStable(pairs, func(i, j int) bool {
 		for k := range keys {
-			cmp := pairs[i].keys[k].Compare(pairs[j].keys[k])
+			cmp := column(pairs[i].id, pairs[i].row, idx[k]).Compare(column(pairs[j].id, pairs[j].row, idx[k]))
 			if keys[k].Desc {
 				cmp = -cmp
 			}
@@ -901,13 +874,13 @@ func (r *Result) sortByKeys(keys []OrderKey, sortKeys [][]storage.Value) {
 }
 
 // predicate is a compiled WHERE clause; nil matches every tuple.
-type predicate func(t storage.Tuple) bool
+type predicate func(id storage.TupleID, row storage.Row) bool
 
 // scalar is a compiled column reference or literal.
-type scalar func(t storage.Tuple) storage.Value
+type scalar func(id storage.TupleID, row storage.Row) storage.Value
 
-// matches reports whether tuple t satisfies the predicate.
-func (p predicate) matches(t storage.Tuple) bool { return p == nil || p(t) }
+// matches reports whether the tuple id, row satisfies the predicate.
+func (p predicate) matches(id storage.TupleID, row storage.Row) bool { return p == nil || p(id, row) }
 
 // compiler turns a parsed predicate into closures once per statement: every
 // column reference is validated and resolved to its position up front, so
@@ -947,7 +920,7 @@ func (c *compiler) conjunct(e Expr) (predicate, error) {
 		case right == nil:
 			return left, nil
 		}
-		return func(t storage.Tuple) bool { return left(t) && right(t) }, nil
+		return func(id storage.TupleID, row storage.Row) bool { return left(id, row) && right(id, row) }, nil
 	}
 	p, err := c.boolean(e)
 	if err != nil || e == c.skip {
@@ -960,16 +933,16 @@ func (c *compiler) scalar(e Expr) (scalar, error) {
 	switch e := e.(type) {
 	case *ColumnRef:
 		if e.Name == RowIDColumn {
-			return func(t storage.Tuple) storage.Value { return storage.Int(int64(t.ID)) }, nil
+			return func(id storage.TupleID, _ storage.Row) storage.Value { return storage.Int(int64(id)) }, nil
 		}
 		ci := c.schema.ColumnIndex(e.Name)
 		if ci < 0 {
 			return nil, errf(e.Pos, "relation %s has no column %s", c.schema.Name, e.Name)
 		}
-		return func(t storage.Tuple) storage.Value { return t.Values[ci] }, nil
+		return func(_ storage.TupleID, row storage.Row) storage.Value { return row.Value(ci) }, nil
 	case *Literal:
 		v := e.Value
-		return func(storage.Tuple) storage.Value { return v }, nil
+		return func(storage.TupleID, storage.Row) storage.Value { return v }, nil
 	default:
 		return nil, fmt.Errorf("sql: expression %q is not a scalar", exprString(e))
 	}
@@ -987,8 +960,8 @@ func (c *compiler) boolean(e Expr) (predicate, error) {
 			return nil, err
 		}
 		op := e.Op
-		return func(t storage.Tuple) bool {
-			l, r := left(t), right(t)
+		return func(id storage.TupleID, row storage.Row) bool {
+			l, r := left(id, row), right(id, row)
 			// SQL three-valued logic: comparisons with NULL are not true.
 			if l.IsNull() || r.IsNull() {
 				return false
@@ -1015,8 +988,8 @@ func (c *compiler) boolean(e Expr) (predicate, error) {
 			return nil, err
 		}
 		values, not := e.Values, e.Not
-		return func(t storage.Tuple) bool {
-			l := left(t)
+		return func(id storage.TupleID, row storage.Row) bool {
+			l := left(id, row)
 			if l.IsNull() {
 				return false
 			}
@@ -1031,21 +1004,21 @@ func (c *compiler) boolean(e Expr) (predicate, error) {
 		}, nil
 	case *RowIDIn:
 		ids := e.IDs
-		return func(t storage.Tuple) bool { return slices.Contains(ids, t.ID) }, nil
+		return func(id storage.TupleID, row storage.Row) bool { return slices.Contains(ids, id) }, nil
 	case *RowIDInSet:
 		set, not := e.Set, e.Not
 		if set == nil {
 			return nil, fmt.Errorf("sql: expression %q has no set", exprString(e))
 		}
-		return func(t storage.Tuple) bool { return set.Has(t.ID) != not }, nil
+		return func(id storage.TupleID, row storage.Row) bool { return set.Has(id) != not }, nil
 	case *Like:
 		left, err := c.scalar(e.Left)
 		if err != nil {
 			return nil, err
 		}
 		pattern, not := e.Pattern, e.Not
-		return func(t storage.Tuple) bool {
-			l := left(t)
+		return func(id storage.TupleID, row storage.Row) bool {
+			l := left(id, row)
 			if l.Kind() != storage.KindString {
 				return false
 			}
@@ -1057,7 +1030,7 @@ func (c *compiler) boolean(e Expr) (predicate, error) {
 			return nil, err
 		}
 		not := e.Not
-		return func(t storage.Tuple) bool { return left(t).IsNull() != not }, nil
+		return func(id storage.TupleID, row storage.Row) bool { return left(id, row).IsNull() != not }, nil
 	case *Logical:
 		left, err := c.boolean(e.Left)
 		if err != nil {
@@ -1068,15 +1041,15 @@ func (c *compiler) boolean(e Expr) (predicate, error) {
 			return nil, err
 		}
 		if e.And {
-			return func(t storage.Tuple) bool { return left(t) && right(t) }, nil
+			return func(id storage.TupleID, row storage.Row) bool { return left(id, row) && right(id, row) }, nil
 		}
-		return func(t storage.Tuple) bool { return left(t) || right(t) }, nil
+		return func(id storage.TupleID, row storage.Row) bool { return left(id, row) || right(id, row) }, nil
 	case *Not:
 		inner, err := c.boolean(e.Inner)
 		if err != nil {
 			return nil, err
 		}
-		return func(t storage.Tuple) bool { return !inner(t) }, nil
+		return func(id storage.TupleID, row storage.Row) bool { return !inner(id, row) }, nil
 	default:
 		return nil, fmt.Errorf("sql: expression %q is not boolean", exprString(e))
 	}

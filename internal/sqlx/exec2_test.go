@@ -23,7 +23,7 @@ func TestUpdate(t *testing.T) {
 	// Multi-column set.
 	e.MustExec("UPDATE MOVIE SET title = 'Renamed', year = 1999 WHERE mid = 4")
 	got := e.MustExec("SELECT title, year FROM MOVIE WHERE mid = 4")
-	if got.Rows[0][0].AsString() != "Renamed" || got.Rows[0][1].AsInt() != 1999 {
+	if got.Rows[0].Value(0).AsString() != "Renamed" || got.Rows[0].Value(1).AsInt() != 1999 {
 		t.Errorf("row = %v", got.Rows[0])
 	}
 	// Update with no WHERE hits everything.
@@ -134,7 +134,7 @@ func TestExplain(t *testing.T) {
 		if len(res.Rows) != 1 || res.Columns[0] != "plan" {
 			t.Fatalf("explain result = %+v", res)
 		}
-		return res.Rows[0][0].AsString()
+		return res.Rows[0].Value(0).AsString()
 	}
 	if got := plan("EXPLAIN SELECT * FROM MOVIE WHERE did IN (1, 2)"); !strings.Contains(got, "index(did) probes=2") {
 		t.Errorf("plan = %q", got)
@@ -233,7 +233,7 @@ func TestRangePlanUsesOrderedIndex(t *testing.T) {
 	}
 	// EXPLAIN shows the range plan.
 	ex := e.MustExec("EXPLAIN SELECT title FROM MOVIE WHERE year > 2002")
-	if got := ex.Rows[0][0].AsString(); got != "range(year)" {
+	if got := ex.Rows[0].Value(0).AsString(); got != "range(year)" {
 		t.Errorf("plan = %q", got)
 	}
 	// Residual predicates still apply after the range fetch.
@@ -263,7 +263,7 @@ func TestRangePlanEquivalence(t *testing.T) {
 		q := fmt.Sprintf(" WHERE k %s %d ORDER BY id", op, v)
 		a := e.MustExec("SELECT id FROM A" + q)
 		b := e.MustExec("SELECT id FROM B" + q)
-		if !reflect.DeepEqual(a.Rows, b.Rows) {
+		if !reflect.DeepEqual(values(a.Rows), values(b.Rows)) {
 			t.Fatalf("trial %d (%s %d): indexed %d rows != scan %d rows", trial, op, v, len(a.Rows), len(b.Rows))
 		}
 		if a.Stats.Scanned != 0 {
@@ -343,8 +343,8 @@ func TestOrderByIndexEquivalence(t *testing.T) {
 			// Ties may order differently between the two paths (index
 			// breaks ties by id; stable sort by input order, also id);
 			// the sort keys themselves must agree position by position.
-			if !a.Rows[i][0].Equal(b.Rows[i][0]) {
-				t.Fatalf("%q row %d: %v vs %v", q, i, a.Rows[i][0], b.Rows[i][0])
+			if !a.Rows[i].Value(0).Equal(b.Rows[i].Value(0)) {
+				t.Fatalf("%q row %d: %v vs %v", q, i, a.Rows[i].Value(0), b.Rows[i].Value(0))
 			}
 		}
 	}
@@ -357,7 +357,7 @@ func TestDistinctWithOrderByUnprojectedKey(t *testing.T) {
 	res := e.MustExec("SELECT DISTINCT did FROM MOVIE WHERE did IS NOT NULL ORDER BY year DESC")
 	// Years desc: 2005(did 1), 2004(1), 2003(1), 1982(2), 1979(2) ->
 	// distinct dids in that order: 1, 2.
-	if len(res.Rows) != 2 || res.Rows[0][0].AsInt() != 1 || res.Rows[1][0].AsInt() != 2 {
-		t.Errorf("rows = %v", res.Rows)
+	if len(res.Rows) != 2 || res.Rows[0].Value(0).AsInt() != 1 || res.Rows[1].Value(0).AsInt() != 2 {
+		t.Errorf("rows = %v", values(res.Rows))
 	}
 }

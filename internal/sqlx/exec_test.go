@@ -41,7 +41,7 @@ func titles(res *Result) []string {
 		}
 	}
 	for _, row := range res.Rows {
-		out = append(out, row[ti].AsString())
+		out = append(out, row.Value(ti).AsString())
 	}
 	return out
 }
@@ -63,8 +63,8 @@ func TestSelectProjection(t *testing.T) {
 	if !reflect.DeepEqual(res.Columns, []string{"title", "year"}) {
 		t.Errorf("columns = %v", res.Columns)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "Match Point" {
-		t.Errorf("rows = %v", res.Rows)
+	if len(res.Rows) != 1 || res.Rows[0].Value(0).AsString() != "Match Point" {
+		t.Errorf("rows = %v", values(res.Rows))
 	}
 }
 
@@ -72,9 +72,9 @@ func TestSelectRowIDPseudoColumn(t *testing.T) {
 	e := testEngine(t)
 	res := e.MustExec("SELECT rowid, title FROM MOVIE WHERE year = 1979")
 	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
+		t.Fatalf("rows = %v", values(res.Rows))
 	}
-	if res.Rows[0][0].AsInt() != int64(res.RowIDs[0]) {
+	if res.Rows[0].Value(0).AsInt() != int64(res.RowIDs[0]) {
 		t.Error("rowid column disagrees with RowIDs")
 	}
 }
@@ -82,10 +82,10 @@ func TestSelectRowIDPseudoColumn(t *testing.T) {
 func TestSelectByRowID(t *testing.T) {
 	e := testEngine(t)
 	all := e.MustExec("SELECT rowid FROM MOVIE")
-	id := all.Rows[2][0].AsInt()
-	res := e.MustExec("SELECT title FROM MOVIE WHERE rowid = " + all.Rows[2][0].String())
+	id := all.Rows[2].Value(0).AsInt()
+	res := e.MustExec("SELECT title FROM MOVIE WHERE rowid = " + all.Rows[2].Value(0).String())
 	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
+		t.Fatalf("rows = %v", values(res.Rows))
 	}
 	// rowid access path should not scan.
 	if res.Stats.Scanned != 0 {
@@ -190,8 +190,8 @@ func TestEarlyLimitStopsScan(t *testing.T) {
 func TestDistinct(t *testing.T) {
 	e := testEngine(t)
 	res := e.MustExec("SELECT DISTINCT did FROM MOVIE WHERE did IS NOT NULL ORDER BY did")
-	if len(res.Rows) != 2 || res.Rows[0][0].AsInt() != 1 || res.Rows[1][0].AsInt() != 2 {
-		t.Errorf("rows = %v", res.Rows)
+	if len(res.Rows) != 2 || res.Rows[0].Value(0).AsInt() != 1 || res.Rows[1].Value(0).AsInt() != 2 {
+		t.Errorf("rows = %v", values(res.Rows))
 	}
 }
 
@@ -270,7 +270,7 @@ func TestPlannerEquivalence(t *testing.T) {
 	e.MustExec("CREATE TABLE RS (id INT, k INT, s TEXT)")
 	base := e.MustExec("SELECT id, k, s FROM R")
 	for _, row := range base.Rows {
-		e.MustExec("INSERT INTO RS VALUES (" + row[0].SQL() + ", " + row[1].SQL() + ", " + row[2].SQL() + ")")
+		e.MustExec("INSERT INTO RS VALUES (" + row.Value(0).SQL() + ", " + row.Value(1).SQL() + ", " + row.Value(2).SQL() + ")")
 	}
 	for trial := 0; trial < 100; trial++ {
 		k1 := r.Intn(10)
@@ -280,8 +280,8 @@ func TestPlannerEquivalence(t *testing.T) {
 			") AND s = " + storage.String(s).SQL()
 		a := e.MustExec("SELECT id FROM R" + where + " ORDER BY id")
 		b := e.MustExec("SELECT id FROM RS" + where + " ORDER BY id")
-		if !reflect.DeepEqual(a.Rows, b.Rows) {
-			t.Fatalf("trial %d: index path %v != scan path %v", trial, a.Rows, b.Rows)
+		if !reflect.DeepEqual(values(a.Rows), values(b.Rows)) {
+			t.Fatalf("trial %d: index path %v != scan path %v", trial, values(a.Rows), values(b.Rows))
 		}
 		if a.Stats.Scanned != 0 {
 			t.Fatalf("trial %d: expected index path, scanned %d", trial, a.Stats.Scanned)

@@ -81,7 +81,7 @@ func explainedStmt(t *testing.T, e *Engine, st *SelectStmt) (*Result, string) {
 	if err != nil {
 		t.Fatalf("EXPLAIN %s WHERE %s: %v", table, exprString(where), err)
 	}
-	plan := ex.Rows[0][0].AsString()
+	plan := ex.Rows[0].Value(0).AsString()
 	var probes, ids int
 	ok := false
 	switch {
@@ -227,7 +227,7 @@ func TestSelectMatchesReferenceScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, plan = explainedStmt(t, e, &SelectStmt{Columns: cols, Table: table, Where: where, Limit: -1})
-			if !reflect.DeepEqual(got.RowIDs, want) || !reflect.DeepEqual(got.Rows, wantRows) {
+			if !reflect.DeepEqual(got.RowIDs, want) || !reflect.DeepEqual(values(got.Rows), wantRows) {
 				t.Fatalf("SELECT %v FROM %s WHERE %s (%s):\n got  %v %v\n want %v %v",
 					cols, table, exprString(where), plan, got.RowIDs, got.Rows, want, wantRows)
 			}
@@ -249,7 +249,7 @@ func TestSelectMatchesReferenceScan(t *testing.T) {
 func idColumn(res *Result) []int64 {
 	var out []int64
 	for _, row := range res.Rows {
-		out = append(out, row[0].AsInt())
+		out = append(out, row.Value(0).AsInt())
 	}
 	return out
 }
@@ -371,8 +371,8 @@ func TestHashProbePlan(t *testing.T) {
 		if len(wantIDs) == 0 {
 			wantIDs, wantRows = nil, nil
 		}
-		if !reflect.DeepEqual(got.RowIDs, wantIDs) || !reflect.DeepEqual(got.Rows, wantRows) {
-			t.Errorf("%s:\n got  %v %v\n want %v %v", tc.name, got.RowIDs, got.Rows, wantIDs, wantRows)
+		if !reflect.DeepEqual(got.RowIDs, wantIDs) || !reflect.DeepEqual(values(got.Rows), wantRows) {
+			t.Errorf("%s:\n got  %v %v\n want %v %v", tc.name, got.RowIDs, values(got.Rows), wantIDs, wantRows)
 		}
 		// The same statement with an always-true second conjunct does the
 		// same counted work.
@@ -382,21 +382,21 @@ func TestHashProbePlan(t *testing.T) {
 			t.Errorf("%s: stats %+v, with a second conjunct %+v (%v)", tc.name, got.Stats, via.Stats, err)
 		}
 	}
-	if res := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)"); len(res.Rows) == 0 || res.Rows[0][1].Kind() != storage.KindInt {
-		t.Fatalf("fixture has no k in (1, 2): %v", res.Rows)
+	if res := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)"); len(res.Rows) == 0 || res.Rows[0].Value(1).Kind() != storage.KindInt {
+		t.Fatalf("fixture has no k in (1, 2): %v", values(res.Rows))
 	}
 
 	// ORDER BY may name a column the index lacks; DISTINCT and OFFSET are
 	// applied to the probe's rows.
-	if plan := e.MustExec("EXPLAIN SELECT k FROM R WHERE k IN (1, 2) ORDER BY y").Rows[0][0].AsString(); plan != "index(k) probes=2" {
+	if plan := e.MustExec("EXPLAIN SELECT k FROM R WHERE k IN (1, 2) ORDER BY y").Rows[0].Value(0).AsString(); plan != "index(k) probes=2" {
 		t.Errorf("ORDER BY y: EXPLAIN says %q", plan)
 	}
 	if got := e.MustExec("SELECT DISTINCT k FROM R WHERE k IN (2, 1)"); len(got.Rows) != 2 {
-		t.Errorf("DISTINCT k over two keys returned %v", got.Rows)
+		t.Errorf("DISTINCT k over two keys returned %v", values(got.Rows))
 	}
 	all, tail := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)"), e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2) LIMIT 3 OFFSET 2")
-	if !reflect.DeepEqual(tail.Rows, all.Rows[2:5]) || !reflect.DeepEqual(tail.RowIDs, all.RowIDs[2:5]) {
-		t.Errorf("LIMIT 3 OFFSET 2: %v, want %v", tail.Rows, all.Rows[2:5])
+	if !reflect.DeepEqual(values(tail.Rows), values(all.Rows[2:5])) || !reflect.DeepEqual(tail.RowIDs, all.RowIDs[2:5]) {
+		t.Errorf("LIMIT 3 OFFSET 2: %v, want %v", values(tail.Rows), values(all.Rows[2:5]))
 	}
 
 	// A deleted tuple leaves the posting lists with it; an updated one moves.
@@ -415,8 +415,8 @@ func TestHashProbePlan(t *testing.T) {
 		t.Errorf("after a delete and an update away: %v, want %v", after.RowIDs, all.RowIDs[2:])
 	}
 	_, wantRows, _ := refSelectRows(rel, eq(col("k"), i(6)), rowidK)
-	if six := e.MustExec("SELECT rowid, k FROM R WHERE k = 6"); !reflect.DeepEqual(six.Rows, wantRows) || !slices.Contains(six.RowIDs, moved) {
-		t.Errorf("k = 6 after the update: %v, want %v", six.Rows, wantRows)
+	if six := e.MustExec("SELECT rowid, k FROM R WHERE k = 6"); !reflect.DeepEqual(values(six.Rows), wantRows) || !slices.Contains(six.RowIDs, moved) {
+		t.Errorf("k = 6 after the update: %v, want %v", values(six.Rows), wantRows)
 	}
 }
 

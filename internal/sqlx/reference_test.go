@@ -161,3 +161,16 @@ func refEval(schema *storage.Schema, e Expr, t storage.Tuple) (bool, error) {
 		return false, fmt.Errorf("sql: expression %q is not boolean", exprString(e))
 	}
 }
+
+// values decodes rows, nil for none: what a result's rows read, comparable
+// with reflect.DeepEqual.
+func values(rows []storage.Row) [][]storage.Value {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([][]storage.Value, len(rows))
+	for i, row := range rows {
+		out[i] = row.Values()
+	}
+	return out
+}

@@ -74,8 +74,8 @@ func checkBatchLookups(t *testing.T, when string, rel *Relation, col string, pro
 	t.Helper()
 	ci := rel.Schema().ColumnIndex(col)
 	byKey := map[Value][]TupleID{}
-	rel.Scan(func(tu Tuple) bool {
-		byKey[tu.Values[ci]] = append(byKey[tu.Values[ci]], tu.ID)
+	rel.ScanRows(func(id TupleID, row Row) bool {
+		byKey[row.Value(ci)] = append(byKey[row.Value(ci)], id)
 		return true
 	})
 	for _, ids := range byKey {
@@ -110,15 +110,33 @@ func checkBatchLookups(t *testing.T, when string, rel *Relation, col string, pro
 	}
 }
 
+// rowsOf returns a row for each of vals, as a row reaches InsertBatch: the
+// stored row of src — a relation of batchDB's column types without its key —
+// when r says so and src takes the values, else a record of its own.
+func rowsOf(t *testing.T, r *rand.Rand, src *Database, vals [][]Value) []Row {
+	t.Helper()
+	rows := make([]Row, len(vals))
+	for i, v := range vals {
+		rows[i] = MakeRow(v...)
+		id := src.NextTupleID()
+		if r.Intn(2) == 0 && src.InsertWithID("S", id, v...) == nil {
+			rows[i], _ = src.Relation("S").Row(id)
+		}
+	}
+	return rows
+}
+
 // TestInsertBatchMatchesInsertLoop: on generated batches — ids repeated
 // inside a batch and across batches, duplicate and NULL keys, rows of the
-// wrong arity and type — InsertBatch on either kind of database does what a
-// loop of InsertWithID that skips the ids it has just inserted does: the same
-// tuples in the same order under the same index contents when the loop gets
-// through, the loop's first error and a relation exactly as before when it
-// does not.
+// wrong arity and type, rows stored elsewhere and rows of their own — InsertBatch
+// on either kind of database does what a loop of InsertWithID that skips the
+// ids it has just inserted does: the same tuples in the same order under the
+// same index contents when the loop gets through, the loop's first error and a
+// relation exactly as before when it does not.
 func TestInsertBatchMatchesInsertLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
+	src := NewDatabase("source")
+	src.MustCreateRelation(MustSchema("S", "", Column{"k", TypeInt}, Column{"f", TypeFloat}, Column{"s", TypeString}))
 	for trial := 0; trial < 60; trial++ {
 		loopDB, loopRel := batchDB(t, NewDatabase)
 		hashDB, hashRel := batchDB(t, NewDatabase)
@@ -176,7 +194,7 @@ func TestInsertBatchMatchesInsertLoop(t *testing.T) {
 				done = append(done, id)
 			}
 			for name, db := range map[string]*Database{"hash": hashDB, "runs": runDB} {
-				n, err := db.InsertBatch("R", slices.Clone(ids), slices.Clone(rows))
+				n, err := db.InsertBatch("R", slices.Clone(ids), rowsOf(t, r, src, rows))
 				if fmt.Sprint(err) != fmt.Sprint(want) || n != len(done) {
 					t.Fatalf("trial %d batch %d, %s: InsertBatch = %d, %v; the loop inserted %d: %v", trial, batch, name, n, err, len(done), want)
 				}
@@ -203,8 +221,11 @@ func TestInsertBatchMatchesInsertLoop(t *testing.T) {
 		}
 	}
 	db, _ := batchDB(t, NewBatchDatabase)
-	if _, err := db.InsertBatch("R", []TupleID{1, 2}, [][]Value{{Int(1), Null, Null}}); err == nil {
+	if _, err := db.InsertBatch("R", []TupleID{1, 2}, []Row{MakeRow(Int(1), Null, Null)}); err == nil {
 		t.Error("a batch of two ids and one row accepted")
+	}
+	if _, err := db.InsertBatch("R", []TupleID{1}, []Row{{}}); err == nil {
+		t.Error("a batch of a zero row accepted")
 	}
 	if _, err := db.InsertBatch("nope", nil, nil); err == nil {
 		t.Error("a batch for a missing relation accepted")
@@ -218,7 +239,7 @@ func TestInsertBatchAcrossChunks(t *testing.T) {
 	for _, before := range []int{0, 5, slotChunk - 3, slotChunk} {
 		db, rel := idTableRelation(t)
 		var ids []TupleID
-		var rows [][]Value
+		var rows []Row
 		for id := TupleID(1); id <= TupleID(before+2*slotChunk+7); id++ {
 			if int(id) <= before {
 				if err := db.InsertWithID("R", id, Int(int64(id))); err != nil {
@@ -226,9 +247,9 @@ func TestInsertBatchAcrossChunks(t *testing.T) {
 				}
 				continue
 			}
-			ids, rows = append(ids, id), append(rows, []Value{Int(int64(id))})
+			ids, rows = append(ids, id), append(rows, MakeRow(Int(int64(id))))
 		}
-		bad := append(slices.Clone(rows[:len(rows)-1]), []Value{String("no")})
+		bad := append(slices.Clone(rows[:len(rows)-1]), MakeRow(String("no")))
 		if _, err := db.InsertBatch("R", ids, bad); err == nil {
 			t.Fatal("a batch with a string in an INT column accepted")
 		}
@@ -241,13 +262,13 @@ func TestInsertBatchAcrossChunks(t *testing.T) {
 		if rel.Len() != before+len(ids) || rel.Extent() != rel.Len() {
 			t.Fatalf("before=%d: Len %d, Extent %d", before, rel.Len(), rel.Extent())
 		}
-		got := rel.AppendTuples(nil, append([]TupleID{0, -4, 1 << 50}, ids...))
-		if len(got) != len(ids) {
-			t.Fatalf("before=%d: AppendTuples found %d of %d", before, len(got), len(ids))
+		got := rel.AppendRows(nil, append([]TupleID{0, -4, 1 << 50}, ids...))
+		if len(got) != 3+len(ids) || got[0].Valid() || got[1].Valid() || got[2].Valid() {
+			t.Fatalf("before=%d: AppendRows returned %d rows for %d ids", before, len(got), 3+len(ids))
 		}
-		for i, tu := range got {
-			if tu.ID != ids[i] || tu.Values[0] != rows[i][0] {
-				t.Fatalf("before=%d: tuple %d is %v", before, i, tu)
+		for i, row := range got[3:] {
+			if row.Value(0) != rows[i].Value(0) {
+				t.Fatalf("before=%d: row %d is %v", before, i, row.Values())
 			}
 		}
 	}
@@ -280,9 +301,9 @@ func TestRunIndexMatchesHashIndex(t *testing.T) {
 		switch op := r.Intn(10); {
 		case op < 2:
 			var ids []TupleID
-			var rows [][]Value
+			var rows []Row
 			for i, n := 0, 1+r.Intn(30); i < n; i++ {
-				ids, rows = append(ids, nextID), append(rows, row())
+				ids, rows = append(ids, nextID), append(rows, MakeRow(row()...))
 				nextID++
 			}
 			r.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
@@ -321,13 +342,14 @@ func TestRunIndexMatchesHashIndex(t *testing.T) {
 	}
 }
 
-// TestAppendTuplesMatchesGet: the staged gather returns what Get returns id
-// by id — live tuples only, in the order asked, repeats repeated — across
-// blocks, tombstones, freed chunks and ids that were never stored.
-func TestAppendTuplesMatchesGet(t *testing.T) {
+// TestAppendRowsMatchesGet: the staged gather returns what Row returns id by
+// id — a zero row for an id no live tuple carries, in the order asked, repeats
+// repeated — across blocks, tombstones, freed chunks and ids that were never
+// stored.
+func TestAppendRowsMatchesGet(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	db, rel := idTableRelation(t)
-	if got := rel.AppendTuples(nil, []TupleID{1, 2}); got != nil {
+	if got := rel.AppendRows(nil, []TupleID{1, 2}); len(got) != 2 || got[0].Valid() || got[1].Valid() {
 		t.Fatalf("an empty relation returned %v", got)
 	}
 	const n = 3*slotChunk + 100
@@ -348,16 +370,13 @@ func TestAppendTuplesMatchesGet(t *testing.T) {
 		for i := range ids {
 			ids[i] = TupleID(r.Intn(n+50) - 10)
 		}
-		var want []Tuple
+		want := []Row{MakeRow(Int(-1))}
 		for _, id := range ids {
-			if tu, ok := rel.Get(id); ok {
-				want = append(want, tu)
-			}
+			row, _ := rel.Row(id)
+			want = append(want, row)
 		}
-		head := Tuple{ID: -1}
-		got := rel.AppendTuples([]Tuple{head}, ids)
-		if !reflect.DeepEqual(got[0], head) || !reflect.DeepEqual(got[1:], append([]Tuple{}, want...)) {
-			t.Fatalf("%d ids: AppendTuples returned %d tuples, Get %d", size, len(got)-1, len(want))
+		if got := rel.AppendRows([]Row{want[0]}, ids); !slices.Equal(got, want) {
+			t.Fatalf("%d ids: AppendRows returned %d rows, not those Row returns", size, len(got)-1)
 		}
 	}
 }

@@ -115,14 +115,16 @@ func gatherRelation(b *testing.B, n int) (*Relation, []TupleID) {
 	return rel, ids
 }
 
-// BenchmarkGather reads 850 random tuples of a 400k-tuple relation and copies
-// four of their five columns out: a Get and a fresh row per tuple, against
-// AppendTuples by blocks of 256 into one array — the two legs of a planned
-// SELECT before and after it worked a batch at a time.
+// BenchmarkGather reads 850 random tuples of a 400k-tuple relation and selects
+// four of their five columns: a Get and a fresh row per tuple, against
+// AppendRows by blocks of 256 read through a projection, which copies nothing
+// — the two legs of a planned SELECT before it worked a batch at a time and
+// now.
 func BenchmarkGather(b *testing.B) {
 	rel, ids := gatherRelation(b, 400_000)
 	cols := []int{0, 1, 2, 4}
 	var sink [][]Value
+	var rowSink []Row
 	b.Run("per-tuple", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -141,26 +143,24 @@ func BenchmarkGather(b *testing.B) {
 	})
 	b.Run("blocks", func(b *testing.B) {
 		b.ReportAllocs()
+		var p Projection
+		rel.Project(&p, cols)
 		for i := 0; i < b.N; i++ {
-			rows := make([][]Value, 0, len(ids))
-			arena := make([]Value, len(ids)*len(cols))
-			var block [256]Tuple
+			rows := make([]Row, 0, len(ids))
+			var block [256]Row
 			for rest := ids; len(rest) > 0; {
 				n := min(len(rest), len(block))
-				for _, t := range rel.AppendTuples(block[:0], rest[:n]) {
-					row := arena[:len(cols):len(cols)]
-					arena = arena[len(cols):]
-					for j, ci := range cols {
-						row[j] = t.Values[ci]
+				for _, row := range rel.AppendRows(block[:0], rest[:n]) {
+					if row.Valid() {
+						rows = append(rows, p.Row(row))
 					}
-					rows = append(rows, row)
 				}
 				rest = rest[n:]
 			}
-			sink = rows
+			rowSink = rows
 		}
 	})
-	_ = sink
+	_, _ = sink, rowSink
 }
 
 // BenchmarkLookups resolves 100 sorted keys of an indexed join column holding
@@ -206,19 +206,27 @@ func BenchmarkLookups(b *testing.B) {
 
 // BenchmarkInsertBatch fills a result-shaped relation — a primary key and two
 // indexed join columns — with 150 fetched tuples: a Has and an InsertWithID
-// per tuple into hash indexes, against one InsertBatch into sorted runs.
+// per tuple into hash indexes, against one InsertBatch of the base relation's
+// rows into sorted runs.
 func BenchmarkInsertBatch(b *testing.B) {
 	const n = 150
 	ids := make([]TupleID, n)
-	rows := make([][]Value, n)
+	vals, rows := make([][]Value, n), make([]Row, n)
+	schema := MustSchema("R", "id", Column{"id", TypeInt}, Column{"fk1", TypeInt}, Column{"fk2", TypeInt}, Column{"s", TypeString})
+	base := NewDatabase("base")
+	base.MustCreateRelation(schema)
 	r := rand.New(rand.NewSource(1))
 	for i := range ids {
 		ids[i] = TupleID(1 + 37*i)
-		rows[i] = []Value{Int(int64(i)), Int(int64(r.Intn(40))), Int(int64(r.Intn(n))), String("title")}
+		vals[i] = []Value{Int(int64(i)), Int(int64(r.Intn(40))), Int(int64(r.Intn(n))), String("title")}
+		if err := base.InsertWithID("R", ids[i], vals[i]...); err != nil {
+			b.Fatal(err)
+		}
+		rows[i], _ = base.Relation("R").Row(ids[i])
 	}
 	fresh := func(newDB func(string) *Database) *Database {
 		db := newDB("precis")
-		rel := db.MustCreateRelation(MustSchema("R", "id", Column{"id", TypeInt}, Column{"fk1", TypeInt}, Column{"fk2", TypeInt}, Column{"s", TypeString}))
+		rel := db.MustCreateRelation(schema)
 		for _, c := range []string{"fk1", "fk2"} {
 			if err := rel.CreateIndex(c); err != nil {
 				b.Fatal(err)
@@ -236,7 +244,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 				if rel.Has(id) {
 					continue
 				}
-				if err := db.InsertWithID("R", id, rows[j]...); err != nil {
+				if err := db.InsertWithID("R", id, vals[j]...); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -292,15 +292,15 @@ func (ix *OrderedIndex) Column() string { return ix.column }
 // Len returns the number of indexed (non-NULL) entries.
 func (ix *OrderedIndex) Len() int { return ix.tree.size }
 
-func (ix *OrderedIndex) add(t Tuple) {
-	if v := t.Values[ix.colIdx]; !v.IsNull() {
-		ix.tree.insert(btreeKey{v: v, id: t.ID})
+func (ix *OrderedIndex) add(id TupleID, row Row) {
+	if v := row.Value(ix.colIdx); !v.IsNull() {
+		ix.tree.insert(btreeKey{v: v, id: id})
 	}
 }
 
-func (ix *OrderedIndex) remove(t Tuple) {
-	if v := t.Values[ix.colIdx]; !v.IsNull() {
-		ix.tree.delete(btreeKey{v: v, id: t.ID})
+func (ix *OrderedIndex) remove(id TupleID, row Row) {
+	if v := row.Value(ix.colIdx); !v.IsNull() {
+		ix.tree.delete(btreeKey{v: v, id: id})
 	}
 }
 

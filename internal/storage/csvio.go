@@ -63,19 +63,25 @@ func typeFromName(s string) (ColType, error) {
 }
 
 // encodeCell renders a value for CSV; NULL becomes \N and a literal leading
-// backslash is doubled so the encoding is unambiguous.
+// backslash is doubled so the encoding is unambiguous. A Float is written in a
+// form strconv.ParseInt refuses ("3.0", not "3"), which is how a FLOAT column
+// tells it from an Int on the way back.
 func encodeCell(v Value) string {
 	if v.IsNull() {
 		return nullCell
 	}
 	s := v.String()
+	if v.Kind() == KindFloat && !strings.ContainsAny(s, ".eIN") {
+		return s + ".0"
+	}
 	if strings.HasPrefix(s, `\`) {
 		return `\` + s
 	}
 	return s
 }
 
-// decodeCell parses a CSV cell back into a value of the declared type.
+// decodeCell parses a CSV cell back into a value of the declared type; an
+// integer cell of a FLOAT column is an Int.
 func decodeCell(cell string, t ColType) (Value, error) {
 	if cell == nullCell {
 		return Null, nil
@@ -91,6 +97,9 @@ func decodeCell(cell string, t ColType) (Value, error) {
 		}
 		return Int(n), nil
 	case TypeFloat:
+		if n, err := strconv.ParseInt(cell, 10, 64); err == nil {
+			return Int(n), nil
+		}
 		f, err := strconv.ParseFloat(cell, 64)
 		if err != nil {
 			return Null, fmt.Errorf("storage: bad FLOAT cell %q: %w", cell, err)
@@ -147,11 +156,11 @@ func exportRelation(rel *Relation, path string) error {
 		return err
 	}
 	var werr error
-	rel.Scan(func(t Tuple) bool {
-		row := make([]string, 0, len(t.Values)+1)
-		row = append(row, strconv.FormatInt(int64(t.ID), 10))
-		for _, v := range t.Values {
-			row = append(row, encodeCell(v))
+	rel.ScanRows(func(id TupleID, r Row) bool {
+		row := make([]string, 0, r.Len()+1)
+		row = append(row, strconv.FormatInt(int64(id), 10))
+		for i := 0; i < r.Len(); i++ {
+			row = append(row, encodeCell(r.Value(i)))
 		}
 		if err := w.Write(row); err != nil {
 			werr = err

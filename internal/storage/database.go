@@ -151,9 +151,9 @@ func (db *Database) SetForeignKeys(fks []ForeignKey) {
 	db.fks = append([]ForeignKey(nil), fks...)
 }
 
-// Insert adds a tuple to the named relation and returns its id. The
-// relation keeps vals as the tuple's row — here and in InsertWithID and
-// Update — so a caller passing a slice (vals...) must not write it again.
+// Insert adds a tuple to the named relation and returns its id. The values
+// are copied into the tuple's record — here and in InsertWithID and Update —
+// so the caller keeps its slice.
 func (db *Database) Insert(relation string, vals ...Value) (TupleID, error) {
 	r := db.rels[relation]
 	if r == nil {
@@ -207,7 +207,7 @@ func (db *Database) SetIDStride(offset, stride TupleID) error {
 }
 
 // InsertWithID adds a tuple with a caller-chosen id: the engine's apply and
-// rollback paths, the loaders and the partitioner, whose tuples must keep
+// rollback paths and the loaders, whose tuples must keep
 // the ids they have elsewhere. It rejects an id the relation already holds
 // itself, because those callers do not look first; the result-database
 // generator, which does, goes through InsertBatch.
@@ -240,8 +240,10 @@ func (db *Database) InsertWithID(relation string, id TupleID, vals ...Value) err
 // batch is added once, under its first row, and that a batch any of whose
 // tuples would be refused adds none — the generator treats an insert error
 // as fatal, so all-or-nothing is the simpler contract. Every index is current
-// when it returns. The relation keeps each rows[i], not the rows slice.
-func (db *Database) InsertBatch(relation string, ids []TupleID, rows [][]Value) (int, error) {
+// when it returns. A row of a relation of the same declared types, or a
+// statement's projection of one, shares its record (an empty relation maps
+// its columns onto it); any other is copied.
+func (db *Database) InsertBatch(relation string, ids []TupleID, rows []Row) (int, error) {
 	r := db.rels[relation]
 	if r == nil {
 		return 0, fmt.Errorf("storage: no relation %s", relation)
@@ -331,9 +333,9 @@ func (db *Database) CheckIntegrity() []IntegrityViolation {
 		from := db.rels[fk.FromRelation]
 		to := db.rels[fk.ToRelation]
 		fi := from.Schema().ColumnIndex(fk.FromColumn)
-		from.Scan(func(t Tuple) bool {
-			if v := t.Values[fi]; !v.IsNull() && !to.holds(fk.ToColumn, v) {
-				out = append(out, IntegrityViolation{ForeignKey: fk, TupleID: t.ID, Value: v})
+		from.ScanRows(func(id TupleID, row Row) bool {
+			if v := row.Value(fi); !v.IsNull() && !to.holds(fk.ToColumn, v) {
+				out = append(out, IntegrityViolation{ForeignKey: fk, TupleID: id, Value: v})
 			}
 			return true
 		})
@@ -361,10 +363,12 @@ func (db *Database) Stats() Stats {
 
 // Layout counts what the resident data is made of, beyond live tuples: the
 // slots held in memory, how many of them are tombstones left by deletes, the
-// distinct keys across all hash indexes and the bytes of the ids in their lists.
+// bytes of the live tuples' records, the distinct keys across all hash
+// indexes and the bytes of the ids in their lists.
 type Layout struct {
 	Slots        int `json:"slots"`
 	DeadSlots    int `json:"dead_slots"`
+	RowBytes     int `json:"row_bytes"`
 	IndexEntries int `json:"index_entries"`
 	ListBytes    int `json:"list_bytes"`
 }
@@ -377,6 +381,7 @@ func (db *Database) Layout() Layout {
 		r := db.rels[name]
 		l.Slots += r.held
 		l.DeadSlots += r.held - r.live
+		l.RowBytes += r.bytes
 		for _, idx := range r.indexes {
 			l.IndexEntries += idx.Cardinality()
 			if h, ok := idx.(*HashIndex); ok {

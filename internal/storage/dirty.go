@@ -7,9 +7,9 @@ import "sort"
 // database. When enabled (persistent engines only — in-memory engines pay
 // exactly one nil check per mutation), every Insert/InsertWithID/Update
 // marks its tuple dirty and every Delete leaves a tombstone; CaptureDirty
-// resolves the marked ids to copy-on-write tuple references and resets the
-// set in O(dirty), which is the entire pause a delta checkpoint imposes on
-// the mutation lock.
+// resolves the marked ids to their rows — records are never written, so a row
+// is a copy-on-write reference — and resets the set in O(dirty), which is the
+// entire pause a delta checkpoint imposes on the mutation lock.
 
 // dirtyTracker records a mutation counter plus the dirty-tuple and tombstone
 // sets accumulated since the last successful capture.
@@ -67,8 +67,14 @@ func (t *dirtyTracker) markDeleted(rel string, id TupleID) {
 // (deleted ids, ascending).
 type DirtyRelation struct {
 	Name    string
-	Upserts []Tuple
+	Upserts []Upsert
 	Deletes []TupleID
+}
+
+// Upsert is one inserted or updated tuple: its id and its row.
+type Upsert struct {
+	ID  TupleID
+	Row Row
 }
 
 // DirtySet is everything CaptureDirty found: per-relation changes in
@@ -105,10 +111,10 @@ func (db *Database) EnableDirtyTracking() {
 func (db *Database) DirtyTrackingEnabled() bool { return db.tracker != nil }
 
 // CaptureDirty atomically resolves and resets the dirty set, returning the
-// changed tuples since the previous capture. Upsert entries carry
-// references to the stored value slices — Insert and Update both build
-// fresh slices and never mutate them in place, so the captured view stays
-// stable while later mutations proceed (copy-on-write by construction).
+// changed tuples since the previous capture. Upsert entries borrow the stored
+// rows — Insert and Update both make new records and never write one, so the
+// captured view stays stable while later mutations proceed (copy-on-write by
+// construction).
 // Returns nil when tracking is disabled. Callers must hold whatever lock
 // serializes mutations (the engine mutation lock).
 func (db *Database) CaptureDirty() *DirtySet {
@@ -130,10 +136,10 @@ func (db *Database) CaptureDirty() *DirtySet {
 				ids = append(ids, id)
 			}
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			dr.Upserts = make([]Tuple, 0, len(ids))
+			dr.Upserts = make([]Upsert, 0, len(ids))
 			for _, id := range ids {
-				if tu, ok := rel.Get(id); ok {
-					dr.Upserts = append(dr.Upserts, tu)
+				if row, ok := rel.Row(id); ok {
+					dr.Upserts = append(dr.Upserts, Upsert{id, row})
 				}
 			}
 		}
@@ -163,7 +169,7 @@ func (db *Database) MergeDirty(ds *DirtySet) {
 	t := db.tracker
 	remark := func(rel string, id TupleID) {
 		if r := db.rels[rel]; r != nil {
-			if _, live := r.Get(id); live {
+			if r.Has(id) {
 				t.mark(rel, id)
 				t.muts-- // mark() counts a mutation; a re-mark is not one
 				return

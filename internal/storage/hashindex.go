@@ -1,5 +1,7 @@
 package storage
 
+import "strings"
+
 // index is an equality index on one column of a relation. There are two
 // kinds, and a database's constructor fixes which one its relations carry:
 // HashIndex (NewDatabase), cheap to change one tuple at a time, and RunIndex
@@ -8,12 +10,12 @@ package storage
 type index interface {
 	// Cardinality returns the number of distinct indexed values.
 	Cardinality() int
-	add(t Tuple)
-	remove(t Tuple)
+	add(id TupleID, row Row)
+	remove(id TupleID, row Row)
 	// addBatch indexes the tuples (ids[i], rows[i]) in one step. With unique
 	// set it refuses — reporting false and changing nothing — a batch that
 	// would leave two tuples under one key.
-	addBatch(ids []TupleID, rows [][]Value, unique bool) bool
+	addBatch(ids []TupleID, rows []Row, unique bool) bool
 	// has reports whether any tuple carries v.
 	has(v Value) bool
 	// appendGroups appends, for each of vals in order, the ascending ids of
@@ -39,31 +41,40 @@ type HashIndex struct {
 // Cardinality returns the number of distinct indexed values.
 func (ix *HashIndex) Cardinality() int { return len(ix.ints.refs) + len(ix.vals.refs) }
 
-func (ix *HashIndex) add(t Tuple) {
-	if v := t.Values[ix.colIdx]; v.kind == KindInt {
-		ix.ints.add(v.AsInt(), t.ID)
+func (ix *HashIndex) add(id TupleID, row Row) {
+	if v := row.Value(ix.colIdx); v.kind == KindInt {
+		ix.ints.add(v.AsInt(), id)
 	} else {
-		ix.vals.add(v, t.ID)
+		ix.vals.add(owned(v), id)
 	}
 }
 
-func (ix *HashIndex) remove(t Tuple) {
-	if v := t.Values[ix.colIdx]; v.kind == KindInt {
-		ix.ints.remove(v.AsInt(), t.ID)
+func (ix *HashIndex) remove(id TupleID, row Row) {
+	if v := row.Value(ix.colIdx); v.kind == KindInt {
+		ix.ints.remove(v.AsInt(), id)
 	} else {
-		ix.vals.remove(v, t.ID)
+		ix.vals.remove(owned(v), id)
 	}
 }
 
-func (ix *HashIndex) addBatch(ids []TupleID, rows [][]Value, unique bool) bool {
+// owned returns v with its text copied out of the record it was read from. A
+// key serves every tuple that holds it, and a map write keeps the key it is
+// given, so a key aliasing a record would keep that record alive past its
+// tuple's delete.
+func owned(v Value) Value {
+	v.s = strings.Clone(v.s)
+	return v
+}
+
+func (ix *HashIndex) addBatch(ids []TupleID, rows []Row, unique bool) bool {
 	for i, row := range rows {
-		if unique && ix.has(row[ix.colIdx]) {
+		if unique && ix.has(row.Value(ix.colIdx)) {
 			for j := range i {
-				ix.remove(Tuple{ID: ids[j], Values: rows[j]})
+				ix.remove(ids[j], rows[j])
 			}
 			return false
 		}
-		ix.add(Tuple{ID: ids[i], Values: row})
+		ix.add(ids[i], row)
 	}
 	return true
 }
@@ -91,7 +102,7 @@ func (ix *HashIndex) keys() ([]Value, bool) {
 // lookupBlock is how many keys a batch lookup resolves at once.
 const lookupBlock = 32
 
-// appendGroups reads a block of keys in passes, as AppendTuples reads tuples:
+// appendGroups reads a block of keys in passes, as AppendRows reads tuples:
 // every key's map entry, then the header of every list an entry names, then
 // the copies. A lookup is three dependent cache misses; taken key by key they
 // queue behind one another, taken pass by pass a block's misses overlap.

@@ -314,7 +314,7 @@ func TestIDSpaceBoundary(t *testing.T) {
 	refused("the fourth Insert", db, rel, func() error { _, err := db.Insert("R", Int(3), Int(7)); return err })
 	refused("InsertWithID above the cap", db, rel, func() error { return db.InsertWithID("R", MaxTupleID+1, Int(3), Int(7)) })
 	refused("InsertBatch reaching above the cap", db, rel, func() error {
-		_, err := db.InsertBatch("R", []TupleID{5, MaxTupleID + 1}, [][]Value{{Int(3), Int(7)}, {Int(4), Int(7)}})
+		_, err := db.InsertBatch("R", []TupleID{5, MaxTupleID + 1}, []Row{MakeRow(Int(3), Int(7)), MakeRow(Int(4), Int(7))})
 		return err
 	})
 	if err := db.InsertWithID("R", MaxTupleID, Int(3), Int(7)); err == nil || errors.Is(err, ErrOutOfIDs) {

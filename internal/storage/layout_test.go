@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -319,8 +320,8 @@ func TestScanRangeAndFreedChunks(t *testing.T) {
 	}
 	collect := func(lo, hi int) []int64 {
 		var out []int64
-		rel.ScanRange(lo, hi, func(tu Tuple) bool {
-			out = append(out, tu.Values[0].AsInt())
+		rel.ScanRange(lo, hi, func(_ TupleID, row Row) bool {
+			out = append(out, row.Value(0).AsInt())
 			return true
 		})
 		return out
@@ -379,73 +380,165 @@ func TestScanRangeAndFreedChunks(t *testing.T) {
 	}
 }
 
-// TestTupleSurvivesUpdateAndDelete pins what CaptureDirty and the engine's
-// rollback paths rely on: a Tuple obtained earlier keeps its values.
+// TestTupleSurvivesUpdateAndDelete pins what CaptureDirty, a cached answer and
+// the engine's rollback paths rely on: a Row or Tuple obtained earlier reads
+// the same values, from the same bytes, after the tuple is updated or deleted.
 func TestTupleSurvivesUpdateAndDelete(t *testing.T) {
 	db := NewDatabase("test")
 	db.MustCreateRelation(MustSchema("R", "", Column{"a", TypeInt}, Column{"s", TypeString}))
+	rel := db.Relation("R")
 	id, err := db.Insert("R", Int(1), String("one"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := db.Relation("R").Get(id)
+	before, _ := rel.Get(id)
+	beforeRow, _ := rel.Row(id)
+	text := unsafe.StringData(beforeRow.Value(1).AsString())
 	if err := db.Update("R", id, []Value{Int(2), String("two")}); err != nil {
 		t.Fatal(err)
 	}
-	mid, _ := db.Relation("R").Get(id)
+	mid, _ := rel.Get(id)
+	midRow, _ := rel.Row(id)
+	if midRow.Shares(beforeRow) {
+		t.Fatal("Update wrote the record in place")
+	}
 	if _, err := db.Delete("R", id); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before.Values, []Value{Int(1), String("one")}) || !reflect.DeepEqual(mid.Values, []Value{Int(2), String("two")}) {
 		t.Fatalf("held tuples changed: %v, %v", before.Values, mid.Values)
 	}
+	if !reflect.DeepEqual(beforeRow.Values(), before.Values) || !reflect.DeepEqual(midRow.Values(), mid.Values) {
+		t.Fatalf("held rows changed: %v, %v", beforeRow.Values(), midRow.Values())
+	}
+	if unsafe.StringData(beforeRow.Value(1).AsString()) != text {
+		t.Fatal("a held row reads its text from somewhere else after an update and a delete")
+	}
 }
 
-// TestRelationOwnsRow pins the ownership rule: the slice handed to Insert,
-// InsertWithID or Update is the stored row — no copy is made on the way in,
-// and since nobody writes it again one row may sit in two databases.
+// TestRelationOwnsRow pins the ownership rule: the values handed to Insert,
+// InsertWithID or Update are copied into a record of the relation's, so the
+// caller may write its slice at once; a record is never written, so one may
+// back a tuple in two databases (InsertBatch of a stored row), and neither
+// sees the other's updates.
 func TestRelationOwnsRow(t *testing.T) {
 	db, other := NewDatabase("test"), NewDatabase("other")
 	for _, d := range []*Database{db, other} {
 		d.MustCreateRelation(MustSchema("R", "a", Column{"a", TypeInt}, Column{"s", TypeString}))
 	}
 	rel := db.Relation("R")
-	wide := []Value{Int(0), Int(1), String("one")}
-	if err := db.InsertWithID("R", 5, wide[1:]...); err != nil {
+	vals := []Value{Int(1), String("one")}
+	if err := db.InsertWithID("R", 5, vals...); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := rel.Get(5)
-	if &got.Values[0] != &wide[1] || len(got.Values) != 2 || cap(got.Values) != 2 {
-		t.Fatalf("InsertWithID copied its row: %v (len %d cap %d)", got.Values, len(got.Values), cap(got.Values))
+	vals[0], vals[1] = Int(9), String("scribbled")
+	got, _ := rel.Row(5)
+	if !reflect.DeepEqual(got.Values(), []Value{Int(1), String("one")}) {
+		t.Fatalf("the stored row follows the caller's slice: %v", got.Values())
+	}
+	if _, err := other.InsertBatch("R", []TupleID{5}, []Row{got}); err != nil {
+		t.Fatal(err)
+	}
+	if shared, _ := other.Relation("R").Row(5); !shared.Shares(got) {
+		t.Fatal("InsertBatch copied a stored row of a relation of the same types")
 	}
 	next := []Value{Int(2), String("two")}
 	if err := db.Update("R", 5, next); err != nil {
 		t.Fatal(err)
 	}
-	if now, _ := rel.Get(5); &now.Values[0] != &next[0] {
-		t.Fatal("Update copied its row")
-	}
-	if !reflect.DeepEqual(got.Values, []Value{Int(1), String("one")}) {
-		t.Fatalf("the replaced row changed under its holder: %v", got.Values)
-	}
-	// The replaced row goes back in under another id and into a second
-	// database; the three tuples stay independent.
-	if err := db.InsertWithID("R", 6, got.Values...); err != nil {
-		t.Fatal(err)
-	}
-	if err := other.InsertWithID("R", 5, got.Values...); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Update("R", 6, []Value{Int(3), String("three")}); err != nil {
-		t.Fatal(err)
+	next[1] = String("scribbled")
+	if now, _ := rel.Get(5); !reflect.DeepEqual(now.Values, []Value{Int(2), String("two")}) {
+		t.Fatalf("the updated row follows the caller's slice: %v", now.Values)
 	}
 	if kept, _ := other.Relation("R").Get(5); !reflect.DeepEqual(kept.Values, []Value{Int(1), String("one")}) {
-		t.Fatalf("a row shared between databases changed: %v", kept.Values)
+		t.Fatalf("a record shared between databases changed: %v", kept.Values)
+	}
+	if !reflect.DeepEqual(got.Values(), []Value{Int(1), String("one")}) {
+		t.Fatalf("the replaced row changed under its holder: %v", got.Values())
 	}
 	for _, bad := range [][]Value{{Int(9)}, {Int(9), String("x"), Int(1)}, {String("k"), String("x")}, {Null, String("x")}, {Int(2), String("dup")}} {
 		if err := db.InsertWithID("R", 7, bad...); err == nil {
 			t.Errorf("row %v accepted", bad)
 		}
+		if _, err := db.InsertBatch("R", []TupleID{7}, []Row{MakeRow(bad...)}); err == nil {
+			t.Errorf("row %v accepted by InsertBatch", bad)
+		}
+	}
+}
+
+// TestRecordHoldsNoPointer: a record is one allocation of words with no
+// pointer in it — its text is a copy, so the collector never scans it and the
+// string it was made from is collected while the record lives.
+func TestRecordHoldsNoPointer(t *testing.T) {
+	if typ := reflect.TypeOf(slot{}.rec).Elem(); typ.Kind() != reflect.Uint64 {
+		t.Fatalf("a record is made of %v", typ)
+	}
+	db := NewDatabase("test")
+	db.MustCreateRelation(MustSchema("R", "", Column{"a", TypeInt}, Column{"s", TypeString}, Column{"t", TypeString}))
+	rel := db.Relation("R")
+	vals := []Value{Int(1), String("a text column"), String("and another")}
+	if n := testing.AllocsPerRun(100, func() { rel.lay.encode(vals) }); n != 1 {
+		t.Errorf("encoding a row with two text columns makes %v allocations", n)
+	}
+	collected := make(chan bool, 1)
+	id := func() TupleID {
+		text := make([]byte, 64)
+		runtime.SetFinalizer(&text[0], func(*byte) { collected <- true })
+		id, err := db.Insert("R", Int(2), String(unsafe.String(&text[0], len(text))), Null)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}()
+	awaitCollection(t, collected, "the string a stored row was made from")
+	if row, _ := rel.Row(id); row.Value(1).AsString() != string(make([]byte, 64)) {
+		t.Fatalf("the stored text is %q", row.Value(1).AsString())
+	}
+}
+
+// awaitCollection runs the collector until collected receives, failing the
+// test if what it names is still reachable after ten seconds.
+func awaitCollection(t *testing.T, collected <-chan bool, what string) {
+	t.Helper()
+	for gone, deadline := false, time.After(10*time.Second); !gone; {
+		runtime.GC()
+		select {
+		case gone = <-collected:
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("%s is still reachable", what)
+		}
+	}
+}
+
+// TestIndexKeysLetRecordsGo: a hash-index key serves every tuple that holds
+// it, so a key read off a record would keep that record alive after its tuple
+// is deleted, for as long as another tuple holds the key; the index owns its
+// keys instead.
+func TestIndexKeysLetRecordsGo(t *testing.T) {
+	db := NewDatabase("test")
+	rel := db.MustCreateRelation(MustSchema("R", "", Column{"s", TypeString}))
+	if err := rel.CreateIndex("s"); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]TupleID, 2)
+	for i := range ids {
+		var err error
+		if ids[i], err = db.Insert("R", String("a key two tuples hold")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collected := make(chan bool, 1)
+	func() {
+		row, _ := rel.Row(ids[0])
+		runtime.SetFinalizer(row.rec, func(*uint64) { collected <- true })
+	}()
+	if ok, err := db.Delete("R", ids[0]); !ok || err != nil {
+		t.Fatal(ok, err)
+	}
+	awaitCollection(t, collected, "the record of a deleted tuple whose key another holds")
+	if got, _ := rel.Lookup("s", String("a key two tuples hold")); !slices.Equal(got, ids[1:]) {
+		t.Fatalf("Lookup = %v, want %v", got, ids[1:])
 	}
 }
 

@@ -23,17 +23,17 @@ type Tuple struct {
 	Values []Value
 }
 
-// slot is the physical storage of a tuple: 16 bytes, its id and the first of
-// its ncols values. The row is the slice insert or update was given — the
-// relation owns it from then on, and neither the relation nor the caller
-// writes it again — so a Tuple handed out by Get or Scan stays valid
-// whatever happens to the slot afterwards (CaptureDirty and the engine's
-// rollback paths depend on it), and one row may back a tuple in several
-// databases. Deleting negates the id and drops the row, leaving a tombstone
-// so that positions remain stable for live scans.
+// slot is the physical storage of a tuple: 16 bytes, its id and its record
+// (row.go). Nobody writes a record once it is stored — update stores a new
+// one — so a Row handed out by Row, AppendRows or ScanRows stays valid
+// whatever happens to the slot afterwards (CaptureDirty, cached answers and
+// the engine's rollback paths depend on it), and one record may back a tuple
+// in several databases: a shard and its source, a base relation and D′.
+// Deleting negates the id and drops the record, leaving a tombstone so that
+// positions remain stable for live scans.
 type slot struct {
 	id  TupleID // negated once the tuple is deleted
-	row *Value
+	rec *uint64
 }
 
 // Slots live in chunks of slotChunk positions, position p in chunk
@@ -60,10 +60,12 @@ type chunk struct {
 type Relation struct {
 	schema *Schema
 	ncols  int
+	lay    layout // how the records are read; the rows handed out point here
 	chunks []chunk
 	next   int // slot positions handed out: the next insert takes this one
 	held   int // slots in memory, live or tombstone (freed chunks excluded)
 	live   int
+	bytes  int // of the records of live tuples
 	// ids is an open-addressed table from tuple id to slot position + 1
 	// (0 = empty), hashed by idHash and probed linearly. The key is not
 	// stored: an entry matches id when the slot it names carries that id,
@@ -84,6 +86,7 @@ func newRelation(s *Schema, runs bool) *Relation {
 	r := &Relation{
 		schema:  s,
 		ncols:   len(s.Columns),
+		lay:     plainLayout(len(s.Columns), s.Columns),
 		runs:    runs,
 		indexes: make(map[string]index),
 		ordered: make(map[string]*OrderedIndex),
@@ -119,10 +122,8 @@ func (r *Relation) slotAt(pos int) *slot {
 	return &c.slots[pos&(slotChunk-1)]
 }
 
-// tuple returns the live slot's tuple; the row holds exactly ncols values.
-func (r *Relation) tuple(s *slot) Tuple {
-	return Tuple{ID: s.id, Values: unsafe.Slice(s.row, r.ncols)}
-}
+// row returns the live slot's row.
+func (r *Relation) row(s *slot) Row { return Row{s.rec, &r.lay} }
 
 // idHash spreads ids over a table of 1<<bits entries (Fibonacci hashing:
 // consecutive ids, which is what a database allocates, land far apart).
@@ -244,7 +245,7 @@ func (r *Relation) Reserve(n int) {
 }
 
 // appendSlot stores a new live slot at the next position and binds its id.
-func (r *Relation) appendSlot(id TupleID, row []Value) error {
+func (r *Relation) appendSlot(id TupleID, rec *uint64) error {
 	if r.next == math.MaxInt32 {
 		return fmt.Errorf("storage: %s is out of slot positions: %w", r.schema.Name, ErrOutOfIDs)
 	}
@@ -252,42 +253,47 @@ func (r *Relation) appendSlot(id TupleID, row []Value) error {
 	if len(c.slots) == cap(c.slots) {
 		c.grow(max(2*cap(c.slots), 8))
 	}
-	c.slots = append(c.slots, slot{id: id, row: unsafe.SliceData(row)})
+	c.slots = append(c.slots, slot{id: id, rec: rec})
 	r.bind(id, r.next)
 	r.next++
 	r.held++
 	r.live++
+	r.bytes += r.lay.recordSize(rec)
 	return nil
 }
 
 // validate checks arity, column types and the primary key of a candidate
-// row. old is the row being replaced by an update (nil for an insert): a key
-// value equal to its own is not a duplicate.
-func (r *Relation) validate(vals, old []Value) error {
+// row. old is the row being replaced by an update (the zero Row for an
+// insert): a key value equal to its own is not a duplicate.
+func (r *Relation) validate(vals []Value, old Row) error {
 	if err := r.checkRow(vals); err != nil {
 		return err
 	}
 	if key := r.schema.Key; key != "" {
 		ki := r.schema.ColumnIndex(key)
-		if kv := vals[ki]; (old == nil || !kv.Equal(old[ki])) && r.indexes[key].has(kv) {
+		if kv := vals[ki]; (!old.Valid() || !kv.Equal(old.Value(ki))) && r.indexes[key].has(kv) {
 			return r.errDuplicateKey(kv)
 		}
 	}
 	return nil
 }
 
-// checkRow is the part of validate that needs no index: arity, column types
-// and a primary key that is not NULL.
+// checkRow is the part of validate that needs no index: arity, column types,
+// a primary key that is not NULL and text that fits a record.
 func (r *Relation) checkRow(vals []Value) error {
 	if len(vals) != r.ncols {
 		return fmt.Errorf("storage: %s expects %d values, got %d",
 			r.schema.Name, r.ncols, len(vals))
 	}
+	text := r.lay.words + 8*r.lay.width
 	for i, v := range vals {
 		col := r.schema.Columns[i]
 		if !col.Type.Accepts(v.Kind()) {
 			return fmt.Errorf("storage: %s.%s is %s, cannot store %s value %q",
 				r.schema.Name, col.Name, col.Type, v.Kind(), v.String())
+		}
+		if text += len(v.s); text > maxRecord {
+			return fmt.Errorf("storage: %s row holds more than %d bytes of text", r.schema.Name, maxRecord)
 		}
 	}
 	if key := r.schema.Key; key != "" && vals[r.schema.ColumnIndex(key)].IsNull() {
@@ -315,42 +321,46 @@ func (r *Relation) checkID(id TupleID) error {
 	return nil
 }
 
-// insert stores a tuple with the given id. vals becomes the stored row: the
-// caller must not write it afterwards.
+// insert stores a tuple with the given id, its values copied into a record.
 func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
-	if err := r.validate(vals, nil); err != nil {
+	if err := r.validate(vals, Row{}); err != nil {
 		return 0, err
 	}
-	t := Tuple{ID: id, Values: vals}
-	if err := r.appendSlot(id, t.Values); err != nil {
+	rec := r.lay.encode(vals)
+	if err := r.appendSlot(id, rec); err != nil {
 		return 0, err
 	}
+	row := Row{rec, &r.lay}
 	for _, idx := range r.indexes {
-		idx.add(t)
+		idx.add(id, row)
 	}
 	for _, idx := range r.ordered {
-		idx.add(t)
+		idx.add(id, row)
 	}
 	return id, nil
 }
 
 // insertBatch stores the tuples (ids[i], rows[i]) in order, all or none: one
-// reservation, one walk of the id table, one validation pass and one update
-// per index, with the checks a loop of insert would make. An id the batch
-// repeats is stored once, under its first row, and its later rows are not
-// looked at; an id the relation held before is an error. It returns how many
-// tuples it stored. After an error the relation and its indexes hold what
+// reservation, one walk of the id table, one validation pass (admit) and one
+// update per index, with the checks a loop of insert would make. An id the
+// batch repeats is stored once, under its first row, and its later rows are
+// not looked at; an id the relation held before is an error. It returns how
+// many tuples it stored. After an error the relation and its indexes hold what
 // they held before, and the error is the one the first failing tuple would
 // have met in that loop.
-func (r *Relation) insertBatch(ids []TupleID, rows [][]Value) (int, error) {
+func (r *Relation) insertBatch(ids []TupleID, rows []Row) (int, error) {
 	if int64(r.next)+int64(len(ids)) > math.MaxInt32 {
 		return 0, fmt.Errorf("storage: %s is out of slot positions: %w", r.schema.Name, ErrOutOfIDs)
+	}
+	if r.next == 0 && len(rows) > 0 && rows[0].Valid() {
+		r.adopt(rows[0].lay)
 	}
 	base := r.next
 	r.Reserve(len(ids))
 	kept, keptRows, ok := r.place(ids, rows)
-	for _, row := range keptRows {
-		ok = ok && r.checkRow(row) == nil
+	bytes := 0
+	if ok {
+		keptRows, bytes, ok = r.admit(base, keptRows, unsafe.SliceData(keptRows) == unsafe.SliceData(rows))
 	}
 	if key := r.schema.Key; ok && key != "" {
 		ok = r.indexes[key].addBatch(kept, keptRows, true)
@@ -359,7 +369,7 @@ func (r *Relation) insertBatch(ids []TupleID, rows [][]Value) (int, error) {
 		r.truncate(base)
 		return 0, r.batchError(ids, rows)
 	}
-	r.held, r.live = r.held+len(kept), r.live+len(kept)
+	r.held, r.live, r.bytes = r.held+len(kept), r.live+len(kept), r.bytes+bytes
 	for col, idx := range r.indexes {
 		if col != r.schema.Key {
 			idx.addBatch(kept, keptRows, false)
@@ -367,10 +377,59 @@ func (r *Relation) insertBatch(ids []TupleID, rows [][]Value) (int, error) {
 	}
 	for _, idx := range r.ordered {
 		for i, id := range kept {
-			idx.add(Tuple{ID: id, Values: keptRows[i]})
+			idx.add(id, keptRows[i])
 		}
 	}
 	return len(kept), nil
+}
+
+// adopt makes an empty relation read its records through l when l's rows have
+// the relation's columns and declared types: how a result relation comes to
+// map its columns onto its base relation's records, at its first batch.
+func (r *Relation) adopt(l *layout) {
+	if r.next > 0 || l.types == nil || r.lay.same(l) || len(l.cols) != r.ncols {
+		return
+	}
+	for j, c := range r.schema.Columns {
+		if l.types[l.cols[j]].Type != c.Type {
+			return
+		}
+	}
+	r.lay = *l
+}
+
+// admit makes the placed rows of a batch, stored from position base on,
+// readable through the relation's layout: a row the layout reads alike, its
+// record checked when it was made, only has its key checked for NULL; any
+// other is checked and copied into a record of the relation's, in its slot
+// and in rows (a copy, if shared with the caller). It reports the records'
+// bytes, and false at a row that is refused.
+func (r *Relation) admit(base int, rows []Row, shared bool) ([]Row, int, bool) {
+	key := r.schema.ColumnIndex(r.schema.Key)
+	trusted, bytes := &r.lay, 0
+	for i, row := range rows {
+		if !row.Valid() {
+			return rows, 0, false
+		}
+		if row.lay != trusted && row.lay.same(&r.lay) {
+			trusted = row.lay
+		}
+		if row.lay != trusted {
+			vals := row.Values()
+			if r.checkRow(vals) != nil {
+				return rows, 0, false
+			}
+			if shared {
+				rows, shared = slices.Clone(rows), false
+			}
+			row = Row{r.lay.encode(vals), &r.lay}
+			rows[i], r.slotAt(base+i).rec = row, row.rec
+		} else if key >= 0 && row.Value(key).IsNull() {
+			return rows, 0, false
+		}
+		bytes += r.lay.recordSize(row.rec)
+	}
+	return rows, bytes, true
 }
 
 // place gives every id of the batch that is new a slot, bound to it, after
@@ -378,7 +437,7 @@ func (r *Relation) insertBatch(ids []TupleID, rows [][]Value) (int, error) {
 // less the ids it repeats — the batch itself when it repeats none, a copy
 // otherwise. It stops, reporting false, at an id that cannot be stored or
 // that the relation held before the batch.
-func (r *Relation) place(ids []TupleID, rows [][]Value) (kept []TupleID, keptRows [][]Value, ok bool) {
+func (r *Relation) place(ids []TupleID, rows []Row) (kept []TupleID, keptRows []Row, ok bool) {
 	base := r.next
 	kept, keptRows = ids, rows
 	for i, id := range ids {
@@ -399,7 +458,7 @@ func (r *Relation) place(ids []TupleID, rows [][]Value) (kept []TupleID, keptRow
 		if len(c.slots) == cap(c.slots) {
 			c.grow(len(c.slots) + len(ids) - i)
 		}
-		c.slots = append(c.slots, slot{id: id, row: unsafe.SliceData(rows[i])})
+		c.slots = append(c.slots, slot{id: id, rec: rows[i].rec})
 		r.next++
 		if n < i {
 			kept[n], keptRows[n] = id, rows[i]
@@ -425,7 +484,7 @@ func (r *Relation) truncate(base int) {
 
 // batchError replays a refused batch the way a loop of insert takes it and
 // returns the error of the first tuple that fails.
-func (r *Relation) batchError(ids []TupleID, rows [][]Value) error {
+func (r *Relation) batchError(ids []TupleID, rows []Row) error {
 	seen := make(map[TupleID]bool, len(ids))
 	keys := make(map[Value]bool, len(ids))
 	for i, id := range ids {
@@ -435,11 +494,14 @@ func (r *Relation) batchError(ids []TupleID, rows [][]Value) error {
 		if err := r.checkID(id); err != nil {
 			return err
 		}
-		if err := r.validate(rows[i], nil); err != nil {
+		if !rows[i].Valid() {
+			return fmt.Errorf("storage: %s tuple %d has no row", r.schema.Name, id)
+		}
+		if err := r.validate(rows[i].Values(), Row{}); err != nil {
 			return err
 		}
 		if key := r.schema.Key; key != "" {
-			kv := rows[i][r.schema.ColumnIndex(key)]
+			kv := rows[i].Value(r.schema.ColumnIndex(key))
 			if keys[kv] {
 				return r.errDuplicateKey(kv)
 			}
@@ -451,16 +513,16 @@ func (r *Relation) batchError(ids []TupleID, rows [][]Value) error {
 }
 
 // delete removes the tuple with the given id. It reports whether it existed.
-// The slot stops referencing the row, so the values and their strings are
-// collectable as soon as no caller holds the tuple; the row itself is not
-// touched.
+// The slot stops referencing the record, so it is collectable as soon as no
+// caller holds a row of it; the record itself is not touched.
 func (r *Relation) delete(id TupleID) bool {
 	s, pos := r.find(id)
 	if s == nil {
 		return false
 	}
-	t := r.tuple(s)
-	s.id, s.row = -id, nil
+	row := r.row(s)
+	r.bytes -= r.lay.recordSize(s.rec)
+	s.id, s.rec = -id, nil
 	r.live--
 	if c := &r.chunks[pos>>slotChunkBits]; c.dead+1 == slotChunk {
 		c.slots = nil
@@ -469,31 +531,40 @@ func (r *Relation) delete(id TupleID) bool {
 		c.dead++
 	}
 	for _, idx := range r.indexes {
-		idx.remove(t)
+		idx.remove(id, row)
 	}
 	for _, idx := range r.ordered {
-		idx.remove(t)
+		idx.remove(id, row)
 	}
 	return true
 }
 
-// Get returns the tuple with the given id.
+// Get returns the tuple with the given id, its values decoded.
 func (r *Relation) Get(id TupleID) (Tuple, bool) {
 	s, _ := r.find(id)
 	if s == nil {
 		return Tuple{}, false
 	}
-	return r.tuple(s), true
+	return Tuple{ID: id, Values: r.row(s).Values()}, true
 }
 
-// AppendTuples appends the live tuples among ids to dst, in ids order: Get
-// for a block of ids, taken in passes — every id's first entry of the id
-// table, then every slot — so that the cache misses of independent tuples
-// overlap instead of queueing behind one another. The rows are the caller's
-// third pass.
-func (r *Relation) AppendTuples(dst []Tuple, ids []TupleID) []Tuple {
+// Row returns the row of the tuple with the given id.
+func (r *Relation) Row(id TupleID) (Row, bool) {
+	s, _ := r.find(id)
+	if s == nil {
+		return Row{}, false
+	}
+	return r.row(s), true
+}
+
+// AppendRows appends to dst the row of every id, the zero Row for an id no
+// live tuple carries: Row for a block of ids, taken in passes — every id's
+// first entry of the id table, then every slot — so that the cache misses of
+// independent tuples overlap instead of queueing behind one another. The
+// records are the caller's third pass.
+func (r *Relation) AppendRows(dst []Row, ids []TupleID) []Row {
 	if r.ids == nil {
-		return dst
+		return append(dst, make([]Row, len(ids))...)
 	}
 	shift := bits.TrailingZeros(uint(len(r.ids)))
 	var first [256]int32
@@ -504,16 +575,17 @@ func (r *Relation) AppendTuples(dst []Tuple, ids []TupleID) []Tuple {
 			first[i] = r.ids[idHash(id, shift)]
 		}
 		for i, id := range block {
-			if first[i] == 0 || id <= 0 {
-				continue
-			}
-			s := r.slotAt(int(first[i] - 1))
-			if s == nil || s.id != id {
-				if s, _ = r.find(id); s == nil { // a collision: walk on from the start
-					continue
+			var s *slot
+			if first[i] != 0 && id > 0 {
+				if s = r.slotAt(int(first[i] - 1)); s == nil || s.id != id {
+					s, _ = r.find(id) // a collision: walk on from the start
 				}
 			}
-			dst = append(dst, r.tuple(s))
+			if s == nil {
+				dst = append(dst, Row{})
+			} else {
+				dst = append(dst, r.row(s))
+			}
 		}
 	}
 	return dst
@@ -526,19 +598,24 @@ func (r *Relation) Has(id TupleID) bool {
 	return s != nil
 }
 
-// Scan calls fn for each live tuple in insertion order until fn returns
-// false or the relation is exhausted.
-func (r *Relation) Scan(fn func(Tuple) bool) { r.ScanRange(0, r.next, fn) }
+// Scan calls fn for each live tuple, its values decoded, in insertion order
+// until fn returns false or the relation is exhausted.
+func (r *Relation) Scan(fn func(Tuple) bool) {
+	r.ScanRows(func(id TupleID, row Row) bool { return fn(Tuple{ID: id, Values: row.Values()}) })
+}
+
+// ScanRows is Scan handing out rows.
+func (r *Relation) ScanRows(fn func(TupleID, Row) bool) { r.ScanRange(0, r.next, fn) }
 
 // Extent returns the number of slot positions the relation has handed out,
 // tombstones included: ScanRange addresses tuples by position in
 // [0, Extent()).
 func (r *Relation) Extent() int { return r.next }
 
-// ScanRange is Scan restricted to the slot positions [lo, hi), so that
+// ScanRange is ScanRows restricted to the slot positions [lo, hi), so that
 // several workers can split one relation without materializing its tuples.
 // Tuples inserted by fn itself are not visited.
-func (r *Relation) ScanRange(lo, hi int, fn func(Tuple) bool) {
+func (r *Relation) ScanRange(lo, hi int, fn func(TupleID, Row) bool) {
 	hi = min(hi, r.next)
 	for pos := max(lo, 0); pos < hi; pos++ {
 		s := r.slotAt(pos)
@@ -546,7 +623,7 @@ func (r *Relation) ScanRange(lo, hi int, fn func(Tuple) bool) {
 			pos |= slotChunk - 1 // freed chunk: on to the next one
 			continue
 		}
-		if s.id > 0 && !fn(r.tuple(s)) {
+		if s.id > 0 && !fn(s.id, r.row(s)) {
 			return
 		}
 	}
@@ -572,8 +649,8 @@ func (r *Relation) CreateIndex(column string) error {
 		return nil
 	}
 	idx := r.newIndex(ci)
-	r.Scan(func(t Tuple) bool {
-		idx.add(t)
+	r.ScanRows(func(id TupleID, row Row) bool {
+		idx.add(id, row)
 		return true
 	})
 	r.indexes[column] = idx
@@ -597,8 +674,8 @@ func (r *Relation) CreateOrderedIndex(column string) (*OrderedIndex, error) {
 		return idx, nil
 	}
 	idx := newOrderedIndex(column, ci)
-	r.Scan(func(t Tuple) bool {
-		idx.add(t)
+	r.ScanRows(func(id TupleID, row Row) bool {
+		idx.add(id, row)
 		return true
 	})
 	r.ordered[column] = idx
@@ -653,9 +730,9 @@ func (r *Relation) AppendLookups(dst []TupleID, ends []int, column string, vals 
 		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
 	}
 	for i, v := range vals {
-		r.Scan(func(t Tuple) bool {
-			if t.Values[ci].Equal(v) {
-				dst = append(dst, t.ID)
+		r.ScanRows(func(id TupleID, row Row) bool {
+			if row.Value(ci).Equal(v) {
+				dst = append(dst, id)
 			}
 			return true
 		})
@@ -675,8 +752,8 @@ func (r *Relation) holds(column string, v Value) bool {
 	}
 	ci := r.schema.ColumnIndex(column)
 	found := false
-	r.Scan(func(t Tuple) bool {
-		found = t.Values[ci].Equal(v)
+	r.ScanRows(func(_ TupleID, row Row) bool {
+		found = row.Value(ci).Equal(v)
 		return !found
 	})
 	return found
@@ -699,8 +776,8 @@ func (r *Relation) DistinctValues(column string) ([]Value, error) {
 		}
 	} else {
 		vals = make([]Value, 0, r.live)
-		r.Scan(func(t Tuple) bool {
-			if v := t.Values[ci]; !v.IsNull() {
+		r.ScanRows(func(_ TupleID, row Row) bool {
+			if v := row.Value(ci); !v.IsNull() {
 				vals = append(vals, v)
 			}
 			return true
@@ -715,32 +792,32 @@ func (r *Relation) DistinctValues(column string) ([]Value, error) {
 	return slices.Compact(vals), nil
 }
 
-// update replaces a tuple's values, revalidating types and key uniqueness
-// and keeping every index current. vals becomes the stored row (the caller
-// must not write it afterwards); the old row is left as it was for whoever
-// still holds it.
+// update replaces a tuple's values with a new record, revalidating types and
+// key uniqueness and keeping every index current; the old record is left as it
+// was for whoever still holds a row of it.
 func (r *Relation) update(id TupleID, vals []Value) error {
 	s, _ := r.find(id)
 	if s == nil {
 		return fmt.Errorf("storage: relation %s has no tuple %d", r.schema.Name, id)
 	}
-	old := r.tuple(s)
-	if err := r.validate(vals, old.Values); err != nil {
+	old := r.row(s)
+	if err := r.validate(vals, old); err != nil {
 		return err
 	}
 	for _, idx := range r.indexes {
-		idx.remove(old)
+		idx.remove(id, old)
 	}
 	for _, idx := range r.ordered {
-		idx.remove(old)
+		idx.remove(id, old)
 	}
-	updated := Tuple{ID: id, Values: vals}
-	s.row = unsafe.SliceData(updated.Values)
+	s.rec = r.lay.encode(vals)
+	r.bytes += r.lay.recordSize(s.rec) - r.lay.recordSize(old.rec)
+	updated := r.row(s)
 	for _, idx := range r.indexes {
-		idx.add(updated)
+		idx.add(id, updated)
 	}
 	for _, idx := range r.ordered {
-		idx.add(updated)
+		idx.add(id, updated)
 	}
 	return nil
 }

@@ -50,26 +50,26 @@ func (e runEntry[K]) compare(o runEntry[K]) int {
 // index.
 func (ix *RunIndex) Cardinality() int { return ix.ints.distinct() + ix.vals.distinct() }
 
-func (ix *RunIndex) add(t Tuple) {
-	if v := t.Values[ix.colIdx]; v.kind == KindInt {
-		ix.ints.add(intKey(v.AsInt()), t.ID)
+func (ix *RunIndex) add(id TupleID, row Row) {
+	if v := row.Value(ix.colIdx); v.kind == KindInt {
+		ix.ints.add(intKey(v.AsInt()), id)
 	} else {
-		ix.vals.add(v, t.ID)
+		ix.vals.add(v, id)
 	}
 }
 
-func (ix *RunIndex) remove(t Tuple) {
-	if v := t.Values[ix.colIdx]; v.kind == KindInt {
-		ix.ints.remove(intKey(v.AsInt()), t.ID)
+func (ix *RunIndex) remove(id TupleID, row Row) {
+	if v := row.Value(ix.colIdx); v.kind == KindInt {
+		ix.ints.remove(intKey(v.AsInt()), id)
 	} else {
-		ix.vals.remove(v, t.ID)
+		ix.vals.remove(v, id)
 	}
 }
 
-func (ix *RunIndex) addBatch(ids []TupleID, rows [][]Value, unique bool) bool {
+func (ix *RunIndex) addBatch(ids []TupleID, rows []Row, unique bool) bool {
 	nInts := 0
 	for _, row := range rows {
-		if row[ix.colIdx].kind == KindInt {
+		if row.Value(ix.colIdx).kind == KindInt {
 			nInts++
 		}
 	}
@@ -81,7 +81,7 @@ func (ix *RunIndex) addBatch(ids []TupleID, rows [][]Value, unique bool) bool {
 		vals = make(run[Value], len(ix.vals), len(ix.vals)+len(rows)-nInts)
 	}
 	for i, row := range rows {
-		if v := row[ix.colIdx]; v.kind == KindInt {
+		if v := row.Value(ix.colIdx); v.kind == KindInt {
 			ints = append(ints, runEntry[intKey]{intKey(v.AsInt()), ids[i]})
 		} else {
 			vals = append(vals, runEntry[Value]{v, ids[i]})

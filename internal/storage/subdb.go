@@ -11,7 +11,8 @@ import (
 //  2. every relation's attribute set in sub is a subset of its attributes
 //     in orig;
 //  3. every tuple in sub is the projection (on sub's attributes) of the
-//     orig tuple with the same id;
+//     orig tuple with the same id: each value the same kind and payload
+//     (==), so an Int does not pass for the Float it Equals;
 //  4. every foreign key of orig whose endpoints both survive in sub is
 //     join-consistent within sub: a non-NULL reference value appearing in
 //     sub either finds a referenced tuple in sub or the referenced side of
@@ -40,17 +41,16 @@ func VerifySubDatabase(orig, sub *Database) error {
 		}
 		// Condition 3: every tuple is a projection of the original tuple.
 		var verr error
-		sr.Scan(func(t Tuple) bool {
-			ot, ok := or.Get(t.ID)
+		sr.ScanRows(func(id TupleID, row Row) bool {
+			orow, ok := or.Row(id)
 			if !ok {
-				verr = fmt.Errorf("subdb: %s tuple %d does not exist in the original relation", name, t.ID)
+				verr = fmt.Errorf("subdb: %s tuple %d does not exist in the original relation", name, id)
 				return false
 			}
 			for i, c := range sr.Schema().Columns {
-				oi := or.Schema().ColumnIndex(c.Name)
-				if !t.Values[i].Equal(ot.Values[oi]) && !(t.Values[i].IsNull() && ot.Values[oi].IsNull()) {
-					verr = fmt.Errorf("subdb: %s tuple %d column %s is %s, original has %s",
-						name, t.ID, c.Name, t.Values[i].String(), ot.Values[oi].String())
+				if v, o := row.Value(i), orow.Value(or.Schema().ColumnIndex(c.Name)); v != o {
+					verr = fmt.Errorf("subdb: %s tuple %d column %s is %s %s, original has %s %s",
+						name, id, c.Name, v.Kind(), v.String(), o.Kind(), o.String())
 					return false
 				}
 			}
@@ -89,8 +89,8 @@ func CheckJoinConsistency(orig, sub *Database) []JoinConsistency {
 			continue
 		}
 		jc := JoinConsistency{ForeignKey: fk}
-		from.Scan(func(t Tuple) bool {
-			v := t.Values[fi]
+		from.ScanRows(func(_ TupleID, row Row) bool {
+			v := row.Value(fi)
 			if v.IsNull() {
 				return true
 			}

@@ -30,6 +30,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"precis/internal/storage"
 )
@@ -80,6 +82,15 @@ func (e *enc) value(v storage.Value) {
 	}
 }
 
+// row encodes a stored row as a length-prefixed value list, the bytes a
+// Record's Values would be.
+func (e *enc) row(r storage.Row) {
+	e.uvarint(uint64(r.Len()))
+	for i := 0; i < r.Len(); i++ {
+		e.value(r.Value(i))
+	}
+}
+
 // dec is a bounds-checked binary decoder over one frame payload. Every
 // accessor validates against the remaining bytes before reading or
 // allocating, so adversarial inputs (fuzzed length fields, truncated
@@ -87,6 +98,9 @@ func (e *enc) value(v storage.Value) {
 type dec struct {
 	b   []byte
 	off int
+	// borrow makes a decoded value's text alias the payload: for a caller that
+	// copies the values into a record while the payload is still there.
+	borrow bool
 }
 
 func (d *dec) remaining() int { return len(d.b) - d.off }
@@ -130,16 +144,22 @@ func (d *dec) f64() (float64, error) {
 }
 
 func (d *dec) str() (string, error) {
+	b, err := d.text()
+	return string(b), err
+}
+
+// text reads a length-prefixed string's bytes, which alias the payload.
+func (d *dec) text() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(d.remaining()) {
-		return "", fmt.Errorf("string of %d bytes at %d exceeds remaining %d", n, d.off, d.remaining())
+		return nil, fmt.Errorf("string of %d bytes at %d exceeds remaining %d", n, d.off, d.remaining())
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s, nil
+	return b, nil
 }
 
 // count reads a uvarint element count and validates it against the smallest
@@ -180,11 +200,14 @@ func (d *dec) value() (storage.Value, error) {
 		}
 		return storage.Float(v), nil
 	case storage.KindString:
-		s, err := d.str()
-		if err != nil {
+		b, err := d.text()
+		switch {
+		case err != nil:
 			return storage.Null, err
+		case d.borrow && len(b) > 0:
+			return storage.String(unsafe.String(&b[0], len(b))), nil
 		}
-		return storage.String(s), nil
+		return storage.String(string(b)), nil
 	case storage.KindBool:
 		b, err := d.u8()
 		if err != nil {
@@ -196,13 +219,13 @@ func (d *dec) value() (storage.Value, error) {
 	}
 }
 
-// values decodes a length-prefixed value list.
-func (d *dec) values() ([]storage.Value, error) {
+// values appends a length-prefixed value list to out.
+func (d *dec) values(out []storage.Value) ([]storage.Value, error) {
 	n, err := d.count(1)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]storage.Value, 0, n)
+	out = slices.Grow(out, n)
 	for i := 0; i < n; i++ {
 		v, err := d.value()
 		if err != nil {

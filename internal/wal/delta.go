@@ -81,12 +81,9 @@ func EncodeDelta(d *DeltaData) ([]byte, error) {
 		var e enc
 		e.str(r.Name)
 		e.uvarint(uint64(len(r.Upserts)))
-		for _, t := range r.Upserts {
-			e.uvarint(uint64(t.ID))
-			e.uvarint(uint64(len(t.Values)))
-			for _, v := range t.Values {
-				e.value(v)
-			}
+		for _, u := range r.Upserts {
+			e.uvarint(uint64(u.ID))
+			e.row(u.Row)
 		}
 		e.uvarint(uint64(len(r.Deletes)))
 		for _, id := range r.Deletes {
@@ -189,17 +186,19 @@ func DecodeDelta(file string, raw []byte) (*DeltaData, error) {
 			if err != nil {
 				return fmt.Errorf("relation %s upserts: %w", r.Name, err)
 			}
-			r.Upserts = make([]storage.Tuple, 0, nUp)
+			r.Upserts = make([]storage.Upsert, 0, nUp)
+			dd.borrow = true // MakeRow copies the values out of the payload
+			var vals []storage.Value
 			for j := 0; j < nUp; j++ {
 				id, err := dd.uvarint()
 				if err != nil {
 					return fmt.Errorf("relation %s upsert %d: %w", r.Name, j, err)
 				}
-				vals, err := dd.values()
+				vals, err = dd.values(vals[:0])
 				if err != nil {
 					return fmt.Errorf("relation %s upsert %d: %w", r.Name, j, err)
 				}
-				r.Upserts = append(r.Upserts, storage.Tuple{ID: storage.TupleID(id), Values: vals})
+				r.Upserts = append(r.Upserts, storage.Upsert{ID: storage.TupleID(id), Row: storage.MakeRow(vals...)})
 			}
 			nDel, err := dd.count(1)
 			if err != nil {
@@ -298,37 +297,20 @@ func DecodeDelta(file string, raw []byte) (*DeltaData, error) {
 }
 
 // ApplyDelta applies d on top of data, in the same deterministic order the
-// checkpoint captured it: relations in creation order, upserts ascending
-// by id, then tombstones. Because tuple ids are globally monotone and
-// never reused, InsertWithID in ascending order lands every tuple at the
-// same scan position WAL replay would have — delta recovery stays
-// byte-identical to log replay. Extras replace the base's wholesale.
-// obs (may be nil) sees every tuple-level change.
+// checkpoint captured it: relations in creation order, tombstones, then
+// upserts ascending by id. Tombstones go first: a primary key a deleted tuple
+// held may since have been taken by a tuple inserted under a new id. Because
+// tuple ids are globally monotone and never reused, InsertWithID in
+// ascending order lands every tuple at the same scan position WAL replay
+// would have — delta recovery stays byte-identical to log replay. Extras
+// replace the base's wholesale. obs (may be nil) sees every tuple-level
+// change.
 func ApplyDelta(data *SnapshotData, d *DeltaData, obs RecoveryObserver) error {
 	db := data.DB
 	for _, r := range d.Relations {
 		rel := db.Relation(r.Name)
 		if rel == nil {
 			return fmt.Errorf("wal: delta references unknown relation %s", r.Name)
-		}
-		for _, t := range r.Upserts {
-			if old, ok := rel.Get(t.ID); ok {
-				if err := db.Update(r.Name, t.ID, t.Values); err != nil {
-					return fmt.Errorf("wal: delta update %s/%d: %w", r.Name, t.ID, err)
-				}
-				if obs != nil {
-					nt := t
-					obs.RecoveryApply(r.Name, &old, &nt)
-				}
-			} else {
-				if err := db.InsertWithID(r.Name, t.ID, t.Values...); err != nil {
-					return fmt.Errorf("wal: delta insert %s/%d: %w", r.Name, t.ID, err)
-				}
-				if obs != nil {
-					nt := t
-					obs.RecoveryApply(r.Name, nil, &nt)
-				}
-			}
 		}
 		for _, id := range r.Deletes {
 			// A tombstone for an id the base never saw (inserted and deleted
@@ -342,6 +324,24 @@ func ApplyDelta(data *SnapshotData, d *DeltaData, obs RecoveryObserver) error {
 			}
 			if obs != nil {
 				obs.RecoveryApply(r.Name, &old, nil)
+			}
+		}
+		for _, u := range r.Upserts {
+			t := storage.Tuple{ID: u.ID, Values: u.Row.Values()}
+			if old, ok := rel.Get(t.ID); ok {
+				if err := db.Update(r.Name, t.ID, t.Values); err != nil {
+					return fmt.Errorf("wal: delta update %s/%d: %w", r.Name, t.ID, err)
+				}
+				if obs != nil {
+					obs.RecoveryApply(r.Name, &old, &t)
+				}
+			} else {
+				if err := db.InsertWithID(r.Name, t.ID, t.Values...); err != nil {
+					return fmt.Errorf("wal: delta insert %s/%d: %w", r.Name, t.ID, err)
+				}
+				if obs != nil {
+					obs.RecoveryApply(r.Name, nil, &t)
+				}
 			}
 		}
 	}

@@ -20,9 +20,9 @@ func testDelta() *DeltaData {
 		Relations: []storage.DirtyRelation{
 			{
 				Name: "AUTHOR",
-				Upserts: []storage.Tuple{
-					{ID: 7, Values: []storage.Value{storage.Int(9), storage.String("Borges"), storage.Float(5), storage.Bool(true)}},
-					{ID: 12, Values: []storage.Value{storage.Int(10), storage.Null, storage.Float(1.5), storage.Bool(false)}},
+				Upserts: []storage.Upsert{
+					{ID: 7, Row: storage.MakeRow(storage.Int(9), storage.String("Borges"), storage.Float(5), storage.Bool(true))},
+					{ID: 12, Row: storage.MakeRow(storage.Int(10), storage.Null, storage.Float(1.5), storage.Bool(false))},
 				},
 				Deletes: []storage.TupleID{3, 5},
 			},
@@ -107,7 +107,8 @@ func TestDeltaDecodeBitFlips(t *testing.T) {
 
 // TestApplyDeltaMatchesReplay: applying a delta captured from a mutated
 // database must land tuples at the same positions direct mutation did,
-// including the tombstone-for-unseen-id no-op.
+// including the tombstone-for-unseen-id no-op and a primary key deleted and
+// inserted again under a new id.
 func TestApplyDeltaMatchesReplay(t *testing.T) {
 	// Base state, snapshotted before mutation.
 	base := testDB(t)
@@ -134,6 +135,15 @@ func TestApplyDeltaMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := live.DB.Delete("AUTHOR", tmp); err != nil {
+		t.Fatal(err)
+	}
+	// A key moved to a new id: its tombstone must apply before the insert.
+	var moved storage.Tuple
+	live.DB.Relation("AUTHOR").Scan(func(tp storage.Tuple) bool { moved = tp; return false })
+	if _, err := live.DB.Delete("AUTHOR", moved.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.DB.Insert("AUTHOR", moved.Values...); err != nil {
 		t.Fatal(err)
 	}
 	ds := live.DB.CaptureDirty()

@@ -96,7 +96,7 @@ func TestIDAboveCapIsTypedNotCorruption(t *testing.T) {
 		}
 		if err := s.CompleteDelta(h, &DeltaData{
 			NextTupleID: db.NextTupleID(),
-			Relations:   []storage.DirtyRelation{{Name: "AUTHOR", Upserts: []storage.Tuple{{ID: over, Values: borges}}}},
+			Relations:   []storage.DirtyRelation{{Name: "AUTHOR", Upserts: []storage.Upsert{{ID: over, Row: storage.MakeRow(borges...)}}}},
 			FKs:         db.ForeignKeys(),
 		}); err != nil {
 			t.Fatal(err)

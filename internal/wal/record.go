@@ -106,7 +106,7 @@ func decodeRecord(payload []byte) (Record, error) {
 			var id uint64
 			if id, err = d.uvarint(); err == nil {
 				r.ID = storage.TupleID(id)
-				r.Values, err = d.values()
+				r.Values, err = d.values(nil)
 			}
 		}
 	case OpDelete:

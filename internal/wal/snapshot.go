@@ -107,13 +107,10 @@ func EncodeSnapshot(data *SnapshotData) ([]byte, error) {
 			e.u8(uint8(c.Type))
 		}
 		e.uvarint(uint64(rel.Len()))
-		rel.Scan(func(t storage.Tuple) bool {
+		rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
 			total++
-			e.uvarint(uint64(t.ID))
-			e.uvarint(uint64(len(t.Values)))
-			for _, v := range t.Values {
-				e.value(v)
-			}
+			e.uvarint(uint64(id))
+			e.row(row)
 			return true
 		})
 		if out, err = appendFrame(out, e.bytes()); err != nil {
@@ -337,12 +334,16 @@ func decodeRelation(d *dec, db *storage.Database) error {
 	if err != nil {
 		return err
 	}
+	// One buffer for every tuple's values, their text borrowed from the
+	// payload: the insert copies both into the tuple's record.
+	d.borrow = true
+	var vals []storage.Value
 	for i := 0; i < ntuples; i++ {
 		id, err := d.uvarint()
 		if err != nil {
 			return fmt.Errorf("tuple %d: %w", i, err)
 		}
-		vals, err := d.values()
+		vals, err = d.values(vals[:0])
 		if err != nil {
 			return fmt.Errorf("tuple %d: %w", i, err)
 		}

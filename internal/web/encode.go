@@ -31,7 +31,7 @@ func putBuf(p *[]byte, b []byte) {
 
 // appendAnswer appends the /api/search body of ans to dst: byte for byte what
 // json.NewEncoder(w).Encode(buildAPIAnswer(ans)) writes, trailing newline
-// included, with the display-column values taken straight from the tuples of
+// included, with the display-column values read straight off the rows of
 // the result database instead of through a [][]string copy of it
 // (TestSearchBodyMatchesEncodingJSON holds the two together).
 func appendAnswer(dst []byte, ans *precis.Answer) ([]byte, error) {
@@ -110,14 +110,14 @@ func appendRows(dst []byte, r *storage.Relation, cols []string) []byte {
 		idx[i] = r.Schema().ColumnIndex(c)
 	}
 	sep := byte('[')
-	r.Scan(func(t storage.Tuple) bool {
+	r.ScanRows(func(_ storage.TupleID, row storage.Row) bool {
 		dst = append(dst, sep, '[')
 		sep = ','
 		for i, ci := range idx {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			if v := t.Values[ci]; v.Kind() == storage.KindString {
+			if v := row.Value(ci); v.Kind() == storage.KindString {
 				dst = appendJSONString(dst, v.AsString())
 			} else {
 				// Numbers, booleans and NULL: nothing JSON escapes.

@@ -329,10 +329,10 @@ func buildAPIAnswer(ans *precis.Answer) apiAnswer {
 			idx[i] = r.Schema().ColumnIndex(c)
 		}
 		ar := apiRelation{Name: rel, Columns: cols}
-		r.Scan(func(t storage.Tuple) bool {
+		r.ScanRows(func(_ storage.TupleID, t storage.Row) bool {
 			row := make([]string, len(idx))
 			for i, ci := range idx {
-				row[i] = t.Values[ci].String()
+				row[i] = t.Value(ci).String()
 			}
 			ar.Rows = append(ar.Rows, row)
 			return true

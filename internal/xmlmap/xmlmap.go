@@ -298,7 +298,7 @@ func Shred(r io.Reader) (*Result, error) {
 		inf := infos[n.name]
 		ids[n.name]++
 		id := ids[n.name]
-		vals := make([]storage.Value, 1, 2+len(colsOf[n.name])) // the stored row: sized once
+		vals := make([]storage.Value, 1, 2+len(colsOf[n.name])) // sized once
 		vals[0] = storage.Int(id)
 		if inf.parent != "" {
 			vals = append(vals, storage.Int(parentID))

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,15 +23,17 @@ import (
 
 // liveBytesPerTupleBudget is what one tuple of the bundled synthetic dataset
 // may cost in live heap once the engine (storage, hash indexes, inverted
-// index) is built over it: 10 % above the 206 bytes measured when resident id
-// lists went to four bytes an id — by holder, in the exact profile of the
-// 34,000-film server (EXPERIMENTS.md, "Resident memory"): the ids of the
-// posting lists 19.0 → 10.9 bytes a tuple, those of the join-index lists
-// 15.9 → 8.6, nothing else moved. It was 225 with 8-byte ids in those lists
-// (32-byte Value, 16-byte slots, id→slot table, int-keyed hash indexes,
-// sorted-slice postings) and 460 before that. Raise it only with a heap
-// profile that says where the bytes went.
-const liveBytesPerTupleBudget = 227
+// index) is built over it: 10 % above the 147 bytes measured when every row
+// became one pointer-free record — by holder, in the exact profile of the
+// 34,000-film server (EXPERIMENTS.md, "Resident memory"), per tuple: the rows
+// 104.5 → 47.4 bytes (a []Value of 32-byte Values and a string per text value,
+// against a record of kind bytes, 8-byte words and the text), the token strings
+// the inverted index now owns instead of aliasing a row 0 → 1.6, the rest
+// within a byte of where it was (slots 18.0, id table 7.1, hash-index maps
+// 20.1, id lists 19.0, posting locations 16.0). It was 206 with the rows as
+// []Value, 225 with 8-byte ids in the id lists and 460 before that. Raise it
+// only with a heap profile that says where the bytes went.
+const liveBytesPerTupleBudget = 162
 
 // TestLiveBytesPerTuple pins the resident cost of a tuple so the bytes
 // cannot creep back unnoticed. scripts/ci.sh runs it in a non-race step.
@@ -138,6 +142,82 @@ func TestListBytesCountTheLists(t *testing.T) {
 	t.Logf("%d tuples: %d postings, %d ids in hash-index lists: %+v", eng.TotalTuples(), postings, listed, st)
 	if postings == 0 || listed == 0 || st.Index.Postings != postings || st.Index.ListBytes != 4*postings || st.Storage.ListBytes != 4*listed {
 		t.Errorf("LayoutStats = %+v, want %d postings at 4 bytes and %d listed ids at 4 bytes", st, postings, listed)
+	}
+}
+
+// TestRowBytesCountTheRows holds the row_bytes count of LayoutStats — what
+// /api/stats reports, maintained on the write path — to a recount of the
+// records by their format after a seeded run of inserts, updates and deletes:
+// a kind byte per column padded to eight, a word per column, the text, rounded
+// to a word. A sharded engine given the same writes holds the same tuples
+// across its shards and reports the same count.
+func TestRowBytesCountTheRows(t *testing.T) {
+	cfg := dataset.DefaultSyntheticConfig()
+	cfg.Films = 150
+	var engines []*precis.Engine
+	for _, build := range []func(*storage.Database, *schemagraph.Graph) (*precis.Engine, error){precis.New,
+		func(db *storage.Database, g *schemagraph.Graph) (*precis.Engine, error) {
+			return precis.NewSharded(db, g, precis.ShardedConfig{Shards: 4, Partitioner: "hash"})
+		}} {
+		db, err := dataset.SyntheticMovies(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := dataset.PaperGraph(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := build(db, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, eng)
+	}
+	single := engines[0].Database()
+	r := rand.New(rand.NewSource(30))
+	for _, name := range single.RelationNames() {
+		for _, tu := range single.Relation(name).Tuples() {
+			op, vals := r.Intn(5), slices.Clone(tu.Values)
+			for i, v := range vals {
+				if v.Kind() == storage.KindString && op == 2 {
+					vals[i] = storage.String(strings.Repeat(v.AsString(), 1+r.Intn(3)))
+				}
+			}
+			for _, eng := range engines {
+				var err error
+				switch op {
+				case 0:
+					_, err = eng.Delete(name, tu.ID)
+				case 1: // back under a fresh id
+					if _, err = eng.Delete(name, tu.ID); err == nil {
+						_, err = eng.Insert(name, vals...)
+					}
+				case 2:
+					err = eng.Update(name, tu.ID, vals)
+				}
+				if err != nil {
+					t.Fatalf("%s/%d, op %d: %v", name, tu.ID, op, err)
+				}
+			}
+		}
+	}
+	want := 0
+	for _, name := range single.RelationNames() {
+		single.Relation(name).Scan(func(tu storage.Tuple) bool {
+			size := (len(tu.Values)+7)&^7 + 8*len(tu.Values)
+			for _, v := range tu.Values {
+				size += len(v.AsString())
+			}
+			want += (size + 7) &^ 7
+			return true
+		})
+	}
+	for i, eng := range engines {
+		st := eng.LayoutStats()
+		t.Logf("%d tuples: %d bytes of records, %+v", eng.TotalTuples(), want, st.Storage)
+		if st.Storage.RowBytes != want || want == 0 {
+			t.Errorf("engine %d: row_bytes = %d, the records hold %d", i, st.Storage.RowBytes, want)
+		}
 	}
 }
 

@@ -1,11 +1,13 @@
 package precis
 
-// Row ownership (DESIGN.md §7): storage keeps the slice a mutation hands it
-// as the tuple's row and never writes it again; Engine.Insert and
-// Engine.Update copy theirs, so a caller's slice stays the caller's. These
-// tests scribble on every slice a caller still holds and on nothing else,
-// and check that no stored tuple, dirty capture, rollback copy or persisted
-// byte sees it. scripts/ci.sh runs them under -race with the rollback suites.
+// Record ownership (DESIGN.md §7): storage copies the values a mutation hands
+// it into a record of its own and never writes that record again, so a
+// caller's slice stays the caller's and a row borrowed from a record — by D′,
+// a dirty capture, a cached answer — reads the same bytes for as long as it is
+// held. These tests scribble on every slice a caller still holds and on
+// nothing else, and check that no stored tuple, dirty capture, rollback copy
+// or persisted byte sees it. scripts/ci.sh runs them under -race with the
+// rollback suites.
 
 import (
 	"errors"
@@ -68,9 +70,9 @@ func TestMutatorsCopyCallerSlice(t *testing.T) {
 	}{{captured, director(902, "Agnes Varda")}, {recaptured, director(902, "A. Varda")}} {
 		var got []storage.Value
 		for _, r := range c.set.Relations {
-			for _, tu := range r.Upserts {
-				if r.Name == "DIRECTOR" && tu.ID == id {
-					got = tu.Values
+			for _, u := range r.Upserts {
+				if r.Name == "DIRECTOR" && u.ID == id {
+					got = u.Row.Values()
 				}
 			}
 		}
@@ -161,13 +163,13 @@ func TestRollbackKeepsRowsApart(t *testing.T) {
 	}
 }
 
-// TestResultRowsCannotReachTheirNeighbours: the rows of one sqlx result are
-// stored rows, or runs of them, or carved out of shared arrays — one when the
-// plan knows the count, several when it does not — and each has its length
-// for capacity, so appending to a row a caller holds (or to a tuple of the
-// result database that adopted it) copies it instead of writing the next row
-// or the rest of the stored one.
-func TestResultRowsCannotReachTheirNeighbours(t *testing.T) {
+// TestResultRowsReadTheirOwnRecords: a row of an sqlx result is a reference,
+// not a slice — there is nothing to append to, so nothing can reach a
+// neighbour. Each reads its own tuple: the stored record itself, through the
+// statement's projection, or, for a computed column, a record of its own; and
+// what it reads does not move when the stored tuples are updated and deleted.
+// The tuples of a result database read the same way.
+func TestResultRowsReadTheirOwnRecords(t *testing.T) {
 	cfg := dataset.DefaultSyntheticConfig()
 	cfg.Films = 300
 	db, err := dataset.SyntheticMovies(cfg)
@@ -175,35 +177,49 @@ func TestResultRowsCannotReachTheirNeighbours(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := sqlx.NewEngine(db)
-	movies := db.Relation("MOVIE").Tuples()
-	stored := dumpDatabase(db)
+	movies := db.Relation("MOVIE")
+	ids := movies.Tuples()
 	for _, q := range []string{
-		fmt.Sprintf("SELECT * FROM MOVIE WHERE rowid IN (%d, %d, %d)", movies[0].ID, movies[1].ID, movies[2].ID), // rowid fetch: the count is known                // rowid fetch: the count is known
-		"SELECT title, year FROM MOVIE WHERE did = 3 LIMIT 2",                                                    // hash probe under a LIMIT
-		"SELECT rowid, title FROM MOVIE",                                                                         // scan: arrays of 16, 32, ... rows
-		"SELECT title FROM MOVIE WHERE year > 1900 ORDER BY year, title",                                         // sort keys carved the same way
-		"SELECT mid, title FROM MOVIE WHERE did = 3",                                                             // the head of each stored row
+		fmt.Sprintf("SELECT * FROM MOVIE WHERE rowid IN (%d, %d, %d)", ids[0].ID, ids[1].ID, ids[2].ID), // rowid fetch
+		"SELECT title, year FROM MOVIE WHERE did = 3 LIMIT 2",                                           // hash probe under a LIMIT
+		"SELECT rowid, title FROM MOVIE",                                                                // scan, a computed column
+		"SELECT title FROM MOVIE WHERE year > 1900 ORDER BY year, title",                                // sorted on a dropped column
+		"SELECT mid, did FROM MOVIE WHERE did = 3",                                                      // a gapped projection
 	} {
 		res, err := sql.Exec(q)
 		if err != nil || len(res.Rows) < 2 {
 			t.Fatalf("%s: %d rows, %v", q, len(res.Rows), err)
 		}
+		computed := slices.Contains(res.Columns, sqlx.RowIDColumn)
 		want := make([][]storage.Value, len(res.Rows))
 		for i, row := range res.Rows {
-			if cap(row) != len(row) {
-				t.Fatalf("%s: row %d has length %d and capacity %d", q, i, len(row), cap(row))
+			stored, _ := movies.Row(res.RowIDs[i])
+			for _, c := range res.Columns {
+				v := storage.Int(int64(res.RowIDs[i]))
+				if c != sqlx.RowIDColumn {
+					v = stored.Value(movies.Schema().ColumnIndex(c))
+				}
+				want[i] = append(want[i], v)
 			}
-			want[i] = slices.Clone(row)
+			if !reflect.DeepEqual(row.Values(), want[i]) || row.Shares(stored) == computed {
+				t.Fatalf("%s: row %d reads %v (its tuple's record: %v), want %v", q, i, row.Values(), row.Shares(stored), want[i])
+			}
 		}
-		for i := range res.Rows {
-			_ = append(res.Rows[i], storage.String("SCRIBBLED"))
+		for _, tu := range ids {
+			if err := db.Update("MOVIE", tu.ID, []storage.Value{tu.Values[0], storage.String("SCRIBBLED"), storage.Int(1), tu.Values[3]}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !reflect.DeepEqual(res.Rows, want) {
-			t.Fatalf("%s: appending to one row wrote another", q)
+		for i, row := range res.Rows {
+			if !reflect.DeepEqual(row.Values(), want[i]) {
+				t.Fatalf("%s: row %d reads %v after its tuple was updated, want %v", q, i, row.Values(), want[i])
+			}
 		}
-	}
-	if dumpDatabase(db) != stored {
-		t.Fatal("appending to a result row wrote a stored one")
+		for _, tu := range ids {
+			if err := db.Update("MOVIE", tu.ID, tu.Values); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	eng := newEngine(t)
@@ -214,12 +230,12 @@ func TestResultRowsCannotReachTheirNeighbours(t *testing.T) {
 	before := dumpDatabase(ans.Database)
 	for _, name := range ans.Database.RelationNames() {
 		ans.Database.Relation(name).Scan(func(tu storage.Tuple) bool {
-			_ = append(tu.Values, storage.String("SCRIBBLED"))
+			scribble(tu.Values)
 			return true
 		})
 	}
 	if dumpDatabase(ans.Database) != before {
-		t.Fatal("appending to a tuple of the result database wrote its neighbour")
+		t.Fatal("writing a decoded tuple of the result database wrote the database")
 	}
 }
 
@@ -234,11 +250,11 @@ func baseDatabases(e *Engine) []*storage.Database {
 	return dbs
 }
 
-// TestAnswerRowsBorrowBaseRows: a result relation whose columns are a run of
-// its base relation's, in schema order, holds the base rows themselves — the
-// same memory, never beyond the run — and any other projection holds copies.
-// On one engine, across shards, on a recovered persistent engine, and on the
-// answer the cache hands out again.
+// TestAnswerRowsBorrowBaseRows: every result relation holds the records of
+// its base relation — the same memory, read through the columns it keeps,
+// whether they are a run of the base's or a gapped selection of them — and
+// copies none. On one engine, across shards, on a recovered persistent engine,
+// and on the answer the cache hands out again.
 func TestAnswerRowsBorrowBaseRows(t *testing.T) {
 	engines := map[string]*Engine{
 		"single":     newEngine(t),
@@ -262,22 +278,22 @@ func TestAnswerRowsBorrowBaseRows(t *testing.T) {
 						t.Fatalf("second query: %v, %d cache hits", err, eng.CacheStats().Hits-hits)
 					}
 				}
-				borrowed, copied := 0, 0
+				runs, gapped := 0, 0
 				bases := baseDatabases(eng)
 				for _, relName := range ans.Database.RelationNames() {
 					rel := ans.Database.Relation(relName)
-					var base *storage.Schema
 					var pos []int // the base column behind each column of rel
 					run := true
-					rel.Scan(func(got storage.Tuple) bool {
-						var src storage.Tuple
+					rel.ScanRows(func(id storage.TupleID, got storage.Row) bool {
+						var src storage.Row
+						var base *storage.Schema
 						for _, db := range bases {
-							if tu, ok := db.Relation(relName).Get(got.ID); ok {
-								src, base = tu, db.Relation(relName).Schema()
+							if row, ok := db.Relation(relName).Row(id); ok {
+								src, base = row, db.Relation(relName).Schema()
 							}
 						}
 						if base == nil {
-							t.Fatalf("%s: %s tuple %d is in no base database", name, relName, got.ID)
+							t.Fatalf("%s: %s tuple %d is in no base database", name, relName, id)
 						}
 						if pos == nil {
 							for i, c := range rel.Schema().ColumnNames() {
@@ -285,38 +301,34 @@ func TestAnswerRowsBorrowBaseRows(t *testing.T) {
 								run = run && pos[i] == pos[0]+i
 							}
 						}
-						for i, v := range got.Values {
-							if v != src.Values[pos[i]] {
-								t.Fatalf("%s: %s tuple %d reads %v, stored %v", name, relName, got.ID, got.Values, src.Values)
+						for i := range pos {
+							if got.Value(i) != src.Value(pos[i]) {
+								t.Fatalf("%s: %s tuple %d reads %v, stored %v", name, relName, id, got.Values(), src.Values())
 							}
 						}
-						if aliases := &got.Values[0] == &src.Values[pos[0]]; aliases != run {
-							t.Fatalf("%s, %v, w=%v: %s (columns %v of %v) shares its rows with the base: %v",
-								name, strat, w, relName, rel.Schema().ColumnNames(), base.ColumnNames(), aliases)
-						}
-						if cap(got.Values) != len(got.Values) {
-							t.Fatalf("%s: %s tuple %d has %d values and room for %d", name, relName, got.ID, len(got.Values), cap(got.Values))
+						if !got.Shares(src) {
+							t.Fatalf("%s, %v, w=%v: %s (columns %v of %v) copied tuple %d", name, strat, w, relName, rel.Schema().ColumnNames(), base.ColumnNames(), id)
 						}
 						return true
 					})
 					if run {
-						borrowed++
+						runs++
 					} else {
-						copied++
+						gapped++
 					}
 				}
-				if borrowed == 0 || (copied > 0) != (w == 0.95) {
-					t.Errorf("%s, %v, w=%v: %d relations borrow their rows, %d copy them", name, strat, w, borrowed, copied)
+				if runs == 0 || (gapped > 0) != (w == 0.95) {
+					t.Errorf("%s, %v, w=%v: %d relations keep a run of their base's columns, %d a gapped selection", name, strat, w, runs, gapped)
 				}
 			}
 		}
 	}
 }
 
-// TestAnswerOutlivesItsTuples: an answer holds base rows, and the base never
-// writes a row — Update stores a new one, Delete lets go of the old — so an
-// answer taken before either still reads what it read then, and is the only
-// thing keeping those rows: drop it and they are collected.
+// TestAnswerOutlivesItsTuples: an answer holds base records, and the base
+// never writes a record — Update stores a new one, Delete lets go of the old —
+// so an answer taken before either still reads what it read then, and is the
+// only thing keeping those records: drop it and they are collected.
 func TestAnswerOutlivesItsTuples(t *testing.T) {
 	for name, eng := range map[string]*Engine{"single": newEngine(t), "sharded": newShardedEngine(t, 4, "hash")} {
 		updated, err := eng.Insert("DIRECTOR", director(902, "Agnes Varda")...)
@@ -345,8 +357,10 @@ func TestAnswerOutlivesItsTuples(t *testing.T) {
 				t.Fatalf("%s: the answer changed under an Update and a Delete:\n%s\n%s", name, want, got)
 			}
 			for _, id := range []storage.TupleID{updated, deleted} {
-				tu, _ := rel.Get(id)
-				runtime.SetFinalizer(&tu.Values[0], func(*storage.Value) { collected <- id })
+				row, _ := rel.Row(id)
+				// The record: the first field of a Row, and the start of its allocation.
+				rec := (*uint64)(reflect.ValueOf(row).Field(0).UnsafePointer())
+				runtime.SetFinalizer(rec, func(*uint64) { collected <- id })
 			}
 			return ans.Narrative
 		}()

@@ -26,7 +26,11 @@
 # every byte it must look at on both sides of a word boundary), the
 # sorted-id-list kernel behind every resident id list (FuzzIDList: a byte
 # string run as insert / remove / union / intersect / append-to operations at
-# both widths against a set) and the translator (FuzzNarrative: fuzzed
+# both widths against a set), the row codec (FuzzRowCodec: generated schemas
+# and values — Ints in FLOAT columns, NaN, ±Inf, −0, empty, multi-byte and
+# invalid UTF-8 text, NULLs — stored as records and read back through Value,
+# AppendText, Get, every index and a result relation mapped onto the records,
+# against the values they were made from) and the translator (FuzzNarrative: fuzzed
 # sentences and labels on a hand-built G′, indexed and not, against the
 # reference walk — the same bytes or the same error)
 # for 10s each on top of the checked-in corpus — long enough to catch a
@@ -125,7 +129,13 @@
 # spec's Figure 5 — seeds, join order and postponement, NaïveQ, Round-Robin and
 # Auto, per-relation and total caps — on the engine at 1, 2 and 4 workers and
 # on 1-4 hash and 2-4 range shards, whose scatter goroutines only -race
-# watches.
+# watches. Both run over core's differential datasets, the mixed-kind one
+# (internal/dataset Kinds: Ints and Floats, NaN and ±Inf in FLOAT columns,
+# BOOLs, NULLs in join columns, odd text) among them. TestEnginesMatchSpec
+# (root) holds every engine shape to the same spec — New, NewSharded over 2
+# and 4 hash and 3 range shards, an engine recovered from a snapshot, a delta
+# and a log tail, and a follower — G′, D′'s ids in insertion order and every
+# D′ value, kind-exactly, against the base it came from.
 #
 # The inverted-index oracle step (internal/invidx differential_test.go)
 # diffs the sorted-slice index against the test-only map-of-maps reference
@@ -145,7 +155,9 @@
 # removed cannot creep back. BenchmarkEngineBuild (internal/invidx) reports
 # the same number as B/tuple and is compiled by the bench smoke below.
 # TestListBytesCountTheLists holds the list_bytes counts of /api/stats to the
-# lists' own lengths, and TestIDSpaceBoundary (root and internal/storage) the
+# lists' own lengths, TestRowBytesCountTheRows its row_bytes to a recount of
+# the records by their format (one engine and four shards), TestRecordHoldsNoPointer
+# a record to one pointer-free allocation, and TestIDSpaceBoundary (root and internal/storage) the
 # price of four-byte resident ids: ids up to storage.MaxTupleID are handed out,
 # the next insert is refused with storage.ErrOutOfIDs — allocated, strided,
 # caller-chosen or batched, on one durable engine and on four shards — and
@@ -188,10 +200,11 @@
 # of their own: it is what holds "nobody writes a shared G′ or plan".
 #
 # The ownership tests (ownership_test.go: a caller's slice scribbled after
-# Engine.Insert/Update, tuples held across a WAL-failure rollback, a result
-# row appended to beside its neighbour in the statement's array or in the
-# stored row it is a run of, answer rows that are the base rows themselves on
-# every engine shape and outlive an Update or Delete of their tuples;
+# Engine.Insert/Update, tuples held across a WAL-failure rollback, result rows
+# that read their own tuples' records and keep reading them across updates,
+# answer rows that are the base records themselves on every engine shape —
+# gapped projections included — and outlive an Update or Delete of their
+# tuples;
 # ownership_web_test.go: the base equal to its clone after queries, narratives
 # and /api/search bodies) ride in
 # the whole-repository -race pass with the rollback suites, as do the batch
@@ -291,6 +304,7 @@ go test -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
 go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec' ./internal/core
+go test -race -count=1 -timeout=10m -run 'TestEnginesMatchSpec' .
 go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestWithRowIDs|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' ./internal/sqlx ./internal/shard
 go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' ./internal/nlg ./internal/web
 
@@ -300,10 +314,10 @@ go test -race -count=1 -timeout=10m -run 'TestMemo|TestProfileQueriesShare' .
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
 go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
 
-echo "== layout pins (no -race: value and slot sizes, live bytes per tuple, list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins)"
-go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations' . ./internal/storage ./internal/nlg
+echo "== layout pins (no -race: value and slot sizes, pointer-free records, live bytes per tuple, row_bytes and list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins)"
+go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations' . ./internal/storage ./internal/nlg
 
-echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper, the id-list kernel, the translator)"
+echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper, the id-list kernel, the row codec, the translator)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzWALReplay' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzDeltaDecode' -fuzztime=10s ./internal/wal
@@ -311,6 +325,7 @@ go test -timeout=5m -run=NONE -fuzz='FuzzIndexSnapshotDecode' -fuzztime=10s ./in
 go test -timeout=5m -run=NONE -fuzz='FuzzReplFrameDecode' -fuzztime=10s ./internal/repl
 go test -timeout=5m -run=NONE -fuzz='FuzzAppendJSONString' -fuzztime=10s ./internal/web
 go test -timeout=5m -run=NONE -fuzz='FuzzIDList' -fuzztime=10s ./internal/storage
+go test -timeout=5m -run=NONE -fuzz='FuzzRowCodec' -fuzztime=10s ./internal/storage
 go test -timeout=5m -run=NONE -fuzz='FuzzNarrative' -fuzztime=10s ./internal/nlg
 
 echo "== bench smoke (compile + one iteration)"

@@ -203,8 +203,9 @@ func (e *Engine) NumRelations() int {
 
 // LayoutStats counts what the engine's resident data is made of, the numbers
 // behind its bytes: tokens, posting lists, postings and the bytes of their
-// ids (four a posting) in the inverted index; slots, tombstones, hash-index
-// keys and the bytes of the ids in hash-index lists in storage.
+// ids (four a posting) in the inverted index; slots, tombstones, the bytes of
+// the live tuples' records, hash-index keys and the bytes of the ids in
+// hash-index lists in storage.
 type LayoutStats struct {
 	Index struct {
 		invidx.Stats
@@ -228,6 +229,7 @@ func (e *Engine) LayoutStats() LayoutStats {
 		st.Index.ListBytes += 4 * ix.Postings
 		st.Storage.Slots += l.Slots
 		st.Storage.DeadSlots += l.DeadSlots
+		st.Storage.RowBytes += l.RowBytes
 		st.Storage.IndexEntries += l.IndexEntries
 		st.Storage.ListBytes += l.ListBytes
 		return nil
