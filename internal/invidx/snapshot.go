@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sort"
 
 	"precis/internal/storage"
@@ -38,16 +39,27 @@ const (
 var indexCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeSnapshot renders the index as snapshot bytes stamped with gen (the
-// full database snapshot generation it matches). Deterministic: identical
-// postings produce identical bytes.
+// full database snapshot generation it matches), sized first and written
+// into one buffer made at that size. Deterministic: identical postings
+// produce identical bytes.
 func (ix *Index) EncodeSnapshot(gen uint64) []byte {
 	tokens := make([]string, 0, len(ix.postings))
-	for tok := range ix.postings {
+	size := len(indexMagic) + 3*binary.MaxVarintLen64 + uvarintSize(uint64(len(ix.postings))) + 4
+	for tok, lists := range ix.postings {
 		tokens = append(tokens, tok)
+		size += strSize(tok) + uvarintSize(uint64(len(lists)))
+		for _, l := range lists {
+			size += strSize(l.key.rel) + strSize(l.key.attr) + uvarintSize(uint64(len(l.ids)))
+			prev := uint64(0)
+			for _, id := range l.ids {
+				size += uvarintSize(uint64(id) - prev)
+				prev = uint64(id)
+			}
+		}
 	}
 	sort.Strings(tokens)
 
-	out := []byte(indexMagic)
+	out := append(make([]byte, 0, size), indexMagic...)
 	out = binary.AppendUvarint(out, indexFormatVersion)
 	out = binary.AppendUvarint(out, TokenizerVersion)
 	out = binary.AppendUvarint(out, gen)
@@ -76,6 +88,10 @@ func appendIndexStr(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
+
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func strSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
 
 // DecodeSnapshot parses index snapshot bytes into an Index bound to db,
 // returning the generation stamp the file carries. Any defect — bad magic,

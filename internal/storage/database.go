@@ -264,6 +264,31 @@ func (db *Database) InsertBatch(relation string, ids []TupleID, rows []Row) (int
 	return n, nil
 }
 
+// Upsert stores ups, ascending by id, in the named relation as one change,
+// all or none: a tuple the relation holds gets its new row in its place and
+// every other id is inserted after the relation's last tuple. Its primary key
+// is checked once every replaced tuple's old key is released, so the set may
+// move keys among its tuples — a cycle such as A:3→7, B:7→3 included — as
+// long as it leaves them unique. Applying a delta checkpoint, which holds
+// only each changed tuple's final row, needs exactly that. On an error it
+// also reports which of ups was refused.
+func (db *Database) Upsert(relation string, ups []Upsert) (int, error) {
+	r := db.rels[relation]
+	if r == nil {
+		return 0, fmt.Errorf("storage: no relation %s", relation)
+	}
+	if at, err := r.upsert(ups); err != nil {
+		return at, err
+	}
+	for _, u := range ups {
+		if u.ID >= db.nextID {
+			db.nextID = u.ID + 1
+		}
+		db.tracker.mark(relation, u.ID)
+	}
+	return 0, nil
+}
+
 // NextTupleID returns the id the next Insert would assign. The persistence
 // layer snapshots it so a recovered database keeps allocating fresh ids
 // even when the highest-id tuple has been deleted.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -298,6 +299,62 @@ func TestUpdateTuple(t *testing.T) {
 	}
 	if err := db.Update("DIRECTOR", id2, []Value{Null, String("n")}); err == nil {
 		t.Error("NULL key accepted")
+	}
+}
+
+// TestUpsertAppliesASet: Upsert places a set of final rows at once — keys
+// moved round a cycle and swapped included, held tuples rewritten in place,
+// new ids after the last tuple in the order given — with every index
+// current; and a set that would leave a key held twice, or that a loop of
+// Update and InsertWithID would refuse for any other reason, changes
+// nothing and names the tuple it refused.
+func TestUpsertAppliesASet(t *testing.T) {
+	db := twoRelDB(t)
+	for k := int64(1); k <= 4; k++ {
+		if _, err := db.Insert("DIRECTOR", Int(k), String(fmt.Sprint("d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := db.Relation("DIRECTOR")
+	row := func(did int64, name string) Row { return MakeRow(Int(did), String(name)) }
+	state := func() string {
+		var b strings.Builder
+		dir.Scan(func(tp Tuple) bool { fmt.Fprintf(&b, "%d%v ", tp.ID, tp.Values); return true })
+		for k := int64(1); k <= 9; k++ {
+			ids, _ := dir.Lookup("did", Int(k))
+			fmt.Fprintf(&b, "did%d%v ", k, ids)
+		}
+		return b.String()
+	}
+	// 1:1→2, 2:2→3, 3:3→1 (a cycle), 4 kept, and two new tuples.
+	if at, err := db.Upsert("DIRECTOR", []Upsert{{1, row(2, "a")}, {2, row(3, "b")}, {3, row(1, "c")}, {7, row(7, "g")}, {9, row(5, "e")}}); err != nil {
+		t.Fatalf("upsert %d: %v", at, err)
+	}
+	want := "1[2 a] 2[3 b] 3[1 c] 4[4 d4] 7[7 g] 9[5 e] did1[3] did2[1] did3[2] did4[4] did5[9] did6[] did7[7] did8[] did9[] "
+	if got := state(); got != want {
+		t.Fatalf("after the set:\n got %s\nwant %s", got, want)
+	}
+	if db.NextTupleID() != 10 {
+		t.Fatalf("NextTupleID %d, want 10", db.NextTupleID())
+	}
+	for name, c := range map[string]struct {
+		ups []Upsert
+		at  int
+	}{
+		"a key an untouched tuple holds": {[]Upsert{{1, row(6, "a")}, {2, row(4, "b")}}, 1},
+		"one key given twice":            {[]Upsert{{1, row(8, "a")}, {10, row(8, "x")}}, 1},
+		"ids out of order":               {[]Upsert{{2, row(3, "b")}, {1, row(2, "a")}}, 1},
+		"a NULL key":                     {[]Upsert{{1, row(2, "a")}, {10, MakeRow(Null, String("x"))}}, 1},
+		"the wrong arity":                {[]Upsert{{10, MakeRow(Int(8))}}, 0},
+		"an id out of range":             {[]Upsert{{1, row(2, "a")}, {MaxTupleID + 1, row(8, "x")}}, 1},
+	} {
+		at, err := db.Upsert("DIRECTOR", c.ups)
+		if err == nil || at != c.at {
+			t.Errorf("%s: refused upsert %d (%v), want %d refused", name, at, err, c.at)
+		}
+		if got := state(); got != want {
+			t.Errorf("%s: the refused set changed the relation:\n got %s\nwant %s", name, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -266,7 +267,7 @@ func (r *Relation) appendSlot(id TupleID, rec *uint64) error {
 // row. old is the row being replaced by an update (the zero Row for an
 // insert): a key value equal to its own is not a duplicate.
 func (r *Relation) validate(vals []Value, old Row) error {
-	if err := r.checkRow(vals); err != nil {
+	if err := r.CheckRow(vals); err != nil {
 		return err
 	}
 	if key := r.schema.Key; key != "" {
@@ -278,9 +279,9 @@ func (r *Relation) validate(vals []Value, old Row) error {
 	return nil
 }
 
-// checkRow is the part of validate that needs no index: arity, column types,
-// a primary key that is not NULL and text that fits a record.
-func (r *Relation) checkRow(vals []Value) error {
+// CheckRow is the part of an insert's validation that needs no index: arity,
+// column types, a primary key that is not NULL and text that fits a record.
+func (r *Relation) CheckRow(vals []Value) error {
 	if len(vals) != r.ncols {
 		return fmt.Errorf("storage: %s expects %d values, got %d",
 			r.schema.Name, r.ncols, len(vals))
@@ -330,13 +331,7 @@ func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
 	if err := r.appendSlot(id, rec); err != nil {
 		return 0, err
 	}
-	row := Row{rec, &r.lay}
-	for _, idx := range r.indexes {
-		idx.add(id, row)
-	}
-	for _, idx := range r.ordered {
-		idx.add(id, row)
-	}
+	r.indexRow(id, Row{rec, &r.lay})
 	return id, nil
 }
 
@@ -416,7 +411,7 @@ func (r *Relation) admit(base int, rows []Row, shared bool) ([]Row, int, bool) {
 		}
 		if row.lay != trusted {
 			vals := row.Values()
-			if r.checkRow(vals) != nil {
+			if r.CheckRow(vals) != nil {
 				return rows, 0, false
 			}
 			if shared {
@@ -530,12 +525,7 @@ func (r *Relation) delete(id TupleID) bool {
 	} else {
 		c.dead++
 	}
-	for _, idx := range r.indexes {
-		idx.remove(id, row)
-	}
-	for _, idx := range r.ordered {
-		idx.remove(id, row)
-	}
+	r.unindexRow(id, row)
 	return true
 }
 
@@ -792,6 +782,94 @@ func (r *Relation) DistinctValues(column string) ([]Value, error) {
 	return slices.Compact(vals), nil
 }
 
+// upsert is Database.Upsert on the relation: every check — ids, rows, and the
+// primary key against the state the whole set leaves — comes before the
+// first change, which is how it can be all or none.
+func (r *Relation) upsert(ups []Upsert) (int, error) {
+	vals := make([][]Value, len(ups))
+	held := make([]*slot, len(ups))
+	for i, u := range ups {
+		if i > 0 && u.ID <= ups[i-1].ID {
+			return i, fmt.Errorf("storage: %s upserts tuple %d after %d", r.schema.Name, u.ID, ups[i-1].ID)
+		}
+		if !u.Row.Valid() {
+			return i, fmt.Errorf("storage: %s tuple %d has no row", r.schema.Name, u.ID)
+		}
+		if held[i], _ = r.find(u.ID); held[i] == nil {
+			if err := r.checkID(u.ID); err != nil {
+				return i, err
+			}
+		}
+		vals[i] = u.Row.Values()
+		if err := r.CheckRow(vals[i]); err != nil {
+			return i, err
+		}
+	}
+	if key := r.schema.Key; key != "" {
+		ki := r.schema.ColumnIndex(key)
+		placed := make(map[Value]bool, len(ups))
+		for i := range ups {
+			kv := vals[i][ki]
+			if placed[kv] {
+				return i, r.errDuplicateKey(kv)
+			}
+			placed[kv] = true
+			// A key still held is free only if every tuple holding it is one
+			// the set replaces.
+			for _, id := range r.indexes[key].appendGroups(nil, nil, []Value{kv}) {
+				at, found := slices.BinarySearchFunc(ups, id, func(u Upsert, id TupleID) int { return cmp.Compare(u.ID, id) })
+				if !found || held[at] == nil {
+					return i, r.errDuplicateKey(kv)
+				}
+			}
+		}
+	}
+	// Every check has passed: release, then place. Held slots are rewritten
+	// before anything is appended, so their pointers are still good.
+	for i, s := range held {
+		if s != nil {
+			r.unindexRow(ups[i].ID, r.row(s))
+		}
+	}
+	for i, s := range held {
+		if s != nil {
+			old := s.rec
+			s.rec = r.lay.encode(vals[i])
+			r.bytes += r.lay.recordSize(s.rec) - r.lay.recordSize(old)
+			r.indexRow(ups[i].ID, r.row(s))
+		}
+	}
+	for i, s := range held {
+		if s == nil {
+			rec := r.lay.encode(vals[i])
+			if err := r.appendSlot(ups[i].ID, rec); err != nil {
+				return i, err
+			}
+			r.indexRow(ups[i].ID, Row{rec, &r.lay})
+		}
+	}
+	return 0, nil
+}
+
+// indexRow adds a tuple's row to every index; unindexRow takes it out.
+func (r *Relation) indexRow(id TupleID, row Row) {
+	for _, idx := range r.indexes {
+		idx.add(id, row)
+	}
+	for _, idx := range r.ordered {
+		idx.add(id, row)
+	}
+}
+
+func (r *Relation) unindexRow(id TupleID, row Row) {
+	for _, idx := range r.indexes {
+		idx.remove(id, row)
+	}
+	for _, idx := range r.ordered {
+		idx.remove(id, row)
+	}
+}
+
 // update replaces a tuple's values with a new record, revalidating types and
 // key uniqueness and keeping every index current; the old record is left as it
 // was for whoever still holds a row of it.
@@ -804,20 +882,9 @@ func (r *Relation) update(id TupleID, vals []Value) error {
 	if err := r.validate(vals, old); err != nil {
 		return err
 	}
-	for _, idx := range r.indexes {
-		idx.remove(id, old)
-	}
-	for _, idx := range r.ordered {
-		idx.remove(id, old)
-	}
+	r.unindexRow(id, old)
 	s.rec = r.lay.encode(vals)
 	r.bytes += r.lay.recordSize(s.rec) - r.lay.recordSize(old.rec)
-	updated := r.row(s)
-	for _, idx := range r.indexes {
-		idx.add(id, updated)
-	}
-	for _, idx := range r.ordered {
-		idx.add(id, updated)
-	}
+	r.indexRow(id, r.row(s))
 	return nil
 }

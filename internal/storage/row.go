@@ -70,7 +70,7 @@ func (l *layout) same(o *layout) bool {
 
 // encode returns the record of vals read through l: vals[j] in record column
 // l.cols[j], every other column NULL. The caller has checked the values
-// (checkRow); their text is copied.
+// (CheckRow); their text is copied.
 func (l *layout) encode(vals []Value) *uint64 {
 	size := l.words + 8*l.width
 	for _, v := range vals {

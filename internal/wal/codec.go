@@ -30,7 +30,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
 	"unsafe"
 
 	"precis/internal/storage"
@@ -42,24 +44,70 @@ import (
 // actually present).
 const maxFramePayload = 1 << 30
 
-// enc is an append-only binary encoder. The zero value is ready to use.
-type enc struct{ b []byte }
+// enc is an append-only binary encoder. The zero value is ready to use. One
+// with sizing set writes nothing: it counts in n the bytes it would write, so
+// that the code that writes a buffer also sizes it first (sized).
+type enc struct {
+	b      []byte
+	sizing bool
+	n      int
+}
+
+// sized runs write twice: counting, then into a buffer made at the size it
+// counted — one allocation, whatever the size.
+func sized(write func(e *enc) error) ([]byte, error) {
+	sizer := enc{sizing: true}
+	if err := write(&sizer); err != nil {
+		return nil, err
+	}
+	e := enc{b: make([]byte, 0, sizer.n)}
+	if err := write(&e); err != nil {
+		return nil, err
+	}
+	return e.b, nil
+}
 
 func (e *enc) bytes() []byte { return e.b }
 
-func (e *enc) u8(v uint8) { e.b = append(e.b, v) }
+// put appends s's bytes as they are.
+func (e *enc) put(s string) {
+	if e.sizing {
+		e.n += len(s)
+		return
+	}
+	e.b = append(e.b, s...)
+}
 
-func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) u8(v uint8) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.b = append(e.b, v)
+}
 
-func (e *enc) varint(v int64) { e.b = binary.AppendVarint(e.b, v) }
+func (e *enc) uvarint(v uint64) {
+	if e.sizing {
+		e.n += (bits.Len64(v|1) + 6) / 7
+		return
+	}
+	e.b = binary.AppendUvarint(e.b, v)
+}
+
+// varint zigzag-encodes v, as binary.AppendVarint does.
+func (e *enc) varint(v int64) { e.uvarint(uint64(v<<1) ^ uint64(v>>63)) }
 
 func (e *enc) f64(v float64) {
+	if e.sizing {
+		e.n += 8
+		return
+	}
 	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
 }
 
 func (e *enc) str(s string) {
 	e.uvarint(uint64(len(s)))
-	e.b = append(e.b, s...)
+	e.put(s)
 }
 
 // value encodes one storage.Value as kind byte + payload.
@@ -88,6 +136,68 @@ func (e *enc) row(r storage.Row) {
 	e.uvarint(uint64(r.Len()))
 	for i := 0; i < r.Len(); i++ {
 		e.value(r.Value(i))
+	}
+}
+
+// open reserves a frame header at the end of the buffer and returns where
+// the section after it starts, for close to frame once it is written: a
+// section framed where it is written, where appendFrame copies one.
+func (e *enc) open() int {
+	if e.sizing {
+		e.n += frameHeaderSize
+		return e.n
+	}
+	e.b = append(e.b, make([]byte, frameHeaderSize)...)
+	return len(e.b)
+}
+
+// close frames the section written since open returned at, refusing one over
+// the frame payload limit.
+func (e *enc) close(at int) error {
+	if e.sizing {
+		return checkFramePayload(e.n - at)
+	}
+	return putFrameHeader(e.b[at-frameHeaderSize:at], e.b[at:])
+}
+
+// schema encodes a relation section's schema: name, key, and each column's
+// name and type.
+func (e *enc) schema(sc *storage.Schema) {
+	e.str(sc.Name)
+	e.str(sc.Key)
+	e.uvarint(uint64(len(sc.Columns)))
+	for _, c := range sc.Columns {
+		e.str(c.Name)
+		e.u8(uint8(c.Type))
+	}
+}
+
+// fks encodes a foreign-key section.
+func (e *enc) fks(fks []storage.ForeignKey) {
+	e.uvarint(uint64(len(fks)))
+	for _, fk := range fks {
+		e.str(fk.FromRelation)
+		e.str(fk.FromColumn)
+		e.str(fk.ToRelation)
+		e.str(fk.ToColumn)
+	}
+}
+
+// extras encodes an extras section: the synonyms sorted by alias, for
+// deterministic bytes, then the macro definitions in definition order.
+func (e *enc) extras(syn [][2]string, macros []string) {
+	if !e.sizing {
+		syn = append([][2]string(nil), syn...)
+		sort.Slice(syn, func(i, j int) bool { return syn[i][0] < syn[j][0] })
+	}
+	e.uvarint(uint64(len(syn)))
+	for _, p := range syn {
+		e.str(p[0])
+		e.str(p[1])
+	}
+	e.uvarint(uint64(len(macros)))
+	for _, m := range macros {
+		e.str(m)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"precis/internal/faultinject"
 	"precis/internal/storage"
@@ -61,80 +60,49 @@ type RecoveryObserver interface {
 	RecoveryApply(rel string, old, new *storage.Tuple)
 }
 
-// EncodeDelta renders d as delta bytes. Like EncodeSnapshot, identical
-// inputs produce identical bytes, and any section exceeding the frame
-// payload limit is refused before it can reach disk.
+// EncodeDelta renders d as delta bytes, into one buffer made at their size
+// (sized). Like EncodeSnapshot, identical inputs produce identical bytes,
+// and any section exceeding the frame payload limit is refused before it can
+// reach disk.
 func EncodeDelta(d *DeltaData) ([]byte, error) {
-	out := []byte(deltaMagic)
-
-	var h enc
-	h.uvarint(deltaVersion)
-	h.uvarint(d.BaseGen)
-	h.uvarint(uint64(d.NextTupleID))
-	h.uvarint(uint64(len(d.Relations)))
-	out, err := appendFrame(out, h.bytes())
-	if err != nil {
-		return nil, fmt.Errorf("wal: delta header: %w", err)
-	}
-
-	for _, r := range d.Relations {
-		var e enc
-		e.str(r.Name)
-		e.uvarint(uint64(len(r.Upserts)))
-		for _, u := range r.Upserts {
-			e.uvarint(uint64(u.ID))
-			e.row(u.Row)
+	return sized(func(e *enc) error {
+		e.put(deltaMagic)
+		at := e.open()
+		e.uvarint(deltaVersion)
+		e.uvarint(d.BaseGen)
+		e.uvarint(uint64(d.NextTupleID))
+		e.uvarint(uint64(len(d.Relations)))
+		if err := e.close(at); err != nil {
+			return fmt.Errorf("wal: delta header: %w", err)
 		}
-		e.uvarint(uint64(len(r.Deletes)))
-		for _, id := range r.Deletes {
-			e.uvarint(uint64(id))
+		for _, r := range d.Relations {
+			at := e.open()
+			e.str(r.Name)
+			e.uvarint(uint64(len(r.Upserts)))
+			for _, u := range r.Upserts {
+				e.uvarint(uint64(u.ID))
+				e.row(u.Row)
+			}
+			e.uvarint(uint64(len(r.Deletes)))
+			for _, id := range r.Deletes {
+				e.uvarint(uint64(id))
+			}
+			if err := e.close(at); err != nil {
+				return fmt.Errorf("wal: delta relation %s: %w", r.Name, err)
+			}
 		}
-		if out, err = appendFrame(out, e.bytes()); err != nil {
-			return nil, fmt.Errorf("wal: delta relation %s: %w", r.Name, err)
+		if err := e.tail(d.FKs, d.Synonyms, d.Macros, deltaTrailer, d.Changes()); err != nil {
+			return fmt.Errorf("wal: delta %w", err)
 		}
-	}
-
-	var fe enc
-	fe.uvarint(uint64(len(d.FKs)))
-	for _, fk := range d.FKs {
-		fe.str(fk.FromRelation)
-		fe.str(fk.FromColumn)
-		fe.str(fk.ToRelation)
-		fe.str(fk.ToColumn)
-	}
-	if out, err = appendFrame(out, fe.bytes()); err != nil {
-		return nil, fmt.Errorf("wal: delta foreign keys: %w", err)
-	}
-
-	syn := append([][2]string(nil), d.Synonyms...)
-	sort.Slice(syn, func(i, j int) bool { return syn[i][0] < syn[j][0] })
-	var xe enc
-	xe.uvarint(uint64(len(syn)))
-	for _, p := range syn {
-		xe.str(p[0])
-		xe.str(p[1])
-	}
-	xe.uvarint(uint64(len(d.Macros)))
-	for _, m := range d.Macros {
-		xe.str(m)
-	}
-	if out, err = appendFrame(out, xe.bytes()); err != nil {
-		return nil, fmt.Errorf("wal: delta extras: %w", err)
-	}
-
-	var te enc
-	te.str(deltaTrailer)
-	te.uvarint(uint64(d.Changes()))
-	if out, err = appendFrame(out, te.bytes()); err != nil {
-		return nil, fmt.Errorf("wal: delta trailer: %w", err)
-	}
-	return out, nil
+		return nil
+	})
 }
 
 // DecodeDelta parses delta bytes. Classification matches DecodeSnapshot:
-// checksum mismatch anywhere is a *CorruptionError; a stream that stops
-// cleanly before its trailer satisfies IsIncomplete. The decoder never
-// panics and never allocates more than the input justifies.
+// checksum mismatch anywhere — or upserts or tombstones of a relation not
+// strictly ascending by id, which no encoder writes — is a *CorruptionError;
+// a stream that stops cleanly before its trailer satisfies IsIncomplete. The
+// decoder never panics and never allocates more than the input justifies.
 func DecodeDelta(file string, raw []byte) (*DeltaData, error) {
 	if len(raw) < len(deltaMagic) || string(raw[:len(deltaMagic)]) != deltaMagic {
 		return nil, fmt.Errorf("wal: %s: not a delta (bad magic): %w", fileLabel(file), errIncomplete)
@@ -194,6 +162,9 @@ func DecodeDelta(file string, raw []byte) (*DeltaData, error) {
 				if err != nil {
 					return fmt.Errorf("relation %s upsert %d: %w", r.Name, j, err)
 				}
+				if j > 0 && storage.TupleID(id) <= r.Upserts[j-1].ID {
+					return fmt.Errorf("relation %s upsert %d: id %d after %d", r.Name, j, id, r.Upserts[j-1].ID)
+				}
 				vals, err = dd.values(vals[:0])
 				if err != nil {
 					return fmt.Errorf("relation %s upsert %d: %w", r.Name, j, err)
@@ -209,6 +180,9 @@ func DecodeDelta(file string, raw []byte) (*DeltaData, error) {
 				id, err := dd.uvarint()
 				if err != nil {
 					return fmt.Errorf("relation %s delete %d: %w", r.Name, j, err)
+				}
+				if j > 0 && storage.TupleID(id) <= r.Deletes[j-1] {
+					return fmt.Errorf("relation %s delete %d: id %d after %d", r.Name, j, id, r.Deletes[j-1])
 				}
 				r.Deletes = append(r.Deletes, storage.TupleID(id))
 			}
@@ -297,14 +271,18 @@ func DecodeDelta(file string, raw []byte) (*DeltaData, error) {
 }
 
 // ApplyDelta applies d on top of data, in the same deterministic order the
-// checkpoint captured it: relations in creation order, tombstones, then
-// upserts ascending by id. Tombstones go first: a primary key a deleted tuple
-// held may since have been taken by a tuple inserted under a new id. Because
-// tuple ids are globally monotone and never reused, InsertWithID in
-// ascending order lands every tuple at the same scan position WAL replay
-// would have — delta recovery stays byte-identical to log replay. Extras
-// replace the base's wholesale. obs (may be nil) sees every tuple-level
-// change.
+// checkpoint captured it: relations in creation order, tombstones, then the
+// upserts as one set (storage.Database.Upsert). Tombstones go first: a primary
+// key a deleted tuple held may since have been taken by a tuple inserted under
+// a new id. The upserts go as a set because a delta holds only each tuple's
+// final row: within one interval keys may have moved round a cycle (A:3→x,
+// B:7→3, A:x→7), which no one-at-a-time order can replay, so every key the
+// upserts release is released before any is placed. An updated tuple keeps
+// its position and a new one lands after the relation's last, ascending by id;
+// because tuple ids are globally monotone and never reused, that is the scan
+// position WAL replay would have given it — delta recovery stays
+// byte-identical to log replay. Extras replace the base's wholesale. obs (may
+// be nil) sees every tuple-level change.
 func ApplyDelta(data *SnapshotData, d *DeltaData, obs RecoveryObserver) error {
 	db := data.DB
 	for _, r := range d.Relations {
@@ -326,23 +304,27 @@ func ApplyDelta(data *SnapshotData, d *DeltaData, obs RecoveryObserver) error {
 				obs.RecoveryApply(r.Name, &old, nil)
 			}
 		}
-		for _, u := range r.Upserts {
-			t := storage.Tuple{ID: u.ID, Values: u.Row.Values()}
-			if old, ok := rel.Get(t.ID); ok {
-				if err := db.Update(r.Name, t.ID, t.Values); err != nil {
-					return fmt.Errorf("wal: delta update %s/%d: %w", r.Name, t.ID, err)
-				}
-				if obs != nil {
-					obs.RecoveryApply(r.Name, &old, &t)
-				}
-			} else {
-				if err := db.InsertWithID(r.Name, t.ID, t.Values...); err != nil {
-					return fmt.Errorf("wal: delta insert %s/%d: %w", r.Name, t.ID, err)
-				}
-				if obs != nil {
-					obs.RecoveryApply(r.Name, nil, &t)
-				}
+		var olds []storage.Tuple
+		if obs != nil {
+			olds = make([]storage.Tuple, len(r.Upserts))
+			for i, u := range r.Upserts {
+				olds[i], _ = rel.Get(u.ID)
 			}
+		}
+		if at, err := db.Upsert(r.Name, r.Upserts); err != nil {
+			op := "insert"
+			if rel.Has(r.Upserts[at].ID) {
+				op = "update"
+			}
+			return fmt.Errorf("wal: delta %s %s/%d: %w", op, r.Name, r.Upserts[at].ID, err)
+		}
+		for i, old := range olds {
+			var was *storage.Tuple
+			if old.ID != 0 {
+				was = &olds[i]
+			}
+			u := r.Upserts[i]
+			obs.RecoveryApply(r.Name, was, &storage.Tuple{ID: u.ID, Values: u.Row.Values()})
 		}
 	}
 	db.SetNextTupleID(d.NextTupleID)

@@ -106,9 +106,11 @@ func TestDeltaDecodeBitFlips(t *testing.T) {
 }
 
 // TestApplyDeltaMatchesReplay: applying a delta captured from a mutated
-// database must land tuples at the same positions direct mutation did,
-// including the tombstone-for-unseen-id no-op and a primary key deleted and
-// inserted again under a new id.
+// database must land tuples at the same positions direct mutation did, with
+// the same values, including the tombstone-for-unseen-id no-op, a primary key
+// deleted and inserted again under a new id, and keys that moved within the
+// interval in a way no one-at-a-time replay of the final rows can apply: a
+// cycle (A:3→x, B:7→3, A:x→7), and a swap whose higher id moved first.
 func TestApplyDeltaMatchesReplay(t *testing.T) {
 	// Base state, snapshotted before mutation.
 	base := testDB(t)
@@ -146,6 +148,22 @@ func TestApplyDeltaMatchesReplay(t *testing.T) {
 	if _, err := live.DB.Insert("AUTHOR", moved.Values...); err != nil {
 		t.Fatal(err)
 	}
+	setKey := func(rel string, id storage.TupleID, key storage.Value) {
+		t.Helper()
+		tp, _ := live.DB.Relation(rel).Get(id)
+		tp.Values[0] = key
+		if err := live.DB.Update(rel, id, tp.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The cycle, on BOOK's tuples 4 (bid 11) and 5 (bid 12).
+	setKey("BOOK", 4, storage.Int(777))
+	setKey("BOOK", 5, storage.Int(11))
+	setKey("BOOK", 4, storage.Int(12))
+	// The swap, on AUTHOR's tuple 2 (aid 2) and Borges (aid 9, a higher id).
+	setKey("AUTHOR", newID, storage.Int(778))
+	setKey("AUTHOR", 2, storage.Int(9))
+	setKey("AUTHOR", newID, storage.Int(2))
 	ds := live.DB.CaptureDirty()
 	if ds == nil {
 		t.Fatal("CaptureDirty returned nil with tracking enabled")
@@ -182,6 +200,9 @@ func TestApplyDeltaMatchesReplay(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s scan order: want %v, got %v", rel, want, got)
 		}
+	}
+	if got, want := dumpState(target), dumpState(live); got != want {
+		t.Fatalf("applied delta differs from the live database:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	if _, ok := target.DB.Relation("AUTHOR").Get(newID); !ok {
 		t.Fatal("inserted author missing after delta apply")

@@ -33,15 +33,31 @@ var errFrameTooLarge = errors.New("wal: frame payload exceeds limit")
 // maxFramePayload are refused with errFrameTooLarge; they could be written
 // but never read back.
 func appendFrame(dst, payload []byte) ([]byte, error) {
-	if len(payload) > maxFramePayload {
-		return nil, fmt.Errorf("%w (%d > %d bytes)", errFrameTooLarge, len(payload), maxFramePayload)
-	}
 	var hdr [frameHeaderSize]byte
+	if err := putFrameHeader(hdr[:], payload); err != nil {
+		return nil, err
+	}
+	dst = append(dst, hdr[:]...)
+	return append(dst, payload...), nil
+}
+
+// putFrameHeader writes payload's frame header into hdr, refusing a payload
+// over maxFramePayload.
+func putFrameHeader(hdr, payload []byte) error {
+	if err := checkFramePayload(len(payload)); err != nil {
+		return err
+	}
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(hdr[0:4], castagnoli))
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
+	return nil
+}
+
+func checkFramePayload(n int) error {
+	if n > maxFramePayload {
+		return fmt.Errorf("%w (%d > %d bytes)", errFrameTooLarge, n, maxFramePayload)
+	}
+	return nil
 }
 
 // CorruptionError reports a checksum failure that cannot be a torn write:

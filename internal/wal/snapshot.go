@@ -3,7 +3,6 @@ package wal
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"precis/internal/faultinject"
 	"precis/internal/storage"
@@ -70,93 +69,77 @@ func (s *SnapshotData) addMacro(def string) {
 
 // EncodeSnapshot renders data as snapshot bytes. Relations are encoded in
 // creation order and tuples in scan (insertion) order — storage guarantees
-// both are stable — so identical states produce identical bytes. A section
+// both are stable — so identical states produce identical bytes, written
+// into one buffer made at their size (sized). A section
 // whose encoding exceeds the frame payload limit (a single relation over
 // 1 GiB) is refused with an error naming it: the same limit the decoder
 // hard-fails on must be enforced here, before any bytes can reach disk,
 // or a checkpoint would "succeed", garbage-collect the older generations,
 // and leave behind a snapshot that can never be opened again.
 func EncodeSnapshot(data *SnapshotData) ([]byte, error) {
-	out := []byte(snapMagic)
 	db := data.DB
 	names := db.RelationNames()
-	fks := db.ForeignKeys()
-
-	// Header section.
-	var h enc
-	h.uvarint(snapVersion)
-	h.str(db.Name())
-	h.uvarint(uint64(db.NextTupleID()))
-	h.uvarint(uint64(len(names)))
-	out, err := appendFrame(out, h.bytes())
-	if err != nil {
-		return nil, fmt.Errorf("wal: snapshot header: %w", err)
-	}
-
-	// One section per relation: schema then tuples.
-	total := 0
-	for _, name := range names {
-		rel := db.Relation(name)
-		sc := rel.Schema()
-		var e enc
-		e.str(sc.Name)
-		e.str(sc.Key)
-		e.uvarint(uint64(len(sc.Columns)))
-		for _, c := range sc.Columns {
-			e.str(c.Name)
-			e.u8(uint8(c.Type))
+	return sized(func(e *enc) error {
+		e.put(snapMagic)
+		at := e.open()
+		e.header(db.Name(), db.NextTupleID(), len(names))
+		if err := e.close(at); err != nil {
+			return fmt.Errorf("wal: snapshot header: %w", err)
 		}
-		e.uvarint(uint64(rel.Len()))
-		rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
-			total++
-			e.uvarint(uint64(id))
-			e.row(row)
-			return true
-		})
-		if out, err = appendFrame(out, e.bytes()); err != nil {
-			return nil, fmt.Errorf("wal: snapshot relation %s: %w", name, err)
+		// One section per relation: schema then tuples.
+		total := 0
+		for _, name := range names {
+			rel := db.Relation(name)
+			at := e.open()
+			e.schema(rel.Schema())
+			e.uvarint(uint64(rel.Len()))
+			rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+				e.uvarint(uint64(id))
+				e.row(row)
+				return true
+			})
+			if err := e.close(at); err != nil {
+				return fmt.Errorf("wal: snapshot relation %s: %w", name, err)
+			}
+			total += rel.Len()
 		}
-	}
+		if err := e.tail(db.ForeignKeys(), data.Synonyms, data.Macros, snapTrailer, total); err != nil {
+			return fmt.Errorf("wal: snapshot %w", err)
+		}
+		return nil
+	})
+}
 
-	// Foreign keys.
-	var fe enc
-	fe.uvarint(uint64(len(fks)))
-	for _, fk := range fks {
-		fe.str(fk.FromRelation)
-		fe.str(fk.FromColumn)
-		fe.str(fk.ToRelation)
-		fe.str(fk.ToColumn)
-	}
-	if out, err = appendFrame(out, fe.bytes()); err != nil {
-		return nil, fmt.Errorf("wal: snapshot foreign keys: %w", err)
-	}
+// header encodes a snapshot's header section.
+func (e *enc) header(name string, next storage.TupleID, rels int) {
+	e.uvarint(snapVersion)
+	e.str(name)
+	e.uvarint(uint64(next))
+	e.uvarint(uint64(rels))
+}
 
-	// Engine extras: synonyms (sorted by alias for deterministic bytes) and
-	// macro definitions (definition order).
-	syn := append([][2]string(nil), data.Synonyms...)
-	sort.Slice(syn, func(i, j int) bool { return syn[i][0] < syn[j][0] })
-	var xe enc
-	xe.uvarint(uint64(len(syn)))
-	for _, p := range syn {
-		xe.str(p[0])
-		xe.str(p[1])
+// tail writes the three sections a snapshot and a delta both end with: the
+// foreign keys, the extras (synonyms and macro definitions), and the trailer,
+// which authenticates that every section arrived — tag, then count (tuples,
+// or changes).
+func (e *enc) tail(fks []storage.ForeignKey, syn [][2]string, macros []string, tag string, count int) error {
+	at := e.open()
+	e.fks(fks)
+	if err := e.close(at); err != nil {
+		return fmt.Errorf("foreign keys: %w", err)
 	}
-	xe.uvarint(uint64(len(data.Macros)))
-	for _, m := range data.Macros {
-		xe.str(m)
+	at = e.open()
+	e.extras(syn, macros)
+	if err := e.close(at); err != nil {
+		return fmt.Errorf("extras: %w", err)
 	}
-	if out, err = appendFrame(out, xe.bytes()); err != nil {
-		return nil, fmt.Errorf("wal: snapshot extras: %w", err)
+	at = e.open()
+	e.str(tag)
+	e.uvarint(uint64(count))
+	if err := e.close(at); err != nil {
+		return fmt.Errorf("trailer: %w", err)
 	}
-
-	// Trailer: authenticates that every section arrived.
-	var te enc
-	te.str(snapTrailer)
-	te.uvarint(uint64(total))
-	if out, err = appendFrame(out, te.bytes()); err != nil {
-		return nil, fmt.Errorf("wal: snapshot trailer: %w", err)
-	}
-	return out, nil
+	return nil
 }
 
 // DecodeSnapshot parses snapshot bytes back into a SnapshotData. file names
@@ -166,6 +149,40 @@ func EncodeSnapshot(data *SnapshotData) ([]byte, error) {
 // decoder never panics and never allocates more than the input justifies,
 // whatever the bytes claim.
 func DecodeSnapshot(file string, raw []byte) (*SnapshotData, error) {
+	return readSnapshot(file, raw, func(db *storage.Database, rel *storage.Relation, n int, d *dec) error {
+		// One buffer for every tuple's values, their text borrowed from the
+		// payload: the insert copies both into the tuple's record.
+		d.borrow = true
+		var vals []storage.Value
+		for i := 0; i < n; i++ {
+			id, err := d.uvarint()
+			if err != nil {
+				return fmt.Errorf("tuple %d: %w", i, err)
+			}
+			vals, err = d.values(vals[:0])
+			if err != nil {
+				return fmt.Errorf("tuple %d: %w", i, err)
+			}
+			if err := db.InsertWithID(rel.Name(), storage.TupleID(id), vals...); err != nil {
+				return fmt.Errorf("tuple %d: %w", i, err)
+			}
+		}
+		return nil
+	})
+}
+
+// readSnapshot checks raw's framing and parses every section of it but the
+// tuples: the header, each relation's schema — created, empty, in the
+// database of the SnapshotData it returns — the foreign keys, the extras and
+// the trailer. tuples is handed each relation section's tuples in turn: the
+// relation, the count its section declares, and a decoder at the first of
+// them; it must read all of them or fail. DecodeSnapshot inserts them and the
+// compaction merges them, so the two refuse a snapshot at the same section,
+// classified alike: an error from tuples, like any other in a section, is a
+// *CorruptionError attributed to that section's frame (or a storage.ErrOutOfIDs
+// for an id past the largest), and a stream that stops before its trailer
+// satisfies IsIncomplete.
+func readSnapshot(file string, raw []byte, tuples func(db *storage.Database, rel *storage.Relation, n int, d *dec) error) (*SnapshotData, error) {
 	if len(raw) < len(snapMagic) || string(raw[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("wal: %s: not a snapshot (bad magic): %w", fileLabel(file), errIncomplete)
 	}
@@ -176,7 +193,8 @@ func DecodeSnapshot(file string, raw []byte) (*SnapshotData, error) {
 		fksDone   bool
 		extrasOK  bool
 		trailerOK bool
-		total     uint64
+		declared  uint64 // tuples the relation sections declare
+		total     uint64 // tuples the trailer declares
 	)
 	torn, err := scanFrames(file, raw[len(snapMagic):], func(i int, off int64, payload []byte) error {
 		d := &dec{b: payload}
@@ -209,9 +227,14 @@ func DecodeSnapshot(file string, raw []byte) (*SnapshotData, error) {
 			data.DB.SetNextTupleID(storage.TupleID(next))
 			return nil
 		case relsSeen < nRels: // relation section
-			if err := decodeRelation(d, data.DB); err != nil {
+			rel, n, err := decodeSchema(d, data.DB)
+			if err == nil {
+				err = tuples(data.DB, rel, n, d)
+			}
+			if err != nil {
 				return fmt.Errorf("relation section %d: %w", relsSeen, err)
 			}
+			declared += uint64(n)
 			relsSeen++
 			return nil
 		case !fksDone: // foreign keys
@@ -290,68 +313,53 @@ func DecodeSnapshot(file string, raw []byte) (*SnapshotData, error) {
 		}
 		return nil, fmt.Errorf("wal: %s: snapshot incomplete (%s): %w", fileLabel(file), detail, errIncomplete)
 	}
-	if got := data.DB.TotalTuples(); uint64(got) != total {
+	if declared != total {
 		return nil, &CorruptionError{File: file, Offset: 0, Record: 0,
-			Detail: fmt.Sprintf("trailer declares %d tuples, decoded %d", total, got)}
+			Detail: fmt.Sprintf("trailer declares %d tuples, decoded %d", total, declared)}
 	}
 	return data, nil
 }
 
-// decodeRelation parses one relation section into db.
-func decodeRelation(d *dec, db *storage.Database) error {
+// decodeSchema parses a relation section's schema and creates the relation
+// in db, returning it with the tuple count the section declares.
+func decodeSchema(d *dec, db *storage.Database) (*storage.Relation, int, error) {
 	name, err := d.str()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	key, err := d.str()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	ncols, err := d.count(2)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	cols := make([]storage.Column, 0, ncols)
 	for i := 0; i < ncols; i++ {
 		cname, err := d.str()
 		if err != nil {
-			return fmt.Errorf("column %d: %w", i, err)
+			return nil, 0, fmt.Errorf("column %d: %w", i, err)
 		}
 		ct, err := d.u8()
 		if err != nil {
-			return fmt.Errorf("column %d: %w", i, err)
+			return nil, 0, fmt.Errorf("column %d: %w", i, err)
 		}
 		cols = append(cols, storage.Column{Name: cname, Type: storage.ColType(ct)})
 	}
 	schema, err := storage.NewSchema(name, key, cols...)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	if _, err := db.CreateRelation(schema); err != nil {
-		return err
-	}
-	ntuples, err := d.count(2)
+	rel, err := db.CreateRelation(schema)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	// One buffer for every tuple's values, their text borrowed from the
-	// payload: the insert copies both into the tuple's record.
-	d.borrow = true
-	var vals []storage.Value
-	for i := 0; i < ntuples; i++ {
-		id, err := d.uvarint()
-		if err != nil {
-			return fmt.Errorf("tuple %d: %w", i, err)
-		}
-		vals, err = d.values(vals[:0])
-		if err != nil {
-			return fmt.Errorf("tuple %d: %w", i, err)
-		}
-		if err := db.InsertWithID(name, storage.TupleID(id), vals...); err != nil {
-			return fmt.Errorf("tuple %d: %w", i, err)
-		}
+	n, err := d.count(2)
+	if err != nil {
+		return nil, 0, err
 	}
-	return nil
+	return rel, n, nil
 }
 
 func fileLabel(file string) string {

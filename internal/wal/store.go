@@ -89,6 +89,10 @@ type Store struct {
 	// kind, for the bytes-per-checkpoint story in stats and metrics.
 	deltaBytes int64
 	fullBytes  int64
+	// lastFull / lastFullBytes are what the last full checkpoint took, from
+	// rotation to durable snapshot, and wrote.
+	lastFull      time.Duration
+	lastFullBytes int64
 
 	// epoch is the failover fencing epoch (see epoch.go); fencedBy, when
 	// non-zero, is the newer epoch that deposed this store — every append
@@ -387,7 +391,12 @@ func gensEqual(a, b []uint64) bool {
 // Initialize seeds an empty directory: it writes the generation-1 snapshot
 // of data and opens its WAL. Only valid after an Open that returned
 // Recovered.Data == nil.
-func (s *Store) Initialize(data *SnapshotData) error {
+func (s *Store) Initialize(data *SnapshotData) error { return s.InitializeIndexed(data, nil) }
+
+// InitializeIndexed is Initialize that also persists indexRaw, when non-nil,
+// as generation 1's inverted-index snapshot — so the directory's first
+// compaction can carry it forward instead of indexing from scratch.
+func (s *Store) InitializeIndexed(data *SnapshotData, indexRaw []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.w != nil || s.gen != 0 {
@@ -395,6 +404,11 @@ func (s *Store) Initialize(data *SnapshotData) error {
 	}
 	if _, err := WriteSnapshot(s.dir, 1, data); err != nil {
 		return err
+	}
+	if indexRaw != nil {
+		if _, err := writeRawFile(s.dir, IndexSnapshotName(1), indexRaw); err != nil {
+			s.log.Printf("wal: cannot persist index snapshot for generation 1: %v", err)
+		}
 	}
 	w, err := openWriter(filepath.Join(s.dir, walName(1)), s.cfg.Fsync, s.cfg.FsyncInterval)
 	if err != nil {
@@ -591,18 +605,14 @@ func (s *Store) CompleteDelta(h *CheckpointHandle, d *DeltaData) error {
 }
 
 // CompleteFull finishes a begun checkpoint as a full snapshot (a chain
-// compaction): data must be the database state at the rotation point —
-// Synthesize builds exactly that from disk — and indexRaw, when non-nil,
-// is persisted beside it as the generation's inverted-index snapshot. Runs
-// entirely off the mutation lock.
-func (s *Store) CompleteFull(h *CheckpointHandle, data *SnapshotData, indexRaw []byte) error {
+// compaction): raw must be the snapshot bytes of the database state at the
+// rotation point — Compact merges exactly those from disk — and indexRaw,
+// when non-nil, is persisted beside it as the generation's inverted-index
+// snapshot. Runs entirely off the mutation lock.
+func (s *Store) CompleteFull(h *CheckpointHandle, raw, indexRaw []byte) error {
 	h.finishOld()
 	if err := faultinject.Fire(faultinject.SiteSnapshotWrite); err != nil {
 		return fmt.Errorf("wal: snapshot write: %w", err)
-	}
-	raw, err := EncodeSnapshot(data)
-	if err != nil {
-		return err
 	}
 	if _, err := WriteRawSnapshot(s.dir, h.gen, raw); err != nil {
 		return err
@@ -617,8 +627,7 @@ func (s *Store) CompleteFull(h *CheckpointHandle, data *SnapshotData, indexRaw [
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chain = []uint64{h.gen}
-	s.fullBytes += int64(len(raw))
-	s.checkpoints++
+	s.noteFullLocked(time.Since(h.start), len(raw))
 	s.lastCkpt = time.Now()
 	if err := writeManifest(s.dir, s.chain); err != nil {
 		s.log.Printf("wal: cannot write manifest: %v", err)
@@ -632,40 +641,34 @@ func (s *Store) CompleteFull(h *CheckpointHandle, data *SnapshotData, indexRaw [
 	return nil
 }
 
-// Synthesize reconstructs, purely from disk plus the captured delta, the
-// database state at h's rotation point: the previous chain decoded and
-// applied, then d on top. The captured dirty set covers everything after
-// the chain tip (including records in logs the chain tip never saw), so no
-// WAL replay is needed. Used by chain compaction to build the full
-// snapshot without serializing the live database under the mutation lock.
-func (s *Store) Synthesize(h *CheckpointHandle, d *DeltaData) (*SnapshotData, error) {
-	data, err := s.decodeChain(h.prevChain, nil)
-	if err != nil {
-		return nil, err
-	}
-	dd := *d
-	dd.BaseGen = h.prevChain[len(h.prevChain)-1]
-	if err := ApplyDelta(data, &dd, nil); err != nil {
-		return nil, err
-	}
-	return data, nil
+// noteFullLocked counts a completed full checkpoint: how long it took and
+// how many snapshot bytes it wrote.
+func (s *Store) noteFullLocked(took time.Duration, bytes int) {
+	s.fullBytes += int64(bytes)
+	s.checkpoints++
+	s.lastFull = took
+	s.lastFullBytes = int64(bytes)
 }
 
-// decodeChain loads and applies a checkpoint chain from disk: the base
-// snapshot, then each delta in order, validating every link.
-func (s *Store) decodeChain(chain []uint64, obs RecoveryObserver) (*SnapshotData, error) {
-	basePath := filepath.Join(s.dir, snapshotName(chain[0]))
-	raw, err := os.ReadFile(basePath)
-	if err != nil {
-		return nil, err
-	}
-	data, err := DecodeSnapshot(basePath, raw)
-	if err != nil {
-		return nil, err
-	}
-	if obs != nil {
-		obs.RecoveryBase(chain[0], data.DB)
-	}
+// Compact returns the full snapshot of h's rotation point — the chain h
+// rotated on top of, with d, the dirty state captured at the rotation,
+// applied — merged from the chain's bytes on disk: no Database is built and
+// no untouched tuple decoded (see merge). The captured dirty set covers
+// everything after the chain tip, including records in logs the tip never
+// saw, so no log is read. obs, when set, is handed the base's schemas and
+// every tuple the chain and d changed, with its base values: what carries the
+// base generation's persisted index forward. The bytes are for CompleteFull.
+func (s *Store) Compact(h *CheckpointHandle, d *DeltaData, obs RecoveryObserver) ([]byte, error) {
+	return s.mergeChain(h.prevChain, obs, func(f *fold) error {
+		f.delta(d)
+		return nil
+	})
+}
+
+// mergeChain folds chain's deltas from disk, validating every link, then
+// whatever more folds in, and merges the fold into the chain's base snapshot.
+func (s *Store) mergeChain(chain []uint64, obs RecoveryObserver, more func(*fold) error) ([]byte, error) {
+	f := newFold()
 	for i := 1; i < len(chain); i++ {
 		path := filepath.Join(s.dir, deltaName(chain[i]))
 		raw, err := os.ReadFile(path)
@@ -680,11 +683,17 @@ func (s *Store) decodeChain(chain []uint64, obs RecoveryObserver) (*SnapshotData
 			return nil, &CorruptionError{File: path, Offset: 0, Record: 0,
 				Detail: fmt.Sprintf("delta declares base generation %d, chain predecessor is %d", d.BaseGen, want)}
 		}
-		if err := ApplyDelta(data, d, obs); err != nil {
-			return nil, err
-		}
+		f.delta(d)
 	}
-	return data, nil
+	if err := more(f); err != nil {
+		return nil, err
+	}
+	path := filepath.Join(s.dir, snapshotName(chain[0]))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return merge(path, raw, f, chain[0], obs)
 }
 
 // Checkpoint writes data as the next full snapshot generation, rotates the
@@ -717,7 +726,11 @@ func (s *Store) CheckpointFull(data *SnapshotData, indexRaw []byte) error {
 		}
 		return err
 	}
-	if err := s.CompleteFull(h, data, indexRaw); err != nil {
+	raw, err := EncodeSnapshot(data)
+	if err == nil {
+		err = s.CompleteFull(h, raw, indexRaw)
+	}
+	if err != nil {
 		h.Abort()
 		return err
 	}
@@ -777,8 +790,7 @@ func (s *Store) checkpointSupersede(data *SnapshotData, indexRaw []byte) error {
 	s.w = nw
 	s.gen = next
 	s.chain = []uint64{next}
-	s.fullBytes += int64(len(raw))
-	s.checkpoints++
+	s.noteFullLocked(time.Since(start), len(raw))
 	s.lastCkpt = time.Now()
 	if err := writeManifest(s.dir, s.chain); err != nil {
 		s.log.Printf("wal: cannot write manifest: %v", err)
@@ -902,10 +914,11 @@ func (s *Store) gcChainLocked() {
 // of the active generation — what a bootstrapping follower must install so
 // the primary can stream the active log's records on top. When the chain
 // is a single full snapshot at the active generation this is a plain file
-// read; otherwise the chain is decoded and the intermediate logs replayed
-// in memory (the live files are never modified), and the result re-encoded.
-// A concurrent checkpoint can GC chain files mid-read; the read retries on
-// a fresh chain.
+// read; otherwise the chain's deltas and then the records of the logs between
+// the chain tip and the active generation are folded and merged into the
+// base's bytes, as a compaction merges them (the live files are never
+// modified). A concurrent checkpoint can GC chain files mid-read; the read
+// retries on a fresh chain.
 func (s *Store) FlattenedSnapshot() (uint64, []byte, error) {
 	const retries = 5
 	var lastErr error
@@ -917,57 +930,37 @@ func (s *Store) FlattenedSnapshot() (uint64, []byte, error) {
 		if len(chain) == 0 {
 			return 0, nil, fmt.Errorf("wal: store not initialized")
 		}
+		var raw []byte
+		var err error
 		if len(chain) == 1 && chain[0] == gen {
-			raw, err := os.ReadFile(filepath.Join(s.dir, snapshotName(gen)))
-			if err == nil {
-				return gen, raw, nil
-			}
-			if !os.IsNotExist(err) {
-				return 0, nil, err
-			}
-			lastErr = err
-			continue // checkpoint raced us; re-read the chain
-		}
-		data, err := s.decodeChain(chain, nil)
-		if err != nil {
-			if os.IsNotExist(err) {
-				lastErr = err
-				continue
-			}
-			return 0, nil, err
-		}
-		// Replay the logs between the chain tip and the active generation.
-		tip := chain[len(chain)-1]
-		replayErr := error(nil)
-		for g := tip; g < gen; g++ {
-			raw, err := os.ReadFile(filepath.Join(s.dir, walName(g)))
-			if err != nil {
-				if os.IsNotExist(err) {
-					// Rotated logs are only GC'd when the chain advances past
-					// them; a missing one means we raced a checkpoint.
-					replayErr = err
-					break
+			raw, err = os.ReadFile(filepath.Join(s.dir, snapshotName(gen)))
+		} else {
+			raw, err = s.mergeChain(chain, nil, func(f *fold) error {
+				for g := chain[len(chain)-1]; g < gen; g++ {
+					path := filepath.Join(s.dir, walName(g))
+					records, err := os.ReadFile(path)
+					if err != nil {
+						return err // rotated logs are only GC'd once the chain moves past them
+					}
+					info, err := ReplayBytes(records, f.record)
+					if err != nil {
+						return err
+					}
+					if info.TornBytes > 0 {
+						return &CorruptionError{File: path, Offset: 0, Record: info.Records,
+							Detail: fmt.Sprintf("torn tail in rotated log (%s)", info.TornDetail)}
+					}
 				}
-				return 0, nil, err
-			}
-			info, err := ReplayBytes(raw, func(r Record) error { return r.apply(data) })
-			if err != nil {
-				return 0, nil, err
-			}
-			if info.TornBytes > 0 {
-				return 0, nil, &CorruptionError{File: filepath.Join(s.dir, walName(g)), Offset: 0, Record: info.Records,
-					Detail: fmt.Sprintf("torn tail in rotated log (%s)", info.TornDetail)}
-			}
+				return nil
+			})
 		}
-		if replayErr != nil {
-			lastErr = replayErr
-			continue
+		if err == nil {
+			return gen, raw, nil
 		}
-		raw, err := EncodeSnapshot(data)
-		if err != nil {
+		if !errors.Is(err, os.ErrNotExist) {
 			return 0, nil, err
 		}
-		return gen, raw, nil
+		lastErr = err // a checkpoint raced us; re-read the chain
 	}
 	return 0, nil, fmt.Errorf("wal: flattened snapshot kept racing checkpoints: %w", lastErr)
 }
@@ -1032,6 +1025,10 @@ type Stats struct {
 	// kind since the store opened.
 	DeltaBytes int64 `json:"delta_bytes_written"`
 	FullBytes  int64 `json:"full_bytes_written"`
+	// LastFull / LastFullBytes are what the last full checkpoint took, from
+	// rotation to durable snapshot, and how many snapshot bytes it wrote.
+	LastFull      time.Duration `json:"last_full_checkpoint_ns"`
+	LastFullBytes int64         `json:"last_full_checkpoint_bytes"`
 }
 
 // Stats returns the store's current counters.
@@ -1039,14 +1036,16 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Dir:         s.dir,
-		Fsync:       s.cfg.Fsync.String(),
-		Generation:  s.gen,
-		Checkpoints: s.checkpoints,
-		LastCkpt:    s.lastCkpt,
-		ChainDepth:  len(s.chain),
-		DeltaBytes:  s.deltaBytes,
-		FullBytes:   s.fullBytes,
+		Dir:           s.dir,
+		Fsync:         s.cfg.Fsync.String(),
+		Generation:    s.gen,
+		Checkpoints:   s.checkpoints,
+		LastCkpt:      s.lastCkpt,
+		ChainDepth:    len(s.chain),
+		DeltaBytes:    s.deltaBytes,
+		FullBytes:     s.fullBytes,
+		LastFull:      s.lastFull,
+		LastFullBytes: s.lastFullBytes,
 	}
 	if s.w != nil {
 		st.WALBytes = s.w.Size()

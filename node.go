@@ -53,6 +53,9 @@ type node struct {
 	lastPauseNS atomic.Int64
 	// pauseHist, when instrumented, observes that pause per checkpoint.
 	pauseHist atomic.Pointer[obs.Histogram]
+	// indexSnapshot is how the last full checkpoint came by the index it
+	// persisted (indexDerived, indexRebuilt, indexLive), "" before one.
+	indexSnapshot atomic.Value // string
 
 	stopOnce sync.Once
 	stop     chan struct{}

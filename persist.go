@@ -209,9 +209,20 @@ type PersistStats struct {
 	LastCheckpointPauseMS float64 `json:"last_checkpoint_pause_ms,omitempty"`
 	// DeltaBytesWritten / FullBytesWritten are cumulative checkpoint bytes
 	// by kind since open.
-	DeltaBytesWritten int64         `json:"delta_bytes_written,omitempty"`
-	FullBytesWritten  int64         `json:"full_bytes_written,omitempty"`
-	Recovery          RecoveryStats `json:"recovery"`
+	DeltaBytesWritten int64 `json:"delta_bytes_written,omitempty"`
+	FullBytesWritten  int64 `json:"full_bytes_written,omitempty"`
+	// LastFullCheckpointMS and LastFullCheckpointBytes are what the last
+	// full checkpoint took, from rotation to durable snapshot, and wrote.
+	// IndexSnapshot says how it came by the index it persisted: "derived"
+	// (a compaction carrying the base generation's index forward over the
+	// tuples that changed), "rebuilt" (a compaction indexing the merged
+	// state, the base having no usable index) or "live" (the engine's own,
+	// on a full checkpoint under the mutation lock, as Close makes). On a
+	// sharded engine, all three are the slowest shard's.
+	LastFullCheckpointMS    float64       `json:"last_full_checkpoint_ms,omitempty"`
+	LastFullCheckpointBytes int64         `json:"last_full_checkpoint_bytes,omitempty"`
+	IndexSnapshot           string        `json:"index_snapshot,omitempty"`
+	Recovery                RecoveryStats `json:"recovery"`
 }
 
 // Open is New plus durability. With an empty cfg.Dir it is exactly New.
@@ -283,7 +294,9 @@ func openNode(db *storage.Database, g *schemagraph.Graph, cfg PersistConfig, who
 		if n, err = newNode(db, g, nil); err != nil {
 			return fail(err)
 		}
-		if err := store.Initialize(&wal.SnapshotData{DB: db}); err != nil {
+		// The seed index goes beside generation 1, so the first compaction
+		// can carry it forward.
+		if err := store.InitializeIndexed(&wal.SnapshotData{DB: db}, n.index.EncodeSnapshot(1)); err != nil {
 			return fail(err)
 		}
 		logger.Printf("precis: persistence initialized in %s (generation 1, %d tuples, fsync=%s)",
@@ -352,10 +365,10 @@ func (n *node) checkpoint() error {
 	}
 	if !n.db.DirtyTrackingEnabled() {
 		// Defensive: persistent engines always track dirt, but without it a
-		// synthesized compaction would miss the untracked changes. Fall back
-		// to the monolithic full checkpoint under the lock.
+		// merged compaction would miss the untracked changes. Fall back to the
+		// monolithic full checkpoint under the lock.
 		defer mu.Unlock()
-		return n.store.Checkpoint(n.snapshotData())
+		return n.checkpointLive()
 	}
 	pauseStart := time.Now()
 	h, err := n.store.BeginCheckpoint()
@@ -365,7 +378,7 @@ func (n *node) checkpoint() error {
 			// heal via the monolithic full checkpoint, which supersedes the
 			// unsyncable log before abandoning it.
 			defer mu.Unlock()
-			return n.store.Checkpoint(n.snapshotData())
+			return n.checkpointLive()
 		}
 		mu.Unlock()
 		return err
@@ -403,17 +416,49 @@ func (n *node) checkpoint() error {
 		}
 		return nil
 	}
-	// Compaction: synthesize the rotation-point state purely from disk plus
-	// the captured delta, and persist the inverted index beside it.
-	data, err := n.store.Synthesize(h, d)
+	// Compaction: merge the rotation-point snapshot from the chain's bytes
+	// and the captured delta, and persist an index beside it — the base
+	// generation's, carried forward over the tuples that changed, or, when
+	// the base has none (a follower's mirrored rotation, a damaged file), one
+	// built from the merged state.
+	ir := &indexRecovery{dir: n.cfg.Dir, logger: n.cfg.Logger}
+	raw, err := n.store.Compact(h, d, ir)
+	how := indexDerived
+	if err == nil && ir.ix == nil {
+		how = indexRebuilt
+		var data *wal.SnapshotData
+		if data, err = wal.DecodeSnapshot("", raw); err == nil {
+			ir.ix = invidx.NewParallel(data.DB, runtime.GOMAXPROCS(0))
+		}
+	}
 	if err == nil {
-		ix := invidx.NewParallel(data.DB, runtime.GOMAXPROCS(0))
-		err = n.store.CompleteFull(h, data, ix.EncodeSnapshot(h.Gen()))
+		err = n.store.CompleteFull(h, raw, ir.ix.EncodeSnapshot(h.Gen()))
 	}
 	if err != nil {
 		restore()
 		return fmt.Errorf("precis: checkpoint: %w", err)
 	}
+	n.indexSnapshot.Store(how)
+	return nil
+}
+
+// How a full checkpoint came by the index snapshot it persisted
+// (PersistStats.IndexSnapshot).
+const (
+	indexDerived = "derived" // the base generation's, carried over the changed tuples
+	indexRebuilt = "rebuilt" // built from the merged state
+	indexLive    = "live"    // the engine's own, written under the mutation lock
+)
+
+// checkpointLive is the monolithic full checkpoint, made under the mutation
+// lock (the caller holds it and ckptMu) of the live state, with the live
+// index persisted beside it: stamped with the generation the checkpoint is
+// about to create, which no rotation can race.
+func (n *node) checkpointLive() error {
+	if err := n.store.CheckpointFull(n.snapshotData(), n.index.EncodeSnapshot(n.store.Generation()+1)); err != nil {
+		return err
+	}
+	n.indexSnapshot.Store(indexLive)
 	return nil
 }
 
@@ -472,8 +517,7 @@ func (n *node) close() error {
 	n.owner.mu.Lock()
 	defer n.owner.mu.Unlock()
 	var firstErr error
-	indexRaw := n.index.EncodeSnapshot(n.store.Generation() + 1)
-	if err := n.store.CheckpointFull(n.snapshotData(), indexRaw); err != nil {
+	if err := n.checkpointLive(); err != nil {
 		firstErr = fmt.Errorf("precis: final checkpoint: %w", err)
 		// The checkpoint failed but the WAL still holds every mutation:
 		// force it to disk so nothing is lost even on this path.
@@ -500,6 +544,7 @@ func (n *node) persistStats() PersistStats {
 		return PersistStats{}
 	}
 	st := n.store.Stats()
+	indexHow, _ := n.indexSnapshot.Load().(string)
 	return PersistStats{
 		Enabled:               true,
 		Dir:                   st.Dir,
@@ -513,6 +558,10 @@ func (n *node) persistStats() PersistStats {
 		LastCheckpointPauseMS: float64(n.lastPauseNS.Load()) / 1e6,
 		DeltaBytesWritten:     st.DeltaBytes,
 		FullBytesWritten:      st.FullBytes,
+
+		LastFullCheckpointMS:    float64(st.LastFull.Nanoseconds()) / 1e6,
+		LastFullCheckpointBytes: st.LastFullBytes,
+		IndexSnapshot:           indexHow,
 		Recovery: RecoveryStats{
 			SnapshotLoaded:     n.recovered.Data != nil,
 			SnapshotPath:       n.recovered.SnapshotPath,

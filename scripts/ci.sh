@@ -21,7 +21,10 @@
 # byte offset and bit-flips both durability files; the -short run above
 # strides through offsets, this dedicated pass covers every single one
 # under -race. The fuzz smoke then runs the durability fuzz targets
-# (snapshot decoder, WAL replayer, delta decoder, index-snapshot decoder),
+# (snapshot decoder, WAL replayer, delta decoder, index-snapshot decoder, and
+# FuzzCompact: base snapshots mutated under a fixed delta, the compaction
+# merge refusing exactly where decoding and applying refuses, with the same
+# classification, and writing the same bytes otherwise),
 # the JSON string escaper of /api/search (against encoding/json; its seeds put
 # every byte it must look at on both sides of a word boundary), the
 # sorted-id-list kernel behind every resident id list (FuzzIDList: a byte
@@ -50,7 +53,17 @@
 # corrupt index files silently fall back to a rebuild). It runs under
 # -race with its own timeout because checkpoints now run concurrently
 # with mutations — the serialize/fsync phase happens off the engine
-# lock against captured copy-on-write state.
+# lock against captured copy-on-write state. The compaction merge rides
+# in the same step (internal/wal compact_test.go: seeded chains of one to
+# eight deltas over dataset.Kinds and the wal test schemas, merged from
+# bytes, against decoding the base, applying the deltas and encoding; the
+# index carried forward against a rebuild; crafted deltas that would hold
+# a key or an id twice, refused with the old chain kept; a follower's
+# flattened snapshot against decoding the chain and replaying its logs),
+# with the root's key-cycle regression (a cycle and a swap of primary keys
+# within one interval, through a delta and Open, a follower bootstrap, and
+# a compaction and Open) and the first compaction of a fresh directory
+# carrying its seed index forward.
 #
 # The replication convergence suite (replication_test.go, internal/repl)
 # severs the primary→follower stream at swept byte offsets, injects
@@ -227,7 +240,9 @@
 # BenchmarkNarrativeDeep) are picked up here with everything else, and so are
 # internal/storage's BenchmarkGather, BenchmarkInsertBatch and
 # BenchmarkLookups, each the batch path beside the per-tuple or per-value loop
-# it replaced, and internal/web's BenchmarkAppendJSONString.
+# it replaced, internal/web's BenchmarkAppendJSONString, and internal/wal's
+# BenchmarkCompact (one compaction of a churned seven-delta chain: the merged
+# snapshot and the index carried forward, with their allocations).
 #
 # The benchmark module step covers benchmark/, which has its own go.mod
 # (the repository's benchmark ships its own build file), so the root
@@ -285,8 +300,8 @@ echo "== crash torture -race (full strength: every WAL byte offset)"
 go test -race -count=1 -timeout=10m -run 'TestCrashTorture' .
 
 echo "== incremental checkpoint torture -race (chain depths, every chain/index byte)"
-go test -race -count=1 -timeout=15m -run 'TestDeltaChain|TestPersistedIndex' .
-go test -race -count=1 -timeout=10m -run 'TestDelta|TestStore|TestManifest|TestApplyDelta|TestIndexSnapshot' ./internal/wal ./internal/invidx
+go test -race -count=1 -timeout=15m -run 'TestDeltaChain|TestPersistedIndex|TestKeyCycle|TestFirstCompaction' .
+go test -race -count=1 -timeout=10m -run 'TestDelta|TestStore|TestManifest|TestApplyDelta|TestIndexSnapshot|TestCompact|TestFlattened' ./internal/wal ./internal/invidx
 
 echo "== replication convergence -race (full strength: swept link cuts; one history, four routes)"
 go test -race -count=1 -timeout=10m -run 'TestRepl|TestChaosReplicatedStorm' .
@@ -317,10 +332,11 @@ go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupRe
 echo "== layout pins (no -race: value and slot sizes, pointer-free records, live bytes per tuple, row_bytes and list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins)"
 go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations' . ./internal/storage ./internal/nlg
 
-echo "== fuzz smoke (10s per target: the durability decoders, the JSON string escaper, the id-list kernel, the row codec, the translator)"
+echo "== fuzz smoke (10s per target: the durability decoders, the compaction merge, the JSON string escaper, the id-list kernel, the row codec, the translator)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzWALReplay' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzDeltaDecode' -fuzztime=10s ./internal/wal
+go test -timeout=5m -run=NONE -fuzz='FuzzCompact' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzIndexSnapshotDecode' -fuzztime=10s ./internal/invidx
 go test -timeout=5m -run=NONE -fuzz='FuzzReplFrameDecode' -fuzztime=10s ./internal/repl
 go test -timeout=5m -run=NONE -fuzz='FuzzAppendJSONString' -fuzztime=10s ./internal/web

@@ -403,8 +403,9 @@ func (s *shardSet) persistStats() PersistStats {
 		if st.LastCheckpoint.After(agg.LastCheckpoint) {
 			agg.LastCheckpoint = st.LastCheckpoint
 		}
-		// Bytes sum across shards; chain depth and pause report the worst
-		// shard; the index counts as loaded only when every shard loaded it.
+		// Bytes sum across shards; chain depth, pause and last full
+		// checkpoint report the worst shard; the index counts as loaded only
+		// when every shard loaded it.
 		agg.DeltaBytesWritten += st.DeltaBytesWritten
 		agg.FullBytesWritten += st.FullBytesWritten
 		if st.ChainDepth > agg.ChainDepth {
@@ -412,6 +413,11 @@ func (s *shardSet) persistStats() PersistStats {
 		}
 		if st.LastCheckpointPauseMS > agg.LastCheckpointPauseMS {
 			agg.LastCheckpointPauseMS = st.LastCheckpointPauseMS
+		}
+		if st.LastFullCheckpointMS > agg.LastFullCheckpointMS {
+			agg.LastFullCheckpointMS = st.LastFullCheckpointMS
+			agg.LastFullCheckpointBytes = st.LastFullCheckpointBytes
+			agg.IndexSnapshot = st.IndexSnapshot
 		}
 		agg.Recovery.SnapshotLoaded = agg.Recovery.SnapshotLoaded || st.Recovery.SnapshotLoaded
 		agg.Recovery.IndexLoaded = agg.Recovery.IndexLoaded && st.Recovery.IndexLoaded
