@@ -427,6 +427,9 @@ func TestChaosDeadlineOnLargestDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if full.Partial {
+		t.Fatalf("unbounded answer marked partial (reason %q)", full.Truncation)
+	}
 	fullDump := dumpDatabase(full.Database)
 
 	deadline := time.Now().Add(time.Millisecond)

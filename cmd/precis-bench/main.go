@@ -1,33 +1,28 @@
 // Command precis-bench regenerates the paper's evaluation (§6): each
 // experiment prints the same series the corresponding figure plots, plus
-// the cost-model validation, the §5 running example, and the §2 baseline
-// contrast.
+// the cost-model validation, the §5 running example, the §2 baseline
+// contrast and the ablations of DESIGN.md's design choices.
 //
 // Usage:
 //
-//	precis-bench -exp f7|f8|f9|cm|qe|bl|all [-quick] [-csv]
-//	precis-bench -parallel [-quick]   worker-pool speedup sweep
-//	precis-bench -cache [-quick]      answer-cache hit vs cold latency
-//	precis-bench -deadline [-quick]   answer size vs wall-clock deadline
-//	precis-bench -persist [-quick]    WAL fsync throughput + recovery time
-//	precis-bench -checkpoint [-quick] checkpoint pause full vs delta + persisted-index recovery
+//	precis-bench -exp f7|f8|f9|cm|qe|bl|ab|all [-quick] [-csv]
 //	precis-bench -replicate [-quick]  follower catch-up time + steady-state lag
 //	precis-bench -quorum [-quick]     commit latency vs sync-replica quorum size
 //	precis-bench -failover [-quick]   primary-kill MTTR: detection/promotion/first-answer
-//	precis-bench -shards [-quick]     throughput/latency vs shard count (+ parity check)
-//	precis-bench -rebuild [-quick]    parallel inverted-index rebuild speedup
 //
-// -quick shrinks each experiment's run counts for a fast smoke pass; -csv
-// prints machine-readable rows instead of aligned text. -parallel, -cache,
-// -deadline, -persist, -checkpoint, -replicate, -quorum,
-// -failover, -shards and -rebuild run the engine-level resource experiments
-// (they can be combined with -exp).
+// -exp takes a comma-separated list; an id it does not know is a usage
+// error. -quick shrinks each experiment's run counts for a fast smoke pass;
+// -csv prints machine-readable rows instead of aligned text. -replicate,
+// -quorum and -failover run the replication experiments; they replace the
+// figure suite unless -exp names figures too. The engine's other costs are
+// measured by benchmark/ (see BENCHMARK.json), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,184 +30,64 @@ import (
 	"precis/internal/experiments"
 )
 
+// figure is one run of the figure suite, named by its -exp id.
+type figure struct {
+	id  string
+	run func(quick, csv bool) error
+}
+
+// figures are the -exp runs, in the order "all" runs them.
+var figures = []figure{
+	{"f7", runF7}, {"f8", runF8}, {"f9", runF9}, {"cm", runCM},
+	{"qe", runQE}, {"bl", runBL}, {"ab", runAB},
+}
+
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: f7, f8, f9, cm, qe, bl, ab or all")
+		exp       = flag.String("exp", "all", "experiment: f7, f8, f9, cm, qe, bl, ab or all (comma-separated)")
 		quick     = flag.Bool("quick", false, "shrink run counts for a fast pass")
 		csv       = flag.Bool("csv", false, "CSV output")
-		parallel  = flag.Bool("parallel", false, "measure worker-pool speedup on one query")
-		cache     = flag.Bool("cache", false, "measure answer-cache hit vs cold latency")
-		deadline  = flag.Bool("deadline", false, "measure answer size vs wall-clock deadline (graceful degradation)")
-		persist   = flag.Bool("persist", false, "measure WAL append throughput per fsync policy and recovery time vs dataset size")
-		ckpt      = flag.Bool("checkpoint", false, "measure checkpoint pause full vs delta and persisted-index recovery speedup")
 		replicate = flag.Bool("replicate", false, "measure follower catch-up time and steady-state replication lag vs mutation rate")
 		quorum    = flag.Bool("quorum", false, "measure commit latency vs sync-replica quorum size per fsync policy")
 		failover  = flag.Bool("failover", false, "measure primary-kill recovery time: detection, promotion and first answered write")
-		shardsF   = flag.Bool("shards", false, "measure query latency vs shard count with byte-parity checks")
-		rebuild   = flag.Bool("rebuild", false, "measure parallel inverted-index rebuild speedup vs worker count")
 	)
 	flag.Parse()
 
 	run := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		run[strings.TrimSpace(e)] = true
+	for _, id := range strings.Split(*exp, ",") {
+		id = strings.TrimSpace(id)
+		if id != "all" && !slices.ContainsFunc(figures, func(f figure) bool { return f.id == id }) {
+			fmt.Fprintf(os.Stderr, "precis-bench: unknown experiment %q\n", id)
+			flag.Usage()
+			os.Exit(2)
+		}
+		run[id] = true
 	}
-	if *parallel || *cache || *deadline || *persist || *ckpt || *replicate || *quorum || *failover || *shardsF || *rebuild {
-		// The resource experiments replace the figure suite unless the
-		// caller asked for both explicitly.
-		if *exp == "all" {
-			run = map[string]bool{}
-		}
-		if *parallel {
-			run["pl"] = true
-		}
-		if *cache {
-			run["cc"] = true
-		}
-		if *deadline {
-			run["dl"] = true
-		}
-		if *persist {
-			run["ps"] = true
-		}
-		if *ckpt {
-			run["cp"] = true
-		}
-		if *replicate {
-			run["rp"] = true
-		}
-		if *quorum {
-			run["qm"] = true
-		}
-		if *failover {
-			run["fo"] = true
-		}
-		if *shardsF {
-			run["sh"] = true
-		}
-		if *rebuild {
-			run["rb"] = true
+	if (*replicate || *quorum || *failover) && *exp == "all" {
+		run = map[string]bool{}
+	}
+	for _, f := range figures {
+		if run["all"] || run[f.id] {
+			if err := f.run(*quick, *csv); err != nil {
+				fatal(err)
+			}
 		}
 	}
-	all := run["all"]
-
-	if all || run["f7"] {
-		if err := runF7(*quick, *csv); err != nil {
-			fatal(err)
-		}
-	}
-	if all || run["f8"] {
-		if err := runF8(*quick, *csv); err != nil {
-			fatal(err)
-		}
-	}
-	if all || run["f9"] {
-		if err := runF9(*quick, *csv); err != nil {
-			fatal(err)
-		}
-	}
-	if all || run["cm"] {
-		if err := runCM(*quick, *csv); err != nil {
-			fatal(err)
-		}
-	}
-	if all || run["qe"] {
-		if err := runQE(); err != nil {
-			fatal(err)
-		}
-	}
-	if all || run["bl"] {
-		if err := runBL(*quick); err != nil {
-			fatal(err)
-		}
-	}
-	if all || run["ab"] {
-		if err := runAB(); err != nil {
-			fatal(err)
-		}
-	}
-	if run["pl"] {
-		if err := runParallel(*quick); err != nil {
-			fatal(err)
-		}
-	}
-	if run["cc"] {
-		if err := runCache(*quick); err != nil {
-			fatal(err)
-		}
-	}
-	if run["dl"] {
-		if err := runDeadline(*quick); err != nil {
-			fatal(err)
-		}
-	}
-	if run["ps"] {
-		if err := runPersist(*quick); err != nil {
-			fatal(err)
-		}
-	}
-	if run["cp"] {
-		if err := runCheckpoint(*quick); err != nil {
-			fatal(err)
-		}
-	}
-	if run["rp"] {
+	if *replicate {
 		if err := runReplicate(*quick); err != nil {
 			fatal(err)
 		}
 	}
-	if run["qm"] {
+	if *quorum {
 		if err := runQuorum(*quick); err != nil {
 			fatal(err)
 		}
 	}
-	if run["fo"] {
+	if *failover {
 		if err := runFailover(*quick); err != nil {
 			fatal(err)
 		}
 	}
-	if run["sh"] {
-		if err := runShards(*quick); err != nil {
-			fatal(err)
-		}
-	}
-	if run["rb"] {
-		if err := runRebuild(*quick); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func runShards(quick bool) error {
-	cfg := experiments.DefaultShardBenchConfig()
-	if quick {
-		cfg.Films = 500
-		cfg.Shards = []int{1, 4}
-		cfg.Runs = 3
-	}
-	report, err := experiments.ShardBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.String())
-	fmt.Println()
-	return nil
-}
-
-func runRebuild(quick bool) error {
-	cfg := experiments.DefaultRebuildConfig()
-	if quick {
-		cfg.Films = 2000
-		cfg.Workers = []int{1, 4}
-		cfg.Runs = 2
-	}
-	report, err := experiments.IndexRebuild(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.String())
-	fmt.Println()
-	return nil
 }
 
 func runQuorum(quick bool) error {
@@ -266,86 +141,7 @@ func runReplicate(quick bool) error {
 	return nil
 }
 
-func runPersist(quick bool) error {
-	cfg := experiments.DefaultPersistBenchConfig()
-	if quick {
-		cfg.Appends = 100
-		cfg.Films = []int{200, 500}
-		cfg.WALRecords = 100
-		cfg.Runs = 2
-	}
-	report, err := experiments.PersistBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.String())
-	fmt.Println()
-	return nil
-}
-
-func runCheckpoint(quick bool) error {
-	cfg := experiments.DefaultCheckpointBenchConfig()
-	if quick {
-		cfg.Films = []int{200, 500}
-		cfg.Dirty = 50
-		cfg.Runs = 2
-	}
-	report, err := experiments.CheckpointBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.String())
-	fmt.Println()
-	return nil
-}
-
-func runDeadline(quick bool) error {
-	cfg := experiments.DefaultDegradationConfig()
-	if quick {
-		cfg.Films = 500
-		cfg.Deadlines = []time.Duration{time.Millisecond, 5 * time.Millisecond, 0}
-		cfg.Runs = 3
-	}
-	report, err := experiments.Degradation(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.String())
-	fmt.Println()
-	return nil
-}
-
-func runParallel(quick bool) error {
-	cfg := experiments.DefaultParallelConfig()
-	if quick {
-		cfg.Films = 500
-		cfg.Workers = []int{1, 4}
-		cfg.Runs = 3
-	}
-	report, err := experiments.Parallel(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.String())
-	fmt.Println()
-	return nil
-}
-
-func runCache(quick bool) error {
-	films, runs := 2000, 5
-	if quick {
-		films, runs = 500, 3
-	}
-	report, err := experiments.Cache(films, runs)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.String())
-	fmt.Println()
-	return nil
-}
-
-func runAB() error {
+func runAB(_, _ bool) error {
 	report, err := experiments.Ablations()
 	if err != nil {
 		return err
@@ -448,7 +244,7 @@ func runCM(quick, csv bool) error {
 	return nil
 }
 
-func runQE() error {
+func runQE(_, _ bool) error {
 	report, err := experiments.RunningExample()
 	if err != nil {
 		return err
@@ -462,7 +258,7 @@ func runQE() error {
 	return nil
 }
 
-func runBL(quick bool) error {
+func runBL(quick, _ bool) error {
 	films, queries := 2000, 50
 	if quick {
 		films, queries = 300, 10

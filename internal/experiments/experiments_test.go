@@ -281,37 +281,3 @@ func TestPaperScaleSmoke(t *testing.T) {
 		t.Errorf("query took %v at paper scale", queryTime)
 	}
 }
-
-// TestDegradationReport runs the deadline sweep small and checks its shape:
-// the unbounded row is complete, an already-hopeless deadline is partial
-// but never empty, and tighter deadlines never buy more tuples than the
-// unbounded answer.
-func TestDegradationReport(t *testing.T) {
-	report, err := Degradation(DegradationConfig{
-		Films:     300,
-		Deadlines: []time.Duration{time.Microsecond, 0},
-		Runs:      2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(report.Points))
-	}
-	tight, unbounded := report.Points[0], report.Points[1]
-	if tight.PartialRate != 1 {
-		t.Fatalf("1µs deadline not always partial: rate=%v", tight.PartialRate)
-	}
-	if tight.Tuples == 0 {
-		t.Fatal("deadline answer empty — seeds must survive")
-	}
-	if unbounded.PartialRate != 0 {
-		t.Fatalf("unbounded run marked partial: %+v", unbounded)
-	}
-	if tight.Tuples > unbounded.Tuples {
-		t.Fatalf("deadline answer (%d tuples) larger than unbounded (%d)", tight.Tuples, unbounded.Tuples)
-	}
-	if s := report.String(); !strings.Contains(s, "unbounded") || !strings.Contains(s, "deadline") {
-		t.Fatalf("report rendering: %s", s)
-	}
-}

@@ -2,13 +2,67 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"log"
 	"net"
 	"os"
 	"time"
 
 	"precis"
+	"precis/internal/dataset"
 	"precis/internal/repl"
+	"precis/internal/schemagraph"
+	"precis/internal/storage"
 )
+
+// benchPersistConfig silences the recovery/checkpoint logging that would
+// otherwise interleave with the report.
+func benchPersistConfig(dir string, policy precis.FsyncPolicy) precis.PersistConfig {
+	return precis.PersistConfig{
+		Dir:             dir,
+		Fsync:           policy,
+		CheckpointBytes: -1, // never checkpoint mid-benchmark
+		Logger:          log.New(io.Discard, "", 0),
+	}
+}
+
+// syntheticParts builds the seed database + annotated graph for one size.
+func syntheticParts(films int) (*storage.Database, *schemagraph.Graph, error) {
+	cfg := dataset.DefaultSyntheticConfig()
+	cfg.Films = films
+	db, err := dataset.SyntheticMovies(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := dataset.PaperGraph(db)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := dataset.AnnotateNarrative(g); err != nil {
+		return nil, nil, err
+	}
+	return db, g, nil
+}
+
+// benchMutation appends one representative WAL record: a GENRE insert
+// against an existing film (the smallest logged mutation that touches a
+// relation, the inverted index and a foreign key).
+func benchMutation(eng *precis.Engine, mid storage.Value, i int) error {
+	_, err := eng.Insert("GENRE", mid, storage.String(fmt.Sprintf("bench-%d", i)))
+	return err
+}
+
+// firstMovieID returns one existing MOVIE.mid to hang bench inserts off.
+func firstMovieID(db *storage.Database) (mid storage.Value, err error) {
+	err = fmt.Errorf("repl bench: no MOVIE tuple to hang inserts off")
+	if movies := db.Relation("MOVIE"); movies != nil {
+		movies.Scan(func(t storage.Tuple) bool {
+			mid, err = t.Values[0], nil
+			return false
+		})
+	}
+	return mid, err
+}
 
 // ReplBenchConfig scales the replication experiments: follower catch-up
 // time as the primary's un-checkpointed WAL grows, and steady-state
@@ -106,8 +160,7 @@ func replPair(films int) (*precis.Engine, string, func(), error) {
 
 // benchFollower opens a follower of addr using the same silent logger.
 func benchFollower(addr string) (*precis.Engine, error) {
-	db, g, err := syntheticParts(200)
-	_ = db // the follower only needs the graph; its data streams in
+	_, g, err := syntheticParts(200) // the follower only needs the graph; its data streams in
 	if err != nil {
 		return nil, err
 	}

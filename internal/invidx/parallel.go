@@ -17,8 +17,7 @@ import (
 //
 // This is the cold-start path: recovery rebuilds the whole index from the
 // recovered database, and at hundreds of thousands of tuples the serial
-// scan dominates reopen latency (see EXPERIMENTS.md, "Parallel index
-// rebuild").
+// scan dominates reopen latency (the benchmark's invidx.build_ms).
 func NewParallel(db *storage.Database, workers int) *Index {
 	workers = parallel.NormalizeWorkers(workers)
 	if workers <= 1 {

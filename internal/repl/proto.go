@@ -46,8 +46,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"precis/internal/wal"
 )
 
 // Magic opens every Hello; a server can reject a stray client on byte one.
@@ -71,12 +72,6 @@ const maxMsgPayload = 64 << 20
 
 // snapChunkSize is how much snapshot a single SnapChunk carries.
 const snapChunkSize = 256 << 10
-
-// msgHeaderSize mirrors the WAL frame header: length, CRC(length),
-// CRC(payload).
-const msgHeaderSize = 12
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // MsgType tags a protocol message (first payload byte).
 type MsgType uint8
@@ -215,13 +210,11 @@ func writeMsg(w io.Writer, typ MsgType, body []byte) error {
 	return err
 }
 
-// frameMsg prefixes payload with the checksummed header.
+// frameMsg prefixes payload with the WAL's checksummed frame header.
 func frameMsg(payload []byte) []byte {
-	frame := make([]byte, msgHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[0:4], castagnoli))
-	binary.LittleEndian.PutUint32(frame[8:12], crc32.Checksum(payload, castagnoli))
-	copy(frame[msgHeaderSize:], payload)
+	frame := make([]byte, wal.FrameOverhead+len(payload))
+	wal.PutFrameHeader(frame, payload)
+	copy(frame[wal.FrameOverhead:], payload)
 	return frame
 }
 
@@ -232,7 +225,7 @@ func frameMsg(payload []byte) []byte {
 // actually arrive, so a corrupt header cannot demand a 64 MiB
 // allocation from a 20-byte stream.
 func readMsg(r io.Reader) (MsgType, []byte, error) {
-	var hdr [msgHeaderSize]byte
+	var hdr [wal.FrameOverhead]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
@@ -242,17 +235,12 @@ func readMsg(r io.Reader) (MsgType, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		return 0, nil, &ProtocolError{Detail: fmt.Sprintf("truncated header: %v", err)}
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:4])
-	lenCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	payCRC := binary.LittleEndian.Uint32(hdr[8:12])
-	if got := crc32.Checksum(hdr[0:4], castagnoli); got != lenCRC {
-		return 0, nil, &ProtocolError{Detail: fmt.Sprintf("length checksum mismatch (stored %08x, computed %08x)", lenCRC, got)}
+	plen, err := wal.ParseFrameHeader(hdr[:], maxMsgPayload)
+	if err != nil {
+		return 0, nil, &ProtocolError{Detail: err.Error()}
 	}
 	if plen == 0 {
 		return 0, nil, &ProtocolError{Detail: "empty payload (no message type)"}
-	}
-	if plen > maxMsgPayload {
-		return 0, nil, &ProtocolError{Detail: fmt.Sprintf("payload %d exceeds limit %d", plen, maxMsgPayload)}
 	}
 	payload := make([]byte, 0, min(int(plen), snapChunkSize+64))
 	for len(payload) < int(plen) {
@@ -265,8 +253,8 @@ func readMsg(r io.Reader) (MsgType, []byte, error) {
 			return 0, nil, &ProtocolError{Detail: fmt.Sprintf("truncated payload (%d of %d bytes): %v", len(payload)-step, plen, err)}
 		}
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != payCRC {
-		return 0, nil, &ProtocolError{Detail: fmt.Sprintf("payload checksum mismatch (stored %08x, computed %08x)", payCRC, got)}
+	if err := wal.CheckFrame(hdr[:], payload); err != nil {
+		return 0, nil, &ProtocolError{Detail: err.Error()}
 	}
 	return MsgType(payload[0]), payload[1:], nil
 }

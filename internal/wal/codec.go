@@ -144,10 +144,10 @@ func (e *enc) row(r storage.Row) {
 // section framed where it is written, where appendFrame copies one.
 func (e *enc) open() int {
 	if e.sizing {
-		e.n += frameHeaderSize
+		e.n += FrameOverhead
 		return e.n
 	}
-	e.b = append(e.b, make([]byte, frameHeaderSize)...)
+	e.b = append(e.b, make([]byte, FrameOverhead)...)
 	return len(e.b)
 }
 
@@ -157,7 +157,7 @@ func (e *enc) close(at int) error {
 	if e.sizing {
 		return checkFramePayload(e.n - at)
 	}
-	return putFrameHeader(e.b[at-frameHeaderSize:at], e.b[at:])
+	return putFrameHeader(e.b[at-FrameOverhead:at], e.b[at:])
 }
 
 // schema encodes a relation section's schema: name, key, and each column's

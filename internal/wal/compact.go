@@ -167,8 +167,8 @@ func merge(file string, raw []byte, f *fold, gen uint64, obs RecoveryObserver) (
 	// The header is written last, ending where the first relation section
 	// starts: its watermark is known only after the walk. It is the base's
 	// header with at most a longer watermark.
-	m.reserve = len(snapMagic) + frameHeaderSize + binary.MaxVarintLen64
-	if len(raw) >= len(snapMagic)+frameHeaderSize {
+	m.reserve = len(snapMagic) + FrameOverhead + binary.MaxVarintLen64
+	if len(raw) >= len(snapMagic)+FrameOverhead {
 		m.reserve += int(min(binary.LittleEndian.Uint32(raw[len(snapMagic):]), uint32(len(raw))))
 	}
 	// The output is no longer than the base, but for the fold's rows, a wider
@@ -190,7 +190,7 @@ func merge(file string, raw []byte, f *fold, gen uint64, obs RecoveryObserver) (
 		size.n += len(r.Alias) + len(r.Canonical) + len(r.Def) + len(r.FK.FromRelation) + len(r.FK.FromColumn) +
 			len(r.FK.ToRelation) + len(r.FK.ToColumn) + 7*binary.MaxVarintLen64
 	}
-	size.n += 3*frameHeaderSize + len(snapTrailer) + 2*binary.MaxVarintLen64
+	size.n += 3*FrameOverhead + len(snapTrailer) + 2*binary.MaxVarintLen64
 	m.out.b = make([]byte, m.reserve, size.n)
 
 	data, err := readSnapshot(file, raw, m.relation)

@@ -10,13 +10,10 @@ import (
 	"precis/internal/storage"
 )
 
-// frameHeaderSize is the fixed per-frame overhead: payload length (4 bytes,
-// little endian), CRC32C of those 4 length bytes, CRC32C of the payload.
-const frameHeaderSize = 12
-
-// FrameOverhead is the per-frame on-disk overhead in bytes, exported so
-// the replication layer can account follower lag in file-offset terms.
-const FrameOverhead = frameHeaderSize
+// FrameOverhead is the fixed per-frame header: payload length (4 bytes,
+// little endian), CRC32C of those 4 length bytes, CRC32C of the payload. The
+// replication wire uses the same header and accounts lag in file offsets.
+const FrameOverhead = 12
 
 // castagnoli is the CRC32C table (the polynomial storage engines use for
 // on-disk checksums; hardware-accelerated on amd64/arm64).
@@ -33,7 +30,7 @@ var errFrameTooLarge = errors.New("wal: frame payload exceeds limit")
 // maxFramePayload are refused with errFrameTooLarge; they could be written
 // but never read back.
 func appendFrame(dst, payload []byte) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
+	var hdr [FrameOverhead]byte
 	if err := putFrameHeader(hdr[:], payload); err != nil {
 		return nil, err
 	}
@@ -47,9 +44,38 @@ func putFrameHeader(hdr, payload []byte) error {
 	if err := checkFramePayload(len(payload)); err != nil {
 		return err
 	}
+	PutFrameHeader(hdr, payload)
+	return nil
+}
+
+// PutFrameHeader writes payload's header into hdr: the one frame writer of
+// the log files and the replication wire, each bounding payload first.
+func PutFrameHeader(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(hdr[0:4], castagnoli))
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, castagnoli))
+}
+
+// ParseFrameHeader returns the payload length hdr announces, refusing one that
+// fails its own checksum or exceeds limit. Its errors name only the failed
+// check: the caller attributes them (*CorruptionError on disk, a protocol
+// error on the wire).
+func ParseFrameHeader(hdr []byte, limit uint32) (uint32, error) {
+	plen := binary.LittleEndian.Uint32(hdr[0:4])
+	if got, stored := crc32.Checksum(hdr[0:4], castagnoli), binary.LittleEndian.Uint32(hdr[4:8]); got != stored {
+		return 0, fmt.Errorf("length checksum mismatch (stored %08x, computed %08x)", stored, got)
+	}
+	if plen > limit {
+		return 0, fmt.Errorf("frame payload %d exceeds limit %d", plen, limit)
+	}
+	return plen, nil
+}
+
+// CheckFrame verifies payload, the bytes after hdr, against hdr's checksum.
+func CheckFrame(hdr, payload []byte) error {
+	if got, stored := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[8:12]); got != stored {
+		return fmt.Errorf("payload checksum mismatch (stored %08x, computed %08x)", stored, got)
+	}
 	return nil
 }
 
@@ -135,39 +161,31 @@ func (fr *FrameReader) Offset() int64 { return fr.off }
 // current offset — retryable while the file is still being appended to
 // (nothing was consumed). A checksum failure is a *CorruptionError.
 func (fr *FrameReader) Next() ([]byte, error) {
-	var hdr [frameHeaderSize]byte
+	var hdr [FrameOverhead]byte
 	if _, err := fr.r.ReadAt(hdr[:], fr.off); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, io.EOF
 		}
 		return nil, err
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:4])
-	lenCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	payCRC := binary.LittleEndian.Uint32(hdr[8:12])
-	if got := crc32.Checksum(hdr[0:4], castagnoli); got != lenCRC {
-		return nil, &CorruptionError{File: fr.file, Offset: fr.off, Record: fr.idx,
-			Detail: fmt.Sprintf("length checksum mismatch (stored %08x, computed %08x)", lenCRC, got)}
-	}
-	if plen > maxFramePayload {
-		return nil, &CorruptionError{File: fr.file, Offset: fr.off, Record: fr.idx,
-			Detail: fmt.Sprintf("frame payload %d exceeds limit %d", plen, maxFramePayload)}
+	plen, err := ParseFrameHeader(hdr[:], maxFramePayload)
+	if err != nil {
+		return nil, &CorruptionError{File: fr.file, Offset: fr.off, Record: fr.idx, Detail: err.Error()}
 	}
 	if int(plen) > cap(fr.buf) {
 		fr.buf = make([]byte, plen)
 	}
 	buf := fr.buf[:plen]
-	if _, err := fr.r.ReadAt(buf, fr.off+frameHeaderSize); err != nil {
+	if _, err := fr.r.ReadAt(buf, fr.off+FrameOverhead); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, io.EOF
 		}
 		return nil, err
 	}
-	if got := crc32.Checksum(buf, castagnoli); got != payCRC {
-		return nil, &CorruptionError{File: fr.file, Offset: fr.off, Record: fr.idx,
-			Detail: fmt.Sprintf("payload checksum mismatch (stored %08x, computed %08x)", payCRC, got)}
+	if err := CheckFrame(hdr[:], buf); err != nil {
+		return nil, &CorruptionError{File: fr.file, Offset: fr.off, Record: fr.idx, Detail: err.Error()}
 	}
-	fr.off += frameHeaderSize + int64(plen)
+	fr.off += FrameOverhead + int64(plen)
 	fr.idx++
 	return buf, nil
 }
@@ -187,36 +205,28 @@ func scanFrames(file string, data []byte, fn func(i int, off int64, payload []by
 		if off == size {
 			return nil, nil // clean end
 		}
-		if size-off < frameHeaderSize {
-			return &tornTail{Offset: off, Detail: fmt.Sprintf("partial header (%d of %d bytes)", size-off, frameHeaderSize)}, nil
+		if size-off < FrameOverhead {
+			return &tornTail{Offset: off, Detail: fmt.Sprintf("partial header (%d of %d bytes)", size-off, FrameOverhead)}, nil
 		}
-		hdr := data[off : off+frameHeaderSize]
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		lenCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		payCRC := binary.LittleEndian.Uint32(hdr[8:12])
-		if got := crc32.Checksum(hdr[0:4], castagnoli); got != lenCRC {
-			// The length field fails its own checksum: a torn write can only
-			// truncate the header (caught above), never scramble it, so this
-			// is a flipped bit — even in the final frame.
-			return nil, &CorruptionError{File: file, Offset: off, Record: i,
-				Detail: fmt.Sprintf("length checksum mismatch (stored %08x, computed %08x)", lenCRC, got)}
+		hdr := data[off : off+FrameOverhead]
+		plen, err := ParseFrameHeader(hdr, maxFramePayload)
+		if err != nil {
+			// A length field that fails its own checksum: a torn write can
+			// only truncate the header (caught above), never scramble it, so
+			// this is a flipped bit — even in the final frame.
+			return nil, &CorruptionError{File: file, Offset: off, Record: i, Detail: err.Error()}
 		}
-		if plen > maxFramePayload {
-			return nil, &CorruptionError{File: file, Offset: off, Record: i,
-				Detail: fmt.Sprintf("frame payload %d exceeds limit %d", plen, maxFramePayload)}
-		}
-		end := off + frameHeaderSize + int64(plen)
+		end := off + FrameOverhead + int64(plen)
 		if end > size {
 			// Authenticated length runs past end-of-file: the payload write
 			// was cut short. This is the torn-tail case.
-			return &tornTail{Offset: off, Detail: fmt.Sprintf("partial payload (%d of %d bytes)", size-off-frameHeaderSize, plen)}, nil
+			return &tornTail{Offset: off, Detail: fmt.Sprintf("partial payload (%d of %d bytes)", size-off-FrameOverhead, plen)}, nil
 		}
-		payload := data[off+frameHeaderSize : end]
-		if got := crc32.Checksum(payload, castagnoli); got != payCRC {
+		payload := data[off+FrameOverhead : end]
+		if err := CheckFrame(hdr, payload); err != nil {
 			// Full-length payload with a bad checksum cannot be a torn
 			// write: flipped bit, hard failure.
-			return nil, &CorruptionError{File: file, Offset: off, Record: i,
-				Detail: fmt.Sprintf("payload checksum mismatch (stored %08x, computed %08x)", payCRC, got)}
+			return nil, &CorruptionError{File: file, Offset: off, Record: i, Detail: err.Error()}
 		}
 		if fn != nil {
 			if err := fn(i, off, payload); err != nil {

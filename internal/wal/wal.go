@@ -246,7 +246,7 @@ func (w *Writer) Append(payload []byte) (int64, error) {
 	if err := faultinject.Fire(faultinject.SiteWALAppend); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	frame, err := appendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload)
+	frame, err := appendFrame(make([]byte, 0, FrameOverhead+len(payload)), payload)
 	if err != nil {
 		return 0, fmt.Errorf("wal: append to %s: %w", w.path, err)
 	}

@@ -557,8 +557,10 @@ func TestGroupCommit(t *testing.T) {
 	}
 }
 
-// TestFsyncPolicies exercises each policy end to end.
+// TestFsyncPolicies exercises each policy end to end. The policies may
+// differ only in when they flush, so all three must write the same log bytes.
 func TestFsyncPolicies(t *testing.T) {
+	var firstLog []byte
 	for _, p := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
 		t.Run(p.String(), func(t *testing.T) {
 			dir := t.TempDir()
@@ -576,6 +578,16 @@ func TestFsyncPolicies(t *testing.T) {
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, walName(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if firstLog == nil {
+				firstLog = raw
+			} else if !bytes.Equal(raw, firstLog) {
+				t.Fatalf("fsync=%s wrote a %d-byte log, fsync=always %d bytes: policies must write identical logs",
+					p, len(raw), len(firstLog))
 			}
 			_, rec, err := Open(dir, Config{Fsync: p, Logger: quietLogger()})
 			if err != nil {

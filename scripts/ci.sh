@@ -33,9 +33,13 @@
 # and values — Ints in FLOAT columns, NaN, ±Inf, −0, empty, multi-byte and
 # invalid UTF-8 text, NULLs — stored as records and read back through Value,
 # AppendText, Get, every index and a result relation mapped onto the records,
-# against the values they were made from) and the translator (FuzzNarrative: fuzzed
+# against the values they were made from), the translator (FuzzNarrative: fuzzed
 # sentences and labels on a hand-built G′, indexed and not, against the
-# reference walk — the same bytes or the same error)
+# reference walk — the same bytes or the same error) and the whole query
+# pipeline (FuzzQuery: arbitrary query strings under fuzzed degree and
+# cardinality constraints, strategy and pool size on a small synthetic engine —
+# no panic, a sub-database of the base, never Partial without a budget, and the
+# same tuples and narrative serial, at two workers and at the fuzzed size)
 # for 10s each on top of the checked-in corpus — long enough to catch a
 # regression in the decoders' bounds checks, short enough for CI. The
 # index-snapshot corpus carries two files that are well-framed but break a
@@ -103,8 +107,7 @@
 # shard directory mid-storm; and storms the coordinator from 24
 # goroutines under rotating scatter/gather/apply faults — all under
 # -race, because the gather path merges per-shard goroutine results
-# while mutations route concurrently. The quick sharded bench run at
-# the end re-checks answer parity through the bench harness itself.
+# while mutations route concurrently.
 #
 # The generator oracle step (internal/core differential_test.go) diffs the
 # set-at-a-time result-database generator against the test-only
@@ -271,6 +274,10 @@
 # on snapshot and index bytes (the first three) and on answers (the fourth)
 # — the guard on there being one apply path and one load path.
 #
+# The last step runs the figure suite of cmd/precis-bench at -quick
+# (Figures 7-9, the cost model, the running example, the baselines and the
+# ablations), so the one remaining harness CLI still runs end to end.
+#
 # The line-count report (scripts/loc.sh) prints non-test Go lines per
 # package. It is a report, not a gate: the table ROADMAP.md quotes, printed
 # where a PR that grows a package shows it.
@@ -332,7 +339,7 @@ go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupRe
 echo "== layout pins (no -race: value and slot sizes, pointer-free records, live bytes per tuple, row_bytes and list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins)"
 go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations' . ./internal/storage ./internal/nlg
 
-echo "== fuzz smoke (10s per target: the durability decoders, the compaction merge, the JSON string escaper, the id-list kernel, the row codec, the translator)"
+echo "== fuzz smoke (10s per target: the durability decoders, the compaction merge, the JSON string escaper, the id-list kernel, the row codec, the translator, the query pipeline)"
 go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzWALReplay' -fuzztime=10s ./internal/wal
 go test -timeout=5m -run=NONE -fuzz='FuzzDeltaDecode' -fuzztime=10s ./internal/wal
@@ -343,6 +350,7 @@ go test -timeout=5m -run=NONE -fuzz='FuzzAppendJSONString' -fuzztime=10s ./inter
 go test -timeout=5m -run=NONE -fuzz='FuzzIDList' -fuzztime=10s ./internal/storage
 go test -timeout=5m -run=NONE -fuzz='FuzzRowCodec' -fuzztime=10s ./internal/storage
 go test -timeout=5m -run=NONE -fuzz='FuzzNarrative' -fuzztime=10s ./internal/nlg
+go test -timeout=5m -run=NONE -fuzz='FuzzQuery' -fuzztime=10s .
 
 echo "== bench smoke (compile + one iteration)"
 go test -timeout=10m -run=NONE -bench=. -benchtime=1x ./...
@@ -351,7 +359,7 @@ echo "== benchmark module (vet, short tests, four-workload smoke)"
 (cd benchmark && go vet ./... && go test -short -timeout=5m ./...)
 bash benchmark/run.sh -smoke
 
-echo "== sharded bench smoke (quick parity-checked runs)"
-go run ./cmd/precis-bench -quick -shards -rebuild
+echo "== figure suite (precis-bench -quick)"
+go run ./cmd/precis-bench -quick
 
 echo "CI OK"
