@@ -307,12 +307,10 @@ func (g *generator) ctxErr() error {
 }
 
 // execFetch runs one generated SELECT against the original database and
-// charges it to f. Generated queries are built as ASTs and executed through
-// ExecStmt, which skips the render/lex/parse round-trip and — unlike Exec —
-// does not touch the engine's shared stats accumulator, so concurrent fetch
-// tasks can share g.eng for its read-only SELECT path. Each task keeps its
-// stats in f; the apply phase folds them back into the caller's engine
-// serially.
+// charges it to f. ExecStmt does not touch the engine's shared stats
+// accumulator, so concurrent fetch tasks can share g.eng for its read-only
+// SELECT path. Each task keeps its stats in f; the apply phase folds them back
+// into the caller's engine serially.
 func (g *generator) execFetch(f *fetched, st *sqlx.SelectStmt) (*sqlx.Result, error) {
 	res, err := g.eng.ExecStmt(st)
 	if err != nil {

@@ -17,8 +17,9 @@
 // values or tuples, while the probe and read counts the model is fitted to
 // are exactly what a statement-per-value, statement-per-tuple execution
 // performs (internal/core's differential test holds them equal). Calibrate,
-// on the other hand, times whole one-probe statements, so the IndexTime it
-// reports also absorbs per-statement overhead (parse, plan) that the
+// on the other hand, times whole one-probe statements — trees, as the
+// generator builds them, so no parse — and the IndexTime it reports also
+// absorbs the per-statement work (plan, compiled predicate, result) that the
 // generator pays once per join, not once per probe: Formula 1 over measured
 // counts over-estimates by that margin (EXPERIMENTS.md, "Cost model").
 package costmodel
@@ -102,58 +103,68 @@ func (c *CalibrationConfig) defaults() {
 
 // Calibrate measures IndexTime and TupleTime on a scratch database built
 // with the same storage engine the précis system runs on. It times two
-// query populations — single-match index probes (IndexTime + TupleTime) and
-// G-match probes (IndexTime + G·TupleTime) — and solves the two equations.
+// populations of the statement the generator issues, col IN (v): on a unique
+// column (IndexTime + G₁·TupleTime) and on a grouped one (IndexTime +
+// G·TupleTime), G₁ and G the tuples per probe their Stats report, and solves
+// the two equations.
 func Calibrate(cfg CalibrationConfig) (Params, error) {
+	single, multi, err := measure(cfg)
+	if err != nil {
+		return Params{}, err
+	}
+	var tuple time.Duration
+	if dg := multi.tuples - single.tuples; dg > 0 {
+		tuple = max(0, time.Duration(float64(multi.perProbe-single.perProbe)/dg))
+	}
+	index := max(0, single.perProbe-time.Duration(single.tuples*float64(tuple)))
+	return Params{IndexTime: index, TupleTime: tuple}, nil
+}
+
+// population is one timed population of probes: the time per probe and the
+// tuples a probe read, on average.
+type population struct {
+	perProbe time.Duration
+	tuples   float64
+}
+
+// measure times Calibrate's two populations.
+func measure(cfg CalibrationConfig) (single, multi population, err error) {
 	cfg.defaults()
 	db := storage.NewDatabase("calibration")
-	eng := sqlx.NewEngine(db)
-	if _, err := eng.Exec("CREATE TABLE CALIB (uniq INT, grp INT, payload TEXT, PRIMARY KEY (uniq))"); err != nil {
-		return Params{}, err
-	}
-	groups := cfg.Rows / cfg.Group
-	if groups < 1 {
-		groups = 1
-	}
+	rel := db.MustCreateRelation(storage.MustSchema("CALIB", "uniq", storage.Column{Name: "uniq", Type: storage.TypeInt},
+		storage.Column{Name: "grp", Type: storage.TypeInt}, storage.Column{Name: "payload", Type: storage.TypeString}))
+	groups := max(1, cfg.Rows/cfg.Group)
 	for i := 0; i < cfg.Rows; i++ {
-		q := fmt.Sprintf("INSERT INTO CALIB VALUES (%d, %d, 'payload-%d')", i, i%groups, i)
-		if _, err := eng.Exec(q); err != nil {
-			return Params{}, err
+		if _, err := db.Insert("CALIB", storage.Int(int64(i)), storage.Int(int64(i%groups)), storage.String(fmt.Sprintf("payload-%d", i))); err != nil {
+			return single, multi, err
 		}
 	}
-	rel := db.Relation("CALIB")
 	if err := rel.CreateIndex("grp"); err != nil {
-		return Params{}, err
+		return single, multi, err
 	}
-
-	// Warm up both paths.
-	for i := 0; i < 32; i++ {
-		eng.MustExec(fmt.Sprintf("SELECT payload FROM CALIB WHERE uniq = %d", i%cfg.Rows))
-		eng.MustExec(fmt.Sprintf("SELECT payload FROM CALIB WHERE grp = %d", i%groups))
+	eng := sqlx.NewEngine(db)
+	// probe times rounds statements col IN (v), v striding through [0, n).
+	probe := func(col string, n, stride int) (population, error) {
+		stmts := make([]sqlx.SelectStmt, cfg.Rounds)
+		for i := range stmts {
+			v := []storage.Value{storage.Int(int64(i * stride % n))}
+			stmts[i] = sqlx.SelectStmt{Columns: []string{"payload"}, Table: "CALIB", Where: &sqlx.InList{Left: &sqlx.ColumnRef{Name: col}, Values: v}, Limit: -1}
+		}
+		reads, start := 0, time.Now()
+		for i := range stmts {
+			res, err := eng.ExecStmt(&stmts[i])
+			if err != nil {
+				return population{}, err
+			}
+			reads += res.Stats.TupleReads
+		}
+		return population{time.Since(start) / time.Duration(len(stmts)), float64(reads) / float64(len(stmts))}, nil
 	}
-
-	single := time.Duration(0)
-	start := time.Now()
-	for i := 0; i < cfg.Rounds; i++ {
-		eng.MustExec(fmt.Sprintf("SELECT payload FROM CALIB WHERE uniq = %d", (i*37)%cfg.Rows))
+	// The first pass warms both paths up; the second is the one measured.
+	for pass := 0; pass < 2 && err == nil; pass++ {
+		if single, err = probe("uniq", cfg.Rows, 37); err == nil {
+			multi, err = probe("grp", groups, 13)
+		}
 	}
-	single = time.Since(start) / time.Duration(cfg.Rounds)
-
-	start = time.Now()
-	for i := 0; i < cfg.Rounds; i++ {
-		eng.MustExec(fmt.Sprintf("SELECT payload FROM CALIB WHERE grp = %d", (i*13)%groups))
-	}
-	multi := time.Since(start) / time.Duration(cfg.Rounds)
-
-	// single = Index + 1·Tuple ; multi = Index + G·Tuple.
-	g := time.Duration(cfg.Group)
-	tuple := (multi - single) / (g - 1)
-	if tuple < 0 {
-		tuple = 0
-	}
-	index := single - tuple
-	if index < 0 {
-		index = 0
-	}
-	return Params{IndexTime: index, TupleTime: tuple}, nil
+	return single, multi, err
 }

@@ -98,7 +98,8 @@ func TestCalibrationDefaultsPartial(t *testing.T) {
 	if cfg.Rows != 100 || cfg.Group != 20 || cfg.Rounds != 200 {
 		t.Errorf("partial defaults = %+v", cfg)
 	}
-	// Group 1 would divide by zero in the solver (G-1); it defaults too.
+	// Group 1 would make both populations read one tuple per probe, leaving
+	// nothing to solve for; it defaults too.
 	cfg = CalibrationConfig{Group: 1}
 	cfg.defaults()
 	if cfg.Group != 20 {
@@ -107,10 +108,15 @@ func TestCalibrationDefaultsPartial(t *testing.T) {
 }
 
 // TestCalibrateTiny drives the groups<1 guard: fewer rows than one group
-// still calibrates (a single group) instead of dividing by zero.
+// still calibrates (a single group) instead of dividing by zero, and the solve
+// divides by the tuples the probes read, 10 − 1, not by the configured group.
 func TestCalibrateTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration timing in -short mode")
+	single, multi, err := measure(CalibrationConfig{Rows: 10, Group: 20, Rounds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.tuples != 1 || multi.tuples != 10 {
+		t.Errorf("tuples per probe: single %v, multi %v; want 1 and 10", single.tuples, multi.tuples)
 	}
 	p, err := Calibrate(CalibrationConfig{Rows: 10, Group: 20, Rounds: 10})
 	if err != nil {

@@ -90,9 +90,6 @@ func (f *Fetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("shard: scatter execution only supports SELECT, got %T", st)
 	}
-	if sel.Distinct || len(sel.OrderBy) > 0 || sel.Offset != 0 {
-		return nil, fmt.Errorf("shard: scatter execution does not support DISTINCT/ORDER BY/OFFSET")
-	}
 	var r *routing
 	targets := f.all
 	if ids, ok := sqlx.RowIDOrder(sel.Where); ok {

@@ -1,3 +1,15 @@
+// Package sqlx is the statement executor through which the précis engine
+// talks to the storage layer, mirroring the paper's architecture in which the
+// result database is produced "by submitting to the database a series of
+// selection queries without joins". It executes one statement shape, built as
+// a tree — there is no SQL text to parse:
+//
+//	SELECT cols FROM t [WHERE expr] [LIMIT n]
+//
+// Expressions are comparisons, IN lists, NOT, AND and OR, plus two id
+// predicates that have no literal spelling (RowIDIn, RowIDInSet). The
+// pseudo-column "rowid" exposes tuple ids the way Oracle's rowid does in the
+// paper's prototype, and LIMIT plays the role of Oracle's RowNum top-k cut-off.
 package sqlx
 
 import (
@@ -7,84 +19,20 @@ import (
 	"precis/internal/storage"
 )
 
-// Stmt is a parsed SQL statement.
+// Stmt is a statement an Engine executes. SelectStmt is the only one: the
+// generator, the scatter/gather fetcher and the tests build their statements
+// as trees, so there is no SQL text to parse and nothing writes through one.
 type Stmt interface{ stmt() }
 
-// SelectStmt is SELECT [DISTINCT] cols FROM table [WHERE] [ORDER BY] [LIMIT].
+// SelectStmt is SELECT cols FROM table [WHERE] [LIMIT].
 type SelectStmt struct {
-	Columns  []string // nil means *
-	Distinct bool
-	Table    string
-	Where    Expr // may be nil
-	OrderBy  []OrderKey
-	Limit    int // -1 means no limit
-	Offset   int // rows to skip before the limit applies
-}
-
-// OrderKey is one ORDER BY key.
-type OrderKey struct {
-	Column string
-	Desc   bool
-}
-
-// InsertStmt is INSERT INTO table VALUES (...).
-type InsertStmt struct {
-	Table  string
-	Values []storage.Value
-}
-
-// CreateTableStmt is CREATE TABLE name (cols..., PRIMARY KEY (col)).
-type CreateTableStmt struct {
-	Schema *storage.Schema
-}
-
-// DeleteStmt is DELETE FROM table [WHERE expr].
-type DeleteStmt struct {
-	Table string
-	Where Expr // may be nil
-}
-
-// UpdateStmt is UPDATE table SET col = v, ... [WHERE expr]. Only literal
-// assignments are supported, which is all the précis system needs.
-type UpdateStmt struct {
-	Table string
-	Set   []SetClause
-	Where Expr // may be nil
-}
-
-// SetClause is one col = literal assignment of an UPDATE.
-type SetClause struct {
-	Column string
-	Value  storage.Value
-}
-
-// DropTableStmt is DROP TABLE name.
-type DropTableStmt struct {
-	Table string
-}
-
-// CreateIndexStmt is CREATE [ORDERED] INDEX ON table (col). Plain indexes
-// are hash indexes (equality); ordered indexes are B-trees (ranges).
-type CreateIndexStmt struct {
+	Columns []string // nil means *
 	Table   string
-	Column  string
-	Ordered bool
+	Where   Expr // may be nil
+	Limit   int  // -1 means no limit
 }
 
-// ExplainStmt is EXPLAIN SELECT ...; it returns the chosen access path
-// instead of executing the query.
-type ExplainStmt struct {
-	Inner *SelectStmt
-}
-
-func (*SelectStmt) stmt()      {}
-func (*InsertStmt) stmt()      {}
-func (*CreateTableStmt) stmt() {}
-func (*DeleteStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DropTableStmt) stmt()   {}
-func (*CreateIndexStmt) stmt() {}
-func (*ExplainStmt) stmt()     {}
+func (*SelectStmt) stmt() {}
 
 // Expr is a boolean or scalar expression over one tuple.
 type Expr interface {
@@ -94,7 +42,6 @@ type Expr interface {
 // ColumnRef names a column, or the pseudo-column "rowid".
 type ColumnRef struct {
 	Name string
-	Pos  int
 }
 
 // Literal is a constant value.
@@ -159,7 +106,7 @@ type IDSet interface {
 // RowIDInSet is rowid [NOT] IN <set> for a set too large, or too alive, to
 // spell as a literal list: the result-database generator excludes the tuples
 // already in D' with it instead of rebuilding a NOT IN list per join. It has
-// no SQL syntax — statements carrying it are built as ASTs.
+// no literal spelling.
 type RowIDInSet struct {
 	Set IDSet
 	Not bool
@@ -168,22 +115,9 @@ type RowIDInSet struct {
 // RowIDIn is rowid IN (ids...) with the ids carried as ids: the generator's
 // fetches name hundreds of tuples, and a literal InList would box each into a
 // Value only for the planner to unbox it. The plan visits IDs in order,
-// duplicates included, and never writes them. It has no SQL syntax.
+// duplicates included, and never writes them.
 type RowIDIn struct {
 	IDs []storage.TupleID
-}
-
-// Like is <col> LIKE 'pattern' with % and _ wildcards, optional NOT.
-type Like struct {
-	Left    Expr
-	Pattern string
-	Not     bool
-}
-
-// IsNull is <col> IS [NOT] NULL.
-type IsNull struct {
-	Left Expr
-	Not  bool
 }
 
 // Logical is AND / OR over two boolean operands.
@@ -203,56 +137,10 @@ func (*Compare) expr()    {}
 func (*InList) expr()     {}
 func (*RowIDInSet) expr() {}
 func (*RowIDIn) expr()    {}
-func (*Like) expr()       {}
-func (*IsNull) expr()     {}
 func (*Logical) expr()    {}
 func (*Not) expr()        {}
 
-// likeMatch implements LIKE semantics: % matches any run (possibly empty),
-// _ matches exactly one byte; matching is case-sensitive like standard SQL
-// with a binary collation.
-func likeMatch(pattern, s string) bool {
-	// Dynamic programming over pattern/state; patterns are short so the
-	// simple recursion with memo on positions suffices.
-	var match func(p, t string) bool
-	match = func(p, t string) bool {
-		for {
-			if p == "" {
-				return t == ""
-			}
-			switch p[0] {
-			case '%':
-				// Collapse consecutive %.
-				for p != "" && p[0] == '%' {
-					p = p[1:]
-				}
-				if p == "" {
-					return true
-				}
-				for i := 0; i <= len(t); i++ {
-					if match(p, t[i:]) {
-						return true
-					}
-				}
-				return false
-			case '_':
-				if t == "" {
-					return false
-				}
-				p, t = p[1:], t[1:]
-			default:
-				if t == "" || p[0] != t[0] {
-					return false
-				}
-				p, t = p[1:], t[1:]
-			}
-		}
-	}
-	return match(pattern, s)
-}
-
-// exprString renders an expression for error messages and EXPLAIN-style
-// output; it is not guaranteed to re-parse.
+// exprString renders an expression, SQL-like, for error messages and tests.
 func exprString(e Expr) string {
 	switch e := e.(type) {
 	case *ColumnRef:
@@ -278,17 +166,6 @@ func exprString(e Expr) string {
 		return RowIDColumn + " IN <id set>"
 	case *RowIDIn:
 		return fmt.Sprintf("%s IN <%d ids>", RowIDColumn, len(e.IDs))
-	case *Like:
-		not := ""
-		if e.Not {
-			not = " NOT"
-		}
-		return exprString(e.Left) + not + " LIKE '" + e.Pattern + "'"
-	case *IsNull:
-		if e.Not {
-			return exprString(e.Left) + " IS NOT NULL"
-		}
-		return exprString(e.Left) + " IS NULL"
 	case *Logical:
 		op := " OR "
 		if e.And {

@@ -10,43 +10,24 @@ import (
 func benchEngine(b *testing.B, rows int) *Engine {
 	b.Helper()
 	db := storage.NewDatabase("bench")
-	e := NewEngine(db)
-	e.MustExec("CREATE TABLE R (id INT, k INT, s TEXT, PRIMARY KEY (id))")
+	rel := db.MustCreateRelation(storage.MustSchema("R", "id", storage.Column{Name: "id", Type: storage.TypeInt},
+		storage.Column{Name: "k", Type: storage.TypeInt}, storage.Column{Name: "s", Type: storage.TypeString}))
 	for i := 0; i < rows; i++ {
-		e.MustExec(fmt.Sprintf("INSERT INTO R VALUES (%d, %d, 'row %d')", i, i%100, i))
-	}
-	e.MustExec("CREATE INDEX ON R (k)")
-	e.MustExec("CREATE ORDERED INDEX ON R (k)")
-	return e
-}
-
-func BenchmarkParse(b *testing.B) {
-	const q = "SELECT id, s FROM R WHERE k IN (1, 2, 3) AND s LIKE '%row%' ORDER BY id DESC LIMIT 10"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(q); err != nil {
+		if _, err := db.Insert("R", storage.Int(int64(i)), storage.Int(int64(i%100)), storage.String(fmt.Sprintf("row %d", i))); err != nil {
 			b.Fatal(err)
 		}
 	}
+	if err := rel.CreateIndex("k"); err != nil {
+		b.Fatal(err)
+	}
+	return NewEngine(db)
 }
 
 func BenchmarkExecIndexed(b *testing.B) {
 	e := benchEngine(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := e.MustExec(fmt.Sprintf("SELECT id FROM R WHERE k = %d", i%100))
-		if len(res.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkExecRange(b *testing.B) {
-	e := benchEngine(b, 10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := i % 80
-		res := e.MustExec(fmt.Sprintf("SELECT id FROM R WHERE k >= %d AND k < %d", lo, lo+10))
+		res := query(b, e, []string{"id"}, "R", eq(col("k"), storage.Int(int64(i%100))), -1)
 		if len(res.Rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -57,6 +38,6 @@ func BenchmarkExecScan(b *testing.B) {
 	e := benchEngine(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.MustExec("SELECT id FROM R WHERE s LIKE '%row 99%' LIMIT 5")
+		query(b, e, []string{"id"}, "R", eq(col("s"), storage.String("row 9999")), 5)
 	}
 }

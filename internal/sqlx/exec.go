@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"precis/internal/faultinject"
 	"precis/internal/storage"
@@ -30,20 +29,19 @@ func (s *Stats) Add(other Stats) {
 	s.Scanned += other.Scanned
 }
 
-// Result is the outcome of executing one statement. A SELECT's rows borrow the
-// stored records, read through the statement's projection, which the Result
-// holds; only a computed column (rowid in the select list) makes a record of
-// the statement's own.
+// Result is the outcome of executing one statement. Its rows borrow the stored
+// records, read through the statement's projection, which the Result holds;
+// only a computed column (rowid in the select list) makes a record of the
+// statement's own.
 type Result struct {
-	Columns  []string
-	Rows     []storage.Row
-	RowIDs   []storage.TupleID // parallel to Rows for SELECTs
-	Affected int               // rows inserted/deleted
-	Stats    Stats
-	proj     storage.Projection
+	Columns []string
+	Rows    []storage.Row
+	RowIDs  []storage.TupleID // parallel to Rows
+	Stats   Stats
+	proj    storage.Projection
 }
 
-// Engine executes SQL against a storage database and accumulates stats.
+// Engine executes statements against a storage database; it only reads it.
 type Engine struct {
 	db    *storage.Database
 	total Stats
@@ -55,7 +53,7 @@ func NewEngine(db *storage.Database) *Engine { return &Engine{db: db} }
 // Database returns the wrapped database.
 func (e *Engine) Database() *storage.Database { return e.db }
 
-// TotalStats returns the cumulative stats across all executed statements.
+// TotalStats returns the stats AccumulateStats has gathered.
 func (e *Engine) TotalStats() Stats { return e.total }
 
 // ResetStats clears the cumulative stats.
@@ -68,171 +66,14 @@ func (e *Engine) ResetStats() { e.total = Stats{} }
 // the caller's engine meaningful for cost-model accounting.
 func (e *Engine) AccumulateStats(s Stats) { e.total.Add(s) }
 
-// Exec parses and executes one statement.
-func (e *Engine) Exec(src string) (*Result, error) {
-	st, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.ExecStmt(st)
-	if err != nil {
-		return nil, err
-	}
-	e.total.Add(res.Stats)
-	return res, nil
-}
-
-// MustExec is Exec that panics on error, for fixtures and tests.
-func (e *Engine) MustExec(src string) *Result {
-	res, err := e.Exec(src)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// ExecStmt executes an already-parsed statement.
+// ExecStmt executes a statement. It reads the database and leaves the engine's
+// totals alone.
 func (e *Engine) ExecStmt(st Stmt) (*Result, error) {
-	switch st := st.(type) {
-	case *SelectStmt:
-		return e.execSelect(st)
-	case *InsertStmt:
-		return e.execInsert(st)
-	case *CreateTableStmt:
-		_, err := e.db.CreateRelation(st.Schema)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *DeleteStmt:
-		return e.execDelete(st)
-	case *UpdateStmt:
-		return e.execUpdate(st)
-	case *DropTableStmt:
-		if err := e.db.DropRelation(st.Table); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *CreateIndexStmt:
-		rel := e.db.Relation(st.Table)
-		if rel == nil {
-			return nil, fmt.Errorf("sql: no relation %s", st.Table)
-		}
-		var err error
-		if st.Ordered {
-			_, err = rel.CreateOrderedIndex(st.Column)
-		} else {
-			err = rel.CreateIndex(st.Column)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *ExplainStmt:
-		return e.execExplain(st)
-	default:
+	sel, ok := st.(*SelectStmt)
+	if !ok {
 		return nil, fmt.Errorf("sql: unsupported statement %T", st)
 	}
-}
-
-func (e *Engine) execInsert(st *InsertStmt) (*Result, error) {
-	if _, err := e.db.Insert(st.Table, st.Values...); err != nil {
-		return nil, err
-	}
-	return &Result{Affected: 1}, nil
-}
-
-func (e *Engine) execDelete(st *DeleteStmt) (*Result, error) {
-	rel := e.db.Relation(st.Table)
-	if rel == nil {
-		return nil, fmt.Errorf("sql: no relation %s", st.Table)
-	}
-	pred, err := compileWhere(rel.Schema(), st.Where, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	var doomed []storage.TupleID
-	rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
-		res.Stats.Scanned++
-		if pred.matches(id, row) {
-			doomed = append(doomed, id)
-		}
-		return true
-	})
-	for _, id := range doomed {
-		if _, err := e.db.Delete(st.Table, id); err != nil {
-			return nil, err
-		}
-	}
-	res.Affected = len(doomed)
-	return res, nil
-}
-
-func (e *Engine) execUpdate(st *UpdateStmt) (*Result, error) {
-	rel := e.db.Relation(st.Table)
-	if rel == nil {
-		return nil, fmt.Errorf("sql: no relation %s", st.Table)
-	}
-	schema := rel.Schema()
-	setIdx := make([]int, len(st.Set))
-	for i, sc := range st.Set {
-		ci := schema.ColumnIndex(sc.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("sql: relation %s has no column %s", st.Table, sc.Column)
-		}
-		setIdx[i] = ci
-	}
-	pred, err := compileWhere(schema, st.Where, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	// Collect matching ids first so index maintenance during the update
-	// cannot disturb the scan.
-	var matched []storage.TupleID
-	rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
-		res.Stats.Scanned++
-		if pred.matches(id, row) {
-			matched = append(matched, id)
-		}
-		return true
-	})
-	for _, id := range matched {
-		t, ok := rel.Get(id)
-		if !ok {
-			continue
-		}
-		vals := t.Values
-		for i, sc := range st.Set {
-			vals[setIdx[i]] = sc.Value
-		}
-		if err := e.db.Update(st.Table, id, vals); err != nil {
-			return nil, err
-		}
-		res.Affected++
-	}
-	return res, nil
-}
-
-// execExplain reports the access path execSelect would take — the plan of
-// the same planAccess call, rendered: "rowid fetch (n ids)", "index(col)
-// probes=n", "range(col)" or "scan".
-func (e *Engine) execExplain(st *ExplainStmt) (*Result, error) {
-	rel := e.db.Relation(st.Inner.Table)
-	if rel == nil {
-		return nil, fmt.Errorf("sql: no relation %s", st.Inner.Table)
-	}
-	// Validate the inner statement's predicate as execution would.
-	if _, err := compileWhere(rel.Schema(), st.Inner.Where, nil); err != nil {
-		return nil, err
-	}
-	plan := planAccess(rel, st.Inner)
-	return &Result{
-		Columns: []string{"plan"},
-		Rows:    []storage.Row{storage.MakeRow(storage.String(plan.String()))},
-		RowIDs:  []storage.TupleID{0},
-	}, nil
+	return e.execSelect(sel)
 }
 
 func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
@@ -270,21 +111,6 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// ORDER BY keys may name any column of the relation, not only projected
-	// ones: the sort reads them off the stored rows, before projection.
-	orderIdx := make([]int, len(st.OrderBy)) // -1 means rowid
-	for i, k := range st.OrderBy {
-		if k.Column == RowIDColumn {
-			orderIdx[i] = -1
-			continue
-		}
-		ci := schema.ColumnIndex(k.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("sql: ORDER BY column %s does not exist in %s", k.Column, st.Table)
-		}
-		orderIdx[i] = ci
-	}
-
 	res := &Result{Columns: outCols}
 
 	planned := plan.kind != accessScan
@@ -293,41 +119,12 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		return nil, err
 	}
 
-	// ORDER BY served by an ordered index: when no WHERE access path was
-	// chosen and the single sort key has a B-tree index covering every
-	// tuple (no NULLs in the column, which the index skips), stream ids in
-	// index order and skip the sort — with LIMIT this is a top-k that never
-	// materializes the full result.
-	orderedByIndex := false
-	if !planned && !st.Distinct && len(st.OrderBy) == 1 {
-		key := st.OrderBy[0]
-		if ix := rel.OrderedIndexOn(key.Column); ix != nil && ix.Len() == rel.Len() {
-			ids := make([]storage.TupleID, 0, ix.Len())
-			ix.Range(nil, nil, func(_ storage.Value, id storage.TupleID) bool {
-				ids = append(ids, id)
-				return true
-			})
-			if key.Desc {
-				for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
-					ids[i], ids[j] = ids[j], ids[i]
-				}
-			}
-			res.Stats.IndexLookups++
-			candidates, planned, orderedByIndex = ids, true, true
-		}
-	}
-
-	// When no post-processing will reorder or cut rows, the LIMIT (plus any
-	// OFFSET) can stop the producer early (the RowNum-style top-k of the
-	// paper). An index-ordered producer already emits in output order.
-	earlyCount := -1
-	if st.Limit >= 0 && (len(st.OrderBy) == 0 || orderedByIndex) && !st.Distinct {
-		earlyCount = st.Limit + st.Offset
-	}
-	earlyLimit := earlyCount >= 0
+	// The LIMIT stops the producer early (the RowNum-style top-k of the
+	// paper): rows are emitted in output order, so the first Limit are kept.
+	limited := st.Limit >= 0
 
 	// The rows are the stored ones, read through the statement's projection
-	// once the result is cut: a sort key may name a column it drops.
+	// once the result is complete.
 	room := 0 // rows the current block can still emit; 0 in a scan
 	emit := func(id storage.TupleID, row storage.Row) {
 		if !pred.matches(id, row) {
@@ -346,7 +143,7 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		// the result is sized by the tuples a block found, not by the ids asked
 		// for: a shard is asked for every id of a fetch and holds a few.
 		var block [fetchBlock]storage.Row
-		for len(candidates) > 0 && !(earlyLimit && len(res.Rows) >= earlyCount) {
+		for len(candidates) > 0 && !(limited && len(res.Rows) >= st.Limit) {
 			n := min(len(candidates), fetchBlock)
 			rows := rel.AppendRows(block[:0], candidates[:n])
 			room = 0
@@ -355,11 +152,11 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 					room++
 				}
 			}
-			if earlyLimit {
-				room = min(room, earlyCount-len(res.Rows))
+			if limited {
+				room = min(room, st.Limit-len(res.Rows))
 			}
 			for i, row := range rows {
-				if earlyLimit && len(res.Rows) >= earlyCount {
+				if limited && len(res.Rows) >= st.Limit {
 					break
 				}
 				if row.Valid() {
@@ -370,7 +167,7 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		}
 	} else {
 		rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
-			if earlyLimit && len(res.Rows) >= earlyCount {
+			if limited && len(res.Rows) >= st.Limit {
 				return false
 			}
 			res.Stats.Scanned++
@@ -379,27 +176,6 @@ func (e *Engine) execSelect(st *SelectStmt) (*Result, error) {
 		})
 	}
 
-	// Sort before deduplication: dedupe keeps first occurrences in order,
-	// so a sorted input stays sorted.
-	if len(st.OrderBy) > 0 && !orderedByIndex {
-		res.sortByKeys(st.OrderBy, orderIdx)
-	}
-	if st.Distinct {
-		res.dedupe(outIdx)
-	}
-	if st.Offset > 0 {
-		if st.Offset >= len(res.Rows) {
-			res.Rows = nil
-			res.RowIDs = nil
-		} else {
-			res.Rows = res.Rows[st.Offset:]
-			res.RowIDs = res.RowIDs[st.Offset:]
-		}
-	}
-	if st.Limit >= 0 && len(res.Rows) > st.Limit {
-		res.Rows = res.Rows[:st.Limit]
-		res.RowIDs = res.RowIDs[:st.Limit]
-	}
 	res.project(rel, outIdx)
 	return res, nil
 }
@@ -499,46 +275,27 @@ const (
 	accessScan  accessKind = iota // visit every tuple
 	accessRowID                   // fetch the ids a rowid = / IN conjunct lists
 	accessIndex                   // probe a hash index with an = / IN conjunct's values
-	accessRange                   // walk an ordered index between bounds
 )
 
 // accessPlan is the access path planAccess chose for one WHERE clause.
-// execSelect executes it and EXPLAIN prints it, so the two cannot disagree.
 type accessPlan struct {
 	kind accessKind
-	col  string            // accessIndex, accessRange: the indexed column
+	col  string            // accessIndex: the indexed column
 	vals probeValues       // accessIndex: the conjunct's values, in predicate order
 	ids  []storage.TupleID // accessRowID: the conjunct's ids, in predicate order
-	lo   *storage.Bound
-	hi   *storage.Bound
 	// source is the conjunct the candidates come from, set only when every
 	// candidate satisfies it by construction, so the per-tuple predicate can
 	// leave it out: a rowid plan visits exactly the listed ids, and a hash
 	// probe returns exactly the tuples holding a probed key. It stays nil —
 	// the full predicate is re-checked — when an indexed list holds a NULL
-	// (the index stores NULL keys, but `x IN (NULL)` never matches) and for
-	// range plans (bounds fold several conjuncts).
+	// (the index stores NULL keys, but `x IN (NULL)` never matches).
 	source Expr
-}
-
-// String renders the plan the way EXPLAIN reports it.
-func (p accessPlan) String() string {
-	switch p.kind {
-	case accessRowID:
-		return fmt.Sprintf("rowid fetch (%d ids)", len(p.ids))
-	case accessIndex:
-		return fmt.Sprintf("index(%s) probes=%d", p.col, p.vals.len())
-	case accessRange:
-		return fmt.Sprintf("range(%s)", p.col)
-	default:
-		return "scan"
-	}
 }
 
 // planAccess picks the access path for sel from the top-level AND-conjuncts
 // of its WHERE clause, collected once: an equality or IN predicate on rowid
 // wins (direct fetches, no index probe), then the first one on a hash-indexed
-// column, then a range over an ordered (B-tree) index; otherwise a scan.
+// column; otherwise a scan.
 // Planning touches no tuples and cannot fail.
 func planAccess(rel *storage.Relation, sel *SelectStmt) accessPlan {
 	var buf [8]Expr
@@ -561,13 +318,7 @@ func planAccess(rel *storage.Relation, sel *SelectStmt) accessPlan {
 			index.source = c
 		}
 	}
-	if index.kind == accessIndex {
-		return index
-	}
-	if col, lo, hi, ok := rangeTarget(rel, conjuncts); ok {
-		return accessPlan{kind: accessRange, col: col, lo: lo, hi: hi}
-	}
-	return accessPlan{}
+	return index
 }
 
 // candidates executes the plan's index side: the tuple ids to visit, in the
@@ -594,13 +345,6 @@ func (p accessPlan) candidates(rel *storage.Relation, stats *Stats) (ids []stora
 			slices.Sort(ids)
 			ids = slices.Compact(ids)
 		}
-	case accessRange:
-		stats.IndexLookups++
-		rel.OrderedIndexOn(p.col).Range(p.lo, p.hi, func(_ storage.Value, id storage.TupleID) bool {
-			ids = append(ids, id)
-			return true
-		})
-		slices.Sort(ids)
 	}
 	return ids, nil
 }
@@ -635,95 +379,6 @@ func indexKeys(t storage.ColType, v storage.Value) (keys [2]storage.Value, n int
 		keys[0], n = v, 1
 	}
 	return keys, n
-}
-
-// rangeTarget folds the top-level range conjuncts (col < v, col >= v, ...)
-// over a single ordered-indexed column into [lo, hi] bounds. It returns ok
-// when at least one bound exists on some ordered-indexed column; remaining
-// predicates are re-checked by the evaluator as usual.
-func rangeTarget(rel *storage.Relation, conjuncts []Expr) (string, *storage.Bound, *storage.Bound, bool) {
-	type bounds struct{ lo, hi *storage.Bound }
-	perCol := map[string]*bounds{}
-	order := []string{}
-	for _, c := range conjuncts {
-		cmp, ok := c.(*Compare)
-		if !ok {
-			continue
-		}
-		var col string
-		var lit storage.Value
-		op := cmp.Op
-		if cr, ok := cmp.Left.(*ColumnRef); ok {
-			if l, ok := cmp.Right.(*Literal); ok {
-				col, lit = cr.Name, l.Value
-			}
-		} else if cr, ok := cmp.Right.(*ColumnRef); ok {
-			if l, ok := cmp.Left.(*Literal); ok {
-				// Flip: v < col means col > v.
-				col, lit = cr.Name, l.Value
-				switch op {
-				case OpLt:
-					op = OpGt
-				case OpLe:
-					op = OpGe
-				case OpGt:
-					op = OpLt
-				case OpGe:
-					op = OpLe
-				}
-			}
-		}
-		if col == "" || lit.IsNull() || rel.OrderedIndexOn(col) == nil {
-			continue
-		}
-		b := perCol[col]
-		if b == nil {
-			b = &bounds{}
-			perCol[col] = b
-			order = append(order, col)
-		}
-		switch op {
-		case OpGt:
-			b.lo = tighterLo(b.lo, &storage.Bound{Value: lit, Inclusive: false})
-		case OpGe:
-			b.lo = tighterLo(b.lo, &storage.Bound{Value: lit, Inclusive: true})
-		case OpLt:
-			b.hi = tighterHi(b.hi, &storage.Bound{Value: lit, Inclusive: false})
-		case OpLe:
-			b.hi = tighterHi(b.hi, &storage.Bound{Value: lit, Inclusive: true})
-		}
-	}
-	for _, col := range order {
-		b := perCol[col]
-		if b.lo != nil || b.hi != nil {
-			return col, b.lo, b.hi, true
-		}
-	}
-	return "", nil, nil, false
-}
-
-// tighterLo keeps the stricter (larger) lower bound.
-func tighterLo(a, b *storage.Bound) *storage.Bound {
-	if a == nil {
-		return b
-	}
-	c := b.Value.Compare(a.Value)
-	if c > 0 || (c == 0 && !b.Inclusive) {
-		return b
-	}
-	return a
-}
-
-// tighterHi keeps the stricter (smaller) upper bound.
-func tighterHi(a, b *storage.Bound) *storage.Bound {
-	if a == nil {
-		return b
-	}
-	c := b.Value.Compare(a.Value)
-	if c < 0 || (c == 0 && !b.Inclusive) {
-		return b
-	}
-	return a
 }
 
 // appendConjuncts flattens nested ANDs onto dst; a nil expression adds
@@ -821,58 +476,6 @@ func eqOrInTarget(e Expr) (string, probeValues, bool) {
 	return "", probeValues{}, false
 }
 
-// dedupe removes the rows that repeat an earlier row's values, rendered, in
-// the columns idx lists (-1: the rowid), keeping first occurrences in order.
-func (r *Result) dedupe(idx []int) {
-	seen := make(map[string]bool, len(r.Rows))
-	outRows := r.Rows[:0]
-	outIDs := r.RowIDs[:0]
-	for i, row := range r.Rows {
-		key := ""
-		for _, ci := range idx {
-			key += column(r.RowIDs[i], row, ci).SQL() + "\x00"
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		outRows = append(outRows, row)
-		outIDs = append(outIDs, r.RowIDs[i])
-	}
-	r.Rows = outRows
-	r.RowIDs = outIDs
-}
-
-// sortByKeys orders the rows, rows of the relation before projection, by the
-// key columns idx lists (parallel to keys, -1: the rowid), so the sort keys
-// may name columns the projection drops.
-func (r *Result) sortByKeys(keys []OrderKey, idx []int) {
-	type pair struct {
-		row storage.Row
-		id  storage.TupleID
-	}
-	pairs := make([]pair, len(r.Rows))
-	for i := range r.Rows {
-		pairs[i] = pair{r.Rows[i], r.RowIDs[i]}
-	}
-	sort.SliceStable(pairs, func(i, j int) bool {
-		for k := range keys {
-			cmp := column(pairs[i].id, pairs[i].row, idx[k]).Compare(column(pairs[j].id, pairs[j].row, idx[k]))
-			if keys[k].Desc {
-				cmp = -cmp
-			}
-			if cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	for i := range pairs {
-		r.Rows[i] = pairs[i].row
-		r.RowIDs[i] = pairs[i].id
-	}
-}
-
 // predicate is a compiled WHERE clause; nil matches every tuple.
 type predicate func(id storage.TupleID, row storage.Row) bool
 
@@ -937,7 +540,7 @@ func (c *compiler) scalar(e Expr) (scalar, error) {
 		}
 		ci := c.schema.ColumnIndex(e.Name)
 		if ci < 0 {
-			return nil, errf(e.Pos, "relation %s has no column %s", c.schema.Name, e.Name)
+			return nil, fmt.Errorf("sql: relation %s has no column %s", c.schema.Name, e.Name)
 		}
 		return func(_ storage.TupleID, row storage.Row) storage.Value { return row.Value(ci) }, nil
 	case *Literal:
@@ -1011,26 +614,6 @@ func (c *compiler) boolean(e Expr) (predicate, error) {
 			return nil, fmt.Errorf("sql: expression %q has no set", exprString(e))
 		}
 		return func(id storage.TupleID, row storage.Row) bool { return set.Has(id) != not }, nil
-	case *Like:
-		left, err := c.scalar(e.Left)
-		if err != nil {
-			return nil, err
-		}
-		pattern, not := e.Pattern, e.Not
-		return func(id storage.TupleID, row storage.Row) bool {
-			l := left(id, row)
-			if l.Kind() != storage.KindString {
-				return false
-			}
-			return likeMatch(pattern, l.AsString()) != not
-		}, nil
-	case *IsNull:
-		left, err := c.scalar(e.Left)
-		if err != nil {
-			return nil, err
-		}
-		not := e.Not
-		return func(id storage.TupleID, row storage.Row) bool { return left(id, row).IsNull() != not }, nil
 	case *Logical:
 		left, err := c.boolean(e.Left)
 		if err != nil {

@@ -16,93 +16,80 @@ type idSet map[storage.TupleID]bool
 
 func (s idSet) Has(id storage.TupleID) bool { return s[id] }
 
-// planEngine builds two copies of one table: R with a primary key, hash
-// indexes on k and f and an ordered index on y; U with no key and no index,
-// so every statement on it scans. k, f and s hold NULLs; f holds both Int
-// and Float values (a FLOAT column accepts both), some numerically equal.
+// planEngine builds two copies of one table: R with a primary key and hash
+// indexes on k and f; U with no key and no index, so every statement on it
+// scans. k, f and s hold NULLs; f holds both Int and Float values (a FLOAT
+// column accepts both), some numerically equal.
 func planEngine(t testing.TB) *Engine {
 	t.Helper()
 	db := storage.NewDatabase("plan")
-	e := NewEngine(db)
-	e.MustExec("CREATE TABLE R (id INT, k INT, f FLOAT, y INT, s TEXT, PRIMARY KEY (id))")
-	e.MustExec("CREATE TABLE U (id INT, k INT, f FLOAT, y INT, s TEXT)")
+	cols := []storage.Column{{Name: "id", Type: storage.TypeInt}, {Name: "k", Type: storage.TypeInt},
+		{Name: "f", Type: storage.TypeFloat}, {Name: "y", Type: storage.TypeInt}, {Name: "s", Type: storage.TypeString}}
+	db.MustCreateRelation(storage.MustSchema("R", "id", cols...))
+	db.MustCreateRelation(storage.MustSchema("U", "", cols...))
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 240; i++ {
-		k, f, s := fmt.Sprint(r.Intn(8)), fmt.Sprint(r.Intn(6)), fmt.Sprintf("'%c%c'", 'a'+r.Intn(3), 'a'+r.Intn(3))
+		k, f, s := storage.Int(int64(r.Intn(8))), r.Intn(6), storage.String(fmt.Sprintf("%c%c", 'a'+r.Intn(3), 'a'+r.Intn(3)))
+		fv := storage.Int(int64(f))
 		switch r.Intn(4) {
 		case 0:
-			f += ".0"
+			fv = storage.Float(float64(f))
 		case 1:
-			f += ".5"
+			fv = storage.Float(float64(f) + 0.5)
 		}
 		if r.Intn(9) == 0 {
-			k = "NULL"
+			k = storage.Null
 		}
 		if r.Intn(9) == 0 {
-			f = "NULL"
+			fv = storage.Null
 		}
 		if r.Intn(9) == 0 {
-			s = "NULL"
+			s = storage.Null
 		}
 		for _, table := range []string{"R", "U"} {
-			e.MustExec(fmt.Sprintf("INSERT INTO %s VALUES (%d, %s, %s, %d, %s)", table, i, k, f, r.Intn(50), s))
+			if _, err := db.Insert(table, storage.Int(int64(i)), k, fv, storage.Int(int64(r.Intn(50))), s); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	e.MustExec("CREATE INDEX ON R (k)")
-	e.MustExec("CREATE INDEX ON R (f)")
-	e.MustExec("CREATE ORDERED INDEX ON R (y)")
-	return e
+	for _, c := range []string{"k", "f"} {
+		if err := db.Relation("R").CreateIndex(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewEngine(db)
 }
 
-// selectWhere runs SELECT id FROM table WHERE where and checks that EXPLAIN
-// names the access path the execution's counters show.
+// selectWhere runs SELECT id FROM table WHERE where and checks that the
+// execution's counters show the access path planAccess picks.
 func selectWhere(t *testing.T, e *Engine, table string, where Expr) *Result {
 	t.Helper()
-	res, _ := explainedSelect(t, e, table, where)
+	res, _ := plannedSelect(t, e, &SelectStmt{Columns: []string{"id"}, Table: table, Where: where, Limit: -1})
 	return res
 }
 
-// explainedSelect is selectWhere also returning the EXPLAINed plan.
-func explainedSelect(t *testing.T, e *Engine, table string, where Expr) (*Result, string) {
+// plannedSelect runs st and checks that the execution's counters show the
+// access path planAccess picks for it, which it returns.
+func plannedSelect(t testing.TB, e *Engine, st *SelectStmt) (*Result, accessPlan) {
 	t.Helper()
-	return explainedStmt(t, e, &SelectStmt{Columns: []string{"id"}, Table: table, Where: where, Limit: -1})
-}
-
-// explainedStmt runs st and checks that EXPLAIN names the access path the
-// execution's counters show.
-func explainedStmt(t *testing.T, e *Engine, st *SelectStmt) (*Result, string) {
-	t.Helper()
-	table, where := st.Table, st.Where
 	res, err := e.ExecStmt(st)
 	if err != nil {
-		t.Fatalf("%s WHERE %s: %v", table, exprString(where), err)
+		t.Fatalf("%s WHERE %s: %v", st.Table, exprString(st.Where), err)
 	}
-	ex, err := e.ExecStmt(&ExplainStmt{Inner: st})
-	if err != nil {
-		t.Fatalf("EXPLAIN %s WHERE %s: %v", table, exprString(where), err)
-	}
-	plan := ex.Rows[0].Value(0).AsString()
-	var probes, ids int
+	rel := e.Database().Relation(st.Table)
+	plan, s := planAccess(rel, st), res.Stats
 	ok := false
-	switch {
-	case plan == "scan":
-		ok = res.Stats.IndexLookups == 0 && res.Stats.Scanned == e.Database().Relation(table).Len()
-	case strings.HasPrefix(plan, "range("):
-		ok = res.Stats.IndexLookups == 1 && res.Stats.Scanned == 0
-	case strings.HasPrefix(plan, "rowid fetch"):
-		fmt.Sscanf(plan, "rowid fetch (%d ids)", &ids)
-		ok = res.Stats.IndexLookups == 0 && res.Stats.Scanned == 0 && res.Stats.TupleReads <= ids
-	case strings.HasPrefix(plan, "index("):
-		fmt.Sscanf(plan[strings.Index(plan, "probes="):], "probes=%d", &probes)
-		ok = res.Stats.IndexLookups == probes && res.Stats.Scanned == 0
-	case strings.HasPrefix(plan, "index("):
-		// It reads no tuple, yet counts each row it returns as the probe that
-		// reads them would.
-		fmt.Sscanf(plan[strings.Index(plan, "probes="):], "probes=%d", &probes)
-		ok = res.Stats.IndexLookups == probes && res.Stats.Scanned == 0 && res.Stats.TupleReads == len(res.Rows)
+	switch plan.kind {
+	case accessScan:
+		// A LIMIT reached stops the scan early.
+		ok = s.IndexLookups == 0 && (s.Scanned == rel.Len() || len(res.Rows) == st.Limit)
+	case accessRowID:
+		ok = s.IndexLookups == 0 && s.Scanned == 0 && s.TupleReads <= len(plan.ids)
+	case accessIndex:
+		ok = s.IndexLookups == plan.vals.len() && s.Scanned == 0
 	}
 	if !ok {
-		t.Fatalf("%s WHERE %s: EXPLAIN says %q, execution did %+v", table, exprString(where), plan, res.Stats)
+		t.Fatalf("%s WHERE %s: plan %d on %q, execution did %+v", st.Table, exprString(st.Where), plan.kind, plan.col, s)
 	}
 	return res, plan
 }
@@ -119,130 +106,208 @@ func and(l, r Expr) *Logical { return &Logical{And: true, Left: l, Right: r} }
 
 func or(l, r Expr) *Logical { return &Logical{Left: l, Right: r} }
 
-// randomPredicate builds a predicate over R/U's columns: probes with NULLs,
-// repeated values and Int/Float literals of either kind, ranges, LIKE, IS
-// NULL, id sets, under AND / OR / NOT. rowid lists are ascending and
-// distinct, where list order and scan order coincide.
-func randomPredicate(r *rand.Rand, ids []storage.TupleID, depth int) Expr {
+// choices is a byte string read as a statement's decisions, a byte each. Once
+// it is used up every decision is 0, so every string decodes to a statement.
+type choices []byte
+
+func (c *choices) intn(n int) int {
+	if len(*c) == 0 {
+		return 0
+	}
+	b := (*c)[0]
+	*c = (*c)[1:]
+	return int(b) % n
+}
+
+// decodeSelect decodes a SELECT on table, one of R and U, whose tuples are
+// ids: *, or a projection of up to three columns (rowid among them), with a
+// LIMIT or none, over a decodePredicate where tree or none.
+func decodeSelect(c *choices, table string, ids []storage.TupleID) *SelectStmt {
+	st := &SelectStmt{Table: table, Limit: -1}
+	for n := c.intn(4); n > 0; n-- {
+		st.Columns = append(st.Columns, decodeColumn(c))
+	}
+	if c.intn(3) == 0 {
+		st.Limit = c.intn(64)
+	}
+	if c.intn(8) > 0 {
+		st.Where = decodePredicate(c, ids, 3)
+	}
+	return st
+}
+
+// decodeColumn decodes a column of R/U or the rowid; one time in sixteen, a
+// column neither has.
+func decodeColumn(c *choices) string {
+	names := []string{RowIDColumn, "id", "k", "f", "y", "s"}
+	if i := c.intn(32); i < 30 {
+		return names[i%len(names)]
+	}
+	return "nope"
+}
+
+// decodePredicate decodes a where tree over R/U's columns: probes with NULLs,
+// repeated values and Int/Float literals of either kind, comparisons of every
+// operator on any column (rowid and an unknown one included), id sets and
+// rowid lists, under AND / OR / NOT. rowid lists are ascending and distinct,
+// where list order and scan order coincide.
+func decodePredicate(c *choices, ids []storage.TupleID, depth int) Expr {
 	num := func() storage.Value {
-		switch r.Intn(8) {
+		switch c.intn(8) {
 		case 0:
 			return storage.Null
 		case 1:
-			return storage.Float(float64(r.Intn(8)))
+			return storage.Float(float64(c.intn(8)))
 		case 2:
-			return storage.Float(float64(r.Intn(8)) + 0.5)
+			return storage.Float(float64(c.intn(8)) + 0.5)
 		default:
-			return storage.Int(int64(r.Intn(8)))
+			return storage.Int(int64(c.intn(8)))
 		}
 	}
 	nums := func() []storage.Value {
-		vals := make([]storage.Value, 1+r.Intn(4))
+		vals := make([]storage.Value, 1+c.intn(4))
 		for i := range vals {
 			vals[i] = num()
 		}
 		return vals
 	}
-	if depth > 0 && r.Intn(3) > 0 {
-		l, rt := randomPredicate(r, ids, depth-1), randomPredicate(r, ids, depth-1)
-		switch r.Intn(4) {
-		case 0:
-			return or(l, rt)
-		case 1:
-			return &Not{Inner: l}
-		default:
-			return and(l, rt)
+	if depth > 0 {
+		switch c.intn(6) {
+		case 2:
+			return or(decodePredicate(c, ids, depth-1), decodePredicate(c, ids, depth-1))
+		case 3:
+			return &Not{Inner: decodePredicate(c, ids, depth-1)}
+		case 4, 5:
+			return and(decodePredicate(c, ids, depth-1), decodePredicate(c, ids, depth-1))
 		}
 	}
-	switch r.Intn(9) {
+	switch c.intn(7) {
 	case 0:
 		return eq(col("k"), num())
 	case 1:
-		return &InList{Left: col("k"), Values: nums(), Not: r.Intn(4) == 0}
+		return &InList{Left: col("k"), Values: nums(), Not: c.intn(4) == 0}
 	case 2:
 		return &Compare{Op: OpEq, Left: &Literal{Value: num()}, Right: col("f")}
 	case 3:
 		return in(col("f"), nums()...)
 	case 4:
-		return &Compare{Op: CompareOp(1 + r.Intn(5)), Left: col("y"), Right: &Literal{Value: storage.Int(int64(r.Intn(50)))}}
+		return &Compare{Op: CompareOp(c.intn(6)), Left: col(decodeColumn(c)), Right: &Literal{Value: storage.Int(int64(c.intn(50)))}}
 	case 5:
-		return &Like{Left: col("s"), Pattern: string(rune('a'+r.Intn(3))) + "%", Not: r.Intn(3) == 0}
-	case 6:
-		return &IsNull{Left: col([]string{"k", "f", "s"}[r.Intn(3)]), Not: r.Intn(2) == 0}
-	case 7:
-		set := idSet{}
+		set, m := idSet{}, 2+c.intn(4)
+		r := c.intn(m)
 		for _, id := range ids {
-			if r.Intn(3) == 0 {
+			if int(id)%m == r {
 				set[id] = true
 			}
 		}
-		return &RowIDInSet{Set: set, Not: r.Intn(2) == 0}
+		return &RowIDInSet{Set: set, Not: c.intn(2) == 0}
 	default:
-		var vals []storage.Value
-		listed := []storage.TupleID{1 << 40} // names no tuple
-		for _, id := range ids {
-			if r.Intn(20) == 0 {
-				vals, listed = append(vals, storage.Int(int64(id))), append(listed, id)
-			}
+		var listed []storage.TupleID
+		for n := c.intn(6); n > 0; n-- {
+			listed = append(listed, ids[c.intn(len(ids))])
 		}
-		if r.Intn(2) == 0 {
-			return &RowIDIn{IDs: listed[1:]} // the same list, as ids
+		slices.Sort(listed)
+		listed = slices.Compact(listed)
+		if c.intn(2) == 0 {
+			return &RowIDIn{IDs: listed}
 		}
-		vals = append(vals, storage.Int(1<<40))
-		return in(col(RowIDColumn), vals...)
+		vals := []storage.Value{}
+		for _, id := range listed {
+			vals = append(vals, storage.Int(int64(id)))
+		}
+		return in(col(RowIDColumn), append(vals, storage.Int(1<<40))...) // the last names no tuple
 	}
 }
 
+// checkSelect holds st to the reference executor's full scan: the same ids
+// and values, cut to the limit, or, when it names a column the table lacks,
+// the same error. It returns the result, nil for an error, and the plan.
+func checkSelect(t testing.TB, e *Engine, st *SelectStmt) (*Result, accessPlan) {
+	t.Helper()
+	rel := e.Database().Relation(st.Table)
+	cols := st.Columns
+	if cols == nil {
+		cols = rel.Schema().ColumnNames()
+	}
+	wantIDs, wantRows, wantErr := refSelectRows(rel, st.Where, cols)
+	if wantErr != nil {
+		if _, err := e.ExecStmt(st); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("SELECT %v FROM %s WHERE %s: error %v, want %v", st.Columns, st.Table, exprString(st.Where), err, wantErr)
+		}
+		return nil, accessPlan{}
+	}
+	got, plan := plannedSelect(t, e, st)
+	if st.Limit >= 0 && len(wantIDs) > st.Limit {
+		wantIDs, wantRows = wantIDs[:st.Limit], wantRows[:st.Limit]
+	}
+	if len(wantRows) == 0 {
+		wantRows = nil
+	}
+	if !slices.Equal(got.RowIDs, wantIDs) || !reflect.DeepEqual(values(got.Rows), wantRows) {
+		t.Fatalf("SELECT %v FROM %s WHERE %s LIMIT %d (plan %d):\n got  %v %v\n want %v %v",
+			st.Columns, st.Table, exprString(st.Where), st.Limit, plan.kind, got.RowIDs, values(got.Rows), wantIDs, wantRows)
+	}
+	return got, plan
+}
+
+// tupleIDs lists the ids of table's tuples.
+func tupleIDs(e *Engine, table string) []storage.TupleID {
+	var ids []storage.TupleID
+	e.Database().Relation(table).Scan(func(tu storage.Tuple) bool {
+		ids = append(ids, tu.ID)
+		return true
+	})
+	return ids
+}
+
 // TestSelectMatchesReferenceScan holds every access path — rowid fetch, hash
-// probe (with and without its conjunct compiled out, under projections of
-// the probed column and rowid alone), B-tree range, scan — to the rows the
-// reference executor's full scan returns, on the indexed table and on its
-// unindexed copy.
+// probe (with and without its conjunct compiled out, under any projection),
+// scan — to the rows the reference executor's full scan returns, on the
+// indexed table and on its unindexed copy, over seeded random byte strings
+// decoded as FuzzSelect decodes them.
 func TestSelectMatchesReferenceScan(t *testing.T) {
 	e := planEngine(t)
 	r := rand.New(rand.NewSource(11))
 	for _, table := range []string{"R", "U"} {
-		rel := e.Database().Relation(table)
-		var ids []storage.TupleID
-		rel.Scan(func(tu storage.Tuple) bool {
-			ids = append(ids, tu.ID)
-			return true
+		t.Run(table, func(t *testing.T) {
+			ids := tupleIDs(e, table)
+			plans := map[accessKind]int{}
+			errs := 0
+			for trial := 0; trial < 3000; trial++ {
+				c := make(choices, 96)
+				r.Read(c)
+				if res, plan := checkSelect(t, e, decodeSelect(&c, table, ids)); res != nil {
+					plans[plan.kind]++
+				} else {
+					errs++
+				}
+			}
+			wantPlans := []accessKind{accessScan}
+			if table == "R" {
+				wantPlans = []accessKind{accessScan, accessIndex, accessRowID}
+			}
+			for _, p := range wantPlans {
+				if plans[p] == 0 {
+					t.Errorf("%s: no generated statement took plan %d (%v)", table, p, plans)
+				}
+			}
+			if errs == 0 {
+				t.Errorf("%s: no generated statement named an unknown column", table)
+			}
 		})
-		plans := map[string]int{}
-		for trial := 0; trial < 1500; trial++ {
-			where := randomPredicate(r, ids, 3)
-			want, err := refSelectIDs(rel, where)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, plan := explainedSelect(t, e, table, where)
-			if !reflect.DeepEqual(got.RowIDs, want) {
-				t.Fatalf("%s WHERE %s:\n got  %v\n want %v", table, exprString(where), got.RowIDs, want)
-			}
-			plans[strings.SplitN(plan, "(", 2)[0]]++
-			// The same predicate under projections an index on k or f covers.
-			cols := [][]string{{RowIDColumn, "k"}, {"k"}, {"f", RowIDColumn, "f"}, {RowIDColumn}}[trial%4]
-			_, wantRows, err := refSelectRows(rel, where, cols)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, plan = explainedStmt(t, e, &SelectStmt{Columns: cols, Table: table, Where: where, Limit: -1})
-			if !reflect.DeepEqual(got.RowIDs, want) || !reflect.DeepEqual(values(got.Rows), wantRows) {
-				t.Fatalf("SELECT %v FROM %s WHERE %s (%s):\n got  %v %v\n want %v %v",
-					cols, table, exprString(where), plan, got.RowIDs, got.Rows, want, wantRows)
-			}
-			plans[strings.SplitN(plan, "(", 2)[0]]++
-		}
-		wantPlans := []string{"scan"}
-		if table == "R" {
-			wantPlans = []string{"scan", "index", "range", "rowid fetch "}
-		}
-		for _, p := range wantPlans {
-			if plans[p] == 0 {
-				t.Errorf("%s: no generated predicate took the %q path (%v)", table, p, plans)
-			}
-		}
 	}
+}
+
+// FuzzSelect is TestSelectMatchesReferenceScan on fuzzed byte strings: the
+// first byte picks R or U, the rest decodes as decodeSelect reads it.
+func FuzzSelect(f *testing.F) {
+	e := planEngine(f)
+	ids := map[string][]storage.TupleID{"R": tupleIDs(e, "R"), "U": tupleIDs(e, "U")}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := choices(data)
+		table := []string{"R", "U"}[c.intn(2)]
+		checkSelect(t, e, decodeSelect(&c, table, ids[table]))
+	})
 }
 
 // idColumn lists the id column of a result.
@@ -259,25 +324,26 @@ func idColumn(res *Result) []int64 {
 // per-tuple check whenever its list holds a NULL.
 func TestNullProbesNeverMatch(t *testing.T) {
 	e := planEngine(t)
-	nullRows := selectWhere(t, e, "R", &IsNull{Left: col("k")})
-	if len(nullRows.Rows) == 0 {
+	if nulls, _ := e.Database().Relation("R").Lookup("k", storage.Null); len(nulls) == 0 {
 		t.Fatal("fixture has no NULL k")
 	}
 	for _, column := range []string{"k", "f"} {
-		if got := selectWhere(t, e, "R", eq(col(column), storage.Null)); len(got.Rows) != 0 || got.Stats.IndexLookups != 1 {
-			t.Errorf("%s = NULL returned %v, %+v", column, idColumn(got), got.Stats)
-		}
-		if got := selectWhere(t, e, "R", in(col(column), storage.Null)); len(got.Rows) != 0 {
-			t.Errorf("%s IN (NULL) returned %v", column, idColumn(got))
-		}
-		with := selectWhere(t, e, "R", in(col(column), storage.Int(1), storage.Null, storage.Int(3)))
-		without := selectWhere(t, e, "R", in(col(column), storage.Int(1), storage.Int(3)))
-		if len(without.Rows) == 0 || !reflect.DeepEqual(idColumn(with), idColumn(without)) {
-			t.Errorf("%s IN (1, NULL, 3) = %v, IN (1, 3) = %v", column, idColumn(with), idColumn(without))
-		}
-		if with.Stats.IndexLookups != 3 {
-			t.Errorf("%s IN (1, NULL, 3) probed %d times, want 3", column, with.Stats.IndexLookups)
-		}
+		t.Run(column, func(t *testing.T) {
+			if got := selectWhere(t, e, "R", eq(col(column), storage.Null)); len(got.Rows) != 0 || got.Stats.IndexLookups != 1 {
+				t.Errorf("%s = NULL returned %v, %+v", column, idColumn(got), got.Stats)
+			}
+			if got := selectWhere(t, e, "R", in(col(column), storage.Null)); len(got.Rows) != 0 {
+				t.Errorf("%s IN (NULL) returned %v", column, idColumn(got))
+			}
+			with := selectWhere(t, e, "R", in(col(column), storage.Int(1), storage.Null, storage.Int(3)))
+			without := selectWhere(t, e, "R", in(col(column), storage.Int(1), storage.Int(3)))
+			if len(without.Rows) == 0 || !reflect.DeepEqual(idColumn(with), idColumn(without)) {
+				t.Errorf("%s IN (1, NULL, 3) = %v, IN (1, 3) = %v", column, idColumn(with), idColumn(without))
+			}
+			if with.Stats.IndexLookups != 3 {
+				t.Errorf("%s IN (1, NULL, 3) probed %d times, want 3", column, with.Stats.IndexLookups)
+			}
+		})
 	}
 }
 
@@ -299,10 +365,12 @@ func TestNumericLiteralsAcrossKinds(t *testing.T) {
 		in(col("f"), f(1<<53), i(1)), // beyond exact floats: left to the scan
 		and(eq(col("f"), i(3)), in(col("k"), f(0), f(1), f(2))),
 	} {
-		indexed, scanned := selectWhere(t, e, "R", where), selectWhere(t, e, "U", where)
-		if !reflect.DeepEqual(idColumn(indexed), idColumn(scanned)) {
-			t.Errorf("WHERE %s: indexed %v, unindexed %v", exprString(where), idColumn(indexed), idColumn(scanned))
-		}
+		t.Run(exprString(where), func(t *testing.T) {
+			indexed, scanned := selectWhere(t, e, "R", where), selectWhere(t, e, "U", where)
+			if !reflect.DeepEqual(idColumn(indexed), idColumn(scanned)) {
+				t.Errorf("WHERE %s: indexed %v, unindexed %v", exprString(where), idColumn(indexed), idColumn(scanned))
+			}
+		})
 	}
 	if got := selectWhere(t, e, "R", eq(col("k"), f(1))); len(got.Rows) == 0 || got.Stats.Scanned != 0 {
 		t.Errorf("k = 1.0 on the indexed column: %d rows, %+v", len(got.Rows), got.Stats)
@@ -326,77 +394,51 @@ func TestHashProbePlan(t *testing.T) {
 	i, f, null := storage.Int, storage.Float, storage.Null
 	rowidK, onlyF := []string{RowIDColumn, "k"}, []string{"f"}
 	for _, tc := range []struct {
-		name  string
-		cols  []string
-		where Expr
-		limit int
-		plan  string
+		name   string
+		cols   []string
+		where  Expr
+		limit  int
+		col    string // the probed column, "" for a scan
+		probes int
 	}{
-		{"equality", rowidK, eq(col("k"), i(3)), -1, "index(k) probes=1"},
-		{"literal on the left", []string{"k"}, &Compare{Op: OpEq, Left: &Literal{Value: i(3)}, Right: col("k")}, -1, "index(k) probes=1"},
-		{"repeated IN values", rowidK, in(col("k"), i(2), i(5), i(2), i(2)), -1, "index(k) probes=4"},
-		{"k = 1.0 on an INT column", rowidK, eq(col("k"), f(1)), -1, "index(k) probes=1"},
-		{"no such key", rowidK, in(col("k"), f(1.5), i(99)), -1, "index(k) probes=2"},
-		{"FLOAT column, two keys per literal", onlyF, in(col("f"), i(1), f(2), f(2.5)), -1, "index(f) probes=3"},
-		{"rowid alone", []string{RowIDColumn}, in(col("f"), i(1), i(3)), -1, "index(f) probes=2"},
-		{"column twice", []string{"k", RowIDColumn, "k"}, in(col("k"), i(1), i(7)), -1, "index(k) probes=2"},
-		{"LIMIT", rowidK, in(col("k"), i(1), i(2), i(3)), 7, "index(k) probes=3"},
-		{"LIMIT 0", rowidK, in(col("k"), i(1), i(2)), 0, "index(k) probes=2"},
+		{"equality", rowidK, eq(col("k"), i(3)), -1, "k", 1},
+		{"literal on the left", []string{"k"}, &Compare{Op: OpEq, Left: &Literal{Value: i(3)}, Right: col("k")}, -1, "k", 1},
+		{"repeated IN values", rowidK, in(col("k"), i(2), i(5), i(2), i(2)), -1, "k", 4},
+		{"k = 1.0 on an INT column", rowidK, eq(col("k"), f(1)), -1, "k", 1},
+		{"no such key", rowidK, in(col("k"), f(1.5), i(99)), -1, "k", 2},
+		{"FLOAT column, two keys per literal", onlyF, in(col("f"), i(1), f(2), f(2.5)), -1, "f", 3},
+		{"rowid alone", []string{RowIDColumn}, in(col("f"), i(1), i(3)), -1, "f", 2},
+		{"column twice", []string{"k", RowIDColumn, "k"}, in(col("k"), i(1), i(7)), -1, "k", 2},
+		{"LIMIT", rowidK, in(col("k"), i(1), i(2), i(3)), 7, "k", 3},
+		{"LIMIT 0", rowidK, in(col("k"), i(1), i(2)), 0, "k", 2},
 		// The conjunct is re-checked, or the index lacks a column.
-		{"NULL in the list", rowidK, in(col("k"), i(1), null, i(2)), -1, "index(k) probes=3"},
-		{"k = NULL", rowidK, eq(col("k"), null), -1, "index(k) probes=1"},
-		{"another conjunct", rowidK, and(eq(col("k"), i(3)), eq(col("y"), i(7))), -1, "index(k) probes=1"},
-		{"an id set beside it", rowidK, and(in(col("k"), i(1), i(2)), &RowIDInSet{Set: idSet{}, Not: true}), -1, "index(k) probes=2"},
-		{"another column", []string{"k", "y"}, eq(col("k"), i(3)), -1, "index(k) probes=1"},
-		{"the other indexed column", []string{"f"}, eq(col("k"), i(3)), -1, "index(k) probes=1"},
-		{"SELECT *", nil, eq(col("k"), i(3)), -1, "index(k) probes=1"},
-		{"beyond exact floats", rowidK, in(col("k"), f(1<<53), i(1)), -1, "scan"},
+		{"NULL in the list", rowidK, in(col("k"), i(1), null, i(2)), -1, "k", 3},
+		{"k = NULL", rowidK, eq(col("k"), null), -1, "k", 1},
+		{"another conjunct", rowidK, and(eq(col("k"), i(3)), eq(col("y"), i(7))), -1, "k", 1},
+		{"an id set beside it", rowidK, and(in(col("k"), i(1), i(2)), &RowIDInSet{Set: idSet{}, Not: true}), -1, "k", 2},
+		{"another column", []string{"k", "y"}, eq(col("k"), i(3)), -1, "k", 1},
+		{"the other indexed column", []string{"f"}, eq(col("k"), i(3)), -1, "k", 1},
+		{"SELECT *", nil, eq(col("k"), i(3)), -1, "k", 1},
+		{"beyond exact floats", rowidK, in(col("k"), f(1<<53), i(1)), -1, "", 0},
 	} {
-		st := &SelectStmt{Columns: tc.cols, Table: "R", Where: tc.where, Limit: tc.limit}
-		got, plan := explainedStmt(t, e, st)
-		if plan != tc.plan {
-			t.Errorf("%s: EXPLAIN says %q, want %q", tc.name, plan, tc.plan)
-		}
-		cols := tc.cols
-		if cols == nil {
-			cols = rel.Schema().ColumnNames()
-		}
-		wantIDs, wantRows, err := refSelectRows(rel, tc.where, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.limit >= 0 && len(wantIDs) > tc.limit {
-			wantIDs, wantRows = wantIDs[:tc.limit], wantRows[:tc.limit]
-		}
-		if len(wantIDs) == 0 {
-			wantIDs, wantRows = nil, nil
-		}
-		if !reflect.DeepEqual(got.RowIDs, wantIDs) || !reflect.DeepEqual(values(got.Rows), wantRows) {
-			t.Errorf("%s:\n got  %v %v\n want %v %v", tc.name, got.RowIDs, values(got.Rows), wantIDs, wantRows)
-		}
-		// The same statement with an always-true second conjunct does the
-		// same counted work.
-		read := *st
-		read.Where = and(tc.where, &RowIDInSet{Set: idSet{}, Not: true})
-		if via, err := e.ExecStmt(&read); err != nil || via.Stats != got.Stats {
-			t.Errorf("%s: stats %+v, with a second conjunct %+v (%v)", tc.name, got.Stats, via.Stats, err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			st := &SelectStmt{Columns: tc.cols, Table: "R", Where: tc.where, Limit: tc.limit}
+			got, plan := checkSelect(t, e, st)
+			if plan.col != tc.col || plan.vals.len() != tc.probes || (plan.kind == accessIndex) != (tc.col != "") {
+				t.Errorf("%s: plan %d on %q with %d probes, want %q with %d", tc.name, plan.kind, plan.col, plan.vals.len(), tc.col, tc.probes)
+			}
+			// The same statement with an always-true second conjunct does the
+			// same counted work.
+			read := *st
+			read.Where = and(tc.where, &RowIDInSet{Set: idSet{}, Not: true})
+			if via, err := e.ExecStmt(&read); err != nil || via.Stats != got.Stats {
+				t.Errorf("%s: stats %+v, with a second conjunct %+v (%v)", tc.name, got.Stats, via.Stats, err)
+			}
+		})
 	}
-	if res := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)"); len(res.Rows) == 0 || res.Rows[0].Value(1).Kind() != storage.KindInt {
-		t.Fatalf("fixture has no k in (1, 2): %v", values(res.Rows))
-	}
-
-	// ORDER BY may name a column the index lacks; DISTINCT and OFFSET are
-	// applied to the probe's rows.
-	if plan := e.MustExec("EXPLAIN SELECT k FROM R WHERE k IN (1, 2) ORDER BY y").Rows[0].Value(0).AsString(); plan != "index(k) probes=2" {
-		t.Errorf("ORDER BY y: EXPLAIN says %q", plan)
-	}
-	if got := e.MustExec("SELECT DISTINCT k FROM R WHERE k IN (2, 1)"); len(got.Rows) != 2 {
-		t.Errorf("DISTINCT k over two keys returned %v", values(got.Rows))
-	}
-	all, tail := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)"), e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2) LIMIT 3 OFFSET 2")
-	if !reflect.DeepEqual(values(tail.Rows), values(all.Rows[2:5])) || !reflect.DeepEqual(tail.RowIDs, all.RowIDs[2:5]) {
-		t.Errorf("LIMIT 3 OFFSET 2: %v, want %v", values(tail.Rows), values(all.Rows[2:5]))
+	all := query(t, e, rowidK, "R", in(col("k"), i(1), i(2)), -1)
+	if len(all.Rows) < 2 || all.Rows[0].Value(1).Kind() != storage.KindInt {
+		t.Fatalf("fixture has no k in (1, 2): %v", values(all.Rows))
 	}
 
 	// A deleted tuple leaves the posting lists with it; an updated one moves.
@@ -410,12 +452,12 @@ func TestHashProbePlan(t *testing.T) {
 	if err := e.Database().Update("R", moved, vals); err != nil {
 		t.Fatal(err)
 	}
-	after := e.MustExec("SELECT rowid, k FROM R WHERE k IN (1, 2)")
+	after := query(t, e, rowidK, "R", in(col("k"), i(1), i(2)), -1)
 	if !reflect.DeepEqual(after.RowIDs, all.RowIDs[2:]) {
 		t.Errorf("after a delete and an update away: %v, want %v", after.RowIDs, all.RowIDs[2:])
 	}
 	_, wantRows, _ := refSelectRows(rel, eq(col("k"), i(6)), rowidK)
-	if six := e.MustExec("SELECT rowid, k FROM R WHERE k = 6"); !reflect.DeepEqual(values(six.Rows), wantRows) || !slices.Contains(six.RowIDs, moved) {
+	if six := query(t, e, rowidK, "R", eq(col("k"), i(6)), -1); !reflect.DeepEqual(values(six.Rows), wantRows) || !slices.Contains(six.RowIDs, moved) {
 		t.Errorf("k = 6 after the update: %v, want %v", values(six.Rows), wantRows)
 	}
 }
@@ -425,7 +467,7 @@ func TestHashProbePlan(t *testing.T) {
 // each time, and entries that are not integers name no tuple.
 func TestRowIDListEntries(t *testing.T) {
 	e := planEngine(t)
-	all := e.MustExec("SELECT rowid, id FROM R")
+	all := query(t, e, []string{RowIDColumn, "id"}, "R", nil, -1)
 	a, b := all.RowIDs[5], all.RowIDs[2]
 	res := selectWhere(t, e, "R", in(col(RowIDColumn),
 		storage.Int(int64(a)), storage.Int(int64(b)), storage.Int(int64(a)),
@@ -459,7 +501,7 @@ func TestRowIDListEntries(t *testing.T) {
 // conjunct comes back itself.
 func TestWithRowIDs(t *testing.T) {
 	e := planEngine(t)
-	all := e.MustExec("SELECT rowid, id FROM R")
+	all := query(t, e, []string{RowIDColumn, "id"}, "R", nil, -1)
 	a, b, c := all.RowIDs[5], all.RowIDs[2], all.RowIDs[7]
 	narrow := []storage.TupleID{b, b, 1 << 40}
 	other := in(col("id"), storage.Int(2), storage.Int(5), storage.Int(7))
@@ -471,27 +513,29 @@ func TestWithRowIDs(t *testing.T) {
 		"flipped": &Compare{Op: OpEq, Left: &Literal{Value: storage.Int(int64(a))}, Right: col(RowIDColumn)},
 	}
 	for name, conj := range spellings {
-		for _, where := range []Expr{conj, and(conj, other), and(other, conj), and(and(other, conj), second), and(other, and(conj, second))} {
-			before := exprString(where)
-			got := WithRowIDs(where, narrow)
-			if ids, ok := RowIDOrder(got); !ok || !slices.Equal(ids, narrow) || (len(ids) > 0 && &ids[0] != &narrow[0]) {
-				t.Errorf("%s: %s narrowed to %s: RowIDOrder reads %v", name, before, exprString(got), ids)
-			}
-			if exprString(where) != before {
-				t.Errorf("%s: WithRowIDs wrote its argument: %s, was %s", name, exprString(where), before)
-			}
-			want := strings.Replace(before, exprString(conj), exprString(&RowIDIn{IDs: narrow}), 1)
-			if exprString(got) != want {
-				t.Errorf("%s: %s narrowed to %s, want %s", name, before, exprString(got), want)
-			}
-			// The narrowed clause selects what the original does of the narrow list.
-			res := selectWhere(t, e, "R", got)
-			for _, id := range res.RowIDs {
-				if id != b {
-					t.Errorf("%s: %s returned tuple %d", name, exprString(got), id)
+		t.Run(name, func(t *testing.T) {
+			for _, where := range []Expr{conj, and(conj, other), and(other, conj), and(and(other, conj), second), and(other, and(conj, second))} {
+				before := exprString(where)
+				got := WithRowIDs(where, narrow)
+				if ids, ok := RowIDOrder(got); !ok || !slices.Equal(ids, narrow) || (len(ids) > 0 && &ids[0] != &narrow[0]) {
+					t.Errorf("%s: %s narrowed to %s: RowIDOrder reads %v", name, before, exprString(got), ids)
+				}
+				if exprString(where) != before {
+					t.Errorf("%s: WithRowIDs wrote its argument: %s, was %s", name, exprString(where), before)
+				}
+				want := strings.Replace(before, exprString(conj), exprString(&RowIDIn{IDs: narrow}), 1)
+				if exprString(got) != want {
+					t.Errorf("%s: %s narrowed to %s, want %s", name, before, exprString(got), want)
+				}
+				// The narrowed clause selects what the original does of the narrow list.
+				res := selectWhere(t, e, "R", got)
+				for _, id := range res.RowIDs {
+					if id != b {
+						t.Errorf("%s: %s returned tuple %d", name, exprString(got), id)
+					}
 				}
 			}
-		}
+		})
 	}
 	for _, where := range []Expr{nil, other, &Logical{Left: spellings["ids"], Right: other}, &Not{Inner: spellings["ids"]}} {
 		if got := WithRowIDs(where, narrow); got != where {
@@ -525,16 +569,18 @@ func TestRowIDInSet(t *testing.T) {
 		or(inSet, eq(col("k"), storage.Int(1))),
 		and(probe, or(notInSet, eq(col("y"), storage.Int(7)))),
 	} {
-		want, err := refSelectIDs(rel, where)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 || len(want) == rel.Len() {
-			t.Fatalf("WHERE %s is trivial on the fixture (%d rows)", exprString(where), len(want))
-		}
-		if got := selectWhere(t, e, "R", where); !reflect.DeepEqual(got.RowIDs, want) {
-			t.Errorf("WHERE %s:\n got  %v\n want %v", exprString(where), got.RowIDs, want)
-		}
+		t.Run(exprString(where), func(t *testing.T) {
+			want, err := refSelectIDs(rel, where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || len(want) == rel.Len() {
+				t.Fatalf("WHERE %s is trivial on the fixture (%d rows)", exprString(where), len(want))
+			}
+			if got := selectWhere(t, e, "R", where); !reflect.DeepEqual(got.RowIDs, want) {
+				t.Errorf("WHERE %s:\n got  %v\n want %v", exprString(where), got.RowIDs, want)
+			}
+		})
 	}
 	// A relation is an id set: NOT IN it excludes exactly its own tuples.
 	got := selectWhere(t, e, "R", &RowIDInSet{Set: rel, Not: true})
@@ -549,9 +595,9 @@ func TestRowIDInSet(t *testing.T) {
 	}
 }
 
-// TestMalformedPredicateRejectedUpFront: a hand-built AST with a scalar in
-// boolean position (the parser cannot produce one) fails when the statement
-// is compiled, not at the first tuple it happens to reach.
+// TestMalformedPredicateRejectedUpFront: a tree with a scalar in boolean
+// position fails when the statement is compiled, not at the first tuple it
+// happens to reach.
 func TestMalformedPredicateRejectedUpFront(t *testing.T) {
 	e := planEngine(t)
 	for _, where := range []Expr{
@@ -559,9 +605,11 @@ func TestMalformedPredicateRejectedUpFront(t *testing.T) {
 		and(eq(col("k"), storage.Int(-1)), &Literal{Value: storage.Bool(true)}),
 		&Compare{Op: OpEq, Left: eq(col("k"), storage.Int(1)), Right: col("k")},
 	} {
-		if _, err := e.ExecStmt(&SelectStmt{Table: "R", Where: where, Limit: -1}); err == nil {
-			t.Errorf("WHERE %s accepted", exprString(where))
-		}
+		t.Run(exprString(where), func(t *testing.T) {
+			if _, err := e.ExecStmt(&SelectStmt{Table: "R", Where: where, Limit: -1}); err == nil {
+				t.Errorf("WHERE %s accepted", exprString(where))
+			}
+		})
 	}
 }
 
@@ -574,23 +622,28 @@ func TestMalformedPredicateRejectedUpFront(t *testing.T) {
 // The counted work is a lookup per listed value and a read per tuple found.
 func TestBlockLookupsMatchReference(t *testing.T) {
 	db := storage.NewDatabase("blocks")
-	e := NewEngine(db)
-	e.MustExec("CREATE TABLE W (id INT, k INT, f FLOAT, PRIMARY KEY (id))")
+	rel := db.MustCreateRelation(storage.MustSchema("W", "id", storage.Column{Name: "id", Type: storage.TypeInt},
+		storage.Column{Name: "k", Type: storage.TypeInt}, storage.Column{Name: "f", Type: storage.TypeFloat}))
 	for i := 0; i < 700; i++ {
-		k, f := fmt.Sprint(i%130), fmt.Sprint(i%130)
+		k, f := storage.Int(int64(i%130)), storage.Int(int64(i%130))
 		switch i % 7 {
 		case 0, 1, 2:
-			f += ".0" // i%130 meets every residue of 7: each value sits under both keys
+			f = storage.Float(float64(i % 130)) // i%130 meets every residue of 7: each value sits under both keys
 		case 3:
-			f += ".5"
+			f = storage.Float(float64(i%130) + 0.5)
 		case 4:
-			k, f = "NULL", "NULL"
+			k, f = storage.Null, storage.Null
 		}
-		e.MustExec(fmt.Sprintf("INSERT INTO W VALUES (%d, %s, %s)", i, k, f))
+		if _, err := db.Insert("W", storage.Int(int64(i)), k, f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e.MustExec("CREATE INDEX ON W (k)")
-	e.MustExec("CREATE INDEX ON W (f)")
-	rel := db.Relation("W")
+	for _, c := range []string{"k", "f"} {
+		if err := rel.CreateIndex(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEngine(db)
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, lookupBlock - 1, lookupBlock, lookupBlock + 1, 3 * lookupBlock, 140} {
 		// n ascending values from -2 (absent) up, the odd ones as floats.

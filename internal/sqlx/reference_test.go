@@ -13,10 +13,14 @@ import (
 // access path of execSelect to the rows it returns.
 
 // refSelectIDs returns the ids of the tuples of rel matching where, in
-// insertion (= ascending id) order.
+// insertion (= ascending id) order, or the error of the first column where
+// names that rel lacks.
 func refSelectIDs(rel *storage.Relation, where Expr) ([]storage.TupleID, error) {
 	var ids []storage.TupleID
-	var err error
+	err := refColumns(rel.Schema(), where)
+	if err != nil {
+		return nil, err
+	}
 	rel.Scan(func(t storage.Tuple) bool {
 		ok := true
 		if where != nil {
@@ -31,8 +35,14 @@ func refSelectIDs(rel *storage.Relation, where Expr) ([]storage.TupleID, error) 
 }
 
 // refSelectRows projects the tuples refSelectIDs finds onto cols (rowid or a
-// column name), reading every value from the stored tuple.
+// column name), reading every value from the stored tuple. A column cols names
+// that rel lacks is an error before any that where names.
 func refSelectRows(rel *storage.Relation, where Expr, cols []string) ([]storage.TupleID, [][]storage.Value, error) {
+	for _, c := range cols {
+		if err := refColumns(rel.Schema(), &ColumnRef{Name: c}); err != nil {
+			return nil, nil, err
+		}
+	}
 	ids, err := refSelectIDs(rel, where)
 	if err != nil {
 		return nil, nil, err
@@ -51,6 +61,32 @@ func refSelectRows(rel *storage.Relation, where Expr, cols []string) ([]storage.
 		rows = append(rows, row)
 	}
 	return ids, rows, nil
+}
+
+// refColumns returns an error for the first column e names, left to right,
+// that schema lacks.
+func refColumns(schema *storage.Schema, e Expr) error {
+	switch e := e.(type) {
+	case *ColumnRef:
+		if e.Name != RowIDColumn && schema.ColumnIndex(e.Name) < 0 {
+			return fmt.Errorf("sql: relation %s has no column %s", schema.Name, e.Name)
+		}
+	case *Compare:
+		if err := refColumns(schema, e.Left); err != nil {
+			return err
+		}
+		return refColumns(schema, e.Right)
+	case *InList:
+		return refColumns(schema, e.Left)
+	case *Logical:
+		if err := refColumns(schema, e.Left); err != nil {
+			return err
+		}
+		return refColumns(schema, e.Right)
+	case *Not:
+		return refColumns(schema, e.Inner)
+	}
+	return nil
 }
 
 func refValue(schema *storage.Schema, e Expr, t storage.Tuple) (storage.Value, error) {
@@ -121,21 +157,6 @@ func refEval(schema *storage.Schema, e Expr, t storage.Tuple) (bool, error) {
 			}
 		}
 		return false, nil
-	case *Like:
-		l, err := refValue(schema, e.Left, t)
-		if err != nil {
-			return false, err
-		}
-		if l.Kind() != storage.KindString {
-			return false, nil
-		}
-		return likeMatch(e.Pattern, l.AsString()) != e.Not, nil
-	case *IsNull:
-		l, err := refValue(schema, e.Left, t)
-		if err != nil {
-			return false, err
-		}
-		return l.IsNull() != e.Not, nil
 	case *Logical:
 		l, err := refEval(schema, e.Left, t)
 		if err != nil {

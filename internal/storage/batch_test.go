@@ -10,7 +10,7 @@ import (
 )
 
 // batchSchema has a primary key, a FLOAT column that mixes kinds and a TEXT
-// column; f and s are indexed, f also by a B-tree.
+// column; f and s are indexed.
 func batchDB(t testing.TB, newDB func(string) *Database) (*Database, *Relation) {
 	t.Helper()
 	db := newDB("test")
@@ -19,9 +19,6 @@ func batchDB(t testing.TB, newDB func(string) *Database) (*Database, *Relation) 
 		if err := rel.CreateIndex(c); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := rel.CreateOrderedIndex("f"); err != nil {
-		t.Fatal(err)
 	}
 	return db, rel
 }
@@ -57,12 +54,6 @@ func sameContents(t *testing.T, when string, got, want *Relation) {
 				t.Fatalf("%s: holds(%s, %s %s) = %v with %d tuples", when, col, v.Kind(), v, got.holds(col, v), len(wl))
 			}
 		}
-	}
-	var gr, wr []TupleID
-	got.OrderedIndexOn("f").Range(nil, nil, func(_ Value, id TupleID) bool { gr = append(gr, id); return true })
-	want.OrderedIndexOn("f").Range(nil, nil, func(_ Value, id TupleID) bool { wr = append(wr, id); return true })
-	if !slices.Equal(gr, wr) {
-		t.Fatalf("%s: ordered index walks %v, want %v", when, gr, wr)
 	}
 }
 

@@ -50,39 +50,6 @@ func BenchmarkHashLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkBTreeInsertDelete(b *testing.B) {
-	bt := newBTree()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := btreeKey{v: Int(int64(i % 5000)), id: TupleID(i)}
-		bt.insert(k)
-		if i%3 == 0 {
-			bt.delete(k)
-		}
-	}
-}
-
-func BenchmarkOrderedRange(b *testing.B) {
-	db := benchDB(b, 10000)
-	rel := db.Relation("R")
-	if _, err := rel.CreateOrderedIndex("k"); err != nil {
-		b.Fatal(err)
-	}
-	ix := rel.OrderedIndexOn("k")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		ix.Range(&Bound{Int(int64(i % 80)), true}, &Bound{Int(int64(i%80 + 10)), true},
-			func(Value, TupleID) bool {
-				n++
-				return true
-			})
-		if n == 0 {
-			b.Fatal("empty range")
-		}
-	}
-}
-
 func BenchmarkExport(b *testing.B) {
 	db := benchDB(b, 2000)
 	dir := b.TempDir()

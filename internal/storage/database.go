@@ -32,10 +32,11 @@ type Database struct {
 var catalogs atomic.Uint64
 
 // CatalogID identifies the catalog — relations, schemas, foreign keys — as it
-// stands: it changes when a relation or a foreign key is added or removed, and
-// no other database ever has the same one, so what is derived from a catalog
-// can be kept under its id without holding the database. Readers may call it
-// concurrently; a catalog change needs a mutation's exclusive access.
+// stands: it changes when a relation is added or a foreign key added or
+// removed, and no other database ever has the same one, so what is derived
+// from a catalog can be kept under its id without holding the database.
+// Readers may call it concurrently; a catalog change needs a mutation's
+// exclusive access.
 func (db *Database) CatalogID() uint64 {
 	for {
 		if id := db.catalog.Load(); id != 0 {
@@ -429,30 +430,6 @@ func (db *Database) String() string {
 		s += fmt.Sprintf("%s:%d", n, db.rels[n].Len())
 	}
 	return s + "}"
-}
-
-// DropRelation removes a relation and every foreign key that references or
-// departs from it.
-func (db *Database) DropRelation(name string) error {
-	if _, ok := db.rels[name]; !ok {
-		return fmt.Errorf("storage: no relation %s", name)
-	}
-	db.catalogChanged()
-	delete(db.rels, name)
-	for i, n := range db.order {
-		if n == name {
-			db.order = append(db.order[:i], db.order[i+1:]...)
-			break
-		}
-	}
-	kept := db.fks[:0]
-	for _, fk := range db.fks {
-		if fk.FromRelation != name && fk.ToRelation != name {
-			kept = append(kept, fk)
-		}
-	}
-	db.fks = kept
-	return nil
 }
 
 // Update replaces the values of an existing tuple, maintaining indexes and

@@ -245,26 +245,6 @@ func TestCheckJoinConsistency(t *testing.T) {
 	}
 }
 
-func TestDropRelation(t *testing.T) {
-	db := twoRelDB(t)
-	if err := db.DropRelation("MOVIE"); err != nil {
-		t.Fatal(err)
-	}
-	if db.Relation("MOVIE") != nil {
-		t.Error("relation still reachable")
-	}
-	if db.NumRelations() != 1 {
-		t.Errorf("NumRelations = %d", db.NumRelations())
-	}
-	// The foreign key involving MOVIE is gone.
-	if n := len(db.ForeignKeys()); n != 0 {
-		t.Errorf("foreign keys = %d", n)
-	}
-	if err := db.DropRelation("MOVIE"); err == nil {
-		t.Error("double drop accepted")
-	}
-}
-
 func TestUpdateTuple(t *testing.T) {
 	db := twoRelDB(t)
 	id, _ := db.Insert("DIRECTOR", Int(1), String("Woody Allen"))
@@ -404,5 +384,4 @@ func TestCatalogID(t *testing.T) {
 	step("CreateIndex", false, func() error { return db.Relation("R").CreateIndex("id") })
 	step("AddForeignKey", true, func() error { return db.AddForeignKey(fk) })
 	step("SetForeignKeys", true, func() error { db.SetForeignKeys(nil); return nil })
-	step("DropRelation", true, func() error { return db.DropRelation("S") })
 }

@@ -77,7 +77,6 @@ type Relation struct {
 	idsUsed int  // non-empty entries, dead ones included
 	runs    bool // the equality indexes are RunIndexes, not HashIndexes
 	indexes map[string]index
-	ordered map[string]*OrderedIndex
 }
 
 // newRelation builds an empty relation for the schema, its equality indexes
@@ -90,7 +89,6 @@ func newRelation(s *Schema, runs bool) *Relation {
 		lay:     plainLayout(len(s.Columns), s.Columns),
 		runs:    runs,
 		indexes: make(map[string]index),
-		ordered: make(map[string]*OrderedIndex),
 	}
 	if s.Key != "" {
 		r.indexes[s.Key] = r.newIndex(s.ColumnIndex(s.Key))
@@ -368,11 +366,6 @@ func (r *Relation) insertBatch(ids []TupleID, rows []Row) (int, error) {
 	for col, idx := range r.indexes {
 		if col != r.schema.Key {
 			idx.addBatch(kept, keptRows, false)
-		}
-	}
-	for _, idx := range r.ordered {
-		for i, id := range kept {
-			idx.add(id, keptRows[i])
 		}
 	}
 	return len(kept), nil
@@ -653,28 +646,6 @@ func (r *Relation) HasIndex(column string) bool {
 	return ok
 }
 
-// CreateOrderedIndex builds (or returns) a B-tree index on the named
-// column, enabling index-backed range scans.
-func (r *Relation) CreateOrderedIndex(column string) (*OrderedIndex, error) {
-	ci := r.schema.ColumnIndex(column)
-	if ci < 0 {
-		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
-	}
-	if idx, ok := r.ordered[column]; ok {
-		return idx, nil
-	}
-	idx := newOrderedIndex(column, ci)
-	r.ScanRows(func(id TupleID, row Row) bool {
-		idx.add(id, row)
-		return true
-	})
-	r.ordered[column] = idx
-	return idx, nil
-}
-
-// OrderedIndexOn returns the ordered index on the named column, or nil.
-func (r *Relation) OrderedIndexOn(column string) *OrderedIndex { return r.ordered[column] }
-
 // IndexedColumns returns the indexed column names, sorted.
 func (r *Relation) IndexedColumns() []string {
 	cols := make([]string, 0, len(r.indexes))
@@ -856,16 +827,10 @@ func (r *Relation) indexRow(id TupleID, row Row) {
 	for _, idx := range r.indexes {
 		idx.add(id, row)
 	}
-	for _, idx := range r.ordered {
-		idx.add(id, row)
-	}
 }
 
 func (r *Relation) unindexRow(id TupleID, row Row) {
 	for _, idx := range r.indexes {
-		idx.remove(id, row)
-	}
-	for _, idx := range r.ordered {
 		idx.remove(id, row)
 	}
 }

@@ -11,7 +11,6 @@ package precis
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -179,16 +178,19 @@ func TestResultRowsReadTheirOwnRecords(t *testing.T) {
 	sql := sqlx.NewEngine(db)
 	movies := db.Relation("MOVIE")
 	ids := movies.Tuples()
-	for _, q := range []string{
-		fmt.Sprintf("SELECT * FROM MOVIE WHERE rowid IN (%d, %d, %d)", ids[0].ID, ids[1].ID, ids[2].ID), // rowid fetch
-		"SELECT title, year FROM MOVIE WHERE did = 3 LIMIT 2",                                           // hash probe under a LIMIT
-		"SELECT rowid, title FROM MOVIE",                                                                // scan, a computed column
-		"SELECT title FROM MOVIE WHERE year > 1900 ORDER BY year, title",                                // sorted on a dropped column
-		"SELECT mid, did FROM MOVIE WHERE did = 3",                                                      // a gapped projection
+	col := func(name string) *sqlx.ColumnRef { return &sqlx.ColumnRef{Name: name} }
+	did3 := &sqlx.Compare{Op: sqlx.OpEq, Left: col("did"), Right: &sqlx.Literal{Value: storage.Int(3)}}
+	rowids := &sqlx.InList{Left: col(sqlx.RowIDColumn), Values: []storage.Value{
+		storage.Int(int64(ids[0].ID)), storage.Int(int64(ids[1].ID)), storage.Int(int64(ids[2].ID))}}
+	for _, q := range []*sqlx.SelectStmt{
+		{Table: "MOVIE", Where: rowids, Limit: -1},                                  // rowid fetch
+		{Columns: []string{"title", "year"}, Table: "MOVIE", Where: did3, Limit: 2}, // hash probe under a LIMIT
+		{Columns: []string{sqlx.RowIDColumn, "title"}, Table: "MOVIE", Limit: -1},   // scan, a computed column
+		{Columns: []string{"mid", "did"}, Table: "MOVIE", Where: did3, Limit: -1},   // a gapped projection
 	} {
-		res, err := sql.Exec(q)
+		res, err := sql.ExecStmt(q)
 		if err != nil || len(res.Rows) < 2 {
-			t.Fatalf("%s: %d rows, %v", q, len(res.Rows), err)
+			t.Fatalf("%+v: %d rows, %v", q, len(res.Rows), err)
 		}
 		computed := slices.Contains(res.Columns, sqlx.RowIDColumn)
 		want := make([][]storage.Value, len(res.Rows))
@@ -202,7 +204,7 @@ func TestResultRowsReadTheirOwnRecords(t *testing.T) {
 				want[i] = append(want[i], v)
 			}
 			if !reflect.DeepEqual(row.Values(), want[i]) || row.Shares(stored) == computed {
-				t.Fatalf("%s: row %d reads %v (its tuple's record: %v), want %v", q, i, row.Values(), row.Shares(stored), want[i])
+				t.Fatalf("%+v: row %d reads %v (its tuple's record: %v), want %v", q, i, row.Values(), row.Shares(stored), want[i])
 			}
 		}
 		for _, tu := range ids {
@@ -212,7 +214,7 @@ func TestResultRowsReadTheirOwnRecords(t *testing.T) {
 		}
 		for i, row := range res.Rows {
 			if !reflect.DeepEqual(row.Values(), want[i]) {
-				t.Fatalf("%s: row %d reads %v after its tuple was updated, want %v", q, i, row.Values(), want[i])
+				t.Fatalf("%+v: row %d reads %v after its tuple was updated, want %v", q, i, row.Values(), want[i])
 			}
 		}
 		for _, tu := range ids {

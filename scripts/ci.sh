@@ -35,7 +35,12 @@
 # AppendText, Get, every index and a result relation mapped onto the records,
 # against the values they were made from), the translator (FuzzNarrative: fuzzed
 # sentences and labels on a hand-built G′, indexed and not, against the
-# reference walk — the same bytes or the same error) and the whole query
+# reference walk — the same bytes or the same error), the SELECT executor
+# (FuzzSelect: a byte string decoded as a where tree, a projection with rowid
+# and unknown columns among its choices and a LIMIT, on an indexed table and an
+# unindexed copy, against the reference scan — the same ids and values, cut to
+# the limit, or the same error; TestSelectMatchesReferenceScan decodes seeded
+# strings the same way) and the whole query
 # pipeline (FuzzQuery: arbitrary query strings under fuzzed degree and
 # cardinality constraints, strategy and pool size on a small synthetic engine —
 # no panic, a sub-database of the base, never Partial without a budget, and the
@@ -282,11 +287,43 @@
 # package. It is a report, not a gate: the table ROADMAP.md quotes, printed
 # where a PR that grows a package shows it.
 #
+# Every step that names its tests goes through gotest (or fuzz), which first
+# asks go test -list whether each |-separated part of the pattern still names a
+# test: go test -run and -fuzz pass silently when nothing matches, so a test
+# renamed or deleted would leave its step green and running nothing.
+#
 # Every go test step carries an explicit -timeout so a deadlocked suite
 # (the usual failure mode of replication and chaos bugs) kills the step
 # instead of hanging the CI job until the outer scheduler reaps it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# gotest PATTERN ARGS... is go test ARGS... -run PATTERN, after go test -list
+# has shown that every |-separated part of PATTERN names a test in ARGS'
+# packages: go test -run passes without a word when nothing matches, so a
+# renamed or deleted test would otherwise leave its step green and empty.
+gotest() {
+	local pattern=$1 listed part
+	shift
+	listed=$(go test "$@" -list "$pattern" | grep -E '^(Test|Fuzz|Example)' || true)
+	for part in ${pattern//|/ }; do
+		if ! grep -qE -- "$part" <<<"$listed"; then
+			echo "ci.sh: -run pattern '$part' matches no test in $*" >&2
+			exit 1
+		fi
+	done
+	go test "$@" -run "$pattern"
+}
+
+# fuzz TARGET PKG runs the fuzz target for 10s on top of its corpus, after
+# checking that it exists (go test -fuzz passes when nothing matches too).
+fuzz() {
+	if ! grep -qx -- "$1" <<<"$(go test -list "^$1\$" "$2")"; then
+		echo "ci.sh: no fuzz target $1 in $2" >&2
+		exit 1
+	fi
+	go test -timeout=5m -run=NONE -fuzz="^$1\$" -fuzztime=10s "$2"
+}
 
 echo "== non-test Go lines per package (report only)"
 bash scripts/loc.sh
@@ -301,56 +338,57 @@ echo "== go test -race (-short chaos; includes the role table)"
 go test -race -count=1 -short -timeout=10m ./...
 
 echo "== chaos suite -race -count=2 (full strength; panics at every site, single engine and 4 shards)"
-go test -race -count=2 -timeout=10m -run 'TestChaos' .
+gotest 'TestChaos' -race -count=2 -timeout=10m .
 
 echo "== crash torture -race (full strength: every WAL byte offset)"
-go test -race -count=1 -timeout=10m -run 'TestCrashTorture' .
+gotest 'TestCrashTorture' -race -count=1 -timeout=10m .
 
 echo "== incremental checkpoint torture -race (chain depths, every chain/index byte)"
-go test -race -count=1 -timeout=15m -run 'TestDeltaChain|TestPersistedIndex|TestKeyCycle|TestFirstCompaction' .
-go test -race -count=1 -timeout=10m -run 'TestDelta|TestStore|TestManifest|TestApplyDelta|TestIndexSnapshot|TestCompact|TestFlattened' ./internal/wal ./internal/invidx
+gotest 'TestDeltaChain|TestPersistedIndex|TestKeyCycle|TestFirstCompaction' -race -count=1 -timeout=15m .
+gotest 'TestDelta|TestStore|TestManifest|TestApplyDelta|TestIndexSnapshot|TestCompact|TestFlattened' -race -count=1 -timeout=10m ./internal/wal ./internal/invidx
 
 echo "== replication convergence -race (full strength: swept link cuts; one history, four routes)"
-go test -race -count=1 -timeout=10m -run 'TestRepl|TestChaosReplicatedStorm' .
+gotest 'TestRepl|TestChaosReplicatedStorm' -race -count=1 -timeout=10m .
 go test -race -count=1 -timeout=10m ./internal/repl
 
 echo "== quorum torture -race (primary kills after every acked write, ack faults)"
-go test -race -count=1 -timeout=10m -run 'TestQuorum|TestFollowerResume' .
+gotest 'TestQuorum|TestFollowerResume' -race -count=1 -timeout=10m .
 
 echo "== failover torture -race (kill/promote after every acked write, fencing, stats readers across Promote)"
-go test -race -count=1 -timeout=10m -run 'TestFailover|TestPromote|TestDeposed|TestAutoFailover' .
+gotest 'TestFailover|TestPromote|TestDeposed|TestAutoFailover' -race -count=1 -timeout=10m .
 
 echo "== sharding -race (byte-parity sweep, crash recovery, faulted storm)"
-go test -race -count=1 -timeout=10m -run 'TestSharded' .
+gotest 'TestSharded' -race -count=1 -timeout=10m .
 go test -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
-go test -race -count=1 -timeout=10m -run 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec' ./internal/core
-go test -race -count=1 -timeout=10m -run 'TestEnginesMatchSpec' .
-go test -race -count=1 -timeout=5m -run 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestWithRowIDs|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' ./internal/sqlx ./internal/shard
-go test -race -count=1 -timeout=5m -run 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' ./internal/nlg ./internal/web
+gotest 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec' -race -count=1 -timeout=10m ./internal/core
+gotest 'TestEnginesMatchSpec' -race -count=1 -timeout=10m .
+gotest 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestWithRowIDs|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' -race -count=1 -timeout=5m ./internal/sqlx ./internal/shard
+gotest 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' -race -count=1 -timeout=5m ./internal/nlg ./internal/web
 
 echo "== memo -race (warm = cold on every engine shape, concurrent first use of G′ and of its narration plan, macros, label errors)"
-go test -race -count=1 -timeout=10m -run 'TestMemo|TestProfileQueriesShare' .
+gotest 'TestMemo|TestProfileQueriesShare' -race -count=1 -timeout=10m .
 
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
-go test -race -count=1 -timeout=10m -run 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' ./internal/invidx
+gotest 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' -race -count=1 -timeout=10m ./internal/invidx
 
 echo "== layout pins (no -race: value and slot sizes, pointer-free records, live bytes per tuple, row_bytes and list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins)"
-go test -count=1 -timeout=5m -run 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations' . ./internal/storage ./internal/nlg
+gotest 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations' -count=1 -timeout=5m . ./internal/storage ./internal/nlg
 
-echo "== fuzz smoke (10s per target: the durability decoders, the compaction merge, the JSON string escaper, the id-list kernel, the row codec, the translator, the query pipeline)"
-go test -timeout=5m -run=NONE -fuzz='FuzzSnapshotDecode' -fuzztime=10s ./internal/wal
-go test -timeout=5m -run=NONE -fuzz='FuzzWALReplay' -fuzztime=10s ./internal/wal
-go test -timeout=5m -run=NONE -fuzz='FuzzDeltaDecode' -fuzztime=10s ./internal/wal
-go test -timeout=5m -run=NONE -fuzz='FuzzCompact' -fuzztime=10s ./internal/wal
-go test -timeout=5m -run=NONE -fuzz='FuzzIndexSnapshotDecode' -fuzztime=10s ./internal/invidx
-go test -timeout=5m -run=NONE -fuzz='FuzzReplFrameDecode' -fuzztime=10s ./internal/repl
-go test -timeout=5m -run=NONE -fuzz='FuzzAppendJSONString' -fuzztime=10s ./internal/web
-go test -timeout=5m -run=NONE -fuzz='FuzzIDList' -fuzztime=10s ./internal/storage
-go test -timeout=5m -run=NONE -fuzz='FuzzRowCodec' -fuzztime=10s ./internal/storage
-go test -timeout=5m -run=NONE -fuzz='FuzzNarrative' -fuzztime=10s ./internal/nlg
-go test -timeout=5m -run=NONE -fuzz='FuzzQuery' -fuzztime=10s .
+echo "== fuzz smoke (10s per target: the durability decoders, the compaction merge, the JSON string escaper, the id-list kernel, the row codec, the translator, the SELECT executor, the query pipeline)"
+fuzz FuzzSnapshotDecode ./internal/wal
+fuzz FuzzWALReplay ./internal/wal
+fuzz FuzzDeltaDecode ./internal/wal
+fuzz FuzzCompact ./internal/wal
+fuzz FuzzIndexSnapshotDecode ./internal/invidx
+fuzz FuzzReplFrameDecode ./internal/repl
+fuzz FuzzAppendJSONString ./internal/web
+fuzz FuzzIDList ./internal/storage
+fuzz FuzzRowCodec ./internal/storage
+fuzz FuzzNarrative ./internal/nlg
+fuzz FuzzSelect ./internal/sqlx
+fuzz FuzzQuery .
 
 echo "== bench smoke (compile + one iteration)"
 go test -timeout=10m -run=NONE -bench=. -benchtime=1x ./...
