@@ -74,13 +74,19 @@ func mutateForSpec(t *testing.T, eng *Engine, round int) {
 				t.Fatal(err)
 			}
 		}
-		if len(tuples) < 3 {
+		// The third tuple or the first after it that no foreign key still
+		// needs goes, and comes back under a fresh id.
+		i := 2
+		for i < len(tuples) && storage.CheckDelete([]*storage.Database{eng.Database()}, name, tuples[i].ID) != nil {
+			i++
+		}
+		if i >= len(tuples) {
 			continue
 		}
-		if ok, err := eng.Delete(name, tuples[2].ID); !ok || err != nil {
-			t.Fatalf("delete %s/%d: %v, %v", name, tuples[2].ID, ok, err)
+		if ok, err := eng.Delete(name, tuples[i].ID); !ok || err != nil {
+			t.Fatalf("delete %s/%d: %v, %v", name, tuples[i].ID, ok, err)
 		}
-		if _, err := eng.Insert(name, tuples[2].Values...); err != nil {
+		if _, err := eng.Insert(name, tuples[i].Values...); err != nil {
 			t.Fatal(err)
 		}
 	}

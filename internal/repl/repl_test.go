@@ -18,6 +18,23 @@ import (
 	"precis/internal/wal"
 )
 
+// rotate makes the store's next generation by a full checkpoint of an empty
+// database, through the two-phase protocol every checkpoint takes.
+func rotate(t *testing.T, s *wal.Store) {
+	t.Helper()
+	h, err := s.BeginCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := wal.EncodeSnapshot(&wal.SnapshotData{DB: storage.NewDatabase("repl-test")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompleteFull(h, raw, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func quietLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 
 // --- protocol codec ---
@@ -372,9 +389,7 @@ func TestStreamBootstrapLiveAndRotation(t *testing.T) {
 
 	// A checkpoint rotation mid-stream: the caught-up follower crosses it
 	// without a new snapshot.
-	if err := s.Checkpoint(&wal.SnapshotData{DB: storage.NewDatabase("repl-test")}); err != nil {
-		t.Fatal(err)
-	}
+	rotate(t, s)
 	for i := 8; i < 11; i++ {
 		if err := s.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
@@ -477,9 +492,7 @@ func TestFallenBehindFollowerRebootstraps(t *testing.T) {
 
 	// Two rotations: the follower's generation file is gone.
 	for r := 0; r < 2; r++ {
-		if err := s.Checkpoint(&wal.SnapshotData{DB: storage.NewDatabase("repl-test")}); err != nil {
-			t.Fatal(err)
-		}
+		rotate(t, s)
 	}
 	if err := s.Append(testRecord(100)); err != nil {
 		t.Fatal(err)

@@ -237,8 +237,8 @@ func ApplyStride(db *storage.Database, p Partitioner, shard int) error {
 	return db.SetIDStride(off, stride)
 }
 
-// manifestName is the topology file written into a sharded data directory.
-const manifestName = "shards.json"
+// topologyFile is the topology file written into a sharded data directory.
+const topologyFile = "shards.json"
 
 // Manifest pins a sharded data directory's topology. Reopening with a
 // different shard count or partitioning scheme would silently misroute
@@ -286,17 +286,17 @@ func SaveManifest(dir string, m Manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
+	tmp := filepath.Join(dir, topologyFile+".tmp")
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, manifestName))
+	return os.Rename(tmp, filepath.Join(dir, topologyFile))
 }
 
 // LoadManifest reads the manifest from dir. ok is false when none exists
 // (a fresh directory).
 func LoadManifest(dir string) (m Manifest, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	data, err := os.ReadFile(filepath.Join(dir, topologyFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return Manifest{}, false, nil
 	}

@@ -138,7 +138,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		}
 	}
 	// Corrupt manifest → error, not silent fresh start.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, topologyFile), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadManifest(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {

@@ -50,8 +50,8 @@ func sameContents(t *testing.T, when string, got, want *Relation) {
 			if !slices.Equal(gl, wl) {
 				t.Fatalf("%s: Lookup(%s, %s %s) = %v, want %v", when, col, v.Kind(), v, gl, wl)
 			}
-			if got.holds(col, v) != (len(wl) > 0) {
-				t.Fatalf("%s: holds(%s, %s %s) = %v with %d tuples", when, col, v.Kind(), v, got.holds(col, v), len(wl))
+			if got.holds(col, v, 0) != (len(wl) > 0) {
+				t.Fatalf("%s: holds(%s, %s %s) = %v with %d tuples", when, col, v.Kind(), v, got.holds(col, v, 0), len(wl))
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -360,13 +362,48 @@ func (db *Database) CheckIntegrity() []IntegrityViolation {
 		to := db.rels[fk.ToRelation]
 		fi := from.Schema().ColumnIndex(fk.FromColumn)
 		from.ScanRows(func(id TupleID, row Row) bool {
-			if v := row.Value(fi); !v.IsNull() && !to.holds(fk.ToColumn, v) {
+			if v := row.Value(fi); !v.IsNull() && !to.holds(fk.ToColumn, v, 0) {
 				out = append(out, IntegrityViolation{ForeignKey: fk, TupleID: id, Value: v})
 			}
 			return true
 		})
 	}
 	return out
+}
+
+// ErrReferenced refuses the delete of a tuple that a foreign key still needs.
+var ErrReferenced = errors.New("storage: tuple is referenced")
+
+// CheckDelete refuses, with ErrReferenced, the delete of tuple id of relation
+// when a foreign key into relation targets a value of the tuple's that no
+// other tuple of relation holds and a tuple of the referencing relation does.
+// parts are the partitions, sharing a catalog, of one database.
+func CheckDelete(parts []*Database, relation string, id TupleID) error {
+	held := func(rel, column string, v Value) bool { // by a tuple other than id's
+		return slices.ContainsFunc(parts, func(db *Database) bool { return db.rels[rel].holds(column, v, id) })
+	}
+	for _, db := range parts {
+		r := db.rels[relation]
+		if r == nil {
+			return nil
+		}
+		row, ok := r.Row(id)
+		if !ok {
+			continue
+		}
+		for _, fk := range db.fks {
+			if fk.ToRelation != relation {
+				continue
+			}
+			v := row.Value(r.schema.ColumnIndex(fk.ToColumn))
+			if !v.IsNull() && !held(relation, fk.ToColumn, v) && held(fk.FromRelation, fk.FromColumn, v) {
+				return fmt.Errorf("%w: %s %d holds %s=%s, which %s.%s references",
+					ErrReferenced, relation, id, fk.ToColumn, v.String(), fk.FromRelation, fk.FromColumn)
+			}
+		}
+		return nil
+	}
+	return nil
 }
 
 // Stats summarises a database for reporting.

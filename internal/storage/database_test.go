@@ -72,6 +72,60 @@ func TestCheckIntegrity(t *testing.T) {
 	}
 }
 
+// TestCheckDeleteRefusesTheLastHolder: a delete is refused only while its
+// tuple is the last holder of a value a referencing tuple names, whichever
+// partition that tuple lives on, and whether the columns are indexed or
+// scanned.
+func TestCheckDeleteRefusesTheLastHolder(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		partition := func(firstID TupleID) *Database {
+			db := NewDatabase("movies")
+			db.SetNextTupleID(firstID)
+			db.MustCreateRelation(MustSchema("DIRECTOR", "", Column{"did", TypeInt}, Column{"dname", TypeString}))
+			db.MustCreateRelation(MustSchema("MOVIE", "mid", Column{"mid", TypeInt}, Column{"title", TypeString}, Column{"did", TypeInt}))
+			if err := db.AddForeignKey(ForeignKey{"MOVIE", "did", "DIRECTOR", "did"}); err != nil {
+				t.Fatal(err)
+			}
+			if indexed {
+				if err := db.CreateJoinIndexes(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return db
+		}
+		a, b := partition(1), partition(100)
+		insert := func(db *Database, rel string, vals ...Value) TupleID {
+			id, err := db.Insert(rel, vals...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}
+		first := insert(a, "DIRECTOR", Int(1), String("Woody Allen"))
+		second := insert(a, "DIRECTOR", Int(1), String("W. Allen"))
+		lone := insert(a, "DIRECTOR", Int(2), String("Nobody"))
+		insert(b, "MOVIE", Int(10), String("Match Point"), Int(1))
+		parts := []*Database{a, b}
+		for _, id := range []TupleID{first, lone} {
+			if err := CheckDelete(parts, "DIRECTOR", id); err != nil {
+				t.Fatalf("indexed=%v: DIRECTOR %d, not the last holder of a referenced value: %v", indexed, id, err)
+			}
+		}
+		if _, err := a.Delete("DIRECTOR", second); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckDelete(parts, "DIRECTOR", first); !errors.Is(err, ErrReferenced) {
+			t.Fatalf("indexed=%v: last holder of did 1 = %v, want ErrReferenced", indexed, err)
+		}
+		if err := CheckDelete(parts[:1], "DIRECTOR", first); err != nil {
+			t.Fatalf("indexed=%v: no given partition holds a movie, yet %v", indexed, err)
+		}
+		if err := CheckDelete(parts, "DIRECTOR", 999); err != nil {
+			t.Fatalf("indexed=%v: an absent tuple = %v, want nil", indexed, err)
+		}
+	}
+}
+
 // TestCheckIntegrityUnderLookupFault: a failed target lookup used to read as
 // a satisfied reference, so with the lookup site armed a dangling foreign key
 // went unreported (and a truncated précis kept a violated constraint). The

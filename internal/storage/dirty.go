@@ -27,8 +27,7 @@ func newDirtyTracker() *dirtyTracker {
 }
 
 // mark records a live mutation (insert or update) of (rel, id). A
-// tombstone for the same id is cleared: the id is live again (the engine's
-// delete-rollback path resurrects tuples under their original id).
+// tombstone for the same id is cleared: the id is live again.
 func (t *dirtyTracker) mark(rel string, id TupleID) {
 	if t == nil {
 		return
@@ -106,9 +105,6 @@ func (db *Database) EnableDirtyTracking() {
 		db.tracker = newDirtyTracker()
 	}
 }
-
-// DirtyTrackingEnabled reports whether dirty tracking is on.
-func (db *Database) DirtyTrackingEnabled() bool { return db.tracker != nil }
 
 // CaptureDirty atomically resolves and resets the dirty set, returning the
 // changed tuples since the previous capture. Upsert entries borrow the stored

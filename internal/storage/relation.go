@@ -704,17 +704,21 @@ func (r *Relation) AppendLookups(dst []TupleID, ends []int, column string, vals 
 	return dst, nil
 }
 
-// holds reports whether a live tuple carries v in the named column:
-// AppendLookup's matching (exact through a hash index, Equal by scan) without
-// materializing ids and without its fault site.
-func (r *Relation) holds(column string, v Value) bool {
+// holds reports whether a live tuple other than skip (0: none) carries v in
+// the named column: AppendLookup's matching (exact through a hash index,
+// Equal by scan) without its fault site, or ids unless it must skip one.
+func (r *Relation) holds(column string, v Value, skip TupleID) bool {
 	if idx, ok := r.indexes[column]; ok {
-		return idx.has(v)
+		if skip == 0 {
+			return idx.has(v)
+		}
+		ids := idx.appendGroups(nil, nil, []Value{v})
+		return len(ids) > 1 || len(ids) == 1 && ids[0] != skip
 	}
 	ci := r.schema.ColumnIndex(column)
 	found := false
-	r.ScanRows(func(_ TupleID, row Row) bool {
-		found = row.Value(ci).Equal(v)
+	r.ScanRows(func(id TupleID, row Row) bool {
+		found = id != skip && row.Value(ci).Equal(v)
 		return !found
 	})
 	return found

@@ -10,9 +10,12 @@
 // On-disk layout of a data directory:
 //
 //	snap-<gen>.snap   full snapshot at generation <gen> (16 hex digits)
-//	wal-<gen>.log     mutations appended after snapshot <gen>
+//	delta-<gen>.dlt   the tuples changed since the chain's previous element
+//	wal-<gen>.log     mutations appended after checkpoint <gen>
+//	index-<gen>.pidx  the inverted index of snapshot <gen> (optional)
+//	epoch             the failover fencing epoch (epoch.go)
 //
-// Both file kinds are built from the same frame: a 12-byte header —
+// Snapshots, deltas and logs are built from the same frame: a 12-byte header —
 // payload length (uint32 LE), CRC32C of the length field, CRC32C of the
 // payload — followed by the payload. Checksumming the length field
 // separately makes torn-tail classification exact under a truncate-at-any-
@@ -20,10 +23,14 @@
 // flipped bit (hard failure), while a frame that runs past end-of-file with
 // a valid header is a torn write (truncated with a warning).
 //
-// Snapshots are written to a temp file, fsynced, atomically renamed into
-// place, and the directory fsynced — a crash mid-snapshot never damages the
-// previous generation. Checkpointing writes a new snapshot, rotates the
-// WAL, and garbage-collects older generations.
+// Checkpoint files are written to a temp file, fsynced, atomically renamed
+// into place, and the directory fsynced — a crash mid-write never damages
+// the previous generation. A checkpoint rotates the WAL, then writes either
+// a delta extending the chain (one full snapshot plus deltas) or a
+// compaction merged from the chain's bytes into a new full snapshot, and
+// garbage-collects whatever the chain no longer needs. Recovery derives the
+// chain from the files alone; a manifest.mf an older version left is
+// ignored.
 package wal
 
 import (

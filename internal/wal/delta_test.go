@@ -214,7 +214,7 @@ func TestApplyDeltaMatchesReplay(t *testing.T) {
 
 // TestStoreDeltaChainRecovery drives the store's two-phase protocol
 // directly: deltas stack into a chain, a reopen reconstructs the exact
-// state, and the manifest — even a lying one — never overrides the files.
+// state.
 func TestStoreDeltaChainRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir, storeConfig())
@@ -293,19 +293,6 @@ func TestStoreDeltaChainRecovery(t *testing.T) {
 		}
 	}
 	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A manifest that lies about the chain is advisory: recovery trusts the
-	// files and still succeeds.
-	if err := writeManifest(dir, []uint64{999}); err != nil {
-		t.Fatal(err)
-	}
-	s3, rec3 := reopen()
-	if rec3.Data == nil || rec3.ChainDepth == 0 {
-		t.Fatal("recovery with a lying manifest lost the chain")
-	}
-	if err := s3.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -416,34 +403,6 @@ func TestStoreIncompleteTipDeltaNotCovered(t *testing.T) {
 	var ce *CorruptionError
 	if !errors.As(err, &ce) {
 		t.Fatalf("uncovered torn delta: error %v, want CorruptionError", err)
-	}
-}
-
-// TestManifestRoundTrip exercises the advisory manifest codec.
-func TestManifestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	chain := []uint64{4, 7, 9}
-	if err := writeManifest(dir, chain); err != nil {
-		t.Fatal(err)
-	}
-	got := readManifest(dir)
-	if !reflect.DeepEqual(got, chain) {
-		t.Fatalf("manifest round trip: %v, want %v", got, chain)
-	}
-	// Any damage degrades to "no manifest", never an error.
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; off < len(raw); off++ {
-		mut := append([]byte(nil), raw...)
-		mut[off] ^= 0x04
-		if err := os.WriteFile(filepath.Join(dir, manifestName), mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if got := readManifest(dir); got != nil && !reflect.DeepEqual(got, chain) {
-			t.Fatalf("corrupt manifest (flip at %d) decoded to %v", off, got)
-		}
 	}
 }
 

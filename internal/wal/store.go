@@ -18,8 +18,8 @@ import (
 // ErrUnsyncedLog means a checkpoint rotation could not finalize the active
 // log (its writer is poisoned by an earlier fsync failure). Incremental
 // checkpoints are impossible in this state — recovery may need the log a
-// delta would let GC collect — but CheckpointFull still heals it by writing
-// the full snapshot before abandoning the unsyncable log.
+// delta would let GC collect — but Supersede still heals it by writing the
+// full snapshot before abandoning the unsyncable log.
 var ErrUnsyncedLog = errors.New("wal: cannot sync log for rotation")
 
 // Config tunes a Store.
@@ -163,8 +163,8 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Remove abandoned temp files from an interrupted snapshot, delta,
-	// manifest, or epoch write.
+	// Remove abandoned temp files from an interrupted snapshot, delta, index
+	// or epoch write.
 	for _, pattern := range []string{".tmp-snap-*", ".tmp-epoch-*"} {
 		tmps, _ := filepath.Glob(filepath.Join(dir, pattern))
 		for _, t := range tmps {
@@ -293,10 +293,6 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 	// tracking starts exactly here.
 	base.DB.EnableDirtyTracking()
 
-	if m := readManifest(dir); m != nil && !gensEqual(m, chain) {
-		lg.Printf("wal: manifest chain %v disagrees with derived chain %v; trusting the files", m, chain)
-	}
-
 	// Replay every log from the chain tip through the newest generation. A
 	// generation gap, or a torn tail anywhere but the final log, means
 	// records are missing from the middle of history — hard failure. (A
@@ -376,18 +372,6 @@ func gensAbove(gens []uint64, g uint64) []uint64 {
 	return gens[i:]
 }
 
-func gensEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Initialize seeds an empty directory: it writes the generation-1 snapshot
 // of data and opens its WAL. Only valid after an Open that returned
 // Recovered.Data == nil.
@@ -424,9 +408,6 @@ func (s *Store) InitializeIndexed(data *SnapshotData, indexRaw []byte) error {
 		// Everything after the seed snapshot belongs in the next
 		// checkpoint's delta.
 		data.DB.EnableDirtyTracking()
-	}
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
 	}
 	return nil
 }
@@ -590,9 +571,6 @@ func (s *Store) CompleteDelta(h *CheckpointHandle, d *DeltaData) error {
 	s.deltaBytes += n
 	s.checkpoints++
 	s.lastCkpt = time.Now()
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
-	}
 	s.gcChainLocked()
 	if s.metrics != nil {
 		s.metrics.Checkpoints.Inc()
@@ -629,9 +607,6 @@ func (s *Store) CompleteFull(h *CheckpointHandle, raw, indexRaw []byte) error {
 	s.chain = []uint64{h.gen}
 	s.noteFullLocked(time.Since(h.start), len(raw))
 	s.lastCkpt = time.Now()
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
-	}
 	s.gcChainLocked()
 	if s.metrics != nil {
 		s.metrics.Checkpoints.Inc()
@@ -696,60 +671,14 @@ func (s *Store) mergeChain(chain []uint64, obs RecoveryObserver, more func(*fold
 	return merge(path, raw, f, chain[0], obs)
 }
 
-// Checkpoint writes data as the next full snapshot generation, rotates the
-// WAL, and garbage-collects every older generation — the original
-// monolithic protocol, retained for the follower's rotation mirror, the
-// engine's shutdown checkpoint, and any caller that can afford the pause.
-// The caller must guarantee no Append runs concurrently. On failure the
-// previous chain stays fully intact (modulo the log rotation, which
-// recovery absorbs).
-func (s *Store) Checkpoint(data *SnapshotData) error {
-	return s.CheckpointFull(data, nil)
-}
-
-// CheckpointFull is Checkpoint with an optional persisted-index snapshot
-// written beside the new full snapshot.
-func (s *Store) CheckpointFull(data *SnapshotData, indexRaw []byte) error {
-	h, err := s.BeginCheckpoint()
-	if err != nil {
-		if errors.Is(err, ErrUnsyncedLog) {
-			// The active writer is poisoned: heal by superseding the log
-			// entirely — full snapshot first, rotation only once it is
-			// durable, so no crash leaves recovery needing the bad log.
-			if err := s.checkpointSupersede(data, indexRaw); err != nil {
-				return err
-			}
-			if data.DB != nil && data.DB.DirtyTrackingEnabled() {
-				data.DB.CaptureDirty()
-			}
-			return nil
-		}
-		return err
-	}
-	raw, err := EncodeSnapshot(data)
-	if err == nil {
-		err = s.CompleteFull(h, raw, indexRaw)
-	}
-	if err != nil {
-		h.Abort()
-		return err
-	}
-	// A full checkpoint covers everything: whatever dirty state accumulated
-	// (on a follower mirroring rotations, or the engine's shutdown path) is
-	// now redundant. The no-concurrent-append guarantee makes this safe.
-	if data.DB != nil && data.DB.DirtyTrackingEnabled() {
-		data.DB.CaptureDirty()
-	}
-	return nil
-}
-
-// checkpointSupersede is the poisoned-writer healing path: the active log
-// cannot be synced, so the full snapshot of data is written and made
-// durable FIRST — superseding the log entirely — and only then does the
-// rotation abandon it. This is the original monolithic checkpoint ordering;
-// a crash at any point leaves either the old state (snapshot not yet
+// Supersede is the poisoned-writer healing path, for a BeginCheckpoint that
+// failed with ErrUnsyncedLog: the active log cannot be synced, so the full
+// snapshot of data — the live state, which the caller keeps still — is
+// written and made durable FIRST, superseding the log entirely, and only then
+// does the rotation abandon it. indexRaw, when non-nil, is persisted beside
+// it. A crash at any point leaves either the old state (snapshot not yet
 // visible) or the new base (from which recovery never touches the bad log).
-func (s *Store) checkpointSupersede(data *SnapshotData, indexRaw []byte) error {
+func (s *Store) Supersede(data *SnapshotData, indexRaw []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.w == nil {
@@ -792,9 +721,6 @@ func (s *Store) checkpointSupersede(data *SnapshotData, indexRaw []byte) error {
 	s.chain = []uint64{next}
 	s.noteFullLocked(time.Since(start), len(raw))
 	s.lastCkpt = time.Now()
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
-	}
 	s.gcChainLocked()
 	if s.metrics != nil {
 		s.metrics.Checkpoints.Inc()
@@ -808,7 +734,7 @@ func (s *Store) checkpointSupersede(data *SnapshotData, indexRaw []byte) error {
 // a replication primary) the store's entire state at generation gen: the
 // snapshot is written durably, a fresh WAL is opened for gen, and every
 // other generation's files are removed. This is the follower's bootstrap
-// and re-bootstrap path — unlike Checkpoint, the generation number comes
+// and re-bootstrap path — unlike a checkpoint's, the generation number comes
 // from the stream (it may jump forward past GC'd generations, or even
 // backward after a stale-primary restart), so alignment with the primary's
 // numbering is preserved. The caller must guarantee no Append runs
@@ -848,9 +774,6 @@ func (s *Store) InstallSnapshot(gen uint64, raw []byte) error {
 	s.chain = []uint64{gen}
 	s.lastCkpt = time.Now()
 	s.genEnds = nil
-	if err := writeManifest(s.dir, s.chain); err != nil {
-		s.log.Printf("wal: cannot write manifest: %v", err)
-	}
 	// Remove every other generation — including newer ones a stale-primary
 	// re-bootstrap would otherwise leave for recovery to prefer, and any
 	// delta or index files (the installed snapshot is a full base).
@@ -1171,22 +1094,6 @@ func (s *Store) notifySubs() {
 		}
 	}
 	s.subMu.Unlock()
-}
-
-// SnapshotPath returns the active generation and the path its full
-// snapshot would live at. With delta checkpointing the file only exists
-// when the chain is a single full snapshot at the active generation;
-// callers that need guaranteed-loadable full bytes use FlattenedSnapshot.
-func (s *Store) SnapshotPath() (uint64, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen, filepath.Join(s.dir, snapshotName(s.gen))
-}
-
-// IndexSnapshotPath returns the path of the persisted-index snapshot for
-// the chain's base generation, and that generation.
-func (s *Store) IndexSnapshotPath(gen uint64) string {
-	return filepath.Join(s.dir, IndexSnapshotName(gen))
 }
 
 // WALPath returns the log file path of generation gen. The file may have

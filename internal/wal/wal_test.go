@@ -375,8 +375,16 @@ func TestStoreCheckpointRotatesAndGCs(t *testing.T) {
 		Values: []storage.Value{storage.Int(9), storage.String("Borges"), storage.Float(5), storage.Bool(true)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(&SnapshotData{DB: db}); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+	h, err := s.BeginCheckpoint()
+	if err != nil {
+		t.Fatalf("BeginCheckpoint: %v", err)
+	}
+	raw, err := EncodeSnapshot(&SnapshotData{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompleteFull(h, raw, nil); err != nil {
+		t.Fatalf("CompleteFull: %v", err)
 	}
 	if g := s.Generation(); g != 2 {
 		t.Fatalf("generation = %d, want 2", g)
@@ -660,9 +668,10 @@ func TestFsyncFailurePoisonsWriter(t *testing.T) {
 }
 
 // TestStoreCheckpointHealsPoisonedWriter: after an fsync failure poisons
-// the active WAL, a checkpoint writes a fresh snapshot of the (consistent,
-// rolled-back) in-memory state and rotates to a new generation with a
-// healthy writer — the documented recovery path without a restart.
+// the active WAL, a checkpoint's rotation is refused with ErrUnsyncedLog and
+// Supersede writes a fresh snapshot of the (consistent, rolled-back)
+// in-memory state and rotates to a new generation with a healthy writer —
+// the documented recovery path without a restart.
 func TestStoreCheckpointHealsPoisonedWriter(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir, storeConfig())
@@ -686,7 +695,10 @@ func TestStoreCheckpointHealsPoisonedWriter(t *testing.T) {
 	if err := s.Append(Record{Op: OpMacro, Def: "DEFINE B AS y"}); err == nil {
 		t.Fatal("append to poisoned store succeeded")
 	}
-	if err := s.Checkpoint(&SnapshotData{DB: db, Macros: []string{"DEFINE A AS x"}}); err != nil {
+	if _, err := s.BeginCheckpoint(); !errors.Is(err, ErrUnsyncedLog) {
+		t.Fatalf("BeginCheckpoint on a poisoned store = %v, want ErrUnsyncedLog", err)
+	}
+	if err := s.Supersede(&SnapshotData{DB: db, Macros: []string{"DEFINE A AS x"}}, nil); err != nil {
 		t.Fatalf("healing checkpoint: %v", err)
 	}
 	if err := s.Append(Record{Op: OpMacro, Def: "DEFINE C AS z"}); err != nil {

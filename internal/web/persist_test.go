@@ -103,8 +103,9 @@ func TestAPIPersistDurable(t *testing.T) {
 
 // TestAPIPersistChainAndIndexFields: after a delta checkpoint the endpoint
 // reports the chain depth, the lock-pause of the last checkpoint, and the
-// bytes written by kind; after a reopen it reports whether the inverted
-// index was loaded from its persisted snapshot.
+// bytes written by kind; after Close (a second delta) and a reopen it
+// reports the chain recovery applied, the empty log tail, and whether the
+// inverted index was loaded from its persisted snapshot.
 func TestAPIPersistChainAndIndexFields(t *testing.T) {
 	dir := t.TempDir()
 	db, g := exampleEngineParts(t)
@@ -128,6 +129,7 @@ func TestAPIPersistChainAndIndexFields(t *testing.T) {
 		Recovery   struct {
 			ChainDepth    int  `json:"chain_depth"`
 			DeltasApplied int  `json:"deltas_applied"`
+			WALReplayed   int  `json:"wal_records_replayed"`
 			IndexLoaded   bool `json:"index_loaded"`
 		} `json:"recovery"`
 	}) {
@@ -157,7 +159,7 @@ func TestAPIPersistChainAndIndexFields(t *testing.T) {
 		t.Errorf("delta_bytes_written = %d, want > 0", st.DeltaBytes)
 	}
 	ts.Close()
-	if err := eng.Close(); err != nil { // flattens the chain, persists the index
+	if err := eng.Close(); err != nil { // a second delta: the chain is not flattened
 		t.Fatal(err)
 	}
 	closed = true
@@ -172,10 +174,14 @@ func TestAPIPersistChainAndIndexFields(t *testing.T) {
 	t.Cleanup(ts2.Close)
 	st2 := read(ts2.URL)
 	if !st2.Recovery.IndexLoaded {
-		t.Error("recovery.index_loaded = false after clean shutdown with a persisted index")
+		t.Error("recovery.index_loaded = false: the seed's persisted index, carried through the deltas, was not loaded")
 	}
-	if st2.Recovery.ChainDepth != 1 {
-		t.Errorf("recovery.chain_depth = %d after close-time flatten, want 1", st2.Recovery.ChainDepth)
+	if st2.Recovery.ChainDepth != 3 || st2.Recovery.DeltasApplied != 2 {
+		t.Errorf("recovery.chain_depth = %d, deltas_applied = %d after a delta and Close's delta, want 3 and 2",
+			st2.Recovery.ChainDepth, st2.Recovery.DeltasApplied)
+	}
+	if st2.Recovery.WALReplayed != 0 {
+		t.Errorf("recovery.wal_records_replayed = %d after Close, want 0", st2.Recovery.WALReplayed)
 	}
 	if st2.FullBytes != 0 {
 		t.Errorf("full_bytes_written = %d on a fresh open, want 0", st2.FullBytes)

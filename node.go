@@ -44,9 +44,9 @@ type node struct {
 	// indexLoaded records whether recovery loaded the persisted inverted
 	// index (true) or rebuilt it from the tuples (false). Set once at open.
 	indexLoaded bool
-	// ckptMu serializes whole checkpoints: the store's Begin/Complete
-	// protocol assumes one in flight, and close takes it before the final
-	// full checkpoint. Always acquired before the engine mutex.
+	// ckptMu serializes whole checkpoints (checkpointTo): the store's
+	// Begin/Complete protocol assumes one in flight. Always acquired before
+	// the engine mutex.
 	ckptMu sync.Mutex
 	// lastPauseNS is the mutation-lock hold time of the last checkpoint's
 	// begin-and-capture phase, in nanoseconds.
@@ -200,9 +200,9 @@ func (n *node) apply(rec wal.Record) (applied bool, u undo, err error) {
 }
 
 // revert takes an applied record back so memory and disk agree again: the
-// inserted tuple goes, the deleted one is resurrected under its own id, the
-// updated one gets its old values. Synonym and macro records are logged
-// before they are applied (see commit) and never need it.
+// inserted tuple goes, the updated one gets its old values. Synonym, macro
+// and delete records are logged before they are applied (see commit) and
+// never need it.
 func (n *node) revert(rec wal.Record, u undo) {
 	if rec.Op == wal.OpAddFK {
 		n.db.SetForeignKeys(u.fks)
@@ -215,8 +215,6 @@ func (n *node) revert(rec wal.Record, u undo) {
 		_, err = n.db.Delete(rec.Rel, rec.ID)
 	case wal.OpUpdate:
 		err = n.db.Update(rec.Rel, rec.ID, u.old.Values)
-	case wal.OpDelete:
-		err = n.db.InsertWithID(rec.Rel, rec.ID, u.old.Values...)
 	}
 	if err == nil {
 		restored, _ := n.db.Relation(rec.Rel).Get(u.old.ID) // absent again after an undone insert
@@ -229,14 +227,24 @@ func (n *node) revert(rec wal.Record, u undo) {
 // in-memory change must stand (a recovery would replay it) — the error only
 // reports reduced durability.
 func (n *node) commit(rec wal.Record) (bool, error) {
-	if rec.Op == wal.OpSynonym || rec.Op == wal.OpMacro {
+	if rec.Op == wal.OpDelete {
+		// A delete of a tuple that is there cannot fail to apply, so it is
+		// logged first as well: undoing it would put the tuple back at the end
+		// of its relation, where no recovery puts it.
+		if rel := n.db.Relation(rec.Rel); rel == nil {
+			return false, fmt.Errorf("precis: no relation %s", rec.Rel)
+		} else if !rel.Has(rec.ID) {
+			return false, nil
+		}
+	}
+	if rec.Op == wal.OpSynonym || rec.Op == wal.OpMacro || rec.Op == wal.OpDelete {
 		// Nothing in memory can refuse these, so they are logged first: a
 		// failed append then leaves no state a recovery would lose.
 		err := n.appendWAL(rec)
 		if err != nil && !errors.Is(err, ErrQuorumLost) {
 			return false, err
 		}
-		_, _, _ = n.apply(rec) // cannot fail for these two ops
+		_, _, _ = n.apply(rec) // cannot fail for these ops
 		return true, err
 	}
 	applied, u, err := n.apply(rec)
@@ -276,5 +284,9 @@ func (n *node) lookup(term string) ([]invidx.Occurrence, error) {
 func (n *node) newFetcher() core.Fetcher { return sqlx.NewEngine(n.db) }
 
 func (n *node) nextID() storage.TupleID { return n.db.NextTupleID() }
+
+func (n *node) checkDelete(relation string, id storage.TupleID) error {
+	return storage.CheckDelete([]*storage.Database{n.db}, relation, id)
+}
 
 func (n *node) shardStats() ShardStats { return ShardStats{} }

@@ -96,9 +96,9 @@ type PersistConfig struct {
 var errClosed = errors.New("precis: engine is closed")
 
 // compactionDue decides delta versus full for the checkpoint begun on top
-// of prevChain: full when the chain would outgrow CompactEvery or its
-// delta files outgrow CompactBytes.
-func (n *node) compactionDue(prevChain []uint64) bool {
+// of prevChain in store: full when the chain would outgrow CompactEvery or
+// its delta files outgrow CompactBytes.
+func (n *node) compactionDue(store *wal.Store, prevChain []uint64) bool {
 	every := n.cfg.CompactEvery
 	if every == 0 {
 		every = DefaultCompactEvery
@@ -113,7 +113,7 @@ func (n *node) compactionDue(prevChain []uint64) bool {
 	if bytes == 0 {
 		bytes = DefaultCompactBytes
 	}
-	return bytes > 0 && n.store.ChainDeltaBytes() >= bytes
+	return bytes > 0 && store.ChainDeltaBytes() >= bytes
 }
 
 // indexRecovery implements wal.RecoveryObserver: it loads the persisted
@@ -217,8 +217,8 @@ type PersistStats struct {
 	// (a compaction carrying the base generation's index forward over the
 	// tuples that changed), "rebuilt" (a compaction indexing the merged
 	// state, the base having no usable index) or "live" (the engine's own,
-	// on a full checkpoint under the mutation lock, as Close makes). On a
-	// sharded engine, all three are the slowest shard's.
+	// written by the full snapshot that heals a log an fsync failure
+	// poisoned). On a sharded engine, all three are the slowest shard's.
 	LastFullCheckpointMS    float64       `json:"last_full_checkpoint_ms,omitempty"`
 	LastFullCheckpointBytes int64         `json:"last_full_checkpoint_bytes,omitempty"`
 	IndexSnapshot           string        `json:"index_snapshot,omitempty"`
@@ -347,41 +347,44 @@ func (n *node) sync() error {
 func (e *Engine) Checkpoint() error { return e.backend.each((*node).checkpoint) }
 
 func (n *node) checkpoint() error {
-	mu := &n.owner.mu
 	n.ckptMu.Lock()
 	defer n.ckptMu.Unlock()
-
-	// Phase 1 — under the mutation lock, O(dirty): rotate the log and
-	// capture the changed tuples as copy-on-write references (mutations
-	// allocate fresh value slices, so the captured tuples are stable).
-	mu.Lock()
+	n.owner.mu.Lock()
 	if n.store == nil {
-		mu.Unlock()
+		n.owner.mu.Unlock()
 		return ErrNotPersistent
 	}
 	if n.owner.role.kind == roleClosed {
-		mu.Unlock()
+		n.owner.mu.Unlock()
 		return errClosed
 	}
-	if !n.db.DirtyTrackingEnabled() {
-		// Defensive: persistent engines always track dirt, but without it a
-		// merged compaction would miss the untracked changes. Fall back to the
-		// monolithic full checkpoint under the lock.
-		defer mu.Unlock()
-		return n.checkpointLive()
-	}
+	return n.checkpointTo(n.store)
+}
+
+// checkpointTo is every checkpoint there is: the manual and background ones,
+// Close's final one, and a durable follower's mirror of its primary's
+// rotation onto its own store (which stays the replica's until Promote). The
+// caller holds ckptMu and the engine mutex; checkpointTo releases the mutex.
+func (n *node) checkpointTo(store *wal.Store) error {
+	mu := &n.owner.mu
+	// Phase 1 — under the mutation lock, O(dirty): rotate the log and
+	// capture the changed tuples as copy-on-write references (records are
+	// never written, so the captured rows are stable).
 	pauseStart := time.Now()
-	h, err := n.store.BeginCheckpoint()
+	h, err := store.BeginCheckpoint()
 	if err != nil {
-		if errors.Is(err, wal.ErrUnsyncedLog) {
-			// The active writer is poisoned by an earlier fsync failure:
-			// heal via the monolithic full checkpoint, which supersedes the
-			// unsyncable log before abandoning it.
-			defer mu.Unlock()
-			return n.checkpointLive()
+		defer mu.Unlock()
+		if !errors.Is(err, wal.ErrUnsyncedLog) {
+			return err
 		}
-		mu.Unlock()
-		return err
+		// An earlier fsync failure poisoned the log: supersede it with the
+		// live state and index, stamped with the generation Supersede makes.
+		if err := store.Supersede(n.snapshotData(), n.index.EncodeSnapshot(store.Generation()+1)); err != nil {
+			return err
+		}
+		n.db.CaptureDirty() // the snapshot covers it
+		n.indexSnapshot.Store(indexLive)
+		return nil
 	}
 	ds := n.db.CaptureDirty()
 	d := &wal.DeltaData{
@@ -409,8 +412,8 @@ func (n *node) checkpoint() error {
 		mu.Unlock()
 		h.Abort()
 	}
-	if !n.compactionDue(h.PrevChain()) {
-		if err := n.store.CompleteDelta(h, d); err != nil {
+	if !n.compactionDue(store, h.PrevChain()) {
+		if err := store.CompleteDelta(h, d); err != nil {
 			restore()
 			return fmt.Errorf("precis: delta checkpoint: %w", err)
 		}
@@ -419,10 +422,10 @@ func (n *node) checkpoint() error {
 	// Compaction: merge the rotation-point snapshot from the chain's bytes
 	// and the captured delta, and persist an index beside it — the base
 	// generation's, carried forward over the tuples that changed, or, when
-	// the base has none (a follower's mirrored rotation, a damaged file), one
-	// built from the merged state.
-	ir := &indexRecovery{dir: n.cfg.Dir, logger: n.cfg.Logger}
-	raw, err := n.store.Compact(h, d, ir)
+	// the base has none (a follower's installed snapshot, a damaged file),
+	// one built from the merged state.
+	ir := &indexRecovery{dir: store.Dir(), logger: n.cfg.Logger}
+	raw, err := store.Compact(h, d, ir)
 	how := indexDerived
 	if err == nil && ir.ix == nil {
 		how = indexRebuilt
@@ -432,7 +435,7 @@ func (n *node) checkpoint() error {
 		}
 	}
 	if err == nil {
-		err = n.store.CompleteFull(h, raw, ir.ix.EncodeSnapshot(h.Gen()))
+		err = store.CompleteFull(h, raw, ir.ix.EncodeSnapshot(h.Gen()))
 	}
 	if err != nil {
 		restore()
@@ -447,20 +450,8 @@ func (n *node) checkpoint() error {
 const (
 	indexDerived = "derived" // the base generation's, carried over the changed tuples
 	indexRebuilt = "rebuilt" // built from the merged state
-	indexLive    = "live"    // the engine's own, written under the mutation lock
+	indexLive    = "live"    // the engine's own, written under the mutation lock by the poisoned-log heal
 )
-
-// checkpointLive is the monolithic full checkpoint, made under the mutation
-// lock (the caller holds it and ckptMu) of the live state, with the live
-// index persisted beside it: stamped with the generation the checkpoint is
-// about to create, which no rotation can race.
-func (n *node) checkpointLive() error {
-	if err := n.store.CheckpointFull(n.snapshotData(), n.index.EncodeSnapshot(n.store.Generation()+1)); err != nil {
-		return err
-	}
-	n.indexSnapshot.Store(indexLive)
-	return nil
-}
 
 // Close shuts the engine down: replication stops, the background
 // checkpointer stops, a final checkpoint runs, and the WAL closes. On an
@@ -509,15 +500,11 @@ func (n *node) close() error {
 		return nil
 	}
 	n.stopCheckpointer()
-	// Same order as checkpoint: ckptMu before the engine mutex. Once both
-	// are held no rotation can race, so the final generation is knowable in
-	// advance and the live index can be persisted stamped with it.
 	n.ckptMu.Lock()
 	defer n.ckptMu.Unlock()
 	n.owner.mu.Lock()
-	defer n.owner.mu.Unlock()
 	var firstErr error
-	if err := n.checkpointLive(); err != nil {
+	if err := n.checkpointTo(n.store); err != nil {
 		firstErr = fmt.Errorf("precis: final checkpoint: %w", err)
 		// The checkpoint failed but the WAL still holds every mutation:
 		// force it to disk so nothing is lost even on this path.

@@ -27,7 +27,7 @@ var deltaCkptAfter = []int{2, 5, 7}
 
 // buildChainDir runs the full crash script with the first nCkpts scripted
 // checkpoints and returns a crash-point copy of the data directory (taken
-// before Close, which would flatten the chain).
+// before Close, whose final checkpoint would extend or compact the chain).
 func buildChainDir(t *testing.T, nCkpts int) string {
 	t.Helper()
 	dir := t.TempDir()

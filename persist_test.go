@@ -258,6 +258,70 @@ func TestWALAppendFailureRollsBack(t *testing.T) {
 	}
 }
 
+// TestFailedDeleteKeepsItsPlace: a delete whose WAL append fails changes
+// nothing, not even where its tuple sits in its relation, so the live engine
+// scans the relation in the order a crash-copy recovery of its directory
+// does.
+func TestFailedDeleteKeepsItsPlace(t *testing.T) {
+	dir := t.TempDir()
+	eng := openPersistent(t, dir)
+	defer eng.Close()
+	a, err := eng.Insert("GENRE", storage.Int(1), storage.String("zz-a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Insert("GENRE", storage.Int(1), storage.String("zz-b")); err != nil {
+		t.Fatal(err)
+	}
+	errBoom := errors.New("injected WAL failure")
+	deactivate := faultinject.Activate(faultinject.NewPlan().
+		Set(faultinject.SiteWALAppend, faultinject.Rule{Err: errBoom}))
+	ok, err := eng.Delete("GENRE", a)
+	deactivate()
+	if ok || !errors.Is(err, errBoom) {
+		t.Fatalf("Delete under WAL failure = %v, %v, want false + injected error", ok, err)
+	}
+	if err := eng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	eng2 := openPersistent(t, copyDataDir(t, dir))
+	defer eng2.Close()
+	if got, want := dumpDatabase(eng2.Database()), dumpDatabase(eng.Database()); got != want {
+		t.Fatalf("recovered order differs from the live engine's:\nlive:\n%s\nrecovered:\n%s", want, got)
+	}
+}
+
+// TestDeleteOfReferencedTupleRefused: on the example movies, PLAY, GENRE and
+// CAST rows name MOVIE 3's mid, and no other movie holds it. Deleting it is
+// refused with storage.ErrReferenced, logs nothing and changes nothing, and
+// the directory then checkpoints, closes and opens: a live engine accepts
+// nothing that Open would refuse as a referential-integrity violation.
+func TestDeleteOfReferencedTupleRefused(t *testing.T) {
+	dir := t.TempDir()
+	eng := openPersistent(t, dir)
+	before, records := dumpDatabase(eng.Database()), eng.PersistStats().WALRecords
+	if ok, err := eng.Delete("MOVIE", 3); ok || !errors.Is(err, storage.ErrReferenced) {
+		t.Fatalf("Delete(MOVIE, 3) = %v, %v; want false, storage.ErrReferenced", ok, err)
+	}
+	if got := eng.PersistStats().WALRecords; got != records {
+		t.Fatalf("the refused delete logged: %d WAL records, want %d", got, records)
+	}
+	if got := dumpDatabase(eng.Database()); got != before {
+		t.Fatalf("the refused delete changed the database:\nwant:\n%s\ngot:\n%s", before, got)
+	}
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng2 := openPersistent(t, dir)
+	defer eng2.Close()
+	if got := dumpDatabase(eng2.Database()); got != before {
+		t.Fatalf("reopened database differs:\nwant:\n%s\ngot:\n%s", before, got)
+	}
+}
+
 // TestWALFsyncFailureNoPhantomRecord injects an fsync error under
 // FsyncAlways — the case where the frame bytes hit the file before the
 // failure. The engine rolls the mutation back; the WAL layer must

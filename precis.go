@@ -189,6 +189,9 @@ type backend interface {
 	newFetcher() core.Fetcher
 	// nextID is the id the next Insert gets, the same on every topology.
 	nextID() storage.TupleID
+	// checkDelete is storage.CheckDelete over every partition: the tuples
+	// referencing a shard's tuple can live on any shard.
+	checkDelete(relation string, id storage.TupleID) error
 	// commit applies one gated mutation record and logs it. applied reports
 	// that state changed and stayed changed: the cache is purged exactly then.
 	commit(rec wal.Record) (applied bool, err error)
@@ -375,12 +378,18 @@ func (e *Engine) Index() *invidx.Index {
 }
 
 // commitLocked is the path every WAL-logged mutation takes: the role's gate,
-// the backend's apply-and-log, then the cache purge — only if something was
+// the refusal of a delete that would leave a reference dangling, the
+// backend's apply-and-log, then the cache purge — only if something was
 // accepted (a refused or rejected mutation changes nothing), and before the
 // caller releases e.mu, so no reader can see a stale hit. Callers hold e.mu.
 func (e *Engine) commitLocked(rec wal.Record) (applied bool, err error) {
 	if err := e.role.gate(); err != nil {
 		return false, err
+	}
+	if rec.Op == wal.OpDelete {
+		if err := e.backend.checkDelete(rec.Rel, rec.ID); err != nil {
+			return false, err
+		}
 	}
 	rendered := false
 	if rec.Op == wal.OpMacro {
@@ -477,7 +486,8 @@ func (e *Engine) Update(relation string, id storage.TupleID, vals []storage.Valu
 }
 
 // Delete removes a tuple and keeps the inverted index current. It reports
-// false, with no error, when the relation holds no such tuple.
+// false, with no error, when the relation holds no such tuple, and refuses a
+// tuple a foreign key still needs with storage.ErrReferenced (see CheckDelete).
 func (e *Engine) Delete(relation string, id storage.TupleID) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

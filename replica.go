@@ -245,6 +245,7 @@ func OpenFollower(g *schemagraph.Graph, cfg ReplicaConfig) (*Engine, error) {
 // settings and survive it.
 func (r *replicaState) adopt(fresh *node, gen, records uint64, bytes int64) error {
 	if r.eng == nil {
+		fresh.cfg.Logger = r.log // checkpointTo's, until Promote mounts the store
 		eng, err := assemble(r.graph, fresh)
 		if err != nil {
 			return err
@@ -383,6 +384,7 @@ func (r *replicaState) onSnapshot(gen uint64, raw []byte) error {
 		if err := r.store.InstallSnapshot(gen, raw); err != nil {
 			return fmt.Errorf("install streamed snapshot: %w", err)
 		}
+		data.DB.EnableDirtyTracking() // the chain's base: what follows goes in the next delta
 	}
 	how := "re-bootstrapped (fell behind a checkpoint)"
 	if r.eng == nil {
@@ -433,10 +435,10 @@ func (r *replicaState) onRecord(gen, seq uint64, payload []byte) error {
 // persistRecord writes one streamed frame through the follower's local
 // store before it is applied (and thus before it can be acked). The local
 // log stays byte-identical to the primary's: frames are appended verbatim,
-// and a generation rotation on the stream is mirrored by a local
-// checkpoint so the numbering never drifts. Re-delivered frames (a
-// reconnect after the append but before the apply advanced the position)
-// are skipped — the bytes are already durable.
+// and a generation rotation on the stream is mirrored by a local checkpoint
+// (checkpointTo, as the engine's own) so the numbering never drifts.
+// Re-delivered frames (a reconnect after the append but before the apply
+// advanced the position) are skipped — the bytes are already durable.
 func (r *replicaState) persistRecord(gen, seq uint64, payload []byte) error {
 	st := r.store.Stats()
 	if st.Generation == gen && st.WALRecords > int64(seq) {
@@ -449,10 +451,11 @@ func (r *replicaState) persistRecord(gen, seq uint64, payload []byte) error {
 		if st.Generation+1 != gen || seq != 0 {
 			return fmt.Errorf("follower store at generation %d cannot persist record (%d,%d)", st.Generation, gen, seq)
 		}
+		r.node.ckptMu.Lock()
 		r.eng.mu.Lock()
-		data := r.node.snapshotData()
-		r.eng.mu.Unlock()
-		if err := r.store.Checkpoint(data); err != nil {
+		err := r.node.checkpointTo(r.store)
+		r.node.ckptMu.Unlock()
+		if err != nil {
 			return fmt.Errorf("follower checkpoint at rotation to generation %d: %w", gen, err)
 		}
 	}

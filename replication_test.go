@@ -17,6 +17,8 @@ import (
 	"log"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,6 +379,119 @@ func TestReplFallBehindRebootstraps(t *testing.T) {
 	}
 	if fs.AppliedGen < 3 {
 		t.Fatalf("follower converged at generation %d; checkpoints should have rotated past 2", fs.AppliedGen)
+	}
+}
+
+// TestReplDurableFollowerCrossesRotations: a durable follower mirrors each
+// of DefaultCompactEvery+2 primary checkpoints on its own store by the
+// engine's one checkpoint protocol — a delta per rotation, and the one
+// rotation that would outgrow the chain a compaction with an index beside
+// its snapshot — stays identical to the primary, restarts from its directory
+// with no snapshot transfer, and, promoted, checkpoints and reopens as a
+// standalone engine holding the primary's state.
+func TestReplDurableFollowerCrossesRotations(t *testing.T) {
+	primary, addr := startReplPrimary(t)
+	defer primary.Close()
+	fdir := t.TempDir()
+	follower, err := openDurableFollowerOf(addr, fdir)
+	if err != nil {
+		t.Fatalf("durable follower: %v", err)
+	}
+	defer func() { _ = follower.Close() }()
+
+	// Each step inserts a genre row; every other step also deletes the
+	// previous one, so the deltas carry tombstones as well as upserts.
+	var last storage.TupleID
+	mutate := func(i int) {
+		t.Helper()
+		id, err := primary.Insert("GENRE", storage.Int(1), storage.String(fmt.Sprint("rotation ", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if ok, err := primary.Delete("GENRE", last); !ok || err != nil {
+				t.Fatalf("delete GENRE/%d: %v, %v", last, ok, err)
+			}
+		}
+		if i == 3 {
+			if err := primary.AddSynonym("rot", "rotation"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last = id
+	}
+	has := func(name string) bool {
+		_, err := os.Stat(filepath.Join(fdir, name))
+		return err == nil
+	}
+	mutate(0)
+	waitReplConverged(t, primary, follower, 10*time.Second)
+	deltas, compactions := 0, 0
+	for i := 1; i <= DefaultCompactEvery+2; i++ {
+		if err := primary.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		// The first record of the new generation is what makes the follower
+		// mirror the rotation.
+		mutate(i)
+		waitReplConverged(t, primary, follower, 10*time.Second)
+		gen := primary.PersistStats().Generation
+		switch {
+		case has(fmt.Sprintf("delta-%016x.dlt", gen)):
+			deltas++
+		case has(fmt.Sprintf("snap-%016x.snap", gen)) && has(wal.IndexSnapshotName(gen)):
+			compactions++
+		default:
+			t.Fatalf("rotation to generation %d left neither a delta nor a snapshot with its index in the follower's directory", gen)
+		}
+	}
+	if deltas != DefaultCompactEvery+1 || compactions != 1 {
+		t.Fatalf("follower wrote %d delta(s) and %d compaction(s) over %d rotations, want %d and 1",
+			deltas, compactions, DefaultCompactEvery+2, DefaultCompactEvery+1)
+	}
+	assertReplicaIdentical(t, primary, follower, "after crossing rotations")
+	if fs := follower.ReplStats().Follower; fs.Snapshots != 1 {
+		t.Fatalf("follower took %d snapshot transfers crossing rotations, want the bootstrap only", fs.Snapshots)
+	}
+
+	// Restart: the follower recovers its chain and log and resumes.
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mutate(DefaultCompactEvery + 3)
+	if follower, err = openDurableFollowerOf(addr, fdir); err != nil {
+		t.Fatalf("reopen durable follower: %v", err)
+	}
+	waitReplConverged(t, primary, follower, 10*time.Second)
+	if fs := follower.ReplStats().Follower; fs.Snapshots != 0 {
+		t.Fatalf("restarted follower took %d snapshot transfer(s); it must resume from its directory", fs.Snapshots)
+	}
+	assertReplicaIdentical(t, primary, follower, "after restart")
+
+	// Promote, checkpoint on the follower's store, and reopen it standalone.
+	if _, err := follower.Promote(PromoteConfig{}); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if err := follower.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint of the promoted follower: %v", err)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, g, err := dataset.ExampleMovies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.AnnotateNarrative(g); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(db, g, quietPersistConfig(fdir))
+	if err != nil {
+		t.Fatalf("reopen the promoted follower's directory: %v", err)
+	}
+	defer reopened.Close()
+	if want, got := dumpDatabase(primary.Database()), dumpDatabase(reopened.Database()); want != got {
+		t.Fatalf("reopened promoted follower differs from the primary:\nprimary:\n%s\nreopened:\n%s", want, got)
 	}
 }
 

@@ -277,7 +277,12 @@
 # TestReplOneHistoryFourRoutes: one seeded history through a primary's API,
 # a follower's stream, crash-copy recovery and a 3-shard coordinator, equal
 # on snapshot and index bytes (the first three) and on answers (the fourth)
-# — the guard on there being one apply path and one load path.
+# — the guard on there being one apply path and one load path — and
+# TestReplDurableFollowerCrossesRotations, the guard on there being one
+# checkpoint protocol: a durable follower mirrors DefaultCompactEvery+2
+# primary rotations through the engine's checkpoint (a delta each, one
+# compaction with its index), restarts with no snapshot transfer, and is
+# promoted, checkpointed and reopened.
 #
 # The last step runs the figure suite of cmd/precis-bench at -quick
 # (Figures 7-9, the cost model, the running example, the baselines and the
@@ -285,7 +290,10 @@
 #
 # The line-count report (scripts/loc.sh) prints non-test Go lines per
 # package. It is a report, not a gate: the table ROADMAP.md quotes, printed
-# where a PR that grows a package shows it.
+# where a PR that grows a package shows it. The test-time ledger
+# (scripts/testtime.sh) is its twin for time: it runs the tier-1 suite
+# (go test ./..., no -race) once more under -json and prints seconds per
+# package and the ten slowest tests — also a report, not a gate.
 #
 # Every step that names its tests goes through gotest (or fuzz), which first
 # asks go test -list whether each |-separated part of the pattern still names a
@@ -345,7 +353,7 @@ gotest 'TestCrashTorture' -race -count=1 -timeout=10m .
 
 echo "== incremental checkpoint torture -race (chain depths, every chain/index byte)"
 gotest 'TestDeltaChain|TestPersistedIndex|TestKeyCycle|TestFirstCompaction' -race -count=1 -timeout=15m .
-gotest 'TestDelta|TestStore|TestManifest|TestApplyDelta|TestIndexSnapshot|TestCompact|TestFlattened' -race -count=1 -timeout=10m ./internal/wal ./internal/invidx
+gotest 'TestDelta|TestStore|TestApplyDelta|TestIndexSnapshot|TestCompact|TestFlattened' -race -count=1 -timeout=10m ./internal/wal ./internal/invidx
 
 echo "== replication convergence -race (full strength: swept link cuts; one history, four routes)"
 gotest 'TestRepl|TestChaosReplicatedStorm' -race -count=1 -timeout=10m .
@@ -399,5 +407,8 @@ bash benchmark/run.sh -smoke
 
 echo "== figure suite (precis-bench -quick)"
 go run ./cmd/precis-bench -quick
+
+echo "== test-time ledger (report only: seconds per package, the ten slowest tests)"
+bash scripts/testtime.sh
 
 echo "CI OK"

@@ -233,6 +233,13 @@ func shardMutationScript(t *testing.T, e *Engine) []storage.TupleID {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A movie a genre row still names is refused, on every shape: the
+	// referencing row can live on another shard than the movie.
+	for _, movie := range []storage.TupleID{3, mid} {
+		if ok, err := e.Delete("MOVIE", movie); ok || !errors.Is(err, storage.ErrReferenced) {
+			t.Fatalf("Delete(MOVIE, %d) of a referenced movie = %v, %v; want storage.ErrReferenced", movie, ok, err)
+		}
+	}
 	deleted, err := e.Delete("GENRE", gid2)
 	if err != nil {
 		t.Fatal(err)

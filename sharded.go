@@ -317,12 +317,19 @@ func (s *shardSet) lookup(term string) ([]invidx.Occurrence, error) {
 // newFetcher builds the per-query scatter/gather fetcher over the current
 // shard databases. Callers hold the coordinator's RLock, so the database
 // set is stable for the query's lifetime.
-func (s *shardSet) newFetcher() core.Fetcher {
+func (s *shardSet) newFetcher() core.Fetcher { return shard.NewFetcher(s.part, s.dbs(), s.metrics) }
+
+func (s *shardSet) checkDelete(relation string, id storage.TupleID) error {
+	return storage.CheckDelete(s.dbs(), relation, id)
+}
+
+// dbs returns the shards' databases in shard order.
+func (s *shardSet) dbs() []*storage.Database {
 	dbs := make([]*storage.Database, len(s.parts))
 	for i, n := range s.parts {
 		dbs[i] = n.db
 	}
-	return shard.NewFetcher(s.part, dbs, s.metrics)
+	return dbs
 }
 
 // nextID is the maximum next-tuple-id over all shards — the same id an
