@@ -137,7 +137,7 @@ func TestChaosTranslatorLookupFault(t *testing.T) {
 // TestChaosMidGenerationFault sweeps one injected error over the generated
 // statements and cursor probes of a query, and over the index lookups behind
 // them, serially and with a fetch pool: a join that fails after earlier ones
-// have entered D′ — a whole batch each, its indexes merged — fails the query
+// have entered D′ — a whole batch each — fails the query
 // with the injected error and no answer, and the next query, cached or not,
 // is the unfaulted one. (What D′ holds at that moment is internal/core's
 // TestFaultMidJoinLeavesExactPrefix.)
@@ -665,7 +665,7 @@ func TestChaosPersistentStorm(t *testing.T) {
 	if _, err := eng.Insert("GENRE", mid, storage.String("post-storm")); err != nil {
 		t.Fatalf("engine rejects mutations after the storm: %v", err)
 	}
-	if violations := eng.Database().CheckIntegrity(); len(violations) > 0 {
+	if violations := storage.CheckIntegrity(eng.Database()); len(violations) > 0 {
 		t.Fatalf("live database has %d integrity violations after the storm", len(violations))
 	}
 	liveDump := dumpDatabase(eng.Database())
@@ -682,7 +682,7 @@ func TestChaosPersistentStorm(t *testing.T) {
 	if got := dumpDatabase(reopened.Database()); got != liveDump {
 		t.Errorf("recovered database differs from the live one after the storm:\nlive:\n%s\nrecovered:\n%s", liveDump, got)
 	}
-	if violations := reopened.Database().CheckIntegrity(); len(violations) > 0 {
+	if violations := storage.CheckIntegrity(reopened.Database()); len(violations) > 0 {
 		t.Errorf("recovered database has %d integrity violations", len(violations))
 	}
 }

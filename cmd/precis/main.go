@@ -287,10 +287,10 @@ func printTables(ans *precis.Answer) {
 			idx[i] = r.Schema().ColumnIndex(c)
 		}
 		fmt.Printf("    %s\n", strings.Join(cols, " | "))
-		r.Scan(func(t storage.Tuple) bool {
+		r.ScanRows(func(_ storage.TupleID, row storage.Row) bool {
 			parts := make([]string, len(idx))
 			for i, ci := range idx {
-				parts[i] = t.Values[ci].String()
+				parts[i] = row.Value(ci).String()
 			}
 			fmt.Printf("    %s\n", strings.Join(parts, " | "))
 			return true

@@ -24,14 +24,14 @@ import (
 // name, each with its column list and every tuple (id first) in scan order.
 // Two identical précis answers produce identical dumps, and any difference
 // in tuple content, identity, or insertion order shows up as a diff.
-func dumpDatabase(db *storage.Database) string {
+func dumpDatabase(db storage.Reader) string {
 	var sb strings.Builder
 	for _, name := range db.RelationNames() {
-		rel := db.Relation(name)
+		rel := db.Table(name)
 		fmt.Fprintf(&sb, "== %s (%s)\n", name, strings.Join(rel.Schema().ColumnNames(), ","))
-		rel.Scan(func(t storage.Tuple) bool {
-			fmt.Fprintf(&sb, "%d:", t.ID)
-			for _, v := range t.Values {
+		rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+			fmt.Fprintf(&sb, "%d:", id)
+			for _, v := range row.Values() {
 				sb.WriteByte(' ')
 				sb.WriteString(v.String())
 			}
@@ -163,6 +163,7 @@ func TestParallelDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					checkAnswer(t, eng, terms[0], opts, ref)
 					refDump := dumpDatabase(ref.Database)
 					for _, workers := range []int{2, 4, 8} {
 						opts.Parallelism = workers
@@ -170,6 +171,7 @@ func TestParallelDeterminism(t *testing.T) {
 						if err != nil {
 							t.Fatalf("workers=%d: %v", workers, err)
 						}
+						checkAnswer(t, eng, terms[0], opts, ans)
 						if got := dumpDatabase(ans.Database); got != refDump {
 							t.Fatalf("workers=%d: result database differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
 								workers, refDump, got)
@@ -190,12 +192,13 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestParallelFetchesShareDrivingRelation: the four joins leaving the hub of
-// the star schema form one batch, so with a pool their fetches run at once
-// and every one of them starts by reading the distinct driving values of the
-// same D′ relation, which the seeds' InsertBatch left indexed. A delay at the
-// head of each join holds the workers back until all have started, so the
-// reads overlap; under -race an index completed on first read instead of on
-// insert fails here. The answers equal the serial one.
+// the star schema form one batch, so with a pool their fetches run at once,
+// every one of them driven by values read off the same D′ relation's join
+// index — built, and read, on the coordination goroutine before the batch —
+// and reading D′'s id sets as it runs. A delay at the head of each join holds
+// the workers back until all have started, so the reads overlap; under -race
+// anything built or cached in D′ on a read fails here. The answers equal the
+// serial one.
 func TestParallelFetchesShareDrivingRelation(t *testing.T) {
 	db, g, err := dataset.Star(dataset.StarConfig{Satellites: 4, RowsPerRel: 100, Fanout: 3, Seed: 7})
 	if err != nil {
@@ -289,4 +292,30 @@ func TestParallelDeterminismTupleWeights(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scanTuples is Relation.Scan on any relation, a result relation included.
+func scanTuples(rel storage.Table, fn func(storage.Tuple) bool) {
+	rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+		return fn(storage.Tuple{ID: id, Values: row.Values()})
+	})
+}
+
+// tuplesOf is Relation.Tuples on any relation.
+func tuplesOf(rel storage.Table) []storage.Tuple {
+	var out []storage.Tuple
+	scanTuples(rel, func(tu storage.Tuple) bool {
+		out = append(out, tu)
+		return true
+	})
+	return out
+}
+
+// getTuple is Relation.Get on a result relation.
+func getTuple(rel *storage.ResultRelation, id storage.TupleID) (storage.Tuple, bool) {
+	row, ok := rel.Row(id)
+	if !ok {
+		return storage.Tuple{}, false
+	}
+	return storage.Tuple{ID: id, Values: row.Values()}, true
 }

@@ -44,8 +44,8 @@ func ExampleEngine_Query() {
 
 	movies := ans.Database.Relation("MOVIE")
 	ti := movies.Schema().ColumnIndex("title")
-	movies.Scan(func(t storage.Tuple) bool {
-		fmt.Println("movie:", t.Values[ti].AsString())
+	movies.ScanRows(func(_ storage.TupleID, row storage.Row) bool {
+		fmt.Println("movie:", row.Value(ti).AsString())
 		return true
 	})
 	// Output:

@@ -81,7 +81,7 @@ func TestIDSpaceBoundary(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := ans.Database.Relation("MOVIE").Get(storage.MaxTupleID); !ok {
+				if _, ok := getTuple(ans.Database.Relation("MOVIE"), storage.MaxTupleID); !ok {
 					t.Fatalf("the tuple at MaxTupleID is not in the answer for its title: %s", dumpDatabase(ans.Database))
 				}
 				if ans, err = e.QueryString("Martel", Options{}); err != nil || ans.Database.Relation("MOVIE").Len() != 2 {

@@ -19,27 +19,53 @@ import (
 )
 
 // relationDump lists a relation's tuples, id first, in scan order.
-func relationDump(rel *storage.Relation) []string {
+func relationDump(rel *storage.ResultRelation) []string {
 	var out []string
-	rel.Scan(func(tu storage.Tuple) bool {
-		out = append(out, fmt.Sprint(tu.ID, tu.Values))
+	rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+		out = append(out, fmt.Sprint(id, row.Values()))
 		return true
 	})
 	return out
 }
 
+// scanTuples is Relation.Scan on any relation, a result relation included.
+func scanTuples(rel storage.Table, fn func(storage.Tuple) bool) {
+	rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+		return fn(storage.Tuple{ID: id, Values: row.Values()})
+	})
+}
+
+// tuplesOf is Relation.Tuples on any relation.
+func tuplesOf(rel storage.Table) []storage.Tuple {
+	var out []storage.Tuple
+	scanTuples(rel, func(tu storage.Tuple) bool {
+		out = append(out, tu)
+		return true
+	})
+	return out
+}
+
+// getTuple is Relation.Get on a result relation.
+func getTuple(rel *storage.ResultRelation, id storage.TupleID) (storage.Tuple, bool) {
+	row, ok := rel.Row(id)
+	if !ok {
+		return storage.Tuple{}, false
+	}
+	return storage.Tuple{ID: id, Values: row.Values()}, true
+}
+
 // checkIndexesCurrent holds every index of a result database to a scan of
 // its relation: each distinct value of each indexed column finds exactly the
 // tuples that carry it.
-func checkIndexesCurrent(t *testing.T, when string, db *storage.Database) {
+func checkIndexesCurrent(t *testing.T, when string, db *storage.Result) {
 	t.Helper()
 	for _, name := range db.RelationNames() {
 		rel := db.Relation(name)
 		for _, col := range rel.IndexedColumns() {
 			ci := rel.Schema().ColumnIndex(col)
 			want := map[storage.Value][]storage.TupleID{}
-			rel.Scan(func(tu storage.Tuple) bool {
-				want[tu.Values[ci]] = append(want[tu.Values[ci]], tu.ID)
+			rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+				want[row.Value(ci)] = append(want[row.Value(ci)], id)
 				return true
 			})
 			distinct, err := rel.DistinctValues(col)
@@ -54,6 +80,9 @@ func checkIndexesCurrent(t *testing.T, when string, db *storage.Database) {
 				t.Fatalf("%s: %s.%s has %d distinct values indexed, %d stored", when, name, col, len(distinct), nonNull)
 			}
 			for v, ids := range want {
+				if v.IsNull() {
+					continue // NULL joins nothing
+				}
 				slices.Sort(ids)
 				if got, err := rel.Lookup(col, v); err != nil || !slices.Equal(got, ids) {
 					t.Fatalf("%s: %s.%s = %s finds %v, stored under %v (%v)", when, name, col, v, got, ids, err)

@@ -191,7 +191,7 @@ func TestBudgetPartialTrimsDanglingForeignKeys(t *testing.T) {
 	if !rd.Partial() {
 		t.Fatal("budget did not truncate the chain answer")
 	}
-	if v := rd.DB.CheckIntegrity(); len(v) != 0 {
+	if v := storage.CheckIntegrity(rd.DB); len(v) != 0 {
 		t.Fatalf("partial answer has %d dangling references: %+v", len(v), v)
 	}
 }
@@ -215,14 +215,14 @@ func TestBudgetTrimSurvivesLookupFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	carried := len(gen.out.ForeignKeys())
-	if len(gen.out.CheckIntegrity()) == 0 {
+	if len(storage.CheckIntegrity(gen.out)) == 0 {
 		t.Fatal("the truncated answer has nothing dangling: the test checks nothing")
 	}
 	plan := faultinject.NewPlan().Set(faultinject.SiteStorageLookup, faultinject.Rule{Err: errors.New("injected")})
 	deactivate := faultinject.Activate(plan)
 	rd := gen.result()
 	deactivate()
-	if v := rd.DB.CheckIntegrity(); len(v) != 0 {
+	if v := storage.CheckIntegrity(rd.DB); len(v) != 0 {
 		t.Fatalf("a lookup fault left %d dangling references on the partial answer: %+v", len(v), v)
 	}
 	if kept := len(rd.DB.ForeignKeys()); kept >= carried {

@@ -59,11 +59,11 @@ type GenStats struct {
 	TotalTuples       int
 }
 
-// ResultDatabase is the précis: a new database D' that is a sub-database of
+// ResultDatabase is the précis: the result database D', tuples selected from
 // the original, together with the result schema it instantiates and the
 // generation statistics.
 type ResultDatabase struct {
-	DB     *storage.Database
+	DB     *storage.Result
 	Schema *ResultSchema
 	Stats  GenStats
 	// Truncation is non-empty when a resource Budget stopped generation
@@ -163,11 +163,14 @@ type generator struct {
 	ctx     context.Context
 	bt      *budgetTracker // nil when no budget was set
 	trace   *obs.Trace     // nil when the query is untraced
-	out     *storage.Database
+	out     *storage.Result
 	perRel  map[string]int
 	total   int
 	stats   GenStats
 	lay     *layout // of D'; shared, read only
+	// values holds, per position in a batch, its edge's driving values:
+	// buffers every batch reuses.
+	values [][]storage.Value
 }
 
 // fetched is the outcome of one fetch task: candidate rows and their tuple
@@ -205,11 +208,8 @@ func GenerateDatabaseOpts(eng Fetcher, rs *ResultSchema, seedTuples map[string][
 }
 
 // newGenerator validates the inputs of one Figure 5 run and creates the
-// empty output database from its layout: the relations of G', an index on
-// every column a G' edge arrives at — the join indexes of the whole answer:
-// the generator's own reads (distinct driving values, the integrity check of
-// a truncated answer) and the translator's clause walk probe them, so nothing
-// downstream indexes D' again — and the foreign keys that carry over.
+// empty output database from its layout: the relations of G' and the foreign
+// keys that carry over.
 func newGenerator(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage.TupleID, c CardinalityConstraint, strat Strategy, opts DBGenOptions) (*generator, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cardinality constraint")
@@ -241,30 +241,25 @@ func newGenerator(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage
 		ctx:     ctx,
 		bt:      newBudgetTracker(opts.Budget),
 		trace:   opts.Trace,
-		out:     storage.NewBatchDatabase("precis"),
+		out:     storage.NewResult("precis", lay.schemas, lay.fks),
 		perRel:  make(map[string]int),
 		lay:     lay,
 	}
 	g.stats.TuplesPerRelation = g.perRel
-	for i := range lay.rels {
-		out, err := g.out.CreateRelation(lay.rels[i].schema)
-		if err != nil {
-			return nil, err
-		}
-		for _, col := range lay.rels[i].indexed {
-			if err := out.CreateIndex(col); err != nil {
-				return nil, err
-			}
-		}
-	}
-	g.out.SetForeignKeys(lay.fks)
 	return g, nil
 }
 
-// result wraps the generated database, trimming what a budget cut left
+// result wraps the generated database: it indexes every column a G' edge
+// arrives at — the translator's clause walk and the integrity check of a
+// truncated answer look partners up there — and trims what a budget cut left
 // dangling.
 func (g *generator) result() *ResultDatabase {
 	g.stats.TotalTuples = g.total
+	for i, cols := range g.lay.indexed {
+		for _, col := range cols {
+			g.out.Relation(g.lay.schemas[i].Name).Index(col)
+		}
+	}
 	rd := &ResultDatabase{DB: g.out, Schema: g.rs, Stats: g.stats, Truncation: g.bt.Reason()}
 	if rd.Partial() {
 		g.trimDanglingForeignKeys()
@@ -279,7 +274,7 @@ func (g *generator) result() *ResultDatabase {
 // paper's §1 promise). Complete answers never need this — the generator
 // only materializes children of parents already present.
 func (g *generator) trimDanglingForeignKeys() {
-	violations := g.out.CheckIntegrity()
+	violations := storage.CheckIntegrity(g.out)
 	if len(violations) == 0 {
 		return
 	}
@@ -324,16 +319,12 @@ func (g *generator) execFetch(f *fetched, st *sqlx.SelectStmt) (*sqlx.Result, er
 // layout is D' before its tuples, as it follows from G' and the catalog of
 // the original database. The queries of one G' share it: read only.
 type layout struct {
-	rels []relLayout          // in G' order
-	cols map[string][]string  // each relation's column names
-	fks  []storage.ForeignKey // the original's whose endpoints survive
-}
-
-// relLayout is one relation of D': the projected attributes plus the join
-// columns of incident G' edges, in the original column order.
-type relLayout struct {
-	schema  *storage.Schema
-	indexed []string // the columns a G' edge arrives at
+	// schemas are the relations of D' in G' order: the projected attributes plus
+	// the join columns of incident G' edges, in the original column order.
+	schemas []*storage.Schema
+	indexed [][]string           // per relation, the columns a G' edge arrives at
+	cols    map[string][]string  // each relation's column names
+	fks     []storage.ForeignKey // the original's whose endpoints survive
 }
 
 // layoutKey names the catalog a layout was derived from. A catalog id is never
@@ -349,7 +340,7 @@ func (rs *ResultSchema) layout(orig *storage.Database) (*layout, error) {
 	}
 	edges := rs.Graph.JoinEdges()
 	names := rs.Relations()
-	lay := &layout{rels: make([]relLayout, len(names)), cols: make(map[string][]string, len(names))}
+	lay := &layout{schemas: make([]*storage.Schema, len(names)), indexed: make([][]string, len(names)), cols: make(map[string][]string, len(names))}
 	for i, name := range names {
 		rel := orig.Relation(name)
 		if rel == nil {
@@ -383,7 +374,7 @@ func (rs *ResultSchema) layout(orig *storage.Database) (*layout, error) {
 		if err != nil {
 			return nil, err
 		}
-		lay.rels[i], lay.cols[name] = relLayout{sub, indexed}, cols
+		lay.schemas[i], lay.indexed[i], lay.cols[name] = sub, indexed, cols
 	}
 	// Foreign keys of the original whose endpoints survive carry over, so
 	// the précis is a database with its own constraints (paper §1).
@@ -454,8 +445,10 @@ func (g *generator) fetchIDs(f *fetched, rel string, ids []storage.TupleID, limi
 // ever admitted, so the produced database is an exact prefix of the
 // canonical insertion sequence. Seed rows (seed=true) are always admitted
 // but still charged, guaranteeing a non-empty answer under any budget. The
-// admitted rows then enter D' in one InsertBatch, which brings its indexes up
-// to date here, on the coordination goroutine, before any fetch reads them.
+// admitted rows then enter D' in one Append, here, on the coordination
+// goroutine, which is also where the join indexes of D' are built: a driving
+// column's before the batch whose fetches read it (runBatch), the
+// arrival columns' when generation ends (result).
 func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 	if f == nil {
 		return nil
@@ -465,7 +458,7 @@ func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 	g.eng.AccumulateStats(f.sql)
 	outRel := g.out.Relation(rel)
 	// The fetch built its rows and ids for this generation alone: the admitted
-	// ones are compacted to the front in place, and D' keeps their records.
+	// ones are compacted to the front in place, and D' keeps the slices.
 	admitted := 0
 	for i, row := range f.rows {
 		if admitted >= budget {
@@ -484,10 +477,7 @@ func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
 		f.ids[admitted], f.rows[admitted] = id, row
 		admitted++
 	}
-	inserted, err := g.out.InsertBatch(rel, f.ids[:admitted], f.rows[:admitted])
-	if err != nil {
-		return err
-	}
+	inserted := outRel.Append(f.ids[:admitted], f.rows[:admitted])
 	g.perRel[rel] += inserted
 	g.total += inserted
 	return nil
@@ -664,13 +654,27 @@ func (g *generator) nextBatch(pending *[]*schemagraph.JoinEdge, arriving, execut
 }
 
 // runBatch fetches every edge of the batch (concurrently when the pool
-// allows) and applies the results serially in pick order.
+// allows) and applies the results serially in pick order. First, here on
+// the coordination goroutine, it reads each edge's driving values off the
+// driving column's join index, which it builds unless it is there: the
+// fetches only read D'.
 func (g *generator) runBatch(batch []*schemagraph.JoinEdge) error {
 	if len(batch) == 0 {
 		return nil
 	}
+	for len(g.values) < len(batch) {
+		g.values = append(g.values, nil)
+	}
+	for i, e := range batch {
+		from := g.out.Relation(e.From)
+		from.Index(e.FromCol)
+		var err error
+		if g.values[i], err = from.AppendDistinctValues(g.values[i][:0], e.FromCol); err != nil {
+			return err
+		}
+	}
 	if len(batch) == 1 {
-		return g.runJoin(batch[0])
+		return g.runJoin(batch[0], g.values[0])
 	}
 	budgets := make([]int, len(batch))
 	for i, e := range batch {
@@ -682,7 +686,7 @@ func (g *generator) runBatch(batch []*schemagraph.JoinEdge) error {
 		if budgets[i] <= 0 {
 			return
 		}
-		results[i], errs[i] = g.fetchJoin(batch[i], budgets[i])
+		results[i], errs[i] = g.fetchJoin(batch[i], g.values[i], budgets[i])
 	})
 	for i, e := range batch {
 		if errs[i] != nil {
@@ -716,7 +720,7 @@ func joinStepName(e *schemagraph.JoinEdge) string {
 
 // runJoin executes one join edge end-to-end: fetch under the live budget,
 // then apply.
-func (g *generator) runJoin(e *schemagraph.JoinEdge) error {
+func (g *generator) runJoin(e *schemagraph.JoinEdge, values []storage.Value) error {
 	var st obs.StepToken
 	if g.trace != nil {
 		st = g.trace.StartStep(joinStepName(e))
@@ -724,7 +728,7 @@ func (g *generator) runJoin(e *schemagraph.JoinEdge) error {
 	tuples0, queries0 := g.total, g.stats.Queries
 	b := g.budget(e.To)
 	if b > 0 {
-		f, err := g.fetchJoin(e, b)
+		f, err := g.fetchJoin(e, values, b)
 		if err != nil {
 			return err
 		}
@@ -742,21 +746,13 @@ func (g *generator) runJoin(e *schemagraph.JoinEdge) error {
 // fetchJoin retrieves, for the directed join Ri -> Rj, candidate tuples of
 // Rj joining to the tuples of Ri already in D' (paper: the issued query
 // "does not contain the actual join between the two relations" — it is a
-// selection on the join-attribute values present in R'i). It returns nil
-// when the join has nothing to do.
-func (g *generator) fetchJoin(e *schemagraph.JoinEdge, limit int) (*fetched, error) {
+// selection on the join-attribute values present in R'i, the driving
+// values). It returns nil when the join has nothing to do.
+func (g *generator) fetchJoin(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
 	if err := faultinject.Fire(faultinject.SiteJoin); err != nil {
 		return nil, fmt.Errorf("core: join %s->%s: %w", e.From, e.To, err)
 	}
 	if err := g.ctxErr(); err != nil {
-		return nil, err
-	}
-	from := g.out.Relation(e.From)
-	if from == nil || from.Len() == 0 {
-		return nil, nil
-	}
-	values, err := from.DistinctValues(e.FromCol)
-	if err != nil {
 		return nil, err
 	}
 	if len(values) == 0 {
@@ -853,7 +849,7 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 	if g.bt.checkDeadline() {
 		return f, nil
 	}
-	cursors, open, err := g.openCursors(f, e, values)
+	ids, cursors, err := g.openCursors(f, e, values)
 	if err != nil {
 		return nil, err
 	}
@@ -861,7 +857,7 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 	// Deterministic round-robin simulation: choose up to limit ids, one per
 	// cursor per round. A tuple holds one value of the join column, so the
 	// cursors are disjoint and no pick can repeat an earlier one.
-	chosen := make([]storage.TupleID, 0, min(open, limit)) // limit may be math.MaxInt (Unlimited)
+	chosen := make([]storage.TupleID, 0, min(len(ids), limit)) // limit may be math.MaxInt (Unlimited)
 	for len(chosen) < limit && len(cursors) > 0 {
 		if err := g.ctxErr(); err != nil {
 			return nil, err
@@ -872,13 +868,14 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 			return f, nil
 		}
 		next := cursors[:0]
-		for _, cur := range cursors {
+		for _, c := range cursors {
 			if len(chosen) >= limit {
 				break
 			}
-			chosen = append(chosen, cur[0])
-			if len(cur) > 1 {
-				next = append(next, cur[1:])
+			lo, hi := c>>32, c&(1<<32-1)
+			chosen = append(chosen, ids[lo])
+			if lo+1 < hi {
+				next = append(next, c+1<<32)
 			}
 		}
 		cursors = next
@@ -897,16 +894,16 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 // probe of Rj's join column (values is sorted: DistinctValues) and turns its
 // groups, in place, into one id cursor per driving value: ids already in R'j
 // are dropped, a cursor is put in tuple-weight order when Rj has weights, and
-// empty cursors are closed. It also returns the number of ids left open.
-func (g *generator) openCursors(f *fetched, e *schemagraph.JoinEdge, values []storage.Value) ([][]storage.TupleID, int, error) {
+// empty cursors are closed. It returns the ids left open and the cursors, each
+// its range [lo, hi) of them as lo<<32 | hi.
+func (g *generator) openCursors(f *fetched, e *schemagraph.JoinEdge, values []storage.Value) ([]storage.TupleID, []int, error) {
 	groups, err := g.eng.Probe(e.To, e.ToCol, values)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: cursor probe on %s: %w", e.To, err)
+		return nil, nil, fmt.Errorf("core: cursor probe on %s: %w", e.To, err)
 	}
 	f.queries++
 	f.sql.Add(groups.Stats)
-	outRel, ids := g.out.Relation(e.To), groups.IDs
-	cursors := make([][]storage.TupleID, 0, len(groups.Ends))
+	outRel, ids, cursors := g.out.Relation(e.To), groups.IDs, make([]int, 0, len(groups.Ends))
 	kept, start := 0, 0
 	for _, end := range groups.Ends {
 		lo := kept
@@ -919,8 +916,8 @@ func (g *generator) openCursors(f *fetched, e *schemagraph.JoinEdge, values []st
 		start = end
 		if kept > lo {
 			g.opts.Weights.order(e.To, ids[lo:kept]) // a no-op unless Rj has weights
-			cursors = append(cursors, ids[lo:kept:kept])
+			cursors = append(cursors, lo<<32|kept)
 		}
 	}
-	return cursors, kept, nil
+	return ids[:kept], cursors, nil
 }

@@ -63,7 +63,7 @@ func TestPaperRunningExampleData(t *testing.T) {
 	if dir.Len() != 1 {
 		t.Fatalf("DIRECTOR tuples = %d", dir.Len())
 	}
-	dt := dir.Tuples()[0]
+	dt := tuplesOf(dir)[0]
 	di := dir.Schema().ColumnIndex("dname")
 	if dt.Values[di].AsString() != "Woody Allen" {
 		t.Errorf("director = %v", dt.Values)
@@ -104,7 +104,7 @@ func TestGenerousBudgetFetchesAllRelatedMovies(t *testing.T) {
 	movies := rd.DB.Relation("MOVIE")
 	ti := movies.Schema().ColumnIndex("title")
 	var titles []string
-	movies.Scan(func(tu storage.Tuple) bool {
+	scanTuples(movies, func(tu storage.Tuple) bool {
 		titles = append(titles, tu.Values[ti].AsString())
 		return true
 	})
@@ -177,8 +177,8 @@ func TestStrategiesAgreeOnToOneJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rel := range []string{"R0", "R1"} {
-		a := naive.DB.Relation(rel).Tuples()
-		b := rr.DB.Relation(rel).Tuples()
+		a := tuplesOf(naive.DB.Relation(rel))
+		b := tuplesOf(rr.DB.Relation(rel))
 		ids := func(ts []storage.Tuple) []storage.TupleID {
 			out := make([]storage.TupleID, len(ts))
 			for i, tu := range ts {
@@ -230,7 +230,7 @@ func TestRoundRobinFairness(t *testing.T) {
 		r1 := rd.DB.Relation("R1")
 		pi := r1.Schema().ColumnIndex("parent")
 		set := map[int64]bool{}
-		r1.Scan(func(tu storage.Tuple) bool {
+		scanTuples(r1, func(tu storage.Tuple) bool {
 			set[tu.Values[pi].AsInt()] = true
 			return true
 		})
@@ -486,7 +486,7 @@ func TestTupleWeightsExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	var titles []string
-	rd.DB.Relation("MOVIE").Scan(func(tu storage.Tuple) bool {
+	scanTuples(rd.DB.Relation("MOVIE"), func(tu storage.Tuple) bool {
 		titles = append(titles, tu.Values[rd.DB.Relation("MOVIE").Schema().ColumnIndex("title")].AsString())
 		return true
 	})
@@ -523,7 +523,7 @@ func TestTupleWeightsSeedSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rd.DB.Relation("R0").Tuples()
+	got := tuplesOf(rd.DB.Relation("R0"))
 	if len(got) != 1 || got[0].ID != last {
 		t.Errorf("seed selection = %v, want [%d]", got, last)
 	}
@@ -570,7 +570,7 @@ func TestTupleWeightsRoundRobin(t *testing.T) {
 		}
 		return true
 	})
-	r1.Scan(func(tu storage.Tuple) bool {
+	scanTuples(r1, func(tu storage.Tuple) bool {
 		p := tu.Values[pi].AsInt()
 		if tu.ID != best[p] {
 			t.Errorf("parent %d: got tuple %d, want heaviest %d", p, tu.ID, best[p])

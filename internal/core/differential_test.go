@@ -176,7 +176,7 @@ func sameAsReferenceGenerator(t *testing.T, mk func() Fetcher, rs *ResultSchema,
 		t.Fatalf("relations %v, reference %v", got.DB.RelationNames(), want.DB.RelationNames())
 	}
 	for _, rel := range want.DB.RelationNames() {
-		g, w := got.DB.Relation(rel).Tuples(), want.DB.Relation(rel).Tuples()
+		g, w := tuplesOf(got.DB.Relation(rel)), tuplesOf(want.DB.Relation(rel))
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: tuples (in insertion order) differ from the reference\n got  %v\n want %v", rel, g, w)
 		}

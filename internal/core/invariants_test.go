@@ -239,8 +239,8 @@ func TestInvariantStrategiesSameTuplesUnlimited(t *testing.T) {
 			if ra.Len() != rb.Len() {
 				t.Fatalf("trial %d: %s naive %d != roundrobin %d tuples", trial, rel, ra.Len(), rb.Len())
 			}
-			ra.Scan(func(tu storage.Tuple) bool {
-				if _, ok := rb.Get(tu.ID); !ok {
+			scanTuples(ra, func(tu storage.Tuple) bool {
+				if _, ok := getTuple(rb, tu.ID); !ok {
 					t.Fatalf("trial %d: %s tuple %d only in naive result", trial, rel, tu.ID)
 				}
 				return true
@@ -274,7 +274,7 @@ func TestInvariantGenerationDeterministic(t *testing.T) {
 			}
 			var ids []storage.TupleID
 			for _, rel := range rd.DB.RelationNames() {
-				rd.DB.Relation(rel).Scan(func(tu storage.Tuple) bool {
+				scanTuples(rd.DB.Relation(rel), func(tu storage.Tuple) bool {
 					ids = append(ids, tu.ID)
 					return true
 				})

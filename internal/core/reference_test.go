@@ -217,7 +217,7 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 		}
 		ids := make([]storage.TupleID, 0, len(res.RowIDs))
 		for _, id := range res.RowIDs {
-			if _, exists := outRel.Get(id); !exists {
+			if _, exists := getTuple(outRel, id); !exists {
 				ids = append(ids, id)
 			}
 		}
@@ -308,7 +308,7 @@ func (g refGenerator) existingIDs(rel string) []storage.Value {
 		return nil
 	}
 	vals := make([]storage.Value, 0, r.Len())
-	r.Scan(func(t storage.Tuple) bool {
+	scanTuples(r, func(t storage.Tuple) bool {
 		vals = append(vals, storage.Int(int64(t.ID)))
 		return true
 	})

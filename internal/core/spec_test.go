@@ -288,7 +288,7 @@ func TestDatabaseMatchesSpec(t *testing.T) {
 								}
 								for _, rel := range sg.Relations {
 									var got []int64
-									for _, tu := range rd.DB.Relation(rel).Tuples() {
+									for _, tu := range tuplesOf(rd.DB.Relation(rel)) {
 										got = append(got, int64(tu.ID))
 									}
 									if !slices.Equal(got, want[rel]) {

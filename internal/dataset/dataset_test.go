@@ -15,7 +15,7 @@ func TestExampleMoviesIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := db.CheckIntegrity(); len(v) != 0 {
+	if v := storage.CheckIntegrity(db); len(v) != 0 {
 		t.Errorf("violations: %v", v)
 	}
 	if err := g.Validate(db); err != nil {
@@ -136,7 +136,7 @@ func TestSyntheticMoviesIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := db.CheckIntegrity(); len(v) != 0 {
+	if v := storage.CheckIntegrity(db); len(v) != 0 {
 		t.Fatalf("violations: %v (first of %d)", v[0], len(v))
 	}
 	if db.Relation("MOVIE").Len() != 200 {
@@ -176,7 +176,7 @@ func TestChainShape(t *testing.T) {
 			t.Errorf("%s has %d rows, want 50", rel, db.Relation(rel).Len())
 		}
 	}
-	if v := db.CheckIntegrity(); len(v) != 0 {
+	if v := storage.CheckIntegrity(db); len(v) != 0 {
 		t.Errorf("violations: %v", v)
 	}
 	if err := g.Validate(db); err != nil {
@@ -287,7 +287,7 @@ func TestStarShape(t *testing.T) {
 	if len(g.Relation("HUB").Out()) != 5 {
 		t.Errorf("hub out-edges = %d", len(g.Relation("HUB").Out()))
 	}
-	if v := db.CheckIntegrity(); len(v) != 0 {
+	if v := storage.CheckIntegrity(db); len(v) != 0 {
 		t.Errorf("violations: %v", v)
 	}
 	if err := g.Validate(db); err != nil {
@@ -335,7 +335,7 @@ func TestKindsHoldsEveryKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := db.CheckIntegrity(); len(v) != 0 {
+	if v := storage.CheckIntegrity(db); len(v) != 0 {
 		t.Fatalf("violations: %v", v)
 	}
 	if err := g.Validate(db); err != nil {

@@ -275,7 +275,7 @@ func ExampleMovies() (*storage.Database, *schemagraph.Graph, error) {
 			return nil, nil, fmt.Errorf("dataset: example row %d: %w", i, err)
 		}
 	}
-	if violations := db.CheckIntegrity(); len(violations) > 0 {
+	if violations := storage.CheckIntegrity(db); len(violations) > 0 {
 		return nil, nil, fmt.Errorf("dataset: example database violates integrity: %v", violations[0])
 	}
 	g, err := PaperGraph(db)

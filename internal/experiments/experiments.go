@@ -433,7 +433,10 @@ func RunningExample() (RunningExampleReport, error) {
 	if err != nil {
 		return report, err
 	}
-	report.TuplesPerRel = rd.DB.Stats().PerRel
+	report.TuplesPerRel = make(map[string]int)
+	for _, name := range rd.DB.RelationNames() {
+		report.TuplesPerRel[name] = rd.DB.Relation(name).Len()
+	}
 	report.SubDatabaseOK = storage.VerifySubDatabase(db, rd.DB) == nil
 	renderer := nlg.NewRenderer()
 	for _, def := range dataset.StandardMacros() {

@@ -3,6 +3,7 @@ package nlg
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,16 +159,11 @@ func TestNarrativeMatchesReference(t *testing.T) {
 //     notes have a NULL text between two others (@TEXT[$i$] skips it) and
 //     integer pages read through upper() and lower().
 //
-// indexed builds it as a generated result database is built: a batch
-// database with a RunIndex on every join column of G′. Without it the
-// database is a plain one, only the keyed columns have a (hash) index, and the
-// joins into WROTE and TAG scan.
+// indexed builds it as a generated result database is built, with a join
+// index on every column a G′ edge arrives at. Without it every join scans.
 func handBuiltResult(t testing.TB, indexed bool) (*core.ResultDatabase, []invidx.Occurrence) {
 	t.Helper()
 	db := storage.NewDatabase("handbuilt")
-	if indexed {
-		db = storage.NewBatchDatabase("handbuilt")
-	}
 	str := func(name string) storage.Column { return storage.Column{Name: name, Type: storage.TypeString} }
 	num := func(name string) storage.Column { return storage.Column{Name: name, Type: storage.TypeInt} }
 	db.MustCreateRelation(storage.MustSchema("AUTHOR", "aid", num("aid"), str("name"), str("city")))
@@ -257,17 +253,16 @@ func handBuiltResult(t testing.TB, indexed bool) (*core.ResultDatabase, []invidx
 	join("BOOK", "REVIEW", "bid", 0.7, `"Reviews: " + @STARS`)
 	g.Relation("AUTHOR").Sentence = `@NAME [i=arityOf(@CITY)] {" lives in " + @CITY} "."`
 	g.Relation("NOTE").Sentence = `@BLANK + " " + @TEXT`
+	res := resultOf(db)
 	if indexed {
 		for _, e := range g.JoinEdges() {
-			if rel := db.Relation(e.To); rel != nil {
-				if err := rel.CreateIndex(e.ToCol); err != nil {
-					t.Fatal(err)
-				}
+			if rel := res.Relation(e.To); rel != nil {
+				rel.Index(e.ToCol)
 			}
 		}
 	}
 
-	rd := &core.ResultDatabase{DB: db, Schema: &core.ResultSchema{Graph: g}}
+	rd := &core.ResultDatabase{DB: res, Schema: &core.ResultSchema{Graph: g}}
 	occs := []invidx.Occurrence{
 		{Relation: "NOTE", Attribute: "text", TupleIDs: []storage.TupleID{51}},
 		{Relation: "AUTHOR", Attribute: "name", TupleIDs: []storage.TupleID{1, 2, 3}},
@@ -276,6 +271,26 @@ func handBuiltResult(t testing.TB, indexed bool) (*core.ResultDatabase, []invidx
 		{Relation: "REVIEW", Attribute: "stars", TupleIDs: []storage.TupleID{50}},
 	}
 	return rd, occs
+}
+
+// resultOf returns a result database holding every tuple of db, in its
+// insertion order.
+func resultOf(db *storage.Database) *storage.Result {
+	var schemas []*storage.Schema
+	for _, name := range db.RelationNames() {
+		schemas = append(schemas, db.Relation(name).Schema())
+	}
+	res := storage.NewResult(db.Name(), schemas, db.ForeignKeys())
+	for _, name := range db.RelationNames() {
+		var ids []storage.TupleID
+		var rows []storage.Row
+		db.Relation(name).ScanRows(func(id storage.TupleID, row storage.Row) bool {
+			ids, rows = append(ids, id), append(rows, row)
+			return true
+		})
+		res.Relation(name).Append(ids, rows)
+	}
+	return res
 }
 
 // handBuiltRenderer defines the macros handBuiltResult's labels use.
@@ -301,7 +316,7 @@ func TestNarrativeMatchesReferenceHandBuilt(t *testing.T) {
 	sameAsReference(t, r, scanned, occs)
 	rd, occs := handBuiltResult(t, true)
 	sameAsReference(t, r, rd, occs)
-	if rd.DB.Relation("TAG").RunIndexOn("bid") == nil || scanned.DB.Relation("TAG").HasIndex("bid") {
+	if !slices.Contains(rd.DB.Relation("TAG").IndexedColumns(), "bid") || len(scanned.DB.Relation("TAG").IndexedColumns()) > 0 {
 		t.Fatal("the indexed and the unindexed fixture do not differ")
 	}
 

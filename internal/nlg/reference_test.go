@@ -33,7 +33,7 @@ func refNarrative(r *Renderer, rd *core.ResultDatabase, occs []invidx.Occurrence
 			continue
 		}
 		for _, id := range occ.TupleIDs {
-			t, ok := rel.Get(id)
+			t, ok := getTuple(rel, id)
 			if !ok || seen[seed{occ.Relation, id}] {
 				continue
 			}
@@ -248,7 +248,7 @@ func joinAcross(rd *core.ResultDatabase, from, fromCol, to, toCol string, anchor
 		}
 	}
 	var out []storage.Tuple
-	toRel.Scan(func(t storage.Tuple) bool {
+	scanTuples(toRel, func(t storage.Tuple) bool {
 		if want[t.Values[ti]] {
 			out = append(out, t)
 		}
@@ -358,4 +358,20 @@ func refHeadingValues(rd *core.ResultDatabase, rel string, tuples []storage.Tupl
 		}
 	}
 	return out
+}
+
+// scanTuples is Relation.Scan on any relation, a result relation included.
+func scanTuples(rel storage.Table, fn func(storage.Tuple) bool) {
+	rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+		return fn(storage.Tuple{ID: id, Values: row.Values()})
+	})
+}
+
+// getTuple is Relation.Get on a result relation.
+func getTuple(rel *storage.ResultRelation, id storage.TupleID) (storage.Tuple, bool) {
+	row, ok := rel.Row(id)
+	if !ok {
+		return storage.Tuple{}, false
+	}
+	return storage.Tuple{ID: id, Values: row.Values()}, true
 }

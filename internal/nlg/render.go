@@ -181,10 +181,10 @@ type narration struct {
 	clauses    int // clauses kept in the paragraph being written
 	maxClauses int // a paragraph stops growing here
 
-	ids    []storage.TupleID // joinTuples' probe buffer, reused across its calls
-	tuples []storage.Row     // stack of tuple groups; one is dead when the loop iteration that joined it ends
-	frames []*frame          // stack of binding frames, reused the same way, made eight at a time
-	used   int               // frames[:used] are live
+	matches []storage.Match // joinTuples' lookup buffer, reused across its calls
+	tuples  []storage.Row   // stack of tuple groups; one is dead when the loop iteration that joined it ends
+	frames  []*frame        // stack of binding frames, reused the same way, made eight at a time
+	used    int             // frames[:used] are live
 }
 
 // seed is a tuple a paragraph was told about: its relation's position and id.
@@ -195,8 +195,8 @@ type seed struct {
 
 // relState is a relation of the plan in this narration's D′.
 type relState struct {
-	rel    *storage.Relation // nil if the result database lacks it
-	onPath bool              // the walk is currently below this relation
+	rel    *storage.ResultRelation // nil if the result database lacks it
+	onPath bool                    // the walk is currently below this relation
 	// cols[a.id] is the column a template's attribute a names here, plus two:
 	// 1 when none does, 0 until asked.
 	cols []int16
@@ -207,12 +207,12 @@ type relState struct {
 	shown   bool
 }
 
-// edgeState is a join edge's D′ side, resolved when the walk first takes it.
+// edgeState is a join edge's D′ side, resolved when the walk first takes it:
+// the join column in the source and in the target; from is -1 when the edge
+// joins nothing.
 type edgeState struct {
 	resolved bool
-	from     int               // the join column in the source; -1: the edge joins nothing
-	index    *storage.RunIndex // the arrival column's, nil when D′ has none there
-	indexed  bool              // a lookup returns one index list: in id order
+	from, to int
 }
 
 // start readies a pooled narration for rd under p.
@@ -251,7 +251,7 @@ func (n *narration) release() {
 	for _, f := range n.frames {
 		*f = frame{}
 	}
-	n.display, n.ids, n.tuples = n.display[:0], nil, nil
+	n.display, n.matches, n.tuples = n.display[:0], nil, nil
 	n.paragraphs, n.clauses, n.used = 0, 0, 0
 	n.buf = n.buf[:0]
 	if cap(n.buf) > maxPooledBuf {
@@ -577,57 +577,52 @@ func (n *narration) joinClause(from int, e *planEdge, group, joined []storage.Ro
 // anchor tuple via e, in tuple-id order (the id order of the source database
 // is its insertion order, which keeps lists stable regardless of which join
 // populated the result relation first). NULLs join nothing. Each anchor
-// value is one lookup: in the RunIndex a generated result database carries
-// on e.ToCol, else through the relation — a hash index, or a scan of a
-// hand-built D′ that has none. Only one index list is in id order as it
-// comes; anything else is sorted. A failed lookup fails the narrative; it
-// never drops a clause.
+// value is one lookup in the join index a generated result database carries
+// on e.ToCol (a scan where a hand-built D′ has none), which hands back ids
+// and positions: the rows are read by position. One anchor's matches come in
+// id order; several anchors' are sorted. A failed lookup fails the
+// narrative; it never drops a clause.
 func (n *narration) joinTuples(from int, e *planEdge, anchors []storage.Row) ([]storage.Row, error) {
 	j, to := n.edge(from, e), n.rels[e.to].rel
 	if j.from < 0 {
 		return nil, nil
 	}
-	ids := n.ids[:0]
+	ms := n.matches[:0]
 	for _, a := range anchors {
 		v := a.Value(j.from)
 		if v.IsNull() {
 			continue
 		}
 		var err error
-		if j.index != nil {
-			ids, err = j.index.AppendLookup(ids, v)
-		} else {
-			ids, err = to.AppendLookup(ids, e.ToCol, v)
-		}
-		if err != nil {
+		if ms, err = to.AppendMatches(ms, j.to, v); err != nil {
 			return nil, fmt.Errorf("nlg: join %s: %w", e.Key(), err)
 		}
 	}
-	if len(anchors) > 1 || !j.indexed {
+	if len(anchors) > 1 {
 		// Several lists are merged, and anchors sharing a value brought the
 		// same list twice.
-		slices.Sort(ids)
-		ids = slices.Compact(ids)
+		slices.Sort(ms)
+		ms = slices.Compact(ms)
 	}
-	n.ids = ids
+	n.matches = ms
 	// The group goes on top of the tuple stack; expand pops it. A grown
 	// stack moves to a new array and the groups below stay readable in the
 	// old one.
 	start := len(n.tuples)
-	n.tuples = to.AppendRows(n.tuples, ids)
+	for _, m := range ms {
+		n.tuples = append(n.tuples, to.At(m.Pos()))
+	}
 	return n.tuples[start:], nil
 }
 
-// edge returns e's state, resolving its columns and index the first time.
+// edge returns e's state, resolving its columns the first time.
 func (n *narration) edge(from int, e *planEdge) *edgeState {
 	j := &n.edges[e.slot]
 	if !j.resolved {
 		j.resolved, j.from = true, -1
 		src, dst := n.rels[from].rel, n.rels[e.to].rel
 		if src != nil && dst != nil && dst.Schema().HasColumn(e.ToCol) {
-			j.from = src.Schema().ColumnIndex(e.FromCol)
-			j.index = dst.RunIndexOn(e.ToCol)
-			j.indexed = j.index != nil || dst.HasIndex(e.ToCol)
+			j.from, j.to = src.Schema().ColumnIndex(e.FromCol), dst.Schema().ColumnIndex(e.ToCol)
 		}
 	}
 	return j

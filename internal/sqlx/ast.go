@@ -96,8 +96,8 @@ type InList struct {
 }
 
 // IDSet is a caller-owned set of tuple ids that a predicate consults without
-// enumerating it. *storage.Relation satisfies it (membership = the tuple is
-// stored). Has must be safe for concurrent readers: a scatter/gather
+// enumerating it. *storage.ResultRelation satisfies it (membership = the
+// tuple is in D'). Has must be safe for concurrent readers: a scatter/gather
 // executor evaluates the same statement object on every shard at once.
 type IDSet interface {
 	Has(id storage.TupleID) bool

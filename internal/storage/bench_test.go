@@ -160,7 +160,7 @@ func BenchmarkLookups(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ids = ids[:0]
 			for _, k := range sets[i%len(sets)] {
-				ids, _ = rel.AppendLookup(ids, "a", k)
+				ids, _ = rel.AppendLookups(ids, nil, "a", []Value{k})
 			}
 		}
 	})
@@ -171,10 +171,10 @@ func BenchmarkLookups(b *testing.B) {
 	})
 }
 
-// BenchmarkInsertBatch fills a result-shaped relation — a primary key and two
-// indexed join columns — with 150 fetched tuples: a Has and an InsertWithID
-// per tuple into hash indexes, against one InsertBatch of the base relation's
-// rows into sorted runs.
+// BenchmarkInsertBatch fills a relation with a primary key and two indexed
+// join columns — a shard's, as shard.Partition fills it — with 150 tuples: a
+// Has and an InsertWithID per tuple, against one InsertBatch of the base
+// relation's rows.
 func BenchmarkInsertBatch(b *testing.B) {
 	const n = 150
 	ids := make([]TupleID, n)
@@ -191,8 +191,8 @@ func BenchmarkInsertBatch(b *testing.B) {
 		}
 		rows[i], _ = base.Relation("R").Row(ids[i])
 	}
-	fresh := func(newDB func(string) *Database) *Database {
-		db := newDB("precis")
+	fresh := func() *Database {
+		db := NewDatabase("shard")
 		rel := db.MustCreateRelation(schema)
 		for _, c := range []string{"fk1", "fk2"} {
 			if err := rel.CreateIndex(c); err != nil {
@@ -204,7 +204,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 	b.Run("per-tuple", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			db := fresh(NewDatabase)
+			db := fresh()
 			rel := db.Relation("R")
 			rel.Reserve(n)
 			for j, id := range ids {
@@ -220,7 +220,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got, err := fresh(NewBatchDatabase).InsertBatch("R", ids, rows); err != nil || got != n {
+			if got, err := fresh().InsertBatch("R", ids, rows); err != nil || got != n {
 				b.Fatal(got, err)
 			}
 		}

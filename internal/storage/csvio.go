@@ -121,13 +121,13 @@ func decodeCell(cell string, t ColType) (Value, error) {
 
 // Export writes db as <relation>.csv files plus manifest.json under dir,
 // creating the directory if needed.
-func Export(db *Database, dir string) error {
+func Export(db Reader, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	m := manifest{Name: db.Name(), Foreign: db.ForeignKeys()}
 	for _, name := range db.RelationNames() {
-		rel := db.Relation(name)
+		rel := db.Table(name)
 		mr := manifestRelation{Name: name, Key: rel.Schema().Key, Indexes: rel.IndexedColumns()}
 		for _, c := range rel.Schema().Columns {
 			mr.Columns = append(mr.Columns, manifestColumn{Name: c.Name, Type: typeName(c.Type)})
@@ -144,7 +144,7 @@ func Export(db *Database, dir string) error {
 	return os.WriteFile(filepath.Join(dir, manifestFile), blob, 0o644)
 }
 
-func exportRelation(rel *Relation, path string) error {
+func exportRelation(rel Table, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -221,7 +221,7 @@ func Import(dir string) (*Database, error) {
 			return nil, err
 		}
 	}
-	if violations := db.CheckIntegrity(); len(violations) > 0 {
+	if violations := CheckIntegrity(db); len(violations) > 0 {
 		return nil, fmt.Errorf("storage: import violates referential integrity: %s (and %d more)",
 			violations[0], len(violations)-1)
 	}

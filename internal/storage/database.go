@@ -16,7 +16,6 @@ type Database struct {
 	rels   map[string]*Relation
 	order  []string // relation names in creation order, for deterministic walks
 	fks    []ForeignKey
-	runs   bool // relations index with RunIndexes (NewBatchDatabase)
 	nextID TupleID
 	// Strided allocation (SetIDStride): when idStride > 1, Insert only
 	// allocates ids ≡ idOffset (mod idStride) — shard-local allocation
@@ -48,27 +47,11 @@ func (db *Database) CatalogID() uint64 {
 	}
 }
 
-// catalogChanged retires the id; a result database, never asked, pays a load.
-func (db *Database) catalogChanged() {
-	if db.catalog.Load() != 0 {
-		db.catalog.Store(0)
-	}
-}
+func (db *Database) catalogChanged() { db.catalog.Store(0) }
 
-// NewDatabase returns an empty database whose equality indexes are
-// HashIndexes: the kind to mutate a tuple at a time.
+// NewDatabase returns an empty database.
 func NewDatabase(name string) *Database {
 	return &Database{name: name, rels: make(map[string]*Relation), nextID: 1}
-}
-
-// NewBatchDatabase returns an empty database meant to be filled by
-// InsertBatch and then read — a result database: its equality indexes are
-// RunIndexes. Every operation of a NewDatabase works on it, single inserts
-// and deletes in time linear in the relation.
-func NewBatchDatabase(name string) *Database {
-	db := NewDatabase(name)
-	db.runs = true
-	return db
 }
 
 // Name returns the database name.
@@ -83,7 +66,7 @@ func (db *Database) CreateRelation(s *Schema) (*Relation, error) {
 		return nil, fmt.Errorf("storage: relation %s already exists", s.Name)
 	}
 	db.catalogChanged()
-	r := newRelation(s.Clone(), db.runs)
+	r := newRelation(s.Clone())
 	db.rels[s.Name] = r
 	db.order = append(db.order, s.Name)
 	return r, nil
@@ -100,6 +83,14 @@ func (db *Database) MustCreateRelation(s *Schema) *Relation {
 
 // Relation returns the named relation, or nil.
 func (db *Database) Relation(name string) *Relation { return db.rels[name] }
+
+// Table is Relation as a Reader hands it out.
+func (db *Database) Table(name string) Table {
+	if r := db.rels[name]; r != nil {
+		return r
+	}
+	return nil
+}
 
 // RelationNames returns the relation names in creation order.
 func (db *Database) RelationNames() []string {
@@ -145,10 +136,8 @@ func (db *Database) ForeignKeys() []ForeignKey {
 	return append([]ForeignKey(nil), db.fks...)
 }
 
-// SetForeignKeys replaces the declared foreign keys wholesale. The précis
-// generator uses it to trim constraints a budget-truncated answer can no
-// longer satisfy; endpoints are not re-validated, so callers should pass a
-// subset of keys previously accepted by AddForeignKey.
+// SetForeignKeys replaces the declared foreign keys wholesale, without
+// validating their endpoints again.
 func (db *Database) SetForeignKeys(fks []ForeignKey) {
 	db.catalogChanged()
 	db.fks = append([]ForeignKey(nil), fks...)
@@ -210,10 +199,8 @@ func (db *Database) SetIDStride(offset, stride TupleID) error {
 }
 
 // InsertWithID adds a tuple with a caller-chosen id: the engine's apply and
-// rollback paths and the loaders, whose tuples must keep
-// the ids they have elsewhere. It rejects an id the relation already holds
-// itself, because those callers do not look first; the result-database
-// generator, which does, goes through InsertBatch.
+// rollback paths and the loaders, whose tuples must keep the ids they have
+// elsewhere. It rejects an id the relation already holds.
 func (db *Database) InsertWithID(relation string, id TupleID, vals ...Value) error {
 	r := db.rels[relation]
 	if r == nil {
@@ -241,11 +228,10 @@ func (db *Database) InsertWithID(relation string, id TupleID, vals ...Value) err
 // order and returns how many it added: a loop of InsertWithID done in one
 // step (Relation.insertBatch), except that an id occurring twice in the
 // batch is added once, under its first row, and that a batch any of whose
-// tuples would be refused adds none — the generator treats an insert error
-// as fatal, so all-or-nothing is the simpler contract. Every index is current
-// when it returns. A row of a relation of the same declared types, or a
-// statement's projection of one, shares its record (an empty relation maps
-// its columns onto it); any other is copied.
+// tuples would be refused adds none. Every index is current when it returns.
+// A row of a relation of the same declared types, or a statement's
+// projection of one, shares its record (an empty relation maps its columns
+// onto it); any other is copied. shard.Partition fills its shards with it.
 func (db *Database) InsertBatch(relation string, ids []TupleID, rows []Row) (int, error) {
 	r := db.rels[relation]
 	if r == nil {
@@ -349,26 +335,39 @@ func (v IntegrityViolation) String() string {
 		v.Value.String(), v.ForeignKey.ToRelation, v.ForeignKey.ToColumn)
 }
 
-// CheckIntegrity verifies every declared foreign key over the current data
-// and returns all violations found. NULL references are allowed. A reference
-// is resolved through the target column's hash index when it has one (one
+// CheckIntegrity verifies every declared foreign key of db over its current
+// data and returns all violations found. NULL references are allowed. A
+// reference is resolved through the target column's index when it has one (a
 // scan of the target per referencing tuple otherwise) and never through the
 // Lookup fault site: an in-memory read cannot fail, so no failure can pass
 // for a satisfied reference.
-func (db *Database) CheckIntegrity() []IntegrityViolation {
+func CheckIntegrity(db Reader) []IntegrityViolation {
 	var out []IntegrityViolation
-	for _, fk := range db.fks {
-		from := db.rels[fk.FromRelation]
-		to := db.rels[fk.ToRelation]
-		fi := from.Schema().ColumnIndex(fk.FromColumn)
-		from.ScanRows(func(id TupleID, row Row) bool {
-			if v := row.Value(fi); !v.IsNull() && !to.holds(fk.ToColumn, v, 0) {
+	for _, fk := range db.ForeignKeys() {
+		references(db, fk, func(id TupleID, v Value, held bool) {
+			if !held {
 				out = append(out, IntegrityViolation{ForeignKey: fk, TupleID: id, Value: v})
 			}
-			return true
 		})
 	}
 	return out
+}
+
+// references calls fn for every non-NULL reference of fk in db, with whether
+// it is satisfied, unless db lacks a relation or column of fk: then false.
+func references(db Reader, fk ForeignKey, fn func(id TupleID, v Value, held bool)) bool {
+	from, to := db.Table(fk.FromRelation), db.Table(fk.ToRelation)
+	if from == nil || to == nil || !to.Schema().HasColumn(fk.ToColumn) || !from.Schema().HasColumn(fk.FromColumn) {
+		return false
+	}
+	fi := from.Schema().ColumnIndex(fk.FromColumn)
+	from.ScanRows(func(id TupleID, row Row) bool {
+		if v := row.Value(fi); !v.IsNull() {
+			fn(id, v, to.holds(fk.ToColumn, v, 0))
+		}
+		return true
+	})
+	return true
 }
 
 // ErrReferenced refuses the delete of a tuple that a foreign key still needs.
@@ -447,9 +446,7 @@ func (db *Database) Layout() Layout {
 		l.RowBytes += r.bytes
 		for _, idx := range r.indexes {
 			l.IndexEntries += idx.Cardinality()
-			if h, ok := idx.(*HashIndex); ok {
-				l.ListBytes += 4 * (h.ints.ids + h.vals.ids)
-			}
+			l.ListBytes += 4 * (idx.ints.ids + idx.vals.ids)
 		}
 	}
 	return l

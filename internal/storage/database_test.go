@@ -50,13 +50,13 @@ func TestCheckIntegrity(t *testing.T) {
 	if _, err := db.Insert("MOVIE", Int(10), String("Match Point"), Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	if v := db.CheckIntegrity(); len(v) != 0 {
+	if v := CheckIntegrity(db); len(v) != 0 {
 		t.Errorf("unexpected violations: %v", v)
 	}
 	if _, err := db.Insert("MOVIE", Int(11), String("Orphan"), Int(99)); err != nil {
 		t.Fatal(err)
 	}
-	v := db.CheckIntegrity()
+	v := CheckIntegrity(db)
 	if len(v) != 1 {
 		t.Fatalf("violations = %v, want 1", v)
 	}
@@ -67,7 +67,7 @@ func TestCheckIntegrity(t *testing.T) {
 	if _, err := db.Insert("MOVIE", Int(12), String("Anon"), Null); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.CheckIntegrity(); len(got) != 1 {
+	if got := CheckIntegrity(db); len(got) != 1 {
 		t.Errorf("NULL FK counted as violation: %v", got)
 	}
 }
@@ -157,7 +157,7 @@ func TestCheckIntegrityUnderLookupFault(t *testing.T) {
 		injected := errors.New("injected")
 		plan := faultinject.NewPlan().Set(faultinject.SiteStorageLookup, faultinject.Rule{Err: injected})
 		deactivate := faultinject.Activate(plan)
-		v := db.CheckIntegrity()
+		v := CheckIntegrity(db)
 		_, lookupErr := db.Relation("DIRECTOR").Lookup("did", Int(1))
 		deactivate()
 		if !errors.Is(lookupErr, injected) {

@@ -2,35 +2,10 @@ package storage
 
 import "strings"
 
-// index is an equality index on one column of a relation. There are two
-// kinds, and a database's constructor fixes which one its relations carry:
-// HashIndex (NewDatabase), cheap to change one tuple at a time, and RunIndex
-// (NewBatchDatabase), cheap to fill a batch at a time and to read in key
-// order. Both match kinds exactly and index NULL like any other key.
-type index interface {
-	// Cardinality returns the number of distinct indexed values.
-	Cardinality() int
-	add(id TupleID, row Row)
-	remove(id TupleID, row Row)
-	// addBatch indexes the tuples (ids[i], rows[i]) in one step. With unique
-	// set it refuses — reporting false and changing nothing — a batch that
-	// would leave two tuples under one key.
-	addBatch(ids []TupleID, rows []Row, unique bool) bool
-	// has reports whether any tuple carries v.
-	has(v Value) bool
-	// appendGroups appends, for each of vals in order, the ascending ids of
-	// the tuples carrying it, and records in ends[i], unless ends is nil, the
-	// length of dst once vals[i] is answered.
-	appendGroups(dst []TupleID, ends []int, vals []Value) []TupleID
-	// keys returns the distinct non-NULL indexed values, and whether they are
-	// in DistinctValues order already.
-	keys() (vals []Value, sorted bool)
-}
-
-// HashIndex is an equality index mapping column values to ascending tuple
-// ids. Integer values — every key and join column of the bundled schemas —
-// are keyed on the 8-byte integer; every other kind, NULL included, on the
-// whole Value. Lookups match kinds exactly (Int(1) is not Float(1)); sqlx
+// HashIndex is the equality index of a Relation, mapping column values to
+// ascending tuple ids. Integer values — every key and join column of the
+// bundled schemas — are keyed on the 8-byte integer; every other kind, NULL
+// included, on the whole Value. Lookups match kinds exactly (Int(1) is not Float(1)); sqlx
 // probes each representation a numeric literal can be stored as.
 type HashIndex struct {
 	colIdx int
@@ -86,19 +61,6 @@ func (ix *HashIndex) has(v Value) bool {
 	return ix.vals.refs[v] != 0
 }
 
-func (ix *HashIndex) keys() ([]Value, bool) {
-	vals := make([]Value, 0, ix.Cardinality())
-	for k := range ix.ints.refs {
-		vals = append(vals, Int(k))
-	}
-	for v := range ix.vals.refs {
-		if !v.IsNull() {
-			vals = append(vals, v)
-		}
-	}
-	return vals, false
-}
-
 // lookupBlock is how many keys a batch lookup resolves at once.
 const lookupBlock = 32
 
@@ -145,8 +107,7 @@ func (ix *HashIndex) appendGroups(dst []TupleID, ends []int, vals []Value) []Tup
 // postings maps keys to ascending, duplicate-free id lists. A key with one
 // tuple — every primary-key entry — stores the id in the map itself; only a
 // key with two or more owns a list, and the lists sit in one slice whose
-// vacated positions are reused. refs is nil until the first add, because a
-// result database creates its indexes whether or not it fills them.
+// vacated positions are reused. refs is nil until the first add.
 type postings[K comparable] struct {
 	refs  map[K]int64 // id > 0: the key's only tuple; ^ref: its position in lists
 	lists []IDList

@@ -116,7 +116,7 @@ func TestHashIndexMatchesOracle(t *testing.T) {
 	if err := rel.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	idx := rel.indexes["k"].(*HashIndex)
+	idx := rel.indexes["k"]
 	keys := []Value{Int(1), Int(2), Int(-3), Float(1), Float(2.5), Float(math.NaN()), Null, Int(1 << 40)}
 	oracle := map[Value][]TupleID{}
 	keyOf := map[TupleID]Value{}
@@ -591,68 +591,6 @@ func TestReserve(t *testing.T) {
 	rel.Reserve(-3)
 	if rel.ids != nil || len(rel.chunks) != 0 {
 		t.Error("reserving nothing allocated")
-	}
-}
-
-// TestDistinctValuesFromIndex: the keys of a hash index and a scan of the
-// column give the same distinct values, through inserts, updates and deletes.
-func TestDistinctValuesFromIndex(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	db := NewDatabase("test")
-	for _, name := range []string{"I", "S"} { // indexed, scanned
-		db.MustCreateRelation(MustSchema(name, "", Column{"f", TypeFloat}, Column{"s", TypeString}))
-	}
-	for _, c := range []string{"f", "s"} {
-		if err := db.Relation("I").CreateIndex(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	value := func() []Value {
-		f := []Value{Null, Int(int64(r.Intn(6))), Float(float64(r.Intn(6))), Float(float64(r.Intn(6)) + 0.5)}[r.Intn(4)]
-		s := []Value{Null, String(fmt.Sprint("s", r.Intn(5)))}[r.Intn(2)]
-		return []Value{f, s}
-	}
-	var ids []TupleID
-	for step := 0; step < 600; step++ {
-		switch op := r.Intn(4); {
-		case op < 2 || len(ids) == 0:
-			id := TupleID(step + 1)
-			row := value()
-			for _, name := range []string{"I", "S"} {
-				if err := db.InsertWithID(name, id, row...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ids = append(ids, id)
-		case op == 2:
-			id, row := ids[r.Intn(len(ids))], value()
-			for _, name := range []string{"I", "S"} {
-				if err := db.Update(name, id, row); err != nil {
-					t.Fatal(err)
-				}
-			}
-		default:
-			at := r.Intn(len(ids))
-			for _, name := range []string{"I", "S"} {
-				if ok, _ := db.Delete(name, ids[at]); !ok {
-					t.Fatal("delete")
-				}
-			}
-			ids = slices.Delete(ids, at, at+1)
-		}
-		if step%20 != 0 {
-			continue
-		}
-		for _, c := range []string{"f", "s"} {
-			got, err := db.Relation("I").DistinctValues(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _ := db.Relation("S").DistinctValues(c)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d, column %s: from the index %v, from a scan %v", step, c, got, want)
-			}
-		}
 	}
 }
 

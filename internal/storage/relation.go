@@ -39,8 +39,8 @@ type slot struct {
 
 // Slots live in chunks of slotChunk positions, position p in chunk
 // p>>slotChunkBits: the last chunk grows by doubling up to the cap, so a
-// 40-tuple D′ relation costs one small allocation and a 150k-tuple base
-// relation never carries more than a chunk of slack.
+// small relation costs one small allocation and a large one never carries
+// more than a chunk of slack.
 const (
 	slotChunkBits = 10
 	slotChunk     = 1 << slotChunkBits
@@ -74,33 +74,24 @@ type Relation struct {
 	// matches nothing, so delete never touches the table. It is nil until
 	// the first insert and rebuilt from its live entries at 3/4 load.
 	ids     []int32
-	idsUsed int  // non-empty entries, dead ones included
-	runs    bool // the equality indexes are RunIndexes, not HashIndexes
-	indexes map[string]index
+	idsUsed int // non-empty entries, dead ones included
+	indexes map[string]*HashIndex
 }
 
-// newRelation builds an empty relation for the schema, its equality indexes
-// of the kind its database was constructed with. If the schema has a primary
-// key, an index on it is created eagerly so uniqueness checks need no scan.
-func newRelation(s *Schema, runs bool) *Relation {
+// newRelation builds an empty relation for the schema. If the schema has a
+// primary key, an index on it is created eagerly so uniqueness checks need no
+// scan.
+func newRelation(s *Schema) *Relation {
 	r := &Relation{
 		schema:  s,
 		ncols:   len(s.Columns),
 		lay:     plainLayout(len(s.Columns), s.Columns),
-		runs:    runs,
-		indexes: make(map[string]index),
+		indexes: make(map[string]*HashIndex),
 	}
 	if s.Key != "" {
-		r.indexes[s.Key] = r.newIndex(s.ColumnIndex(s.Key))
+		r.indexes[s.Key] = &HashIndex{colIdx: s.ColumnIndex(s.Key)}
 	}
 	return r
-}
-
-func (r *Relation) newIndex(colIdx int) index {
-	if r.runs {
-		return &RunIndex{colIdx: colIdx}
-	}
-	return &HashIndex{colIdx: colIdx}
 }
 
 // Schema returns the relation schema.
@@ -372,8 +363,7 @@ func (r *Relation) insertBatch(ids []TupleID, rows []Row) (int, error) {
 }
 
 // adopt makes an empty relation read its records through l when l's rows have
-// the relation's columns and declared types: how a result relation comes to
-// map its columns onto its base relation's records, at its first batch.
+// the relation's columns and declared types, at its first batch.
 func (r *Relation) adopt(l *layout) {
 	if r.next > 0 || l.types == nil || r.lay.same(l) || len(l.cols) != r.ncols {
 		return
@@ -574,8 +564,7 @@ func (r *Relation) AppendRows(dst []Row, ids []TupleID) []Row {
 	return dst
 }
 
-// Has reports whether a tuple with the given id is stored. It makes a
-// relation usable as an id set (sqlx.IDSet) without materializing its ids.
+// Has reports whether a tuple with the given id is stored.
 func (r *Relation) Has(id TupleID) bool {
 	s, _ := r.find(id)
 	return s != nil
@@ -631,7 +620,7 @@ func (r *Relation) CreateIndex(column string) error {
 	if _, ok := r.indexes[column]; ok {
 		return nil
 	}
-	idx := r.newIndex(ci)
+	idx := &HashIndex{colIdx: ci}
 	r.ScanRows(func(id TupleID, row Row) bool {
 		idx.add(id, row)
 		return true
@@ -659,12 +648,7 @@ func (r *Relation) IndexedColumns() []string {
 // Lookup returns the ids of tuples whose column equals v, in ascending id
 // order. It uses the column's index when present and falls back to a scan.
 func (r *Relation) Lookup(column string, v Value) ([]TupleID, error) {
-	return r.AppendLookup(nil, column, v)
-}
-
-// AppendLookup is Lookup appending to dst.
-func (r *Relation) AppendLookup(dst []TupleID, column string, v Value) ([]TupleID, error) {
-	return r.AppendLookups(dst, nil, column, []Value{v})
+	return r.AppendLookups(nil, nil, column, []Value{v})
 }
 
 // AppendLookups is Lookup for each of vals in order, every list appended to
@@ -678,12 +662,7 @@ func (r *Relation) AppendLookups(dst []TupleID, ends []int, column string, vals 
 			return nil, fmt.Errorf("storage: lookup %s.%s: %w", r.schema.Name, column, err)
 		}
 	}
-	// A static call per kind of index: through the interface vals and ends
-	// would escape, and callers keep both in stack arrays.
-	switch idx := r.indexes[column].(type) {
-	case *HashIndex:
-		return idx.appendGroups(dst, ends, vals), nil
-	case *RunIndex:
+	if idx := r.indexes[column]; idx != nil {
 		return idx.appendGroups(dst, ends, vals), nil
 	}
 	ci := r.schema.ColumnIndex(column)
@@ -705,7 +684,7 @@ func (r *Relation) AppendLookups(dst []TupleID, ends []int, column string, vals 
 }
 
 // holds reports whether a live tuple other than skip (0: none) carries v in
-// the named column: AppendLookup's matching (exact through a hash index,
+// the named column: Lookup's matching (exact through a hash index,
 // Equal by scan) without its fault site, or ids unless it must skip one.
 func (r *Relation) holds(column string, v Value, skip TupleID) bool {
 	if idx, ok := r.indexes[column]; ok {
@@ -722,39 +701,6 @@ func (r *Relation) holds(column string, v Value, skip TupleID) bool {
 		return !found
 	})
 	return found
-}
-
-// DistinctValues returns the distinct non-NULL values of the named column,
-// sorted by Value.Compare (numerically equal values of different kinds, which
-// Compare ties, order by kind). An index on the column supplies them from its
-// keys — a RunIndex in this order already; the tuples are scanned otherwise.
-func (r *Relation) DistinctValues(column string) ([]Value, error) {
-	ci := r.schema.ColumnIndex(column)
-	if ci < 0 {
-		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
-	}
-	var vals []Value
-	if idx, ok := r.indexes[column]; ok {
-		var sorted bool
-		if vals, sorted = idx.keys(); sorted {
-			return vals, nil
-		}
-	} else {
-		vals = make([]Value, 0, r.live)
-		r.ScanRows(func(_ TupleID, row Row) bool {
-			if v := row.Value(ci); !v.IsNull() {
-				vals = append(vals, v)
-			}
-			return true
-		})
-	}
-	slices.SortFunc(vals, func(a, b Value) int {
-		if c := a.Compare(b); c != 0 {
-			return c
-		}
-		return int(a.kind) - int(b.kind)
-	})
-	return slices.Compact(vals), nil
 }
 
 // upsert is Database.Upsert on the relation: every check — ids, rows, and the

@@ -204,15 +204,15 @@ func TestLookupWithAndWithoutIndex(t *testing.T) {
 	if _, err := r.Lookup("nope", Int(1)); err == nil {
 		t.Error("lookup on unknown column accepted")
 	}
-	// AppendLookup gathers several posting lists into one buffer, and the
+	// AppendLookups gathers several posting lists into one buffer, and the
 	// buffer Lookup returns is the caller's: writing to it leaves the index
 	// alone.
-	both, err := r.AppendLookup(idxIDs, "did", Int(2))
+	both, err := r.AppendLookups(idxIDs, nil, "did", []Value{Int(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(both) != 7 || !reflect.DeepEqual(both[:len(want)], want) {
-		t.Errorf("AppendLookup = %v", both)
+		t.Errorf("AppendLookups = %v", both)
 	}
 	both[0] = -1
 	if again, _ := r.Lookup("did", Int(1)); !reflect.DeepEqual(again, want) {
@@ -249,6 +249,9 @@ func TestIndexMaintainedAcrossDeletes(t *testing.T) {
 	}
 }
 
+// TestDistinctValues: a result relation's distinct values, by a scan and from
+// its join index alike, leave NULL out and order numerically equal values of
+// different kinds by kind.
 func TestDistinctValues(t *testing.T) {
 	db := NewDatabase("test")
 	db.MustCreateRelation(movieSchema(t))
@@ -260,13 +263,6 @@ func TestDistinctValues(t *testing.T) {
 	if _, err := db.Insert("MOVIE", Int(7), String("t"), Int(2000), Null); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := db.Relation("MOVIE").DistinctValues("did")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vals, []Value{Int(0), Int(1)}) {
-		t.Errorf("DistinctValues = %v", vals)
-	}
 	// A FLOAT column stores both kinds: numerically equal values of
 	// different kinds are distinct and order by kind, deterministically.
 	db.MustCreateRelation(MustSchema("F", "", Column{"f", TypeFloat}))
@@ -275,14 +271,21 @@ func TestDistinctValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vals, err = db.Relation("F").DistinctValues("f")
-	if err != nil {
-		t.Fatal(err)
+	res := resultOf(db)
+	for _, indexed := range []bool{false, true} {
+		for _, c := range []struct {
+			rel, col string
+			want     []Value
+		}{{"MOVIE", "did", []Value{Int(0), Int(1)}}, {"F", "f", []Value{Int(1), Float(1.5), Int(2), Float(2)}}} {
+			if indexed {
+				res.Relation(c.rel).Index(c.col)
+			}
+			if vals, err := res.Relation(c.rel).DistinctValues(c.col); err != nil || !reflect.DeepEqual(vals, c.want) {
+				t.Errorf("indexed %v: DistinctValues(%s.%s) = %v (%v), want %v", indexed, c.rel, c.col, vals, err, c.want)
+			}
+		}
 	}
-	if !reflect.DeepEqual(vals, []Value{Int(1), Float(1.5), Int(2), Float(2)}) {
-		t.Errorf("DistinctValues over mixed kinds = %v", vals)
-	}
-	if _, err := db.Relation("F").DistinctValues("nope"); err == nil {
+	if _, err := res.Relation("F").DistinctValues("nope"); err == nil {
 		t.Error("distinct values of an unknown column accepted")
 	}
 }

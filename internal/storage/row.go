@@ -24,8 +24,8 @@ type layout struct {
 	words int      // the offset of its first word
 	types []Column // the declared record columns; nil for a record of undeclared types
 	// cols maps a row's columns onto the record's: column i of a row is record
-	// column cols[i] — each in turn, or a subset (a D′ relation or a statement
-	// reads some of a base relation's columns).
+	// column cols[i] — each in turn, or a subset (a statement reads some of a
+	// base relation's columns).
 	cols []int
 }
 

@@ -96,8 +96,9 @@ func rowSeed(cols []ColType, rows ...[]Value) []byte {
 // AppendText, byte for byte Value.AppendText; Get, the input; Lookup on every
 // (indexed) column, the tuples whose value is == to the one looked up, as a
 // []Value row would be found. It then reads the same records through a result
-// relation of a batch database mapped onto every other column, which must hold
-// them without a copy and answer alike. The seeds cover NULL, an Int in a
+// relation holding a statement's projection onto every other column, indexed
+// there, which must hold them without a copy and answer alike (NULL joining
+// nothing). The seeds cover NULL, an Int in a
 // FLOAT column, NaN, ±Inf, −0, 2⁵³+1, empty, multi-byte and invalid UTF-8 text.
 func FuzzRowCodec(f *testing.F) {
 	nan, inf := Float(math.NaN()), Float(math.Inf(1))
@@ -144,21 +145,18 @@ func FuzzRowCodec(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		result := NewBatchDatabase("result")
-		mapped := result.MustCreateRelation(sub)
-		for _, name := range names {
-			if err := mapped.CreateIndex(name); err != nil {
-				t.Fatal(err)
-			}
-		}
+		mapped := NewResult("result", []*Schema{sub}, nil).Relation("R")
 		var p Projection
 		rel.Project(&p, cols)
 		projected := rel.AppendRows(nil, ids)
 		for k, row := range projected {
 			projected[k] = p.Row(row)
 		}
-		if _, err := result.InsertBatch("R", ids, projected); err != nil {
-			t.Fatal(err)
+		if n := mapped.Append(slices.Clone(ids), projected); n != len(ids) {
+			t.Fatalf("the result relation took %d of %d tuples", n, len(ids))
+		}
+		for _, name := range names {
+			mapped.Index(name)
 		}
 
 		for k, vals := range rows {
@@ -195,6 +193,9 @@ func FuzzRowCodec(f *testing.F) {
 				if got, err := rel.Lookup(c.Name, vals[i]); err != nil || !slices.Equal(got, want) {
 					t.Fatalf("Lookup(%s, %s %v) = %v (%v), want %v", c.Name, vals[i].Kind(), vals[i], got, err, want)
 				}
+				if vals[i].IsNull() {
+					want = nil // NULL joins nothing in a result relation
+				}
 				if j := slices.Index(cols, i); j >= 0 {
 					if got, err := mapped.Lookup(names[j], vals[i]); err != nil || !slices.Equal(got, want) {
 						t.Fatalf("result relation Lookup(%s, %s %v) = %v (%v), want %v", c.Name, vals[i].Kind(), vals[i], got, err, want)
@@ -222,8 +223,8 @@ func recount(rows [][]Value) int {
 	return n
 }
 
-// TestResultRelationMapsOntoBaseRecords: a relation of a batch database that
-// selects some of a base relation's columns takes the mapping from its first
+// TestResultRelationMapsOntoBaseRecords: a relation that selects some of a
+// base relation's columns, filled by InsertBatch, takes the mapping from its first
 // batch of projected rows and stores the records themselves; a later batch
 // projected alike, from any statement, is stored the same way; rows it cannot
 // read alike — another selection, untyped records — are checked and copied,
@@ -255,7 +256,7 @@ func TestResultRelationMapsOntoBaseRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result := NewBatchDatabase("result")
+	result := NewDatabase("result")
 	out := result.MustCreateRelation(sub)
 	if err := out.CreateIndex("did"); err != nil {
 		t.Fatal(err)
@@ -313,9 +314,6 @@ func TestResultRelationMapsOntoBaseRecords(t *testing.T) {
 	}
 	if ids, _ := out.Lookup("did", Int(1)); !slices.Equal(ids, []TupleID{3, 5}) {
 		t.Fatalf("Lookup(did, 1) = %v", ids)
-	}
-	if vals, _ := out.DistinctValues("rating"); !reflect.DeepEqual(vals, []Value{Float(1), Float(2.5), Int(3), Int(4)}) {
-		t.Fatalf("DistinctValues(rating) = %v", vals)
 	}
 	if err := VerifySubDatabase(base, result); err == nil {
 		t.Fatal("a tuple updated away from its base verified")

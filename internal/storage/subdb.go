@@ -4,26 +4,17 @@ import (
 	"fmt"
 )
 
-// VerifySubDatabase checks the four conditions of the paper's query model
-// (§3.3) that make sub a précis-style sub-database of orig:
-//
-//  1. every relation name in sub occurs in orig;
-//  2. every relation's attribute set in sub is a subset of its attributes
-//     in orig;
-//  3. every tuple in sub is the projection (on sub's attributes) of the
-//     orig tuple with the same id: each value the same kind and payload
-//     (==), so an Int does not pass for the Float it Equals;
-//  4. every foreign key of orig whose endpoints both survive in sub is
-//     join-consistent within sub: a non-NULL reference value appearing in
-//     sub either finds a referenced tuple in sub or the referenced side of
-//     that value is absent entirely (the cardinality constraint may cut
-//     referenced tuples; what must never happen is a *wrong* tuple).
-//
-// It returns nil when all conditions hold, otherwise a descriptive error for
+// VerifySubDatabase checks that sub is a précis-style sub-database of orig
+// (the paper's query model, §3.3): every relation of sub occurs in orig, with
+// a subset of its attributes of the same types, and every tuple of sub is the
+// projection of the orig tuple with the same id, each value the same kind and
+// payload (==), so an Int does not pass for the Float it Equals. Join
+// consistency, which a cardinality cap may legitimately break, is measured by
+// CheckJoinConsistency. It returns nil when all hold, otherwise an error for
 // the first violation found.
-func VerifySubDatabase(orig, sub *Database) error {
+func VerifySubDatabase(orig *Database, sub Reader) error {
 	for _, name := range sub.RelationNames() {
-		sr := sub.Relation(name)
+		sr := sub.Table(name)
 		or := orig.Relation(name)
 		if or == nil {
 			return fmt.Errorf("subdb: relation %s does not exist in the original database", name)
@@ -73,35 +64,20 @@ type JoinConsistency struct {
 
 // CheckJoinConsistency evaluates every foreign key of orig that is fully
 // contained in sub (both relations present and both columns projected) and
-// returns per-key statistics. A cardinality-capped précis may legitimately
-// drop referenced tuples, so this is a measurement, not a hard invariant;
-// tests use it to compare the NaïveQ and Round-Robin strategies.
-func CheckJoinConsistency(orig, sub *Database) []JoinConsistency {
+// returns per-key statistics: a measurement, not an invariant, since a
+// cardinality-capped précis may legitimately drop referenced tuples.
+func CheckJoinConsistency(orig *Database, sub Reader) []JoinConsistency {
 	var out []JoinConsistency
 	for _, fk := range orig.ForeignKeys() {
-		from := sub.Relation(fk.FromRelation)
-		to := sub.Relation(fk.ToRelation)
-		if from == nil || to == nil {
-			continue
-		}
-		fi := from.Schema().ColumnIndex(fk.FromColumn)
-		if fi < 0 || !to.Schema().HasColumn(fk.ToColumn) {
-			continue
-		}
 		jc := JoinConsistency{ForeignKey: fk}
-		from.ScanRows(func(_ TupleID, row Row) bool {
-			v := row.Value(fi)
-			if v.IsNull() {
-				return true
-			}
+		if references(sub, fk, func(_ TupleID, _ Value, held bool) {
 			jc.Referencing++
-			ids, err := to.Lookup(fk.ToColumn, v)
-			if err == nil && len(ids) > 0 {
+			if held {
 				jc.Satisfied++
 			}
-			return true
-		})
-		out = append(out, jc)
+		}) {
+			out = append(out, jc)
+		}
 	}
 	return out
 }

@@ -101,7 +101,7 @@ func appendAnswer(dst []byte, ans *precis.Answer) ([]byte, error) {
 
 // appendRows appends the display columns of every tuple of r as an array of
 // string arrays, null for an empty relation.
-func appendRows(dst []byte, r *storage.Relation, cols []string) []byte {
+func appendRows(dst []byte, r *storage.ResultRelation, cols []string) []byte {
 	if r.Len() == 0 {
 		return append(dst, "null"...)
 	}

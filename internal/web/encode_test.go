@@ -348,16 +348,36 @@ func handBuiltAnswers(t *testing.T) []*precis.Answer {
 			t.Fatal(err)
 		}
 	}
-	shown := &core.ResultDatabase{DB: db, Schema: &core.ResultSchema{Graph: g}}
+	res := resultOf(db)
+	shown := &core.ResultDatabase{DB: res, Schema: &core.ResultSchema{Graph: g}}
 
 	bare := schemagraph.New()
 	bare.AddRelation("PLUMBING")
-	hidden := &core.ResultDatabase{DB: db, Schema: &core.ResultSchema{Graph: bare}}
+	hidden := &core.ResultDatabase{DB: res, Schema: &core.ResultSchema{Graph: bare}}
 
 	return []*precis.Answer{
-		{Terms: nasty, Unmatched: nasty[:3], Narrative: strings.Join(nasty, "\n\n"), Result: shown, Database: db,
+		{Terms: nasty, Unmatched: nasty[:3], Narrative: strings.Join(nasty, "\n\n"), Result: shown, Database: res,
 			Stats: core.GenStats{Queries: 12}, Partial: true, Truncation: precis.TruncationReason("byte-<budget>")},
-		{Terms: []string{}, Unmatched: []string{}, Result: hidden, Database: db},
-		{Result: hidden, Database: db, FromCache: true},
+		{Terms: []string{}, Unmatched: []string{}, Result: hidden, Database: res},
+		{Result: hidden, Database: res, FromCache: true},
 	}
+}
+
+// resultOf returns a result database holding every tuple of db.
+func resultOf(db *storage.Database) *storage.Result {
+	var schemas []*storage.Schema
+	for _, name := range db.RelationNames() {
+		schemas = append(schemas, db.Relation(name).Schema())
+	}
+	res := storage.NewResult(db.Name(), schemas, db.ForeignKeys())
+	for _, name := range db.RelationNames() {
+		var ids []storage.TupleID
+		var rows []storage.Row
+		db.Relation(name).ScanRows(func(id storage.TupleID, row storage.Row) bool {
+			ids, rows = append(ids, id), append(rows, row)
+			return true
+		})
+		res.Relation(name).Append(ids, rows)
+	}
+	return res
 }

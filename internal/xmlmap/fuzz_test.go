@@ -3,6 +3,8 @@ package xmlmap
 import (
 	"strings"
 	"testing"
+
+	"precis/internal/storage"
 )
 
 // FuzzShred checks the XML mapper never panics and that every accepted
@@ -21,7 +23,7 @@ func FuzzShred(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if v := res.DB.CheckIntegrity(); len(v) != 0 {
+		if v := storage.CheckIntegrity(res.DB); len(v) != 0 {
 			t.Fatalf("doc %q: integrity violations %v", doc, v)
 		}
 		if err := res.Graph.Validate(res.DB); err != nil {

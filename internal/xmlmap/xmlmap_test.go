@@ -69,7 +69,7 @@ func TestShredStructure(t *testing.T) {
 		t.Errorf("AUTHOR schema = %s", author)
 	}
 	// Referential integrity holds.
-	if v := res.DB.CheckIntegrity(); len(v) != 0 {
+	if v := storage.CheckIntegrity(res.DB); len(v) != 0 {
 		t.Errorf("violations: %v", v)
 	}
 	if err := res.Graph.Validate(res.DB); err != nil {
@@ -126,7 +126,7 @@ func TestPrecisOverXML(t *testing.T) {
 		t.Fatalf("BOOK in answer = %v", ans.Database.RelationNames())
 	}
 	ti := book.Schema().ColumnIndex("title")
-	if got := book.Tuples()[0].Values[ti].AsString(); got != "The Dispossessed" {
+	if got := tuplesOf(book)[0].Values[ti].AsString(); got != "The Dispossessed" {
 		t.Errorf("book = %q", got)
 	}
 	kw := ans.Database.Relation("KEYWORD")
@@ -194,4 +194,21 @@ func TestColumnNameSanitizer(t *testing.T) {
 			t.Errorf("columnName(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// scanTuples is Relation.Scan on any relation, a result relation included.
+func scanTuples(rel storage.Table, fn func(storage.Tuple) bool) {
+	rel.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+		return fn(storage.Tuple{ID: id, Values: row.Values()})
+	})
+}
+
+// tuplesOf is Relation.Tuples on any relation.
+func tuplesOf(rel storage.Table) []storage.Tuple {
+	var out []storage.Tuple
+	scanTuples(rel, func(tu storage.Tuple) bool {
+		out = append(out, tu)
+		return true
+	})
+	return out
 }

@@ -126,11 +126,12 @@ func TestListBytesCountTheLists(t *testing.T) {
 			return true
 		})
 		for _, col := range rel.IndexedColumns() {
-			keys, err := rel.DistinctValues(col)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range append(keys, storage.Null) {
+			ci, keys := rel.Schema().ColumnIndex(col), map[storage.Value]bool{}
+			rel.ScanRows(func(_ storage.TupleID, row storage.Row) bool {
+				keys[row.Value(ci)] = true
+				return true
+			})
+			for k := range keys {
 				if ids, _ := rel.Lookup(col, k); len(ids) > 1 {
 					listed += len(ids)
 				}
@@ -231,13 +232,18 @@ func TestRowBytesCountTheRows(t *testing.T) {
 // A deep-shaped answer — the busiest director of the default synthetic
 // dataset at w=0.05, card=150: 760 tuples over every relation of the graph,
 // narrated — may allocate this much through Engine.QueryStringContext, serial
-// and uncached: 15 % above the 155 KiB / 365 allocations (NaïveQ) and
-// 174 KiB / 326 (Round-Robin) measured when G′, D′'s layout and the join order
-// came to be computed once per schema graph instead of once per request. It
-// was 175 KiB / 676 and 193 KiB / 637 when an answer came to borrow the base
-// rows instead of copying them (at w=0.05 every fetched row is the whole
-// stored row) and a relation node to hand out its projection list instead of
-// a copy per expansion; 253 KiB / 687 and 272 KiB / 648 with the rows
+// and uncached: 10 % above the 116 KiB / 292 allocations (NaïveQ) and
+// 127 KiB / 253 (Round-Robin) measured when D′ stopped being a second
+// database — its relations keep the fetched rows and ids, an id set and one
+// sorted join index per column, built once — and the generator came to read
+// driving values into buffers every batch reuses. It was 140 KiB / 348 and
+// 161 KiB / 310 with D′ a batch database (slots, id tables, key indexes and
+// sorted runs merged batch by batch); 155 KiB / 365 and 174 KiB / 326 before
+// G′, D′'s layout and the join order came to be computed once per schema
+// graph instead of once per request; 175 KiB / 676 and 193 KiB / 637 when an
+// answer came to borrow the base rows instead of copying them (at w=0.05
+// every fetched row is the whole stored row) and a relation node to hand out
+// its projection list instead of a copy per expansion; 253 KiB / 687 and 272 KiB / 648 with the rows
 // of a fetch carved out of one array per statement, D′ adopting it in one
 // InsertBatch and indexing it as sorted runs; 286 KiB / 2,067 and
 // 308 KiB / 1,945 with a row, a validation and a
@@ -245,13 +251,13 @@ func TestRowBytesCountTheRows(t *testing.T) {
 // result per cursor probe; 363 KiB / 2,930 and 586 KiB / 3,020 with a string
 // per value, clause and paragraph; and 552 KiB / 3,990 and 729 KiB / 5,440
 // before each answer tuple was materialised once. What is left is D′ itself
-// (slots, id tables and sorted runs — no rows) and the ids and driving
-// values of the statements that fetched it. Raise a bound only with an
+// (its id sets, join indexes and the rows and ids of the statements that
+// fetched it), the driving values and the narrative. Raise a bound only with an
 // allocation profile that says which holder grew (EXPERIMENTS.md, "Allocated
 // bytes per answer").
 var deepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 178, allocs: 420},
-	precis.StrategyRoundRobin: {kib: 200, allocs: 375},
+	precis.StrategyNaive:      {kib: 128, allocs: 322},
+	precis.StrategyRoundRobin: {kib: 140, allocs: 279},
 }
 
 // What web.Server may add to one such answer on /api/search, measured as the
@@ -380,17 +386,19 @@ func TestAllocPerDeepAnswer(t *testing.T) {
 }
 
 // What the same two answers may allocate on NewSharded(4, "hash"): 10 % above
-// the 211 KiB / 825 allocations (NaïveQ) and 265 KiB / 901 (Round-Robin)
-// measured when a rowid fetch came to be bucketed by owner and every gather to
-// be a merge by position (it was 264 KiB / 930 and 369 KiB / 1,094 with every
+// the 169 KiB / 746 allocations (NaïveQ) and 217 KiB / 821 (Round-Robin)
+// measured when D′ stopped being a second database (it was 187 KiB / 799 and
+// 244 KiB / 874 before; 211 KiB / 825 and 265 KiB / 901 when a rowid fetch
+// came to be bucketed by owner and every gather to be a merge by position;
+// 264 KiB / 930 and 369 KiB / 1,094 with every
 // listed id sent to every owner and the rows put back in order through a map
 // or a sort). Over the single engine's answer that is, per statement, what
 // four shards allocate to execute it where one did, the scatter (a result
 // slot and an error slot per shard, the pool), a rowid list's owners and
 // buckets with a narrowed statement per shard, and the merged rows and ids.
 var shardedDeepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 232, allocs: 908},
-	precis.StrategyRoundRobin: {kib: 292, allocs: 991},
+	precis.StrategyNaive:      {kib: 186, allocs: 821},
+	precis.StrategyRoundRobin: {kib: 239, allocs: 904},
 }
 
 // TestAllocPerShardedDeepAnswer is TestAllocPerDeepAnswer's pin for the
@@ -410,16 +418,18 @@ func TestAllocPerShardedDeepAnswer(t *testing.T) {
 
 // What a browse-shaped answer — a quoted name under the default constraints,
 // some 40 tuples — may allocate through Engine.QueryStringContext, serial and
-// uncached, with one seed relation and with two: 15 % above the 22.2 KiB /
-// 202 allocations and 23.5 KiB / 238 measured when G′, D′'s layout and the
-// join order came to be computed once per schema graph instead of once per
-// request (it was 31.9 KiB / 365 and 35.5 KiB / 423). At this size the fixed
-// costs are the answer: what is left is the request's own — terms, occurrences
-// and seed ids, the statements and their results, D′'s relations, indexes and
-// slots, the translator's frames and the narrative.
+// uncached, with one seed relation and with two: 15 % above the 13.8 KiB /
+// 149 allocations and 15.1 KiB / 180 measured when D′ stopped being a second
+// database (18.2 KiB / 187 and 19.3 KiB / 218 before; 22.2 KiB / 202 and
+// 23.5 KiB / 238 before G′, D′'s layout and the join order came to be computed
+// once per schema graph instead of once per request; 31.9 KiB / 365 and
+// 35.5 KiB / 423 before that). At this size the fixed costs are the answer:
+// what is left is the request's own — terms, occurrences and seed ids, the
+// statements and their results, D′'s id sets and join indexes, the
+// translator's frames and the narrative.
 var browseAnswerAllocBudget = map[int]struct{ kib, allocs float64 }{
-	1: {kib: 26, allocs: 232},
-	2: {kib: 27, allocs: 274},
+	1: {kib: 15.9, allocs: 172},
+	2: {kib: 17.4, allocs: 207},
 }
 
 // TestAllocPerBrowseAnswer pins what a small answer allocates, so that work
@@ -449,10 +459,10 @@ func TestAllocPerBrowseAnswer(t *testing.T) {
 			tuples = ans.Database.TotalTuples()
 		})
 		budget := browseAnswerAllocBudget[seedRels]
-		t.Logf("%d seed relation(s): %d tuples, %.1f KiB and %.0f allocations per answer (budget %.0f KiB, %.0f)",
+		t.Logf("%d seed relation(s): %d tuples, %.1f KiB and %.0f allocations per answer (budget %.1f KiB, %.0f)",
 			seedRels, tuples, kib, allocs, budget.kib, budget.allocs)
 		if kib > budget.kib || allocs > budget.allocs {
-			t.Errorf("%d seed relation(s): %.1f KiB and %.0f allocations per answer, budget %.0f KiB and %.0f",
+			t.Errorf("%d seed relation(s): %.1f KiB and %.0f allocations per answer, budget %.1f KiB and %.0f",
 				seedRels, kib, allocs, budget.kib, budget.allocs)
 		}
 	}

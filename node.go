@@ -91,7 +91,7 @@ func load(data *wal.SnapshotData, g *schemagraph.Graph, whole bool, ix *invidx.I
 		return nil, fmt.Errorf("rebuilding join indexes: %w", err)
 	}
 	if whole {
-		if violations := db.CheckIntegrity(); len(violations) > 0 {
+		if violations := storage.CheckIntegrity(db); len(violations) > 0 {
 			return nil, fmt.Errorf("database violates referential integrity (%d violation(s), first: %s)",
 				len(violations), violations[0])
 		}

@@ -231,7 +231,7 @@ func TestResultRowsReadTheirOwnRecords(t *testing.T) {
 	}
 	before := dumpDatabase(ans.Database)
 	for _, name := range ans.Database.RelationNames() {
-		ans.Database.Relation(name).Scan(func(tu storage.Tuple) bool {
+		scanTuples(ans.Database.Relation(name), func(tu storage.Tuple) bool {
 			scribble(tu.Values)
 			return true
 		})

@@ -548,8 +548,9 @@ type Answer struct {
 	Schema *core.ResultSchema
 	// Result is the generated result database (the précis itself).
 	Result *core.ResultDatabase
-	// Database is Result.DB, the new database D'.
-	Database *storage.Database
+	// Database is Result.DB, the result database D': the tuples the query
+	// selected from the engine's database.
+	Database *storage.Result
 	// Narrative is the natural-language synthesis (empty if skipped).
 	Narrative string
 	// Stats records the physical work of data generation.

@@ -40,10 +40,11 @@ func newEngine(t *testing.T) *Engine {
 
 func TestEndToEndWoodyAllen(t *testing.T) {
 	eng := newEngine(t)
-	ans, err := eng.Query([]string{"Woody Allen"}, Options{
+	opts := Options{
 		Degree:      MinPathWeight(0.9),
 		Cardinality: MaxTuplesPerRelation(3),
-	})
+	}
+	ans, err := eng.Query([]string{"Woody Allen"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +55,7 @@ func TestEndToEndWoodyAllen(t *testing.T) {
 	if ans.Database == nil || ans.Database.NumRelations() == 0 {
 		t.Fatal("no result database")
 	}
-	if err := storage.VerifySubDatabase(eng.Database(), ans.Database); err != nil {
-		t.Errorf("sub-database: %v", err)
-	}
+	checkAnswer(t, eng, "Woody Allen", opts, ans)
 	// The narrative reproduces the §5.3 opening.
 	if !strings.Contains(ans.Narrative, "Woody Allen was born on December 1, 1935") {
 		t.Errorf("narrative = %q", ans.Narrative)
@@ -112,7 +111,7 @@ func TestMultiTermQuery(t *testing.T) {
 	}
 	ti := movies.Schema().ColumnIndex("title")
 	found := false
-	movies.Scan(func(tu storage.Tuple) bool {
+	scanTuples(movies, func(tu storage.Tuple) bool {
 		if tu.Values[ti].AsString() == "Lost in Translation" {
 			found = true
 		}

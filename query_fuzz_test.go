@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"precis/internal/dataset"
-	"precis/internal/storage"
 )
 
 // fuzzDegree maps two fuzzed bytes onto a degree constraint of Table 1, or
@@ -91,9 +90,7 @@ func FuzzQuery(f *testing.F) {
 				}
 				errText = err.Error()
 			} else {
-				if err := storage.VerifySubDatabase(eng.Database(), ans.Database); err != nil {
-					t.Fatalf("parallelism %d: not a sub-database of the base: %v", p, err)
-				}
+				checkAnswer(t, eng, q, opts, ans)
 				if ans.Partial {
 					t.Fatalf("parallelism %d: unbudgeted answer marked partial (%q)", p, ans.Truncation)
 				}

@@ -108,7 +108,7 @@ func promoteFollowerDir(t *testing.T, followerDir string) refSnapshot {
 		t.Fatalf("promoting follower dir: %v", err)
 	}
 	defer eng.Close()
-	if violations := eng.Database().CheckIntegrity(); len(violations) > 0 {
+	if violations := storage.CheckIntegrity(eng.Database()); len(violations) > 0 {
 		t.Fatalf("promoted follower violates integrity (%d violations, first: %s)", len(violations), violations[0])
 	}
 	return captureRef(t, eng)

@@ -614,7 +614,7 @@ func TestChaosReplicatedStorm(t *testing.T) {
 	waitReplConverged(t, primary, follower, 30*time.Second)
 	deactivate()
 	waitReplConverged(t, primary, follower, 30*time.Second)
-	if violations := follower.Database().CheckIntegrity(); len(violations) > 0 {
+	if violations := storage.CheckIntegrity(follower.Database()); len(violations) > 0 {
 		t.Fatalf("converged follower has %d integrity violations (first: %s)", len(violations), violations[0])
 	}
 	assertReplicaIdentical(t, primary, follower, "after replicated storm")

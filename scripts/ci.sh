@@ -229,14 +229,18 @@
 # ownership_web_test.go: the base equal to its clone after queries, narratives
 # and /api/search bodies) ride in
 # the whole-repository -race pass with the rollback suites, as do the batch
-# path's: storage's InsertBatch against a loop of InsertWithID, RunIndex
-# against HashIndex and AppendLookups on both against a scan
-# (batch_test.go), core's TestFaultMidJoinLeavesExactPrefix
-# and TestResultDatabaseReadsArePure, and the root's
-# TestParallelFetchesShareDrivingRelation and TestChaosMidGenerationFault —
-# D′'s indexes are merged on the coordination goroutine and read by every
-# fetch worker, which only -race can hold to "never built on read"; the
-# generator-oracle step also runs the hash probe's plan tests and
+# path's: storage's InsertBatch against a loop of InsertWithID and
+# AppendLookups against a scan (batch_test.go), core's
+# TestFaultMidJoinLeavesExactPrefix, and the root's
+# TestParallelFetchesShareDrivingRelation and TestChaosMidGenerationFault.
+# D′ is a storage.Result whose join indexes are built once, on the
+# coordination goroutine — a driving column's before the batch whose fetches
+# read it, the arrival columns' when generation ends — and read by every
+# fetch worker and the translator; only -race can hold that to "never built
+# on read", so the generator-oracle step runs TestResultDatabaseReadsArePure
+# and TestResultJoinIndexMatchesScan (the join index against an exact-match
+# scan on every kind of value, NULL, NaN, −0 and an Int and a Float that
+# Compare ties included), with the hash probe's plan tests and
 # TestRoundRobinProbeReadsNoTuple.
 #
 # The bench smoke step compiles and runs every benchmark exactly once
@@ -370,7 +374,8 @@ gotest 'TestSharded' -race -count=1 -timeout=10m .
 go test -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
-gotest 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec' -race -count=1 -timeout=10m ./internal/core
+gotest 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec|TestResultDatabaseReadsArePure' -race -count=1 -timeout=10m ./internal/core
+gotest 'TestResultJoinIndexMatchesScan' -race -count=1 -timeout=5m ./internal/storage
 gotest 'TestEnginesMatchSpec' -race -count=1 -timeout=10m .
 gotest 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestWithRowIDs|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' -race -count=1 -timeout=5m ./internal/sqlx ./internal/shard
 gotest 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' -race -count=1 -timeout=5m ./internal/nlg ./internal/web

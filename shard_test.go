@@ -117,16 +117,18 @@ func TestShardedDeterminism(t *testing.T) {
 						for _, strat := range []Strategy{StrategyNaive, StrategyRoundRobin} {
 							ref := refs[strat]
 							for _, workers := range []int{-1, 4} {
-								ans, err := eng.Query(terms, Options{
+								opts := Options{
 									Degree:        MinPathWeight(0.1),
 									Cardinality:   MaxTuplesPerRelation(20),
 									Strategy:      strat,
 									SkipNarrative: !w.narrative,
 									Parallelism:   workers,
-								})
+								}
+								ans, err := eng.Query(terms, opts)
 								if err != nil {
 									t.Fatalf("%v workers=%d: %v", strat, workers, err)
 								}
+								checkAnswer(t, eng, terms[0], opts, ans)
 								if got := dumpDatabase(ans.Database); got != ref.dump {
 									t.Fatalf("%v workers=%d: sharded result database differs from single engine\n--- single ---\n%s\n--- sharded ---\n%s",
 										strat, workers, ref.dump, got)
@@ -316,6 +318,8 @@ func TestShardedMutationParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%q: sharded: %v", q, err)
 				}
+				checkAnswer(t, single, q, Options{}, ref)
+				checkAnswer(t, sharded, q, Options{}, ans)
 				if got, want := dumpDatabase(ans.Database), dumpDatabase(ref.Database); got != want {
 					t.Fatalf("%q: post-mutation answers differ\n--- single ---\n%s\n--- sharded ---\n%s", q, want, got)
 				}
