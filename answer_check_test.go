@@ -18,6 +18,9 @@ import (
 //   - every seed within its relation's budget is present: seed relations
 //     are placed in name order, each taking its lowest ids up to its budget;
 //   - every relation of D′ is in G′;
+//   - G′'s projection paths come in non-increasing weight, and each is one
+//     the degree constraint (opts.Degree, by default MinPathWeight(0.8))
+//     accepts after the paths before it;
 //   - D′'s join access agrees with a scan: every column a G′ edge arrives
 //     at is indexed, and on every indexed column DistinctValues and the
 //     partners of each value are what a scan of the relation finds.
@@ -54,6 +57,19 @@ func checkAnswer(t testing.TB, eng *Engine, query string, opts Options, ans *Ans
 			t.Fatalf("%q: %d tuples of %s, %d in all, break %s", query, n, rel, total, card)
 		}
 		counts[rel]++
+	}
+
+	degree := opts.Degree
+	if degree == nil {
+		degree = MinPathWeight(0.8)
+	}
+	for i, p := range ans.Schema.Paths {
+		if i > 0 && p.Weight() > ans.Schema.Paths[i-1].Weight() {
+			t.Fatalf("%q: projection path %d, %s, weighs %g, more than the %g before it", query, i, p, p.Weight(), ans.Schema.Paths[i-1].Weight())
+		}
+		if !degree.Accept(ans.Schema.Paths[:i], p) {
+			t.Fatalf("%q: projection path %d, %s, breaks %s after the paths before it", query, i, p, degree)
+		}
 	}
 
 	seeds := map[string][]storage.TupleID{}
@@ -128,13 +144,12 @@ func baseDatabase(t testing.TB, eng *Engine) *storage.Database {
 	for _, name := range parts[0].RelationNames() {
 		whole.MustCreateRelation(parts[0].Relation(name).Schema())
 		for _, p := range parts {
-			var ids []storage.TupleID
-			var rows []storage.Row
+			var err error
 			p.Relation(name).ScanRows(func(id storage.TupleID, row storage.Row) bool {
-				ids, rows = append(ids, id), append(rows, row)
-				return true
+				err = whole.InsertRow(name, id, row)
+				return err == nil
 			})
-			if _, err := whole.InsertBatch(name, ids, rows); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
 		}

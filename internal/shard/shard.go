@@ -189,24 +189,23 @@ func Partition(db *storage.Database, p Partitioner) ([]*storage.Database, error)
 		sdb.SetForeignKeys(db.ForeignKeys())
 		out[i] = sdb
 	}
-	ids, rows := make([][]storage.TupleID, n), make([][]storage.Row, n)
 	for _, rel := range db.RelationNames() {
-		var ownerErr error
-		db.Relation(rel).ScanRows(func(id storage.TupleID, row storage.Row) bool {
-			var owner int
-			if owner, ownerErr = OwnerOf(p, id); ownerErr == nil {
-				ids[owner], rows[owner] = append(ids[owner], id), append(rows[owner], row)
-			}
-			return ownerErr == nil
-		})
-		if ownerErr != nil {
-			return nil, ownerErr
+		src := db.Relation(rel)
+		for _, sdb := range out { // about a shard's share: one allocation, not growth by doubling
+			sdb.Relation(rel).Reserve(src.Len()/n + 1)
 		}
-		for i, sdb := range out {
-			if _, err := sdb.InsertBatch(rel, ids[i], rows[i]); err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
+		var err error
+		src.ScanRows(func(id storage.TupleID, row storage.Row) bool {
+			var owner int
+			if owner, err = OwnerOf(p, id); err == nil {
+				if err = out[owner].InsertRow(rel, id, row); err != nil {
+					err = fmt.Errorf("shard %d: %w", owner, err)
+				}
 			}
-			ids[i], rows[i] = ids[i][:0], rows[i][:0]
+			return err == nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	for i, sdb := range out {

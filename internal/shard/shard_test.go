@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -198,6 +201,72 @@ func rangeOver(t *testing.T, db *storage.Database, n int) *RangePartitioner {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestPartitionSharesSourceRecords: Partition copies no values — every shard
+// tuple's row is the source tuple's record, which is what keeps the source
+// and its shards live side by side at one copy of the tuples — and each
+// shard holds the tuples it owns in the source's scan order. Every shard
+// starts from the source's watermark: a hash shard allocates the ids it owns
+// from there, a stride apart, a range shard every id from there.
+func TestPartitionSharesSourceRecords(t *testing.T) {
+	db := testDB(t, 0)
+	for _, i := range rand.New(rand.NewSource(3)).Perm(60) { // scan order is not id order
+		id := storage.TupleID(i + 1)
+		if err := db.InsertWithID("A", id, storage.Int(int64(i)), storage.String(fmt.Sprint("name ", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.InsertWithID("B", id+100, storage.Int(int64(i)), storage.Int(int64(i%7))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := storage.TupleID(3); id <= 60; id += 9 {
+		if _, err := db.Delete("A", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []Partitioner{mustHash(t, 4), rangeOver(t, db, 3)} {
+		parts, err := Partition(db, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rel := range db.RelationNames() {
+			want := make([][]storage.TupleID, len(parts))
+			db.Relation(rel).ScanRows(func(id storage.TupleID, row storage.Row) bool {
+				owner := p.Owner(id)
+				want[owner] = append(want[owner], id)
+				if got, ok := parts[owner].Relation(rel).Row(id); !ok || !got.Shares(row) {
+					t.Fatalf("%s: %s tuple %d on shard %d (held: %v) does not share the source's record", p.Name(), rel, id, owner, ok)
+				}
+				return true
+			})
+			for i, sdb := range parts {
+				var got []storage.TupleID
+				sdb.Relation(rel).ScanRows(func(id storage.TupleID, _ storage.Row) bool {
+					got = append(got, id)
+					return true
+				})
+				if !slices.Equal(got, want[i]) {
+					t.Fatalf("%s: shard %d scans %s as %v, the source's order is %v", p.Name(), i, rel, got, want[i])
+				}
+			}
+		}
+		next, n := db.NextTupleID(), storage.TupleID(len(parts))
+		for i, sdb := range parts {
+			if sdb.NextTupleID() != next {
+				t.Fatalf("%s: shard %d NextTupleID %d, the source's %d", p.Name(), i, sdb.NextTupleID(), next)
+			}
+			for k := storage.TupleID(0); k < 3; k++ {
+				want := next + k
+				if p.Name() == "hash" {
+					want = next + (storage.TupleID(i)-next%n+n)%n + k*n
+				}
+				if id, err := sdb.Insert("B", storage.Int(int64(1000+k)), storage.Int(0)); err != nil || id != want {
+					t.Fatalf("%s: shard %d insert %d took id %d (%v), want %d", p.Name(), i, k, id, err, want)
+				}
+			}
+		}
+	}
 }
 
 // TestPartitionStride: hash shards allocate only ids they own.

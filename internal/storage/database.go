@@ -155,13 +155,12 @@ func (db *Database) Insert(relation string, vals ...Value) (TupleID, error) {
 	if id > MaxTupleID {
 		return 0, fmt.Errorf("storage: %s has allocated every id up to %d: %w", db.name, MaxTupleID, ErrOutOfIDs)
 	}
-	got, err := r.insert(id, vals)
-	if err != nil {
+	if err := r.insert(id, vals); err != nil {
 		return 0, err
 	}
 	db.nextID = id + 1
-	db.tracker.mark(relation, got)
-	return got, nil
+	db.tracker.mark(relation, id)
+	return id, nil
 }
 
 // alignID advances id to the database's stride class: the smallest id' >= id
@@ -202,19 +201,52 @@ func (db *Database) SetIDStride(offset, stride TupleID) error {
 // rollback paths and the loaders, whose tuples must keep the ids they have
 // elsewhere. It rejects an id the relation already holds.
 func (db *Database) InsertWithID(relation string, id TupleID, vals ...Value) error {
+	r, err := db.insertable(relation, id)
+	if err == nil {
+		err = r.insert(id, vals)
+	}
+	return db.inserted(relation, id, err)
+}
+
+// InsertRow is InsertWithID with the values of row, a row stored elsewhere.
+// A row the relation reads alike — one of a relation of the same declared
+// types, such as the source a shard is cut from — shares its record; any
+// other is checked and copied. shard.Partition fills its shards with it.
+func (db *Database) InsertRow(relation string, id TupleID, row Row) error {
+	r, err := db.insertable(relation, id)
+	switch {
+	case err != nil:
+	case !row.Valid():
+		err = fmt.Errorf("storage: %s tuple %d has no row", relation, id)
+	case row.lay.same(&r.lay):
+		err = r.share(id, row)
+	default:
+		err = r.insert(id, row.Values())
+	}
+	return db.inserted(relation, id, err)
+}
+
+// insertable returns the named relation, refusing an id it cannot take.
+// Every id handed out is below the watermark, so one at or above it cannot
+// be held and needs no lookup — the engine's insert path, which always
+// arrives with NextTupleID, pays none until that passes MaxTupleID.
+func (db *Database) insertable(relation string, id TupleID) (*Relation, error) {
 	r := db.rels[relation]
 	if r == nil {
-		return fmt.Errorf("storage: no relation %s", relation)
+		return nil, fmt.Errorf("storage: no relation %s", relation)
 	}
-	// Every id handed out is below the watermark, so one at or above it
-	// cannot be held and needs no lookup — the engine's insert path, which
-	// always arrives with NextTupleID, pays none until that passes MaxTupleID.
 	if id < db.nextID || id > MaxTupleID {
 		if err := r.checkID(id); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if _, err := r.insert(id, vals); err != nil {
+	return r, nil
+}
+
+// inserted raises the watermark past id and marks it dirty, unless err
+// refused the insert.
+func (db *Database) inserted(relation string, id TupleID, err error) error {
+	if err != nil {
 		return err
 	}
 	if id >= db.nextID {
@@ -222,35 +254,6 @@ func (db *Database) InsertWithID(relation string, id TupleID, vals ...Value) err
 	}
 	db.tracker.mark(relation, id)
 	return nil
-}
-
-// InsertBatch adds the tuples (ids[i], rows[i]) to the named relation in
-// order and returns how many it added: a loop of InsertWithID done in one
-// step (Relation.insertBatch), except that an id occurring twice in the
-// batch is added once, under its first row, and that a batch any of whose
-// tuples would be refused adds none. Every index is current when it returns.
-// A row of a relation of the same declared types, or a statement's
-// projection of one, shares its record (an empty relation maps its columns
-// onto it); any other is copied. shard.Partition fills its shards with it.
-func (db *Database) InsertBatch(relation string, ids []TupleID, rows []Row) (int, error) {
-	r := db.rels[relation]
-	if r == nil {
-		return 0, fmt.Errorf("storage: no relation %s", relation)
-	}
-	if len(ids) != len(rows) {
-		return 0, fmt.Errorf("storage: batch of %d ids and %d rows", len(ids), len(rows))
-	}
-	n, err := r.insertBatch(ids, rows)
-	if err != nil {
-		return 0, err
-	}
-	for _, id := range ids {
-		if id >= db.nextID {
-			db.nextID = id + 1
-		}
-		db.tracker.mark(relation, id)
-	}
-	return n, nil
 }
 
 // Upsert stores ups, ascending by id, in the named relation as one change,

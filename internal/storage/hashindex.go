@@ -41,19 +41,6 @@ func owned(v Value) Value {
 	return v
 }
 
-func (ix *HashIndex) addBatch(ids []TupleID, rows []Row, unique bool) bool {
-	for i, row := range rows {
-		if unique && ix.has(row.Value(ix.colIdx)) {
-			for j := range i {
-				ix.remove(ids[j], rows[j])
-			}
-			return false
-		}
-		ix.add(ids[i], row)
-	}
-	return true
-}
-
 func (ix *HashIndex) has(v Value) bool {
 	if v.kind == KindInt {
 		return ix.ints.refs[v.AsInt()] != 0

@@ -313,10 +313,9 @@ func TestIDSpaceBoundary(t *testing.T) {
 	}
 	refused("the fourth Insert", db, rel, func() error { _, err := db.Insert("R", Int(3), Int(7)); return err })
 	refused("InsertWithID above the cap", db, rel, func() error { return db.InsertWithID("R", MaxTupleID+1, Int(3), Int(7)) })
-	refused("InsertBatch reaching above the cap", db, rel, func() error {
-		_, err := db.InsertBatch("R", []TupleID{5, MaxTupleID + 1}, []Row{MakeRow(Int(3), Int(7)), MakeRow(Int(4), Int(7))})
-		return err
-	})
+	refused("InsertRow above the cap", db, rel, func() error { return db.InsertRow("R", MaxTupleID+1, MakeRow(Int(3), Int(7))) })
+	held, _ := rel.Row(MaxTupleID)
+	refused("InsertRow of a stored row above the cap", db, rel, func() error { return db.InsertRow("R", MaxTupleID+1, held) })
 	if err := db.InsertWithID("R", MaxTupleID, Int(3), Int(7)); err == nil || errors.Is(err, ErrOutOfIDs) {
 		t.Fatalf("InsertWithID of a held id at the cap: %v, want the already-held refusal", err)
 	}

@@ -419,8 +419,9 @@ func TestTupleSurvivesUpdateAndDelete(t *testing.T) {
 // TestRelationOwnsRow pins the ownership rule: the values handed to Insert,
 // InsertWithID or Update are copied into a record of the relation's, so the
 // caller may write its slice at once; a record is never written, so one may
-// back a tuple in two databases (InsertBatch of a stored row), and neither
-// sees the other's updates.
+// back a tuple in two databases (InsertRow of a stored row), and neither
+// sees the other's updates. A row InsertRow refuses is refused whether it is
+// a record of its own or a stored one it would have shared.
 func TestRelationOwnsRow(t *testing.T) {
 	db, other := NewDatabase("test"), NewDatabase("other")
 	for _, d := range []*Database{db, other} {
@@ -436,11 +437,11 @@ func TestRelationOwnsRow(t *testing.T) {
 	if !reflect.DeepEqual(got.Values(), []Value{Int(1), String("one")}) {
 		t.Fatalf("the stored row follows the caller's slice: %v", got.Values())
 	}
-	if _, err := other.InsertBatch("R", []TupleID{5}, []Row{got}); err != nil {
+	if err := other.InsertRow("R", 5, got); err != nil {
 		t.Fatal(err)
 	}
 	if shared, _ := other.Relation("R").Row(5); !shared.Shares(got) {
-		t.Fatal("InsertBatch copied a stored row of a relation of the same types")
+		t.Fatal("InsertRow copied a stored row of a relation of the same types")
 	}
 	next := []Value{Int(2), String("two")}
 	if err := db.Update("R", 5, next); err != nil {
@@ -456,13 +457,24 @@ func TestRelationOwnsRow(t *testing.T) {
 	if !reflect.DeepEqual(got.Values(), []Value{Int(1), String("one")}) {
 		t.Fatalf("the replaced row changed under its holder: %v", got.Values())
 	}
-	for _, bad := range [][]Value{{Int(9)}, {Int(9), String("x"), Int(1)}, {String("k"), String("x")}, {Null, String("x")}, {Int(2), String("dup")}} {
+	keyless := other.MustCreateRelation(MustSchema("K", "", Column{"a", TypeInt}, Column{"s", TypeString}))
+	for i, bad := range [][]Value{{Int(9)}, {Int(9), String("x"), Int(1)}, {String("k"), String("x")}, {Null, String("x")}, {Int(2), String("dup")}} {
 		if err := db.InsertWithID("R", 7, bad...); err == nil {
 			t.Errorf("row %v accepted", bad)
 		}
-		if _, err := db.InsertBatch("R", []TupleID{7}, []Row{MakeRow(bad...)}); err == nil {
-			t.Errorf("row %v accepted by InsertBatch", bad)
+		if err := db.InsertRow("R", 7, MakeRow(bad...)); err == nil {
+			t.Errorf("row %v accepted by InsertRow", bad)
 		}
+		if other.InsertWithID("K", TupleID(10+i), bad...) != nil {
+			continue // not of R's types: never shared
+		}
+		stored, _ := keyless.Row(TupleID(10 + i))
+		if err := db.InsertRow("R", 7, stored); err == nil {
+			t.Errorf("stored row %v accepted by InsertRow", bad)
+		}
+	}
+	if rel.Has(7) {
+		t.Error("a refused row left a tuple")
 	}
 }
 

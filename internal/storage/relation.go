@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"unsafe"
 
 	"precis/internal/faultinject"
 )
@@ -138,37 +137,24 @@ func (r *Relation) find(id TupleID) (*slot, int) {
 	}
 }
 
-// bind records that id, which no live tuple carries, now lives at pos.
+// bind records that id, which no live tuple carries, now lives at pos. A
+// tombstone of the same id (the engine's delete rollback re-inserts a
+// deleted id) has its entry overwritten, so an id never owns two entries it
+// could be found under.
 func (r *Relation) bind(id TupleID, pos int) {
 	if r.idsUsed*4 >= len(r.ids)*3 {
 		r.rehash(r.live)
 	}
-	r.claim(id, pos)
-}
-
-// claim is find and bind in one walk of the id table, which must have room
-// (bind, Reserve): a live tuple carrying id is reported with its position
-// and nothing changes; otherwise id is recorded as living at pos. A
-// tombstone of the same id (the engine's delete rollback re-inserts a
-// deleted id) has its entry overwritten, so an id never owns two entries it
-// could be found under.
-func (r *Relation) claim(id TupleID, pos int) (at int, held bool) {
 	mask := len(r.ids) - 1
 	i := idHash(id, bits.TrailingZeros(uint(len(r.ids))))
 	for ; r.ids[i] != 0; i = (i + 1) & mask {
-		e := int(r.ids[i] - 1)
-		if s := r.slotAt(e); s == nil {
-			continue
-		} else if s.id == id {
-			return e, true
-		} else if s.id == -id {
+		if s := r.slotAt(int(r.ids[i] - 1)); s != nil && s.id == -id {
 			r.ids[i] = int32(pos + 1)
-			return pos, false
+			return
 		}
 	}
 	r.ids[i] = int32(pos + 1)
 	r.idsUsed++
-	return pos, false
 }
 
 // rehash rebuilds the id table from its entries that still name a live slot,
@@ -185,9 +171,6 @@ func (r *Relation) rehash(n int) {
 	shift, mask := bits.TrailingZeros(uint(size)), size-1
 	for _, e := range old {
 		if e == 0 {
-			continue
-		}
-		if int(e-1) >= r.next { // insertBatch took its slots back
 			continue
 		}
 		s := r.slotAt(int(e - 1))
@@ -287,9 +270,13 @@ func (r *Relation) CheckRow(vals []Value) error {
 		}
 	}
 	if key := r.schema.Key; key != "" && vals[r.schema.ColumnIndex(key)].IsNull() {
-		return fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, key)
+		return r.errNullKey()
 	}
 	return nil
+}
+
+func (r *Relation) errNullKey() error {
+	return fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, r.schema.Key)
 }
 
 func (r *Relation) errDuplicateKey(kv Value) error {
@@ -312,182 +299,36 @@ func (r *Relation) checkID(id TupleID) error {
 }
 
 // insert stores a tuple with the given id, its values copied into a record.
-func (r *Relation) insert(id TupleID, vals []Value) (TupleID, error) {
+func (r *Relation) insert(id TupleID, vals []Value) error {
 	if err := r.validate(vals, Row{}); err != nil {
-		return 0, err
+		return err
 	}
-	rec := r.lay.encode(vals)
+	return r.store(id, r.lay.encode(vals))
+}
+
+// share stores a tuple with the given id whose record is row's, which the
+// relation reads alike: the record's types and size were checked when it was
+// made, so only its key is.
+func (r *Relation) share(id TupleID, row Row) error {
+	if key := r.schema.Key; key != "" {
+		kv := row.Value(r.schema.ColumnIndex(key))
+		if kv.IsNull() {
+			return r.errNullKey()
+		}
+		if r.indexes[key].has(kv) {
+			return r.errDuplicateKey(kv)
+		}
+	}
+	return r.store(id, row.rec)
+}
+
+// store appends a slot holding rec under id and indexes it.
+func (r *Relation) store(id TupleID, rec *uint64) error {
 	if err := r.appendSlot(id, rec); err != nil {
-		return 0, err
+		return err
 	}
 	r.indexRow(id, Row{rec, &r.lay})
-	return id, nil
-}
-
-// insertBatch stores the tuples (ids[i], rows[i]) in order, all or none: one
-// reservation, one walk of the id table, one validation pass (admit) and one
-// update per index, with the checks a loop of insert would make. An id the
-// batch repeats is stored once, under its first row, and its later rows are
-// not looked at; an id the relation held before is an error. It returns how
-// many tuples it stored. After an error the relation and its indexes hold what
-// they held before, and the error is the one the first failing tuple would
-// have met in that loop.
-func (r *Relation) insertBatch(ids []TupleID, rows []Row) (int, error) {
-	if int64(r.next)+int64(len(ids)) > math.MaxInt32 {
-		return 0, fmt.Errorf("storage: %s is out of slot positions: %w", r.schema.Name, ErrOutOfIDs)
-	}
-	if r.next == 0 && len(rows) > 0 && rows[0].Valid() {
-		r.adopt(rows[0].lay)
-	}
-	base := r.next
-	r.Reserve(len(ids))
-	kept, keptRows, ok := r.place(ids, rows)
-	bytes := 0
-	if ok {
-		keptRows, bytes, ok = r.admit(base, keptRows, unsafe.SliceData(keptRows) == unsafe.SliceData(rows))
-	}
-	if key := r.schema.Key; ok && key != "" {
-		ok = r.indexes[key].addBatch(kept, keptRows, true)
-	}
-	if !ok {
-		r.truncate(base)
-		return 0, r.batchError(ids, rows)
-	}
-	r.held, r.live, r.bytes = r.held+len(kept), r.live+len(kept), r.bytes+bytes
-	for col, idx := range r.indexes {
-		if col != r.schema.Key {
-			idx.addBatch(kept, keptRows, false)
-		}
-	}
-	return len(kept), nil
-}
-
-// adopt makes an empty relation read its records through l when l's rows have
-// the relation's columns and declared types, at its first batch.
-func (r *Relation) adopt(l *layout) {
-	if r.next > 0 || l.types == nil || r.lay.same(l) || len(l.cols) != r.ncols {
-		return
-	}
-	for j, c := range r.schema.Columns {
-		if l.types[l.cols[j]].Type != c.Type {
-			return
-		}
-	}
-	r.lay = *l
-}
-
-// admit makes the placed rows of a batch, stored from position base on,
-// readable through the relation's layout: a row the layout reads alike, its
-// record checked when it was made, only has its key checked for NULL; any
-// other is checked and copied into a record of the relation's, in its slot
-// and in rows (a copy, if shared with the caller). It reports the records'
-// bytes, and false at a row that is refused.
-func (r *Relation) admit(base int, rows []Row, shared bool) ([]Row, int, bool) {
-	key := r.schema.ColumnIndex(r.schema.Key)
-	trusted, bytes := &r.lay, 0
-	for i, row := range rows {
-		if !row.Valid() {
-			return rows, 0, false
-		}
-		if row.lay != trusted && row.lay.same(&r.lay) {
-			trusted = row.lay
-		}
-		if row.lay != trusted {
-			vals := row.Values()
-			if r.CheckRow(vals) != nil {
-				return rows, 0, false
-			}
-			if shared {
-				rows, shared = slices.Clone(rows), false
-			}
-			row = Row{r.lay.encode(vals), &r.lay}
-			rows[i], r.slotAt(base+i).rec = row, row.rec
-		} else if key >= 0 && row.Value(key).IsNull() {
-			return rows, 0, false
-		}
-		bytes += r.lay.recordSize(row.rec)
-	}
-	return rows, bytes, true
-}
-
-// place gives every id of the batch that is new a slot, bound to it, after
-// the relation's last (Reserve has made the room), and returns the batch
-// less the ids it repeats — the batch itself when it repeats none, a copy
-// otherwise. It stops, reporting false, at an id that cannot be stored or
-// that the relation held before the batch.
-func (r *Relation) place(ids []TupleID, rows []Row) (kept []TupleID, keptRows []Row, ok bool) {
-	base := r.next
-	kept, keptRows = ids, rows
-	for i, id := range ids {
-		n := r.next - base
-		if id <= 0 || id > MaxTupleID {
-			return kept[:n], keptRows[:n], false
-		}
-		if at, held := r.claim(id, r.next); held {
-			if at < base {
-				return kept[:n], keptRows[:n], false
-			}
-			if n == i { // the first repeat
-				kept, keptRows = slices.Clone(ids), slices.Clone(rows)
-			}
-			continue
-		}
-		c := r.lastChunk()
-		if len(c.slots) == cap(c.slots) {
-			c.grow(len(c.slots) + len(ids) - i)
-		}
-		c.slots = append(c.slots, slot{id: id, rec: rows[i].rec})
-		r.next++
-		if n < i {
-			kept[n], keptRows[n] = id, rows[i]
-		}
-	}
-	return kept[:r.next-base], keptRows[:r.next-base], true
-}
-
-// truncate takes back the slots from position base on and the id-table
-// entries that name them: what a refused insertBatch had stored.
-func (r *Relation) truncate(base int) {
-	last := base >> slotChunkBits
-	if last < len(r.chunks) {
-		c := &r.chunks[last]
-		clear(c.slots[base&(slotChunk-1):])
-		c.slots = c.slots[:base&(slotChunk-1)]
-		clear(r.chunks[last+1:])
-		r.chunks = r.chunks[:last+1]
-	}
-	r.next = base
-	r.rehash(r.live)
-}
-
-// batchError replays a refused batch the way a loop of insert takes it and
-// returns the error of the first tuple that fails.
-func (r *Relation) batchError(ids []TupleID, rows []Row) error {
-	seen := make(map[TupleID]bool, len(ids))
-	keys := make(map[Value]bool, len(ids))
-	for i, id := range ids {
-		if seen[id] {
-			continue
-		}
-		if err := r.checkID(id); err != nil {
-			return err
-		}
-		if !rows[i].Valid() {
-			return fmt.Errorf("storage: %s tuple %d has no row", r.schema.Name, id)
-		}
-		if err := r.validate(rows[i].Values(), Row{}); err != nil {
-			return err
-		}
-		if key := r.schema.Key; key != "" {
-			kv := rows[i].Value(r.schema.ColumnIndex(key))
-			if keys[kv] {
-				return r.errDuplicateKey(kv)
-			}
-			keys[kv] = true
-		}
-		seen[id] = true
-	}
-	return fmt.Errorf("storage: %s refused a batch of %d tuples", r.schema.Name, len(ids))
+	return nil
 }
 
 // delete removes the tuple with the given id. It reports whether it existed.
@@ -762,11 +603,9 @@ func (r *Relation) upsert(ups []Upsert) (int, error) {
 	}
 	for i, s := range held {
 		if s == nil {
-			rec := r.lay.encode(vals[i])
-			if err := r.appendSlot(ups[i].ID, rec); err != nil {
+			if err := r.store(ups[i].ID, r.lay.encode(vals[i])); err != nil {
 				return i, err
 			}
-			r.indexRow(ups[i].ID, Row{rec, &r.lay})
 		}
 	}
 	return 0, nil

@@ -36,8 +36,8 @@ type fold struct {
 	next storage.TupleID
 	// extras holds the synonyms and macros of the last delta folded (its DB
 	// unused) and fks its foreign keys; nil while no delta is folded, which
-	// keeps the base's. tail holds the synonym, macro and foreign-key records
-	// folded after it, applied on top.
+	// keeps the base's. tail holds the synonym and macro records folded after
+	// it, applied on top.
 	extras *SnapshotData
 	fks    []storage.ForeignKey
 	tail   []Record
@@ -136,7 +136,7 @@ func (f *fold) record(r Record) error {
 		f.raise(r.ID + 1)
 	case OpDelete:
 		f.rel(r.Rel).drop(r.ID)
-	case OpSynonym, OpMacro, OpAddFK:
+	case OpSynonym, OpMacro:
 		f.tail = append(f.tail, r)
 	default:
 		return fmt.Errorf("unknown op %d", uint8(r.Op))
@@ -187,8 +187,7 @@ func merge(file string, raw []byte, f *fold, gen uint64, obs RecoveryObserver) (
 		size.extras(f.extras.Synonyms, f.extras.Macros)
 	}
 	for _, r := range f.tail {
-		size.n += len(r.Alias) + len(r.Canonical) + len(r.Def) + len(r.FK.FromRelation) + len(r.FK.FromColumn) +
-			len(r.FK.ToRelation) + len(r.FK.ToColumn) + 7*binary.MaxVarintLen64
+		size.n += len(r.Alias) + len(r.Canonical) + len(r.Def) + 4*binary.MaxVarintLen64
 	}
 	size.n += 3*FrameOverhead + len(snapTrailer) + 2*binary.MaxVarintLen64
 	m.out.b = make([]byte, m.reserve, size.n)

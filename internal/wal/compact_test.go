@@ -590,7 +590,7 @@ func TestFlattenedSnapshotFoldsLogs(t *testing.T) {
 				if err := s.Append(r); err != nil {
 					t.Fatal(err)
 				}
-				if err := r.Apply(&SnapshotData{DB: db}); err != nil {
+				if err := r.apply(&SnapshotData{DB: db}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -616,8 +616,7 @@ func TestFlattenedSnapshotFoldsLogs(t *testing.T) {
 			Record{Op: OpInsert, Rel: "AUTHOR", ID: ins.ID + 1, Values: ins.Values},
 			Record{Op: OpDelete, Rel: "BOOK", ID: 5},
 			Record{Op: OpSynonym, Alias: "old", Canonical: "Older"}, Record{Op: OpSynonym, Alias: "w", Canonical: "Woody"},
-			Record{Op: OpMacro, Def: `DEFINE M as "m."`},
-			Record{Op: OpAddFK, FK: storage.ForeignKey{FromRelation: "AUTHOR", FromColumn: "aid", ToRelation: "AUTHOR", ToColumn: "aid"}})
+			Record{Op: OpMacro, Def: `DEFINE M as "m."`})
 		// A rotation with no checkpoint behind it: the log stays between the
 		// chain tip and the active generation.
 		h, err := s.BeginCheckpoint()

@@ -104,169 +104,77 @@ func EncodeDelta(d *DeltaData) ([]byte, error) {
 // a stream that stops cleanly before its trailer satisfies IsIncomplete. The
 // decoder never panics and never allocates more than the input justifies.
 func DecodeDelta(file string, raw []byte) (*DeltaData, error) {
-	if len(raw) < len(deltaMagic) || string(raw[:len(deltaMagic)]) != deltaMagic {
-		return nil, fmt.Errorf("wal: %s: not a delta (bad magic): %w", fileLabel(file), errIncomplete)
-	}
-	var (
-		d         = &DeltaData{}
-		nRels     int
-		relsSeen  int
-		fksDone   bool
-		extrasOK  bool
-		trailerOK bool
-		total     uint64
-	)
-	torn, err := scanFrames(file, raw[len(deltaMagic):], func(i int, off int64, payload []byte) error {
-		dd := &dec{b: payload}
-		switch {
-		case i == 0: // header
-			ver, err := dd.uvarint()
-			if err != nil {
-				return fmt.Errorf("header: %w", err)
-			}
-			if ver != deltaVersion {
-				return fmt.Errorf("unsupported delta version %d", ver)
-			}
-			if d.BaseGen, err = dd.uvarint(); err != nil {
-				return fmt.Errorf("header: %w", err)
-			}
-			next, err := dd.uvarint()
-			if err != nil {
-				return fmt.Errorf("header: %w", err)
-			}
-			d.NextTupleID = storage.TupleID(next)
-			n, err := dd.uvarint()
-			if err != nil {
-				return fmt.Errorf("header: %w", err)
-			}
-			if n > uint64(len(raw)) { // each relation section costs ≥ 1 byte
-				return fmt.Errorf("header: relation count %d exceeds input", n)
-			}
-			nRels = int(n)
-			return nil
-		case relsSeen < nRels: // one changed relation
-			var r storage.DirtyRelation
-			var err error
-			if r.Name, err = dd.str(); err != nil {
-				return fmt.Errorf("relation section %d: %w", relsSeen, err)
-			}
-			nUp, err := dd.count(2)
-			if err != nil {
-				return fmt.Errorf("relation %s upserts: %w", r.Name, err)
-			}
-			r.Upserts = make([]storage.Upsert, 0, nUp)
-			dd.borrow = true // MakeRow copies the values out of the payload
-			var vals []storage.Value
-			for j := 0; j < nUp; j++ {
-				id, err := dd.uvarint()
-				if err != nil {
-					return fmt.Errorf("relation %s upsert %d: %w", r.Name, j, err)
-				}
-				if j > 0 && storage.TupleID(id) <= r.Upserts[j-1].ID {
-					return fmt.Errorf("relation %s upsert %d: id %d after %d", r.Name, j, id, r.Upserts[j-1].ID)
-				}
-				vals, err = dd.values(vals[:0])
-				if err != nil {
-					return fmt.Errorf("relation %s upsert %d: %w", r.Name, j, err)
-				}
-				r.Upserts = append(r.Upserts, storage.Upsert{ID: storage.TupleID(id), Row: storage.MakeRow(vals...)})
-			}
-			nDel, err := dd.count(1)
-			if err != nil {
-				return fmt.Errorf("relation %s deletes: %w", r.Name, err)
-			}
-			r.Deletes = make([]storage.TupleID, 0, nDel)
-			for j := 0; j < nDel; j++ {
-				id, err := dd.uvarint()
-				if err != nil {
-					return fmt.Errorf("relation %s delete %d: %w", r.Name, j, err)
-				}
-				if j > 0 && storage.TupleID(id) <= r.Deletes[j-1] {
-					return fmt.Errorf("relation %s delete %d: id %d after %d", r.Name, j, id, r.Deletes[j-1])
-				}
-				r.Deletes = append(r.Deletes, storage.TupleID(id))
-			}
-			d.Relations = append(d.Relations, r)
-			relsSeen++
-			return nil
-		case !fksDone: // foreign keys
-			n, err := dd.count(4)
-			if err != nil {
-				return fmt.Errorf("foreign keys: %w", err)
-			}
-			for j := 0; j < n; j++ {
-				var fk storage.ForeignKey
-				if fk.FromRelation, err = dd.str(); err == nil {
-					if fk.FromColumn, err = dd.str(); err == nil {
-						if fk.ToRelation, err = dd.str(); err == nil {
-							fk.ToColumn, err = dd.str()
-						}
-					}
-				}
-				if err != nil {
-					return fmt.Errorf("foreign key %d: %w", j, err)
-				}
-				d.FKs = append(d.FKs, fk)
-			}
-			fksDone = true
-			return nil
-		case !extrasOK: // synonyms + macros
-			n, err := dd.count(2)
-			if err != nil {
-				return fmt.Errorf("synonyms: %w", err)
-			}
-			for j := 0; j < n; j++ {
-				alias, err := dd.str()
-				if err != nil {
-					return fmt.Errorf("synonym %d: %w", j, err)
-				}
-				canonical, err := dd.str()
-				if err != nil {
-					return fmt.Errorf("synonym %d: %w", j, err)
-				}
-				d.Synonyms = append(d.Synonyms, [2]string{alias, canonical})
-			}
-			n, err = dd.count(1)
-			if err != nil {
-				return fmt.Errorf("macros: %w", err)
-			}
-			for j := 0; j < n; j++ {
-				def, err := dd.str()
-				if err != nil {
-					return fmt.Errorf("macro %d: %w", j, err)
-				}
-				d.Macros = append(d.Macros, def)
-			}
-			extrasOK = true
-			return nil
-		case !trailerOK: // trailer
-			tag, err := dd.str()
-			if err != nil || tag != deltaTrailer {
-				return fmt.Errorf("bad trailer")
-			}
-			if total, err = dd.uvarint(); err != nil {
-				return fmt.Errorf("trailer: %w", err)
-			}
-			trailerOK = true
-			return nil
-		default:
-			return fmt.Errorf("unexpected section after trailer")
+	d := &DeltaData{}
+	x, err := readSections(file, raw, deltaFormat, func(dd *dec) (uint64, *storage.Database, error) {
+		ver, err := dd.uvarint()
+		if err != nil {
+			return 0, nil, fmt.Errorf("header: %w", err)
 		}
+		if ver != deltaVersion {
+			return 0, nil, fmt.Errorf("unsupported delta version %d", ver)
+		}
+		if d.BaseGen, err = dd.uvarint(); err != nil {
+			return 0, nil, fmt.Errorf("header: %w", err)
+		}
+		next, err := dd.uvarint()
+		if err != nil {
+			return 0, nil, fmt.Errorf("header: %w", err)
+		}
+		d.NextTupleID = storage.TupleID(next)
+		n, err := dd.uvarint()
+		if err != nil {
+			return 0, nil, fmt.Errorf("header: %w", err)
+		}
+		return n, nil, nil
+	}, func(i int, dd *dec) (int, error) {
+		var r storage.DirtyRelation
+		var err error
+		if r.Name, err = dd.str(); err != nil {
+			return 0, fmt.Errorf("relation section %d: %w", i, err)
+		}
+		nUp, err := dd.count(2)
+		if err != nil {
+			return 0, fmt.Errorf("relation %s upserts: %w", r.Name, err)
+		}
+		r.Upserts = make([]storage.Upsert, 0, nUp)
+		dd.borrow = true // MakeRow copies the values out of the payload
+		var vals []storage.Value
+		for j := 0; j < nUp; j++ {
+			id, err := dd.uvarint()
+			if err != nil {
+				return 0, fmt.Errorf("relation %s upsert %d: %w", r.Name, j, err)
+			}
+			if j > 0 && storage.TupleID(id) <= r.Upserts[j-1].ID {
+				return 0, fmt.Errorf("relation %s upsert %d: id %d after %d", r.Name, j, id, r.Upserts[j-1].ID)
+			}
+			vals, err = dd.values(vals[:0])
+			if err != nil {
+				return 0, fmt.Errorf("relation %s upsert %d: %w", r.Name, j, err)
+			}
+			r.Upserts = append(r.Upserts, storage.Upsert{ID: storage.TupleID(id), Row: storage.MakeRow(vals...)})
+		}
+		nDel, err := dd.count(1)
+		if err != nil {
+			return 0, fmt.Errorf("relation %s deletes: %w", r.Name, err)
+		}
+		r.Deletes = make([]storage.TupleID, 0, nDel)
+		for j := 0; j < nDel; j++ {
+			id, err := dd.uvarint()
+			if err != nil {
+				return 0, fmt.Errorf("relation %s delete %d: %w", r.Name, j, err)
+			}
+			if j > 0 && storage.TupleID(id) <= r.Deletes[j-1] {
+				return 0, fmt.Errorf("relation %s delete %d: id %d after %d", r.Name, j, id, r.Deletes[j-1])
+			}
+			r.Deletes = append(r.Deletes, storage.TupleID(id))
+		}
+		d.Relations = append(d.Relations, r)
+		return len(r.Upserts) + len(r.Deletes), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if torn != nil || !trailerOK {
-		detail := "missing trailer"
-		if torn != nil {
-			detail = torn.Detail
-		}
-		return nil, fmt.Errorf("wal: %s: delta incomplete (%s): %w", fileLabel(file), detail, errIncomplete)
-	}
-	if got := d.Changes(); uint64(got) != total {
-		return nil, &CorruptionError{File: file, Offset: 0, Record: 0,
-			Detail: fmt.Sprintf("trailer declares %d changes, decoded %d", total, got)}
-	}
+	d.FKs, d.Synonyms, d.Macros = x.fks, x.synonyms, x.macros
 	return d, nil
 }
 

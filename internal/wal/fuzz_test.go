@@ -39,7 +39,6 @@ func fuzzSeedWAL() []byte {
 		{Op: OpDelete, Rel: "R", ID: 1},
 		{Op: OpSynonym, Alias: "w allen", Canonical: "Woody Allen"},
 		{Op: OpMacro, Def: `DEFINE M as "x."`},
-		{Op: OpAddFK, FK: storage.ForeignKey{FromRelation: "a", FromColumn: "b", ToRelation: "c", ToColumn: "d"}},
 	}
 	for _, r := range recs {
 		raw = mustFrame(raw, r.encode(nil))

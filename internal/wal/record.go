@@ -18,7 +18,6 @@ const (
 	OpDelete
 	OpSynonym
 	OpMacro
-	OpAddFK
 )
 
 // String names the op for diagnostics.
@@ -34,8 +33,6 @@ func (o Op) String() string {
 		return "synonym"
 	case OpMacro:
 		return "macro"
-	case OpAddFK:
-		return "add-fk"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -48,7 +45,6 @@ func (o Op) String() string {
 //	OpDelete   Rel, ID
 //	OpSynonym  Alias, Canonical
 //	OpMacro    Def
-//	OpAddFK    FK
 type Record struct {
 	Op     Op
 	Rel    string
@@ -57,8 +53,6 @@ type Record struct {
 
 	Alias, Canonical string
 	Def              string
-
-	FK storage.ForeignKey
 }
 
 // encode appends the record's payload bytes (no frame) to dst.
@@ -81,11 +75,6 @@ func (r Record) encode(dst []byte) []byte {
 		e.str(r.Canonical)
 	case OpMacro:
 		e.str(r.Def)
-	case OpAddFK:
-		e.str(r.FK.FromRelation)
-		e.str(r.FK.FromColumn)
-		e.str(r.FK.ToRelation)
-		e.str(r.FK.ToColumn)
 	}
 	return e.bytes()
 }
@@ -122,14 +111,6 @@ func decodeRecord(payload []byte) (Record, error) {
 		}
 	case OpMacro:
 		r.Def, err = d.str()
-	case OpAddFK:
-		if r.FK.FromRelation, err = d.str(); err == nil {
-			if r.FK.FromColumn, err = d.str(); err == nil {
-				if r.FK.ToRelation, err = d.str(); err == nil {
-					r.FK.ToColumn, err = d.str()
-				}
-			}
-		}
 	default:
 		return Record{}, fmt.Errorf("unknown op %d", opb)
 	}
@@ -145,10 +126,6 @@ func decodeRecord(payload []byte) (Record, error) {
 // DecodeRecord parses one WAL frame payload — the exported form the
 // replication follower applies to streamed frames.
 func DecodeRecord(payload []byte) (Record, error) { return decodeRecord(payload) }
-
-// Apply replays the record onto data through the same ID-stable path crash
-// recovery uses, exported for follower bootstrap.
-func (r Record) Apply(data *SnapshotData) error { return r.apply(data) }
 
 // apply replays one record onto the recovered state. Inserts use the logged
 // tuple id, so a replayed database is id-identical to the pre-crash one.
@@ -167,8 +144,6 @@ func (r Record) apply(s *SnapshotData) error {
 	case OpMacro:
 		s.addMacro(r.Def)
 		return nil
-	case OpAddFK:
-		return s.DB.AddForeignKey(r.FK)
 	default:
 		return fmt.Errorf("unknown op %d", uint8(r.Op))
 	}

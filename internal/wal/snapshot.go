@@ -178,61 +178,113 @@ func DecodeSnapshot(file string, raw []byte) (*SnapshotData, error) {
 // relation, the count its section declares, and a decoder at the first of
 // them; it must read all of them or fail. DecodeSnapshot inserts them and the
 // compaction merges them, so the two refuse a snapshot at the same section,
-// classified alike: an error from tuples, like any other in a section, is a
-// *CorruptionError attributed to that section's frame (or a storage.ErrOutOfIDs
-// for an id past the largest), and a stream that stops before its trailer
-// satisfies IsIncomplete.
+// classified alike (readSections), an error from tuples included (or a
+// storage.ErrOutOfIDs for an id past the largest).
 func readSnapshot(file string, raw []byte, tuples func(db *storage.Database, rel *storage.Relation, n int, d *dec) error) (*SnapshotData, error) {
-	if len(raw) < len(snapMagic) || string(raw[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("wal: %s: not a snapshot (bad magic): %w", fileLabel(file), errIncomplete)
+	data := &SnapshotData{}
+	x, err := readSections(file, raw, snapFormat, func(d *dec) (uint64, *storage.Database, error) {
+		ver, err := d.uvarint()
+		if err != nil {
+			return 0, nil, fmt.Errorf("header: %w", err)
+		}
+		if ver != snapVersion {
+			return 0, nil, fmt.Errorf("unsupported snapshot version %d", ver)
+		}
+		name, err := d.str()
+		if err != nil {
+			return 0, nil, fmt.Errorf("header: %w", err)
+		}
+		next, err := d.uvarint()
+		if err != nil {
+			return 0, nil, fmt.Errorf("header: %w", err)
+		}
+		n, err := d.uvarint()
+		if err != nil {
+			return 0, nil, fmt.Errorf("header: %w", err)
+		}
+		data.DB = storage.NewDatabase(name)
+		data.DB.SetNextTupleID(storage.TupleID(next))
+		return n, data.DB, nil
+	}, func(i int, d *dec) (int, error) {
+		rel, n, err := decodeSchema(d, data.DB)
+		if err == nil {
+			err = tuples(data.DB, rel, n, d)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("relation section %d: %w", i, err)
+		}
+		return n, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range x.synonyms {
+		data.setSynonym(p[0], p[1])
+	}
+	for _, def := range x.macros {
+		data.addMacro(def)
+	}
+	return data, nil
+}
+
+// format is one kind of checkpoint file: its name in diagnostics, its magic,
+// its trailer's tag and what the trailer's count counts.
+type format struct{ kind, magic, trailer, counts string }
+
+var (
+	snapFormat  = format{"snapshot", snapMagic, snapTrailer, "tuples"}
+	deltaFormat = format{"delta", deltaMagic, deltaTrailer, "changes"}
+)
+
+// extras is what a checkpoint file holds after its relation sections.
+type extras struct {
+	fks      []storage.ForeignKey
+	synonyms [][2]string
+	macros   []string
+}
+
+// readSections walks the sections a full snapshot and a delta share: the
+// magic, a header frame, one frame per relation the header declares, the
+// foreign keys, the extras and a trailer that authenticates a count. header
+// reads the header frame and returns the number of relation sections and
+// the database the foreign keys are added to as they are read (nil: they are
+// only listed); relation reads relation section i and returns what it adds
+// to the count. An error from either, like any other in a section, is a
+// *CorruptionError attributed to that section's frame; a stream that stops
+// before its trailer satisfies IsIncomplete; a trailer whose count is not
+// the sections' is corruption.
+func readSections(file string, raw []byte, f format, header func(d *dec) (uint64, *storage.Database, error), relation func(i int, d *dec) (int, error)) (*extras, error) {
+	if len(raw) < len(f.magic) || string(raw[:len(f.magic)]) != f.magic {
+		return nil, fmt.Errorf("wal: %s: not a %s (bad magic): %w", fileLabel(file), f.kind, errIncomplete)
 	}
 	var (
-		data      = &SnapshotData{}
+		x         = &extras{}
+		db        *storage.Database
 		nRels     int
 		relsSeen  int
 		fksDone   bool
 		extrasOK  bool
 		trailerOK bool
-		declared  uint64 // tuples the relation sections declare
-		total     uint64 // tuples the trailer declares
+		declared  uint64 // what the relation sections add up to
+		total     uint64 // what the trailer declares
 	)
-	torn, err := scanFrames(file, raw[len(snapMagic):], func(i int, off int64, payload []byte) error {
+	torn, err := scanFrames(file, raw[len(f.magic):], func(i int, off int64, payload []byte) error {
 		d := &dec{b: payload}
 		switch {
 		case i == 0: // header
-			ver, err := d.uvarint()
+			n, hdb, err := header(d)
 			if err != nil {
-				return fmt.Errorf("header: %w", err)
-			}
-			if ver != snapVersion {
-				return fmt.Errorf("unsupported snapshot version %d", ver)
-			}
-			name, err := d.str()
-			if err != nil {
-				return fmt.Errorf("header: %w", err)
-			}
-			next, err := d.uvarint()
-			if err != nil {
-				return fmt.Errorf("header: %w", err)
-			}
-			n, err := d.uvarint()
-			if err != nil {
-				return fmt.Errorf("header: %w", err)
+				return err
 			}
 			if n > uint64(len(raw)) { // each relation section costs ≥ 1 byte
 				return fmt.Errorf("header: relation count %d exceeds input", n)
 			}
-			nRels = int(n)
-			data.DB = storage.NewDatabase(name)
-			data.DB.SetNextTupleID(storage.TupleID(next))
+			nRels, db = int(n), hdb
 			return nil
 		case relsSeen < nRels: // relation section
-			rel, n, err := decodeSchema(d, data.DB)
-			if err == nil {
-				err = tuples(data.DB, rel, n, d)
-			}
+			n, err := relation(relsSeen, d)
 			if err != nil {
-				return fmt.Errorf("relation section %d: %w", relsSeen, err)
+				return err
 			}
 			declared += uint64(n)
 			relsSeen++
@@ -254,9 +306,12 @@ func readSnapshot(file string, raw []byte, tuples func(db *storage.Database, rel
 				if err != nil {
 					return fmt.Errorf("foreign key %d: %w", j, err)
 				}
-				if err := data.DB.AddForeignKey(fk); err != nil {
-					return err
+				if db != nil {
+					if err := db.AddForeignKey(fk); err != nil {
+						return err
+					}
 				}
+				x.fks = append(x.fks, fk)
 			}
 			fksDone = true
 			return nil
@@ -274,7 +329,7 @@ func readSnapshot(file string, raw []byte, tuples func(db *storage.Database, rel
 				if err != nil {
 					return fmt.Errorf("synonym %d: %w", j, err)
 				}
-				data.setSynonym(alias, canonical)
+				x.synonyms = append(x.synonyms, [2]string{alias, canonical})
 			}
 			n, err = d.count(1)
 			if err != nil {
@@ -285,13 +340,13 @@ func readSnapshot(file string, raw []byte, tuples func(db *storage.Database, rel
 				if err != nil {
 					return fmt.Errorf("macro %d: %w", j, err)
 				}
-				data.addMacro(def)
+				x.macros = append(x.macros, def)
 			}
 			extrasOK = true
 			return nil
 		case !trailerOK: // trailer
 			tag, err := d.str()
-			if err != nil || tag != snapTrailer {
+			if err != nil || tag != f.trailer {
 				return fmt.Errorf("bad trailer")
 			}
 			if total, err = d.uvarint(); err != nil {
@@ -311,13 +366,13 @@ func readSnapshot(file string, raw []byte, tuples func(db *storage.Database, rel
 		if torn != nil {
 			detail = torn.Detail
 		}
-		return nil, fmt.Errorf("wal: %s: snapshot incomplete (%s): %w", fileLabel(file), detail, errIncomplete)
+		return nil, fmt.Errorf("wal: %s: %s incomplete (%s): %w", fileLabel(file), f.kind, detail, errIncomplete)
 	}
 	if declared != total {
 		return nil, &CorruptionError{File: file, Offset: 0, Record: 0,
-			Detail: fmt.Sprintf("trailer declares %d tuples, decoded %d", total, declared)}
+			Detail: fmt.Sprintf("trailer declares %d %s, decoded %d", total, f.counts, declared)}
 	}
-	return data, nil
+	return x, nil
 }
 
 // decodeSchema parses a relation section's schema and creates the relation

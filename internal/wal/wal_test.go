@@ -182,7 +182,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Op: OpDelete, Rel: "BOOK", ID: 7},
 		{Op: OpSynonym, Alias: "w allen", Canonical: "Woody Allen"},
 		{Op: OpMacro, Def: "DEFINE X AS y"},
-		{Op: OpAddFK, FK: storage.ForeignKey{FromRelation: "a", FromColumn: "b", ToRelation: "c", ToColumn: "d"}},
 	}
 	for _, r := range recs {
 		payload := r.encode(nil)

@@ -245,7 +245,7 @@ func TestRowBytesCountTheRows(t *testing.T) {
 // every fetched row is the whole stored row) and a relation node to hand out
 // its projection list instead of a copy per expansion; 253 KiB / 687 and 272 KiB / 648 with the rows
 // of a fetch carved out of one array per statement, D′ adopting it in one
-// InsertBatch and indexing it as sorted runs; 286 KiB / 2,067 and
+// batch insert and indexing it as sorted runs; 286 KiB / 2,067 and
 // 308 KiB / 1,945 with a row, a validation and a
 // map update per tuple; 311 KiB / 2,084 and 535 KiB / 2,167 with a statement
 // result per cursor probe; 363 KiB / 2,930 and 586 KiB / 3,020 with a string

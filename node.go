@@ -139,11 +139,10 @@ func reindex(ix *invidx.Index, relation string, old, new storage.Tuple) {
 }
 
 // undo is what revert needs to take one applied record back: the tuple as
-// it was and as it became (zero = absent), or the foreign keys as they were.
-// A plain value — the write path allocates nothing for it.
+// it was and as it became (zero = absent). A plain value — the write path
+// allocates nothing for it.
 type undo struct {
 	old, new storage.Tuple
-	fks      []storage.ForeignKey
 }
 
 // apply changes the partition by one record — the tuple and its postings
@@ -160,10 +159,6 @@ func (n *node) apply(rec wal.Record) (applied bool, u undo, err error) {
 	case wal.OpMacro:
 		n.trackMacro(rec.Def)
 		return true, u, nil
-	case wal.OpAddFK:
-		u.fks = n.db.ForeignKeys()
-		err := n.db.AddForeignKey(rec.FK)
-		return err == nil, u, err
 	case wal.OpInsert, wal.OpUpdate, wal.OpDelete:
 	default:
 		return false, u, fmt.Errorf("precis: unknown op %d", uint8(rec.Op))
@@ -204,10 +199,6 @@ func (n *node) apply(rec wal.Record) (applied bool, u undo, err error) {
 // and delete records are logged before they are applied (see commit) and
 // never need it.
 func (n *node) revert(rec wal.Record, u undo) {
-	if rec.Op == wal.OpAddFK {
-		n.db.SetForeignKeys(u.fks)
-		return
-	}
 	reindex(n.index, rec.Rel, u.new, storage.Tuple{})
 	var err error
 	switch rec.Op {

@@ -639,9 +639,8 @@ func historyState(t *testing.T, e *Engine) (snapshot, index []byte) {
 }
 
 // runHistory drives one seeded mutation script through an engine's public
-// API (the foreign key, which has none, through the commit path under it):
-// inserts, updates, deletes, a delete followed by a reinsert of the same
-// key, synonyms, macros, a foreign key. Tuple ids are allocated identically
+// API: inserts, updates, deletes, a delete followed by a reinsert of the same
+// key, synonyms, macros. Tuple ids are allocated identically
 // on every topology, so the same seed makes the same choices on each.
 func runHistory(t *testing.T, e *Engine, seed int64) {
 	t.Helper()
@@ -677,20 +676,13 @@ func runHistory(t *testing.T, e *Engine, seed int64) {
 		default:
 			must("macro", e.DefineMacro(fmt.Sprintf(`DEFINE HISTORY_%d as "step %d."`, i, i)))
 		}
-		switch i {
-		case 20: // the same key under a fresh tuple id
+		if i == 20 { // the same key under a fresh tuple id
 			id, err := e.Insert("DIRECTOR", director...)
 			must("insert director", err)
 			_, err = e.Delete("DIRECTOR", id)
 			must("delete director", err)
 			_, err = e.Insert("DIRECTOR", director...)
 			must("reinsert director", err)
-		case 40: // trivially satisfied, so recovery's integrity check holds
-			e.mu.Lock()
-			_, err := e.commitLocked(wal.Record{Op: wal.OpAddFK, FK: storage.ForeignKey{
-				FromRelation: "MOVIE", FromColumn: "mid", ToRelation: "MOVIE", ToColumn: "mid"}})
-			e.mu.Unlock()
-			must("foreign key", err)
 		}
 	}
 }

@@ -229,8 +229,8 @@
 # ownership_web_test.go: the base equal to its clone after queries, narratives
 # and /api/search bodies) ride in
 # the whole-repository -race pass with the rollback suites, as do the batch
-# path's: storage's InsertBatch against a loop of InsertWithID and
-# AppendLookups against a scan (batch_test.go), core's
+# path's: storage's InsertRow against InsertWithID and AppendLookups against
+# a scan (insert_test.go), shard's TestPartitionSharesSourceRecords, core's
 # TestFaultMidJoinLeavesExactPrefix, and the root's
 # TestParallelFetchesShareDrivingRelation and TestChaosMidGenerationFault.
 # D′ is a storage.Result whose join indexes are built once, on the
@@ -250,9 +250,9 @@
 # of on the next perf investigation. The seam benchmarks of the two hot
 # stages (internal/core BenchmarkGenerateDeep, internal/nlg
 # BenchmarkNarrativeDeep) are picked up here with everything else, and so are
-# internal/storage's BenchmarkGather, BenchmarkInsertBatch and
-# BenchmarkLookups, each the batch path beside the per-tuple or per-value loop
-# it replaced, internal/web's BenchmarkAppendJSONString, and internal/wal's
+# internal/storage's BenchmarkGather and BenchmarkLookups, each the batch
+# path beside the per-tuple or per-value loop it replaced, BenchmarkInsertRow
+# (a shared record beside InsertWithID's copy), internal/web's BenchmarkAppendJSONString, and internal/wal's
 # BenchmarkCompact (one compaction of a churned seven-delta chain: the merged
 # snapshot and the index carried forward, with their allocations).
 #
