@@ -23,17 +23,42 @@ import (
 //     accepts after the paths before it;
 //   - D′'s join access agrees with a scan: every column a G′ edge arrives
 //     at is indexed, and on every indexed column DistinctValues and the
-//     partners of each value are what a scan of the relation finds.
+//     partners of each value are what a scan of the relation finds;
+//   - a partial answer is an exact prefix: each relation of D′ holds, in
+//     insertion order, the first tuples of the same relation of the answer
+//     to the same terms with opts.Budget cleared — which is checked in full
+//     in its place, seeds included, where a budget may cut a seed short.
 //
 // opts must not carry tuple weights or a profile, which reorder seeds and
-// change the constraint. Monotonicity, Round-Robin fairness, each seed
-// narrated once and exact prefixes are not checked here.
+// change the constraint. Monotonicity, Round-Robin fairness and each seed
+// narrated once are not checked here.
 func checkAnswer(t testing.TB, eng *Engine, query string, opts Options, ans *Answer) {
 	t.Helper()
 	if ans == nil || ans.Database == nil || ans.Schema == nil {
 		t.Fatalf("%q: no result database", query)
 	}
 	d := ans.Database
+	if ans.Partial {
+		whole := opts
+		whole.Budget, whole.SkipNarrative = Budget{}, true // D′ is what is compared
+		full, err := eng.Query(ans.Terms, whole)
+		if err != nil {
+			t.Fatalf("%q: the answer without a budget: %v", query, err)
+		}
+		if full.Partial {
+			t.Fatalf("%q: the answer without a budget is partial (%q)", query, full.Truncation)
+		}
+		checkAnswer(t, eng, query, whole, full)
+		for _, rel := range d.RelationNames() {
+			got, want := scanIDs(d.Relation(rel)), []storage.TupleID(nil)
+			if r := full.Database.Relation(rel); r != nil {
+				want = scanIDs(r)
+			}
+			if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+				t.Fatalf("%q: %s of the partial answer holds %v, not a prefix of the unbudgeted answer's %v", query, rel, got, want)
+			}
+		}
+	}
 	if err := storage.VerifySubDatabase(baseDatabase(t, eng), storage.Reader(d)); err != nil {
 		t.Fatalf("%q: not a sub-database of the engine's data: %v", query, err)
 	}
@@ -74,6 +99,9 @@ func checkAnswer(t testing.TB, eng *Engine, query string, opts Options, ans *Ans
 
 	seeds := map[string][]storage.TupleID{}
 	for _, occs := range ans.Occurrences {
+		if ans.Partial {
+			break // the prefix check above holds the seeds
+		}
 		for _, o := range occs {
 			seeds[o.Relation] = storage.UnionIDs(seeds[o.Relation], o.TupleIDs)
 		}
@@ -130,6 +158,18 @@ func checkAnswer(t testing.TB, eng *Engine, query string, opts Options, ans *Ans
 			}
 		}
 	}
+}
+
+// scanIDs returns r's ids in insertion order.
+func scanIDs(r interface {
+	ScanRows(func(storage.TupleID, storage.Row) bool)
+}) []storage.TupleID {
+	var ids []storage.TupleID
+	r.ScanRows(func(id storage.TupleID, _ storage.Row) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return ids
 }
 
 // baseDatabase returns eng's data as one database: its own, or the union of

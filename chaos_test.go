@@ -376,6 +376,7 @@ func TestChaosPartialDeterminism(t *testing.T) {
 				if ref.Database.TotalTuples() == 0 {
 					t.Fatalf("%v: partial answer is empty", strat)
 				}
+				checkAnswer(t, eng, terms[0], opts, ref)
 				refDump := dumpDatabase(ref.Database)
 				assertPerRelationPrefix(t, refDump, fullDump)
 				for _, workers := range []int{2, 4, 8} {

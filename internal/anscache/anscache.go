@@ -182,7 +182,7 @@ func (c *Cache) Purge() {
 	defer c.mu.Unlock()
 	c.ctr.Invalidations.Add(uint64(c.ll.Len()))
 	c.ll.Init()
-	c.items = make(map[string]*list.Element, c.max)
+	clear(c.items) // the map keeps its room: a purge per write allocates nothing
 }
 
 // Len returns the number of resident entries.

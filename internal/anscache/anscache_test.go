@@ -133,3 +133,31 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("cache exceeded capacity: %d", c.Len())
 	}
 }
+
+// TestPurgeAllocatesNothing: a purge — one per write on an engine with a
+// cache — clears the map it has rather than making another, so purging a
+// filled cache allocates nothing, and the cache works as before after it.
+func TestPurgeAllocatesNothing(t *testing.T) {
+	caches := make([]*Cache, 11) // AllocsPerRun's warm-up call and ten measured
+	for i := range caches {
+		caches[i] = New(256, 0)
+		for k := 0; k < 256; k++ {
+			caches[i].Put(fmt.Sprintf("k%d", k), k)
+		}
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(10, func() { caches[next].Purge(); next++ }); allocs != 0 {
+		t.Fatalf("Purge of a filled cache allocated %v times", allocs)
+	}
+	c := caches[0]
+	if c.Len() != 0 || c.Stats().Invalidations != 256 {
+		t.Fatalf("after Purge: %d entries, %d invalidations", c.Len(), c.Stats().Invalidations)
+	}
+	if _, ok := c.Get("k1"); ok {
+		t.Fatal("a purged entry is still there")
+	}
+	c.Put("k1", 1)
+	if v, ok := c.Get("k1"); !ok || v.(int) != 1 {
+		t.Fatalf("Get after Purge and Put = %v, %v", v, ok)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"sort"
+	"strings"
+	"unsafe"
 
 	"precis/internal/storage"
 )
@@ -47,41 +49,59 @@ func (ix *Index) EncodeSnapshot(gen uint64) []byte {
 	size := len(indexMagic) + 3*binary.MaxVarintLen64 + uvarintSize(uint64(len(ix.postings))) + 4
 	for tok, lists := range ix.postings {
 		tokens = append(tokens, tok)
-		size += strSize(tok) + uvarintSize(uint64(len(lists)))
-		for _, l := range lists {
-			size += strSize(l.key.rel) + strSize(l.key.attr) + uvarintSize(uint64(len(l.ids)))
-			prev := uint64(0)
-			for _, id := range l.ids {
-				size += uvarintSize(uint64(id) - prev)
-				prev = uint64(id)
-			}
-		}
+		size += entrySize(tok, lists)
 	}
 	sort.Strings(tokens)
 
-	out := append(make([]byte, 0, size), indexMagic...)
-	out = binary.AppendUvarint(out, indexFormatVersion)
-	out = binary.AppendUvarint(out, TokenizerVersion)
-	out = binary.AppendUvarint(out, gen)
-	out = binary.AppendUvarint(out, uint64(len(tokens)))
+	out := appendHeader(make([]byte, 0, size), gen, len(tokens))
 	for _, tok := range tokens {
-		lists := ix.postings[tok]
-		out = appendIndexStr(out, tok)
-		out = binary.AppendUvarint(out, uint64(len(lists)))
-		for _, l := range lists {
-			out = appendIndexStr(out, l.key.rel)
-			out = appendIndexStr(out, l.key.attr)
-			out = binary.AppendUvarint(out, uint64(len(l.ids)))
-			prev := uint64(0)
-			for _, id := range l.ids {
-				// Gap-encode ascending ids: small varints for dense postings.
-				out = binary.AppendUvarint(out, uint64(id)-prev)
-				prev = uint64(id)
-			}
-		}
+		out = appendEntry(out, tok, ix.postings[tok])
 	}
 	sum := crc32.Checksum(out, indexCRCTable)
 	return binary.LittleEndian.AppendUint32(out, sum)
+}
+
+// appendHeader appends the magic and the header: format and tokenizer
+// versions, generation stamp and token count.
+func appendHeader(dst []byte, gen uint64, tokens int) []byte {
+	dst = append(dst, indexMagic...)
+	dst = binary.AppendUvarint(dst, indexFormatVersion)
+	dst = binary.AppendUvarint(dst, TokenizerVersion)
+	dst = binary.AppendUvarint(dst, gen)
+	return binary.AppendUvarint(dst, uint64(tokens))
+}
+
+// appendEntry appends one token's entry: the token, its location count, and
+// per location the relation, the attribute, the id count and the ids.
+func appendEntry(dst []byte, tok string, lists []locList) []byte {
+	dst = appendIndexStr(dst, tok)
+	dst = binary.AppendUvarint(dst, uint64(len(lists)))
+	for _, l := range lists {
+		dst = appendIndexStr(dst, l.key.rel)
+		dst = appendIndexStr(dst, l.key.attr)
+		dst = binary.AppendUvarint(dst, uint64(len(l.ids)))
+		prev := uint64(0)
+		for _, id := range l.ids {
+			// Gap-encode ascending ids: small varints for dense postings.
+			dst = binary.AppendUvarint(dst, uint64(id)-prev)
+			prev = uint64(id)
+		}
+	}
+	return dst
+}
+
+// entrySize is the length of appendEntry's bytes.
+func entrySize(tok string, lists []locList) int {
+	size := strSize(tok) + uvarintSize(uint64(len(lists)))
+	for _, l := range lists {
+		size += strSize(l.key.rel) + strSize(l.key.attr) + uvarintSize(uint64(len(l.ids)))
+		prev := uint64(0)
+		for _, id := range l.ids {
+			size += uvarintSize(uint64(id) - prev)
+			prev = uint64(id)
+		}
+	}
+	return size
 }
 
 func appendIndexStr(dst []byte, s string) []byte {
@@ -102,103 +122,160 @@ func strSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
 // throughout: it never panics and never allocates more than the input
 // justifies, whatever the bytes claim.
 func DecodeSnapshot(raw []byte, db *storage.Database) (*Index, uint64, error) {
+	r, err := openSnapshot(raw)
+	if err != nil {
+		return nil, 0, err
+	}
+	ix := &Index{db: db, postings: make(map[string][]locList, r.tokens)}
+	var e entry
+	for i := 0; i < r.tokens; i++ {
+		if err := r.next(&e, i); err != nil {
+			return nil, 0, err
+		}
+		lists := make([]locList, len(e.lists))
+		for j, l := range e.lists {
+			ids := make(storage.IDList, len(l.ids))
+			copy(ids, l.ids)
+			lists[j] = locList{key: postingKey{strings.Clone(l.key.rel), strings.Clone(l.key.attr)}, ids: ids}
+			ix.ids += len(ids)
+		}
+		ix.lists += len(lists)
+		if _, dup := ix.postings[e.tok]; dup {
+			return nil, 0, fmt.Errorf("invidx: duplicate token %q in index snapshot", e.tok)
+		}
+		ix.postings[strings.Clone(e.tok)] = lists
+	}
+	if err := r.end(); err != nil {
+		return nil, 0, err
+	}
+	return ix, r.gen, nil
+}
+
+// snapshotReader reads an index snapshot's entries in file order, checking
+// each as DecodeSnapshot does: it is the reading half of DecodeSnapshot and of
+// Patch.Apply.
+type snapshotReader struct {
+	d      indexDec // over the body after the magic
+	gen    uint64   // the generation stamp
+	tokens int      // the entries the header declares
+}
+
+// entry is one token's postings as a snapshot holds them. Its strings alias
+// the snapshot's bytes and its lists and ids are reused by the next read:
+// whoever keeps any of it copies it.
+type entry struct {
+	tok   string
+	lists []locList
+	ids   storage.IDList
+	// loose: some varint of the entry is longer than it needs to be, so its
+	// bytes are not what appendEntry writes.
+	loose bool
+}
+
+// openSnapshot checks raw's magic, checksum and header.
+func openSnapshot(raw []byte) (*snapshotReader, error) {
 	if len(raw) < len(indexMagic)+4 || string(raw[:len(indexMagic)]) != indexMagic {
-		return nil, 0, fmt.Errorf("invidx: not an index snapshot (bad magic)")
+		return nil, fmt.Errorf("invidx: not an index snapshot (bad magic)")
 	}
 	body := raw[:len(raw)-4]
 	stored := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if got := crc32.Checksum(body, indexCRCTable); got != stored {
-		return nil, 0, fmt.Errorf("invidx: index snapshot checksum mismatch (stored %08x, computed %08x)", stored, got)
+		return nil, fmt.Errorf("invidx: index snapshot checksum mismatch (stored %08x, computed %08x)", stored, got)
 	}
-	d := &indexDec{b: body[len(indexMagic):]}
+	r := &snapshotReader{d: indexDec{b: body[len(indexMagic):]}}
+	d := &r.d
 	format, err := d.uvarint()
 	if err != nil {
-		return nil, 0, fmt.Errorf("invidx: index snapshot header: %w", err)
+		return nil, fmt.Errorf("invidx: index snapshot header: %w", err)
 	}
 	if format != indexFormatVersion {
-		return nil, 0, fmt.Errorf("invidx: unsupported index snapshot format %d (want %d)", format, indexFormatVersion)
+		return nil, fmt.Errorf("invidx: unsupported index snapshot format %d (want %d)", format, indexFormatVersion)
 	}
 	tokVer, err := d.uvarint()
 	if err != nil {
-		return nil, 0, fmt.Errorf("invidx: index snapshot header: %w", err)
+		return nil, fmt.Errorf("invidx: index snapshot header: %w", err)
 	}
 	if tokVer != TokenizerVersion {
-		return nil, 0, fmt.Errorf("invidx: index snapshot tokenizer version %d does not match %d", tokVer, TokenizerVersion)
+		return nil, fmt.Errorf("invidx: index snapshot tokenizer version %d does not match %d", tokVer, TokenizerVersion)
 	}
-	gen, err := d.uvarint()
+	if r.gen, err = d.uvarint(); err != nil {
+		return nil, fmt.Errorf("invidx: index snapshot header: %w", err)
+	}
+	if r.tokens, err = d.count(2); err != nil {
+		return nil, fmt.Errorf("invidx: token count: %w", err)
+	}
+	return r, nil
+}
+
+// next reads entry i into e.
+func (r *snapshotReader) next(e *entry, i int) error {
+	d := &r.d
+	d.loose = false
+	tok, err := d.view()
 	if err != nil {
-		return nil, 0, fmt.Errorf("invidx: index snapshot header: %w", err)
+		return fmt.Errorf("invidx: token %d: %w", i, err)
 	}
-	nTokens, err := d.count(2)
+	nKeys, err := d.count(3)
 	if err != nil {
-		return nil, 0, fmt.Errorf("invidx: token count: %w", err)
+		return fmt.Errorf("invidx: token %q locations: %w", tok, err)
 	}
-	ix := &Index{db: db, postings: make(map[string][]locList, nTokens)}
-	for i := 0; i < nTokens; i++ {
-		tok, err := d.str()
+	if nKeys == 0 {
+		return fmt.Errorf("invidx: token %q has no locations", tok)
+	}
+	e.tok, e.lists, e.ids = tok, e.lists[:0], e.ids[:0]
+	for j := 0; j < nKeys; j++ {
+		rel, err := d.view()
 		if err != nil {
-			return nil, 0, fmt.Errorf("invidx: token %d: %w", i, err)
+			return fmt.Errorf("invidx: token %q location %d: %w", tok, j, err)
 		}
-		nKeys, err := d.count(3)
+		attr, err := d.view()
 		if err != nil {
-			return nil, 0, fmt.Errorf("invidx: token %q locations: %w", tok, err)
+			return fmt.Errorf("invidx: token %q location %d: %w", tok, j, err)
 		}
-		if nKeys == 0 {
-			return nil, 0, fmt.Errorf("invidx: token %q has no locations", tok)
+		key := postingKey{rel, attr}
+		if j > 0 && e.lists[j-1].key.compare(key) >= 0 {
+			return fmt.Errorf("invidx: token %q location %s.%s out of order", tok, rel, attr)
 		}
-		lists := make([]locList, 0, nKeys)
-		for j := 0; j < nKeys; j++ {
-			rel, err := d.str()
+		nIDs, err := d.count(1)
+		if err != nil {
+			return fmt.Errorf("invidx: token %q %s.%s ids: %w", tok, rel, attr, err)
+		}
+		if nIDs == 0 {
+			return fmt.Errorf("invidx: token %q %s.%s has no ids", tok, rel, attr)
+		}
+		from := len(e.ids)
+		prev := uint64(0)
+		for k := 0; k < nIDs; k++ {
+			gap, err := d.uvarint()
 			if err != nil {
-				return nil, 0, fmt.Errorf("invidx: token %q location %d: %w", tok, j, err)
+				return fmt.Errorf("invidx: token %q %s.%s id %d: %w", tok, rel, attr, k, err)
 			}
-			attr, err := d.str()
-			if err != nil {
-				return nil, 0, fmt.Errorf("invidx: token %q location %d: %w", tok, j, err)
+			if gap == 0 || gap > uint64(storage.MaxTupleID)-prev {
+				return fmt.Errorf("invidx: token %q %s.%s id %d: gap %d after %d", tok, rel, attr, k, gap, prev)
 			}
-			key := postingKey{rel, attr}
-			if j > 0 && lists[j-1].key.compare(key) >= 0 {
-				return nil, 0, fmt.Errorf("invidx: token %q location %s.%s out of order", tok, rel, attr)
-			}
-			nIDs, err := d.count(1)
-			if err != nil {
-				return nil, 0, fmt.Errorf("invidx: token %q %s.%s ids: %w", tok, rel, attr, err)
-			}
-			if nIDs == 0 {
-				return nil, 0, fmt.Errorf("invidx: token %q %s.%s has no ids", tok, rel, attr)
-			}
-			ids := make(storage.IDList, nIDs)
-			prev := uint64(0)
-			for k := range ids {
-				gap, err := d.uvarint()
-				if err != nil {
-					return nil, 0, fmt.Errorf("invidx: token %q %s.%s id %d: %w", tok, rel, attr, k, err)
-				}
-				if gap == 0 || gap > uint64(storage.MaxTupleID)-prev {
-					return nil, 0, fmt.Errorf("invidx: token %q %s.%s id %d: gap %d after %d", tok, rel, attr, k, gap, prev)
-				}
-				prev += gap
-				ids[k] = uint32(prev)
-			}
-			lists = append(lists, locList{key: key, ids: ids})
-			ix.ids += nIDs
+			prev += gap
+			e.ids = append(e.ids, uint32(prev))
 		}
-		ix.lists += nKeys
-		if _, dup := ix.postings[tok]; dup {
-			return nil, 0, fmt.Errorf("invidx: duplicate token %q in index snapshot", tok)
-		}
-		ix.postings[tok] = lists
+		e.lists = append(e.lists, locList{key: key, ids: e.ids[from:len(e.ids):len(e.ids)]})
 	}
-	if !d.done() {
-		return nil, 0, fmt.Errorf("invidx: %d trailing byte(s) after index snapshot body", d.remaining())
+	e.loose = d.loose
+	return nil
+}
+
+// end refuses bytes after the last entry.
+func (r *snapshotReader) end() error {
+	if !r.d.done() {
+		return fmt.Errorf("invidx: %d trailing byte(s) after index snapshot body", r.d.remaining())
 	}
-	return ix, gen, nil
+	return nil
 }
 
 // indexDec is a bounds-checked reader over the snapshot body.
 type indexDec struct {
 	b   []byte
 	off int
+	// loose is set by a uvarint encoded longer than it needs to be.
+	loose bool
 }
 
 func (d *indexDec) remaining() int { return len(d.b) - d.off }
@@ -211,10 +288,12 @@ func (d *indexDec) uvarint() (uint64, error) {
 		return 0, fmt.Errorf("bad uvarint at %d", d.off)
 	}
 	d.off += n
+	d.loose = d.loose || n != uvarintSize(v)
 	return v, nil
 }
 
-func (d *indexDec) str() (string, error) {
+// view reads a length-prefixed string that aliases the body.
+func (d *indexDec) view() (string, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return "", err
@@ -222,7 +301,7 @@ func (d *indexDec) str() (string, error) {
 	if n > uint64(d.remaining()) {
 		return "", fmt.Errorf("string of %d bytes at %d exceeds remaining %d", n, d.off, d.remaining())
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	s := unsafe.String(unsafe.SliceData(d.b[d.off:]), int(n))
 	d.off += int(n)
 	return s, nil
 }

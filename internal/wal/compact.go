@@ -3,22 +3,29 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"slices"
+	"strings"
 
 	"precis/internal/storage"
 )
 
 // Compaction is a merge of bytes. The chain's deltas — and, for a follower's
 // bootstrap, the log records after them — are folded into the net change of
-// every id they touched (a fold); the base snapshot is then read once, each
-// relation section walked tuple by tuple, and a new snapshot written into one
-// buffer sized before writing: a tuple the fold does not name is copied as it
-// is, one it names is dropped or rewritten from its final row, and the rows
-// the fold places anew follow the base's. No Database is built and nothing is
-// indexed: a tuple is decoded only to be checked, and its bytes are copied.
-// Yet the result is byte for byte what decoding the base, applying every
-// delta and encoding the state gives.
+// every id they touched (a fold); the base snapshot is then read once, into
+// the tail of the one buffer the output is written to, sized before the read
+// for the base, the fold's rows and a header. Each relation section is walked
+// tuple by tuple and the new snapshot written from the front of that buffer:
+// a tuple the fold does not name is copied as it is, one it names is dropped
+// or rewritten from its final row, and the rows the fold places anew follow
+// the base's. The output never overtakes the input it has still to read — the
+// buffer's room before the base is what the fold adds, and a check refuses
+// the compaction, the chain kept, should it ever come to that. No Database is
+// built and nothing is indexed: a tuple is decoded only to be checked, and its
+// bytes are copied. Yet the result is byte for byte what decoding the base,
+// applying every delta and encoding the state gives.
 
 // A fold is what a run of deltas and log records did to a base it has not
 // read: per relation, the final row of every id the run touched — or none,
@@ -144,8 +151,8 @@ func (f *fold) record(r Record) error {
 	return nil
 }
 
-// merge returns the snapshot of the state base (raw, read from file, the
-// full snapshot of generation gen) is in once f is applied. It refuses a base
+// merge returns the snapshot of the state base (size bytes, the full snapshot
+// of generation gen, file its name) is in once f is applied. It refuses a base
 // exactly where DecodeSnapshot refuses it, classified alike, with one
 // exception: two relations holding one id, which storage's own invariant
 // forbids, are refused here and not there. It refuses a fold that leaves a
@@ -162,37 +169,59 @@ func (f *fold) record(r Record) error {
 // and then, once the merge has succeeded, every tuple the fold changed, with
 // its base values: what it takes to carry a persisted index of the base
 // forward.
-func merge(file string, raw []byte, f *fold, gen uint64, obs RecoveryObserver) ([]byte, error) {
-	m := &merger{f: f, obs: obs, raw: raw}
+func merge(file string, base io.ReaderAt, size int, f *fold, gen uint64, obs RecoveryObserver) ([]byte, error) {
+	m := &merger{f: f, obs: obs}
 	// The header is written last, ending where the first relation section
 	// starts: its watermark is known only after the walk. It is the base's
 	// header with at most a longer watermark.
 	m.reserve = len(snapMagic) + FrameOverhead + binary.MaxVarintLen64
-	if len(raw) >= len(snapMagic)+FrameOverhead {
-		m.reserve += int(min(binary.LittleEndian.Uint32(raw[len(snapMagic):]), uint32(len(raw))))
+	if size >= len(snapMagic)+FrameOverhead {
+		var n [4]byte // the header frame's payload length
+		if _, err := base.ReadAt(n[:], int64(len(snapMagic))); err != nil {
+			return nil, err
+		}
+		m.reserve += int(min(binary.LittleEndian.Uint32(n[:]), uint32(size)))
 	}
 	// The output is no longer than the base, but for the fold's rows, a wider
-	// tuple count per relation, new extras and a trailer.
-	size := enc{sizing: true, n: m.reserve + len(raw) + len(f.rels)*binary.MaxVarintLen64}
+	// tuple count per relation, new extras and a trailer: that is the room
+	// the buffer keeps before the base.
+	room := enc{sizing: true, n: m.reserve + len(f.rels)*binary.MaxVarintLen64}
 	for _, rf := range f.rels {
 		for _, c := range rf.changes {
 			if c.row.Valid() {
-				size.uvarint(uint64(c.id))
-				size.row(c.row)
+				room.uvarint(uint64(c.id))
+				room.row(c.row)
 			}
 		}
 	}
 	if f.extras != nil {
-		size.fks(f.fks)
-		size.extras(f.extras.Synonyms, f.extras.Macros)
+		room.fks(f.fks)
+		room.extras(f.extras.Synonyms, f.extras.Macros)
 	}
 	for _, r := range f.tail {
-		size.n += len(r.Alias) + len(r.Canonical) + len(r.Def) + 4*binary.MaxVarintLen64
+		room.n += len(r.Alias) + len(r.Canonical) + len(r.Def) + 4*binary.MaxVarintLen64
 	}
-	size.n += 3*FrameOverhead + len(snapTrailer) + 2*binary.MaxVarintLen64
-	m.out.b = make([]byte, m.reserve, size.n)
+	room.n += 3*FrameOverhead + len(snapTrailer) + 2*binary.MaxVarintLen64
+	buf := make([]byte, room.n+size)
+	if n, err := base.ReadAt(buf[room.n:], 0); n < size {
+		return nil, err
+	}
+	return m.run(file, buf, room.n, gen)
+}
 
-	data, err := readSnapshot(file, raw, m.relation)
+// errOvertaken refuses a merge whose output would overwrite base bytes it
+// has still to read.
+var errOvertaken = errors.New("wal: compaction: the output overtook the base it is merged from")
+
+// run merges m.f into the base that fills buf from byte at on, writing the
+// snapshot from the front of buf, after m.reserve bytes kept for the header.
+func (m *merger) run(file string, buf []byte, at int, gen uint64) ([]byte, error) {
+	m.raw, m.end = buf[at:], cap(buf)
+	m.out.b = buf[:m.reserve]
+	data, err := readSnapshot(file, m.raw, m.relation)
+	if m.overtaken {
+		return nil, errOvertaken
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -205,6 +234,7 @@ func merge(file string, raw []byte, f *fold, gen uint64, obs RecoveryObserver) (
 
 	// Extras: the last delta's replace the base's, the records after it
 	// apply on top.
+	f := m.f
 	if f.extras != nil {
 		data.Synonyms, data.synIdx = f.extras.Synonyms, nil
 		data.Macros, data.macroSet = f.extras.Macros, nil
@@ -220,6 +250,7 @@ func merge(file string, raw []byte, f *fold, gen uint64, obs RecoveryObserver) (
 			return nil, fmt.Errorf("wal: compaction: %s record: %w", r.Op, err)
 		}
 	}
+	// The base is read: the rest of the buffer is the output's.
 	if err := m.out.tail(data.DB.ForeignKeys(), data.Synonyms, data.Macros, snapTrailer, m.total); err != nil {
 		return nil, fmt.Errorf("wal: compaction: %w", err)
 	}
@@ -238,8 +269,8 @@ func merge(file string, raw []byte, f *fold, gen uint64, obs RecoveryObserver) (
 		return nil, fmt.Errorf("wal: compaction: snapshot header: %w", err)
 	}
 
-	if obs != nil {
-		obs.RecoveryBase(gen, data.DB)
+	if m.obs != nil {
+		m.obs.RecoveryBase(gen, data.DB)
 		for _, name := range f.order {
 			for _, c := range f.rels[name].changes {
 				var was, now *storage.Tuple
@@ -250,19 +281,22 @@ func merge(file string, raw []byte, f *fold, gen uint64, obs RecoveryObserver) (
 					now = &storage.Tuple{ID: c.id, Values: c.row.Values()}
 				}
 				if was != nil || now != nil {
-					obs.RecoveryApply(name, was, now)
+					m.obs.RecoveryApply(name, was, now)
 				}
 			}
 		}
 	}
-	return m.out.b[start:], nil
+	return m.out.b[start:len(m.out.b):len(m.out.b)], nil
 }
 
 // merger is one merge in progress.
 type merger struct {
-	f       *fold
-	obs     RecoveryObserver
+	f   *fold
+	obs RecoveryObserver
+	// raw is the base, at the tail of the buffer out writes from the front
+	// of; end is the buffer's capacity.
 	raw     []byte
+	end     int
 	out     enc
 	reserve int // bytes at the start of out kept for the magic and header
 	seen    idSet
@@ -276,6 +310,26 @@ type merger struct {
 	// readSnapshot classifies it, as it would where the base is decoded before
 	// the deltas are applied.
 	fail error
+	// overtaken: the output reached base bytes still to be read, and the
+	// walk stopped.
+	overtaken bool
+}
+
+// behind reports whether the output is still behind base byte i of the
+// section d reads, where the bytes still to be read start. Every slice of
+// the base runs to the buffer's end, so its capacity says where it starts.
+// A false answer stops the walk.
+func (m *merger) behind(d *dec, i int) bool {
+	m.overtaken = len(m.out.b) > m.end-cap(d.b[i:])
+	return !m.overtaken
+}
+
+// copyRun appends b, base bytes the output is behind, to the output: copy,
+// which moves overlapping bytes as they were.
+func (m *merger) copyRun(b []byte) {
+	n := len(m.out.b)
+	m.out.b = m.out.b[:n+len(b)]
+	copy(m.out.b[n:], b)
 }
 
 func (m *merger) refuse(err error) {
@@ -303,6 +357,9 @@ func (m *merger) relation(db *storage.Database, rel *storage.Relation, n int, d 
 	countAt := len(o.b)
 	o.uvarint(uint64(n)) // a placeholder the width of the base's count
 	width := len(o.b) - countAt
+	if !m.behind(d, d.off) {
+		return errOvertaken
+	}
 	written := 0
 	run := d.off // the run of tuples copied as they are starts here
 	d.borrow = true
@@ -342,8 +399,12 @@ func (m *merger) relation(db *storage.Database, rel *storage.Relation, n int, d 
 			if bytes.Equal(m.canon.b, d.b[start:d.off]) {
 				continue // still in the run
 			}
+		} else if m.obs != nil {
+			// The values' text borrows the base, which the output is about
+			// to overwrite.
+			c.old = ownValues(vals)
 		}
-		o.b = append(o.b, d.b[run:start]...)
+		m.copyRun(d.b[run:start])
 		run = d.off
 		switch {
 		case c == nil:
@@ -356,11 +417,11 @@ func (m *merger) relation(db *storage.Database, rel *storage.Relation, n int, d 
 		default: // deleted, or deleted and placed anew
 			c.base = true
 		}
-		if c != nil && m.obs != nil {
-			c.old = slices.Clone(vals)
+		if !m.behind(d, run) {
+			return errOvertaken
 		}
 	}
-	o.b = append(o.b, d.b[run:d.off]...)
+	m.copyRun(d.b[run:d.off])
 
 	// Then the rows placed after the base's, in the order they were placed.
 	if rf != nil {
@@ -391,11 +452,25 @@ func (m *merger) relation(db *storage.Database, rel *storage.Relation, n int, d 
 		o.b = o.b[:countAt+w+tuples]
 	}
 	copy(o.b[countAt:], count)
+	if !m.behind(d, d.off) {
+		return errOvertaken
+	}
 	m.total += written
 	if err := o.close(at); err != nil {
 		m.refuse(fmt.Errorf("wal: compaction: relation %s: %w", sc.Name, err))
 	}
 	return nil
+}
+
+// ownValues copies vals with text of their own.
+func ownValues(vals []storage.Value) []storage.Value {
+	out := slices.Clone(vals)
+	for i, v := range out {
+		if v.Kind() == storage.KindString {
+			out[i] = storage.String(strings.Clone(v.AsString()))
+		}
+	}
+	return out
 }
 
 // tuple reads the base tuple at d, its text borrowed, and checks it as

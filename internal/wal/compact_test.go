@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"precis/internal/dataset"
@@ -39,7 +40,7 @@ func mergeDeltas(base []byte, obs RecoveryObserver, deltas ...*DeltaData) ([]byt
 	for _, d := range deltas {
 		f.delta(d)
 	}
-	return merge("", base, f, 1, obs)
+	return merge("", bytes.NewReader(base), len(base), f, 1, obs)
 }
 
 // indexDeriver carries a persisted index of the base forward over the
@@ -490,6 +491,33 @@ func FuzzCompact(f *testing.F) {
 	})
 }
 
+// TestCompactRefusesToOvertakeItsBase: the merge writes its output over the
+// base it reads, from the front of one buffer. Given no room before the base
+// for what the fold adds — a row far longer than the one it replaces — the
+// output would overwrite bytes still to be read: the merge refuses, where
+// with the room merge makes it writes the old path's bytes.
+func TestCompactRefusesToOvertakeItsBase(t *testing.T) {
+	base := mustEncode(&SnapshotData{DB: testDB(t)})
+	d := &DeltaData{Relations: []storage.DirtyRelation{{Name: "AUTHOR", Upserts: []storage.Upsert{{ID: 1,
+		Row: storage.MakeRow(storage.Int(1), storage.String(strings.Repeat("Le Guin ", 100)), storage.Float(4.9), storage.Bool(true))}}}}}
+	want, err := oldCompaction(base, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := mergeDeltas(base, nil, d); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("with room: %v, or bytes other than the old path's", err)
+	}
+
+	f := newFold()
+	f.delta(d)
+	m := &merger{f: f, reserve: len(snapMagic) + FrameOverhead + binary.MaxVarintLen64 + int(binary.LittleEndian.Uint32(base[len(snapMagic):]))}
+	buf := make([]byte, m.reserve+len(base))
+	copy(buf[m.reserve:], base)
+	if _, err := m.run("", buf, m.reserve, 1); !errors.Is(err, errOvertaken) {
+		t.Fatalf("with no room: %v, want errOvertaken", err)
+	}
+}
+
 // TestCompactRefusesDuplicates: a captured delta that would leave a primary
 // key or a tuple id held twice, or that names a relation the base lacks, is
 // refused by Compact, and the chain it would have replaced is kept: still
@@ -677,7 +705,7 @@ func dumpOf(t *testing.T, raw []byte) string {
 
 // churnInterval is n of a churning workload's writes: genre rows inserted
 // and deleted, directors renamed.
-func churnInterval(b *testing.B, db *storage.Database, r *rand.Rand, n int) {
+func churnInterval(b testing.TB, db *storage.Database, r *rand.Rand, n int) {
 	pick := func(rel string) storage.TupleID {
 		var at storage.TupleID
 		skip := r.Intn(db.Relation(rel).Len())
@@ -703,86 +731,131 @@ func churnInterval(b *testing.B, db *storage.Database, r *rand.Rand, n int) {
 	}
 }
 
-// BenchmarkCompact times one compaction of a churned chain over
-// dataset.DefaultSyntheticConfig: seven delta checkpoints of 50 writes each
-// on a base whose index is persisted, then the compaction of the chain and an
-// eighth interval's captured delta — the merged snapshot, the index carried
-// forward from the base's, both written.
-func BenchmarkCompact(b *testing.B) {
+// compactChain writes BenchmarkCompact's chain into a directory it returns:
+// a base over dataset.DefaultSyntheticConfig whose index is persisted, seven
+// delta checkpoints of 50 writes each, and the delta an eighth interval
+// captures, which it also returns.
+func compactChain(tb testing.TB) (string, *DeltaData) {
 	db, err := dataset.SyntheticMovies(dataset.DefaultSyntheticConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	template := b.TempDir()
-	s, _, err := Open(template, storeConfig())
+	dir := tb.TempDir()
+	s, _, err := Open(dir, storeConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.InitializeIndexed(&SnapshotData{DB: db}, invidx.NewParallel(db, runtime.GOMAXPROCS(0)).EncodeSnapshot(1)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(1))
 	for k := 0; k < 7; k++ {
-		churnInterval(b, db, r, 50)
+		churnInterval(tb, db, r, 50)
 		h, err := s.BeginCheckpoint()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := s.CompleteDelta(h, &DeltaData{NextTupleID: db.NextTupleID(), Relations: db.CaptureDirty().Relations, FKs: db.ForeignKeys()}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	churnInterval(b, db, r, 50)
+	churnInterval(tb, db, r, 50)
 	d := &DeltaData{NextTupleID: db.NextTupleID(), Relations: db.CaptureDirty().Relations, FKs: db.ForeignKeys()}
 	if err := s.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return dir, d
+}
+
+// openChainCopy opens a store over a fresh copy of compactChain's files.
+func openChainCopy(tb testing.TB, template string) (*Store, string) {
+	dir := tb.TempDir()
+	names := []string{snapshotName(1), IndexSnapshotName(1), walName(8)}
+	for g := uint64(2); g <= 8; g++ {
+		names = append(names, deltaName(g))
+	}
+	for _, name := range names {
+		raw, err := os.ReadFile(filepath.Join(template, name))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, name), raw, 0o644)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	s, _, err := Open(dir, storeConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, dir
+}
+
+// indexPatcher patches the base generation's persisted index over the tuples
+// a compaction changed, as the engine does.
+type indexPatcher struct {
+	gen   uint64
+	patch *invidx.Patch
+}
+
+func (o *indexPatcher) RecoveryBase(gen uint64, db *storage.Database) {
+	o.gen, o.patch = gen, invidx.NewPatch(db)
+}
+
+func (o *indexPatcher) RecoveryApply(rel string, old, new *storage.Tuple) {
+	if old != nil {
+		o.patch.RemoveTuple(rel, *old)
+	}
+	if new != nil {
+		o.patch.AddTuple(rel, *new)
+	}
+}
+
+// compactOnce is one compaction of s, whose files are in dir, over d: the
+// merged snapshot and the base's index patched, both written.
+func compactOnce(tb testing.TB, s *Store, dir string, d *DeltaData) {
+	h, err := s.BeginCheckpoint()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	index := &indexPatcher{}
+	raw, err := s.Compact(h, d, index)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, IndexSnapshotName(index.gen)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	indexRaw, stamp, err := index.patch.Apply(f, int(info.Size()), h.Gen())
+	if err != nil || stamp != index.gen {
+		tb.Fatal(err, stamp)
+	}
+	if err := s.CompleteFull(h, raw, indexRaw); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkCompact times one compaction of a churned chain over
+// dataset.DefaultSyntheticConfig: seven delta checkpoints of 50 writes each
+// on a base whose index is persisted, then the compaction of the chain and an
+// eighth interval's captured delta — the merged snapshot, the index patched
+// from the base's, both written.
+func BenchmarkCompact(b *testing.B) {
+	template, d := compactChain(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		dir := b.TempDir()
-		for _, name := range []string{snapshotName(1), IndexSnapshotName(1), walName(8)} {
-			raw, err := os.ReadFile(filepath.Join(template, name))
-			if err == nil {
-				err = os.WriteFile(filepath.Join(dir, name), raw, 0o644)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		for g := uint64(2); g <= 8; g++ {
-			raw, err := os.ReadFile(filepath.Join(template, deltaName(g)))
-			if err == nil {
-				err = os.WriteFile(filepath.Join(dir, deltaName(g)), raw, 0o644)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		s, _, err := Open(dir, storeConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		s, dir := openChainCopy(b, template)
 		runtime.GC()
 		b.StartTimer()
 
-		h, err := s.BeginCheckpoint()
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw, indexRaw := []byte(nil), []byte(nil)
-		index := &indexDeriver{}
-		if index.raw, err = os.ReadFile(filepath.Join(dir, IndexSnapshotName(1))); err == nil {
-			raw, err = s.Compact(h, d, index)
-		}
-		if err == nil && index.err == nil {
-			indexRaw = index.ix.EncodeSnapshot(h.Gen())
-			err = s.CompleteFull(h, raw, indexRaw)
-		}
-		if err != nil || index.err != nil {
-			b.Fatal(err, index.err)
-		}
+		compactOnce(b, s, dir, d)
 
 		b.StopTimer()
 		if err := s.Close(); err != nil {

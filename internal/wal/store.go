@@ -664,11 +664,16 @@ func (s *Store) mergeChain(chain []uint64, obs RecoveryObserver, more func(*fold
 		return nil, err
 	}
 	path := filepath.Join(s.dir, snapshotName(chain[0]))
-	raw, err := os.ReadFile(path)
+	base, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return merge(path, raw, f, chain[0], obs)
+	defer base.Close()
+	info, err := base.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return merge(path, base, int(info.Size()), f, chain[0], obs)
 }
 
 // Supersede is the poisoned-writer healing path, for a BeginCheckpoint that

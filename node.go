@@ -84,7 +84,7 @@ func newNode(db *storage.Database, g *schemagraph.Graph, ix *invidx.Index) (*nod
 // says data is a complete dataset: a shard legitimately holds foreign-key
 // values whose targets live on other shards, so only a whole one is checked.
 // ix, when non-nil, is the persisted index recovery kept current
-// (indexRecovery), adopted instead of re-tokenizing every tuple.
+// (indexPatch), adopted instead of re-tokenizing every tuple.
 func load(data *wal.SnapshotData, g *schemagraph.Graph, whole bool, ix *invidx.Index) (*node, error) {
 	db := data.DB
 	if err := db.CreateJoinIndexes(); err != nil {

@@ -116,54 +116,59 @@ func (n *node) compactionDue(store *wal.Store, prevChain []uint64) bool {
 	return bytes > 0 && store.ChainDeltaBytes() >= bytes
 }
 
-// indexRecovery implements wal.RecoveryObserver: it loads the persisted
-// inverted-index snapshot for the base generation and keeps it current
-// through delta application and WAL replay, so the engine can skip the
-// from-scratch rebuild. Any defect in the file — absence, corruption,
-// version skew (format or tokenizer), a stale generation stamp — silently
+// indexPatch implements wal.RecoveryObserver: it collects what the tuples
+// recovery or a compaction changed do to the postings of their base, to patch
+// the base generation's persisted index with (invidx.Patch), so the engine
+// can skip the from-scratch rebuild. Any defect in the file — absence,
+// corruption, version skew (format or tokenizer), a stale generation stamp —
 // falls back to the rebuild; a persisted index is an optimization, never a
 // requirement.
-type indexRecovery struct {
-	dir    string
-	logger *log.Logger
-	ix     *invidx.Index
-	loaded bool
+type indexPatch struct {
+	gen   uint64
+	patch *invidx.Patch
 }
 
-func (r *indexRecovery) RecoveryBase(gen uint64, db *storage.Database) {
-	path := filepath.Join(r.dir, wal.IndexSnapshotName(gen))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			r.logger.Printf("precis: cannot read persisted index %s (%v); rebuilding", path, err)
-		}
-		return
-	}
-	ix, fileGen, err := invidx.DecodeSnapshot(raw, db)
-	if err != nil {
-		r.logger.Printf("precis: persisted index %s unusable (%v); rebuilding", path, err)
-		return
-	}
-	if fileGen != gen {
-		r.logger.Printf("precis: persisted index %s stamped for generation %d, want %d; rebuilding", path, fileGen, gen)
-		return
-	}
-	r.ix = ix
-	r.loaded = true
+func (o *indexPatch) RecoveryBase(gen uint64, db *storage.Database) {
+	o.gen, o.patch = gen, invidx.NewPatch(db)
 }
 
-func (r *indexRecovery) RecoveryApply(relation string, old, new *storage.Tuple) {
-	if r.ix == nil {
-		return
-	}
-	var was, now storage.Tuple
+func (o *indexPatch) RecoveryApply(relation string, old, new *storage.Tuple) {
 	if old != nil {
-		was = *old
+		o.patch.RemoveTuple(relation, *old)
 	}
 	if new != nil {
-		now = *new
+		o.patch.AddTuple(relation, *new)
 	}
-	reindex(r.ix, relation, was, now)
+}
+
+// patched returns the base generation's index file in dir with the patch
+// applied, stamped gen, or nil when there is no usable one — saying why,
+// unless the file is simply absent.
+func (o *indexPatch) patched(dir string, gen uint64, logger *log.Logger) []byte {
+	path := filepath.Join(dir, wal.IndexSnapshotName(o.gen))
+	raw, err := func() ([]byte, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		info, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		raw, stamp, err := o.patch.Apply(f, int(info.Size()), gen)
+		if err == nil && stamp != o.gen {
+			err = fmt.Errorf("stamped for generation %d, want %d", stamp, o.gen)
+		}
+		return raw, err
+	}()
+	if err != nil {
+		if !errors.Is(err, os.ErrNotExist) {
+			logger.Printf("precis: persisted index %s unusable (%v); rebuilding", path, err)
+		}
+		return nil
+	}
+	return raw
 }
 
 // RecoveryStats reports what Open reconstructed from disk.
@@ -275,12 +280,12 @@ func openNode(db *storage.Database, g *schemagraph.Graph, cfg PersistConfig, who
 		cfg.Logger = log.Default()
 	}
 	logger := cfg.Logger
-	ir := &indexRecovery{dir: cfg.Dir, logger: logger}
+	ip := &indexPatch{}
 	store, rec, err := wal.Open(cfg.Dir, wal.Config{
 		Fsync:         cfg.Fsync,
 		FsyncInterval: cfg.FsyncInterval,
 		Logger:        logger,
-		Observer:      ir,
+		Observer:      ip,
 	})
 	if err != nil {
 		return nil, err
@@ -290,6 +295,7 @@ func openNode(db *storage.Database, g *schemagraph.Graph, cfg PersistConfig, who
 		return nil, err
 	}
 	var n *node
+	var ix *invidx.Index // the persisted index recovery patched, when there is one
 	if rec.Data == nil {
 		if n, err = newNode(db, g, nil); err != nil {
 			return fail(err)
@@ -302,20 +308,28 @@ func openNode(db *storage.Database, g *schemagraph.Graph, cfg PersistConfig, who
 		logger.Printf("precis: persistence initialized in %s (generation 1, %d tuples, fsync=%s)",
 			cfg.Dir, db.TotalTuples(), cfg.Fsync)
 	} else {
-		// When the persisted index matched the base snapshot it tracked every
-		// delta and WAL record through the observer, and load adopts it.
-		if n, err = load(rec.Data, g, whole, ir.ix); err != nil {
+		// The base generation's persisted index, patched over every delta and
+		// log record recovery applied, is decoded for load to adopt.
+		start := time.Now()
+		if raw := ip.patched(cfg.Dir, ip.gen, logger); raw != nil {
+			if ix, _, err = invidx.DecodeSnapshot(raw, rec.Data.DB); err != nil {
+				logger.Printf("precis: patched index of %s unusable (%v); rebuilding", cfg.Dir, err)
+				ix = nil
+			}
+		}
+		rec.Duration += time.Since(start)
+		if n, err = load(rec.Data, g, whole, ix); err != nil {
 			return fail(fmt.Errorf("precis: recovering %s: %w", cfg.Dir, err))
 		}
 		indexHow := "rebuilt"
-		if ir.loaded {
+		if ix != nil {
 			indexHow = "loaded"
 		}
 		logger.Printf("precis: recovered %s: generation %d (chain depth %d, %d delta(s)), %d tuples, %d relations, %d WAL record(s) replayed, %d torn byte(s) truncated, index %s, in %v",
 			cfg.Dir, rec.Gen, rec.ChainDepth, rec.DeltasApplied, n.db.TotalTuples(), n.db.NumRelations(), rec.WALRecords, rec.TornBytes, indexHow, rec.Duration.Round(time.Microsecond))
 	}
 	n.store, n.cfg = store, cfg
-	n.recovered, n.indexLoaded = *rec, ir.loaded
+	n.recovered, n.indexLoaded = *rec, ix != nil
 	return n, nil
 }
 
@@ -421,21 +435,24 @@ func (n *node) checkpointTo(store *wal.Store) error {
 	}
 	// Compaction: merge the rotation-point snapshot from the chain's bytes
 	// and the captured delta, and persist an index beside it — the base
-	// generation's, carried forward over the tuples that changed, or, when
-	// the base has none (a follower's installed snapshot, a damaged file),
-	// one built from the merged state.
-	ir := &indexRecovery{dir: store.Dir(), logger: n.cfg.Logger}
-	raw, err := store.Compact(h, d, ir)
+	// generation's, patched over the tuples that changed, or, when the base
+	// has none (a follower's installed snapshot, a damaged file), one built
+	// from the merged state.
+	ip := &indexPatch{}
+	raw, err := store.Compact(h, d, ip)
+	var index []byte
 	how := indexDerived
-	if err == nil && ir.ix == nil {
-		how = indexRebuilt
-		var data *wal.SnapshotData
-		if data, err = wal.DecodeSnapshot("", raw); err == nil {
-			ir.ix = invidx.NewParallel(data.DB, runtime.GOMAXPROCS(0))
+	if err == nil {
+		if index = ip.patched(store.Dir(), h.Gen(), n.cfg.Logger); index == nil {
+			how = indexRebuilt
+			var data *wal.SnapshotData
+			if data, err = wal.DecodeSnapshot("", raw); err == nil {
+				index = invidx.NewParallel(data.DB, runtime.GOMAXPROCS(0)).EncodeSnapshot(h.Gen())
+			}
 		}
 	}
 	if err == nil {
-		err = store.CompleteFull(h, raw, ir.ix.EncodeSnapshot(h.Gen()))
+		err = store.CompleteFull(h, raw, index)
 	}
 	if err != nil {
 		restore()

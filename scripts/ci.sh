@@ -24,7 +24,10 @@
 # (snapshot decoder, WAL replayer, delta decoder, index-snapshot decoder, and
 # FuzzCompact: base snapshots mutated under a fixed delta, the compaction
 # merge refusing exactly where decoding and applying refuses, with the same
-# classification, and writing the same bytes otherwise),
+# classification, and writing the same bytes otherwise; and FuzzIndexPatch:
+# index snapshots mutated under a fixed set of edits, the compaction's index
+# patch refusing wherever the decoder refuses — and besides only tokens out of
+# order — and otherwise writing what decoding, applying and encoding writes),
 # the JSON string escaper of /api/search (against encoding/json; its seeds put
 # every byte it must look at on both sides of a word boundary), the
 # sorted-id-list kernel behind every resident id list (FuzzIDList: a byte
@@ -66,7 +69,10 @@
 # in the same step (internal/wal compact_test.go: seeded chains of one to
 # eight deltas over dataset.Kinds and the wal test schemas, merged from
 # bytes, against decoding the base, applying the deltas and encoding; the
-# index carried forward against a rebuild; crafted deltas that would hold
+# index carried forward against a rebuild; the index patch against decoding
+# the base's index, applying the edits and encoding (internal/invidx
+# TestIndexPatchMatchesDecodeApplyEncode); a merge given no room before its
+# base refusing rather than overwriting bytes it has still to read; crafted deltas that would hold
 # a key or an id twice, refused with the old chain kept; a follower's
 # flattened snapshot against decoding the chain and replaying its logs),
 # with the root's key-cycle regression (a cycle and a swap of primary keys
@@ -204,6 +210,11 @@
 # per shard, a rowid list bucketed by owner, the merged rows — so a map, a
 # sort or every id sent to every shard fails here before the benchmark's
 # alloc_kb_per_op gate on `sharded` does.
+# TestCompactHoldsEachFileOnce (internal/wal) pins what BenchmarkCompact's
+# compaction allocates below its base snapshot plus the base's index plus a
+# slack per change: the merge reads the base into the tail of its own output
+# buffer and the index is patched as bytes, so a second copy of either file or
+# an index decoded into an invidx.Index fails here.
 # TestMemoIsBounded rides along for its heap check (1,000 distinct weight
 # bounds leave the live heap where it was), which -race would blur, and so do
 # the translator's own pins (internal/nlg): TestNarrativeKeepsNoState (a render
@@ -357,7 +368,7 @@ gotest 'TestCrashTorture' -race -count=1 -timeout=10m .
 
 echo "== incremental checkpoint torture -race (chain depths, every chain/index byte)"
 gotest 'TestDeltaChain|TestPersistedIndex|TestKeyCycle|TestFirstCompaction' -race -count=1 -timeout=15m .
-gotest 'TestDelta|TestStore|TestApplyDelta|TestIndexSnapshot|TestCompact|TestFlattened' -race -count=1 -timeout=10m ./internal/wal ./internal/invidx
+gotest 'TestDelta|TestStore|TestApplyDelta|TestIndexSnapshot|TestIndexPatch|TestCompact|TestFlattened' -race -count=1 -timeout=10m ./internal/wal ./internal/invidx
 
 echo "== replication convergence -race (full strength: swept link cuts; one history, four routes)"
 gotest 'TestRepl|TestChaosReplicatedStorm' -race -count=1 -timeout=10m .
@@ -386,15 +397,16 @@ gotest 'TestMemo|TestProfileQueriesShare' -race -count=1 -timeout=10m .
 echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
 gotest 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' -race -count=1 -timeout=10m ./internal/invidx
 
-echo "== layout pins (no -race: value and slot sizes, pointer-free records, live bytes per tuple, row_bytes and list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins)"
-gotest 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations' -count=1 -timeout=5m . ./internal/storage ./internal/nlg
+echo "== layout pins (no -race: value and slot sizes, pointer-free records, live bytes per tuple, row_bytes and list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins, a compaction's bytes)"
+gotest 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations|TestCompactHoldsEachFileOnce' -count=1 -timeout=5m . ./internal/storage ./internal/nlg ./internal/wal
 
-echo "== fuzz smoke (10s per target: the durability decoders, the compaction merge, the JSON string escaper, the id-list kernel, the row codec, the translator, the SELECT executor, the query pipeline)"
+echo "== fuzz smoke (10s per target: the durability decoders, the compaction merge and index patch, the JSON string escaper, the id-list kernel, the row codec, the translator, the SELECT executor, the query pipeline)"
 fuzz FuzzSnapshotDecode ./internal/wal
 fuzz FuzzWALReplay ./internal/wal
 fuzz FuzzDeltaDecode ./internal/wal
 fuzz FuzzCompact ./internal/wal
 fuzz FuzzIndexSnapshotDecode ./internal/invidx
+fuzz FuzzIndexPatch ./internal/invidx
 fuzz FuzzReplFrameDecode ./internal/repl
 fuzz FuzzAppendJSONString ./internal/web
 fuzz FuzzIDList ./internal/storage

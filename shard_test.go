@@ -192,6 +192,7 @@ func TestShardedBudgetPartialDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("budget %d shards=%d workers=%d: %v", bi, shards, workers, err)
 				}
+				checkAnswer(t, eng, "Woody Allen", opts, ans)
 				if ans.Partial != ref.Partial || ans.Truncation != ref.Truncation {
 					t.Fatalf("budget %d shards=%d: partial=%v/%q, single engine %v/%q",
 						bi, shards, ans.Partial, ans.Truncation, ref.Partial, ref.Truncation)
