@@ -179,7 +179,7 @@ func baseDatabase(t testing.TB, eng *Engine) *storage.Database {
 	if db := eng.Database(); db != nil {
 		return db
 	}
-	parts := eng.backend.(*shardSet).dbs()
+	parts := eng.backend.(*shardSet).dbs
 	whole := storage.NewDatabase(parts[0].Name())
 	for _, name := range parts[0].RelationNames() {
 		whole.MustCreateRelation(parts[0].Relation(name).Schema())

@@ -12,12 +12,18 @@ import (
 )
 
 // openCompacting is openPersistent with a chain of at most two elements: the
-// first checkpoint writes a delta, the second compacts.
-func openCompacting(t *testing.T, dir string) *Engine {
+// first checkpoint writes a delta, the second compacts. The seed is the
+// example movies and the given directors.
+func openCompacting(t *testing.T, dir string, directors ...[]storage.Value) *Engine {
 	t.Helper()
 	db, g, err := dataset.ExampleMovies()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range directors {
+		if _, err := db.Insert("DIRECTOR", d...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := dataset.AnnotateNarrative(g); err != nil {
 		t.Fatal(err)
@@ -51,15 +57,18 @@ func assertSameHistory(t *testing.T, route string, want, e *Engine) {
 // delta checkpoint and then a compaction. Recovering the delta with Open,
 // bootstrapping a follower from it, and recovering the compaction with Open
 // each give the live engine's state, byte for byte. (Applying a delta's
-// upserts one at a time made such a directory unopenable.)
+// upserts one at a time made such a directory unopenable.) The two directors
+// direct no movie: moving a referenced key is refused.
 func TestKeyCycleSurvivesEveryRoute(t *testing.T) {
 	for _, higherFirst := range []bool{false, true} {
 		dir := t.TempDir()
-		eng := openCompacting(t, dir)
+		eng := openCompacting(t, dir, director(902, "Agnes Varda"), director(903, "Celine Sciamma"))
 		var ids []storage.TupleID
-		eng.Database().Relation("DIRECTOR").ScanRows(func(id storage.TupleID, _ storage.Row) bool {
-			ids = append(ids, id)
-			return len(ids) < 2
+		eng.Database().Relation("DIRECTOR").ScanRows(func(id storage.TupleID, row storage.Row) bool {
+			if row.Value(0).AsInt() >= 902 {
+				ids = append(ids, id)
+			}
+			return true
 		})
 		a, b := ids[0], ids[1]
 		if higherFirst {

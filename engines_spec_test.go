@@ -77,7 +77,7 @@ func mutateForSpec(t *testing.T, eng *Engine, round int) {
 		// The third tuple or the first after it that no foreign key still
 		// needs goes, and comes back under a fresh id.
 		i := 2
-		for i < len(tuples) && storage.CheckDelete([]*storage.Database{eng.Database()}, name, tuples[i].ID) != nil {
+		for i < len(tuples) && storage.CheckWrite([]*storage.Database{eng.Database()}, 0, storage.WriteDelete, name, tuples[i].ID, nil) != nil {
 			i++
 		}
 		if i >= len(tuples) {

@@ -47,9 +47,6 @@ const (
 	// SiteWALFsync fires before every WAL fsync (group commits, interval
 	// flushes, and explicit Syncs alike).
 	SiteWALFsync = "wal.fsync"
-	// SiteSnapshotWrite fires at the head of wal.WriteSnapshot — initial
-	// seeding and every checkpoint.
-	SiteSnapshotWrite = "snapshot.write"
 	// SiteReplSend fires before every replication message the primary
 	// writes to a follower link (records, snapshots, heartbeats). An error
 	// rule severs the link; repl.ErrInjectCorrupt instead corrupts the
@@ -86,10 +83,6 @@ const (
 	// SiteReplPromote fires at the start of Engine.Promote, before the
 	// follower transport is stopped or the epoch bumped.
 	SiteReplPromote = "repl.promote"
-	// SiteReplEpochCheck fires wherever a v3 epoch stamp is compared
-	// against local state: the primary's handshake check and the
-	// follower's per-message ObserveEpoch.
-	SiteReplEpochCheck = "repl.epoch.check"
 )
 
 // Rule describes what happens when a site fires. Exactly one of Err and

@@ -10,7 +10,7 @@ import (
 // relation, are cut into one contiguous range per worker, each worker
 // indexes its range into a private posting map, and the maps are merged in
 // range order. Ids ascend along a relation, so merging a location's lists
-// is concatenation (out-of-order ids, which a rollback can leave behind,
+// is concatenation (out-of-order ids, which InsertWithID can leave behind,
 // fall back to a sorted union) and the result is structurally identical to
 // New's for every worker count. workers <= 1 (after normalization) falls
 // back to New.

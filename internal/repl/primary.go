@@ -54,7 +54,7 @@ type PrimaryConfig struct {
 // ErrQuorumLost is returned (wrapped) by the commit gate when SyncReplicas
 // followers fail to ack a group commit within AckTimeout and DegradeToAsync
 // is off. The record IS durable on the primary's local WAL — the caller
-// must not roll back applied state, only surface the reduced durability.
+// must apply it all the same, and only surface the reduced durability.
 var ErrQuorumLost = errors.New("quorum lost")
 
 // Metrics are the optional instruments a Primary ticks (obs instruments
@@ -515,9 +515,6 @@ func (p *Primary) streamTo(conn net.Conn) error {
 	// a diverged, unacked WAL suffix from its previous life as the old
 	// primary, so it is forced through a snapshot bootstrap, which
 	// truncates that suffix.
-	if err := faultinject.Fire(faultinject.SiteReplEpochCheck); err != nil {
-		return fmt.Errorf("epoch check: %w", err)
-	}
 	if hello.Epoch > p.cfg.Epoch {
 		p.epochRejections.Add(1)
 		p.depose(hello.Epoch)

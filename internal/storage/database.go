@@ -3,7 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -198,8 +198,8 @@ func (db *Database) SetIDStride(offset, stride TupleID) error {
 }
 
 // InsertWithID adds a tuple with a caller-chosen id: the engine's apply and
-// rollback paths and the loaders, whose tuples must keep the ids they have
-// elsewhere. It rejects an id the relation already holds.
+// the loaders, whose tuples must keep the ids they have elsewhere. It
+// rejects an id the relation already holds.
 func (db *Database) InsertWithID(relation string, id TupleID, vals ...Value) error {
 	r, err := db.insertable(relation, id)
 	if err == nil {
@@ -226,14 +226,18 @@ func (db *Database) InsertRow(relation string, id TupleID, row Row) error {
 	return db.inserted(relation, id, err)
 }
 
-// insertable returns the named relation, refusing an id it cannot take.
-// Every id handed out is below the watermark, so one at or above it cannot
-// be held and needs no lookup — the engine's insert path, which always
-// arrives with NextTupleID, pays none until that passes MaxTupleID.
+// insertable returns the named relation, refusing an id it cannot take and
+// a relation out of slot positions. Every id handed out is below the
+// watermark, so one at or above it cannot be held and needs no lookup — the
+// engine's insert path, which always arrives with NextTupleID, pays none
+// until that passes MaxTupleID.
 func (db *Database) insertable(relation string, id TupleID) (*Relation, error) {
 	r := db.rels[relation]
 	if r == nil {
 		return nil, fmt.Errorf("storage: no relation %s", relation)
+	}
+	if r.next == math.MaxInt32 {
+		return nil, r.errOutOfSlots()
 	}
 	if id < db.nextID || id > MaxTupleID {
 		if err := r.checkID(id); err != nil {
@@ -373,37 +377,101 @@ func references(db Reader, fk ForeignKey, fn func(id TupleID, v Value, held bool
 	return true
 }
 
-// ErrReferenced refuses the delete of a tuple that a foreign key still needs.
+// ErrReferenced refuses a delete, or an update, that takes from a foreign
+// key the last tuple holding a value the key still references.
 var ErrReferenced = errors.New("storage: tuple is referenced")
 
-// CheckDelete refuses, with ErrReferenced, the delete of tuple id of relation
-// when a foreign key into relation targets a value of the tuple's that no
-// other tuple of relation holds and a tuple of the referencing relation does.
-// parts are the partitions, sharing a catalog, of one database.
-func CheckDelete(parts []*Database, relation string, id TupleID) error {
-	held := func(rel, column string, v Value) bool { // by a tuple other than id's
-		return slices.ContainsFunc(parts, func(db *Database) bool { return db.rels[rel].holds(column, v, id) })
+// ErrDangling refuses a write of a foreign-key value that no tuple of the
+// referenced relation holds.
+var ErrDangling = errors.New("storage: reference has no match")
+
+// WriteOp is the kind of tuple write CheckWrite judges.
+type WriteOp uint8
+
+const (
+	WriteInsert WriteOp = iota + 1
+	WriteUpdate
+	WriteDelete
+)
+
+// CheckWrite refuses a write that would leave the database parts make up —
+// its partitions, sharing one catalog, parts[owner] the one that holds tuple
+// id or is to hold it — in a state storage cannot hold or CheckIntegrity
+// reports, so the engine can refuse it before anything is logged. In this
+// order, it refuses
+//   - an unknown relation, an insert of an id the owner cannot take, and an
+//     update or a delete of an id the owner does not hold (ErrNoTuple);
+//   - new values that fail CheckRow;
+//   - a primary-key value another tuple holds (ErrDuplicateKey);
+//   - a non-NULL foreign-key value no tuple of the referenced relation holds
+//     (ErrDangling; the tuple itself may, on a foreign key into its own
+//     relation);
+//   - a delete, or an update that changes the value, of the last holder of a
+//     value a foreign key references from another tuple (ErrReferenced).
+//
+// Values match as the join indexes match them (holds). An insert allocates
+// nothing.
+func CheckWrite(parts []*Database, owner int, op WriteOp, relation string, id TupleID, vals []Value) error {
+	r := parts[owner].rels[relation]
+	if r == nil {
+		return fmt.Errorf("storage: no relation %s", relation)
 	}
-	for _, db := range parts {
-		r := db.rels[relation]
-		if r == nil {
-			return nil
+	held := func(rel, column string, v Value) bool { // by a tuple other than id
+		for _, db := range parts {
+			if db.rels[rel].holds(column, v, id) {
+				return true
+			}
 		}
-		row, ok := r.Row(id)
-		if !ok {
-			continue
+		return false
+	}
+	var old Row
+	fks := parts[owner].fks
+	if op == WriteInsert {
+		if _, err := parts[owner].insertable(relation, id); err != nil {
+			return err
 		}
-		for _, fk := range db.fks {
-			if fk.ToRelation != relation {
+	} else if old, _ = r.Row(id); !old.Valid() {
+		return r.errNoTuple(id)
+	}
+	if op != WriteDelete {
+		if err := r.CheckRow(vals); err != nil {
+			return err
+		}
+		if key := r.schema.Key; key != "" {
+			if kv := vals[r.schema.ColumnIndex(key)]; held(relation, key, kv) {
+				return r.errDuplicateKey(kv)
+			}
+		}
+		for i := range fks {
+			fk := &fks[i]
+			if fk.FromRelation != relation {
 				continue
 			}
-			v := row.Value(r.schema.ColumnIndex(fk.ToColumn))
-			if !v.IsNull() && !held(relation, fk.ToColumn, v) && held(fk.FromRelation, fk.FromColumn, v) {
-				return fmt.Errorf("%w: %s %d holds %s=%s, which %s.%s references",
-					ErrReferenced, relation, id, fk.ToColumn, v.String(), fk.FromRelation, fk.FromColumn)
+			v := vals[r.schema.ColumnIndex(fk.FromColumn)]
+			self := fk.ToRelation == relation && v == vals[r.schema.ColumnIndex(fk.ToColumn)]
+			if !v.IsNull() && !self && !held(fk.ToRelation, fk.ToColumn, v) {
+				return fmt.Errorf("%w: %s %d: %s=%s has no match in %s.%s",
+					ErrDangling, relation, id, fk.FromColumn, v.String(), fk.ToRelation, fk.ToColumn)
 			}
 		}
+	}
+	if op == WriteInsert {
 		return nil
+	}
+	for i := range fks {
+		fk := &fks[i]
+		if fk.ToRelation != relation {
+			continue
+		}
+		ti := r.schema.ColumnIndex(fk.ToColumn)
+		v := old.Value(ti)
+		if v.IsNull() || op == WriteUpdate && v == vals[ti] {
+			continue
+		}
+		if !held(relation, fk.ToColumn, v) && held(fk.FromRelation, fk.FromColumn, v) {
+			return fmt.Errorf("%w: %s %d holds %s=%s, which %s.%s references",
+				ErrReferenced, relation, id, fk.ToColumn, v.String(), fk.FromRelation, fk.FromColumn)
+		}
 	}
 	return nil
 }

@@ -107,22 +107,88 @@ func TestCheckDeleteRefusesTheLastHolder(t *testing.T) {
 		insert(b, "MOVIE", Int(10), String("Match Point"), Int(1))
 		parts := []*Database{a, b}
 		for _, id := range []TupleID{first, lone} {
-			if err := CheckDelete(parts, "DIRECTOR", id); err != nil {
+			if err := CheckWrite(parts, 0, WriteDelete, "DIRECTOR", id, nil); err != nil {
 				t.Fatalf("indexed=%v: DIRECTOR %d, not the last holder of a referenced value: %v", indexed, id, err)
 			}
 		}
 		if _, err := a.Delete("DIRECTOR", second); err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckDelete(parts, "DIRECTOR", first); !errors.Is(err, ErrReferenced) {
+		if err := CheckWrite(parts, 0, WriteDelete, "DIRECTOR", first, nil); !errors.Is(err, ErrReferenced) {
 			t.Fatalf("indexed=%v: last holder of did 1 = %v, want ErrReferenced", indexed, err)
 		}
-		if err := CheckDelete(parts[:1], "DIRECTOR", first); err != nil {
+		if err := CheckWrite(parts[:1], 0, WriteDelete, "DIRECTOR", first, nil); err != nil {
 			t.Fatalf("indexed=%v: no given partition holds a movie, yet %v", indexed, err)
 		}
-		if err := CheckDelete(parts, "DIRECTOR", 999); err != nil {
-			t.Fatalf("indexed=%v: an absent tuple = %v, want nil", indexed, err)
+		if err := CheckWrite(parts, 0, WriteDelete, "DIRECTOR", 999, nil); !errors.Is(err, ErrNoTuple) {
+			t.Fatalf("indexed=%v: an absent tuple = %v, want ErrNoTuple", indexed, err)
 		}
+	}
+}
+
+// TestCheckWriteOnASelfReference: on a foreign key into its own relation a
+// tuple may reference itself, take its own reference along when its key
+// moves, and go; a key another tuple references may do neither.
+func TestCheckWriteOnASelfReference(t *testing.T) {
+	db := NewDatabase("staff")
+	db.MustCreateRelation(MustSchema("EMP", "id", Column{"id", TypeInt}, Column{"boss", TypeInt}))
+	if err := db.AddForeignKey(ForeignKey{"EMP", "boss", "EMP", "id"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateJoinIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	parts := []*Database{db}
+	check := func(op WriteOp, id TupleID, want error, vals ...Value) {
+		t.Helper()
+		if err := CheckWrite(parts, 0, op, "EMP", id, vals); !errors.Is(err, want) || (want == nil) != (err == nil) {
+			t.Fatalf("%d of tuple %d to %v = %v, want %v", op, id, vals, err, want)
+		}
+	}
+	check(WriteInsert, 1, ErrDangling, Int(1), Int(2))
+	check(WriteInsert, 1, nil, Int(1), Int(1))
+	boss, err := db.Insert("EMP", Int(1), Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(WriteUpdate, boss, nil, Int(5), Int(5))
+	check(WriteUpdate, boss, ErrDangling, Int(5), Int(1))
+	check(WriteDelete, boss, nil)
+	staff, err := db.Insert("EMP", Int(2), Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(WriteUpdate, boss, ErrReferenced, Int(5), Int(5))
+	check(WriteDelete, boss, ErrReferenced)
+	check(WriteInsert, staff+1, ErrDuplicateKey, Int(2), Int(1))
+	check(WriteUpdate, staff, nil, Int(2), Int(2))
+	check(WriteDelete, staff, nil)
+}
+
+// TestCheckWriteInsertAllocatesNothing: the check an insert takes before it
+// is logged — id, row, key and reference, over every partition — allocates
+// nothing when it accepts.
+func TestCheckWriteInsertAllocatesNothing(t *testing.T) {
+	parts := make([]*Database, 2)
+	for i := range parts {
+		db := NewDatabase("movies")
+		db.MustCreateRelation(MustSchema("DIRECTOR", "did", Column{"did", TypeInt}, Column{"dname", TypeString}))
+		db.MustCreateRelation(MustSchema("MOVIE", "mid", Column{"mid", TypeInt}, Column{"title", TypeString}, Column{"did", TypeInt}))
+		if err := db.AddForeignKey(ForeignKey{"MOVIE", "did", "DIRECTOR", "did"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateJoinIndexes(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Insert("DIRECTOR", Int(int64(i+1)), String("Woody Allen")); err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = db
+	}
+	vals := []Value{Int(10), String("Match Point"), Int(2)} // director 2 is on the other partition
+	var err error
+	if n := testing.AllocsPerRun(100, func() { err = CheckWrite(parts, 1, WriteInsert, "MOVIE", 50, vals) }); n != 0 || err != nil {
+		t.Fatalf("an accepted insert's check: %v allocations, %v", n, err)
 	}
 }
 

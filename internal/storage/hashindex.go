@@ -41,11 +41,16 @@ func owned(v Value) Value {
 	return v
 }
 
-func (ix *HashIndex) has(v Value) bool {
+// holds reports whether a tuple other than skip (0: none) carries v. A key
+// that owns a list has two tuples or more, so one of them is not skip.
+func (ix *HashIndex) holds(v Value, skip TupleID) bool {
+	var ref int64
 	if v.kind == KindInt {
-		return ix.ints.refs[v.AsInt()] != 0
+		ref = ix.ints.refs[v.AsInt()]
+	} else {
+		ref = ix.vals.refs[v]
 	}
-	return ix.vals.refs[v] != 0
+	return ref < 0 || ref > 0 && TupleID(ref) != skip
 }
 
 // lookupBlock is how many keys a batch lookup resolves at once.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -26,9 +27,9 @@ type Tuple struct {
 // slot is the physical storage of a tuple: 16 bytes, its id and its record
 // (row.go). Nobody writes a record once it is stored — update stores a new
 // one — so a Row handed out by Row, AppendRows or ScanRows stays valid
-// whatever happens to the slot afterwards (CaptureDirty, cached answers and
-// the engine's rollback paths depend on it), and one record may back a tuple
-// in several databases: a shard and its source, a base relation and D′.
+// whatever happens to the slot afterwards (CaptureDirty and cached answers
+// depend on it), and one record may back a tuple in several databases: a
+// shard and its source, a base relation and D′.
 // Deleting negates the id and drops the record, leaving a tombstone so that
 // positions remain stable for live scans.
 type slot struct {
@@ -138,9 +139,9 @@ func (r *Relation) find(id TupleID) (*slot, int) {
 }
 
 // bind records that id, which no live tuple carries, now lives at pos. A
-// tombstone of the same id (the engine's delete rollback re-inserts a
-// deleted id) has its entry overwritten, so an id never owns two entries it
-// could be found under.
+// tombstone of the same id (InsertWithID may re-insert a deleted id) has its
+// entry overwritten, so an id never owns two entries it could be found
+// under.
 func (r *Relation) bind(id TupleID, pos int) {
 	if r.idsUsed*4 >= len(r.ids)*3 {
 		r.rehash(r.live)
@@ -220,7 +221,7 @@ func (r *Relation) Reserve(n int) {
 // appendSlot stores a new live slot at the next position and binds its id.
 func (r *Relation) appendSlot(id TupleID, rec *uint64) error {
 	if r.next == math.MaxInt32 {
-		return fmt.Errorf("storage: %s is out of slot positions: %w", r.schema.Name, ErrOutOfIDs)
+		return r.errOutOfSlots()
 	}
 	c := r.lastChunk()
 	if len(c.slots) == cap(c.slots) {
@@ -235,16 +236,14 @@ func (r *Relation) appendSlot(id TupleID, rec *uint64) error {
 	return nil
 }
 
-// validate checks arity, column types and the primary key of a candidate
-// row. old is the row being replaced by an update (the zero Row for an
-// insert): a key value equal to its own is not a duplicate.
-func (r *Relation) validate(vals []Value, old Row) error {
+// validate checks arity, column types and the primary key of vals as tuple
+// id's row: a key value only id holds is not a duplicate.
+func (r *Relation) validate(id TupleID, vals []Value) error {
 	if err := r.CheckRow(vals); err != nil {
 		return err
 	}
 	if key := r.schema.Key; key != "" {
-		ki := r.schema.ColumnIndex(key)
-		if kv := vals[ki]; (!old.Valid() || !kv.Equal(old.Value(ki))) && r.indexes[key].has(kv) {
+		if kv := vals[r.schema.ColumnIndex(key)]; r.indexes[key].holds(kv, id) {
 			return r.errDuplicateKey(kv)
 		}
 	}
@@ -279,9 +278,23 @@ func (r *Relation) errNullKey() error {
 	return fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, r.schema.Key)
 }
 
+// ErrDuplicateKey refuses a primary-key value another tuple holds.
+var ErrDuplicateKey = errors.New("storage: primary key already exists")
+
+// ErrNoTuple refuses an update or a delete of a tuple the relation does not
+// hold.
+var ErrNoTuple = errors.New("storage: no such tuple")
+
 func (r *Relation) errDuplicateKey(kv Value) error {
-	return fmt.Errorf("storage: %s primary key %s=%s already exists",
-		r.schema.Name, r.schema.Key, kv.String())
+	return fmt.Errorf("storage: %s primary key %s=%s: %w", r.schema.Name, r.schema.Key, kv.String(), ErrDuplicateKey)
+}
+
+func (r *Relation) errOutOfSlots() error {
+	return fmt.Errorf("storage: %s is out of slot positions: %w", r.schema.Name, ErrOutOfIDs)
+}
+
+func (r *Relation) errNoTuple(id TupleID) error {
+	return fmt.Errorf("storage: relation %s has no tuple %d: %w", r.schema.Name, id, ErrNoTuple)
 }
 
 // checkID refuses an id no tuple can carry, and one a live tuple does.
@@ -300,7 +313,7 @@ func (r *Relation) checkID(id TupleID) error {
 
 // insert stores a tuple with the given id, its values copied into a record.
 func (r *Relation) insert(id TupleID, vals []Value) error {
-	if err := r.validate(vals, Row{}); err != nil {
+	if err := r.validate(id, vals); err != nil {
 		return err
 	}
 	return r.store(id, r.lay.encode(vals))
@@ -315,7 +328,7 @@ func (r *Relation) share(id TupleID, row Row) error {
 		if kv.IsNull() {
 			return r.errNullKey()
 		}
-		if r.indexes[key].has(kv) {
+		if r.indexes[key].holds(kv, 0) {
 			return r.errDuplicateKey(kv)
 		}
 	}
@@ -526,14 +539,10 @@ func (r *Relation) AppendLookups(dst []TupleID, ends []int, column string, vals 
 
 // holds reports whether a live tuple other than skip (0: none) carries v in
 // the named column: Lookup's matching (exact through a hash index,
-// Equal by scan) without its fault site, or ids unless it must skip one.
+// Equal by scan) without its fault site or an id list.
 func (r *Relation) holds(column string, v Value, skip TupleID) bool {
 	if idx, ok := r.indexes[column]; ok {
-		if skip == 0 {
-			return idx.has(v)
-		}
-		ids := idx.appendGroups(nil, nil, []Value{v})
-		return len(ids) > 1 || len(ids) == 1 && ids[0] != skip
+		return idx.holds(v, skip)
 	}
 	ci := r.schema.ColumnIndex(column)
 	found := false
@@ -630,10 +639,10 @@ func (r *Relation) unindexRow(id TupleID, row Row) {
 func (r *Relation) update(id TupleID, vals []Value) error {
 	s, _ := r.find(id)
 	if s == nil {
-		return fmt.Errorf("storage: relation %s has no tuple %d", r.schema.Name, id)
+		return r.errNoTuple(id)
 	}
 	old := r.row(s)
-	if err := r.validate(vals, old); err != nil {
+	if err := r.validate(id, vals); err != nil {
 		return err
 	}
 	r.unindexRow(id, old)

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"precis/internal/faultinject"
 	"precis/internal/storage"
 )
 
@@ -287,12 +286,8 @@ func applyObserved(r Record, data *SnapshotData, obs RecoveryObserver) error {
 }
 
 // WriteDelta durably writes d as the delta for generation gen: temp file,
-// fsync, rename, directory fsync — the same atomicity as snapshots, and
-// the same fault-injection site (it is a checkpoint write).
+// fsync, rename, directory fsync — the same atomicity as snapshots.
 func WriteDelta(dir string, gen uint64, d *DeltaData) (string, int64, error) {
-	if err := faultinject.Fire(faultinject.SiteSnapshotWrite); err != nil {
-		return "", 0, fmt.Errorf("wal: delta write: %w", err)
-	}
 	raw, err := EncodeDelta(d)
 	if err != nil {
 		return "", 0, err

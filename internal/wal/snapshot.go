@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"precis/internal/faultinject"
 	"precis/internal/storage"
 )
 
@@ -430,9 +429,6 @@ func fileLabel(file string) string {
 // half-visible generation, and an encode failure (oversized section)
 // aborts before any file exists, leaving older generations untouched.
 func WriteSnapshot(dir string, gen uint64, data *SnapshotData) (string, error) {
-	if err := faultinject.Fire(faultinject.SiteSnapshotWrite); err != nil {
-		return "", fmt.Errorf("wal: snapshot write: %w", err)
-	}
 	raw, err := EncodeSnapshot(data)
 	if err != nil {
 		return "", err

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"precis/internal/faultinject"
 )
 
 // ErrUnsyncedLog means a checkpoint rotation could not finalize the active
@@ -589,9 +587,6 @@ func (s *Store) CompleteDelta(h *CheckpointHandle, d *DeltaData) error {
 // snapshot. Runs entirely off the mutation lock.
 func (s *Store) CompleteFull(h *CheckpointHandle, raw, indexRaw []byte) error {
 	h.finishOld()
-	if err := faultinject.Fire(faultinject.SiteSnapshotWrite); err != nil {
-		return fmt.Errorf("wal: snapshot write: %w", err)
-	}
 	if _, err := WriteRawSnapshot(s.dir, h.gen, raw); err != nil {
 		return err
 	}
@@ -690,9 +685,6 @@ func (s *Store) Supersede(data *SnapshotData, indexRaw []byte) error {
 		return fmt.Errorf("wal: store is closed")
 	}
 	start := time.Now()
-	if err := faultinject.Fire(faultinject.SiteSnapshotWrite); err != nil {
-		return fmt.Errorf("wal: snapshot write: %w", err)
-	}
 	next := s.gen + 1
 	raw, err := EncodeSnapshot(data)
 	if err != nil {

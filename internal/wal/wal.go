@@ -83,10 +83,10 @@ type Metrics struct {
 // A failed fsync poisons the writer: the un-durable tail (every frame
 // written since the last successful fsync) is truncated off the file and
 // all further appends are refused with a sticky error. This is what makes
-// the engine's rollback-on-append-error protocol sound — a record whose
-// Append reported failure can never be made durable by a later group
-// commit or OS writeback, so crash recovery can never replay a mutation
-// the engine rolled back (no phantom records).
+// the engine's log-then-apply order sound — a record whose Append reported
+// failure, and which the engine therefore never applied, can never be made
+// durable by a later group commit or OS writeback, so crash recovery can
+// never replay it (no phantom records).
 type Writer struct {
 	path     string
 	policy   FsyncPolicy
@@ -362,7 +362,7 @@ func (w *Writer) syncLocked() error {
 // no frame appended since can become durable through a later group commit
 // or OS writeback. Frames in the cut tail belong either to FsyncAlways
 // appenders — which are still blocked in syncTo, will observe the sticky
-// error, and roll back — or to interval/never appenders, whose policy
+// error, and apply nothing — or to interval/never appenders, whose policy
 // already tolerates losing a clean log suffix. Callers hold syncMu; the
 // writer refuses every further append and sync until reopened (a failed
 // fsync means the device may have dropped dirty pages, so retrying cannot
@@ -378,8 +378,8 @@ func (w *Writer) poisonLocked(cause error) error {
 			}
 			// If the truncate itself fails the tail may survive on disk;
 			// the sticky error still stops every future append, and the
-			// caller's rollback path surfaces the failure, but recovery
-			// after a crash may then replay rolled-back records — nothing
+			// caller surfaces the failure, but recovery after a crash may
+			// then replay records the engine never applied — nothing
 			// more can be done against a device that refuses both fsync
 			// and truncate.
 		}

@@ -126,142 +126,76 @@ func (n *node) snapshotData() *wal.SnapshotData {
 	}
 }
 
-// reindex moves one tuple's postings from its old values to its new ones; a
-// zero tuple (id 0 is never allocated) stands for "absent". The index's
-// tuple maintenance has no other caller outside internal/invidx.
-func reindex(ix *invidx.Index, relation string, old, new storage.Tuple) {
-	if old.ID != 0 {
-		ix.RemoveTuple(relation, old)
-	}
-	if new.ID != 0 {
-		ix.AddTuple(relation, new)
-	}
-}
-
-// undo is what revert needs to take one applied record back: the tuple as
-// it was and as it became (zero = absent). A plain value — the write path
-// allocates nothing for it.
-type undo struct {
-	old, new storage.Tuple
-}
-
 // apply changes the partition by one record — the tuple and its postings
-// together, ids exactly as logged — and reports whether anything changed,
-// with what it takes to revert it. The public mutations, the sharded routes
-// and a follower applying its primary's stream all land here. Deleting an
-// absent tuple is the one no-op that is not an error. OpMacro only tracks
-// the definition; the caller has already put it to the renderer.
-func (n *node) apply(rec wal.Record) (applied bool, u undo, err error) {
+// together, ids exactly as logged. The engine's check has passed every record
+// a commit applies, so there it cannot fail; on a follower, which applies its
+// primary's log unchecked, an error means the two have diverged. OpMacro only
+// tracks the definition; the engine's applyLocked gives it to the renderer.
+func (n *node) apply(rec wal.Record) error {
 	switch rec.Op {
 	case wal.OpSynonym:
 		n.index.AddSynonym(rec.Alias, rec.Canonical)
-		return true, u, nil
+		return nil
 	case wal.OpMacro:
 		n.trackMacro(rec.Def)
-		return true, u, nil
+		return nil
 	case wal.OpInsert, wal.OpUpdate, wal.OpDelete:
 	default:
-		return false, u, fmt.Errorf("precis: unknown op %d", uint8(rec.Op))
+		return fmt.Errorf("precis: unknown op %d", uint8(rec.Op))
 	}
 	rel := n.db.Relation(rec.Rel)
 	if rel == nil {
-		return false, u, fmt.Errorf("precis: no relation %s", rec.Rel)
+		return fmt.Errorf("precis: no relation %s", rec.Rel)
 	}
-	if rec.Op != wal.OpInsert { // an insert has no "before": InsertWithID refuses an id already held
-		var had bool
-		if u.old, had = rel.Get(rec.ID); !had {
-			if rec.Op == wal.OpDelete {
-				return false, u, nil
-			}
-			return false, u, fmt.Errorf("precis: relation %s has no tuple %d", rec.Rel, rec.ID)
-		}
+	var old storage.Tuple // an insert has none
+	if rec.Op != wal.OpInsert {
+		old, _ = rel.Get(rec.ID)
 	}
+	var err error
 	switch rec.Op {
 	case wal.OpInsert:
 		err = n.db.InsertWithID(rec.Rel, rec.ID, rec.Values...)
 	case wal.OpUpdate:
 		err = n.db.Update(rec.Rel, rec.ID, rec.Values)
 	case wal.OpDelete:
-		_, err = n.db.Delete(rec.Rel, rec.ID)
+		if ok, _ := n.db.Delete(rec.Rel, rec.ID); !ok {
+			err = fmt.Errorf("precis: relation %s has no tuple %d: %w", rec.Rel, rec.ID, storage.ErrNoTuple)
+		}
 	}
 	if err != nil {
-		return false, u, err
+		return err
+	}
+	// The postings follow the values — the new ones are the record's, which
+	// the tuple now stores; the index's tuple maintenance has no other caller
+	// outside internal/invidx.
+	if old.ID != 0 {
+		n.index.RemoveTuple(rec.Rel, old)
 	}
 	if rec.Op != wal.OpDelete {
-		u.new, _ = rel.Get(rec.ID)
-	}
-	reindex(n.index, rec.Rel, u.old, u.new)
-	return true, u, nil
-}
-
-// revert takes an applied record back so memory and disk agree again: the
-// inserted tuple goes, the updated one gets its old values. Synonym, macro
-// and delete records are logged before they are applied (see commit) and
-// never need it.
-func (n *node) revert(rec wal.Record, u undo) {
-	reindex(n.index, rec.Rel, u.new, storage.Tuple{})
-	var err error
-	switch rec.Op {
-	case wal.OpInsert:
-		_, err = n.db.Delete(rec.Rel, rec.ID)
-	case wal.OpUpdate:
-		err = n.db.Update(rec.Rel, rec.ID, u.old.Values)
-	}
-	if err == nil {
-		restored, _ := n.db.Relation(rec.Rel).Get(u.old.ID) // absent again after an undone insert
-		reindex(n.index, rec.Rel, storage.Tuple{}, restored)
-	}
-}
-
-// commit is apply, append, and undo unless the error is ErrQuorumLost.
-// Quorum lost ≠ not written: the record is durable on the local WAL, so the
-// in-memory change must stand (a recovery would replay it) — the error only
-// reports reduced durability.
-func (n *node) commit(rec wal.Record) (bool, error) {
-	if rec.Op == wal.OpDelete {
-		// A delete of a tuple that is there cannot fail to apply, so it is
-		// logged first as well: undoing it would put the tuple back at the end
-		// of its relation, where no recovery puts it.
-		if rel := n.db.Relation(rec.Rel); rel == nil {
-			return false, fmt.Errorf("precis: no relation %s", rec.Rel)
-		} else if !rel.Has(rec.ID) {
-			return false, nil
-		}
-	}
-	if rec.Op == wal.OpSynonym || rec.Op == wal.OpMacro || rec.Op == wal.OpDelete {
-		// Nothing in memory can refuse these, so they are logged first: a
-		// failed append then leaves no state a recovery would lose.
-		err := n.appendWAL(rec)
-		if err != nil && !errors.Is(err, ErrQuorumLost) {
-			return false, err
-		}
-		_, _, _ = n.apply(rec) // cannot fail for these ops
-		return true, err
-	}
-	applied, u, err := n.apply(rec)
-	if !applied {
-		return false, err
-	}
-	if err := n.appendWAL(rec); err != nil {
-		if errors.Is(err, ErrQuorumLost) {
-			return true, err
-		}
-		n.revert(rec, u)
-		return false, err
-	}
-	return true, nil
-}
-
-// appendWAL logs one mutation record; an in-memory node appends nowhere
-// and succeeds.
-func (n *node) appendWAL(rec wal.Record) error {
-	if n.store == nil {
-		return nil
-	}
-	if err := n.store.Append(rec); err != nil {
-		return fmt.Errorf("precis: persist %s: %w", rec.Op, err)
+		n.index.AddTuple(rec.Rel, storage.Tuple{ID: rec.ID, Values: rec.Values})
 	}
 	return nil
+}
+
+// commit logs a checked record — an in-memory node logs nowhere — then
+// applies it. Nothing is applied that was not logged, so a failed append
+// leaves memory as it was. Quorum lost ≠ not written: the record is durable
+// on the local WAL (a recovery would replay it), so it is applied and the
+// error only reports reduced durability.
+func (n *node) commit(rec wal.Record) (bool, error) {
+	var err error
+	if n.store != nil {
+		if err = n.store.Append(rec); err != nil {
+			err = fmt.Errorf("precis: persist %s: %w", rec.Op, err)
+			if !errors.Is(err, ErrQuorumLost) {
+				return false, err
+			}
+		}
+	}
+	if aerr := n.owner.applyLocked(n, rec); aerr != nil {
+		return false, aerr
+	}
+	return true, err
 }
 
 func (n *node) each(fn func(*node) error) error { return fn(n) }
@@ -276,8 +210,19 @@ func (n *node) newFetcher() core.Fetcher { return sqlx.NewEngine(n.db) }
 
 func (n *node) nextID() storage.TupleID { return n.db.NextTupleID() }
 
-func (n *node) checkDelete(relation string, id storage.TupleID) error {
-	return storage.CheckDelete([]*storage.Database{n.db}, relation, id)
+func (n *node) check(rec wal.Record) error { return checkWrite([]*storage.Database{n.db}, 0, rec) }
+
+// checkWrite is storage.CheckWrite of a tuple record over parts, of which
+// parts[owner] owns the record's id.
+func checkWrite(parts []*storage.Database, owner int, rec wal.Record) error {
+	op := storage.WriteInsert
+	switch rec.Op {
+	case wal.OpUpdate:
+		op = storage.WriteUpdate
+	case wal.OpDelete:
+		op = storage.WriteDelete
+	}
+	return storage.CheckWrite(parts, owner, op, rec.Rel, rec.ID, rec.Values)
 }
 
 func (n *node) shardStats() ShardStats { return ShardStats{} }

@@ -5,9 +5,9 @@ package precis
 // caller's slice stays the caller's and a row borrowed from a record — by D′,
 // a dirty capture, a cached answer — reads the same bytes for as long as it is
 // held. These tests scribble on every slice a caller still holds and on
-// nothing else, and check that no stored tuple, dirty capture, rollback copy
-// or persisted byte sees it. scripts/ci.sh runs them under -race with the
-// rollback suites.
+// nothing else, and check that no stored tuple, dirty capture or persisted
+// byte sees it. scripts/ci.sh runs them under -race with the failed-append
+// suites.
 
 import (
 	"errors"
@@ -87,9 +87,9 @@ func TestMutatorsCopyCallerSlice(t *testing.T) {
 	}
 }
 
-// TestRollbackKeepsRowsApart: a failed WAL append reverts the mutation by
-// handing the old row back to storage. The tuple a reader held from before,
-// the resurrected tuple, and every later version of it stay independent, in
+// TestRollbackKeepsRowsApart: a failed WAL append applies nothing, so the
+// tuple keeps its row. The tuple a reader held from before, the tuple as the
+// failures left it, and every later version of it stay independent, in
 // memory and on disk.
 func TestRollbackKeepsRowsApart(t *testing.T) {
 	dir := t.TempDir()
@@ -125,7 +125,7 @@ func TestRollbackKeepsRowsApart(t *testing.T) {
 		t.Fatalf("rolled-back mutations left state behind:\nwant:\n%s\ngot:\n%s", before, got)
 	}
 
-	// The resurrected tuple moves on; the tuple held since before the
+	// The tuple the failures left moves on; the tuple held since before the
 	// failures, which shares its row, must not.
 	resurrected, _ := rel.Get(id)
 	next := director(902, "A. Varda")

@@ -243,9 +243,9 @@ type PersistStats struct {
 //     db is then only a seed and is discarded.
 //
 // Every subsequent mutation (Insert, Update, Delete, AddSynonym,
-// DefineMacro) is logged to the WAL under cfg.Fsync before the mutation is
-// considered complete; if the log write fails the in-memory change is
-// rolled back and the error returned, so memory and disk cannot diverge.
+// DefineMacro) is checked, then logged to the WAL under cfg.Fsync, then
+// applied; if the log write fails nothing is applied and the error is
+// returned, so memory and disk cannot diverge.
 // Callers own the returned engine's lifecycle: Close checkpoints and
 // releases the directory.
 func Open(db *storage.Database, g *schemagraph.Graph, cfg PersistConfig) (*Engine, error) {

@@ -324,7 +324,7 @@ func TestDeleteOfReferencedTupleRefused(t *testing.T) {
 
 // TestWALFsyncFailureNoPhantomRecord injects an fsync error under
 // FsyncAlways — the case where the frame bytes hit the file before the
-// failure. The engine rolls the mutation back; the WAL layer must
+// failure. The engine applies nothing; the WAL layer must
 // guarantee the written-but-unsynced record can never become durable
 // (truncated tail + poisoned writer), so a reopen of the directory yields
 // exactly the pre-failure state instead of replaying a ghost tuple. A
@@ -356,12 +356,12 @@ func TestWALFsyncFailureNoPhantomRecord(t *testing.T) {
 	}
 	faultinject.Deactivate()
 
-	// Memory rolled back ...
+	// Memory as it was ...
 	if got := dumpDatabase(eng.Database()); got != before {
 		t.Fatalf("failed mutation left memory state behind:\nwant:\n%s\ngot:\n%s", before, got)
 	}
 	// ... and the WAL is poisoned, not silently diverging: further appends
-	// are refused (and rolled back) until a checkpoint heals the store.
+	// are refused (and not applied) until a checkpoint heals the store.
 	if _, err := eng.Insert("DIRECTOR", storage.Int(904), storage.String("After"), storage.String("X"), storage.String("1950")); err == nil {
 		t.Fatal("insert succeeded on a poisoned WAL")
 	}

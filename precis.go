@@ -189,11 +189,11 @@ type backend interface {
 	newFetcher() core.Fetcher
 	// nextID is the id the next Insert gets, the same on every topology.
 	nextID() storage.TupleID
-	// checkDelete is storage.CheckDelete over every partition: the tuples
-	// referencing a shard's tuple can live on any shard.
-	checkDelete(relation string, id storage.TupleID) error
-	// commit applies one gated mutation record and logs it. applied reports
-	// that state changed and stayed changed: the cache is purged exactly then.
+	// check is storage.CheckWrite of a tuple record over every partition:
+	// a key, a referenced tuple or a referencing one can live on any shard.
+	check(rec wal.Record) error
+	// commit logs one checked record and applies it (applyLocked) on every
+	// partition it belongs to. applied reports that state changed.
 	commit(rec wal.Record) (applied bool, err error)
 	persistStats() PersistStats
 	shardStats() ShardStats
@@ -377,49 +377,57 @@ func (e *Engine) Index() *invidx.Index {
 	return nil
 }
 
-// commitLocked is the path every WAL-logged mutation takes: the role's gate,
-// the refusal of a delete that would leave a reference dangling, the
-// backend's apply-and-log, then the cache purge — only if something was
-// accepted (a refused or rejected mutation changes nothing), and before the
-// caller releases e.mu, so no reader can see a stale hit. Callers hold e.mu.
+// commitLocked is the one path of every logged mutation: the role's gate,
+// the check, then the backend logs the record and applies it. A refused
+// write touches nothing — not the log, the id watermark, a slot or the
+// cache. Callers hold e.mu.
 func (e *Engine) commitLocked(rec wal.Record) (applied bool, err error) {
 	if err := e.role.gate(); err != nil {
 		return false, err
 	}
-	if rec.Op == wal.OpDelete {
-		if err := e.backend.checkDelete(rec.Rel, rec.ID); err != nil {
-			return false, err
-		}
+	if err := e.checkLocked(rec); err != nil {
+		return false, err
 	}
-	rendered := false
+	return e.backend.commit(rec)
+}
+
+// checkLocked refuses a record that would not apply, or would leave a state
+// Open refuses, before it is logged: a macro the renderer cannot parse (it
+// would poison every recovery), a tuple write the backend's check refuses.
+// A synonym is always accepted.
+func (e *Engine) checkLocked(rec wal.Record) error {
+	switch rec.Op {
+	case wal.OpSynonym:
+		return nil
+	case wal.OpMacro:
+		_, _, err := nlg.ParseDefine(rec.Def)
+		return err
+	}
+	return e.backend.check(rec)
+}
+
+// applyLocked makes one logged record live on partition n: the renderer
+// learns a macro, the node changes, and the cache is purged before the
+// caller releases e.mu, so no reader can see a stale hit. A commit and a
+// follower's stream both apply through it. Callers hold e.mu.
+func (e *Engine) applyLocked(n *node, rec wal.Record) error {
+	defer e.purgeCacheLocked()
 	if rec.Op == wal.OpMacro {
-		// Validate-then-log: a definition the renderer rejects must never
-		// reach the WAL (it would poison every future recovery), so the parse
-		// runs first. An accepted one changes every narrative from here on,
-		// whatever the log write then does: if that fails the error is
-		// returned and the definition is not tracked for snapshots — the
-		// caller retries, and macro redefinition is idempotent.
 		if err := e.renderer.DefineMacro(rec.Def); err != nil {
-			return false, err
+			return err
 		}
-		rendered = true
 	}
-	applied, err = e.backend.commit(rec)
-	if applied || rendered {
-		e.purgeCacheLocked()
-	}
-	return applied, err
+	return n.apply(rec)
 }
 
 // AddSynonym declares that queries for alias also match canonical — the
 // §5.1 synonym case ("W. Allen" for "Woody Allen"); deployments plug a
 // reference-reconciliation tool's output in through this.
 //
-// On a persistent engine the synonym is logged to the WAL first; if the log
-// write fails the synonym is dropped and the error returned, so the
-// in-memory index never holds state a recovery would lose and the caller
-// can observe the lost write and retry. On an in-memory engine the error
-// is always nil.
+// Like every mutation, the synonym is logged before it is applied: if the
+// log write fails nothing changes and the error is returned, so the caller
+// can observe the lost write and retry. On an in-memory engine the error is
+// always nil.
 func (e *Engine) AddSynonym(alias, canonical string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -427,7 +435,9 @@ func (e *Engine) AddSynonym(alias, canonical string) error {
 	return err
 }
 
-// DefineMacro registers a narrative macro ("DEFINE NAME as ...").
+// DefineMacro registers a narrative macro ("DEFINE NAME as ..."). A
+// definition that does not parse is refused before it is logged; one whose
+// log write fails is not defined.
 func (e *Engine) DefineMacro(def string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -456,15 +466,16 @@ func (e *Engine) Profiles() []string {
 	return e.profiles.Names()
 }
 
-// Insert adds a tuple and keeps the inverted index current. On a
-// persistent engine the insert is also logged to the WAL (with its concrete
-// tuple ID, so replay reconstructs identical IDs); a failed log write rolls
-// the in-memory insert back and returns the error. When the error is
-// ErrQuorumLost the record is durable on the local WAL — rolling back would
-// diverge memory from what recovery replays — so the real ID is returned
-// with the error and the caller sees both facts. vals is only read: storage
-// copies the values into a record of its own, so the caller may reuse its
-// slice at once.
+// Insert adds a tuple and keeps the inverted index current. The tuple is
+// checked against the whole database first (storage.CheckWrite): a duplicate
+// primary key, or a foreign-key value with no match (storage.ErrDangling),
+// is refused and changes nothing. On a persistent engine the insert is then
+// logged to the WAL (with its concrete tuple ID, so replay reconstructs
+// identical IDs) before it is applied, so a failed log write returns the
+// error with nothing applied. When the error is ErrQuorumLost the record is
+// durable on the local WAL, so it is applied and the real ID is returned
+// with the error. vals is only read: storage copies the values into a record
+// of its own, so the caller may reuse its slice at once.
 func (e *Engine) Insert(relation string, vals ...storage.Value) (storage.TupleID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -477,7 +488,10 @@ func (e *Engine) Insert(relation string, vals ...storage.Value) (storage.TupleID
 }
 
 // Update replaces a tuple's values and keeps the inverted index current.
-// Like Insert it only reads vals.
+// It is checked, logged and applied as Insert is; besides Insert's refusals
+// it refuses a tuple that is not there (storage.ErrNoTuple) and a change of
+// a value a foreign key references from another tuple that no other tuple
+// holds (storage.ErrReferenced). Like Insert it only reads vals.
 func (e *Engine) Update(relation string, id storage.TupleID, vals []storage.Value) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -487,11 +501,16 @@ func (e *Engine) Update(relation string, id storage.TupleID, vals []storage.Valu
 
 // Delete removes a tuple and keeps the inverted index current. It reports
 // false, with no error, when the relation holds no such tuple, and refuses a
-// tuple a foreign key still needs with storage.ErrReferenced (see CheckDelete).
+// tuple a foreign key still needs with storage.ErrReferenced (see
+// storage.CheckWrite).
 func (e *Engine) Delete(relation string, id storage.TupleID) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.commitLocked(wal.Record{Op: wal.OpDelete, Rel: relation, ID: id})
+	applied, err := e.commitLocked(wal.Record{Op: wal.OpDelete, Rel: relation, ID: id})
+	if errors.Is(err, storage.ErrNoTuple) {
+		return false, nil
+	}
+	return applied, err
 }
 
 // Options tune one query. Zero-value fields fall back to the selected

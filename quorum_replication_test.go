@@ -294,7 +294,7 @@ func TestQuorumLostDoesNotBlockWriter(t *testing.T) {
 	defer primary.Close()
 
 	start := time.Now()
-	if _, err := primary.Insert("GENRE", storage.Int(910), storage.String("Lonely")); !errors.Is(err, ErrQuorumLost) {
+	if _, err := primary.Insert("GENRE", storage.Int(1), storage.String("Lonely")); !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("Insert without quorum: want ErrQuorumLost, got %v", err)
 	}
 	if err := primary.AddSynonym("solo", "Match Point"); !errors.Is(err, ErrQuorumLost) {
@@ -327,7 +327,7 @@ func TestQuorumDegradedModeEngine(t *testing.T) {
 	})
 	defer primary.Close()
 
-	if _, err := primary.Insert("GENRE", storage.Int(910), storage.String("Degraded")); err != nil {
+	if _, err := primary.Insert("GENRE", storage.Int(1), storage.String("Degraded")); err != nil {
 		t.Fatalf("degrade-to-async insert: %v", err)
 	}
 	st := primary.ReplStats().Primary
@@ -336,7 +336,7 @@ func TestQuorumDegradedModeEngine(t *testing.T) {
 	}
 	// Sticky: the next write must not wait out a fresh timeout window.
 	start := time.Now()
-	if _, err := primary.Insert("GENRE", storage.Int(910), storage.String("StillDegraded")); err != nil {
+	if _, err := primary.Insert("GENRE", storage.Int(1), storage.String("StillDegraded")); err != nil {
 		t.Fatalf("insert while degraded: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {
@@ -358,7 +358,7 @@ func TestQuorumDegradedModeEngine(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Healed means synchronous again: this write waits for (and gets) the ack.
-	if _, err := primary.Insert("GENRE", storage.Int(910), storage.String("HealedSync")); err != nil {
+	if _, err := primary.Insert("GENRE", storage.Int(1), storage.String("HealedSync")); err != nil {
 		t.Fatalf("insert after heal: %v", err)
 	}
 	waitReplConverged(t, primary, follower, 10*time.Second)

@@ -315,9 +315,6 @@ func (r *replicaState) localEpoch() uint64 {
 // is a stale primary that lost a failover; refusing severs the link before
 // its record is applied, and the reconnect loop finds the real primary.
 func (r *replicaState) observeEpoch(remote uint64) error {
-	if err := faultinject.Fire(faultinject.SiteReplEpochCheck); err != nil {
-		return err
-	}
 	local := r.localEpoch()
 	if remote < local {
 		return fmt.Errorf("primary is at stale epoch %d (local epoch %d): refusing its stream", remote, local)
@@ -418,7 +415,14 @@ func (r *replicaState) onRecord(gen, seq uint64, payload []byte) error {
 			return err
 		}
 	}
-	if err := r.applyRecord(rec); err != nil {
+	// The record IS the WAL: it takes the commit path's applyLocked without
+	// the gate, the check and the append, its ids as logged, so follower and
+	// primary are tuple-id-identical. A record that fails to apply means
+	// divergence (the cache is purged all the same).
+	r.eng.mu.Lock()
+	err = r.eng.applyLocked(r.node, rec)
+	r.eng.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("apply streamed %s record (%d,%d): %w", rec.Op, gen, seq, err)
 	}
 	r.mu.Lock()
@@ -466,31 +470,6 @@ func (r *replicaState) persistRecord(gen, seq uint64, payload []byte) error {
 		return fmt.Errorf("follower wal append (%d,%d): %w", gen, seq, err)
 	}
 	return nil
-}
-
-// applyRecord applies one replicated mutation record under the engine
-// lock: the primary's commit path minus the gate and the WAL append (the
-// record IS the WAL). Inserts use the logged tuple ID, so follower and
-// primary databases are tuple-ID-identical. The answer cache is purged
-// whatever the outcome — a record that fails to apply means divergence, and
-// no answer computed before it should outlive that.
-func (r *replicaState) applyRecord(rec wal.Record) error {
-	e := r.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.purgeCacheLocked()
-	if rec.Op == wal.OpMacro {
-		if err := e.renderer.DefineMacro(rec.Def); err != nil {
-			return err
-		}
-	}
-	applied, _, err := r.node.apply(rec)
-	if err == nil && !applied {
-		// The primary logs deletes only after they succeed; an absent
-		// tuple here means real divergence, which must not pass silently.
-		return fmt.Errorf("relation %s has no tuple %d to delete", rec.Rel, rec.ID)
-	}
-	return err
 }
 
 // StartReplication turns a persistent engine into a replication primary:

@@ -162,7 +162,9 @@
 # (root) holds every engine shape to the same spec — New, NewSharded over 2
 # and 4 hash and 3 range shards, an engine recovered from a snapshot, a delta
 # and a log tail, and a follower — G′, D′'s ids in insertion order and every
-# D′ value, kind-exactly, against the base it came from.
+# D′ value, kind-exactly, against the base it came from. TestWritesMatchSpec
+# holds the write path of a single, a persistent and 2/4 hash/range sharded
+# engine to internal/spec's mutation model over seeded scripts.
 #
 # The inverted-index oracle step (internal/invidx differential_test.go)
 # diffs the sorted-slice index against the test-only map-of-maps reference
@@ -387,7 +389,7 @@ go test -race -count=1 -timeout=5m ./internal/shard
 echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
 gotest 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec|TestResultDatabaseReadsArePure' -race -count=1 -timeout=10m ./internal/core
 gotest 'TestResultJoinIndexMatchesScan' -race -count=1 -timeout=5m ./internal/storage
-gotest 'TestEnginesMatchSpec' -race -count=1 -timeout=10m .
+gotest 'TestEnginesMatchSpec|TestWritesMatchSpec|TestWritesOpenWouldRefuseAreRefused' -race -count=1 -timeout=10m .
 gotest 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestWithRowIDs|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' -race -count=1 -timeout=5m ./internal/sqlx ./internal/shard
 gotest 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' -race -count=1 -timeout=5m ./internal/nlg ./internal/web
 
@@ -398,7 +400,7 @@ echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps refer
 gotest 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' -race -count=1 -timeout=10m ./internal/invidx
 
 echo "== layout pins (no -race: value and slot sizes, pointer-free records, live bytes per tuple, row_bytes and list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins, a compaction's bytes)"
-gotest 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations|TestCompactHoldsEachFileOnce' -count=1 -timeout=5m . ./internal/storage ./internal/nlg ./internal/wal
+gotest 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations|TestCompactHoldsEachFileOnce|TestCheckWriteInsertAllocatesNothing' -count=1 -timeout=5m . ./internal/storage ./internal/nlg ./internal/wal
 
 echo "== fuzz smoke (10s per target: the durability decoders, the compaction merge and index patch, the JSON string escaper, the id-list kernel, the row codec, the translator, the SELECT executor, the query pipeline)"
 fuzz FuzzSnapshotDecode ./internal/wal

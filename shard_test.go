@@ -243,6 +243,13 @@ func shardMutationScript(t *testing.T, e *Engine) []storage.TupleID {
 			t.Fatalf("Delete(MOVIE, %d) of a referenced movie = %v, %v; want storage.ErrReferenced", movie, ok, err)
 		}
 	}
+	// A key another movie holds is refused, on every shape: the holder can
+	// live on another shard than the one the new id would land on.
+	for key := int64(1); key <= 6; key++ {
+		if _, err := e.Insert("MOVIE", storage.Int(key), storage.String("Duplicate"), storage.Int(2000), storage.Int(900)); !errors.Is(err, storage.ErrDuplicateKey) {
+			t.Fatalf("Insert of MOVIE mid %d, which a movie holds = %v; want storage.ErrDuplicateKey", key, err)
+		}
+	}
 	deleted, err := e.Delete("GENRE", gid2)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +364,7 @@ func TestShardedCache(t *testing.T) {
 	if got, want := dumpDatabase(second.Database), dumpDatabase(first.Database); got != want {
 		t.Fatalf("cached answer differs from computed answer\n--- computed ---\n%s\n--- cached ---\n%s", want, got)
 	}
-	if _, err := eng.Insert("GENRE", storage.Int(902), storage.String("Noir")); err != nil {
+	if _, err := eng.Insert("GENRE", storage.Int(1), storage.String("Noir")); err != nil {
 		t.Fatal(err)
 	}
 	third, err := eng.QueryString("Woody Allen", Options{})

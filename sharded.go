@@ -45,7 +45,8 @@ type ShardedConfig struct {
 type shardSet struct {
 	part  shard.Partitioner
 	parts []*node
-	dir   string // sharded data root ("" when in-memory)
+	dbs   []*storage.Database // the parts' databases, in shard order
+	dir   string              // sharded data root ("" when in-memory)
 	// metrics and mutations are set by instrument (under the coordinator's
 	// write lock) and read by queries/mutations; nil on an uninstrumented
 	// engine — all counters are nil-safe.
@@ -139,6 +140,7 @@ func NewSharded(db *storage.Database, g *schemagraph.Graph, cfg ShardedConfig) (
 			return fail(fmt.Errorf("precis: shard %d: %w", i, err))
 		}
 		s.parts[i] = n
+		s.dbs = append(s.dbs, n.db)
 		// Recovery may have replaced the shard's database wholesale; re-apply
 		// strided local id allocation (it is not persisted).
 		if err := shard.ApplyStride(n.db, part, i); err != nil {
@@ -317,19 +319,14 @@ func (s *shardSet) lookup(term string) ([]invidx.Occurrence, error) {
 // newFetcher builds the per-query scatter/gather fetcher over the current
 // shard databases. Callers hold the coordinator's RLock, so the database
 // set is stable for the query's lifetime.
-func (s *shardSet) newFetcher() core.Fetcher { return shard.NewFetcher(s.part, s.dbs(), s.metrics) }
+func (s *shardSet) newFetcher() core.Fetcher { return shard.NewFetcher(s.part, s.dbs, s.metrics) }
 
-func (s *shardSet) checkDelete(relation string, id storage.TupleID) error {
-	return storage.CheckDelete(s.dbs(), relation, id)
-}
-
-// dbs returns the shards' databases in shard order.
-func (s *shardSet) dbs() []*storage.Database {
-	dbs := make([]*storage.Database, len(s.parts))
-	for i, n := range s.parts {
-		dbs[i] = n.db
+func (s *shardSet) check(rec wal.Record) error {
+	owner, err := shard.OwnerOf(s.part, rec.ID)
+	if err != nil {
+		return err
 	}
-	return dbs
+	return checkWrite(s.dbs, owner, rec)
 }
 
 // nextID is the maximum next-tuple-id over all shards — the same id an
@@ -345,15 +342,15 @@ func (s *shardSet) nextID() storage.TupleID {
 	return next
 }
 
-// commit routes one mutation: a tuple change goes to the shard owning its
-// id; a synonym, macro or foreign key — catalog state every shard holds, so
+// commit routes one checked mutation: a tuple change goes to the shard
+// owning its id; a synonym or macro — catalog state every shard holds, so
 // any recovered shard has it all — fans out to every shard, each logging it
-// to its own WAL. A mid-fanout failure leaves earlier shards with the change
-// and later ones without; the error reports which shard failed, and applied
-// is true so the caller still purges the answer cache. Cross-shard mutation
-// atomicity is documented as out of scope (the query path only ever sees the
-// union, so a partial synonym fanout widens recall on some shards early,
-// never corrupts an answer).
+// to its own WAL and applying it. A mid-fanout failure leaves earlier shards
+// with the change and later ones without; the error reports which shard
+// failed, and applied is true. Cross-shard mutation atomicity is documented
+// as out of scope (the query path only ever sees the union, so a partial
+// synonym fanout widens recall on some shards early, never corrupts an
+// answer).
 func (s *shardSet) commit(rec wal.Record) (bool, error) {
 	if err := faultinject.Fire(faultinject.SiteShardApply); err != nil {
 		return false, fmt.Errorf("precis: shard apply %s: %w", rec.Op, err)
