@@ -411,12 +411,6 @@ func (g *generator) budget(rel string) int {
 	return b
 }
 
-// stmtSelect builds the AST of SELECT <cols> FROM rel WHERE <where> [LIMIT n]
-// (limit < 0: unlimited, nil where: all); ids come back in Result.RowIDs.
-func (g *generator) stmtSelect(rel string, where sqlx.Expr, limit int) *sqlx.SelectStmt {
-	return &sqlx.SelectStmt{Columns: g.lay.cols[rel], Table: rel, Where: where, Limit: limit}
-}
-
 // fetchStmt executes the one row-returning query of a fetch: its rows become
 // f's candidates.
 func (g *generator) fetchStmt(f *fetched, st *sqlx.SelectStmt) error {
@@ -428,9 +422,10 @@ func (g *generator) fetchStmt(f *fetched, st *sqlx.SelectStmt) error {
 	return nil
 }
 
-// fetchIDs fetches the first limit of the named tuples of rel, in ids order.
+// fetchIDs fetches the first limit of the named tuples of rel, in ids order;
+// their ids come back in Result.RowIDs beside the rows.
 func (g *generator) fetchIDs(f *fetched, rel string, ids []storage.TupleID, limit int) error {
-	return g.fetchStmt(f, g.stmtSelect(rel, &sqlx.RowIDIn{IDs: ids}, limit))
+	return g.fetchStmt(f, &sqlx.SelectStmt{Columns: g.lay.cols[rel], Table: rel, IDs: ids, Limit: limit})
 }
 
 // apply inserts the fetched rows into the output relation in order,
@@ -784,24 +779,20 @@ func (g *generator) fetchNaiveQ(e *schemagraph.JoinEdge, values []storage.Value,
 	if len(g.opts.Weights[e.To]) > 0 {
 		return g.fetchNaiveQWeighted(e, values, limit)
 	}
-	where := g.naiveWhere(e, values)
 	f := &fetched{}
-	if err := g.fetchStmt(f, g.stmtSelect(e.To, where, limit)); err != nil {
+	if err := g.fetchStmt(f, g.naiveQ(e, values, g.lay.cols[e.To], limit)); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// naiveWhere builds NaïveQ's predicate: toCol IN (driving values), with the
-// tuples already in D' excluded so the budget buys only new tuples. The
-// exclusion consults the output relation itself as an id set — nothing is
-// copied per join, and the same statement object serves every shard.
-func (g *generator) naiveWhere(e *schemagraph.JoinEdge, values []storage.Value) sqlx.Expr {
-	return &sqlx.Logical{
-		And:   true,
-		Left:  &sqlx.InList{Left: &sqlx.ColumnRef{Name: e.ToCol}, Values: values},
-		Right: &sqlx.RowIDInSet{Set: g.out.Relation(e.To), Not: true},
-	}
+// naiveQ builds NaïveQ's statement: the first limit tuples of e.To whose toCol
+// is one of the driving values, with the tuples already in D' excluded so the
+// budget buys only new tuples. The exclusion consults the output relation
+// itself as an id set — nothing is copied per join, and the same statement
+// serves every shard.
+func (g *generator) naiveQ(e *schemagraph.JoinEdge, values []storage.Value, cols []string, limit int) *sqlx.SelectStmt {
+	return &sqlx.SelectStmt{Columns: cols, Table: e.To, Col: e.ToCol, Values: values, Exclude: g.out.Relation(e.To), Limit: limit}
 }
 
 // fetchNaiveQWeighted is NaïveQ under the §7 tuple-weights extension: a
@@ -811,12 +802,7 @@ func (g *generator) naiveWhere(e *schemagraph.JoinEdge, values []storage.Value) 
 // storage order, decide which tuples survive the cardinality constraint.
 func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
 	f := &fetched{}
-	res, err := g.execFetch(f, &sqlx.SelectStmt{
-		Columns: []string{sqlx.RowIDColumn},
-		Table:   e.To,
-		Where:   g.naiveWhere(e, values),
-		Limit:   -1,
-	})
+	res, err := g.execFetch(f, g.naiveQ(e, values, []string{}, -1)) // the ids alone
 	if err != nil {
 		return nil, err
 	}

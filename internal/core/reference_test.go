@@ -11,8 +11,8 @@ import (
 
 // This file is the test-only reference generator: the fetch paths as they
 // were before the set-at-a-time rewrite — Round-Robin issuing one id-scan
-// statement per driving value and one `rowid = ?` SELECT per chosen tuple,
-// NaïveQ excluding R′ⱼ with a `rowid NOT IN (every id…)` literal list. It
+// statement per driving value and one single-id SELECT per chosen tuple,
+// NaïveQ excluding R′ⱼ with a copy of every id it holds. It
 // shares the production scheduling (seed placement, batching, apply, budget
 // accounting) so that only the fetches differ; differential_test.go holds
 // the production generator identical to it in tuples, insertion order,
@@ -143,23 +143,19 @@ func (g refGenerator) fetchNaiveQ(e *schemagraph.JoinEdge, values []storage.Valu
 		return g.fetchNaiveQWeighted(e, values, limit)
 	}
 	f := &fetched{}
-	if err := g.fetchStmt(f, g.stmtSelect(e.To, g.naiveWhere(e, values), limit)); err != nil {
+	if err := g.fetchStmt(f, g.naiveQ(e, values, g.lay.cols[e.To], limit)); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// naiveWhere is toCol IN (driving values) AND rowid NOT IN (ids of R′ⱼ).
-func (g refGenerator) naiveWhere(e *schemagraph.JoinEdge, values []storage.Value) sqlx.Expr {
-	var where sqlx.Expr = &sqlx.InList{Left: &sqlx.ColumnRef{Name: e.ToCol}, Values: values}
+// naiveQ is toCol IN (driving values) AND rowid NOT IN (ids of R′ⱼ).
+func (g refGenerator) naiveQ(e *schemagraph.JoinEdge, values []storage.Value, cols []string, limit int) *sqlx.SelectStmt {
+	st := &sqlx.SelectStmt{Columns: cols, Table: e.To, Col: e.ToCol, Values: values, Limit: limit}
 	if excl := g.existingIDs(e.To); len(excl) > 0 {
-		where = &sqlx.Logical{
-			And:   true,
-			Left:  where,
-			Right: &sqlx.InList{Left: rowidRef(), Values: excl, Not: true},
-		}
+		st.Exclude = excl
 	}
-	return where
+	return st
 }
 
 func (g refGenerator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
@@ -167,7 +163,7 @@ func (g refGenerator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []stor
 	if err := g.ctxErr(); err != nil {
 		return nil, err
 	}
-	res, err := g.eng.ExecStmt(refStmtIDs(e.To, g.naiveWhere(e, values)))
+	res, err := g.eng.ExecStmt(g.naiveQ(e, values, []string{}, -1))
 	if err != nil {
 		return nil, fmt.Errorf("core: weighted id query: %w", err)
 	}
@@ -181,7 +177,7 @@ func (g refGenerator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []stor
 	if len(ids) == 0 {
 		return f, nil
 	}
-	if err := g.fetchStmt(f, g.stmtSelect(e.To, rowidIn(ids), len(ids))); err != nil {
+	if err := g.fetchStmt(f, &sqlx.SelectStmt{Columns: g.lay.cols[e.To], Table: e.To, IDs: ids, Limit: len(ids)}); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -206,11 +202,7 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 		if g.bt.checkDeadline() {
 			return
 		}
-		res, err := g.eng.ExecStmt(refStmtIDs(e.To, &sqlx.Compare{
-			Op:    sqlx.OpEq,
-			Left:  &sqlx.ColumnRef{Name: e.ToCol},
-			Right: &sqlx.Literal{Value: values[i]},
-		}))
+		res, err := g.eng.ExecStmt(&sqlx.SelectStmt{Columns: []string{}, Table: e.To, Col: e.ToCol, Values: values[i : i+1], Limit: -1})
 		if err != nil {
 			scans[i].err = fmt.Errorf("core: round-robin scan: %w", err)
 			return
@@ -277,11 +269,7 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 			fetchedRows[i].err = err
 			return
 		}
-		res, err := g.eng.ExecStmt(g.stmtSelect(e.To, &sqlx.Compare{
-			Op:    sqlx.OpEq,
-			Left:  rowidRef(),
-			Right: &sqlx.Literal{Value: storage.Int(int64(chosen[i]))},
-		}, 1))
+		res, err := g.eng.ExecStmt(&sqlx.SelectStmt{Columns: g.lay.cols[e.To], Table: e.To, IDs: chosen[i : i+1], Limit: 1})
 		if err != nil {
 			fetchedRows[i].err = err
 			return
@@ -301,33 +289,22 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 	return f, nil
 }
 
-// existingIDs boxes every id of the output relation for a NOT IN literal.
-func (g refGenerator) existingIDs(rel string) []storage.Value {
+// existingIDs copies every id of the output relation into a set of the
+// statement's own.
+func (g refGenerator) existingIDs(rel string) idCopy {
 	r := g.out.Relation(rel)
 	if r == nil || r.Len() == 0 {
 		return nil
 	}
-	vals := make([]storage.Value, 0, r.Len())
+	ids := make(idCopy, r.Len())
 	scanTuples(r, func(t storage.Tuple) bool {
-		vals = append(vals, storage.Int(int64(t.ID)))
+		ids[t.ID] = true
 		return true
 	})
-	return vals
+	return ids
 }
 
-// rowidRef is the pseudo-column reference the reference predicates filter on.
-func rowidRef() *sqlx.ColumnRef { return &sqlx.ColumnRef{Name: sqlx.RowIDColumn} }
+// idCopy is a copied id set.
+type idCopy map[storage.TupleID]bool
 
-// rowidIn builds the literal predicate rowid IN (ids...).
-func rowidIn(ids []storage.TupleID) *sqlx.InList {
-	vals := make([]storage.Value, len(ids))
-	for i, id := range ids {
-		vals[i] = storage.Int(int64(id))
-	}
-	return &sqlx.InList{Left: rowidRef(), Values: vals}
-}
-
-// refStmtIDs builds SELECT rowid FROM rel WHERE <where>.
-func refStmtIDs(rel string, where sqlx.Expr) *sqlx.SelectStmt {
-	return &sqlx.SelectStmt{Columns: []string{sqlx.RowIDColumn}, Table: rel, Where: where, Limit: -1}
-}
+func (s idCopy) Has(id storage.TupleID) bool { return s[id] }

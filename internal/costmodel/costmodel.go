@@ -148,7 +148,7 @@ func measure(cfg CalibrationConfig) (single, multi population, err error) {
 		stmts := make([]sqlx.SelectStmt, cfg.Rounds)
 		for i := range stmts {
 			v := []storage.Value{storage.Int(int64(i * stride % n))}
-			stmts[i] = sqlx.SelectStmt{Columns: []string{"payload"}, Table: "CALIB", Where: &sqlx.InList{Left: &sqlx.ColumnRef{Name: col}, Values: v}, Limit: -1}
+			stmts[i] = sqlx.SelectStmt{Columns: []string{"payload"}, Table: "CALIB", Col: col, Values: v, Limit: -1}
 		}
 		reads, start := 0, time.Now()
 		for i := range stmts {

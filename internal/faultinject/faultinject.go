@@ -35,7 +35,7 @@ const (
 	// probe has no error return, so error rules at this site are ignored;
 	// use Panic or Delay.
 	SiteIndexProbe = "invidx.probe"
-	// SiteSQLSelect fires inside sqlx.(*Engine).execSelect — every
+	// SiteSQLSelect fires inside sqlx.(*Engine).ExecStmt — every
 	// generated SELECT of the result-database generator.
 	SiteSQLSelect = "sqlx.select"
 	// SiteJoin fires at the head of core.(*generator).fetchJoin — once per

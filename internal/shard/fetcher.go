@@ -79,22 +79,18 @@ func (f *Fetcher) AccumulateStats(s sqlx.Stats) { f.total.Add(s) }
 func (f *Fetcher) TotalStats() sqlx.Stats { return f.total }
 
 // ExecStmt scatters one generated SELECT and gathers the rows in the order a
-// single engine would emit them. A statement with a top-level rowid conjunct
-// is routed: its ids are bucketed by owner, every owner is asked — by a copy
-// of the statement whose conjunct lists its bucket — for the tuples it holds
-// and no others, and the answers are merged by walking the statement's list.
-// Any other statement goes to every shard as it is, and the shards' answers,
-// each ascending by tuple id, are merged by id.
-func (f *Fetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
-	sel, ok := st.(*sqlx.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("shard: scatter execution only supports SELECT, got %T", st)
-	}
+// single engine would emit them. A statement that lists ids is routed: its ids
+// are bucketed by owner, every owner is asked — by a copy of the statement
+// listing its bucket — for the tuples it holds and no others, and the answers
+// are merged by walking the statement's list. Any other statement goes to
+// every shard as it is, and the shards' answers, each ascending by tuple id,
+// are merged by id.
+func (f *Fetcher) ExecStmt(sel sqlx.Stmt) (*sqlx.Result, error) {
 	var r *routing
 	targets := f.all
-	if ids, ok := sqlx.RowIDOrder(sel.Where); ok {
+	if sel.IDs != nil {
 		var err error
-		if r, err = f.route(ids); err != nil {
+		if r, err = f.route(sel.IDs); err != nil {
 			return nil, err
 		}
 		targets = r.targets
@@ -104,7 +100,7 @@ func (f *Fetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
 		stmt := sel
 		if r != nil {
 			narrowed := *sel
-			narrowed.Where = sqlx.WithRowIDs(sel.Where, r.buckets[shard])
+			narrowed.IDs = r.buckets[shard]
 			stmt = &narrowed
 		}
 		if results[shard], err = eng.ExecStmt(stmt); err != nil {
@@ -204,7 +200,7 @@ func counter(cs []*obs.Counter, i int) *obs.Counter {
 	return nil
 }
 
-// routing is the id list of one rowid conjunct bucketed by owner.
+// routing is the id list of one statement bucketed by owner.
 type routing struct {
 	ids     []storage.TupleID   // the list, as the statement spells it
 	owners  []int32             // owners[i] is the shard holding ids[i], if any does
@@ -261,7 +257,7 @@ func minHead(heads []head) *head {
 // a single engine would emit, up to the statement's LIMIT, in slices sized
 // once. A routed statement's list is walked once, taking the owner's next row
 // when it is this id's: the owner answered its bucket in list order, and an
-// id that names no tuple, or whose tuple another conjunct refused, has no row
+// id that names no tuple, or whose tuple Col or Exclude refused, has no row
 // (invariant 2). A shard that stopped at its own LIMIT runs out only when the
 // merge has reached it too (invariant 3). Unrouted results, ascending on every
 // shard, are merged by id, smallest head first.

@@ -6,28 +6,33 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"precis/internal/sqlx"
 	"precis/internal/storage"
 )
 
-// TestFetcherIDSetPredicate: a statement carrying the caller-owned id-set
-// predicate travels to every shard as the same object, each shard consults
-// the set concurrently, and the merged rows equal the single engine's — for
-// every shard count, wherever the predicate sits in the WHERE clause, with
-// and without a LIMIT cutting the merge.
+// TestFetcherIDSetPredicate: a statement carrying the caller-owned id set to
+// exclude travels to every shard as the same object, each shard consults the
+// set concurrently, and the merged rows equal the single engine's — for every
+// shard count, beside a probe, beside an id list and alone, with and without a
+// LIMIT cutting the merge.
 func TestFetcherIDSetPredicate(t *testing.T) {
 	db := testDB(t, 120)
 	// The set is a relation of another database holding every third B tuple,
 	// the way the generator excludes the tuples already in D'.
 	out := storage.NewDatabase("out")
 	out.MustCreateRelation(db.Relation("B").Schema().Clone())
+	var listed []storage.TupleID
 	db.Relation("B").Scan(func(tu storage.Tuple) bool {
 		if tu.ID%3 == 0 {
 			if err := out.InsertWithID("B", tu.ID, tu.Values...); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if tu.ID%5 < 2 {
+			listed = append(listed, tu.ID)
 		}
 		return true
 	})
@@ -36,14 +41,11 @@ func TestFetcherIDSetPredicate(t *testing.T) {
 	for i := int64(10); i < 70; i++ {
 		aids = append(aids, storage.Int(i))
 	}
-	probe := &sqlx.InList{Left: &sqlx.ColumnRef{Name: "aid"}, Values: aids}
-	inSet, notInSet := &sqlx.RowIDInSet{Set: set}, &sqlx.RowIDInSet{Set: set, Not: true}
-	wheres := []sqlx.Expr{
-		&sqlx.Logical{And: true, Left: probe, Right: notInSet},
-		&sqlx.Logical{And: true, Left: probe, Right: &sqlx.Not{Inner: inSet}},
-		&sqlx.Logical{Left: inSet, Right: &sqlx.Compare{Op: sqlx.OpEq, Left: &sqlx.ColumnRef{Name: "id"}, Right: &sqlx.Literal{Value: storage.Int(7)}}},
-		notInSet,
-		probe, // alone: every candidate satisfies it, so the shards check no tuple against it
+	stmts := []sqlx.SelectStmt{
+		{Col: "aid", Values: aids, Exclude: set},
+		{IDs: listed, Exclude: set},
+		{Exclude: set},
+		{Col: "aid", Values: aids}, // alone: every candidate holds a value, so the shards check no tuple
 	}
 	single := sqlx.NewEngine(db)
 	for _, n := range []int{1, 2, 3, 4} {
@@ -52,20 +54,21 @@ func TestFetcherIDSetPredicate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for wi, where := range wheres {
+		for si := range stmts {
 			for _, limit := range []int{-1, 5} {
-				st := &sqlx.SelectStmt{Columns: []string{sqlx.RowIDColumn, "aid"}, Table: "B", Where: where, Limit: limit}
-				want, err := single.ExecStmt(st)
+				st := stmts[si]
+				st.Columns, st.Table, st.Limit = []string{"id", "aid"}, "B", limit
+				want, err := single.ExecStmt(&st)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := NewFetcher(part, dbs, nil).ExecStmt(st)
+				got, err := NewFetcher(part, dbs, nil).ExecStmt(&st)
 				if err != nil {
 					t.Fatal(err)
 				}
-				name := fmt.Sprintf("shards=%d where#%d limit=%d", n, wi, limit)
+				name := fmt.Sprintf("shards=%d stmt#%d limit=%d", n, si, limit)
 				if len(want.Rows) == 0 || (limit < 0 && len(want.Rows) == db.Relation("B").Len()) {
-					t.Fatalf("%s: predicate is trivial on the fixture (%d rows)", name, len(want.Rows))
+					t.Fatalf("%s: statement is trivial on the fixture (%d rows)", name, len(want.Rows))
 				}
 				if !reflect.DeepEqual(got.RowIDs, want.RowIDs) || !sameRows(got.Rows, want.Rows) {
 					t.Errorf("%s: rows %v, single engine %v", name, got.RowIDs, want.RowIDs)
@@ -106,8 +109,8 @@ func gatherFixture(t *testing.T) *storage.Database {
 // the same order, and the same tuples read wherever no LIMIT cuts a shard
 // short. Rowid lists are shuffled, repeat ids, and name ids that never
 // existed, that belong to the other relation, and that were deleted after the
-// database was partitioned; they are spelled as RowIDIn nodes and as literals,
-// alone and AND-ed on either side with an IN list or an id-set predicate.
+// database was partitioned, alone and beside a probe, an excluded id set or
+// both, under every kind of projection.
 func TestFetcherMatchesSingleEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for shards := 1; shards <= 5; shards++ {
@@ -137,7 +140,7 @@ func TestFetcherMatchesSingleEngine(t *testing.T) {
 					}
 				}
 			}
-			// The id-set predicate's set: the A tuples, and every other live B.
+			// The excluded set: every other live B.
 			set := storage.NewDatabase("set")
 			set.MustCreateRelation(db.Relation("B").Schema().Clone())
 			for i, id := range live {
@@ -168,54 +171,42 @@ func TestFetcherMatchesSingleEngine(t *testing.T) {
 				}
 				return ids
 			}
-			aids := func() *sqlx.InList {
-				in := &sqlx.InList{Left: &sqlx.ColumnRef{Name: "aid"}}
+			aids := func() []storage.Value {
+				var vals []storage.Value
 				for n := 1 + rng.Intn(12); n > 0; n-- {
-					in.Values = append(in.Values, storage.Int(int64(rng.Intn(20))))
+					vals = append(vals, storage.Int(int64(rng.Intn(20))))
 				}
-				return in
+				return vals
 			}
 			routed, unrouted, cut := 0, 0, 0
 			for round := 0; round < 300; round++ {
-				var conjuncts []sqlx.Expr
-				shape := map[sqlx.Expr]string{}
-				add := func(what string, c sqlx.Expr) { shape[c], conjuncts = what, append(conjuncts, c) }
+				st := &sqlx.SelectStmt{Columns: []string{"id", "aid"}, Table: "B", Limit: -1}
+				var parts []string
 				if isRouted := rng.Intn(3) > 0; isRouted {
 					routed++
-					ids := pick(rng.Intn(40))
-					switch rng.Intn(3) {
-					case 0:
-						add(fmt.Sprintf("RowIDIn%v", ids), &sqlx.RowIDIn{IDs: ids})
-					case 1:
-						in := &sqlx.InList{Left: &sqlx.ColumnRef{Name: sqlx.RowIDColumn}}
-						for _, id := range ids {
-							in.Values = append(in.Values, storage.Int(int64(id)))
-						}
-						add(fmt.Sprintf("rowid IN %v", ids), in)
-					default:
-						id := pick(1)[0]
-						add(fmt.Sprintf("rowid = %d", id), &sqlx.Compare{Op: sqlx.OpEq,
-							Left: &sqlx.ColumnRef{Name: sqlx.RowIDColumn}, Right: &sqlx.Literal{Value: storage.Int(int64(id))}})
-					}
+					st.IDs = pick(rng.Intn(40))
+					parts = append(parts, fmt.Sprintf("rowid IN %v", st.IDs))
 					if rng.Intn(2) == 0 {
-						add("aid IN (…)", aids())
+						st.Col, st.Values = "aid", aids()
 					}
 				} else {
 					unrouted++
-					add("aid IN (…)", aids())
+					st.Col, st.Values = "aid", aids()
+				}
+				if st.Col != "" {
+					parts = append(parts, fmt.Sprintf("aid IN %v", st.Values))
 				}
 				if rng.Intn(2) == 0 {
-					add("rowid [NOT] IN set", &sqlx.RowIDInSet{Set: set.Relation("B"), Not: rng.Intn(2) == 0})
+					st.Exclude = set.Relation("B")
+					parts = append(parts, "rowid NOT IN set")
 				}
-				rng.Shuffle(len(conjuncts), func(i, j int) { conjuncts[i], conjuncts[j] = conjuncts[j], conjuncts[i] })
-				where, text := conjuncts[0], shape[conjuncts[0]]
-				for _, c := range conjuncts[1:] {
-					where, text = &sqlx.Logical{And: true, Left: where, Right: c}, text+" AND "+shape[c]
+				switch rng.Intn(3) {
+				case 0:
+					st.Columns = []string{"aid", "id"}
+				case 1:
+					st.Columns = []string{} // the ids alone
 				}
-				st := &sqlx.SelectStmt{Columns: []string{"id", "aid"}, Table: "B", Where: where, Limit: -1}
-				if rng.Intn(2) == 0 {
-					st.Columns = []string{"aid", sqlx.RowIDColumn} // copied rows, not borrowed ones
-				}
+				text := strings.Join(parts, " AND ")
 				all, err := single.ExecStmt(st)
 				if err != nil {
 					t.Fatal(err)
@@ -277,6 +268,51 @@ func TestFetcherMatchesSingleEngine(t *testing.T) {
 	}
 }
 
+// TestFetcherLeavesStatementAlone: a routed statement is narrowed per shard by
+// a copy listing the shard's bucket, so the caller's statement — its id list
+// above all, which the bucketing reads and every shard's copy replaces — is
+// never written, and one statement object can be executed by several fetchers
+// at once (-race watches the shards' goroutines read it).
+func TestFetcherLeavesStatementAlone(t *testing.T) {
+	db := testDB(t, 60)
+	part := mustHash(t, 3)
+	dbs, err := Partition(db, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []storage.TupleID{70, 64, 70, 5000, 66, 1, 64}
+	aids := []storage.Value{storage.Int(3), storage.Int(1), storage.Int(3)}
+	st := &sqlx.SelectStmt{Columns: []string{"aid"}, Table: "B", IDs: ids, Col: "aid", Values: aids, Limit: 4}
+	before := *st
+	beforeIDs, beforeAids := slices.Clone(ids), slices.Clone(aids)
+	want, err := sqlx.NewEngine(db).ExecStmt(st)
+	if err != nil || len(want.Rows) == 0 {
+		t.Fatalf("single engine: %v, %v", want, err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := NewFetcher(part, dbs, nil).ExecStmt(st)
+			if err == nil && !slices.Equal(got.RowIDs, want.RowIDs) {
+				err = fmt.Errorf("rows %v, the single engine's %v", got.RowIDs, want.RowIDs)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if !reflect.DeepEqual(*st, before) || &st.IDs[0] != &ids[0] || !slices.Equal(ids, beforeIDs) || !reflect.DeepEqual(aids, beforeAids) {
+		t.Errorf("the statement was written: %+v, was %+v (ids %v, were %v)", *st, before, ids, beforeIDs)
+	}
+}
+
 // misplacer is a partitioner with a bug: it places the ids above lost outside
 // [0, Shards()).
 type misplacer struct {
@@ -303,7 +339,7 @@ func TestFetcherRefusesMisplacedTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []storage.TupleID{4, 12, 7, 1} // 12 alone lives on shard 0
-	st := &sqlx.SelectStmt{Columns: []string{"id"}, Table: "A", Where: &sqlx.RowIDIn{IDs: ids}, Limit: -1}
+	st := &sqlx.SelectStmt{Columns: []string{"id"}, Table: "A", IDs: ids, Limit: -1}
 	res, err := NewFetcher(part, dbs, nil).ExecStmt(st)
 	if err != nil || !slices.Equal(res.RowIDs, ids) {
 		t.Fatalf("sound partitioner: %v, %v", res, err)

@@ -15,10 +15,9 @@
 //  1. Ownership is a pure function of the tuple id (hash or range), so a
 //     tuple lives on exactly one shard and every id list merged across
 //     shards is disjoint.
-//  2. A shard is asked only for what it can hold. A statement whose WHERE
-//     carries a top-level rowid conjunct (sqlx.RowIDOrder: the single
-//     engine's visit order, weight-ordered for seed fetches) has its list
-//     bucketed by owner, and each owner answers its bucket in list order, so
+//  2. A shard is asked only for what it can hold. A statement that lists
+//     ids (SelectStmt.IDs: the single engine's visit order, weight-ordered
+//     for seed fetches) has its list bucketed by owner, and each owner answers its bucket in list order, so
 //     walking the list and taking the owner's next row restores that order;
 //     every other plan emits ascending tuple ids on every shard, and a merge
 //     by id reproduces the single engine's.

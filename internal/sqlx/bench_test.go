@@ -27,7 +27,7 @@ func BenchmarkExecIndexed(b *testing.B) {
 	e := benchEngine(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := query(b, e, []string{"id"}, "R", eq(col("k"), storage.Int(int64(i%100))), -1)
+		res := query(b, e, &SelectStmt{Columns: []string{"id"}, Table: "R", Col: "k", Values: []storage.Value{storage.Int(int64(i % 100))}, Limit: -1})
 		if len(res.Rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -38,6 +38,6 @@ func BenchmarkExecScan(b *testing.B) {
 	e := benchEngine(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		query(b, e, []string{"id"}, "R", eq(col("s"), storage.String("row 9999")), 5)
+		query(b, e, &SelectStmt{Columns: []string{"id"}, Table: "R", Col: "s", Values: []storage.Value{storage.String("row 9999")}, Limit: 5})
 	}
 }

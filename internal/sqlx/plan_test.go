@@ -2,10 +2,10 @@ package sqlx
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"precis/internal/storage"
@@ -16,10 +16,16 @@ type idSet map[storage.TupleID]bool
 
 func (s idSet) Has(id storage.TupleID) bool { return s[id] }
 
-// planEngine builds two copies of one table: R with a primary key and hash
-// indexes on k and f; U with no key and no index, so every statement on it
+// bigInt is 2^53 + 1, the first int64 no float64 holds: Float(2^53) Equals it
+// and Int(2^53).
+const bigInt = 1<<53 + 1
+
+// planEngine builds two copies of one table: R with a primary key on id and
+// hash indexes on k and f; U with no key and no index, so every statement on it
 // scans. k, f and s hold NULLs; f holds both Int and Float values (a FLOAT
-// column accepts both), some numerically equal.
+// column accepts both), some numerically equal. Seven tuples more hold the
+// values a float probe can trip on: NaN, ±Inf, −0, 2^53, and Ints a float
+// cannot tell apart.
 func planEngine(t testing.TB) *Engine {
 	t.Helper()
 	db := storage.NewDatabase("plan")
@@ -27,6 +33,13 @@ func planEngine(t testing.TB) *Engine {
 		{Name: "f", Type: storage.TypeFloat}, {Name: "y", Type: storage.TypeInt}, {Name: "s", Type: storage.TypeString}}
 	db.MustCreateRelation(storage.MustSchema("R", "id", cols...))
 	db.MustCreateRelation(storage.MustSchema("U", "", cols...))
+	insert := func(vals ...storage.Value) {
+		for _, table := range []string{"R", "U"} {
+			if _, err := db.Insert(table, vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 240; i++ {
 		k, f, s := storage.Int(int64(r.Intn(8))), r.Intn(6), storage.String(fmt.Sprintf("%c%c", 'a'+r.Intn(3), 'a'+r.Intn(3)))
@@ -46,11 +59,11 @@ func planEngine(t testing.TB) *Engine {
 		if r.Intn(9) == 0 {
 			s = storage.Null
 		}
-		for _, table := range []string{"R", "U"} {
-			if _, err := db.Insert(table, storage.Int(int64(i)), k, fv, storage.Int(int64(r.Intn(50))), s); err != nil {
-				t.Fatal(err)
-			}
-		}
+		insert(storage.Int(int64(i)), k, fv, storage.Int(int64(r.Intn(50))), s)
+	}
+	for i, f := range []storage.Value{storage.Float(math.NaN()), storage.Float(math.Inf(1)), storage.Float(math.Inf(-1)),
+		storage.Float(math.Copysign(0, -1)), storage.Float(1 << 53), storage.Int(bigInt), storage.Int(1 << 53)} {
+		insert(storage.Int(int64(240+i)), storage.Int(bigInt-int64(i%2)), f, storage.Int(int64(i)), storage.String("z"))
 	}
 	for _, c := range []string{"k", "f"} {
 		if err := db.Relation("R").CreateIndex(c); err != nil {
@@ -60,51 +73,38 @@ func planEngine(t testing.TB) *Engine {
 	return NewEngine(db)
 }
 
-// selectWhere runs SELECT id FROM table WHERE where and checks that the
-// execution's counters show the access path planAccess picks.
-func selectWhere(t *testing.T, e *Engine, table string, where Expr) *Result {
-	t.Helper()
-	res, _ := plannedSelect(t, e, &SelectStmt{Columns: []string{"id"}, Table: table, Where: where, Limit: -1})
-	return res
-}
-
 // plannedSelect runs st and checks that the execution's counters show the
 // access path planAccess picks for it, which it returns.
-func plannedSelect(t testing.TB, e *Engine, st *SelectStmt) (*Result, accessPlan) {
+func plannedSelect(t testing.TB, e *Engine, st *SelectStmt) (*Result, accessKind) {
 	t.Helper()
 	res, err := e.ExecStmt(st)
 	if err != nil {
-		t.Fatalf("%s WHERE %s: %v", st.Table, exprString(st.Where), err)
+		t.Fatalf("%+v: %v", *st, err)
 	}
 	rel := e.Database().Relation(st.Table)
 	plan, s := planAccess(rel, st), res.Stats
 	ok := false
-	switch plan.kind {
+	switch plan {
 	case accessScan:
 		// A LIMIT reached stops the scan early.
 		ok = s.IndexLookups == 0 && (s.Scanned == rel.Len() || len(res.Rows) == st.Limit)
 	case accessRowID:
-		ok = s.IndexLookups == 0 && s.Scanned == 0 && s.TupleReads <= len(plan.ids)
+		ok = s.IndexLookups == 0 && s.Scanned == 0 && s.TupleReads <= len(st.IDs)
 	case accessIndex:
-		ok = s.IndexLookups == plan.vals.len() && s.Scanned == 0
+		ok = s.IndexLookups == len(st.Values) && s.Scanned == 0
 	}
 	if !ok {
-		t.Fatalf("%s WHERE %s: plan %d on %q, execution did %+v", st.Table, exprString(st.Where), plan.kind, plan.col, s)
+		t.Fatalf("%+v: plan %d, execution did %+v", *st, plan, s)
 	}
 	return res, plan
 }
 
-func col(name string) *ColumnRef { return &ColumnRef{Name: name} }
-
-func in(left Expr, vals ...storage.Value) *InList { return &InList{Left: left, Values: vals} }
-
-func eq(left Expr, v storage.Value) *Compare {
-	return &Compare{Op: OpEq, Left: left, Right: &Literal{Value: v}}
+// probe runs SELECT id FROM table WHERE col IN (vals), checking its plan.
+func probe(t *testing.T, e *Engine, table, col string, vals ...storage.Value) *Result {
+	t.Helper()
+	res, _ := plannedSelect(t, e, &SelectStmt{Columns: []string{"id"}, Table: table, Col: col, Values: vals, Limit: -1})
+	return res
 }
-
-func and(l, r Expr) *Logical { return &Logical{And: true, Left: l, Right: r} }
-
-func or(l, r Expr) *Logical { return &Logical{Left: l, Right: r} }
 
 // choices is a byte string read as a statement's decisions, a byte each. Once
 // it is used up every decision is 0, so every string decodes to a statement.
@@ -119,80 +119,49 @@ func (c *choices) intn(n int) int {
 	return int(b) % n
 }
 
-// decodeSelect decodes a SELECT on table, one of R and U, whose tuples are
-// ids: *, or a projection of up to three columns (rowid among them), with a
-// LIMIT or none, over a decodePredicate where tree or none.
-func decodeSelect(c *choices, table string, ids []storage.TupleID) *SelectStmt {
+// decodeSelect decodes a SELECT on table, one of R and U, whose live tuples
+// are ids and whose deleted ones are dead: *, no column, or a projection of up
+// to three columns (an unknown one among the choices), with a LIMIT or none;
+// with an id list or none — shuffled, repeating ids, naming dead ones and ids
+// never handed out; with a Col or none — indexed, unindexed, the key or
+// unknown — and its values; and with an id set to exclude or none.
+func decodeSelect(c *choices, table string, ids, dead []storage.TupleID) *SelectStmt {
 	st := &SelectStmt{Table: table, Limit: -1}
-	for n := c.intn(4); n > 0; n-- {
-		st.Columns = append(st.Columns, decodeColumn(c))
+	switch n := c.intn(5); n {
+	case 4:
+		st.Columns = []string{}
+	default:
+		for ; n > 0; n-- {
+			st.Columns = append(st.Columns, decodeColumn(c))
+		}
 	}
 	if c.intn(3) == 0 {
 		st.Limit = c.intn(64)
 	}
-	if c.intn(8) > 0 {
-		st.Where = decodePredicate(c, ids, 3)
-	}
-	return st
-}
-
-// decodeColumn decodes a column of R/U or the rowid; one time in sixteen, a
-// column neither has.
-func decodeColumn(c *choices) string {
-	names := []string{RowIDColumn, "id", "k", "f", "y", "s"}
-	if i := c.intn(32); i < 30 {
-		return names[i%len(names)]
-	}
-	return "nope"
-}
-
-// decodePredicate decodes a where tree over R/U's columns: probes with NULLs,
-// repeated values and Int/Float literals of either kind, comparisons of every
-// operator on any column (rowid and an unknown one included), id sets and
-// rowid lists, under AND / OR / NOT. rowid lists are ascending and distinct,
-// where list order and scan order coincide.
-func decodePredicate(c *choices, ids []storage.TupleID, depth int) Expr {
-	num := func() storage.Value {
-		switch c.intn(8) {
-		case 0:
-			return storage.Null
-		case 1:
-			return storage.Float(float64(c.intn(8)))
-		case 2:
-			return storage.Float(float64(c.intn(8)) + 0.5)
-		default:
-			return storage.Int(int64(c.intn(8)))
+	if c.intn(3) == 0 {
+		st.IDs = []storage.TupleID{}
+		for n := c.intn(9); n > 0; n-- {
+			switch c.intn(8) {
+			case 0:
+				st.IDs = append(st.IDs, dead[c.intn(len(dead))])
+			case 1:
+				st.IDs = append(st.IDs, []storage.TupleID{0, 1 << 40, storage.MaxTupleID}[c.intn(3)])
+			case 2:
+				if len(st.IDs) > 0 {
+					st.IDs = append(st.IDs, st.IDs[c.intn(len(st.IDs))])
+				}
+			default:
+				st.IDs = append(st.IDs, ids[c.intn(len(ids))])
+			}
 		}
 	}
-	nums := func() []storage.Value {
-		vals := make([]storage.Value, 1+c.intn(4))
-		for i := range vals {
-			vals[i] = num()
-		}
-		return vals
-	}
-	if depth > 0 {
-		switch c.intn(6) {
-		case 2:
-			return or(decodePredicate(c, ids, depth-1), decodePredicate(c, ids, depth-1))
-		case 3:
-			return &Not{Inner: decodePredicate(c, ids, depth-1)}
-		case 4, 5:
-			return and(decodePredicate(c, ids, depth-1), decodePredicate(c, ids, depth-1))
+	if c.intn(4) > 0 {
+		st.Col = decodeColumn(c)
+		for n := c.intn(5); n > 0; n-- {
+			st.Values = append(st.Values, decodeValue(c))
 		}
 	}
-	switch c.intn(7) {
-	case 0:
-		return eq(col("k"), num())
-	case 1:
-		return &InList{Left: col("k"), Values: nums(), Not: c.intn(4) == 0}
-	case 2:
-		return &Compare{Op: OpEq, Left: &Literal{Value: num()}, Right: col("f")}
-	case 3:
-		return in(col("f"), nums()...)
-	case 4:
-		return &Compare{Op: CompareOp(c.intn(6)), Left: col(decodeColumn(c)), Right: &Literal{Value: storage.Int(int64(c.intn(50)))}}
-	case 5:
+	if c.intn(3) == 0 {
 		set, m := idSet{}, 2+c.intn(4)
 		r := c.intn(m)
 		for _, id := range ids {
@@ -200,52 +169,62 @@ func decodePredicate(c *choices, ids []storage.TupleID, depth int) Expr {
 				set[id] = true
 			}
 		}
-		return &RowIDInSet{Set: set, Not: c.intn(2) == 0}
+		st.Exclude = set
+	}
+	return st
+}
+
+// decodeColumn decodes a column of R/U; one time in sixteen, a column neither
+// has.
+func decodeColumn(c *choices) string {
+	names := []string{"id", "k", "f", "y", "s"}
+	if i := c.intn(32); i < 30 {
+		return names[i%len(names)]
+	}
+	return "nope"
+}
+
+// decodeValue decodes a probe value: mostly small Ints and Floats that the
+// columns hold, integral or not, and else NULL, NaN, ±Inf, −0, a string, or a
+// number at or beyond 2^53 of either kind.
+func decodeValue(c *choices) storage.Value {
+	switch c.intn(16) {
+	case 0:
+		return storage.Null
+	case 1:
+		return storage.Float(math.NaN())
+	case 2:
+		return storage.Float(math.Inf(1 - 2*c.intn(2)))
+	case 3:
+		return storage.Float(math.Copysign(0, -1))
+	case 4:
+		return storage.String("ab")
+	case 5:
+		return []storage.Value{storage.Float(1 << 53), storage.Float(-(1 << 53)), storage.Int(bigInt), storage.Int(bigInt - 1), storage.Float(1 << 60)}[c.intn(5)]
+	case 6, 7:
+		return storage.Float(float64(c.intn(8)))
+	case 8:
+		return storage.Float(float64(c.intn(8)) + 0.5)
 	default:
-		var listed []storage.TupleID
-		for n := c.intn(6); n > 0; n-- {
-			listed = append(listed, ids[c.intn(len(ids))])
-		}
-		slices.Sort(listed)
-		listed = slices.Compact(listed)
-		if c.intn(2) == 0 {
-			return &RowIDIn{IDs: listed}
-		}
-		vals := []storage.Value{}
-		for _, id := range listed {
-			vals = append(vals, storage.Int(int64(id)))
-		}
-		return in(col(RowIDColumn), append(vals, storage.Int(1<<40))...) // the last names no tuple
+		return storage.Int(int64(c.intn(8)))
 	}
 }
 
-// checkSelect holds st to the reference executor's full scan: the same ids
-// and values, cut to the limit, or, when it names a column the table lacks,
-// the same error. It returns the result, nil for an error, and the plan.
-func checkSelect(t testing.TB, e *Engine, st *SelectStmt) (*Result, accessPlan) {
+// checkSelect holds st to the reference executor: the same ids and values or,
+// when it names a column the table lacks, the same error. It returns the
+// result, nil for an error, and the plan.
+func checkSelect(t testing.TB, e *Engine, st *SelectStmt) (*Result, accessKind) {
 	t.Helper()
-	rel := e.Database().Relation(st.Table)
-	cols := st.Columns
-	if cols == nil {
-		cols = rel.Schema().ColumnNames()
-	}
-	wantIDs, wantRows, wantErr := refSelectRows(rel, st.Where, cols)
+	wantIDs, wantRows, wantErr := refSelect(e.Database().Relation(st.Table), st)
 	if wantErr != nil {
 		if _, err := e.ExecStmt(st); err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("SELECT %v FROM %s WHERE %s: error %v, want %v", st.Columns, st.Table, exprString(st.Where), err, wantErr)
+			t.Fatalf("%+v: error %v, want %v", *st, err, wantErr)
 		}
-		return nil, accessPlan{}
+		return nil, accessScan
 	}
 	got, plan := plannedSelect(t, e, st)
-	if st.Limit >= 0 && len(wantIDs) > st.Limit {
-		wantIDs, wantRows = wantIDs[:st.Limit], wantRows[:st.Limit]
-	}
-	if len(wantRows) == 0 {
-		wantRows = nil
-	}
 	if !slices.Equal(got.RowIDs, wantIDs) || !reflect.DeepEqual(values(got.Rows), wantRows) {
-		t.Fatalf("SELECT %v FROM %s WHERE %s LIMIT %d (plan %d):\n got  %v %v\n want %v %v",
-			st.Columns, st.Table, exprString(st.Where), st.Limit, plan.kind, got.RowIDs, values(got.Rows), wantIDs, wantRows)
+		t.Fatalf("%+v (plan %d):\n got  %v %v\n want %v %v", *st, plan, got.RowIDs, values(got.Rows), wantIDs, wantRows)
 	}
 	return got, plan
 }
@@ -260,35 +239,53 @@ func tupleIDs(e *Engine, table string) []storage.TupleID {
 	return ids
 }
 
+// selectFixture is planEngine with every ninth tuple of both tables deleted:
+// the engine, and per table its live and its dead ids.
+func selectFixture(t testing.TB) (e *Engine, live, dead map[string][]storage.TupleID) {
+	e = planEngine(t)
+	live, dead = map[string][]storage.TupleID{}, map[string][]storage.TupleID{}
+	for _, table := range []string{"R", "U"} {
+		for i, id := range tupleIDs(e, table) {
+			if i%9 != 4 {
+				live[table] = append(live[table], id)
+				continue
+			}
+			if ok, err := e.Database().Delete(table, id); !ok || err != nil {
+				t.Fatalf("delete %s %d: %v, %v", table, id, ok, err)
+			}
+			dead[table] = append(dead[table], id)
+		}
+	}
+	return e, live, dead
+}
+
 // TestSelectMatchesReferenceScan holds every access path — rowid fetch, hash
-// probe (with and without its conjunct compiled out, under any projection),
-// scan — to the rows the reference executor's full scan returns, on the
-// indexed table and on its unindexed copy, over seeded random byte strings
-// decoded as FuzzSelect decodes them.
+// probe, scan — to the rows the reference executor returns, on the indexed
+// table and on its unindexed copy, over seeded random byte strings decoded as
+// FuzzSelect decodes them.
 func TestSelectMatchesReferenceScan(t *testing.T) {
-	e := planEngine(t)
+	e, live, dead := selectFixture(t)
 	r := rand.New(rand.NewSource(11))
 	for _, table := range []string{"R", "U"} {
 		t.Run(table, func(t *testing.T) {
-			ids := tupleIDs(e, table)
 			plans := map[accessKind]int{}
 			errs := 0
 			for trial := 0; trial < 3000; trial++ {
-				c := make(choices, 96)
+				c := make(choices, 64)
 				r.Read(c)
-				if res, plan := checkSelect(t, e, decodeSelect(&c, table, ids)); res != nil {
-					plans[plan.kind]++
+				if res, plan := checkSelect(t, e, decodeSelect(&c, table, live[table], dead[table])); res != nil {
+					plans[plan]++
 				} else {
 					errs++
 				}
 			}
-			wantPlans := []accessKind{accessScan}
+			wantPlans := []accessKind{accessScan, accessRowID}
 			if table == "R" {
-				wantPlans = []accessKind{accessScan, accessIndex, accessRowID}
+				wantPlans = append(wantPlans, accessIndex)
 			}
 			for _, p := range wantPlans {
-				if plans[p] == 0 {
-					t.Errorf("%s: no generated statement took plan %d (%v)", table, p, plans)
+				if plans[p] < 100 {
+					t.Errorf("%s: only %d generated statements took plan %d (%v)", table, plans[p], p, plans)
 				}
 			}
 			if errs == 0 {
@@ -301,12 +298,11 @@ func TestSelectMatchesReferenceScan(t *testing.T) {
 // FuzzSelect is TestSelectMatchesReferenceScan on fuzzed byte strings: the
 // first byte picks R or U, the rest decodes as decodeSelect reads it.
 func FuzzSelect(f *testing.F) {
-	e := planEngine(f)
-	ids := map[string][]storage.TupleID{"R": tupleIDs(e, "R"), "U": tupleIDs(e, "U")}
+	e, live, dead := selectFixture(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := choices(data)
 		table := []string{"R", "U"}[c.intn(2)]
-		checkSelect(t, e, decodeSelect(&c, table, ids[table]))
+		checkSelect(t, e, decodeSelect(&c, table, live[table], dead[table]))
 	})
 }
 
@@ -319,125 +315,130 @@ func idColumn(res *Result) []int64 {
 	return out
 }
 
-// TestNullProbesNeverMatch: the hash index stores NULL keys, but `k = NULL`
-// and `k IN (…, NULL, …)` never match — the probe's conjunct must stay in the
-// per-tuple check whenever its list holds a NULL.
+// TestNullProbesNeverMatch: the hash index stores NULL keys, but probing for
+// NULL never matches — not the NULLs the index holds under that key, nor
+// beside other values, on the indexed table and on the scanned copy.
 func TestNullProbesNeverMatch(t *testing.T) {
 	e := planEngine(t)
 	if nulls, _ := e.Database().Relation("R").Lookup("k", storage.Null); len(nulls) == 0 {
 		t.Fatal("fixture has no NULL k")
 	}
-	for _, column := range []string{"k", "f"} {
-		t.Run(column, func(t *testing.T) {
-			if got := selectWhere(t, e, "R", eq(col(column), storage.Null)); len(got.Rows) != 0 || got.Stats.IndexLookups != 1 {
-				t.Errorf("%s = NULL returned %v, %+v", column, idColumn(got), got.Stats)
-			}
-			if got := selectWhere(t, e, "R", in(col(column), storage.Null)); len(got.Rows) != 0 {
-				t.Errorf("%s IN (NULL) returned %v", column, idColumn(got))
-			}
-			with := selectWhere(t, e, "R", in(col(column), storage.Int(1), storage.Null, storage.Int(3)))
-			without := selectWhere(t, e, "R", in(col(column), storage.Int(1), storage.Int(3)))
-			if len(without.Rows) == 0 || !reflect.DeepEqual(idColumn(with), idColumn(without)) {
-				t.Errorf("%s IN (1, NULL, 3) = %v, IN (1, 3) = %v", column, idColumn(with), idColumn(without))
-			}
-			if with.Stats.IndexLookups != 3 {
-				t.Errorf("%s IN (1, NULL, 3) probed %d times, want 3", column, with.Stats.IndexLookups)
-			}
-		})
+	for _, table := range []string{"R", "U"} {
+		for _, column := range []string{"k", "f", "s"} {
+			t.Run(table+"/"+column, func(t *testing.T) {
+				if got := probe(t, e, table, column, storage.Null); len(got.Rows) != 0 {
+					t.Errorf("%s IN (NULL) returned %v, %+v", column, idColumn(got), got.Stats)
+				}
+				if column == "s" {
+					return
+				}
+				with := probe(t, e, table, column, storage.Int(1), storage.Null, storage.Int(3))
+				without := probe(t, e, table, column, storage.Int(1), storage.Int(3))
+				if len(without.Rows) == 0 || !reflect.DeepEqual(idColumn(with), idColumn(without)) {
+					t.Errorf("%s IN (1, NULL, 3) = %v, IN (1, 3) = %v", column, idColumn(with), idColumn(without))
+				}
+			})
+		}
+	}
+	if with := probe(t, e, "R", "k", storage.Int(1), storage.Null, storage.Int(3)); with.Stats.IndexLookups != 3 {
+		t.Errorf("k IN (1, NULL, 3) probed %d times, want 3", with.Stats.IndexLookups)
 	}
 }
 
 // TestNumericLiteralsAcrossKinds: Value.Equal compares Int and Float
 // numerically while the hash index keys on exact values, so a probe must
 // look up every representation the column can store. The indexed table and
-// its unindexed copy return the same rows for every literal kind.
+// its unindexed copy return the same rows for every value kind.
 func TestNumericLiteralsAcrossKinds(t *testing.T) {
 	e := planEngine(t)
 	i, f := storage.Int, storage.Float
-	for _, where := range []Expr{
-		eq(col("k"), f(1)),
-		eq(col("k"), f(1.5)),
-		in(col("k"), f(1), i(2), f(2), f(3.5)),
-		eq(col("f"), i(1)),
-		eq(col("f"), f(1)),
-		eq(col("f"), f(1.5)),
-		in(col("f"), i(1), f(2), f(2.5), i(2)),
-		in(col("f"), f(1<<53), i(1)), // beyond exact floats: left to the scan
-		and(eq(col("f"), i(3)), in(col("k"), f(0), f(1), f(2))),
+	for _, tc := range []struct {
+		col  string
+		vals []storage.Value
+	}{
+		{"k", []storage.Value{f(1)}},
+		{"k", []storage.Value{f(1.5)}},
+		{"k", []storage.Value{f(1), i(2), f(2), f(3.5)}},
+		{"f", []storage.Value{i(1)}},
+		{"f", []storage.Value{f(1)}},
+		{"f", []storage.Value{f(1.5)}},
+		{"f", []storage.Value{i(1), f(2), f(2.5), i(2)}},
+		{"f", []storage.Value{f(math.NaN()), f(math.Copysign(0, -1))}},
+		{"f", []storage.Value{i(bigInt)}},
+		{"k", []storage.Value{i(bigInt)}},
+		{"f", []storage.Value{f(1 << 53), i(1)}}, // beyond exact floats: left to the scan
+		{"k", []storage.Value{f(1 << 53)}},
+		{"f", []storage.Value{f(math.Inf(-1))}},
 	} {
-		t.Run(exprString(where), func(t *testing.T) {
-			indexed, scanned := selectWhere(t, e, "R", where), selectWhere(t, e, "U", where)
+		t.Run(fmt.Sprintf("%s IN %v", tc.col, tc.vals), func(t *testing.T) {
+			indexed, scanned := probe(t, e, "R", tc.col, tc.vals...), probe(t, e, "U", tc.col, tc.vals...)
 			if !reflect.DeepEqual(idColumn(indexed), idColumn(scanned)) {
-				t.Errorf("WHERE %s: indexed %v, unindexed %v", exprString(where), idColumn(indexed), idColumn(scanned))
+				t.Errorf("%s IN %v: indexed %v, unindexed %v", tc.col, tc.vals, idColumn(indexed), idColumn(scanned))
 			}
 		})
 	}
-	if got := selectWhere(t, e, "R", eq(col("k"), f(1))); len(got.Rows) == 0 || got.Stats.Scanned != 0 {
+	if got := probe(t, e, "R", "k", f(1)); len(got.Rows) == 0 || got.Stats.Scanned != 0 {
 		t.Errorf("k = 1.0 on the indexed column: %d rows, %+v", len(got.Rows), got.Stats)
 	}
-	if got := selectWhere(t, e, "R", eq(col("f"), i(1))); got.Stats.IndexLookups != 1 {
-		t.Errorf("f = 1 counted %d index lookups, want one per literal", got.Stats.IndexLookups)
+	if got := probe(t, e, "R", "f", i(1)); got.Stats.IndexLookups != 1 {
+		t.Errorf("f = 1 counted %d index lookups, want one per value", got.Stats.IndexLookups)
+	}
+	if got := probe(t, e, "R", "f", i(bigInt)); len(got.Rows) != 2 {
+		t.Errorf("f = 2^53+1 found %v, want the Int and the Float(2^53) that Equal it", idColumn(got))
 	}
 }
 
-// TestHashProbePlan pins the hash probe on the statements an index alone
-// could answer — the probed conjunct is the whole WHERE clause, every output
-// column rowid or the probed column — and beside them the ones it never
-// could: one plan, index(col), serves them all (the posting-list reader is
-// Engine.Probe, not a SELECT plan), and the rows are what the tuple-reading
-// oracle projects: the stored values (Int(1) for `k = 1.0`), ascending ids, a
-// repeated value's tuples once, the same Stats whatever sits beside the
-// probed conjunct.
+// TestHashProbePlan pins the hash probe: one plan, index(Col), serves every
+// projection, and the rows are what the tuple-reading reference projects:
+// the stored values (Int(1) for `k = 1.0`), ascending ids, a repeated value's
+// tuples once, and the same Stats with an id set to exclude beside the probe
+// that excludes nothing.
 func TestHashProbePlan(t *testing.T) {
 	e := planEngine(t)
 	rel := e.Database().Relation("R")
 	i, f, null := storage.Int, storage.Float, storage.Null
-	rowidK, onlyF := []string{RowIDColumn, "k"}, []string{"f"}
+	idK, onlyF := []string{"id", "k"}, []string{"f"}
 	for _, tc := range []struct {
-		name   string
-		cols   []string
-		where  Expr
-		limit  int
-		col    string // the probed column, "" for a scan
-		probes int
+		name  string
+		cols  []string
+		col   string
+		vals  []storage.Value
+		limit int
+		plan  accessKind
 	}{
-		{"equality", rowidK, eq(col("k"), i(3)), -1, "k", 1},
-		{"literal on the left", []string{"k"}, &Compare{Op: OpEq, Left: &Literal{Value: i(3)}, Right: col("k")}, -1, "k", 1},
-		{"repeated IN values", rowidK, in(col("k"), i(2), i(5), i(2), i(2)), -1, "k", 4},
-		{"k = 1.0 on an INT column", rowidK, eq(col("k"), f(1)), -1, "k", 1},
-		{"no such key", rowidK, in(col("k"), f(1.5), i(99)), -1, "k", 2},
-		{"FLOAT column, two keys per literal", onlyF, in(col("f"), i(1), f(2), f(2.5)), -1, "f", 3},
-		{"rowid alone", []string{RowIDColumn}, in(col("f"), i(1), i(3)), -1, "f", 2},
-		{"column twice", []string{"k", RowIDColumn, "k"}, in(col("k"), i(1), i(7)), -1, "k", 2},
-		{"LIMIT", rowidK, in(col("k"), i(1), i(2), i(3)), 7, "k", 3},
-		{"LIMIT 0", rowidK, in(col("k"), i(1), i(2)), 0, "k", 2},
-		// The conjunct is re-checked, or the index lacks a column.
-		{"NULL in the list", rowidK, in(col("k"), i(1), null, i(2)), -1, "k", 3},
-		{"k = NULL", rowidK, eq(col("k"), null), -1, "k", 1},
-		{"another conjunct", rowidK, and(eq(col("k"), i(3)), eq(col("y"), i(7))), -1, "k", 1},
-		{"an id set beside it", rowidK, and(in(col("k"), i(1), i(2)), &RowIDInSet{Set: idSet{}, Not: true}), -1, "k", 2},
-		{"another column", []string{"k", "y"}, eq(col("k"), i(3)), -1, "k", 1},
-		{"the other indexed column", []string{"f"}, eq(col("k"), i(3)), -1, "k", 1},
-		{"SELECT *", nil, eq(col("k"), i(3)), -1, "k", 1},
-		{"beyond exact floats", rowidK, in(col("k"), f(1<<53), i(1)), -1, "", 0},
+		{"equality", idK, "k", []storage.Value{i(3)}, -1, accessIndex},
+		{"repeated values", idK, "k", []storage.Value{i(2), i(5), i(2), i(2)}, -1, accessIndex},
+		{"k = 1.0 on an INT column", idK, "k", []storage.Value{f(1)}, -1, accessIndex},
+		{"no such key", idK, "k", []storage.Value{f(1.5), i(99)}, -1, accessIndex},
+		{"FLOAT column, two keys per value", onlyF, "f", []storage.Value{i(1), f(2), f(2.5)}, -1, accessIndex},
+		{"no column", []string{}, "f", []storage.Value{i(1), i(3)}, -1, accessIndex},
+		{"column twice", []string{"k", "id", "k"}, "k", []storage.Value{i(1), i(7)}, -1, accessIndex},
+		{"LIMIT", idK, "k", []storage.Value{i(1), i(2), i(3)}, 7, accessIndex},
+		{"LIMIT 0", idK, "k", []storage.Value{i(1), i(2)}, 0, accessIndex},
+		{"NULL in the list", idK, "k", []storage.Value{i(1), null, i(2)}, -1, accessIndex},
+		{"another column", []string{"k", "y"}, "k", []storage.Value{i(3)}, -1, accessIndex},
+		{"SELECT *", nil, "k", []storage.Value{i(3)}, -1, accessIndex},
+		{"the key", idK, "id", []storage.Value{i(3), f(7), i(500)}, -1, accessIndex},
+		{"no values", idK, "k", nil, -1, accessIndex},
+		{"beyond exact floats", idK, "k", []storage.Value{f(1 << 53), i(1)}, -1, accessScan},
+		{"unindexed", idK, "y", []storage.Value{i(7)}, -1, accessScan},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := &SelectStmt{Columns: tc.cols, Table: "R", Where: tc.where, Limit: tc.limit}
+			st := &SelectStmt{Columns: tc.cols, Table: "R", Col: tc.col, Values: tc.vals, Limit: tc.limit}
 			got, plan := checkSelect(t, e, st)
-			if plan.col != tc.col || plan.vals.len() != tc.probes || (plan.kind == accessIndex) != (tc.col != "") {
-				t.Errorf("%s: plan %d on %q with %d probes, want %q with %d", tc.name, plan.kind, plan.col, plan.vals.len(), tc.col, tc.probes)
+			if plan != tc.plan {
+				t.Errorf("%s: plan %d, want %d", tc.name, plan, tc.plan)
 			}
-			// The same statement with an always-true second conjunct does the
-			// same counted work.
 			read := *st
-			read.Where = and(tc.where, &RowIDInSet{Set: idSet{}, Not: true})
-			if via, err := e.ExecStmt(&read); err != nil || via.Stats != got.Stats {
-				t.Errorf("%s: stats %+v, with a second conjunct %+v (%v)", tc.name, got.Stats, via.Stats, err)
+			read.Exclude = idSet{}
+			if via, err := e.ExecStmt(&read); err != nil || via.Stats != got.Stats || !slices.Equal(via.RowIDs, got.RowIDs) {
+				t.Errorf("%s: %v %+v, excluding nothing %v %+v (%v)", tc.name, got.RowIDs, got.Stats, via.RowIDs, via.Stats, err)
 			}
 		})
 	}
-	all := query(t, e, rowidK, "R", in(col("k"), i(1), i(2)), -1)
-	if len(all.Rows) < 2 || all.Rows[0].Value(1).Kind() != storage.KindInt {
+	cols := []string{"id", "k"}
+	all := probe(t, e, "R", "k", i(1), i(2))
+	if len(all.Rows) < 2 {
 		t.Fatalf("fixture has no k in (1, 2): %v", values(all.Rows))
 	}
 
@@ -452,171 +453,92 @@ func TestHashProbePlan(t *testing.T) {
 	if err := e.Database().Update("R", moved, vals); err != nil {
 		t.Fatal(err)
 	}
-	after := query(t, e, rowidK, "R", in(col("k"), i(1), i(2)), -1)
-	if !reflect.DeepEqual(after.RowIDs, all.RowIDs[2:]) {
+	if after := probe(t, e, "R", "k", i(1), i(2)); !reflect.DeepEqual(after.RowIDs, all.RowIDs[2:]) {
 		t.Errorf("after a delete and an update away: %v, want %v", after.RowIDs, all.RowIDs[2:])
 	}
-	_, wantRows, _ := refSelectRows(rel, eq(col("k"), i(6)), rowidK)
-	if six := query(t, e, rowidK, "R", eq(col("k"), i(6)), -1); !reflect.DeepEqual(values(six.Rows), wantRows) || !slices.Contains(six.RowIDs, moved) {
-		t.Errorf("k = 6 after the update: %v, want %v", values(six.Rows), wantRows)
+	six := &SelectStmt{Columns: cols, Table: "R", Col: "k", Values: []storage.Value{i(6)}, Limit: -1}
+	if got, _ := checkSelect(t, e, six); !slices.Contains(got.RowIDs, moved) {
+		t.Errorf("k = 6 after the update: %v lacks %d", got.RowIDs, moved)
 	}
 }
 
-// TestRowIDListEntries pins what a rowid list does with entries a scan would
-// treat differently: it is visited in list order, a repeated id is emitted
-// each time, and entries that are not integers name no tuple.
+// TestRowIDListEntries pins what an id list does that a scan would not: it is
+// visited in list order, a repeated id is emitted each time, an id that names
+// no live tuple is skipped, and the caller's slice is neither copied into the
+// result's order nor written. Col still applies to the listed tuples.
 func TestRowIDListEntries(t *testing.T) {
 	e := planEngine(t)
-	all := query(t, e, []string{RowIDColumn, "id"}, "R", nil, -1)
-	a, b := all.RowIDs[5], all.RowIDs[2]
-	res := selectWhere(t, e, "R", in(col(RowIDColumn),
-		storage.Int(int64(a)), storage.Int(int64(b)), storage.Int(int64(a)),
-		storage.Float(float64(all.RowIDs[3])), storage.String("x"), storage.Null, storage.Int(1<<40)))
-	if want := []storage.TupleID{a, b, a}; !reflect.DeepEqual(res.RowIDs, want) {
-		t.Errorf("rowids %v, want %v", res.RowIDs, want)
+	all := tupleIDs(e, "R")
+	a, b, c := all[5], all[2], all[9]
+	if _, err := e.Database().Delete("R", c); err != nil {
+		t.Fatal(err)
 	}
-	if res := selectWhere(t, e, "R", eq(col(RowIDColumn), storage.Float(float64(a)))); len(res.Rows) != 0 {
-		t.Errorf("rowid = %d.0 returned %v", a, res.RowIDs)
+	listed := []storage.TupleID{a, b, a, c, 1 << 40, 0, b}
+	res, plan := checkSelect(t, e, &SelectStmt{Columns: []string{"id"}, Table: "R", IDs: listed, Limit: -1})
+	if want := []storage.TupleID{a, b, a, b}; plan != accessRowID || !reflect.DeepEqual(res.RowIDs, want) ||
+		!reflect.DeepEqual(listed, []storage.TupleID{a, b, a, c, 1 << 40, 0, b}) {
+		t.Errorf("rowid IN <ids>: plan %d, rowids %v, want %v (list now %v)", plan, res.RowIDs, want, listed)
 	}
-	// The same list carried as ids: same order, same repeats, and the caller's
-	// slice is neither copied nor written.
-	listed := []storage.TupleID{a, b, a, 1 << 40}
-	res = selectWhere(t, e, "R", &RowIDIn{IDs: listed})
-	if want := []storage.TupleID{a, b, a}; !reflect.DeepEqual(res.RowIDs, want) || !reflect.DeepEqual(listed, []storage.TupleID{a, b, a, 1 << 40}) {
-		t.Errorf("rowid IN <ids>: rowids %v, want %v (list now %v)", res.RowIDs, want, listed)
+	if res.Stats != (Stats{TupleReads: 4}) {
+		t.Errorf("rowid IN <ids>: %+v, want 4 tuple reads", res.Stats)
 	}
-	if got, ok := RowIDOrder(and(eq(col("id"), storage.Int(2)), &RowIDIn{IDs: listed})); !ok || &got[0] != &listed[0] {
-		t.Errorf("RowIDOrder copied the id list: %v, %v", got, ok)
+	// An empty list names no tuple; it is not the absence of one.
+	if res, _ := checkSelect(t, e, &SelectStmt{Table: "R", IDs: []storage.TupleID{}, Limit: -1}); len(res.Rows) != 0 || res.Stats != (Stats{}) {
+		t.Errorf("rowid IN (): %v, %+v", res.RowIDs, res.Stats)
 	}
-	// The rest of the predicate still applies to the listed tuples.
-	res = selectWhere(t, e, "R", and(in(col(RowIDColumn), storage.Int(int64(a)), storage.Int(int64(b))), eq(col("id"), storage.Int(2))))
-	if want := []storage.TupleID{b}; !reflect.DeepEqual(res.RowIDs, want) {
-		t.Errorf("rowid list AND id = 2: %v, want %v", res.RowIDs, want)
+	// Col applies to the listed tuples.
+	bk, _ := e.Database().Relation("R").Get(b)
+	res, _ = checkSelect(t, e, &SelectStmt{Columns: []string{"id"}, Table: "R", IDs: []storage.TupleID{a, b, a, b}, Col: "id", Values: bk.Values[:1], Limit: -1})
+	if want := []storage.TupleID{b, b}; !reflect.DeepEqual(res.RowIDs, want) || res.Stats.IndexLookups != 0 {
+		t.Errorf("rowid list AND id = %v: %v %+v, want %v without a probe", bk.Values[0], res.RowIDs, res.Stats, want)
 	}
 }
 
-// TestWithRowIDs: the conjunct RowIDOrder reads — and only it, the first when
-// two list ids — is replaced by the given list, whatever its spelling and
-// depth; the clause handed in is left as it was, and one without such a
-// conjunct comes back itself.
-func TestWithRowIDs(t *testing.T) {
-	e := planEngine(t)
-	all := query(t, e, []string{RowIDColumn, "id"}, "R", nil, -1)
-	a, b, c := all.RowIDs[5], all.RowIDs[2], all.RowIDs[7]
-	narrow := []storage.TupleID{b, b, 1 << 40}
-	other := in(col("id"), storage.Int(2), storage.Int(5), storage.Int(7))
-	second := &RowIDIn{IDs: []storage.TupleID{a, b}}
-	spellings := map[string]Expr{
-		"ids":     &RowIDIn{IDs: []storage.TupleID{a, b, c}},
-		"IN":      in(col(RowIDColumn), storage.Int(int64(a)), storage.Int(int64(b)), storage.Int(int64(c))),
-		"=":       eq(col(RowIDColumn), storage.Int(int64(a))),
-		"flipped": &Compare{Op: OpEq, Left: &Literal{Value: storage.Int(int64(a))}, Right: col(RowIDColumn)},
-	}
-	for name, conj := range spellings {
-		t.Run(name, func(t *testing.T) {
-			for _, where := range []Expr{conj, and(conj, other), and(other, conj), and(and(other, conj), second), and(other, and(conj, second))} {
-				before := exprString(where)
-				got := WithRowIDs(where, narrow)
-				if ids, ok := RowIDOrder(got); !ok || !slices.Equal(ids, narrow) || (len(ids) > 0 && &ids[0] != &narrow[0]) {
-					t.Errorf("%s: %s narrowed to %s: RowIDOrder reads %v", name, before, exprString(got), ids)
-				}
-				if exprString(where) != before {
-					t.Errorf("%s: WithRowIDs wrote its argument: %s, was %s", name, exprString(where), before)
-				}
-				want := strings.Replace(before, exprString(conj), exprString(&RowIDIn{IDs: narrow}), 1)
-				if exprString(got) != want {
-					t.Errorf("%s: %s narrowed to %s, want %s", name, before, exprString(got), want)
-				}
-				// The narrowed clause selects what the original does of the narrow list.
-				res := selectWhere(t, e, "R", got)
-				for _, id := range res.RowIDs {
-					if id != b {
-						t.Errorf("%s: %s returned tuple %d", name, exprString(got), id)
-					}
-				}
-			}
-		})
-	}
-	for _, where := range []Expr{nil, other, &Logical{Left: spellings["ids"], Right: other}, &Not{Inner: spellings["ids"]}} {
-		if got := WithRowIDs(where, narrow); got != where {
-			t.Errorf("no rowid conjunct in %v, yet it became %v", where, got)
-		}
-	}
-}
-
-// TestRowIDInSet exercises the id-set predicate wherever it can sit: beside
-// an index probe whose own conjunct is compiled out, alone, under NOT, and
-// under OR, where it is not a top-level conjunct.
-func TestRowIDInSet(t *testing.T) {
+// TestExclude holds the excluded id set on every access path — beside the
+// listed ids, beside a hash probe, in a scan — to the reference, and a
+// relation used as the set excludes exactly its own tuples.
+func TestExclude(t *testing.T) {
 	e := planEngine(t)
 	rel := e.Database().Relation("R")
+	ids := tupleIDs(e, "R")
 	set := idSet{}
-	rel.Scan(func(tu storage.Tuple) bool {
-		if tu.ID%3 == 0 {
-			set[tu.ID] = true
+	for _, id := range append(tupleIDs(e, "U"), ids...) {
+		if id%3 == 0 {
+			set[id] = true
 		}
-		return true
-	})
-	inSet, notInSet := &RowIDInSet{Set: set}, &RowIDInSet{Set: set, Not: true}
-	probe := in(col("k"), storage.Int(1), storage.Int(2))
-	for _, where := range []Expr{
-		inSet,
-		notInSet,
-		and(probe, notInSet),
-		and(notInSet, probe),
-		&Not{Inner: inSet},
-		and(probe, &Not{Inner: notInSet}),
-		or(inSet, eq(col("k"), storage.Int(1))),
-		and(probe, or(notInSet, eq(col("y"), storage.Int(7)))),
+	}
+	one := []storage.Value{storage.Int(1), storage.Int(2)}
+	for _, st := range []*SelectStmt{
+		{Table: "R", Exclude: set, Limit: -1},
+		{Table: "U", Exclude: set, Limit: -1},
+		{Table: "R", Col: "k", Values: one, Exclude: set, Limit: -1},
+		{Table: "U", Col: "k", Values: one, Exclude: set, Limit: -1},
+		{Table: "R", IDs: ids[:40], Exclude: set, Limit: -1},
 	} {
-		t.Run(exprString(where), func(t *testing.T) {
-			want, err := refSelectIDs(rel, where)
-			if err != nil {
-				t.Fatal(err)
+		t.Run(fmt.Sprintf("%s/%d", st.Table, planAccess(e.Database().Relation(st.Table), st)), func(t *testing.T) {
+			got, _ := checkSelect(t, e, st)
+			without := *st
+			without.Exclude = nil
+			all, _ := checkSelect(t, e, &without)
+			if len(got.Rows) == 0 || len(got.Rows) == len(all.Rows) {
+				t.Fatalf("the set is trivial here: %d rows of %d", len(got.Rows), len(all.Rows))
 			}
-			if len(want) == 0 || len(want) == rel.Len() {
-				t.Fatalf("WHERE %s is trivial on the fixture (%d rows)", exprString(where), len(want))
-			}
-			if got := selectWhere(t, e, "R", where); !reflect.DeepEqual(got.RowIDs, want) {
-				t.Errorf("WHERE %s:\n got  %v\n want %v", exprString(where), got.RowIDs, want)
+			for _, id := range got.RowIDs {
+				if set[id] {
+					t.Errorf("returned excluded tuple %d", id)
+				}
 			}
 		})
 	}
-	// A relation is an id set: NOT IN it excludes exactly its own tuples.
-	got := selectWhere(t, e, "R", &RowIDInSet{Set: rel, Not: true})
-	if len(got.Rows) != 0 {
+	if got, _ := checkSelect(t, e, &SelectStmt{Table: "R", Exclude: rel, Limit: -1}); len(got.Rows) != 0 {
 		t.Errorf("rowid NOT IN <R itself> returned %d rows", len(got.Rows))
 	}
-	if got := exprString(and(probe, notInSet)); got != "(k IN (1, 2) AND rowid NOT IN <id set>)" {
-		t.Errorf("exprString = %q", got)
-	}
-	if _, err := e.ExecStmt(&SelectStmt{Table: "R", Where: &RowIDInSet{}, Limit: -1}); err == nil {
-		t.Error("id-set predicate without a set accepted")
-	}
 }
 
-// TestMalformedPredicateRejectedUpFront: a tree with a scalar in boolean
-// position fails when the statement is compiled, not at the first tuple it
-// happens to reach.
-func TestMalformedPredicateRejectedUpFront(t *testing.T) {
-	e := planEngine(t)
-	for _, where := range []Expr{
-		col("k"),
-		and(eq(col("k"), storage.Int(-1)), &Literal{Value: storage.Bool(true)}),
-		&Compare{Op: OpEq, Left: eq(col("k"), storage.Int(1)), Right: col("k")},
-	} {
-		t.Run(exprString(where), func(t *testing.T) {
-			if _, err := e.ExecStmt(&SelectStmt{Table: "R", Where: where, Limit: -1}); err == nil {
-				t.Errorf("WHERE %s accepted", exprString(where))
-			}
-		})
-	}
-}
-
-// TestBlockLookupsMatchReference holds the one gather loop behind `IN` and
-// Probe — a block of values expanded to their index keys and looked up in one
-// call — to the reference scan, on an INT and on a FLOAT column, with lists of
-// every length around the block size: `1` and `1.0` alternating, a value
+// TestBlockLookupsMatchReference holds the one gather loop behind a hash probe
+// and Probe — a block of values expanded to their index keys and looked up in
+// one call — to the reference scan, on an INT and on a FLOAT column, with lists
+// of every length around the block size: `1` and `1.0` alternating, a value
 // stored under both of its keys, absent values, NULLs and Compare-equal twins
 // in the list, and a float beyond 2^53, which sends the statement to the scan.
 // The counted work is a lookup per listed value and a read per tuple found.
@@ -644,6 +566,13 @@ func TestBlockLookupsMatchReference(t *testing.T) {
 		}
 	}
 	e := NewEngine(db)
+	ref := func(column string, vals ...storage.Value) []storage.TupleID {
+		ids, _, err := refSelect(rel, &SelectStmt{Columns: []string{}, Table: "W", Col: column, Values: vals, Limit: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, lookupBlock - 1, lookupBlock, lookupBlock + 1, 3 * lookupBlock, 140} {
 		// n ascending values from -2 (absent) up, the odd ones as floats.
@@ -669,9 +598,7 @@ func TestBlockLookupsMatchReference(t *testing.T) {
 				for i, v := range list {
 					var want []storage.TupleID
 					if i == 0 || v.Compare(list[i-1]) != 0 {
-						if want, err = refSelectIDs(rel, eq(col(column), v)); err != nil {
-							t.Fatal(err)
-						}
+						want = ref(column, v)
 					}
 					if got := groups.Group(i); !slices.Equal(got, want) {
 						t.Fatalf("Probe(%s, list %d of %d): group %d (%s %s) = %v, want %v", column, li, n, i, v.Kind(), v, got, want)
@@ -682,15 +609,11 @@ func TestBlockLookupsMatchReference(t *testing.T) {
 					t.Errorf("Probe(%s, list %d of %d): %+v, want %+v", column, li, n, groups.Stats, wantStats(total))
 				}
 
-				shuffled := slices.Clone(list) // IN takes any order, and repeats
+				shuffled := slices.Clone(list) // a statement takes any order, and repeats
 				r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 				for _, vals := range [][]storage.Value{list, append(shuffled, list...)} {
-					where := in(col(column), vals...)
-					want, err := refSelectIDs(rel, where)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := selectWhere(t, e, "W", where)
+					want := ref(column, vals...)
+					got := probe(t, e, "W", column, vals...)
 					if !slices.Equal(got.RowIDs, want) {
 						t.Fatalf("%s IN (list %d of %d values): %v, want %v", column, li, len(vals), got.RowIDs, want)
 					}
@@ -700,12 +623,9 @@ func TestBlockLookupsMatchReference(t *testing.T) {
 				}
 
 				beyond := append(slices.Clone(list), storage.Float(1<<53))
-				want, err := refSelectIDs(rel, in(col(column), beyond...))
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := ref(column, beyond...)
 				scanned := Stats{Scanned: rel.Len(), TupleReads: len(want)}
-				if got := selectWhere(t, e, "W", in(col(column), beyond...)); !slices.Equal(got.RowIDs, want) || got.Stats != scanned {
+				if got := probe(t, e, "W", column, beyond...); !slices.Equal(got.RowIDs, want) || got.Stats != scanned {
 					t.Errorf("%s IN (…, 2^53): %d rows %+v, want %d rows %+v", column, len(got.RowIDs), got.Stats, len(want), scanned)
 				}
 				if groups, err = e.Probe("W", column, beyond); err != nil || groups.Stats != scanned || len(groups.IDs) != len(want) {

@@ -50,7 +50,7 @@ func (e *Engine) Probe(rel, col string, values []storage.Value) (*Groups, error)
 		return nil, fmt.Errorf("sql: probe on %s.%s: values are not sorted", rel, col)
 	}
 	g := &Groups{Ends: make([]int, 0, len(values))}
-	if _, probeable := (probeValues{list: values}).shape(); !probeable || !r.HasIndex(col) {
+	if !probeable(values) || !r.HasIndex(col) {
 		g.scan(r, ci, values)
 		return g, nil
 	}

@@ -232,11 +232,13 @@ func TestRowBytesCountTheRows(t *testing.T) {
 // A deep-shaped answer — the busiest director of the default synthetic
 // dataset at w=0.05, card=150: 760 tuples over every relation of the graph,
 // narrated — may allocate this much through Engine.QueryStringContext, serial
-// and uncached: 10 % above the 116 KiB / 292 allocations (NaïveQ) and
-// 127 KiB / 253 (Round-Robin) measured when D′ stopped being a second
-// database — its relations keep the fetched rows and ids, an id set and one
-// sorted join index per column, built once — and the generator came to read
-// driving values into buffers every batch reuses. It was 140 KiB / 348 and
+// and uncached: 10 % above the 115 KiB / 225 allocations (NaïveQ) and
+// 127 KiB / 231 (Round-Robin) measured when a statement stopped being a WHERE
+// tree compiled into closures (116 KiB / 292 and 127 KiB / 253 before; that
+// was measured when D′ stopped being a second database — its relations keep
+// the fetched rows and ids, an id set and one sorted join index per column,
+// built once — and the generator came to read driving values into buffers
+// every batch reuses). It was 140 KiB / 348 and
 // 161 KiB / 310 with D′ a batch database (slots, id tables, key indexes and
 // sorted runs merged batch by batch); 155 KiB / 365 and 174 KiB / 326 before
 // G′, D′'s layout and the join order came to be computed once per schema
@@ -256,8 +258,8 @@ func TestRowBytesCountTheRows(t *testing.T) {
 // allocation profile that says which holder grew (EXPERIMENTS.md, "Allocated
 // bytes per answer").
 var deepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 128, allocs: 322},
-	precis.StrategyRoundRobin: {kib: 140, allocs: 279},
+	precis.StrategyNaive:      {kib: 127, allocs: 248},
+	precis.StrategyRoundRobin: {kib: 140, allocs: 255},
 }
 
 // What web.Server may add to one such answer on /api/search, measured as the
@@ -386,9 +388,11 @@ func TestAllocPerDeepAnswer(t *testing.T) {
 }
 
 // What the same two answers may allocate on NewSharded(4, "hash"): 10 % above
-// the 169 KiB / 746 allocations (NaïveQ) and 217 KiB / 821 (Round-Robin)
-// measured when D′ stopped being a second database (it was 187 KiB / 799 and
-// 244 KiB / 874 before; 211 KiB / 825 and 265 KiB / 901 when a rowid fetch
+// the 164 KiB / 589 allocations (NaïveQ) and 214 KiB / 710 (Round-Robin)
+// measured when a statement stopped being a WHERE tree each shard compiled into
+// closures (169 KiB / 746 and 217 KiB / 821 before, when D′ stopped being a
+// second database; it was 187 KiB / 799 and
+// 244 KiB / 874 before that; 211 KiB / 825 and 265 KiB / 901 when a rowid fetch
 // came to be bucketed by owner and every gather to be a merge by position;
 // 264 KiB / 930 and 369 KiB / 1,094 with every
 // listed id sent to every owner and the rows put back in order through a map
@@ -397,8 +401,8 @@ func TestAllocPerDeepAnswer(t *testing.T) {
 // slot and an error slot per shard, the pool), a rowid list's owners and
 // buckets with a narrowed statement per shard, and the merged rows and ids.
 var shardedDeepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 186, allocs: 821},
-	precis.StrategyRoundRobin: {kib: 239, allocs: 904},
+	precis.StrategyNaive:      {kib: 181, allocs: 648},
+	precis.StrategyRoundRobin: {kib: 236, allocs: 781},
 }
 
 // TestAllocPerShardedDeepAnswer is TestAllocPerDeepAnswer's pin for the
@@ -418,9 +422,11 @@ func TestAllocPerShardedDeepAnswer(t *testing.T) {
 
 // What a browse-shaped answer — a quoted name under the default constraints,
 // some 40 tuples — may allocate through Engine.QueryStringContext, serial and
-// uncached, with one seed relation and with two: 15 % above the 13.8 KiB /
-// 149 allocations and 15.1 KiB / 180 measured when D′ stopped being a second
-// database (18.2 KiB / 187 and 19.3 KiB / 218 before; 22.2 KiB / 202 and
+// uncached, with one seed relation and with two: 15 % above the 13.5 KiB /
+// 129 allocations and 14.8 KiB / 158 measured when a statement stopped being
+// a WHERE tree compiled into closures (13.8 KiB / 149 and 15.1 KiB / 180
+// before, when D′ stopped being a second database; 18.2 KiB / 187 and
+// 19.3 KiB / 218 before that; 22.2 KiB / 202 and
 // 23.5 KiB / 238 before G′, D′'s layout and the join order came to be computed
 // once per schema graph instead of once per request; 31.9 KiB / 365 and
 // 35.5 KiB / 423 before that). At this size the fixed costs are the answer:
@@ -428,8 +434,8 @@ func TestAllocPerShardedDeepAnswer(t *testing.T) {
 // statements and their results, D′'s id sets and join indexes, the
 // translator's frames and the narrative.
 var browseAnswerAllocBudget = map[int]struct{ kib, allocs float64 }{
-	1: {kib: 15.9, allocs: 172},
-	2: {kib: 17.4, allocs: 207},
+	1: {kib: 15.6, allocs: 149},
+	2: {kib: 17.1, allocs: 182},
 }
 
 // TestAllocPerBrowseAnswer pins what a small answer allocates, so that work

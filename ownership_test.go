@@ -13,7 +13,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -165,9 +164,9 @@ func TestRollbackKeepsRowsApart(t *testing.T) {
 // TestResultRowsReadTheirOwnRecords: a row of an sqlx result is a reference,
 // not a slice — there is nothing to append to, so nothing can reach a
 // neighbour. Each reads its own tuple: the stored record itself, through the
-// statement's projection, or, for a computed column, a record of its own; and
-// what it reads does not move when the stored tuples are updated and deleted.
-// The tuples of a result database read the same way.
+// statement's projection; and what it reads does not move when the stored
+// tuples are updated and deleted. The tuples of a result database read the
+// same way.
 func TestResultRowsReadTheirOwnRecords(t *testing.T) {
 	cfg := dataset.DefaultSyntheticConfig()
 	cfg.Films = 300
@@ -178,32 +177,24 @@ func TestResultRowsReadTheirOwnRecords(t *testing.T) {
 	sql := sqlx.NewEngine(db)
 	movies := db.Relation("MOVIE")
 	ids := movies.Tuples()
-	col := func(name string) *sqlx.ColumnRef { return &sqlx.ColumnRef{Name: name} }
-	did3 := &sqlx.Compare{Op: sqlx.OpEq, Left: col("did"), Right: &sqlx.Literal{Value: storage.Int(3)}}
-	rowids := &sqlx.InList{Left: col(sqlx.RowIDColumn), Values: []storage.Value{
-		storage.Int(int64(ids[0].ID)), storage.Int(int64(ids[1].ID)), storage.Int(int64(ids[2].ID))}}
+	did3 := []storage.Value{storage.Int(3)}
 	for _, q := range []*sqlx.SelectStmt{
-		{Table: "MOVIE", Where: rowids, Limit: -1},                                  // rowid fetch
-		{Columns: []string{"title", "year"}, Table: "MOVIE", Where: did3, Limit: 2}, // hash probe under a LIMIT
-		{Columns: []string{sqlx.RowIDColumn, "title"}, Table: "MOVIE", Limit: -1},   // scan, a computed column
-		{Columns: []string{"mid", "did"}, Table: "MOVIE", Where: did3, Limit: -1},   // a gapped projection
+		{Table: "MOVIE", IDs: []storage.TupleID{ids[0].ID, ids[1].ID, ids[2].ID}, Limit: -1},     // rowid fetch
+		{Columns: []string{"title", "year"}, Table: "MOVIE", Col: "did", Values: did3, Limit: 2}, // hash probe under a LIMIT
+		{Columns: []string{"year", "title"}, Table: "MOVIE", Limit: -1},                          // scan, columns reordered
+		{Columns: []string{"mid", "did"}, Table: "MOVIE", Col: "did", Values: did3, Limit: -1},   // a gapped projection
 	} {
 		res, err := sql.ExecStmt(q)
 		if err != nil || len(res.Rows) < 2 {
 			t.Fatalf("%+v: %d rows, %v", q, len(res.Rows), err)
 		}
-		computed := slices.Contains(res.Columns, sqlx.RowIDColumn)
 		want := make([][]storage.Value, len(res.Rows))
 		for i, row := range res.Rows {
 			stored, _ := movies.Row(res.RowIDs[i])
 			for _, c := range res.Columns {
-				v := storage.Int(int64(res.RowIDs[i]))
-				if c != sqlx.RowIDColumn {
-					v = stored.Value(movies.Schema().ColumnIndex(c))
-				}
-				want[i] = append(want[i], v)
+				want[i] = append(want[i], stored.Value(movies.Schema().ColumnIndex(c)))
 			}
-			if !reflect.DeepEqual(row.Values(), want[i]) || row.Shares(stored) == computed {
+			if !reflect.DeepEqual(row.Values(), want[i]) || !row.Shares(stored) {
 				t.Fatalf("%+v: row %d reads %v (its tuple's record: %v), want %v", q, i, row.Values(), row.Shares(stored), want[i])
 			}
 		}

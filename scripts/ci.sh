@@ -39,11 +39,15 @@
 # against the values they were made from), the translator (FuzzNarrative: fuzzed
 # sentences and labels on a hand-built G′, indexed and not, against the
 # reference walk — the same bytes or the same error), the SELECT executor
-# (FuzzSelect: a byte string decoded as a where tree, a projection with rowid
-# and unknown columns among its choices and a LIMIT, on an indexed table and an
-# unindexed copy, against the reference scan — the same ids and values, cut to
-# the limit, or the same error; TestSelectMatchesReferenceScan decodes seeded
-# strings the same way) and the whole query
+# (FuzzSelect: a byte string decoded as a statement — an id list, shuffled,
+# repeating, naming deleted and never-allocated ids; a column, indexed,
+# unindexed, the key or unknown, and its values, NULL, NaN, ±Inf, −0, an Int
+# against a Float and numbers at or beyond 2^53 among them; an id set to
+# exclude; a projection, unknown columns and none among its choices; a LIMIT —
+# on an indexed table and an unindexed copy, against the reference scan — the
+# same ids and values, cut to the limit, or the same error;
+# TestSelectMatchesReferenceScan decodes seeded strings the same way) and the
+# whole query
 # pipeline (FuzzQuery: arbitrary query strings under fuzzed degree and
 # cardinality constraints, strategy and pool size on a small synthetic engine —
 # no panic, a sub-database of the base, never Partial without a budget, and the
@@ -134,13 +138,16 @@
 # -race, because the exclusion predicate reads the output relation R'j
 # itself — from the fetch workers of a join batch and from every shard
 # goroutine of a scatter at once — and only the apply phase may write it.
-# The sqlx planner/evaluator differential and the id-set predicate through
-# shard.Fetcher ride along, with the gather's own oracle
-# (TestFetcherMatchesSingleEngine: seeded random rowid lists — shuffled,
-# repeating, naming ids that are gone — in every spelling, IN-list statements
-# and probes through 1-5 hash and range shards against sqlx.Engine on the
-# unpartitioned database, row for row; the narrowed statements are built and
-# executed on the scatter's goroutines), and so do the two statements of what Round-Robin
+# The sqlx executor's differential against its reference scan, its hash-probe
+# plan and its excluded id set (TestExclude), and the excluded set through
+# shard.Fetcher, ride along, with the gather's own oracle
+# (TestFetcherMatchesSingleEngine: seeded random id lists — shuffled,
+# repeating, naming ids that are gone — alone and beside a probe or an
+# excluded set, probing statements and probes through 1-5 hash and range
+# shards against sqlx.Engine on the unpartitioned database, row for row; the
+# narrowed copies of a statement are made and executed on the scatter's
+# goroutines, and TestFetcherLeavesStatementAlone runs one statement through
+# four fetchers at once and holds it unwritten), and so do the two statements of what Round-Robin
 # reads and chooses: TestProbeMatchesSpec (Fetcher.Probe against a
 # plain-slice spec, on the engine and on 1-4 hash and range shards, whose
 # scatter goroutines only -race watches) and TestRoundRobinRounds; with them
@@ -301,6 +308,15 @@
 # compaction with its index), restarts with no snapshot transfer, and is
 # promoted, checkpointed and reopened.
 #
+# The mutant step (scripts/mutate, over scripts/mutants.txt) breaks the
+# statement executor, the shard routing and NaïveQ's exclusion one mutant at a
+# time in a copy of the module — the excluded set ignored, a NULL value
+# matching, a float's Int key not probed, LIMIT off by one, an id list visited
+# sorted, a shard's bucket losing duplicates, among others — and fails unless
+# the tests each line names fail on it: a test that no longer sees what it is
+# there to see fails CI here. Like this script, the runner is not counted by
+# scripts/loc.sh.
+#
 # The last step runs the figure suite of cmd/precis-bench at -quick
 # (Figures 7-9, the cost model, the running example, the baselines and the
 # ablations), so the one remaining harness CLI still runs end to end.
@@ -390,7 +406,7 @@ echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 sha
 gotest 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec|TestResultDatabaseReadsArePure' -race -count=1 -timeout=10m ./internal/core
 gotest 'TestResultJoinIndexMatchesScan' -race -count=1 -timeout=5m ./internal/storage
 gotest 'TestEnginesMatchSpec|TestWritesMatchSpec|TestWritesOpenWouldRefuseAreRefused' -race -count=1 -timeout=10m .
-gotest 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestRowIDInSet|TestWithRowIDs|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' -race -count=1 -timeout=5m ./internal/sqlx ./internal/shard
+gotest 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestExclude|TestFetcherLeavesStatementAlone|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' -race -count=1 -timeout=5m ./internal/sqlx ./internal/shard
 gotest 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' -race -count=1 -timeout=5m ./internal/nlg ./internal/web
 
 echo "== memo -race (warm = cold on every engine shape, concurrent first use of G′ and of its narration plan, macros, label errors)"
@@ -423,6 +439,9 @@ go test -timeout=10m -run=NONE -bench=. -benchtime=1x ./...
 echo "== benchmark module (vet, short tests, four-workload smoke)"
 (cd benchmark && go vet ./... && go test -short -timeout=5m ./...)
 bash benchmark/run.sh -smoke
+
+echo "== mutants (each must fail the tests scripts/mutants.txt names)"
+go run ./scripts/mutate
 
 echo "== figure suite (precis-bench -quick)"
 go run ./cmd/precis-bench -quick
