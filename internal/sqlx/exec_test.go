@@ -150,17 +150,29 @@ func TestEarlyLimitStopsScan(t *testing.T) {
 	}
 }
 
+// TestExecErrors: a statement naming a table or a column the database lacks
+// is refused up front, whatever the rest of it would have read — no tuple at
+// all under LIMIT 0, an empty id list, no values or an id set excluding every
+// tuple.
 func TestExecErrors(t *testing.T) {
 	e := testEngine(t)
+	everything := e.Database().Relation("MOVIE")
+	one := []storage.Value{storage.Int(1)}
 	for _, tc := range []struct {
 		name string
 		st   Stmt
 	}{
 		{"unknown table", &SelectStmt{Table: "NOPE", Limit: -1}},
+		{"no table", &SelectStmt{Limit: -1}},
 		{"unknown projected column", &SelectStmt{Columns: []string{"nope"}, Table: "MOVIE", Limit: -1}},
 		{"unknown probed column", in(nil, "nope", storage.Int(1))},
 		{"unknown column beside ids", &SelectStmt{Table: "MOVIE", IDs: []storage.TupleID{1}, Col: "nope", Limit: -1}},
 		{"nil statement", nil},
+		{"unknown projected column under LIMIT 0", &SelectStmt{Columns: []string{"nope"}, Table: "MOVIE", Limit: 0}},
+		{"unknown projected column beside no ids", &SelectStmt{Columns: []string{"title", "nope"}, Table: "MOVIE", IDs: []storage.TupleID{}, Limit: -1}},
+		{"unknown projected column beside a probe", &SelectStmt{Columns: []string{"nope"}, Table: "MOVIE", Col: "did", Values: one, Limit: -1}},
+		{"unknown probed column without values", &SelectStmt{Table: "MOVIE", Col: "nope", Limit: -1}},
+		{"unknown probed column excluding every tuple", &SelectStmt{Table: "MOVIE", Col: "nope", Values: one, Exclude: everything, Limit: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := e.ExecStmt(tc.st); err == nil {
@@ -194,18 +206,19 @@ func TestAccessPlan(t *testing.T) {
 	rel := e.Database().Relation("MOVIE")
 	ids := []storage.TupleID{3}
 	for _, tc := range []struct {
+		name string
 		st   *SelectStmt
 		kind accessKind
 	}{
-		{in(nil, "did", storage.Int(1), storage.Int(2)), accessIndex},
-		{&SelectStmt{IDs: ids}, accessRowID},
-		{&SelectStmt{IDs: []storage.TupleID{}}, accessRowID},
-		{&SelectStmt{IDs: ids, Col: "did", Values: []storage.Value{storage.Int(1)}}, accessRowID},
-		{in(nil, "year", storage.Int(2000)), accessScan},
-		{&SelectStmt{}, accessScan},
-		{in(nil, "did", storage.Float(1<<53)), accessScan},
+		{"indexed column", in(nil, "did", storage.Int(1), storage.Int(2)), accessIndex},
+		{"ids", &SelectStmt{IDs: ids}, accessRowID},
+		{"no ids", &SelectStmt{IDs: []storage.TupleID{}}, accessRowID},
+		{"ids beside an indexed column", &SelectStmt{IDs: ids, Col: "did", Values: []storage.Value{storage.Int(1)}}, accessRowID},
+		{"unindexed column", in(nil, "year", storage.Int(2000)), accessScan},
+		{"neither", &SelectStmt{}, accessScan},
+		{"beyond exact floats", in(nil, "did", storage.Float(1<<53)), accessScan},
 	} {
-		t.Run(fmt.Sprintf("%+v", *tc.st), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			if plan := planAccess(rel, tc.st); plan != tc.kind {
 				t.Errorf("plan %d, want %d", plan, tc.kind)
 			}

@@ -535,6 +535,120 @@ func TestExclude(t *testing.T) {
 	}
 }
 
+// pathCases is one statement per access path and table of planEngine: a scan
+// of R and of U, unfiltered and checking a column; a probe of R's index on k,
+// beside an id set to exclude; and a shuffled id list with repeats on R and U,
+// alone and checking a column.
+func pathCases(e *Engine) []struct {
+	name string
+	st   SelectStmt
+} {
+	i := storage.Int
+	list := func(table string) []storage.TupleID {
+		ids := tupleIDs(e, table)
+		return []storage.TupleID{ids[9], ids[3], ids[9], ids[40], ids[1], ids[17], ids[3], ids[60], ids[2], ids[33], ids[8]}
+	}
+	half := idSet{}
+	for j, id := range tupleIDs(e, "R") {
+		half[id] = j%2 == 1
+	}
+	ys := []storage.Value{i(3), i(7), i(11), i(20), i(29), i(41)}
+	ks := []storage.Value{i(1), i(2), i(4)}
+	return []struct {
+		name string
+		st   SelectStmt
+	}{
+		{"R/scan", SelectStmt{Table: "R"}},
+		{"U/scan", SelectStmt{Table: "U"}},
+		{"R/scan on y", SelectStmt{Table: "R", Col: "y", Values: ys}},
+		{"U/scan on k", SelectStmt{Table: "U", Col: "k", Values: ks}},
+		{"R/index", SelectStmt{Table: "R", Col: "k", Values: ks, Exclude: half}},
+		{"R/rowid", SelectStmt{Table: "R", IDs: list("R")}},
+		{"U/rowid", SelectStmt{Table: "U", IDs: list("U")}},
+		{"R/rowid on k", SelectStmt{Table: "R", IDs: list("R"), Col: "k", Values: ks}},
+	}
+}
+
+// TestLimitCountsKeptTuples: LIMIT cuts the tuples a statement keeps, not the
+// candidates it visits — NaïveQ's top-k is taken after the tuples already in
+// D′ are excluded. On every access path the first and third tuples the
+// statement keeps are excluded, and the limit still fills from the rest.
+func TestLimitCountsKeptTuples(t *testing.T) {
+	e := planEngine(t)
+	for _, tc := range pathCases(e) {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.st
+			st.Limit = -1
+			all, _ := checkSelect(t, e, &st)
+			if st.Col != "" && (st.IDs != nil && len(all.RowIDs) == len(st.IDs) || st.IDs == nil && len(all.RowIDs) == e.Database().Relation(st.Table).Len()) {
+				t.Fatalf("%s: Col refuses no candidate", tc.name)
+			}
+			set := idSet{all.RowIDs[0]: true, all.RowIDs[2]: true}
+			if prev, ok := st.Exclude.(idSet); ok {
+				for id, out := range prev {
+					set[id] = set[id] || out
+				}
+			}
+			var want []storage.TupleID
+			for _, id := range all.RowIDs {
+				if !set[id] && len(want) < 4 {
+					want = append(want, id)
+				}
+			}
+			if len(want) < 4 {
+				t.Fatalf("%s: only %d tuples left past the excluded ones", tc.name, len(want))
+			}
+			st.Exclude, st.Limit = set, 4
+			if got, _ := checkSelect(t, e, &st); !slices.Equal(got.RowIDs, want) {
+				t.Errorf("%s LIMIT 4 excluding %v: %v, want %v", tc.name, []storage.TupleID{all.RowIDs[0], all.RowIDs[2]}, got.RowIDs, want)
+			}
+		})
+	}
+}
+
+// TestIDsThenFetch: the weighted NaïveQ reads in two steps. A statement that
+// selects no column returns the ids the full statement keeps, with empty rows;
+// a fetch of some of them, in an order of the caller's, returns the rows the
+// full statement returned for those ids, in that order. Every access path of
+// the first step is tried.
+func TestIDsThenFetch(t *testing.T) {
+	e := planEngine(t)
+	for _, tc := range pathCases(e) {
+		t.Run(tc.name, func(t *testing.T) {
+			full := tc.st
+			full.Limit = -1
+			idsOnly := full
+			idsOnly.Columns = []string{}
+			rows, ids := query(t, e, &full), query(t, e, &idsOnly)
+			if len(rows.RowIDs) < 2 || !slices.Equal(ids.RowIDs, rows.RowIDs) || len(ids.Columns) != 0 || len(ids.Rows) != len(ids.RowIDs) || ids.Stats != rows.Stats {
+				t.Fatalf("%s: ids only %v %v %+v, the full statement %v %+v", tc.name, ids.Columns, ids.RowIDs, ids.Stats, rows.RowIDs, rows.Stats)
+			}
+			for _, row := range ids.Rows {
+				if row.Len() != 0 {
+					t.Fatalf("%s: an ids-only row holds %v", tc.name, row.Values())
+				}
+			}
+			byID := map[storage.TupleID][]storage.Value{}
+			for j, id := range rows.RowIDs {
+				byID[id] = rows.Rows[j].Values()
+			}
+			var pick []storage.TupleID // every other id, last first
+			for j := len(ids.RowIDs) - 1; j >= 0; j -= 2 {
+				pick = append(pick, ids.RowIDs[j])
+			}
+			got := query(t, e, &SelectStmt{Table: tc.st.Table, IDs: pick, Limit: -1})
+			if !slices.Equal(got.RowIDs, pick) {
+				t.Fatalf("%s: fetched %v, want %v", tc.name, got.RowIDs, pick)
+			}
+			for j, id := range pick {
+				if v := got.Rows[j].Values(); !reflect.DeepEqual(v, byID[id]) {
+					t.Errorf("%s: tuple %d fetched as %v, the full statement read %v", tc.name, id, v, byID[id])
+				}
+			}
+		})
+	}
+}
+
 // TestBlockLookupsMatchReference holds the one gather loop behind a hash probe
 // and Probe — a block of values expanded to their index keys and looked up in
 // one call — to the reference scan, on an INT and on a FLOAT column, with lists
