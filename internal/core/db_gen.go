@@ -423,8 +423,12 @@ func (g *generator) fetchStmt(f *fetched, st *sqlx.SelectStmt) error {
 }
 
 // fetchIDs fetches the first limit of the named tuples of rel, in ids order;
-// their ids come back in Result.RowIDs beside the rows.
+// their ids come back in Result.RowIDs beside the rows. No ids issue no
+// statement: a nil IDs would read as no id list, a scan.
 func (g *generator) fetchIDs(f *fetched, rel string, ids []storage.TupleID, limit int) error {
+	if len(ids) == 0 {
+		return nil
+	}
 	return g.fetchStmt(f, &sqlx.SelectStmt{Columns: g.lay.cols[rel], Table: rel, IDs: ids, Limit: limit})
 }
 
@@ -811,9 +815,6 @@ func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storag
 	if len(ids) > limit {
 		ids = ids[:limit]
 	}
-	if len(ids) == 0 {
-		return f, nil
-	}
 	if err := g.fetchIDs(f, e.To, ids, len(ids)); err != nil {
 		return nil, err
 	}
@@ -865,9 +866,6 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 			}
 		}
 		cursors = next
-	}
-	if len(chosen) == 0 {
-		return f, nil
 	}
 	// A rowid IN fetch returns rows in list order: the consumption order.
 	if err := g.fetchIDs(f, e.To, chosen, len(chosen)); err != nil {

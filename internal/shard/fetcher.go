@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -84,8 +85,11 @@ func (f *Fetcher) TotalStats() sqlx.Stats { return f.total }
 // listing its bucket — for the tuples it holds and no others, and the answers
 // are merged by walking the statement's list. Any other statement goes to
 // every shard as it is, and the shards' answers, each ascending by tuple id,
-// are merged by id.
+// are merged by id. A nil statement is an error, as on a single engine.
 func (f *Fetcher) ExecStmt(sel sqlx.Stmt) (*sqlx.Result, error) {
+	if sel == nil {
+		return nil, errors.New("shard: nil statement")
+	}
 	var r *routing
 	targets := f.all
 	if sel.IDs != nil {

@@ -352,6 +352,13 @@ func TestFetcherRefusesMisplacedTuple(t *testing.T) {
 	if _, err := Partition(db, broken); err == nil || !strings.Contains(err.Error(), "partitioner placed tuple") {
 		t.Fatalf("Partition with the same partitioner: %v", err)
 	}
+	// A nil statement is refused, as the single engine refuses it.
+	if _, err := sqlx.NewEngine(db).ExecStmt(nil); err == nil {
+		t.Fatal("the single engine ran a nil statement")
+	}
+	if res, err := NewFetcher(part, dbs, nil).ExecStmt(nil); err == nil {
+		t.Fatalf("nil statement: result %v, no error", res)
+	}
 }
 
 // sameRows reports whether two results' rows read the same values in order.

@@ -417,6 +417,7 @@ func TestHashProbePlan(t *testing.T) {
 		{"LIMIT 0", idK, "k", []storage.Value{i(1), i(2)}, 0, accessIndex},
 		{"NULL in the list", idK, "k", []storage.Value{i(1), null, i(2)}, -1, accessIndex},
 		{"another column", []string{"k", "y"}, "k", []storage.Value{i(3)}, -1, accessIndex},
+		{"the other indexed column", onlyF, "k", []storage.Value{i(3)}, -1, accessIndex},
 		{"SELECT *", nil, "k", []storage.Value{i(3)}, -1, accessIndex},
 		{"the key", idK, "id", []storage.Value{i(3), f(7), i(500)}, -1, accessIndex},
 		{"no values", idK, "k", nil, -1, accessIndex},

@@ -11,12 +11,11 @@
 // the module root), the exact source text, its replacement, the -run pattern
 // and the package. Blank lines and lines starting with # are skipped.
 //
-//	go run ./scripts/mutate [-list scripts/mutants.txt]
+//	go run ./scripts/mutate
 package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"io/fs"
 	"os"
@@ -26,15 +25,16 @@ import (
 	"time"
 )
 
+// list is the mutant list, from the module root.
+const list = "scripts/mutants.txt"
+
 type mutant struct {
 	line                          int
 	file, from, to, pattern, pkgs string
 }
 
 func main() {
-	list := flag.String("list", "scripts/mutants.txt", "the mutant list, one per line")
-	flag.Parse()
-	mutants, err := parse(*list)
+	mutants, err := parse(list)
 	if err != nil {
 		fail(err)
 	}
@@ -56,7 +56,7 @@ func main() {
 		if verdict != "killed" {
 			bad++
 		}
-		fmt.Printf("%s:%d %s (%s, %s): %s in %.1fs\n", *list, m.line, m.file, m.pattern, m.pkgs, verdict, time.Since(start).Seconds())
+		fmt.Printf("%s:%d %s (%s, %s): %s in %.1fs\n", list, m.line, m.file, m.pattern, m.pkgs, verdict, time.Since(start).Seconds())
 	}
 	if bad > 0 {
 		fail(fmt.Errorf("%d of %d mutants not killed", bad, len(mutants)))

@@ -50,4 +50,6 @@ grep '^pkg ' "$rows" | sort -k2,2nr | awk '{ printf "%-34s %9.2f%s\n", $3, $2, (
 	END { printf "%-34s %9.2f\n", "total (sum)", total }'
 echo
 printf '%-58s %9s\n' 'ten slowest tests' seconds
-grep '^test ' "$rows" | sort -k2,2nr | head -10 | awk '{ printf "%-58s %9.2f%s\n", $3 " " $4, $2, ($5 == "" ? "" : "  " $5) }'
+# awk keeps the first ten itself: a head that exits early would leave sort a
+# closed pipe, which pipefail reports as the script's failure (exit 141).
+grep '^test ' "$rows" | sort -k2,2nr | awk 'NR <= 10 { printf "%-58s %9.2f%s\n", $3 " " $4, $2, ($5 == "" ? "" : "  " $5) }'
