@@ -325,11 +325,10 @@ func BenchmarkInvertedIndexBuild(b *testing.B) {
 	}
 }
 
-// benchParallelEngine builds the synthetic workload the parallel and cache
-// benches share: a 2000-film database queried for its most prolific
-// director with a wide round-robin précis (narrative skipped so the timer
-// isolates generation).
-func benchParallelEngine(b *testing.B) (*precis.Engine, string) {
+// benchHeavyEngine builds the synthetic workload the cache benches share: a
+// 2000-film database queried for its most prolific director with a wide
+// round-robin précis (narrative skipped so the timer isolates generation).
+func benchHeavyEngine(b *testing.B) (*precis.Engine, string) {
 	b.Helper()
 	cfg := dataset.DefaultSyntheticConfig()
 	cfg.Films = 2000
@@ -369,38 +368,20 @@ func benchParallelEngine(b *testing.B) (*precis.Engine, string) {
 	return eng, best
 }
 
-func benchParallelOptions(workers int) precis.Options {
+func benchHeavyOptions() precis.Options {
 	return precis.Options{
 		Degree:        precis.MinPathWeight(0.05),
 		Cardinality:   precis.MaxTuplesPerRelation(150),
 		Strategy:      precis.StrategyRoundRobin,
 		SkipNarrative: true,
-		Parallelism:   workers,
-	}
-}
-
-// BenchmarkQueryParallel sweeps the worker pool over one heavy query. The
-// answer is byte-identical at every pool size; only latency changes.
-func BenchmarkQueryParallel(b *testing.B) {
-	eng, q := benchParallelEngine(b)
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("%dworkers", workers), func(b *testing.B) {
-			opts := benchParallelOptions(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.QueryString(q, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
 // BenchmarkQueryCached measures an answer-cache hit on the same workload.
 func BenchmarkQueryCached(b *testing.B) {
-	eng, q := benchParallelEngine(b)
+	eng, q := benchHeavyEngine(b)
 	eng.EnableCache(precis.CacheConfig{MaxEntries: 64})
-	opts := benchParallelOptions(0)
+	opts := benchHeavyOptions()
 	if _, err := eng.QueryString(q, opts); err != nil { // warm the entry
 		b.Fatal(err)
 	}
@@ -420,10 +401,10 @@ func BenchmarkQueryCached(b *testing.B) {
 // latency overhead on this path (two counter increments and a histogram
 // observation per hit).
 func BenchmarkQueryCachedInstrumented(b *testing.B) {
-	eng, q := benchParallelEngine(b)
+	eng, q := benchHeavyEngine(b)
 	eng.Instrument(obs.NewRegistry())
 	eng.EnableCache(precis.CacheConfig{MaxEntries: 64})
-	opts := benchParallelOptions(0)
+	opts := benchHeavyOptions()
 	if _, err := eng.QueryString(q, opts); err != nil { // warm the entry
 		b.Fatal(err)
 	}
@@ -441,8 +422,8 @@ func BenchmarkQueryCachedInstrumented(b *testing.B) {
 // workload in BenchmarkQueryParallel (a handful of span appends against a
 // multi-millisecond generation).
 func BenchmarkQueryTraced(b *testing.B) {
-	eng, q := benchParallelEngine(b)
-	opts := benchParallelOptions(0)
+	eng, q := benchHeavyEngine(b)
+	opts := benchHeavyOptions()
 	opts.Trace = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,9 +8,8 @@ package precis
 //
 //   - no crash and no deadlock: every panic surfaces as ErrInternal and the
 //     engine keeps serving afterwards;
-//   - partial answers stay deterministic: for the same Budget the serial
-//     and parallel paths produce byte-identical prefixes of the unbounded
-//     answer;
+//   - partial answers stay deterministic: for the same Budget every run
+//     produces the same exact prefix of the unbounded answer;
 //   - the cache never serves a partial answer or an answer poisoned by a
 //     fault: failed and truncated generations are never stored.
 //
@@ -102,12 +101,12 @@ func TestChaosTranslatorLookupFault(t *testing.T) {
 		}
 		return plan.Calls(faultinject.SiteStorageLookup)
 	}
-	generation := lookups(Options{Parallelism: -1, SkipNarrative: true})
-	total := lookups(Options{Parallelism: -1})
+	generation := lookups(Options{SkipNarrative: true})
+	total := lookups(Options{})
 	if generation == 0 || total <= generation {
 		t.Fatalf("%d lookups generating, %d with the narrative: the translator's joins do not pass the site", generation, total)
 	}
-	want, err := eng.Query(terms, Options{Parallelism: -1})
+	want, err := eng.Query(terms, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestChaosTranslatorLookupFault(t *testing.T) {
 		eng.InvalidateCache()
 		plan := faultinject.NewPlan().Set(faultinject.SiteStorageLookup, faultinject.Rule{Err: errInjected, After: int(nth), Limit: 1})
 		deactivate := faultinject.Activate(plan)
-		ans, err := eng.Query(terms, Options{Parallelism: -1})
+		ans, err := eng.Query(terms, Options{})
 		deactivate()
 		if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "nlg: join ") || ans != nil {
 			t.Fatalf("lookup %d of %d failed: answer %v, error %v", nth+1, total, ans != nil, err)
@@ -126,7 +125,7 @@ func TestChaosTranslatorLookupFault(t *testing.T) {
 		// Nothing of the failed query was cached: a miss and a hit agree
 		// with the answer from before the fault.
 		for i := 0; i < 2; i++ {
-			got, err := eng.Query(terms, Options{Parallelism: -1})
+			got, err := eng.Query(terms, Options{})
 			if err != nil || got.Narrative != want.Narrative || dumpDatabase(got.Database) != dumpDatabase(want.Database) {
 				t.Fatalf("lookup %d: query %d after the fault differs: %v", nth+1, i, err)
 			}
@@ -136,60 +135,55 @@ func TestChaosTranslatorLookupFault(t *testing.T) {
 
 // TestChaosMidGenerationFault sweeps one injected error over the generated
 // statements and cursor probes of a query, and over the index lookups behind
-// them, serially and with a fetch pool: a join that fails after earlier ones
-// have entered D′ — a whole batch each — fails the query
-// with the injected error and no answer, and the next query, cached or not,
+// them: a join that fails after earlier ones have entered D′ — a whole
+// batch each — fails the query with the injected error and no answer, and the next query, cached or not,
 // is the unfaulted one. (What D′ holds at that moment is internal/core's
 // TestFaultMidJoinLeavesExactPrefix.)
 func TestChaosMidGenerationFault(t *testing.T) {
 	eng := newEngine(t)
 	eng.EnableCache(CacheConfig{MaxEntries: 16})
 	terms := []string{"Woody Allen"}
-	for _, workers := range []int{-1, 4} {
-		opts := Options{Parallelism: workers, SkipNarrative: true}
+	opts := Options{SkipNarrative: true}
+	eng.InvalidateCache()
+	want, err := eng.Query(terms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range []string{faultinject.SiteSQLSelect, faultinject.SiteStorageLookup} {
 		eng.InvalidateCache()
-		want, err := eng.Query(terms, opts)
-		if err != nil {
+		count := faultinject.NewPlan().Set(site, faultinject.Rule{Every: 1 << 30})
+		stop := faultinject.Activate(count)
+		if _, err := eng.Query(terms, opts); err != nil {
 			t.Fatal(err)
 		}
-		for _, site := range []string{faultinject.SiteSQLSelect, faultinject.SiteStorageLookup} {
+		stop()
+		calls := int(count.Calls(site))
+		if calls < 4 {
+			t.Fatalf("only %d calls pass %s", calls, site)
+		}
+		for nth := 0; nth < calls; nth += 1 + calls/chaosIters(40) {
 			eng.InvalidateCache()
-			count := faultinject.NewPlan().Set(site, faultinject.Rule{Every: 1 << 30})
-			stop := faultinject.Activate(count)
-			if _, err := eng.Query(terms, opts); err != nil {
-				t.Fatal(err)
-			}
+			stop := faultinject.Activate(faultinject.NewPlan().Set(site, faultinject.Rule{Err: errInjected, After: nth, Limit: 1}))
+			ans, err := eng.Query(terms, opts)
 			stop()
-			calls := int(count.Calls(site))
-			if calls < 4 {
-				t.Fatalf("workers=%d: only %d calls pass %s", workers, calls, site)
+			if !errors.Is(err, errInjected) || ans != nil {
+				t.Fatalf("%s call %d of %d: answer %v, error %v", site, nth+1, calls, ans != nil, err)
 			}
-			for nth := 0; nth < calls; nth += 1 + calls/chaosIters(40) {
-				eng.InvalidateCache()
-				stop := faultinject.Activate(faultinject.NewPlan().Set(site, faultinject.Rule{Err: errInjected, After: nth, Limit: 1}))
-				ans, err := eng.Query(terms, opts)
-				stop()
-				if !errors.Is(err, errInjected) || ans != nil {
-					t.Fatalf("workers=%d, %s call %d of %d: answer %v, error %v", workers, site, nth+1, calls, ans != nil, err)
-				}
-				for i := 0; i < 2; i++ {
-					got, err := eng.Query(terms, opts)
-					if err != nil || got.Partial || dumpDatabase(got.Database) != dumpDatabase(want.Database) {
-						t.Fatalf("workers=%d, %s call %d: query %d after the fault differs: %v", workers, site, nth+1, i, err)
-					}
+			for i := 0; i < 2; i++ {
+				got, err := eng.Query(terms, opts)
+				if err != nil || got.Partial || dumpDatabase(got.Database) != dumpDatabase(want.Database) {
+					t.Fatalf("%s call %d: query %d after the fault differs: %v", site, nth+1, i, err)
 				}
 			}
 		}
 	}
 }
 
-// TestChaosPanicsBecomeErrInternal arms a panic rule at every site — on the
-// serial path and on the parallel path (SiteIndexProbe fires inside
-// ParallelFor workers), on a single engine and on four shards (where a
-// statement's scatter runs one goroutine per shard, and SiteStorageLookup
-// fires inside them) — and asserts the panic is recovered at the engine
-// boundary as ErrInternal with the panic text attached, while the engine
-// keeps serving other queries.
+// TestChaosPanicsBecomeErrInternal arms a panic rule at every site, on a
+// single engine and on four shards (where a statement's scatter visits every
+// shard, and SiteStorageLookup fires inside each visit), and asserts the
+// panic is recovered at the engine boundary as ErrInternal with the panic
+// text attached, while the engine keeps serving other queries.
 func TestChaosPanicsBecomeErrInternal(t *testing.T) {
 	sites := []string{
 		faultinject.SiteStorageLookup,
@@ -208,36 +202,57 @@ func TestChaosPanicsBecomeErrInternal(t *testing.T) {
 	}
 	for _, e := range engines {
 		for _, site := range e.sites {
-			for _, workers := range []int{-1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", e.name, site, workers), func(t *testing.T) {
-					plan := faultinject.NewPlan().Set(site, faultinject.Rule{Panic: "chaos boom"})
-					deactivate := faultinject.Activate(plan)
-					_, err := e.eng.Query([]string{"Woody Allen"}, Options{
-						SkipNarrative: true,
-						Parallelism:   workers,
-					})
-					deactivate()
-					if !errors.Is(err, ErrInternal) {
-						t.Fatalf("want ErrInternal, got %v", err)
-					}
-					if !strings.Contains(err.Error(), "chaos boom") {
-						t.Fatalf("panic message lost: %v", err)
-					}
-					// The engine must keep serving: same query, no faults.
-					ans, err := e.eng.Query([]string{"Woody Allen"}, Options{SkipNarrative: true})
-					if err != nil || ans.Database.TotalTuples() == 0 {
-						t.Fatalf("engine stopped serving after panic: err=%v", err)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%s/%s", e.name, site), func(t *testing.T) {
+				plan := faultinject.NewPlan().Set(site, faultinject.Rule{Panic: "chaos boom"})
+				deactivate := faultinject.Activate(plan)
+				_, err := e.eng.Query([]string{"Woody Allen"}, Options{SkipNarrative: true})
+				deactivate()
+				if !errors.Is(err, ErrInternal) {
+					t.Fatalf("want ErrInternal, got %v", err)
+				}
+				if !strings.Contains(err.Error(), "chaos boom") {
+					t.Fatalf("panic message lost: %v", err)
+				}
+				// The engine must keep serving: same query, no faults.
+				ans, err := e.eng.Query([]string{"Woody Allen"}, Options{SkipNarrative: true})
+				if err != nil || ans.Database.TotalTuples() == 0 {
+					t.Fatalf("engine stopped serving after panic: err=%v", err)
+				}
+			})
 		}
+	}
+}
+
+// TestChaosPanicRunsOnCallersGoroutine pins that a query runs on the
+// goroutine that asked it, on a single engine and on four shards: a panic in
+// a generated SELECT is recovered as ErrInternal with a stack that runs
+// through the caller's Engine.Query frame, not a pool worker's stack. The
+// seeds of "Comedy" live on several shards, so the first SELECT of the
+// sharded query is a scatter to more than one of them.
+func TestChaosPanicRunsOnCallersGoroutine(t *testing.T) {
+	for _, e := range []struct {
+		name string
+		eng  *Engine
+	}{{"unsharded", newEngine(t)}, {"shards=4", newShardedEngine(t, 4, "hash")}} {
+		t.Run(e.name, func(t *testing.T) {
+			plan := faultinject.NewPlan().Set(faultinject.SiteSQLSelect, faultinject.Rule{Panic: "caller boom"})
+			deactivate := faultinject.Activate(plan)
+			_, err := e.eng.Query([]string{"Comedy"}, Options{SkipNarrative: true})
+			deactivate()
+			if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "caller boom") {
+				t.Fatalf("want ErrInternal carrying the panic, got %v", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "precis.(*Engine).Query(") || strings.Contains(msg, "worker stack") {
+				t.Fatalf("the panic did not run on the caller's goroutine:\n%s", msg)
+			}
+		})
 	}
 }
 
 // TestChaosStorm32 hammers one shared engine from 32 goroutines while a
 // mixed fault plan fires: scheduled errors on storage lookups and SELECTs,
 // a capped run of panics on join execution, and pure latency on index
-// probes. Queriers sweep strategies, pool sizes, and budgets. The suite
+// probes. Queriers sweep strategies and budgets. The suite
 // passes when the storm finishes (no deadlock), every failure is one of the
 // three sanctioned errors, partial flags are coherent, unbudgeted answers
 // are never partial, and the cache is still byte-coherent afterwards.
@@ -283,7 +298,6 @@ func TestChaosStorm32(t *testing.T) {
 				opts := Options{
 					Strategy:      []Strategy{StrategyAuto, StrategyNaive, StrategyRoundRobin}[i%3],
 					SkipNarrative: i%2 == 0,
-					Parallelism:   []int{-1, 2, 4, 8}[w%4],
 					Budget:        b,
 				}
 				ans, err := eng.Query(queries[(w+i)%len(queries)], opts)
@@ -342,11 +356,9 @@ func TestChaosStorm32(t *testing.T) {
 	}
 }
 
-// TestChaosPartialDeterminism pins the governor's central invariant: for
-// the same deterministic budget the serial and parallel paths truncate at
-// the same tuple, so partial answers are byte-identical across pool sizes
-// and every partial answer is an exact per-relation prefix of the
-// unbounded answer.
+// TestChaosPartialDeterminism pins the governor's central invariant: under
+// a deterministic budget every partial answer is an exact per-relation
+// prefix of the unbounded answer.
 func TestChaosPartialDeterminism(t *testing.T) {
 	eng := newEngine(t)
 	terms := []string{"Woody Allen"}
@@ -365,7 +377,7 @@ func TestChaosPartialDeterminism(t *testing.T) {
 		name := fmt.Sprintf("tuples=%d,steps=%d,bytes=%d", b.MaxTuples, b.MaxJoinSteps, b.MaxResultBytes)
 		t.Run(name, func(t *testing.T) {
 			for _, strat := range []Strategy{StrategyNaive, StrategyRoundRobin} {
-				opts := Options{Strategy: strat, SkipNarrative: true, Parallelism: -1, Budget: b}
+				opts := Options{Strategy: strat, SkipNarrative: true, Budget: b}
 				ref, err := eng.Query(terms, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -379,21 +391,6 @@ func TestChaosPartialDeterminism(t *testing.T) {
 				checkAnswer(t, eng, terms[0], opts, ref)
 				refDump := dumpDatabase(ref.Database)
 				assertPerRelationPrefix(t, refDump, fullDump)
-				for _, workers := range []int{2, 4, 8} {
-					opts.Parallelism = workers
-					ans, err := eng.Query(terms, opts)
-					if err != nil {
-						t.Fatalf("%v workers=%d: %v", strat, workers, err)
-					}
-					if got := dumpDatabase(ans.Database); got != refDump {
-						t.Fatalf("%v workers=%d: partial answer differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
-							strat, workers, refDump, got)
-					}
-					if ans.Truncation != ref.Truncation {
-						t.Fatalf("%v workers=%d: truncation %q vs serial %q",
-							strat, workers, ans.Truncation, ref.Truncation)
-					}
-				}
 			}
 		})
 	}
@@ -401,8 +398,8 @@ func TestChaosPartialDeterminism(t *testing.T) {
 
 // TestChaosDeadlineOnLargestDataset is the acceptance scenario: a 1ms
 // deadline on the largest bundled dataset returns a non-empty partial
-// answer — the fully-materialized seeds — byte-identical across pool
-// sizes, and an exact prefix of the unbounded answer.
+// answer — the fully-materialized seeds — that is an exact prefix of the
+// unbounded answer.
 func TestChaosDeadlineOnLargestDataset(t *testing.T) {
 	films := 2000
 	if testing.Short() {
@@ -435,37 +432,24 @@ func TestChaosDeadlineOnLargestDataset(t *testing.T) {
 
 	deadline := time.Now().Add(time.Millisecond)
 	// Let the deadline lapse before the query starts: the budget then trips
-	// at the first checkpoint after seed placement in every configuration,
-	// which is what makes the cross-pool comparison exact rather than a
-	// race against the wall clock.
+	// at the first checkpoint after seed placement, which is what makes the
+	// answer exact rather than a race against the wall clock.
 	time.Sleep(2 * time.Millisecond)
 
-	var refDump string
-	for i, workers := range []int{-1, 2, 8} {
-		ans, err := eng.Query(terms, Options{
-			SkipNarrative: true,
-			Parallelism:   workers,
-			Budget:        Budget{Deadline: deadline},
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !ans.Partial || ans.Truncation != TruncateDeadline {
-			t.Fatalf("workers=%d: want deadline truncation, got partial=%v reason=%q",
-				workers, ans.Partial, ans.Truncation)
-		}
-		if ans.Database.TotalTuples() == 0 {
-			t.Fatalf("workers=%d: deadline answer is empty — seeds must always materialize", workers)
-		}
-		dump := dumpDatabase(ans.Database)
-		assertPerRelationPrefix(t, dump, fullDump)
-		if i == 0 {
-			refDump = dump
-		} else if dump != refDump {
-			t.Fatalf("workers=%d: deadline answer differs from serial\n--- serial ---\n%s\n--- parallel ---\n%s",
-				workers, refDump, dump)
-		}
+	ans, err := eng.Query(terms, Options{
+		SkipNarrative: true,
+		Budget:        Budget{Deadline: deadline},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !ans.Partial || ans.Truncation != TruncateDeadline {
+		t.Fatalf("want deadline truncation, got partial=%v reason=%q", ans.Partial, ans.Truncation)
+	}
+	if ans.Database.TotalTuples() == 0 {
+		t.Fatal("deadline answer is empty — seeds must always materialize")
+	}
+	assertPerRelationPrefix(t, dumpDatabase(ans.Database), fullDump)
 }
 
 // TestChaosPartialNeverCached proves truncated answers are not stored: a

@@ -128,7 +128,7 @@ func (w *widestLookups) Probe(rel, col string, values []storage.Value) (*sqlx.Gr
 // and D′, which a join enters a whole batch at a time, is then what the
 // unfaulted run had built when it reached that statement: per relation a
 // prefix of the full answer's tuples in their order, under indexes that are
-// current. Serial and pooled fetches alike, on one engine and across shards.
+// current. On one engine and across shards.
 func TestFaultMidJoinLeavesExactPrefix(t *testing.T) {
 	errInjected := errors.New("injected")
 	db, g := syntheticMovies(t, 300)
@@ -136,74 +136,72 @@ func TestFaultMidJoinLeavesExactPrefix(t *testing.T) {
 	fetchers := diffFetchers(t, db)
 	for _, fx := range []diffFetcher{fetchers[0], fetchers[2]} {
 		for _, strat := range []Strategy{StrategyNaive, StrategyRoundRobin} {
-			for _, workers := range []int{1, 4} {
-				opts := DBGenOptions{Workers: workers}
-				full, err := GenerateDatabaseOpts(fx.make(), rs, seeds, MaxTuplesPerRelation(40), strat, opts)
-				if err != nil {
+			opts := DBGenOptions{}
+			full, err := GenerateDatabaseOpts(fx.make(), rs, seeds, MaxTuplesPerRelation(40), strat, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, site := range []string{faultinject.SiteSQLSelect, faultinject.SiteStorageLookup} {
+				count := faultinject.NewPlan().Set(site, faultinject.Rule{Every: 1 << 30})
+				widest := &widestLookups{Fetcher: fx.make(), count: count}
+				stop := faultinject.Activate(count)
+				if _, err := GenerateDatabaseOpts(widest, rs, seeds, MaxTuplesPerRelation(40), strat, opts); err != nil {
 					t.Fatal(err)
 				}
-				for _, site := range []string{faultinject.SiteSQLSelect, faultinject.SiteStorageLookup} {
-					count := faultinject.NewPlan().Set(site, faultinject.Rule{Every: 1 << 30})
-					widest := &widestLookups{Fetcher: fx.make(), count: count}
-					stop := faultinject.Activate(count)
-					if _, err := GenerateDatabaseOpts(widest, rs, seeds, MaxTuplesPerRelation(40), strat, opts); err != nil {
+				stop()
+				calls, cut := int(count.Calls(site)), 0
+				var armed []int
+				for nth := 0; nth < calls; nth += 1 + calls/40 {
+					armed = append(armed, nth)
+				}
+				if site == faultinject.SiteStorageLookup {
+					if widest.most <= 32 { // sqlx resolves 32 values at a time
+						t.Fatalf("%s, %v: no statement makes more than %d lookups", fx.name, strat, widest.most)
+					}
+					armed = append(armed, int(widest.mid))
+				}
+				for _, nth := range armed {
+					when := fmt.Sprintf("%s, %v, %s call %d of %d", fx.name, strat, site, nth+1, calls)
+					gen, err := newGenerator(fx.make(), rs, seeds, MaxTuplesPerRelation(40), strat, opts)
+					if err != nil {
 						t.Fatal(err)
 					}
+					stop := faultinject.Activate(faultinject.NewPlan().Set(site, faultinject.Rule{Err: errInjected, After: nth, Limit: 1}))
+					err = gen.placeSeeds(seeds)
+					if err == nil {
+						err = gen.executeJoins()
+					}
 					stop()
-					calls, cut := int(count.Calls(site)), 0
-					var armed []int
-					for nth := 0; nth < calls; nth += 1 + calls/40 {
-						armed = append(armed, nth)
+					if !errors.Is(err, errInjected) {
+						t.Fatalf("%s: error %v", when, err)
 					}
-					if site == faultinject.SiteStorageLookup {
-						if widest.most <= 32 { // sqlx resolves 32 values at a time
-							t.Fatalf("%s, %v, workers=%d: no statement makes more than %d lookups", fx.name, strat, workers, widest.most)
+					for _, name := range full.DB.RelationNames() {
+						got, want := relationDump(gen.out.Relation(name)), relationDump(full.DB.Relation(name))
+						if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+							t.Fatalf("%s: %s is not a prefix of the full answer's:\n%v\n%v", when, name, got, want)
 						}
-						armed = append(armed, int(widest.mid))
+						if len(got) < len(want) {
+							cut++
+						}
 					}
-					for _, nth := range armed {
-						when := fmt.Sprintf("%s, %v, workers=%d, %s call %d of %d", fx.name, strat, workers, site, nth+1, calls)
-						gen, err := newGenerator(fx.make(), rs, seeds, MaxTuplesPerRelation(40), strat, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						stop := faultinject.Activate(faultinject.NewPlan().Set(site, faultinject.Rule{Err: errInjected, After: nth, Limit: 1}))
-						err = gen.placeSeeds(seeds)
-						if err == nil {
-							err = gen.executeJoins()
-						}
-						stop()
-						if !errors.Is(err, errInjected) {
-							t.Fatalf("%s: error %v", when, err)
-						}
-						for _, name := range full.DB.RelationNames() {
-							got, want := relationDump(gen.out.Relation(name)), relationDump(full.DB.Relation(name))
-							if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
-								t.Fatalf("%s: %s is not a prefix of the full answer's:\n%v\n%v", when, name, got, want)
-							}
-							if len(got) < len(want) {
-								cut++
-							}
-						}
-						checkIndexesCurrent(t, when, gen.out)
-					}
-					if cut == 0 {
-						t.Errorf("%s, %v, workers=%d, %s: no fault left a relation short", fx.name, strat, workers, site)
-					}
+					checkIndexesCurrent(t, when, gen.out)
+				}
+				if cut == 0 {
+					t.Errorf("%s, %v, %s: no fault left a relation short", fx.name, strat, site)
 				}
 			}
 		}
 	}
 }
 
-// TestResultDatabaseReadsArePure: the fetch workers of one batch read one D′
-// relation at once — its distinct driving values, its id set, its join
+// TestResultDatabaseReadsArePure: a cached answer's D′ is read by every
+// request it serves at once — its distinct values, its id set, its join
 // indexes — while nothing writes it. Under -race this fails if any of those
 // reads builds, sorts or caches something inside the relation.
 func TestResultDatabaseReadsArePure(t *testing.T) {
 	db, g := syntheticMovies(t, 300)
 	rs, seeds := diffQuery(t, g, invidx.New(db), busiestDirector(db), 0.05)
-	rd, err := GenerateDatabaseOpts(sqlx.NewEngine(db), rs, seeds, MaxTuplesPerRelation(60), StrategyAuto, DBGenOptions{Workers: 4})
+	rd, err := GenerateDatabaseOpts(sqlx.NewEngine(db), rs, seeds, MaxTuplesPerRelation(60), StrategyAuto, DBGenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"precis/internal/storage"
@@ -41,9 +40,8 @@ type Budget struct {
 	Deadline time.Time
 	// MaxTuples bounds the number of tuples materialized into the result
 	// database, across all relations. 0 means unlimited. Exhaustion is
-	// checked per inserted tuple, so the cut is exact and — because
-	// inserts are serialized in the canonical order for every worker-pool
-	// size — deterministic.
+	// checked per inserted tuple, in the canonical insertion order, so the
+	// cut is exact and deterministic.
 	MaxTuples int
 	// MaxJoinSteps bounds how many join edges the generator executes.
 	// 0 means unlimited.
@@ -63,19 +61,14 @@ func (b Budget) IsZero() bool {
 	return b.Deadline.IsZero() && b.MaxTuples <= 0 && b.MaxJoinSteps <= 0 && b.MaxResultBytes <= 0
 }
 
-// budgetTracker enforces a Budget during one generation run. Tuple, byte
-// and step accounting happen only on the coordination goroutine (inserts
-// and edge picks are serialized there), but deadline checks also run inside
-// fetch workers, and the first-exhaustion record must be race-safe — hence
-// the atomic reason slot.
+// budgetTracker enforces a Budget during one generation run, on the
+// goroutine that runs it.
 type budgetTracker struct {
 	b      Budget
 	steps  int
 	tuples int
 	bytes  int
-	// reason holds the first TruncationReason observed; CAS so the first
-	// exhaustion wins under concurrent deadline checks.
-	reason atomic.Pointer[TruncationReason]
+	reason TruncationReason // the first exhaustion, set once; TruncateNone while the budget holds
 }
 
 // newBudgetTracker returns a tracker, or nil for a zero budget (nil
@@ -95,55 +88,41 @@ func (t *budgetTracker) now() time.Time {
 	return time.Now()
 }
 
-// trip records the first exhaustion reason and reports the current one.
-func (t *budgetTracker) trip(r TruncationReason) {
-	t.reason.CompareAndSwap(nil, &r)
-}
-
 // Reason returns the recorded truncation reason (TruncateNone while the
 // budget holds).
 func (t *budgetTracker) Reason() TruncationReason {
 	if t == nil {
 		return TruncateNone
 	}
-	if p := t.reason.Load(); p != nil {
-		return *p
-	}
-	return TruncateNone
+	return t.reason
 }
 
-// exhausted reports whether any budget dimension has tripped.
-func (t *budgetTracker) exhausted() bool {
-	return t != nil && t.reason.Load() != nil
-}
-
-// checkDeadline trips the deadline dimension when the clock has passed it.
-// Safe to call from fetch workers.
+// checkDeadline trips the deadline dimension when the clock has passed it,
+// and reports whether any dimension has tripped.
 func (t *budgetTracker) checkDeadline() bool {
 	if t == nil {
 		return false
 	}
-	if t.reason.Load() != nil {
+	if t.reason != TruncateNone {
 		return true
 	}
 	if !t.b.Deadline.IsZero() && t.now().After(t.b.Deadline) {
-		t.trip(TruncateDeadline)
+		t.reason = TruncateDeadline
 		return true
 	}
 	return false
 }
 
 // admitStep accounts one join edge and reports whether it may execute.
-// Coordination goroutine only.
 func (t *budgetTracker) admitStep() bool {
 	if t == nil {
 		return true
 	}
-	if t.checkDeadline() || t.exhausted() {
+	if t.checkDeadline() {
 		return false
 	}
 	if t.b.MaxJoinSteps > 0 && t.steps >= t.b.MaxJoinSteps {
-		t.trip(TruncateStepBudget)
+		t.reason = TruncateStepBudget
 		return false
 	}
 	t.steps++
@@ -151,23 +130,23 @@ func (t *budgetTracker) admitStep() bool {
 }
 
 // admitTuple accounts one materialized tuple of the given row and reports
-// whether it may be inserted. Coordination goroutine only. Seed inserts
-// pass seed=true: they are always admitted (the answer's guaranteed core)
-// but still accounted, so the budget is charged for them.
+// whether it may be inserted. Seed inserts pass seed=true: they are always
+// admitted (the answer's guaranteed core) but still accounted, so the budget
+// is charged for them.
 func (t *budgetTracker) admitTuple(id storage.TupleID, row storage.Row, seed bool) bool {
 	if t == nil {
 		return true
 	}
 	if !seed {
-		if t.checkDeadline() || t.exhausted() {
+		if t.checkDeadline() {
 			return false
 		}
 		if t.b.MaxTuples > 0 && t.tuples >= t.b.MaxTuples {
-			t.trip(TruncateTupleBudget)
+			t.reason = TruncateTupleBudget
 			return false
 		}
 		if t.b.MaxResultBytes > 0 && t.bytes >= t.b.MaxResultBytes {
-			t.trip(TruncateByteBudget)
+			t.reason = TruncateByteBudget
 			return false
 		}
 	}
@@ -178,8 +157,8 @@ func (t *budgetTracker) admitTuple(id storage.TupleID, row storage.Row, seed boo
 	return true
 }
 
-// remainingTuples returns the optimistic number of tuples the budget still
-// admits (used to tighten fetch limits); MaxInt-ish when unbounded.
+// remainingTuples returns the number of tuples the budget still admits (used
+// to tighten fetch limits); MaxInt when unbounded.
 func (t *budgetTracker) remainingTuples() int {
 	if t == nil || t.b.MaxTuples <= 0 {
 		return int(^uint(0) >> 1) // MaxInt

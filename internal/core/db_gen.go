@@ -102,17 +102,9 @@ type DBGenOptions struct {
 	// retrieved first (seeds, NaïveQ results, and Round-Robin scans all
 	// honour the ordering).
 	Weights TupleWeights
-	// Workers bounds the fetch worker pool. Values <= 1 run the serial
-	// algorithm (the seed behavior). Values > 1 fetch independent frontier
-	// joins and the per-relation seed queries concurrently, while inserts
-	// and budget accounting stay serialized in the serial algorithm's
-	// order, so the produced result database is byte-identical to the
-	// serial path for any worker count. The pool works across join edges
-	// only: one join is one or two set-at-a-time statements, so there is no
-	// intra-join pool. GenStats may count slightly more physical work in
-	// the parallel path (a fetch issued under an optimistic budget can be
-	// discarded when a concurrent frontier edge consumed the remaining
-	// total-tuple budget first).
+	// Workers is read by nothing: generation runs on the caller's goroutine.
+	// The field stays only because benchmark/replay.go still sets it; the
+	// next change to the benchmark deletes both.
 	Workers int
 	// Context, when non-nil, cancels generation cooperatively: the ctx is
 	// observed between scheduling steps, before each join's fetch, and
@@ -130,9 +122,7 @@ type DBGenOptions struct {
 	Budget Budget
 	// Trace, when non-nil, records fine-grained generation steps (seed
 	// placement, every join edge) with the tuples they materialized and
-	// the queries they issued. Steps are recorded on the coordination
-	// goroutine only, so recording needs no locks and never perturbs the
-	// parallel fetch pool. nil (the default) is a strict no-op.
+	// the queries they issued. nil (the default) is a strict no-op.
 	Trace *obs.Trace
 }
 
@@ -141,8 +131,7 @@ type DBGenOptions struct {
 // schema catalog. *sqlx.Engine satisfies it directly (the single-engine
 // path); internal/shard provides a scatter/gather implementation that fans
 // each statement and probe out across shard engines and merges the results
-// deterministically. ExecStmt and Probe must be safe for concurrent use;
-// AccumulateStats is only called from the serial apply phase.
+// deterministically. One generation calls it from one goroutine.
 type Fetcher interface {
 	ExecStmt(st sqlx.Stmt) (*sqlx.Result, error)
 	// Probe returns, per value (sorted by Value.Compare), the ascending ids of
@@ -154,34 +143,20 @@ type Fetcher interface {
 
 // generator carries the state of one Figure 5 run.
 type generator struct {
-	eng     Fetcher
-	rs      *ResultSchema
-	card    CardinalityConstraint
-	strat   Strategy
-	opts    DBGenOptions
-	workers int
-	ctx     context.Context
-	bt      *budgetTracker // nil when no budget was set
-	trace   *obs.Trace     // nil when the query is untraced
-	out     *storage.Result
-	perRel  map[string]int
-	total   int
-	stats   GenStats
-	lay     *layout // of D'; shared, read only
-	// values holds, per position in a batch, its edge's driving values:
-	// buffers every batch reuses.
-	values [][]storage.Value
-}
-
-// fetched is the outcome of one fetch task: candidate rows and their tuple
-// ids in the deterministic order the serial algorithm would insert them, plus
-// the physical work the fetch performed. The apply phase inserts a prefix of
-// rows bounded by the live cardinality budget.
-type fetched struct {
-	rows    []storage.Row
-	ids     []storage.TupleID // parallel to rows
-	queries int
-	sql     sqlx.Stats
+	eng    Fetcher
+	rs     *ResultSchema
+	card   CardinalityConstraint
+	strat  Strategy
+	opts   DBGenOptions
+	ctx    context.Context
+	bt     *budgetTracker // nil when no budget was set
+	trace  *obs.Trace     // nil when the query is untraced
+	out    *storage.Result
+	perRel map[string]int
+	total  int
+	stats  GenStats
+	lay    *layout         // of D'; shared, read only
+	values []storage.Value // the driving values of the join being run; every join reuses it
 }
 
 // GenerateDatabase runs the Result Database Algorithm (paper Figure 5).
@@ -223,27 +198,22 @@ func newGenerator(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	g := &generator{
-		eng:     eng,
-		rs:      rs,
-		card:    c,
-		strat:   strat,
-		opts:    opts,
-		workers: workers,
-		ctx:     ctx,
-		bt:      newBudgetTracker(opts.Budget),
-		trace:   opts.Trace,
-		out:     storage.NewResult("precis", lay.schemas, lay.fks),
-		perRel:  make(map[string]int),
-		lay:     lay,
+		eng:    eng,
+		rs:     rs,
+		card:   c,
+		strat:  strat,
+		opts:   opts,
+		ctx:    ctx,
+		bt:     newBudgetTracker(opts.Budget),
+		trace:  opts.Trace,
+		out:    storage.NewResult("precis", lay.schemas, lay.fks),
+		perRel: make(map[string]int),
+		lay:    lay,
 	}
 	g.stats.TuplesPerRelation = g.perRel
 	return g, nil
@@ -301,19 +271,23 @@ func (g *generator) ctxErr() error {
 	}
 }
 
-// execFetch runs one generated SELECT against the original database and
-// charges it to f. ExecStmt does not touch the engine's shared stats
-// accumulator, so concurrent fetch tasks can share g.eng for its read-only
-// SELECT path. Each task keeps its stats in f; the apply phase folds them back
-// into the caller's engine serially.
-func (g *generator) execFetch(f *fetched, st *sqlx.SelectStmt) (*sqlx.Result, error) {
+// exec runs one generated SELECT against the original database and charges
+// it to the generation's stats.
+func (g *generator) exec(st *sqlx.SelectStmt) (*sqlx.Result, error) {
 	res, err := g.eng.ExecStmt(st)
 	if err != nil {
 		return nil, fmt.Errorf("core: generated query on %s: %w", st.Table, err)
 	}
-	f.queries++
-	f.sql.Add(res.Stats)
+	g.charge(res.Stats)
 	return res, nil
+}
+
+// charge counts one executed statement or probe in the generation stats and
+// the caller-visible engine totals.
+func (g *generator) charge(s sqlx.Stats) {
+	g.stats.Queries++
+	g.stats.SQL.Add(s)
+	g.eng.AccumulateStats(s)
 }
 
 // layout is D' before its tuples, as it follows from G' and the catalog of
@@ -399,8 +373,7 @@ func (g *generator) cardBudget(rel string) int {
 // so fetching one row past the allowance guarantees the apply loop sees a
 // genuinely new tuple it must refuse — which is what records the
 // truncation. Tightening to the exact remainder would silently drop the
-// tail without ever marking the answer partial. (Both values are read at
-// serialized coordination points, which keeps parallel runs deterministic.)
+// tail without ever marking the answer partial.
 func (g *generator) budget(rel string) int {
 	b := g.cardBudget(rel)
 	if g.bt != nil {
@@ -411,31 +384,20 @@ func (g *generator) budget(rel string) int {
 	return b
 }
 
-// fetchStmt executes the one row-returning query of a fetch: its rows become
-// f's candidates.
-func (g *generator) fetchStmt(f *fetched, st *sqlx.SelectStmt) error {
-	res, err := g.execFetch(f, st)
-	if err != nil {
-		return err
-	}
-	f.rows, f.ids = res.Rows, res.RowIDs
-	return nil
-}
-
 // fetchIDs fetches the first limit of the named tuples of rel, in ids order;
 // their ids come back in Result.RowIDs beside the rows. No ids issue no
-// statement: a nil IDs would read as no id list, a scan.
-func (g *generator) fetchIDs(f *fetched, rel string, ids []storage.TupleID, limit int) error {
+// statement and fetch an empty result: a nil IDs would read as no id list, a
+// scan.
+func (g *generator) fetchIDs(rel string, ids []storage.TupleID, limit int) (*sqlx.Result, error) {
 	if len(ids) == 0 {
-		return nil
+		return &sqlx.Result{}, nil
 	}
-	return g.fetchStmt(f, &sqlx.SelectStmt{Columns: g.lay.cols[rel], Table: rel, IDs: ids, Limit: limit})
+	return g.exec(&sqlx.SelectStmt{Columns: g.lay.cols[rel], Table: rel, IDs: ids, Limit: limit})
 }
 
-// apply inserts the fetched rows into the output relation in order,
-// skipping duplicates (paper §5.2) and stopping once budget tuples were
-// admitted. It also folds the fetch's physical work into the generation
-// stats and the caller-visible engine totals.
+// apply inserts the fetched rows (res may be nil: nothing fetched) into the
+// output relation in order, skipping duplicates (paper §5.2) and stopping
+// once budget tuples were admitted.
 //
 // Which rows go in is decided row by row, and that loop is a cooperative
 // checkpoint: the surrounding context is observed on every row (a
@@ -444,51 +406,42 @@ func (g *generator) fetchIDs(f *fetched, rel string, ids []storage.TupleID, limi
 // ever admitted, so the produced database is an exact prefix of the
 // canonical insertion sequence. Seed rows (seed=true) are always admitted
 // but still charged, guaranteeing a non-empty answer under any budget. The
-// admitted rows then enter D' in one Append, here, on the coordination
-// goroutine, which is also where the join indexes of D' are built: a driving
-// column's before the batch whose fetches read it (runBatch), the
-// arrival columns' when generation ends (result).
-func (g *generator) apply(rel string, f *fetched, budget int, seed bool) error {
-	if f == nil {
+// admitted rows then enter D' in one Append.
+func (g *generator) apply(rel string, res *sqlx.Result, budget int, seed bool) error {
+	if res == nil {
 		return nil
 	}
-	g.stats.Queries += f.queries
-	g.stats.SQL.Add(f.sql)
-	g.eng.AccumulateStats(f.sql)
 	outRel := g.out.Relation(rel)
 	// The fetch built its rows and ids for this generation alone: the admitted
 	// ones are compacted to the front in place, and D' keeps the slices.
 	admitted := 0
-	for i, row := range f.rows {
+	for i, row := range res.Rows {
 		if admitted >= budget {
 			break
 		}
 		if err := g.ctxErr(); err != nil {
 			return err
 		}
-		id := f.ids[i]
+		id := res.RowIDs[i]
 		if outRel.Has(id) {
 			continue // duplicates are removed (paper §5.2)
 		}
 		if !g.bt.admitTuple(id, row, seed) {
 			break
 		}
-		f.ids[admitted], f.rows[admitted] = id, row
+		res.RowIDs[admitted], res.Rows[admitted] = id, row
 		admitted++
 	}
-	inserted := outRel.Append(f.ids[:admitted], f.rows[:admitted])
+	inserted := outRel.Append(res.RowIDs[:admitted], res.Rows[:admitted])
 	g.perRel[rel] += inserted
 	g.total += inserted
 	return nil
 }
 
 // placeSeeds performs step 1 of Figure 5: D' starts with the tuples that
-// contain the query tokens, fetched by rowid, capped by the cardinality
-// constraint (NaïveQ takes the first ids; the index returns them in id
-// order, the paper's "random subset"). Per-relation seed queries are
-// independent reads of the original database, so with Workers > 1 they are
-// fetched concurrently; inserts are applied serially in sorted relation
-// order, preserving the serial result exactly.
+// contain the query tokens, fetched by rowid relation by relation in sorted
+// order, capped by the cardinality constraint (NaïveQ takes the first ids;
+// the index returns them in id order, the paper's "random subset").
 func (g *generator) placeSeeds(seedTuples map[string][]storage.TupleID) error {
 	st := g.trace.StartStep("seeds")
 	tuples0, queries0 := g.total, g.stats.Queries
@@ -502,49 +455,23 @@ func (g *generator) placeSeeds(seedTuples map[string][]storage.TupleID) error {
 	if err := g.ctxErr(); err != nil {
 		return err
 	}
-
 	// Seeds use the raw cardinality budget, not the resource-budget-
 	// tightened one: the tuples containing the query tokens are the
 	// guaranteed core of any answer, so a budgeted query still returns
 	// them (they are charged against the budget afterwards).
-	if g.workers <= 1 || len(rels) < 2 {
-		for _, rel := range rels {
-			b := g.cardBudget(rel)
-			if b <= 0 {
-				continue
-			}
-			f, err := g.fetchSeed(rel, seedTuples[rel], b)
-			if err != nil {
-				return err
-			}
-			if err := g.apply(rel, f, b, true); err != nil {
-				return err
-			}
+	for _, rel := range rels {
+		b := g.cardBudget(rel)
+		if b <= 0 {
+			continue
 		}
-		st.End(g.total-tuples0, g.stats.Queries-queries0)
-		return nil
-	}
-
-	// Parallel path: snapshot optimistic budgets before any fetch (the live
-	// budget can only shrink as earlier relations are applied, so each
-	// fetch over-retrieves and the apply phase truncates).
-	budgets := make([]int, len(rels))
-	for i, rel := range rels {
-		budgets[i] = g.cardBudget(rel)
-	}
-	results := make([]*fetched, len(rels))
-	errs := make([]error, len(rels))
-	ParallelFor(len(rels), g.workers, func(i int) {
-		if budgets[i] <= 0 {
-			return
+		// In tuple-weight order when the §7 extension is active.
+		ids := append([]storage.TupleID(nil), seedTuples[rel]...)
+		g.opts.Weights.order(rel, ids)
+		res, err := g.fetchIDs(rel, ids, b)
+		if err != nil {
+			return err
 		}
-		results[i], errs[i] = g.fetchSeed(rels[i], seedTuples[rels[i]], budgets[i])
-	})
-	for i, rel := range rels {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		if err := g.apply(rel, results[i], g.cardBudget(rel), true); err != nil {
+		if err := g.apply(rel, res, b, true); err != nil {
 			return err
 		}
 	}
@@ -552,164 +479,54 @@ func (g *generator) placeSeeds(seedTuples map[string][]storage.TupleID) error {
 	return nil
 }
 
-// fetchSeed retrieves the seed tuples of one relation by rowid, capped at
-// limit, in tuple-weight order when the §7 extension is active.
-func (g *generator) fetchSeed(rel string, ids []storage.TupleID, limit int) (*fetched, error) {
-	ids = append([]storage.TupleID(nil), ids...)
-	g.opts.Weights.order(rel, ids)
-	f := &fetched{}
-	if err := g.fetchIDs(f, rel, ids, limit); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // executeJoins performs step 2 of Figure 5: join edges of G' execute in
 // decreasing weight order; a join departing from a relation with arriving
 // edges still unexecuted is postponed, so every tuple that can reach a
 // relation through any path is present before the walk moves past it.
-//
-// With Workers > 1 the walk is batched: a batch collects, in the exact
-// order the serial algorithm would pick them, frontier edges that neither
-// read a relation written earlier in the batch nor write a relation another
-// batch edge writes. The batch's fetch queries then run concurrently while
-// the inserts are applied serially in pick order — parallelism never
-// changes the produced result database.
 func (g *generator) executeJoins() error {
 	plan := g.rs.joinPlan()
-	pending := slices.Clone(plan.byWeight) // nextBatch cuts its picks out of it
+	pending := slices.Clone(plan.byWeight) // nextEdge cuts its picks out of it
 	if g.opts.FIFOJoins {
 		pending = g.rs.Graph.JoinEdges()
 	}
-	arriving := plan.arriving
 	executed := make(map[string]int)
-
 	for len(pending) > 0 {
 		if err := g.ctxErr(); err != nil {
 			return err
 		}
-		if g.bt.exhausted() {
+		e := g.nextEdge(&pending, plan.arriving, executed)
+		if e == nil {
 			// A budget dimension tripped: stop the best-first expansion
 			// here and keep the prefix built so far.
 			return nil
 		}
-		batch := g.nextBatch(&pending, arriving, executed)
-		if len(batch) == 0 {
-			// The step budget refused the next pick.
-			return nil
-		}
-		if err := g.runBatch(batch); err != nil {
+		if err := g.runJoin(e); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// nextBatch removes from pending the next group of at most g.workers
-// conflict-free edges, replaying the serial algorithm's pick order: the
-// highest-weight edge whose source has no unexecuted arrivals wins (or, on
-// a cycle, the highest-weight remaining edge). An edge that reads or writes
-// a relation an earlier pick of the same batch writes closes the batch, so
-// fetches within a batch observe exactly the state the serial walk would
-// show them.
-func (g *generator) nextBatch(pending *[]*schemagraph.JoinEdge, arriving, executed map[string]int) []*schemagraph.JoinEdge {
-	max := g.workers
-	if max < 1 {
-		max = 1
-	}
-	var batch []*schemagraph.JoinEdge
-	written := make(map[string]bool)
-	for len(batch) < max && len(*pending) > 0 {
-		pick := -1
-		for i, e := range *pending {
-			if g.opts.DisablePostponement || executed[e.From] >= arriving[e.From] {
-				pick = i
-				break
-			}
-		}
-		if pick < 0 {
-			// A cycle in G' (mutual dependence): break it at the
-			// highest-weight remaining edge.
-			pick = 0
-		}
-		e := (*pending)[pick]
-		if len(batch) > 0 && (written[e.From] || written[e.To]) {
-			break
-		}
-		// Resource-budget admission: each join edge is one step; when the
-		// step budget (or the deadline) refuses it, the edge stays pending
-		// and the walk ends with the prefix built so far. Admission happens
-		// only after the conflict check, so a closed batch never charges a
-		// step it did not execute.
-		if !g.bt.admitStep() {
-			break
-		}
-		*pending = append((*pending)[:pick], (*pending)[pick+1:]...)
-		batch = append(batch, e)
-		written[e.To] = true
-		executed[e.To]++
-	}
-	return batch
-}
-
-// runBatch fetches every edge of the batch (concurrently when the pool
-// allows) and applies the results serially in pick order. First, here on
-// the coordination goroutine, it reads each edge's driving values off the
-// driving column's join index, which it builds unless it is there: the
-// fetches only read D'.
-func (g *generator) runBatch(batch []*schemagraph.JoinEdge) error {
-	if len(batch) == 0 {
+// nextEdge removes from pending the edge the walk picks next: the
+// highest-weight edge whose source has no unexecuted arrivals, or, on a cycle
+// in G' (mutual dependence), the highest-weight remaining edge. Each join edge
+// is one step of the resource budget: when the budget refuses it, the edge
+// stays pending and nextEdge returns nil.
+func (g *generator) nextEdge(pending *[]*schemagraph.JoinEdge, arriving, executed map[string]int) *schemagraph.JoinEdge {
+	if !g.bt.admitStep() {
 		return nil
 	}
-	for len(g.values) < len(batch) {
-		g.values = append(g.values, nil)
-	}
-	for i, e := range batch {
-		from := g.out.Relation(e.From)
-		from.Index(e.FromCol)
-		var err error
-		if g.values[i], err = from.AppendDistinctValues(g.values[i][:0], e.FromCol); err != nil {
-			return err
+	pick := 0
+	for i, e := range *pending {
+		if g.opts.DisablePostponement || executed[e.From] >= arriving[e.From] {
+			pick = i
+			break
 		}
 	}
-	if len(batch) == 1 {
-		return g.runJoin(batch[0], g.values[0])
-	}
-	budgets := make([]int, len(batch))
-	for i, e := range batch {
-		budgets[i] = g.budget(e.To)
-	}
-	results := make([]*fetched, len(batch))
-	errs := make([]error, len(batch))
-	ParallelFor(len(batch), g.workers, func(i int) {
-		if budgets[i] <= 0 {
-			return
-		}
-		results[i], errs[i] = g.fetchJoin(batch[i], g.values[i], budgets[i])
-	})
-	for i, e := range batch {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		// The batch's fetches ran concurrently, so a per-edge step here
-		// times only the serial apply; the tuple and query counts are the
-		// meaningful per-join signal. (The single-edge path below times the
-		// whole fetch+apply.) The name is only rendered when a trace is
-		// live, so untraced queries never pay the string concatenation.
-		var st obs.StepToken
-		if g.trace != nil {
-			st = g.trace.StartStep(joinStepName(e))
-		}
-		tuples0, queries0 := g.total, g.stats.Queries
-		if results[i] != nil {
-			if err := g.apply(e.To, results[i], g.budget(e.To), false); err != nil {
-				return err
-			}
-		}
-		st.End(g.total-tuples0, g.stats.Queries-queries0)
-		g.stats.JoinsExecuted++
-	}
-	return nil
+	e := (*pending)[pick]
+	*pending = slices.Delete(*pending, pick, pick+1)
+	executed[e.To]++
+	return e
 }
 
 // joinStepName renders the trace step name of one join edge.
@@ -717,24 +534,30 @@ func joinStepName(e *schemagraph.JoinEdge) string {
 	return "join:" + e.From + "->" + e.To
 }
 
-// runJoin executes one join edge end-to-end: fetch under the live budget,
-// then apply.
-func (g *generator) runJoin(e *schemagraph.JoinEdge, values []storage.Value) error {
+// runJoin executes one join edge end to end: it reads the driving values off
+// the driving column's join index of D', which it builds unless it is there,
+// then fetches under the live budget and applies.
+func (g *generator) runJoin(e *schemagraph.JoinEdge) error {
+	from := g.out.Relation(e.From)
+	from.Index(e.FromCol)
+	var err error
+	if g.values, err = from.AppendDistinctValues(g.values[:0], e.FromCol); err != nil {
+		return err
+	}
+	// The step's name is only rendered when a trace is live, so untraced
+	// queries never pay the string concatenation.
 	var st obs.StepToken
 	if g.trace != nil {
 		st = g.trace.StartStep(joinStepName(e))
 	}
 	tuples0, queries0 := g.total, g.stats.Queries
-	b := g.budget(e.To)
-	if b > 0 {
-		f, err := g.fetchJoin(e, values, b)
+	if b := g.budget(e.To); b > 0 {
+		res, err := g.fetchJoin(e, g.values, b)
 		if err != nil {
 			return err
 		}
-		if f != nil {
-			if err := g.apply(e.To, f, b, false); err != nil {
-				return err
-			}
+		if err := g.apply(e.To, res, b, false); err != nil {
+			return err
 		}
 	}
 	st.End(g.total-tuples0, g.stats.Queries-queries0)
@@ -747,7 +570,7 @@ func (g *generator) runJoin(e *schemagraph.JoinEdge, values []storage.Value) err
 // "does not contain the actual join between the two relations" — it is a
 // selection on the join-attribute values present in R'i, the driving
 // values). It returns nil when the join has nothing to do.
-func (g *generator) fetchJoin(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
+func (g *generator) fetchJoin(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*sqlx.Result, error) {
 	if err := faultinject.Fire(faultinject.SiteJoin); err != nil {
 		return nil, fmt.Errorf("core: join %s->%s: %w", e.From, e.To, err)
 	}
@@ -779,15 +602,11 @@ func (g *generator) isToN(e *schemagraph.JoinEdge) bool {
 // fetchNaiveQ is the paper's NaïveQ: one query with an IN list over the
 // driving values and a top-k cut-off (RowNum / LIMIT). Tuples already in D'
 // are excluded in the query itself so the budget buys only new tuples.
-func (g *generator) fetchNaiveQ(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
+func (g *generator) fetchNaiveQ(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*sqlx.Result, error) {
 	if len(g.opts.Weights[e.To]) > 0 {
 		return g.fetchNaiveQWeighted(e, values, limit)
 	}
-	f := &fetched{}
-	if err := g.fetchStmt(f, g.naiveQ(e, values, g.lay.cols[e.To], limit)); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return g.exec(g.naiveQ(e, values, g.lay.cols[e.To], limit))
 }
 
 // naiveQ builds NaïveQ's statement: the first limit tuples of e.To whose toCol
@@ -804,9 +623,8 @@ func (g *generator) naiveQ(e *schemagraph.JoinEdge, values []storage.Value, cols
 // weight before the budget cut, and a second query fetches the winners.
 // This costs one extra id-only query per join but lets importance, not
 // storage order, decide which tuples survive the cardinality constraint.
-func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
-	f := &fetched{}
-	res, err := g.execFetch(f, g.naiveQ(e, values, []string{}, -1)) // the ids alone
+func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*sqlx.Result, error) {
+	res, err := g.exec(g.naiveQ(e, values, []string{}, -1)) // the ids alone
 	if err != nil {
 		return nil, err
 	}
@@ -815,10 +633,7 @@ func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storag
 	if len(ids) > limit {
 		ids = ids[:limit]
 	}
-	if err := g.fetchIDs(f, e.To, ids, len(ids)); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return g.fetchIDs(e.To, ids, len(ids))
 }
 
 // fetchRoundRobin is the paper's Round-Robin: one scan per driving value;
@@ -831,12 +646,11 @@ func (g *generator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storag
 // the chosen tuples come back from a single rowid fetch in consumption order:
 // two statements per join, however many driving values and tuples it has. A
 // deadline that has already passed issues neither.
-func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
-	f := &fetched{}
+func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*sqlx.Result, error) {
 	if g.bt.checkDeadline() {
-		return f, nil
+		return &sqlx.Result{}, nil
 	}
-	ids, cursors, err := g.openCursors(f, e, values)
+	ids, cursors, err := g.openCursors(e, values)
 	if err != nil {
 		return nil, err
 	}
@@ -852,7 +666,7 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 		if g.bt.checkDeadline() {
 			// Nothing is inserted once the deadline tripped, so the tuples
 			// chosen so far are not worth fetching.
-			return f, nil
+			return &sqlx.Result{}, nil
 		}
 		next := cursors[:0]
 		for _, c := range cursors {
@@ -868,10 +682,7 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 		cursors = next
 	}
 	// A rowid IN fetch returns rows in list order: the consumption order.
-	if err := g.fetchIDs(f, e.To, chosen, len(chosen)); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return g.fetchIDs(e.To, chosen, len(chosen))
 }
 
 // openCursors opens Round-Robin's per-driving-value scans with one grouped
@@ -880,13 +691,12 @@ func (g *generator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Va
 // are dropped, a cursor is put in tuple-weight order when Rj has weights, and
 // empty cursors are closed. It returns the ids left open and the cursors, each
 // its range [lo, hi) of them as lo<<32 | hi.
-func (g *generator) openCursors(f *fetched, e *schemagraph.JoinEdge, values []storage.Value) ([]storage.TupleID, []int, error) {
+func (g *generator) openCursors(e *schemagraph.JoinEdge, values []storage.Value) ([]storage.TupleID, []int, error) {
 	groups, err := g.eng.Probe(e.To, e.ToCol, values)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: cursor probe on %s: %w", e.To, err)
 	}
-	f.queries++
-	f.sql.Add(groups.Stats)
+	g.charge(groups.Stats)
 	outRel, ids, cursors := g.out.Relation(e.To), groups.IDs, make([]int, 0, len(groups.Ends))
 	kept, start := 0, 0
 	for _, end := range groups.Ends {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"precis/internal/dataset"
@@ -590,25 +589,23 @@ func TestRoundRobinStatementsPerJoin(t *testing.T) {
 	rs, seeds := diffQuery(t, g, invidx.New(db), busiestDirector(db), 0.05)
 	for _, strat := range []Strategy{StrategyRoundRobin, StrategyAuto, StrategyNaive} {
 		for _, weights := range []TupleWeights{nil, diffWeights(db)} {
-			for _, workers := range []int{1, 4} {
-				cf := &countingFetcher{Fetcher: sqlx.NewEngine(db)}
-				rd, err := GenerateDatabaseOpts(cf, rs, seeds, MaxTuplesPerRelation(150), strat,
-					DBGenOptions{Weights: weights, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("%v weights=%v workers=%d", strat, weights != nil, workers)
-				if got := int(cf.executed.Load()); got != rd.Stats.Queries {
-					t.Errorf("%s: Queries = %d, %d statements executed", name, rd.Stats.Queries, got)
-				}
-				if max := len(seeds) + 2*rd.Stats.JoinsExecuted; rd.Stats.Queries > max {
-					t.Errorf("%s: %d statements for %d seed relations and %d joins (max %d)",
-						name, rd.Stats.Queries, len(seeds), rd.Stats.JoinsExecuted, max)
-				}
-				if rd.Stats.TotalTuples < 10*rd.Stats.Queries {
-					t.Fatalf("%s: only %d tuples for %d statements: the answer is too small to tell set-at-a-time from tuple-at-a-time",
-						name, rd.Stats.TotalTuples, rd.Stats.Queries)
-				}
+			cf := &countingFetcher{Fetcher: sqlx.NewEngine(db)}
+			rd, err := GenerateDatabaseOpts(cf, rs, seeds, MaxTuplesPerRelation(150), strat,
+				DBGenOptions{Weights: weights})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%v weights=%v", strat, weights != nil)
+			if got := int(cf.executed.Load()); got != rd.Stats.Queries {
+				t.Errorf("%s: Queries = %d, %d statements executed", name, rd.Stats.Queries, got)
+			}
+			if max := len(seeds) + 2*rd.Stats.JoinsExecuted; rd.Stats.Queries > max {
+				t.Errorf("%s: %d statements for %d seed relations and %d joins (max %d)",
+					name, rd.Stats.Queries, len(seeds), rd.Stats.JoinsExecuted, max)
+			}
+			if rd.Stats.TotalTuples < 10*rd.Stats.Queries {
+				t.Fatalf("%s: only %d tuples for %d statements: the answer is too small to tell set-at-a-time from tuple-at-a-time",
+					name, rd.Stats.TotalTuples, rd.Stats.Queries)
 			}
 		}
 	}
@@ -618,7 +615,6 @@ func TestRoundRobinStatementsPerJoin(t *testing.T) {
 // statements a generation issued.
 type probeLog struct {
 	*sqlx.Engine
-	mu     sync.Mutex
 	probes map[string][]*sqlx.Groups
 	stmts  map[string][]*sqlx.SelectStmt
 }
@@ -628,17 +624,13 @@ func (f *probeLog) Probe(rel, col string, values []storage.Value) (*sqlx.Groups,
 	if err == nil {
 		// The generator compacts the ids in place: keep what the probe said.
 		seen := &sqlx.Groups{Ends: g.Ends, Stats: g.Stats}
-		f.mu.Lock()
 		f.probes[rel] = append(f.probes[rel], seen)
-		f.mu.Unlock()
 	}
 	return g, err
 }
 
 func (f *probeLog) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
-	f.mu.Lock()
 	f.stmts[st.Table] = append(f.stmts[st.Table], st)
-	f.mu.Unlock()
 	return f.Engine.ExecStmt(st)
 }
 
@@ -651,47 +643,45 @@ func (f *probeLog) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
 func TestRoundRobinProbeReadsNoTuple(t *testing.T) {
 	db, g := syntheticMovies(t, 300)
 	rs, seeds := diffQuery(t, g, invidx.New(db), busiestDirector(db), 0.05)
-	for _, workers := range []int{1, 4} {
-		pl := &probeLog{Engine: sqlx.NewEngine(db), probes: map[string][]*sqlx.Groups{}, stmts: map[string][]*sqlx.SelectStmt{}}
-		rd, err := GenerateDatabaseOpts(pl, rs, seeds, MaxTuplesPerRelation(150), StrategyRoundRobin, DBGenOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		probes, stmts := 0, 0
-		for rel, sels := range pl.stmts {
-			stmts += len(sels)
-			for _, sel := range sels {
-				if sel.IDs == nil || sel.Col != "" || sel.Exclude != nil {
-					t.Errorf("workers=%d: statement on %s does not fetch by id alone", workers, rel)
-				}
+	pl := &probeLog{Engine: sqlx.NewEngine(db), probes: map[string][]*sqlx.Groups{}, stmts: map[string][]*sqlx.SelectStmt{}}
+	rd, err := GenerateDatabaseOpts(pl, rs, seeds, MaxTuplesPerRelation(150), StrategyRoundRobin, DBGenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes, stmts := 0, 0
+	for rel, sels := range pl.stmts {
+		stmts += len(sels)
+		for _, sel := range sels {
+			if sel.IDs == nil || sel.Col != "" || sel.Exclude != nil {
+				t.Errorf("statement on %s does not fetch by id alone", rel)
 			}
 		}
-		for rel, groups := range pl.probes {
-			probes += len(groups)
-			for _, g := range groups {
-				postings := g.Ends[len(g.Ends)-1]
-				if g.Stats.TupleReads != postings || g.Stats.Scanned != 0 || g.Stats.IndexLookups != len(g.Ends) {
-					t.Errorf("workers=%d: probe of %s: %+v for %d values and %d postings", workers, rel, g.Stats, len(g.Ends), postings)
-				}
+	}
+	for rel, groups := range pl.probes {
+		probes += len(groups)
+		for _, g := range groups {
+			postings := g.Ends[len(g.Ends)-1]
+			if g.Stats.TupleReads != postings || g.Stats.Scanned != 0 || g.Stats.IndexLookups != len(g.Ends) {
+				t.Errorf("probe of %s: %+v for %d values and %d postings", rel, g.Stats, len(g.Ends), postings)
 			}
 		}
-		// Per target relation: one statement for its seeds, and per join
-		// one probe and — unless every posting was in D′ already — one fetch.
-		for rel, sels := range pl.stmts {
-			joins := len(sels)
-			if len(seeds[rel]) > 0 {
-				joins--
-			}
-			if joins > len(pl.probes[rel]) {
-				t.Errorf("workers=%d: %d fetches into %s after %d probes", workers, joins, rel, len(pl.probes[rel]))
-			}
+	}
+	// Per target relation: one statement for its seeds, and per join
+	// one probe and — unless every posting was in D′ already — one fetch.
+	for rel, sels := range pl.stmts {
+		joins := len(sels)
+		if len(seeds[rel]) > 0 {
+			joins--
 		}
-		if probes == 0 || probes > rd.Stats.JoinsExecuted {
-			t.Errorf("workers=%d: %d probes for %d joins", workers, probes, rd.Stats.JoinsExecuted)
+		if joins > len(pl.probes[rel]) {
+			t.Errorf("%d fetches into %s after %d probes", joins, rel, len(pl.probes[rel]))
 		}
-		if probes+stmts != rd.Stats.Queries {
-			t.Errorf("workers=%d: Queries = %d, fetcher saw %d probes + %d statements", workers, rd.Stats.Queries, probes, stmts)
-		}
+	}
+	if probes == 0 || probes > rd.Stats.JoinsExecuted {
+		t.Errorf("%d probes for %d joins", probes, rd.Stats.JoinsExecuted)
+	}
+	if probes+stmts != rd.Stats.Queries {
+		t.Errorf("Queries = %d, fetcher saw %d probes + %d statements", rd.Stats.Queries, probes, stmts)
 	}
 }
 
@@ -768,22 +758,22 @@ func TestRoundRobinRounds(t *testing.T) {
 					t.Fatal(err)
 				}
 				name := fmt.Sprintf("weights=%v %s->%s limit=%d", weights != nil, e.From, e.To, limit)
-				if want := dealt[:min(limit, len(dealt))]; !slices.Equal(f.ids, want) {
-					t.Fatalf("%s: chose %v, the rounds deal %v", name, f.ids, want)
+				if want := dealt[:min(limit, len(dealt))]; !slices.Equal(f.RowIDs, want) {
+					t.Fatalf("%s: chose %v, the rounds deal %v", name, f.RowIDs, want)
 				}
 				seen := map[storage.TupleID]bool{}
-				for i, id := range f.ids {
-					if tu, ok := to.Get(id); seen[id] || outRel.Has(id) || !ok || !reflect.DeepEqual(f.rows[i].Values(), g.project(e.To, tu)) {
+				for i, id := range f.RowIDs {
+					if tu, ok := to.Get(id); seen[id] || outRel.Has(id) || !ok || !reflect.DeepEqual(f.Rows[i].Values(), g.project(e.To, tu)) {
 						t.Fatalf("%s: pick %d (tuple %d) is repeated, in R′ⱼ already, or not the stored row", name, i, id)
 					}
 					seen[id] = true
 				}
-				ref, err := refGenerator{g}.fetchRoundRobin(e, values, limit, 1)
+				ref, err := refGenerator{g}.fetchRoundRobin(e, values, limit)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(f.ids, ref.ids) || !slices.EqualFunc(f.rows, ref.rows, func(a, b storage.Row) bool { return reflect.DeepEqual(a.Values(), b.Values()) }) {
-					t.Fatalf("%s: chose %v, the statement-per-value reference %v", name, f.ids, ref.ids)
+				if !slices.Equal(f.RowIDs, ref.RowIDs) || !slices.EqualFunc(f.Rows, ref.Rows, func(a, b storage.Row) bool { return reflect.DeepEqual(a.Values(), b.Values()) }) {
+					t.Fatalf("%s: chose %v, the statement-per-value reference %v", name, f.RowIDs, ref.RowIDs)
 				}
 			}
 			f, err := g.fetchRoundRobin(e, values, len(dealt))
@@ -798,6 +788,46 @@ func TestRoundRobinRounds(t *testing.T) {
 			t.Fatalf("weights=%v: %d joins exercised, %d postings found in R′ⱼ: the schema is too shallow to tell", weights != nil, joins, revisits)
 		}
 	}
+}
+
+// TestApplySkipsDuplicates: apply admits a fetched tuple once — a row whose
+// id D′ already holds is skipped (paper §5.2) without spending the budget,
+// and the rows after it still go in. The generator's fetches exclude R′ⱼ
+// themselves, so this holds apply to it directly.
+func TestApplySkipsDuplicates(t *testing.T) {
+	eng, rs, seeds := exampleSetup(t, 0.1)
+	g, err := newGenerator(eng, rs, seeds, Unlimited(), StrategyNaive, DBGenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range rs.Relations() {
+		var ids []storage.TupleID
+		eng.Database().Relation(rel).Scan(func(tu storage.Tuple) bool {
+			ids = append(ids, tu.ID)
+			return len(ids) < 3
+		})
+		if len(ids) < 3 {
+			continue
+		}
+		for _, step := range []struct{ fetch, budget int }{{2, 2}, {3, 1}} {
+			res, err := g.fetchIDs(rel, ids[:step.fetch], step.fetch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.apply(rel, res, step.budget, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []storage.TupleID
+		for _, tu := range tuplesOf(g.out.Relation(rel)) {
+			got = append(got, tu.ID)
+		}
+		if !slices.Equal(got, ids) || g.perRel[rel] != 3 {
+			t.Fatalf("%s holds %v (%d counted) after applying %v and then %v under a budget of one", rel, got, g.perRel[rel], ids[:2], ids)
+		}
+		return
+	}
+	t.Fatal("no relation of G′ has three tuples")
 }
 
 // project returns the columns of tu the generator fetches for rel.

@@ -1,7 +1,7 @@
 package core
 
 // ParallelFor panic-isolation tests: a panic on a worker goroutine must
-// reach the caller as a *PanicError carrying the worker's stack (first
+// reach the caller as a *parallel.PanicError carrying the worker's stack (first
 // panic wins, the pool drains cleanly), while the serial path propagates
 // the raw panic value exactly like a plain loop.
 
@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"precis/internal/parallel"
 )
 
 func TestParallelForRunsEveryIndex(t *testing.T) {
@@ -30,7 +32,7 @@ func TestParallelForWorkerPanicBecomesPanicError(t *testing.T) {
 		if r == nil {
 			t.Fatal("worker panic did not propagate to the caller")
 		}
-		pe, ok := r.(*PanicError)
+		pe, ok := r.(*parallel.PanicError)
 		if !ok {
 			t.Fatalf("recovered %T, want *PanicError", r)
 		}
@@ -58,7 +60,7 @@ func TestParallelForFirstPanicWins(t *testing.T) {
 	var ran atomic.Int64
 	defer func() {
 		r := recover()
-		pe, ok := r.(*PanicError)
+		pe, ok := r.(*parallel.PanicError)
 		if !ok {
 			t.Fatalf("recovered %T, want *PanicError", r)
 		}

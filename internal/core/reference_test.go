@@ -13,7 +13,7 @@ import (
 // were before the set-at-a-time rewrite — Round-Robin issuing one id-scan
 // statement per driving value and one single-id SELECT per chosen tuple,
 // NaïveQ excluding R′ⱼ with a copy of every id it holds. It
-// shares the production scheduling (seed placement, batching, apply, budget
+// shares the production scheduling (seed placement, join order, apply, budget
 // accounting) so that only the fetches differ; differential_test.go holds
 // the production generator identical to it in tuples, insertion order,
 // physical work and truncation.
@@ -36,7 +36,7 @@ func refGenerateDatabaseOpts(eng Fetcher, rs *ResultSchema, seedTuples map[strin
 	return g.result(), nil
 }
 
-// executeJoins is generator.executeJoins with the reference runBatch.
+// executeJoins is generator.executeJoins with the reference runJoin.
 func (g refGenerator) executeJoins() error {
 	pending := g.rs.JoinEdgesByWeight()
 	if g.opts.FIFOJoins {
@@ -51,70 +51,33 @@ func (g refGenerator) executeJoins() error {
 		if err := g.ctxErr(); err != nil {
 			return err
 		}
-		if g.bt.exhausted() {
+		e := g.nextEdge(&pending, arriving, executed)
+		if e == nil {
 			return nil
 		}
-		batch := g.nextBatch(&pending, arriving, executed)
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := g.runBatch(batch); err != nil {
+		if err := g.runJoin(e); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runBatch is the old generator.runBatch: a single frontier edge hands the
-// whole pool to the join's own per-value / per-tuple fetches.
-func (g refGenerator) runBatch(batch []*schemagraph.JoinEdge) error {
-	if len(batch) == 1 {
-		e := batch[0]
-		if b := g.budget(e.To); b > 0 {
-			f, err := g.fetchJoin(e, b, g.workers)
-			if err != nil {
-				return err
-			}
-			if f != nil {
-				if err := g.apply(e.To, f, b, false); err != nil {
-					return err
-				}
-			}
+// runJoin is generator.runJoin over the reference fetches.
+func (g refGenerator) runJoin(e *schemagraph.JoinEdge) error {
+	if b := g.budget(e.To); b > 0 {
+		res, err := g.fetchJoin(e, b)
+		if err != nil {
+			return err
 		}
-		g.stats.JoinsExecuted++
-		return nil
-	}
-	inner := g.workers / len(batch)
-	if inner < 1 {
-		inner = 1
-	}
-	budgets := make([]int, len(batch))
-	for i, e := range batch {
-		budgets[i] = g.budget(e.To)
-	}
-	results := make([]*fetched, len(batch))
-	errs := make([]error, len(batch))
-	ParallelFor(len(batch), g.workers, func(i int) {
-		if budgets[i] <= 0 {
-			return
+		if err := g.apply(e.To, res, b, false); err != nil {
+			return err
 		}
-		results[i], errs[i] = g.fetchJoin(batch[i], budgets[i], inner)
-	})
-	for i, e := range batch {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		if results[i] != nil {
-			if err := g.apply(e.To, results[i], g.budget(e.To), false); err != nil {
-				return err
-			}
-		}
-		g.stats.JoinsExecuted++
 	}
+	g.stats.JoinsExecuted++
 	return nil
 }
 
-func (g refGenerator) fetchJoin(e *schemagraph.JoinEdge, limit, workers int) (*fetched, error) {
+func (g refGenerator) fetchJoin(e *schemagraph.JoinEdge, limit int) (*sqlx.Result, error) {
 	if err := faultinject.Fire(faultinject.SiteJoin); err != nil {
 		return nil, fmt.Errorf("core: join %s->%s: %w", e.From, e.To, err)
 	}
@@ -133,20 +96,16 @@ func (g refGenerator) fetchJoin(e *schemagraph.JoinEdge, limit, workers int) (*f
 		return nil, nil
 	}
 	if g.strat == StrategyRoundRobin || (g.strat == StrategyAuto && g.isToN(e)) {
-		return g.fetchRoundRobin(e, values, limit, workers)
+		return g.fetchRoundRobin(e, values, limit)
 	}
 	return g.fetchNaiveQ(e, values, limit)
 }
 
-func (g refGenerator) fetchNaiveQ(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
+func (g refGenerator) fetchNaiveQ(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*sqlx.Result, error) {
 	if len(g.opts.Weights[e.To]) > 0 {
 		return g.fetchNaiveQWeighted(e, values, limit)
 	}
-	f := &fetched{}
-	if err := g.fetchStmt(f, g.naiveQ(e, values, g.lay.cols[e.To], limit)); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return g.exec(g.naiveQ(e, values, g.lay.cols[e.To], limit))
 }
 
 // naiveQ is toCol IN (driving values) AND rowid NOT IN (ids of R′ⱼ).
@@ -158,8 +117,7 @@ func (g refGenerator) naiveQ(e *schemagraph.JoinEdge, values []storage.Value, co
 	return st
 }
 
-func (g refGenerator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*fetched, error) {
-	f := &fetched{}
+func (g refGenerator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*sqlx.Result, error) {
 	if err := g.ctxErr(); err != nil {
 		return nil, err
 	}
@@ -167,46 +125,35 @@ func (g refGenerator) fetchNaiveQWeighted(e *schemagraph.JoinEdge, values []stor
 	if err != nil {
 		return nil, fmt.Errorf("core: weighted id query: %w", err)
 	}
-	f.queries++
-	f.sql.Add(res.Stats)
+	g.charge(res.Stats)
 	ids := append([]storage.TupleID(nil), res.RowIDs...)
 	g.opts.Weights.order(e.To, ids)
 	if len(ids) > limit {
 		ids = ids[:limit]
 	}
 	if len(ids) == 0 {
-		return f, nil
+		return &sqlx.Result{}, nil
 	}
-	if err := g.fetchStmt(f, &sqlx.SelectStmt{Columns: g.lay.cols[e.To], Table: e.To, IDs: ids, Limit: len(ids)}); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return g.exec(&sqlx.SelectStmt{Columns: g.lay.cols[e.To], Table: e.To, IDs: ids, Limit: len(ids)})
 }
 
 // fetchRoundRobin opens one id scan per driving value, simulates the rounds,
 // and fetches every chosen tuple with its own statement.
-func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Value, limit, workers int) (*fetched, error) {
+func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.Value, limit int) (*sqlx.Result, error) {
 	outRel := g.out.Relation(e.To)
-
-	type scanRes struct {
-		ids []storage.TupleID
-		sql sqlx.Stats
-		err error
-	}
-	scans := make([]scanRes, len(values))
-	ParallelFor(len(values), workers, func(i int) {
+	cursors := make([][]storage.TupleID, 0, len(values))
+	for _, v := range values {
 		if err := g.ctxErr(); err != nil {
-			scans[i].err = err
-			return
+			return nil, err
 		}
 		if g.bt.checkDeadline() {
-			return
+			continue
 		}
-		res, err := g.eng.ExecStmt(&sqlx.SelectStmt{Columns: []string{}, Table: e.To, Col: e.ToCol, Values: values[i : i+1], Limit: -1})
+		res, err := g.eng.ExecStmt(&sqlx.SelectStmt{Columns: []string{}, Table: e.To, Col: e.ToCol, Values: []storage.Value{v}, Limit: -1})
 		if err != nil {
-			scans[i].err = fmt.Errorf("core: round-robin scan: %w", err)
-			return
+			return nil, fmt.Errorf("core: round-robin scan: %w", err)
 		}
+		g.charge(res.Stats)
 		ids := make([]storage.TupleID, 0, len(res.RowIDs))
 		for _, id := range res.RowIDs {
 			if _, exists := getTuple(outRel, id); !exists {
@@ -214,19 +161,8 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 			}
 		}
 		g.opts.Weights.order(e.To, ids)
-		scans[i].ids = ids
-		scans[i].sql = res.Stats
-	})
-	f := &fetched{}
-	cursors := make([][]storage.TupleID, 0, len(values))
-	for i := range scans {
-		if scans[i].err != nil {
-			return nil, scans[i].err
-		}
-		f.queries++
-		f.sql.Add(scans[i].sql)
-		if len(scans[i].ids) > 0 {
-			cursors = append(cursors, scans[i].ids)
+		if len(ids) > 0 {
+			cursors = append(cursors, ids)
 		}
 	}
 
@@ -257,36 +193,18 @@ func (g refGenerator) fetchRoundRobin(e *schemagraph.JoinEdge, values []storage.
 		cursors = next
 	}
 
-	type rowRes struct {
-		rows []storage.Row
-		ids  []storage.TupleID
-		sql  sqlx.Stats
-		err  error
-	}
-	fetchedRows := make([]rowRes, len(chosen))
-	ParallelFor(len(chosen), workers, func(i int) {
+	out := &sqlx.Result{}
+	for _, id := range chosen {
 		if err := g.ctxErr(); err != nil {
-			fetchedRows[i].err = err
-			return
+			return nil, err
 		}
-		res, err := g.eng.ExecStmt(&sqlx.SelectStmt{Columns: g.lay.cols[e.To], Table: e.To, IDs: chosen[i : i+1], Limit: 1})
+		res, err := g.exec(&sqlx.SelectStmt{Columns: g.lay.cols[e.To], Table: e.To, IDs: []storage.TupleID{id}, Limit: 1})
 		if err != nil {
-			fetchedRows[i].err = err
-			return
+			return nil, err
 		}
-		fetchedRows[i].rows, fetchedRows[i].ids = res.Rows, res.RowIDs
-		fetchedRows[i].sql = res.Stats
-	})
-	for i := range fetchedRows {
-		if fetchedRows[i].err != nil {
-			return nil, fetchedRows[i].err
-		}
-		f.queries++
-		f.sql.Add(fetchedRows[i].sql)
-		f.rows = append(f.rows, fetchedRows[i].rows...)
-		f.ids = append(f.ids, fetchedRows[i].ids...)
+		out.Rows, out.RowIDs = append(out.Rows, res.Rows...), append(out.RowIDs, res.RowIDs...)
 	}
-	return f, nil
+	return out, nil
 }
 
 // existingIDs copies every id of the output relation into a set of the

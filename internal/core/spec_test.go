@@ -221,8 +221,7 @@ func drawDegree(r *rand.Rand) spec.Degree {
 // constraints (the memo hit every later query gets), every strategy and six
 // cardinality constraints: per relation of D′, the tuple ids in insertion
 // order, which is the order /api/search lists them in. Each case runs on the
-// single engine at 1, 2 and 4 workers, and on 1–4 hash and 2–4 range shards at
-// a pool size that rotates with the case.
+// single engine and on 1–4 hash and 2–4 range shards.
 func TestDatabaseMatchesSpec(t *testing.T) {
 	strategies := []struct {
 		s Strategy
@@ -271,29 +270,23 @@ func TestDatabaseMatchesSpec(t *testing.T) {
 				}
 				sg := spec.FromGraph(rs.Graph)
 				for _, st := range strategies {
-					for ci, c := range caps {
+					for _, c := range caps {
 						cases++
 						want := spec.ResultDatabase(sdb, sg, specSeeds, c.s, st.f)
-						for fi, f := range fetchers {
-							workers := []int{1, 2, 4}
-							if fi > 0 {
-								workers = workers[(ci+fi)%3 : (ci+fi)%3+1]
+						for _, f := range fetchers {
+							runs++
+							name := fmt.Sprintf("%s/%s/degree %+v/%s/%s/%s", ds.name, term, d, st.s, c.c, f.name)
+							rd, err := GenerateDatabaseOpts(f.make(), rs, seeds, c.c, st.s, DBGenOptions{})
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
 							}
-							for _, w := range workers {
-								runs++
-								name := fmt.Sprintf("%s/%s/degree %+v/%s/%s/%s/workers=%d", ds.name, term, d, st.s, c.c, f.name, w)
-								rd, err := GenerateDatabaseOpts(f.make(), rs, seeds, c.c, st.s, DBGenOptions{Workers: w})
-								if err != nil {
-									t.Fatalf("%s: %v", name, err)
+							for _, rel := range sg.Relations {
+								var got []int64
+								for _, tu := range tuplesOf(rd.DB.Relation(rel)) {
+									got = append(got, int64(tu.ID))
 								}
-								for _, rel := range sg.Relations {
-									var got []int64
-									for _, tu := range tuplesOf(rd.DB.Relation(rel)) {
-										got = append(got, int64(tu.ID))
-									}
-									if !slices.Equal(got, want[rel]) {
-										t.Fatalf("%s: %s holds %v, the spec %v", name, rel, got, want[rel])
-									}
+								if !slices.Equal(got, want[rel]) {
+									t.Fatalf("%s: %s holds %v, the spec %v", name, rel, got, want[rel])
 								}
 							}
 						}

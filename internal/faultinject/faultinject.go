@@ -31,9 +31,9 @@ const (
 	// database for the translator's clause walk.
 	SiteStorageLookup = "storage.lookup"
 	// SiteIndexProbe fires inside invidx.(*Index).LookupExpanded — the
-	// per-term inverted-index probe that runs on ParallelFor workers. The
-	// probe has no error return, so error rules at this site are ignored;
-	// use Panic or Delay.
+	// per-term inverted-index probe of a query, one per shard on a sharded
+	// engine. The probe has no error return, so error rules at this site are
+	// ignored; use Panic or Delay.
 	SiteIndexProbe = "invidx.probe"
 	// SiteSQLSelect fires inside sqlx.(*Engine).ExecStmt — every
 	// generated SELECT of the result-database generator.

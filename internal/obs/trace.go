@@ -53,9 +53,8 @@ type Step struct {
 // the disabled state: every method no-ops, so untraced queries pay one nil
 // check per stage and zero allocations.
 //
-// A Trace is single-writer: spans and steps are recorded on the query's
-// coordination goroutine only (fetch workers never touch it), so no locking
-// is needed. Readers must wait for the query to return — which they always
+// A Trace is single-writer: spans and steps are recorded on the goroutine
+// that runs the query, so no locking is needed. Readers must wait for the query to return — which they always
 // do, since the trace is handed out on the Answer.
 type Trace struct {
 	begin time.Time

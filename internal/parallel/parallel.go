@@ -1,9 +1,8 @@
 // Package parallel holds the engine's deterministic worker pool: a
-// chunked, panic-isolating parallel-for shared by the result-database
-// generator (internal/core) and the inverted-index builder
-// (internal/invidx). It lives in its own leaf package so both can use it
-// without an import cycle — core's in-package tests build indexes, so
-// invidx cannot import core directly.
+// chunked, panic-isolating parallel-for. Its one user in the engine is the
+// inverted-index build at New and Open (invidx.NewParallel), where the pool
+// pays; a query runs on its caller's goroutine. (core re-exports it for
+// benchmark/replay.go until the benchmark drops it.)
 package parallel
 
 import (
@@ -15,8 +14,7 @@ import (
 )
 
 // MaxWorkers caps any worker pool the engine spawns; beyond this the
-// coordination overhead dominates on the read-mostly workloads the
-// generator runs.
+// coordination overhead dominates.
 const MaxWorkers = 64
 
 // NormalizeWorkers resolves a requested pool size: 0 means one worker per
@@ -37,8 +35,7 @@ func NormalizeWorkers(n int) int {
 
 // PanicError wraps a panic that escaped a For worker, carrying the
 // panicking goroutine's stack. For re-raises it on the calling goroutine,
-// and the engine boundary converts it into ErrInternal — so one poisoned
-// tuple can never kill the process.
+// so a worker's panic is the caller's to recover.
 type PanicError struct {
 	// Value is the original panic value.
 	Value any

@@ -3,12 +3,10 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"precis/internal/faultinject"
 	"precis/internal/obs"
-	"precis/internal/parallel"
 	"precis/internal/sqlx"
 	"precis/internal/storage"
 )
@@ -26,29 +24,22 @@ type Metrics struct {
 	Rows []*obs.Counter
 }
 
-// tally accumulates one shard's physical work during a single query. The
-// fields are atomics because fetch tasks run on the generator's worker
-// pool; the totals are read on the coordination goroutine after the
-// generator returned.
+// tally accumulates one shard's physical work during a single query.
 type tally struct {
-	queries atomic.Int64
-	rows    atomic.Int64
-	busy    atomic.Int64 // nanoseconds spent executing on this shard
+	queries int
+	rows    int
+	busy    time.Duration // spent executing on this shard
 }
 
 // Fetcher executes the generator's SELECTs and probes across shard engines —
 // core.Fetcher's scatter/gather implementation. One Fetcher serves one
-// query: it snapshots the shard databases at construction (the coordinator
-// serializes queries against mutations, so the snapshot is stable) and
-// tallies per-shard work for the query's trace.
-//
-// ExecStmt and Probe are safe for concurrent use. AccumulateStats and TotalStats are
-// only called from the query's coordination goroutine.
+// query, on the query's goroutine: it snapshots the shard databases at
+// construction (the coordinator serializes queries against mutations, so the
+// snapshot is stable) and tallies per-shard work for the query's trace.
 type Fetcher struct {
 	part    Partitioner
 	engs    []*sqlx.Engine
 	all     []int // every shard: the targets of a statement that is not routed
-	workers int   // goroutines a scatter keeps busy, the caller's included
 	metrics *Metrics
 	tallies []tally
 	total   sqlx.Stats
@@ -64,7 +55,7 @@ func NewFetcher(part Partitioner, dbs []*storage.Database, m *Metrics) *Fetcher 
 	if m == nil {
 		m = &Metrics{}
 	}
-	return &Fetcher{part: part, engs: engs, all: all, workers: parallel.NormalizeWorkers(0), metrics: m, tallies: make([]tally, len(dbs))}
+	return &Fetcher{part: part, engs: engs, all: all, metrics: m, tallies: make([]tally, len(dbs))}
 }
 
 // Database returns shard 0's database as the schema catalog. The generator
@@ -72,8 +63,7 @@ func NewFetcher(part Partitioner, dbs []*storage.Database, m *Metrics) *Fetcher 
 // shard — never tuples.
 func (f *Fetcher) Database() *storage.Database { return f.engs[0].Database() }
 
-// AccumulateStats implements core.Fetcher; called serially from the apply
-// phase.
+// AccumulateStats implements core.Fetcher.
 func (f *Fetcher) AccumulateStats(s sqlx.Stats) { f.total.Add(s) }
 
 // TotalStats returns the physical work accumulated via AccumulateStats.
@@ -160,33 +150,26 @@ func (f *Fetcher) Probe(rel, col string, values []storage.Value) (*sqlx.Groups, 
 	return out, nil
 }
 
-// scatter runs fn for every target shard between the scatter and gather fault
-// sites, counting one scatter and tallying each shard's work (fn returns its
-// rows). parallel.For shares the targets out among the calling goroutine and
-// at most one more per other CPU: a shard's work is all CPU, so more would
-// only queue. A panic in one shard's work, the caller's share included, is
-// re-raised here once every share has ended, and becomes ErrInternal.
+// scatter runs fn for every target shard, in turn on the calling goroutine,
+// between the scatter and gather fault sites, counting one scatter and
+// tallying each shard's work (fn returns its rows). The first shard that
+// fails fails the scatter, attributed to that shard.
 func (f *Fetcher) scatter(rel string, targets []int, fn func(shard int, eng *sqlx.Engine) (rows int, err error)) error {
 	if err := faultinject.Fire(faultinject.SiteShardScatter); err != nil {
 		return fmt.Errorf("shard: scatter %s: %w", rel, err)
 	}
 	f.metrics.Scatters.Inc()
-	errs := make([]error, len(targets))
-	parallel.For(len(targets), f.workers, func(ti int) {
-		shard := targets[ti]
+	for _, shard := range targets {
 		start := time.Now()
 		rows, err := fn(shard, f.engs[shard])
 		t := &f.tallies[shard]
-		t.busy.Add(time.Since(start).Nanoseconds())
-		t.queries.Add(1)
-		t.rows.Add(int64(rows))
+		t.busy += time.Since(start)
+		t.queries++
+		t.rows += rows
 		counter(f.metrics.Rows, shard).Add(uint64(rows))
 		counter(f.metrics.Queries, shard).Inc()
-		errs[ti] = err
-	})
-	for ti, err := range errs {
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", targets[ti], err)
+			return fmt.Errorf("shard %d: %w", shard, err)
 		}
 	}
 	if err := faultinject.Fire(faultinject.SiteShardGather); err != nil {
@@ -308,15 +291,12 @@ func merge(sel *sqlx.SelectStmt, results []*sqlx.Result, r *routing) *sqlx.Resul
 
 // RecordTrace appends one back-dated step per shard that did work during
 // this query ("shard:i" with the rows it returned, the statements it ran,
-// and its busy time) to the trace — called on the coordination goroutine
-// inside the db_gen span, after the generator returned.
+// and its busy time) to the trace — called inside the db_gen span, after the
+// generator returned.
 func (f *Fetcher) RecordTrace(tr *obs.Trace) {
-	for i := range f.tallies {
-		t := &f.tallies[i]
-		q := t.queries.Load()
-		if q == 0 {
-			continue
+	for i, t := range f.tallies {
+		if t.queries > 0 {
+			tr.RecordStep(fmt.Sprintf("shard:%d", i), t.busy, t.rows, t.queries)
 		}
-		tr.RecordStep(fmt.Sprintf("shard:%d", i), time.Duration(t.busy.Load()), int(t.rows.Load()), int(q))
 	}
 }

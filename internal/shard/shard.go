@@ -8,7 +8,8 @@
 // Figure 5 apply loop, budget accounting, caching, narrative synthesis —
 // and only the data-volume-bound tuple fetches are distributed, so a
 // sharded answer is byte-identical to the single-engine answer for every
-// shard count, worker-pool size, and retrieval strategy.
+// shard count and retrieval strategy. A scatter visits its shards in turn on
+// the query's goroutine.
 //
 // Determinism rests on three invariants:
 //

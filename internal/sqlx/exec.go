@@ -55,10 +55,9 @@ func (e *Engine) TotalStats() Stats { return e.total }
 func (e *Engine) ResetStats() { e.total = Stats{} }
 
 // AccumulateStats merges externally measured work into the engine's
-// cumulative totals. The parallel result-database generator runs each fetch
-// on a private engine (so concurrent fetches never race on statistics) and
-// folds the per-fetch stats back through this method, keeping TotalStats on
-// the caller's engine meaningful for cost-model accounting.
+// cumulative totals: ExecStmt and Probe leave them alone, and the
+// result-database generator folds each statement's stats back through this
+// method, keeping TotalStats meaningful for cost-model accounting.
 func (e *Engine) AccumulateStats(s Stats) { e.total.Add(s) }
 
 // ExecStmt executes a statement. It reads the database and leaves the engine's

@@ -862,7 +862,7 @@ func (s *Store) FlattenedSnapshot() (uint64, []byte, error) {
 					if err != nil {
 						return err // rotated logs are only GC'd once the chain moves past them
 					}
-					info, err := ReplayBytes(records, f.record)
+					info, err := replay(path, records, f.record)
 					if err != nil {
 						return err
 					}

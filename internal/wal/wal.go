@@ -434,15 +434,34 @@ type ReplayInfo struct {
 // and record index. Missing files replay zero records (a crash can land
 // between snapshot write and first append).
 func ReplayFile(path string, fn func(Record) error) (ReplayInfo, error) {
-	var info ReplayInfo
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return info, nil
+			return ReplayInfo{}, nil
 		}
-		return info, err
+		return ReplayInfo{}, err
 	}
-	torn, err := scanFrames(path, raw, func(i int, off int64, payload []byte) error {
+	info, err := replay(path, raw, fn)
+	if err == nil && info.TornBytes > 0 {
+		if err := os.Truncate(path, int64(len(raw))-info.TornBytes); err != nil {
+			return info, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
+		}
+	}
+	return info, err
+}
+
+// ReplayBytes is ReplayFile over in-memory bytes (no truncation side
+// effect); the fuzz targets drive the decoder through it.
+func ReplayBytes(raw []byte, fn func(Record) error) (ReplayInfo, error) {
+	return replay("", raw, fn)
+}
+
+// replay decodes the records of the log bytes raw, read from file ("" when
+// they are not a file's), and calls fn on each in order; a torn tail is
+// reported in the info and left in place.
+func replay(file string, raw []byte, fn func(Record) error) (ReplayInfo, error) {
+	var info ReplayInfo
+	torn, err := scanFrames(file, raw, func(_ int, _ int64, payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
 			return err
@@ -455,42 +474,9 @@ func ReplayFile(path string, fn func(Record) error) (ReplayInfo, error) {
 		info.Records++
 		return nil
 	})
-	if err != nil {
-		return info, err
-	}
-	if torn != nil {
-		info.TornBytes = int64(len(raw)) - torn.Offset
-		info.TornDetail = torn.Detail
-		if err := os.Truncate(path, torn.Offset); err != nil {
-			return info, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	return info, nil
-}
-
-// ReplayBytes is ReplayFile over in-memory bytes (no truncation side
-// effect); the fuzz targets drive the decoder through it.
-func ReplayBytes(raw []byte, fn func(Record) error) (ReplayInfo, error) {
-	var info ReplayInfo
-	torn, err := scanFrames("", raw, func(i int, off int64, payload []byte) error {
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-		info.Records++
-		return nil
-	})
-	if err != nil {
-		return info, err
-	}
 	if torn != nil {
 		info.TornBytes = int64(len(raw)) - torn.Offset
 		info.TornDetail = torn.Detail
 	}
-	return info, nil
+	return info, err
 }

@@ -18,8 +18,8 @@
 // Query parameters for both search endpoints: q (required; quotes group
 // phrases), w (min path weight), card (max tuples/relation), total (max
 // total tuples), strategy (auto|naiveq|roundrobin), profile (stored
-// profile name), workers (query worker pool size; 0 = one per CPU),
-// trace (1 = include the per-stage timing trace in the JSON answer).
+// profile name), trace (1 = include the per-stage timing trace in the JSON
+// answer).
 //
 // Every search runs under a per-request timeout (Config.QueryTimeout);
 // queries that exceed it are canceled mid-generation and answered with
@@ -233,13 +233,6 @@ func parseOptions(q url.Values) (precis.Options, error) {
 	opts.Profile = q.Get("profile")
 	if v := q.Get("trace"); v == "1" || v == "true" {
 		opts.Trace = true
-	}
-	if v := q.Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return opts, fmt.Errorf("bad workers %q", v)
-		}
-		opts.Parallelism = n
 	}
 	// Resource budget parameters: graceful degradation instead of failure.
 	// `deadline` is a duration from now ("50ms", "2s"); when it passes

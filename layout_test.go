@@ -231,10 +231,13 @@ func TestRowBytesCountTheRows(t *testing.T) {
 
 // A deep-shaped answer — the busiest director of the default synthetic
 // dataset at w=0.05, card=150: 760 tuples over every relation of the graph,
-// narrated — may allocate this much through Engine.QueryStringContext, serial
-// and uncached: 10 % above the 115 KiB / 225 allocations (NaïveQ) and
-// 127 KiB / 231 (Round-Robin) measured when a statement stopped being a WHERE
-// tree compiled into closures (116 KiB / 292 and 127 KiB / 253 before; that
+// narrated — may allocate this much through Engine.QueryStringContext,
+// uncached: 10 % above the 113 KiB / 200 allocations (NaïveQ) and
+// 125 KiB / 206 (Round-Robin) measured when a query came to run on the
+// caller's goroutine alone, its fetches charging the generation as they ran
+// (115 KiB / 225 and 127 KiB / 231 before, when a statement stopped being a
+// WHERE tree compiled into closures; 116 KiB / 292 and 127 KiB / 253 before
+// that; that
 // was measured when D′ stopped being a second database — its relations keep
 // the fetched rows and ids, an id set and one sorted join index per column,
 // built once — and the generator came to read driving values into buffers
@@ -258,8 +261,8 @@ func TestRowBytesCountTheRows(t *testing.T) {
 // allocation profile that says which holder grew (EXPERIMENTS.md, "Allocated
 // bytes per answer").
 var deepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 127, allocs: 248},
-	precis.StrategyRoundRobin: {kib: 140, allocs: 255},
+	precis.StrategyNaive:      {kib: 125, allocs: 220},
+	precis.StrategyRoundRobin: {kib: 138, allocs: 227},
 }
 
 // What web.Server may add to one such answer on /api/search, measured as the
@@ -332,14 +335,13 @@ func allocPerRun(run func()) (kib, allocs float64) {
 }
 
 // pinDeepAnswer measures the deep-shaped answer of eng to query under strat —
-// w=0.05, card=150, serial — and holds it to budget.
+// w=0.05, card=150 — and holds it to budget.
 func pinDeepAnswer(t *testing.T, eng *precis.Engine, query string, strat precis.Strategy, budget struct{ kib, allocs float64 }) (opts precis.Options, kib, allocs float64) {
 	t.Helper()
 	opts = precis.Options{
 		Degree:      precis.MinPathWeight(0.05),
 		Cardinality: precis.MaxTuplesPerRelation(150),
 		Strategy:    strat,
-		Parallelism: -1,
 	}
 	tuples := 0
 	kib, allocs = allocPerRun(func() {
@@ -388,21 +390,23 @@ func TestAllocPerDeepAnswer(t *testing.T) {
 }
 
 // What the same two answers may allocate on NewSharded(4, "hash"): 10 % above
-// the 164 KiB / 589 allocations (NaïveQ) and 214 KiB / 710 (Round-Robin)
-// measured when a statement stopped being a WHERE tree each shard compiled into
-// closures (169 KiB / 746 and 217 KiB / 821 before, when D′ stopped being a
-// second database; it was 187 KiB / 799 and
-// 244 KiB / 874 before that; 211 KiB / 825 and 265 KiB / 901 when a rowid fetch
-// came to be bucketed by owner and every gather to be a merge by position;
-// 264 KiB / 930 and 369 KiB / 1,094 with every
-// listed id sent to every owner and the rows put back in order through a map
-// or a sort). Over the single engine's answer that is, per statement, what
-// four shards allocate to execute it where one did, the scatter (a result
-// slot and an error slot per shard, the pool), a rowid list's owners and
-// buckets with a narrowed statement per shard, and the merged rows and ids.
+// the 160 KiB / 510 allocations (NaïveQ) and 206 KiB / 586 (Round-Robin)
+// measured when a scatter came to visit its shards in turn on the query's
+// goroutine instead of sharing them out to a pool per statement (164 KiB /
+// 589 and 214 KiB / 710 before, when a statement stopped being a WHERE tree
+// each shard compiled into closures; 169 KiB / 746 and 217 KiB / 821 before
+// that, when D′ stopped being a second database; it was 187 KiB / 799 and
+// 244 KiB / 874 before that; 211 KiB / 825 and 265 KiB / 901 when a rowid
+// fetch came to be bucketed by owner and every gather to be a merge by
+// position; 264 KiB / 930 and 369 KiB / 1,094 with every listed id sent to
+// every owner and the rows put back in order through a map or a sort). Over
+// the single engine's answer that is, per statement, what four shards
+// allocate to execute it where one did, the scatter (a result slot per
+// shard), a rowid list's owners and buckets with a narrowed statement per
+// shard, and the merged rows and ids.
 var shardedDeepAnswerAllocBudget = map[precis.Strategy]struct{ kib, allocs float64 }{
-	precis.StrategyNaive:      {kib: 181, allocs: 648},
-	precis.StrategyRoundRobin: {kib: 236, allocs: 781},
+	precis.StrategyNaive:      {kib: 176, allocs: 561},
+	precis.StrategyRoundRobin: {kib: 227, allocs: 645},
 }
 
 // TestAllocPerShardedDeepAnswer is TestAllocPerDeepAnswer's pin for the
@@ -421,11 +425,13 @@ func TestAllocPerShardedDeepAnswer(t *testing.T) {
 }
 
 // What a browse-shaped answer — a quoted name under the default constraints,
-// some 40 tuples — may allocate through Engine.QueryStringContext, serial and
-// uncached, with one seed relation and with two: 15 % above the 13.5 KiB /
-// 129 allocations and 14.8 KiB / 158 measured when a statement stopped being
-// a WHERE tree compiled into closures (13.8 KiB / 149 and 15.1 KiB / 180
-// before, when D′ stopped being a second database; 18.2 KiB / 187 and
+// some 40 tuples — may allocate through Engine.QueryStringContext, uncached,
+// with one seed relation and with two: 15 % above the 12.5 KiB / 115
+// allocations and 13.7 KiB / 143 measured when a query came to run on the
+// caller's goroutine alone, its terms looked up in a plain loop (13.5 KiB /
+// 129 and 14.8 KiB / 158 before, when a statement stopped being a WHERE tree
+// compiled into closures; 13.8 KiB / 149 and 15.1 KiB / 180 before that,
+// when D′ stopped being a second database; 18.2 KiB / 187 and
 // 19.3 KiB / 218 before that; 22.2 KiB / 202 and
 // 23.5 KiB / 238 before G′, D′'s layout and the join order came to be computed
 // once per schema graph instead of once per request; 31.9 KiB / 365 and
@@ -434,8 +440,8 @@ func TestAllocPerShardedDeepAnswer(t *testing.T) {
 // statements and their results, D′'s id sets and join indexes, the
 // translator's frames and the narrative.
 var browseAnswerAllocBudget = map[int]struct{ kib, allocs float64 }{
-	1: {kib: 15.6, allocs: 149},
-	2: {kib: 17.1, allocs: 182},
+	1: {kib: 14.4, allocs: 133},
+	2: {kib: 15.8, allocs: 165},
 }
 
 // TestAllocPerBrowseAnswer pins what a small answer allocates, so that work
@@ -458,7 +464,7 @@ func TestAllocPerBrowseAnswer(t *testing.T) {
 	for seedRels, query := range map[int]string{1: actor, 2: title + " " + actor} {
 		tuples := 0
 		kib, allocs := allocPerRun(func() {
-			ans, err := eng.QueryStringContext(context.Background(), query, precis.Options{Parallelism: -1})
+			ans, err := eng.QueryStringContext(context.Background(), query, precis.Options{})
 			if err != nil || ans.Narrative == "" || len(ans.Schema.Seeds) != seedRels {
 				t.Fatalf("%s: %d seed relations, want %d: %v", query, len(ans.Schema.Seeds), seedRels, err)
 			}
@@ -549,7 +555,7 @@ func TestAllocPerSearchResponse(t *testing.T) {
 	}
 	eng, query := deepEngine(t)
 	handler := web.NewServer(eng).Handler() // instruments the engine: both sides are measured after it
-	target := "/api/search?" + url.Values{"q": {query}, "w": {"0.05"}, "card": {"150"}, "strategy": {"naiveq"}, "workers": {"-1"}}.Encode()
+	target := "/api/search?" + url.Values{"q": {query}, "w": {"0.05"}, "card": {"150"}, "strategy": {"naiveq"}}.Encode()
 	req := httptest.NewRequest(http.MethodGet, target, nil)
 	w := &discardWriter{header: http.Header{}}
 	httpKiB, httpAllocs := allocPerRun(func() {
@@ -563,7 +569,6 @@ func TestAllocPerSearchResponse(t *testing.T) {
 		Degree:      precis.MinPathWeight(0.05),
 		Cardinality: precis.MaxTuplesPerRelation(150),
 		Strategy:    precis.StrategyNaive,
-		Parallelism: -1,
 	}
 	engKiB, engAllocs := allocPerRun(func() {
 		if _, err := eng.QueryStringContext(context.Background(), query, opts); err != nil {
@@ -593,7 +598,6 @@ func TestAllocPerDeepNarrative(t *testing.T) {
 		Degree:      precis.MinPathWeight(0.05),
 		Cardinality: precis.MaxTuplesPerRelation(150),
 		Strategy:    precis.StrategyNaive,
-		Parallelism: -1,
 	}
 	run := func() {
 		if _, err := eng.QueryStringContext(context.Background(), query, opts); err != nil {

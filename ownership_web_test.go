@@ -8,7 +8,6 @@ import (
 	"net/url"
 	"reflect"
 	"slices"
-	"strconv"
 	"testing"
 
 	"precis"
@@ -95,21 +94,19 @@ func TestAnswersLeaveTheBaseUntouched(t *testing.T) {
 			query := `"` + busiestDirector(db) + `"`
 			handler := web.NewServer(eng).Handler()
 			for _, strat := range []precis.Strategy{precis.StrategyNaive, precis.StrategyRoundRobin} {
-				for _, workers := range []int{-1, 4} {
-					for range 2 { // the second time from the cache, where there is one
-						ans, err := eng.QueryString(query, precis.Options{
-							Degree: precis.MinPathWeight(0.05), Cardinality: precis.MaxTuplesPerRelation(20), Strategy: strat, Parallelism: workers,
-						})
-						if err != nil || ans.Narrative == "" {
-							t.Fatalf("%s, %s: %v, narrative %q", dsName, engName, err, ans.Narrative)
-						}
-						target := "/api/search?" + url.Values{"q": {query}, "w": {"0.05"}, "card": {"20"},
-							"strategy": {strat.String()}, "workers": {strconv.Itoa(workers)}}.Encode()
-						rec := httptest.NewRecorder()
-						handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
-						if rec.Code != http.StatusOK || rec.Body.Len() < 500 {
-							t.Fatalf("%s, %s: GET %s: %d, %d bytes", dsName, engName, target, rec.Code, rec.Body.Len())
-						}
+				for range 2 { // the second time from the cache, where there is one
+					ans, err := eng.QueryString(query, precis.Options{
+						Degree: precis.MinPathWeight(0.05), Cardinality: precis.MaxTuplesPerRelation(20), Strategy: strat,
+					})
+					if err != nil || ans.Narrative == "" {
+						t.Fatalf("%s, %s: %v, narrative %q", dsName, engName, err, ans.Narrative)
+					}
+					target := "/api/search?" + url.Values{"q": {query}, "w": {"0.05"}, "card": {"20"},
+						"strategy": {strat.String()}}.Encode()
+					rec := httptest.NewRecorder()
+					handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+					if rec.Code != http.StatusOK || rec.Body.Len() < 500 {
+						t.Fatalf("%s, %s: GET %s: %d, %d bytes", dsName, engName, target, rec.Code, rec.Body.Len())
 					}
 				}
 			}

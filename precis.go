@@ -50,8 +50,8 @@ var ErrNoMatches = errors.New("precis: no token matched the database")
 // ErrInternal wraps a panic recovered at the engine boundary: the query
 // failed, but the process — and every other in-flight query — survives. The
 // wrapped message carries the panic value and the stack of the panicking
-// goroutine (including worker goroutines of the parallel fetch pool), so
-// one poisoned tuple can be diagnosed without taking the server down.
+// goroutine — the one that asked the query — so one poisoned tuple can be
+// diagnosed without taking the server down.
 var ErrInternal = errors.New("precis: internal error")
 
 // Re-exported constraint and strategy types. The concrete constructors
@@ -539,12 +539,6 @@ type Options struct {
 	// Deadline bypass the answer cache (absolute instants never recur);
 	// partial answers are never cached.
 	Budget Budget
-	// Parallelism bounds the worker pool used for inverted-index probes
-	// and result-database generation: 0 uses one worker per logical CPU
-	// (runtime.GOMAXPROCS), negative values force the serial path, and
-	// everything is capped at 64. The answer is byte-identical for every
-	// setting — parallelism only changes latency.
-	Parallelism int
 	// Trace records per-stage timing for this query and attaches it to
 	// Answer.Trace: one span per pipeline stage (tokenize, cache_lookup,
 	// index_lookup, schema_gen, db_gen, translate) plus fine-grained
@@ -712,11 +706,11 @@ func (a *Answer) shallowCopy() *Answer {
 // of result-database generation, and the returned error wraps ctx.Err().
 // The web layer uses this for per-request timeouts.
 //
-// QueryContext is also the engine's fault boundary: a panic anywhere in the
-// pipeline — including inside parallel fetch workers — is recovered and
-// returned as an error wrapping ErrInternal with the panicking goroutine's
-// stack attached, so a poisoned tuple or an injected fault can never crash
-// the process or leave the engine lock held.
+// QueryContext is also the engine's fault boundary: the whole pipeline runs
+// on the calling goroutine, so a panic anywhere in it is recovered here and
+// returned as an error wrapping ErrInternal with the stack attached, and a
+// poisoned tuple or an injected fault can never crash the process or leave
+// the engine lock held.
 func (e *Engine) QueryContext(ctx context.Context, terms []string, opts Options) (ans *Answer, err error) {
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("precis: empty query")
@@ -806,14 +800,9 @@ func (e *Engine) QueryContext(ctx context.Context, terms []string, opts Options)
 	return ans, nil
 }
 
-// wrapPanic converts a recovered panic value into an ErrInternal error. A
-// *core.PanicError (a panic that escaped a ParallelFor worker) already
-// carries the worker's stack; anything else gets the recovering goroutine's
-// stack attached here.
+// wrapPanic converts a recovered panic value into an ErrInternal error with
+// the stack of the goroutine that panicked and recovered it attached.
 func wrapPanic(r any) error {
-	if pe, ok := r.(*core.PanicError); ok {
-		return fmt.Errorf("%w: %s", ErrInternal, pe.Error())
-	}
 	return fmt.Errorf("%w: panic: %v\n%s", ErrInternal, r, debug.Stack())
 }
 
@@ -869,37 +858,20 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 		weights = copyTupleWeights(opts.TupleWeights)
 	}
 
-	workers := core.NormalizeWorkers(opts.Parallelism)
-
 	ans := &Answer{Terms: append([]string(nil), terms...), Occurrences: make(map[string][]invidx.Occurrence)}
 
-	// Step 1: inverted index. The per-term probes are independent pure
-	// reads, so they fan out across the worker pool; results land in a
-	// position-indexed slice and are folded back in term order, keeping the
-	// answer byte-identical to the serial walk.
+	// Step 1: inverted index, term by term.
 	sp := tr.StartSpan(obs.StageIndexLookup)
-	perTerm := make([]struct {
-		occs []invidx.Occurrence
-		err  error
-	}, len(terms))
-	core.ParallelFor(len(terms), workers, func(i int) {
-		perTerm[i].occs, perTerm[i].err = e.backend.lookup(terms[i])
-	})
-	// Only a coordinator's scatter/gather can fail a probe; it fails the
-	// query typed instead of panicking.
-	for i := range perTerm {
-		if perTerm[i].err != nil {
-			return nil, perTerm[i].err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("precis: query canceled: %w", err)
-	}
 	seeds := make(map[string][]storage.TupleID)
 	var seedRels []string
 	var allOccs []invidx.Occurrence
-	for i, term := range terms {
-		occs := perTerm[i].occs
+	for _, term := range terms {
+		// Only a coordinator's scatter/gather can fail a probe; it fails the
+		// query typed instead of panicking.
+		occs, err := e.backend.lookup(term)
+		if err != nil {
+			return nil, err
+		}
 		if len(occs) == 0 {
 			ans.Unmatched = append(ans.Unmatched, term)
 			continue
@@ -913,6 +885,9 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 			}
 			seeds[o.Relation] = storage.UnionIDs(have, o.TupleIDs)
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("precis: query canceled: %w", err)
 	}
 	if len(seedRels) == 0 {
 		sp.End()
@@ -945,12 +920,11 @@ func (e *Engine) queryLocked(ctx context.Context, terms []string, opts Options, 
 
 	// Step 3: result database generation. Each query gets its own fetcher
 	// over the shared data, so concurrent queries do not race on statistics
-	// accumulation. The generator honours ctx between steps and
-	// fans independent fetches out over the same worker pool.
+	// accumulation. The generator honours ctx between steps.
 	sp = tr.StartSpan(obs.StageDBGen)
 	fetcher := e.backend.newFetcher()
 	rd, err := core.GenerateDatabaseOpts(fetcher, rs, seeds, card, strat,
-		core.DBGenOptions{Weights: weights, Workers: workers, Context: ctx, Budget: opts.Budget, Trace: tr})
+		core.DBGenOptions{Weights: weights, Context: ctx, Budget: opts.Budget, Trace: tr})
 	if err != nil {
 		return nil, err
 	}

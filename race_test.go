@@ -106,7 +106,6 @@ func TestEngineStress32(t *testing.T) {
 					Profile:       profiles[(w+i)%len(profiles)],
 					Strategy:      []Strategy{StrategyAuto, StrategyNaive, StrategyRoundRobin}[i%3],
 					SkipNarrative: i%2 == 0,
-					Parallelism:   []int{-1, 2, 4}[w%3],
 				}
 				if _, err := eng.Query(queries[(w+i)%len(queries)], opts); err != nil {
 					fail(fmt.Errorf("querier %d: %w", w, err))

@@ -2,18 +2,20 @@
 # CI gate: vet, build, the full test suite under the race detector, and a
 # doubled run of the chaos suite.
 #
-# The race run is the point of this script — the engine's parallel fetch
-# pool, the answer cache, and the profile registry are all exercised by
-# dedicated concurrency tests (race_test.go, determinism_test.go,
-# internal/anscache) that only bite under -race.
+# The race run is the point of this script — concurrent queries against
+# mutations, the answer cache, and the profile registry are all exercised by
+# dedicated concurrency tests (race_test.go, internal/anscache) that only
+# bite under -race.
 #
 # The chaos suite (chaos_test.go) arms internal/faultinject and hammers
 # the engine with 32 goroutines while errors, panics, and latency fire at
 # the injection sites; -count=2 reruns it to catch state leaking between
 # runs (a fault plan left armed, a poisoned cache). Its panic cases
 # (TestChaosPanicsBecomeErrInternal) cover the single engine and four shards:
-# a panic inside one shard's share of a scatter must come back as
-# ErrInternal, not take the process down. The full-suite pass
+# a panic inside one shard's visit of a scatter must come back as
+# ErrInternal, not take the process down; TestChaosPanicRunsOnCallersGoroutine
+# holds that panic's stack to the caller's Engine.Query frame, so a query
+# that left its caller's goroutine fails there. The full-suite pass
 # above runs it with -short (scaled-down iteration counts) to keep tier-1
 # wall clock flat; the dedicated pass below runs it at full strength.
 #
@@ -49,9 +51,9 @@
 # TestSelectMatchesReferenceScan decodes seeded strings the same way) and the
 # whole query
 # pipeline (FuzzQuery: arbitrary query strings under fuzzed degree and
-# cardinality constraints, strategy and pool size on a small synthetic engine —
-# no panic, a sub-database of the base, never Partial without a budget, and the
-# same tuples and narrative serial, at two workers and at the fuzzed size)
+# cardinality constraints and strategy on a small synthetic engine — no panic,
+# a sub-database of the base, never Partial without a budget, and the same
+# tuples and narrative on a second run)
 # for 10s each on top of the checked-in corpus — long enough to catch a
 # regression in the decoders' bounds checks, short enough for CI. The
 # index-snapshot corpus carries two files that are well-framed but break a
@@ -118,26 +120,25 @@
 #
 # The sharding suite (shard_test.go, internal/shard) holds sharded
 # answers byte-identical to the single engine across datasets,
-# partitioners, shard counts, and pool sizes; kills and reopens every
-# shard directory mid-storm; and storms the coordinator from 24
-# goroutines under rotating scatter/gather/apply faults — all under
-# -race, because the gather path merges per-shard goroutine results
-# while mutations route concurrently.
+# partitioners and shard counts; kills and reopens every shard directory
+# mid-storm; and storms the coordinator from 24 goroutines under rotating
+# scatter/gather/apply faults — all under -race, because queries gather
+# per-shard results while mutations route concurrently.
 #
 # The generator oracle step (internal/core differential_test.go) diffs the
 # set-at-a-time result-database generator against the test-only
 # statement-per-value / statement-per-tuple reference over datasets ×
-# strategies × cardinalities × weights × pool sizes {1, 2, 8} × budgets ×
-# {single engine, 1/3/4 shards}. The response-encoder oracle rides in the same
+# strategies × cardinalities × weights × budgets × {single engine, 1/3/4
+# shards}. The response-encoder oracle rides in the same
 # step (internal/web TestSearchBodyMatchesEncodingJSON: the hand-written
 # /api/search encoder against encoding/json over datasets × strategies ×
 # weights × cardinalities, partial, traced, cached and hand-built answers,
 # with the Content-Length and the keep-alive connection checked), next to the
-# translator's reference-walk differential it shares the answers with. The whole-repository pass above runs it
-# -short (one pool size per fetcher); this step runs the full matrix under
-# -race, because the exclusion predicate reads the output relation R'j
-# itself — from the fetch workers of a join batch and from every shard
-# goroutine of a scatter at once — and only the apply phase may write it.
+# translator's reference-walk differential it shares the answers with. The
+# whole-repository pass above runs it too; this step runs it again under
+# -race beside the other oracles, because the exclusion predicate reads the
+# output relation R'j itself, on every shard of a scatter, and only the apply
+# phase may write it.
 # The sqlx executor's differential against its reference scan, its hash-probe
 # plan and its excluded id set (TestExclude), and the excluded set through
 # shard.Fetcher, ride along, with the gather's own oracle
@@ -145,12 +146,12 @@
 # repeating, naming ids that are gone — alone and beside a probe or an
 # excluded set, probing statements and probes through 1-5 hash and range
 # shards against sqlx.Engine on the unpartitioned database, row for row; the
-# narrowed copies of a statement are made and executed on the scatter's
-# goroutines, and TestFetcherLeavesStatementAlone runs one statement through
-# four fetchers at once and holds it unwritten), and so do the two statements of what Round-Robin
+# narrowed copies of a statement are made and executed shard by shard, and
+# TestFetcherLeavesStatementAlone runs one statement through four fetchers at
+# once and holds it unwritten), and so do the two statements of what Round-Robin
 # reads and chooses: TestProbeMatchesSpec (Fetcher.Probe against a
-# plain-slice spec, on the engine and on 1-4 hash and range shards, whose
-# scatter goroutines only -race watches) and TestRoundRobinRounds; with them
+# plain-slice spec, on the engine and on 1-4 hash and range shards) and
+# TestRoundRobinRounds; with them
 # TestBlockLookupsMatchReference, the one gather loop behind IN and Probe
 # against the reference scan around every block boundary.
 #
@@ -161,9 +162,8 @@
 # traversal, the first call on a frozen graph and the memo hit each compared.
 # Beside it TestDatabaseMatchesSpec diffs core.GenerateDatabaseOpts against the
 # spec's Figure 5 — seeds, join order and postponement, NaïveQ, Round-Robin and
-# Auto, per-relation and total caps — on the engine at 1, 2 and 4 workers and
-# on 1-4 hash and 2-4 range shards, whose scatter goroutines only -race
-# watches. Both run over core's differential datasets, the mixed-kind one
+# Auto, per-relation and total caps — on the engine and on 1-4 hash and 2-4
+# range shards. Both run over core's differential datasets, the mixed-kind one
 # (internal/dataset Kinds: Ints and Floats, NaN and ±Inf in FLOAT columns,
 # BOOLs, NULLs in join columns, odd text) among them. TestEnginesMatchSpec
 # (root) holds every engine shape to the same spec — New, NewSharded over 2
@@ -252,12 +252,12 @@
 # path's: storage's InsertRow against InsertWithID and AppendLookups against
 # a scan (insert_test.go), shard's TestPartitionSharesSourceRecords, core's
 # TestFaultMidJoinLeavesExactPrefix, and the root's
-# TestParallelFetchesShareDrivingRelation and TestChaosMidGenerationFault.
-# D′ is a storage.Result whose join indexes are built once, on the
-# coordination goroutine — a driving column's before the batch whose fetches
-# read it, the arrival columns' when generation ends — and read by every
-# fetch worker and the translator; only -race can hold that to "never built
-# on read", so the generator-oracle step runs TestResultDatabaseReadsArePure
+# TestChaosMidGenerationFault.
+# D′ is a storage.Result whose join indexes are built once — a driving
+# column's before the join that reads it, the arrival columns' when
+# generation ends — and read by the translator and by every request a cached
+# answer serves at once; only -race can hold that to "never built on read",
+# so the generator-oracle step runs TestResultDatabaseReadsArePure
 # and TestResultJoinIndexMatchesScan (the join index against an exact-match
 # scan on every kind of value, NULL, NaN, −0 and an Int and a Float that
 # Compare ties included), with the hash probe's plan tests and
@@ -402,7 +402,7 @@ echo "== sharding -race (byte-parity sweep, crash recovery, faulted storm)"
 gotest 'TestSharded' -race -count=1 -timeout=10m .
 go test -race -count=1 -timeout=5m ./internal/shard
 
-echo "== generator oracle -race (full matrix: workers 1/2/8 x engine + 1/3/4 shards)"
+echo "== generator oracle -race (full matrix: engine + 1/3/4 shards)"
 gotest 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec|TestResultDatabaseReadsArePure' -race -count=1 -timeout=10m ./internal/core
 gotest 'TestResultJoinIndexMatchesScan' -race -count=1 -timeout=5m ./internal/storage
 gotest 'TestEnginesMatchSpec|TestWritesMatchSpec|TestWritesOpenWouldRefuseAreRefused' -race -count=1 -timeout=10m .

@@ -4,7 +4,7 @@ package precis
 // over N shards must be invisible in the answer. Every test here
 // holds the sharded engine to the single-engine output byte for byte —
 // result database dump, narrative, stats — across partitioners, shard
-// counts, worker-pool sizes, budget-truncated partials, mutations, crash
+// counts, budget-truncated partials, mutations, crash
 // recovery, and a faulted concurrent storm. scripts/ci.sh runs the suite
 // under -race.
 
@@ -57,8 +57,8 @@ func newShardedEngine(t *testing.T, shards int, partitioner string) *Engine {
 }
 
 // TestShardedDeterminism sweeps every dataset × partitioner × shard count
-// × strategy × pool size and requires the sharded answer to be
-// byte-identical to the single-engine serial answer: same result database
+// × strategy and requires the sharded answer to be byte-identical to the
+// single-engine answer: same result database
 // (content and insertion order), same narrative, same tuple counts.
 func TestShardedDeterminism(t *testing.T) {
 	for _, w := range determinismWorkloads(t) {
@@ -93,7 +93,6 @@ func TestShardedDeterminism(t *testing.T) {
 					Cardinality:   MaxTuplesPerRelation(20),
 					Strategy:      strat,
 					SkipNarrative: !w.narrative,
-					Parallelism:   -1, // serial single-engine reference
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -116,31 +115,28 @@ func TestShardedDeterminism(t *testing.T) {
 						}
 						for _, strat := range []Strategy{StrategyNaive, StrategyRoundRobin} {
 							ref := refs[strat]
-							for _, workers := range []int{-1, 4} {
-								opts := Options{
-									Degree:        MinPathWeight(0.1),
-									Cardinality:   MaxTuplesPerRelation(20),
-									Strategy:      strat,
-									SkipNarrative: !w.narrative,
-									Parallelism:   workers,
-								}
-								ans, err := eng.Query(terms, opts)
-								if err != nil {
-									t.Fatalf("%v workers=%d: %v", strat, workers, err)
-								}
-								checkAnswer(t, eng, terms[0], opts, ans)
-								if got := dumpDatabase(ans.Database); got != ref.dump {
-									t.Fatalf("%v workers=%d: sharded result database differs from single engine\n--- single ---\n%s\n--- sharded ---\n%s",
-										strat, workers, ref.dump, got)
-								}
-								if ans.Narrative != ref.narrative {
-									t.Fatalf("%v workers=%d: narrative differs\nsingle:  %q\nsharded: %q",
-										strat, workers, ref.narrative, ans.Narrative)
-								}
-								if ans.Stats.TotalTuples != ref.tuples {
-									t.Fatalf("%v workers=%d: %d tuples vs single-engine %d",
-										strat, workers, ans.Stats.TotalTuples, ref.tuples)
-								}
+							opts := Options{
+								Degree:        MinPathWeight(0.1),
+								Cardinality:   MaxTuplesPerRelation(20),
+								Strategy:      strat,
+								SkipNarrative: !w.narrative,
+							}
+							ans, err := eng.Query(terms, opts)
+							if err != nil {
+								t.Fatalf("%v: %v", strat, err)
+							}
+							checkAnswer(t, eng, terms[0], opts, ans)
+							if got := dumpDatabase(ans.Database); got != ref.dump {
+								t.Fatalf("%v: sharded result database differs from single engine\n--- single ---\n%s\n--- sharded ---\n%s",
+									strat, ref.dump, got)
+							}
+							if ans.Narrative != ref.narrative {
+								t.Fatalf("%v: narrative differs\nsingle:  %q\nsharded: %q",
+									strat, ref.narrative, ans.Narrative)
+							}
+							if ans.Stats.TotalTuples != ref.tuples {
+								t.Fatalf("%v: %d tuples vs single-engine %d",
+									strat, ans.Stats.TotalTuples, ref.tuples)
 							}
 						}
 					})
@@ -172,7 +168,7 @@ func TestShardedBudgetPartialDeterminism(t *testing.T) {
 		{MaxResultBytes: 256},
 	}
 	for bi, b := range budgets {
-		opts := Options{Budget: b, Parallelism: -1}
+		opts := Options{Budget: b}
 		ref, err := single.Query([]string{"Woody Allen"}, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -186,24 +182,22 @@ func TestShardedBudgetPartialDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{-1, 4} {
-				opts.Parallelism = workers
-				ans, err := eng.Query([]string{"Woody Allen"}, opts)
-				if err != nil {
-					t.Fatalf("budget %d shards=%d workers=%d: %v", bi, shards, workers, err)
-				}
-				checkAnswer(t, eng, "Woody Allen", opts, ans)
-				if ans.Partial != ref.Partial || ans.Truncation != ref.Truncation {
-					t.Fatalf("budget %d shards=%d: partial=%v/%q, single engine %v/%q",
-						bi, shards, ans.Partial, ans.Truncation, ref.Partial, ref.Truncation)
-				}
-				if got := dumpDatabase(ans.Database); got != refDump {
-					t.Fatalf("budget %d shards=%d workers=%d: partial prefix differs\n--- single ---\n%s\n--- sharded ---\n%s",
-						bi, shards, workers, refDump, got)
-				}
-				if ans.Narrative != ref.Narrative {
-					t.Fatalf("budget %d shards=%d: partial narrative differs", bi, shards)
-				}
+
+			ans, err := eng.Query([]string{"Woody Allen"}, opts)
+			if err != nil {
+				t.Fatalf("budget %d shards=%d: %v", bi, shards, err)
+			}
+			checkAnswer(t, eng, "Woody Allen", opts, ans)
+			if ans.Partial != ref.Partial || ans.Truncation != ref.Truncation {
+				t.Fatalf("budget %d shards=%d: partial=%v/%q, single engine %v/%q",
+					bi, shards, ans.Partial, ans.Truncation, ref.Partial, ref.Truncation)
+			}
+			if got := dumpDatabase(ans.Database); got != refDump {
+				t.Fatalf("budget %d shards=%d: partial prefix differs\n--- single ---\n%s\n--- sharded ---\n%s",
+					bi, shards, refDump, got)
+			}
+			if ans.Narrative != ref.Narrative {
+				t.Fatalf("budget %d shards=%d: partial narrative differs", bi, shards)
 			}
 		}
 	}
@@ -673,7 +667,7 @@ func TestShardedChaos(t *testing.T) {
 						continue
 					}
 					q := queries[(w+i)%len(queries)]
-					ans, err := eng.QueryString(q, Options{Parallelism: []int{-1, 2, 4}[w%3]})
+					ans, err := eng.QueryString(q, Options{})
 					if err != nil {
 						if errors.Is(err, errShardInjected) || errors.Is(err, ErrInternal) {
 							injectedSeen.Add(1)

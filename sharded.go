@@ -59,7 +59,7 @@ type shardSet struct {
 // macros) replicated to every shard, and queries executed
 // with scattered index lookups and scatter/gather tuple fetches whose
 // answers are byte-identical to an unsharded engine over the same data —
-// for every shard count, worker-pool size, and retrieval strategy.
+// for every shard count and retrieval strategy.
 //
 // With cfg.Persist.Dir set, each shard mounts (or recovers) its own data
 // directory under the root; reopening an existing root validates the
