@@ -224,26 +224,41 @@ func TestChaosPanicsBecomeErrInternal(t *testing.T) {
 }
 
 // TestChaosPanicRunsOnCallersGoroutine pins that a query runs on the
-// goroutine that asked it, on a single engine and on four shards: a panic in
-// a generated SELECT is recovered as ErrInternal with a stack that runs
-// through the caller's Engine.Query frame, not a pool worker's stack. The
-// seeds of "Comedy" live on several shards, so the first SELECT of the
-// sharded query is a scatter to more than one of them.
+// goroutine that asked it, on a single engine and on four shards: a panic at
+// every fault site a query passes is recovered as ErrInternal with a stack
+// that runs through the caller's Engine.Query frame, not a pool worker's
+// stack. The seeds of "Comedy" live on several shards, so the first SELECT of
+// the sharded query is a scatter to more than one of them.
 func TestChaosPanicRunsOnCallersGoroutine(t *testing.T) {
+	sites := []string{
+		faultinject.SiteStorageLookup,
+		faultinject.SiteIndexProbe,
+		faultinject.SiteSQLSelect,
+		faultinject.SiteJoin,
+	}
 	for _, e := range []struct {
-		name string
-		eng  *Engine
-	}{{"unsharded", newEngine(t)}, {"shards=4", newShardedEngine(t, 4, "hash")}} {
+		name  string
+		eng   *Engine
+		sites []string
+	}{
+		{"unsharded", newEngine(t), sites},
+		{"shards=4", newShardedEngine(t, 4, "hash"), append(sites[:len(sites):len(sites)],
+			faultinject.SiteShardScatter, faultinject.SiteShardGather)},
+	} {
 		t.Run(e.name, func(t *testing.T) {
-			plan := faultinject.NewPlan().Set(faultinject.SiteSQLSelect, faultinject.Rule{Panic: "caller boom"})
-			deactivate := faultinject.Activate(plan)
-			_, err := e.eng.Query([]string{"Comedy"}, Options{SkipNarrative: true})
-			deactivate()
-			if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "caller boom") {
-				t.Fatalf("want ErrInternal carrying the panic, got %v", err)
-			}
-			if msg := err.Error(); !strings.Contains(msg, "precis.(*Engine).Query(") || strings.Contains(msg, "worker stack") {
-				t.Fatalf("the panic did not run on the caller's goroutine:\n%s", msg)
+			for _, site := range e.sites {
+				t.Run(site, func(t *testing.T) {
+					plan := faultinject.NewPlan().Set(site, faultinject.Rule{Panic: "caller boom"})
+					deactivate := faultinject.Activate(plan)
+					_, err := e.eng.Query([]string{"Comedy"}, Options{SkipNarrative: true})
+					deactivate()
+					if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "caller boom") {
+						t.Fatalf("want ErrInternal carrying the panic, got %v", err)
+					}
+					if msg := err.Error(); !strings.Contains(msg, "precis.(*Engine).Query(") || strings.Contains(msg, "worker stack") {
+						t.Fatalf("the panic did not run on the caller's goroutine:\n%s", msg)
+					}
+				})
 			}
 		})
 	}

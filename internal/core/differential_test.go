@@ -26,16 +26,18 @@ type diffDataset struct {
 }
 
 // diffFetcher makes a fresh fetcher per generation (fetchers accumulate
-// stats, and a shard.Fetcher serves one query).
+// stats, and a shard.Fetcher serves one query). shortWorkers is the one
+// DBGenOptions.Workers value a -short run keeps for it.
 type diffFetcher struct {
-	name string
-	make func() Fetcher
+	name         string
+	make         func() Fetcher
+	shortWorkers int
 }
 
 func diffFetchers(t *testing.T, db *storage.Database) []diffFetcher {
 	t.Helper()
-	fetchers := []diffFetcher{{"engine", func() Fetcher { return sqlx.NewEngine(db) }}}
-	for _, n := range []int{1, 3, 4} {
+	fetchers := []diffFetcher{{"engine", func() Fetcher { return sqlx.NewEngine(db) }, 2}}
+	for i, n := range []int{1, 3, 4} {
 		part, err := shard.NewHashPartitioner(n)
 		if err != nil {
 			t.Fatal(err)
@@ -47,6 +49,7 @@ func diffFetchers(t *testing.T, db *storage.Database) []diffFetcher {
 		fetchers = append(fetchers, diffFetcher{
 			fmt.Sprintf("shards=%d", n),
 			func() Fetcher { return shard.NewFetcher(part, dbs, nil) },
+			[]int{1, 8, 2}[i],
 		})
 	}
 	return fetchers
@@ -199,6 +202,12 @@ func sameAsReferenceGenerator(t *testing.T, mk func() Fetcher, rs *ResultSchema,
 // and off, budget-truncated partials, and the single engine as well as 1, 3
 // and 4 shards, the set-at-a-time fetches must build exactly what the
 // statement-per-value / statement-per-tuple reference builds.
+//
+// Each case runs with DBGenOptions.Workers at 1, 2 and 8: the benchmark's
+// replay still sets that field, and generation must not read it, so every
+// value builds the same reference answer. -short (the whole-repository -race
+// pass of scripts/ci.sh) keeps one value per fetcher; ci.sh also runs the
+// full matrix under -race as its own step.
 func TestGeneratorMatchesReference(t *testing.T) {
 	strategies := []Strategy{StrategyNaive, StrategyRoundRobin, StrategyAuto}
 	cards := []struct {
@@ -211,6 +220,7 @@ func TestGeneratorMatchesReference(t *testing.T) {
 		{"unlimited", Unlimited()},
 	}
 	budgets := []Budget{{MaxTuples: 7}, {MaxTuples: 40}, {MaxJoinSteps: 1}, {MaxJoinSteps: 3}, {MaxResultBytes: 600}, {MaxResultBytes: 4000}}
+	workerValues := []int{1, 2, 8}
 
 	for _, ds := range diffDatasets(t) {
 		ix := invidx.New(ds.db)
@@ -219,30 +229,35 @@ func TestGeneratorMatchesReference(t *testing.T) {
 			for _, w := range []float64{0.8, 0.05} {
 				rs, seeds := diffQuery(t, ds.g, ix, term, w)
 				for _, fetcher := range ds.fetchers {
-					for _, weighted := range []bool{false, true} {
-						opts := DBGenOptions{}
-						if weighted {
-							opts.Weights = weights
+					for _, workers := range workerValues {
+						if testing.Short() && workers != fetcher.shortWorkers {
+							continue
 						}
-						for _, strat := range strategies {
-							for _, card := range cards {
-								name := fmt.Sprintf("%s/%s/w=%v/%s/weights=%v/%s/card=%s",
-									ds.name, term, w, fetcher.name, weighted, strat, card.name)
-								t.Run(name, func(t *testing.T) {
-									sameAsReferenceGenerator(t, fetcher.make, rs, seeds, card.c, strat, opts)
-								})
+						for _, weighted := range []bool{false, true} {
+							opts := DBGenOptions{Workers: workers}
+							if weighted {
+								opts.Weights = weights
 							}
-							if w != 0.05 {
-								continue
-							}
-							for _, b := range budgets {
-								opts := opts
-								opts.Budget = b
-								name := fmt.Sprintf("%s/%s/%s/weights=%v/%s/budget=%+v",
-									ds.name, term, fetcher.name, weighted, strat, b)
-								t.Run(name, func(t *testing.T) {
-									sameAsReferenceGenerator(t, fetcher.make, rs, seeds, Unlimited(), strat, opts)
-								})
+							for _, strat := range strategies {
+								for _, card := range cards {
+									name := fmt.Sprintf("%s/%s/w=%v/%s/workers=%d/weights=%v/%s/card=%s",
+										ds.name, term, w, fetcher.name, workers, weighted, strat, card.name)
+									t.Run(name, func(t *testing.T) {
+										sameAsReferenceGenerator(t, fetcher.make, rs, seeds, card.c, strat, opts)
+									})
+								}
+								if w != 0.05 {
+									continue
+								}
+								for _, b := range budgets {
+									opts := opts
+									opts.Budget = b
+									name := fmt.Sprintf("%s/%s/%s/workers=%d/weights=%v/%s/budget=%+v",
+										ds.name, term, fetcher.name, workers, weighted, strat, b)
+									t.Run(name, func(t *testing.T) {
+										sameAsReferenceGenerator(t, fetcher.make, rs, seeds, Unlimited(), strat, opts)
+									})
+								}
 							}
 						}
 					}

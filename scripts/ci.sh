@@ -129,14 +129,17 @@
 # set-at-a-time result-database generator against the test-only
 # statement-per-value / statement-per-tuple reference over datasets ×
 # strategies × cardinalities × weights × budgets × {single engine, 1/3/4
-# shards}. The response-encoder oracle rides in the same
+# shards}, each with DBGenOptions.Workers at 1, 2 and 8 (the field the
+# benchmark's replay still sets, which generation must not read). The
+# response-encoder oracle rides in the same
 # step (internal/web TestSearchBodyMatchesEncodingJSON: the hand-written
 # /api/search encoder against encoding/json over datasets × strategies ×
 # weights × cardinalities, partial, traced, cached and hand-built answers,
 # with the Content-Length and the keep-alive connection checked), next to the
 # translator's reference-walk differential it shares the answers with. The
-# whole-repository pass above runs it too; this step runs it again under
-# -race beside the other oracles, because the exclusion predicate reads the
+# whole-repository pass above runs it -short (one Workers value per fetcher);
+# this step runs the full matrix under -race beside the other oracles, because
+# the exclusion predicate reads the
 # output relation R'j itself, on every shard of a scatter, and only the apply
 # phase may write it.
 # The sqlx executor's differential against its reference scan, its hash-probe
