@@ -17,7 +17,7 @@ import (
 //     fits the budget that every other tuple of D′ leaves;
 //   - every seed within its relation's budget is present: seed relations
 //     are placed in name order, each taking its lowest ids up to its budget;
-//   - every relation of D′ is in G′;
+//   - every relation of D′ is in G′, and holds no tuple twice (paper §5.2);
 //   - G′'s projection paths come in non-increasing weight, and each is one
 //     the degree constraint (opts.Degree, by default MinPathWeight(0.8))
 //     accepts after the paths before it;
@@ -72,6 +72,11 @@ func checkAnswer(t testing.TB, eng *Engine, query string, opts Options, ans *Ans
 			t.Fatalf("%q: D′ has %s, which G′ lacks", query, rel)
 		}
 		counts[rel] = d.Relation(rel).Len()
+		ids := scanIDs(d.Relation(rel))
+		slices.Sort(ids)
+		if len(slices.Compact(slices.Clone(ids))) != len(ids) {
+			t.Fatalf("%q: %s of D′ holds a tuple twice: %v", query, rel, ids)
+		}
 	}
 	for rel, n := range counts {
 		if n == 0 {

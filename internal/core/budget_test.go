@@ -271,6 +271,35 @@ func TestContextCanceledBeforeGeneration(t *testing.T) {
 	}
 }
 
+// cancelingFetcher cancels its context when the statement it is asked returns.
+type cancelingFetcher struct {
+	Fetcher
+	cancel context.CancelFunc
+}
+
+func (f *cancelingFetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
+	defer f.cancel()
+	return f.Fetcher.ExecStmt(st)
+}
+
+// TestContextCanceledMidFetch: a cancellation that arrives while a fetch runs
+// is seen at the first tuple pick after it — no row of that fetch is admitted.
+func TestContextCanceledMidFetch(t *testing.T) {
+	eng, rs, seeds := exampleSetup(t, 0.1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g, err := newGenerator(&cancelingFetcher{eng, cancel}, rs, seeds, Unlimited(), StrategyNaive, DBGenOptions{Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.placeSeeds(seeds); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if g.total != 0 || g.out.TotalTuples() != 0 {
+		t.Fatalf("%d tuples admitted after the cancellation", g.out.TotalTuples())
+	}
+}
+
 // chainSeeds resolves a token on a chain dataset the way the engine would.
 func chainSeeds(t *testing.T, db *storage.Database, token string) (map[string][]storage.TupleID, []string) {
 	t.Helper()

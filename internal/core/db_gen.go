@@ -149,8 +149,9 @@ type generator struct {
 	strat  Strategy
 	opts   DBGenOptions
 	ctx    context.Context
-	bt     *budgetTracker // nil when no budget was set
-	trace  *obs.Trace     // nil when the query is untraced
+	done   <-chan struct{} // ctx.Done(), read once
+	bt     *budgetTracker  // nil when no budget was set
+	trace  *obs.Trace      // nil when the query is untraced
 	out    *storage.Result
 	perRel map[string]int
 	total  int
@@ -209,6 +210,7 @@ func newGenerator(eng Fetcher, rs *ResultSchema, seedTuples map[string][]storage
 		strat:  strat,
 		opts:   opts,
 		ctx:    ctx,
+		done:   ctx.Done(),
 		bt:     newBudgetTracker(opts.Budget),
 		trace:  opts.Trace,
 		out:    storage.NewResult("precis", lay.schemas, lay.fks),
@@ -264,7 +266,7 @@ func (g *generator) trimDanglingForeignKeys() {
 // ctxErr reports a cancellation of the surrounding context, if any.
 func (g *generator) ctxErr() error {
 	select {
-	case <-g.ctx.Done():
+	case <-g.done:
 		return fmt.Errorf("core: result database generation canceled: %w", g.ctx.Err())
 	default:
 		return nil
@@ -396,8 +398,11 @@ func (g *generator) fetchIDs(rel string, ids []storage.TupleID, limit int) (*sql
 }
 
 // apply inserts the fetched rows (res may be nil: nothing fetched) into the
-// output relation in order, skipping duplicates (paper §5.2) and stopping
-// once budget tuples were admitted.
+// output relation in order, stopping once budget tuples were admitted. No
+// fetch returns a tuple D' holds — seeds go into empty relations, NaïveQ
+// excludes R'j in its statement and Round-Robin's cursors drop it — so the
+// duplicates of paper §5.2 are removed before apply sees a row; Append's id
+// set keeps any other repeat out.
 //
 // Which rows go in is decided row by row, and that loop is a cooperative
 // checkpoint: the surrounding context is observed on every row (a
@@ -411,28 +416,19 @@ func (g *generator) apply(rel string, res *sqlx.Result, budget int, seed bool) e
 	if res == nil {
 		return nil
 	}
-	outRel := g.out.Relation(rel)
-	// The fetch built its rows and ids for this generation alone: the admitted
-	// ones are compacted to the front in place, and D' keeps the slices.
+	// The admitted rows are a prefix of the fetch's, which it built for this
+	// generation alone: D' keeps the slices.
 	admitted := 0
-	for i, row := range res.Rows {
-		if admitted >= budget {
-			break
-		}
+	for admitted < len(res.Rows) && admitted < budget {
 		if err := g.ctxErr(); err != nil {
 			return err
 		}
-		id := res.RowIDs[i]
-		if outRel.Has(id) {
-			continue // duplicates are removed (paper §5.2)
-		}
-		if !g.bt.admitTuple(id, row, seed) {
+		if !g.bt.admitTuple(res.RowIDs[admitted], res.Rows[admitted], seed) {
 			break
 		}
-		res.RowIDs[admitted], res.Rows[admitted] = id, row
 		admitted++
 	}
-	inserted := outRel.Append(res.RowIDs[:admitted], res.Rows[:admitted])
+	inserted := g.out.Relation(rel).Append(res.RowIDs[:admitted], res.Rows[:admitted])
 	g.perRel[rel] += inserted
 	g.total += inserted
 	return nil

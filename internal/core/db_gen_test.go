@@ -790,44 +790,94 @@ func TestRoundRobinRounds(t *testing.T) {
 	}
 }
 
-// TestApplySkipsDuplicates: apply admits a fetched tuple once — a row whose
-// id D′ already holds is skipped (paper §5.2) without spending the budget,
-// and the rows after it still go in. The generator's fetches exclude R′ⱼ
-// themselves, so this holds apply to it directly.
-func TestApplySkipsDuplicates(t *testing.T) {
-	eng, rs, seeds := exampleSetup(t, 0.1)
-	g, err := newGenerator(eng, rs, seeds, Unlimited(), StrategyNaive, DBGenOptions{})
+// heldFetcher is a Fetcher that fails a test when a statement returns a tuple
+// D′ holds, or one tuple twice, and counts the held tuples each fetch had to
+// leave out: those an unexcluded copy of a statement, or a probe, finds.
+type heldFetcher struct {
+	*sqlx.Engine
+	t        *testing.T
+	out      *storage.Result // the generation's D′
+	stmts    int
+	excluded int
+}
+
+func (f *heldFetcher) ExecStmt(st sqlx.Stmt) (*sqlx.Result, error) {
+	res, err := f.Engine.ExecStmt(st)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	for _, rel := range rs.Relations() {
-		var ids []storage.TupleID
-		eng.Database().Relation(rel).Scan(func(tu storage.Tuple) bool {
-			ids = append(ids, tu.ID)
-			return len(ids) < 3
-		})
-		if len(ids) < 3 {
-			continue
+	f.stmts++
+	held, seen := f.out.Relation(st.Table), map[storage.TupleID]bool{}
+	for _, id := range res.RowIDs {
+		if held.Has(id) || seen[id] {
+			f.t.Fatalf("a statement on %s (ids %v, %s in %v) returned tuple %d, which D′ holds or it returned before", st.Table, st.IDs, st.Col, st.Values, id)
 		}
-		for _, step := range []struct{ fetch, budget int }{{2, 2}, {3, 1}} {
-			res, err := g.fetchIDs(rel, ids[:step.fetch], step.fetch)
+		seen[id] = true
+	}
+	if st.Exclude != nil {
+		all := *st
+		all.Exclude, all.Limit = nil, -1
+		unexcluded, err := f.Engine.ExecStmt(&all)
+		if err != nil {
+			return nil, err
+		}
+		for _, id := range unexcluded.RowIDs {
+			if held.Has(id) {
+				f.excluded++
+			}
+		}
+	}
+	return res, nil
+}
+
+func (f *heldFetcher) Probe(rel, col string, values []storage.Value) (*sqlx.Groups, error) {
+	g, err := f.Engine.Probe(rel, col, values)
+	if err == nil {
+		for _, id := range g.IDs {
+			if f.out.Relation(rel).Has(id) {
+				f.excluded++
+			}
+		}
+	}
+	return g, err
+}
+
+// TestFetchesReturnNoHeldTuple: duplicate elimination (paper §5.2) rests on
+// the fetches, and apply does not look again — no fetch of a generation
+// returns a tuple D′ holds, or one tuple twice: not the seeds', NaïveQ's,
+// weighted NaïveQ's id and row statements, nor Round-Robin's fetch of the
+// tuples its rounds chose. After a generation under a small cardinality
+// constraint every join is run again under none, so each join finds part of
+// its partners in R′ⱼ and must fetch the others.
+func TestFetchesReturnNoHeldTuple(t *testing.T) {
+	db, graph := syntheticMovies(t, 300)
+	rs, seeds := diffQuery(t, graph, invidx.New(db), busiestDirector(db), 0.05)
+	for _, strat := range []Strategy{StrategyNaive, StrategyRoundRobin} {
+		for _, weights := range []TupleWeights{nil, diffWeights(db)} {
+			f := &heldFetcher{Engine: sqlx.NewEngine(db), t: t}
+			g, err := newGenerator(f, rs, seeds, MaxTuplesPerRelation(20), strat, DBGenOptions{Weights: weights})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := g.apply(rel, res, step.budget, false); err != nil {
+			f.out = g.out
+			if err := g.placeSeeds(seeds); err != nil {
 				t.Fatal(err)
 			}
+			if err := g.executeJoins(); err != nil {
+				t.Fatal(err)
+			}
+			tuples := g.total
+			g.card = Unlimited()
+			for _, e := range rs.JoinEdgesByWeight() {
+				if err := g.runJoin(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if f.excluded == 0 || g.total == tuples || f.stmts <= len(seeds) {
+				t.Fatalf("%v weights=%v: %d statements, %d held tuples excluded, %d → %d tuples: too little to tell", strat, weights != nil, f.stmts, f.excluded, tuples, g.total)
+			}
 		}
-		var got []storage.TupleID
-		for _, tu := range tuplesOf(g.out.Relation(rel)) {
-			got = append(got, tu.ID)
-		}
-		if !slices.Equal(got, ids) || g.perRel[rel] != 3 {
-			t.Fatalf("%s holds %v (%d counted) after applying %v and then %v under a budget of one", rel, got, g.perRel[rel], ids[:2], ids)
-		}
-		return
 	}
-	t.Fatal("no relation of G′ has three tuples")
 }
 
 // project returns the columns of tu the generator fetches for rel.

@@ -216,3 +216,32 @@ func BenchmarkInsertRow(b *testing.B) {
 		fill(b, func(db *Database, j int) error { return db.InsertRow("R", ids[j], rows[j]) })
 	})
 }
+
+// BenchmarkResultJoinIndex builds the join index of a 150-row INT column of
+// D′, the size of a deep answer's MOVIE relation: "key" a column of distinct
+// values (MOVIE.mid), "foreign" one of 40 values repeated (MOVIE.did). The
+// rows arrive in two appends, so that positions are not in id order.
+func BenchmarkResultJoinIndex(b *testing.B) {
+	const n = 150
+	schema := MustSchema("MOVIE", "", Column{"mid", TypeInt}, Column{"did", TypeInt})
+	rel := NewResult("bench", []*Schema{schema}, nil).Relation("MOVIE")
+	r := rand.New(rand.NewSource(1))
+	for _, half := range [][2]int{{n / 2, n}, {0, n / 2}} {
+		var ids []TupleID
+		var rows []Row
+		for i := half[0]; i < half[1]; i++ {
+			ids = append(ids, TupleID(1+37*i))
+			rows = append(rows, MakeRow(Int(int64(5000+i)), Int(int64(r.Intn(40)))))
+		}
+		rel.Append(ids, rows)
+	}
+	for _, col := range []struct{ name, column string }{{"key", "mid"}, {"foreign", "did"}} {
+		b.Run(col.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rel.joins = rel.joins[:0]
+				rel.Index(col.column)
+			}
+		})
+	}
+}

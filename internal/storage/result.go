@@ -3,6 +3,7 @@ package storage
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -46,16 +47,18 @@ type ResultRelation struct {
 	joins  []joinIndex
 }
 
-// joinIndex is a column's equality index: a sorted array per key kind, as
+// joinIndex is a column's equality index: sorted arrays per key kind, as
 // HashIndex splits them, matching kinds exactly; NULL joins nothing.
 type joinIndex struct {
-	col  int
-	ints []entry[int64] // by key, then match
-	vals []entry[Value] // every other kind: by distinctOrder, then match
+	col int
+	// ints holds n INT keys in 2n words, one array: the keys ascending (an
+	// int64 each), then the Match of each key, of equal keys by id.
+	ints []uint64
+	vals []entry // every other kind: by distinctOrder, then match
 }
 
-type entry[K any] struct {
-	key K
+type entry struct {
+	key Value
 	m   Match
 }
 
@@ -218,7 +221,8 @@ func (r *ResultRelation) Append(ids []TupleID, rows []Row) int {
 	clear(r.rows[n:])
 	r.ids, r.rows = r.ids[:n], r.rows[:n]
 	if n > base {
-		r.joins = nil
+		clear(r.joins)
+		r.joins = r.joins[:0]
 	}
 	return n - base
 }
@@ -241,19 +245,61 @@ func (r *ResultRelation) indexOf(col int) *joinIndex {
 	return &ix
 }
 
+// build indexes column col. An INT key goes into one word with its position,
+// (key − least key) << 32 | pos — or its rank among the keys when they span
+// more than 32 bits — so that one slices.Sort, with no comparison function,
+// orders the tuples by key and equal keys by position; a run of equal keys is
+// then put in id order. The words sort where the matches go, in the one
+// array that holds the keys too.
 func (r *ResultRelation) build(col int) joinIndex {
-	ix := joinIndex{col: col, ints: make([]entry[int64], 0, len(r.rows))}
+	ix := joinIndex{col: col}
+	n := len(r.rows)
+	words := make([]uint64, 2*n)
+	keys, ms := words[:0], words[n:n]
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for pos, row := range r.rows {
-		switch v, m := row.Value(col), Match(uint64(r.ids[pos])<<32|uint64(pos)); v.kind {
+		switch v := row.Value(col); v.kind {
 		case KindNull:
 		case KindInt:
-			ix.ints = append(ix.ints, entry[int64]{v.AsInt(), m})
+			key := v.AsInt()
+			lo, hi = min(lo, key), max(hi, key)
+			keys, ms = append(keys, uint64(key)), append(ms, uint64(pos))
 		default:
-			ix.vals = append(ix.vals, entry[Value]{v, m})
+			ix.vals = append(ix.vals, entry{v, Match(uint64(r.ids[pos])<<32 | uint64(pos))})
 		}
 	}
-	slices.SortFunc(ix.ints, func(a, b entry[int64]) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.m, b.m)) })
-	slices.SortFunc(ix.vals, func(a, b entry[Value]) int { return cmp.Or(distinctOrder(a.key, b.key), cmp.Compare(a.m, b.m)) })
+	var ranks []int64 // nil while a key's offset from lo fits in 32 bits
+	if uint64(hi)-uint64(lo) > math.MaxUint32 {
+		ranks = make([]int64, len(keys))
+		for i, key := range keys {
+			ranks[i] = int64(key)
+		}
+		slices.Sort(ranks)
+		ranks = slices.Compact(ranks)
+	}
+	for i, key := range keys {
+		off := key - uint64(lo)
+		if ranks != nil {
+			rank, _ := slices.BinarySearch(ranks, int64(key))
+			off = uint64(rank)
+		}
+		ms[i] |= off << 32
+	}
+	slices.Sort(ms)
+	for i, w := range ms {
+		key, pos := uint64(lo)+w>>32, uint32(w)
+		if ranks != nil {
+			key = uint64(ranks[w>>32])
+		}
+		keys[i], ms[i] = key, uint64(r.ids[pos])<<32|uint64(pos)
+	}
+	for i := 1; i < len(ms); i++ { // a run of equal keys, from position to id order
+		for j := i; j > 0 && keys[j] == keys[j-1] && ms[j] < ms[j-1]; j-- {
+			ms[j], ms[j-1] = ms[j-1], ms[j]
+		}
+	}
+	ix.ints = append(keys, ms...) // the matches move down when some rows held no INT
+	slices.SortFunc(ix.vals, func(a, b entry) int { return cmp.Or(distinctOrder(a.key, b.key), cmp.Compare(a.m, b.m)) })
 	return ix
 }
 
@@ -279,16 +325,16 @@ func (r *ResultRelation) AppendDistinctValues(dst []Value, column string) ([]Val
 		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
 	}
 	start, ix := len(dst), r.indexOf(col)
-	n := len(ix.vals)
-	for i := range ix.ints {
-		if i == 0 || ix.ints[i].key != ix.ints[i-1].key {
+	keys, n := ix.ints[:len(ix.ints)/2], len(ix.vals)
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1] {
 			n++
 		}
 	}
 	dst = slices.Grow(dst, n)
-	for i, e := range ix.ints {
-		if i == 0 || e.key != ix.ints[i-1].key {
-			dst = append(dst, Int(e.key))
+	for i, key := range keys {
+		if i == 0 || key != keys[i-1] {
+			dst = append(dst, Int(int64(key)))
 		}
 	}
 	for i, e := range ix.vals {
@@ -296,7 +342,7 @@ func (r *ResultRelation) AppendDistinctValues(dst []Value, column string) ([]Val
 			dst = append(dst, e.key)
 		}
 	}
-	if len(ix.ints) > 0 && len(ix.vals) > 0 {
+	if len(keys) > 0 && len(ix.vals) > 0 {
 		slices.SortFunc(dst[start:], distinctOrder) // an integer may tie a float
 	}
 	return dst, nil
@@ -335,20 +381,20 @@ func (r *ResultRelation) matches(dst []Match, col int, v Value) []Match {
 	switch ix := r.indexOf(col); v.kind {
 	case KindInt:
 		// The search written out: through a closure it is most of a lookup.
-		ints, key := ix.ints, v.AsInt()
-		lo, hi := 0, len(ints)
+		n, key := len(ix.ints)/2, v.AsInt()
+		lo, hi := 0, n
 		for lo < hi {
-			if h := int(uint(lo+hi) >> 1); ints[h].key < key {
+			if h := int(uint(lo+hi) >> 1); int64(ix.ints[h]) < key {
 				lo = h + 1
 			} else {
 				hi = h
 			}
 		}
-		for ; lo < len(ints) && ints[lo].key == key; lo++ {
-			dst = append(dst, ints[lo].m)
+		for ; lo < n && int64(ix.ints[lo]) == key; lo++ {
+			dst = append(dst, Match(ix.ints[n+lo]))
 		}
 	default:
-		i, _ := slices.BinarySearchFunc(ix.vals, v, func(e entry[Value], v Value) int { return distinctOrder(e.key, v) })
+		i, _ := slices.BinarySearchFunc(ix.vals, v, func(e entry, v Value) int { return distinctOrder(e.key, v) })
 		for ; i < len(ix.vals) && ix.vals[i].key == v; i++ {
 			dst = append(dst, ix.vals[i].m)
 		}

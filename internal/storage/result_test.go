@@ -18,16 +18,29 @@ var joinKinds = []Value{
 	String("a"), String(""), String("1"), Bool(true), Bool(false),
 }
 
+// narrowInts and wideInts are the values of TestResultJoinIndexMatchesScan's
+// INT join columns: a few keys that repeat, and keys whose span overflows an
+// int64 (math.MaxInt64 − math.MinInt64, 2⁶² − −2⁶²).
+var (
+	narrowInts = []Value{Null, Int(-2), Int(-1), Int(0), Int(1), Int(2), Int(3)}
+	wideInts   = []Value{Null, Int(math.MinInt64), Int(math.MaxInt64), Int(1 << 62), Int(-1 << 62), Int(0), Int(5)}
+)
+
 // TestResultJoinIndexMatchesScan drives a result relation through batches —
-// ids repeated inside a batch and across batches — with its join index built
-// at random points in between (Append drops it), and holds every read, on the
-// index and on a scan alike, to an oracle scan of the tuples: a partner lookup
-// finds exactly the tuples whose value is == to the one asked, ascending by
-// id, at positions that read their rows; DistinctValues is the non-NULL
-// values sorted and compacted; Has and Row know exactly the stored ids.
+// ids repeated inside a batch and across batches, some at the top of the id
+// space — with the join index of each column built at random points in
+// between (Append drops them), and holds every read, on the index and on a
+// scan alike, to an oracle scan of the tuples: a partner lookup finds exactly
+// the tuples whose value is == to the one asked, ascending by id, at positions
+// that read their rows; DistinctValues is the non-NULL values sorted and
+// compacted; Has and Row know exactly the stored ids. The join columns are a
+// FLOAT column of every kind (j), an INT column of few keys, so equal keys
+// arrive out of id order (i), and an INT column whose keys span more than an
+// int64 holds (w).
 func TestResultJoinIndexMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(38))
-	schema := MustSchema("R", "", Column{"k", TypeInt}, Column{"j", TypeFloat})
+	schema := MustSchema("R", "", Column{"k", TypeInt}, Column{"j", TypeFloat}, Column{"i", TypeInt}, Column{"w", TypeInt})
+	pools := [][]Value{1: joinKinds, 2: narrowInts, 3: wideInts}
 	for trial := 0; trial < 20; trial++ {
 		res := NewResult("result", []*Schema{schema}, nil)
 		rel := res.Relation("R")
@@ -38,11 +51,17 @@ func TestResultJoinIndexMatchesScan(t *testing.T) {
 			var rows []Row
 			for i, n := 0, r.Intn(30); i < n; i++ {
 				id := TupleID(1 + r.Intn(200))
+				if r.Intn(8) == 0 {
+					id = MaxTupleID - TupleID(r.Intn(4))
+				}
 				if len(ids) > 0 && r.Intn(10) == 0 {
 					id = ids[r.Intn(len(ids))]
 				}
-				ids = append(ids, id)
-				rows = append(rows, MakeRow(Int(int64(id)), joinKinds[r.Intn(len(joinKinds))]))
+				row := []Value{Int(int64(id))}
+				for _, pool := range pools[1:] {
+					row = append(row, pool[r.Intn(len(pool))])
+				}
+				ids, rows = append(ids, id), append(rows, MakeRow(row...))
 			}
 			added := 0
 			for i, id := range ids {
@@ -53,10 +72,34 @@ func TestResultJoinIndexMatchesScan(t *testing.T) {
 			if n := rel.Append(ids, rows); n != added {
 				t.Fatalf("trial %d batch %d: Append added %d, want %d", trial, batch, n, added)
 			}
-			if r.Intn(3) > 0 {
-				rel.Index("j")
+			for col := 1; col < len(pools); col++ {
+				if r.Intn(3) > 0 {
+					rel.Index(schema.Columns[col].Name)
+				}
 			}
 			checkResultRelation(t, fmt.Sprintf("trial %d batch %d", trial, batch), rel, oracle, rowOf)
+			for col := 1; col < len(pools); col++ {
+				when := fmt.Sprintf("trial %d batch %d column %s", trial, batch, schema.Columns[col].Name)
+				checkJoinIndex(t, when, rel, col, append(slices.Clone(pools[col]), Int(7), Float(3), Float(1), String("b")), oracle, rowOf)
+			}
+		}
+	}
+}
+
+// TestResultJoinIndexAllocatesOnce: the join index of an INT column is one
+// allocation, its keys and matches side by side, whatever the rows.
+func TestResultJoinIndexAllocatesOnce(t *testing.T) {
+	schema := MustSchema("R", "", Column{"k", TypeInt}, Column{"i", TypeInt})
+	rel := NewResult("result", []*Schema{schema}, nil).Relation("R")
+	var ids []TupleID
+	var rows []Row
+	for i := 0; i < 150; i++ {
+		ids, rows = append(ids, TupleID(1+(i*37)%150)), append(rows, MakeRow(Int(int64(i)), Int(int64(i%9))))
+	}
+	rel.Append(ids, rows)
+	for _, column := range []string{"k", "i"} {
+		if n := testing.AllocsPerRun(100, func() { rel.joins = rel.joins[:0]; rel.Index(column) }); n != 1 {
+			t.Errorf("indexing 150 rows of %s makes %v allocations", column, n)
 		}
 	}
 }
@@ -74,15 +117,26 @@ func checkResultRelation(t *testing.T, when string, rel *ResultRelation, oracle 
 	if !slices.Equal(got, oracle) || rel.Len() != len(oracle) {
 		t.Fatalf("%s: holds %v, want %v", when, got, oracle)
 	}
+	probe := []TupleID{MaxTupleID - 4, MaxTupleID - 3, MaxTupleID - 2, MaxTupleID - 1, MaxTupleID}
 	for id := TupleID(-1); id <= 202; id++ {
+		probe = append(probe, id)
+	}
+	for _, id := range probe {
 		row, ok := rel.Row(id)
 		if want, held := rowOf[id]; ok != held || rel.Has(id) != held || held && !row.Shares(want) {
 			t.Fatalf("%s: Row(%d) = %v, Has = %v; held: %v", when, id, ok, rel.Has(id), held)
 		}
 	}
+}
+
+// checkJoinIndex holds column col's DistinctValues and partner lookups of
+// each of the values to a scan of the oracle's tuples.
+func checkJoinIndex(t *testing.T, when string, rel *ResultRelation, col int, values []Value, oracle []TupleID, rowOf map[TupleID]Row) {
+	t.Helper()
+	column := rel.Schema().Columns[col].Name
 	var distinct []Value
 	for _, id := range oracle {
-		if v := rowOf[id].Value(1); !v.IsNull() {
+		if v := rowOf[id].Value(col); !v.IsNull() {
 			distinct = append(distinct, v)
 		}
 	}
@@ -93,18 +147,18 @@ func checkResultRelation(t *testing.T, when string, rel *ResultRelation, oracle 
 		return int(a.kind) - int(b.kind)
 	})
 	distinct = slices.Compact(distinct)
-	if got, err := rel.DistinctValues("j"); err != nil || !slices.Equal(got, distinct) {
+	if got, err := rel.DistinctValues(column); err != nil || !slices.Equal(got, distinct) {
 		t.Fatalf("%s: DistinctValues = %v (%v), want %v", when, got, err, distinct)
 	}
-	for _, v := range append(slices.Clone(joinKinds), Int(7), Float(3), String("b")) {
+	for _, v := range values {
 		var want []TupleID
 		for _, id := range oracle {
-			if !v.IsNull() && rowOf[id].Value(1) == v {
+			if !v.IsNull() && rowOf[id].Value(col) == v {
 				want = append(want, id)
 			}
 		}
 		slices.Sort(want)
-		ms, err := rel.AppendMatches([]Match{1}, 1, v)
+		ms, err := rel.AppendMatches([]Match{1}, col, v)
 		if err != nil || len(ms) != 1+len(want) || ms[0] != 1 {
 			t.Fatalf("%s: AppendMatches(%s %v) = %v (%v), want %v", when, v.Kind(), v, ms, err, want)
 		}
@@ -113,10 +167,10 @@ func checkResultRelation(t *testing.T, when string, rel *ResultRelation, oracle 
 				t.Fatalf("%s: AppendMatches(%s %v) = %v, want %v", when, v.Kind(), v, ms[1:], want)
 			}
 		}
-		if ids, err := rel.Lookup("j", v); err != nil || !slices.Equal(ids, want) {
+		if ids, err := rel.Lookup(column, v); err != nil || !slices.Equal(ids, want) {
 			t.Fatalf("%s: Lookup(%s %v) = %v (%v), want %v", when, v.Kind(), v, ids, err, want)
 		}
-		if rel.holds("j", v, 0) != (len(want) > 0) {
+		if rel.holds(column, v, 0) != (len(want) > 0) {
 			t.Fatalf("%s: holds(%s %v) = %v with %d tuples", when, v.Kind(), v, !(len(want) > 0), len(want))
 		}
 	}
