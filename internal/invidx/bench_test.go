@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"precis/internal/dataset"
+	"precis/internal/storage"
 )
 
 func benchIndex(b *testing.B) *Index {
@@ -28,11 +29,32 @@ func BenchmarkLookupSingleToken(b *testing.B) {
 	}
 }
 
+// BenchmarkLookupPhrase looks up the three term shapes of the benchmark's
+// browse workload at paper scale, each the first of its relation: a full
+// title, "Shadow Labyrinth 1", whose serial's list holds one id against the
+// title words' 1,670 and 1,695; an actor's name, "Lu Sonal", a surname's 255
+// ids against a first name's 2,671; and a director's name, "Lu Bergcar", 31
+// against 260.
 func BenchmarkLookupPhrase(b *testing.B) {
-	ix := benchIndex(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Lookup("Night City")
+	db, err := dataset.SyntheticMovies(dataset.PaperScaleSyntheticConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := New(db)
+	for _, shape := range []struct{ name, rel string }{{"title", "MOVIE"}, {"actor", "ACTOR"}, {"director", "DIRECTOR"}} {
+		var term string
+		db.Relation(shape.rel).Scan(func(t storage.Tuple) bool {
+			term = t.Values[1].AsString()
+			return false
+		})
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if occs := ix.Lookup(term); len(occs) == 0 {
+					b.Fatalf("%q: no occurrences", term)
+				}
+			}
+		})
 	}
 }
 

@@ -25,9 +25,21 @@ import (
 
 var diffWords = []string{"woody", "Allen", "night", "CITY", "match", "point", "élan", "r2d2", "the", "of", "Scott", "x"}
 
+// diffRare is drawn a quarter as often as the other words, so that a phrase
+// holding it has one posting list shorter than its others.
+const diffRare = "r2d2"
+
+// diffPhrases are phrases of three and four words, the rare one first, in the
+// middle and last; a value is one of them verbatim one time in eight.
+var diffPhrases = []string{"r2d2 night city", "night r2d2 city", "night city r2d2",
+	"r2d2 the of woody", "the r2d2 of woody", "the of woody r2d2"}
+
 // diffValue draws 0–4 words, sometimes the same word twice, joined by
-// separators the tokenizer must skip.
+// separators the tokenizer must skip, or one of diffPhrases.
 func diffValue(r *rand.Rand) storage.Value {
+	if r.Intn(8) == 0 {
+		return storage.String(diffPhrases[r.Intn(len(diffPhrases))])
+	}
 	n := r.Intn(5)
 	if n == 0 && r.Intn(2) == 0 {
 		return storage.Null
@@ -35,6 +47,9 @@ func diffValue(r *rand.Rand) storage.Value {
 	words := make([]string, n)
 	for i := range words {
 		words[i] = diffWords[r.Intn(len(diffWords))]
+		if words[i] == diffRare && r.Intn(4) != 0 {
+			words[i] = diffWords[r.Intn(len(diffWords))]
+		}
 		if i > 0 && r.Intn(6) == 0 {
 			words[i] = words[i-1]
 		}
@@ -55,7 +70,8 @@ func diffDB(t testing.TB) *storage.Database {
 }
 
 // diffQueries is every word, every ordered pair of words as a phrase (most
-// miss), and a few terms no value holds.
+// miss), diffPhrases and their words in the other orders, and a few terms no
+// value holds.
 func diffQueries() []string {
 	qs := append([]string{"", "zzz", "woody zzz", "--"}, diffWords...)
 	for _, a := range diffWords {
@@ -63,7 +79,8 @@ func diffQueries() []string {
 			qs = append(qs, a+" "+b)
 		}
 	}
-	return append(qs, "woody allen night", "the the the")
+	qs = append(qs, diffPhrases...)
+	return append(qs, "city night r2d2", "woody of the r2d2", "r2d2 woody the of", "woody allen night", "the the the")
 }
 
 // pair is the index under test and its oracle over one database.

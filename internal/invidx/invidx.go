@@ -3,8 +3,8 @@
 // attributes with its occurrences, each occurrence being a
 // (relation, attribute) pair plus the ids of the tuples whose attribute
 // value contains the token. Multi-word terms such as "Woody Allen" are
-// resolved by intersecting per-word postings and verifying the phrase
-// against the stored value.
+// resolved by intersecting per-word postings, shortest first, and verifying
+// the phrase against the stored value.
 package invidx
 
 import (
@@ -271,12 +271,17 @@ func (ix *Index) Lookup(term string) []Occurrence {
 	if len(words) > 1 {
 		needle = strings.ToLower(term)
 	}
+	var byWord [8][]locList // the other words' lists, looked up once for every location
+	rest := byWord[:0]
+	for _, w := range words[1:] {
+		rest = append(rest, ix.postings[w])
+	}
 	for _, l := range first {
 		var matched []storage.TupleID
 		if len(words) == 1 {
 			matched = l.ids.AppendTo(make([]storage.TupleID, 0, len(l.ids)))
 		} else {
-			matched = ix.phrase(l, words[1:], needle)
+			matched = ix.phrase(l, rest, needle)
 		}
 		if len(matched) > 0 {
 			if out == nil {
@@ -290,33 +295,44 @@ func (ix *Index) Lookup(term string) []Occurrence {
 
 // phrase narrows first, the posting list of a phrase's first word, to the
 // tuples that hold every other word at the same location and whose stored
-// value contains needle, the whole term in lower case. The lists are
-// intersected as they are stored; only the ids that survive are widened.
-func (ix *Index) phrase(first locList, rest []string, needle string) []storage.TupleID {
-	var few [32]uint32 // room for a name's candidates, almost always: no allocation
-	candidate, dst := first.ids, few[:0]
-	for _, w := range rest {
-		lists := ix.postings[w]
-		at, found := findLoc(lists, first.key)
+// value contains needle, the whole term in lower case; rest holds the other
+// words' lists by location. It gathers every word's list at the location, nil
+// as soon as a word has none there, and intersects them shortest first — a
+// title's serial or a name's surname before the words many values share — so
+// that no intersection is longer than the shortest list. The lists are read
+// as they are stored; the candidates are widened, and their rows read in one
+// batch, so that the rows' cache misses overlap.
+func (ix *Index) phrase(first locList, rest [][]locList, needle string) []storage.TupleID {
+	var held [8]storage.IDList // a term's lists, for up to eight words: no allocation
+	lists := append(held[:0], first.ids)
+	for _, others := range rest {
+		at, found := findLoc(others, first.key)
 		if !found {
 			return nil
 		}
-		candidate = candidate.Intersect(dst, lists[at].ids)
+		lists = append(lists, others[at].ids)
+	}
+	slices.SortFunc(lists, func(a, b storage.IDList) int { return len(a) - len(b) })
+	var few [32]uint32 // room for a name's candidates, almost always: no allocation
+	candidate := lists[0].Intersect(few[:0], lists[1])
+	for _, l := range lists[2:] {
 		if len(candidate) == 0 {
 			return nil
 		}
-		dst = candidate[:0] // from here on in place: only the first intersection reads the index's own list
+		candidate = candidate.Intersect(candidate[:0], l) // in place: only the first intersection reads two of the index's lists
 	}
 	rel := ix.db.Relation(first.key.rel)
 	ci := rel.Schema().ColumnIndex(first.key.attr)
-	matched := make([]storage.TupleID, 0, len(candidate))
-	for _, id := range candidate {
-		row, found := rel.Row(storage.TupleID(id))
-		if found && containsFold(row.Value(ci).AsString(), needle) {
-			matched = append(matched, storage.TupleID(id))
+	matched := candidate.AppendTo(make([]storage.TupleID, 0, len(candidate)))
+	var stored [32]storage.Row // room for a name's candidates' rows, almost always
+	n := 0
+	for i, row := range rel.AppendRows(stored[:0], matched) {
+		if row.Valid() && containsFold(row.Value(ci).AsString(), needle) {
+			matched[n] = matched[i]
+			n++
 		}
 	}
-	return matched
+	return matched[:n]
 }
 
 // containsFold reports strings.Contains(strings.ToLower(s), lower), for a

@@ -89,9 +89,16 @@ func unionSorted[T listID](a, b []T) []T {
 }
 
 // gallopRatio is how much longer one list must be than the other for
-// intersectSorted to search it instead of walking it: a two-word name meets
-// a surname's short list with a first name's long one.
-const gallopRatio = 8
+// intersectSorted to stop walking both: from it on, each id of the shorter
+// list moves the longer one forward. Below searchRatio — a surname's list
+// against a first name's, 1 : 10 — it skips ⌈√ratio⌉ ids at a time and walks
+// the last skip, about 2·√ratio comparisons an id; from searchRatio on — a
+// title's serial against a title word's, 1 : 1,700 — it doubles a stride and
+// halves the last one, about 2·log₂ ratio.
+const (
+	gallopRatio = 8
+	searchRatio = 64
+)
 
 // intersectSorted appends to dst the ids two ascending lists share. dst may
 // be a[:0] or b[:0]: the write position never passes either read position.
@@ -99,31 +106,55 @@ func intersectSorted[T listID](dst, a, b []T) []T {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	if len(b) >= gallopRatio*len(a) {
-		for _, id := range a {
-			hi := 1 // gallop: double the stride until b[hi-1] >= id, search the last stride
-			for hi <= len(b) && b[hi-1] < id {
-				hi *= 2
-			}
-			at, _ := slices.BinarySearch(b[hi/2:min(hi, len(b))], id)
-			if b = b[hi/2+at:]; len(b) == 0 {
-				break
-			}
-			if b[0] == id {
-				dst = append(dst, id)
+	if len(b) < gallopRatio*len(a) {
+		for len(a) > 0 && len(b) > 0 {
+			switch {
+			case a[0] < b[0]:
+				a = a[1:]
+			case a[0] > b[0]:
+				b = b[1:]
+			default:
+				dst = append(dst, a[0])
+				a, b = a[1:], b[1:]
 			}
 		}
 		return dst
 	}
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0]:
-			a = a[1:]
-		case a[0] > b[0]:
+	skip := 0 // ⌈√ratio⌉ below searchRatio; from it on, 0: search
+	if len(b) < searchRatio*len(a) {
+		skip = 2
+		for skip*skip*len(a) < len(b) {
+			skip++
+		}
+	}
+	for _, id := range a {
+		if skip > 0 {
+			for len(b) > skip && b[skip-1] < id {
+				b = b[skip:]
+			}
+			for len(b) > 0 && b[0] < id {
+				b = b[1:]
+			}
+		} else {
+			lo, hi := 0, 1 // b[:lo] is below id; double hi until b[hi-1] is not
+			for hi <= len(b) && b[hi-1] < id {
+				lo, hi = hi, 2*hi
+			}
+			for hi = min(hi, len(b)); lo < hi; {
+				if m := int(uint(lo+hi) >> 1); b[m] < id {
+					lo = m + 1
+				} else {
+					hi = m
+				}
+			}
+			b = b[lo:]
+		}
+		if len(b) == 0 {
+			break
+		}
+		if b[0] == id {
+			dst = append(dst, id)
 			b = b[1:]
-		default:
-			dst = append(dst, a[0])
-			a, b = a[1:], b[1:]
 		}
 	}
 	return dst

@@ -25,9 +25,10 @@ func linearIntersect[T listID](out, a, b []T) []T {
 }
 
 // TestIntersectIDsMatchesLinearMerge holds intersectSorted, at both widths,
-// walking or galloping, fresh or in place over either argument, to the linear
-// merge on random ascending lists: empty, equal, disjoint, one inside the
-// other, and lengths from 1 : 1 to 1 : 10,000.
+// walking, skipping or searching, fresh or in place over either argument, to
+// the linear merge on random ascending lists: empty, equal, disjoint, one
+// inside the other, and lengths from 1 : 1 to 1 : 10,000, either side of
+// gallopRatio and searchRatio.
 func TestIntersectIDsMatchesLinearMerge(t *testing.T) {
 	t.Run("uint32", intersectMatchesLinearMerge[uint32])
 	t.Run("TupleID", intersectMatchesLinearMerge[TupleID])
@@ -77,7 +78,7 @@ func intersectMatchesLinearMerge[T listID](t *testing.T) {
 	check("1 : 10,000, present", big[7777:7778], big)
 	check("1 : 10,000, absent below", []T{0}, big)
 	check("1 : 10,000, absent above", []T{50000}, big)
-	for _, ratio := range []int{1, 2, gallopRatio - 1, gallopRatio, gallopRatio + 1, 100, 10000} {
+	for _, ratio := range []int{1, 2, gallopRatio - 1, gallopRatio, gallopRatio + 1, 10, searchRatio - 1, searchRatio, searchRatio + 1, 100, 10000} {
 		for trial := 0; trial < 50; trial++ {
 			long := ascending(1+r.Intn(10000), 20000)
 			short := ascending(max(1, len(long)/ratio), 20000)
@@ -245,9 +246,11 @@ func FuzzIDList(f *testing.F) {
 	})
 }
 
-// BenchmarkIntersectIDs times the intersection of a 2,000-id posting list
+// BenchmarkIntersectIDs times the intersection of a 20,000-id posting list
 // with one ratio times shorter, as it is stored, beside the linear merge it
-// was: the walk below gallopRatio, the gallop from it on.
+// was: the walk below gallopRatio, the skip from it on (1 : 10 is a name's
+// two lists), the search from searchRatio on (1 : 10,000 is two ids, a
+// title's serial among them).
 func BenchmarkIntersectIDs(b *testing.B) {
 	every := func(n, stride int) IDList {
 		ids := make(IDList, n)
@@ -256,8 +259,8 @@ func BenchmarkIntersectIDs(b *testing.B) {
 		}
 		return ids
 	}
-	long := every(2000, 7)
-	for _, ratio := range []int{1, 4, 8, 32, 128} {
+	long := every(20000, 7)
+	for _, ratio := range []int{1, 8, 10, 100, 10000} {
 		short := every(len(long)/ratio, 7*ratio)
 		dst := make(IDList, 0, len(short))
 		b.Run(fmt.Sprintf("ratio=%d", ratio), func(b *testing.B) {

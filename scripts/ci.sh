@@ -179,8 +179,19 @@
 # The inverted-index oracle step (internal/invidx differential_test.go)
 # diffs the sorted-slice index against the test-only map-of-maps reference
 # (reference_test.go) over seeded AddTuple/RemoveTuple sequences — lookups,
-# phrases, synonyms, document frequencies, counts, snapshot bytes, New ≡
-# NewParallel for 1/2/3/8 workers. It runs under -race because of
+# phrases (three- and four-word ones whose rarest word comes first, in the
+# middle and last among them), synonyms, document frequencies, counts,
+# snapshot bytes, New ≡ NewParallel for 1/2/3/8 workers — and
+# TestLookupMatchesSpec holds Lookup to internal/spec's scan of every string
+# value over a generated movies database: every title, actor and director
+# name, as stored, word by word, shuffled and repeated. A phrase gathers its
+# words' posting lists at a location and intersects them shortest first, so a
+# title's serial or a name's surname narrows the candidates before the common
+# words are read; the kernel (storage/idlist.go) walks two lists of like
+# length, skips ⌈√ratio⌉ ids at a time through the longer from 1 : 8, and
+# searches it by doubling and halving from 1 : 64. The differential is what
+# holds the order to the answer (reversing it is an equivalent mutant: the
+# same ids, more slowly). It runs under -race because of
 # TestLookupResultsDoNotAliasIndex: queries copy posting lists under the
 # read lock and keep reading their copies after releasing it while a writer
 # appends to, shifts and deletes from the same lists; a result that aliased
@@ -315,7 +326,9 @@
 # statement executor, the shard routing and NaïveQ's exclusion one mutant at a
 # time in a copy of the module — the excluded set ignored, a NULL value
 # matching, a float's Int key not probed, LIMIT off by one, an id list visited
-# sorted, a shard's bucket losing duplicates, among others — and fails unless
+# sorted, a shard's bucket losing duplicates, a phrase's check dropped, the
+# intersection's skip off by one, a WAL payload CRC never checked, among
+# others — and fails unless
 # the tests each line names fail on it: a test that no longer sees what it is
 # there to see fails CI here. Like this script, the runner is not counted by
 # scripts/loc.sh.
@@ -415,8 +428,8 @@ gotest 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppe
 echo "== memo -race (warm = cold on every engine shape, concurrent first use of G′ and of its narration plan, macros, label errors)"
 gotest 'TestMemo|TestProfileQueriesShare' -race -count=1 -timeout=10m .
 
-echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference)"
-gotest 'TestIndexMatchesReference|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' -race -count=1 -timeout=10m ./internal/invidx
+echo "== inverted-index oracle -race (sorted-slice postings vs map-of-maps reference, Lookup vs the spec's scan)"
+gotest 'TestIndexMatchesReference|TestLookupMatchesSpec|TestLookupResultsDoNotAliasIndex|TestIndexSnapshotRejectsMalformedPostings|TestFuzzCorpus' -race -count=1 -timeout=10m ./internal/invidx
 
 echo "== layout pins (no -race: value and slot sizes, pointer-free records, live bytes per tuple, row_bytes and list_bytes, the id-space boundary, bytes and allocations per deep answer on one engine and on four shards, per browse answer, per narrative and per search response, the memo's bound, the translator's pins, a compaction's bytes)"
 gotest 'TestLiveBytesPerTuple|TestValueSize|TestRecordHoldsNoPointer|TestRowBytesCountTheRows|TestListBytesCountTheLists|TestIDSpaceBoundary|TestAllocPerDeepAnswer|TestAllocPerShardedDeepAnswer|TestAllocPerBrowseAnswer|TestAllocPerSearchResponse|TestAllocPerDeepNarrative|TestMemoIsBounded|TestNarrativeKeepsNoState|TestNarrationPlanHitAllocations|TestCompactHoldsEachFileOnce|TestCheckWriteInsertAllocatesNothing' -count=1 -timeout=5m . ./internal/storage ./internal/nlg ./internal/wal
