@@ -721,10 +721,11 @@ func TestRoundRobinRounds(t *testing.T) {
 			var cursors [][]storage.TupleID
 			for _, v := range values {
 				var cur []storage.TupleID
+				k, ok := to.Schema().Columns[ci].Type.Key(v)
 				to.Scan(func(tu storage.Tuple) bool {
-					if tu.Values[ci].Equal(v) && !outRel.Has(tu.ID) {
+					if ok && tu.Values[ci] == k && !outRel.Has(tu.ID) {
 						cur = append(cur, tu.ID)
-					} else if tu.Values[ci].Equal(v) {
+					} else if ok && tu.Values[ci] == k {
 						revisits++
 					}
 					return true

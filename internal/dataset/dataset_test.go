@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -326,10 +327,12 @@ func TestRandomGraph(t *testing.T) {
 	}
 }
 
-// TestKindsHoldsEveryKind: the mixed-kind dataset has what it is for — Ints
-// and Floats (NaN and ±Inf among them) in its FLOAT columns, both BOOLs, NULLs
-// in every non-key column including the join columns, empty, multi-byte and
-// invalid UTF-8 text — and is a valid database whose tokens are indexed.
+// TestKindsHoldsEveryKind: the mixed-kind dataset has what it is for — Floats
+// (NaN and ±Inf among them) and no Int in its FLOAT columns, which refuse
+// 2⁵³+1 where its INT count holds it, a FLOAT key with integral and other
+// values that an INT column references, both BOOLs, NULLs in every non-key
+// column including the join columns, empty, multi-byte and invalid UTF-8 text
+// — and is a valid database whose tokens are indexed.
 func TestKindsHoldsEveryKind(t *testing.T) {
 	db, g, err := Kinds(1)
 	if err != nil {
@@ -350,8 +353,14 @@ func TestKindsHoldsEveryKind(t *testing.T) {
 				switch {
 				case v.IsNull():
 					seen[c.Name+" null"] = true
-				case c.Type == storage.TypeFloat && v.Kind() == storage.KindInt:
-					seen["float int"] = true
+				case c.Type == storage.TypeFloat && v.Kind() != storage.KindFloat:
+					t.Errorf("%s tuple %d: %s holds %s %v", name, tu.ID, c.Name, v.Kind(), v)
+				case c.Type == storage.TypeInt && v.AsInt() == 1<<53+1:
+					seen["int 2^53+1"] = true
+				case name == "GRADE" && c.Name == "score" && v.AsFloat() == math.Trunc(v.AsFloat()):
+					seen["integral float key"] = true
+				case name == "GRADE" && c.Name == "score" && !math.IsNaN(v.AsFloat()):
+					seen["fractional float key"] = true
 				case c.Type == storage.TypeFloat && math.IsNaN(v.AsFloat()):
 					seen["float nan"] = true
 				case c.Type == storage.TypeFloat && math.IsInf(v.AsFloat(), 0):
@@ -371,14 +380,27 @@ func TestKindsHoldsEveryKind(t *testing.T) {
 			return true
 		})
 	}
-	for _, want := range []string{"float int", "float nan", "float inf", "float", "true", "false", "empty", "invalid utf-8", "multi-byte",
-		"lat null", "open null", "place null", "price null", "flag null", "item null", "text null"} {
+	for _, want := range []string{"int 2^53+1", "integral float key", "fractional float key", "float nan", "float inf", "float",
+		"true", "false", "empty", "invalid utf-8", "multi-byte", "lat null", "open null", "place null", "price null", "flag null",
+		"item null", "text null", "grade null", "count null"} {
 		if !seen[want] {
 			t.Errorf("no %s value", want)
 		}
 	}
+	if _, err := db.Insert("ITEM", storage.Int(99), storage.String("x"), storage.Null, storage.Int(1<<53+1), storage.Null); !errors.Is(err, storage.ErrInexact) {
+		t.Errorf("Int(2^53+1) into ITEM.price: %v, want storage.ErrInexact", err)
+	}
+	joined := 0
+	for _, v := range db.Relation("NOTE").Tuples() {
+		if ids, _ := db.Relation("GRADE").Lookup("score", v.Values[3]); len(ids) > 0 {
+			joined++
+		}
+	}
+	if joined == 0 {
+		t.Error("no NOTE.grade finds its GRADE")
+	}
 	ix := invidx.New(db)
-	for _, term := range []string{"tokPLACE", "tokITEM", "tokNOTE", "café"} {
+	for _, term := range []string{"tokPLACE", "tokITEM", "tokNOTE", "tokGRADE", "café"} {
 		if len(ix.Lookup(term)) == 0 {
 			t.Errorf("%q matches nothing", term)
 		}

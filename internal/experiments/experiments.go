@@ -525,7 +525,7 @@ func Baselines(films, nQueries int) (BaselineReport, error) {
 		// own movies (guaranteed joinable within 1 edge).
 		title := ""
 		movies.Scan(func(t storage.Tuple) bool {
-			if t.Values[di].Equal(director.Values[0]) {
+			if t.Values[di] == director.Values[0] {
 				title = t.Values[ti].AsString()
 				return false
 			}

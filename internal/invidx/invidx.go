@@ -4,7 +4,7 @@
 // (relation, attribute) pair plus the ids of the tuples whose attribute
 // value contains the token. Multi-word terms such as "Woody Allen" are
 // resolved by intersecting per-word postings, shortest first, and verifying
-// the phrase against the stored value.
+// against the stored value that its tokens hold the term's as one run.
 package invidx
 
 import (
@@ -255,11 +255,12 @@ func (ix *Index) RemoveTuple(relation string, t storage.Tuple) {
 func (ix *Index) NumTokens() int { return len(ix.postings) }
 
 // Lookup resolves a query term to its occurrences. A term may be a single
-// word or a phrase ("Woody Allen"); phrases are verified against the stored
-// attribute values with case-insensitive containment so that only genuine
-// phrase matches survive. Occurrences are returned sorted by relation then
-// attribute, with sorted tuple ids. They are the caller's: nothing in them
-// aliases the index.
+// word or a phrase ("Woody Allen"); a phrase matches a stored attribute value
+// whose tokens hold the term's tokens as one contiguous run, in order, so
+// that its separators and case do not matter ("woody  allen.", "Woody,Allen")
+// and only genuine phrase matches survive. Occurrences are returned sorted by
+// relation then attribute, with sorted tuple ids. They are the caller's:
+// nothing in them aliases the index.
 func (ix *Index) Lookup(term string) []Occurrence {
 	words := Tokenize(term)
 	if len(words) == 0 {
@@ -267,10 +268,6 @@ func (ix *Index) Lookup(term string) []Occurrence {
 	}
 	first := ix.postings[words[0]]
 	var out []Occurrence
-	needle := ""
-	if len(words) > 1 {
-		needle = strings.ToLower(term)
-	}
 	var byWord [8][]locList // the other words' lists, looked up once for every location
 	rest := byWord[:0]
 	for _, w := range words[1:] {
@@ -281,7 +278,7 @@ func (ix *Index) Lookup(term string) []Occurrence {
 		if len(words) == 1 {
 			matched = l.ids.AppendTo(make([]storage.TupleID, 0, len(l.ids)))
 		} else {
-			matched = ix.phrase(l, rest, needle)
+			matched = ix.phrase(l, rest, words)
 		}
 		if len(matched) > 0 {
 			if out == nil {
@@ -295,14 +292,14 @@ func (ix *Index) Lookup(term string) []Occurrence {
 
 // phrase narrows first, the posting list of a phrase's first word, to the
 // tuples that hold every other word at the same location and whose stored
-// value contains needle, the whole term in lower case; rest holds the other
+// value holds the phrase's words as one run (holdsRun); rest holds the other
 // words' lists by location. It gathers every word's list at the location, nil
 // as soon as a word has none there, and intersects them shortest first — a
 // title's serial or a name's surname before the words many values share — so
 // that no intersection is longer than the shortest list. The lists are read
 // as they are stored; the candidates are widened, and their rows read in one
 // batch, so that the rows' cache misses overlap.
-func (ix *Index) phrase(first locList, rest [][]locList, needle string) []storage.TupleID {
+func (ix *Index) phrase(first locList, rest [][]locList, words []string) []storage.TupleID {
 	var held [8]storage.IDList // a term's lists, for up to eight words: no allocation
 	lists := append(held[:0], first.ids)
 	for _, others := range rest {
@@ -327,7 +324,7 @@ func (ix *Index) phrase(first locList, rest [][]locList, needle string) []storag
 	var stored [32]storage.Row // room for a name's candidates' rows, almost always
 	n := 0
 	for i, row := range rel.AppendRows(stored[:0], matched) {
-		if row.Valid() && containsFold(row.Value(ci).AsString(), needle) {
+		if row.Valid() && holdsRun(row.Value(ci).AsString(), words) {
 			matched[n] = matched[i]
 			n++
 		}
@@ -335,16 +332,39 @@ func (ix *Index) phrase(first locList, rest [][]locList, needle string) []storag
 	return matched[:n]
 }
 
-// containsFold reports strings.Contains(strings.ToLower(s), lower), for a
-// lower already in lower case, and builds nothing when s is ASCII.
-func containsFold(s, lower string) bool {
+// holdsRun reports whether Tokenize(s) holds words, a term's tokens, as one
+// contiguous run, in order. An ASCII s is read in place, building nothing:
+// from each position a token starts at, the words are matched in turn, each
+// ending where a token does, the separators between them skipped.
+func holdsRun(s string, words []string) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= utf8.RuneSelf {
-			return strings.Contains(strings.ToLower(s), lower)
+			tokens := Tokenize(s)
+			for i := 0; i+len(words) <= len(tokens); i++ {
+				if slices.Equal(tokens[i:i+len(words)], words) {
+					return true
+				}
+			}
+			return false
 		}
 	}
-	for i := 0; i+len(lower) <= len(s); i++ {
-		if strings.EqualFold(s[i:i+len(lower)], lower) {
+	alnum := func(i int) bool { c := s[i] | 0x20; return 'a' <= c && c <= 'z' || '0' <= s[i] && s[i] <= '9' }
+	for start := 0; start < len(s); start++ {
+		if !alnum(start) || start > 0 && alnum(start-1) {
+			continue
+		}
+		at, k := start, 0
+		for ; k < len(words); k++ {
+			for k > 0 && at < len(s) && !alnum(at) {
+				at++
+			}
+			end := at + len(words[k])
+			if end > len(s) || end < len(s) && alnum(end) || !strings.EqualFold(s[at:end], words[k]) {
+				break
+			}
+			at = end
+		}
+		if k == len(words) {
 			return true
 		}
 	}

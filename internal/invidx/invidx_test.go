@@ -99,6 +99,19 @@ func TestLookupPhrase(t *testing.T) {
 	}
 }
 
+// TestLookupPhraseIgnoresSeparators: a phrase is its tokens, so the
+// separators around and between its words, in the term and in the value, do
+// not change what it matches.
+func TestLookupPhraseIgnoresSeparators(t *testing.T) {
+	ix := New(moviesDB(t))
+	want := ix.Lookup("Woody Allen")
+	for _, term := range []string{"Woody Allen.", "woody  allen", "Woody,Allen", "(woody) -- ALLEN!"} {
+		if got := ix.Lookup(term); !reflect.DeepEqual(got, want) {
+			t.Errorf("Lookup(%q) = %+v, Lookup(\"Woody Allen\") = %+v", term, got, want)
+		}
+	}
+}
+
 func TestLookupCaseInsensitive(t *testing.T) {
 	db := moviesDB(t)
 	ix := New(db)
@@ -283,21 +296,25 @@ func TestSynonyms(t *testing.T) {
 	}
 }
 
-// TestContainsFold holds the allocation-free match to the expression it
-// replaced.
-func TestContainsFold(t *testing.T) {
-	values := []string{"", "Woody Allen", "WOODY ALLEN", "woody allen", "Woody  Allen", "Allen, Woody", "Åsa Öst", "ÅSA ÖST", "K", "straße", "İstanbul"}
-	terms := []string{"", "woody allen", "Woody Allen", "allen", "y a", "åsa", "Öst", "k", "K", "SS", "i̇"}
+// TestHoldsRun holds the allocation-free phrase check to its statement: the
+// value's tokens hold the term's as one contiguous run, in order, whatever
+// separates them.
+func TestHoldsRun(t *testing.T) {
+	values := []string{"", "Woody Allen", "WOODY ALLEN", "woody allen.", "Woody  Allen", "Allen, Woody", "Woody,Allen", "John O'Brien",
+		"a a b", "Åsa Öst", "ÅSA ÖST", "K", "straße", "İstanbul", "r2d2 Woody Allen Woody"}
+	terms := []string{"woody allen", "Woody Allen.", "woody  allen", "Woody,Allen", "allen", "y a", "John O'Brien", "o brien", "a b",
+		"åsa öst", "Öst", "k", "K", "SS", "i̇", "allen woody", "r2d2 woody"}
 	for _, v := range values {
 		for _, term := range terms {
-			lower := strings.ToLower(term)
-			want := strings.Contains(strings.ToLower(v), lower)
-			if got := containsFold(v, lower); got != want {
-				t.Errorf("containsFold(%q, %q) = %t, want %t", v, lower, got, want)
+			words := Tokenize(term)
+			tokens, want := " "+strings.Join(Tokenize(v), " ")+" ", false
+			want = strings.Contains(tokens, " "+strings.Join(words, " ")+" ")
+			if got := holdsRun(v, words); got != want {
+				t.Errorf("holdsRun(%q, %q) = %t, want %t", v, words, got, want)
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { containsFold("Woody Allen", "woody allen") }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { holdsRun("Allen, Woody Allen", []string{"woody", "allen"}) }); n != 0 {
 		t.Errorf("%.0f allocations on an ASCII value", n)
 	}
 }

@@ -3,8 +3,8 @@ package invidx
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"sort"
-	"strings"
 
 	"precis/internal/storage"
 )
@@ -113,7 +113,8 @@ func (ix *refIndex) Lookup(term string) []Occurrence {
 			}
 		} else {
 			// Intersect with the remaining words' postings at the same
-			// location, then verify the phrase in the stored value.
+			// location, then verify that the stored value's tokens hold the
+			// term's as one run.
 			candidate := ids
 			ok := true
 			for _, w := range words[1:] {
@@ -140,14 +141,17 @@ func (ix *refIndex) Lookup(term string) []Occurrence {
 			}
 			rel := ix.db.Relation(key.rel)
 			ci := rel.Schema().ColumnIndex(key.attr)
-			needle := strings.ToLower(term)
 			for id := range candidate {
 				t, found := rel.Get(id)
 				if !found {
 					continue
 				}
-				if strings.Contains(strings.ToLower(t.Values[ci].AsString()), needle) {
-					matched = append(matched, id)
+				tokens := Tokenize(t.Values[ci].AsString())
+				for i := 0; i+len(words) <= len(tokens); i++ {
+					if slices.Equal(tokens[i:i+len(words)], words) {
+						matched = append(matched, id)
+						break
+					}
 				}
 			}
 		}

@@ -16,7 +16,8 @@ import (
 // value, on a generated movies database, for every title, actor name and
 // director name: as stored, each of its words alone, its words shuffled (the
 // rarest word — a title's serial, a name's surname — first, in the middle or
-// last), and repeated, the whole value twice and its first word doubled. At
+// last), and repeated, the whole value twice and its first word doubled; each
+// term also punctuated ("Woody,Allen.") and double-spaced. At
 // this scale a title's serial meets its title words' lists, and a surname its
 // first name's, about 1 : 10, so the kernel's skip is on the path as well as
 // its walk; its search, from 1 : 64, is held to the merge by the storage
@@ -39,16 +40,22 @@ func TestLookupMatchesSpec(t *testing.T) {
 			return
 		}
 		seen[term] = true
-		var got []spec.Occurrence
-		for _, o := range ix.Lookup(term) {
-			ids := make([]int64, len(o.TupleIDs))
-			for i, id := range o.TupleIDs {
-				ids[i] = int64(id)
+		want := spec.Lookup(sdb, term)
+		// The spec reads a term's tokens only, so the term punctuated or
+		// double-spaced has its answer.
+		fields := strings.Fields(term)
+		for _, form := range []string{term, strings.Join(fields, ",") + ".", strings.Join(fields, "  ")} {
+			var got []spec.Occurrence
+			for _, o := range ix.Lookup(form) {
+				ids := make([]int64, len(o.TupleIDs))
+				for i, id := range o.TupleIDs {
+					ids[i] = int64(id)
+				}
+				got = append(got, spec.Occurrence{Relation: o.Relation, Attribute: o.Attribute, IDs: ids})
 			}
-			got = append(got, spec.Occurrence{Relation: o.Relation, Attribute: o.Attribute, IDs: ids})
-		}
-		if want := spec.Lookup(sdb, term); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Lookup(%q) = %v, spec %v", term, got, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Lookup(%q) = %v, spec (of %q) %v", form, got, term, want)
+			}
 		}
 	}
 	for _, rel := range []string{"MOVIE", "ACTOR", "DIRECTOR"} {

@@ -304,7 +304,8 @@ func FromDatabase(db *storage.Database) *Graph {
 
 // Validate checks the graph against a database: every relation node must
 // exist, every projection edge must name a real attribute, and every join
-// edge must connect columns of matching type.
+// edge must connect columns of one type, or an INT and a FLOAT column (a
+// lookup converts its value to the type of the column it probes).
 func (g *Graph) Validate(db *storage.Database) error {
 	for _, name := range g.order {
 		rel := db.Relation(name)
@@ -333,7 +334,8 @@ func (g *Graph) Validate(db *storage.Database) error {
 			if ti < 0 {
 				return fmt.Errorf("schemagraph: join %s names missing column %s.%s", e.Key(), e.To, e.ToCol)
 			}
-			if rel.Schema().Columns[fi].Type != to.Schema().Columns[ti].Type {
+			numeric := func(t storage.ColType) bool { return t == storage.TypeInt || t == storage.TypeFloat }
+			if ft, tt := rel.Schema().Columns[fi].Type, to.Schema().Columns[ti].Type; ft != tt && !(numeric(ft) && numeric(tt)) {
 				return fmt.Errorf("schemagraph: join %s connects %s and %s columns", e.Key(),
 					rel.Schema().Columns[fi].Type, to.Schema().Columns[ti].Type)
 			}

@@ -4,11 +4,14 @@ package spec
 // tuples of D′, relation by relation, in the order they are inserted — which
 // is the order an answer lists them in.
 //
+// A join matches by value under the one rule of equality (values.go): a
+// driving value is converted to the type of the column it probes and compared
+// with that column's values by ==; NULL and a value that cannot convert join
+// nothing.
+//
 // Out of scope, and left to the engine's own tests: resource budgets and the
 // partial answers they cut, the §7 tuple weights, and the FIFOJoins and
-// DisablePostponement ablations. Join columns are taken to hold one kind of
-// value each, as in every bundled dataset (an integer and a float that compare
-// equal would be two driving values here).
+// DisablePostponement ablations.
 
 import (
 	"math"
@@ -21,7 +24,8 @@ import (
 type Table struct {
 	Key     string // the primary-key column, "" without one
 	Columns []string
-	Rows    []Row // in any order
+	Types   []storage.ColType // the columns' declared types
+	Rows    []Row             // in any order
 }
 
 // Row is a tuple: its id and one value per column.
@@ -38,7 +42,7 @@ func FromDatabase(db *storage.Database) Database {
 	sdb := Database{}
 	for _, name := range db.RelationNames() {
 		rel := db.Relation(name)
-		tab := Table{Key: rel.Schema().Key, Columns: rel.Schema().ColumnNames()}
+		tab := Table{Key: rel.Schema().Key, Columns: rel.Schema().ColumnNames(), Types: types(rel.Schema())}
 		for _, tu := range rel.Tuples() {
 			tab.Rows = append(tab.Rows, Row{ID: int64(tu.ID), Values: tu.Values})
 		}
@@ -115,7 +119,7 @@ func Auto(scans [][]int64, oneToN bool, k int) []int64 {
 //     by key.
 //  3. A join Rᵢ → Rⱼ reads the distinct non-NULL values of its column in R′ᵢ
 //     as it is when the join executes, and inserts what strat picks among the
-//     tuples of Rⱼ holding them, as many as the constraint allows then.
+//     tuples of Rⱼ holding them (key), as many as the constraint allows then.
 //
 // A tuple already in R′ⱼ is never inserted again.
 func ResultDatabase(db Database, g Graph, seeds map[string][]int64, caps Caps, strat Strategy) map[string][]int64 {
@@ -224,14 +228,12 @@ func ResultDatabase(db Database, g Graph, seeds map[string][]int64, caps Caps, s
 		executed[j.To]++
 
 		from, to := db[j.From], db[j.To]
-		driving := map[storage.Value]int{} // value → its scan
+		seen := map[storage.Value]bool{}
 		var values []storage.Value
 		for _, row := range in[j.From] {
-			if v := row[column(from, j.FromCol)]; !v.IsNull() {
-				if _, ok := driving[v]; !ok {
-					driving[v] = 0
-					values = append(values, v)
-				}
+			if v := row[column(from, j.FromCol)]; !v.IsNull() && !seen[v] {
+				seen[v] = true
+				values = append(values, v)
 			}
 		}
 		k := room(j.To)
@@ -239,15 +241,21 @@ func ResultDatabase(db Database, g Graph, seeds map[string][]int64, caps Caps, s
 			continue
 		}
 		sort.Slice(values, func(a, b int) bool { return values[a].Compare(values[b]) < 0 })
+		tc := column(to, j.ToCol)
+		driving := map[storage.Value]int{} // the value of Rⱼ's column a driving value finds → its scan, the first's
 		for i, v := range values {
-			driving[v] = i
+			if kv, ok := key(to.Types[tc], v); ok {
+				if _, dup := driving[kv]; !dup {
+					driving[kv] = i
+				}
+			}
 		}
 		scans := make([][]int64, len(values))
 		for _, r := range to.Rows {
 			if _, dup := in[j.To][r.ID]; dup {
 				continue
 			}
-			if i, ok := driving[r.Values[column(to, j.ToCol)]]; ok {
+			if i, ok := driving[r.Values[tc]]; ok {
 				scans[i] = append(scans[i], r.ID)
 			}
 		}

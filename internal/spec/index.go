@@ -31,13 +31,13 @@ func Tokens(s string) []string {
 }
 
 // Lookup returns the occurrences of term in db, by relation and then
-// attribute, only those that match a tuple. A string value matches when its
-// tokens include every token of the term and, for a term of two tokens or
-// more, the lower-cased value contains the lower-cased term: a phrase's words
-// are adjacent, in its order, with its separators. A term without a token
-// matches nothing.
+// attribute, only those that match a tuple. A string value matches a term of
+// one token when its tokens include it, and a term of two tokens or more when
+// its tokens hold the term's as one contiguous run, in order: a phrase's words
+// are adjacent, in its order, whatever separates them in the term or the
+// value. A term without a token matches nothing.
 func Lookup(db Database, term string) []Occurrence {
-	words, phrase := Tokens(term), strings.ToLower(term)
+	words := Tokens(term)
 	if len(words) == 0 {
 		return nil
 	}
@@ -46,7 +46,7 @@ func Lookup(db Database, term string) []Occurrence {
 		for c, col := range tab.Columns {
 			occ := Occurrence{Relation: name, Attribute: col}
 			for _, row := range tab.Rows {
-				if v := row.Values[c]; v.Kind() == storage.KindString && matches(v.AsString(), words, phrase) {
+				if v := row.Values[c]; v.Kind() == storage.KindString && matches(v.AsString(), words) {
 					occ.IDs = append(occ.IDs, row.ID)
 				}
 			}
@@ -63,16 +63,16 @@ func Lookup(db Database, term string) []Occurrence {
 }
 
 // matches reports whether the string value s holds the term whose tokens are
-// words and whose lower-cased text is phrase.
-func matches(s string, words []string, phrase string) bool {
-	if len(words) > 1 && !strings.Contains(strings.ToLower(s), phrase) {
-		return false
-	}
+// words.
+func matches(s string, words []string) bool {
 	tokens := Tokens(s)
-	for _, w := range words {
-		if !slices.Contains(tokens, w) {
-			return false
+	if len(words) == 1 {
+		return slices.Contains(tokens, words[0])
+	}
+	for i := 0; i+len(words) <= len(tokens); i++ {
+		if slices.Equal(tokens[i:i+len(words)], words) {
+			return true
 		}
 	}
-	return true
+	return false
 }

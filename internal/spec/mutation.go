@@ -11,9 +11,10 @@ package spec
 //   - every reference of another tuple that was held before is held after
 //     (storage.ErrReferenced).
 //
-// They are checked in that order, and a refused write changes nothing. Two
-// values match when they are equal as Go values, kind and bits, which is how
-// the join indexes match them. Column types are not stated.
+// They are checked in that order, and a refused write changes nothing. A
+// written value is stored as its column's type keeps it, and a row with a
+// value the column cannot keep does not fit (stored, values.go); a key or a
+// reference is looked up as a join looks a value up (key).
 
 import (
 	"errors"
@@ -26,11 +27,12 @@ import (
 // relation the store does not have.
 var ErrInvalid = errors.New("spec: row does not fit its relation")
 
-// Relation is a relation of a Store: its columns, its primary key ("" without
-// one) and its tuples by id.
+// Relation is a relation of a Store: its columns and their declared types,
+// its primary key ("" without one) and its tuples by id.
 type Relation struct {
 	Key     string
 	Columns []string
+	Types   []storage.ColType
 	Tuples  map[int64][]storage.Value
 }
 
@@ -46,7 +48,8 @@ func StoreOf(db *storage.Database) *Store {
 	s := &Store{Relations: map[string]*Relation{}, ForeignKeys: db.ForeignKeys(), NextID: int64(db.NextTupleID())}
 	for _, name := range db.RelationNames() {
 		rel := db.Relation(name)
-		r := &Relation{Key: rel.Schema().Key, Columns: rel.Schema().ColumnNames(), Tuples: map[int64][]storage.Value{}}
+		r := &Relation{Key: rel.Schema().Key, Columns: rel.Schema().ColumnNames(), Types: types(rel.Schema()),
+			Tuples: map[int64][]storage.Value{}}
 		for _, tu := range rel.Tuples() {
 			r.Tuples[int64(tu.ID)] = tu.Values
 		}
@@ -93,6 +96,13 @@ func (s *Store) write(rel string, id int64, vals []storage.Value) error {
 		if len(vals) != len(r.Columns) {
 			return ErrInvalid
 		}
+		vals = slices.Clone(vals)
+		for i, v := range vals {
+			var fits bool
+			if vals[i], fits = stored(r.Types[i], v); !fits {
+				return ErrInvalid
+			}
+		}
 		if k := slices.Index(r.Columns, r.Key); k >= 0 {
 			if vals[k].IsNull() {
 				return ErrInvalid
@@ -109,7 +119,7 @@ func (s *Store) write(rel string, id int64, vals []storage.Value) error {
 	if vals == nil {
 		delete(r.Tuples, id)
 	} else {
-		r.Tuples[id] = slices.Clone(vals)
+		r.Tuples[id] = vals
 	}
 	err := error(nil)
 	for ref := range s.dangling() {
@@ -156,8 +166,9 @@ func (s *Store) dangling() map[reference]bool {
 
 // holds reports whether a tuple of r holds v in column c.
 func holds(r *Relation, c int, v storage.Value) bool {
+	k, ok := key(r.Types[c], v)
 	for _, vals := range r.Tuples {
-		if vals[c] == v {
+		if ok && vals[c] == k {
 			return true
 		}
 	}

@@ -3,7 +3,6 @@ package sqlx
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"precis/internal/faultinject"
@@ -103,8 +102,8 @@ func (e *Engine) ExecStmt(st Stmt) (*Result, error) {
 		ci = -1 // every tuple a probe finds holds one of the values
 		res.Stats.IndexLookups = len(st.Values)
 		var err error
-		if candidates, err = appendPostings(nil, nil, rel, st.Col, st.Values); err != nil {
-			return nil, err
+		if candidates, err = rel.AppendLookups(nil, nil, st.Col, st.Values); err != nil {
+			return nil, fmt.Errorf("sql: access path on %s: %w", rel.Name(), err)
 		}
 		// One value's postings are ascending and duplicate-free; several
 		// values' (the list may even repeat a value) are merged.
@@ -119,7 +118,7 @@ func (e *Engine) ExecStmt(st Stmt) (*Result, error) {
 	full := func() bool { return st.Limit >= 0 && len(res.Rows) >= st.Limit }
 	room := 0 // rows the current block can still emit; 0 in a scan
 	emit := func(id storage.TupleID, row storage.Row) {
-		if st.Exclude != nil && st.Exclude.Has(id) || ci >= 0 && !holds(row.Value(ci), st.Values) {
+		if st.Exclude != nil && st.Exclude.Has(id) || ci >= 0 && !holds(schema.Columns[ci].Type, row.Value(ci), st.Values) {
 			return
 		}
 		if len(res.Rows) == cap(res.Rows) {
@@ -176,13 +175,11 @@ func (e *Engine) ExecStmt(st Stmt) (*Result, error) {
 	return res, nil
 }
 
-// holds reports whether v Equals one of vals; NULL holds none.
-func holds(v storage.Value, vals []storage.Value) bool {
-	if v.IsNull() {
-		return false
-	}
+// holds reports whether v, a value of a column of type t, is one of vals,
+// each converted to t (ColType.Key) as an index lookup converts it.
+func holds(t storage.ColType, v storage.Value, vals []storage.Value) bool {
 	for _, w := range vals {
-		if v.Equal(w) {
+		if k, ok := t.Key(w); ok && k == v {
 			return true
 		}
 	}
@@ -202,57 +199,14 @@ const (
 )
 
 // planAccess picks st's access path: its ids when it lists them, else a probe
-// of Col's hash index when Col has one and the index can answer every value,
-// else a scan. Planning touches no tuples and cannot fail.
+// of Col's hash index when Col has one, else a scan. Planning touches no
+// tuples and cannot fail.
 func planAccess(rel *storage.Relation, st *SelectStmt) accessKind {
 	switch {
 	case st.IDs != nil:
 		return accessRowID
-	case st.Col != "" && rel.HasIndex(st.Col) && probeable(st.Values):
+	case st.Col != "" && rel.HasIndex(st.Col):
 		return accessIndex
 	}
 	return accessScan
-}
-
-// probeable reports whether a hash index can answer vals completely: a float
-// at or beyond 2^53 equals several int64s the index cannot enumerate.
-func probeable(vals []storage.Value) bool {
-	for _, v := range vals {
-		if v.Kind() == storage.KindFloat && math.Abs(v.AsFloat()) >= maxExactFloat {
-			return false
-		}
-	}
-	return true
-}
-
-// maxExactFloat is 2^53: below it every integral float64 is exactly one
-// int64, above it several int64s round to the same float64.
-const maxExactFloat = 1 << 53
-
-// indexKeys returns the hash-index keys a probe for v must look up in a
-// column of type t. The index keys on exact values while comparison is
-// numeric across Int and Float (Value.Equal), so a numeric literal probes
-// every representation the column can store: `k = 1.0` finds Int(1) in an
-// INT column, and `f = 1` finds both Int(1) and Float(1) in a FLOAT column.
-// Every tuple under a returned key Equals v.
-func indexKeys(t storage.ColType, v storage.Value) (keys [2]storage.Value, n int) {
-	switch v.Kind() {
-	case storage.KindInt:
-		keys[0], n = v, 1
-		if t == storage.TypeFloat {
-			keys[1], n = storage.Float(float64(v.AsInt())), 2
-		}
-	case storage.KindFloat:
-		f := v.AsFloat()
-		if t == storage.TypeFloat {
-			keys[0], n = v, 1
-		}
-		if f == math.Trunc(f) && math.Abs(f) < maxExactFloat {
-			keys[n] = storage.Int(int64(f))
-			n++
-		}
-	default:
-		keys[0], n = v, 1
-	}
-	return keys, n
 }

@@ -216,7 +216,7 @@ func TestAccessPlan(t *testing.T) {
 		{"ids beside an indexed column", &SelectStmt{IDs: ids, Col: "did", Values: []storage.Value{storage.Int(1)}}, accessRowID},
 		{"unindexed column", in(nil, "year", storage.Int(2000)), accessScan},
 		{"neither", &SelectStmt{}, accessScan},
-		{"beyond exact floats", in(nil, "did", storage.Float(1<<53)), accessScan},
+		{"a float at 2^53, converted by the index", in(nil, "did", storage.Float(1<<53)), accessIndex},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if plan := planAccess(rel, tc.st); plan != tc.kind {

@@ -16,16 +16,16 @@ type idSet map[storage.TupleID]bool
 
 func (s idSet) Has(id storage.TupleID) bool { return s[id] }
 
-// bigInt is 2^53 + 1, the first int64 no float64 holds: Float(2^53) Equals it
-// and Int(2^53).
+// bigInt is 2^53 + 1, the first int64 no float64 holds: a FLOAT column
+// refuses it, and Float(2^53) probing an INT column finds 2^53, not it.
 const bigInt = 1<<53 + 1
 
 // planEngine builds two copies of one table: R with a primary key on id and
 // hash indexes on k and f; U with no key and no index, so every statement on it
-// scans. k, f and s hold NULLs; f holds both Int and Float values (a FLOAT
-// column accepts both), some numerically equal. Seven tuples more hold the
-// values a float probe can trip on: NaN, ±Inf, −0, 2^53, and Ints a float
-// cannot tell apart.
+// scans. k, f and s hold NULLs; f is given both Int and Float values, and
+// stores the Ints as Floats. Seven tuples more hold the values a float probe
+// can trip on: NaN, ±Inf, −0, ±2^53 in f, and in k Ints a float cannot tell
+// apart.
 func planEngine(t testing.TB) *Engine {
 	t.Helper()
 	db := storage.NewDatabase("plan")
@@ -62,7 +62,7 @@ func planEngine(t testing.TB) *Engine {
 		insert(storage.Int(int64(i)), k, fv, storage.Int(int64(r.Intn(50))), s)
 	}
 	for i, f := range []storage.Value{storage.Float(math.NaN()), storage.Float(math.Inf(1)), storage.Float(math.Inf(-1)),
-		storage.Float(math.Copysign(0, -1)), storage.Float(1 << 53), storage.Int(bigInt), storage.Int(1 << 53)} {
+		storage.Float(math.Copysign(0, -1)), storage.Float(1 << 53), storage.Int(-(1 << 53)), storage.Int(1 << 53)} {
 		insert(storage.Int(int64(240+i)), storage.Int(bigInt-int64(i%2)), f, storage.Int(int64(i)), storage.String("z"))
 	}
 	for _, c := range []string{"k", "f"} {
@@ -320,7 +320,14 @@ func idColumn(res *Result) []int64 {
 // beside other values, on the indexed table and on the scanned copy.
 func TestNullProbesNeverMatch(t *testing.T) {
 	e := planEngine(t)
-	if nulls, _ := e.Database().Relation("R").Lookup("k", storage.Null); len(nulls) == 0 {
+	nulls := 0
+	e.Database().Relation("R").Scan(func(tu storage.Tuple) bool {
+		if tu.Values[1].IsNull() {
+			nulls++
+		}
+		return true
+	})
+	if nulls == 0 {
 		t.Fatal("fixture has no NULL k")
 	}
 	for _, table := range []string{"R", "U"} {
@@ -345,10 +352,11 @@ func TestNullProbesNeverMatch(t *testing.T) {
 	}
 }
 
-// TestNumericLiteralsAcrossKinds: Value.Equal compares Int and Float
-// numerically while the hash index keys on exact values, so a probe must
-// look up every representation the column can store. The indexed table and
-// its unindexed copy return the same rows for every value kind.
+// TestNumericLiteralsAcrossKinds: a probe converts its value to the column's
+// type (ColType.Key) — an Int into a FLOAT column's Float up to 2^53, an
+// integral Float into an INT column's Int — and matches nothing when it
+// cannot. The indexed table and its unindexed copy return the same rows for
+// every value kind.
 func TestNumericLiteralsAcrossKinds(t *testing.T) {
 	e := planEngine(t)
 	i, f := storage.Int, storage.Float
@@ -366,8 +374,10 @@ func TestNumericLiteralsAcrossKinds(t *testing.T) {
 		{"f", []storage.Value{f(math.NaN()), f(math.Copysign(0, -1))}},
 		{"f", []storage.Value{i(bigInt)}},
 		{"k", []storage.Value{i(bigInt)}},
-		{"f", []storage.Value{f(1 << 53), i(1)}}, // beyond exact floats: left to the scan
+		{"f", []storage.Value{f(1 << 53), i(1)}},
 		{"k", []storage.Value{f(1 << 53)}},
+		{"k", []storage.Value{f(1 << 53), i(bigInt)}}, // Compare ties them; their keys differ
+		{"f", []storage.Value{i(bigInt), f(1 << 53), storage.Null}},
 		{"f", []storage.Value{f(math.Inf(-1))}},
 	} {
 		t.Run(fmt.Sprintf("%s IN %v", tc.col, tc.vals), func(t *testing.T) {
@@ -383,8 +393,16 @@ func TestNumericLiteralsAcrossKinds(t *testing.T) {
 	if got := probe(t, e, "R", "f", i(1)); got.Stats.IndexLookups != 1 {
 		t.Errorf("f = 1 counted %d index lookups, want one per value", got.Stats.IndexLookups)
 	}
-	if got := probe(t, e, "R", "f", i(bigInt)); len(got.Rows) != 2 {
-		t.Errorf("f = 2^53+1 found %v, want the Int and the Float(2^53) that Equal it", idColumn(got))
+	if got := probe(t, e, "R", "f", i(bigInt)); len(got.Rows) != 0 {
+		t.Errorf("f = 2^53+1 found %v, which no float64 holds", idColumn(got))
+	}
+	// A value with no key, Int(2^53+1) in f, is no key its successor repeats.
+	if g, err := e.Probe("R", "f", []storage.Value{i(bigInt), f(1 << 53)}); err != nil || len(g.Group(0)) != 0 || len(g.Group(1)) != 2 {
+		t.Errorf("Probe(f, 2^53+1, 2^53.0): %v, want no tuple and two", err)
+	}
+	if got, want := probe(t, e, "R", "k", f(1<<53)), probe(t, e, "R", "k", i(1<<53)); len(got.Rows) == 0 ||
+		!reflect.DeepEqual(idColumn(got), idColumn(want)) {
+		t.Errorf("k = 2^53.0 found %v, want the tuples holding Int(2^53), %v", idColumn(got), idColumn(want))
 	}
 }
 
@@ -410,7 +428,7 @@ func TestHashProbePlan(t *testing.T) {
 		{"repeated values", idK, "k", []storage.Value{i(2), i(5), i(2), i(2)}, -1, accessIndex},
 		{"k = 1.0 on an INT column", idK, "k", []storage.Value{f(1)}, -1, accessIndex},
 		{"no such key", idK, "k", []storage.Value{f(1.5), i(99)}, -1, accessIndex},
-		{"FLOAT column, two keys per value", onlyF, "f", []storage.Value{i(1), f(2), f(2.5)}, -1, accessIndex},
+		{"FLOAT column, Int probes converted", onlyF, "f", []storage.Value{i(1), f(2), f(2.5)}, -1, accessIndex},
 		{"no column", []string{}, "f", []storage.Value{i(1), i(3)}, -1, accessIndex},
 		{"column twice", []string{"k", "id", "k"}, "k", []storage.Value{i(1), i(7)}, -1, accessIndex},
 		{"LIMIT", idK, "k", []storage.Value{i(1), i(2), i(3)}, 7, accessIndex},
@@ -421,7 +439,7 @@ func TestHashProbePlan(t *testing.T) {
 		{"SELECT *", nil, "k", []storage.Value{i(3)}, -1, accessIndex},
 		{"the key", idK, "id", []storage.Value{i(3), f(7), i(500)}, -1, accessIndex},
 		{"no values", idK, "k", nil, -1, accessIndex},
-		{"beyond exact floats", idK, "k", []storage.Value{f(1 << 53), i(1)}, -1, accessScan},
+		{"a float at 2^53", idK, "k", []storage.Value{f(1 << 53), i(1)}, -1, accessIndex},
 		{"unindexed", idK, "y", []storage.Value{i(7)}, -1, accessScan},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -651,12 +669,12 @@ func TestIDsThenFetch(t *testing.T) {
 }
 
 // TestBlockLookupsMatchReference holds the one gather loop behind a hash probe
-// and Probe — a block of values expanded to their index keys and looked up in
-// one call — to the reference scan, on an INT and on a FLOAT column, with lists
-// of every length around the block size: `1` and `1.0` alternating, a value
-// stored under both of its keys, absent values, NULLs and Compare-equal twins
-// in the list, and a float beyond 2^53, which sends the statement to the scan.
-// The counted work is a lookup per listed value and a read per tuple found.
+// and Probe — Relation.AppendLookups, a block of values at a time, each
+// converted to the column's type — to the reference scan, on an INT and on a FLOAT column, with
+// lists of every length around the block size: `1` and `1.0` alternating, a
+// value the FLOAT column was given as both kinds, absent values, NULLs and
+// Compare-equal twins in the list, and a float at 2^53. The counted work is a
+// lookup per listed value and a read per tuple found.
 func TestBlockLookupsMatchReference(t *testing.T) {
 	db := storage.NewDatabase("blocks")
 	rel := db.MustCreateRelation(storage.MustSchema("W", "id", storage.Column{Name: "id", Type: storage.TypeInt},
@@ -665,7 +683,7 @@ func TestBlockLookupsMatchReference(t *testing.T) {
 		k, f := storage.Int(int64(i%130)), storage.Int(int64(i%130))
 		switch i % 7 {
 		case 0, 1, 2:
-			f = storage.Float(float64(i % 130)) // i%130 meets every residue of 7: each value sits under both keys
+			f = storage.Float(float64(i % 130)) // i%130 meets every residue of 7: each value is given as both kinds
 		case 3:
 			f = storage.Float(float64(i%130) + 0.5)
 		case 4:
@@ -689,6 +707,7 @@ func TestBlockLookupsMatchReference(t *testing.T) {
 		return ids
 	}
 	r := rand.New(rand.NewSource(3))
+	const lookupBlock = 32 // the lookups a storage.HashIndex resolves together
 	for _, n := range []int{0, 1, lookupBlock - 1, lookupBlock, lookupBlock + 1, 3 * lookupBlock, 140} {
 		// n ascending values from -2 (absent) up, the odd ones as floats.
 		values := make([]storage.Value, n)
@@ -739,19 +758,19 @@ func TestBlockLookupsMatchReference(t *testing.T) {
 
 				beyond := append(slices.Clone(list), storage.Float(1<<53))
 				want := ref(column, beyond...)
-				scanned := Stats{Scanned: rel.Len(), TupleReads: len(want)}
-				if got := probe(t, e, "W", column, beyond...); !slices.Equal(got.RowIDs, want) || got.Stats != scanned {
-					t.Errorf("%s IN (…, 2^53): %d rows %+v, want %d rows %+v", column, len(got.RowIDs), got.Stats, len(want), scanned)
+				looked := Stats{IndexLookups: len(beyond), TupleReads: len(want)}
+				if got := probe(t, e, "W", column, beyond...); !slices.Equal(got.RowIDs, want) || got.Stats != looked {
+					t.Errorf("%s IN (…, 2^53): %d rows %+v, want %d rows %+v", column, len(got.RowIDs), got.Stats, len(want), looked)
 				}
-				if groups, err = e.Probe("W", column, beyond); err != nil || groups.Stats != scanned || len(groups.IDs) != len(want) {
-					t.Errorf("Probe(%s, …, 2^53): %+v (%v), want %+v", column, groups.Stats, err, scanned)
+				if groups, err = e.Probe("W", column, beyond); err != nil || groups.Stats != looked || len(groups.IDs) != len(want) {
+					t.Errorf("Probe(%s, …, 2^53): %+v (%v), want %+v", column, groups.Stats, err, looked)
 				}
 			}
 		}
 	}
-	if both, _ := rel.Lookup("f", storage.Int(5)); len(both) == 0 {
-		t.Fatal("fixture: no value of f is stored as an integer")
-	} else if float, _ := rel.Lookup("f", storage.Float(5)); len(float) == 0 {
-		t.Fatal("fixture: no value of f is stored under both keys")
+	if asInt, _ := rel.Lookup("f", storage.Int(5)); len(asInt) == 0 {
+		t.Fatal("fixture: no value of f was given as an integer")
+	} else if asFloat, _ := rel.Lookup("f", storage.Float(5)); !slices.Equal(asInt, asFloat) {
+		t.Fatalf("fixture: f = 5 finds %v, f = 5.0 finds %v", asInt, asFloat)
 	}
 }

@@ -22,20 +22,22 @@ type specTuple struct {
 }
 
 // specProbe: group i holds, ascending, the ids of the live tuples whose
-// column ci Equals values[i]. NULL equals nothing, and of two values that
-// Compare equal the first owns the group, so no id is in two groups.
-func specProbe(live []specTuple, ci int, values []storage.Value) [][]storage.TupleID {
+// column ci, of type typ, holds values[i] converted to typ (ColType.Key). NULL
+// and a value that cannot convert match nothing, and of two values with one
+// key the first owns the group, so no id is in two groups.
+func specProbe(live []specTuple, ci int, typ storage.ColType, values []storage.Value) [][]storage.TupleID {
 	groups := make([][]storage.TupleID, len(values))
 	for i, v := range values {
-		owned := !v.IsNull()
+		k, owned := typ.Key(v)
 		for _, earlier := range values[:i] {
-			owned = owned && earlier.Compare(v) != 0
+			ek, ok := typ.Key(earlier)
+			owned = owned && !(ok && ek == k)
 		}
 		if !owned {
 			continue
 		}
 		for _, t := range live {
-			if t.vals[ci].Equal(v) {
+			if t.vals[ci] == k {
 				groups[i] = append(groups[i], t.id)
 			}
 		}
@@ -54,7 +56,10 @@ const (
 	probeRelName = "T"
 )
 
-var probeCols = []string{"id", "k", "f", "u"}
+var (
+	probeCols  = []string{"id", "k", "f", "u"}
+	probeTypes = []storage.ColType{storage.TypeInt, storage.TypeInt, storage.TypeFloat, storage.TypeInt}
+)
 
 // probeFixture builds T, its model, and T partitioned n ways, then deletes
 // from all three: every eleventh tuple and the whole second chunk of the
@@ -77,7 +82,7 @@ func probeFixture(t *testing.T, parts []shard.Partitioner) (*storage.Database, [
 		case 1:
 			f = storage.Null
 		case 2, 3, 4:
-			f = storage.Int(i % 5) // a FLOAT column stores Int(1) beside Float(1)
+			f = storage.Int(i % 5) // stored as Float(i % 5)
 		case 5:
 			f = storage.Float(float64(i%5) + 0.5)
 		}
@@ -85,14 +90,14 @@ func probeFixture(t *testing.T, parts []shard.Partitioner) (*storage.Database, [
 		case 7:
 			k, f = storage.Int(7777), storage.Float(77.25) // one posting each, held inline
 		case 8, 9:
-			k = storage.Int(bigInt + i - 8) // 2^53 and 2^53+1 both Equal Float(2^53)
+			k = storage.Int(bigInt + i - 8) // Float(2^53) probes 2^53, not 2^53+1
 		}
-		vals := []storage.Value{storage.Int(i), k, f, u}
-		id, err := db.Insert(probeRelName, vals...)
+		id, err := db.Insert(probeRelName, storage.Int(i), k, f, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		model = append(model, specTuple{id, vals})
+		stored, _ := db.Relation(probeRelName).Get(id)
+		model = append(model, specTuple{id, stored.Values})
 	}
 	index := func(d *storage.Database) {
 		for _, c := range []string{"k", "f"} {
@@ -133,14 +138,17 @@ func probeFixture(t *testing.T, parts []shard.Partitioner) (*storage.Database, [
 
 // probeValueSets returns sorted driving-value lists for column ci: every
 // stored value with its other-kind twin and values no tuple holds, in both
-// orders Compare leaves open; the same with NULLs; one beyond the exactly
-// representable floats; singletons; random subsets; and none at all.
+// orders Compare leaves open; the same with NULLs; one at 2^53; singletons;
+// random subsets; and none at all.
 func probeValueSets(live []specTuple, ci int) [][]storage.Value {
 	var all []storage.Value
 	for _, t := range live {
-		if v := t.vals[ci]; v.Kind() == storage.KindInt && v.AsInt() < bigInt {
+		switch v := t.vals[ci]; {
+		case v.Kind() == storage.KindInt && v.AsInt() < bigInt:
 			all = append(all, v, storage.Float(float64(v.AsInt())))
-		} else if v.Kind() == storage.KindFloat {
+		case v.Kind() == storage.KindFloat && v.AsFloat() == float64(int64(v.AsFloat())):
+			all = append(all, v, storage.Int(int64(v.AsFloat())))
+		case v.Kind() == storage.KindFloat:
 			all = append(all, v)
 		}
 	}
@@ -163,7 +171,7 @@ func probeValueSets(live []specTuple, ci int) [][]storage.Value {
 		distinct,
 		sorted(all, false),
 		sorted(append(slices.Clone(all), storage.Null, storage.Null), true),
-		append(slices.Clone(distinct), storage.Float(float64(bigInt))), // left to a scan
+		append(slices.Clone(distinct), storage.Float(float64(bigInt))),
 		{storage.Null},
 		{},
 		nil,
@@ -215,9 +223,9 @@ func TestProbeMatchesSpec(t *testing.T) {
 
 	for _, ci := range []int{colK, colF, colU} {
 		col := probeCols[ci]
-		nonEmpty, twoLists := 0, false
+		nonEmpty, crossKind := 0, false
 		for _, values := range probeValueSets(live, ci) {
-			want := specProbe(live, ci, values)
+			want := specProbe(live, ci, probeTypes[ci], values)
 			check := func(name string, p prober, shards int) *sqlx.Groups {
 				got, err := p.Probe(probeRelName, col, values)
 				if err != nil {
@@ -233,12 +241,13 @@ func TestProbeMatchesSpec(t *testing.T) {
 					}
 				}
 				// The cost model's units: a probe per value (on every shard), a
-				// tuple read per posting, a visit per tuple only without an index.
+				// tuple read per posting, a visit per tuple and value only
+				// without an index.
 				s := got.Stats
-				indexed := ci != colU && !slices.Contains(values, storage.Float(float64(bigInt)))
+				indexed := ci != colU
 				if s.TupleReads != len(got.IDs) ||
 					(indexed && (s.IndexLookups != shards*len(values) || s.Scanned != 0)) ||
-					(!indexed && (s.IndexLookups != 0 || s.Scanned != len(live))) {
+					(!indexed && (s.IndexLookups != 0 || s.Scanned != len(live)*len(values))) {
 					t.Fatalf("%s: Probe(%s, %d values): %+v for %d ids", name, col, len(values), s, len(got.IDs))
 				}
 				return got
@@ -250,12 +259,12 @@ func TestProbeMatchesSpec(t *testing.T) {
 			for i := range values {
 				if n := len(single.Group(i)); n > 0 {
 					nonEmpty++
-					twoLists = twoLists || (ci == colF && values[i].Kind() == storage.KindInt && n > 200)
+					crossKind = crossKind || (values[i].Kind() == storage.KindInt) == (probeTypes[ci] == storage.TypeFloat)
 				}
 			}
 		}
-		if nonEmpty == 0 || (ci == colF && !twoLists) {
-			t.Errorf("%s: the value sets never probed a stored value (or never merged Int and Float postings)", col)
+		if nonEmpty == 0 || !crossKind {
+			t.Errorf("%s: the value sets never probed a stored value (or never one of the other numeric kind)", col)
 		}
 	}
 
@@ -270,5 +279,50 @@ func TestProbeMatchesSpec(t *testing.T) {
 		if _, err := p.Probe("NOPE", "k", nil); err == nil {
 			t.Errorf("%s: unknown relation accepted", name)
 		}
+	}
+}
+
+// TestProbeAgreesWithResultMatches: the generator finds a join's partners
+// with Probe and the translator finds them again in D′ with AppendMatches; a
+// FLOAT column given Int(2) and Float(2) holds one value, 2.0, so both find
+// both tuples for either kind of 2, and D′'s DistinctValues lists it once.
+func TestProbeAgreesWithResultMatches(t *testing.T) {
+	db := storage.NewDatabase("kinds")
+	schema := storage.MustSchema("F", "id", storage.Column{Name: "id", Type: storage.TypeInt},
+		storage.Column{Name: "f", Type: storage.TypeFloat})
+	db.MustCreateRelation(schema)
+	for i, v := range []storage.Value{storage.Int(2), storage.Float(2), storage.Float(2.5)} {
+		if _, err := db.Insert("F", storage.Int(int64(i)), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Relation("F").CreateIndex("f"); err != nil {
+		t.Fatal(err)
+	}
+	var ids []storage.TupleID
+	var rows []storage.Row
+	db.Relation("F").ScanRows(func(id storage.TupleID, row storage.Row) bool {
+		ids, rows = append(ids, id), append(rows, row)
+		return true
+	})
+	d := storage.NewResult("d", []*storage.Schema{schema}, nil).Relation("F")
+	d.Append(ids, rows)
+	want := ids[:2]
+	for _, v := range []storage.Value{storage.Int(2), storage.Float(2)} {
+		g, err := sqlx.NewEngine(db).Probe("F", "f", []storage.Value{v})
+		if err != nil || !slices.Equal(g.Group(0), want) {
+			t.Errorf("Probe(f, %s %v) = %v (%v), want %v", v.Kind(), v, g.Group(0), err, want)
+		}
+		ms, err := d.AppendMatches(nil, 1, v)
+		var got []storage.TupleID
+		for _, m := range ms {
+			got = append(got, m.ID())
+		}
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("AppendMatches(f, %s %v) = %v (%v), want %v", v.Kind(), v, got, err, want)
+		}
+	}
+	if vals, err := d.DistinctValues("f"); err != nil || !slices.Equal(vals, []storage.Value{storage.Float(2), storage.Float(2.5)}) {
+		t.Errorf("DistinctValues(f) = %v (%v), want [2 2.5]", vals, err)
 	}
 }

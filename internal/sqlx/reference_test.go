@@ -34,9 +34,9 @@ func refSelect(rel *storage.Relation, st *SelectStmt) ([]storage.TupleID, [][]st
 		if st.Col == "" {
 			return true
 		}
-		v := t.Values[schema.ColumnIndex(st.Col)]
+		ci := schema.ColumnIndex(st.Col)
 		for _, w := range st.Values {
-			if !v.IsNull() && !w.IsNull() && v.Equal(w) {
+			if k, ok := schema.Columns[ci].Type.Key(w); ok && t.Values[ci] == k {
 				return true
 			}
 		}

@@ -63,25 +63,19 @@ func typeFromName(s string) (ColType, error) {
 }
 
 // encodeCell renders a value for CSV; NULL becomes \N and a literal leading
-// backslash is doubled so the encoding is unambiguous. A Float is written in a
-// form strconv.ParseInt refuses ("3.0", not "3"), which is how a FLOAT column
-// tells it from an Int on the way back.
+// backslash is doubled so the encoding is unambiguous.
 func encodeCell(v Value) string {
 	if v.IsNull() {
 		return nullCell
 	}
 	s := v.String()
-	if v.Kind() == KindFloat && !strings.ContainsAny(s, ".eIN") {
-		return s + ".0"
-	}
 	if strings.HasPrefix(s, `\`) {
 		return `\` + s
 	}
 	return s
 }
 
-// decodeCell parses a CSV cell back into a value of the declared type; an
-// integer cell of a FLOAT column is an Int.
+// decodeCell parses a CSV cell back into a value of the declared type.
 func decodeCell(cell string, t ColType) (Value, error) {
 	if cell == nullCell {
 		return Null, nil
@@ -97,9 +91,6 @@ func decodeCell(cell string, t ColType) (Value, error) {
 		}
 		return Int(n), nil
 	case TypeFloat:
-		if n, err := strconv.ParseInt(cell, 10, 64); err == nil {
-			return Int(n), nil
-		}
 		f, err := strconv.ParseFloat(cell, 64)
 		if err != nil {
 			return Null, fmt.Errorf("storage: bad FLOAT cell %q: %w", cell, err)

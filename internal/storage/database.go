@@ -401,7 +401,7 @@ const (
 // order, it refuses
 //   - an unknown relation, an insert of an id the owner cannot take, and an
 //     update or a delete of an id the owner does not hold (ErrNoTuple);
-//   - new values that fail CheckRow;
+//   - new values that do not fit (Relation.Fit);
 //   - a primary-key value another tuple holds (ErrDuplicateKey);
 //   - a non-NULL foreign-key value no tuple of the referenced relation holds
 //     (ErrDangling; the tuple itself may, on a foreign key into its own
@@ -409,12 +409,13 @@ const (
 //   - a delete, or an update that changes the value, of the last holder of a
 //     value a foreign key references from another tuple (ErrReferenced).
 //
-// Values match as the join indexes match them (holds). An insert allocates
-// nothing.
-func CheckWrite(parts []*Database, owner int, op WriteOp, relation string, id TupleID, vals []Value) error {
+// It returns vals as the relation stores them (Fit), which the checks read; a
+// key or a reference is looked up converted to its column's type (ColType.Key)
+// as a join looks a value up. An insert's check allocates nothing.
+func CheckWrite(parts []*Database, owner int, op WriteOp, relation string, id TupleID, vals []Value) ([]Value, error) {
 	r := parts[owner].rels[relation]
 	if r == nil {
-		return fmt.Errorf("storage: no relation %s", relation)
+		return nil, fmt.Errorf("storage: no relation %s", relation)
 	}
 	held := func(rel, column string, v Value) bool { // by a tuple other than id
 		for _, db := range parts {
@@ -428,18 +429,19 @@ func CheckWrite(parts []*Database, owner int, op WriteOp, relation string, id Tu
 	fks := parts[owner].fks
 	if op == WriteInsert {
 		if _, err := parts[owner].insertable(relation, id); err != nil {
-			return err
+			return nil, err
 		}
 	} else if old, _ = r.Row(id); !old.Valid() {
-		return r.errNoTuple(id)
+		return nil, r.errNoTuple(id)
 	}
 	if op != WriteDelete {
-		if err := r.CheckRow(vals); err != nil {
-			return err
+		var err error
+		if vals, err = r.Fit(id, vals); err != nil {
+			return nil, err
 		}
 		if key := r.schema.Key; key != "" {
 			if kv := vals[r.schema.ColumnIndex(key)]; held(relation, key, kv) {
-				return r.errDuplicateKey(kv)
+				return nil, r.errDuplicateKey(kv, id)
 			}
 		}
 		for i := range fks {
@@ -447,16 +449,19 @@ func CheckWrite(parts []*Database, owner int, op WriteOp, relation string, id Tu
 			if fk.FromRelation != relation {
 				continue
 			}
-			v := vals[r.schema.ColumnIndex(fk.FromColumn)]
-			self := fk.ToRelation == relation && v == vals[r.schema.ColumnIndex(fk.ToColumn)]
+			v, self := vals[r.schema.ColumnIndex(fk.FromColumn)], false
+			if ti := r.schema.ColumnIndex(fk.ToColumn); fk.ToRelation == relation { // the tuple may hold v itself
+				k, ok := r.schema.Columns[ti].Type.Key(v)
+				self = ok && k == vals[ti]
+			}
 			if !v.IsNull() && !self && !held(fk.ToRelation, fk.ToColumn, v) {
-				return fmt.Errorf("%w: %s %d: %s=%s has no match in %s.%s",
+				return nil, fmt.Errorf("%w: %s %d: %s=%s has no match in %s.%s",
 					ErrDangling, relation, id, fk.FromColumn, v.String(), fk.ToRelation, fk.ToColumn)
 			}
 		}
 	}
 	if op == WriteInsert {
-		return nil
+		return vals, nil
 	}
 	for i := range fks {
 		fk := &fks[i]
@@ -469,11 +474,11 @@ func CheckWrite(parts []*Database, owner int, op WriteOp, relation string, id Tu
 			continue
 		}
 		if !held(relation, fk.ToColumn, v) && held(fk.FromRelation, fk.FromColumn, v) {
-			return fmt.Errorf("%w: %s %d holds %s=%s, which %s.%s references",
+			return nil, fmt.Errorf("%w: %s %d holds %s=%s, which %s.%s references",
 				ErrReferenced, relation, id, fk.ToColumn, v.String(), fk.FromRelation, fk.FromColumn)
 		}
 	}
-	return nil
+	return vals, nil
 }
 
 // Stats summarises a database for reporting.

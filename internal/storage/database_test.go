@@ -107,20 +107,20 @@ func TestCheckDeleteRefusesTheLastHolder(t *testing.T) {
 		insert(b, "MOVIE", Int(10), String("Match Point"), Int(1))
 		parts := []*Database{a, b}
 		for _, id := range []TupleID{first, lone} {
-			if err := CheckWrite(parts, 0, WriteDelete, "DIRECTOR", id, nil); err != nil {
+			if _, err := CheckWrite(parts, 0, WriteDelete, "DIRECTOR", id, nil); err != nil {
 				t.Fatalf("indexed=%v: DIRECTOR %d, not the last holder of a referenced value: %v", indexed, id, err)
 			}
 		}
 		if _, err := a.Delete("DIRECTOR", second); err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckWrite(parts, 0, WriteDelete, "DIRECTOR", first, nil); !errors.Is(err, ErrReferenced) {
+		if _, err := CheckWrite(parts, 0, WriteDelete, "DIRECTOR", first, nil); !errors.Is(err, ErrReferenced) {
 			t.Fatalf("indexed=%v: last holder of did 1 = %v, want ErrReferenced", indexed, err)
 		}
-		if err := CheckWrite(parts[:1], 0, WriteDelete, "DIRECTOR", first, nil); err != nil {
+		if _, err := CheckWrite(parts[:1], 0, WriteDelete, "DIRECTOR", first, nil); err != nil {
 			t.Fatalf("indexed=%v: no given partition holds a movie, yet %v", indexed, err)
 		}
-		if err := CheckWrite(parts, 0, WriteDelete, "DIRECTOR", 999, nil); !errors.Is(err, ErrNoTuple) {
+		if _, err := CheckWrite(parts, 0, WriteDelete, "DIRECTOR", 999, nil); !errors.Is(err, ErrNoTuple) {
 			t.Fatalf("indexed=%v: an absent tuple = %v, want ErrNoTuple", indexed, err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestCheckWriteOnASelfReference(t *testing.T) {
 	parts := []*Database{db}
 	check := func(op WriteOp, id TupleID, want error, vals ...Value) {
 		t.Helper()
-		if err := CheckWrite(parts, 0, op, "EMP", id, vals); !errors.Is(err, want) || (want == nil) != (err == nil) {
+		if _, err := CheckWrite(parts, 0, op, "EMP", id, vals); !errors.Is(err, want) || (want == nil) != (err == nil) {
 			t.Fatalf("%d of tuple %d to %v = %v, want %v", op, id, vals, err, want)
 		}
 	}
@@ -163,6 +163,66 @@ func TestCheckWriteOnASelfReference(t *testing.T) {
 	check(WriteInsert, staff+1, ErrDuplicateKey, Int(2), Int(1))
 	check(WriteUpdate, staff, nil, Int(2), Int(2))
 	check(WriteDelete, staff, nil)
+}
+
+// TestCheckWriteConvertsKeysAndReferences: the write check reads a key and a
+// reference as a join reads them, converted to the type of the column they
+// are looked up in. A FLOAT primary key given Int(1) holds Float(1), so
+// Float(1.0) is a duplicate; an INT reference Int(2) into a FLOAT column
+// holding Float(2) is satisfied — through the key's index and through a scan
+// of an unindexed column alike — and CheckIntegrity agrees; a reference no
+// FLOAT value equals, Int(2^53+1), dangles.
+func TestCheckWriteConvertsKeysAndReferences(t *testing.T) {
+	for _, indexed := range []bool{true, false} {
+		db := NewDatabase("kinds")
+		db.MustCreateRelation(MustSchema("P", "k", Column{"k", TypeFloat}, Column{"alt", TypeFloat}))
+		db.MustCreateRelation(MustSchema("C", "id", Column{"id", TypeInt}, Column{"r", TypeInt}))
+		target := "alt"
+		if indexed {
+			target = "k"
+		}
+		if err := db.AddForeignKey(ForeignKey{"C", "r", "P", target}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Insert("P", Int(1), Int(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Insert("P", Float(2), Float(2)); err != nil {
+			t.Fatal(err)
+		}
+		if db.Relation("P").HasIndex("alt") {
+			t.Fatal("P.alt has an index")
+		}
+		parts := []*Database{db}
+		for _, c := range []struct {
+			rel  string
+			vals []Value
+			want error
+		}{
+			{"P", []Value{Float(1), Null}, ErrDuplicateKey},
+			{"P", []Value{Int(2), Null}, ErrDuplicateKey},
+			{"P", []Value{Float(3), Null}, nil},
+			{"C", []Value{Int(1), Int(2)}, nil},
+			{"C", []Value{Int(1), Int(1)}, nil},
+			{"C", []Value{Int(1), Int(3)}, ErrDangling},
+			{"C", []Value{Int(1), Int(1<<53 + 1)}, ErrDangling},
+		} {
+			_, err := CheckWrite(parts, 0, WriteInsert, c.rel, db.NextTupleID(), c.vals)
+			if !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {
+				t.Errorf("P.%s target: insert %s %v = %v, want %v", target, c.rel, c.vals, err, c.want)
+			}
+		}
+		if got, err := CheckWrite(parts, 0, WriteInsert, "P", db.NextTupleID(), []Value{Int(3), Int(4)}); err != nil ||
+			got[0] != Float(3) || got[1] != Float(4) {
+			t.Errorf("insert P [3 4] checks as %v (%v), want the values stored, [3.0 4.0]", got, err)
+		}
+		if _, err := db.Insert("C", Int(1), Int(2)); err != nil {
+			t.Fatal(err)
+		}
+		if v := CheckIntegrity(db); len(v) != 0 {
+			t.Errorf("P.%s target: C.r = 2 into Float(2) is a violation: %v", target, v)
+		}
+	}
 }
 
 // TestCheckWriteInsertAllocatesNothing: the check an insert takes before it
@@ -187,7 +247,7 @@ func TestCheckWriteInsertAllocatesNothing(t *testing.T) {
 	}
 	vals := []Value{Int(10), String("Match Point"), Int(2)} // director 2 is on the other partition
 	var err error
-	if n := testing.AllocsPerRun(100, func() { err = CheckWrite(parts, 1, WriteInsert, "MOVIE", 50, vals) }); n != 0 || err != nil {
+	if n := testing.AllocsPerRun(100, func() { _, err = CheckWrite(parts, 1, WriteInsert, "MOVIE", 50, vals) }); n != 0 || err != nil {
 		t.Fatalf("an accepted insert's check: %v allocations, %v", n, err)
 	}
 }

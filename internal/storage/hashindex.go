@@ -5,10 +5,12 @@ import "strings"
 // HashIndex is the equality index of a Relation, mapping column values to
 // ascending tuple ids. Integer values — every key and join column of the
 // bundled schemas — are keyed on the 8-byte integer; every other kind, NULL
-// included, on the whole Value. Lookups match kinds exactly (Int(1) is not Float(1)); sqlx
-// probes each representation a numeric literal can be stored as.
+// included, on the whole Value. A stored value is of its column's declared
+// type (ColType.Convert), so a lookup converts the value it is given to that
+// type (ColType.Key) and matches it exactly; a lookup of NULL finds nothing.
 type HashIndex struct {
 	colIdx int
+	typ    ColType // of the column
 	ints   postings[int64]
 	vals   postings[Value]
 }
@@ -44,13 +46,20 @@ func owned(v Value) Value {
 // holds reports whether a tuple other than skip (0: none) carries v. A key
 // that owns a list has two tuples or more, so one of them is not skip.
 func (ix *HashIndex) holds(v Value, skip TupleID) bool {
-	var ref int64
-	if v.kind == KindInt {
-		ref = ix.ints.refs[v.AsInt()]
-	} else {
-		ref = ix.vals.refs[v]
-	}
+	ref := ix.ref(v)
 	return ref < 0 || ref > 0 && TupleID(ref) != skip
+}
+
+// ref returns the map entry of the key v converts to, 0 when there is none.
+func (ix *HashIndex) ref(v Value) int64 {
+	switch k, ok := ix.typ.Key(v); {
+	case !ok:
+		return 0
+	case k.kind == KindInt:
+		return ix.ints.refs[k.AsInt()]
+	default:
+		return ix.vals.refs[k]
+	}
 }
 
 // lookupBlock is how many keys a batch lookup resolves at once.
@@ -66,16 +75,12 @@ func (ix *HashIndex) appendGroups(dst []TupleID, ends []int, vals []Value) []Tup
 	for base := 0; base < len(vals); base += lookupBlock {
 		block := vals[base:min(base+lookupBlock, len(vals))]
 		for i, v := range block {
-			if v.kind == KindInt {
-				refs[i] = ix.ints.refs[v.AsInt()]
-			} else {
-				refs[i] = ix.vals.refs[v]
-			}
+			refs[i] = ix.ref(v)
 		}
-		for i, v := range block {
+		for i := range block {
 			switch ref := refs[i]; {
 			case ref >= 0: // absent, or the id itself
-			case v.kind == KindInt:
+			case ix.typ == TypeInt: // the key ref found is an Int
 				lists[i] = ix.ints.lists[^ref]
 			default:
 				lists[i] = ix.vals.lists[^ref]

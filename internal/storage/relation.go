@@ -88,8 +88,8 @@ func newRelation(s *Schema) *Relation {
 		lay:     plainLayout(len(s.Columns), s.Columns),
 		indexes: make(map[string]*HashIndex),
 	}
-	if s.Key != "" {
-		r.indexes[s.Key] = &HashIndex{colIdx: s.ColumnIndex(s.Key)}
+	if ki := s.ColumnIndex(s.Key); ki >= 0 {
+		r.indexes[s.Key] = &HashIndex{colIdx: ki, typ: s.Columns[ki].Type}
 	}
 	return r
 }
@@ -236,43 +236,62 @@ func (r *Relation) appendSlot(id TupleID, rec *uint64) error {
 	return nil
 }
 
-// validate checks arity, column types and the primary key of vals as tuple
-// id's row: a key value only id holds is not a duplicate.
-func (r *Relation) validate(id TupleID, vals []Value) error {
-	if err := r.CheckRow(vals); err != nil {
-		return err
+// validate returns vals as tuple id's row stores them (Fit), or the error
+// refusing them, a duplicate primary key included: a key value only id holds
+// is not a duplicate.
+func (r *Relation) validate(id TupleID, vals []Value) ([]Value, error) {
+	vals, err := r.Fit(id, vals)
+	if err != nil {
+		return nil, err
 	}
 	if key := r.schema.Key; key != "" {
 		if kv := vals[r.schema.ColumnIndex(key)]; r.indexes[key].holds(kv, id) {
-			return r.errDuplicateKey(kv)
+			return nil, r.errDuplicateKey(kv, id)
 		}
 	}
-	return nil
+	return vals, nil
 }
 
-// CheckRow is the part of an insert's validation that needs no index: arity,
-// column types, a primary key that is not NULL and text that fits a record.
-func (r *Relation) CheckRow(vals []Value) error {
+// Fit returns vals as the relation stores them as tuple id's row, each
+// converted to its column's type (ColType.Convert) — in a copy, made only
+// when a value changes — or the error refusing them, which needs no index:
+// the wrong arity, a value its column cannot hold (ErrInexact for an integer
+// no float64 holds), a NULL primary key, more text than a record holds.
+func (r *Relation) Fit(id TupleID, vals []Value) ([]Value, error) {
 	if len(vals) != r.ncols {
-		return fmt.Errorf("storage: %s expects %d values, got %d",
+		return nil, fmt.Errorf("storage: %s expects %d values, got %d",
 			r.schema.Name, r.ncols, len(vals))
 	}
-	text := r.lay.words + 8*r.lay.width
+	text, fitted := r.lay.words+8*r.lay.width, vals
 	for i, v := range vals {
 		col := r.schema.Columns[i]
-		if !col.Type.Accepts(v.Kind()) {
-			return fmt.Errorf("storage: %s.%s is %s, cannot store %s value %q",
+		w, ok := col.Type.Convert(v)
+		switch {
+		case !ok && v.kind == KindInt: // in a FLOAT column
+			return nil, fmt.Errorf("storage: %s tuple %d: %s is %s, and no float64 is the int %s: %w",
+				r.schema.Name, id, col.Name, col.Type, v.String(), ErrInexact)
+		case !ok:
+			return nil, fmt.Errorf("storage: %s.%s is %s, cannot store %s value %q",
 				r.schema.Name, col.Name, col.Type, v.Kind(), v.String())
+		case w.kind != v.kind:
+			if &fitted[0] == &vals[0] {
+				fitted = slices.Clone(vals)
+			}
+			fitted[i] = w
 		}
 		if text += len(v.s); text > maxRecord {
-			return fmt.Errorf("storage: %s row holds more than %d bytes of text", r.schema.Name, maxRecord)
+			return nil, fmt.Errorf("storage: %s row holds more than %d bytes of text", r.schema.Name, maxRecord)
 		}
 	}
 	if key := r.schema.Key; key != "" && vals[r.schema.ColumnIndex(key)].IsNull() {
-		return r.errNullKey()
+		return nil, r.errNullKey()
 	}
-	return nil
+	return fitted, nil
 }
+
+// ErrInexact refuses an integer written into a FLOAT column beyond ±2^53,
+// where no float64 holds it exactly.
+var ErrInexact = errors.New("storage: value has no exact form in its column's type")
 
 func (r *Relation) errNullKey() error {
 	return fmt.Errorf("storage: %s primary key %s cannot be NULL", r.schema.Name, r.schema.Key)
@@ -285,8 +304,12 @@ var ErrDuplicateKey = errors.New("storage: primary key already exists")
 // hold.
 var ErrNoTuple = errors.New("storage: no such tuple")
 
-func (r *Relation) errDuplicateKey(kv Value) error {
-	return fmt.Errorf("storage: %s primary key %s=%s: %w", r.schema.Name, r.schema.Key, kv.String(), ErrDuplicateKey)
+// errDuplicateKey refuses kv as tuple id's key, naming the tuples of r that
+// hold it.
+func (r *Relation) errDuplicateKey(kv Value, id TupleID) error {
+	held := r.indexes[r.schema.Key].appendGroups(nil, nil, []Value{kv})
+	return fmt.Errorf("storage: %s tuple %d: primary key %s=%s, held by %v: %w",
+		r.schema.Name, id, r.schema.Key, kv.String(), held, ErrDuplicateKey)
 }
 
 func (r *Relation) errOutOfSlots() error {
@@ -311,17 +334,19 @@ func (r *Relation) checkID(id TupleID) error {
 	return nil
 }
 
-// insert stores a tuple with the given id, its values copied into a record.
+// insert stores a tuple with the given id, its values converted and copied
+// into a record.
 func (r *Relation) insert(id TupleID, vals []Value) error {
-	if err := r.validate(id, vals); err != nil {
+	vals, err := r.validate(id, vals)
+	if err != nil {
 		return err
 	}
 	return r.store(id, r.lay.encode(vals))
 }
 
 // share stores a tuple with the given id whose record is row's, which the
-// relation reads alike: the record's types and size were checked when it was
-// made, so only its key is.
+// relation reads alike: a relation of its declared types made the record of
+// values Fit converted and checked, so only its key is checked.
 func (r *Relation) share(id TupleID, row Row) error {
 	if key := r.schema.Key; key != "" {
 		kv := row.Value(r.schema.ColumnIndex(key))
@@ -329,7 +354,7 @@ func (r *Relation) share(id TupleID, row Row) error {
 			return r.errNullKey()
 		}
 		if r.indexes[key].holds(kv, 0) {
-			return r.errDuplicateKey(kv)
+			return r.errDuplicateKey(kv, id)
 		}
 	}
 	return r.store(id, row.rec)
@@ -474,7 +499,7 @@ func (r *Relation) CreateIndex(column string) error {
 	if _, ok := r.indexes[column]; ok {
 		return nil
 	}
-	idx := &HashIndex{colIdx: ci}
+	idx := &HashIndex{colIdx: ci, typ: r.schema.Columns[ci].Type}
 	r.ScanRows(func(id TupleID, row Row) bool {
 		idx.add(id, row)
 		return true
@@ -499,8 +524,10 @@ func (r *Relation) IndexedColumns() []string {
 	return cols
 }
 
-// Lookup returns the ids of tuples whose column equals v, in ascending id
-// order. It uses the column's index when present and falls back to a scan.
+// Lookup returns the ids of tuples whose column holds v, in ascending id
+// order: v is converted to the column's type (ColType.Key) and compared by
+// ==, so NULL and a value that cannot convert match nothing. It uses the
+// column's index when present and falls back to a scan.
 func (r *Relation) Lookup(column string, v Value) ([]TupleID, error) {
 	return r.AppendLookups(nil, nil, column, []Value{v})
 }
@@ -524,12 +551,15 @@ func (r *Relation) AppendLookups(dst []TupleID, ends []int, column string, vals 
 		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
 	}
 	for i, v := range vals {
+		k, ok := r.schema.Columns[ci].Type.Key(v)
+		start := len(dst)
 		r.ScanRows(func(id TupleID, row Row) bool {
-			if row.Value(ci).Equal(v) {
+			if ok && row.Value(ci) == k {
 				dst = append(dst, id)
 			}
 			return true
 		})
+		slices.Sort(dst[start:]) // scan order is insertion order
 		if ends != nil {
 			ends[i] = len(dst)
 		}
@@ -538,16 +568,16 @@ func (r *Relation) AppendLookups(dst []TupleID, ends []int, column string, vals 
 }
 
 // holds reports whether a live tuple other than skip (0: none) carries v in
-// the named column: Lookup's matching (exact through a hash index,
-// Equal by scan) without its fault site or an id list.
+// the named column: Lookup's matching without its fault site or an id list.
 func (r *Relation) holds(column string, v Value, skip TupleID) bool {
 	if idx, ok := r.indexes[column]; ok {
 		return idx.holds(v, skip)
 	}
 	ci := r.schema.ColumnIndex(column)
+	k, ok := r.schema.Columns[ci].Type.Key(v)
 	found := false
 	r.ScanRows(func(id TupleID, row Row) bool {
-		found = id != skip && row.Value(ci).Equal(v)
+		found = ok && id != skip && row.Value(ci) == k
 		return !found
 	})
 	return found
@@ -571,8 +601,8 @@ func (r *Relation) upsert(ups []Upsert) (int, error) {
 				return i, err
 			}
 		}
-		vals[i] = u.Row.Values()
-		if err := r.CheckRow(vals[i]); err != nil {
+		var err error
+		if vals[i], err = r.Fit(u.ID, u.Row.Values()); err != nil {
 			return i, err
 		}
 	}
@@ -582,7 +612,7 @@ func (r *Relation) upsert(ups []Upsert) (int, error) {
 		for i := range ups {
 			kv := vals[i][ki]
 			if placed[kv] {
-				return i, r.errDuplicateKey(kv)
+				return i, r.errDuplicateKey(kv, ups[i].ID)
 			}
 			placed[kv] = true
 			// A key still held is free only if every tuple holding it is one
@@ -590,7 +620,7 @@ func (r *Relation) upsert(ups []Upsert) (int, error) {
 			for _, id := range r.indexes[key].appendGroups(nil, nil, []Value{kv}) {
 				at, found := slices.BinarySearchFunc(ups, id, func(u Upsert, id TupleID) int { return cmp.Compare(u.ID, id) })
 				if !found || held[at] == nil {
-					return i, r.errDuplicateKey(kv)
+					return i, r.errDuplicateKey(kv, ups[i].ID)
 				}
 			}
 		}
@@ -642,7 +672,8 @@ func (r *Relation) update(id TupleID, vals []Value) error {
 		return r.errNoTuple(id)
 	}
 	old := r.row(s)
-	if err := r.validate(id, vals); err != nil {
+	vals, err := r.validate(id, vals)
+	if err != nil {
 		return err
 	}
 	r.unindexRow(id, old)

@@ -48,13 +48,13 @@ type ResultRelation struct {
 }
 
 // joinIndex is a column's equality index: sorted arrays per key kind, as
-// HashIndex splits them, matching kinds exactly; NULL joins nothing.
+// HashIndex splits them; NULL joins nothing.
 type joinIndex struct {
 	col int
 	// ints holds n INT keys in 2n words, one array: the keys ascending (an
 	// int64 each), then the Match of each key, of equal keys by id.
 	ints []uint64
-	vals []entry // every other kind: by distinctOrder, then match
+	vals []entry // every other kind: by Value.Compare, then match
 }
 
 type entry struct {
@@ -299,7 +299,7 @@ func (r *ResultRelation) build(col int) joinIndex {
 		}
 	}
 	ix.ints = append(keys, ms...) // the matches move down when some rows held no INT
-	slices.SortFunc(ix.vals, func(a, b entry) int { return cmp.Or(distinctOrder(a.key, b.key), cmp.Compare(a.m, b.m)) })
+	slices.SortFunc(ix.vals, func(a, b entry) int { return cmp.Or(a.key.Compare(b.key), cmp.Compare(a.m, b.m)) })
 	return ix
 }
 
@@ -312,8 +312,8 @@ func (r *ResultRelation) join(col int) *joinIndex {
 	return nil
 }
 
-// DistinctValues returns the distinct non-NULL values of the named column in
-// distinctOrder, a walk of its join index.
+// DistinctValues returns the distinct non-NULL values of the named column,
+// ascending by Value.Compare: a walk of its join index.
 func (r *ResultRelation) DistinctValues(column string) ([]Value, error) {
 	return r.AppendDistinctValues(nil, column)
 }
@@ -324,7 +324,7 @@ func (r *ResultRelation) AppendDistinctValues(dst []Value, column string) ([]Val
 	if col < 0 {
 		return nil, fmt.Errorf("storage: relation %s has no column %s", r.schema.Name, column)
 	}
-	start, ix := len(dst), r.indexOf(col)
+	ix := r.indexOf(col)
 	keys, n := ix.ints[:len(ix.ints)/2], len(ix.vals)
 	for i := range keys {
 		if i == 0 || keys[i] != keys[i-1] {
@@ -342,14 +342,13 @@ func (r *ResultRelation) AppendDistinctValues(dst []Value, column string) ([]Val
 			dst = append(dst, e.key)
 		}
 	}
-	if len(keys) > 0 && len(ix.vals) > 0 {
-		slices.SortFunc(dst[start:], distinctOrder) // an integer may tie a float
-	}
 	return dst, nil
 }
 
-// AppendMatches appends the tuples whose column col holds exactly v, ids
-// ascending; NULL matches nothing. The SiteStorageLookup fault fires once.
+// AppendMatches appends the tuples whose column col holds v, ids ascending:
+// v converted to the column's type (ColType.Key), as a lookup of a base
+// relation converts it, so NULL and a value that cannot convert match
+// nothing. The SiteStorageLookup fault fires once.
 func (r *ResultRelation) AppendMatches(dst []Match, col int, v Value) ([]Match, error) {
 	if err := faultinject.Fire(faultinject.SiteStorageLookup); err != nil {
 		return nil, fmt.Errorf("storage: lookup %s: %w", r.schema.Name, err)
@@ -375,7 +374,11 @@ func (r *ResultRelation) holds(column string, v Value, skip TupleID) bool {
 
 // matches is AppendMatches without its fault site.
 func (r *ResultRelation) matches(dst []Match, col int, v Value) []Match {
-	if v.kind == KindNull || col < 0 {
+	if col < 0 {
+		return dst
+	}
+	v, ok := r.schema.Columns[col].Type.Key(v)
+	if !ok {
 		return dst
 	}
 	switch ix := r.indexOf(col); v.kind {
@@ -394,14 +397,10 @@ func (r *ResultRelation) matches(dst []Match, col int, v Value) []Match {
 			dst = append(dst, Match(ix.ints[n+lo]))
 		}
 	default:
-		i, _ := slices.BinarySearchFunc(ix.vals, v, func(e entry, v Value) int { return distinctOrder(e.key, v) })
+		i, _ := slices.BinarySearchFunc(ix.vals, v, func(e entry, v Value) int { return e.key.Compare(v) })
 		for ; i < len(ix.vals) && ix.vals[i].key == v; i++ {
 			dst = append(dst, ix.vals[i].m)
 		}
 	}
 	return dst
 }
-
-// distinctOrder is the order of DistinctValues: Value.Compare, and of two
-// values it ties (Int(1), Float(1)) the lower kind first.
-func distinctOrder(a, b Value) int { return cmp.Or(a.Compare(b), cmp.Compare(a.kind, b.kind)) }

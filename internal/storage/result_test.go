@@ -8,15 +8,16 @@ import (
 	"testing"
 )
 
-// joinKinds are the values TestResultJoinIndexMatchesScan's join column
-// holds: every kind, NULL, floats a sort could mistreat (NaN, −0, 1e21), and
-// pairs Value.Compare ties but == tells apart (Int(1) and Float(1), Int(1<<40)
-// and Float(1<<40)).
-var joinKinds = []Value{
-	Null, Int(1), Float(1), Int(2), Int(-3), Int(1 << 40), Float(1 << 40),
-	Float(2.5), Float(math.NaN()), Float(math.Copysign(0, -1)), Int(0), Float(1e21),
-	String("a"), String(""), String("1"), Bool(true), Bool(false),
-}
+// joinFloats, joinTexts and joinBools are the values of
+// TestResultJoinIndexMatchesScan's join columns of the other types: NULL,
+// floats a sort could mistreat (NaN, −0, ±Inf, 1e21), integral floats an INT
+// probe converts to, text and both bools.
+var (
+	joinFloats = []Value{Null, Float(1), Float(2), Float(-3), Float(1 << 40), Float(2.5), Float(math.NaN()),
+		Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.Inf(-1)), Float(1e21)}
+	joinTexts = []Value{Null, String("a"), String(""), String("1")}
+	joinBools = []Value{Null, Bool(true), Bool(false)}
+)
 
 // narrowInts and wideInts are the values of TestResultJoinIndexMatchesScan's
 // INT join columns: a few keys that repeat, and keys whose span overflows an
@@ -31,16 +32,20 @@ var (
 // space — with the join index of each column built at random points in
 // between (Append drops them), and holds every read, on the index and on a
 // scan alike, to an oracle scan of the tuples: a partner lookup finds exactly
-// the tuples whose value is == to the one asked, ascending by id, at positions
-// that read their rows; DistinctValues is the non-NULL values sorted and
-// compacted; Has and Row know exactly the stored ids. The join columns are a
-// FLOAT column of every kind (j), an INT column of few keys, so equal keys
-// arrive out of id order (i), and an INT column whose keys span more than an
-// int64 holds (w).
+// the tuples whose value is == to the one asked converted to the column's
+// type, ascending by id, at positions that read their rows; DistinctValues is
+// the non-NULL values sorted and compacted; Has and Row know exactly the
+// stored ids. The join columns are a FLOAT column (j), an INT column of few
+// keys, so equal keys arrive out of id order (i), an INT column whose keys
+// span more than an int64 holds (w), a TEXT (s) and a BOOL column (b); each
+// is probed with values of every kind.
 func TestResultJoinIndexMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(38))
-	schema := MustSchema("R", "", Column{"k", TypeInt}, Column{"j", TypeFloat}, Column{"i", TypeInt}, Column{"w", TypeInt})
-	pools := [][]Value{1: joinKinds, 2: narrowInts, 3: wideInts}
+	schema := MustSchema("R", "", Column{"k", TypeInt}, Column{"j", TypeFloat}, Column{"i", TypeInt}, Column{"w", TypeInt},
+		Column{"s", TypeString}, Column{"b", TypeBool})
+	pools := [][]Value{1: joinFloats, 2: narrowInts, 3: wideInts, 4: joinTexts, 5: joinBools}
+	probes := []Value{Int(7), Int(1), Int(2), Int(-3), Int(1 << 40), Int(1<<53 + 1), Float(3), Float(1), Float(2.5), Float(1 << 62),
+		Float(math.NaN()), String("b"), String("a"), Bool(true)}
 	for trial := 0; trial < 20; trial++ {
 		res := NewResult("result", []*Schema{schema}, nil)
 		rel := res.Relation("R")
@@ -80,7 +85,7 @@ func TestResultJoinIndexMatchesScan(t *testing.T) {
 			checkResultRelation(t, fmt.Sprintf("trial %d batch %d", trial, batch), rel, oracle, rowOf)
 			for col := 1; col < len(pools); col++ {
 				when := fmt.Sprintf("trial %d batch %d column %s", trial, batch, schema.Columns[col].Name)
-				checkJoinIndex(t, when, rel, col, append(slices.Clone(pools[col]), Int(7), Float(3), Float(1), String("b")), oracle, rowOf)
+				checkJoinIndex(t, when, rel, col, append(slices.Clone(pools[col]), probes...), oracle, rowOf)
 			}
 		}
 	}
@@ -140,20 +145,16 @@ func checkJoinIndex(t *testing.T, when string, rel *ResultRelation, col int, val
 			distinct = append(distinct, v)
 		}
 	}
-	slices.SortFunc(distinct, func(a, b Value) int {
-		if c := a.Compare(b); c != 0 {
-			return c
-		}
-		return int(a.kind) - int(b.kind)
-	})
+	slices.SortFunc(distinct, Value.Compare)
 	distinct = slices.Compact(distinct)
 	if got, err := rel.DistinctValues(column); err != nil || !slices.Equal(got, distinct) {
 		t.Fatalf("%s: DistinctValues = %v (%v), want %v", when, got, err, distinct)
 	}
 	for _, v := range values {
 		var want []TupleID
+		k, ok := rel.Schema().Columns[col].Type.Key(v)
 		for _, id := range oracle {
-			if !v.IsNull() && rowOf[id].Value(col) == v {
+			if ok && rowOf[id].Value(col) == k {
 				want = append(want, id)
 			}
 		}

@@ -13,8 +13,7 @@ import (
 //
 //	w kind bytes, padded to 8 | w words | the text bytes
 //
-// A column's kind byte is its Value's kind, so NULL, and an Int held by a
-// FLOAT column, read back as they went in. Its word is the int64, the
+// A column's kind byte is its Value's kind, so NULL reads back as NULL. Its word is the int64, the
 // canonical float bits or the bool as 0/1, or for text the offset of its
 // bytes from the start of the record (low 32 bits) and their length (high 32
 // bits); NULL's is 0. The collector never scans a record, and a record costs
@@ -69,8 +68,8 @@ func (l *layout) same(o *layout) bool {
 }
 
 // encode returns the record of vals read through l: vals[j] in record column
-// l.cols[j], every other column NULL. The caller has checked the values
-// (CheckRow); their text is copied.
+// l.cols[j], every other column NULL. The caller has checked and converted
+// the values (Relation.Fit); their text is copied.
 func (l *layout) encode(vals []Value) *uint64 {
 	size := l.words + 8*l.width
 	for _, v := range vals {

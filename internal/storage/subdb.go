@@ -7,8 +7,7 @@ import (
 // VerifySubDatabase checks that sub is a précis-style sub-database of orig
 // (the paper's query model, §3.3): every relation of sub occurs in orig, with
 // a subset of its attributes of the same types, and every tuple of sub is the
-// projection of the orig tuple with the same id, each value the same kind and
-// payload (==), so an Int does not pass for the Float it Equals. Join
+// projection of the orig tuple with the same id, value for value (==). Join
 // consistency, which a cardinality cap may legitimately break, is measured by
 // CheckJoinConsistency. It returns nil when all hold, otherwise an error for
 // the first violation found.

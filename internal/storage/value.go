@@ -48,8 +48,9 @@ func (k Kind) String() string {
 // Value is a compact tagged union holding a single attribute value: 32
 // bytes, the kind plus one 64-bit word shared by the scalar kinds plus the
 // string header. Values are comparable with == (no reference fields), which
-// lets them be used directly as hash-index and map keys; Float stores a
-// canonical bit pattern so that == agrees with Equal and Compare.
+// lets them be used directly as hash-index and map keys, and is their
+// equality: Float stores a canonical bit pattern so that two Floats are ==
+// exactly when Compare ties them.
 type Value struct {
 	kind Kind
 	n    uint64 // int64 bits, bool as 0/1, or canonical float64 bits
@@ -158,18 +159,6 @@ func numericKinds(a, b Value) bool {
 	return (a.kind == KindInt || a.kind == KindFloat) && (b.kind == KindInt || b.kind == KindFloat)
 }
 
-// Equal reports value equality. Int and float compare numerically; NULL is
-// equal only to NULL (three-valued logic is handled by callers that need it).
-func (v Value) Equal(o Value) bool {
-	if v.kind == o.kind {
-		return v == o
-	}
-	if numericKinds(v, o) {
-		return v.AsFloat() == o.AsFloat()
-	}
-	return false
-}
-
 // Compare returns -1, 0 or +1 ordering v relative to o. NULL sorts first,
 // then cross-kind values order by kind; numbers compare numerically, with
 // NaN equal to itself and before every other number (cmp.Compare's order).
@@ -192,18 +181,16 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// Less reports whether v sorts before o under Compare.
-func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
-
-// ColType is the declared type of a column.
+// ColType is the declared type of a column: the kind of every value it
+// holds, NULL aside.
 type ColType uint8
 
-// Declared column types.
+// Declared column types, numbered as the kinds of their values.
 const (
-	TypeInt ColType = iota + 1
-	TypeFloat
-	TypeString
-	TypeBool
+	TypeInt    = ColType(KindInt)
+	TypeFloat  = ColType(KindFloat)
+	TypeString = ColType(KindString)
+	TypeBool   = ColType(KindBool)
 )
 
 // String returns the SQL-ish name of the type.
@@ -222,21 +209,43 @@ func (t ColType) String() string {
 	}
 }
 
-// Accepts reports whether a value of kind k may be stored in a column of
-// type t. NULL is storable in any column; ints are accepted by float columns.
-func (t ColType) Accepts(k Kind) bool {
-	switch k {
-	case KindNull:
-		return true
-	case KindInt:
-		return t == TypeInt || t == TypeFloat
-	case KindFloat:
-		return t == TypeFloat
-	case KindString:
-		return t == TypeString
-	case KindBool:
-		return t == TypeBool
-	default:
-		return false
+// maxExact is 2^53: every integer of at most this magnitude is exactly one
+// float64, and 2^53+1 is the first that is not.
+const maxExact = 1 << 53
+
+// Convert returns v as a column of type t stores it, and whether it fits
+// there: NULL, or a value of t's kind, as it is; an Int in a FLOAT column as
+// the Float of the same number, up to ±2^53, where that is exact. Every path
+// that stores a tuple converts its values through here (Relation.Fit).
+func (t ColType) Convert(v Value) (Value, bool) {
+	if t == TypeFloat && v.kind == KindInt {
+		n := v.AsInt()
+		return Float(float64(n)), -maxExact <= n && n <= maxExact
 	}
+	return v, v.kind == KindNull || v.kind == Kind(t)
+}
+
+// Key returns v as a lookup in a column of type t compares it with the
+// column's values, by ==, and false when none can equal it: NULL never
+// matches; an integral Float in the int64 range probes an INT column as its
+// Int; any other value probes as Convert would store it.
+func (t ColType) Key(v Value) (Value, bool) {
+	if v.kind == Kind(t) { // as most lookups are: this much inlines
+		return v, true
+	}
+	return t.convertKey(v)
+}
+
+func (t ColType) convertKey(v Value) (Value, bool) {
+	switch {
+	case v.kind == KindNull:
+		return v, false
+	case t == TypeInt && v.kind == KindFloat:
+		f := v.AsFloat()
+		if f != math.Trunc(f) || f < -(1<<63) || f >= 1<<63 { // NaN fails the first
+			return v, false
+		}
+		return Int(int64(f)), true
+	}
+	return t.Convert(v)
 }

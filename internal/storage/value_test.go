@@ -53,27 +53,57 @@ func TestValueAccessors(t *testing.T) {
 	}
 }
 
-func TestValueEqual(t *testing.T) {
-	if !Int(3).Equal(Int(3)) {
-		t.Error("int equality")
+// TestColTypeConvertAndKey: a column's declared type decides the kind of
+// every value it stores. Convert turns an Int into a FLOAT column's Float up
+// to ±2^53 and refuses it beyond; Key converts a probe both ways, an integral
+// Float into an INT column's Int, and refuses NULL and what cannot convert.
+func TestColTypeConvertAndKey(t *testing.T) {
+	const big = int64(1) << 53
+	nan, inf := Float(math.NaN()), Float(math.Inf(1))
+	none := Value{kind: 99} // stands for "refused"
+	cases := []struct {
+		t          ColType
+		v          Value
+		store, key Value
+	}{
+		{TypeFloat, Int(1), Float(1), Float(1)},
+		{TypeFloat, Int(big), Float(float64(big)), Float(float64(big))},
+		{TypeFloat, Int(-big), Float(float64(-big)), Float(float64(-big))},
+		{TypeFloat, Int(big + 1), none, none},
+		{TypeFloat, Int(-big - 1), none, none},
+		{TypeFloat, Float(2.5), Float(2.5), Float(2.5)},
+		{TypeFloat, nan, nan, nan},
+		{TypeFloat, Null, Null, none},
+		{TypeFloat, String("1"), none, none},
+		{TypeInt, Int(7), Int(7), Int(7)},
+		{TypeInt, Int(big + 1), Int(big + 1), Int(big + 1)},
+		{TypeInt, Float(7), none, Int(7)},
+		{TypeInt, Float(-0.0), none, Int(0)},
+		{TypeInt, Float(1 << 60), none, Int(1 << 60)},
+		{TypeInt, Float(-(1 << 63)), none, Int(math.MinInt64)},
+		{TypeInt, Float(1 << 63), none, none},
+		{TypeInt, Float(7.5), none, none},
+		{TypeInt, nan, none, none},
+		{TypeInt, inf, none, none},
+		{TypeInt, Float(math.Inf(-1)), none, none},
+		{TypeInt, Null, Null, none},
+		{TypeString, String("x"), String("x"), String("x")},
+		{TypeString, Int(1), none, none},
+		{TypeBool, Bool(true), Bool(true), Bool(true)},
+		{TypeBool, String("true"), none, none},
+		{TypeBool, Null, Null, none},
 	}
-	if Int(3).Equal(Int(4)) {
-		t.Error("int inequality")
-	}
-	if !Int(3).Equal(Float(3.0)) {
-		t.Error("cross-kind numeric equality")
-	}
-	if Int(3).Equal(String("3")) {
-		t.Error("int should not equal string")
-	}
-	if !Null.Equal(Null) {
-		t.Error("NULL equals NULL under Equal")
-	}
-	if Null.Equal(Int(0)) {
-		t.Error("NULL should not equal 0")
-	}
-	if !String("a").Equal(String("a")) || String("a").Equal(String("b")) {
-		t.Error("string equality")
+	for _, c := range cases {
+		for _, f := range []struct {
+			name string
+			fn   func(Value) (Value, bool)
+			want Value
+		}{{"Convert", c.t.Convert, c.store}, {"Key", c.t.Key, c.key}} {
+			got, ok := f.fn(c.v)
+			if ok != (f.want != none) || ok && got != f.want {
+				t.Errorf("%v.%s(%s %s) = %s %s, %v; want %s %s", c.t, f.name, c.v.Kind(), c.v, got.Kind(), got, ok, f.want.Kind(), f.want)
+			}
+		}
 	}
 }
 
@@ -170,29 +200,6 @@ func TestValueSQL(t *testing.T) {
 	}
 }
 
-func TestColTypeAccepts(t *testing.T) {
-	cases := []struct {
-		t    ColType
-		k    Kind
-		want bool
-	}{
-		{TypeInt, KindInt, true},
-		{TypeInt, KindFloat, false},
-		{TypeInt, KindNull, true},
-		{TypeFloat, KindInt, true},
-		{TypeFloat, KindFloat, true},
-		{TypeString, KindString, true},
-		{TypeString, KindInt, false},
-		{TypeBool, KindBool, true},
-		{TypeBool, KindString, false},
-	}
-	for _, c := range cases {
-		if got := c.t.Accepts(c.k); got != c.want {
-			t.Errorf("%v.Accepts(%v) = %v, want %v", c.t, c.k, got, c.want)
-		}
-	}
-}
-
 // randomValue draws an arbitrary Value for property tests.
 func randomValue(r *rand.Rand) Value {
 	switch r.Intn(5) {
@@ -260,7 +267,7 @@ func TestEqualConsistentWithCompare(t *testing.T) {
 		},
 	}
 	prop := func(a, b Value) bool {
-		if a.Equal(b) {
+		if a == b {
 			return a.Compare(b) == 0
 		}
 		return true

@@ -476,7 +476,8 @@ func ownValues(vals []storage.Value) []storage.Value {
 // tuple reads the base tuple at d, its text borrowed, and checks it as
 // DecodeSnapshot's insert does, in the order that makes the same error win:
 // the encoding, then the id — positive, and at most storage.MaxTupleID, past
-// which the error wraps storage.ErrOutOfIDs — then the values (CheckRow).
+// which the error wraps storage.ErrOutOfIDs — then the values, which it
+// returns as the relation stores them (Fit).
 func (m *merger) tuple(rel *storage.Relation, d *dec) (storage.TupleID, []storage.Value, error) {
 	raw, err := d.uvarint()
 	if err != nil {
@@ -491,12 +492,13 @@ func (m *merger) tuple(rel *storage.Relation, d *dec) (storage.TupleID, []storag
 	case id > storage.MaxTupleID:
 		return 0, nil, fmt.Errorf("tuple id %d is above the largest, %d: %w", id, storage.MaxTupleID, storage.ErrOutOfIDs)
 	default:
-		return id, m.vals, rel.CheckRow(m.vals)
+		vals, err := rel.Fit(id, m.vals)
+		return id, vals, err
 	}
 }
 
 // finalKeys checks the final rows of rf as an insert into rel would
-// (CheckRow), and returns their primary keys, each with its tuple: nil when
+// (Fit), and returns their primary keys, each with its tuple: nil when
 // the relation has no key or rf leaves no row.
 func finalKeys(rel *storage.Relation, key int, rf *relFold) (map[storage.Value]storage.TupleID, error) {
 	if rf == nil {
@@ -510,8 +512,8 @@ func finalKeys(rel *storage.Relation, key int, rf *relFold) (map[storage.Value]s
 		if c.id <= 0 || c.id > storage.MaxTupleID {
 			return nil, fmt.Errorf("%s tuple id %d is outside [1, %d]: %w", rel.Name(), c.id, storage.MaxTupleID, storage.ErrOutOfIDs)
 		}
-		vals := c.row.Values()
-		if err := rel.CheckRow(vals); err != nil {
+		vals, err := rel.Fit(c.id, c.row.Values())
+		if err != nil {
 			return nil, fmt.Errorf("tuple %d: %w", c.id, err)
 		}
 		if key < 0 {

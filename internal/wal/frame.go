@@ -110,10 +110,12 @@ func (e *CorruptionError) Error() string {
 }
 
 // recordError attributes to its file and record the error decoding or
-// applying that record met: corruption, unless the record is sound and names
-// an id this engine cannot hold (storage.ErrOutOfIDs, kept for errors.Is).
+// applying that record met: corruption, unless the record is sound and holds
+// an id this engine cannot, a FLOAT value no float64 is or a key its
+// conversion duplicated (storage.ErrOutOfIDs, ErrInexact, ErrDuplicateKey,
+// kept for errors.Is).
 func recordError(file string, off int64, record int, err error) error {
-	if errors.Is(err, storage.ErrOutOfIDs) {
+	if errors.Is(err, storage.ErrOutOfIDs) || errors.Is(err, storage.ErrInexact) || errors.Is(err, storage.ErrDuplicateKey) {
 		return fmt.Errorf("wal: %s: record %d at offset %d: %w", fileLabel(file), record, off, err)
 	}
 	return &CorruptionError{File: file, Offset: off, Record: record, Detail: err.Error()}

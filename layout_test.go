@@ -93,7 +93,7 @@ func TestListBytesCountTheLists(t *testing.T) {
 	for _, name := range db.RelationNames() {
 		for _, tu := range db.Relation(name).Tuples() {
 			op := r.Intn(4)
-			if storage.CheckWrite([]*storage.Database{db}, 0, storage.WriteDelete, name, tu.ID, nil) != nil {
+			if _, err := storage.CheckWrite([]*storage.Database{db}, 0, storage.WriteDelete, name, tu.ID, nil); err != nil {
 				op = -1 // a tuple a foreign key still needs is not deleted
 			}
 			switch op {
@@ -183,7 +183,7 @@ func TestRowBytesCountTheRows(t *testing.T) {
 	for _, name := range single.RelationNames() {
 		for _, tu := range single.Relation(name).Tuples() {
 			op, vals := r.Intn(5), slices.Clone(tu.Values)
-			if op < 2 && storage.CheckWrite([]*storage.Database{single}, 0, storage.WriteDelete, name, tu.ID, nil) != nil {
+			if _, err := storage.CheckWrite([]*storage.Database{single}, 0, storage.WriteDelete, name, tu.ID, nil); op < 2 && err != nil {
 				op = -1 // a tuple a foreign key still needs is not deleted
 			}
 			for i, v := range vals {

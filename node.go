@@ -210,11 +210,13 @@ func (n *node) newFetcher() core.Fetcher { return sqlx.NewEngine(n.db) }
 
 func (n *node) nextID() storage.TupleID { return n.db.NextTupleID() }
 
-func (n *node) check(rec wal.Record) error { return checkWrite([]*storage.Database{n.db}, 0, rec) }
+func (n *node) check(rec *wal.Record) error { return checkWrite([]*storage.Database{n.db}, 0, rec) }
 
 // checkWrite is storage.CheckWrite of a tuple record over parts, of which
-// parts[owner] owns the record's id.
-func checkWrite(parts []*storage.Database, owner int, rec wal.Record) error {
+// parts[owner] owns the record's id. A record it accepts carries its values
+// as the relation stores them, so the log, the snapshots and memory hold one
+// kind.
+func checkWrite(parts []*storage.Database, owner int, rec *wal.Record) error {
 	op := storage.WriteInsert
 	switch rec.Op {
 	case wal.OpUpdate:
@@ -222,7 +224,9 @@ func checkWrite(parts []*storage.Database, owner int, rec wal.Record) error {
 	case wal.OpDelete:
 		op = storage.WriteDelete
 	}
-	return storage.CheckWrite(parts, owner, op, rec.Rel, rec.ID, rec.Values)
+	var err error
+	rec.Values, err = storage.CheckWrite(parts, owner, op, rec.Rel, rec.ID, rec.Values)
+	return err
 }
 
 func (n *node) shardStats() ShardStats { return ShardStats{} }

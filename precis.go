@@ -191,7 +191,8 @@ type backend interface {
 	nextID() storage.TupleID
 	// check is storage.CheckWrite of a tuple record over every partition:
 	// a key, a referenced tuple or a referencing one can live on any shard.
-	check(rec wal.Record) error
+	// It gives a record it accepts the values as the relation stores them.
+	check(rec *wal.Record) error
 	// commit logs one checked record and applies it (applyLocked) on every
 	// partition it belongs to. applied reports that state changed.
 	commit(rec wal.Record) (applied bool, err error)
@@ -385,7 +386,7 @@ func (e *Engine) commitLocked(rec wal.Record) (applied bool, err error) {
 	if err := e.role.gate(); err != nil {
 		return false, err
 	}
-	if err := e.checkLocked(rec); err != nil {
+	if err := e.checkLocked(&rec); err != nil {
 		return false, err
 	}
 	return e.backend.commit(rec)
@@ -395,7 +396,7 @@ func (e *Engine) commitLocked(rec wal.Record) (applied bool, err error) {
 // Open refuses, before it is logged: a macro the renderer cannot parse (it
 // would poison every recovery), a tuple write the backend's check refuses.
 // A synonym is always accepted.
-func (e *Engine) checkLocked(rec wal.Record) error {
+func (e *Engine) checkLocked(rec *wal.Record) error {
 	switch rec.Op {
 	case wal.OpSynonym:
 		return nil

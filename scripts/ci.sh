@@ -35,16 +35,18 @@
 # sorted-id-list kernel behind every resident id list (FuzzIDList: a byte
 # string run as insert / remove / union / intersect / append-to operations at
 # both widths against a set), the row codec (FuzzRowCodec: generated schemas
-# and values — Ints in FLOAT columns, NaN, ±Inf, −0, empty, multi-byte and
-# invalid UTF-8 text, NULLs — stored as records and read back through Value,
-# AppendText, Get, every index and a result relation mapped onto the records,
-# against the values they were made from), the translator (FuzzNarrative: fuzzed
+# and values — Ints in FLOAT columns, stored as Floats or refused beyond 2^53,
+# NaN, ±Inf, −0, empty, multi-byte and invalid UTF-8 text, NULLs — stored as
+# records and read back through Value, AppendText, Get, every index and a
+# result relation mapped onto the records, against the values they were made
+# from, converted to their columns' types), the translator (FuzzNarrative: fuzzed
 # sentences and labels on a hand-built G′, indexed and not, against the
 # reference walk — the same bytes or the same error), the SELECT executor
 # (FuzzSelect: a byte string decoded as a statement — an id list, shuffled,
 # repeating, naming deleted and never-allocated ids; a column, indexed,
-# unindexed, the key or unknown, and its values, NULL, NaN, ±Inf, −0, an Int
-# against a Float and numbers at or beyond 2^53 among them; an id set to
+# unindexed, the key or unknown, and its values, NULL, NaN, ±Inf, −0, Ints
+# probing a FLOAT column and Floats an INT one, each converted to the
+# column's type, and numbers at or beyond 2^53 among them; an id set to
 # exclude; a projection, unknown columns and none among its choices; a LIMIT —
 # on an indexed table and an unindexed copy, against the reference scan — the
 # same ids and values, cut to the limit, or the same error;
@@ -156,7 +158,15 @@
 # plain-slice spec, on the engine and on 1-4 hash and range shards) and
 # TestRoundRobinRounds; with them
 # TestBlockLookupsMatchReference, the one gather loop behind IN and Probe
-# against the reference scan around every block boundary.
+# against the reference scan around every block boundary. One rule of
+# equality holds there and on the write path: a column's declared type
+# decides the kind of every value it stores, and a value probing a column is
+# converted to that type first — TestProbeAgreesWithResultMatches holds a
+# Probe and D′'s partner lookup (AppendMatches, DistinctValues) to one answer
+# on a FLOAT column given Ints and Floats, TestNumericLiteralsAcrossKinds an
+# indexed column to its unindexed copy for every kind of probe, and
+# TestCheckWriteConvertsKeysAndReferences the write check's key and reference
+# lookups to the same conversion.
 #
 # The schema-generator oracle rides in the same step: TestSchemaMatchesSpec
 # diffs core.GenerateSchema against internal/spec — a package only tests
@@ -167,14 +177,19 @@
 # spec's Figure 5 — seeds, join order and postponement, NaïveQ, Round-Robin and
 # Auto, per-relation and total caps — on the engine and on 1-4 hash and 2-4
 # range shards. Both run over core's differential datasets, the mixed-kind one
-# (internal/dataset Kinds: Ints and Floats, NaN and ±Inf in FLOAT columns,
-# BOOLs, NULLs in join columns, odd text) among them. TestEnginesMatchSpec
+# (internal/dataset Kinds: Floats, NaN and ±Inf in FLOAT columns, a FLOAT
+# key an INT column references, BOOLs, NULLs in join columns, odd text) among
+# them. TestEnginesMatchSpec
 # (root) holds every engine shape to the same spec — New, NewSharded over 2
 # and 4 hash and 3 range shards, an engine recovered from a snapshot, a delta
 # and a log tail, and a follower — G′, D′'s ids in insertion order and every
 # D′ value, kind-exactly, against the base it came from. TestWritesMatchSpec
 # holds the write path of a single, a persistent and 2/4 hash/range sharded
 # engine to internal/spec's mutation model over seeded scripts.
+# TestOpenKindsMigration opens directories the previous engine wrote
+# (testdata/kinds-migration): an Int in a FLOAT column, in the log and in a
+# snapshot, is converted; Int(2^53+1) there and a FLOAT key holding Int(1)
+# and Float(1.0) are refused with typed errors, as DESIGN.md §7 states.
 #
 # The inverted-index oracle step (internal/invidx differential_test.go)
 # diffs the sorted-slice index against the test-only map-of-maps reference
@@ -184,7 +199,9 @@
 # snapshot bytes, New ≡ NewParallel for 1/2/3/8 workers — and
 # TestLookupMatchesSpec holds Lookup to internal/spec's scan of every string
 # value over a generated movies database: every title, actor and director
-# name, as stored, word by word, shuffled and repeated. A phrase gathers its
+# name, as stored, word by word, shuffled and repeated, each term also
+# punctuated and double-spaced: a phrase matches a value whose tokens hold
+# the term's as one contiguous run, whatever separates them. A phrase gathers its
 # words' posting lists at a location and intersects them shortest first, so a
 # title's serial or a name's surname narrows the candidates before the common
 # words are read; the kernel (storage/idlist.go) walks two lists of like
@@ -273,8 +290,9 @@
 # answer serves at once; only -race can hold that to "never built on read",
 # so the generator-oracle step runs TestResultDatabaseReadsArePure
 # and TestResultJoinIndexMatchesScan (the join index against an exact-match
-# scan on every kind of value, NULL, NaN, −0 and an Int and a Float that
-# Compare ties included), with the hash probe's plan tests and
+# scan on FLOAT, INT, TEXT and BOOL columns, NULL, NaN and −0 included, each
+# probed with values of every kind converted to its type), with the hash
+# probe's plan tests and
 # TestRoundRobinProbeReadsNoTuple.
 #
 # The bench smoke step compiles and runs every benchmark exactly once
@@ -324,8 +342,10 @@
 #
 # The mutant step (scripts/mutate, over scripts/mutants.txt) breaks the
 # statement executor, the shard routing and NaïveQ's exclusion one mutant at a
-# time in a copy of the module — the excluded set ignored, a NULL value
-# matching, a float's Int key not probed, LIMIT off by one, an id list visited
+# time in a copy of the module — the excluded set ignored, a NULL probe
+# matching, a value not converted to its column's type on write, on an index
+# probe or in D′'s partner lookup, the 2^53 bound off by one, LIMIT off by
+# one, an id list visited
 # sorted, a shard's bucket losing duplicates, a phrase's check dropped, the
 # intersection's skip off by one, a WAL payload CRC never checked, among
 # others — and fails unless
@@ -421,8 +441,8 @@ go test -race -count=1 -timeout=5m ./internal/shard
 echo "== generator oracle -race (full matrix: engine + 1/3/4 shards)"
 gotest 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec|TestResultDatabaseReadsArePure' -race -count=1 -timeout=10m ./internal/core
 gotest 'TestResultJoinIndexMatchesScan' -race -count=1 -timeout=5m ./internal/storage
-gotest 'TestEnginesMatchSpec|TestWritesMatchSpec|TestWritesOpenWouldRefuseAreRefused' -race -count=1 -timeout=10m .
-gotest 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestExclude|TestFetcherLeavesStatementAlone|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' -race -count=1 -timeout=5m ./internal/sqlx ./internal/shard
+gotest 'TestEnginesMatchSpec|TestWritesMatchSpec|TestWritesOpenWouldRefuseAreRefused|TestOpenKindsMigration' -race -count=1 -timeout=10m .
+gotest 'TestSelectMatchesReferenceScan|TestHashProbePlan|TestBlockLookupsMatchReference|TestProbeMatchesSpec|TestProbeAgreesWithResultMatches|TestNumericLiteralsAcrossKinds|TestCheckWriteConvertsKeysAndReferences|TestColTypeConvertAndKey|TestExclude|TestFetcherLeavesStatementAlone|TestFetcherIDSetPredicate|TestFetcherMatchesSingleEngine|TestFetcherRefusesMisplacedTuple' -race -count=1 -timeout=5m ./internal/sqlx ./internal/shard ./internal/storage
 gotest 'TestNarrativeMatchesReference|TestSearchBodyMatchesEncodingJSON|TestAppendJSONString' -race -count=1 -timeout=5m ./internal/nlg ./internal/web
 
 echo "== memo -race (warm = cold on every engine shape, concurrent first use of G′ and of its narration plan, macros, label errors)"

@@ -321,7 +321,7 @@ func (s *shardSet) lookup(term string) ([]invidx.Occurrence, error) {
 // set is stable for the query's lifetime.
 func (s *shardSet) newFetcher() core.Fetcher { return shard.NewFetcher(s.part, s.dbs, s.metrics) }
 
-func (s *shardSet) check(rec wal.Record) error {
+func (s *shardSet) check(rec *wal.Record) error {
 	owner, err := shard.OwnerOf(s.part, rec.ID)
 	if err != nil {
 		return err
