@@ -12,7 +12,11 @@ package precis_test
 
 import (
 	"fmt"
+	"io"
+	"log"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -304,6 +308,72 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 		if _, err := eng.Query([]string{"Woody Allen"}, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpen prices the persisted inverted index: a reopen of a
+// paper-scale data directory (seed 1) that loads the index file beside the
+// base snapshot, against one whose index file is removed, so the reopen
+// rebuilds the index from the recovered tuples. Only Open is timed.
+func BenchmarkOpen(b *testing.B) {
+	db, err := dataset.SyntheticMovies(dataset.PaperScaleSyntheticConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// open times Open alone, on b's timer.
+	open := func(b *testing.B, dir string) (*precis.Engine, error) {
+		g, err := dataset.PaperGraph(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		defer b.StopTimer()
+		return precis.Open(db, g, precis.PersistConfig{Dir: dir, Fsync: precis.FsyncNever, CheckpointBytes: -1, Logger: log.New(io.Discard, "", 0)})
+	}
+	b.StopTimer()
+	seed := b.TempDir()
+	eng, err := open(b, seed)
+	if err == nil {
+		err = eng.Close()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries, err := os.ReadDir(seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		withIndex bool
+	}{{"pidx", true}, {"rebuild", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				dir := b.TempDir()
+				for _, e := range entries {
+					if c.withIndex || filepath.Ext(e.Name()) != ".pidx" {
+						raw, err := os.ReadFile(filepath.Join(seed, e.Name()))
+						if err == nil {
+							err = os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				eng, err := open(b, dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := eng.PersistStats().Recovery.IndexLoaded; got != c.withIndex {
+					b.Fatalf("index loaded: %v, want %v", got, c.withIndex)
+				}
+				if err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

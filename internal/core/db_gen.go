@@ -134,11 +134,10 @@ type DBGenOptions struct {
 // deterministically. One generation calls it from one goroutine.
 type Fetcher interface {
 	ExecStmt(st sqlx.Stmt) (*sqlx.Result, error)
-	// Probe returns, per value (sorted by Value.Compare), the ascending ids of
-	// rel's live tuples whose col Equals it (contract: sqlx.Engine.Probe).
+	// Probe returns, per value (keys ascending), the ascending ids of
+	// rel's live tuples whose col holds its key (contract: sqlx.Engine.Probe).
 	Probe(rel, col string, values []storage.Value) (*sqlx.Groups, error)
 	Database() *storage.Database
-	AccumulateStats(s sqlx.Stats)
 }
 
 // generator carries the state of one Figure 5 run.
@@ -284,12 +283,10 @@ func (g *generator) exec(st *sqlx.SelectStmt) (*sqlx.Result, error) {
 	return res, nil
 }
 
-// charge counts one executed statement or probe in the generation stats and
-// the caller-visible engine totals.
+// charge counts one executed statement or probe in the generation stats.
 func (g *generator) charge(s sqlx.Stats) {
 	g.stats.Queries++
 	g.stats.SQL.Add(s)
-	g.eng.AccumulateStats(s)
 }
 
 // layout is D' before its tuples, as it follows from G' and the catalog of

@@ -42,7 +42,6 @@ type Fetcher struct {
 	all     []int // every shard: the targets of a statement that is not routed
 	metrics *Metrics
 	tallies []tally
-	total   sqlx.Stats
 }
 
 // NewFetcher builds a per-query scatter/gather fetcher over the shard
@@ -62,12 +61,6 @@ func NewFetcher(part Partitioner, dbs []*storage.Database, m *Metrics) *Fetcher 
 // only reads schemas and foreign keys from it — both replicated to every
 // shard — never tuples.
 func (f *Fetcher) Database() *storage.Database { return f.engs[0].Database() }
-
-// AccumulateStats implements core.Fetcher.
-func (f *Fetcher) AccumulateStats(s sqlx.Stats) { f.total.Add(s) }
-
-// TotalStats returns the physical work accumulated via AccumulateStats.
-func (f *Fetcher) TotalStats() sqlx.Stats { return f.total }
 
 // ExecStmt scatters one generated SELECT and gathers the rows in the order a
 // single engine would emit them. A statement that lists ids is routed: its ids

@@ -37,8 +37,7 @@ type Result struct {
 
 // Engine executes statements against a storage database; it only reads it.
 type Engine struct {
-	db    *storage.Database
-	total Stats
+	db *storage.Database
 }
 
 // NewEngine wraps a database.
@@ -47,20 +46,7 @@ func NewEngine(db *storage.Database) *Engine { return &Engine{db: db} }
 // Database returns the wrapped database.
 func (e *Engine) Database() *storage.Database { return e.db }
 
-// TotalStats returns the stats AccumulateStats has gathered.
-func (e *Engine) TotalStats() Stats { return e.total }
-
-// ResetStats clears the cumulative stats.
-func (e *Engine) ResetStats() { e.total = Stats{} }
-
-// AccumulateStats merges externally measured work into the engine's
-// cumulative totals: ExecStmt and Probe leave them alone, and the
-// result-database generator folds each statement's stats back through this
-// method, keeping TotalStats meaningful for cost-model accounting.
-func (e *Engine) AccumulateStats(s Stats) { e.total.Add(s) }
-
-// ExecStmt executes a statement. It reads the database and leaves the engine's
-// totals alone.
+// ExecStmt executes a statement; it only reads the database.
 func (e *Engine) ExecStmt(st Stmt) (*Result, error) {
 	if st == nil {
 		return nil, errors.New("sql: nil statement")

@@ -182,20 +182,20 @@ func TestExecErrors(t *testing.T) {
 	}
 }
 
-func TestCumulativeStats(t *testing.T) {
+// TestInListStats: an IN list on an indexed column costs an index lookup per
+// value and a tuple read per tuple found, statement by statement.
+func TestInListStats(t *testing.T) {
 	e := testEngine(t)
-	for _, st := range []*SelectStmt{in(nil, "did", storage.Int(1), storage.Int(2)), in(nil, "did", storage.Int(1))} {
-		e.AccumulateStats(query(t, e, st).Stats)
-	}
-	total := e.TotalStats()
-	if total.IndexLookups != 3 {
-		t.Errorf("cumulative IndexLookups = %d, want 3", total.IndexLookups)
-	}
-	if total.TupleReads != 8 {
-		t.Errorf("cumulative TupleReads = %d, want 8", total.TupleReads)
-	}
-	if e.ResetStats(); e.TotalStats() != (Stats{}) {
-		t.Errorf("after ResetStats: %+v", e.TotalStats())
+	for _, tc := range []struct {
+		st   *SelectStmt
+		want Stats
+	}{
+		{in(nil, "did", storage.Int(1), storage.Int(2)), Stats{IndexLookups: 2, TupleReads: 5}},
+		{in(nil, "did", storage.Int(1)), Stats{IndexLookups: 1, TupleReads: 3}},
+	} {
+		if got := query(t, e, tc.st).Stats; got != tc.want {
+			t.Errorf("%v: %+v, want %+v", tc.st.Values, got, tc.want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package sqlx
 
 import (
 	"fmt"
-	"slices"
 
 	"precis/internal/faultinject"
 	"precis/internal/storage"
@@ -28,13 +27,14 @@ func (g *Groups) Group(i int) []storage.TupleID {
 // Probe opens one scan per value on rel.col — the paper's Round-Robin scans,
 // all at once: group i holds, ascending, the ids of the live tuples whose col
 // holds values[i], converted to col's type (ColType.Key) as every lookup
-// converts it. values must be sorted by Value.Compare (DistinctValues
-// order); groups are disjoint, so a value whose key is its predecessor's
-// (Int(1), Float(1)) gets an empty group, as do NULL, which joins nothing,
-// and a value that cannot convert. A hash index on col answers from its
-// posting lists and reads no tuple — an index lookup per value and a tuple
-// read per posting, the cost model's units; a scan of rel per value
-// otherwise. Like ExecStmt it leaves the engine's totals alone.
+// converts it. The keys must ascend, as one column's DistinctValues do;
+// Value.Compare order is not enough beyond 2^53, where it ties
+// Float(2^53) with Int(2^53+1). Groups are disjoint, so a value whose key
+// is its predecessor's (Int(1), Float(1)) gets an empty group, as do NULL,
+// which joins nothing, and a value that cannot convert. A hash index on col
+// answers from its posting lists and reads no tuple — an index lookup per
+// value and a tuple read per posting, the cost model's units; a scan of rel
+// per value otherwise.
 func (e *Engine) Probe(rel, col string, values []storage.Value) (*Groups, error) {
 	if err := faultinject.Fire(faultinject.SiteSQLSelect); err != nil {
 		return nil, fmt.Errorf("sql: probe on %s: %w", rel, err)
@@ -46,9 +46,6 @@ func (e *Engine) Probe(rel, col string, values []storage.Value) (*Groups, error)
 	if !r.Schema().HasColumn(col) {
 		return nil, fmt.Errorf("sql: relation %s has no column %s", rel, col)
 	}
-	if !slices.IsSortedFunc(values, storage.Value.Compare) {
-		return nil, fmt.Errorf("sql: probe on %s.%s: values are not sorted", rel, col)
-	}
 	// A driving value mostly has a partner, so the ids start at one each.
 	g := &Groups{IDs: make([]storage.TupleID, 0, len(values)), Ends: make([]int, len(values))}
 	var err error
@@ -56,12 +53,17 @@ func (e *Engine) Probe(rel, col string, values []storage.Value) (*Groups, error)
 		return nil, fmt.Errorf("sql: probe on %s: %w", rel, err)
 	}
 	// A value whose key is its predecessor's gives up its group, which holds
-	// the predecessor's tuples again.
-	t, kept, start, prev := r.Schema().Columns[r.Schema().ColumnIndex(col)].Type, 0, 0, storage.Null
+	// the predecessor's tuples again. The keys must ascend, so no key comes
+	// back after another one.
+	t, kept, start, prev, last := r.Schema().Columns[r.Schema().ColumnIndex(col)].Type, 0, 0, storage.Null, storage.Null
 	for i, v := range values {
 		k, ok := t.Key(v)
 		if !ok {
 			k = storage.Null // no key, and no tuples
+		} else if last.Compare(k) > 0 {
+			return nil, fmt.Errorf("sql: probe on %s.%s: values are not sorted", rel, col)
+		} else {
+			last = k
 		}
 		if k != prev {
 			kept += copy(g.IDs[kept:], g.IDs[start:g.Ends[i]])

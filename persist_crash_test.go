@@ -11,11 +11,9 @@ package precis
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
-	"precis/internal/dataset"
 	"precis/internal/storage"
 	"precis/internal/wal"
 )
@@ -130,11 +128,41 @@ func captureRef(t *testing.T, e *Engine) refSnapshot {
 	return s
 }
 
+// crashImage is a data directory as a crash left it: its snapshot, and its
+// WAL, which recovery reads as generation 1's.
+type crashImage struct {
+	snapName  string
+	snap, wal []byte
+}
+
+// readCrashImage reads dir's snapshot and WAL as they stand.
+func readCrashImage(t *testing.T, dir string) crashImage {
+	t.Helper()
+	var img crashImage
+	for name, raw := range readDataDir(t, dir) {
+		switch filepath.Ext(name) {
+		case ".snap":
+			img.snapName, img.snap = name, raw
+		case ".log":
+			img.wal = raw
+		}
+	}
+	if img.snapName == "" || img.wal == nil {
+		t.Fatalf("%s is missing a snapshot or a WAL", dir)
+	}
+	return img
+}
+
+// files is the image as a data directory's files.
+func (img crashImage) files() map[string][]byte {
+	return map[string][]byte{img.snapName: img.snap, gen1WAL: img.wal}
+}
+
 // buildCrashedDir runs the full script on a persistent engine and returns
-// the snapshot file bytes and WAL bytes as the crash point captured them,
-// plus the WAL record count contributed by engine setup (standard macros)
-// before the script ran.
-func buildCrashedDir(t *testing.T) (snapName string, snapRaw, walRaw []byte, preRecords int) {
+// the snapshot and WAL as the crash point captured them, plus the WAL
+// record count contributed by engine setup (standard macros) before the
+// script ran.
+func buildCrashedDir(t *testing.T) (img crashImage, preRecords int) {
 	t.Helper()
 	dir := t.TempDir()
 	eng := openPersistent(t, dir) // logs the standard macros
@@ -145,172 +173,102 @@ func buildCrashedDir(t *testing.T) (snapName string, snapRaw, walRaw []byte, pre
 		}
 	}
 	// No Close: a crash never gets one. Grab the files as they stand.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch filepath.Ext(e.Name()) {
-		case ".snap":
-			snapName, snapRaw = e.Name(), raw
-		case ".log":
-			walRaw = raw
-		}
-	}
-	if snapName == "" || walRaw == nil {
-		t.Fatal("crashed dir is missing snapshot or WAL")
-	}
+	img = readCrashImage(t, dir)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return snapName, snapRaw, walRaw, preRecords
+	return img, preRecords
 }
 
 // walName mirrors the store's file naming for generation 1.
 const gen1WAL = "wal-0000000000000001.log"
 
-// TestCrashTortureKillAtEveryWALOffset truncates the WAL at every byte
-// offset and recovers. The recovered engine must be state- and
-// answer-identical to the reference engine holding exactly the mutations
-// whose WAL records survived whole; the torn remainder is truncated, never
-// misread.
-func TestCrashTortureKillAtEveryWALOffset(t *testing.T) {
-	snapName, snapRaw, walRaw, preRecords := buildCrashedDir(t)
-
-	// Reference states per script prefix.
-	refs := make([]refSnapshot, numCrashMutations+1)
-	for k := 0; k <= numCrashMutations; k++ {
-		refs[k] = captureRef(t, newReferenceEngine(t, k))
-	}
-
-	// Offsets 0..len(walRaw). In -short mode, stride through them; the full
-	// run kills at every single byte.
-	step := 1
-	if testing.Short() {
-		step = 13
-	}
-	recoveries := 0
-	for cut := 0; cut <= len(walRaw); cut += step {
+// tortureWALCuts cuts the image's WAL at every step-th offset, the whole log
+// included, and recovers each cut. A recovery must be state-, answer- and
+// narrative-identical to refs[k], k the script records that survive the cut
+// whole; the torn remainder is truncated, never misread.
+func tortureWALCuts(t *testing.T, img crashImage, preRecords, step int, refs []refSnapshot) {
+	t.Helper()
+	d := newTortureDir(t, img.files())
+	for cut := 0; cut <= len(img.wal); cut += step {
 		// How many complete records does the truncated log hold?
-		info, err := wal.ReplayBytes(walRaw[:cut], nil)
+		info, err := wal.ReplayBytes(img.wal[:cut], nil)
 		if err != nil {
 			t.Fatalf("cut %d: reference replay rejected a pure truncation: %v", cut, err)
 		}
-		k := info.Records - preRecords
-		if k < 0 {
-			k = 0 // still inside the setup macros
+		k := max(info.Records-preRecords, 0) // 0: still inside the setup macros
+		if k >= len(refs) {
+			t.Fatalf("cut %d: the cut log holds %d script records, beyond the %d of the image", cut, k, len(refs)-1)
 		}
-
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapName), snapRaw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, gen1WAL), walRaw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		db, g, err := dataset.ExampleMovies()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dataset.AnnotateNarrative(g); err != nil {
-			t.Fatal(err)
-		}
-		eng, err := Open(db, g, quietPersistConfig(dir))
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
-		recoveries++
-		got := captureRef(t, eng)
-		want := refs[k]
-		if got.dump != want.dump {
-			t.Fatalf("cut %d (%d script records): recovered database differs from reference:\nwant:\n%s\ngot:\n%s",
-				cut, k, want.dump, got.dump)
-		}
-		if got.ansDump != want.ansDump {
-			t.Fatalf("cut %d (%d script records): recovered answer differs from reference", cut, k)
-		}
-		if got.narrative != want.narrative {
-			t.Fatalf("cut %d (%d script records): narrative differs:\nwant: %s\ngot:  %s", cut, k, want.narrative, got.narrative)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatalf("cut %d: close: %v", cut, err)
-		}
+		d.run(gen1WAL, img.wal[:cut], func(dir string) {
+			eng, err := reopenDir(t, dir)
+			if err != nil {
+				t.Fatalf("cut %d: recovery failed: %v", cut, err)
+			}
+			assertRefEqual(t, fmt.Sprintf("cut %d (%d script records)", cut, k), refs[k], captureRef(t, eng))
+			if err := eng.Close(); err != nil {
+				t.Fatalf("cut %d: close: %v", cut, err)
+			}
+		})
 	}
-	t.Logf("crash torture: %d recoveries over a %d-byte WAL, all state-identical", recoveries, len(walRaw))
+	d.ran(strided(len(img.wal)+1, step))
+	t.Logf("%d recoveries over a %d-byte WAL, all state-identical", d.cases, len(img.wal))
 }
 
-// TestCrashTortureWALBitFlips flips one bit in every byte of the WAL
-// except the final record (where a flip is still detected, but exercised
-// by the wal package's own tests) and requires recovery to fail with a
-// CorruptionError naming the log file — committed records are never
-// silently dropped or misparsed.
+// TestCrashTortureKillAtEveryWALOffset truncates the WAL at every byte
+// offset (every 13th under -short) and recovers, through tortureWALCuts.
+func TestCrashTortureKillAtEveryWALOffset(t *testing.T) {
+	img, preRecords := buildCrashedDir(t)
+	refs := make([]refSnapshot, numCrashMutations+1) // per script prefix
+	for k := range refs {
+		refs[k] = captureRef(t, newReferenceEngine(t, k))
+	}
+	tortureWALCuts(t, img, preRecords, tortureStep(), refs)
+}
+
+// TestCrashTortureWALBitFlips flips one bit in every byte of the WAL and
+// requires recovery to fail with a CorruptionError naming the log file at
+// or before the damage — committed records are never silently dropped or
+// misparsed.
 func TestCrashTortureWALBitFlips(t *testing.T) {
-	snapName, snapRaw, walRaw, _ := buildCrashedDir(t)
-	step := 1
-	if testing.Short() {
-		step = 13
+	img, _ := buildCrashedDir(t)
+	step := tortureStep()
+	d := newTortureDir(t, img.files())
+	walPath := filepath.Join(d.dir, gen1WAL)
+	for off := 0; off < len(img.wal); off += step {
+		d.run(gen1WAL, flipped(img.wal, off, 0x20), func(dir string) {
+			_, err := reopenDir(t, dir)
+			if err == nil {
+				t.Fatalf("bit flip at WAL offset %d was silently accepted", off)
+			}
+			var ce *wal.CorruptionError
+			if !errors.As(err, &ce) {
+				t.Fatalf("bit flip at WAL offset %d: error is not a CorruptionError: %v", off, err)
+			}
+			if ce.File != walPath {
+				t.Fatalf("bit flip at WAL offset %d blamed %q, want %q", off, ce.File, walPath)
+			}
+			if ce.Offset < 0 || ce.Offset > int64(off) {
+				t.Fatalf("bit flip at WAL offset %d blamed offset %d (past the damage)", off, ce.Offset)
+			}
+		})
 	}
-	for off := 0; off < len(walRaw); off += step {
-		dir := t.TempDir()
-		mut := append([]byte(nil), walRaw...)
-		mut[off] ^= 0x20
-		if err := os.WriteFile(filepath.Join(dir, snapName), snapRaw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		walPath := filepath.Join(dir, gen1WAL)
-		if err := os.WriteFile(walPath, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		db, g, err := dataset.ExampleMovies()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Open(db, g, quietPersistConfig(dir))
-		if err == nil {
-			t.Fatalf("bit flip at WAL offset %d was silently accepted", off)
-		}
-		var ce *wal.CorruptionError
-		if !errors.As(err, &ce) {
-			t.Fatalf("bit flip at WAL offset %d: error is not a CorruptionError: %v", off, err)
-		}
-		if ce.File != walPath {
-			t.Fatalf("bit flip at WAL offset %d blamed %q, want %q", off, ce.File, walPath)
-		}
-		if ce.Offset < 0 || ce.Offset > int64(off) {
-			t.Fatalf("bit flip at WAL offset %d blamed offset %d (past the damage)", off, ce.Offset)
-		}
-	}
+	d.ran(strided(len(img.wal), step))
 }
 
 // TestCrashTortureSnapshotBitFlips flips bits across the snapshot file:
 // with a WAL present, recovery must hard-fail on every one — falling back
 // or absorbing the flip would serve corrupted state.
 func TestCrashTortureSnapshotBitFlips(t *testing.T) {
-	snapName, snapRaw, walRaw, _ := buildCrashedDir(t)
-	step := 1
-	if testing.Short() {
-		step = 13
+	img, _ := buildCrashedDir(t)
+	step := tortureStep()
+	d := newTortureDir(t, img.files())
+	for off := 0; off < len(img.snap); off += step {
+		d.run(img.snapName, flipped(img.snap, off, 0x08), func(dir string) {
+			if _, err := reopenDir(t, dir); err == nil {
+				t.Fatalf("bit flip at snapshot offset %d was silently accepted", off)
+			}
+		})
 	}
-	for off := 0; off < len(snapRaw); off += step {
-		dir := t.TempDir()
-		mut := append([]byte(nil), snapRaw...)
-		mut[off] ^= 0x08
-		if err := os.WriteFile(filepath.Join(dir, snapName), mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, gen1WAL), walRaw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		db, g, err := dataset.ExampleMovies()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(db, g, quietPersistConfig(dir)); err == nil {
-			t.Fatalf("bit flip at snapshot offset %d was silently accepted", off)
-		}
-	}
+	d.ran(strided(len(img.snap), step))
 }

@@ -127,50 +127,35 @@ func chainFiles(t *testing.T, dir string) (snap string, deltas []string) {
 	return snap, deltas
 }
 
-// tortureChainFile damages one file of a crashed chain dir at every strided
-// offset, both by bit flip and by truncation, and requires recovery to fail
-// every time. wantCorruption additionally requires the error to be an
-// attributed CorruptionError (delta damage is always detected as such; a
+// tortureChainFile damages one of a crashed chain dir's files at every
+// strided offset, both by bit flip and by truncation, and requires recovery
+// to fail every time. wantCorruption additionally requires the error to be
+// an attributed CorruptionError (delta damage is always detected as such; a
 // damaged base snapshot may also surface as "no loadable snapshot").
-func tortureChainFile(t *testing.T, src, name string, wantCorruption bool) {
+func tortureChainFile(t *testing.T, seed map[string][]byte, name string, wantCorruption bool) {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join(src, name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := 1
-	if testing.Short() {
-		step = 13
-	}
-	check := func(mode string, off int, dir string) {
-		t.Helper()
-		_, err := reopenDir(t, dir)
-		if err == nil {
-			t.Fatalf("%s of %s at offset %d was silently accepted", mode, name, off)
-		}
-		if wantCorruption {
+	raw, step := seed[name], tortureStep()
+	check := func(mode string, off int) func(dir string) {
+		return func(dir string) {
+			t.Helper()
+			_, err := reopenDir(t, dir)
+			if err == nil {
+				t.Fatalf("%s of %s at offset %d was silently accepted", mode, name, off)
+			}
 			var ce *wal.CorruptionError
-			if !errors.As(err, &ce) {
+			if wantCorruption && !errors.As(err, &ce) {
 				t.Fatalf("%s of %s at offset %d: error is not a CorruptionError: %v", mode, name, off, err)
 			}
 		}
 	}
+	d := newTortureDir(t, seed)
 	for off := 0; off < len(raw); off += step {
-		dir := copyDataDir(t, src)
-		mut := append([]byte(nil), raw...)
-		mut[off] ^= 0x08
-		if err := os.WriteFile(filepath.Join(dir, name), mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check("bit flip", off, dir)
+		d.run(name, flipped(raw, off, 0x08), check("bit flip", off))
 	}
 	for cut := 0; cut < len(raw); cut += step {
-		dir := copyDataDir(t, src)
-		if err := os.WriteFile(filepath.Join(dir, name), raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check("truncation", cut, dir)
+		d.run(name, raw[:cut], check("truncation", cut))
 	}
+	d.ran(2 * strided(len(raw), step))
 }
 
 // TestDeltaChainTortureEveryByte damages every byte of every chain file —
@@ -191,10 +176,10 @@ func TestDeltaChainTortureEveryByte(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	t.Run("base", func(t *testing.T) { tortureChainFile(t, src, snap, false) })
+	seed := readDataDir(t, src)
+	t.Run("base", func(t *testing.T) { tortureChainFile(t, seed, snap, false) })
 	for _, d := range deltas {
-		d := d
-		t.Run(d, func(t *testing.T) { tortureChainFile(t, src, d, true) })
+		t.Run(d, func(t *testing.T) { tortureChainFile(t, seed, d, true) })
 	}
 }
 
@@ -272,19 +257,21 @@ func TestPersistedIndexRecovery(t *testing.T) {
 }
 
 // expectIndexFallback opens dir and requires a successful recovery that
-// REBUILT the index (IndexLoaded false) yet answers identically.
+// REBUILT the index (IndexLoaded false), answers identically and closes.
 func expectIndexFallback(t *testing.T, dir, mode string, want refSnapshot) {
 	t.Helper()
 	eng, err := reopenDir(t, dir)
 	if err != nil {
 		t.Fatalf("%s: index damage failed the open (must fall back): %v", mode, err)
 	}
-	defer eng.Close()
-	if eng.PersistStats().Recovery.IndexLoaded {
+	loaded, got := eng.PersistStats().Recovery.IndexLoaded, captureRef(t, eng)
+	if err := eng.Close(); err != nil {
+		t.Fatalf("%s: close after the fallback: %v", mode, err)
+	}
+	if loaded {
 		t.Fatalf("%s: damaged index reported as loaded", mode)
 	}
-	got := captureRef(t, eng)
-	if got.dump != want.dump || got.ansDump != want.ansDump || got.narrative != want.narrative {
+	if got != want {
 		t.Fatalf("%s: fallback recovery differs from reference", mode)
 	}
 }
@@ -296,42 +283,22 @@ func expectIndexFallback(t *testing.T, dir, mode string, want refSnapshot) {
 func TestPersistedIndexTortureEveryByte(t *testing.T) {
 	src, indexName := buildIndexedDir(t)
 	want := captureRef(t, newReferenceEngine(t, numCrashMutations))
-	raw, err := os.ReadFile(filepath.Join(src, indexName))
-	if err != nil {
-		t.Fatal(err)
+	seed := readDataDir(t, src)
+	raw, step := seed[indexName], tortureStep()
+	fallback := func(mode string) func(dir string) {
+		return func(dir string) { expectIndexFallback(t, dir, mode, want) }
 	}
-	step := 1
-	if testing.Short() {
-		step = 13
-	}
+	d := newTortureDir(t, seed)
 	for off := 0; off < len(raw); off += step {
-		dir := copyDataDir(t, src)
-		mut := append([]byte(nil), raw...)
-		mut[off] ^= 0x20
-		if err := os.WriteFile(filepath.Join(dir, indexName), mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectIndexFallback(t, dir, "bit flip", want)
+		d.run(indexName, flipped(raw, off, 0x20), fallback("bit flip"))
 	}
 	for cut := 0; cut < len(raw); cut += step * 4 {
-		dir := copyDataDir(t, src)
-		if err := os.WriteFile(filepath.Join(dir, indexName), raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expectIndexFallback(t, dir, "truncation", want)
+		d.run(indexName, raw[:cut], fallback("truncation"))
 	}
 	// A structurally valid index stamped with the wrong generation is
 	// stale, not corrupt — same silent fallback.
-	dir := copyDataDir(t, src)
-	stale := (&invidx.Index{}).EncodeSnapshot(999)
-	if err := os.WriteFile(filepath.Join(dir, indexName), stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	expectIndexFallback(t, dir, "stale generation", want)
+	d.run(indexName, (&invidx.Index{}).EncodeSnapshot(999), fallback("stale generation"))
 	// A missing index file (pre-upgrade directory) rebuilds too.
-	dir = copyDataDir(t, src)
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatal(err)
-	}
-	expectIndexFallback(t, dir, "missing file", want)
+	d.runWithout(indexName, fallback("missing file"))
+	d.ran(strided(len(raw), step) + strided(len(raw), 4*step) + 2)
 }

@@ -6,9 +6,11 @@ package precis
 // macros — and a failed WAL append must leave memory exactly as it was.
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,20 +66,192 @@ var numStandardMacros = len(dataset.StandardMacros())
 func copyDataDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
+	writeDataDir(t, dst, readDataDir(t, src))
+	return dst
+}
+
+// readDataDir returns a data directory's files by name.
+func readDataDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	files := make(map[string][]byte, len(entries))
 	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644); err != nil {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return dst
+	return files
+}
+
+// writeDataDir writes files into dir.
+func writeDataDir(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for name, raw := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// tortureDir is the one data directory a byte torture damages in place. A
+// case replaces or removes one file, opens the directory and checks what it
+// got; the directory then gets its seed files back — the files the case made
+// deleted, the ones it changed or removed rewritten — and the restore is
+// checked before the next case. A torture's time goes to its opens, not to a
+// fresh copy of the directory per case.
+type tortureDir struct {
+	t     *testing.T
+	dir   string
+	seed  map[string][]byte
+	cases int
+}
+
+func newTortureDir(t *testing.T, seed map[string][]byte) *tortureDir {
+	t.Helper()
+	d := &tortureDir{t: t, dir: t.TempDir(), seed: seed}
+	writeDataDir(t, d.dir, seed)
+	return d
+}
+
+// run writes data as the file name, runs check on the directory and
+// restores the seed.
+func (d *tortureDir) run(name string, data []byte, check func(dir string)) {
+	d.t.Helper()
+	d.overwrite(name, data)
+	d.finish(name, check)
+}
+
+// overwrite makes the file name hold data. It writes over the old bytes and
+// then cuts the file to length, where a truncating open would free the
+// file's blocks only to allocate them again.
+func (d *tortureDir) overwrite(name string, data []byte) {
+	d.t.Helper()
+	f, err := os.OpenFile(filepath.Join(d.dir, name), os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Truncate(int64(len(data)))
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		d.t.Fatal(err)
+	}
+}
+
+// runWithout removes the file name, runs check on the directory and
+// restores the seed.
+func (d *tortureDir) runWithout(name string, check func(dir string)) {
+	d.t.Helper()
+	if err := os.Remove(filepath.Join(d.dir, name)); err != nil {
+		d.t.Fatal(err)
+	}
+	d.finish(name, check)
+}
+
+// finish runs check on the directory, whose file damaged the case replaced
+// or removed, and restores the seed: it deletes the files the case made and
+// rewrites the damaged file and every other seed file that no longer reads
+// as the seed's. Then it checks the restore: the directory lists exactly the
+// seed's files, and each file rewritten reads back as the seed's.
+func (d *tortureDir) finish(damaged string, check func(dir string)) {
+	d.t.Helper()
+	check(d.dir)
+	d.cases++
+	list := func() []os.DirEntry {
+		entries, err := os.ReadDir(d.dir)
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		return entries
+	}
+	for _, e := range list() {
+		if _, ok := d.seed[e.Name()]; !ok {
+			if err := os.RemoveAll(filepath.Join(d.dir, e.Name())); err != nil {
+				d.t.Fatal(err)
+			}
+		}
+	}
+	rewritten := map[string][]byte{}
+	for name, raw := range d.seed {
+		if name != damaged {
+			if got, err := os.ReadFile(filepath.Join(d.dir, name)); err == nil && bytes.Equal(got, raw) {
+				continue
+			}
+		}
+		rewritten[name] = raw
+		d.overwrite(name, raw)
+	}
+	for _, e := range list() {
+		if _, ok := d.seed[e.Name()]; !ok {
+			d.t.Fatalf("case %d: %s still holds %s after the restore", d.cases, d.dir, e.Name())
+		}
+	}
+	for name, raw := range rewritten {
+		if got, err := os.ReadFile(filepath.Join(d.dir, name)); err != nil || !bytes.Equal(got, raw) {
+			d.t.Fatalf("case %d: %s does not read back as its seed after the restore (%v)", d.cases, name, err)
+		}
+	}
+}
+
+// ran fails the torture unless it ran exactly want cases.
+func (d *tortureDir) ran(want int) {
+	d.t.Helper()
+	if d.cases != want {
+		d.t.Fatalf("the torture ran %d cases, want %d", d.cases, want)
+	}
+}
+
+// strided counts the offsets 0, step, 2·step, … below n: the cases of a
+// loop over n offsets at that stride.
+func strided(n, step int) int { return (n + step - 1) / step }
+
+// tortureStep is the tortures' stride: every byte, or every 13th under -short.
+func tortureStep() int {
+	if testing.Short() {
+		return 13
+	}
+	return 1
+}
+
+// flipped returns a copy of raw with the mask bits of byte off flipped.
+func flipped(raw []byte, off int, mask byte) []byte {
+	mut := bytes.Clone(raw)
+	mut[off] ^= mask
+	return mut
+}
+
+// TestTortureDir holds the tortures' helper to its promise: whatever a case
+// makes, changes or removes, the directory holds its seed files again after
+// it, each case sees its own damage, and ran counts the cases.
+func TestTortureDir(t *testing.T) {
+	seed := map[string][]byte{"a.snap": []byte("snapshot"), "b.log": []byte("log")}
+	d := newTortureDir(t, seed)
+	d.run("a.snap", []byte("damaged"), func(dir string) {
+		if got := readDataDir(t, dir)["a.snap"]; string(got) != "damaged" {
+			t.Fatalf("the case saw %q, not its damage", got)
+		}
+		// What a checkpoint does: rotate the log, add a file, drop one.
+		writeDataDir(t, dir, map[string][]byte{"b.log": []byte("log, appended"), "c.dlt": []byte("delta")})
+		if err := os.Remove(filepath.Join(dir, "a.snap")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	d.runWithout("b.log", func(dir string) {
+		if _, ok := readDataDir(t, dir)["b.log"]; ok {
+			t.Fatal("the removed file is still there")
+		}
+	})
+	if got := readDataDir(t, d.dir); !maps.EqualFunc(got, seed, bytes.Equal) {
+		t.Fatalf("after two cases the directory holds %q, want %q", got, seed)
+	}
+	d.ran(2)
 }
 
 func TestOpenEmptyDirIsInMemory(t *testing.T) {

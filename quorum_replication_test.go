@@ -175,27 +175,7 @@ func TestQuorumDurabilityTorture(t *testing.T) {
 	}
 	// Capture the primary's files now, before the unacked write below joins
 	// its WAL; this is the crash image the truncation sweep replays.
-	var snapName string
-	var snapRaw, walRaw []byte
-	entries, err := os.ReadDir(pdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(pdir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch filepath.Ext(e.Name()) {
-		case ".snap":
-			snapName, snapRaw = e.Name(), raw
-		case ".log":
-			walRaw = raw
-		}
-	}
-	if snapName == "" || walRaw == nil {
-		t.Fatal("primary dir is missing snapshot or WAL")
-	}
+	img := readCrashImage(t, pdir)
 
 	// The follower's write-through log is byte-identical to the primary's:
 	// promotion replays the very frames the primary committed.
@@ -203,8 +183,8 @@ func TestQuorumDurabilityTorture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fwal, walRaw) {
-		t.Fatalf("follower WAL (%d bytes) is not byte-identical to primary WAL (%d bytes)", len(fwal), len(walRaw))
+	if !bytes.Equal(fwal, img.wal) {
+		t.Fatalf("follower WAL (%d bytes) is not byte-identical to primary WAL (%d bytes)", len(fwal), len(img.wal))
 	}
 
 	// Sever the link completely and write once more: the quorum is lost,
@@ -240,46 +220,7 @@ func TestQuorumDurabilityTorture(t *testing.T) {
 	if testing.Short() {
 		step = 211
 	}
-	recoveries := 0
-	for cut := 0; cut <= len(walRaw); cut += step {
-		info, err := wal.ReplayBytes(walRaw[:cut], nil)
-		if err != nil {
-			t.Fatalf("cut %d: reference replay rejected a pure truncation: %v", cut, err)
-		}
-		k := info.Records - preRecords
-		if k < 0 {
-			k = 0
-		}
-		if k > numCrashMutations {
-			t.Fatalf("cut %d: truncated primary recovered %d script records — beyond the acked set", cut, k)
-		}
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapName), snapRaw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, gen1WAL), walRaw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		db, g, err := dataset.ExampleMovies()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dataset.AnnotateNarrative(g); err != nil {
-			t.Fatal(err)
-		}
-		eng, err := Open(db, g, quietPersistConfig(dir))
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
-		assertRefEqual(t, fmt.Sprintf("primary crash at WAL byte %d (%d script records)", cut, k),
-			refs[k], captureRef(t, eng))
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-		recoveries++
-	}
-	t.Logf("quorum torture: %d per-mutation promotions, %d primary crash recoveries over a %d-byte WAL",
-		numCrashMutations, recoveries, len(walRaw))
+	tortureWALCuts(t, img, preRecords, step, refs)
 }
 
 // TestQuorumLostDoesNotBlockWriter: with a sync quorum configured and no

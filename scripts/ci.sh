@@ -22,7 +22,15 @@
 # The crash-torture pass (persist_crash_test.go) kills the WAL at every
 # byte offset and bit-flips both durability files; the -short run above
 # strides through offsets, this dedicated pass covers every single one
-# under -race. The fuzz smoke then runs the durability fuzz targets
+# under -race. Every byte torture — these three, the chain and index tortures
+# below and the quorum torture's primary crashes — damages one data directory
+# in place through one helper (tortureDir, persist_test.go): a case replaces
+# or removes one file and opens the directory, and the helper then deletes the
+# files the case made, rewrites the ones it changed and checks that the
+# directory holds its seed files again. Each torture asserts the number of
+# cases it ran against the damaged file's size, so a faster loop cannot be a
+# shorter one, and TestTortureDir holds the helper to its restore and its
+# count. The fuzz smoke then runs the durability fuzz targets
 # (snapshot decoder, WAL replayer, delta decoder, index-snapshot decoder, and
 # FuzzCompact: base snapshots mutated under a fixed delta, the compaction
 # merge refusing exactly where decoding and applying refuses, with the same
@@ -418,7 +426,7 @@ echo "== chaos suite -race -count=2 (full strength; panics at every site, single
 gotest 'TestChaos' -race -count=2 -timeout=10m .
 
 echo "== crash torture -race (full strength: every WAL byte offset)"
-gotest 'TestCrashTorture' -race -count=1 -timeout=10m .
+gotest 'TestCrashTorture|TestTortureDir' -race -count=1 -timeout=10m .
 
 echo "== incremental checkpoint torture -race (chain depths, every chain/index byte)"
 gotest 'TestDeltaChain|TestPersistedIndex|TestKeyCycle|TestFirstCompaction' -race -count=1 -timeout=15m .
