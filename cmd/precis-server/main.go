@@ -27,7 +27,8 @@
 // refusing corrupted files — and the -db flag then only seeds a brand-new
 // directory. -fsync picks the WAL durability policy; checkpoints run when
 // the WAL passes -checkpoint-bytes or every -checkpoint-interval, and a
-// final checkpoint runs during graceful shutdown inside -shutdown-grace.
+// final checkpoint runs during graceful shutdown inside -shutdown-grace; a
+// checkpoint with nothing logged since the last one writes nothing.
 // Checkpoints are incremental deltas (pause proportional to changed tuples,
 // not database size) until the chain reaches -compact-every elements or
 // -compact-bytes of deltas, when a full compaction rewrites the snapshot

@@ -116,6 +116,11 @@ func TestKeyCycleSurvivesEveryRoute(t *testing.T) {
 		assertSameHistory(t, "follower bootstrap", eng, follower)
 		_ = follower.Close()
 
+		// A logged write: a checkpoint with nothing logged since the last
+		// one writes nothing, and this one must compact the delta.
+		if err := eng.AddSynonym("varda", "Agnes Varda"); err != nil {
+			t.Fatal(err)
+		}
 		if err := eng.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}

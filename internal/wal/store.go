@@ -157,7 +157,7 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 
 	start := time.Now()
 	rec := &Recovered{}
-	snaps, err := s.listGenerations()
+	snaps, err := s.listGens("snap-", ".snap")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -173,8 +173,8 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 	if err := s.loadEpoch(); err != nil {
 		return nil, nil, err
 	}
-	deltas := s.listDeltaGens()
-	walGens := s.listWALGens()
+	deltas, _ := s.listGens("delta-", ".dlt")
+	walGens, _ := s.listGens("wal-", ".log")
 	walSet := make(map[uint64]bool, len(walGens))
 	for _, g := range walGens {
 		walSet[g] = true
@@ -224,8 +224,8 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 		if len(deltas) > 0 {
 			return nil, nil, fmt.Errorf("wal: %s holds %d delta file(s) but no base snapshot; refusing to guess at a base state", dir, len(deltas))
 		}
-		if leftover := s.walFiles(); len(leftover) > 0 {
-			return nil, nil, fmt.Errorf("wal: %s holds WAL files %v but no snapshot; refusing to guess at a base state", dir, leftover)
+		if len(walGens) > 0 {
+			return nil, nil, fmt.Errorf("wal: %s holds %d WAL file(s), the first %s, but no snapshot; refusing to guess at a base state", dir, len(walGens), walName(walGens[0]))
 		}
 		rec.Gen = 0 // Initialize will move to generation 1
 		rec.Duration = time.Since(start)
@@ -320,14 +320,10 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 		lastCount = info.Records
 	}
 
-	w, err := openWriter(filepath.Join(dir, walName(maxWal)), cfg.Fsync, cfg.FsyncInterval)
-	if err != nil {
+	if _, err := s.openGenLocked(maxWal); err != nil {
 		return nil, nil, err
 	}
-	w.setReplayed(int64(lastCount))
-	w.OnAdvance(s.notifySubs)
-	s.gen = maxWal
-	s.w = w
+	s.w.setReplayed(int64(lastCount))
 	s.chain = chain
 	// The chain tip is the last checkpoint: date LastCkpt from its mtime
 	// (falling back to now) so a configured CheckpointEvery does not see a
@@ -387,19 +383,10 @@ func (s *Store) InitializeIndexed(data *SnapshotData, indexRaw []byte) error {
 	if _, err := WriteSnapshot(s.dir, 1, data); err != nil {
 		return err
 	}
-	if indexRaw != nil {
-		if _, err := writeRawFile(s.dir, IndexSnapshotName(1), indexRaw); err != nil {
-			s.log.Printf("wal: cannot persist index snapshot for generation 1: %v", err)
-		}
-	}
-	w, err := openWriter(filepath.Join(s.dir, walName(1)), s.cfg.Fsync, s.cfg.FsyncInterval)
-	if err != nil {
+	s.writeIndex(1, indexRaw)
+	if _, err := s.openGenLocked(1); err != nil {
 		return err
 	}
-	w.SetMetrics(s.metrics)
-	w.OnAdvance(s.notifySubs)
-	s.gen = 1
-	s.w = w
 	s.chain = []uint64{1}
 	s.lastCkpt = time.Now()
 	if data.DB != nil {
@@ -497,42 +484,25 @@ func (s *Store) BeginCheckpoint() (*CheckpointHandle, error) {
 		return nil, fmt.Errorf("wal: store is closed")
 	}
 	start := time.Now()
-	old := s.w
-	oldGen := s.gen
 	// Finalize the old log's durable frontier before its successor can
 	// accept a record: recovery depends on rotated logs never having a
 	// benign torn tail, and streamers depend on genEnds being final.
-	if err := old.Sync(); err != nil {
+	if err := s.w.Sync(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnsyncedLog, err)
 	}
-	next := s.gen + 1
-	nw, err := openWriter(filepath.Join(s.dir, walName(next)), s.cfg.Fsync, s.cfg.FsyncInterval)
+	old, err := s.openGenLocked(s.gen + 1)
 	if err != nil {
 		return nil, err
 	}
-	nw.SetMetrics(s.metrics)
-	nw.OnAdvance(s.notifySubs)
-	s.w = nw
-	s.gen = next
-	r, b := old.DurableFrontier()
-	if s.genEnds == nil {
-		s.genEnds = make(map[uint64]genEnd)
-	}
-	s.genEnds[oldGen] = genEnd{records: r, bytes: b}
-	for g := range s.genEnds {
-		if g+16 <= next {
-			delete(s.genEnds, g)
-		}
-	}
-	h := &CheckpointHandle{
+	s.endGenLocked(s.gen-1, old)
+	s.notifySubs()
+	return &CheckpointHandle{
 		s:         s,
 		old:       old,
 		prevChain: append([]uint64(nil), s.chain...),
-		gen:       next,
+		gen:       s.gen,
 		start:     start,
-	}
-	s.notifySubs()
-	return h, nil
+	}, nil
 }
 
 // finishOld closes the rotated-out writer (idempotent). Its durable
@@ -565,18 +535,7 @@ func (s *Store) CompleteDelta(h *CheckpointHandle, d *DeltaData) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.chain = append(append([]uint64(nil), h.prevChain...), h.gen)
-	s.deltaBytes += n
-	s.checkpoints++
-	s.lastCkpt = time.Now()
-	s.gcChainLocked()
-	if s.metrics != nil {
-		s.metrics.Checkpoints.Inc()
-		s.metrics.CheckpointSecs.ObserveNanos(time.Since(h.start).Nanoseconds())
-		s.metrics.DeltaCheckpoints.Inc()
-		s.metrics.DeltaBytes.Add(uint64(n))
-	}
-	s.notifySubs()
+	s.completeLocked(append(append([]uint64(nil), h.prevChain...), h.gen), h.start, false, n)
 	return nil
 }
 
@@ -590,34 +549,95 @@ func (s *Store) CompleteFull(h *CheckpointHandle, raw, indexRaw []byte) error {
 	if _, err := WriteRawSnapshot(s.dir, h.gen, raw); err != nil {
 		return err
 	}
-	if indexRaw != nil {
-		if _, err := writeRawFile(s.dir, IndexSnapshotName(h.gen), indexRaw); err != nil {
-			// The DB snapshot is already durable; a missing index file only
-			// costs a rebuild on the next open.
-			s.log.Printf("wal: cannot persist index snapshot for generation %d: %v", h.gen, err)
-		}
-	}
+	s.writeIndex(h.gen, indexRaw)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.chain = []uint64{h.gen}
-	s.noteFullLocked(time.Since(h.start), len(raw))
-	s.lastCkpt = time.Now()
-	s.gcChainLocked()
-	if s.metrics != nil {
-		s.metrics.Checkpoints.Inc()
-		s.metrics.CheckpointSecs.ObserveNanos(time.Since(h.start).Nanoseconds())
-	}
-	s.notifySubs()
+	s.completeLocked([]uint64{h.gen}, h.start, true, int64(len(raw)))
 	return nil
 }
 
-// noteFullLocked counts a completed full checkpoint: how long it took and
-// how many snapshot bytes it wrote.
-func (s *Store) noteFullLocked(took time.Duration, bytes int) {
-	s.fullBytes += int64(bytes)
+// completeLocked makes chain, which a checkpoint begun at start wrote bytes
+// for (a full snapshot or a delta), the live chain: it counts and dates the
+// checkpoint, collects the files the chain no longer needs and wakes the
+// subscribers.
+func (s *Store) completeLocked(chain []uint64, start time.Time, full bool, bytes int64) {
+	took := time.Since(start)
+	s.chain = chain
 	s.checkpoints++
-	s.lastFull = took
-	s.lastFullBytes = int64(bytes)
+	s.lastCkpt = time.Now()
+	if full {
+		s.fullBytes += bytes
+		s.lastFull, s.lastFullBytes = took, bytes
+	} else {
+		s.deltaBytes += bytes
+	}
+	s.gcChainLocked()
+	if s.metrics != nil {
+		s.metrics.Checkpoints.Inc()
+		s.metrics.CheckpointSecs.ObserveNanos(took.Nanoseconds())
+		if !full {
+			s.metrics.DeltaCheckpoints.Inc()
+			s.metrics.DeltaBytes.Add(uint64(bytes))
+		}
+	}
+	s.notifySubs()
+}
+
+// writeIndex persists indexRaw, when non-nil, as generation gen's
+// inverted-index snapshot. A failure is only logged: the snapshot beside it
+// is what recovery needs, and a missing index costs a rebuild on the next
+// open.
+func (s *Store) writeIndex(gen uint64, indexRaw []byte) {
+	if indexRaw == nil {
+		return
+	}
+	if _, err := writeRawFile(s.dir, IndexSnapshotName(gen), indexRaw); err != nil {
+		s.log.Printf("wal: cannot persist index snapshot for generation %d: %v", gen, err)
+	}
+}
+
+// openGenLocked opens generation gen's log, wired to the store's metrics and
+// subscribers, and makes it the active log. It returns the log it replaced
+// (nil on the first open), still open, for the caller to end.
+func (s *Store) openGenLocked(gen uint64) (*Writer, error) {
+	w, err := openWriter(filepath.Join(s.dir, walName(gen)), s.cfg.Fsync, s.cfg.FsyncInterval)
+	if err != nil {
+		return nil, err
+	}
+	w.SetMetrics(s.metrics)
+	w.OnAdvance(s.notifySubs)
+	old := s.w
+	s.w, s.gen = w, gen
+	return old, nil
+}
+
+// endGenLocked records w's durable frontier as where generation gen's log
+// ends, for a streamer crossing out of it, and forgets the ends of
+// generations sixteen or more below.
+func (s *Store) endGenLocked(gen uint64, w *Writer) {
+	r, b := w.DurableFrontier()
+	if s.genEnds == nil {
+		s.genEnds = make(map[uint64]genEnd)
+	}
+	s.genEnds[gen] = genEnd{records: r, bytes: b}
+	for g := range s.genEnds {
+		if g+16 <= gen+1 {
+			delete(s.genEnds, g)
+		}
+	}
+}
+
+// Idle reports whether a checkpoint would have nothing to write: the chain
+// already ends at the active generation, whose log holds no record, and the
+// log's writer is not poisoned — a failed fsync can truncate a log back to
+// no record, and only a checkpoint's Supersede heals it. The engine asks
+// before every checkpoint it starts itself and skips an idle one; a
+// follower's mirror of its primary's rotation must rotate all the same, so
+// BeginCheckpoint does not ask.
+func (s *Store) Idle() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w != nil && s.chain[len(s.chain)-1] == s.gen && s.w.Records() == 0 && !s.w.poisoned()
 }
 
 // Compact returns the full snapshot of h's rotation point — the chain h
@@ -693,37 +713,15 @@ func (s *Store) Supersede(data *SnapshotData, indexRaw []byte) error {
 	if _, err := WriteRawSnapshot(s.dir, next, raw); err != nil {
 		return err
 	}
-	if indexRaw != nil {
-		if _, err := writeRawFile(s.dir, IndexSnapshotName(next), indexRaw); err != nil {
-			s.log.Printf("wal: cannot persist index snapshot for generation %d: %v", next, err)
-		}
-	}
-	nw, err := openWriter(filepath.Join(s.dir, walName(next)), s.cfg.Fsync, s.cfg.FsyncInterval)
+	s.writeIndex(next, indexRaw)
+	old, err := s.openGenLocked(next)
 	if err != nil {
 		_ = os.Remove(filepath.Join(s.dir, snapshotName(next)))
 		return err
 	}
-	nw.SetMetrics(s.metrics)
-	nw.OnAdvance(s.notifySubs)
-	old := s.w
-	oldGen := s.gen
 	_ = old.Close()
-	r, b := old.DurableFrontier()
-	if s.genEnds == nil {
-		s.genEnds = make(map[uint64]genEnd)
-	}
-	s.genEnds[oldGen] = genEnd{records: r, bytes: b}
-	s.w = nw
-	s.gen = next
-	s.chain = []uint64{next}
-	s.noteFullLocked(time.Since(start), len(raw))
-	s.lastCkpt = time.Now()
-	s.gcChainLocked()
-	if s.metrics != nil {
-		s.metrics.Checkpoints.Inc()
-		s.metrics.CheckpointSecs.ObserveNanos(time.Since(start).Nanoseconds())
-	}
-	s.notifySubs()
+	s.endGenLocked(next-1, old)
+	s.completeLocked([]uint64{next}, start, true, int64(len(raw)))
 	return nil
 }
 
@@ -756,18 +754,14 @@ func (s *Store) InstallSnapshot(gen uint64, raw []byte) error {
 	if err := os.Remove(filepath.Join(s.dir, walName(gen))); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("wal: install snapshot: removing stale log: %w", err)
 	}
-	nw, err := openWriter(filepath.Join(s.dir, walName(gen)), s.cfg.Fsync, s.cfg.FsyncInterval)
+	old, err := s.openGenLocked(gen)
 	if err != nil {
 		_ = os.Remove(filepath.Join(s.dir, snapshotName(gen)))
 		return err
 	}
-	nw.SetMetrics(s.metrics)
-	nw.OnAdvance(s.notifySubs)
-	if s.w != nil {
-		_ = s.w.Close()
+	if old != nil {
+		_ = old.Close()
 	}
-	s.w = nw
-	s.gen = gen
 	s.chain = []uint64{gen}
 	s.lastCkpt = time.Now()
 	s.genEnds = nil
@@ -909,11 +903,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	err := s.w.Close()
-	r, b := s.w.DurableFrontier()
-	if s.genEnds == nil {
-		s.genEnds = make(map[uint64]genEnd)
-	}
-	s.genEnds[s.gen] = genEnd{records: r, bytes: b}
+	s.endGenLocked(s.gen, s.w)
 	s.w = nil
 	s.notifySubs()
 	return err
@@ -1102,8 +1092,9 @@ func (s *Store) WALPath(gen uint64) string {
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// listGenerations returns the snapshot generations present, ascending.
-func (s *Store) listGenerations() ([]uint64, error) {
+// listGens returns the generations of the directory's files named
+// prefix<gen>suffix, ascending.
+func (s *Store) listGens(prefix, suffix string) ([]uint64, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, err
@@ -1111,63 +1102,12 @@ func (s *Store) listGenerations() ([]uint64, error) {
 	var gens []uint64
 	for _, e := range entries {
 		var g uint64
-		if parseGen(e.Name(), "snap-", ".snap", &g) {
+		if parseGen(e.Name(), prefix, suffix, &g) {
 			gens = append(gens, g)
 		}
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 	return gens, nil
-}
-
-// listDeltaGens returns the delta generations present, ascending.
-func (s *Store) listDeltaGens() []uint64 {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var gens []uint64
-	for _, e := range entries {
-		var g uint64
-		if parseGen(e.Name(), "delta-", ".dlt", &g) {
-			gens = append(gens, g)
-		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens
-}
-
-// listWALGens returns the log generations present, ascending.
-func (s *Store) listWALGens() []uint64 {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var gens []uint64
-	for _, e := range entries {
-		var g uint64
-		if parseGen(e.Name(), "wal-", ".log", &g) {
-			gens = append(gens, g)
-		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens
-}
-
-// walFiles lists the WAL file names present, sorted.
-func (s *Store) walFiles() []string {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range entries {
-		var g uint64
-		if parseGen(e.Name(), "wal-", ".log", &g) {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // parseGen extracts the 16-hex-digit generation from prefix<gen>suffix.

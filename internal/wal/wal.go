@@ -388,6 +388,10 @@ func (w *Writer) poisonLocked(cause error) error {
 	return cause
 }
 
+// poisoned reports whether a failed fsync, or a failed append it could not
+// cut back, has made the writer refuse every further append.
+func (w *Writer) poisoned() bool { return w.failed.Load() != nil }
+
 // Sync forces everything appended so far to stable storage.
 func (w *Writer) Sync() error {
 	w.syncMu.Lock()

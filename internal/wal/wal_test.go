@@ -316,6 +316,80 @@ func TestReplayFinalRecordBitFlip(t *testing.T) {
 
 func storeConfig() Config { return Config{Fsync: FsyncNever, Logger: quietLogger()} }
 
+// TestStoreIdle: a store is idle exactly when a checkpoint would have
+// nothing to write — the chain ends at the active generation, whose log
+// holds no record, and the writer is not poisoned — through appends, a
+// completed and an abandoned rotation, a poisoning and its heal.
+func TestStoreIdle(t *testing.T) {
+	s, _, err := Open(t.TempDir(), storeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(idle bool, when string) {
+		t.Helper()
+		if got := s.Idle(); got != idle {
+			t.Fatalf("%s: Idle() = %t, want %t", when, got, idle)
+		}
+	}
+	want(false, "before Initialize")
+	db := testDB(t)
+	if err := s.Initialize(&SnapshotData{DB: db}); err != nil {
+		t.Fatal(err)
+	}
+	want(true, "a seeded generation 1")
+	appendMacro := func() {
+		t.Helper()
+		if err := s.Append(Record{Op: OpMacro, Def: "DEFINE A AS x"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendMacro()
+	want(false, "a record logged")
+	checkpoint := func(complete bool) {
+		t.Helper()
+		h, err := s.BeginCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want(false, "a begun checkpoint")
+		if !complete {
+			h.Abort()
+			return
+		}
+		if err := s.CompleteDelta(h, &DeltaData{NextTupleID: db.NextTupleID(), FKs: db.ForeignKeys()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint(true)
+	want(true, "a completed checkpoint")
+	checkpoint(false)
+	want(false, "a rotation whose checkpoint was abandoned")
+	checkpoint(true)
+	want(true, "the retried checkpoint")
+
+	errBoom := errors.New("injected fsync failure")
+	appendMacro()
+	deactivate := faultinject.Activate(faultinject.NewPlan().
+		Set(faultinject.SiteWALFsync, faultinject.Rule{Err: errBoom}))
+	err = s.Sync()
+	deactivate()
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("Sync under fsync failure = %v, want the injected error", err)
+	}
+	if st := s.Stats(); st.WALRecords != 0 {
+		t.Fatalf("the poisoned log holds %d record(s); the test needs it truncated to none", st.WALRecords)
+	}
+	want(false, "a poisoned writer whose log holds no record")
+	if err := s.Supersede(&SnapshotData{DB: db}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want(true, "the heal")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want(false, "a closed store")
+}
+
 func TestStoreInitializeAppendRecover(t *testing.T) {
 	dir := t.TempDir()
 	s, rec, err := Open(dir, storeConfig())

@@ -103,7 +103,8 @@ func TestAPIPersistDurable(t *testing.T) {
 
 // TestAPIPersistChainAndIndexFields: after a delta checkpoint the endpoint
 // reports the chain depth, the lock-pause of the last checkpoint, and the
-// bytes written by kind; after Close (a second delta) and a reopen it
+// bytes written by kind; after a logged write, Close (a second delta) and a
+// reopen it
 // reports the chain recovery applied, the empty log tail, and whether the
 // inverted index was loaded from its persisted snapshot.
 func TestAPIPersistChainAndIndexFields(t *testing.T) {
@@ -159,7 +160,12 @@ func TestAPIPersistChainAndIndexFields(t *testing.T) {
 		t.Errorf("delta_bytes_written = %d, want > 0", st.DeltaBytes)
 	}
 	ts.Close()
-	if err := eng.Close(); err != nil { // a second delta: the chain is not flattened
+	// A logged write, so Close has something to checkpoint: a second delta,
+	// the chain not flattened.
+	if err := eng.AddSynonym("wooodie", "Woody Allen"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	closed = true

@@ -355,7 +355,9 @@ func (n *node) sync() error {
 // incremental delta extending the checkpoint chain; when the chain outgrows
 // CompactEvery or CompactBytes the state is instead synthesized from disk
 // into a fresh full snapshot, persisted together with an inverted-index
-// snapshot the next open can load instead of rebuilding. Returns
+// snapshot the next open can load instead of rebuilding. A checkpoint with
+// nothing to write (wal.Store.Idle: nothing logged since the last one) writes
+// nothing, rotates nothing, counts nothing and returns nil. Returns
 // ErrNotPersistent on an in-memory engine. A sharded engine checkpoints
 // every shard, one after another.
 func (e *Engine) Checkpoint() error { return e.backend.each((*node).checkpoint) }
@@ -372,6 +374,10 @@ func (n *node) checkpoint() error {
 		n.owner.mu.Unlock()
 		return errClosed
 	}
+	if n.store.Idle() {
+		n.owner.mu.Unlock()
+		return nil
+	}
 	return n.checkpointTo(n.store)
 }
 
@@ -379,6 +385,8 @@ func (n *node) checkpoint() error {
 // Close's final one, and a durable follower's mirror of its primary's
 // rotation onto its own store (which stays the replica's until Promote). The
 // caller holds ckptMu and the engine mutex; checkpointTo releases the mutex.
+// It always rotates: the engine's own callers skip an idle store first, and
+// the mirror must follow its primary's rotation whatever its log holds.
 func (n *node) checkpointTo(store *wal.Store) error {
 	mu := &n.owner.mu
 	// Phase 1 — under the mutation lock, O(dirty): rotate the log and
@@ -471,7 +479,8 @@ const (
 )
 
 // Close shuts the engine down: replication stops, the background
-// checkpointer stops, a final checkpoint runs, and the WAL closes. On an
+// checkpointer stops, a final checkpoint runs unless nothing was logged since
+// the last one, and the WAL closes. On an
 // in-memory engine it is a no-op. The engine refuses further mutations and
 // checkpoints afterwards; queries keep working (the in-memory state stays
 // valid). A second Close returns nil.
@@ -510,8 +519,9 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// close runs the final checkpoint and closes the WAL. The owner's role is
-// already closed: this runs once, and nothing can start behind it.
+// close runs the final checkpoint, when the store is not idle, and closes the
+// WAL. The owner's role is already closed: this runs once, and nothing can
+// start behind it.
 func (n *node) close() error {
 	if n.store == nil {
 		return nil
@@ -521,7 +531,9 @@ func (n *node) close() error {
 	defer n.ckptMu.Unlock()
 	n.owner.mu.Lock()
 	var firstErr error
-	if err := n.checkpointTo(n.store); err != nil {
+	if n.store.Idle() {
+		n.owner.mu.Unlock()
+	} else if err := n.checkpointTo(n.store); err != nil {
 		firstErr = fmt.Errorf("precis: final checkpoint: %w", err)
 		// The checkpoint failed but the WAL still holds every mutation:
 		// force it to disk so nothing is lost even on this path.
@@ -610,6 +622,9 @@ func (n *node) startCheckpointer() {
 			case <-n.stop:
 				return
 			case <-t.C:
+				if n.store.Idle() {
+					continue // nothing to write: not worth the engine's lock
+				}
 				due := sizeTrigger > 0 && n.store.LogSize() >= sizeTrigger
 				if !due && n.cfg.CheckpointEvery > 0 {
 					due = time.Since(n.store.Stats().LastCkpt) >= n.cfg.CheckpointEvery

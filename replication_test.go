@@ -497,11 +497,14 @@ func TestReplDurableFollowerCrossesRotations(t *testing.T) {
 
 // TestChaosReplicatedStorm is the acceptance scenario: 24 goroutines
 // hammer the primary with logged mutations while repl.send/repl.recv
-// faults (severs and wire corruption) fire and checkpoints rotate the WAL
-// generation mid-storm; a follower bootstraps mid-storm and serves reads
-// throughout. When the primary quiesces the follower must converge to a
-// byte-identical state that passes CheckIntegrity, and its probe answers
-// and narratives must match the primary's exactly.
+// faults (severs and wire corruption) fire, and one mutator checkpoints
+// after every few of its writes, so each checkpoint rotates a generation
+// that holds records and the streamer crosses rotations mid-storm. A
+// follower bootstraps after the first checkpoint, while three quarters of
+// every mutator's writes wait for it, and serves reads throughout. When the
+// primary quiesces the follower must converge to a byte-identical state that
+// passes CheckIntegrity, and its probe answers and narratives must match the
+// primary's exactly.
 func TestChaosReplicatedStorm(t *testing.T) {
 	errReplInjected := errors.New("chaos-repl: injected fault")
 	primary, addr := startReplPrimary(t)
@@ -525,6 +528,7 @@ func TestChaosReplicatedStorm(t *testing.T) {
 
 	const goroutines = 24
 	iters := chaosIters(40)
+	ckptEvery := max(1, iters/8) // the checkpointing mutator's writes per checkpoint
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines+2)
 	fail := func(err error) {
@@ -534,36 +538,64 @@ func TestChaosReplicatedStorm(t *testing.T) {
 		}
 	}
 	var followerPtr atomic.Pointer[Engine]
+	firstCkpt, bootstrapped := make(chan struct{}), make(chan struct{})
+	ckpts := 0
+	// checkpoint runs on the checkpointing mutator, right after its write:
+	// the active generation holds a record, so the checkpoint must rotate.
+	checkpoint := func() error {
+		before := primary.PersistStats()
+		if err := primary.Checkpoint(); err != nil {
+			return err
+		}
+		after := primary.PersistStats()
+		if before.WALRecords == 0 || after.Generation != before.Generation+1 || after.Checkpoints != before.Checkpoints+1 {
+			return fmt.Errorf("checkpoint %d over %d record(s) moved generation %d → %d, checkpoints %d → %d; want a rotation of a non-empty generation",
+				ckpts, before.WALRecords, before.Generation, after.Generation, before.Checkpoints, after.Checkpoints)
+		}
+		if ckpts++; ckpts == 1 {
+			close(firstCkpt)
+		}
+		return nil
+	}
 	for w := 0; w < goroutines; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				switch {
-				case w%4 == 0: // reader on the follower, once it exists
-					if f := followerPtr.Load(); f != nil {
-						if _, err := f.Query([]string{"Woody Allen"}, Options{SkipNarrative: true}); err != nil && !errors.Is(err, ErrNoMatches) {
-							fail(fmt.Errorf("follower reader %d iter %d: %w", w, i, err))
-							return
-						}
-					}
-				default: // mutator on the primary
-					id, err := primary.Insert("GENRE", mid, storage.String(fmt.Sprintf("storm-%d-%d", w, i)))
-					if err != nil {
-						fail(fmt.Errorf("mutator %d iter %d: %w", w, i, err))
+			if w%4 == 0 { // reader on the follower
+				<-bootstrapped
+				for f, i := followerPtr.Load(), 0; f != nil && i < iters; i++ {
+					if _, err := f.Query([]string{"Woody Allen"}, Options{SkipNarrative: true}); err != nil && !errors.Is(err, ErrNoMatches) {
+						fail(fmt.Errorf("follower reader %d iter %d: %w", w, i, err))
 						return
 					}
-					if i%3 == 0 {
-						if _, err := primary.Delete("GENRE", id); err != nil {
-							fail(fmt.Errorf("mutator %d iter %d delete: %w", w, i, err))
-							return
-						}
+				}
+				return
+			}
+			for i := 0; i < iters; i++ { // mutator on the primary
+				if i == iters/4 {
+					<-bootstrapped
+				}
+				id, err := primary.Insert("GENRE", mid, storage.String(fmt.Sprintf("storm-%d-%d", w, i)))
+				if err != nil {
+					fail(fmt.Errorf("mutator %d iter %d: %w", w, i, err))
+					return
+				}
+				if i%3 == 0 {
+					if _, err := primary.Delete("GENRE", id); err != nil {
+						fail(fmt.Errorf("mutator %d iter %d delete: %w", w, i, err))
+						return
 					}
-					if i%7 == 0 {
-						if err := primary.AddSynonym(fmt.Sprintf("stormalias%d_%d", w, i), "Match Point"); err != nil {
-							fail(fmt.Errorf("mutator %d iter %d synonym: %w", w, i, err))
-							return
-						}
+				}
+				if i%7 == 0 {
+					if err := primary.AddSynonym(fmt.Sprintf("stormalias%d_%d", w, i), "Match Point"); err != nil {
+						fail(fmt.Errorf("mutator %d iter %d synonym: %w", w, i, err))
+						return
+					}
+				}
+				if w == 1 && i%ckptEvery == ckptEvery-1 {
+					if err := checkpoint(); err != nil {
+						fail(fmt.Errorf("mid-storm checkpoint: %w", err))
+						return
 					}
 				}
 			}
@@ -573,7 +605,13 @@ func TestChaosReplicatedStorm(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		time.Sleep(2 * time.Millisecond)
+		defer close(bootstrapped)
+		select {
+		case <-firstCkpt:
+		case <-time.After(30 * time.Second):
+			fail(errors.New("no mid-storm checkpoint completed"))
+			return
+		}
 		f, err := openFollowerOf(addr)
 		if err != nil {
 			fail(fmt.Errorf("mid-storm follower bootstrap: %w", err))
@@ -581,28 +619,14 @@ func TestChaosReplicatedStorm(t *testing.T) {
 		}
 		followerPtr.Store(f)
 	}()
-	// Mid-storm checkpoints rotate the generation under the streamer.
-	ckpts := 0
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 3; i++ {
-			time.Sleep(3 * time.Millisecond)
-			if err := primary.Checkpoint(); err != nil {
-				fail(fmt.Errorf("mid-storm checkpoint %d: %w", i, err))
-				return
-			}
-			ckpts++
-		}
-	}()
 	wg.Wait()
 	select {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
 	}
-	if ckpts == 0 {
-		t.Fatal("no mid-storm checkpoint completed")
+	if want := iters / ckptEvery; ckpts != want {
+		t.Fatalf("%d mid-storm checkpoints completed, want %d", ckpts, want)
 	}
 	follower := followerPtr.Load()
 	if follower == nil {
@@ -618,7 +642,10 @@ func TestChaosReplicatedStorm(t *testing.T) {
 		t.Fatalf("converged follower has %d integrity violations (first: %s)", len(violations), violations[0])
 	}
 	assertReplicaIdentical(t, primary, follower, "after replicated storm")
-	if fired := plan.Fired(faultinject.SiteReplSend) + plan.Fired(faultinject.SiteReplRecv); fired == 0 {
+	sends, recvs := plan.Fired(faultinject.SiteReplSend), plan.Fired(faultinject.SiteReplRecv)
+	t.Logf("%d checkpoints; the follower took %d snapshot(s); %d send and %d recv fault(s) fired",
+		ckpts, follower.ReplStats().Follower.Snapshots, sends, recvs)
+	if sends+recvs == 0 {
 		t.Fatal("storm ran without any repl fault firing — schedule too sparse")
 	}
 }

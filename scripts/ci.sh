@@ -377,11 +377,49 @@
 # test: go test -run and -fuzz pass silently when nothing matches, so a test
 # renamed or deleted would leave its step green and running nothing.
 #
+# Every go test step of the module but the fuzz and bench smokes runs under
+# -json through gojson: the log gets one line per package, and a package that
+# fails keeps its whole event stream in .ci-out/ (one file per package) and
+# has its failing tests printed by name with their output — a flake that does
+# not repeat still names its test. The shuffle step runs the root package once
+# more with -shuffle=on and prints the seed, so a failure that depends on test
+# order names the order too (go test -shuffle=SEED replays it).
+#
 # Every go test step carries an explicit -timeout so a deadlocked suite
 # (the usual failure mode of replication and chaos bugs) kills the step
 # instead of hanging the CI job until the outer scheduler reaps it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+out=.ci-out
+rm -rf "$out"
+mkdir -p "$out"
+
+# gojson ARGS... is go test -json ARGS..., printed as one line per package.
+# When it fails, each failing package's event stream is kept whole in
+# $out/<package>.json, and its failing tests are printed with their output.
+# The last stream is left in $out/last.json for the shuffle step to read.
+gojson() {
+	local status=0 pkg file
+	go test -json "$@" >"$out/last.json" || status=$?
+	awk -F'"' '/"Action":"(pass|fail|skip)"/ && !/"Test":/ {
+		for (i = 2; i < NF; i += 2) f[$i] = $(i + 2)
+		match($0, /"Elapsed":[0-9.]+/)
+		printf "%-4s %s %ss\n", (f["Action"] == "pass" ? "ok" : toupper(f["Action"])), f["Package"], substr($0, RSTART + 10, RLENGTH - 10)
+	}' "$out/last.json"
+	[ "$status" -eq 0 ] && return 0
+	for pkg in $(grep -E '"Action":"fail"' "$out/last.json" | grep -v '"Test":' | sed -E 's/.*"Package":"([^"]*)".*/\1/' | sort -u); do
+		file="$out/${pkg//\//_}.json"
+		grep -F "\"Package\":\"$pkg\"" "$out/last.json" >"$file"
+		echo "ci.sh: $pkg failed; its go test -json stream is $file. Failing tests:" >&2
+		grep -E '"Action":"fail"' "$file" | grep '"Test":' | sed -E 's/.*"Test":"([^"]*)".*/\1/' | while read -r test; do
+			echo "--- $test" >&2
+			grep -F "\"Test\":\"$test\"" "$file" | grep '"Action":"output"' |
+				sed -E 's/.*"Output":"(.*)"\}$/\1/; s/\\n$//; s/\\t/\t/g; s/\\"/"/g; s/\\\\/\\/g' >&2 || true
+		done || true
+	done
+	return "$status"
+}
 
 # gotest PATTERN ARGS... is go test ARGS... -run PATTERN, after go test -list
 # has shown that every |-separated part of PATTERN names a test in ARGS'
@@ -397,7 +435,7 @@ gotest() {
 			exit 1
 		fi
 	done
-	go test "$@" -run "$pattern"
+	gojson "$@" -run "$pattern"
 }
 
 # fuzz TARGET PKG runs the fuzz target for 10s on top of its corpus, after
@@ -420,7 +458,13 @@ echo "== go build"
 go build ./...
 
 echo "== go test -race (-short chaos; includes the role table)"
-go test -race -count=1 -short -timeout=10m ./...
+gojson -race -count=1 -short -timeout=10m ./...
+
+echo "== root package, tests in shuffled order (the seed is printed: go test -shuffle=SEED . replays the order)"
+shuffled=0
+gojson -shuffle=on -count=1 -timeout=10m . || shuffled=$?
+echo "shuffle seed: $(grep -o -m1 'test.shuffle [0-9]*' "$out/last.json" | cut -d' ' -f2)"
+[ "$shuffled" -eq 0 ]
 
 echo "== chaos suite -race -count=2 (full strength; panics at every site, single engine and 4 shards)"
 gotest 'TestChaos' -race -count=2 -timeout=10m .
@@ -434,7 +478,7 @@ gotest 'TestDelta|TestStore|TestApplyDelta|TestIndexSnapshot|TestIndexPatch|Test
 
 echo "== replication convergence -race (full strength: swept link cuts; one history, four routes)"
 gotest 'TestRepl|TestChaosReplicatedStorm' -race -count=1 -timeout=10m .
-go test -race -count=1 -timeout=10m ./internal/repl
+gojson -race -count=1 -timeout=10m ./internal/repl
 
 echo "== quorum torture -race (primary kills after every acked write, ack faults)"
 gotest 'TestQuorum|TestFollowerResume' -race -count=1 -timeout=10m .
@@ -444,7 +488,7 @@ gotest 'TestFailover|TestPromote|TestDeposed|TestAutoFailover' -race -count=1 -t
 
 echo "== sharding -race (byte-parity sweep, crash recovery, faulted storm)"
 gotest 'TestSharded' -race -count=1 -timeout=10m .
-go test -race -count=1 -timeout=5m ./internal/shard
+gojson -race -count=1 -timeout=5m ./internal/shard
 
 echo "== generator oracle -race (full matrix: engine + 1/3/4 shards)"
 gotest 'TestGeneratorMatchesReference|TestRoundRobinStatementsPerJoin|TestRoundRobinProbeReadsNoTuple|TestRoundRobinRounds|TestQueriesCounts|TestSchemaMatchesSpec|TestDatabaseMatchesSpec|TestResultDatabaseReadsArePure' -race -count=1 -timeout=10m ./internal/core
